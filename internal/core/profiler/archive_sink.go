@@ -43,7 +43,7 @@ func (s *ArchiveSink) Put(name string, data []byte) (*storage.Object, error) {
 	if err := s.w.AddRaw(data); err != nil {
 		return nil, err
 	}
-	return &storage.Object{Name: name, Data: append([]byte(nil), data...)}, nil
+	return &storage.Object{Name: name}, nil
 }
 
 // PutBatch implements BatchStore: framed is a trace framed stream of

@@ -30,10 +30,16 @@ func tinyBlob(t testing.TB, runID string, seq uint64) []byte {
 // on every 3rd conditional write, then asserts the zero-loss contract:
 // no saver surfaces any error (least of all ErrManifestContention),
 // every acked run is listed and readable, and a fresh handle finds the
-// store fsck-clean.
+// store fsck-clean. It runs once per store (testStores).
 func runContentionSuite(t *testing.T, agents int) {
 	t.Helper()
-	bucket := newTestBucket(t)
+	for _, st := range testStores {
+		t.Run(st.name, func(t *testing.T) { runContentionSuiteOver(t, st.open(t), agents) })
+	}
+}
+
+func runContentionSuiteOver(t *testing.T, bucket Store, agents int) {
+	t.Helper()
 	cs := &faultnet.ContendingStore{Inner: bucket, FailEvery: 3}
 	r, _, err := OpenShards(cs, DefaultShards)
 	if err != nil {

@@ -362,7 +362,8 @@ func resumeSessionAndFinish(t *testing.T, f2 *Fleet, r2 *Repo, acks *crashAcks, 
 // The whole schedule runs twice: once against the v1 single-manifest
 // layout and once against a 3-shard repository (whose budget also
 // covers shard initialization, per-shard journals, and the compaction
-// step's pack writes).
+// step's pack writes), and each of those over both stores — on the
+// DirStore a torn Append is a real short tail on a real file.
 func TestPowerCutAtEveryWriteBoundary(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -372,33 +373,36 @@ func TestPowerCutAtEveryWriteBoundary(t *testing.T) {
 		{"sharded", 3},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			dry := newTestBucket(t)
-			cs := faultnet.NewCrashStore(dry)
-			acks := runCrashScript(t, cs, mode.shards)
-			if acks.failedStep != -1 {
-				t.Fatalf("dry run failed at step %d", acks.failedStep)
-			}
-			budget := cs.Writes()
-			if budget < 15 {
-				t.Fatalf("write budget %d suspiciously small — script not exercising the stack", budget)
-			}
-
-			for _, tear := range []bool{false, true} {
-				for n := 0; n < budget; n++ {
-					label := "cut@" + strconv.Itoa(n)
-					if tear {
-						label += "+torn"
-					}
-					bucket := newTestBucket(t)
-					cs := faultnet.NewCrashStore(bucket)
-					cs.CrashAfterWrites(n, tear)
+			for _, st := range testStores {
+				t.Run(st.name, func(t *testing.T) {
+					cs := faultnet.NewCrashStore(st.open(t))
 					acks := runCrashScript(t, cs, mode.shards)
-					if !cs.Dead() {
-						t.Fatalf("%s: cut never fired (budget %d)", label, budget)
+					if acks.failedStep != -1 {
+						t.Fatalf("dry run failed at step %d", acks.failedStep)
 					}
-					// Power restored: verification runs on the raw bucket.
-					verifyRecovered(t, bucket, acks, label)
-				}
+					budget := cs.Writes()
+					if budget < 15 {
+						t.Fatalf("write budget %d suspiciously small — script not exercising the stack", budget)
+					}
+
+					for _, tear := range []bool{false, true} {
+						for n := 0; n < budget; n++ {
+							label := "cut@" + strconv.Itoa(n)
+							if tear {
+								label += "+torn"
+							}
+							store := st.open(t)
+							cs := faultnet.NewCrashStore(store)
+							cs.CrashAfterWrites(n, tear)
+							acks := runCrashScript(t, cs, mode.shards)
+							if !cs.Dead() {
+								t.Fatalf("%s: cut never fired (budget %d)", label, budget)
+							}
+							// Power restored: verification runs on the raw store.
+							verifyRecovered(t, store, acks, label)
+						}
+					}
+				})
 			}
 		})
 	}

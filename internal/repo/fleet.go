@@ -683,7 +683,7 @@ func (fc *FleetClient) Put(name string, data []byte) (*storage.Object, error) {
 	if err := fc.AppendRaw(data); err != nil {
 		return nil, err
 	}
-	return &storage.Object{Name: name, Data: append([]byte(nil), data...)}, nil
+	return &storage.Object{Name: name}, nil
 }
 
 // PutBatch implements profiler.BatchStore: one AppendBatch RPC per

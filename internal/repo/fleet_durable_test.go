@@ -3,6 +3,9 @@ package repo
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -25,9 +28,9 @@ func newBucket(t *testing.T) *storage.Bucket {
 	return bucket
 }
 
-// newFleetOverBucket builds a collector over an existing bucket — the
+// newFleetOverBucket builds a collector over an existing store — the
 // restart tests build two collectors over the same one.
-func newFleetOverBucket(t *testing.T, bucket *storage.Bucket, opts FleetOptions) (*Fleet, *rpc.Server) {
+func newFleetOverBucket(t *testing.T, bucket Store, opts FleetOptions) (*Fleet, *rpc.Server) {
 	t.Helper()
 	r, _, err := Open(bucket)
 	if err != nil {
@@ -229,8 +232,15 @@ func TestFleetResumeEvictsLiveSession(t *testing.T) {
 // TestFleetResumeTrimsTornLogTail: a power cut mid-append leaves a
 // torn frame at the log's tail; resume trims it and reports only the
 // intact (acked) records, and the trimmed log accepts further appends.
+// On the DirStore the torn bytes are a real short tail on the log file,
+// and the appends after the trim extend the rewritten file in place.
 func TestFleetResumeTrimsTornLogTail(t *testing.T) {
-	bucket := newBucket(t)
+	for _, st := range testStores {
+		t.Run(st.name, func(t *testing.T) { testFleetResumeTrimsTornLogTail(t, st.open(t)) })
+	}
+}
+
+func testFleetResumeTrimsTornLogTail(t *testing.T, bucket Store) {
 	_, srv1 := newFleetOverBucket(t, bucket, FleetOptions{})
 	c1 := rpc.Pipe(srv1)
 	recs := sessionRecords(3, 24)
@@ -254,7 +264,7 @@ func TestFleetResumeTrimsTornLogTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, srv2 := newFleetOverBucket(t, bucket, FleetOptions{})
+	f2, srv2 := newFleetOverBucket(t, bucket, FleetOptions{})
 	c2 := rpc.Pipe(srv2)
 	defer c2.Close()
 	fc2, accepted, err := ResumeSession(c2, fc1.Token())
@@ -280,6 +290,59 @@ func TestFleetResumeTrimsTornLogTail(t *testing.T) {
 	}
 	if info.Records != 24 {
 		t.Fatalf("records = %d, want 24", info.Records)
+	}
+	_, a, err := f2.repo.Get("torn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := a.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range decoded {
+		if rec.Seq != recs[i].Seq {
+			t.Fatalf("record %d has seq %d, want %d: the trim lost or reordered acked records", i, rec.Seq, recs[i].Seq)
+		}
+	}
+}
+
+// TestFleetRetiredSessionsLeaveNoDirectories: retiring a session
+// deletes sessions/<token>/{meta,log}; on the DirStore that must take
+// the token's directory (and its sidecar twin) with it, or every later
+// List walks one dead directory per session ever collected.
+func TestFleetRetiredSessionsLeaveNoDirectories(t *testing.T) {
+	root := t.TempDir()
+	store, err := storage.OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	_, srv := newFleetOverBucket(t, store, FleetOptions{})
+	c := rpc.Pipe(srv)
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		fc, err := OpenSession(c, OpenRequest{RunID: fmt.Sprintf("retired-%03d", i), Workload: "synthetic"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.AppendBatch(sessionRecords(i, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fc.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := store.List("sessions/"); len(names) != 0 {
+		t.Fatalf("retired sessions still listed: %v", names)
+	}
+	for _, dir := range []string{"sessions", ".dirstore/gen/sessions"} {
+		left, err := os.ReadDir(filepath.Join(root, filepath.FromSlash(dir)))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Fatalf("%d directories leaked under %s (first: %s)", len(left), dir, left[0].Name())
+		}
 	}
 }
 

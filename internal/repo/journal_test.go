@@ -65,6 +65,25 @@ func newTestBucket(t *testing.T) *storage.Bucket {
 	return bucket
 }
 
+// testStores is the store axis: suites that state a Store contract
+// (crash recovery, torn-tail resume, ranged reads) run once over the
+// in-memory bucket and once over a live DirStore directory.
+var testStores = []struct {
+	name string
+	open func(t *testing.T) Store
+}{
+	{"bucket", func(t *testing.T) Store { return newTestBucket(t) }},
+	{"dirstore", func(t *testing.T) Store {
+		t.Helper()
+		d, err := storage.OpenDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}},
+}
+
 // TestSaveRollbackFailureReclaimedByRecover is the regression test for
 // the orphan-blob leak: a Save whose manifest update fails AND whose
 // rollback delete also fails used to strand a blob no GC could ever

@@ -104,7 +104,7 @@ func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error
 	if err := rc.flush(); err != nil {
 		return nil, err
 	}
-	return &storage.Object{Name: name, Data: append([]byte(nil), data...)}, nil
+	return &storage.Object{Name: name}, nil
 }
 
 // PutBatch accepts a framed record stream — profiler.BatchStore. The
@@ -126,7 +126,7 @@ func (rc *ResilientClient) PutBatch(name string, framed []byte, count int) (*sto
 	if err := rc.flush(); err != nil {
 		return nil, err
 	}
-	return &storage.Object{Name: name, Data: append([]byte(nil), framed...)}, nil
+	return &storage.Object{Name: name}, nil
 }
 
 // AppendBatch streams records, recovering the session if needed.

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/storage"
 )
 
 // runOwnedBy finds a run ID that hashes to a shard owned by the given
@@ -65,10 +64,10 @@ func TestReplicaConfigValidateAndOwnership(t *testing.T) {
 	}
 }
 
-// twoReplicaFleet builds one replica's fleet over the shared bucket.
+// twoReplicaFleet builds one replica's fleet over the shared store.
 // Each replica opens the store scoped to its owned shards, exactly as
 // a real collector process would.
-func twoReplicaFleet(t *testing.T, bucket *storage.Bucket, id int, opts FleetOptions) (*Fleet, *rpc.Server, *Repo) {
+func twoReplicaFleet(t *testing.T, bucket Store, id int, opts FleetOptions) (*Fleet, *rpc.Server, *Repo) {
 	t.Helper()
 	rc := &ReplicaConfig{ID: id, Replicas: 2, Peers: []string{"replica-a", "replica-b"}}
 	r, _, err := OpenShardsOwned(bucket, 4, rc.OwnedShards(4))
@@ -309,9 +308,15 @@ func TestReplicaRemovalSurvivorAdopts(t *testing.T) {
 // an agent streams through an endpoint-set client while its run's
 // owning replica is killed and restarted mid-stream. The ResilientClient
 // resumes from the server's durable count; the archived run must hold
-// every record exactly once.
+// every record exactly once. It runs over both stores: the DirStore is
+// what real replica processes share.
 func TestReplicaKillFailoverExactlyOnce(t *testing.T) {
-	bucket := newBucket(t)
+	for _, st := range testStores {
+		t.Run(st.name, func(t *testing.T) { testReplicaKillFailoverExactlyOnce(t, st.open(t)) })
+	}
+}
+
+func testReplicaKillFailoverExactlyOnce(t *testing.T, bucket Store) {
 	reg := obs.NewRegistry(64)
 	_, srv0, _ := twoReplicaFleet(t, bucket, 0, FleetOptions{})
 	_, srv1, _ := twoReplicaFleet(t, bucket, 1, FleetOptions{Obs: reg})

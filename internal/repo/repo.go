@@ -48,10 +48,12 @@ import (
 
 // Store is the mutable object-store surface the repository (and the
 // fleet endpoint's durable session logs) write through. *storage.Bucket
-// implements it directly; fault decorators (faultnet.CrashStore) wrap
-// it to script power cuts at write boundaries. Stores that additionally
-// implement storage.RangeReader serve packed-run reads without
-// materializing the whole pack.
+// and *storage.DirStore implement it directly; fault decorators
+// (faultnet.CrashStore) wrap it to script power cuts at write
+// boundaries. Put, PutIf and Append return the object's name and new
+// generation only: contents come from Get, or from GetRange on stores
+// that additionally implement storage.RangeReader, which serves a
+// packed run without materializing the whole pack.
 type Store interface {
 	Get(name string) (*storage.Object, error)
 	Put(name string, data []byte) (*storage.Object, error)

@@ -1,7 +1,10 @@
 package repo
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"testing"
@@ -486,25 +489,80 @@ func TestConcurrentSameIDSaves(t *testing.T) {
 	}
 }
 
-// TestRangeReaderServesPackedRuns: the storage.RangeReader fast path
-// and the Get-and-slice fallback must return identical bytes.
+// TestRangeReaderServesPackedRuns: both stores serve ranged reads, and
+// a packed run read through the storage.RangeReader fast path is byte
+// for byte what the Get-and-slice fallback returns.
 func TestRangeReaderServesPackedRuns(t *testing.T) {
-	bucket := newTestBucket(t)
-	var rr storage.RangeReader = bucket
-	if _, err := bucket.Put("obj", []byte("hello world")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := rr.GetRange("obj", 6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "world" {
-		t.Fatalf("GetRange = %q", got)
-	}
-	if _, err := rr.GetRange("obj", 8, 10); err == nil {
-		t.Fatal("out-of-bounds range did not error")
-	}
-	if _, err := rr.GetRange("missing", 0, 1); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("missing object: %v", err)
+	for _, st := range testStores {
+		t.Run(st.name, func(t *testing.T) {
+			store := st.open(t)
+			rr, ok := store.(storage.RangeReader)
+			if !ok {
+				t.Fatalf("%T does not serve ranged reads", store)
+			}
+			if _, err := store.Put("obj", []byte("hello world")); err != nil {
+				t.Fatal(err)
+			}
+			got, err := rr.GetRange("obj", 6, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "world" {
+				t.Fatalf("GetRange = %q", got)
+			}
+			if got, err := rr.GetRange("obj", 11, 0); err != nil || len(got) != 0 {
+				t.Fatalf("empty range at the end = %q, %v", got, err)
+			}
+			for _, bad := range [][2]int64{{8, 10}, {-1, 2}, {2, -1}, {1, math.MaxInt64}} {
+				if _, err := rr.GetRange("obj", bad[0], bad[1]); err == nil {
+					t.Fatalf("out-of-bounds range %v did not error", bad)
+				}
+			}
+			if _, err := rr.GetRange("missing", 0, 1); !errors.Is(err, storage.ErrNotFound) {
+				t.Fatalf("missing object: %v", err)
+			}
+
+			r, _, err := OpenShards(store, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range []int{9, 12, 15} {
+				if _, err := r.Save(crashBlob(t, fmt.Sprintf("run-%d", i), uint64(i+1), n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := r.Compact(CompactOptions{Workload: "base"}); err != nil {
+				t.Fatal(err)
+			}
+			// noRange hides GetRange, forcing readEntryBytes to fall back.
+			type noRange struct{ Store }
+			slow, _, err := OpenShards(noRange{store}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos, err := r.List(Filter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, info := range infos {
+				if !info.packed() {
+					t.Fatalf("run %s was not packed", info.RunID)
+				}
+				ranged, err := r.readEntryBytes(info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sliced, err := slow.readEntryBytes(info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ranged, sliced) || int64(len(ranged)) != info.Length {
+					t.Fatalf("run %s: ranged read (%d bytes) differs from Get-and-slice (%d bytes)", info.RunID, len(ranged), len(sliced))
+				}
+			}
+			if len(infos) != 3 {
+				t.Fatalf("listed %d runs, want 3", len(infos))
+			}
+		})
 	}
 }

@@ -18,17 +18,23 @@
 // this system comes from sharding ABOVE the store (each replica owns
 // disjoint manifest shards), not from intra-store lock splitting.
 //
-// Crash consistency: the generation sidecar is renamed into place
-// BEFORE the data file. A crash between the two leaves a bumped
-// generation over old bytes — observationally "the write never
-// happened, the generation burned", which CAS writers already handle —
-// never new bytes readable under an old generation (that would let a
-// competing PutIf silently overwrite a committed write). Data and
-// sidecar writes are both temp-file + rename, so readers never see a
-// torn file. No fsync: the repository's intent journal, not the store,
-// owns power-cut durability (a SIGKILL'd process loses nothing that
-// reached the page cache, which is the failure the fleet smoke
-// injects).
+// Crash consistency: every write bumps the generation sidecar (temp
+// file + rename) BEFORE it touches the data file. A crash between the
+// two leaves a bumped generation over old bytes — observationally "the
+// write never happened, the generation burned", which CAS writers
+// already handle — never new bytes readable under an old generation
+// (that would let a competing PutIf silently overwrite a committed
+// write). Put and PutIf replace the data file by temp file + rename, so
+// it is never torn. Append is in place: one O_APPEND write of exactly
+// the caller's bytes, so its cost does not depend on the object's size.
+// A write that fails is truncated back off; only a crash mid-write can
+// leave a torn tail, which is the debris the CRC-framed readers above
+// the store (journal replay, session-log resume) detect and trim.
+// Readers in other processes never see a half-written tail, because
+// every operation, reads included, holds the flock. No fsync: the
+// repository's intent journal, not the store, owns power-cut durability
+// (a SIGKILL'd process loses nothing that reached the page cache, which
+// is the failure the fleet smoke injects).
 package storage
 
 import (
@@ -54,7 +60,13 @@ type DirStore struct {
 	// serializes processes. Both are held for every operation.
 	mu    sync.Mutex
 	lockf *os.File
+
+	// write is (*os.File).Write; a test substitutes one that fails
+	// midway to drive Append's rollback.
+	write func(f *os.File, p []byte) (int, error)
 }
+
+var _ RangeReader = (*DirStore)(nil)
 
 // OpenDir opens (creating if needed) a directory-backed store at root.
 func OpenDir(root string) (*DirStore, error) {
@@ -65,7 +77,7 @@ func OpenDir(root string) (*DirStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: dirstore lock: %w", err)
 	}
-	return &DirStore{root: root, lockf: lockf}, nil
+	return &DirStore{root: root, lockf: lockf, write: (*os.File).Write}, nil
 }
 
 // Close releases the lock file handle.
@@ -148,15 +160,21 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
+// writeGen installs the object's generation sidecar — the first step
+// of every write. Caller holds the lock.
+func (d *DirStore) writeGen(name string, gen int64) error {
+	return writeFileAtomic(d.genPath(name), []byte(strconv.FormatInt(gen, 10)))
+}
+
 // putLocked writes gen-then-data; caller holds the lock.
 func (d *DirStore) putLocked(name string, data []byte, gen int64) (*Object, error) {
-	if err := writeFileAtomic(d.genPath(name), []byte(strconv.FormatInt(gen, 10))); err != nil {
+	if err := d.writeGen(name, gen); err != nil {
 		return nil, err
 	}
 	if err := writeFileAtomic(d.dataPath(name), data); err != nil {
 		return nil, err
 	}
-	return &Object{Name: name, Data: append([]byte(nil), data...), Generation: gen}, nil
+	return &Object{Name: name, Generation: gen}, nil
 }
 
 // Put stores data under name unconditionally.
@@ -208,7 +226,40 @@ func (d *DirStore) Get(name string) (*Object, error) {
 	return &Object{Name: name, Data: data, Generation: d.readGen(name)}, nil
 }
 
-// Append appends data to name, creating it if absent.
+// GetRange reads n bytes of an object starting at off, without reading
+// the rest of it.
+func (d *DirStore) GetRange(name string, off, n int64) ([]byte, error) {
+	if err := dirStoreValidName(name); err != nil {
+		return nil, err
+	}
+	if err := d.lock(); err != nil {
+		return nil, err
+	}
+	defer d.unlock()
+	f, err := os.Open(d.dataPath(name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !rangeWithin(off, n, st.Size()) {
+		return nil, fmt.Errorf("storage: range [%d,%d) outside %s (%d bytes)", off, off+n, name, st.Size())
+	}
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, off); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// Append appends data to name in place, creating it if absent: the
+// bytes of the existing object are neither read nor rewritten.
 func (d *DirStore) Append(name string, data []byte) (*Object, error) {
 	if err := dirStoreValidName(name); err != nil {
 		return nil, err
@@ -217,11 +268,45 @@ func (d *DirStore) Append(name string, data []byte) (*Object, error) {
 		return nil, err
 	}
 	defer d.unlock()
-	old, err := os.ReadFile(d.dataPath(name))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	cur := d.readGen(name)
+	if err := d.writeGen(name, cur+1); err != nil {
 		return nil, err
 	}
-	return d.putLocked(name, append(old, data...), d.readGen(name)+1)
+	if err := d.appendData(d.dataPath(name), data, cur == 0); err != nil {
+		return nil, err
+	}
+	return &Object{Name: name, Generation: cur + 1}, nil
+}
+
+// appendData is Append's data half. A write that fails is undone — the
+// file is cut back to its old length, or removed if this call created
+// it (fresh) — so only a crash leaves a torn tail.
+func (d *DirStore) appendData(path string, data []byte, fresh bool) error {
+	const flags = os.O_WRONLY | os.O_APPEND | os.O_CREATE
+	f, err := os.OpenFile(path, flags, 0o600)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+			f, err = os.OpenFile(path, flags, 0o600)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if _, err := d.write(f, data); err != nil {
+		if fresh {
+			_ = os.Remove(path) // best effort, as the truncate below
+		} else {
+			_ = f.Truncate(st.Size())
+		}
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Delete removes an object and its generation sidecar.
@@ -241,7 +326,21 @@ func (d *DirStore) Delete(name string) error {
 		return err
 	}
 	_ = os.Remove(d.genPath(name))
+	removeEmptyParents(d.dataPath(name), filepath.Clean(d.root))
+	removeEmptyParents(d.genPath(name), filepath.Join(d.root, dirStoreMeta, "gen"))
 	return nil
+}
+
+// removeEmptyParents removes path's parent directories, innermost
+// first, up to but not including its ancestor stop (a cleaned path),
+// ending at the first one that is not empty: a deleted object must not
+// leave directories for every later List to walk.
+func removeEmptyParents(path, stop string) {
+	for dir := filepath.Dir(path); len(dir) > len(stop); dir = filepath.Dir(dir) {
+		if os.Remove(dir) != nil {
+			return
+		}
+	}
 }
 
 // Exists reports whether name holds an object.

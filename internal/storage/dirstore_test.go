@@ -1,15 +1,19 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 func TestDirStorePutGetDelete(t *testing.T) {
-	d, err := OpenDir(t.TempDir())
+	root := t.TempDir()
+	d, err := OpenDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +51,16 @@ func TestDirStorePutGetDelete(t *testing.T) {
 	}
 	if err := d.Delete("runs/a"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v, want ErrNotFound", err)
+	}
+	// The last object under a directory takes the directory with it,
+	// on the data side and the sidecar side; the fixed roots stay.
+	for _, dir := range []string{"runs", filepath.Join(dirStoreMeta, "gen", "runs")} {
+		if _, err := os.Stat(filepath.Join(root, dir)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("empty directory %s survived the delete (stat: %v)", dir, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, dirStoreMeta, "gen")); err != nil {
+		t.Fatalf("delete pruned the sidecar root: %v", err)
 	}
 	// Generation history does not survive deletion: recreation restarts.
 	obj, err = d.Put("runs/a", []byte("three"))
@@ -108,8 +122,191 @@ func TestDirStoreAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(obj.Data) != "aabb" || obj.Generation != 2 {
-		t.Fatalf("append = %q gen %d", obj.Data, obj.Generation)
+	if obj.Name != "log" || obj.Data != nil || obj.Generation != 2 {
+		t.Fatalf("append returned %+v, want name and generation 2 only", obj)
+	}
+	got, err := d.Get("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Data) != "aabb" || got.Generation != 2 {
+		t.Fatalf("after appends: %q gen %d", got.Data, got.Generation)
+	}
+}
+
+// TestDirStoreAppendIsInPlace: appending k bytes to an n-byte object
+// costs O(k) — the data file keeps its inode (no rewrite + rename) and
+// the bytes allocated per append stay far below the object's size (no
+// read-back, no returned copy).
+func TestDirStoreAppendIsInPlace(t *testing.T) {
+	root := t.TempDir()
+	d, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	const size, rounds = 4 << 20, 32
+	if _, err := d.Put("sessions/tok/log", make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "sessions", "tok", "log")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := bytes.Repeat([]byte{'x'}, 1<<10)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		if _, err := d.Append("sessions/tok/log", chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / rounds; per > 32<<10 {
+		t.Fatalf("a 1 KiB append to a 4 MiB object allocated %d bytes: it scales with the object", per)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("append replaced the data file instead of extending it")
+	}
+	tail, err := d.GetRange("sessions/tok/log", size-1, 1+rounds<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte{0}, bytes.Repeat(chunk, rounds)...); !bytes.Equal(tail, want) {
+		t.Fatalf("appended bytes did not land after the old %d (tail is %d bytes)", size, len(tail))
+	}
+}
+
+// TestDirStoreAppendInterleavesWithCAS: two handles (two processes)
+// mixing Append with Get + PutIf(gen) on one object — the journal's
+// append-vs-compaction race. A CAS loses to a foreign append, and the
+// bytes land in call order.
+func TestDirStoreAppendInterleavesWithCAS(t *testing.T) {
+	root := t.TempDir()
+	a, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	must := func(_ *Object, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(a.Append("j", []byte("1")))
+	must(b.Append("j", []byte("2")))
+	seen, err := a.Get("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(b.Append("j", []byte("3")))
+	if _, err := a.PutIf("j", nil, seen.Generation); !errors.Is(err, ErrGenerationMismatch) {
+		t.Fatalf("truncate raced past a foreign append: %v", err)
+	}
+	must(a.Append("j", []byte("4")))
+	cur, err := b.Get("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(cur.Data) != "1234" || cur.Generation != 4 {
+		t.Fatalf("interleaved appends = %q gen %d, want 1234 gen 4", cur.Data, cur.Generation)
+	}
+	// With no append in between the swap wins, and appends continue on
+	// the swapped-in file.
+	must(b.PutIf("j", nil, cur.Generation))
+	must(a.Append("j", []byte("5")))
+	if got, _ := b.Get("j"); string(got.Data) != "5" || got.Generation != 6 {
+		t.Fatalf("after swap + append: %q gen %d, want 5 gen 6", got.Data, got.Generation)
+	}
+}
+
+// TestDirStoreFailedAppendRollsBack: a write that dies midway (disk
+// full) is cut back off the file, so the object reads as before; the
+// generation it bumped first stays burned, which fails stale CAS
+// writers as any other write would.
+func TestDirStoreFailedAppendRollsBack(t *testing.T) {
+	d, err := OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.Append("log", []byte("intact")); err != nil {
+		t.Fatal(err)
+	}
+
+	diskFull := errors.New("disk full (injected)")
+	realWrite := d.write
+	d.write = func(f *os.File, p []byte) (int, error) {
+		n, _ := realWrite(f, p[:len(p)/2])
+		return n, diskFull
+	}
+	if _, err := d.Append("log", []byte("half of this lands")); !errors.Is(err, diskFull) {
+		t.Fatalf("append over a failing write: %v", err)
+	}
+	if _, err := d.Append("new/log", []byte("never existed")); !errors.Is(err, diskFull) {
+		t.Fatalf("creating append over a failing write: %v", err)
+	}
+	d.write = realWrite
+
+	got, err := d.Get("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Data) != "intact" || got.Generation != 2 {
+		t.Fatalf("after failed append: %q gen %d, want intact gen 2", got.Data, got.Generation)
+	}
+	if _, err := d.PutIf("log", nil, 1); !errors.Is(err, ErrGenerationMismatch) {
+		t.Fatalf("CAS at the pre-failure generation: %v", err)
+	}
+	if d.Exists("new/log") {
+		t.Fatal("failed creating append left an object behind")
+	}
+	if _, err := d.Append("log", []byte("+more")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.Get("log"); string(got.Data) != "intact+more" {
+		t.Fatalf("append after rollback: %q", got.Data)
+	}
+}
+
+// BenchmarkDirStoreAppend: the cost of a 25 KiB append (one profile
+// record) must not depend on the size of the object it lands on.
+func BenchmarkDirStoreAppend(b *testing.B) {
+	chunk := make([]byte, 25<<10)
+	for _, size := range []int{0, 1 << 20, 4 << 20} {
+		b.Run(fmt.Sprintf("object=%dKiB", size>>10), func(b *testing.B) {
+			d, err := OpenDir(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			if size > 0 {
+				if _, err := d.Put("log", make([]byte, size)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(chunk)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Append("log", chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

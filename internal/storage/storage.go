@@ -31,10 +31,11 @@ var ErrBucketExists = errors.New("storage: bucket already exists")
 // got there first (the GCS ifGenerationMatch precondition).
 var ErrGenerationMismatch = errors.New("storage: generation mismatch")
 
-// Object is a stored blob plus metadata. Every Object handed out by the
-// bucket API owns its Data slice: mutating it never corrupts the stored
-// copy, and later writes to the bucket never show through a previously
-// returned Object (see TestObjectDataIsDefensiveCopy).
+// Object is a stored blob plus metadata. Get returns one that owns its
+// Data slice: mutating it never corrupts the stored copy, and later
+// writes never show through it (see TestObjectDataIsDefensiveCopy).
+// Put, PutIf and Append return the name and new generation only, with
+// Data nil — a write does not hand the caller's bytes back.
 type Object struct {
 	Name       string
 	Data       []byte
@@ -115,9 +116,7 @@ func (s *Service) Buckets() []string {
 func (b *Bucket) Name() string { return b.name }
 
 // Put stores data under name, overwriting any prior object and bumping the
-// generation. The data is copied; callers may reuse their buffer. The
-// returned Object is a defensive copy — mutating its Data cannot corrupt
-// the stored bytes.
+// generation. The data is copied; callers may reuse their buffer.
 func (b *Bucket) Put(name string, data []byte) (*Object, error) {
 	if name == "" {
 		return nil, errors.New("storage: empty object name")
@@ -126,10 +125,7 @@ func (b *Bucket) Put(name string, data []byte) (*Object, error) {
 	copy(cp, data)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	obj := &Object{Name: name, Data: cp, Generation: b.nextGen}
-	b.nextGen++
-	b.objects[name] = obj
-	return obj.copy(), nil
+	return b.storeLocked(name, cp), nil
 }
 
 // PutIf stores data under name only if the object's current generation
@@ -153,10 +149,17 @@ func (b *Bucket) PutIf(name string, data []byte, gen int64) (*Object, error) {
 		return nil, fmt.Errorf("%w: %s/%s at generation %d, expected %d",
 			ErrGenerationMismatch, b.name, name, cur, gen)
 	}
-	obj := &Object{Name: name, Data: cp, Generation: b.nextGen}
+	return b.storeLocked(name, cp), nil
+}
+
+// storeLocked installs data (which the bucket now owns) under name at
+// the next generation and returns the write's metadata. Caller holds
+// the write lock.
+func (b *Bucket) storeLocked(name string, data []byte) *Object {
+	gen := b.nextGen
 	b.nextGen++
-	b.objects[name] = obj
-	return obj.copy(), nil
+	b.objects[name] = &Object{Name: name, Data: data, Generation: gen}
+	return &Object{Name: name, Generation: gen}
 }
 
 // copy returns an Object whose Data is independent of the stored slice.
@@ -198,13 +201,19 @@ func (b *Bucket) GetRange(name string, off, n int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, b.name, name)
 	}
-	if off < 0 || n < 0 || off+n > int64(len(obj.Data)) {
+	if !rangeWithin(off, n, int64(len(obj.Data))) {
 		return nil, fmt.Errorf("storage: range [%d,%d) outside %s/%s (%d bytes)",
 			off, off+n, b.name, name, len(obj.Data))
 	}
 	cp := make([]byte, n)
 	copy(cp, obj.Data[off:off+n])
 	return cp, nil
+}
+
+// rangeWithin reports whether [off, off+n) lies inside an object of
+// size bytes, without overflowing on a hostile off or n.
+func rangeWithin(off, n, size int64) bool {
+	return off >= 0 && n >= 0 && n <= size && off <= size-n
 }
 
 // Exists reports whether an object is present.
@@ -310,25 +319,16 @@ func (b *Bucket) ImportDir(dir string) (int, error) {
 
 // Append appends data to an existing object, creating it if absent. This is
 // how the profiler's recording thread accumulates a profile log without
-// rewriting the whole object each time. The returned Object is a defensive
-// copy of the post-append state.
+// rewriting the whole object each time.
 func (b *Bucket) Append(name string, data []byte) (*Object, error) {
 	if name == "" {
 		return nil, errors.New("storage: empty object name")
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	obj, ok := b.objects[name]
-	if !ok {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		obj = &Object{Name: name, Data: cp, Generation: b.nextGen}
-		b.nextGen++
-		b.objects[name] = obj
-		return obj.copy(), nil
+	var old []byte
+	if obj, ok := b.objects[name]; ok {
+		old = obj.Data
 	}
-	obj.Data = append(obj.Data, data...)
-	obj.Generation = b.nextGen
-	b.nextGen++
-	return obj.copy(), nil
+	return b.storeLocked(name, append(old, data...)), nil
 }

@@ -285,7 +285,9 @@ func TestExportImportDir(t *testing.T) {
 
 // Regression: Objects returned by Put/Append used to alias the stored
 // slice, so a caller scribbling on a returned buffer silently corrupted
-// the bucket. Every handout must be a defensive copy.
+// the bucket. Writes now return metadata only — there is nothing to
+// alias — and every Get handout must be a defensive copy, including
+// over an object that later Appends grow in place.
 func TestObjectDataIsDefensiveCopy(t *testing.T) {
 	s := NewService()
 	b, _ := s.CreateBucket("b")
@@ -294,37 +296,39 @@ func TestObjectDataIsDefensiveCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range put.Data {
-		put.Data[i] = 'X'
-	}
-	got, err := b.Get("obj")
+	cas, err := b.PutIf("obj", []byte("pristine"), put.Generation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, []byte("pristine")) {
-		t.Fatalf("Put return aliased the store: got %q", got.Data)
-	}
-
 	app, err := b.Append("log", []byte("head"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range app.Data {
-		app.Data[i] = 'Y'
+	for _, w := range []*Object{put, cas, app} {
+		if w.Data != nil || w.Name == "" || w.Generation == 0 {
+			t.Fatalf("write returned %+v, want name and generation only", w)
+		}
 	}
-	app2, err := b.Append("log", []byte("+tail"))
+
+	held, err := b.Get("log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range app2.Data {
-		app2.Data[i] = 'Z'
+	if _, err := b.Append("log", []byte("+tail")); err != nil {
+		t.Fatal(err)
 	}
-	got, err = b.Get("log")
+	if !bytes.Equal(held.Data, []byte("head")) {
+		t.Fatalf("a later Append showed through an earlier Get: %q", held.Data)
+	}
+	for i := range held.Data {
+		held.Data[i] = 'Y'
+	}
+	got, err := b.Get("log")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Data, []byte("head+tail")) {
-		t.Fatalf("Append return aliased the store: got %q", got.Data)
+		t.Fatalf("Get return aliased the store: got %q", got.Data)
 	}
 
 	// And the Get copy keeps protecting reads, both directions.
@@ -334,6 +338,9 @@ func TestObjectDataIsDefensiveCopy(t *testing.T) {
 	again, _ := b.Get("log")
 	if !bytes.Equal(again.Data, []byte("head+tail")) {
 		t.Fatalf("Get return aliased the store: got %q", again.Data)
+	}
+	if obj, _ := b.Get("obj"); !bytes.Equal(obj.Data, []byte("pristine")) {
+		t.Fatalf("obj = %q", obj.Data)
 	}
 }
 

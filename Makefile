@@ -95,7 +95,7 @@ check: build fmt vet
 	./scripts/check_selftest.sh
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/obs
-	$(GO) test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
+	$(GO) test -race -count=2 ./internal/core/analyzer ./internal/core/cluster ./cmd/tpupoint
 	./scripts/archive_smoke.sh
 	./scripts/crash_smoke.sh
 	./scripts/stream_smoke.sh

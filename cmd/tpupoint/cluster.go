@@ -84,20 +84,18 @@ func clusterCmd(args []string, dir string, codecPar, shards int, reg *obs.Regist
 		}
 
 		if dir != "" {
-			r, bucket, err := openRepoDir(dir, codecPar, shards)
+			r, _, done, err := openRepoDir(dir, codecPar, shards, true)
 			if err != nil {
 				return err
 			}
 			label := *preset + "-" + p
 			saved, err := c.SaveArchives(r, res, label)
+			done()
 			if err != nil {
 				return err
 			}
 			if saved != res.Report.Accepted {
 				return fmt.Errorf("cluster: accepted %d jobs but archived %d", res.Report.Accepted, saved)
-			}
-			if err := syncRepoDir(bucket, dir); err != nil {
-				return err
 			}
 			if !*jsonOut {
 				fmt.Printf("archived:  %d runs labeled %q -> %s\n\n", saved, label, dir)

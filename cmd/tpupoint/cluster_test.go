@@ -51,11 +51,7 @@ func TestClusterVerbArchivesAndListFilters(t *testing.T) {
 	}
 
 	// The repository on disk carries tenant identity.
-	r, _, err := openRepoDir(dir, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vision, err := r.List(repo.Filter{Tenant: "vision"})
+	vision, err := viewRepo(t, dir).List(repo.Filter{Tenant: "vision"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //	tpupoint -archive ./runs runs list
 //	tpupoint -archive ./runs runs diff base tuned
 //	tpupoint -archive ./runs -keep 2 runs gc
-//	tpupoint -archive ./runs -shards 8 runs list   (migrate to 8 manifest shards)
+//	tpupoint -archive ./runs -shards 8 runs gc     (migrate to 8 manifest shards)
 //	tpupoint -archive ./runs runs compact          (merge small archives into packs)
 //
 // Fleet collection (profilers stream records to a central server):
@@ -78,11 +78,11 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 0, "collection server: concurrent session cap (0 = default)")
 		maxConns    = flag.Int("max-conns", 0, "served RPC endpoints: connection cap; excess connections get a transient busy error (0 = unlimited)")
 		codecPar    = flag.Int("codec-parallelism", 0, "archive codec worker pool size for repository reads (0 = GOMAXPROCS, 1 = serial; decoded runs are bit-identical for any value)")
-		shards      = flag.Int("shards", 0, "manifest shard count for the profile repository: 0 keeps the existing layout, N > 1 migrates a legacy single-manifest repository to N shards on open")
+		shards      = flag.Int("shards", 0, "manifest shard count for the profile repository: 0 keeps the existing layout; N > 1 migrates a legacy single-manifest repository to N shards when a mutating verb or a standalone -collect-serve opens it (verbs that only read never migrate); with -replicas > 1 it sizes a fresh repository (default 4 per replica)")
 		compactEach = flag.Int("compact-every", 0, "collection server: run a background compaction pass every N finalized sessions (0 = never; on demand via `runs compact`)")
 
 		replicaID = flag.Int("replica-id", 0, "collection server: this replica's index in the replica set (with -replicas > 1)")
-		replicas  = flag.Int("replicas", 1, "collection server: replica-set size; each replica owns the manifest shards s with s %% replicas == replica-id and redirects misplaced sessions to their owner")
+		replicas  = flag.Int("replicas", 1, "collection server: replica-set size (1 = standalone, the same server as the sole writer of every shard); each replica owns the manifest shards s with s %% replicas == replica-id and redirects misplaced sessions to their owner")
 		peersF    = flag.String("peers", "", "collection server: comma-separated replica endpoints in replica-id order (entry i is replica i's address), used to redirect misplaced sessions and to probe fleet readiness")
 	)
 	flag.Parse()
@@ -284,15 +284,13 @@ func main() {
 		}
 		printRunInfo(os.Stdout, info, "")
 	} else if *archiveDir != "" {
-		r, bucket, err := openRepoDir(*archiveDir, *codecPar, *shards)
+		r, _, done, err := openRepoDir(*archiveDir, *codecPar, *shards, true)
 		if err != nil {
 			fatal(err)
 		}
 		info, err := s.ArchiveRun(r, rid, *label, records, rep)
+		done()
 		if err != nil {
-			fatal(err)
-		}
-		if err := syncRepoDir(bucket, *archiveDir); err != nil {
 			fatal(err)
 		}
 		printRunInfo(os.Stdout, info, *archiveDir)

@@ -1,9 +1,20 @@
 // Profile-repository subcommands and the fleet collection server.
 //
-// The repository lives in a directory on disk (-archive): the bucket
-// layout (runs/manifest.json + runs/<id>/archive) mirrored as files.
-// Each invocation imports the directory into an in-memory bucket,
-// operates on it through internal/repo, and syncs mutations back.
+// The repository lives in a directory on disk (-archive), opened as a
+// live storage.DirStore: objects are files at their slash-mapped paths
+// (runs/manifest.json, runs/<id>/archive, sessions/<token>/log, ...)
+// and every mutation internal/repo makes lands in the directory as it
+// happens, under the store's flock, so the crash-consistency contract
+// of internal/repo holds for every verb and a verb can run beside live
+// collectors on the same directory. Nothing is imported, held in
+// memory, or synced back.
+//
+// Verbs that mutate (runs gc, delete, compact, salvage, fsck -repair;
+// archiving a run; cluster) replay the intent journals when they open
+// the repository. A full replay rolls back ANY open intent, including
+// the in-flight save of a live collector, so stop the collectors
+// before running one. Verbs that only read (runs list, show, diff,
+// fsck; watch) never replay and never write, and are safe at any time.
 package main
 
 import (
@@ -15,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -26,60 +36,61 @@ import (
 	"repro/internal/storage"
 )
 
-// openRepoDir loads a profile repository from a directory (which may
-// not exist yet — that's an empty repository) and replays its intent
-// journal, so a repository left behind by a crashed process is
-// reconciled before any verb runs. codecPar sets the archive codec's
-// worker pool for repository reads (-codec-parallelism: 0 = GOMAXPROCS,
-// 1 = serial; decoded runs are bit-identical either way). shards is the
-// -shards request: 0 keeps the repository's existing manifest layout,
-// N > 1 migrates a legacy single-manifest repository to N shards on
-// open (an already-sharded repository keeps its recorded count).
-func openRepoDir(dir string, codecPar, shards int) (*repo.Repo, *storage.Bucket, error) {
-	svc := storage.NewService()
-	bucket, err := svc.CreateBucket("profile-repo")
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := os.Stat(dir); err == nil {
-		if _, err := bucket.ImportDir(dir); err != nil {
-			return nil, nil, fmt.Errorf("loading repository %s: %w", dir, err)
+// openRepoDir opens the profile repository in dir and returns it with
+// the store under it and a func releasing the store.
+//
+// replay is true for a verb that mutates: the directory is created if
+// missing, every intent journal is replayed (so what a crashed process
+// left behind is completed or rolled back before the verb runs), and a
+// -shards request is honoured — shards N > 1 migrates a legacy
+// single-manifest repository to N shards, 0 keeps the existing layout,
+// an already-sharded repository keeps its recorded count.
+//
+// replay is false for a verb that only reads: nothing under dir is
+// created or altered. The journals are left alone because an open
+// intent may belong to a live collector's in-flight save, and a
+// directory that does not exist (a mistyped path) reads as an empty
+// repository instead of being created.
+//
+// codecPar sets the archive codec's worker pool for repository reads
+// (-codec-parallelism: 0 = GOMAXPROCS, 1 = serial; decoded runs are
+// bit-identical either way). A directory written by earlier builds'
+// export route (raw files, no generation sidecars) opens unchanged:
+// DirStore adopts such objects at generation 1.
+func openRepoDir(dir string, codecPar, shards int, replay bool) (*repo.Repo, repo.Store, func(), error) {
+	if !replay {
+		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+			bucket, err := storage.NewService().CreateBucket("empty")
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return repo.New(bucket), bucket, func() {}, nil
 		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
 	}
-	r, rec, err := repo.OpenShards(bucket, shards)
+	store, err := storage.OpenDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
+		return nil, nil, nil, fmt.Errorf("opening repository %s: %w", dir, err)
 	}
+	var r *repo.Repo
+	if replay {
+		var rec *repo.RecoveryReport
+		if r, rec, err = repo.OpenShards(store, shards); err != nil {
+			store.Close()
+			return nil, nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
+		}
+		printRecovery(rec)
+	} else {
+		r = repo.New(store)
+	}
+	r.SetCodecParallelism(codecPar)
+	return r, store, func() { store.Close() }, nil
+}
+
+func printRecovery(rec *repo.RecoveryReport) {
 	if !rec.Clean() {
 		fmt.Printf("recovery: replayed %d interrupted mutations (%d completed, %d rolled back, %d orphans reclaimed)\n",
 			rec.OpenIntents, rec.Completed, rec.RolledBack, len(rec.OrphansReclaimed))
 	}
-	r.SetCodecParallelism(codecPar)
-	return r, bucket, nil
-}
-
-// repoPrefixes are the bucket subtrees that persist to disk: run data,
-// durable fleet session state, and fsck's quarantine area.
-var repoPrefixes = []string{"runs/", "sessions/", "quarantine/"}
-
-// syncRepoDir writes the repository objects back to dir. Each persisted
-// subtree is replaced wholesale so deletions (runs gc, session
-// retirement, quarantine release) propagate.
-func syncRepoDir(bucket *storage.Bucket, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, prefix := range repoPrefixes {
-		if err := os.RemoveAll(filepath.Join(dir, filepath.FromSlash(strings.TrimSuffix(prefix, "/")))); err != nil {
-			return err
-		}
-		if _, err := bucket.ExportDir(dir, prefix); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runsCmd dispatches the `runs list|show|diff|gc|...` verbs.
@@ -87,15 +98,32 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 	if dir == "" {
 		return errors.New("runs: -archive <dir> is required")
 	}
-	r, bucket, err := openRepoDir(dir, codecPar, shards)
-	if err != nil {
-		return err
-	}
 	verb := "list"
 	if len(args) > 0 {
 		verb = args[0]
 		args = args[1:]
 	}
+	repair := false
+	if verb == "fsck" {
+		for _, a := range args {
+			switch a {
+			case "-repair", "--repair":
+				repair = true
+			default:
+				return fmt.Errorf("usage: runs fsck [-repair] (got %q)", a)
+			}
+		}
+	}
+	mutates := repair
+	switch verb {
+	case "gc", "delete", "compact", "salvage":
+		mutates = true
+	}
+	r, _, done, err := openRepoDir(dir, codecPar, shards, mutates)
+	if err != nil {
+		return err
+	}
+	defer done()
 	switch verb {
 	case "list":
 		fs := flag.NewFlagSet("runs list", flag.ContinueOnError)
@@ -181,7 +209,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			fmt.Printf("removed %s\n", id)
 		}
 		fmt.Printf("gc: removed %d runs (keeping %d newest per workload)\n", len(victims), keep)
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	case "delete":
 		if len(args) != 1 {
@@ -191,18 +219,9 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			return err
 		}
 		fmt.Printf("removed %s\n", args[0])
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	case "fsck":
-		repair := false
-		for _, a := range args {
-			switch a {
-			case "-repair", "--repair":
-				repair = true
-			default:
-				return fmt.Errorf("usage: runs fsck [-repair] (got %q)", a)
-			}
-		}
 		rep, err := r.Fsck(repair)
 		if err != nil {
 			return err
@@ -219,11 +238,6 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 		} else {
 			fmt.Printf("fsck: %d runs checked, %d issues, %d repaired\n",
 				rep.RunsChecked, len(rep.Issues), rep.Repaired)
-		}
-		if repair {
-			if err := syncRepoDir(bucket, dir); err != nil {
-				return err
-			}
 		}
 		if !rep.Clean() && rep.Repaired < len(rep.Issues) {
 			return fmt.Errorf("fsck: %d unrepaired issues", len(rep.Issues)-rep.Repaired)
@@ -252,10 +266,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 		}
 		fmt.Printf("compact: %d packs from %d runs (%d bytes)\n",
 			len(rep.Packs), runsPacked, bytesPacked)
-		if len(rep.Packs) == 0 {
-			return nil
-		}
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	case "salvage":
 		if len(args) != 1 {
@@ -273,7 +284,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			args[0], srep.SegmentsKept, srep.SegmentsTotal, mode,
 			srep.RecordsKept, srep.BytesDropped)
 		printRunInfo(os.Stdout, info, dir)
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	default:
 		return fmt.Errorf("unknown runs verb %q (want list, show, diff, gc, delete, fsck, salvage, compact)", verb)
@@ -281,15 +292,15 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 }
 
 // collectConfig bundles the collection server's flag surface: one
-// process = one replica (or the whole fleet when Replicas <= 1).
+// process = one replica of a set of Replicas (a set of one by default).
 type collectConfig struct {
 	Addr, Dir string
 
 	MaxSessions, MaxConns, CodecPar, Shards, CompactEvery int
 
-	// ReplicaID/Replicas/Peers configure replicated collection: this
-	// process owns the manifest shards s with s % Replicas == ReplicaID
-	// and answers misplaced sessions with a redirect to Peers[owner].
+	// ReplicaID/Replicas/Peers place this process in the replica set: it
+	// owns the manifest shards s with s % Replicas == ReplicaID and
+	// answers misplaced sessions with a redirect to Peers[owner].
 	ReplicaID, Replicas int
 	Peers               []string
 
@@ -301,16 +312,21 @@ type collectConfig struct {
 // collectServe runs the fleet collection server: profilers stream
 // records in over RPC (tpupoint -collect <addr>), every finalized
 // session becomes an indexed archive in the -archive directory.
-// Interrupted sessions are durable: their state is parked in the
-// repository and clients reattach with fleet.Resume after a restart.
 //
-// Standalone (-replicas 1, the default) the repository is imported
-// into memory and synced back at shutdown. Replicated (-replicas N)
-// the -archive directory is opened as a live shared DirStore — every
-// mutation lands on disk immediately, because peer replicas and a
-// restarted self read the same files — and saves flow through a
-// group-commit Ingestor that amortizes journal+manifest writes across
-// concurrent finalizes.
+// The directory is a live DirStore shared with the other replicas and
+// with a restarted self: every accepted record is in its session log,
+// and every finalized run in its manifest, before the client is
+// acknowledged, so there is nothing to flush at shutdown and a kill -9
+// loses nothing that was acked. Interrupted sessions stay parked in the
+// directory and clients reattach with fleet.Resume after a restart.
+// Saves flow through a group-commit Ingestor that amortizes
+// journal+manifest writes across concurrent finalizes.
+//
+// A standalone collector (-replicas 1) is a replica set of one. The
+// only difference from -replicas N is how the repository is opened: as
+// the sole writer it replays every journal and honours a -shards
+// migration (repo.OpenShards), where one of N replays only the journals
+// of the shards it owns (repo.OpenShardsOwned) and probes its peers.
 func collectServe(cfg collectConfig) error {
 	if cfg.Dir == "" {
 		return errors.New("-collect-serve needs -archive <dir> for the repository")
@@ -319,57 +335,48 @@ func collectServe(cfg collectConfig) error {
 	health.SetFailing("repository", "opening")
 	health.SetFailing("collector", "starting")
 
+	rc := &repo.ReplicaConfig{ID: cfg.ReplicaID, Replicas: max(cfg.Replicas, 1), Peers: cfg.Peers}
+	if err := rc.Validate(); err != nil {
+		return err
+	}
+	store, err := storage.OpenDir(cfg.Dir)
+	if err != nil {
+		return err
+	}
+	defer store.Close()
 	var (
-		r       *repo.Repo
-		bucket  *storage.Bucket // standalone mode only (nil when replicated)
-		rc      *repo.ReplicaConfig
-		ingest  *repo.Ingestor
-		owned   []int
-		fleetID = "collector"
+		r   *repo.Repo
+		rec *repo.RecoveryReport
 	)
-	if cfg.Replicas > 1 {
-		rc = &repo.ReplicaConfig{ID: cfg.ReplicaID, Replicas: cfg.Replicas, Peers: cfg.Peers}
-		if err := rc.Validate(); err != nil {
-			return err
-		}
+	if rc.Replicas == 1 {
+		r, rec, err = repo.OpenShards(store, cfg.Shards)
+	} else {
 		shards := cfg.Shards
 		if shards == 0 {
 			// Every replica needs shards to own; default to a few per
 			// replica so reconfiguration has room to rebalance.
-			shards = 4 * cfg.Replicas
+			shards = 4 * rc.Replicas
 		}
-		if shards < cfg.Replicas {
-			return fmt.Errorf("-shards %d < -replicas %d leaves replicas owning nothing", shards, cfg.Replicas)
+		if shards < rc.Replicas {
+			return fmt.Errorf("-shards %d < -replicas %d leaves replicas owning nothing", shards, rc.Replicas)
 		}
-		store, err := storage.OpenDir(cfg.Dir)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		owned = rc.OwnedShards(shards)
-		var rec *repo.RecoveryReport
-		r, rec, err = repo.OpenShardsOwned(store, shards, owned)
-		if err != nil {
-			return fmt.Errorf("recovering repository %s: %w", cfg.Dir, err)
-		}
-		if !rec.Clean() {
-			fmt.Printf("recovery: replayed %d interrupted mutations (%d completed, %d rolled back, %d orphans reclaimed)\n",
-				rec.OpenIntents, rec.Completed, rec.RolledBack, len(rec.OrphansReclaimed))
-		}
-		r.SetCodecParallelism(cfg.CodecPar)
-		ingest = repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
-		defer ingest.Close()
-		fleetID = fmt.Sprintf("replica-%d", rc.ID)
-		reg.SetLabel("replica", fmt.Sprint(rc.ID))
-		cfg.Fleet.Set(fleetID, obs.ReplicaUp)
-	} else {
-		var err error
-		r, bucket, err = openRepoDir(cfg.Dir, cfg.CodecPar, cfg.Shards)
-		if err != nil {
-			return err
-		}
+		r, rec, err = repo.OpenShardsOwned(store, shards, rc.OwnedShards(shards))
 	}
+	if err != nil {
+		return fmt.Errorf("recovering repository %s: %w", cfg.Dir, err)
+	}
+	printRecovery(rec)
+	shards, err := r.Shards()
+	if err != nil {
+		return err
+	}
+	r.SetCodecParallelism(cfg.CodecPar)
 	r.SetObs(reg)
+	ingest := repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
+	defer ingest.Close()
+	fleetID := fmt.Sprintf("replica-%d", rc.ID)
+	reg.SetLabel("replica", fmt.Sprint(rc.ID))
+	cfg.Fleet.Set(fleetID, obs.ReplicaUp)
 	fleet := repo.NewFleet(r, repo.FleetOptions{
 		MaxSessions: cfg.MaxSessions, CompactEvery: cfg.CompactEvery,
 		Obs: reg, Replica: rc, Ingest: ingest,
@@ -387,30 +394,27 @@ func collectServe(cfg collectConfig) error {
 		srv.SetConnLimit(cfg.MaxConns)
 	}
 	fleet.Register(srv)
+	// Registered before the first connection can be served, so a stop
+	// request never finds the default (process-killing) disposition.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	l, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return err
 	}
 	defer l.Close()
-	if rc != nil {
-		fmt.Printf("fleet collection server on %s (replica %d of %d, shards %v), repository %s\n",
-			l.Addr(), rc.ID, rc.Replicas, owned, cfg.Dir)
-	} else {
-		fmt.Printf("fleet collection server on %s (max %d sessions), repository %s\n",
-			l.Addr(), cfg.MaxSessions, cfg.Dir)
-	}
+	fmt.Printf("fleet collection server on %s (replica %d of %d, shards %v), repository %s\n",
+		l.Addr(), rc.ID, rc.Replicas, rc.OwnedShards(shards), cfg.Dir)
 	go srv.Serve(l)
 	health.SetReady("collector")
 
 	// Probe peer replicas so /fleetz answers for the whole set.
 	stopProbe := make(chan struct{})
-	if rc != nil && len(rc.Peers) > 0 {
+	if len(rc.Peers) > 1 {
 		go probePeers(rc, cfg.Fleet, stopProbe)
 	}
 
-	// Serve until interrupted, then flush the repository to disk.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	close(stopProbe)
 	health.SetFailing("collector", "shutting down")
@@ -419,15 +423,9 @@ func collectServe(cfg collectConfig) error {
 	if n := fleet.ActiveSessions(); n > 0 {
 		fmt.Printf("%d sessions still open; their accepted records are parked durably (clients resume by token)\n", n)
 	}
-	// Drain any in-flight background compaction before the final sync so
-	// the exported directory reflects a settled repository.
+	// Let an in-flight background compaction finish its intent rather
+	// than leave it for the next open to replay.
 	fleet.WaitBackground()
-	if bucket != nil {
-		if err := syncRepoDir(bucket, cfg.Dir); err != nil {
-			return err
-		}
-		fmt.Printf("repository synced to %s\n", cfg.Dir)
-	}
 	return nil
 }
 

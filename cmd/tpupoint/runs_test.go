@@ -1,48 +1,122 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/core/analyzer"
+	"repro/internal/faultnet"
+	"repro/internal/obs"
+	"repro/internal/repo"
+	"repro/internal/rpc"
 	"repro/internal/simclock"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
+
+func testRecord(i int) *trace.ProfileRecord {
+	ts := simclock.Time(i * 1000)
+	return trace.Reduce(int64(i), ts, []trace.Event{
+		{Name: "MatMul", Device: trace.TPU, Start: ts, Dur: 500, Step: int64(i)},
+	}, 0.2, 0.4)
+}
+
+// testBlob is a small multi-segment archive of 24 records with its
+// phase summary embedded.
+func testBlob(t *testing.T, runID string, seq uint64) []byte {
+	t.Helper()
+	w := archive.NewWriter(archive.Meta{RunID: runID, Workload: "synthetic", CreatedSeq: seq})
+	if err := w.SetSegmentTarget(256); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*trace.ProfileRecord, 24)
+	for i := range recs {
+		recs[i] = testRecord(i)
+		w.Add(recs[i])
+	}
+	rep, err := analyzer.Analyze("synthetic", recs, analyzer.OLSAlgo, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Finalize(archive.SummarizeReport(rep))
+}
+
+// saveRuns archives one run per ID into the repository directory, the
+// way `tpupoint -archive dir` does after training.
+func saveRuns(t *testing.T, dir string, runIDs ...string) {
+	t.Helper()
+	r, _, done, err := openRepoDir(dir, 1, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done()
+	for i, id := range runIDs {
+		if _, err := r.Save(testBlob(t, id, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // writeRepoWithRun builds an on-disk repository containing one saved
 // run and returns its directory plus the raw blob bytes.
 func writeRepoWithRun(t *testing.T, runID string) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	w := archive.NewWriter(archive.Meta{RunID: runID, Workload: "synthetic", CreatedSeq: 1})
-	if err := w.SetSegmentTarget(256); err != nil {
-		t.Fatal(err)
-	}
-	var ts simclock.Time
-	for i := 0; i < 24; i++ {
-		w.Add(trace.Reduce(int64(i), ts, []trace.Event{
-			{Name: "MatMul", Device: trace.TPU, Start: ts, Dur: 500, Step: int64(i)},
-		}, 0.2, 0.4))
-		ts += 1000
-	}
-	blob := w.Finalize(nil)
-
-	r, bucket, err := openRepoDir(dir, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Save(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := syncRepoDir(bucket, dir); err != nil {
-		t.Fatal(err)
-	}
-	return dir, blob
+	saveRuns(t, dir, runID)
+	return dir, testBlob(t, runID, 1)
 }
 
 func blobPath(dir, runID string) string {
 	return filepath.Join(dir, "runs", runID, "archive")
+}
+
+// viewRepo opens dir the way a read-only verb does.
+func viewRepo(t *testing.T, dir string) *repo.Repo {
+	t.Helper()
+	r, _, done, err := openRepoDir(dir, 1, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(done)
+	return r
+}
+
+// repoTree reads every repository file under dir (the store's own
+// .dirstore bookkeeping aside), keyed by relative path.
+func repoTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if e.Name() == ".dirstore" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		tree[filepath.ToSlash(rel)] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 // TestRunsSalvageRoundTrip drives the CLI path end to end: damage the
@@ -60,10 +134,7 @@ func TestRunsSalvageRoundTrip(t *testing.T) {
 	}
 
 	// Reopen from disk: the run must verify and carry records.
-	r, _, err := openRepoDir(dir, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := viewRepo(t, dir)
 	info, a, err := r.Get("run-a")
 	if err != nil {
 		t.Fatalf("salvaged run unreadable from disk: %v", err)
@@ -98,19 +169,15 @@ func TestRunsFsckRepair(t *testing.T) {
 	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err != nil {
 		t.Fatalf("repository not clean after repair: %v", err)
 	}
-
-	r, _, err := openRepoDir(dir, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Info("run-a"); err == nil {
+	if _, err := viewRepo(t, dir).Info("run-a"); err == nil {
 		t.Fatal("phantom entry survived on-disk repair")
 	}
 }
 
-// TestSyncRepoDirPersistsQuarantine: fsck's quarantine area must
-// survive the bucket→directory sync.
-func TestSyncRepoDirPersistsQuarantine(t *testing.T) {
+// TestRunsFsckRepairQuarantinesOnDisk: a blob fsck -repair cannot save
+// is in the directory's quarantine area, and out of runs/, when the
+// verb returns.
+func TestRunsFsckRepairQuarantinesOnDisk(t *testing.T) {
 	dir, _ := writeRepoWithRun(t, "run-a")
 	if err := os.WriteFile(blobPath(dir, "run-a"), []byte("XXXXnothing"), 0o644); err != nil {
 		t.Fatal(err)
@@ -125,4 +192,321 @@ func TestSyncRepoDirPersistsQuarantine(t *testing.T) {
 	if _, err := os.Stat(blobPath(dir, "run-a")); !os.IsNotExist(err) {
 		t.Fatal("corrupt blob left in runs/ after quarantine")
 	}
+}
+
+// TestReadOnlyVerbsNeverWrite: list/show/diff/fsck/watch create no
+// directory for a mistyped path and leave every repository byte alone —
+// in particular an open save intent and its orphan blob, which may
+// belong to a live collector's in-flight save. The first mutating verb
+// replays the journal and reclaims the orphan.
+func TestReadOnlyVerbsNeverWrite(t *testing.T) {
+	typo := filepath.Join(t.TempDir(), "typo")
+	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, typo, 0, false, 1, 0) })
+	if !strings.Contains(out, "repository is empty") {
+		t.Fatalf("runs list on a missing directory printed:\n%s", out)
+	}
+	if _, err := os.Stat(typo); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("runs list created %s (stat: %v)", typo, err)
+	}
+
+	dir := t.TempDir()
+	saveRuns(t, dir, "run-a", "run-b")
+
+	// A parked fleet session, so sessions/ has a meta object and a log.
+	store, err := storage.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := rpc.NewServer()
+	repo.NewFleet(repo.New(store), repo.FleetOptions{}).Register(srv)
+	defer srv.Close()
+	conn := rpc.Pipe(srv)
+	defer conn.Close()
+	fc, err := repo.OpenSession(conn, repo.OpenRequest{RunID: "live", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := fc.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A save that lost power after its intent and blob, before its
+	// manifest CAS.
+	crash := faultnet.NewCrashStore(store)
+	doomed, _, err := repo.Open(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash.CrashAfterWrites(2, false)
+	if _, err := doomed.Save(testBlob(t, "cut", 9)); !errors.Is(err, faultnet.ErrPowerLost) {
+		t.Fatalf("cut save: %v, want ErrPowerLost", err)
+	}
+	if _, err := os.Stat(blobPath(dir, "cut")); err != nil {
+		t.Fatalf("test setup: no orphan blob: %v", err)
+	}
+
+	before := repoTree(t, dir)
+	for _, verb := range [][]string{{"list"}, {"show", "run-a"}, {"diff", "run-a", "run-b"}} {
+		captureStdout(t, func() error { return runsCmd(verb, dir, 0, false, 1, 0) })
+	}
+	// The orphan is debris fsck reports; check-only must not touch it.
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err == nil {
+		t.Fatal("plain fsck passed over an orphan blob")
+	}
+	captureStdout(t, func() error { return watchCmd([]string{"-quiet", "run-a"}, dir, 1) })
+	out = captureStdout(t, func() error { return watchCmd([]string{"-quiet", "-session", fc.Token()}, dir, 1) })
+	if !strings.Contains(out, "8 records") {
+		t.Fatalf("watch -session did not replay the 8 accepted records:\n%s", out)
+	}
+	if after := repoTree(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("read-only verbs changed the directory:\nbefore %v\nafter  %v", keys(before), keys(after))
+	}
+
+	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 1, 0) })
+	if !strings.Contains(out, "recovery: replayed 1 interrupted mutations (0 completed, 1 rolled back, 1 orphans reclaimed)") {
+		t.Fatalf("runs gc printed no recovery line:\n%s", out)
+	}
+	if _, err := os.Stat(blobPath(dir, "cut")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("orphan blob survived the replay (stat: %v)", err)
+	}
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err != nil {
+		t.Fatalf("fsck after replay: %v", err)
+	}
+}
+
+func keys(m map[string]string) []string {
+	var ks []string
+	for k, v := range m {
+		ks = append(ks, fmt.Sprintf("%s(%d)", k, len(v)))
+	}
+	return ks
+}
+
+// TestExportedDirectoryStillWorks: a directory laid out by earlier
+// builds' export route — raw object files, no .dirstore sidecars — is
+// adopted in place: it lists, shows, GCs and compacts.
+func TestExportedDirectoryStillWorks(t *testing.T) {
+	bucket, err := storage.NewService().CreateBucket("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := repo.New(bucket)
+	for i, id := range []string{"run-1", "run-2", "run-3", "run-4"} {
+		if _, err := old.Save(testBlob(t, id, uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	for _, name := range bucket.List("runs/") {
+		obj, err := bucket.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, obj.Data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 1, 0) })
+	for _, id := range []string{"run-1", "run-2", "run-3", "run-4"} {
+		if !strings.Contains(out, id) {
+			t.Fatalf("runs list lost %s:\n%s", id, out)
+		}
+	}
+	out = captureStdout(t, func() error { return runsCmd([]string{"show", "run-2"}, dir, 0, false, 1, 0) })
+	if !strings.Contains(out, "records:   24") {
+		t.Fatalf("runs show run-2:\n%s", out)
+	}
+	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 1, 0) })
+	if !strings.Contains(out, "removed run-1") || !strings.Contains(out, "gc: removed 1 runs") {
+		t.Fatalf("runs gc -keep 3:\n%s", out)
+	}
+	if _, err := os.Stat(blobPath(dir, "run-1")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("gc left its victim's blob on disk (stat: %v)", err)
+	}
+	out = captureStdout(t, func() error { return runsCmd([]string{"compact"}, dir, 0, false, 1, 0) })
+	if !strings.Contains(out, "compact: 1 packs from 3 runs") {
+		t.Fatalf("runs compact:\n%s", out)
+	}
+	r := viewRepo(t, dir)
+	if _, _, err := r.Get("run-3"); err != nil {
+		t.Fatalf("packed run unreadable: %v", err)
+	}
+	if rep, err := r.Fsck(false); err != nil || !rep.Clean() {
+		t.Fatalf("fsck after gc+compact: %+v, %v", rep, err)
+	}
+}
+
+// gateStore calls onAppend before every Append: a test parks a writer
+// at a chosen journal write.
+type gateStore struct {
+	repo.Store
+	onAppend func(name string)
+}
+
+func (g *gateStore) Append(name string, data []byte) (*storage.Object, error) {
+	g.onAppend(name)
+	return g.Store.Append(name, data)
+}
+
+// TestRunsGCBesideLiveWriter: `runs gc` works on the live directory
+// under the store's lock, so a writer on a second handle keeps what it
+// saved — the old import/mutate/re-export route wiped whatever landed
+// between its import and its sync. The writer is parked at the two
+// journal writes of a save where a full replay is harmless (before its
+// intent; after its manifest CAS, before its done record); between
+// them the collectors must be stopped, as the package comment says.
+func TestRunsGCBesideLiveWriter(t *testing.T) {
+	for _, parkAt := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parked-at-journal-write-%d", parkAt), func(t *testing.T) {
+			dir := t.TempDir()
+			saveRuns(t, dir, "old-1", "old-2")
+
+			store, err := storage.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			parked, release := make(chan struct{}), make(chan struct{})
+			appends := 0
+			writer := repo.New(&gateStore{Store: store, onAppend: func(string) {
+				if appends++; appends == parkAt {
+					close(parked)
+					<-release
+				}
+			}})
+			saved := make(chan error, 1)
+			go func() {
+				_, err := writer.Save(testBlob(t, "live", 3))
+				saved <- err
+			}()
+			<-parked
+
+			out := captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 2, false, 1, 0) })
+			close(release)
+			if err := <-saved; err != nil {
+				t.Fatalf("in-flight save: %v", err)
+			}
+
+			// gc ranked what was indexed when it ran: with the save parked
+			// before its intent that is the two old runs (nothing to
+			// drop), with it parked after its CAS the oldest of three.
+			wantRuns := []string{"old-1", "old-2", "live"}
+			if parkAt == 2 {
+				wantRuns = []string{"old-2", "live"}
+				if !strings.Contains(out, "removed old-1") {
+					t.Fatalf("gc did not drop the oldest run:\n%s", out)
+				}
+			}
+			r := viewRepo(t, dir)
+			runs, err := r.List(repo.Filter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, info := range runs {
+				got = append(got, info.RunID)
+			}
+			if !reflect.DeepEqual(got, wantRuns) {
+				t.Fatalf("runs after gc beside a live save = %v, want %v", got, wantRuns)
+			}
+			if rep, err := r.Fsck(false); err != nil || !rep.Clean() {
+				t.Fatalf("fsck: %+v, %v", rep, err)
+			}
+		})
+	}
+}
+
+// TestStandaloneCollectorAcksAreOnDisk: a standalone -collect-serve
+// runs on the live directory, so a record is readable through a second
+// handle as soon as it is acked — no shutdown sync exists — and a
+// restarted collector parks the session for the client to resume by
+// token.
+func TestStandaloneCollectorAcksAreOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	serve := func() <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			errc <- collectServe(collectConfig{
+				Addr: addr, Dir: dir, CodecPar: 1, Replicas: 1,
+				Health: obs.NewHealth(), Fleet: obs.NewFleetView(),
+			})
+		}()
+		return errc
+	}
+	stop := func(errc <-chan error) {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("collectServe: %v", err)
+		}
+	}
+
+	first := serve()
+	client, err := rpc.NewReconnectClient(rpc.ReconnectOptions{Endpoints: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	fc, err := repo.OpenResilient(client, repo.OpenRequest{RunID: "vm0", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const acked = 16
+	for i := 0; i < acked; i++ {
+		if err := fc.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	second, err := storage.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	recs, err := repo.SessionRecords(second, fc.Token())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != acked {
+		t.Fatalf("%d of %d acked records on disk while the collector runs", len(recs), acked)
+	}
+
+	stop(first)
+	restarted := serve()
+	for i := acked; i < acked+4; i++ {
+		if err := fc.Append(testRecord(i)); err != nil {
+			t.Fatalf("append after restart: %v", err)
+		}
+	}
+	if fc.Resumes() == 0 {
+		t.Fatal("client never resumed the parked session")
+	}
+	info, err := fc.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Records != acked+4 {
+		t.Fatalf("archived %d records, want %d", info.Records, acked+4)
+	}
+	// Finalized means indexed on disk, again before any shutdown.
+	if got, err := repo.New(second).Info("vm0"); err != nil || got.Records != acked+4 {
+		t.Fatalf("run on disk = %+v, %v", got, err)
+	}
+	stop(restarted)
 }

@@ -10,6 +10,8 @@
 // With -follow the session log is re-read every -interval until it
 // stops growing for -idle, so a live collection can be watched from a
 // second terminal while the collector appends to the same directory.
+// watch only reads: it never replays a journal or writes to the
+// repository, so it is safe beside live collectors.
 package main
 
 import (
@@ -20,7 +22,6 @@ import (
 
 	"repro/internal/core/analyzer"
 	"repro/internal/repo"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -46,24 +47,30 @@ func watchCmd(args []string, archiveDir string, codecPar int) error {
 		return fmt.Errorf("watch needs -archive pointing at a profile repository")
 	}
 
+	if *sessionTk == "" && fs.NArg() != 1 {
+		fs.Usage()
+		return fmt.Errorf("watch needs a run ID or -session <token>")
+	}
+
+	r, store, done, err := openRepoDir(archiveDir, codecPar, 0, false)
+	if err != nil {
+		return err
+	}
+	defer done()
+
 	s := analyzer.NewStream("watch", analyzer.StreamOptions{
 		Threshold: *threshold,
 		DutyCycle: *duty,
 		OnEvent:   watchPrinter(*quiet),
 	})
 
-	switch {
-	case *sessionTk != "":
-		if err := watchSession(s, archiveDir, *sessionTk, *follow, *interval, *idle); err != nil {
-			return err
-		}
-	case fs.NArg() == 1:
-		if err := watchArchive(s, archiveDir, codecPar, fs.Arg(0)); err != nil {
-			return err
-		}
-	default:
-		fs.Usage()
-		return fmt.Errorf("watch needs a run ID or -session <token>")
+	if *sessionTk != "" {
+		err = watchSession(s, store, *sessionTk, *follow, *interval, *idle)
+	} else {
+		err = watchArchive(s, r, fs.Arg(0))
+	}
+	if err != nil {
+		return err
 	}
 
 	printStreamSummary(s.Finish())
@@ -107,11 +114,7 @@ func watchPrinter(quiet bool) func(analyzer.StreamEvent) {
 
 // watchArchive streams one archived run through the analyzer via the
 // O(1)-resident record iterator.
-func watchArchive(s *analyzer.StreamAnalyzer, dir string, codecPar int, runID string) error {
-	r, _, err := openRepoDir(dir, codecPar, 0)
-	if err != nil {
-		return err
-	}
+func watchArchive(s *analyzer.StreamAnalyzer, r *repo.Repo, runID string) error {
 	_, a, err := r.Get(runID)
 	if err != nil {
 		return err
@@ -126,14 +129,15 @@ func watchArchive(s *analyzer.StreamAnalyzer, dir string, codecPar int, runID st
 }
 
 // watchSession replays a fleet session's durable log, optionally
-// following it as the collector appends. Each poll re-imports the
-// repository directory — the log on disk is the shared truth between
-// the collector process and this one — and feeds only the new tail.
-func watchSession(s *analyzer.StreamAnalyzer, dir, token string, follow bool, interval, idle time.Duration) error {
+// following it as the collector appends. Each poll re-reads the log
+// through the open store — the file on disk is the shared truth
+// between the collector process and this one — and feeds only the new
+// tail.
+func watchSession(s *analyzer.StreamAnalyzer, store repo.Store, token string, follow bool, interval, idle time.Duration) error {
 	fed := 0
 	quietSince := time.Now()
 	for {
-		recs, err := readSessionLogDir(dir, token)
+		recs, err := repo.SessionRecords(store, token)
 		if err != nil {
 			return err
 		}
@@ -160,20 +164,6 @@ func watchSession(s *analyzer.StreamAnalyzer, dir, token string, follow bool, in
 		}
 		time.Sleep(interval)
 	}
-}
-
-// readSessionLogDir loads the repository directory fresh and returns
-// the session's durably-accepted records.
-func readSessionLogDir(dir, token string) ([][]byte, error) {
-	svc := storage.NewService()
-	bucket, err := svc.CreateBucket("watch")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := bucket.ImportDir(dir); err != nil {
-		return nil, fmt.Errorf("loading repository %s: %w", dir, err)
-	}
-	return repo.SessionRecords(bucket, token)
 }
 
 func printStreamSummary(rep *analyzer.StreamReport) {

@@ -647,9 +647,6 @@ func OpenSession(c rpc.Caller, req OpenRequest) (*FleetClient, error) {
 	return &FleetClient{c: c, id: resp.SessionID, token: resp.Token}, nil
 }
 
-// SessionID returns the server-issued session handle.
-func (fc *FleetClient) SessionID() uint64 { return fc.id }
-
 // Token returns the durable resume token. A profiler that wants to
 // survive collector restarts persists it alongside its own state and
 // hands it to ResumeSession after reconnecting.
@@ -692,24 +689,15 @@ func (fc *FleetClient) Put(name string, data []byte) (*storage.Object, error) {
 // busy error, so the profiler's retry/backoff path re-sends the exact
 // same tail — records are never duplicated.
 func (fc *FleetClient) PutBatch(name string, framed []byte, count int) (*storage.Object, error) {
-	rest := framed
-	for len(rest) > 0 {
-		body := make([]byte, 8+len(rest))
-		binary.LittleEndian.PutUint64(body[:8], fc.id)
-		copy(body[8:], rest)
-		out, err := fc.c.Call(MethodFleetAppendBatch, body)
+	for rest := framed; len(rest) > 0; {
+		n, err := fc.appendBatchRaw(rest)
 		if err != nil {
 			return nil, err
 		}
-		var resp AppendBatchResponse
-		if err := json.Unmarshal(out, &resp); err != nil {
-			return nil, fmt.Errorf("fleet: bad append-batch response: %w", err)
-		}
-		if resp.Accepted <= 0 {
+		if n == 0 {
 			return nil, fmt.Errorf("fleet: append-batch accepted 0 of %d records", count)
 		}
-		rest, err = trace.SkipFrames(rest, resp.Accepted)
-		if err != nil {
+		if rest, err = trace.SkipFrames(rest, n); err != nil {
 			return nil, err
 		}
 	}

@@ -160,7 +160,7 @@ func TestFsckUnsalvageableQuarantined(t *testing.T) {
 
 func TestFsckCountMismatchRepaired(t *testing.T) {
 	r, _ := seedRepo(t, 1)
-	if err := r.update(func(m *manifest) error {
+	if err := r.updateRun("run-a", func(m *manifest) error {
 		m.Runs[0].Records += 7
 		m.Runs[0].Bytes = 1
 		return nil

@@ -1,33 +1,29 @@
 // Group-commit ingest lane: the write-side throughput half of the
 // replicated collector.
 //
-// Repo.Save is one journal append, one blob Put, and one manifest CAS
-// per run. At 1000+ concurrent agents the manifest CAS round-trips
-// dominate: even sharded, every finalize pays its own
-// journal-intent/manifest-update pair. An Ingestor funnels a replica's
-// saves through one apply goroutine that drains its queue in rounds
-// and commits each round per shard with ONE batch journal intent and
-// ONE manifest CAS covering every run in the round — k saves cost
-// O(shards touched) index round-trips instead of O(k).
+// The repository has one save protocol, Repo.commitSaves: per shard it
+// touches, a round of k saves costs ONE journal intent and ONE manifest
+// CAS. Repo.Save is a round of one on the caller's goroutine, so k
+// concurrent finalizes pay k journal-intent/manifest-update pairs and
+// at 1000+ agents those index round-trips dominate. An Ingestor is the
+// queue in front of the same protocol: it funnels a replica's saves
+// through one apply goroutine that drains its queue in rounds, so k
+// saves cost O(shards touched) index round-trips instead of O(k).
 //
-// This is safe precisely because of replica placement (replica.go): a
+// Batching is safe because of replica placement (replica.go): a
 // replica is the sole writer of its shards, so the lane's manifest CAS
-// never races another writer, and batching cannot reorder conflicting
-// updates that a concurrent writer could observe. Replica count is the
-// scaling knob — R replicas run R independent lanes over disjoint
-// shards, so fleet-wide ingest throughput grows with R while per-run
-// durability semantics stay exactly Save's: intent before blob, blob
-// before index, rollback (or an open intent for Recover) on failure.
+// does not race another writer in normal operation (and a run another
+// writer does slip in is answered ErrRunExists, exactly as for Save).
+// Replica count is the scaling knob — R replicas run R independent
+// lanes over disjoint shards, so fleet-wide ingest throughput grows
+// with R while per-run durability semantics are Save's by construction.
 package repo
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
-	"repro/internal/archive"
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
 // ErrIngestorClosed is returned by Save after Close.
@@ -39,13 +35,13 @@ var ErrIngestorClosed = errors.New("repo: ingestor closed")
 // that one round's blobs sit comfortably in memory.
 const DefaultIngestBatch = 64
 
-// IngestorOptions tune a group-commit lane.
+// ingestQueue bounds pending saves; Save blocks (never sheds) when the
+// queue is full — backpressure, not loss. Four rounds' worth keeps the
+// apply goroutine fed while one round commits.
+const ingestQueue = 4 * DefaultIngestBatch
+
+// IngestorOptions configure a group-commit lane.
 type IngestorOptions struct {
-	// MaxBatch caps saves per commit round (default DefaultIngestBatch).
-	MaxBatch int
-	// Queue bounds pending saves; Save blocks (never sheds) when full —
-	// backpressure, not loss (default 4*MaxBatch).
-	Queue int
 	// Replica, when set, makes the lane refuse saves for shards this
 	// replica does not own — a misrouted finalize must fail loudly, not
 	// silently break the single-writer invariant batching relies on.
@@ -68,8 +64,8 @@ type ingestResp struct {
 // Construct one per collector replica (NewIngestor), point the fleet
 // at it (FleetOptions.Ingest), and Close it at shutdown to drain.
 type Ingestor struct {
-	repo *Repo
-	opts IngestorOptions
+	repo    *Repo
+	replica *ReplicaConfig
 
 	ch   chan ingestReq
 	done chan struct{}
@@ -84,16 +80,10 @@ type Ingestor struct {
 
 // NewIngestor starts a lane's apply goroutine.
 func NewIngestor(r *Repo, opts IngestorOptions) *Ingestor {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultIngestBatch
-	}
-	if opts.Queue <= 0 {
-		opts.Queue = 4 * opts.MaxBatch
-	}
 	g := &Ingestor{
 		repo:    r,
-		opts:    opts,
-		ch:      make(chan ingestReq, opts.Queue),
+		replica: opts.Replica,
+		ch:      make(chan ingestReq, ingestQueue),
 		done:    make(chan struct{}),
 		batches: opts.Obs.Counter("repo.ingest.batches"),
 		runs:    opts.Obs.Counter("repo.ingest.batched_runs"),
@@ -104,9 +94,8 @@ func NewIngestor(r *Repo, opts IngestorOptions) *Ingestor {
 }
 
 // Save queues blob for the next commit round and waits for its
-// outcome. Semantics match Repo.Save — same validation, same duplicate
-// errors, same journaled rollback — only the index round-trips are
-// amortized across the round.
+// outcome: Repo.Save's, with the index round-trips amortized across the
+// round.
 func (g *Ingestor) Save(blob []byte) (RunInfo, error) {
 	req := ingestReq{blob: blob, resp: make(chan ingestResp, 1)}
 	g.sendMu.Lock()
@@ -136,7 +125,7 @@ func (g *Ingestor) run() {
 	defer close(g.done)
 	for first := range g.ch {
 		batch := []ingestReq{first}
-		for len(batch) < g.opts.MaxBatch {
+		for len(batch) < DefaultIngestBatch {
 			select {
 			case req, ok := <-g.ch:
 				if !ok {
@@ -153,196 +142,19 @@ func (g *Ingestor) run() {
 	}
 }
 
-// pendingSave is one validated, inflight-claimed save inside a round.
-type pendingSave struct {
-	req  ingestReq
-	info RunInfo
-	blob []byte
-}
-
-// commit runs one group-commit round: validate every request, claim
-// run IDs, group by shard, and per shard journal one batch intent +
-// Put the blobs + append all entries in one manifest CAS.
+// commit runs one group-commit round through the repository's save
+// path and hands each request its answer.
 func (g *Ingestor) commit(batch []ingestReq) {
 	g.batches.Inc()
 	g.runs.Add(int64(len(batch)))
 	if int64(len(batch)) > g.maxSeen.Value() {
 		g.maxSeen.Set(int64(len(batch)))
 	}
-
-	ss, err := g.repo.ensureShards()
-	if err != nil {
-		for _, req := range batch {
-			req.resp <- ingestResp{err: err}
-		}
-		return
+	blobs := make([][]byte, len(batch))
+	for i, req := range batch {
+		blobs[i] = req.blob
 	}
-
-	byShard := make(map[int][]*pendingSave)
-	var claimed []string
-	for _, req := range batch {
-		info, err := g.validate(req.blob, ss)
-		if err != nil {
-			req.resp <- ingestResp{err: err}
-			continue
-		}
-		// Same round, same run ID: the first claim wins, the rest get
-		// the exact in-flight duplicate error Repo.Save produces.
-		if !g.repo.beginInflight(info.RunID) {
-			req.resp <- ingestResp{err: fmt.Errorf("%w: %q (save in flight)", ErrRunExists, info.RunID)}
-			continue
-		}
-		claimed = append(claimed, info.RunID)
-		si := ss.shardOf(info.RunID)
-		byShard[si] = append(byShard[si], &pendingSave{req: req, info: info, blob: req.blob})
-	}
-	for si, group := range byShard {
-		g.commitShard(ss, si, group)
-	}
-	for _, runID := range claimed {
-		g.repo.endInflight(runID)
-	}
-	g.repo.compactJournalIfSettled(journalCompactThreshold)
-}
-
-// validate mirrors Repo.Save's preflight: open the archive, require a
-// run ID, build the RunInfo, and reject runs outside this replica's
-// shard ownership.
-func (g *Ingestor) validate(blob []byte, ss shardSet) (RunInfo, error) {
-	a, err := archive.OpenWorkers(blob, g.repo.workers)
-	if err != nil {
-		return RunInfo{}, fmt.Errorf("repo: refusing to save: %w", err)
-	}
-	meta := a.Meta()
-	if meta.RunID == "" {
-		return RunInfo{}, errors.New("repo: archive has no run ID")
-	}
-	si := ss.shardOf(meta.RunID)
-	if rc := g.opts.Replica; rc != nil && rc.Owner(si) != rc.ID {
-		return RunInfo{}, fmt.Errorf("repo: run %q on shard %d belongs to replica %d, not %d",
-			meta.RunID, si, rc.Owner(si), rc.ID)
-	}
-	first, last := a.TimeRange()
-	return RunInfo{
-		RunID:      meta.RunID,
-		Workload:   meta.Workload,
-		Label:      meta.Label,
-		Tenant:     meta.Tenant,
-		HostSpec:   meta.HostSpec,
-		TPUVersion: meta.TPUVersion,
-		CreatedSeq: meta.CreatedSeq,
-		Records:    a.RecordCount(),
-		Windows:    a.WindowCount(),
-		Bytes:      a.Size(),
-		TimeFirst:  first,
-		TimeLast:   last,
-		Object:     runObject(meta.RunID),
-	}, nil
-}
-
-// commitShard lands one shard's share of a round. Write order matches
-// Save exactly — dup pre-check, batch intent, blobs, manifest — so a
-// crash at any boundary is reconciled by the same Recover logic (the
-// batch intent replays member-wise like k independent save intents).
-func (g *Ingestor) commitShard(ss shardSet, si int, group []*pendingSave) {
-	fail := func(group []*pendingSave, err error) {
-		for _, p := range group {
-			p.req.resp <- ingestResp{err: err}
-		}
-	}
-
-	// One manifest read pre-checks the whole group: duplicates drop out
-	// BEFORE the intent is journaled, so no intent is ever written
-	// against a blob object a committed run owns.
-	m, _, err := g.repo.loadManifestObject(ss.manifestObject(si))
-	if err != nil {
-		fail(group, err)
-		return
-	}
-	live := group[:0]
-	for _, p := range group {
-		if m.find(p.info.RunID) >= 0 {
-			p.req.resp <- ingestResp{err: fmt.Errorf("%w: %q", ErrRunExists, p.info.RunID)}
-			continue
-		}
-		live = append(live, p)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	members := make([]packMember, len(live))
-	for i, p := range live {
-		members[i] = packMember{RunID: p.info.RunID, Object: p.info.Object}
-	}
-	jname := ss.journalObject(si)
-	seq, err := g.repo.logIntentAt(jname, journalRecord{Op: opSaveBatch, Members: members})
-	if err != nil {
-		fail(live, err)
-		return
-	}
-
-	// Blob writes. A member whose Put fails is dropped from the commit;
-	// the open intent covers any bytes it may have half-landed until
-	// the post-commit cleanup below (or, failing that, Recover).
-	var stored []*pendingSave
-	var putFailed []*pendingSave
-	for _, p := range live {
-		if _, perr := g.repo.store.Put(p.info.Object, p.blob); perr != nil {
-			p.req.resp <- ingestResp{err: perr}
-			putFailed = append(putFailed, p)
-			continue
-		}
-		stored = append(stored, p)
-	}
-
-	committed := stored
-	if len(stored) > 0 {
-		err = g.repo.updateShardIdx(ss, si, func(m *manifest) error {
-			// mut may rerun on CAS retry: recompute the appended set
-			// fresh each attempt so it stays idempotent.
-			for _, p := range stored {
-				if m.find(p.info.RunID) < 0 {
-					m.Runs = append(m.Runs, p.info)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			committed = nil
-			// Index update failed wholesale. Re-verify before rolling
-			// back: entries that DID land (a prior attempt's CAS won
-			// after a read error, say) must keep their blobs.
-			mv, _, lerr := g.repo.loadManifestObject(ss.manifestObject(si))
-			for _, p := range stored {
-				if lerr == nil && mv.find(p.info.RunID) >= 0 {
-					committed = append(committed, p)
-					continue
-				}
-				if derr := g.repo.store.Delete(p.info.Object); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-					// Rollback failed: leave the intent open so Recover
-					// reclaims the orphan, and report the index error.
-					putFailed = append(putFailed, p)
-				}
-				p.req.resp <- ingestResp{err: err}
-			}
-		}
-	}
-
-	// Close the intent only once every member is accounted for: either
-	// indexed, rolled back, or verifiably absent. A member that failed
-	// its Put may still have partial bytes — delete defensively; if
-	// that cleanup fails the intent stays open for Recover.
-	open := false
-	for _, p := range putFailed {
-		if derr := g.repo.store.Delete(p.info.Object); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-			open = true
-		}
-	}
-	if !open {
-		g.repo.logDoneAt(jname, seq, opSaveBatch)
-	}
-	for _, p := range committed {
-		p.req.resp <- ingestResp{info: p.info}
-	}
+	g.repo.commitSaves(blobs, g.replica, func(i int, info RunInfo, err error) {
+		batch[i].resp <- ingestResp{info: info, err: err}
+	})
 }

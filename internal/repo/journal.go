@@ -63,14 +63,17 @@ var journalTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal operation and phase names.
 const (
+	// opSave is a single-run save intent. Only Salvage's rewrite of an
+	// indexed run still writes it; Recover also replays the ones that
+	// journals from earlier builds hold.
 	opSave    = "save"
 	opDelete  = "delete"
 	opGC      = "gc"
 	opCompact = "compact"
-	// opSaveBatch is a group-commit round's intent (ingestor.go): its
-	// Members list carries one {RunID, Object} pair per save in the
-	// round, and recovery replays it member-wise as k independent save
-	// intents.
+	// opSaveBatch is a commit round's intent (Repo.commitShardSaves):
+	// its Members list carries one {RunID, Object} pair per save in the
+	// round — one for a plain Save — and recovery replays it member-wise
+	// as k independent save intents.
 	opSaveBatch = "save-batch"
 
 	phaseIntent = "intent"
@@ -170,35 +173,12 @@ func (r *Repo) logIntentAt(journal string, rec journalRecord) (uint64, error) {
 	return rec.Seq, r.appendJournalTo(journal, rec)
 }
 
-// logIntent appends an intent record to the journal of the shard
-// owning runID and returns its seq. (Operations that already resolved
-// their shard use logIntentAt directly.)
-func (r *Repo) logIntent(op, runID, object string, victims []string) (uint64, error) {
-	ss, err := r.resolveShards()
-	if err != nil {
-		return 0, err
-	}
-	return r.logIntentAt(ss.journalObject(ss.shardOf(runID)), journalRecord{
-		Op: op, RunID: runID, Object: object, Victims: victims,
-	})
-}
-
 // logDoneAt appends the done record closing intent seq to the journal
 // that holds it. A failure here is harmless-by-design: the next
 // Recover replays the intent, finds the mutation already settled, and
 // closes it then.
 func (r *Repo) logDoneAt(journal string, seq uint64, op string) {
 	_ = r.appendJournalTo(journal, journalRecord{Seq: seq, Op: op, Phase: phaseDone})
-}
-
-// logDone closes intent seq in the v1 journal — the legacy counterpart
-// of logIntent for callers that never resolved a shard.
-func (r *Repo) logDone(seq uint64, op string) {
-	ss, err := r.resolveShards()
-	if err != nil {
-		return
-	}
-	r.logDoneAt(ss.journalObject(0), seq, op)
 }
 
 // readJournalObject decodes one journal leniently: it stops at the
@@ -223,11 +203,6 @@ func readJournalObject(store Store, object string) (recs []journalRecord, tornBy
 		recs = append(recs, rec)
 	}
 	return recs, torn, nil
-}
-
-// readJournal reads the v1 journal object.
-func readJournal(store Store) ([]journalRecord, int, error) {
-	return readJournalObject(store, JournalObject)
 }
 
 // RecoveryReport summarizes one replay over every journal.

@@ -84,61 +84,81 @@ var testStores = []struct {
 	}},
 }
 
+// saveEntries is the entry-point axis for the save protocol: Repo.Save
+// runs Repo.commitSaves inline as a round of one, an Ingestor reaches it
+// through its queue. Suites that state the protocol's contract run
+// through both.
+var saveEntries = []struct {
+	name string
+	open func(t *testing.T, r *Repo, opts IngestorOptions) func([]byte) (RunInfo, error)
+}{
+	{"save", func(t *testing.T, r *Repo, _ IngestorOptions) func([]byte) (RunInfo, error) { return r.Save }},
+	{"lane", func(t *testing.T, r *Repo, opts IngestorOptions) func([]byte) (RunInfo, error) {
+		g := NewIngestor(r, opts)
+		t.Cleanup(g.Close)
+		return g.Save
+	}},
+}
+
 // TestSaveRollbackFailureReclaimedByRecover is the regression test for
 // the orphan-blob leak: a Save whose manifest update fails AND whose
 // rollback delete also fails used to strand a blob no GC could ever
 // see. The journal closes the leak — the open save intent survives and
 // the next Recover reclaims the orphan.
 func TestSaveRollbackFailureReclaimedByRecover(t *testing.T) {
-	bucket := newTestBucket(t)
-	boom := errors.New("manifest write died")
-	obj := runObject("run-x")
-	failing := &hookStore{
-		Store: bucket,
-		putIfErr: func(name string) error {
-			if name == ManifestObject {
-				return boom
+	for _, entry := range saveEntries {
+		t.Run(entry.name, func(t *testing.T) {
+			bucket := newTestBucket(t)
+			boom := errors.New("manifest write died")
+			obj := runObject("run-x")
+			failing := &hookStore{
+				Store: bucket,
+				putIfErr: func(name string) error {
+					if name == ManifestObject {
+						return boom
+					}
+					return nil
+				},
+				deleteErr: func(name string) error {
+					if name == obj {
+						return errors.New("rollback delete died")
+					}
+					return nil
+				},
 			}
-			return nil
-		},
-		deleteErr: func(name string) error {
-			if name == obj {
-				return errors.New("rollback delete died")
+			save := entry.open(t, New(failing), IngestorOptions{})
+			if _, err := save(archiveBlob(t, "run-x", 1, 0)); !errors.Is(err, boom) {
+				t.Fatalf("Save error = %v, want %v", err, boom)
 			}
-			return nil
-		},
-	}
-	r := New(failing)
-	if _, err := r.Save(archiveBlob(t, "run-x", 1, 0)); !errors.Is(err, boom) {
-		t.Fatalf("Save error = %v, want %v", err, boom)
-	}
-	if !bucket.Exists(obj) {
-		t.Fatal("expected the orphan blob to be stranded by the forced interleaving")
-	}
+			if !bucket.Exists(obj) {
+				t.Fatal("expected the orphan blob to be stranded by the forced interleaving")
+			}
 
-	// Recovery over the (now healthy) store must roll the save back.
-	r2, rep, err := Open(bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clean() {
-		t.Fatalf("recovery report unexpectedly clean: %+v", rep)
-	}
-	if rep.OpenIntents != 1 || rep.RolledBack != 1 {
-		t.Fatalf("report = %+v, want 1 open intent rolled back", rep)
-	}
-	if len(rep.OrphansReclaimed) != 1 || rep.OrphansReclaimed[0] != obj {
-		t.Fatalf("OrphansReclaimed = %v, want [%s]", rep.OrphansReclaimed, obj)
-	}
-	if bucket.Exists(obj) {
-		t.Fatal("orphan blob not reclaimed")
-	}
-	// The repository is fully usable afterwards: the same run ID saves.
-	if _, err := r2.Save(archiveBlob(t, "run-x", 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r2.Get("run-x"); err != nil {
-		t.Fatal(err)
+			// Recovery over the (now healthy) store must roll the save back.
+			r2, rep, err := Open(bucket)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Clean() {
+				t.Fatalf("recovery report unexpectedly clean: %+v", rep)
+			}
+			if rep.OpenIntents != 1 || rep.RolledBack != 1 {
+				t.Fatalf("report = %+v, want 1 open intent rolled back", rep)
+			}
+			if len(rep.OrphansReclaimed) != 1 || rep.OrphansReclaimed[0] != obj {
+				t.Fatalf("OrphansReclaimed = %v, want [%s]", rep.OrphansReclaimed, obj)
+			}
+			if bucket.Exists(obj) {
+				t.Fatal("orphan blob not reclaimed")
+			}
+			// The repository is fully usable afterwards: the same run ID saves.
+			if _, err := r2.Save(archiveBlob(t, "run-x", 1, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := r2.Get("run-x"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -239,7 +259,7 @@ func TestRecoverIgnoresUncommittedGC(t *testing.T) {
 	}
 	// Hand-write an open gc intent naming run-a, as if the process died
 	// between the intent append and the manifest PutIf.
-	if _, err := r.logIntent(opGC, "", "", []string{"run-a"}); err != nil {
+	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opGC, Victims: []string{"run-a"}}); err != nil {
 		t.Fatal(err)
 	}
 	r2, rep, err := Open(bucket)
@@ -257,32 +277,37 @@ func TestRecoverIgnoresUncommittedGC(t *testing.T) {
 // TestDuplicateSaveLeavesWinnerBlob: a duplicate save must neither
 // clobber nor delete the committed run's blob.
 func TestDuplicateSaveLeavesWinnerBlob(t *testing.T) {
-	bucket := newTestBucket(t)
-	r := New(bucket)
-	if _, err := r.Save(archiveBlob(t, "run-a", 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	want, err := bucket.Get(runObject("run-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Save(archiveBlob(t, "run-a", 9, 500)); !errors.Is(err, ErrRunExists) {
-		t.Fatalf("duplicate Save error = %v, want ErrRunExists", err)
-	}
-	got, err := bucket.Get(runObject("run-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Generation != want.Generation || len(got.Data) != len(want.Data) {
-		t.Fatal("duplicate save touched the committed blob")
-	}
-	// And recovery stays clean — the duplicate's intent was closed.
-	_, rep, err := Open(bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("report not clean after duplicate save: %+v", rep)
+	for _, entry := range saveEntries {
+		t.Run(entry.name, func(t *testing.T) {
+			bucket := newTestBucket(t)
+			save := entry.open(t, New(bucket), IngestorOptions{})
+			if _, err := save(archiveBlob(t, "run-a", 1, 0)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := bucket.Get(runObject("run-a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := save(archiveBlob(t, "run-a", 9, 500)); !errors.Is(err, ErrRunExists) {
+				t.Fatalf("duplicate Save error = %v, want ErrRunExists", err)
+			}
+			got, err := bucket.Get(runObject("run-a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Generation != want.Generation || len(got.Data) != len(want.Data) {
+				t.Fatal("duplicate save touched the committed blob")
+			}
+			// And recovery stays clean — the duplicate never journaled an
+			// intent.
+			_, rep, err := Open(bucket)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("report not clean after duplicate save: %+v", rep)
+			}
+		})
 	}
 }
 
@@ -301,7 +326,7 @@ func TestJournalTornTailTrimmed(t *testing.T) {
 	if _, err := bucket.Append(JournalObject, torn); err != nil {
 		t.Fatal(err)
 	}
-	recs, tornBytes, err := readJournal(bucket)
+	recs, tornBytes, err := readJournalObject(bucket, JournalObject)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +358,11 @@ func TestJournalTornTailTrimmed(t *testing.T) {
 func TestJournalCorruptFrameStopsRead(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
-	seq, err := r.logIntent(opSave, "run-a", runObject("run-a"), nil)
+	seq, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.logDone(seq, opSave)
+	r.logDoneAt(JournalObject, seq, opSave)
 	obj, err := bucket.Get(JournalObject)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +374,7 @@ func TestJournalCorruptFrameStopsRead(t *testing.T) {
 	if _, err := bucket.Put(JournalObject, corrupted); err != nil {
 		t.Fatal(err)
 	}
-	recs, tornBytes, err := readJournal(bucket)
+	recs, tornBytes, err := readJournalObject(bucket, JournalObject)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +394,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if _, err := r.Save(archiveBlob(t, "run-a", 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.logIntent(opSave, "ghost", runObject("ghost"), nil); err != nil {
+	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "ghost", Object: runObject("ghost")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bucket.Put(runObject("ghost"), []byte("orphan")); err != nil {
@@ -397,17 +422,17 @@ func TestRecoverSeqContinuation(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
 	for i := 0; i < 3; i++ {
-		seq, err := r.logIntent(opSave, "x", runObject("x"), nil)
+		seq, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "x", Object: runObject("x")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.logDone(seq, opSave)
+		r.logDoneAt(JournalObject, seq, opSave)
 	}
 	r2 := New(bucket)
 	if _, err := r2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := r2.logIntent(opSave, "y", runObject("y"), nil)
+	seq, err := r2.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "y", Object: runObject("y")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +459,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 
 	// An open intent blocks compaction.
-	if _, err := r.logIntent(opDelete, "run-a", runObject("run-a"), nil); err != nil {
+	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opDelete, RunID: "run-a", Object: runObject("run-a")}); err != nil {
 		t.Fatal(err)
 	}
 	r.compactJournalIfSettled(1)
@@ -450,7 +475,7 @@ func TestJournalCompaction(t *testing.T) {
 func TestJournalFrameCRC(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
-	if _, err := r.logIntent(opSave, "run-a", runObject("run-a"), nil); err != nil {
+	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")}); err != nil {
 		t.Fatal(err)
 	}
 	obj, err := bucket.Get(JournalObject)

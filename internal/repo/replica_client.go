@@ -27,9 +27,9 @@ import (
 
 // appendBatchRaw sends one AppendBatch round trip of pre-framed
 // records and returns the server's durable-prefix acceptance count —
-// the primitive the resilient tail resend is built on (PutBatch loops
-// it; here the caller owns the loop because the watermark must survive
-// session replacement).
+// the primitive both batch senders loop over (FleetClient.PutBatch, and
+// ResilientClient.sendTail, whose watermark must survive session
+// replacement).
 func (fc *FleetClient) appendBatchRaw(framed []byte) (int, error) {
 	if len(framed) == 0 {
 		return 0, nil
@@ -98,9 +98,7 @@ func (rc *ResilientClient) Append(rec *trace.ProfileRecord) error {
 // does into a FleetClient. The name is advisory (the session orders
 // records); data is retained for failover resend.
 func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error) {
-	frame := binary.AppendUvarint(make([]byte, 0, len(data)+4), uint64(len(data)))
-	frame = append(frame, data...)
-	rc.sent = append(rc.sent, frame)
+	rc.sent = append(rc.sent, frameOne(data))
 	if err := rc.flush(); err != nil {
 		return nil, err
 	}
@@ -120,8 +118,7 @@ func (rc *ResilientClient) PutBatch(name string, framed []byte, count int) (*sto
 		return nil, fmt.Errorf("fleet: batch holds %d records, caller claims %d", len(payloads), count)
 	}
 	for _, p := range payloads {
-		frame := binary.AppendUvarint(make([]byte, 0, len(p)+4), uint64(len(p)))
-		rc.sent = append(rc.sent, append(frame, p...))
+		rc.sent = append(rc.sent, frameOne(p))
 	}
 	if err := rc.flush(); err != nil {
 		return nil, err

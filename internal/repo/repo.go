@@ -197,8 +197,10 @@ type Repo struct {
 
 // New returns a repository over store. An empty store is an empty v1
 // repository; no initialization is needed. New does NOT replay the
-// intent journal — use Open when the store may hold the debris of a
-// crashed writer, or call Recover explicitly.
+// intent journal, so it is the constructor for a reader that shares
+// the store with live writers (the CLI's read-only verbs): reads never
+// write. A writer uses Open, which first reconciles the debris of a
+// crashed predecessor.
 func New(store Store) *Repo {
 	return &Repo{
 		store:    store,
@@ -213,8 +215,10 @@ func New(store Store) *Repo {
 // journals, so interrupted mutations from a previous process are
 // completed or rolled back before any new ones start. The store's
 // existing layout — v1 single-manifest or sharded — is preserved; use
-// OpenShards to migrate. This is the constructor every durable
-// deployment (the CLI, the collection server) should use.
+// OpenShards to migrate. A full replay rolls back every open intent,
+// including one a live writer on the same store has in flight, so the
+// caller must be the store's only writer (a replica of several uses
+// OpenShardsOwned).
 func Open(store Store) (*Repo, *RecoveryReport, error) {
 	return OpenShards(store, 0)
 }
@@ -298,27 +302,6 @@ func (r *Repo) SetCodecParallelism(n int) { r.workers = n }
 
 func runObject(runID string) string { return "runs/" + runID + "/archive" }
 
-// load reads shard 0's manifest and its generation (0 = not created
-// yet) — in a v1 repository, the whole index.
-func (r *Repo) load() (*manifest, int64, error) {
-	ss, err := r.resolveShards()
-	if err != nil {
-		return nil, 0, err
-	}
-	return r.loadManifestObject(ss.manifestObject(0))
-}
-
-// update applies mut to shard 0's manifest under the CAS loop — in a
-// v1 repository, the whole index. mut may be called multiple times; it
-// must be idempotent on its input.
-func (r *Repo) update(mut func(*manifest) error) error {
-	ss, err := r.ensureShards()
-	if err != nil {
-		return err
-	}
-	return r.updateShardIdx(ss, 0, mut)
-}
-
 // NextSeq allocates the next logical creation sequence number. Archives
 // carry it as Meta.CreatedSeq so listings sort by creation order
 // without any wall clock (deterministic runs stay deterministic).
@@ -364,106 +347,191 @@ func (r *Repo) endInflight(runID string) {
 
 // Save validates blob as an archive, stores it, and indexes the run on
 // the shard owning its ID. The archive's Meta.RunID must be non-empty
-// and unused. The mutation is journaled: an intent record lands before
-// the blob write, so a crash between the blob Put and the manifest
-// update (or during the rollback delete) leaves an orphan the next
-// Recover reclaims instead of a blob GC can never see.
-func (r *Repo) Save(blob []byte) (RunInfo, error) {
-	a, err := archive.OpenWorkers(blob, r.workers)
-	if err != nil {
-		return RunInfo{}, fmt.Errorf("repo: refusing to save: %w", err)
-	}
-	meta := a.Meta()
-	if meta.RunID == "" {
-		return RunInfo{}, errors.New("repo: archive has no run ID")
-	}
-	first, last := a.TimeRange()
-	info := RunInfo{
-		RunID:      meta.RunID,
-		Workload:   meta.Workload,
-		Label:      meta.Label,
-		Tenant:     meta.Tenant,
-		HostSpec:   meta.HostSpec,
-		TPUVersion: meta.TPUVersion,
-		CreatedSeq: meta.CreatedSeq,
-		Records:    a.RecordCount(),
-		Windows:    a.WindowCount(),
-		Bytes:      a.Size(),
-		TimeFirst:  first,
-		TimeLast:   last,
-		Object:     runObject(meta.RunID),
-	}
+// and unused. It is a commit round of one (commitSaves), run inline on
+// the caller's goroutine.
+func (r *Repo) Save(blob []byte) (info RunInfo, err error) {
+	r.commitSaves([][]byte{blob}, nil, func(_ int, i RunInfo, e error) { info, err = i, e })
+	return info, err
+}
+
+// pendingSave is one described, inflight-claimed member of a commit
+// round; i is its index in the round, for the answer.
+type pendingSave struct {
+	i    int
+	info RunInfo
+	blob []byte
+}
+
+// commitSaves is the repository's one save path: a round of archive
+// blobs, each answered exactly once through answer(i, info, err) with
+// i its index in blobs. Every blob is opened and described once, its
+// run ID claimed against concurrent in-process saves, and the round is
+// committed shard by shard (commitShardSaves). rc, when set, refuses
+// runs on shards that replica does not own — a misrouted finalize must
+// fail loudly, not silently break the single-writer invariant a
+// replica's lane relies on.
+func (r *Repo) commitSaves(blobs [][]byte, rc *ReplicaConfig, answer func(i int, info RunInfo, err error)) {
 	ss, err := r.ensureShards()
 	if err != nil {
-		return RunInfo{}, err
-	}
-	// Two saves of one run ID in this process share the blob object
-	// name; serialize them here so the loser never journals an intent
-	// against bytes the winner owns.
-	if !r.beginInflight(info.RunID) {
-		return RunInfo{}, fmt.Errorf("%w: %q (save in flight)", ErrRunExists, info.RunID)
-	}
-	defer r.endInflight(info.RunID)
-	si := ss.shardOf(info.RunID)
-	jname := ss.journalObject(si)
-	// Reject duplicates before any write: a doomed save must not
-	// journal an intent against an object some committed run owns
-	// (replaying such an intent would reclaim the original's blob).
-	if m, _, err := r.loadManifestObject(ss.manifestObject(si)); err != nil {
-		return RunInfo{}, err
-	} else if m.find(info.RunID) >= 0 {
-		return RunInfo{}, fmt.Errorf("%w: %q", ErrRunExists, info.RunID)
-	}
-	seq, err := r.logIntentAt(jname, journalRecord{
-		Op: opSave, RunID: info.RunID, Object: info.Object,
-	})
-	if err != nil {
-		return RunInfo{}, err
-	}
-	if _, err := r.store.Put(info.Object, blob); err != nil {
-		return RunInfo{}, err
-	}
-	err = r.updateShardIdx(ss, si, func(m *manifest) error {
-		if m.find(info.RunID) >= 0 {
-			return fmt.Errorf("%w: %q", ErrRunExists, info.RunID)
+		for i := range blobs {
+			answer(i, RunInfo{}, err)
 		}
-		m.Runs = append(m.Runs, info)
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrRunExists) {
-			// A concurrent save of the same run ID won the CAS. The
-			// blob object name is shared, so it now belongs to the
-			// winner's manifest entry — leave it, and close our
-			// intent (a replay would find the run in the manifest and
-			// do nothing anyway).
-			r.logDoneAt(jname, seq, opSave)
-			return RunInfo{}, err
-		}
-		// The update failed for some other reason (flaky storage, CAS
-		// exhaustion). Re-verify under the shard index before rolling
-		// back: a concurrent save of the same ID may have committed
-		// between our pre-check and this failure, in which case the
-		// blob now belongs to the winner and deleting it would reclaim
-		// an indexed run's bytes.
-		if m, _, lerr := r.loadManifestObject(ss.manifestObject(si)); lerr == nil && m.find(info.RunID) >= 0 {
-			r.logDoneAt(jname, seq, opSave)
-			return RunInfo{}, fmt.Errorf("%w: %q", ErrRunExists, info.RunID)
-		}
-		// Roll the blob back so a failed index never leaves an
-		// unlisted orphan. If this delete itself fails (flaky or dead
-		// storage), the open save intent remains and the next Recover
-		// reclaims the blob — the orphan leak is closed by the
-		// journal, not by hoping the delete succeeds (see
-		// TestSaveRollbackFailureReclaimedByRecover).
-		if derr := r.store.Delete(info.Object); derr == nil || errors.Is(derr, storage.ErrNotFound) {
-			r.logDoneAt(jname, seq, opSave)
-		}
-		return RunInfo{}, err
+		return
 	}
-	r.logDoneAt(jname, seq, opSave)
+	byShard := make([][]*pendingSave, ss.n)
+	for i, blob := range blobs {
+		a, err := archive.OpenWorkers(blob, r.workers)
+		if err != nil {
+			answer(i, RunInfo{}, fmt.Errorf("repo: refusing to save: %w", err))
+			continue
+		}
+		info := r.entryFor(a, RunInfo{})
+		if info.RunID == "" {
+			answer(i, RunInfo{}, errors.New("repo: archive has no run ID"))
+			continue
+		}
+		si := ss.shardOf(info.RunID)
+		if rc != nil && rc.Owner(si) != rc.ID {
+			answer(i, RunInfo{}, fmt.Errorf("repo: run %q on shard %d belongs to replica %d, not %d",
+				info.RunID, si, rc.Owner(si), rc.ID))
+			continue
+		}
+		// Two saves of one run ID in this process share the blob object
+		// name; the first claim wins, so the loser never journals an
+		// intent against bytes the winner owns.
+		if !r.beginInflight(info.RunID) {
+			answer(i, RunInfo{}, fmt.Errorf("%w: %q (save in flight)", ErrRunExists, info.RunID))
+			continue
+		}
+		defer r.endInflight(info.RunID)
+		byShard[si] = append(byShard[si], &pendingSave{i: i, info: info, blob: blob})
+	}
+	for si, group := range byShard {
+		if len(group) > 0 {
+			r.commitShardSaves(ss, si, group, answer)
+		}
+	}
 	r.compactJournalIfSettled(journalCompactThreshold)
-	return info, nil
+}
+
+// commitShardSaves lands one shard's share of a round: duplicate
+// pre-check, ONE journal intent naming every member, the blob Puts,
+// ONE manifest CAS appending every entry, then the done record. The
+// intent lands before any blob and the blobs before the index, so a
+// crash at any boundary leaves an open intent that Recover replays
+// member-wise: indexed members are kept, the rest have their blobs
+// reclaimed instead of stranding bytes GC can never see.
+func (r *Repo) commitShardSaves(ss shardSet, si int, group []*pendingSave, answer func(i int, info RunInfo, err error)) {
+	fail := func(group []*pendingSave, err error) {
+		for _, p := range group {
+			answer(p.i, RunInfo{}, err)
+		}
+	}
+	exists := func(p *pendingSave) {
+		answer(p.i, RunInfo{}, fmt.Errorf("%w: %q", ErrRunExists, p.info.RunID))
+	}
+	jname, mname := ss.journalObject(si), ss.manifestObject(si)
+
+	// Duplicates drop out BEFORE the intent is journaled: replaying an
+	// intent against a blob object some committed run owns would
+	// reclaim the original's bytes.
+	m, _, err := r.loadManifestObject(mname)
+	if err != nil {
+		fail(group, err)
+		return
+	}
+	live := group[:0]
+	for _, p := range group {
+		if m.find(p.info.RunID) >= 0 {
+			exists(p)
+			continue
+		}
+		live = append(live, p)
+	}
+	if len(live) == 0 {
+		return
+	}
+
+	members := make([]packMember, len(live))
+	for i, p := range live {
+		members[i] = packMember{RunID: p.info.RunID, Object: p.info.Object}
+	}
+	seq, err := r.logIntentAt(jname, journalRecord{Op: opSaveBatch, Members: members})
+	if err != nil {
+		fail(live, err)
+		return
+	}
+
+	// undo holds members whose blob must not outlive this round: a Put
+	// that failed may have half-landed, a Put that succeeded may fail to
+	// be indexed.
+	var stored, undo []*pendingSave
+	for _, p := range live {
+		if _, perr := r.store.Put(p.info.Object, p.blob); perr != nil {
+			answer(p.i, RunInfo{}, perr)
+			undo = append(undo, p)
+			continue
+		}
+		stored = append(stored, p)
+	}
+
+	var won, lost []*pendingSave
+	if len(stored) > 0 {
+		err = r.updateShardIdx(ss, si, func(m *manifest) error {
+			// mut reruns on CAS retry against a re-read manifest:
+			// partition afresh each attempt.
+			won, lost = won[:0], lost[:0]
+			for _, p := range stored {
+				if m.find(p.info.RunID) >= 0 {
+					lost = append(lost, p)
+					continue
+				}
+				m.Runs = append(m.Runs, p.info)
+				won = append(won, p)
+			}
+			if len(won) == 0 {
+				return ErrRunExists // nothing left to swap in
+			}
+			return nil
+		})
+		if err != nil {
+			// No entry of ours landed. Re-verify under the shard index
+			// before rolling back: a run found there was committed by
+			// another writer after our pre-check, and the blob (the
+			// object name is shared) now belongs to its entry.
+			won, lost = nil, nil
+			mv, _, lerr := r.loadManifestObject(mname)
+			for _, p := range stored {
+				if lerr == nil && mv.find(p.info.RunID) >= 0 {
+					lost = append(lost, p)
+					continue
+				}
+				answer(p.i, RunInfo{}, err)
+				undo = append(undo, p)
+			}
+		}
+	}
+
+	// Close the intent only once every member is accounted for: indexed,
+	// left to the writer that won its run ID, or deleted. A delete that
+	// fails (flaky or dead storage) leaves the intent open, so the next
+	// Recover reclaims the blob — the orphan leak is closed by the
+	// journal, not by hoping the delete succeeds.
+	settled := true
+	for _, p := range undo {
+		if derr := r.store.Delete(p.info.Object); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
+			settled = false
+		}
+	}
+	if settled {
+		r.logDoneAt(jname, seq, opSaveBatch)
+	}
+	for _, p := range lost {
+		exists(p)
+	}
+	for _, p := range won {
+		answer(p.i, p.info, nil)
+	}
 }
 
 // Filter selects runs for List; zero fields match everything.

@@ -401,56 +401,85 @@ func TestLayoutCreationRace(t *testing.T) {
 	}
 }
 
-// TestSaveRollbackSparesWinnerBlob is the TOCTOU regression test: r1's
-// Save passes its duplicate pre-check, then a concurrent save of the
-// same run ID commits through a second handle before r1's manifest
-// update fails hard. r1's rollback must NOT delete the blob — it now
-// belongs to the winner's manifest entry.
+// TestSaveRollbackSparesWinnerBlob is the TOCTOU regression test: the
+// loser's save passes its duplicate pre-check, then a save of the same
+// run ID commits through a second handle before the loser's manifest
+// CAS — which then either loses the generation race and finds the run
+// inside its retried mutation, or fails hard. Either way the loser
+// must answer ErrRunExists (never success: it did not index the run),
+// must NOT delete the blob — it now belongs to the winner's manifest
+// entry — and must close its intent.
 func TestSaveRollbackSparesWinnerBlob(t *testing.T) {
-	bucket := newTestBucket(t)
-	r2, _, err := Open(bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := archiveBlob(t, "contested", 1, 0)
-
-	var once sync.Once
-	hs := &hookStore{Store: bucket}
-	hs.putIfErr = func(name string) error {
-		var ferr error
-		if name == ManifestObject {
-			once.Do(func() {
-				// The interleaved winner: commits the same run ID through
-				// a clean handle, then r1's own update fails hard.
-				if _, err := r2.Save(blob); err != nil {
-					t.Errorf("winner save: %v", err)
-				}
-				ferr = errors.New("injected hard failure after winner committed")
-			})
-			if ferr != nil {
-				return ferr
+	for _, hardFail := range []bool{false, true} {
+		for _, entry := range saveEntries {
+			name := "cas-lost/" + entry.name
+			if hardFail {
+				name = "cas-failed/" + entry.name
 			}
-		}
-		return nil
-	}
-	r1 := New(hs)
+			t.Run(name, func(t *testing.T) {
+				bucket := newTestBucket(t)
+				r2, _, err := Open(bucket)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob := archiveBlob(t, "contested", 1, 0)
 
-	_, err = r1.Save(blob)
-	if !errors.Is(err, ErrRunExists) {
-		t.Fatalf("loser got %v, want ErrRunExists", err)
-	}
-	if !bucket.Exists(runObject("contested")) {
-		t.Fatal("loser's rollback reclaimed the winner's blob")
-	}
-	if _, _, err := r2.Get("contested"); err != nil {
-		t.Fatalf("winner's run unreadable after loser rollback: %v", err)
-	}
-	rep, err := r2.Fsck(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("fsck after contested save: %+v", rep.Issues)
+				var once sync.Once
+				var winnerGen int64
+				hs := &hookStore{Store: bucket}
+				hs.putIfErr = func(name string) error {
+					var ferr error
+					if name == ManifestObject {
+						once.Do(func() {
+							// The interleaved winner: commits the same run
+							// ID through a clean handle.
+							if _, err := r2.Save(blob); err != nil {
+								t.Errorf("winner save: %v", err)
+							}
+							if obj, err := bucket.Get(runObject("contested")); err == nil {
+								winnerGen = obj.Generation
+							}
+							if hardFail {
+								ferr = errors.New("injected hard failure after winner committed")
+							}
+						})
+					}
+					return ferr
+				}
+				save := entry.open(t, New(hs), IngestorOptions{})
+
+				if _, err := save(blob); !errors.Is(err, ErrRunExists) {
+					t.Fatalf("loser got %v, want ErrRunExists", err)
+				}
+				obj, err := bucket.Get(runObject("contested"))
+				if err != nil {
+					t.Fatalf("loser's rollback reclaimed the winner's blob: %v", err)
+				}
+				if obj.Generation != winnerGen {
+					t.Fatalf("blob at generation %d, winner left it at %d", obj.Generation, winnerGen)
+				}
+				if _, _, err := r2.Get("contested"); err != nil {
+					t.Fatalf("winner's run unreadable after loser rollback: %v", err)
+				}
+				r3, rec, err := Open(bucket)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rec.Clean() {
+					t.Fatalf("loser left an open intent: %+v", rec)
+				}
+				if runs, err := r3.List(Filter{}); err != nil || len(runs) != 1 {
+					t.Fatalf("listed %d runs (%v), want the winner's one", len(runs), err)
+				}
+				rep, err := r3.Fsck(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Clean() {
+					t.Fatalf("fsck after contested save: %+v", rep.Issues)
+				}
+			})
+		}
 	}
 }
 
@@ -458,34 +487,39 @@ func TestSaveRollbackSparesWinnerBlob(t *testing.T) {
 // through one handle — exactly one wins, the rest get ErrRunExists,
 // and the winner's blob survives intact.
 func TestConcurrentSameIDSaves(t *testing.T) {
-	r := openSharded(t, newTestBucket(t), 4)
-	blob := archiveBlob(t, "dup", 1, 0)
-	const savers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, savers)
-	wg.Add(savers)
-	for i := 0; i < savers; i++ {
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = r.Save(blob)
-		}(i)
-	}
-	wg.Wait()
-	wins := 0
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			wins++
-		case errors.Is(err, ErrRunExists):
-		default:
-			t.Fatalf("saver %d: unexpected error %v", i, err)
-		}
-	}
-	if wins != 1 {
-		t.Fatalf("%d savers won, want exactly 1", wins)
-	}
-	if _, _, err := r.Get("dup"); err != nil {
-		t.Fatalf("winning save unreadable: %v", err)
+	for _, entry := range saveEntries {
+		t.Run(entry.name, func(t *testing.T) {
+			r := openSharded(t, newTestBucket(t), 4)
+			save := entry.open(t, r, IngestorOptions{})
+			blob := archiveBlob(t, "dup", 1, 0)
+			const savers = 16
+			var wg sync.WaitGroup
+			errs := make([]error, savers)
+			wg.Add(savers)
+			for i := 0; i < savers; i++ {
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = save(blob)
+				}(i)
+			}
+			wg.Wait()
+			wins := 0
+			for i, err := range errs {
+				switch {
+				case err == nil:
+					wins++
+				case errors.Is(err, ErrRunExists):
+				default:
+					t.Fatalf("saver %d: unexpected error %v", i, err)
+				}
+			}
+			if wins != 1 {
+				t.Fatalf("%d savers won, want exactly 1", wins)
+			}
+			if _, _, err := r.Get("dup"); err != nil {
+				t.Fatalf("winning save unreadable: %v", err)
+			}
+		})
 	}
 }
 

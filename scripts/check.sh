@@ -60,6 +60,12 @@ go vet ./internal/core/analyzer ./internal/core/cluster ./internal/repo 2>&1 | {
 echo "== go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster"
 go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 
+# The CLI runs on a live DirStore: its tests take the store's flock
+# from several handles and a collector goroutine over real files, so
+# run them twice under the race detector as well.
+echo "== go test -race -count=2 ./cmd/tpupoint"
+go test -race -count=2 ./cmd/tpupoint
+
 # Streaming watch-verb round trip over a real archived run.
 echo "== stream smoke"
 ./scripts/stream_smoke.sh

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench archive-bench stream-bench ingest-bench cluster-bench check metrics-smoke archive-smoke crash-smoke stream-smoke ingest-smoke cluster-smoke
+.PHONY: build test race vet fmt bench archive-bench stream-bench ingest-bench cluster-bench check metrics-smoke archive-smoke crash-smoke stream-smoke ingest-smoke cluster-smoke replicated-smoke
 
 build:
 	$(GO) build ./...
@@ -87,19 +87,11 @@ cluster-smoke:
 replicated-smoke:
 	./scripts/replicated_smoke.sh
 
-# The full gate: everything must build, pass gofmt and vet (plus the
-# vet-filter selftest), and pass the test suite with the race detector
-# on. CI and pre-commit both run this. BENCH_GATE=1 additionally runs
-# the benchmark regression gate against the committed baseline.
-check: build fmt vet
-	./scripts/check_selftest.sh
-	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/obs
-	$(GO) test -race -count=2 ./internal/core/analyzer ./internal/core/cluster ./cmd/tpupoint
-	./scripts/archive_smoke.sh
-	./scripts/crash_smoke.sh
-	./scripts/stream_smoke.sh
-	./scripts/ingest_smoke.sh
-	./scripts/cluster_smoke.sh
-	./scripts/replicated_smoke.sh
-	@if [ "$(BENCH_GATE)" = "1" ]; then ./scripts/benchdiff.sh; fi
+# The full gate: everything must build and pass gofmt, then
+# scripts/check.sh runs vet (plus the vet-filter selftest), the test
+# suite under the race detector, the -count=2 repeats and the shell
+# smokes. That script is the only list of them. CI and pre-commit both
+# run this. BENCH_GATE=1 additionally runs the benchmark regression gate
+# against the committed baselines.
+check: build fmt
+	./scripts/check.sh

@@ -98,19 +98,19 @@ func stepFeatures(t testing.TB) *cluster.Matrix {
 	}
 	rec := trace.Reduce(0, 0, r.Events(), r.IdleFraction(), r.MXUUtilization())
 	steps := trace.AggregateSteps([]*trace.ProfileRecord{rec})
-	m, _ := cluster.Features(steps)
-	cluster.Standardize(m)
+	m, _ := cluster.Features(steps, 0)
+	cluster.Standardize(m, 0)
 	return m
 }
 
 func TestAblationPCAPreservesClusteringQuality(t *testing.T) {
 	m := stepFeatures(t)
-	reduced := cluster.PCA(m, 20)
-	full, err := cluster.KMeans(m, 5, 1, 0)
+	reduced := cluster.PCA(m, 20, 0)
+	full, err := cluster.KMeans(m, 5, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := cluster.KMeans(reduced, 5, 1, 0)
+	red, err := cluster.KMeans(reduced, 5, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +139,10 @@ func maxSize(sizes []int) int {
 
 func BenchmarkAblationKMeansWithPCA(b *testing.B) {
 	m := stepFeatures(b)
-	reduced := cluster.PCA(m, 20)
+	reduced := cluster.PCA(m, 20, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(reduced, 5, 1, 0); err != nil {
+		if _, err := cluster.KMeans(reduced, 5, 1, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func BenchmarkAblationKMeansWithoutPCA(b *testing.B) {
 	m := stepFeatures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(m, 5, 1, 0); err != nil {
+		if _, err := cluster.KMeans(m, 5, 1, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/archive"
-	"repro/internal/core/cluster"
 	"repro/internal/experiments"
 	"repro/internal/tpu"
 	"repro/internal/trace"
@@ -166,162 +164,15 @@ func BenchmarkFig16OptimizedMXU(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Analyzer kernel benchmarks: serial vs parallel phase-detection hot path.
-//
-// These are the `go test -bench` twins of `paperbench -analyzer-bench`,
-// which emits the same measurements as BENCH_analyzer.json for the CI
-// regression gate (scripts/benchdiff.sh). Serial and parallel variants
-// produce bit-identical results (see internal/core/cluster's
-// parallelism-invariance tests); only the timing differs.
+// Record wire codec benchmarks, at the sizes `paperbench -archive-bench`
+// reports in BENCH_archive.json; run with -benchmem to see the pooled
+// encoder's allocs/op.
 
-// analyzerBenchSizes mirrors experiments.AnalyzerBenchSizes.
-var analyzerBenchSizes = []int{1_000, 10_000, 100_000}
-
-// analyzerBenchModes names the two worker-pool settings under test:
-// workers=1 is the inline serial path, workers=0 uses GOMAXPROCS.
-var analyzerBenchModes = []struct {
-	name    string
-	workers int
-}{
-	{"serial", 1},
-	{"parallel", 0},
-}
-
-func BenchmarkAnalyzerKMeans(b *testing.B) {
-	for _, n := range analyzerBenchSizes {
-		m := experiments.AnalyzerBenchMatrix(n)
-		for _, mode := range analyzerBenchModes {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := cluster.KMeansP(m, 5, 42, 0, mode.workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-	}
-}
-
-func BenchmarkAnalyzerPCA(b *testing.B) {
-	for _, n := range analyzerBenchSizes {
-		m := experiments.AnalyzerBenchMatrix(n)
-		for _, mode := range analyzerBenchModes {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cluster.PCAP(m, 3, mode.workers)
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-	}
-}
-
-func BenchmarkAnalyzerDBSCAN(b *testing.B) {
-	for _, n := range analyzerBenchSizes {
-		m := experiments.AnalyzerBenchMatrix(n)
-		// One untimed probe fixes eps so every variant clusters at the
-		// same radius and the loop measures clustering, not the eps
-		// heuristic.
-		probe, err := cluster.DBSCANP(m, 8, 0, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range analyzerBenchModes {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := cluster.DBSCANP(m, 8, probe.Eps, 0, mode.workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-		if n <= 10_000 { // a single quadratic pass at n=1e5 takes ~40s
-			b.Run(fmt.Sprintf("n=%d/brute", n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := cluster.DBSCANBrute(m, 8, probe.Eps, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Codec kernel benchmarks: the archive and wire hot paths, serial vs
-// parallel. These are the `go test -bench` twins of `paperbench
-// -archive-bench` (BENCH_archive.json); run with -benchmem — the pooled
-// wire encoder's allocs/op is the number the benchdiff alloc gate
-// tracks. Serial and parallel variants produce bit-identical bytes (see
-// internal/archive's differential tests); only the timing differs.
-
-// archiveCodecBenchSizes mirrors experiments.ArchiveBenchSizes.
-var archiveCodecBenchSizes = []int{1_000, 10_000}
-
-func BenchmarkArchiveEncode(b *testing.B) {
-	for _, n := range archiveCodecBenchSizes {
-		recs := experiments.ArchiveBenchStream(n)
-		meta := archive.Meta{RunID: fmt.Sprintf("bench-%d", n), Workload: "synthetic"}
-		for _, mode := range analyzerBenchModes {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					w := archive.NewWriter(meta)
-					if mode.workers == 1 {
-						for _, r := range recs {
-							w.Add(r)
-						}
-					} else {
-						w.SetParallelism(mode.workers)
-						if err := w.AddBatch(recs); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if len(w.Finalize(nil)) == 0 {
-						b.Fatal("empty archive")
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-			})
-		}
-	}
-}
-
-func BenchmarkArchiveDecode(b *testing.B) {
-	for _, n := range archiveCodecBenchSizes {
-		recs := experiments.ArchiveBenchStream(n)
-		w := archive.NewWriter(archive.Meta{RunID: fmt.Sprintf("bench-%d", n), Workload: "synthetic"})
-		for _, r := range recs {
-			w.Add(r)
-		}
-		blob := w.Finalize(nil)
-		for _, mode := range analyzerBenchModes {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					a, err := archive.OpenWorkers(blob, mode.workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					got, err := a.RecordsWorkers(mode.workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(got) != n {
-						b.Fatalf("decoded %d records, want %d", len(got), n)
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-			})
-		}
-	}
-}
+// wireBenchSizes mirrors experiments.ArchiveBenchSizes.
+var wireBenchSizes = []int{1_000, 10_000}
 
 func BenchmarkWireMarshal(b *testing.B) {
-	for _, n := range archiveCodecBenchSizes {
+	for _, n := range wireBenchSizes {
 		recs := experiments.ArchiveBenchStream(n)
 		b.Run(fmt.Sprintf("n=%d/pooled", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -337,7 +188,7 @@ func BenchmarkWireMarshal(b *testing.B) {
 }
 
 func BenchmarkWireUnmarshal(b *testing.B) {
-	for _, n := range archiveCodecBenchSizes {
+	for _, n := range wireBenchSizes {
 		recs := experiments.ArchiveBenchStream(n)
 		encoded := make([][]byte, len(recs))
 		for i, r := range recs {

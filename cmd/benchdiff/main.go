@@ -4,22 +4,16 @@
 // regresses past a tolerance.
 //
 // Entries are matched by (kernel, mode, n); configurations present in
-// only one report — e.g. the quadratic reference that quick mode skips
-// at large n — are ignored. Entries that report allocs/op (the codec
+// only one report are ignored. Entries that report allocs/op (the codec
 // kernels) are additionally held to -alloc-tolerance: allocation counts
 // are near-deterministic, so a regression there is a real code change,
 // not noise. Beyond per-entry comparisons, the tool asserts the
 // structural wins the optimizations exist for:
 //
-//   - -min-grid-speedup: the largest-n "dbscan_grid_parallel_vs_brute"
-//     speedup (analyzer reports).
 //   - -min-decode-speedup: the largest-n "archive_decode_par_vs_serial"
 //     speedup (archive reports). Enforced only when the candidate
 //     report ran with GOMAXPROCS >= 4 — on fewer cores the parallel
 //     decode degenerates to near-serial and the floor is meaningless.
-//   - -min-alloc-reduction: the largest-n "wire_marshal_alloc_reduction"
-//     fraction (archive reports) — how much of the naive encoder's
-//     allocations the pooled wire encoder eliminates. CPU-independent.
 //   - -min-stream-f1 / -max-share-mape: the largest-n
 //     "stream_boundary_f1_duty10" / "stream_share_mape_duty10" fidelity
 //     scores (stream reports) — how faithfully the duty-cycled
@@ -54,9 +48,8 @@
 // Usage:
 //
 //	benchdiff -old BENCH_analyzer.json -new /tmp/bench.json
-//	benchdiff -old BENCH_archive.json -new head.json -min-grid-speedup 0 \
-//	    -min-decode-speedup 2 -min-alloc-reduction 0.5
-//	benchdiff -old BENCH_stream.json -new head.json -min-grid-speedup 0 \
+//	benchdiff -old BENCH_archive.json -new head.json -min-decode-speedup 2
+//	benchdiff -old BENCH_stream.json -new head.json \
 //	    -min-stream-f1 0.9 -max-share-mape 0.10
 package main
 
@@ -78,9 +71,7 @@ func main() {
 		newPath   = flag.String("new", "", "candidate report (freshly generated)")
 		tolerance = flag.Float64("tolerance", 0.15, "allowed ns/op regression fraction per entry")
 		allocTol  = flag.Float64("alloc-tolerance", 0.10, "allowed allocs/op regression fraction per entry, for entries both reports measured")
-		minGrid   = flag.Float64("min-grid-speedup", 2.0, "required dbscan grid-vs-brute speedup at the largest measured n (0 disables)")
 		minDecode = flag.Float64("min-decode-speedup", 0, "required archive parallel-decode speedup at the largest measured n; only enforced when the candidate ran with GOMAXPROCS >= 4 (0 disables)")
-		minAlloc  = flag.Float64("min-alloc-reduction", 0, "required wire_marshal allocation-reduction fraction at the largest measured n (0 disables)")
 		minF1     = flag.Float64("min-stream-f1", 0, "required streaming phase-boundary F1 vs the batch analyzer at duty cycle 1/10, largest measured n (0 disables)")
 		maxMAPE   = flag.Float64("max-share-mape", 0, "allowed streaming per-phase time-share MAPE vs the batch analyzer at duty cycle 1/10, largest measured n (0 disables)")
 		maxP99    = flag.Float64("max-ingest-p99-regress", 0, "allowed p99 save-latency regression fraction per ingest agent count, old vs new; only enforced when both reports recorded the same GOMAXPROCS (0 disables)")
@@ -103,9 +94,7 @@ func main() {
 	}
 
 	failures := compare(oldRep, newRep, *tolerance, *allocTol)
-	failures = append(failures, checkGridSpeedup(newRep, *minGrid)...)
 	failures = append(failures, checkDecodeSpeedup(newRep, *minDecode)...)
-	failures = append(failures, checkAllocReduction(newRep, *minAlloc)...)
 	failures = append(failures, checkStreamFidelity(newRep, *minF1, *maxMAPE)...)
 	failures = append(failures, checkIngestLatency(oldRep, newRep, *maxP99)...)
 	failures = append(failures, checkReplicaScaling(newRep, *minScale)...)
@@ -215,27 +204,6 @@ func compare(oldRep, newRep *experiments.AnalyzerBenchReport, tolerance, allocTo
 	return failures
 }
 
-// checkGridSpeedup asserts the candidate report's largest-n
-// dbscan_grid_parallel_vs_brute speedup meets the floor. Quick-mode
-// reports skip the quadratic reference at large n, so the check uses
-// the biggest n the report actually measured.
-func checkGridSpeedup(rep *experiments.AnalyzerBenchReport, minSpeedup float64) []string {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	bestN, speedup := largestN(rep, "dbscan_grid_parallel_vs_brute_n")
-	if bestN < 0 {
-		return []string{"candidate report has no dbscan_grid_parallel_vs_brute speedup"}
-	}
-	fmt.Printf("dbscan grid vs brute at n=%d: %.2fx (floor %.2fx)\n", bestN, speedup, minSpeedup)
-	if speedup < minSpeedup {
-		return []string{fmt.Sprintf(
-			"dbscan grid-vs-brute speedup at n=%d is %.2fx, below the %.2fx floor",
-			bestN, speedup, minSpeedup)}
-	}
-	return nil
-}
-
 // checkDecodeSpeedup asserts the structural win the parallel archive
 // codec exists for: at the largest measured n, parallel decode must beat
 // one-worker decode by the floor. The two paths are bit-identical by
@@ -259,28 +227,6 @@ func checkDecodeSpeedup(rep *experiments.AnalyzerBenchReport, minSpeedup float64
 		return []string{fmt.Sprintf(
 			"archive parallel-decode speedup at n=%d is %.2fx, below the %.2fx floor",
 			bestN, speedup, minSpeedup)}
-	}
-	return nil
-}
-
-// checkAllocReduction asserts the pooled wire encoder still eliminates
-// at least the floor fraction of the naive reference's allocations at
-// the largest measured n. Unlike the decode gate this holds on any core
-// count: allocation behavior doesn't depend on parallelism.
-func checkAllocReduction(rep *experiments.AnalyzerBenchReport, minReduction float64) []string {
-	if minReduction <= 0 {
-		return nil
-	}
-	bestN, reduction := largestN(rep, "wire_marshal_alloc_reduction_n")
-	if bestN < 0 {
-		return []string{"candidate report has no wire_marshal_alloc_reduction entry"}
-	}
-	fmt.Printf("wire marshal allocation reduction at n=%d: %.1f%% (floor %.1f%%)\n",
-		bestN, 100*reduction, 100*minReduction)
-	if reduction < minReduction {
-		return []string{fmt.Sprintf(
-			"wire_marshal allocation reduction at n=%d is %.1f%%, below the %.1f%% floor",
-			bestN, 100*reduction, 100*minReduction)}
 	}
 	return nil
 }

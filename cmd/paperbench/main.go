@@ -13,9 +13,8 @@
 //	paperbench -analyzer-bench out.json -bench-quick             # CI smoke
 //
 // The emitted JSON (serial vs parallel ns/op and steps/sec for k-means,
-// DBSCAN and PCA at n = 1e3, 1e4, 1e5, plus grid-vs-brute DBSCAN
-// speedups) is compared against the committed baseline by
-// scripts/benchdiff.sh.
+// DBSCAN and PCA at n = 1e3, 1e4, 1e5) is compared against the committed
+// baseline by scripts/benchdiff.sh.
 package main
 
 import (
@@ -39,7 +38,7 @@ func main() {
 	streamBenchOut := flag.String("stream-bench", "", "run the streaming-analyzer fidelity benchmark and write BENCH_stream.json here, then exit")
 	ingestBenchOut := flag.String("ingest-bench", "", "run the concurrent repository-ingest benchmark and write BENCH_ingest.json here, then exit")
 	clusterBenchOut := flag.String("cluster-bench", "", "run the multi-tenant cluster-scheduling benchmark and write BENCH_cluster.json here, then exit")
-	benchQuick := flag.Bool("bench-quick", false, "shorten the benchmarks and skip the O(n²) DBSCAN reference above 10k rows (CI smoke mode)")
+	benchQuick := flag.Bool("bench-quick", false, "shorten the benchmark measurement windows (CI smoke mode)")
 	par := flag.Int("parallelism", 0, "worker pool size for the parallel benchmark runs (0 = GOMAXPROCS)")
 	flag.Parse()
 

@@ -26,7 +26,7 @@ import (
 // clusterCmd dispatches `tpupoint cluster`. dir is the global -archive
 // directory ("" = don't persist archives); reg is the global -metrics
 // registry (may be nil).
-func clusterCmd(args []string, dir string, codecPar, shards int, reg *obs.Registry) error {
+func clusterCmd(args []string, dir string, shards int, reg *obs.Registry) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 	var (
 		listPresets = fs.Bool("presets", false, "list the named cluster presets and exit")
@@ -84,7 +84,7 @@ func clusterCmd(args []string, dir string, codecPar, shards int, reg *obs.Regist
 		}
 
 		if dir != "" {
-			r, _, done, err := openRepoDir(dir, codecPar, shards, true)
+			r, _, done, err := openRepoDir(dir, shards, true)
 			if err != nil {
 				return err
 			}

@@ -44,7 +44,7 @@ func TestClusterVerbArchivesAndListFilters(t *testing.T) {
 
 	out := captureStdout(t, func() error {
 		return clusterCmd([]string{"-preset", "smoke", "-policy", "round-robin", "-seed", "3"},
-			dir, 1, 0, nil)
+			dir, 0, nil)
 	})
 	if !strings.Contains(out, "Jain") || !strings.Contains(out, "archived:") {
 		t.Fatalf("cluster verb output missing report or archive line:\n%s", out)
@@ -66,7 +66,7 @@ func TestClusterVerbArchivesAndListFilters(t *testing.T) {
 
 	// runs list -tenant shows only that tenant's fleet.
 	out = captureStdout(t, func() error {
-		return runsCmd([]string{"list", "-tenant", "vision"}, dir, 0, false, 1, 0)
+		return runsCmd([]string{"list", "-tenant", "vision"}, dir, 0, false, 0)
 	})
 	if !strings.Contains(out, "TENANT") || !strings.Contains(out, "vision") {
 		t.Fatalf("runs list -tenant output missing tenant column:\n%s", out)
@@ -78,14 +78,14 @@ func TestClusterVerbArchivesAndListFilters(t *testing.T) {
 	// -workload and -label compose with it.
 	out = captureStdout(t, func() error {
 		return runsCmd([]string{"list", "-tenant", "nlp", "-workload", "bert-mrpc",
-			"-label", "smoke-round-robin"}, dir, 0, false, 1, 0)
+			"-label", "smoke-round-robin"}, dir, 0, false, 0)
 	})
 	if !strings.Contains(out, "bert-mrpc") {
 		t.Fatalf("combined filters matched nothing:\n%s", out)
 	}
 	out = captureStdout(t, func() error {
 		return runsCmd([]string{"list", "-tenant", "nlp", "-workload", "dcgan-mnist"},
-			dir, 0, false, 1, 0)
+			dir, 0, false, 0)
 	})
 	if !strings.Contains(out, "no runs match the filter") {
 		t.Fatalf("impossible filter combination matched:\n%s", out)
@@ -94,17 +94,17 @@ func TestClusterVerbArchivesAndListFilters(t *testing.T) {
 
 func TestClusterVerbPresetListing(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return clusterCmd([]string{"-presets"}, "", 1, 0, nil)
+		return clusterCmd([]string{"-presets"}, "", 0, nil)
 	})
 	for _, name := range []string{"smoke", "rush", "fleet"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("preset %q missing from -presets output:\n%s", name, out)
 		}
 	}
-	if err := clusterCmd([]string{"-preset", "no-such"}, "", 1, 0, nil); err == nil {
+	if err := clusterCmd([]string{"-preset", "no-such"}, "", 0, nil); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
-	if err := clusterCmd([]string{"-preset", "smoke", "stray"}, "", 1, 0, nil); err == nil {
+	if err := clusterCmd([]string{"-preset", "smoke", "stray"}, "", 0, nil); err == nil {
 		t.Fatal("stray positional argument accepted")
 	}
 }

@@ -77,7 +77,6 @@ func main() {
 		collectSrv  = flag.String("collect-serve", "", "run a fleet collection server at this TCP address writing into -archive")
 		maxSessions = flag.Int("max-sessions", 0, "collection server: concurrent session cap (0 = default)")
 		maxConns    = flag.Int("max-conns", 0, "served RPC endpoints: connection cap; excess connections get a transient busy error (0 = unlimited)")
-		codecPar    = flag.Int("codec-parallelism", 0, "archive codec worker pool size for repository reads (0 = GOMAXPROCS, 1 = serial; decoded runs are bit-identical for any value)")
 		shards      = flag.Int("shards", 0, "manifest shard count for the profile repository: 0 keeps the existing layout; N > 1 migrates a legacy single-manifest repository to N shards when a mutating verb or a standalone -collect-serve opens it (verbs that only read never migrate); with -replicas > 1 it sizes a fresh repository (default 4 per replica)")
 		compactEach = flag.Int("compact-every", 0, "collection server: run a background compaction pass every N finalized sessions (0 = never; on demand via `runs compact`)")
 
@@ -101,21 +100,21 @@ func main() {
 	}
 
 	if args := flag.Args(); len(args) > 0 && args[0] == "runs" {
-		if err := runsCmd(args[1:], *archiveDir, *keep, *csvOut, *codecPar, *shards); err != nil {
+		if err := runsCmd(args[1:], *archiveDir, *keep, *csvOut, *shards); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
 	if args := flag.Args(); len(args) > 0 && args[0] == "watch" {
-		if err := watchCmd(args[1:], *archiveDir, *codecPar); err != nil {
+		if err := watchCmd(args[1:], *archiveDir); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
 	if args := flag.Args(); len(args) > 0 && args[0] == "cluster" {
-		if err := clusterCmd(args[1:], *archiveDir, *codecPar, *shards, reg); err != nil {
+		if err := clusterCmd(args[1:], *archiveDir, *shards, reg); err != nil {
 			fatal(err)
 		}
 		return
@@ -129,7 +128,7 @@ func main() {
 		cfg := collectConfig{
 			Addr: *collectSrv, Dir: *archiveDir,
 			MaxSessions: *maxSessions, MaxConns: *maxConns,
-			CodecPar: *codecPar, Shards: *shards, CompactEvery: *compactEach,
+			Shards: *shards, CompactEvery: *compactEach,
 			ReplicaID: *replicaID, Replicas: *replicas, Peers: peers,
 			Reg: reg, Health: health, Fleet: fleetView,
 		}
@@ -284,7 +283,7 @@ func main() {
 		}
 		printRunInfo(os.Stdout, info, "")
 	} else if *archiveDir != "" {
-		r, _, done, err := openRepoDir(*archiveDir, *codecPar, *shards, true)
+		r, _, done, err := openRepoDir(*archiveDir, *shards, true)
 		if err != nil {
 			fatal(err)
 		}

@@ -52,12 +52,10 @@ import (
 // directory that does not exist (a mistyped path) reads as an empty
 // repository instead of being created.
 //
-// codecPar sets the archive codec's worker pool for repository reads
-// (-codec-parallelism: 0 = GOMAXPROCS, 1 = serial; decoded runs are
-// bit-identical either way). A directory written by earlier builds'
-// export route (raw files, no generation sidecars) opens unchanged:
-// DirStore adopts such objects at generation 1.
-func openRepoDir(dir string, codecPar, shards int, replay bool) (*repo.Repo, repo.Store, func(), error) {
+// A directory written by earlier builds' export route (raw files, no
+// generation sidecars) opens unchanged: DirStore adopts such objects at
+// generation 1.
+func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, func(), error) {
 	if !replay {
 		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 			bucket, err := storage.NewService().CreateBucket("empty")
@@ -82,7 +80,6 @@ func openRepoDir(dir string, codecPar, shards int, replay bool) (*repo.Repo, rep
 	} else {
 		r = repo.New(store)
 	}
-	r.SetCodecParallelism(codecPar)
 	return r, store, func() { store.Close() }, nil
 }
 
@@ -94,7 +91,7 @@ func printRecovery(rec *repo.RecoveryReport) {
 }
 
 // runsCmd dispatches the `runs list|show|diff|gc|...` verbs.
-func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int) error {
+func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 	if dir == "" {
 		return errors.New("runs: -archive <dir> is required")
 	}
@@ -119,7 +116,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 	case "gc", "delete", "compact", "salvage":
 		mutates = true
 	}
-	r, _, done, err := openRepoDir(dir, codecPar, shards, mutates)
+	r, _, done, err := openRepoDir(dir, shards, mutates)
 	if err != nil {
 		return err
 	}
@@ -296,7 +293,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 type collectConfig struct {
 	Addr, Dir string
 
-	MaxSessions, MaxConns, CodecPar, Shards, CompactEvery int
+	MaxSessions, MaxConns, Shards, CompactEvery int
 
 	// ReplicaID/Replicas/Peers place this process in the replica set: it
 	// owns the manifest shards s with s % Replicas == ReplicaID and
@@ -370,7 +367,6 @@ func collectServe(cfg collectConfig) error {
 	if err != nil {
 		return err
 	}
-	r.SetCodecParallelism(cfg.CodecPar)
 	r.SetObs(reg)
 	ingest := repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
 	defer ingest.Close()

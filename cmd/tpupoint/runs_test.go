@@ -54,7 +54,7 @@ func testBlob(t *testing.T, runID string, seq uint64) []byte {
 // way `tpupoint -archive dir` does after training.
 func saveRuns(t *testing.T, dir string, runIDs ...string) {
 	t.Helper()
-	r, _, done, err := openRepoDir(dir, 1, 0, true)
+	r, _, done, err := openRepoDir(dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func blobPath(dir, runID string) string {
 // viewRepo opens dir the way a read-only verb does.
 func viewRepo(t *testing.T, dir string) *repo.Repo {
 	t.Helper()
-	r, _, done, err := openRepoDir(dir, 1, 0, false)
+	r, _, done, err := openRepoDir(dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunsSalvageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := runsCmd([]string{"salvage", "run-a"}, dir, 0, false, 1, 0); err != nil {
+	if err := runsCmd([]string{"salvage", "run-a"}, dir, 0, false, 0); err != nil {
 		t.Fatalf("runs salvage: %v", err)
 	}
 
@@ -160,13 +160,13 @@ func TestRunsFsckRepair(t *testing.T) {
 	}
 
 	// Check-only finds the issue and exits non-zero.
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err == nil {
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err == nil {
 		t.Fatal("fsck should report unrepaired issues")
 	}
-	if err := runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 1, 0); err != nil {
+	if err := runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 0); err != nil {
 		t.Fatalf("fsck -repair: %v", err)
 	}
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err != nil {
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
 		t.Fatalf("repository not clean after repair: %v", err)
 	}
 	if _, err := viewRepo(t, dir).Info("run-a"); err == nil {
@@ -182,7 +182,7 @@ func TestRunsFsckRepairQuarantinesOnDisk(t *testing.T) {
 	if err := os.WriteFile(blobPath(dir, "run-a"), []byte("XXXXnothing"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 1, 0); err != nil {
+	if err := runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 0); err != nil {
 		t.Fatalf("fsck -repair: %v", err)
 	}
 	q := filepath.Join(dir, "quarantine", "runs", "run-a", "archive")
@@ -201,7 +201,7 @@ func TestRunsFsckRepairQuarantinesOnDisk(t *testing.T) {
 // replays the journal and reclaims the orphan.
 func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 	typo := filepath.Join(t.TempDir(), "typo")
-	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, typo, 0, false, 1, 0) })
+	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, typo, 0, false, 0) })
 	if !strings.Contains(out, "repository is empty") {
 		t.Fatalf("runs list on a missing directory printed:\n%s", out)
 	}
@@ -250,14 +250,14 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 
 	before := repoTree(t, dir)
 	for _, verb := range [][]string{{"list"}, {"show", "run-a"}, {"diff", "run-a", "run-b"}} {
-		captureStdout(t, func() error { return runsCmd(verb, dir, 0, false, 1, 0) })
+		captureStdout(t, func() error { return runsCmd(verb, dir, 0, false, 0) })
 	}
 	// The orphan is debris fsck reports; check-only must not touch it.
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err == nil {
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err == nil {
 		t.Fatal("plain fsck passed over an orphan blob")
 	}
-	captureStdout(t, func() error { return watchCmd([]string{"-quiet", "run-a"}, dir, 1) })
-	out = captureStdout(t, func() error { return watchCmd([]string{"-quiet", "-session", fc.Token()}, dir, 1) })
+	captureStdout(t, func() error { return watchCmd([]string{"-quiet", "run-a"}, dir) })
+	out = captureStdout(t, func() error { return watchCmd([]string{"-quiet", "-session", fc.Token()}, dir) })
 	if !strings.Contains(out, "8 records") {
 		t.Fatalf("watch -session did not replay the 8 accepted records:\n%s", out)
 	}
@@ -265,14 +265,14 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 		t.Fatalf("read-only verbs changed the directory:\nbefore %v\nafter  %v", keys(before), keys(after))
 	}
 
-	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 1, 0) })
+	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 0) })
 	if !strings.Contains(out, "recovery: replayed 1 interrupted mutations (0 completed, 1 rolled back, 1 orphans reclaimed)") {
 		t.Fatalf("runs gc printed no recovery line:\n%s", out)
 	}
 	if _, err := os.Stat(blobPath(dir, "cut")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphan blob survived the replay (stat: %v)", err)
 	}
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 1, 0); err != nil {
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
 		t.Fatalf("fsck after replay: %v", err)
 	}
 }
@@ -314,24 +314,24 @@ func TestExportedDirectoryStillWorks(t *testing.T) {
 		}
 	}
 
-	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 1, 0) })
+	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 0) })
 	for _, id := range []string{"run-1", "run-2", "run-3", "run-4"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("runs list lost %s:\n%s", id, out)
 		}
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"show", "run-2"}, dir, 0, false, 1, 0) })
+	out = captureStdout(t, func() error { return runsCmd([]string{"show", "run-2"}, dir, 0, false, 0) })
 	if !strings.Contains(out, "records:   24") {
 		t.Fatalf("runs show run-2:\n%s", out)
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 1, 0) })
+	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 0) })
 	if !strings.Contains(out, "removed run-1") || !strings.Contains(out, "gc: removed 1 runs") {
 		t.Fatalf("runs gc -keep 3:\n%s", out)
 	}
 	if _, err := os.Stat(blobPath(dir, "run-1")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("gc left its victim's blob on disk (stat: %v)", err)
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"compact"}, dir, 0, false, 1, 0) })
+	out = captureStdout(t, func() error { return runsCmd([]string{"compact"}, dir, 0, false, 0) })
 	if !strings.Contains(out, "compact: 1 packs from 3 runs") {
 		t.Fatalf("runs compact:\n%s", out)
 	}
@@ -389,7 +389,7 @@ func TestRunsGCBesideLiveWriter(t *testing.T) {
 			}()
 			<-parked
 
-			out := captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 2, false, 1, 0) })
+			out := captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 2, false, 0) })
 			close(release)
 			if err := <-saved; err != nil {
 				t.Fatalf("in-flight save: %v", err)
@@ -441,7 +441,7 @@ func TestStandaloneCollectorAcksAreOnDisk(t *testing.T) {
 		errc := make(chan error, 1)
 		go func() {
 			errc <- collectServe(collectConfig{
-				Addr: addr, Dir: dir, CodecPar: 1, Replicas: 1,
+				Addr: addr, Dir: dir, Replicas: 1,
 				Health: obs.NewHealth(), Fleet: obs.NewFleetView(),
 			})
 		}()

@@ -25,7 +25,7 @@ import (
 	"repro/internal/trace"
 )
 
-func watchCmd(args []string, archiveDir string, codecPar int) error {
+func watchCmd(args []string, archiveDir string) error {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 	var (
 		duty      = fs.Int("duty", 1, "profile duty cycle: analyze only steps ≡ 0 mod N (1 = every step)")
@@ -52,7 +52,7 @@ func watchCmd(args []string, archiveDir string, codecPar int) error {
 		return fmt.Errorf("watch needs a run ID or -session <token>")
 	}
 
-	r, store, done, err := openRepoDir(archiveDir, codecPar, 0, false)
+	r, store, done, err := openRepoDir(archiveDir, 0, false)
 	if err != nil {
 		return err
 	}

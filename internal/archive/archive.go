@@ -27,6 +27,14 @@
 // (ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum, ErrMalformed) —
 // never a panic, however corrupt the input (see FuzzOpen).
 //
+// The codec's fan-outs (AddBatch marshalling, Open's segment
+// verification, Records' segment decode) run on a pool sized from
+// GOMAXPROCS; nothing sets the size. The unexported forms open, records
+// and Writer.workers take it (<= 0 = GOMAXPROCS, 1 = inline) so the
+// differential tests can prove what callers rely on: chunk boundaries
+// depend only on the input, so archive bytes, decoded records and the
+// reported (lowest-index) error are identical for every pool size.
+//
 // Footer message schema (protobuf field numbers):
 //
 //	message Footer {
@@ -217,7 +225,7 @@ type segment struct {
 type Writer struct {
 	meta      Meta
 	segTarget int
-	workers   int // AddBatch marshal fan-out (0 = GOMAXPROCS)
+	workers   int // AddBatch marshal fan-out; zero (GOMAXPROCS) outside tests
 
 	body     []byte // header + flushed segments
 	cur      []byte // unflushed segment payload
@@ -251,11 +259,6 @@ func (w *Writer) SetSegmentTarget(n int) error {
 	w.segTarget = n
 	return nil
 }
-
-// SetParallelism bounds the marshal fan-out AddBatch uses
-// (0 = GOMAXPROCS, 1 = serial). Output bytes are identical for any
-// value.
-func (w *Writer) SetParallelism(n int) { w.workers = n }
 
 // Add appends one record.
 func (w *Writer) Add(rec *trace.ProfileRecord) {
@@ -513,17 +516,14 @@ type Archive struct {
 // Open parses and fully verifies an archive blob: magic, version,
 // trailer bounds, footer structure, and every segment's CRC32C. The
 // returned Archive retains data (callers handing in a shared buffer
-// should pass a copy — bucket reads already are copies). Segment
-// verification fans out over all CPUs; OpenWorkers bounds it.
-func Open(data []byte) (*Archive, error) { return OpenWorkers(data, 0) }
+// should pass a copy — bucket reads already are copies).
+func Open(data []byte) (*Archive, error) { return open(data, 0) }
 
-// OpenWorkers is Open with an explicit verification fan-out bound
-// (0 = GOMAXPROCS, 1 = serial). Segments are independent by
-// construction, so the parallel scan checks exactly what the serial
+// open is Open over a pool of the given size. Segments are independent
+// by construction, so the parallel scan checks exactly what the serial
 // one does; per-segment failures land in indexed slots and the
-// lowest-indexed one is reported, so the returned error is identical
-// for any worker count.
-func OpenWorkers(data []byte, workers int) (*Archive, error) {
+// lowest-indexed one is reported.
+func open(data []byte, workers int) (*Archive, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
@@ -921,19 +921,15 @@ func (a *Archive) TimeRange() (first, last simclock.Time) {
 // Size is the blob's byte size.
 func (a *Archive) Size() int64 { return int64(len(a.data)) }
 
-// Records decodes every archived record, in archive order. Segments
-// decode in parallel across all CPUs; RecordsWorkers bounds the
-// fan-out.
+// Records decodes every archived record, in archive order.
 func (a *Archive) Records() ([]*trace.ProfileRecord, error) {
-	return a.RecordsWorkers(0)
+	return a.records(0)
 }
 
-// RecordsWorkers is Records with an explicit decode fan-out bound
-// (0 = GOMAXPROCS, 1 = serial). Each segment decodes into its own slot
-// and the slots merge in segment order, so the result — records and
-// error alike — is identical to the serial scan for any worker count
-// (see TestDecodeDifferential).
-func (a *Archive) RecordsWorkers(workers int) ([]*trace.ProfileRecord, error) {
+// records is Records over a pool of the given size. Each segment decodes
+// into its own slot and the slots merge in segment order (see
+// TestDecodeDifferential).
+func (a *Archive) records(workers int) ([]*trace.ProfileRecord, error) {
 	chunks := make([][]*trace.ProfileRecord, len(a.segments))
 	errs := make([]error, len(a.segments))
 	pool := parallel.New(workers)

@@ -44,11 +44,11 @@ func TestDecodeDifferential(t *testing.T) {
 		recs := synthRecords(n)
 		blob := rawBlob(t, recs)
 
-		ref, err := OpenWorkers(blob, 1)
+		ref, err := open(blob, 1)
 		if err != nil {
 			t.Fatalf("n=%d: serial open: %v", n, err)
 		}
-		want, err := ref.RecordsWorkers(1)
+		want, err := ref.records(1)
 		if err != nil {
 			t.Fatalf("n=%d: serial decode: %v", n, err)
 		}
@@ -57,11 +57,11 @@ func TestDecodeDifferential(t *testing.T) {
 		}
 
 		for _, w := range diffWorkers() {
-			a, err := OpenWorkers(blob, w)
+			a, err := open(blob, w)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: open: %v", n, w, err)
 			}
-			got, err := a.RecordsWorkers(w)
+			got, err := a.records(w)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: decode: %v", n, w, err)
 			}
@@ -106,7 +106,7 @@ func TestOpenCorruptSegmentDifferential(t *testing.T) {
 		bad[mid.offset+mid.length/2] ^= 0xff
 
 		serialErr := func() error {
-			a, err := OpenWorkers(bad, 1)
+			a, err := open(bad, 1)
 			if a != nil {
 				t.Fatalf("n=%d: serial open of corrupt blob returned an archive", n)
 			}
@@ -116,7 +116,7 @@ func TestOpenCorruptSegmentDifferential(t *testing.T) {
 			t.Fatalf("n=%d: serial error = %v, want ErrChecksum", n, serialErr)
 		}
 		for _, w := range diffWorkers() {
-			a, err := OpenWorkers(bad, w)
+			a, err := open(bad, w)
 			if a != nil {
 				t.Fatalf("n=%d workers=%d: corrupt open returned an archive", n, w)
 			}
@@ -156,12 +156,12 @@ func TestDecodeMalformedRecordDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v (CRC must pass; corruption is inside a record)", err)
 	}
-	_, serialErr := a.RecordsWorkers(1)
+	_, serialErr := a.records(1)
 	if !errors.Is(serialErr, ErrMalformed) {
 		t.Fatalf("serial decode error = %v, want ErrMalformed", serialErr)
 	}
 	for _, workers := range diffWorkers() {
-		got, err := a.RecordsWorkers(workers)
+		got, err := a.records(workers)
 		if got != nil {
 			t.Fatalf("workers=%d: malformed decode leaked %d records", workers, len(got))
 		}
@@ -190,7 +190,7 @@ func TestAddBatchBitIdentical(t *testing.T) {
 			if err := w.SetSegmentTarget(2048); err != nil {
 				t.Fatal(err)
 			}
-			w.SetParallelism(workers)
+			w.workers = workers
 			if err := w.AddBatch(recs); err != nil {
 				t.Fatalf("n=%d workers=%d: AddBatch: %v", n, workers, err)
 			}
@@ -205,7 +205,7 @@ func TestAddBatchBitIdentical(t *testing.T) {
 		if err := w.SetSegmentTarget(2048); err != nil {
 			t.Fatal(err)
 		}
-		w.SetParallelism(4)
+		w.workers = 4
 		split := n / 3
 		w.Add(recs[0])
 		if err := w.AddBatch(recs[1 : 1+split]); err != nil {

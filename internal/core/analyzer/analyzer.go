@@ -44,6 +44,14 @@ const (
 // 3 phases covering ≥95% of execution for most workloads.
 const DefaultThreshold = 0.70
 
+// The paper's sweeps: k-means over k = 1..15, DBSCAN over min-samples
+// 5..180 in steps of 25.
+const (
+	kMax       = 15
+	minPtsMax  = 180
+	minPtsStep = 25
+)
+
 // KSelection picks how the k-means cluster count is chosen.
 type KSelection string
 
@@ -58,13 +66,8 @@ const (
 type Options struct {
 	// Threshold is the OLS StepSimilarity threshold (default 0.70).
 	Threshold float64
-	// KMax bounds the k-means sweep (default 15, as in the paper).
-	KMax int
 	// KSelection chooses elbow (paper default) or BIC (SimPoint style).
 	KSelection KSelection
-	// MinPtsMax / MinPtsStep define the DBSCAN sweep (default 180 / 25).
-	MinPtsMax  int
-	MinPtsStep int
 	// Seed feeds k-means initialization.
 	Seed uint64
 	// MemoryBudget bounds clustering working memory in bytes; exceeded
@@ -83,15 +86,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Threshold == 0 {
 		o.Threshold = DefaultThreshold
-	}
-	if o.KMax == 0 {
-		o.KMax = 15
-	}
-	if o.MinPtsMax == 0 {
-		o.MinPtsMax = 180
-	}
-	if o.MinPtsStep == 0 {
-		o.MinPtsStep = 25
 	}
 	if o.KSelection == "" {
 		o.KSelection = SelectElbow
@@ -208,15 +202,16 @@ func (p *Phase) addStep(s *trace.StepStat) {
 	p.Steps = append(p.Steps, s)
 }
 
-// featureMatrix builds the standardized, PCA-reduced step feature matrix
-// every clustering algorithm consumes, honoring the parallelism option.
-func featureMatrix(steps []*trace.StepStat, opts Options) *cluster.Matrix {
+// FeatureMatrix builds the standardized, PCA-reduced step feature matrix
+// every clustering algorithm consumes, honoring opts.Parallelism and
+// recording the features and PCA stage times in opts.Obs.
+func FeatureMatrix(steps []*trace.StepStat, opts Options) *cluster.Matrix {
 	start := time.Now()
-	m, _ := cluster.FeaturesP(steps, opts.Parallelism)
-	cluster.StandardizeP(m, opts.Parallelism)
+	m, _ := cluster.Features(steps, opts.Parallelism)
+	cluster.Standardize(m, opts.Parallelism)
 	opts.Obs.Histogram("analyzer.stage.features_us").ObserveSince(start)
 	start = time.Now()
-	out := cluster.PCAP(m, cluster.MaxFeatureOps, opts.Parallelism)
+	out := cluster.PCA(m, cluster.MaxFeatureOps, opts.Parallelism)
 	opts.Obs.Histogram("analyzer.stage.pca_us").ObserveSince(start)
 	return out
 }
@@ -244,34 +239,32 @@ func phasesFromLabels(steps []*trace.StepStat, labels []int) []*Phase {
 }
 
 // KMeansPhases clusters the steps with PCA + k-means, choosing k by the
-// elbow method over 1..KMax. It returns the phases, the SSD series of the
-// sweep (Figure 4's data), and the chosen k.
+// elbow method (or BIC) over the paper's k = 1..15 sweep. It returns the
+// phases, the SSD series of the sweep (Figure 4's data), and the chosen k.
 func KMeansPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []float64, int, error) {
 	opts = opts.withDefaults()
 	if len(steps) == 0 {
 		return nil, nil, 0, errors.New("analyzer: no steps")
 	}
-	m := featureMatrix(steps, opts)
+	m := FeatureMatrix(steps, opts)
 	defer opts.Obs.Histogram("analyzer.stage.kmeans_us").ObserveSince(time.Now())
-	ssd, err := cluster.SSDSweepP(m, opts.KMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
+	sweep, err := cluster.KMeansSweep(m, kMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("analyzer: k-means sweep: %w", err)
 	}
-	var k int
+	ssd := make([]float64, len(sweep))
+	for i, r := range sweep {
+		ssd[i] = r.SSD
+	}
+	k := cluster.Elbow(ssd)
 	if opts.KSelection == SelectBIC {
-		bic, err := cluster.BICSweepP(m, opts.KMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("analyzer: BIC sweep: %w", err)
+		bic := make([]float64, len(sweep))
+		for i, r := range sweep {
+			bic[i] = cluster.BIC(m, r)
 		}
 		k = cluster.BestBIC(bic)
-	} else {
-		k = cluster.Elbow(ssd)
 	}
-	res, err := cluster.KMeansP(m, k, opts.Seed+uint64(k), opts.MemoryBudget, opts.Parallelism)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return phasesFromLabels(steps, res.Assignment), ssd, k, nil
+	return phasesFromLabels(steps, sweep[k-1].Assignment), ssd, k, nil
 }
 
 // DBSCANPhases clusters the steps with DBSCAN, choosing min-samples by
@@ -284,21 +277,22 @@ func DBSCANPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []int, []flo
 	if len(steps) == 0 {
 		return nil, nil, nil, 0, errors.New("analyzer: no steps")
 	}
-	m := featureMatrix(steps, opts)
+	m := FeatureMatrix(steps, opts)
 	defer opts.Obs.Histogram("analyzer.stage.dbscan_us").ObserveSince(time.Now())
-	grid, ratios, err := cluster.NoiseSweepP(m, opts.MinPtsMax, opts.MinPtsStep, opts.MemoryBudget, opts.Parallelism)
+	sweep, err := cluster.DBSCANSweep(m, minPtsMax, minPtsStep, opts.MemoryBudget, opts.Parallelism)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("analyzer: dbscan sweep: %w", err)
 	}
+	grid := make([]int, len(sweep))
+	ratios := make([]float64, len(sweep))
+	for i, r := range sweep {
+		grid[i] = r.MinPts
+		ratios[i] = r.NoiseRatio()
+	}
 	// The noise curve rises with min-samples; the elbow of the *rising*
 	// curve balances "minimize noise" against "maximize min samples".
-	idx := cluster.Elbow(ratios)
-	minPts := grid[idx-1]
-	res, err := cluster.DBSCANP(m, minPts, 0, opts.MemoryBudget, opts.Parallelism)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	return phasesFromLabels(steps, res.Labels), grid, ratios, minPts, nil
+	res := sweep[cluster.Elbow(ratios)-1]
+	return phasesFromLabels(steps, res.Labels), grid, ratios, res.MinPts, nil
 }
 
 // SortByTotal orders phases by descending total time.

@@ -3,6 +3,7 @@ package analyzer
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core/cluster"
@@ -226,6 +227,75 @@ func TestOLSOnRealRunFindsThreePhases(t *testing.T) {
 	}
 	if c := Coverage(phases, 3); c < 0.95 {
 		t.Fatalf("top-3 coverage = %.3f, want >= 0.95", c)
+	}
+}
+
+// TestClusterReportsMatchSweepPickRerun is the oracle for taking the
+// chosen clustering out of the sweep: it spells out the recipe the
+// analyzer used to run — sweep for the series, pick, run the clustering
+// again at the pick, group the labels — and requires today's report to
+// equal it field for field.
+func TestClusterReportsMatchSweepPickRerun(t *testing.T) {
+	_, steps := runWorkload(t, "bert-mrpc", 300)
+	const seed = 1
+	m := FeatureMatrix(steps, Options{})
+
+	var ssd, bic []float64
+	for k := 1; k <= 15; k++ {
+		r, err := cluster.KMeans(m, k, seed+uint64(k), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ssd = append(ssd, r.SSD)
+		bic = append(bic, cluster.BIC(m, r))
+	}
+	for _, sel := range []struct {
+		rule KSelection
+		k    int
+	}{{SelectElbow, cluster.Elbow(ssd)}, {SelectBIC, cluster.BestBIC(bic)}} {
+		rerun, err := cluster.KMeans(m, sel.k, seed+uint64(sel.k), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: seed, KSelection: sel.rule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ChosenK != sel.k || !reflect.DeepEqual(rep.KMeansSSD, ssd) {
+			t.Fatalf("%s: chose k=%d over SSD %v, oracle k=%d over %v", sel.rule, rep.ChosenK, rep.KMeansSSD, sel.k, ssd)
+		}
+		if !reflect.DeepEqual(rep.Phases, phasesFromLabels(steps, rerun.Assignment)) {
+			t.Fatalf("%s: phases differ from k-means run again at k=%d", sel.rule, sel.k)
+		}
+	}
+
+	var grid []int
+	var noise []float64
+	eps := 0.0
+	for p := 5; p <= 180; p += 25 {
+		r, err := cluster.DBSCAN(m, p, eps, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = r.Eps
+		grid = append(grid, p)
+		noise = append(noise, r.NoiseRatio())
+	}
+	minPts := grid[cluster.Elbow(noise)-1]
+	rerun, err := cluster.DBSCAN(m, minPts, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AnalyzeSteps("x", steps, DBSCANAlgo, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ChosenMinPts != minPts || !reflect.DeepEqual(rep.DBSCANGrid, grid) || !reflect.DeepEqual(rep.DBSCANNoise, noise) {
+		t.Fatalf("dbscan: chose %d over %v / %v, oracle %d over %v / %v",
+			rep.ChosenMinPts, rep.DBSCANGrid, rep.DBSCANNoise, minPts, grid, noise)
+	}
+	if !reflect.DeepEqual(rep.Phases, phasesFromLabels(steps, rerun.Labels)) {
+		t.Fatalf("dbscan: phases differ from DBSCAN run again at minPts=%d", minPts)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // difference explicitly ("SimPoint uses the Bayesian information criterion
 // (BIC) to measure the probability of clustering ... TPUPoint instead
 // employs the elbow method"). This file provides the BIC alternative so
-// the two selection rules can be compared on the same sweeps.
+// the two selection rules can be compared on the same KMeansSweep.
 
 // BIC scores one k-means clustering of the matrix under the spherical
 // Gaussian model used by X-means (Pelleg & Moore, 2000): higher is better.
@@ -38,25 +38,6 @@ func BIC(m *Matrix, r *KMeansResult) float64 {
 	}
 	params := k * (d + 1) // centroids plus the shared variance per cluster
 	return logL - params/2*math.Log(n)
-}
-
-// BICSweep runs k-means for k = 1..kMax and returns the BIC score series.
-func BICSweep(m *Matrix, kMax int, seed uint64, budget int64) ([]float64, error) {
-	return BICSweepP(m, kMax, seed, budget, 0)
-}
-
-// BICSweepP is BICSweep with an explicit worker bound for each k-means
-// run.
-func BICSweepP(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]float64, error) {
-	out := make([]float64, 0, kMax)
-	for k := 1; k <= kMax; k++ {
-		r, err := KMeansP(m, k, seed+uint64(k), budget, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BIC(m, r))
-	}
-	return out, nil
 }
 
 // BestBIC returns the 1-based k with the highest BIC score.

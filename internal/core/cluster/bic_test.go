@@ -5,12 +5,19 @@ import (
 	"testing"
 )
 
+// bicSeries scores every member of a k-means sweep.
+func bicSeries(m *Matrix, sweep []*KMeansResult) []float64 {
+	out := make([]float64, len(sweep))
+	for i, r := range sweep {
+		out[i] = BIC(m, r)
+	}
+	return out
+}
+
 func TestBICPrefersTrueK(t *testing.T) {
 	m, _ := blobs(600, 21)
-	scores, err := BICSweep(m, 8, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sweep := ssdSeries(t, m, 8, 3)
+	scores := bicSeries(m, sweep)
 	if len(scores) != 8 {
 		t.Fatalf("scores = %d", len(scores))
 	}
@@ -26,14 +33,8 @@ func TestBICPrefersTrueK(t *testing.T) {
 
 func TestBICAgreesWithElbowOnBlobs(t *testing.T) {
 	m, _ := blobs(450, 23)
-	ssd, err := SSDSweep(m, 10, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bic, err := BICSweep(m, 10, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ssd, sweep := ssdSeries(t, m, 10, 5)
+	bic := bicSeries(m, sweep)
 	ke := Elbow(ssd)
 	kb := BestBIC(bic)
 	if diff := ke - kb; diff > 2 || diff < -2 {
@@ -43,7 +44,7 @@ func TestBICAgreesWithElbowOnBlobs(t *testing.T) {
 
 func TestBICDegenerateCases(t *testing.T) {
 	m, _ := blobs(5, 1)
-	r, err := KMeans(m, 5, 1, 0)
+	r, err := KMeans(m, 5, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +60,7 @@ func BenchmarkBICSweep(b *testing.B) {
 	m, _ := blobs(400, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BICSweep(m, 10, 1, 0); err != nil {
-			b.Fatal(err)
-		}
+		_, sweep := ssdSeries(b, m, 10, 1)
+		bicSeries(m, sweep)
 	}
 }

@@ -26,9 +26,24 @@ func blobs(n int, seed uint64) (*Matrix, []int) {
 	return m, truth
 }
 
+// ssdSeries runs the k-means sweep and returns the SSD series the elbow
+// method reads, with the sweep it came from.
+func ssdSeries(t testing.TB, m *Matrix, kMax int, seed uint64) ([]float64, []*KMeansResult) {
+	t.Helper()
+	sweep, err := KMeansSweep(m, kMax, seed, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssd := make([]float64, len(sweep))
+	for i, r := range sweep {
+		ssd[i] = r.SSD
+	}
+	return ssd, sweep
+}
+
 func TestKMeansRecoversBlobs(t *testing.T) {
 	m, truth := blobs(300, 1)
-	r, err := KMeans(m, 3, 7, 0)
+	r, err := KMeans(m, 3, 7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +69,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 
 func TestKMeansSSDDecreasesWithK(t *testing.T) {
 	m, _ := blobs(300, 2)
-	ssd, err := SSDSweep(m, 8, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ssd, _ := ssdSeries(t, m, 8, 1)
 	// Not strictly monotone (local optima), but k=1 must dominate k=3
 	// and the overall trend must fall.
 	if ssd[2] >= ssd[0] {
@@ -70,10 +82,7 @@ func TestKMeansSSDDecreasesWithK(t *testing.T) {
 
 func TestKMeansElbowAtTrueK(t *testing.T) {
 	m, _ := blobs(600, 3)
-	ssd, err := SSDSweep(m, 10, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ssd, _ := ssdSeries(t, m, 10, 1)
 	k := Elbow(ssd)
 	if k < 2 || k > 4 {
 		t.Fatalf("elbow at k=%d, want ~3 (ssd=%v)", k, ssd)
@@ -82,7 +91,7 @@ func TestKMeansElbowAtTrueK(t *testing.T) {
 
 func TestKMeansKGreaterThanRows(t *testing.T) {
 	m, _ := blobs(4, 1)
-	r, err := KMeans(m, 10, 1, 0)
+	r, err := KMeans(m, 10, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +102,20 @@ func TestKMeansKGreaterThanRows(t *testing.T) {
 
 func TestKMeansErrors(t *testing.T) {
 	m, _ := blobs(10, 1)
-	if _, err := KMeans(m, 0, 1, 0); err == nil {
+	if _, err := KMeans(m, 0, 1, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := KMeans(NewMatrix(0, 0), 1, 1, 0); err == nil {
+	if _, err := KMeans(NewMatrix(0, 0), 1, 1, 0, 0); err == nil {
 		t.Fatal("empty matrix accepted")
+	}
+	if _, err := KMeansSweep(m, 0, 1, 0, 0); err == nil {
+		t.Fatal("sweep kMax=0 accepted")
 	}
 }
 
 func TestKMeansBudget(t *testing.T) {
 	m, _ := blobs(1000, 1)
-	_, err := KMeans(m, 3, 1, 100) // 100 bytes: absurdly small
+	_, err := KMeans(m, 3, 1, 100, 0) // 100 bytes: absurdly small
 	if !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("err = %v, want ErrMemoryBudget", err)
 	}
@@ -111,8 +123,8 @@ func TestKMeansBudget(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	m, _ := blobs(200, 9)
-	a, _ := KMeans(m, 4, 42, 0)
-	b, _ := KMeans(m, 4, 42, 0)
+	a, _ := KMeans(m, 4, 42, 0, 0)
+	b, _ := KMeans(m, 4, 42, 0, 0)
 	if a.SSD != b.SSD {
 		t.Fatal("same seed, different SSD")
 	}
@@ -125,7 +137,7 @@ func TestKMeansDeterministic(t *testing.T) {
 
 func TestDBSCANFindsBlobs(t *testing.T) {
 	m, truth := blobs(300, 4)
-	r, err := DBSCAN(m, 5, 0, 0)
+	r, err := DBSCAN(m, 5, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +164,19 @@ func TestDBSCANFindsBlobs(t *testing.T) {
 
 func TestDBSCANNoiseGrowsWithMinPts(t *testing.T) {
 	m, _ := blobs(240, 5)
-	pts, ratios, err := NoiseSweep(m, 180, 25, 0)
+	sweep, err := DBSCANSweep(m, 180, 25, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 8 {
-		t.Fatalf("sweep points = %d", len(pts))
+	if len(sweep) != 8 {
+		t.Fatalf("sweep points = %d", len(sweep))
+	}
+	ratios := make([]float64, len(sweep))
+	for i, r := range sweep {
+		if want := 5 + 25*i; r.MinPts != want {
+			t.Fatalf("sweep[%d].MinPts = %d, want %d", i, r.MinPts, want)
+		}
+		ratios[i] = r.NoiseRatio()
 	}
 	if ratios[len(ratios)-1] < ratios[0] {
 		t.Fatalf("noise ratio not rising: %v", ratios)
@@ -170,7 +189,7 @@ func TestDBSCANNoiseGrowsWithMinPts(t *testing.T) {
 
 func TestDBSCANBudget(t *testing.T) {
 	m, _ := blobs(200, 6)
-	_, err := DBSCAN(m, 5, 0, 1000)
+	_, err := DBSCAN(m, 5, 0, 1000, 0)
 	if !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("err = %v", err)
 	}
@@ -178,11 +197,19 @@ func TestDBSCANBudget(t *testing.T) {
 
 func TestDBSCANErrors(t *testing.T) {
 	m, _ := blobs(10, 1)
-	if _, err := DBSCAN(m, 0, 0, 0); err == nil {
+	if _, err := DBSCAN(m, 0, 0, 0, 0); err == nil {
 		t.Fatal("minPts=0 accepted")
 	}
-	if _, err := DBSCAN(NewMatrix(0, 0), 5, 0, 0); err == nil {
+	if _, err := DBSCAN(NewMatrix(0, 0), 5, 0, 0, 0); err == nil {
 		t.Fatal("empty matrix accepted")
+	}
+	// A grid with no point on it is an error, never an empty sweep a
+	// caller would index into.
+	if _, err := DBSCANSweep(m, 4, 25, 0, 0); err == nil {
+		t.Fatal("sweep maxPts=4 (empty grid) accepted")
+	}
+	if _, err := DBSCANSweep(m, 180, 0, 0, 0); err == nil {
+		t.Fatal("sweep step=0 accepted")
 	}
 }
 
@@ -207,7 +234,7 @@ func TestFeaturesMatrix(t *testing.T) {
 	s2 := trace.NewStepStat(2)
 	s2.Observe(trace.Event{Name: "Reshape", Device: trace.TPU, Start: 200, Dur: 50, Step: 2})
 
-	m, keys := Features([]*trace.StepStat{s1, s2})
+	m, keys := Features([]*trace.StepStat{s1, s2}, 0)
 	if m.Rows != 2 || m.Cols != 4 {
 		t.Fatalf("matrix %dx%d, want 2x4", m.Rows, m.Cols)
 	}
@@ -239,7 +266,7 @@ func TestFeaturesCapsVocabulary(t *testing.T) {
 		}
 		steps[i] = s
 	}
-	m, keys := Features(steps)
+	m, keys := Features(steps, 0)
 	if len(keys) != MaxFeatureOps {
 		t.Fatalf("vocabulary = %d, want %d", len(keys), MaxFeatureOps)
 	}
@@ -249,7 +276,7 @@ func TestFeaturesCapsVocabulary(t *testing.T) {
 }
 
 func TestFeaturesEmpty(t *testing.T) {
-	m, keys := Features(nil)
+	m, keys := Features(nil, 0)
 	if m.Rows != 0 || keys != nil {
 		t.Fatal("empty input should produce empty matrix")
 	}
@@ -261,7 +288,7 @@ func TestStandardize(t *testing.T) {
 		m.Set(i, 0, float64(i))
 		m.Set(i, 1, 7) // constant column
 	}
-	Standardize(m)
+	Standardize(m, 0)
 	var mean, variance float64
 	for i := 0; i < 4; i++ {
 		mean += m.At(i, 0)
@@ -299,11 +326,11 @@ func TestPCAReducesAndPreservesStructure(t *testing.T) {
 			m.Set(i, j, rng.Normal(0, 0.5))
 		}
 	}
-	red := PCA(m, 2)
+	red := PCA(m, 2, 0)
 	if red.Cols != 2 {
 		t.Fatalf("PCA cols = %d", red.Cols)
 	}
-	r, err := KMeans(red, 3, 5, 0)
+	r, err := KMeans(red, 3, 5, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +350,7 @@ func TestPCAReducesAndPreservesStructure(t *testing.T) {
 
 func TestPCANoOpWhenKLarge(t *testing.T) {
 	m, _ := blobs(10, 1)
-	if out := PCA(m, 5); out != m {
+	if out := PCA(m, 5, 0); out != m {
 		t.Fatal("PCA should return input when k >= cols")
 	}
 }
@@ -332,7 +359,7 @@ func TestPCANoOpWhenKLarge(t *testing.T) {
 func TestPropertyKMeansPerfectFit(t *testing.T) {
 	f := func(seed uint64) bool {
 		m, _ := blobs(30, seed)
-		r, err := KMeans(m, 30, seed, 0)
+		r, err := KMeans(m, 30, seed, 0, 0)
 		if err != nil {
 			return false
 		}
@@ -348,7 +375,7 @@ func TestPropertyDBSCANLabelRange(t *testing.T) {
 	f := func(seed uint64, minPtsRaw uint8) bool {
 		m, _ := blobs(60, seed)
 		minPts := 1 + int(minPtsRaw%30)
-		r, err := DBSCAN(m, minPts, 0, 0)
+		r, err := DBSCAN(m, minPts, 0, 0, 0)
 		if err != nil {
 			return false
 		}
@@ -373,7 +400,7 @@ func BenchmarkKMeans600x40(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(m, 5, 1, 0); err != nil {
+		if _, err := KMeans(m, 5, 1, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -388,7 +415,7 @@ func BenchmarkDBSCAN600x40(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DBSCAN(m, 10, 0, 0); err != nil {
+		if _, err := DBSCAN(m, 10, 0, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,17 +41,10 @@ const dbscanBaseBytes = 64
 // match the brute-force scan bit for bit). eps <= 0 selects it
 // automatically from the 4-NN distance distribution. budget bounds the
 // working memory, including the density-dependent neighbor lists (0
-// disables the check).
-func DBSCAN(m *Matrix, minPts int, eps float64, budget int64) (*DBSCANResult, error) {
-	return DBSCANP(m, minPts, eps, budget, 0)
-}
-
-// DBSCANP is DBSCAN with an explicit worker bound: the neighbor queries
-// fan out across workers goroutines (workers <= 0 means GOMAXPROCS,
-// 1 means fully serial). The result is bit-identical for every worker
-// count: neighbor lists are built into disjoint per-point slots and the
-// cluster expansion consumes them in a fixed order.
-func DBSCANP(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBSCANResult, error) {
+// disables the check). The neighbor queries fan out into disjoint
+// per-point slots and the cluster expansion consumes them in a fixed
+// order.
+func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBSCANResult, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("cluster: minPts must be >= 1, got %d", minPts)
 	}
@@ -152,55 +145,6 @@ func expand(neighbors [][]int32, minPts int) []int {
 	return labels
 }
 
-// DBSCANBrute is the legacy O(n²) implementation, kept as the reference
-// the differential tests and cmd/paperbench compare the grid-indexed path
-// against. budget bounds the quadratic distance work as it always did.
-func DBSCANBrute(m *Matrix, minPts int, eps float64, budget int64) (*DBSCANResult, error) {
-	if minPts < 1 {
-		return nil, fmt.Errorf("cluster: minPts must be >= 1, got %d", minPts)
-	}
-	n := m.Rows
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: empty matrix")
-	}
-	need := int64(n) * int64(n) * 8
-	if err := validateBudget(need, budget, "dbscan-brute"); err != nil {
-		return nil, err
-	}
-	if eps <= 0 {
-		eps = autoEps(m, parallel.New(1))
-	}
-	eps2 := eps * eps
-
-	neighbors := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		ri := m.Row(i)
-		for j := i + 1; j < n; j++ {
-			if sqDist(ri, m.Row(j)) <= eps2 {
-				neighbors[i] = append(neighbors[i], int32(j))
-				neighbors[j] = append(neighbors[j], int32(i))
-			}
-		}
-	}
-	labels := expand(neighbors, minPts)
-	noise := 0
-	for _, l := range labels {
-		if l == Noise {
-			noise++
-		}
-	}
-	clusters := 0
-	for _, l := range labels {
-		if l >= clusters {
-			clusters = l + 1
-		}
-	}
-	return &DBSCANResult{
-		MinPts: minPts, Eps: eps, Labels: labels,
-		Clusters: clusters, NoiseCount: noise,
-	}, nil
-}
-
 // autoEpsMaxSample caps the number of rows whose exact 4-NN distance the
 // eps heuristic computes. Above the cap a deterministic stride-subsample
 // stands in for the full population; each sampled row is still measured
@@ -264,29 +208,28 @@ func autoEps(m *Matrix, pool *parallel.Pool) float64 {
 	return math.Sqrt(v)
 }
 
-// NoiseSweep runs DBSCAN across the paper's min-samples grid (5 to maxPts
-// in steps of `step`) and returns the noise ratios (Figure 5's series).
-func NoiseSweep(m *Matrix, maxPts, step int, budget int64) (minPts []int, ratios []float64, err error) {
-	return NoiseSweepP(m, maxPts, step, budget, 0)
-}
-
-// NoiseSweepP is NoiseSweep with an explicit worker bound for each
-// DBSCAN run.
-func NoiseSweepP(m *Matrix, maxPts, step int, budget int64, workers int) (minPts []int, ratios []float64, err error) {
-	if step < 1 {
-		return nil, nil, fmt.Errorf("cluster: sweep step must be >= 1")
+// DBSCANSweep runs DBSCAN across the paper's min-samples grid (5 to
+// maxPts in steps of step) and returns every clustering in grid order.
+// eps is chosen automatically on the first member and reused across the
+// sweep. The grid is r.MinPts per member and the noise curve (Figure 5's
+// series) is r.NoiseRatio(); the clustering at the chosen min-samples is
+// the member itself.
+func DBSCANSweep(m *Matrix, maxPts, step int, budget int64, workers int) ([]*DBSCANResult, error) {
+	if maxPts < 5 {
+		return nil, fmt.Errorf("cluster: sweep maxPts must be >= 5, got %d", maxPts)
 	}
+	if step < 1 {
+		return nil, fmt.Errorf("cluster: sweep step must be >= 1, got %d", step)
+	}
+	var out []*DBSCANResult
 	eps := 0.0
 	for p := 5; p <= maxPts; p += step {
-		r, err := DBSCANP(m, p, eps, budget, workers)
+		r, err := DBSCAN(m, p, eps, budget, workers)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if eps == 0 {
-			eps = r.Eps // reuse the auto choice across the sweep
-		}
-		minPts = append(minPts, p)
-		ratios = append(ratios, r.NoiseRatio())
+		eps = r.Eps // the first member's auto choice, reused across the sweep
+		out = append(out, r)
 	}
-	return minPts, ratios, nil
+	return out, nil
 }

@@ -8,10 +8,13 @@
 // and total duration per op), exactly the "frequency vector
 // representation" the paper builds before clustering.
 //
-// Every hot path has a parallel variant (the *P functions) that fans out
-// over a bounded worker pool. Chunk boundaries are fixed by the input
-// size and reductions merge in chunk order, so results are bit-identical
-// across worker counts — see internal/parallel.
+// Each algorithm has one entry point — Features, Standardize, PCA, KMeans,
+// KMeansSweep, DBSCAN, DBSCANSweep — and each takes workers, the bound on
+// the pool its hot loops fan out over: workers <= 0 means GOMAXPROCS, 1
+// runs everything inline on the caller's goroutine. Chunk boundaries are
+// fixed by the input size and reductions merge in chunk order, so every
+// output is bit-identical for every value of workers — see
+// internal/parallel.
 package cluster
 
 import (
@@ -71,16 +74,10 @@ func (m *Matrix) Bytes() int64 { return int64(len(m.Data)) * 8 }
 // Features builds the step × (2·ops) feature matrix from aggregated step
 // statistics. Columns come in (count, duration) pairs per operator. If the
 // vocabulary exceeds MaxFeatureOps, only the MaxFeatureOps most
-// time-consuming operators are kept.
-func Features(steps []*trace.StepStat) (*Matrix, []trace.OpKey) {
-	return FeaturesP(steps, 0)
-}
-
-// FeaturesP is Features with an explicit worker bound. The per-operator
-// totals accumulate into per-chunk maps merged in chunk order and the
-// row fill writes disjoint rows, so the matrix is bit-identical for
-// every worker count.
-func FeaturesP(steps []*trace.StepStat, workers int) (*Matrix, []trace.OpKey) {
+// time-consuming operators are kept. The per-operator totals accumulate
+// into per-chunk maps merged in chunk order and the row fill writes
+// disjoint rows.
+func Features(steps []*trace.StepStat, workers int) (*Matrix, []trace.OpKey) {
 	if len(steps) == 0 {
 		return NewMatrix(0, 0), nil
 	}
@@ -146,15 +143,9 @@ func FeaturesP(steps []*trace.StepStat, workers int) (*Matrix, []trace.OpKey) {
 // place; constant columns become zero. Columns containing non-finite
 // values (NaN/Inf — e.g. from corrupted profile records) carry no usable
 // signal and are zeroed rather than allowed to poison every downstream
-// distance. It returns the matrix for chaining.
-func Standardize(m *Matrix) *Matrix {
-	return StandardizeP(m, 0)
-}
-
-// StandardizeP is Standardize with an explicit worker bound. Columns are
-// independent and each is processed exactly as in the serial pass, so the
-// result is bit-identical for every worker count.
-func StandardizeP(m *Matrix, workers int) *Matrix {
+// distance. It returns the matrix for chaining. Columns are independent
+// and fan out one per task.
+func Standardize(m *Matrix, workers int) *Matrix {
 	if m.Rows == 0 || m.Cols == 0 {
 		return m
 	}

@@ -20,15 +20,9 @@ type KMeansResult struct {
 
 // KMeans runs Lloyd's algorithm with k-means++ seeding. seed makes runs
 // reproducible. budget bounds the working memory (0 disables the check).
-func KMeans(m *Matrix, k int, seed uint64, budget int64) (*KMeansResult, error) {
-	return KMeansP(m, k, seed, budget, 0)
-}
-
-// KMeansP is KMeans with an explicit worker bound (workers <= 0 means
-// GOMAXPROCS, 1 means fully serial). The assignment and update steps fan
-// out over fixed-size row chunks; per-chunk partial sums are merged in
-// chunk order, so the result is bit-identical for every worker count.
-func KMeansP(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansResult, error) {
+// The assignment and update steps fan out over fixed-size row chunks;
+// per-chunk partial sums are merged in chunk order.
+func KMeans(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: k must be >= 1, got %d", k)
 	}
@@ -198,22 +192,22 @@ func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matr
 	return centroids
 }
 
-// SSDSweep runs k-means for k = 1..kMax and returns the SSD series the
-// elbow method (and the paper's Figure 4) consumes.
-func SSDSweep(m *Matrix, kMax int, seed uint64, budget int64) ([]float64, error) {
-	return SSDSweepP(m, kMax, seed, budget, 0)
-}
-
-// SSDSweepP is SSDSweep with an explicit worker bound for each k-means
-// run.
-func SSDSweepP(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]float64, error) {
-	out := make([]float64, 0, kMax)
+// KMeansSweep runs k-means for k = 1..kMax (run k seeded with
+// seed+uint64(k)) and returns every clustering, index k-1 holding run k.
+// The elbow method's SSD series (the paper's Figure 4) is r.SSD per
+// member and the BIC series is BIC(m, r); the clustering at the chosen k
+// is the member itself.
+func KMeansSweep(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]*KMeansResult, error) {
+	if kMax < 1 {
+		return nil, fmt.Errorf("cluster: sweep kMax must be >= 1, got %d", kMax)
+	}
+	out := make([]*KMeansResult, 0, kMax)
 	for k := 1; k <= kMax; k++ {
-		r, err := KMeansP(m, k, seed+uint64(k), budget, workers)
+		r, err := KMeans(m, k, seed+uint64(k), budget, workers)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r.SSD)
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -1,12 +1,14 @@
 package cluster
 
 // Differential tests for the parallel phase-detection hot path: every
-// parallel variant must produce bit-identical output for any worker
-// count (the fixed-chunk determinism contract), and the grid-indexed
-// DBSCAN must reproduce the brute-force reference exactly.
+// entry point must produce bit-identical output for any worker count
+// (the fixed-chunk determinism contract), a sweep member must equal the
+// direct run, and the grid-indexed DBSCAN must reproduce the brute-force
+// oracle (dbscan_oracle_test.go) exactly.
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -63,7 +65,7 @@ func TestKMeansParallelismInvariant(t *testing.T) {
 		var ref *KMeansResult
 		for _, w := range workerGrid() {
 			t.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(t *testing.T) {
-				r, err := KMeansP(m, 5, 42, 0, w)
+				r, err := KMeans(m, 5, 42, 0, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,7 +98,7 @@ func TestDBSCANParallelismInvariant(t *testing.T) {
 		var ref *DBSCANResult
 		for _, w := range workerGrid() {
 			t.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(t *testing.T) {
-				r, err := DBSCANP(m, 5, 0, 0, w)
+				r, err := DBSCAN(m, 5, 0, 0, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,11 +130,11 @@ func TestDBSCANGridMatchesBrute(t *testing.T) {
 	for _, n := range []int{10, 300, 1000} {
 		for _, minPts := range []int{2, 5, 20} {
 			m := gaussMatrix(n, 8, uint64(n)*7+uint64(minPts))
-			grid, err := DBSCANP(m, minPts, 0, 0, 4)
+			grid, err := DBSCAN(m, minPts, 0, 0, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute, err := DBSCANBrute(m, minPts, 0, 0)
+			brute, err := dbscanBrute(m, minPts, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,10 +184,10 @@ func TestGridNeighborsMatchBrute(t *testing.T) {
 func TestPCAParallelismInvariant(t *testing.T) {
 	for _, n := range diffSizes(t) {
 		m := gaussMatrix(n, 12, uint64(n)+200)
-		Standardize(m)
+		Standardize(m, 0)
 		var ref *Matrix
 		for _, w := range workerGrid() {
-			out := PCAP(m, 3, w)
+			out := PCA(m, 3, w)
 			if ref == nil {
 				ref = out
 				continue
@@ -202,7 +204,7 @@ func TestStandardizeParallelismInvariant(t *testing.T) {
 		var ref *Matrix
 		for _, w := range workerGrid() {
 			m := gaussMatrix(n, 10, uint64(n)+300)
-			StandardizeP(m, w)
+			Standardize(m, w)
 			if ref == nil {
 				ref = m
 				continue
@@ -219,7 +221,7 @@ func TestFeaturesParallelismInvariant(t *testing.T) {
 	var refM *Matrix
 	var refKeys []trace.OpKey
 	for _, w := range workerGrid() {
-		m, keys := FeaturesP(steps, w)
+		m, keys := Features(steps, w)
 		if refM == nil {
 			refM, refKeys = m, keys
 			continue
@@ -238,34 +240,75 @@ func TestFeaturesParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestSweepsParallelismInvariant covers the composed analyzer paths the
-// acceptance criteria exercise end to end.
+// TestSweepsParallelismInvariant covers the composed analyzer paths:
+// every member of a sweep is identical at every worker count.
 func TestSweepsParallelismInvariant(t *testing.T) {
 	m := gaussMatrix(600, 8, 77)
-	Standardize(m)
-	var refSSD []float64
-	var refRatios []float64
+	Standardize(m, 0)
+	var refK []*KMeansResult
+	var refD []*DBSCANResult
 	for _, w := range workerGrid() {
-		ssd, err := SSDSweepP(m, 8, 1, 0, w)
+		ks, err := KMeansSweep(m, 8, 1, 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ratios, err := NoiseSweepP(m, 80, 25, 0, w)
+		ds, err := DBSCANSweep(m, 80, 25, 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if refSSD == nil {
-			refSSD, refRatios = ssd, ratios
+		if refK == nil {
+			refK, refD = ks, ds
 			continue
 		}
-		for i := range ssd {
-			if ssd[i] != refSSD[i] {
-				t.Fatalf("workers=%d: SSD[%d] = %v, serial %v", w, i, ssd[i], refSSD[i])
+		if !reflect.DeepEqual(ks, refK) {
+			t.Fatalf("workers=%d: k-means sweep differs from serial", w)
+		}
+		if !reflect.DeepEqual(ds, refD) {
+			t.Fatalf("workers=%d: DBSCAN sweep differs from serial", w)
+		}
+	}
+}
+
+// TestSweepMembersEqualDirectRuns pins what lets the analyzer take its
+// clustering out of the sweep instead of running it again: member k of
+// KMeansSweep is KMeans at seed+k, and every member of DBSCANSweep is
+// DBSCAN at that min-samples with eps chosen automatically.
+func TestSweepMembersEqualDirectRuns(t *testing.T) {
+	m := gaussMatrix(600, 8, 78)
+	Standardize(m, 0)
+	const seed = 9
+	for _, w := range []int{1, 4} {
+		ks, err := KMeansSweep(m, 8, seed, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ks) != 8 {
+			t.Fatalf("workers=%d: k-means sweep has %d members, want 8", w, len(ks))
+		}
+		for i, got := range ks {
+			k := i + 1
+			want, err := KMeans(m, k, seed+uint64(k), 0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: sweep member k=%d differs from the direct run", w, k)
 			}
 		}
-		for i := range ratios {
-			if ratios[i] != refRatios[i] {
-				t.Fatalf("workers=%d: noise ratio[%d] = %v, serial %v", w, i, ratios[i], refRatios[i])
+		ds, err := DBSCANSweep(m, 80, 25, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) != 4 {
+			t.Fatalf("workers=%d: DBSCAN sweep has %d members, want 4", w, len(ds))
+		}
+		for i, got := range ds {
+			want, err := DBSCAN(m, 5+25*i, 0, 0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: sweep member minPts=%d differs from the direct run", w, want.MinPts)
 			}
 		}
 	}

@@ -14,17 +14,10 @@ import (
 //
 // If k >= m.Cols the input is returned unchanged (projection would be a
 // rotation with no reduction, and the clustering metrics are rotation-
-// invariant anyway).
-func PCA(m *Matrix, k int) *Matrix {
-	return PCAP(m, k, 0)
-}
-
-// PCAP is PCA with an explicit worker bound (workers <= 0 means
-// GOMAXPROCS, 1 means fully serial). The covariance accumulation and the
-// final projection fan out over fixed-size row chunks; covariance
-// partials merge in chunk order, so the output is bit-identical for
-// every worker count.
-func PCAP(m *Matrix, k, workers int) *Matrix {
+// invariant anyway). The covariance accumulation and the final projection
+// fan out over fixed-size row chunks; covariance partials merge in chunk
+// order.
+func PCA(m *Matrix, k, workers int) *Matrix {
 	if m.Rows == 0 || k >= m.Cols || k <= 0 {
 		return m
 	}

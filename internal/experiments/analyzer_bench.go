@@ -4,8 +4,8 @@ package experiments
 // `scripts/benchdiff.sh`: it times the phase-detection kernels (k-means,
 // DBSCAN, PCA) serial vs parallel on synthetic step-feature matrices and
 // emits the machine-readable BENCH_analyzer.json that CI tracks across
-// PRs. The legacy O(n²) DBSCAN is timed alongside the grid-indexed path
-// so the speedup the optimization claims stays measured, not asserted.
+// PRs. (The grid-vs-brute DBSCAN ratio is measured next to the brute
+// oracle, by BenchmarkDBSCAN in internal/core/cluster.)
 
 import (
 	"fmt"
@@ -20,13 +20,9 @@ import (
 // acceptance benchmarks track across PRs.
 var AnalyzerBenchSizes = []int{1_000, 10_000, 100_000}
 
-// bruteQuickCap bounds the O(n²) legacy DBSCAN in quick (CI smoke) mode;
-// above it a single iteration costs tens of seconds.
-const bruteQuickCap = 10_000
-
 // AnalyzerBenchEntry is one timed kernel configuration.
 type AnalyzerBenchEntry struct {
-	Kernel      string  `json:"kernel"` // kmeans | dbscan | dbscan_brute | pca | archive_* | wire_*
+	Kernel      string  `json:"kernel"` // kmeans | dbscan | pca | archive_* | wire_*
 	Mode        string  `json:"mode"`   // serial | parallel | pooled
 	N           int     `json:"n"`      // rows (steps) clustered, or records coded
 	Workers     int     `json:"workers"`
@@ -51,15 +47,13 @@ type AnalyzerBenchReport struct {
 	Quick   bool                 `json:"quick"`
 	Entries []AnalyzerBenchEntry `json:"entries"`
 	// Speedups derives the headline ratios, keyed
-	// "<kernel>_parallel_vs_serial_n<N>" and
-	// "dbscan_grid_parallel_vs_brute_n<N>".
+	// "<kernel>_parallel_vs_serial_n<N>".
 	Speedups map[string]float64 `json:"speedups"`
 }
 
 // RunAnalyzerBench times the clustering kernels at the given sizes.
 // workers bounds the parallel runs (0 = GOMAXPROCS); quick shortens the
-// measurement window and skips the legacy quadratic DBSCAN above
-// bruteQuickCap rows, which is what CI's smoke run wants.
+// measurement window, which is what CI's smoke run wants.
 func RunAnalyzerBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport, error) {
 	if len(sizes) == 0 {
 		sizes = AnalyzerBenchSizes
@@ -85,12 +79,12 @@ func RunAnalyzerBench(sizes []int, workers int, quick bool) (*AnalyzerBenchRepor
 
 	for _, n := range sizes {
 		m := benchBlobs(n, dims, uint64(n))
-		cluster.StandardizeP(m, workers)
+		cluster.Standardize(m, workers)
 
 		// One untimed DBSCAN picks eps so the timed runs measure
 		// clustering, not the eps heuristic, and all variants share the
 		// exact same radius.
-		probe, err := cluster.DBSCANP(m, minPts, 0, 0, workers)
+		probe, err := cluster.DBSCAN(m, minPts, 0, 0, workers)
 		if err != nil {
 			return nil, fmt.Errorf("analyzer-bench: eps probe n=%d: %w", n, err)
 		}
@@ -100,48 +94,36 @@ func RunAnalyzerBench(sizes []int, workers int, quick bool) (*AnalyzerBenchRepor
 			kernel  string
 			mode    string
 			workers int
-			skip    bool
-			iters   int // 0 = adaptive
 			fn      func() error
 		}
 		runs := []kernelRun{
 			{kernel: "kmeans", mode: "serial", workers: 1, fn: func() error {
-				_, err := cluster.KMeansP(m, k, 42, 0, 1)
+				_, err := cluster.KMeans(m, k, 42, 0, 1)
 				return err
 			}},
 			{kernel: "kmeans", mode: "parallel", workers: workers, fn: func() error {
-				_, err := cluster.KMeansP(m, k, 42, 0, workers)
+				_, err := cluster.KMeans(m, k, 42, 0, workers)
 				return err
 			}},
 			{kernel: "pca", mode: "serial", workers: 1, fn: func() error {
-				cluster.PCAP(m, 3, 1)
+				cluster.PCA(m, 3, 1)
 				return nil
 			}},
 			{kernel: "pca", mode: "parallel", workers: workers, fn: func() error {
-				cluster.PCAP(m, 3, workers)
+				cluster.PCA(m, 3, workers)
 				return nil
 			}},
 			{kernel: "dbscan", mode: "serial", workers: 1, fn: func() error {
-				_, err := cluster.DBSCANP(m, minPts, eps, 0, 1)
+				_, err := cluster.DBSCAN(m, minPts, eps, 0, 1)
 				return err
 			}},
 			{kernel: "dbscan", mode: "parallel", workers: workers, fn: func() error {
-				_, err := cluster.DBSCANP(m, minPts, eps, 0, workers)
+				_, err := cluster.DBSCAN(m, minPts, eps, 0, workers)
 				return err
 			}},
-			{kernel: "dbscan_brute", mode: "serial", workers: 1,
-				skip:  quick && n > bruteQuickCap,
-				iters: bruteIters(n),
-				fn: func() error {
-					_, err := cluster.DBSCANBrute(m, minPts, eps, 0)
-					return err
-				}},
 		}
 		for _, r := range runs {
-			if r.skip {
-				continue
-			}
-			iters, nsPerOp, err := measure(minTime, r.iters, r.fn)
+			iters, nsPerOp, err := measure(minTime, r.fn)
 			if err != nil {
 				return nil, fmt.Errorf("analyzer-bench: %s/%s n=%d: %w", r.kernel, r.mode, n, err)
 			}
@@ -154,15 +136,6 @@ func RunAnalyzerBench(sizes []int, workers int, quick bool) (*AnalyzerBenchRepor
 		rep.deriveSpeedups(n)
 	}
 	return rep, nil
-}
-
-// bruteIters caps the quadratic reference at one iteration for the sizes
-// where a single pass already takes seconds.
-func bruteIters(n int) int {
-	if n > 10_000 {
-		return 1
-	}
-	return 0
 }
 
 func (r *AnalyzerBenchReport) find(kernel, mode string, n int) *AnalyzerBenchEntry {
@@ -183,34 +156,20 @@ func (r *AnalyzerBenchReport) deriveSpeedups(n int) {
 			r.Speedups[fmt.Sprintf("%s_parallel_vs_serial_n%d", kernel, n)] = s.NsPerOp / p.NsPerOp
 		}
 	}
-	brute := r.find("dbscan_brute", "serial", n)
-	grid := r.find("dbscan", "parallel", n)
-	if brute != nil && grid != nil && grid.NsPerOp > 0 {
-		r.Speedups[fmt.Sprintf("dbscan_grid_parallel_vs_brute_n%d", n)] = brute.NsPerOp / grid.NsPerOp
-	}
 }
 
 // measure times fn adaptively: at least one run, then until minTime of
-// cumulative work (or fixedIters runs when fixedIters > 0).
-func measure(minTime time.Duration, fixedIters int, fn func() error) (int, float64, error) {
+// cumulative work.
+func measure(minTime time.Duration, fn func() error) (int, float64, error) {
 	iters := 0
 	var total time.Duration
-	for {
+	for total < minTime || iters == 0 {
 		start := time.Now()
 		if err := fn(); err != nil {
 			return 0, 0, err
 		}
 		total += time.Since(start)
 		iters++
-		if fixedIters > 0 {
-			if iters >= fixedIters {
-				break
-			}
-			continue
-		}
-		if total >= minTime {
-			break
-		}
 	}
 	return iters, float64(total.Nanoseconds()) / float64(iters), nil
 }
@@ -219,12 +178,12 @@ func measure(minTime time.Duration, fixedIters int, fn func() error) (int, float
 // (global Mallocs delta, so allocations made by worker goroutines the
 // kernel fans out to are honestly included). The MemStats reads sit
 // outside the timed window, so ns/op is comparable with measure's.
-func measureAllocs(minTime time.Duration, fixedIters int, fn func() error) (int, float64, float64, error) {
+func measureAllocs(minTime time.Duration, fn func() error) (int, float64, float64, error) {
 	var ms runtime.MemStats
 	iters := 0
 	var total time.Duration
 	var mallocs uint64
-	for {
+	for total < minTime || iters == 0 {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		start := time.Now()
@@ -235,15 +194,6 @@ func measureAllocs(minTime time.Duration, fixedIters int, fn func() error) (int,
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - before
 		iters++
-		if fixedIters > 0 {
-			if iters >= fixedIters {
-				break
-			}
-			continue
-		}
-		if total >= minTime {
-			break
-		}
 	}
 	return iters, float64(total.Nanoseconds()) / float64(iters),
 		float64(mallocs) / float64(iters), nil
@@ -279,14 +229,3 @@ func benchBlobs(n, dims int, seed uint64) *cluster.Matrix {
 // maxBenchIntrinsicDims is how many leading columns of the synthetic
 // step-feature matrix carry full-scale within-phase noise.
 const maxBenchIntrinsicDims = 3
-
-// AnalyzerBenchMatrix builds the standardized synthetic step-feature
-// matrix the analyzer benchmarks cluster — exported so bench_test.go
-// times the kernels on exactly the geometry BENCH_analyzer.json
-// reports.
-func AnalyzerBenchMatrix(n int) *cluster.Matrix {
-	const dims = 8
-	m := benchBlobs(n, dims, uint64(n))
-	cluster.StandardizeP(m, 1)
-	return m
-}

@@ -2,16 +2,14 @@ package experiments
 
 // The archive benchmark harness behind `paperbench -archive-bench`: it
 // times the profile-archive codec (internal/archive, serial and
-// parallel), the record wire codec (internal/trace, naive reference vs
-// pooled append encoder, with allocs/op), and the cross-run diff engine
-// (internal/repo) on synthetic record streams. It emits a
+// parallel), the record wire codec (internal/trace, the pooled append
+// encoder and the decoder, with allocs/op), and the cross-run diff
+// engine (internal/repo) on synthetic record streams. It emits a
 // BENCH_archive.json in the same document shape as the analyzer
-// benchmark, so cmd/benchdiff tracks it across PRs (with
-// -min-grid-speedup 0 — there is no grid/brute pair here — and the
-// codec gates -min-decode-speedup / -min-alloc-reduction instead).
+// benchmark, so cmd/benchdiff tracks it across PRs (with the codec gate
+// -min-decode-speedup).
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -35,9 +33,11 @@ const archiveBenchPhases = 64
 // (serial Add loop vs parallel AddBatch), archive decode (open + full
 // record scan, per-segment CRC verification included; one worker vs a
 // pool — bit-identical output either way), the record wire codec
-// (naive per-call reference vs pooled append encoder, allocs/op
-// reported for both), and the phase-alignment diff. workers bounds the
-// parallel variants (0 = GOMAXPROCS); quick shortens the measurement
+// (pooled append encoder and decoder, allocs/op reported), and the
+// phase-alignment diff. The codec sizes its pools from GOMAXPROCS and
+// nothing else, so every entry is timed with GOMAXPROCS set to its
+// Workers column: 1 for the serial modes, workers (0 = the current
+// GOMAXPROCS) for the parallel ones. quick shortens the measurement
 // window for CI smoke runs.
 func RunArchiveBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport, error) {
 	if len(sizes) == 0 {
@@ -60,14 +60,6 @@ func RunArchiveBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport
 		recs := archiveBenchRecords(n)
 		meta := archive.Meta{RunID: fmt.Sprintf("bench-%d", n), Workload: "synthetic"}
 
-		// The naive reference is only a reference while it encodes the
-		// same bytes; assert that before timing anything against it.
-		for i, r := range recs {
-			if !bytes.Equal(naiveMarshalRecord(r), trace.MarshalRecord(r)) {
-				return nil, fmt.Errorf("archive-bench: naive encoder diverges from MarshalRecord at record %d", i)
-			}
-		}
-
 		encode := func() error {
 			w := archive.NewWriter(meta)
 			for _, r := range recs {
@@ -80,7 +72,6 @@ func RunArchiveBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport
 		}
 		encodePar := func() error {
 			w := archive.NewWriter(meta)
-			w.SetParallelism(workers)
 			if err := w.AddBatch(recs); err != nil {
 				return err
 			}
@@ -94,29 +85,17 @@ func RunArchiveBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport
 			w.Add(r)
 		}
 		blob := w.Finalize(nil)
-		decodeWith := func(workers int) func() error {
-			return func() error {
-				a, err := archive.OpenWorkers(blob, workers)
-				if err != nil {
-					return err
-				}
-				got, err := a.RecordsWorkers(workers)
-				if err != nil {
-					return err
-				}
-				if len(got) != n {
-					return fmt.Errorf("decoded %d records, want %d", len(got), n)
-				}
-				return nil
+		decode := func() error {
+			a, err := archive.Open(blob)
+			if err != nil {
+				return err
 			}
-		}
-		wireSerial := func() error {
-			var total int
-			for _, r := range recs {
-				total += len(naiveMarshalRecord(r))
+			got, err := a.Records()
+			if err != nil {
+				return err
 			}
-			if total == 0 {
-				return fmt.Errorf("empty encoding")
+			if len(got) != n {
+				return fmt.Errorf("decoded %d records, want %d", len(got), n)
 			}
 			return nil
 		}
@@ -169,14 +148,15 @@ func RunArchiveBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport
 		}{
 			{"archive_encode", "serial", 1, encode},
 			{"archive_encode_par", "parallel", workers, encodePar},
-			{"archive_decode", "serial", 1, decodeWith(1)},
-			{"archive_decode_par", "parallel", workers, decodeWith(workers)},
-			{"wire_marshal", "serial", 1, wireSerial},
+			{"archive_decode", "serial", 1, decode},
+			{"archive_decode_par", "parallel", workers, decode},
 			{"wire_marshal", "pooled", 1, wirePooled},
 			{"wire_unmarshal", "serial", 1, wireUnmarshal},
 			{"repo_diff", "serial", 1, diff},
 		} {
-			iters, nsPerOp, allocsPerOp, err := measureAllocs(minTime, 0, r.fn)
+			prev := runtime.GOMAXPROCS(r.workers)
+			iters, nsPerOp, allocsPerOp, err := measureAllocs(minTime, r.fn)
+			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				return nil, fmt.Errorf("archive-bench: %s/%s n=%d: %w", r.kernel, r.mode, n, err)
 			}
@@ -192,10 +172,8 @@ func RunArchiveBench(sizes []int, workers int, quick bool) (*AnalyzerBenchReport
 	return rep, nil
 }
 
-// deriveCodecSpeedups records the headline ratios the codec gates in
-// cmd/benchdiff enforce: parallel-vs-serial archive encode/decode,
-// pooled-vs-naive wire marshal time, and the fraction of marshal
-// allocations the pooled encoder eliminates (0..1).
+// deriveCodecSpeedups records the headline ratios the codec gate in
+// cmd/benchdiff enforces: parallel-vs-serial archive encode/decode.
 func (r *AnalyzerBenchReport) deriveCodecSpeedups(n int) {
 	for _, kernel := range []string{"archive_encode", "archive_decode"} {
 		s := r.find(kernel, "serial", n)
@@ -203,21 +181,6 @@ func (r *AnalyzerBenchReport) deriveCodecSpeedups(n int) {
 		if s != nil && p != nil && p.NsPerOp > 0 {
 			r.Speedups[fmt.Sprintf("%s_par_vs_serial_n%d", kernel, n)] = s.NsPerOp / p.NsPerOp
 		}
-	}
-	s := r.find("wire_marshal", "serial", n)
-	p := r.find("wire_marshal", "pooled", n)
-	if s == nil || p == nil {
-		return
-	}
-	if p.NsPerOp > 0 {
-		r.Speedups[fmt.Sprintf("wire_marshal_pooled_vs_serial_n%d", n)] = s.NsPerOp / p.NsPerOp
-	}
-	if s.AllocsPerOp > 0 {
-		reduction := 1 - p.AllocsPerOp/s.AllocsPerOp
-		if reduction < 0 {
-			reduction = 0
-		}
-		r.Speedups[fmt.Sprintf("wire_marshal_alloc_reduction_n%d", n)] = reduction
 	}
 }
 

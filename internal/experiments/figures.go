@@ -67,17 +67,14 @@ func Fig4(lab *Lab) ([]Series, error) {
 			return nil, err
 		}
 		s := Series{Workload: name}
-		m, _ := cluster.Features(run.Steps)
-		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
-		ssd, err := cluster.SSDSweep(m, 15, 1, AnalyzerBudget)
+		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		sweep, err := cluster.KMeansSweep(m, 15, 1, AnalyzerBudget, 0)
 		if err != nil {
 			s.Err = err.Error()
-		} else {
-			for k, v := range ssd {
-				s.X = append(s.X, float64(k+1))
-				s.Y = append(s.Y, v)
-			}
+		}
+		for i, r := range sweep {
+			s.X = append(s.X, float64(i+1)) // the k asked for; r.K is clamped to the row count
+			s.Y = append(s.Y, r.SSD)
 		}
 		out = append(out, s)
 	}
@@ -94,17 +91,14 @@ func Fig5(lab *Lab) ([]Series, error) {
 			return nil, err
 		}
 		s := Series{Workload: name}
-		m, _ := cluster.Features(run.Steps)
-		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
-		grid, ratios, err := cluster.NoiseSweep(m, 180, 25, AnalyzerBudget)
+		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		sweep, err := cluster.DBSCANSweep(m, 180, 25, AnalyzerBudget, 0)
 		if err != nil {
 			s.Err = err.Error()
-		} else {
-			for i := range grid {
-				s.X = append(s.X, float64(grid[i]))
-				s.Y = append(s.Y, ratios[i])
-			}
+		}
+		for _, r := range sweep {
+			s.X = append(s.X, float64(r.MinPts))
+			s.Y = append(s.Y, r.NoiseRatio())
 		}
 		out = append(out, s)
 	}
@@ -188,10 +182,8 @@ func Fig8(lab *Lab) ([]CoverageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, _ := cluster.Features(run.Steps)
-		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
-		res, err := cluster.DBSCAN(m, 30, 0, AnalyzerBudget)
+		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		res, err := cluster.DBSCAN(m, 30, 0, AnalyzerBudget, 0)
 		if err != nil {
 			out = append(out, CoverageRow{Workload: name, Err: err.Error()})
 			continue
@@ -210,10 +202,8 @@ func Fig9(lab *Lab) ([]CoverageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, _ := cluster.Features(run.Steps)
-		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
-		res, err := cluster.KMeans(m, 5, 1, AnalyzerBudget)
+		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		res, err := cluster.KMeans(m, 5, 1, AnalyzerBudget, 0)
 		if err != nil {
 			out = append(out, CoverageRow{Workload: name, Err: err.Error()})
 			continue

@@ -73,7 +73,7 @@ func RunStreamBench(sizes []int, quick bool) (*AnalyzerBenchReport, error) {
 			}
 			return nil
 		}
-		iters, nsPerOp, err := measure(minTime, 0, batchFn)
+		iters, nsPerOp, err := measure(minTime, batchFn)
 		if err != nil {
 			return nil, fmt.Errorf("stream-bench: batch_ols n=%d: %w", n, err)
 		}
@@ -104,7 +104,7 @@ func RunStreamBench(sizes []int, quick bool) (*AnalyzerBenchReport, error) {
 				last = s.Finish()
 				return nil
 			}
-			iters, nsPerOp, err := measure(minTime, 0, streamFn)
+			iters, nsPerOp, err := measure(minTime, streamFn)
 			if err != nil {
 				return nil, fmt.Errorf("stream-bench: stream_analyze duty=%d n=%d: %w", duty, n, err)
 			}

@@ -71,14 +71,6 @@ func (c *ContendingStore) Exists(name string) bool { return c.Inner.Exists(name)
 // List forwards to Inner.
 func (c *ContendingStore) List(prefix string) []string { return c.Inner.List(prefix) }
 
-// PutIfs reports total conditional writes seen (including injected
-// failures); Injections reports how many were failed synthetically.
-func (c *ContendingStore) PutIfs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.putIfs
-}
-
 // Injections reports how many PutIfs were failed by injection.
 func (c *ContendingStore) Injections() int {
 	c.mu.Lock()

@@ -132,7 +132,7 @@ func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, minRu
 		if err != nil {
 			continue // raced with a delete; skip
 		}
-		if _, aerr := archive.OpenWorkers(obj.Data, r.workers); aerr != nil {
+		if _, aerr := archive.Open(obj.Data); aerr != nil {
 			continue // corrupt blob — Fsck's problem, not compaction's
 		}
 		members = append(members, packMember{

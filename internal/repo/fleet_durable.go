@@ -295,28 +295,6 @@ func (f *Fleet) RecoverSessions() ([]string, error) {
 	return parked, nil
 }
 
-// SessionTokens lists the durable session tokens present in the store,
-// sorted — parked sessions awaiting resume plus currently-live ones.
-func SessionTokens(store Store) []string {
-	var tokens []string
-	for _, name := range store.List("sessions/") {
-		if !strings.HasSuffix(name, "/meta") {
-			continue
-		}
-		obj, err := store.Get(name)
-		if err != nil {
-			continue
-		}
-		var mrec sessionMetaRecord
-		if err := json.Unmarshal(obj.Data, &mrec); err != nil || mrec.Token == "" {
-			continue
-		}
-		tokens = append(tokens, mrec.Token)
-	}
-	sort.Strings(tokens)
-	return tokens
-}
-
 // SessionRecords returns the wire records durably accepted into a
 // session's log — the intact prefix, in accepted order; a torn tail is
 // ignored. This is the read side `tpupoint watch -session` tails.

@@ -181,7 +181,7 @@ func (r *Repo) fsckEntry(e RunInfo, repair bool) (*FsckIssue, error) {
 		blob = obj.Data[e.Offset:end]
 	}
 
-	a, openErr := archive.OpenWorkers(blob, r.workers)
+	a, openErr := archive.Open(blob)
 	if openErr != nil {
 		issue := &FsckIssue{Kind: IssueCorruptBlob, RunID: e.RunID, Object: e.Object,
 			Detail: openErr.Error()}
@@ -254,7 +254,7 @@ func (r *Repo) fsckUnreferenced(name string, indexed func(string) bool, repair b
 
 	// Adopt directly when the blob verifies and agrees about its own
 	// identity; anything else goes through salvage.
-	if a, err := archive.OpenWorkers(obj.Data, r.workers); err == nil && a.Meta().RunID == id {
+	if a, err := archive.Open(obj.Data); err == nil && a.Meta().RunID == id {
 		if indexed(id) {
 			// A manifest entry for this run ID exists but points at a
 			// different object (a packed window, or foreign debris);
@@ -285,7 +285,7 @@ func (r *Repo) fsckUnreferenced(name string, indexed func(string) bool, repair b
 		meta.RunID = id
 	}
 	rebuilt := archive.Rebuild(meta, res)
-	a, err := archive.OpenWorkers(rebuilt, r.workers)
+	a, err := archive.Open(rebuilt)
 	if err != nil {
 		return nil, fmt.Errorf("repo: fsck rebuilt blob does not verify: %w", err)
 	}
@@ -331,7 +331,7 @@ func (r *Repo) repairCorrupt(e RunInfo, blob []byte) (string, error) {
 			HostSpec: e.HostSpec, TPUVersion: e.TPUVersion, CreatedSeq: e.CreatedSeq}
 	}
 	rebuilt := archive.Rebuild(meta, res)
-	a, err := archive.OpenWorkers(rebuilt, r.workers)
+	a, err := archive.Open(rebuilt)
 	if err != nil {
 		return "", fmt.Errorf("repo: fsck rebuilt blob does not verify: %w", err)
 	}
@@ -522,7 +522,7 @@ func (r *Repo) Salvage(runID string) (RunInfo, *archive.SalvageReport, error) {
 		}
 	}
 	rebuilt := archive.Rebuild(meta, res)
-	a, err := archive.OpenWorkers(rebuilt, r.workers)
+	a, err := archive.Open(rebuilt)
 	if err != nil {
 		return RunInfo{}, &res.Report, fmt.Errorf("repo: rebuilt blob does not verify: %w", err)
 	}

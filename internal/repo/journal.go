@@ -476,7 +476,7 @@ func (r *Repo) recoverCompact(ss shardSet, intent journalRecord, rep *RecoveryRe
 			valid = false
 			break
 		}
-		if _, aerr := archive.OpenWorkers(obj.Data[mb.Offset:end], r.workers); aerr != nil {
+		if _, aerr := archive.Open(obj.Data[mb.Offset:end]); aerr != nil {
 			valid = false
 			break
 		}

@@ -166,7 +166,6 @@ func newRepoMetrics(r *obs.Registry) repoMetrics {
 // boundary is recoverable.
 type Repo struct {
 	store      Store
-	workers    int
 	obs        *obs.Registry
 	m          repoMetrics
 	journalSeq uint64 // atomic; intent/done pairing
@@ -293,13 +292,6 @@ func (r *Repo) SetObs(reg *obs.Registry) {
 	r.m = newRepoMetrics(reg)
 }
 
-// SetCodecParallelism bounds the worker fan-out archive opens use for
-// segment checksum verification (0 = GOMAXPROCS, 1 = serial). Results
-// are identical for any value — only wall-clock changes. Applies to
-// Get, Save validation, and everything built on them (Compare, the
-// fleet's finalize path saves through the same bucket).
-func (r *Repo) SetCodecParallelism(n int) { r.workers = n }
-
 func runObject(runID string) string { return "runs/" + runID + "/archive" }
 
 // NextSeq allocates the next logical creation sequence number. Archives
@@ -380,7 +372,7 @@ func (r *Repo) commitSaves(blobs [][]byte, rc *ReplicaConfig, answer func(i int,
 	}
 	byShard := make([][]*pendingSave, ss.n)
 	for i, blob := range blobs {
-		a, err := archive.OpenWorkers(blob, r.workers)
+		a, err := archive.Open(blob)
 		if err != nil {
 			answer(i, RunInfo{}, fmt.Errorf("repo: refusing to save: %w", err))
 			continue
@@ -635,7 +627,7 @@ func (r *Repo) Get(runID string) (RunInfo, *archive.Archive, error) {
 	if err != nil {
 		return RunInfo{}, nil, fmt.Errorf("repo: run %q blob: %w", runID, err)
 	}
-	a, err := archive.OpenWorkers(blob, r.workers)
+	a, err := archive.Open(blob)
 	if err != nil {
 		return RunInfo{}, nil, fmt.Errorf("repo: run %q: %w", runID, err)
 	}

@@ -83,9 +83,6 @@ func OpenDir(root string) (*DirStore, error) {
 // Close releases the lock file handle.
 func (d *DirStore) Close() error { return d.lockf.Close() }
 
-// Root returns the store's directory.
-func (d *DirStore) Root() string { return d.root }
-
 func dirStoreValidName(name string) error {
 	if name == "" {
 		return errors.New("storage: empty object name")

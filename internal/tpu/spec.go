@@ -160,8 +160,3 @@ func (c ChipSpec) peakFlopsPerMicro() float64 {
 func (c ChipSpec) hbmBytesPerMicro() float64 {
 	return c.HBMGBps * 1e3
 }
-
-// InfeedBytesPerMicro returns host→TPU bandwidth in bytes/µs.
-func (c ChipSpec) InfeedBytesPerMicro() float64 {
-	return c.InfeedGBps * 1e3
-}

@@ -3,12 +3,10 @@
 # and ingest benchmarks in quick mode and compare them against the
 # committed BENCH_analyzer.json / BENCH_archive.json / BENCH_stream.json
 # / BENCH_ingest.json baselines. Fails when any shared kernel/mode/n
-# entry regresses past the tolerance, when the grid-indexed DBSCAN stops
-# beating the quadratic reference by at least MIN_GRID_SPEEDUP, when the
-# streaming analyzer's fidelity against batch OLS falls outside the
-# MIN_STREAM_F1 / MAX_SHARE_MAPE floors, or when the sharded
-# repository's p99 save latency regresses past MAX_INGEST_P99_REGRESS,
-# or when the cluster scheduler's throughput falls below
+# entry regresses past the tolerance, when the streaming analyzer's
+# fidelity against batch OLS falls outside the MIN_STREAM_F1 /
+# MAX_SHARE_MAPE floors, when the sharded repository's p99 save latency
+# regresses past MAX_INGEST_P99_REGRESS, or when the cluster scheduler's throughput falls below
 # MIN_CLUSTER_THROUGHPUT or its simulated-time fairness surface (p99
 # queueing delay, Jain's index) drifts past MAX_CLUSTER_P99_REGRESS.
 #
@@ -19,12 +17,9 @@
 #   ALLOC_TOLERANCE      allowed allocs/op regression fraction for the
 #                        codec kernels (default 0.10 — allocation counts
 #                        are near-deterministic, so this stays tight)
-#   MIN_GRID_SPEEDUP     required dbscan grid-vs-brute speedup (default 2)
 #   MIN_DECODE_SPEEDUP   required archive parallel-decode speedup at the
 #                        largest n (default 2; benchdiff only enforces it
 #                        when the run had GOMAXPROCS >= 4)
-#   MIN_ALLOC_REDUCTION  required fraction of naive-encoder allocations
-#                        the pooled wire encoder eliminates (default 0.5)
 #   MIN_STREAM_F1        required streaming phase-boundary F1 vs the
 #                        batch analyzer at duty 1/10 (default 0.9)
 #   MAX_SHARE_MAPE       allowed streaming time-share MAPE vs the batch
@@ -67,9 +62,7 @@ ingest_baseline="${INGEST_BASELINE:-BENCH_ingest.json}"
 cluster_baseline="${CLUSTER_BASELINE:-BENCH_cluster.json}"
 tolerance="${BENCH_TOLERANCE:-0.25}"
 alloc_tolerance="${ALLOC_TOLERANCE:-0.10}"
-min_grid="${MIN_GRID_SPEEDUP:-2}"
 min_decode="${MIN_DECODE_SPEEDUP:-2}"
-min_alloc_reduction="${MIN_ALLOC_REDUCTION:-0.5}"
 min_stream_f1="${MIN_STREAM_F1:-0.9}"
 max_share_mape="${MAX_SHARE_MAPE:-0.10}"
 max_ingest_p99_regress="${MAX_INGEST_P99_REGRESS:-3.0}"
@@ -94,22 +87,20 @@ trap 'rm -f "$fresh" "$fresh_archive" "$fresh_stream" "$fresh_ingest" "$fresh_cl
 echo "== paperbench -analyzer-bench (quick)"
 go run ./cmd/paperbench -analyzer-bench "$fresh" -bench-quick
 
-echo "== benchdiff vs $baseline (tolerance ${tolerance}, grid floor ${min_grid}x)"
+echo "== benchdiff vs $baseline (tolerance ${tolerance})"
 go run ./cmd/benchdiff -old "$baseline" -new "$fresh" \
-    -tolerance "$tolerance" -min-grid-speedup "$min_grid"
+    -tolerance "$tolerance"
 
 echo "== paperbench -archive-bench (quick)"
 go run ./cmd/paperbench -archive-bench "$fresh_archive" -bench-quick
 
-# No grid/brute pair in the archive report (-min-grid-speedup 0); the
-# codec gates take over: parallel decode must clear MIN_DECODE_SPEEDUP
-# (enforced only on >= 4 cores) and the pooled wire encoder must keep
-# eliminating MIN_ALLOC_REDUCTION of the naive encoder's allocations.
-echo "== benchdiff vs $archive_baseline (tolerance ${tolerance}, decode floor ${min_decode}x, alloc floor ${min_alloc_reduction})"
+# The codec gates: parallel decode must clear MIN_DECODE_SPEEDUP
+# (enforced only on >= 4 cores) and no codec entry's allocs/op may grow
+# past ALLOC_TOLERANCE.
+echo "== benchdiff vs $archive_baseline (tolerance ${tolerance}, decode floor ${min_decode}x)"
 go run ./cmd/benchdiff -old "$archive_baseline" -new "$fresh_archive" \
     -tolerance "$tolerance" -alloc-tolerance "$alloc_tolerance" \
-    -min-grid-speedup 0 -min-decode-speedup "$min_decode" \
-    -min-alloc-reduction "$min_alloc_reduction"
+    -min-decode-speedup "$min_decode"
 
 echo "== paperbench -stream-bench (quick)"
 go run ./cmd/paperbench -stream-bench "$fresh_stream" -bench-quick
@@ -122,7 +113,7 @@ go run ./cmd/paperbench -stream-bench "$fresh_stream" -bench-quick
 # are the gate that matters.
 echo "== benchdiff vs $stream_baseline (F1 floor ${min_stream_f1}, MAPE ceiling ${max_share_mape})"
 go run ./cmd/benchdiff -old "$stream_baseline" -new "$fresh_stream" \
-    -tolerance 1.0 -min-grid-speedup 0 \
+    -tolerance 1.0 \
     -min-stream-f1 "$min_stream_f1" -max-share-mape "$max_share_mape"
 
 echo "== paperbench -ingest-bench (quick)"
@@ -140,7 +131,7 @@ go run ./cmd/paperbench -ingest-bench "$fresh_ingest" -bench-quick
 # the single-replica lane by MIN_REPLICA_SCALING.
 echo "== benchdiff vs $ingest_baseline (p99 ceiling ${max_ingest_p99_regress}, replica scaling floor ${min_replica_scaling}x)"
 go run ./cmd/benchdiff -old "$ingest_baseline" -new "$fresh_ingest" \
-    -tolerance 10 -min-grid-speedup 0 \
+    -tolerance 10 \
     -max-ingest-p99-regress "$max_ingest_p99_regress" \
     -min-replica-scaling "$min_replica_scaling"
 
@@ -158,6 +149,6 @@ go run ./cmd/paperbench -cluster-bench "$fresh_cluster" -bench-quick
 # has its own floor and the fairness numbers are exact.
 echo "== benchdiff vs $cluster_baseline (throughput floor ${min_cluster_throughput} jobs/sec, fairness drift ${max_cluster_p99_regress})"
 go run ./cmd/benchdiff -old "$cluster_baseline" -new "$fresh_cluster" \
-    -tolerance 10 -min-grid-speedup 0 \
+    -tolerance 10 \
     -min-cluster-throughput "$min_cluster_throughput" \
     -max-cluster-p99-regress "$max_cluster_p99_regress"

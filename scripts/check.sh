@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Full verification gate: build, vet, and the race-enabled test suite.
-# Equivalent to `make check`; exists for environments without make.
+# Full verification gate: build, vet, the race-enabled test suite, the
+# -count=2 repeats and the shell smokes. This is the one list of them:
+# `make check` is `make build fmt` (the gofmt gate) followed by this
+# script, and CI runs `make check`.
 #
 # The vet step filters go vet's "# package" progress headers out of the
 # output. Under `set -o pipefail` the naive `go vet | grep -v '^#'`
@@ -11,7 +13,7 @@
 # scripts/check_selftest.sh proves that against a known-bad fixture.
 #
 # BENCH_GATE=1 additionally runs the benchmark regression gate
-# (scripts/benchdiff.sh) against the committed BENCH_analyzer.json.
+# (scripts/benchdiff.sh) against the committed BENCH_*.json baselines.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -84,7 +84,7 @@ func clusterCmd(args []string, dir string, shards int, reg *obs.Registry) error 
 		}
 
 		if dir != "" {
-			r, _, done, err := openRepoDir(dir, shards, true)
+			r, _, done, err := openRepoDir(dir, shards, true, false)
 			if err != nil {
 				return err
 			}

@@ -2,7 +2,7 @@
 //
 // The repository lives in a directory on disk (-archive), opened as a
 // live storage.DirStore: objects are files at their slash-mapped paths
-// (runs/manifest.json, runs/<id>/archive, sessions/<token>/log, ...)
+// (runs/manifest-0.json, runs/<id>/archive, sessions/<token>/log, ...)
 // and every mutation internal/repo makes lands in the directory as it
 // happens, under the store's flock, so the crash-consistency contract
 // of internal/repo holds for every verb and a verb can run beside live
@@ -41,10 +41,11 @@ import (
 //
 // replay is true for a verb that mutates: the directory is created if
 // missing, every intent journal is replayed (so what a crashed process
-// left behind is completed or rolled back before the verb runs), and a
-// -shards request is honoured — shards N > 1 migrates a legacy
-// single-manifest repository to N shards, 0 keeps the existing layout,
-// an already-sharded repository keeps its recorded count.
+// left behind is completed or rolled back before the verb runs), and
+// shards sizes a fresh repository (an existing one keeps its count).
+// convert, which only `runs fsck -repair` sets, also takes the v1
+// single-manifest repository every other open refuses
+// (repo.ErrLegacyLayout): its Fsck(true) converts it to shards shards.
 //
 // replay is false for a verb that only reads: nothing under dir is
 // created or altered. The journals are left alone because an open
@@ -55,7 +56,7 @@ import (
 // A directory written by earlier builds' export route (raw files, no
 // generation sidecars) opens unchanged: DirStore adopts such objects at
 // generation 1.
-func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, func(), error) {
+func openRepoDir(dir string, shards int, replay, convert bool) (*repo.Repo, repo.Store, func(), error) {
 	if !replay {
 		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 			bucket, err := storage.NewService().CreateBucket("empty")
@@ -72,7 +73,9 @@ func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, f
 	var r *repo.Repo
 	if replay {
 		var rec *repo.RecoveryReport
-		if r, rec, err = repo.OpenShards(store, shards); err != nil {
+		if r, rec, err = repo.OpenShards(store, shards); convert && errors.Is(err, repo.ErrLegacyLayout) {
+			fmt.Printf("converting v1 single-manifest repository %s to %d shards\n", dir, max(shards, 1))
+		} else if err != nil {
 			store.Close()
 			return nil, nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
 		}
@@ -84,7 +87,7 @@ func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, f
 }
 
 func printRecovery(rec *repo.RecoveryReport) {
-	if !rec.Clean() {
+	if rec != nil && !rec.Clean() {
 		fmt.Printf("recovery: replayed %d interrupted mutations (%d completed, %d rolled back, %d orphans reclaimed)\n",
 			rec.OpenIntents, rec.Completed, rec.RolledBack, len(rec.OrphansReclaimed))
 	}
@@ -116,7 +119,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 	case "gc", "delete", "compact", "salvage":
 		mutates = true
 	}
-	r, _, done, err := openRepoDir(dir, shards, mutates)
+	r, _, done, err := openRepoDir(dir, shards, mutates, repair)
 	if err != nil {
 		return err
 	}
@@ -319,11 +322,9 @@ type collectConfig struct {
 // Saves flow through a group-commit Ingestor that amortizes
 // journal+manifest writes across concurrent finalizes.
 //
-// A standalone collector (-replicas 1) is a replica set of one. The
-// only difference from -replicas N is how the repository is opened: as
-// the sole writer it replays every journal and honours a -shards
-// migration (repo.OpenShards), where one of N replays only the journals
-// of the shards it owns (repo.OpenShardsOwned) and probes its peers.
+// A standalone collector (-replicas 1) is a replica set of one that
+// owns every shard: it opens the repository the same way, replaying the
+// journals of the shards it owns, and only has no peers to probe.
 func collectServe(cfg collectConfig) error {
 	if cfg.Dir == "" {
 		return errors.New("-collect-serve needs -archive <dir> for the repository")
@@ -341,32 +342,31 @@ func collectServe(cfg collectConfig) error {
 		return err
 	}
 	defer store.Close()
-	var (
-		r   *repo.Repo
-		rec *repo.RecoveryReport
-	)
-	if rc.Replicas == 1 {
-		r, rec, err = repo.OpenShards(store, cfg.Shards)
-	} else {
-		shards := cfg.Shards
-		if shards == 0 {
-			// Every replica needs shards to own; default to a few per
-			// replica so reconfiguration has room to rebalance.
-			shards = 4 * rc.Replicas
-		}
-		if shards < rc.Replicas {
-			return fmt.Errorf("-shards %d < -replicas %d leaves replicas owning nothing", shards, rc.Replicas)
-		}
-		r, rec, err = repo.OpenShardsOwned(store, shards, rc.OwnedShards(shards))
-	}
+	// The set must agree on the shard count, so one other than what the
+	// repository records (1 if it is fresh) is refused.
+	stored, err := repo.New(store).Shards()
 	if err != nil {
+		return fmt.Errorf("opening repository %s: %w", cfg.Dir, err)
+	}
+	shards := cfg.Shards
+	if shards == 0 && rc.Replicas > 1 {
+		// Every replica needs shards to own; default to a few per
+		// replica so reconfiguration has room to rebalance.
+		shards = 4 * rc.Replicas
+	} else if shards == 0 {
+		shards = stored // a set of one has nothing to rebalance
+	}
+	if shards < rc.Replicas {
+		return fmt.Errorf("-shards %d < -replicas %d leaves replicas owning nothing", shards, rc.Replicas)
+	}
+	r, rec, err := repo.OpenShardsOwned(store, shards, rc.OwnedShards(shards))
+	if err != nil {
+		if shards != stored && store.Exists(repo.LayoutObject) {
+			err = fmt.Errorf("%w: pass -shards %d", err, stored)
+		}
 		return fmt.Errorf("recovering repository %s: %w", cfg.Dir, err)
 	}
 	printRecovery(rec)
-	shards, err := r.Shards()
-	if err != nil {
-		return err
-	}
 	r.SetObs(reg)
 	ingest := repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
 	defer ingest.Close()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -54,7 +55,7 @@ func testBlob(t *testing.T, runID string, seq uint64) []byte {
 // way `tpupoint -archive dir` does after training.
 func saveRuns(t *testing.T, dir string, runIDs ...string) {
 	t.Helper()
-	r, _, done, err := openRepoDir(dir, 0, true)
+	r, _, done, err := openRepoDir(dir, 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func blobPath(dir, runID string) string {
 // viewRepo opens dir the way a read-only verb does.
 func viewRepo(t *testing.T, dir string) *repo.Repo {
 	t.Helper()
-	r, _, done, err := openRepoDir(dir, 0, false)
+	r, _, done, err := openRepoDir(dir, 0, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 	defer srv.Close()
 	conn := rpc.Pipe(srv)
 	defer conn.Close()
-	fc, err := repo.OpenSession(conn, repo.OpenRequest{RunID: "live", Workload: "synthetic"})
+	fc, err := repo.OpenResilient(conn, repo.OpenRequest{RunID: "live", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +342,102 @@ func TestExportedDirectoryStillWorks(t *testing.T) {
 	}
 	if rep, err := r.Fsck(false); err != nil || !rep.Clean() {
 		t.Fatalf("fsck after gc+compact: %+v, %v", rep, err)
+	}
+}
+
+// TestRunsFsckRepairConvertsV1: a directory holding the v1
+// single-manifest layout (hand-built: no build writes it any more) is
+// refused by every verb, reading or mutating, with the error that names
+// the way out, and not a byte of it changes; `runs fsck -repair -shards
+// 4` is that way out.
+func TestRunsFsckRepairConvertsV1(t *testing.T) {
+	bucket, err := storage.NewService().CreateBucket("scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := repo.New(bucket)
+	ids := []string{"run-1", "run-2", "run-3"}
+	var v1 struct {
+		NextSeq uint64         `json:"next_seq"`
+		Runs    []repo.RunInfo `json:"runs"`
+	}
+	dir := t.TempDir()
+	put := func(name string, data []byte) {
+		t.Helper()
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range ids {
+		blob := testBlob(t, id, uint64(i+1))
+		info, err := scratch.Save(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1.Runs = append(v1.Runs, info)
+		put(info.Object, blob)
+	}
+	v1.NextSeq = uint64(len(ids)) + 1
+	data, err := json.Marshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(repo.ManifestObject, data)
+	before := repoTree(t, dir)
+
+	for _, verb := range [][]string{{"list"}, {"show", "run-1"}, {"fsck"}, {"gc"}, {"compact"}, {"delete", "run-1"}} {
+		err := runsCmd(verb, dir, 0, false, 4)
+		if !errors.Is(err, repo.ErrLegacyLayout) || !strings.Contains(err.Error(), "runs fsck -repair") {
+			t.Fatalf("runs %v on a v1 directory: err = %v, want ErrLegacyLayout naming the converter", verb, err)
+		}
+	}
+	if after := repoTree(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused verbs changed the v1 directory")
+	}
+
+	out := captureStdout(t, func() error { return runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 4) })
+	if !strings.Contains(out, "converting v1") || !strings.Contains(out, "3 runs checked, no issues") {
+		t.Fatalf("runs fsck -repair -shards 4:\n%s", out)
+	}
+	after := repoTree(t, dir)
+	if _, still := after[repo.ManifestObject]; still || after[repo.LayoutObject] == "" {
+		t.Fatalf("conversion left manifest=%v layout=%q", still, after[repo.LayoutObject])
+	}
+	if n, err := viewRepo(t, dir).Shards(); err != nil || n != 4 {
+		t.Fatalf("converted repository has %d shards (%v), want 4", n, err)
+	}
+	out = captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 0) })
+	for _, id := range ids {
+		if !strings.Contains(out, id) {
+			t.Fatalf("runs list after conversion lost %s:\n%s", id, out)
+		}
+	}
+}
+
+// TestCollectServeRefusesOtherShardCount: a replica whose shard count
+// (here the 4-per-replica default) is not the repository's would own,
+// by its own arithmetic, shards placement never gives it; the collector
+// does not start, and says which count to pass.
+func TestCollectServeRefusesOtherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	r, _, done, err := openRepoDir(dir, 12, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Save(testBlob(t, "seed", 1)); err != nil { // makes the 12-shard layout durable
+		t.Fatal(err)
+	}
+	done()
+	err = collectServe(collectConfig{
+		Addr: "127.0.0.1:0", Dir: dir, Replicas: 2, ReplicaID: 1,
+		Health: obs.NewHealth(), Fleet: obs.NewFleetView(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "pass -shards 12") {
+		t.Fatalf("collectServe with 8 shards over a 12-shard repository: err = %v, want \"pass -shards 12\"", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // fleet of training VMs would), and a cross-run diff of the archived
 // results.
 //
-// Each run opens a collection session, sets the session's FleetClient
+// Each run opens a collection session, sets the session's ResilientClient
 // as the profiler's record store (it implements profiler.RecordStore),
 // trains, and finalizes; the server analyzes the stream, packs it into
 // a checksummed archive, and indexes it in the repository. The diff at
@@ -63,7 +63,7 @@ func main() {
 			}
 			c := rpc.Pipe(srv) // in-process; a real fleet dials TCP
 			defer c.Close()
-			fc, err := repo.OpenSession(c, repo.OpenRequest{
+			fc, err := repo.OpenResilient(c, repo.OpenRequest{
 				RunID:      j.runID,
 				Workload:   s.Workload().Name,
 				TPUVersion: j.version.String(),

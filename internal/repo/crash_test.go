@@ -74,9 +74,8 @@ func fleetRecords() []*trace.ProfileRecord { return sessionRecords(9, recsRunF) 
 // runCrashScript drives the workload against store until the power cut
 // (or completion), calling the fleet handlers directly so every store
 // write happens on this goroutine — the cut schedule is deterministic.
-// shards > 1 opens the repository sharded (migrating the fresh store),
-// so the cut schedule also covers shard initialization and per-shard
-// journals; shards <= 1 runs the v1 single-manifest layout.
+// The cut schedule covers the layout object's creation; shards > 1
+// adds scatter over per-shard manifests and journals.
 func runCrashScript(t *testing.T, store Store, shards int) *crashAcks {
 	t.Helper()
 	acks := &crashAcks{failedStep: -1}
@@ -359,17 +358,17 @@ func resumeSessionAndFinish(t *testing.T, f2 *Fleet, r2 *Repo, acks *crashAcks, 
 // TestPowerCutAtEveryWriteBoundary is the property test: measure the
 // script's write budget with a dry run, then kill it at every write,
 // in both atomic-drop and torn-append flavors, and verify recovery.
-// The whole schedule runs twice: once against the v1 single-manifest
-// layout and once against a 3-shard repository (whose budget also
-// covers shard initialization, per-shard journals, and the compaction
-// step's pack writes), and each of those over both stores — on the
-// DirStore a torn Append is a real short tail on a real file.
+// The whole schedule runs twice: once against the 1-shard repository a
+// store opened without a count becomes, and once against a 3-shard one
+// (whose runs, journals and pack intents spread over several index
+// objects), and each of those over both stores — on the DirStore a torn
+// Append is a real short tail on a real file.
 func TestPowerCutAtEveryWriteBoundary(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		shards int
 	}{
-		{"legacy", 0},
+		{"one-shard", 0},
 		{"sharded", 3},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

@@ -24,14 +24,12 @@ import (
 	"repro/internal/core/analyzer"
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
 // Fleet RPC method names.
 const (
 	MethodFleetOpen        = "fleet.Open"
-	MethodFleetAppend      = "fleet.Append"
 	MethodFleetAppendBatch = "fleet.AppendBatch"
 	MethodFleetFinalize    = "fleet.Finalize"
 	MethodFleetAbort       = "fleet.Abort"
@@ -142,7 +140,7 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 }
 
 // Fleet is the collection endpoint. Register it on an rpc.Server and
-// point profilers at it through FleetClient.
+// point profilers at it through OpenResilient.
 type Fleet struct {
 	repo *Repo
 	opts FleetOptions
@@ -178,7 +176,6 @@ func NewFleet(r *Repo, opts FleetOptions) *Fleet {
 // Register installs the fleet methods on an RPC server.
 func (f *Fleet) Register(s *rpc.Server) {
 	s.Register(MethodFleetOpen, f.handleOpen)
-	s.Register(MethodFleetAppend, f.handleAppend)
 	s.Register(MethodFleetAppendBatch, f.handleAppendBatch)
 	s.Register(MethodFleetFinalize, f.handleFinalize)
 	s.Register(MethodFleetAbort, f.handleAbort)
@@ -233,7 +230,7 @@ func (s *session) drain(m fleetMetrics) {
 	defer close(s.done)
 	for q := range s.ch {
 		if err := s.w.AddRaw(q.raw); err != nil {
-			// Can't happen: handleAppend validated the bytes. Skip
+			// Can't happen: handleAppendBatch validated the bytes. Skip
 			// defensively rather than corrupt the archive.
 			continue
 		}
@@ -413,32 +410,6 @@ func (f *Fleet) enqueue(s *session, q queued) error {
 	return nil
 }
 
-// handleAppend body: u64le session id, then record wire bytes.
-func (f *Fleet) handleAppend(body []byte) ([]byte, error) {
-	if len(body) < 8 {
-		return nil, fmt.Errorf("fleet: short append frame")
-	}
-	id := binary.LittleEndian.Uint64(body[:8])
-	s, err := f.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	// The rpc layer reuses its read buffer per connection; copy before
-	// the bytes cross into the drain goroutine.
-	rec := make([]byte, len(body)-8)
-	copy(rec, body[8:])
-	dec, err := trace.UnmarshalRecord(rec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: reject record: %w", err)
-	}
-	s.touch(f.opts.Now())
-	if err := f.enqueue(s, queued{raw: rec, rec: dec}); err != nil {
-		return nil, err
-	}
-	// Durability point: the record is on disk before the ack goes out.
-	return nil, f.logAccepted(s, frameOne(rec))
-}
-
 // AppendBatchResponse reports how many leading records of a batch the
 // server accepted. A partial count is success, not failure: the client
 // resends only the unaccepted tail, so backpressure never duplicates
@@ -449,9 +420,9 @@ type AppendBatchResponse struct {
 
 // handleAppendBatch body: u64le session id, then a trace framed stream
 // ((uvarint length, record bytes)*). The whole batch is validated up
-// front; acceptance is then per-record in order. Zero accepted on a
-// non-empty batch maps to the transient busy error so retry layers back
-// off exactly as they do for single appends.
+// front; acceptance is then per-record in order. A single record is a
+// batch of one. Zero accepted on a non-empty batch maps to the transient
+// busy error so retry layers back off.
 func (f *Fleet) handleAppendBatch(body []byte) ([]byte, error) {
 	if len(body) < 8 {
 		return nil, fmt.Errorf("fleet: short append frame")
@@ -619,129 +590,4 @@ func (f *Fleet) ActiveSessions() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.sessions)
-}
-
-// FleetClient is the profiler-side handle on one collection session.
-// It implements profiler.RecordStore, so a profiler can stream into
-// the fleet endpoint by setting it as its Bucket.
-type FleetClient struct {
-	c     rpc.Caller
-	id    uint64
-	token string
-}
-
-// OpenSession starts a collection session on the endpoint behind c.
-func OpenSession(c rpc.Caller, req OpenRequest) (*FleetClient, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.Call(MethodFleetOpen, body)
-	if err != nil {
-		return nil, err
-	}
-	var resp OpenResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return nil, fmt.Errorf("fleet: bad open response: %w", err)
-	}
-	return &FleetClient{c: c, id: resp.SessionID, token: resp.Token}, nil
-}
-
-// Token returns the durable resume token. A profiler that wants to
-// survive collector restarts persists it alongside its own state and
-// hands it to ResumeSession after reconnecting.
-func (fc *FleetClient) Token() string { return fc.token }
-
-// AppendRaw streams one wire-encoded record.
-func (fc *FleetClient) AppendRaw(rec []byte) error {
-	body := make([]byte, 8+len(rec))
-	binary.LittleEndian.PutUint64(body[:8], fc.id)
-	copy(body[8:], rec)
-	_, err := fc.c.Call(MethodFleetAppend, body)
-	return err
-}
-
-// Append streams one record. The record is marshalled straight into the
-// request body — one buffer allocation per call; the rpc client frames
-// it into its reused write buffer from there.
-func (fc *FleetClient) Append(rec *trace.ProfileRecord) error {
-	body := make([]byte, 8, 8+64)
-	binary.LittleEndian.PutUint64(body[:8], fc.id)
-	body = trace.MarshalRecordAppend(body, rec)
-	_, err := fc.c.Call(MethodFleetAppend, body)
-	return err
-}
-
-// Put implements profiler.RecordStore: the record name is the
-// profiler's local object name and is not persisted — the archive
-// orders records by arrival, which for a single profiler is the
-// record sequence.
-func (fc *FleetClient) Put(name string, data []byte) (*storage.Object, error) {
-	if err := fc.AppendRaw(data); err != nil {
-		return nil, err
-	}
-	return &storage.Object{Name: name}, nil
-}
-
-// PutBatch implements profiler.BatchStore: one AppendBatch RPC per
-// round trip, resending only the unaccepted tail when the server sheds
-// load mid-batch. Zero-accepted rounds surface the server's transient
-// busy error, so the profiler's retry/backoff path re-sends the exact
-// same tail — records are never duplicated.
-func (fc *FleetClient) PutBatch(name string, framed []byte, count int) (*storage.Object, error) {
-	for rest := framed; len(rest) > 0; {
-		n, err := fc.appendBatchRaw(rest)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("fleet: append-batch accepted 0 of %d records", count)
-		}
-		if rest, err = trace.SkipFrames(rest, n); err != nil {
-			return nil, err
-		}
-	}
-	return &storage.Object{Name: name}, nil
-}
-
-// AppendBatch streams a batch of records through one (or, under
-// backpressure, few) AppendBatch round trips.
-func (fc *FleetClient) AppendBatch(recs []*trace.ProfileRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	var framed []byte
-	for _, r := range recs {
-		framed = trace.AppendFramedRecord(framed, r)
-	}
-	_, err := fc.PutBatch("", framed, len(recs))
-	return err
-}
-
-// Finalize closes the session; the server analyzes, archives, and
-// indexes the run, returning its manifest entry.
-func (fc *FleetClient) Finalize() (RunInfo, error) {
-	body, err := json.Marshal(sessionRequest{SessionID: fc.id})
-	if err != nil {
-		return RunInfo{}, err
-	}
-	out, err := fc.c.Call(MethodFleetFinalize, body)
-	if err != nil {
-		return RunInfo{}, err
-	}
-	var info RunInfo
-	if err := json.Unmarshal(out, &info); err != nil {
-		return RunInfo{}, fmt.Errorf("fleet: bad finalize response: %w", err)
-	}
-	return info, nil
-}
-
-// Abort discards the session without archiving.
-func (fc *FleetClient) Abort() error {
-	body, err := json.Marshal(sessionRequest{SessionID: fc.id})
-	if err != nil {
-		return err
-	}
-	_, err = fc.c.Call(MethodFleetAbort, body)
-	return err
 }

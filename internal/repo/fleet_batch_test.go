@@ -24,7 +24,7 @@ func TestFleetAppendBatch(t *testing.T) {
 	c := rpc.Pipe(srv)
 	defer c.Close()
 
-	fc, err := OpenSession(c, OpenRequest{RunID: "batched", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "batched", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFleetAppendBatchPartialAcceptance(t *testing.T) {
 
 	// Start the drain and let the client-side loop push the tail through.
 	go s.drain(f.m)
-	fc := &FleetClient{c: rpc.Pipe(srv), id: s.id}
+	fc := &ResilientClient{c: rpc.Pipe(srv), id: s.id}
 	if _, err := fc.PutBatch("", tail, len(recs)-resp.Accepted); err != nil {
 		t.Fatalf("tail resend: %v", err)
 	}
@@ -146,14 +146,14 @@ func TestFleetAppendBatchRejectsMalformed(t *testing.T) {
 	c := rpc.Pipe(srv)
 	defer c.Close()
 
-	fc, err := OpenSession(c, OpenRequest{RunID: "reject", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "reject", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var framed []byte
 	framed = trace.AppendFramedRecord(framed, sessionRecords(0, 1)[0])
 	framed = append(framed, 2, 0x00, 0x01) // frame holding an invalid field-0 tag
-	if _, err := fc.PutBatch("", framed, 2); err == nil {
+	if err := callAppendBatch(c, fc.id, framed); err == nil {
 		t.Fatal("malformed batch accepted")
 	}
 	info, err := fc.Finalize()
@@ -185,7 +185,7 @@ func TestFleetAppendBatchConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			c := rpc.Pipe(srv)
 			defer c.Close()
-			fc, err := OpenSession(c, OpenRequest{
+			fc, err := OpenResilient(c, OpenRequest{
 				RunID: fmt.Sprintf("batch-run-%d", i), Workload: "synthetic",
 			})
 			if err != nil {
@@ -234,7 +234,7 @@ func TestFleetAppendBatchUnknownSession(t *testing.T) {
 	_, srv, _ := newFleetUnderTest(t, FleetOptions{})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc := &FleetClient{c: c, id: 999}
+	fc := &ResilientClient{c: c, id: 999}
 	err := fc.AppendBatch(sessionRecords(0, 2))
 	if err == nil {
 		t.Fatal("append to unknown session succeeded")

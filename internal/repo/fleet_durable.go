@@ -339,23 +339,3 @@ func (f *Fleet) register(s *session) error {
 	f.mu.Unlock()
 	return nil
 }
-
-// ResumeSession reattaches to a durable session on the endpoint behind
-// c, returning the fresh client and how many records the server
-// already holds durably — the caller restreams its records from that
-// index.
-func ResumeSession(c rpc.Caller, token string) (*FleetClient, int64, error) {
-	body, err := json.Marshal(ResumeRequest{Token: token})
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := c.Call(MethodFleetResume, body)
-	if err != nil {
-		return nil, 0, err
-	}
-	var resp ResumeResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return nil, 0, fmt.Errorf("fleet: bad resume response: %w", err)
-	}
-	return &FleetClient{c: c, id: resp.SessionID, token: resp.Token}, resp.AcceptedRecords, nil
-}

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // newBucket returns a fresh in-memory bucket standing in for the
@@ -43,6 +45,22 @@ func newFleetOverBucket(t *testing.T, bucket Store, opts FleetOptions) (*Fleet, 
 	return f, srv
 }
 
+// swapCaller is an agent's transport across collector restarts: the
+// test re-aims it at the new process, as an endpoint-set
+// ReconnectClient would redial.
+type swapCaller struct{ rpc.Caller }
+
+// restart abandons the current collector (only the store survives, like
+// a process kill) and aims the transport at a fresh one over the store.
+func (sc *swapCaller) restart(t *testing.T, store Store) {
+	t.Helper()
+	if sc.Caller != nil {
+		sc.Caller.Close()
+	}
+	_, srv := newFleetOverBucket(t, store, FleetOptions{})
+	sc.Caller = rpc.Pipe(srv)
+}
+
 // TestFleetFinalizeBeatsLeaseExpiry is the finalize-vs-sweep race
 // regression: a finalize arriving after the lease ran out must still
 // archive the session's records, not find it swept out from under the
@@ -64,7 +82,7 @@ func TestFleetFinalizeBeatsLeaseExpiry(t *testing.T) {
 	})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc, err := OpenSession(c, OpenRequest{RunID: "race", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "race", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +122,7 @@ func TestFleetResumeAfterCollectorRestart(t *testing.T) {
 	_, srv1 := newFleetOverBucket(t, bucket, FleetOptions{})
 	c1 := rpc.Pipe(srv1)
 	recs := sessionRecords(1, total)
-	fc1, err := OpenSession(c1, OpenRequest{RunID: "restarted", Workload: "synthetic"})
+	fc1, err := OpenResilient(c1, OpenRequest{RunID: "restarted", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +150,7 @@ func TestFleetResumeAfterCollectorRestart(t *testing.T) {
 
 	c2 := rpc.Pipe(srv2)
 	defer c2.Close()
-	fc2, accepted, err := ResumeSession(c2, token)
+	fc2, accepted, err := ResumeResilient(c2, token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +205,114 @@ func TestFleetResumeAfterCollectorRestart(t *testing.T) {
 	}
 }
 
+// TestResumeResilientAcrossCollectorRestart: an agent that itself
+// restarted holds nothing but the token it persisted. ResumeResilient
+// reports the server's durable count, the agent restreams from there,
+// and every record is archived exactly once. The client's watermark
+// starts at that count: a collector that comes back holding fewer
+// records than that is an error (the client never held them and cannot
+// resend them), and the refusal leaves the client able to finish once
+// the log is whole again.
+func TestResumeResilientAcrossCollectorRestart(t *testing.T) {
+	bucket := newBucket(t)
+	recs := sessionRecords(6, 20)
+	agent := &swapCaller{}
+	agent.restart(t, bucket)
+	fc1, err := OpenResilient(agent, OpenRequest{RunID: "resumed", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two log frames, so the rewind below has a frame boundary to cut at.
+	if err := fc1.AppendBatch(recs[:5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc1.AppendBatch(recs[5:11]); err != nil {
+		t.Fatal(err)
+	}
+	token := fc1.Token()
+
+	agent.restart(t, bucket) // and the agent restarts too: fc1 is gone
+	fc2, accepted, err := ResumeResilient(agent, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accepted != 11 {
+		t.Fatalf("resume reports %d durable records, want the 11 acked", accepted)
+	}
+	if err := fc2.AppendBatch(recs[accepted:]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The collector restarts with a log that lost everything after its
+	// first frame: 5 records, below the 11 this client resumed at.
+	logObj := sessionLogObject(token)
+	whole, err := bucket.Get(logObj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstFrame := journalFrameOverhead + int(binary.LittleEndian.Uint32(whole.Data[:4]))
+	if _, err := bucket.Put(logObj, whole.Data[:firstFrame]); err != nil {
+		t.Fatal(err)
+	}
+	agent.restart(t, bucket)
+	if _, err := fc2.Finalize(); err == nil || !strings.Contains(err.Error(), "fewer than the 11") {
+		t.Fatalf("finalize over a log rewound below the resumed base: err = %v, want the rewind refused", err)
+	}
+
+	// The log is whole again: the same client resumes and finishes.
+	if _, err := bucket.Put(logObj, whole.Data); err != nil {
+		t.Fatal(err)
+	}
+	agent.restart(t, bucket)
+	info, err := fc2.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Records != int64(len(recs)) {
+		t.Fatalf("archived %d records, want %d (no loss, no duplicates)", info.Records, len(recs))
+	}
+	_, a, err := New(bucket).Get("resumed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := a.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range decoded {
+		if rec.Seq != int64(i) {
+			t.Fatalf("record %d has seq %d: stream reordered or duplicated", i, rec.Seq)
+		}
+	}
+}
+
+// TestFleetAbortAfterCollectorRestart: an abort that reaches a
+// restarted collector finds the session only as parked durable state.
+// The client must resume by token and then abort, the way Finalize
+// does, or sessions/<token>/{meta,log} stay parked forever.
+func TestFleetAbortAfterCollectorRestart(t *testing.T) {
+	bucket := newBucket(t)
+	agent := &swapCaller{}
+	agent.restart(t, bucket)
+	fc, err := OpenResilient(agent, OpenRequest{RunID: "dropped", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.AppendBatch(sessionRecords(7, 6)); err != nil {
+		t.Fatal(err)
+	}
+	agent.restart(t, bucket)
+	if err := fc.Abort(); err != nil {
+		t.Fatalf("abort across a collector restart: %v", err)
+	}
+	if names := bucket.List("sessions/"); len(names) != 0 {
+		t.Fatalf("aborted session left parked: %v", names)
+	}
+	if runs, err := New(bucket).List(Filter{}); err != nil || len(runs) != 0 {
+		t.Fatalf("aborted session was archived: %v, %v", runs, err)
+	}
+}
+
 // TestFleetResumeEvictsLiveSession: a client reconnecting to a living
 // collector (network flap, not a crash) takes over its own session;
 // the stale session's memory is discarded in favor of the log.
@@ -195,7 +321,7 @@ func TestFleetResumeEvictsLiveSession(t *testing.T) {
 	c := rpc.Pipe(srv)
 	defer c.Close()
 	recs := sessionRecords(2, 30)
-	fc, err := OpenSession(c, OpenRequest{RunID: "flap", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "flap", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +329,7 @@ func TestFleetResumeEvictsLiveSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fc2, accepted, err := ResumeSession(c, fc.Token())
+	fc2, accepted, err := ResumeResilient(c, fc.Token())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +340,10 @@ func TestFleetResumeEvictsLiveSession(t *testing.T) {
 		t.Fatalf("active = %d, want 1 (stale session must be evicted)", f.ActiveSessions())
 	}
 	// The old handle is dead; the new one carries the session forward.
-	if err := fc.AppendBatch(recs[10:11]); err == nil {
-		t.Fatal("stale session handle still accepted records")
+	// (Sent raw: the old client itself would resume by token and take
+	// the session back.)
+	if err := callAppendBatch(c, fc.id, trace.AppendFramedRecord(nil, recs[10])); !IsUnknownSession(err) {
+		t.Fatalf("stale session handle: err = %v, want unknown session", err)
 	}
 	if err := fc2.AppendBatch(recs[10:]); err != nil {
 		t.Fatal(err)
@@ -244,7 +372,7 @@ func testFleetResumeTrimsTornLogTail(t *testing.T, bucket Store) {
 	_, srv1 := newFleetOverBucket(t, bucket, FleetOptions{})
 	c1 := rpc.Pipe(srv1)
 	recs := sessionRecords(3, 24)
-	fc1, err := OpenSession(c1, OpenRequest{RunID: "torn", Workload: "synthetic"})
+	fc1, err := OpenResilient(c1, OpenRequest{RunID: "torn", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +395,7 @@ func testFleetResumeTrimsTornLogTail(t *testing.T, bucket Store) {
 	f2, srv2 := newFleetOverBucket(t, bucket, FleetOptions{})
 	c2 := rpc.Pipe(srv2)
 	defer c2.Close()
-	fc2, accepted, err := ResumeSession(c2, fc1.Token())
+	fc2, accepted, err := ResumeResilient(c2, fc1.Token())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +449,7 @@ func TestFleetRetiredSessionsLeaveNoDirectories(t *testing.T) {
 	c := rpc.Pipe(srv)
 	defer c.Close()
 	for i := 0; i < 100; i++ {
-		fc, err := OpenSession(c, OpenRequest{RunID: fmt.Sprintf("retired-%03d", i), Workload: "synthetic"})
+		fc, err := OpenResilient(c, OpenRequest{RunID: fmt.Sprintf("retired-%03d", i), Workload: "synthetic"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +481,7 @@ func TestFleetRecoverSessionsRetiresFinalized(t *testing.T) {
 	bucket := newBucket(t)
 	f1, srv1 := newFleetOverBucket(t, bucket, FleetOptions{})
 	c1 := rpc.Pipe(srv1)
-	fc, err := OpenSession(c1, OpenRequest{RunID: "done", Workload: "synthetic"})
+	fc, err := OpenResilient(c1, OpenRequest{RunID: "done", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +540,7 @@ func TestFleetDurableAppendFailurePoisonsSession(t *testing.T) {
 	defer c.Close()
 
 	recs := sessionRecords(5, 3)
-	fc, err := OpenSession(c, OpenRequest{RunID: "poisoned", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "poisoned", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +563,7 @@ func TestFleetDurableAppendFailurePoisonsSession(t *testing.T) {
 	}
 	hs.appendErr = nil
 
-	fc2, accepted, err := ResumeSession(c, fc.Token())
+	fc2, accepted, err := ResumeResilient(c, fc.Token())
 	if err != nil {
 		t.Fatal(err)
 	}

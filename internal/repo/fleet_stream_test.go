@@ -58,7 +58,7 @@ func TestFleetStreamEvents(t *testing.T) {
 			defer wg.Done()
 			c := rpc.Pipe(srv)
 			defer c.Close()
-			fc, err := OpenSession(c, OpenRequest{
+			fc, err := OpenResilient(c, OpenRequest{
 				RunID: fmt.Sprintf("stream-run-%d", i), Workload: "synthetic",
 			})
 			if err != nil {
@@ -118,7 +118,7 @@ func TestFleetStreamDutyCycle(t *testing.T) {
 	})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc, err := OpenSession(c, OpenRequest{RunID: "duty", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "duty", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFleetStreamDisabled(t *testing.T) {
 	f, srv, _ := newFleetUnderTest(t, FleetOptions{Obs: reg, DisableStream: true})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc, err := OpenSession(c, OpenRequest{RunID: "quiet", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "quiet", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,6 +23,15 @@ func newFleetUnderTest(t *testing.T, opts FleetOptions) (*Fleet, *rpc.Server, *R
 	f.Register(srv)
 	t.Cleanup(srv.Close)
 	return f, srv, r
+}
+
+// callAppendBatch sends one raw fleet.AppendBatch frame for session id.
+// The client retains whatever it is handed and resends it until the
+// server takes it, so a frame the server must refuse — malformed bytes,
+// one record too many for a stalled queue — goes around the client.
+func callAppendBatch(c rpc.Caller, id uint64, framed []byte) error {
+	_, err := c.Call(MethodFleetAppendBatch, append(binary.LittleEndian.AppendUint64(nil, id), framed...))
+	return err
 }
 
 func sessionRecords(session, n int) []*trace.ProfileRecord {
@@ -60,7 +70,7 @@ func TestFleetConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			c := rpc.Pipe(srv)
 			defer c.Close()
-			fc, err := OpenSession(c, OpenRequest{
+			fc, err := OpenResilient(c, OpenRequest{
 				RunID: fmt.Sprintf("fleet-run-%d", i), Workload: "synthetic",
 			})
 			if err != nil {
@@ -121,15 +131,15 @@ func TestFleetSessionCapBusy(t *testing.T) {
 
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	var open []*FleetClient
+	var open []*ResilientClient
 	for i := 0; i < 2; i++ {
-		fc, err := OpenSession(c, OpenRequest{RunID: fmt.Sprintf("r%d", i)})
+		fc, err := OpenResilient(c, OpenRequest{RunID: fmt.Sprintf("r%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		open = append(open, fc)
 	}
-	_, err := OpenSession(c, OpenRequest{RunID: "overflow"})
+	_, err := OpenResilient(c, OpenRequest{RunID: "overflow"})
 	if !errors.Is(err, rpc.ErrBusy) {
 		t.Fatalf("over-cap open err = %v, want ErrBusy", err)
 	}
@@ -144,7 +154,7 @@ func TestFleetSessionCapBusy(t *testing.T) {
 	if err := open[0].Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSession(c, OpenRequest{RunID: "after-abort"}); err != nil {
+	if _, err := OpenResilient(c, OpenRequest{RunID: "after-abort"}); err != nil {
 		t.Fatalf("open after abort: %v", err)
 	}
 }
@@ -174,14 +184,14 @@ func TestFleetQueueCapEnforced(t *testing.T) {
 
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc := &FleetClient{c: c, id: s.id}
+	fc := &ResilientClient{c: c, id: s.id}
 	rec := sessionRecords(0, 1)[0]
 	for i := 0; i < 4; i++ {
 		if err := fc.Append(rec); err != nil {
 			t.Fatalf("append %d within cap: %v", i, err)
 		}
 	}
-	if err := fc.Append(rec); !errors.Is(err, rpc.ErrBusy) {
+	if err := callAppendBatch(c, s.id, trace.AppendFramedRecord(nil, rec)); !errors.Is(err, rpc.ErrBusy) {
 		t.Fatalf("over-cap append err = %v, want ErrBusy", err)
 	}
 	snap := reg.Snapshot()
@@ -226,7 +236,7 @@ func TestFleetLeaseExpiry(t *testing.T) {
 	})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc, err := OpenSession(c, OpenRequest{RunID: "abandoned"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "abandoned"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +246,20 @@ func TestFleetLeaseExpiry(t *testing.T) {
 
 	advance(2 * time.Minute)
 	// Any endpoint interaction sweeps; a fresh open does.
-	if _, err := OpenSession(c, OpenRequest{RunID: "fresh"}); err != nil {
+	if _, err := OpenResilient(c, OpenRequest{RunID: "fresh"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["fleet.sessions.expired"]; got != 1 {
 		t.Fatalf("expired = %d", got)
 	}
-	// The abandoned session is gone: finalize fails.
-	if _, err := fc.Finalize(); err == nil {
-		t.Fatal("finalize succeeded on expired session")
+	// Expiry freed the slot and the in-memory handle, not the durable
+	// state: the old handle is unknown, and the client comes back by
+	// token.
+	if err := callAppendBatch(c, fc.id, trace.AppendFramedRecord(nil, sessionRecords(0, 1)[0])); !IsUnknownSession(err) {
+		t.Fatalf("append on the expired handle: err = %v, want unknown session", err)
+	}
+	if _, err := fc.Finalize(); err != nil || fc.Resumes() != 1 {
+		t.Fatalf("finalize after expiry: err = %v, resumes = %d, want a resume by token", err, fc.Resumes())
 	}
 }
 
@@ -252,11 +267,11 @@ func TestFleetRejectsMalformedRecord(t *testing.T) {
 	_, srv, _ := newFleetUnderTest(t, FleetOptions{})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc, err := OpenSession(c, OpenRequest{RunID: "r"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "r"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fc.AppendRaw([]byte{0xff, 0xff}); err == nil {
+	if err := callAppendBatch(c, fc.id, frameOne([]byte{0xff, 0xff})); err == nil {
 		t.Fatal("malformed record accepted")
 	}
 	// Session still usable.
@@ -273,7 +288,7 @@ func TestFleetUnknownSession(t *testing.T) {
 	_, srv, _ := newFleetUnderTest(t, FleetOptions{})
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	bogus := &FleetClient{c: c, id: 999}
+	bogus := &ResilientClient{c: c, id: 999}
 	if err := bogus.Append(sessionRecords(0, 1)[0]); err == nil {
 		t.Fatal("append to unknown session succeeded")
 	}

@@ -14,9 +14,13 @@
 // pack objects (compact.go) are verified through the entries that
 // reference them — a pack window that fails to decode condemns the
 // entry, not the shared pack.
+//
+// Fsck with repair is also the one way a v1 single-manifest store
+// becomes a sharded one (convertLegacy); nothing converts on open.
 package repo
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -85,9 +89,16 @@ func (fr *FsckReport) Clean() bool { return len(fr.Issues) == 0 }
 // phantom entries, rebuilds corrupt blobs from their salvageable
 // segments, repairs stale counts, re-adopts orphaned archives, and
 // quarantines what it cannot save. Run Recover (or construct via Open)
-// first so journal debris is not misreported as corruption.
+// first so journal debris is not misreported as corruption. A v1 store
+// is refused like any other read unless repair is set, which converts
+// it first.
 func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 	ss, err := r.resolveShards()
+	if repair && errors.Is(err, ErrLegacyLayout) {
+		if ss, err = r.convertLegacy(); err == nil {
+			_, err = r.Recover()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +548,8 @@ func (r *Repo) Salvage(runID string) (RunInfo, *archive.SalvageReport, error) {
 	var seq uint64
 	journaled := entry != nil
 	if journaled {
-		if seq, err = r.logIntentAt(jname, journalRecord{Op: opSave, RunID: runID, Object: object}); err != nil {
+		intent := journalRecord{Op: opSaveBatch, Members: []packMember{{RunID: runID, Object: object}}}
+		if seq, err = r.logIntentAt(jname, intent); err != nil {
 			return RunInfo{}, &res.Report, err
 		}
 	}
@@ -548,11 +560,91 @@ func (r *Repo) Salvage(runID string) (RunInfo, *archive.SalvageReport, error) {
 		return RunInfo{}, &res.Report, err
 	}
 	if journaled {
-		r.logDoneAt(jname, seq, opSave)
+		r.logDoneAt(jname, seq, opSaveBatch)
 	}
 	r.m.salvagedSegs.Add(int64(res.Report.SegmentsKept))
 	r.obs.Emit("repo", "salvage",
 		fmt.Sprintf("salvaged run %q: %d/%d segments, %d records",
 			runID, res.Report.SegmentsKept, res.Report.SegmentsTotal, res.Report.RecordsKept))
 	return info, &res.Report, nil
+}
+
+// convertLegacy rewrites a v1 single-manifest store as a sharded one
+// of wantShards shards, in place — the only code that still reads
+// ManifestObject and JournalObject. The caller must be the store's only
+// writer. Write order makes a power cut at any boundary leave either a
+// v1 store (still refused, convertible again) or a complete sharded one:
+//
+//  1. delete the shard documents and journals an interrupted conversion
+//     to another count left (invisible while no layout object exists),
+//  2. write the new shard documents, and the v1 journal's bytes as
+//     shard 0's journal (still invisible) — replay does not care which
+//     journal holds an intent, so the Recover that follows the
+//     conversion reconciles what the v1 writer left open,
+//  3. PutIf the layout object at generation 0 — the commit point,
+//  4. delete the v1 manifest and journal; a cut before this leaves them
+//     as foreign objects for a later fsck -repair to quarantine.
+func (r *Repo) convertLegacy() (shardSet, error) {
+	n := max(r.wantShards, 1)
+	legacy, _, err := r.loadManifestObject(ManifestObject)
+	if err != nil {
+		return shardSet{}, err
+	}
+	maxSeq := legacy.NextSeq - 1
+	for _, e := range legacy.Runs {
+		if e.CreatedSeq > maxSeq {
+			maxSeq = e.CreatedSeq
+		}
+	}
+	target := shardSet{n: n, saved: true}
+	docs := make([]*manifest, n)
+	for i := range docs {
+		docs[i] = &manifest{NextSeq: localSeqAfter(maxSeq, n, i)}
+	}
+	for _, e := range legacy.Runs {
+		i := target.shardOf(e.RunID)
+		docs[i].Runs = append(docs[i].Runs, e)
+	}
+	for _, prefix := range []string{shardManifestPrefix, shardJournalPrefix} {
+		for _, name := range r.store.List(prefix) {
+			if err := r.store.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
+				return shardSet{}, err
+			}
+		}
+	}
+	for i, doc := range docs {
+		data, err := marshalManifest(doc)
+		if err != nil {
+			return shardSet{}, err
+		}
+		if _, err := r.store.Put(target.manifestObject(i), data); err != nil {
+			return shardSet{}, err
+		}
+	}
+	if j, err := r.store.Get(JournalObject); err == nil {
+		if _, err := r.store.Put(target.journalObject(0), j.Data); err != nil {
+			return shardSet{}, err
+		}
+	} else if !errors.Is(err, storage.ErrNotFound) {
+		return shardSet{}, err
+	}
+	lay, err := json.Marshal(repoLayout{Version: 1, Shards: n})
+	if err != nil {
+		return shardSet{}, err
+	}
+	if _, err := r.store.PutIf(LayoutObject, lay, 0); err != nil {
+		return shardSet{}, err
+	}
+	for _, name := range []string{ManifestObject, JournalObject} {
+		if err := r.store.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
+			return shardSet{}, err
+		}
+	}
+	r.layoutMu.Lock()
+	r.shards = &target
+	r.layoutMu.Unlock()
+	r.noteSeq(maxSeq)
+	r.obs.Emit("repo", "converted",
+		fmt.Sprintf("converted v1 manifest (%d runs) to %d shards", len(legacy.Runs), n))
+	return target, nil
 }

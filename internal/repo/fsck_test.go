@@ -292,6 +292,16 @@ func TestRepoSalvageIndexedRun(t *testing.T) {
 	if rep, err := r.Fsck(false); err != nil || !rep.Clean() {
 		t.Fatalf("fsck after salvage = %+v, err=%v", rep, err)
 	}
+	// The rewrite was journaled in the one intent format still written.
+	recs, _, err := readJournalObject(bucket, journal0)
+	if err != nil || len(recs) != 4 {
+		t.Fatalf("journal = %d records (%v), want the save's and the salvage's intent+done", len(recs), err)
+	}
+	for _, rec := range recs {
+		if rec.Op != opSaveBatch {
+			t.Fatalf("journal holds a %q record; only %q is written", rec.Op, opSaveBatch)
+		}
+	}
 	if _, rrep, err := Open(bucket); err != nil || !rrep.Clean() {
 		t.Fatalf("recovery after salvage = %+v, err=%v", rrep, err)
 	}

@@ -236,7 +236,7 @@ func TestFleetFinalizeRoutesThroughIngestor(t *testing.T) {
 
 	c := rpc.Pipe(srv)
 	defer c.Close()
-	fc, err := OpenSession(c, OpenRequest{RunID: "laned", Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: "laned", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}

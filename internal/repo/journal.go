@@ -27,10 +27,10 @@
 //
 // Journals are append-only objects (storage.Bucket.Append); the only
 // non-append writes are the compaction rewrites at the end of a
-// successful Recover, once every intent is settled. A v1 repository
-// has one journal (runs/.journal); a sharded one has one per shard
-// (runs/.journal-<i>), all sharing a single in-process seq counter so
-// intent/done pairs stay unambiguous across journals.
+// successful Recover, once every intent is settled. There is one
+// journal per shard (runs/.journal-<i>), all sharing a single
+// in-process seq counter so intent/done pairs stay unambiguous across
+// journals.
 package repo
 
 import (
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -47,8 +48,8 @@ import (
 	"repro/internal/storage"
 )
 
-// JournalObject is the bucket object holding the intent journal in the
-// v1 single-shard layout.
+// JournalObject is the bucket object that held the intent journal in
+// the v1 single-manifest layout; only the converter (fsck.go) reads it.
 const JournalObject = "runs/.journal"
 
 // journalFrameOverhead is the per-record framing cost: u32 length +
@@ -63,9 +64,9 @@ var journalTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal operation and phase names.
 const (
-	// opSave is a single-run save intent. Only Salvage's rewrite of an
-	// indexed run still writes it; Recover also replays the ones that
-	// journals from earlier builds hold.
+	// opSave is a single-run save intent. Nothing writes it any more;
+	// Recover still replays the ones that journals from earlier builds
+	// hold.
 	opSave    = "save"
 	opDelete  = "delete"
 	opGC      = "gc"
@@ -246,29 +247,18 @@ type journalState struct {
 }
 
 // recoverJournals lists the journals Recover may replay. A standalone
-// repository replays everything; a replica-scoped one (OpenShardsOwned)
-// replays only its owned shards' journals — peers may be alive with
-// open intents in theirs, and rolling those back would destroy
-// in-flight saves. Legacy debris is also skipped in scoped mode: it
-// predates the replica layout and belongs to a full (sole-writer) Open.
+// repository replays every shard's; a replica-scoped one
+// (OpenShardsOwned) replays only its owned shards' journals — peers may
+// be alive with open intents in theirs, and rolling those back would
+// destroy in-flight saves.
 func (r *Repo) recoverJournals(ss shardSet) []string {
-	names := r.journalObjects(ss)
-	if r.recoverOwned == nil || ss.legacy {
-		return names
-	}
-	owned := make(map[string]bool, len(r.recoverOwned))
-	for _, si := range r.recoverOwned {
-		if si >= 0 && si < ss.n {
-			owned[ss.journalObject(si)] = true
+	var names []string
+	for i := 0; i < ss.n; i++ {
+		if r.recoverOwned == nil || slices.Contains(r.recoverOwned, i) {
+			names = append(names, ss.journalObject(i))
 		}
 	}
-	scoped := names[:0]
-	for _, name := range names {
-		if owned[name] {
-			scoped = append(scoped, name)
-		}
-	}
-	return scoped
+	return names
 }
 
 // Recover replays every intent journal and reconciles every open
@@ -635,10 +625,7 @@ func sortedUnique(ids []string) []string {
 // bookkeeping: Fsck verifies them through the entries that reference
 // them.
 func isRepoInternalObject(name string) bool {
-	if name == ManifestObject || name == JournalObject || name == LayoutObject {
-		return true
-	}
-	return isShardManifestObject(name) || isShardJournalObject(name)
+	return name == LayoutObject || isShardManifestObject(name) || isShardJournalObject(name)
 }
 
 // runIDFromObject inverts runObject: runs/<id>/archive → <id>, "" for

@@ -55,6 +55,14 @@ func (h *hookStore) Append(name string, data []byte) (*storage.Object, error) {
 	return h.Store.Append(name, data)
 }
 
+// A store opened without a shard count is a 1-shard repository; these
+// are its one manifest and its one journal.
+var (
+	oneShard  = shardSet{n: 1, saved: true}
+	manifest0 = oneShard.manifestObject(0)
+	journal0  = oneShard.journalObject(0)
+)
+
 func newTestBucket(t *testing.T) *storage.Bucket {
 	t.Helper()
 	svc := storage.NewService()
@@ -114,7 +122,7 @@ func TestSaveRollbackFailureReclaimedByRecover(t *testing.T) {
 			failing := &hookStore{
 				Store: bucket,
 				putIfErr: func(name string) error {
-					if name == ManifestObject {
+					if name == manifest0 {
 						return boom
 					}
 					return nil
@@ -217,7 +225,7 @@ func TestRecoverFinishesGCVictims(t *testing.T) {
 	failing := &hookStore{
 		Store: bucket,
 		deleteErr: func(name string) error {
-			if name != JournalObject && name != ManifestObject {
+			if name != journal0 && name != manifest0 {
 				return errors.New("blob delete died")
 			}
 			return nil
@@ -259,7 +267,7 @@ func TestRecoverIgnoresUncommittedGC(t *testing.T) {
 	}
 	// Hand-write an open gc intent naming run-a, as if the process died
 	// between the intent append and the manifest PutIf.
-	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opGC, Victims: []string{"run-a"}}); err != nil {
+	if _, err := r.logIntentAt(journal0, journalRecord{Op: opGC, Victims: []string{"run-a"}}); err != nil {
 		t.Fatal(err)
 	}
 	r2, rep, err := Open(bucket)
@@ -323,10 +331,10 @@ func TestJournalTornTailTrimmed(t *testing.T) {
 	// exist.
 	torn := make([]byte, 6)
 	binary.LittleEndian.PutUint32(torn[:4], 64)
-	if _, err := bucket.Append(JournalObject, torn); err != nil {
+	if _, err := bucket.Append(journal0, torn); err != nil {
 		t.Fatal(err)
 	}
-	recs, tornBytes, err := readJournalObject(bucket, JournalObject)
+	recs, tornBytes, err := readJournalObject(bucket, journal0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +352,7 @@ func TestJournalTornTailTrimmed(t *testing.T) {
 	if rep.TornBytes != len(torn) || rep.OpenIntents != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	obj, err := bucket.Get(JournalObject)
+	obj, err := bucket.Get(journal0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +366,12 @@ func TestJournalTornTailTrimmed(t *testing.T) {
 func TestJournalCorruptFrameStopsRead(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
-	seq, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")})
+	seq, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.logDoneAt(JournalObject, seq, opSave)
-	obj, err := bucket.Get(JournalObject)
+	r.logDoneAt(journal0, seq, opSave)
+	obj, err := bucket.Get(journal0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +379,10 @@ func TestJournalCorruptFrameStopsRead(t *testing.T) {
 	firstLen := int(binary.LittleEndian.Uint32(obj.Data[:4])) + journalFrameOverhead
 	corrupted := append([]byte(nil), obj.Data...)
 	corrupted[firstLen+journalFrameOverhead] ^= 0xff
-	if _, err := bucket.Put(JournalObject, corrupted); err != nil {
+	if _, err := bucket.Put(journal0, corrupted); err != nil {
 		t.Fatal(err)
 	}
-	recs, tornBytes, err := readJournalObject(bucket, JournalObject)
+	recs, tornBytes, err := readJournalObject(bucket, journal0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +402,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if _, err := r.Save(archiveBlob(t, "run-a", 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "ghost", Object: runObject("ghost")}); err != nil {
+	if _, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "ghost", Object: runObject("ghost")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bucket.Put(runObject("ghost"), []byte("orphan")); err != nil {
@@ -422,17 +430,17 @@ func TestRecoverSeqContinuation(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
 	for i := 0; i < 3; i++ {
-		seq, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "x", Object: runObject("x")})
+		seq, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "x", Object: runObject("x")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.logDoneAt(JournalObject, seq, opSave)
+		r.logDoneAt(journal0, seq, opSave)
 	}
 	r2 := New(bucket)
 	if _, err := r2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := r2.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "y", Object: runObject("y")})
+	seq, err := r2.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "y", Object: runObject("y")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +458,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.compactJournalIfSettled(1)
-	obj, err := bucket.Get(JournalObject)
+	obj, err := bucket.Get(journal0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +467,11 @@ func TestJournalCompaction(t *testing.T) {
 	}
 
 	// An open intent blocks compaction.
-	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opDelete, RunID: "run-a", Object: runObject("run-a")}); err != nil {
+	if _, err := r.logIntentAt(journal0, journalRecord{Op: opDelete, RunID: "run-a", Object: runObject("run-a")}); err != nil {
 		t.Fatal(err)
 	}
 	r.compactJournalIfSettled(1)
-	obj, err = bucket.Get(JournalObject)
+	obj, err = bucket.Get(journal0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,10 +483,10 @@ func TestJournalCompaction(t *testing.T) {
 func TestJournalFrameCRC(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
-	if _, err := r.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")}); err != nil {
+	if _, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")}); err != nil {
 		t.Fatal(err)
 	}
-	obj, err := bucket.Get(JournalObject)
+	obj, err := bucket.Get(journal0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,13 +204,3 @@ func IsUnknownSession(err error) bool {
 	}
 	return strings.Contains(err.Error(), "fleet: unknown session")
 }
-
-// IsRedirect reports whether err is (or wraps) a placement redirect,
-// returning the owner's endpoint.
-func IsRedirect(err error) (string, bool) {
-	var redir *rpc.RedirectError
-	if errors.As(err, &redir) {
-		return redir.Endpoint, true
-	}
-	return "", false
-}

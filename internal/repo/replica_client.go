@@ -1,5 +1,5 @@
-// ResilientClient: the agent-side half of exactly-once ingest across
-// replica failover.
+// ResilientClient: the one session client, and the agent-side half of
+// exactly-once ingest across replica failover.
 //
 // The server half already exists: every accepted record is durable in
 // the session log BEFORE the ack (logAccepted), AppendBatch acks a
@@ -25,45 +25,27 @@ import (
 	"repro/internal/trace"
 )
 
-// appendBatchRaw sends one AppendBatch round trip of pre-framed
-// records and returns the server's durable-prefix acceptance count —
-// the primitive both batch senders loop over (FleetClient.PutBatch, and
-// ResilientClient.sendTail, whose watermark must survive session
-// replacement).
-func (fc *FleetClient) appendBatchRaw(framed []byte) (int, error) {
-	if len(framed) == 0 {
-		return 0, nil
-	}
-	body := make([]byte, 8+len(framed))
-	binary.LittleEndian.PutUint64(body[:8], fc.id)
-	copy(body[8:], framed)
-	out, err := fc.c.Call(MethodFleetAppendBatch, body)
-	if err != nil {
-		return 0, err
-	}
-	var resp AppendBatchResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return 0, fmt.Errorf("fleet: bad append-batch response: %w", err)
-	}
-	if resp.Accepted < 0 {
-		return 0, nil
-	}
-	return resp.Accepted, nil
-}
-
-// ResilientClient wraps a FleetClient with send-buffer retention and
-// automatic resume-on-unknown-session. Use one per run, from one
-// goroutine (matching FleetClient). The rpc.Caller should be an
-// endpoint-set ReconnectClient so transports failures and placement
-// redirects are already absorbed below this layer; this layer handles
+// ResilientClient is the profiler-side handle on one collection
+// session, with send-buffer retention and automatic
+// resume-on-unknown-session. It implements profiler.RecordStore and
+// profiler.BatchStore, so a profiler streams into the fleet endpoint by
+// setting it as its Bucket. Use one per run, from one goroutine. The
+// rpc.Caller should be an endpoint-set ReconnectClient so transport
+// failures and placement redirects are already absorbed below this
+// layer (a single endpoint is the degenerate set); this layer handles
 // the one failure class that survives reconnection — the server
 // forgetting the in-memory session.
 type ResilientClient struct {
-	c  rpc.Caller
-	fc *FleetClient
+	c     rpc.Caller
+	id    uint64 // the server's in-memory handle; replaced by every resume
+	token string // the durable identity resume presents
 
-	// sent is every record framed in accepted order; acked counts how
-	// many of them the server has durably acknowledged.
+	// base is how many records the server already held when this client
+	// attached by token (ResumeResilient; 0 after OpenResilient). sent is
+	// every record framed since, in accepted order — sent[i] is the
+	// session's record base+i — and acked counts how many of them the
+	// server has durably acknowledged.
+	base  int
 	sent  [][]byte
 	acked int
 	// resumes counts recoveries, for tests and diagnostics.
@@ -73,15 +55,48 @@ type ResilientClient struct {
 // OpenResilient opens a session and returns a client that survives
 // collector crashes and failovers.
 func OpenResilient(c rpc.Caller, req OpenRequest) (*ResilientClient, error) {
-	fc, err := OpenSession(c, req)
-	if err != nil {
+	var resp OpenResponse
+	if err := callJSON(c, MethodFleetOpen, req, &resp); err != nil {
 		return nil, err
 	}
-	return &ResilientClient{c: c, fc: fc}, nil
+	return &ResilientClient{c: c, id: resp.SessionID, token: resp.Token}, nil
 }
 
-// Token returns the durable resume token.
-func (rc *ResilientClient) Token() string { return rc.fc.Token() }
+// callJSON is one control round trip: req marshalled as the body, the
+// answer decoded into resp (nil when the verb answers nothing).
+func callJSON(c rpc.Caller, method string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	out, err := c.Call(method, body)
+	if err != nil || resp == nil {
+		return err
+	}
+	if err := json.Unmarshal(out, resp); err != nil {
+		return fmt.Errorf("%s: bad response: %w", method, err)
+	}
+	return nil
+}
+
+// ResumeResilient reattaches an agent that itself restarted, with
+// nothing but the token it persisted: it returns the client and how
+// many records the server holds durably. The caller restreams its
+// records from that index; the client's watermark starts there, so a
+// later resume that finds fewer is an error — the records below it are
+// not retained here to resend.
+func ResumeResilient(c rpc.Caller, token string) (*ResilientClient, int64, error) {
+	var resp ResumeResponse
+	if err := callJSON(c, MethodFleetResume, ResumeRequest{Token: token}, &resp); err != nil {
+		return nil, 0, err
+	}
+	rc := &ResilientClient{c: c, id: resp.SessionID, token: token, base: int(resp.AcceptedRecords)}
+	return rc, resp.AcceptedRecords, nil
+}
+
+// Token returns the durable resume token. An agent that wants to
+// survive its own restart persists it and hands it to ResumeResilient.
+func (rc *ResilientClient) Token() string { return rc.token }
 
 // Resumes reports how many times the client recovered a lost session.
 func (rc *ResilientClient) Resumes() int { return rc.resumes }
@@ -93,10 +108,9 @@ func (rc *ResilientClient) Append(rec *trace.ProfileRecord) error {
 	return rc.flush()
 }
 
-// Put accepts one record's wire bytes — profiler.RecordStore, so a
-// profiler can stream straight into a resilient session the way it
-// does into a FleetClient. The name is advisory (the session orders
-// records); data is retained for failover resend.
+// Put accepts one record's wire bytes — profiler.RecordStore. The name
+// is the profiler's local object name and is not persisted (the session
+// orders records by arrival); data is retained for failover resend.
 func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error) {
 	rc.sent = append(rc.sent, frameOne(data))
 	if err := rc.flush(); err != nil {
@@ -134,40 +148,51 @@ func (rc *ResilientClient) AppendBatch(recs []*trace.ProfileRecord) error {
 	return rc.flush()
 }
 
-// flush pushes the unacked tail, resuming on unknown-session. One
-// resume per flush attempt: a second unknown-session right after a
-// successful Resume means the fleet is flapping faster than we can
-// reattach — surface it.
-func (rc *ResilientClient) flush() error {
-	err := rc.sendTail()
-	if err == nil {
-		return nil
-	}
+// withSession runs call against the live session. On unknown-session it
+// resumes by token and runs call once more: a second unknown-session
+// right after a successful Resume means the fleet is flapping faster
+// than we can reattach — surface it.
+func (rc *ResilientClient) withSession(call func() error) error {
+	err := call()
 	if !IsUnknownSession(err) {
 		return err
 	}
 	if rerr := rc.resume(); rerr != nil {
 		return fmt.Errorf("session lost and resume failed: %w", rerr)
 	}
-	return rc.sendTail()
+	return call()
 }
 
-// sendTail transmits sent[acked:] in one batch frame, advancing acked
-// by the server's durable-prefix acknowledgements.
+// flush pushes the unacked tail, resuming on unknown-session.
+func (rc *ResilientClient) flush() error { return rc.withSession(rc.sendTail) }
+
+// sendTail transmits sent[acked:] in one AppendBatch frame per round
+// trip (u64le session id, then the framed records), advancing acked by
+// the server's durable-prefix acknowledgements: under backpressure the
+// server accepts a prefix and only the rest is resent, so records are
+// never duplicated.
 func (rc *ResilientClient) sendTail() error {
 	for rc.acked < len(rc.sent) {
-		var framed []byte
+		size := 8
 		for _, raw := range rc.sent[rc.acked:] {
-			framed = append(framed, raw...)
+			size += len(raw)
 		}
-		n, err := rc.fc.appendBatchRaw(framed)
-		rc.acked += n
+		body := binary.LittleEndian.AppendUint64(make([]byte, 0, size), rc.id)
+		for _, raw := range rc.sent[rc.acked:] {
+			body = append(body, raw...)
+		}
+		out, err := rc.c.Call(MethodFleetAppendBatch, body)
 		if err != nil {
 			return err
 		}
-		if n == 0 {
+		var resp AppendBatchResponse
+		if err := json.Unmarshal(out, &resp); err != nil {
+			return fmt.Errorf("fleet: bad append-batch response: %w", err)
+		}
+		if resp.Accepted <= 0 {
 			return fmt.Errorf("fleet: append-batch accepted 0 of %d records", len(rc.sent)-rc.acked)
 		}
+		rc.acked += resp.Accepted
 	}
 	return nil
 }
@@ -178,45 +203,48 @@ func (rc *ResilientClient) sendTail() error {
 // watermark trusts the server regardless, which also makes the client
 // correct against a server that loses its tail to a torn log trim).
 func (rc *ResilientClient) resume() error {
-	fc, accepted, err := ResumeSession(rc.c, rc.fc.Token())
-	if err != nil {
+	var resp ResumeResponse
+	if err := callJSON(rc.c, MethodFleetResume, ResumeRequest{Token: rc.token}, &resp); err != nil {
 		return err
 	}
-	if accepted > int64(len(rc.sent)) {
-		return fmt.Errorf("fleet: server has %d records durable, client only sent %d", accepted, len(rc.sent))
+	held := int(resp.AcceptedRecords) - rc.base
+	if held < 0 {
+		return fmt.Errorf("fleet: server has %d records durable, fewer than the %d this client resumed at",
+			resp.AcceptedRecords, rc.base)
 	}
-	rc.fc = fc
-	rc.acked = int(accepted)
+	if held > len(rc.sent) {
+		return fmt.Errorf("fleet: server has %d records durable, client only sent %d",
+			resp.AcceptedRecords, rc.base+len(rc.sent))
+	}
+	rc.id, rc.acked = resp.SessionID, held
 	rc.resumes++
 	return nil
 }
 
-// Finalize archives the run, recovering the session if needed. Any
-// unacked tail is flushed first, so the archive always holds every
-// record the caller appended.
+// Finalize closes the session; the server analyzes, archives, and
+// indexes the run, returning its manifest entry. Any unacked tail is
+// flushed first — and again after a resume, when the collector lost the
+// session between our last append and this call — so the archive always
+// holds every record the caller appended.
 func (rc *ResilientClient) Finalize() (RunInfo, error) {
-	if err := rc.flush(); err != nil {
-		return RunInfo{}, err
-	}
-	info, err := rc.fc.Finalize()
-	if err == nil || !IsUnknownSession(err) {
-		return info, err
-	}
-	// The collector lost the session between our last append and this
-	// finalize. Resume replays the durable log (everything is already
-	// acked) and the retry finalizes the recovered session.
-	if rerr := rc.resume(); rerr != nil {
-		return RunInfo{}, fmt.Errorf("session lost and resume failed: %w", rerr)
-	}
-	if err := rc.flush(); err != nil {
-		return RunInfo{}, err
-	}
-	return rc.fc.Finalize()
+	var info RunInfo
+	err := rc.withSession(func() error {
+		if err := rc.sendTail(); err != nil {
+			return err
+		}
+		return callJSON(rc.c, MethodFleetFinalize, sessionRequest{SessionID: rc.id}, &info)
+	})
+	return info, err
 }
 
-// Abort discards the session server-side; the retained buffer is
-// dropped client-side.
+// Abort discards the session without archiving; the retained buffer is
+// dropped client-side. A collector that restarted holds the session
+// only as parked durable state, so the abort resumes it first: the
+// server retires sessions/<token>/ only through a live session.
 func (rc *ResilientClient) Abort() error {
+	err := rc.withSession(func() error {
+		return callJSON(rc.c, MethodFleetAbort, sessionRequest{SessionID: rc.id}, nil)
+	})
 	rc.sent, rc.acked = nil, 0
-	return rc.fc.Abort()
+	return err
 }

@@ -95,13 +95,13 @@ func TestReplicaOpenRedirectsToOwner(t *testing.T) {
 	// without allocating anything.
 	c0 := rpc.Pipe(srv0)
 	defer c0.Close()
-	_, err := OpenSession(c0, OpenRequest{RunID: foreign, Workload: "synthetic"})
-	ep, ok := IsRedirect(err)
-	if !ok {
+	_, err := OpenResilient(c0, OpenRequest{RunID: foreign, Workload: "synthetic"})
+	var redir *rpc.RedirectError
+	if !errors.As(err, &redir) {
 		t.Fatalf("open on the wrong replica: err = %v, want redirect", err)
 	}
-	if ep != "replica-b" {
-		t.Fatalf("redirect endpoint = %q, want replica-b", ep)
+	if redir.Endpoint != "replica-b" {
+		t.Fatalf("redirect endpoint = %q, want replica-b", redir.Endpoint)
 	}
 	if !rpc.IsTransient(err) {
 		t.Fatal("placement redirect must classify transient")
@@ -110,7 +110,7 @@ func TestReplicaOpenRedirectsToOwner(t *testing.T) {
 	// The owner accepts the same open, and scopes the token.
 	c1 := rpc.Pipe(srv1)
 	defer c1.Close()
-	fc, err := OpenSession(c1, OpenRequest{RunID: foreign, Workload: "synthetic"})
+	fc, err := OpenResilient(c1, OpenRequest{RunID: foreign, Workload: "synthetic"})
 	if err != nil {
 		t.Fatalf("open on the owner: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestReplicaEndpointSetFollowsRedirect(t *testing.T) {
 	defer rc.Close()
 
 	foreign := runOwnedBy(t, "redirected", 4, &ReplicaConfig{ID: 1, Replicas: 2})
-	fc, err := OpenSession(rc, OpenRequest{RunID: foreign, Workload: "synthetic"})
+	fc, err := OpenResilient(rc, OpenRequest{RunID: foreign, Workload: "synthetic"})
 	if err != nil {
 		t.Fatalf("open through the endpoint set: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestReplicaRecoverSessionsAdoptsOwnedOnly(t *testing.T) {
 		run string
 	}{{srv0, runA}, {srv1, runB}} {
 		c := rpc.Pipe(p.srv)
-		fc, err := OpenSession(c, OpenRequest{RunID: p.run, Workload: "synthetic"})
+		fc, err := OpenResilient(c, OpenRequest{RunID: p.run, Workload: "synthetic"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestReplicaRemovalSurvivorAdopts(t *testing.T) {
 
 	run := runOwnedBy(t, "orphaned", 4, &ReplicaConfig{ID: 1, Replicas: 2})
 	c := rpc.Pipe(srv1)
-	fc, err := OpenSession(c, OpenRequest{RunID: run, Workload: "synthetic"})
+	fc, err := OpenResilient(c, OpenRequest{RunID: run, Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestReplicaRemovalSurvivorAdopts(t *testing.T) {
 
 	c0 := rpc.Pipe(srv0)
 	defer c0.Close()
-	fc2, accepted, err := ResumeSession(c0, token)
+	fc2, accepted, err := ResumeResilient(c0, token)
 	if err != nil {
 		t.Fatalf("resume on the survivor: %v", err)
 	}
@@ -437,7 +437,7 @@ func TestLeaseExpirySweepVsConcurrentResume(t *testing.T) {
 
 	cA := rpc.Pipe(srvA)
 	defer cA.Close()
-	fc, err := OpenSession(cA, OpenRequest{RunID: "sweep-race", Workload: "synthetic"})
+	fc, err := OpenResilient(cA, OpenRequest{RunID: "sweep-race", Workload: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestLeaseExpirySweepVsConcurrentResume(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < 20; i++ {
 				advance(60 * time.Millisecond) // every lease is now expired
-				fc, accepted, err := ResumeSession(c, token)
+				fc, accepted, err := ResumeResilient(c, token)
 				if err != nil {
 					// Losing the eviction race to the other handle's
 					// resume is fine; losing the durable state is not.
@@ -487,7 +487,7 @@ func TestLeaseExpirySweepVsConcurrentResume(t *testing.T) {
 	// One final resume owns the session; stream the tail and land it.
 	cB := rpc.Pipe(srvB)
 	defer cB.Close()
-	fcFinal, accepted, err := ResumeSession(cB, token)
+	fcFinal, accepted, err := ResumeResilient(cB, token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,5 +612,45 @@ func TestOpenShardsOwnedScopesRecovery(t *testing.T) {
 	}
 	if rep.RolledBack != 1 {
 		t.Fatalf("full recovery rolled back %d, want 1", rep.RolledBack)
+	}
+}
+
+// TestOpenShardsOwnedRefusesOtherCount: a replica's owned set is
+// computed from the count it asked for, while placement follows the
+// count the store records. Reopening a 12-shard store as replica 1 of 2
+// with the default 4x2 = 8 used to succeed and leave the journals of
+// shards 9 and 11 — which placement says this replica owns — unreplayed.
+// A different count is an error; the stored count replays them.
+func TestOpenShardsOwnedRefusesOtherCount(t *testing.T) {
+	bucket := newBucket(t)
+	r0, _, err := OpenShards(bucket, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r0.Save(archiveBlob(t, "seed", 1, 0)); err != nil { // makes the layout durable
+		t.Fatal(err)
+	}
+	// A crashed save on shard 9: open intent, blob written, never indexed.
+	j9 := shardSet{n: 12}.journalObject(9)
+	if _, err := r0.logIntentAt(j9, journalRecord{Op: opSave, RunID: "cut", Object: runObject("cut")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bucket.Put(runObject("cut"), []byte("orphan bytes")); err != nil {
+		t.Fatal(err)
+	}
+
+	rc := &ReplicaConfig{ID: 1, Replicas: 2}
+	if _, _, err := OpenShardsOwned(bucket, 8, rc.OwnedShards(8)); err == nil {
+		t.Fatal("a 12-shard store opened as 8 shards: shard 9's journal would never be replayed")
+	}
+	if !bucket.Exists(runObject("cut")) {
+		t.Fatal("the refused open wrote to the store")
+	}
+	_, rep, err := OpenShardsOwned(bucket, 12, rc.OwnedShards(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RolledBack != 1 || bucket.Exists(runObject("cut")) {
+		t.Fatalf("shard 9's open intent not replayed by its owner: %+v", rep)
 	}
 }

@@ -5,16 +5,18 @@
 // collection of runs, and this package makes that collection durable
 // and addressable.
 //
-// Layout inside the bucket (v1, single shard):
+// Layout inside the bucket:
 //
-//	runs/manifest.json    — JSON index of every run + the seq allocator
-//	runs/<run-id>/archive — the archive blob
+//	runs/.layout           — the shard count M (1 unless asked otherwise)
+//	runs/manifest-<i>.json — shard i's JSON index + seq allocator
+//	runs/.journal-<i>      — shard i's intent journal
+//	runs/<run-id>/archive  — the archive blob
 //
-// A sharded repository (see shard.go) splits the index across M
-// manifest shards hashed by run ID, each with its own CAS loop and
-// intent journal, and may consolidate small archives into pack objects
-// under runs/.pack/ (see compact.go); a manifest entry then addresses
-// a byte window of the shared pack.
+// The index is split across M manifest shards hashed by run ID (see
+// shard.go), each with its own CAS loop and intent journal. Small
+// archives may be consolidated into pack objects under runs/.pack/
+// (see compact.go); a manifest entry then addresses a byte window of
+// the shared pack.
 //
 // Manifests are updated with a compare-and-swap loop over
 // storage.Bucket.PutIf, so concurrent writers (the fleet endpoint
@@ -69,8 +71,9 @@ var (
 	_ Store = (*storage.DirStore)(nil)
 )
 
-// ManifestObject is the bucket object holding the run index in the v1
-// single-shard layout.
+// ManifestObject is the bucket object that held the run index in the v1
+// single-manifest layout. Nothing writes it any more; it is named only
+// to detect such a store (resolveShards) and to convert one (fsck.go).
 const ManifestObject = "runs/manifest.json"
 
 // casRetries bounds a manifest shard's compare-and-swap loop. Every
@@ -89,6 +92,12 @@ var (
 	// condition rpc.IsTransient tells ReconnectClient and fleet agents
 	// to back off and retry rather than surface to an acked writer.
 	ErrManifestContention = fmt.Errorf("repo: manifest contention: %w", rpc.ErrBusy)
+	// ErrLegacyLayout refuses a store that holds the v1 single-manifest
+	// index (runs/manifest.json) and no layout object. Every constructor
+	// and every read returns it rather than treat the store as empty;
+	// nothing migrates on open.
+	ErrLegacyLayout = errors.New("repo: v1 single-manifest layout (" + ManifestObject + " without " +
+		LayoutObject + ") is not opened; convert it with `tpupoint runs fsck -repair [-shards N]`")
 )
 
 // RunInfo is one manifest entry: everything list/show need without
@@ -170,7 +179,7 @@ type Repo struct {
 	m          repoMetrics
 	journalSeq uint64 // atomic; intent/done pairing
 
-	wantShards int        // OpenShards target for fresh stores; 0 = keep what exists
+	wantShards int        // shard count for a fresh (or converted v1) store; 0 = 1
 	layoutMu   sync.Mutex // guards shards
 	shards     *shardSet  // cached layout; nil until resolved
 
@@ -194,12 +203,14 @@ type Repo struct {
 	compactMu sync.Mutex // serializes Compact within the process
 }
 
-// New returns a repository over store. An empty store is an empty v1
-// repository; no initialization is needed. New does NOT replay the
-// intent journal, so it is the constructor for a reader that shares
-// the store with live writers (the CLI's read-only verbs): reads never
-// write. A writer uses Open, which first reconciles the debris of a
-// crashed predecessor.
+// New returns a repository over store. An empty store is an empty
+// 1-shard repository; no initialization is needed (the layout object
+// lands with the first mutation). New does NOT replay the intent
+// journal, so it is the constructor for a reader that shares the store
+// with live writers (the CLI's read-only verbs): reads never write. A
+// writer uses Open, which first reconciles the debris of a crashed
+// predecessor. New cannot fail, so a v1 store is refused by the first
+// operation instead (ErrLegacyLayout).
 func New(store Store) *Repo {
 	return &Repo{
 		store:    store,
@@ -212,21 +223,19 @@ func New(store Store) *Repo {
 
 // Open returns a repository over store after replaying its intent
 // journals, so interrupted mutations from a previous process are
-// completed or rolled back before any new ones start. The store's
-// existing layout — v1 single-manifest or sharded — is preserved; use
-// OpenShards to migrate. A full replay rolls back every open intent,
-// including one a live writer on the same store has in flight, so the
-// caller must be the store's only writer (a replica of several uses
-// OpenShardsOwned).
+// completed or rolled back before any new ones start. A full replay
+// rolls back every open intent, including one a live writer on the same
+// store has in flight, so the caller must be the store's only writer (a
+// replica of several uses OpenShardsOwned).
 func Open(store Store) (*Repo, *RecoveryReport, error) {
 	return OpenShards(store, 0)
 }
 
-// OpenShards is Open with a target shard count. shards > 1 migrates a
-// v1 single-manifest store (or initializes a fresh one) to that many
-// shards; a store that is already sharded keeps its existing count.
-// shards <= 1 preserves whatever layout the store has, exactly like
-// Open. Migration requires this process to be the only writer.
+// OpenShards is Open with a shard count for a fresh store (0 = 1); an
+// existing repository keeps its recorded count. A v1 store is refused
+// with ErrLegacyLayout before anything is replayed or written, but the
+// repository is still handed back with that error: the one thing it
+// can do is the conversion into shards shards, Fsck(true).
 func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 	if shards > MaxShards {
 		return nil, nil, fmt.Errorf("repo: %d shards exceeds the %d maximum", shards, MaxShards)
@@ -234,22 +243,11 @@ func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 	r := New(store)
 	r.wantShards = shards
 	rep, err := r.Recover()
+	if errors.Is(err, ErrLegacyLayout) {
+		return r, nil, err
+	}
 	if err != nil {
 		return nil, nil, err
-	}
-	ss, err := r.resolveShards()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case shards > 1 && ss.legacy:
-		if err := r.migrateToShards(shards); err != nil {
-			return nil, nil, err
-		}
-	case !ss.legacy:
-		// Finish an interrupted migration's cleanup (the layout object
-		// committed but the legacy objects lingered).
-		r.cleanupLegacy()
 	}
 	return r, rep, nil
 }
@@ -258,10 +256,14 @@ func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 // sharing the store: journal replay (and later opportunistic journal
 // truncation) touches ONLY the owned shards' journals, because peer
 // replicas may be alive with open intents in theirs — a full replay
-// would roll back their in-flight saves. It never migrates layouts
-// (migration needs a sole writer); a fresh store still initializes
-// the sharded layout via the usual PutIf(gen 0) race, which concurrent
-// replicas lose gracefully.
+// would roll back their in-flight saves. A fresh store initializes the
+// layout via the usual PutIf(gen 0) race, which concurrent replicas
+// lose gracefully.
+//
+// owned was computed from shards, and placement uses the stored count,
+// so an existing repository whose count differs from a non-zero shards
+// is an error: replaying by the wrong count would leave some owned
+// journals unreplayed.
 //
 // Ownership changes are the caller's contract: a replica must be
 // opened with exactly the shards its current ReplicaConfig assigns
@@ -274,11 +276,13 @@ func OpenShardsOwned(store Store, shards int, owned []int) (*Repo, *RecoveryRepo
 	r := New(store)
 	r.wantShards = shards
 	r.recoverOwned = append([]int{}, owned...)
+	if ss, err := r.resolveShards(); err != nil {
+		return nil, nil, err
+	} else if shards != 0 && ss.n != shards {
+		return nil, nil, fmt.Errorf("repo: store is laid out in %d shards, not the %d asked for", ss.n, shards)
+	}
 	rep, err := r.Recover()
 	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := r.resolveShards(); err != nil {
 		return nil, nil, err
 	}
 	return r, rep, nil

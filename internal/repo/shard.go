@@ -1,13 +1,12 @@
-// Sharded index layout: the scale-out half of the repository.
+// Sharded index layout: the repository's one on-disk layout.
 //
-// A v1 repository keeps every run in one runs/manifest.json document,
-// so every Save/Delete/GC/NextSeq contends on a single CAS object — at
-// fleet scale the writers livelock on the index. A sharded repository
-// hashes run IDs (FNV-1a) across M manifest shards, each with its own
-// CAS loop and its own intent journal:
+// With every run in a single index document, every Save/Delete/GC/
+// NextSeq contends on one CAS object — at fleet scale the writers
+// livelock on the index. The repository therefore hashes run IDs
+// (FNV-1a) across M manifest shards (M = 1 unless asked otherwise),
+// each with its own CAS loop and its own intent journal:
 //
-//	runs/.layout           — {"version":1,"shards":M}; presence selects
-//	                         the sharded layout, absence the v1 layout
+//	runs/.layout           — {"version":1,"shards":M}
 //	runs/manifest-<i>.json — shard i's index + local seq allocator
 //	runs/.journal-<i>      — shard i's intent journal
 //
@@ -19,10 +18,10 @@
 // colliding and a process leases seqBlockSize locals per CAS
 // round-trip instead of one.
 //
-// A repository without a layout object stays byte-for-byte a v1
-// repository (M=1, legacy object names); OpenShards migrates it in
-// place. The layout object is written with PutIf(gen 0), so concurrent
-// creators agree on one shard count.
+// The layout object is written with PutIf(gen 0) before the first index
+// mutation, so concurrent creators agree on one shard count. A store
+// holding the v1 single-manifest index (runs/manifest.json, no layout
+// object) is refused with ErrLegacyLayout; fsck.go holds its converter.
 package repo
 
 import (
@@ -38,8 +37,8 @@ import (
 	"repro/internal/storage"
 )
 
-// LayoutObject is the bucket object declaring the sharded layout. Its
-// absence means the v1 single-manifest layout.
+// LayoutObject is the bucket object declaring the shard count. A store
+// without one is fresh, or (with a v1 manifest) refused.
 const LayoutObject = "runs/.layout"
 
 // DefaultShards is the shard count the CLI and benchmarks use when
@@ -68,27 +67,19 @@ type repoLayout struct {
 	Shards  int `json:"shards"`
 }
 
-// shardSet is a resolved index layout: how many shards, whether the
-// store uses the legacy v1 object names, and whether the layout is
-// durable yet (a fresh sharded store defers the layout write to the
-// first mutation).
+// shardSet is a resolved index layout: how many shards, and whether
+// the layout is durable yet (a fresh store defers the layout write to
+// the first mutation).
 type shardSet struct {
-	n      int
-	legacy bool
-	saved  bool
+	n     int
+	saved bool
 }
 
 func (ss shardSet) manifestObject(i int) string {
-	if ss.legacy {
-		return ManifestObject
-	}
 	return fmt.Sprintf("%s%d.json", shardManifestPrefix, i)
 }
 
 func (ss shardSet) journalObject(i int) string {
-	if ss.legacy {
-		return JournalObject
-	}
 	return fmt.Sprintf("%s%d", shardJournalPrefix, i)
 }
 
@@ -109,10 +100,10 @@ func shardIndex(runID string, n int) int {
 }
 
 // resolveShards determines the store's layout: an existing layout
-// object wins; otherwise an existing v1 manifest means legacy; a fresh
-// store takes wantShards (OpenShards' target) or defaults to legacy.
-// The result is cached once durable; an undurable fresh layout is
-// re-probed every call so a concurrent creator's layout is adopted.
+// object wins; without one a v1 manifest is refused, and a fresh store
+// takes wantShards (OpenShards' target, 1 when unset). The result is
+// cached once durable; an undurable fresh layout is re-probed every
+// call so a concurrent creator's layout is adopted.
 func (r *Repo) resolveShards() (shardSet, error) {
 	r.layoutMu.Lock()
 	defer r.layoutMu.Unlock()
@@ -132,17 +123,12 @@ func (r *Repo) resolveShards() (shardSet, error) {
 		}
 		ss = shardSet{n: lay.Shards, saved: true}
 	case errors.Is(err, storage.ErrNotFound):
-		switch {
-		case r.store.Exists(ManifestObject):
+		if r.store.Exists(ManifestObject) {
 			// An indexed store without a layout object is a v1
-			// repository; never reinterpret it implicitly (OpenShards
-			// migrates explicitly).
-			ss = shardSet{n: 1, legacy: true, saved: true}
-		case r.wantShards > 1:
-			ss = shardSet{n: r.wantShards, saved: false}
-		default:
-			ss = shardSet{n: 1, legacy: true, saved: true}
+			// repository: reading it as fresh would hide its runs.
+			return shardSet{}, ErrLegacyLayout
 		}
+		ss = shardSet{n: max(r.wantShards, 1)}
 	default:
 		return shardSet{}, err
 	}
@@ -150,8 +136,8 @@ func (r *Repo) resolveShards() (shardSet, error) {
 	return ss, nil
 }
 
-// ensureShards is resolveShards plus layout durability: a fresh
-// sharded store gets its layout object written (PutIf gen 0) before
+// ensureShards is resolveShards plus layout durability: a fresh store
+// gets its layout object written (PutIf gen 0) before
 // the first index mutation, adopting a concurrent creator's layout on
 // a lost race.
 func (r *Repo) ensureShards() (shardSet, error) {
@@ -373,7 +359,7 @@ func (r *Repo) leaseSeqBlock(ss shardSet) error {
 }
 
 // noteSeq records an externally observed sequence number (an adopted
-// orphan, a migrated run) so future allocations stay above it; a lease
+// orphan, a converted run) so future allocations stay above it; a lease
 // that would re-issue at or below seq is dropped.
 func (r *Repo) noteSeq(seq uint64) {
 	r.seqMu.Lock()
@@ -386,131 +372,7 @@ func (r *Repo) noteSeq(seq uint64) {
 	r.seqMu.Unlock()
 }
 
-// journalObjects returns every journal the layout can have written:
-// each shard's journal, plus the legacy journal when it still exists
-// alongside a sharded layout (pre-migration debris).
-func (r *Repo) journalObjects(ss shardSet) []string {
-	if ss.legacy {
-		return []string{JournalObject}
-	}
-	names := make([]string, 0, ss.n+1)
-	for i := 0; i < ss.n; i++ {
-		names = append(names, ss.journalObject(i))
-	}
-	if r.store.Exists(JournalObject) {
-		names = append(names, JournalObject)
-	}
-	return names
-}
-
-// migrateToShards converts a v1 single-manifest store to n shards in
-// place. The caller must have replayed the legacy journal first
-// (OpenShards does), and must be the only writer during migration.
-// Write order makes a power cut at any boundary recoverable:
-//
-//  1. delete stale shard documents from an interrupted migration with
-//     a different count (invisible while no layout object exists),
-//  2. write the new shard documents (still invisible),
-//  3. PutIf the layout object at generation 0 — the commit point; a
-//     lost race means another migrator won and we adopt its layout,
-//  4. delete the legacy manifest and journal (redone by any later
-//     Open if the cut lands first).
-func (r *Repo) migrateToShards(n int) error {
-	if n < 2 {
-		return nil
-	}
-	if n > MaxShards {
-		return fmt.Errorf("repo: %d shards exceeds the %d maximum", n, MaxShards)
-	}
-	ss, err := r.resolveShards()
-	if err != nil {
-		return err
-	}
-	if !ss.legacy {
-		// Already sharded; the existing count wins. Clear any legacy
-		// debris an interrupted migration left behind.
-		r.cleanupLegacy()
-		return nil
-	}
-	legacy, _, err := r.loadManifestObject(ManifestObject)
-	if err != nil {
-		return err
-	}
-	maxSeq := legacy.NextSeq - 1
-	for _, e := range legacy.Runs {
-		if e.CreatedSeq > maxSeq {
-			maxSeq = e.CreatedSeq
-		}
-	}
-	target := shardSet{n: n}
-	docs := make([]*manifest, n)
-	for i := range docs {
-		docs[i] = &manifest{NextSeq: localSeqAfter(maxSeq, n, i)}
-	}
-	for _, e := range legacy.Runs {
-		i := shardIndex(e.RunID, n)
-		docs[i].Runs = append(docs[i].Runs, e)
-	}
-	for _, name := range r.store.List(shardManifestPrefix) {
-		if err := r.store.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return err
-		}
-	}
-	for i, doc := range docs {
-		if len(doc.Runs) == 0 && doc.NextSeq <= 1 {
-			continue // a missing document reads as an empty shard
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if _, err := r.store.Put(target.manifestObject(i), data); err != nil {
-			return err
-		}
-	}
-	lay, err := json.Marshal(repoLayout{Version: 1, Shards: n})
-	if err != nil {
-		return err
-	}
-	if _, err := r.store.PutIf(LayoutObject, lay, 0); err != nil {
-		if !errors.Is(err, storage.ErrGenerationMismatch) {
-			return err
-		}
-		// A concurrent migrator committed first; its layout (and shard
-		// documents) win wholesale.
-		r.invalidateLayout()
-		if _, err := r.resolveShards(); err != nil {
-			return err
-		}
-		r.cleanupLegacy()
-		return nil
-	}
-	r.layoutMu.Lock()
-	committed := shardSet{n: n, saved: true}
-	r.shards = &committed
-	r.layoutMu.Unlock()
-	r.cleanupLegacy()
-	r.noteSeq(maxSeq)
-	r.obs.Emit("repo", "migrated",
-		fmt.Sprintf("migrated v1 manifest (%d runs) to %d shards", len(legacy.Runs), n))
-	return nil
-}
-
-// cleanupLegacy removes the v1 manifest and journal once a sharded
-// layout is durable. Best-effort: a failure just leaves debris the
-// next Open retries (the legacy objects are unreachable once the
-// layout object exists, and the legacy journal was settled before
-// migration began).
-func (r *Repo) cleanupLegacy() {
-	for _, name := range []string{ManifestObject, JournalObject} {
-		if r.store.Exists(name) {
-			_ = r.store.Delete(name)
-		}
-	}
-}
-
-// Shards reports the repository's shard count (1 = v1 single-manifest
-// layout).
+// Shards reports the repository's shard count.
 func (r *Repo) Shards() (int, error) {
 	ss, err := r.resolveShards()
 	if err != nil {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/faultnet"
 	"repro/internal/rpc"
 	"repro/internal/storage"
@@ -204,164 +206,257 @@ func TestUpdateContentionBacksOffAndSucceeds(t *testing.T) {
 	}
 }
 
-// TestMigrationRoundTrip: a populated v1 repository opened with a shard
-// target must preserve every run, adopt the sharded layout durably, and
-// keep allocating sequences above the migrated maximum.
-func TestMigrationRoundTrip(t *testing.T) {
-	bucket := newTestBucket(t)
-	legacy, _, err := Open(bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 7
-	for i := 0; i < runs; i++ {
-		seq, err := legacy.NextSeq()
+// seedV1Store hand-builds what an older build left behind, object by
+// object (nothing in the package writes this layout any more):
+// runs/manifest.json indexing n run blobs, and a runs/.journal holding
+// one settled save plus one open save intent whose blob ("ghost") is on
+// disk and unindexed — the v1 writer died mid-save. It returns the
+// indexed entries in listing order.
+func seedV1Store(t *testing.T, store Store, n int) []RunInfo {
+	t.Helper()
+	w := New(store) // only frames journal records; never resolves the layout
+	m := &manifest{NextSeq: uint64(n) + 2}
+	for i := 0; i < n; i++ {
+		blob := archiveBlob(t, "run-"+strconv.Itoa(i), uint64(i)+1, 0)
+		a, err := archive.Open(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := legacy.Save(archiveBlob(t, "run-"+strconv.Itoa(i), seq, 0)); err != nil {
+		info := w.entryFor(a, RunInfo{})
+		if _, err := store.Put(info.Object, blob); err != nil {
 			t.Fatal(err)
 		}
+		m.Runs = append(m.Runs, info)
 	}
-	before, err := legacy.List(Filter{})
+	data, err := marshalManifest(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := store.Put(ManifestObject, data); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "run-0", Object: runObject("run-0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.logDoneAt(JournalObject, seq, opSave)
+	if _, err := w.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "ghost", Object: runObject("ghost")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Put(runObject("ghost"), archiveBlob(t, "ghost", uint64(n)+1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	return m.Runs
+}
 
-	r := openSharded(t, bucket, 4)
+// storeContents snapshots every object's bytes.
+func storeContents(t *testing.T, store Store) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, name := range store.List("") {
+		obj, err := store.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(obj.Data)
+	}
+	return out
+}
+
+// TestLegacyLayoutRefused: a v1 store is refused by every constructor
+// and by every operation of the one constructor that cannot fail —
+// never read as an empty repository, never converted on open — and not
+// one byte of it changes.
+func TestLegacyLayoutRefused(t *testing.T) {
+	bucket := newTestBucket(t)
+	seedV1Store(t, bucket, 3)
+	before := storeContents(t, bucket)
+
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("%s on a v1 store: err = %v, want ErrLegacyLayout", what, err)
+		}
+	}
+	r := New(bucket)
+	_, err := r.List(Filter{})
+	refused("New + List", err)
+	_, err = r.Info("run-0")
+	refused("New + Info", err)
+	_, err = r.Save(archiveBlob(t, "fresh", 9, 0))
+	refused("New + Save", err)
+	_, err = r.Fsck(false)
+	refused("New + Fsck(false)", err)
+	_, _, err = Open(bucket)
+	refused("Open", err)
+	_, _, err = OpenShards(bucket, 4)
+	refused("OpenShards", err)
+	_, _, err = OpenShardsOwned(bucket, 4, []int{0, 1, 2, 3})
+	refused("OpenShardsOwned", err)
+
+	if after := storeContents(t, bucket); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused v1 store changed:\n  before %d objects\n  after  %d objects", len(before), len(after))
+	}
+}
+
+// TestMigrationRoundTrip: the fsck -repair converter — Fsck(true) on
+// the repository OpenShards hands back with its refusal — must preserve
+// every run of a populated v1 store, adopt the sharded layout durably,
+// reconcile what the v1 journal left open, and keep allocating
+// sequences above the converted maximum.
+func TestMigrationRoundTrip(t *testing.T) {
+	bucket := newTestBucket(t)
+	before := seedV1Store(t, bucket, 7)
+
+	r, _, err := OpenShards(bucket, 4)
+	if !errors.Is(err, ErrLegacyLayout) || r == nil {
+		t.Fatalf("OpenShards on a v1 store = (%v, %v), want the refused repository and ErrLegacyLayout", r, err)
+	}
+	rep, err := r.Fsck(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("fsck after conversion: %+v", rep.Issues)
+	}
 	if n, _ := r.Shards(); n != 4 {
-		t.Fatalf("Shards() = %d after migration, want 4", n)
+		t.Fatalf("Shards() = %d after conversion, want 4", n)
 	}
 	if bucket.Exists(ManifestObject) || bucket.Exists(JournalObject) {
-		t.Fatal("legacy objects survived migration")
+		t.Fatal("v1 objects survived conversion")
 	}
 	if !bucket.Exists(LayoutObject) {
-		t.Fatal("layout object missing after migration")
+		t.Fatal("layout object missing after conversion")
+	}
+	if bucket.Exists(runObject("ghost")) {
+		t.Fatal("the v1 journal's open save intent was not replayed: its orphan blob survived")
 	}
 	after, err := r.List(Filter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) != len(before) {
-		t.Fatalf("migration changed run count: %d -> %d", len(before), len(after))
-	}
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatalf("run %d changed across migration:\n  before %+v\n  after  %+v", i, before[i], after[i])
-		}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("conversion changed the index:\n  before %+v\n  after  %+v", before, after)
 	}
 	for _, info := range after {
 		if _, _, err := r.Get(info.RunID); err != nil {
-			t.Fatalf("migrated run %q unreadable: %v", info.RunID, err)
+			t.Fatalf("converted run %q unreadable: %v", info.RunID, err)
 		}
-	}
-	rep, err := r.Fsck(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("fsck after migration: %+v", rep.Issues)
 	}
 	seq, err := r.NextSeq()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxSeq uint64
-	for _, info := range before {
-		if info.CreatedSeq > maxSeq {
-			maxSeq = info.CreatedSeq
-		}
-	}
-	if seq <= maxSeq {
-		t.Fatalf("post-migration NextSeq %d not above migrated max %d", seq, maxSeq)
+	if maxSeq := before[len(before)-1].CreatedSeq; seq <= maxSeq {
+		t.Fatalf("post-conversion NextSeq %d not above converted max %d", seq, maxSeq)
 	}
 
-	// Re-opening without a target keeps the sharded layout.
+	// Re-opening without a count keeps the layout.
 	r2, _, err := Open(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := r2.Shards(); n != 4 {
-		t.Fatalf("re-open lost the sharded layout (Shards() = %d)", n)
+		t.Fatalf("re-open lost the layout (Shards() = %d)", n)
 	}
-	// Re-opening with a different target keeps the committed count.
+	// Re-opening with a different count keeps the committed one.
 	r3 := openSharded(t, bucket, 8)
 	if n, _ := r3.Shards(); n != 4 {
 		t.Fatalf("OpenShards(8) on a 4-shard store reported %d shards", n)
 	}
 }
 
-// TestMigrationPowerCut kills the migration at every write boundary and
-// verifies the repository recovers to a consistent state — either still
-// v1 or fully sharded, never half — with every run intact.
+// TestMigrationPowerCut kills the converter at every write boundary and
+// verifies the store reopens either as a v1 store — still refused,
+// untouched where it matters, convertible again — or as a complete
+// sharded repository, never half, with every indexed run intact.
 func TestMigrationPowerCut(t *testing.T) {
-	seed := func(t *testing.T, store Store) {
-		legacy, _, err := Open(store)
-		if err != nil {
-			t.Fatal(err)
+	convert := func(store Store) error {
+		r, _, err := OpenShards(store, 3)
+		if errors.Is(err, ErrLegacyLayout) {
+			_, err = r.Fsck(true)
 		}
-		for i := 0; i < 5; i++ {
-			seq, err := legacy.NextSeq()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := legacy.Save(archiveBlob(t, "run-"+strconv.Itoa(i), seq, 0)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		return err
 	}
-
-	// Budget from a dry run of just the migration.
-	dryBucket := newTestBucket(t)
-	seed(t, dryBucket)
-	dry := faultnet.NewCrashStore(dryBucket)
-	if _, _, err := OpenShards(dry, 3); err != nil {
-		t.Fatal(err)
-	}
-	budget := dry.Writes()
-	if budget < 3 {
-		t.Fatalf("migration write budget %d suspiciously small", budget)
-	}
-
-	for n := 0; n < budget; n++ {
-		bucket := newTestBucket(t)
-		seed(t, bucket)
-		cs := faultnet.NewCrashStore(bucket)
-		cs.CrashAfterWrites(n, false)
-		_, _, err := OpenShards(cs, 3)
-		if err == nil && !cs.Dead() {
-			t.Fatalf("cut@%d never fired (budget %d)", n, budget)
-		}
-
-		// Power restored: a plain Open must recover a clean repository.
-		r, _, err := Open(bucket)
-		if err != nil {
-			t.Fatalf("cut@%d: recovery open: %v", n, err)
-		}
+	intact := func(label string, r *Repo) {
+		t.Helper()
 		listed, err := r.List(Filter{})
 		if err != nil {
-			t.Fatalf("cut@%d: list: %v", n, err)
+			t.Fatalf("%s: list: %v", label, err)
 		}
 		if len(listed) != 5 {
-			t.Fatalf("cut@%d: %d runs survived, want 5", n, len(listed))
+			t.Fatalf("%s: %d runs survived, want 5", label, len(listed))
 		}
 		for _, info := range listed {
 			if _, _, err := r.Get(info.RunID); err != nil {
-				t.Fatalf("cut@%d: run %q unreadable: %v", n, info.RunID, err)
+				t.Fatalf("%s: run %q unreadable: %v", label, info.RunID, err)
 			}
 		}
-		rep, err := r.Fsck(false)
-		if err != nil {
-			t.Fatalf("cut@%d: fsck: %v", n, err)
+	}
+
+	// Budget from a dry run of just the conversion.
+	dryBucket := newTestBucket(t)
+	seedV1Store(t, dryBucket, 5)
+	dry := faultnet.NewCrashStore(dryBucket)
+	if err := convert(dry); err != nil {
+		t.Fatal(err)
+	}
+	budget := dry.Writes()
+	if budget < 6 {
+		t.Fatalf("conversion write budget %d suspiciously small", budget)
+	}
+
+	sawV1, sawSharded := false, false
+	for n := 0; n < budget; n++ {
+		label := "cut@" + strconv.Itoa(n)
+		bucket := newTestBucket(t)
+		seedV1Store(t, bucket, 5)
+		cs := faultnet.NewCrashStore(bucket)
+		cs.CrashAfterWrites(n, false)
+		if err := convert(cs); err == nil || !cs.Dead() {
+			t.Fatalf("%s never fired (budget %d): err = %v", label, budget, err)
 		}
-		if !rep.Clean() {
-			t.Fatalf("cut@%d: fsck issues: %+v", n, rep.Issues)
+
+		// Power restored.
+		r, _, err := Open(bucket)
+		switch {
+		case errors.Is(err, ErrLegacyLayout):
+			// Not committed: the v1 index is still the truth.
+			sawV1 = true
+			if bucket.Exists(LayoutObject) || !bucket.Exists(ManifestObject) {
+				t.Fatalf("%s: refused as v1, but layout=%v manifest=%v", label,
+					bucket.Exists(LayoutObject), bucket.Exists(ManifestObject))
+			}
+		case err != nil:
+			t.Fatalf("%s: recovery open: %v", label, err)
+		default:
+			// Committed: complete without any repair. What is left of the
+			// v1 objects is debris fsck -repair quarantines.
+			sawSharded = true
+			intact(label, r)
+			if bucket.Exists(runObject("ghost")) {
+				t.Fatalf("%s: the carried v1 journal was not replayed on open", label)
+			}
 		}
-		// A second migration attempt must complete idempotently.
-		r2 := openSharded(t, bucket, 3)
-		if listed2, _ := r2.List(Filter{}); len(listed2) != 5 {
-			t.Fatalf("cut@%d: re-migration lost runs (%d/5)", n, len(listed2))
+
+		// A second conversion attempt completes either way.
+		if err := convert(bucket); err != nil {
+			t.Fatalf("%s: second conversion: %v", label, err)
 		}
+		r2 := openSharded(t, bucket, 0)
+		if n, _ := r2.Shards(); n != 3 {
+			t.Fatalf("%s: %d shards after the second conversion, want 3", label, n)
+		}
+		intact(label+" (converted again)", r2)
+		if _, err := r2.Fsck(true); err != nil {
+			t.Fatalf("%s: fsck -repair: %v", label, err)
+		}
+		if rep, err := r2.Fsck(false); err != nil || !rep.Clean() {
+			t.Fatalf("%s: fsck after repair: %+v, %v", label, rep, err)
+		}
+	}
+	if !sawV1 || !sawSharded {
+		t.Fatalf("cuts landed on one side of the commit point only (v1 %v, sharded %v)", sawV1, sawSharded)
 	}
 }
 
@@ -429,7 +524,7 @@ func TestSaveRollbackSparesWinnerBlob(t *testing.T) {
 				hs := &hookStore{Store: bucket}
 				hs.putIfErr = func(name string) error {
 					var ferr error
-					if name == ManifestObject {
+					if name == manifest0 {
 						once.Do(func() {
 							// The interleaved winner: commits the same run
 							// ID through a clean handle.

@@ -72,9 +72,9 @@ go test -race -count=2 ./cmd/tpupoint
 echo "== stream smoke"
 ./scripts/stream_smoke.sh
 
-# Sharded-ingest gate: the contention and migration suites under -race,
-# then a CLI legacy->sharded migration plus compaction round trip over a
-# real on-disk repository.
+# Sharded-ingest gate: the contention and v1-conversion suites under
+# -race, then a CLI fresh -shards 4 archive plus compaction round trip
+# over a real on-disk repository.
 echo "== ingest smoke"
 ./scripts/ingest_smoke.sh
 

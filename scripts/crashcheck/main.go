@@ -138,7 +138,7 @@ func run() error {
 	srv1 := rpc.NewServer()
 	f1.Register(srv1)
 	c1 := rpc.Pipe(srv1)
-	fc1, err := repo.OpenSession(c1, repo.OpenRequest{RunID: "run-f", Workload: "fleet"})
+	fc1, err := repo.OpenResilient(c1, repo.OpenRequest{RunID: "run-f", Workload: "fleet"})
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func run() error {
 	}
 	c2 := rpc.Pipe(srv2)
 	defer c2.Close()
-	fc2, accepted, err := repo.ResumeSession(c2, fc1.Token())
+	fc2, accepted, err := repo.ResumeResilient(c2, fc1.Token())
 	if err != nil {
 		return err
 	}

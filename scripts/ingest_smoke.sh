@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Sharded-ingest smoke: the contention and migration suites under the
-# race detector, then a CLI round trip over a real on-disk repository —
-# archive runs into a legacy single-manifest layout, migrate it to four
-# manifest shards with -shards, compact the small archives into a pack,
-# and prove every verb still reads the packed, sharded repository.
+# Sharded-ingest smoke: the contention, v1-conversion and compaction
+# suites under the race detector, then a CLI round trip over a real
+# on-disk repository — archive runs into a fresh four-shard repository
+# (-shards 4), compact the small archives into a pack, and prove every
+# verb still reads the packed, sharded repository. (The CLI cannot
+# create a v1 store, so its conversion is the Go tests' to prove.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== sharded contention + migration + compaction under -race"
+echo "== sharded contention + v1 conversion + compaction under -race"
 go test -race -run \
     'TestShardedContentionZeroLoss64|TestMigrationRoundTrip|TestMigrationPowerCut|TestCompactMergesAndPreservesReads|TestDeletePackedRunRefcountsPack' \
     ./internal/repo
@@ -20,26 +21,13 @@ repodir="$workdir/runs"
 bin="$workdir/tpupoint"
 go build -o "$bin" ./cmd/tpupoint
 
-echo "== archiving three runs into a legacy single-manifest repository"
+echo "== archiving three runs into a fresh repository (-shards 4)"
 for i in 1 2 3; do
-    "$bin" -workload dcgan-mnist -steps 60 -archive "$repodir" \
+    "$bin" -workload dcgan-mnist -steps 60 -archive "$repodir" -shards 4 \
         -run-id "smoke-$i" -label smoke >/dev/null
 done
-if [ ! -f "$repodir/runs/manifest.json" ]; then
-    echo "ingest_smoke.sh: expected legacy runs/manifest.json" >&2
-    exit 1
-fi
-
-echo "== migrating to 4 manifest shards (-shards 4)"
-# Any verb migrates on open; gc keeps everything (-keep 3) but syncs the
-# rewritten layout back to disk.
-"$bin" -archive "$repodir" -shards 4 -keep 3 runs gc >/dev/null
-if [ ! -f "$repodir/runs/.layout" ] || [ ! -f "$repodir/runs/manifest-0.json" ]; then
-    echo "ingest_smoke.sh: migration left no sharded layout on disk" >&2
-    exit 1
-fi
-if [ -f "$repodir/runs/manifest.json" ]; then
-    echo "ingest_smoke.sh: legacy manifest survived the migration" >&2
+if ! grep -q '"shards":4' "$repodir/runs/.layout" || ! ls "$repodir"/runs/manifest-*.json >/dev/null; then
+    echo "ingest_smoke.sh: no four-shard layout on disk" >&2
     exit 1
 fi
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench archive-bench stream-bench ingest-bench cluster-bench check metrics-smoke archive-smoke crash-smoke stream-smoke ingest-smoke cluster-smoke replicated-smoke
+.PHONY: build test race vet fmt bench check metrics-smoke archive-smoke crash-smoke stream-smoke ingest-smoke cluster-smoke replicated-smoke
 
 build:
 	$(GO) build ./...
@@ -22,32 +22,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Regenerate the analyzer kernel benchmarks (BENCH_analyzer.json).
-# Quick CI smoke: make bench BENCH_OUT=/tmp/bench.json BENCH_ARGS=-bench-quick
+# The benchmark BENCHMARK.json declares: four workloads, end-to-end and
+# per-layer metrics (bench/README.md).
 bench:
-	$(GO) run ./cmd/paperbench -analyzer-bench $(or $(BENCH_OUT),BENCH_analyzer.json) $(BENCH_ARGS)
-
-# Regenerate the archive encode/decode + diff benchmarks (BENCH_archive.json).
-archive-bench:
-	$(GO) run ./cmd/paperbench -archive-bench $(or $(BENCH_OUT),BENCH_archive.json) $(BENCH_ARGS)
-
-# Regenerate the streaming-analyzer fidelity benchmarks (BENCH_stream.json):
-# boundary F1 and time-share MAPE vs batch OLS, plus resident state bytes.
-stream-bench:
-	$(GO) run ./cmd/paperbench -stream-bench $(or $(BENCH_OUT),BENCH_stream.json) $(BENCH_ARGS)
-
-# Regenerate the concurrent repository-ingest benchmarks (BENCH_ingest.json):
-# save throughput, p99 append latency, and manifest-CAS retries at
-# 8/64/256 agents over the sharded run repository.
-ingest-bench:
-	$(GO) run ./cmd/paperbench -ingest-bench $(or $(BENCH_OUT),BENCH_ingest.json) $(BENCH_ARGS)
-
-# Regenerate the multi-tenant cluster-scheduling benchmarks
-# (BENCH_cluster.json): scheduler throughput plus the deterministic
-# fairness surface (Jain's index, worst-tenant p99 queueing delay, shed
-# counts) per routing policy over the rush and fleet presets.
-cluster-bench:
-	$(GO) run ./cmd/paperbench -cluster-bench $(or $(BENCH_OUT),BENCH_cluster.json) $(BENCH_ARGS)
+	bash bench/run.sh
 
 # End-to-end profile-repository smoke: archive two runs through the CLI
 # and diff them.
@@ -91,7 +69,6 @@ replicated-smoke:
 # scripts/check.sh runs vet (plus the vet-filter selftest), the test
 # suite under the race detector, the -count=2 repeats and the shell
 # smokes. That script is the only list of them. CI and pre-commit both
-# run this. BENCH_GATE=1 additionally runs the benchmark regression gate
-# against the committed baselines.
+# run this.
 check: build fmt
 	./scripts/check.sh

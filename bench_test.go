@@ -11,12 +11,10 @@ package tpupoint
 // cmd/paperbench prints the same artifacts in the paper's layout.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/tpu"
-	"repro/internal/trace"
 )
 
 // benchSteps shortens runs so the full suite stays in benchmark budgets;
@@ -160,50 +158,5 @@ func BenchmarkFig16OptimizedMXU(b *testing.B) {
 		if _, err := experiments.Fig15and16(benchSteps); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Record wire codec benchmarks, at the sizes `paperbench -archive-bench`
-// reports in BENCH_archive.json; run with -benchmem to see the pooled
-// encoder's allocs/op.
-
-// wireBenchSizes mirrors experiments.ArchiveBenchSizes.
-var wireBenchSizes = []int{1_000, 10_000}
-
-func BenchmarkWireMarshal(b *testing.B) {
-	for _, n := range wireBenchSizes {
-		recs := experiments.ArchiveBenchStream(n)
-		b.Run(fmt.Sprintf("n=%d/pooled", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []byte
-			for i := 0; i < b.N; i++ {
-				for _, r := range recs {
-					buf = trace.MarshalRecordAppend(buf[:0], r)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
-}
-
-func BenchmarkWireUnmarshal(b *testing.B) {
-	for _, n := range wireBenchSizes {
-		recs := experiments.ArchiveBenchStream(n)
-		encoded := make([][]byte, len(recs))
-		for i, r := range recs {
-			encoded[i] = trace.MarshalRecord(r)
-		}
-		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, raw := range encoded {
-					if _, err := trace.UnmarshalRecord(raw); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
 	}
 }

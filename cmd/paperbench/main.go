@@ -6,15 +6,6 @@
 //	paperbench              # everything
 //	paperbench -only fig10  # one artifact (table1, table2, fig4..fig16)
 //	paperbench -steps 300   # shorten runs (quick mode)
-//
-// It also hosts the analyzer performance benchmark that CI tracks:
-//
-//	paperbench -analyzer-bench BENCH_analyzer.json               # full run
-//	paperbench -analyzer-bench out.json -bench-quick             # CI smoke
-//
-// The emitted JSON (serial vs parallel ns/op and steps/sec for k-means,
-// DBSCAN and PCA at n = 1e3, 1e4, 1e5) is compared against the committed
-// baseline by scripts/benchdiff.sh.
 package main
 
 import (
@@ -33,50 +24,7 @@ func main() {
 	only := flag.String("only", "", "regenerate a single artifact (table1, table2, fig4..fig16)")
 	steps := flag.Int("steps", 0, "override per-workload step counts (0 = calibrated full runs)")
 	jsonOut := flag.String("json", "", "also write all regenerated data as JSON to this file")
-	benchOut := flag.String("analyzer-bench", "", "run the analyzer clustering benchmark and write BENCH_analyzer.json here, then exit")
-	archiveBenchOut := flag.String("archive-bench", "", "run the profile archive/diff benchmark and write BENCH_archive.json here, then exit")
-	streamBenchOut := flag.String("stream-bench", "", "run the streaming-analyzer fidelity benchmark and write BENCH_stream.json here, then exit")
-	ingestBenchOut := flag.String("ingest-bench", "", "run the concurrent repository-ingest benchmark and write BENCH_ingest.json here, then exit")
-	clusterBenchOut := flag.String("cluster-bench", "", "run the multi-tenant cluster-scheduling benchmark and write BENCH_cluster.json here, then exit")
-	benchQuick := flag.Bool("bench-quick", false, "shorten the benchmark measurement windows (CI smoke mode)")
-	par := flag.Int("parallelism", 0, "worker pool size for the parallel benchmark runs (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	if *benchOut != "" {
-		if err := analyzerBench(*benchOut, *par, *benchQuick); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: analyzer-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *archiveBenchOut != "" {
-		if err := archiveBench(*archiveBenchOut, *par, *benchQuick); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: archive-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamBenchOut != "" {
-		if err := streamBench(*streamBenchOut, *benchQuick); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: stream-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ingestBenchOut != "" {
-		if err := ingestBench(*ingestBenchOut, *benchQuick); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: ingest-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterBenchOut != "" {
-		if err := clusterBench(*clusterBenchOut, *benchQuick); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: cluster-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	lab := experiments.NewLab()
 	lab.StepsOverride = *steps
@@ -126,96 +74,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: unknown artifact %q\n", *only)
 		os.Exit(2)
 	}
-}
-
-// analyzerBench runs the clustering benchmark and writes the
-// BENCH_analyzer.json document, echoing the headline numbers to stdout.
-func analyzerBench(path string, workers int, quick bool) error {
-	rep, err := experiments.RunAnalyzerBench(nil, workers, quick)
-	if err != nil {
-		return err
-	}
-	return writeBenchReport("analyzer", path, rep)
-}
-
-// archiveBench runs the archive/wire codec and diff benchmark and
-// writes the BENCH_archive.json document.
-func archiveBench(path string, workers int, quick bool) error {
-	rep, err := experiments.RunArchiveBench(nil, workers, quick)
-	if err != nil {
-		return err
-	}
-	return writeBenchReport("archive", path, rep)
-}
-
-// streamBench runs the streaming-analyzer fidelity benchmark (boundary
-// F1 and time-share MAPE vs the batch analyzer, resident state bytes vs
-// run length) and writes the BENCH_stream.json document.
-func streamBench(path string, quick bool) error {
-	rep, err := experiments.RunStreamBench(nil, quick)
-	if err != nil {
-		return err
-	}
-	return writeBenchReport("stream", path, rep)
-}
-
-// ingestBench runs the concurrent repository-ingest benchmark (save
-// throughput, exact p99 append latency, and manifest-CAS retry counts
-// at 8/64/256 agents over the sharded run repository) and writes the
-// BENCH_ingest.json document.
-func ingestBench(path string, quick bool) error {
-	rep, err := experiments.RunIngestBench(nil, quick)
-	if err != nil {
-		return err
-	}
-	return writeBenchReport("ingest", path, rep)
-}
-
-// clusterBench runs the multi-tenant cluster-scheduling benchmark
-// (scheduler throughput, Jain's fairness index, worst-tenant p99
-// queueing delay, and shed counts per routing policy over the rush and
-// fleet presets) and writes the BENCH_cluster.json document.
-func clusterBench(path string, quick bool) error {
-	rep, err := experiments.RunClusterBench(nil, quick)
-	if err != nil {
-		return err
-	}
-	return writeBenchReport("cluster", path, rep)
-}
-
-func writeBenchReport(name, path string, rep *experiments.AnalyzerBenchReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("%s benchmark (GOMAXPROCS=%d, quick=%v) -> %s\n", name, rep.GOMAXPROCS, rep.Quick, path)
-	fmt.Printf("%-18s %-9s %9s %8s %14s %14s %12s\n", "kernel", "mode", "n", "iters", "ns/op", "steps/sec", "allocs/op")
-	for _, e := range rep.Entries {
-		allocs := "-"
-		if e.AllocsPerOp > 0 {
-			allocs = fmt.Sprintf("%.0f", e.AllocsPerOp)
-		}
-		fmt.Printf("%-18s %-9s %9d %8d %14.0f %14.0f %12s\n",
-			e.Kernel, e.Mode, e.N, e.Iters, e.NsPerOp, e.StepsPerSec, allocs)
-	}
-	keys := make([]string, 0, len(rep.Speedups))
-	for k := range rep.Speedups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("speedup %-40s %8.2fx\n", k, rep.Speedups[k])
-	}
-	return nil
 }
 
 // dumpJSON regenerates every artifact into one machine-readable document.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/repo"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 )
 
@@ -153,6 +154,40 @@ func TestZeroLossAccounting(t *testing.T) {
 		}
 		if !frep.Clean() {
 			t.Fatalf("%s: fsck not clean: %+v", policy, frep)
+		}
+	}
+}
+
+// The rush preset's fairness surface is simulated time, so it is
+// bit-deterministic on any machine: a change to a routing policy, the
+// admission budgets or the preset shows here as a changed number.
+func TestRushFairnessPinned(t *testing.T) {
+	spec, err := Preset("rush", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		policy  string
+		jain    float64
+		waitP99 simclock.Duration
+		shed    int
+	}{
+		{PolicyLeastLoad, 0.5659681479140075, 24166021, 96},
+		{PolicyRoundRobin, 0.4655153697414371, 89944247, 72},
+		{PolicyAffinity, 0.4489646777552065, 84389074, 74},
+	} {
+		res, err := c.Schedule(want.policy, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Report
+		if rep.JainIndex != want.jain || rep.MaxWaitP99 != want.waitP99 || rep.Shed != want.shed {
+			t.Errorf("%s: jain %v, worst-tenant p99 wait %d, shed %d; want %v, %d, %d", want.policy,
+				rep.JainIndex, rep.MaxWaitP99, rep.Shed, want.jain, want.waitP99, want.shed)
 		}
 	}
 }

@@ -4,11 +4,12 @@ package analyzer
 // analyzer, in the style of cluster/parallel_diff_test.go: the final
 // report — and the event sequence — must be bit-identical no matter how
 // the record stream is chunked, because downstream consumers (fleet
-// sessions resumed from logs, watch over archives, the fidelity
-// benchmark) all see the same records in different groupings.
+// sessions resumed from logs, watch over archives) all see the same
+// records in different groupings.
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -76,22 +77,36 @@ func TestStreamChunkDeterminism(t *testing.T) {
 func TestStreamDutyCycleSubsetOfFull(t *testing.T) {
 	// Duty sampling must not invent boundaries: with clean regimes the
 	// sampled run's boundary set lies within one duty interval of the
-	// full run's.
-	n := 600
-	recs := regimeRecords(n, n/4, 10, nil)
-	full, _ := runChunked(t, recs, 1, 1)
-	sampled, _ := runChunked(t, recs, 1, 10)
-	fb, sb := full.Boundaries(), sampled.Boundaries()
-	if len(fb) != len(sb) {
-		t.Fatalf("full found %d boundaries, sampled %d", len(fb), len(sb))
-	}
-	for i := range fb {
-		d := fb[i] - sb[i]
-		if d < 0 {
-			d = -d
+	// full run's, and every phase keeps its share of the run's time to
+	// within 10% (relative), the shares still summing to 1.
+	for _, n := range []int{600, 10_000} {
+		recs := regimeRecords(n, n/4, 10, nil)
+		full, _ := runChunked(t, recs, 1, 1)
+		sampled, _ := runChunked(t, recs, 1, 10)
+		fb, sb := full.Boundaries(), sampled.Boundaries()
+		if len(fb) != len(sb) {
+			t.Fatalf("n=%d: full found %d boundaries, sampled %d", n, len(fb), len(sb))
 		}
-		if d > 10 {
-			t.Fatalf("boundary %d: full at step %d, sampled at %d (>1 duty interval apart)", i, fb[i], sb[i])
+		for i := range fb {
+			d := fb[i] - sb[i]
+			if d < 0 {
+				d = -d
+			}
+			if d > 10 {
+				t.Fatalf("n=%d boundary %d: full at step %d, sampled at %d (>1 duty interval apart)", n, i, fb[i], sb[i])
+			}
+		}
+		var sum float64
+		for i, fp := range full.Phases {
+			want := fp.TimeShare(full.TotalTime)
+			got := sampled.Phases[i].TimeShare(sampled.TotalTime)
+			if math.Abs(got-want) > 0.10*want {
+				t.Fatalf("n=%d phase %d: time share %.4f at duty 1/10, %.4f at full rate (>10%% apart)", n, i, got, want)
+			}
+			sum += got
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("n=%d: time shares at duty 1/10 sum to %v, want 1", n, sum)
 		}
 	}
 }

@@ -11,9 +11,6 @@
 # filter's exit status. The `{ grep ... || true; }` form keeps the
 # filter infallible so the pipeline's status is exactly go vet's;
 # scripts/check_selftest.sh proves that against a known-bad fixture.
-#
-# BENCH_GATE=1 additionally runs the benchmark regression gate
-# (scripts/benchdiff.sh) against the committed BENCH_*.json baselines.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,8 +54,6 @@ echo "== crash smoke"
 # The streaming analyzer's chunk/duty determinism contract and the
 # mini-batch k-means must hold under the race detector; run the stream
 # packages twice so a scheduling-dependent divergence can't hide.
-echo "== go vet stream packages"
-go vet ./internal/core/analyzer ./internal/core/cluster ./internal/repo 2>&1 | { grep -v '^#' || true; }
 echo "== go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster"
 go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 
@@ -92,10 +87,5 @@ echo "== cluster smoke"
 # proving zero record loss.
 echo "== replicated smoke"
 ./scripts/replicated_smoke.sh
-
-if [ "${BENCH_GATE:-0}" = "1" ]; then
-    echo "== benchmark gate (BENCH_GATE=1)"
-    ./scripts/benchdiff.sh
-fi
 
 echo "check: OK"

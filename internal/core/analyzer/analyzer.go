@@ -18,10 +18,10 @@
 package analyzer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/core/cluster"
@@ -129,16 +129,15 @@ func (p *Phase) TopOps(dev trace.Device, n int) []trace.OpTotal {
 // meetsThreshold (OLS does), which treats NaN as "not similar". A step
 // with ops compared against an empty step is 0: no shared behaviour.
 func StepSimilarity(a, b *trace.StepStat) float64 {
-	sa, sb := a.OpSet(), b.OpSet()
-	if len(sa) == 0 || len(sb) == 0 {
-		if len(sa) == len(sb) {
+	small, large := a.Ops, b.Ops
+	if len(large) < len(small) {
+		small, large = large, small
+	}
+	if len(small) == 0 {
+		if len(large) == 0 {
 			return math.NaN()
 		}
 		return 0
-	}
-	small, large := sa, sb
-	if len(sb) < len(sa) {
-		small, large = sb, sa
 	}
 	inter := 0
 	for k := range small {
@@ -202,18 +201,53 @@ func (p *Phase) addStep(s *trace.StepStat) {
 	p.Steps = append(p.Steps, s)
 }
 
+// Frontend is the analyzer's view of one record set: the aggregated
+// steps every summarization method walks and, built lazily and at most
+// once, the standardized PCA-reduced feature matrix k-means and DBSCAN
+// both cluster (Figure 2: the methods summarize the same step features).
+// Analyzing one record set with several algorithms through one Frontend
+// therefore extracts features and runs PCA once; Analyze, AnalyzeSteps
+// and FeatureMatrix are a Frontend used once.
+//
+// The steps must not change once handed over (records are immutable
+// after the profiler or a decoder returns them). A Frontend is safe for
+// concurrent use.
+type Frontend struct {
+	steps []*trace.StepStat
+
+	once   sync.Once
+	matrix *cluster.Matrix
+}
+
+// NewFrontend wraps aggregated steps (trace.AggregateSteps of a record
+// set). Nothing is computed until an algorithm needs it.
+func NewFrontend(steps []*trace.StepStat) *Frontend {
+	return &Frontend{steps: steps}
+}
+
+// Matrix returns the standardized, PCA-reduced step feature matrix. The
+// first call builds it with that call's opts.Parallelism and records the
+// features and PCA stage times in its opts.Obs — once per Frontend; the
+// matrix is bit-identical at every parallelism, so later callers get the
+// same values whatever they pass. Callers must not modify it.
+func (f *Frontend) Matrix(opts Options) *cluster.Matrix {
+	f.once.Do(func() {
+		start := time.Now()
+		m, _ := cluster.Features(f.steps, opts.Parallelism)
+		cluster.Standardize(m, opts.Parallelism)
+		opts.Obs.Histogram("analyzer.stage.features_us").ObserveSince(start)
+		start = time.Now()
+		f.matrix = cluster.PCA(m, cluster.MaxFeatureOps, opts.Parallelism)
+		opts.Obs.Histogram("analyzer.stage.pca_us").ObserveSince(start)
+	})
+	return f.matrix
+}
+
 // FeatureMatrix builds the standardized, PCA-reduced step feature matrix
 // every clustering algorithm consumes, honoring opts.Parallelism and
 // recording the features and PCA stage times in opts.Obs.
 func FeatureMatrix(steps []*trace.StepStat, opts Options) *cluster.Matrix {
-	start := time.Now()
-	m, _ := cluster.Features(steps, opts.Parallelism)
-	cluster.Standardize(m, opts.Parallelism)
-	opts.Obs.Histogram("analyzer.stage.features_us").ObserveSince(start)
-	start = time.Now()
-	out := cluster.PCA(m, cluster.MaxFeatureOps, opts.Parallelism)
-	opts.Obs.Histogram("analyzer.stage.pca_us").ObserveSince(start)
-	return out
+	return NewFrontend(steps).Matrix(opts)
 }
 
 // phasesFromLabels groups steps by cluster label. Label order follows
@@ -238,15 +272,11 @@ func phasesFromLabels(steps []*trace.StepStat, labels []int) []*Phase {
 	return out
 }
 
-// KMeansPhases clusters the steps with PCA + k-means, choosing k by the
+// kmeansPhases clusters the steps with PCA + k-means, choosing k by the
 // elbow method (or BIC) over the paper's k = 1..15 sweep. It returns the
 // phases, the SSD series of the sweep (Figure 4's data), and the chosen k.
-func KMeansPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []float64, int, error) {
-	opts = opts.withDefaults()
-	if len(steps) == 0 {
-		return nil, nil, 0, errors.New("analyzer: no steps")
-	}
-	m := FeatureMatrix(steps, opts)
+func (f *Frontend) kmeansPhases(opts Options) ([]*Phase, []float64, int, error) {
+	m := f.Matrix(opts)
 	defer opts.Obs.Histogram("analyzer.stage.kmeans_us").ObserveSince(time.Now())
 	sweep, err := cluster.KMeansSweep(m, kMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
 	if err != nil {
@@ -264,20 +294,16 @@ func KMeansPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []float64, i
 		}
 		k = cluster.BestBIC(bic)
 	}
-	return phasesFromLabels(steps, sweep[k-1].Assignment), ssd, k, nil
+	return phasesFromLabels(f.steps, sweep[k-1].Assignment), ssd, k, nil
 }
 
-// DBSCANPhases clusters the steps with DBSCAN, choosing min-samples by
+// dbscanPhases clusters the steps with DBSCAN, choosing min-samples by
 // the elbow method over the noise-ratio sweep. Noise points form one
 // additional phase (the paper counts unlabeled samples as a cluster when
 // measuring coverage). It returns the phases, the sweep's minPts grid and
 // noise ratios (Figure 5's data), and the chosen minPts.
-func DBSCANPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []int, []float64, int, error) {
-	opts = opts.withDefaults()
-	if len(steps) == 0 {
-		return nil, nil, nil, 0, errors.New("analyzer: no steps")
-	}
-	m := FeatureMatrix(steps, opts)
+func (f *Frontend) dbscanPhases(opts Options) ([]*Phase, []int, []float64, int, error) {
+	m := f.Matrix(opts)
 	defer opts.Obs.Histogram("analyzer.stage.dbscan_us").ObserveSince(time.Now())
 	sweep, err := cluster.DBSCANSweep(m, minPtsMax, minPtsStep, opts.MemoryBudget, opts.Parallelism)
 	if err != nil {
@@ -292,7 +318,7 @@ func DBSCANPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []int, []flo
 	// The noise curve rises with min-samples; the elbow of the *rising*
 	// curve balances "minimize noise" against "maximize min samples".
 	res := sweep[cluster.Elbow(ratios)-1]
-	return phasesFromLabels(steps, res.Labels), grid, ratios, res.MinPts, nil
+	return phasesFromLabels(f.steps, res.Labels), grid, ratios, res.MinPts, nil
 }
 
 // SortByTotal orders phases by descending total time.

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core/cluster"
 	"repro/internal/estimator"
+	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -206,8 +208,13 @@ func TestAssociateCheckpoints(t *testing.T) {
 // runWorkload produces aggregated steps from a real simulated run.
 func runWorkload(t testing.TB, name string, steps int) (*estimator.Runner, []*trace.StepStat) {
 	t.Helper()
+	return runWorkloadWith(t, name, estimator.Options{Steps: steps})
+}
+
+func runWorkloadWith(t testing.TB, name string, opts estimator.Options) (*estimator.Runner, []*trace.StepStat) {
+	t.Helper()
 	w := workloads.MustGet(name)
-	r, err := estimator.New(w, estimator.Options{Steps: steps})
+	r, err := estimator.New(w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +303,45 @@ func TestClusterReportsMatchSweepPickRerun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Phases, phasesFromLabels(steps, rerun.Labels)) {
 		t.Fatalf("dbscan: phases differ from DBSCAN run again at minPts=%d", minPts)
+	}
+}
+
+// TestFrontendBuildsMatrixOnce has eight goroutines analyze one Frontend
+// with both clustering algorithms at once: the features and PCA stages
+// run exactly once between them and every report equals the one a
+// Frontend of its own produces.
+func TestFrontendBuildsMatrixOnce(t *testing.T) {
+	_, steps := runWorkload(t, "dcgan-mnist", 300)
+	algos := []Algorithm{KMeansAlgo, DBSCANAlgo}
+	want := make(map[Algorithm]*Report)
+	for _, algo := range algos {
+		rep, err := AnalyzeSteps("x", steps, algo, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[algo] = rep
+	}
+
+	reg := obs.NewRegistry(0)
+	f := NewFrontend(steps)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(algo Algorithm, workers int) {
+			defer wg.Done()
+			rep, err := f.Analyze("x", algo, Options{Seed: 1, Parallelism: workers, Obs: reg})
+			if err != nil {
+				t.Errorf("%s: %v", algo, err)
+			} else if !reflect.DeepEqual(rep, want[algo]) {
+				t.Errorf("%s: report on the shared Frontend differs from a Frontend of its own", algo)
+			}
+		}(algos[g%2], g%3)
+	}
+	wg.Wait()
+	for _, stage := range []string{"analyzer.stage.features_us", "analyzer.stage.pca_us"} {
+		if got := reg.Histogram(stage).Count(); got != 1 {
+			t.Fatalf("%s observed %d times across 8 concurrent analyses, want 1", stage, got)
+		}
 	}
 }
 

@@ -51,6 +51,13 @@ func Analyze(workload string, records []*trace.ProfileRecord, algo Algorithm, op
 
 // AnalyzeSteps is Analyze for already-aggregated step statistics.
 func AnalyzeSteps(workload string, steps []*trace.StepStat, algo Algorithm, opts Options) (*Report, error) {
+	return NewFrontend(steps).Analyze(workload, algo, opts)
+}
+
+// Analyze reduces the Frontend's steps to a phase report with one
+// algorithm; reports of several algorithms share its feature matrix.
+func (f *Frontend) Analyze(workload string, algo Algorithm, opts Options) (*Report, error) {
+	steps := f.steps
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("analyzer: no steps to analyze")
 	}
@@ -63,13 +70,13 @@ func AnalyzeSteps(workload string, steps []*trace.StepStat, algo Algorithm, opts
 		r.Phases = OLS(steps, opts.Threshold)
 		opts.Obs.Histogram("analyzer.stage.ols_us").ObserveSince(start)
 	case KMeansAlgo:
-		phases, ssd, k, err := KMeansPhases(steps, opts)
+		phases, ssd, k, err := f.kmeansPhases(opts)
 		if err != nil {
 			return nil, err
 		}
 		r.Phases, r.KMeansSSD, r.ChosenK = phases, ssd, k
 	case DBSCANAlgo:
-		phases, grid, noise, minPts, err := DBSCANPhases(steps, opts)
+		phases, grid, noise, minPts, err := f.dbscanPhases(opts)
 		if err != nil {
 			return nil, err
 		}

@@ -48,13 +48,26 @@ func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBS
 	if minPts < 1 {
 		return nil, fmt.Errorf("cluster: minPts must be >= 1, got %d", minPts)
 	}
+	eps, neighbors, err := epsNeighbors(m, eps, budget, workers)
+	if err != nil {
+		return nil, err
+	}
+	return clusterAt(neighbors, minPts, eps), nil
+}
+
+// epsNeighbors is the part of DBSCAN that depends only on ε: it picks ε
+// when eps <= 0, bins the points into the grid index and materializes
+// every point's ε-neighbor list (ascending), charging the lists against
+// budget as they appear. min-samples only decides which of these lists
+// make a core point, so a sweep over min-samples builds them once.
+func epsNeighbors(m *Matrix, eps float64, budget int64, workers int) (float64, [][]int32, error) {
 	n := m.Rows
 	if n == 0 {
-		return nil, fmt.Errorf("cluster: empty matrix")
+		return 0, nil, fmt.Errorf("cluster: empty matrix")
 	}
 	need := int64(n) * dbscanBaseBytes
 	if err := validateBudget(need, budget, "dbscan"); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	pool := parallel.New(workers)
 	if eps <= 0 {
@@ -83,18 +96,20 @@ func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBS
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
+	return eps, neighbors, nil
+}
 
+// clusterAt grows the clusters of one min-samples value over the shared
+// neighbor lists and counts clusters and noise.
+func clusterAt(neighbors [][]int32, minPts int, eps float64) *DBSCANResult {
 	labels := expand(neighbors, minPts)
-	noise := 0
+	noise, clusters := 0, 0
 	for _, l := range labels {
 		if l == Noise {
 			noise++
 		}
-	}
-	clusters := 0
-	for _, l := range labels {
 		if l >= clusters {
 			clusters = l + 1
 		}
@@ -102,7 +117,7 @@ func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBS
 	return &DBSCANResult{
 		MinPts: minPts, Eps: eps, Labels: labels,
 		Clusters: clusters, NoiseCount: noise,
-	}, nil
+	}
 }
 
 // expand runs the sequential cluster-growing pass over precomputed
@@ -209,11 +224,13 @@ func autoEps(m *Matrix, pool *parallel.Pool) float64 {
 }
 
 // DBSCANSweep runs DBSCAN across the paper's min-samples grid (5 to
-// maxPts in steps of step) and returns every clustering in grid order.
-// eps is chosen automatically on the first member and reused across the
-// sweep. The grid is r.MinPts per member and the noise curve (Figure 5's
-// series) is r.NoiseRatio(); the clustering at the chosen min-samples is
-// the member itself.
+// maxPts in steps of step) and returns every clustering in grid order,
+// each equal to a direct DBSCAN at that min-samples. eps is chosen
+// automatically and the ε-neighbor lists are built — and charged against
+// budget — once for the whole sweep; each grid point only re-grows the
+// clusters. The grid is r.MinPts per member and the noise curve (Figure
+// 5's series) is r.NoiseRatio(); the clustering at the chosen
+// min-samples is the member itself.
 func DBSCANSweep(m *Matrix, maxPts, step int, budget int64, workers int) ([]*DBSCANResult, error) {
 	if maxPts < 5 {
 		return nil, fmt.Errorf("cluster: sweep maxPts must be >= 5, got %d", maxPts)
@@ -221,15 +238,13 @@ func DBSCANSweep(m *Matrix, maxPts, step int, budget int64, workers int) ([]*DBS
 	if step < 1 {
 		return nil, fmt.Errorf("cluster: sweep step must be >= 1, got %d", step)
 	}
+	eps, neighbors, err := epsNeighbors(m, 0, budget, workers)
+	if err != nil {
+		return nil, err
+	}
 	var out []*DBSCANResult
-	eps := 0.0
 	for p := 5; p <= maxPts; p += step {
-		r, err := DBSCAN(m, p, eps, budget, workers)
-		if err != nil {
-			return nil, err
-		}
-		eps = r.Eps // the first member's auto choice, reused across the sweep
-		out = append(out, r)
+		out = append(out, clusterAt(neighbors, p, eps))
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ package cluster
 // oracle (dbscan_oracle_test.go) exactly.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -303,13 +304,47 @@ func TestSweepMembersEqualDirectRuns(t *testing.T) {
 			t.Fatalf("workers=%d: DBSCAN sweep has %d members, want 4", w, len(ds))
 		}
 		for i, got := range ds {
-			want, err := DBSCAN(m, 5+25*i, 0, 0, w)
-			if err != nil {
-				t.Fatal(err)
+			// Direct runs with eps chosen automatically and with the
+			// sweep's eps handed in: the shared neighbor pass must not
+			// show in any member.
+			for _, eps := range []float64{0, ds[0].Eps} {
+				want, err := DBSCAN(m, 5+25*i, eps, 0, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: sweep member minPts=%d differs from the direct run at eps=%g", w, want.MinPts, eps)
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d: sweep member minPts=%d differs from the direct run", w, want.MinPts)
-			}
+		}
+
+		// The sweep charges the neighbor lists against the budget once,
+		// like one direct run: the tightest budget a direct run passes is
+		// passed by the sweep with the same members, and four bytes less
+		// fails both with ErrMemoryBudget.
+		_, neighbors, err := epsNeighbors(m, 0, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight := int64(m.Rows) * dbscanBaseBytes
+		for _, nb := range neighbors {
+			tight += 4 * int64(len(nb))
+		}
+		if _, err := DBSCAN(m, 5, 0, tight, w); err != nil {
+			t.Fatalf("workers=%d: direct run at its exact budget: %v", w, err)
+		}
+		budgeted, err := DBSCANSweep(m, 80, 25, tight, w)
+		if err != nil {
+			t.Fatalf("workers=%d: sweep at the budget one direct run passes: %v", w, err)
+		}
+		if !reflect.DeepEqual(budgeted, ds) {
+			t.Fatalf("workers=%d: budgeted sweep differs from the unbudgeted one", w)
+		}
+		if _, err := DBSCAN(m, 5, 0, tight-4, w); !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("workers=%d: direct run under budget: err = %v", w, err)
+		}
+		if _, err := DBSCANSweep(m, 80, 25, tight-4, w); !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("workers=%d: sweep under budget: err = %v", w, err)
 		}
 	}
 }

@@ -118,13 +118,36 @@ func covariance(m *Matrix, pool *parallel.Pool) []float64 {
 	return cov
 }
 
+// matVec computes out = a·x for the row-major d×d matrix a. Four output
+// rows advance in lockstep, one accumulator each: every accumulator still
+// adds its row's products in ascending j, so each out[i] is the same
+// float64 the one-row-at-a-time loop produces, but the four add chains
+// are independent and overlap in the pipeline instead of serializing on
+// one. Power iteration spends nearly all of PCA here.
 func matVec(a []float64, x, out []float64) {
 	d := len(x)
-	for i := 0; i < d; i++ {
+	i := 0
+	for ; i+4 <= d; i += 4 {
+		// Re-slicing to d = len(x) lets the compiler drop the four bounds
+		// checks from the inner loop.
+		r0 := a[i*d:][:d]
+		r1 := a[(i+1)*d:][:d]
+		r2 := a[(i+2)*d:][:d]
+		r3 := a[(i+3)*d:][:d]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < d; i++ {
 		var s float64
 		row := a[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			s += row[j] * x[j]
+		for j, xj := range x {
+			s += row[j] * xj
 		}
 		out[i] = s
 	}

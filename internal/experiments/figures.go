@@ -67,7 +67,7 @@ func Fig4(lab *Lab) ([]Series, error) {
 			return nil, err
 		}
 		s := Series{Workload: name}
-		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		m := run.Front.Matrix(analyzer.Options{})
 		sweep, err := cluster.KMeansSweep(m, 15, 1, AnalyzerBudget, 0)
 		if err != nil {
 			s.Err = err.Error()
@@ -91,7 +91,7 @@ func Fig5(lab *Lab) ([]Series, error) {
 			return nil, err
 		}
 		s := Series{Workload: name}
-		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		m := run.Front.Matrix(analyzer.Options{})
 		sweep, err := cluster.DBSCANSweep(m, 180, 25, AnalyzerBudget, 0)
 		if err != nil {
 			s.Err = err.Error()
@@ -182,7 +182,7 @@ func Fig8(lab *Lab) ([]CoverageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		m := run.Front.Matrix(analyzer.Options{})
 		res, err := cluster.DBSCAN(m, 30, 0, AnalyzerBudget, 0)
 		if err != nil {
 			out = append(out, CoverageRow{Workload: name, Err: err.Error()})
@@ -202,7 +202,7 @@ func Fig9(lab *Lab) ([]CoverageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := analyzer.FeatureMatrix(run.Steps, analyzer.Options{})
+		m := run.Front.Matrix(analyzer.Options{})
 		res, err := cluster.KMeans(m, 5, 1, AnalyzerBudget, 0)
 		if err != nil {
 			out = append(out, CoverageRow{Workload: name, Err: err.Error()})
@@ -325,7 +325,7 @@ func Table2(lab *Lab, version tpu.Version) ([]Table2Cell, map[string]int, error)
 		}
 		for _, algo := range Table2Algorithms {
 			cell := Table2Cell{Workload: name, Algorithm: algo}
-			rep, err := analyzer.AnalyzeSteps(name, run.Steps, algo,
+			rep, err := run.Front.Analyze(name, algo,
 				analyzer.Options{Seed: 1, MemoryBudget: AnalyzerBudget})
 			if err != nil {
 				if errors.Is(err, cluster.ErrMemoryBudget) {

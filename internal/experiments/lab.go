@@ -46,6 +46,9 @@ type RunResult struct {
 
 	Records []*trace.ProfileRecord
 	Steps   []*trace.StepStat
+	// Front is the analyzer front-end over Steps: the figures and tables
+	// that cluster this run share its one feature matrix and PCA.
+	Front *analyzer.Frontend
 
 	IdleFrac     float64
 	MXUUtil      float64
@@ -127,12 +130,14 @@ func (l *Lab) Run(name string, variant Variant, version tpu.Version) (*RunResult
 	for _, ck := range runner.Checkpoints() {
 		cks = append(cks, analyzer.Checkpoint{Step: ck.Step, Object: ck.Object})
 	}
+	steps := trace.AggregateSteps(records)
 	res := &RunResult{
 		Workload:     name,
 		Variant:      variant,
 		Version:      version,
 		Records:      records,
-		Steps:        trace.AggregateSteps(records),
+		Steps:        steps,
+		Front:        analyzer.NewFrontend(steps),
 		IdleFrac:     runner.IdleFraction(),
 		MXUUtil:      runner.MXUUtilization(),
 		TotalSeconds: runner.TotalTime().Seconds(),

@@ -132,16 +132,6 @@ func (s *StepStat) TotalOpTime() simclock.Duration {
 	return t
 }
 
-// OpSet returns the set of distinct op keys in the step. The OLS
-// StepSimilarity metric (Equation 1) is computed over these sets.
-func (s *StepStat) OpSet() map[OpKey]struct{} {
-	set := make(map[OpKey]struct{}, len(s.Ops))
-	for k := range s.Ops {
-		set[k] = struct{}{}
-	}
-	return set
-}
-
 // Merge folds another summary of the same step into s (steps can straddle
 // profile-window boundaries). Merging a different step number panics: it is
 // always a profiler bug.

@@ -39,20 +39,6 @@ func TestStepStatObserveExtendsLeft(t *testing.T) {
 	}
 }
 
-func TestOpSet(t *testing.T) {
-	s := NewStepStat(0)
-	s.Observe(ev("a", Host, 0, 1, 0))
-	s.Observe(ev("a", Host, 1, 1, 0))
-	s.Observe(ev("b", TPU, 2, 1, 0))
-	set := s.OpSet()
-	if len(set) != 2 {
-		t.Fatalf("OpSet size = %d", len(set))
-	}
-	if _, ok := set[OpKey{"a", Host}]; !ok {
-		t.Fatal("missing host:a")
-	}
-}
-
 func TestMergeSameStep(t *testing.T) {
 	a := NewStepStat(5)
 	a.Observe(ev("x", TPU, 0, 100, 5))

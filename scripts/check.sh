@@ -51,9 +51,10 @@ echo "== archive + diff smoke"
 echo "== crash smoke"
 ./scripts/crash_smoke.sh
 
-# The streaming analyzer's chunk/duty determinism contract and the
-# mini-batch k-means must hold under the race detector; run the stream
-# packages twice so a scheduling-dependent divergence can't hide.
+# The streaming analyzer's chunk/duty determinism contract, the
+# mini-batch k-means and the shared analyzer front-end's once-only
+# feature/PCA build must hold under the race detector; run the packages
+# twice so a scheduling-dependent divergence can't hide.
 echo "== go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster"
 go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 

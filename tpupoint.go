@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"repro/internal/archive"
 	"repro/internal/core/analyzer"
@@ -138,6 +140,15 @@ type Session struct {
 	trained     bool
 	parallelism int
 	obs         *obs.Registry
+
+	// front is the analyzer front-end of the record set Analyze was last
+	// handed and frontOf that set's record pointers: Analyze calls on the
+	// same records (one per algorithm, the Figure 2 flow) share one step
+	// aggregation, feature matrix and PCA. One entry; analyzing any other
+	// set replaces it, which is when the old set's records are let go.
+	mu      sync.Mutex
+	front   *analyzer.Frontend
+	frontOf []*ProfileRecord
 }
 
 // NewSession prepares a training session for a named workload.
@@ -237,9 +248,14 @@ func (s *Session) MXUUtilization() float64 { return s.runner.MXUUtilization() }
 func (s *Session) TotalSeconds() float64 { return s.runner.TotalTime().Seconds() }
 
 // Analyze runs TPUPoint-Analyzer over profile records with the given
-// algorithm, associating phases with the run's checkpoints.
+// algorithm, associating phases with the run's checkpoints. Consecutive
+// calls with the same records — same length, the same *ProfileRecord at
+// every index — reuse the aggregated steps and the PCA-reduced feature
+// matrix of the first, so analyzing one run with all three algorithms
+// builds them once; the reports equal those of independent calls.
+// Records must not be modified after they are first passed in.
 func (s *Session) Analyze(records []*ProfileRecord, algo Algorithm) (*Report, error) {
-	rep, err := analyzer.Analyze(s.workload.Name, records, algo,
+	rep, err := s.frontend(records).Analyze(s.workload.Name, algo,
 		analyzer.Options{Seed: s.workload.Seed, Parallelism: s.parallelism, Obs: s.obs})
 	if err != nil {
 		return nil, err
@@ -250,6 +266,18 @@ func (s *Session) Analyze(records []*ProfileRecord, algo Algorithm) (*Report, er
 	}
 	analyzer.AssociateCheckpoints(rep.Phases, cks)
 	return rep, nil
+}
+
+// frontend returns the analyzer front-end for records, the retained one
+// when records is the set it was built from.
+func (s *Session) frontend(records []*ProfileRecord) *analyzer.Frontend {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.front == nil || !slices.Equal(s.frontOf, records) {
+		s.front = analyzer.NewFrontend(trace.AggregateSteps(records))
+		s.frontOf = slices.Clone(records)
+	}
+	return s.front
 }
 
 // LoadRecords reads the profile records the profiler persisted to the

@@ -2,8 +2,13 @@ package tpupoint
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core/analyzer"
 )
 
 func TestWorkloadsList(t *testing.T) {
@@ -187,6 +192,103 @@ func TestAnalyzeAlgorithms(t *testing.T) {
 	if _, err := s.Analyze(records, Algorithm("magic")); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
+}
+
+// TestSessionAnalyzeSharesFrontend pins the once-per-record-set
+// front-end: the three algorithms over one record set build the feature
+// matrix and PCA once, every report equals an independent
+// analyzer.Analyze, any other record set (a shorter one, the first one
+// again after it was replaced, one with a single element swapped for a
+// copy) rebuilds, and concurrent callers share one build.
+func TestSessionAnalyzeSharesFrontend(t *testing.T) {
+	reg := NewMetrics(0)
+	s, err := NewSession("resnet-imagenet", Options{Steps: 120, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Profile after training: the windows, and so the record count (several
+	// for this workload), then don't depend on how the profiler's polling
+	// interleaves with the run.
+	if err := s.Train(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.StartProfiler(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := p.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) < 2 {
+		t.Fatalf("need >= 2 records to vary the set, got %d", len(records))
+	}
+
+	// Every set below but the shorter one holds the same record contents
+	// as records, so one fresh report per algorithm is the oracle for all
+	// of them; the shorter set is passed a nil oracle.
+	algos := []Algorithm{OLS, KMeans, DBSCAN}
+	fresh := make(map[Algorithm]*Report)
+	for _, algo := range algos {
+		fresh[algo], err = analyzer.Analyze(s.workload.Name, records, algo, analyzer.Options{Seed: s.workload.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze := func(recs []*ProfileRecord, algo Algorithm, want map[Algorithm]*Report) {
+		rep, err := s.Analyze(recs, algo)
+		if err != nil {
+			t.Errorf("%s: %v", algo, err)
+			return
+		}
+		for _, ph := range rep.Phases {
+			ph.Checkpoint = "" // the session's addition to the analyzer's report
+		}
+		if want != nil && !reflect.DeepEqual(rep, want[algo]) {
+			t.Errorf("%s: session report differs from a fresh analyzer.Analyze", algo)
+		}
+	}
+	builds := func(when string, want int64) {
+		t.Helper()
+		for _, stage := range []string{"analyzer.stage.features_us", "analyzer.stage.pca_us"} {
+			if got := reg.Histogram(stage).Count(); got != want {
+				t.Fatalf("%s: %s observed %d times, want %d", when, stage, got, want)
+			}
+		}
+	}
+	all := func(recs []*ProfileRecord, want map[Algorithm]*Report) {
+		for _, algo := range algos {
+			analyze(recs, algo, want)
+		}
+	}
+
+	all(records, fresh)
+	builds("three algorithms, one record set", 1)
+	all(records, fresh)
+	builds("the same set again", 1)
+	all(records[:len(records)-1], nil)
+	builds("a shorter set", 2)
+	all(records, fresh)
+	builds("the first set after it was replaced", 3)
+	swapped := slices.Clone(records)
+	first := *records[0]
+	swapped[0] = &first
+	all(swapped, fresh)
+	builds("one element replaced", 4)
+
+	other := slices.Clone(records)
+	last := *records[len(records)-1]
+	other[len(other)-1] = &last
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(algo Algorithm) {
+			defer wg.Done()
+			analyze(other, algo, fresh)
+		}(algos[g%len(algos)])
+	}
+	wg.Wait()
+	builds("8 concurrent callers on a new set", 5)
 }
 
 func TestSessionResumeAtPhaseCheckpoint(t *testing.T) {

@@ -48,8 +48,8 @@ crash-smoke:
 stream-smoke:
 	./scripts/stream_smoke.sh
 
-# Sharded-ingest smoke: contention/v1-conversion/compaction suites under
-# -race, plus a CLI fresh -shards 4 archive and compaction round trip.
+# Sharded-ingest smoke: contention/compaction suites under -race, plus
+# a CLI fresh -shards 4 archive and compaction round trip.
 ingest-smoke:
 	./scripts/ingest_smoke.sh
 

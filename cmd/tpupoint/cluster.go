@@ -84,7 +84,7 @@ func clusterCmd(args []string, dir string, shards int, reg *obs.Registry) error 
 		}
 
 		if dir != "" {
-			r, _, done, err := openRepoDir(dir, shards, true, false)
+			r, _, done, err := openRepoDir(dir, shards, true)
 			if err != nil {
 				return err
 			}

@@ -15,7 +15,7 @@
 //	tpupoint -archive ./runs runs list
 //	tpupoint -archive ./runs runs diff base tuned
 //	tpupoint -archive ./runs -keep 2 runs gc
-//	tpupoint -archive ./runs -shards 8 runs fsck -repair   (convert a v1 single-manifest repository)
+//	tpupoint -archive ./runs runs fsck -repair     (rebuild, re-adopt or quarantine what fsck finds)
 //	tpupoint -archive ./runs runs compact          (merge small archives into packs)
 //
 // Fleet collection (profilers stream records to a central server):
@@ -77,7 +77,7 @@ func main() {
 		collectSrv  = flag.String("collect-serve", "", "run a fleet collection server at this TCP address writing into -archive")
 		maxSessions = flag.Int("max-sessions", 0, "collection server: concurrent session cap (0 = default)")
 		maxConns    = flag.Int("max-conns", 0, "served RPC endpoints: connection cap; excess connections get a transient busy error (0 = unlimited)")
-		shards      = flag.Int("shards", 0, "manifest shard count for the profile repository: sizes a fresh repository; an existing repository keeps its recorded count; 0 = 1 shard when fresh (4 per replica with -replicas > 1, where a count other than the recorded one is refused); runs fsck -repair converts a v1 single-manifest repository to this many shards")
+		shards      = flag.Int("shards", 0, "manifest shard count for the profile repository: sizes a fresh repository; an existing repository keeps its recorded count; 0 = 1 shard when fresh (4 per replica with -replicas > 1, where a count other than the recorded one is refused)")
 		compactEach = flag.Int("compact-every", 0, "collection server: run a background compaction pass every N finalized sessions (0 = never; on demand via `runs compact`)")
 
 		replicaID = flag.Int("replica-id", 0, "collection server: this replica's index in the replica set (with -replicas > 1)")
@@ -283,7 +283,7 @@ func main() {
 		}
 		printRunInfo(os.Stdout, info, "")
 	} else if *archiveDir != "" {
-		r, _, done, err := openRepoDir(*archiveDir, *shards, true, false)
+		r, _, done, err := openRepoDir(*archiveDir, *shards, true)
 		if err != nil {
 			fatal(err)
 		}

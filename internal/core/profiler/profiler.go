@@ -72,8 +72,8 @@ type RecordStore interface {
 // BatchStore is the optional fast path a RecordStore can offer for
 // batched persistence: framed is a trace framed stream (uvarint length,
 // record bytes)* holding count records. Stores that understand the
-// framed form natively — the archive sink, the fleet client — accept a
-// whole batch in one call; plain buckets get the framed blob through
+// framed form natively — the fleet client — accept a whole batch in
+// one call; plain buckets get the framed blob through
 // Put instead and LoadRecords decodes it back.
 type BatchStore interface {
 	RecordStore

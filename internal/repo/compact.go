@@ -18,31 +18,31 @@
 package repo
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
 	"strings"
 
 	"repro/internal/archive"
-	"repro/internal/storage"
 )
 
 // PackPrefix is the object-name prefix of consolidated pack blobs.
 const PackPrefix = "runs/.pack/"
 
-// CompactOptions tunes a compaction pass; the zero value means
-// "defaults".
+// CompactOptions selects what a compaction pass covers.
 type CompactOptions struct {
 	// Workload restricts the pass to one workload ("" = all).
 	Workload string
-	// MinRuns is the fewest unpacked archives that justify a pack
-	// (default 2 — packing one run is pure churn).
-	MinRuns int
-	// MaxBytes excludes archives larger than this from packing
-	// (default 4 MiB — big blobs don't suffer the small-object tax).
-	MaxBytes int64
 }
+
+const (
+	// compactMinRuns is the fewest unpacked archives that justify a
+	// pack: packing one run is pure churn.
+	compactMinRuns = 2
+	// compactMaxBytes excludes larger archives from packing: big blobs
+	// don't suffer the small-object tax.
+	compactMaxBytes = 4 << 20
+)
 
 // PackInfo describes one pack a compaction pass produced.
 type PackInfo struct {
@@ -63,12 +63,6 @@ type CompactReport struct {
 // time, and a pack nobody ended up referencing is deleted. Returns
 // what it packed; an empty report means nothing qualified.
 func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
-	if opts.MinRuns < 2 {
-		opts.MinRuns = 2
-	}
-	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = 4 << 20
-	}
 	r.compactMu.Lock()
 	defer r.compactMu.Unlock()
 	ss, err := r.ensureShards()
@@ -87,7 +81,7 @@ func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 		if opts.Workload != "" && e.Workload != opts.Workload {
 			continue
 		}
-		if e.Bytes > opts.MaxBytes {
+		if e.Bytes > compactMaxBytes {
 			continue
 		}
 		groups[e.Workload] = append(groups[e.Workload], e)
@@ -100,7 +94,7 @@ func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 	rep := &CompactReport{}
 	for _, w := range workloads {
 		group := groups[w]
-		if len(group) < opts.MinRuns {
+		if len(group) < compactMinRuns {
 			continue
 		}
 		sort.Slice(group, func(i, j int) bool {
@@ -109,7 +103,7 @@ func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 			}
 			return group[i].RunID < group[j].RunID
 		})
-		if err := r.compactGroup(ss, w, group, opts.MinRuns, rep); err != nil {
+		if err := r.compactGroup(ss, w, group, rep); err != nil {
 			return rep, err
 		}
 	}
@@ -124,7 +118,7 @@ func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 // commit point) → per-shard entry repoints → old blob deletes → done
 // record. A crash at any boundary leaves an open intent that
 // recoverCompact drives to a consistent end state.
-func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, minRuns int, rep *CompactReport) error {
+func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, rep *CompactReport) error {
 	var members []packMember
 	var blob []byte
 	for _, e := range group {
@@ -143,7 +137,7 @@ func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, minRu
 		})
 		blob = append(blob, obj.Data...)
 	}
-	if len(members) < minRuns {
+	if len(members) < compactMinRuns {
 		return nil
 	}
 	pack := packObjectName(workload, members)
@@ -157,47 +151,31 @@ func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, minRu
 	if _, err := r.store.Put(pack, blob); err != nil {
 		return err // intent open; Recover rolls back (pack absent)
 	}
+	inPack, err := r.repointMembers(ss, pack, members)
+	if err != nil {
+		return err // intent open; Recover reconciles
+	}
+	// Delete exactly the blobs this pass superseded, and the pack itself
+	// when every member changed under us. This is deliberately not the
+	// index scan replay uses (recoverCompact): beside live ingest, a
+	// concurrent re-save's blob is unreferenced until its manifest CAS
+	// lands, so "unreferenced" does not yet mean "ours to delete".
 	var packed []string
-	var oldBlobs []string
-	for _, mb := range members {
-		repointed := false
-		err := r.updateShardIdx(ss, ss.shardOf(mb.RunID), func(m *manifest) error {
-			repointed = false
-			i := m.find(mb.RunID)
-			if i < 0 {
-				return nil
-			}
-			e := &m.Runs[i]
-			// Repoint only an entry still addressing the exact bytes
-			// we packed; anything else changed under us and keeps its
-			// own storage.
-			if e.Object != mb.Object || e.packed() || e.Bytes != mb.Length {
-				return nil
-			}
-			e.Object, e.Offset, e.Length = pack, mb.Offset, mb.Length
-			repointed = true
-			return nil
-		})
-		if err != nil {
-			return err // intent open; Recover reconciles
+	for i, mb := range members {
+		if !inPack[i] {
+			continue
 		}
-		if repointed {
-			packed = append(packed, mb.RunID)
-			oldBlobs = append(oldBlobs, mb.Object)
+		packed = append(packed, mb.RunID)
+		if err := r.remove(mb.Object); err != nil {
+			return err // intent open; Recover reclaims the rest
 		}
 	}
 	if len(packed) == 0 {
-		// Every member changed under us; the pack is dead weight.
-		if derr := r.store.Delete(pack); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-			return derr
+		if err := r.remove(pack); err != nil {
+			return err
 		}
 		r.logDoneAt(jname, seq, opCompact)
 		return nil
-	}
-	for _, old := range oldBlobs {
-		if derr := r.store.Delete(old); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-			return derr // intent open; Recover reclaims the rest
-		}
 	}
 	r.logDoneAt(jname, seq, opCompact)
 	r.m.compactPacks.Inc()
@@ -210,6 +188,49 @@ func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, minRu
 		Object: pack, Workload: workload, Runs: packed, Bytes: int64(len(blob)),
 	})
 	return nil
+}
+
+// repointMembers points each member's index entry at its window of
+// pack, one CAS per shard, and reports per member whether its entry
+// addresses the pack afterwards. Only an entry still addressing the
+// exact pre-compaction bytes is repointed — one re-saved or repaired
+// since keeps its own storage — and an entry already in the pack (a
+// pass cut after its repoint) counts as using it.
+func (r *Repo) repointMembers(ss shardSet, pack string, members []packMember) ([]bool, error) {
+	inPack := make([]bool, len(members))
+	byShard := make([][]int, ss.n)
+	for i, mb := range members {
+		si := ss.shardOf(mb.RunID)
+		byShard[si] = append(byShard[si], i)
+	}
+	for si, idx := range byShard {
+		if len(idx) == 0 {
+			continue
+		}
+		err := r.updateShardIdx(ss, si, func(m *manifest) error {
+			for _, i := range idx {
+				mb := members[i]
+				inPack[i] = false
+				j := m.find(mb.RunID)
+				if j < 0 {
+					continue
+				}
+				e := &m.Runs[j]
+				if e.Object != pack {
+					if e.Object != mb.Object || e.packed() || e.Bytes != mb.Length {
+						continue
+					}
+					e.Object, e.Offset, e.Length = pack, mb.Offset, mb.Length
+				}
+				inPack[i] = true
+			}
+			return nil
+		})
+		if err != nil {
+			return inPack, err
+		}
+	}
+	return inPack, nil
 }
 
 // packObjectName derives a deterministic pack name from the workload

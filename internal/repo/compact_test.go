@@ -126,7 +126,8 @@ func mustInfo(t *testing.T, r *Repo, id string) RunInfo {
 	return info
 }
 
-// TestCompactRespectsThresholds: MinRuns and MaxBytes gate what packs.
+// TestCompactRespectsThresholds: a lone run is never packed, and the
+// workload filter gates what a pass covers.
 func TestCompactRespectsThresholds(t *testing.T) {
 	r := openSharded(t, newTestBucket(t), 2)
 	saveN(t, r, "solo", 1)
@@ -138,13 +139,6 @@ func TestCompactRespectsThresholds(t *testing.T) {
 		t.Fatalf("packed a single run: %+v", rep.Packs)
 	}
 	saveN(t, r, "pair", 2)
-	rep, err = r.Compact(CompactOptions{MaxBytes: 1}) // everything too big
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Packs) != 0 {
-		t.Fatalf("packed blobs above MaxBytes: %+v", rep.Packs)
-	}
 	rep, err = r.Compact(CompactOptions{Workload: "nosuch"})
 	if err != nil {
 		t.Fatal(err)

@@ -57,16 +57,14 @@ type FleetOptions struct {
 	// Lease expires sessions with no activity (crashed profilers must
 	// not pin session slots forever).
 	Lease time.Duration
-	// Algorithm and Analyzer configure the server-side analysis each
-	// session's records get at finalize (default OLS).
-	Algorithm analyzer.Algorithm
-	Analyzer  analyzer.Options
+	// Analyzer configures the server-side OLS analysis each session's
+	// records get at finalize.
+	Analyzer analyzer.Options
 	// Stream configures the per-session streaming analyzer that emits
 	// phase/degradation events while a run is in flight (see
 	// fleet_stream.go). Its DutyCycle is the collector-side sampling
-	// knob. DisableStream turns the in-flight analysis off entirely.
-	Stream        analyzer.StreamOptions
-	DisableStream bool
+	// knob.
+	Stream analyzer.StreamOptions
 	// CompactEvery triggers a background repository compaction pass
 	// after every N successful finalizes (0 = never). Passes run off
 	// the finalize path — an ack never waits on compaction — and
@@ -101,9 +99,6 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	}
 	if o.Lease == 0 {
 		o.Lease = DefaultLease
-	}
-	if o.Algorithm == "" {
-		o.Algorithm = analyzer.OLSAlgo
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -194,8 +189,9 @@ type session struct {
 	meta  archive.Meta
 	w     *archive.Writer
 
-	// stream is the in-flight analyzer (nil when disabled). Owned by
-	// the drain goroutine until done closes; finalize takes it after.
+	// stream is the in-flight analyzer (nil only on a session a test
+	// built by hand). Owned by the drain goroutine until done closes;
+	// finalize takes it after.
 	stream *analyzer.StreamAnalyzer
 
 	ch   chan queued   // bounded pending-record queue
@@ -516,7 +512,7 @@ func (f *Fleet) handleFinalize(body []byte) ([]byte, error) {
 		// materialization in a session's life.
 		recs, derr := s.w.DecodeRecords()
 		if derr == nil && len(recs) > 0 {
-			rep, aerr := analyzer.Analyze(s.meta.Workload, recs, f.opts.Algorithm, f.opts.Analyzer)
+			rep, aerr := analyzer.Analyze(s.meta.Workload, recs, analyzer.OLSAlgo, f.opts.Analyzer)
 			if aerr == nil {
 				sum = archive.SummarizeReport(rep)
 			}

@@ -223,13 +223,11 @@ func (f *Fleet) handleResume(body []byte) ([]byte, error) {
 		if err := w.AddRaw(rec); err != nil {
 			return nil, fmt.Errorf("fleet: session %q log replay: %w", req.Token, err)
 		}
-		if stream != nil {
-			// Replay rebuilds the analyzer to the exact pre-crash state:
-			// the log holds the accepted order the old drain fed it in,
-			// and the stream is a pure function of that sequence.
-			if dec, derr := trace.UnmarshalRecord(rec); derr == nil {
-				_ = stream.Feed(dec)
-			}
+		// Replay rebuilds the analyzer to the exact pre-crash state: the
+		// log holds the accepted order the old drain fed it in, and the
+		// stream is a pure function of that sequence.
+		if dec, derr := trace.UnmarshalRecord(rec); derr == nil {
+			_ = stream.Feed(dec)
 		}
 	}
 

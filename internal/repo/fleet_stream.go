@@ -35,15 +35,11 @@ func newStreamMetrics(r *obs.Registry) streamMetrics {
 	}
 }
 
-// newSessionStream builds the per-session streaming analyzer, or nil
-// when streaming analysis is disabled. Events fan out to obs under the
-// "stream.phase" scope (open/close) and "stream.step" (degraded), each
-// tagged with the session's run ID, then to any caller-provided
-// OnEvent.
+// newSessionStream builds the per-session streaming analyzer. Events
+// fan out to obs under the "stream.phase" scope (open/close) and
+// "stream.step" (degraded), each tagged with the session's run ID, then
+// to any caller-provided OnEvent.
 func (f *Fleet) newSessionStream(meta archive.Meta) *analyzer.StreamAnalyzer {
-	if f.opts.DisableStream {
-		return nil
-	}
 	opts := f.opts.Stream
 	if opts.Obs == nil {
 		opts.Obs = f.opts.Obs

@@ -136,30 +136,3 @@ func TestFleetStreamDutyCycle(t *testing.T) {
 		t.Fatalf("sampled steps = %d, want 10 of 100 at duty 1/10", got)
 	}
 }
-
-// TestFleetStreamDisabled: DisableStream must suppress the per-session
-// analyzers entirely.
-func TestFleetStreamDisabled(t *testing.T) {
-	reg := obs.NewRegistry(64)
-	f, srv, _ := newFleetUnderTest(t, FleetOptions{Obs: reg, DisableStream: true})
-	c := rpc.Pipe(srv)
-	defer c.Close()
-	fc, err := OpenResilient(c, OpenRequest{RunID: "quiet", Workload: "synthetic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.AppendBatch(phasedSessionRecords(0, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.sm.opened.Value(); got != 0 {
-		t.Fatalf("phases opened = %d with streaming disabled", got)
-	}
-	for _, ev := range reg.Events() {
-		if ev.Scope == "stream.phase" {
-			t.Fatalf("unexpected stream.phase event: %+v", ev)
-		}
-	}
-}

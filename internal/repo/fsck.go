@@ -15,12 +15,12 @@
 // reference them — a pack window that fails to decode condemns the
 // entry, not the shared pack.
 //
-// Fsck with repair is also the one way a v1 single-manifest store
-// becomes a sharded one (convertLegacy); nothing converts on open.
+// Every repair that has to re-create a blob — Salvage, a corrupt
+// indexed entry, a damaged orphan — goes through rebuildRun; the three
+// differ only in what they do when nothing is salvageable.
 package repo
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -40,11 +40,11 @@ const (
 	// IssueMissingBlob: a manifest entry whose blob (or pack) object is
 	// gone. Repair drops the phantom entry.
 	IssueMissingBlob = "missing-blob"
-	// IssueCorruptBlob: a referenced blob archive.Open rejects. Repair
-	// salvages what it can and rebuilds the blob in place (a packed
-	// run is rebuilt into a private blob; the shared pack is left for
-	// its siblings), or quarantines it (and drops the entry) when
-	// nothing survives.
+	// IssueCorruptBlob: a referenced blob archive.Open rejects, or a
+	// window its pack does not contain. Repair salvages what it can and
+	// rebuilds the blob in place (a packed run is rebuilt into a private
+	// blob; the shared pack is left for its siblings), or quarantines
+	// it (and drops the entry) when nothing survives.
 	IssueCorruptBlob = "corrupt-blob"
 	// IssueCountMismatch: blob opens cleanly but its counts disagree
 	// with the manifest entry. Repair trusts the blob.
@@ -89,16 +89,9 @@ func (fr *FsckReport) Clean() bool { return len(fr.Issues) == 0 }
 // phantom entries, rebuilds corrupt blobs from their salvageable
 // segments, repairs stale counts, re-adopts orphaned archives, and
 // quarantines what it cannot save. Run Recover (or construct via Open)
-// first so journal debris is not misreported as corruption. A v1 store
-// is refused like any other read unless repair is set, which converts
-// it first.
+// first so journal debris is not misreported as corruption.
 func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 	ss, err := r.resolveShards()
-	if repair && errors.Is(err, ErrLegacyLayout) {
-		if ss, err = r.convertLegacy(); err == nil {
-			_, err = r.Recover()
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -108,33 +101,45 @@ func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 	}
 	entries := mergedRuns(ms)
 	rep := &FsckReport{RunsChecked: len(entries)}
-
-	referenced := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		referenced[e.Object] = true
+	// note records one check's finding, repairing it first when asked:
+	// the checks below only classify, so a check-only pass cannot write.
+	note := func(issue *FsckIssue, fix fsckFix, err error) error {
+		if err != nil || issue == nil {
+			return err
+		}
+		if repair {
+			if issue.Action, err = fix(); err != nil {
+				return err
+			}
+		}
+		rep.Issues = append(rep.Issues, *issue)
+		if issue.Action != "" {
+			rep.Repaired++
+		}
+		return nil
 	}
 
 	for _, e := range entries {
-		issue, err := r.fsckEntry(e, repair)
-		if err != nil {
+		if err := note(r.fsckEntry(e)); err != nil {
 			return nil, err
 		}
-		if issue != nil {
-			rep.add(*issue)
-		}
 	}
 
-	indexed := func(id string) bool { return findRun(ms, id) != nil }
+	if rep.Repaired > 0 {
+		// Repairs rewrote entries and blobs (a packed run rebuilt into a
+		// private blob): classify the objects against the index as it
+		// is now, or the pass would quarantine what it just rebuilt.
+		if ms, _, err = r.loadAllShards(ss); err != nil {
+			return nil, err
+		}
+	}
+	referenced := referencedObjects(ms)
 	for _, name := range r.store.List("runs/") {
 		if isRepoInternalObject(name) || referenced[name] {
 			continue
 		}
-		issue, err := r.fsckUnreferenced(name, indexed, repair)
-		if err != nil {
+		if err := note(r.fsckUnreferenced(name, ms)); err != nil {
 			return nil, err
-		}
-		if issue != nil {
-			rep.add(*issue)
 		}
 	}
 
@@ -147,169 +152,92 @@ func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 	return rep, nil
 }
 
-func (fr *FsckReport) add(issue FsckIssue) {
-	fr.Issues = append(fr.Issues, issue)
-	if issue.Action != "" {
-		fr.Repaired++
+// fsckFix is the repair for one finding; it returns the Action to report.
+type fsckFix func() (action string, err error)
+
+// fsckEntry checks one manifest entry against its blob; a nil issue
+// means the entry is healthy. The bytes come through readEntryBytes, so
+// a packed entry costs a read of its window, not of the pack.
+func (r *Repo) fsckEntry(e RunInfo) (*FsckIssue, fsckFix, error) {
+	issue := func(kind, detail string) *FsckIssue {
+		return &FsckIssue{Kind: kind, RunID: e.RunID, Object: e.Object, Detail: detail}
 	}
+	blob, cause := r.readEntryBytes(e)
+	switch {
+	case errors.Is(cause, storage.ErrNotFound):
+		return issue(IssueMissingBlob, "manifest references a blob that does not exist"),
+			func() (string, error) { return "dropped phantom manifest entry", r.dropEntry(e.RunID) }, nil
+	case cause != nil && !errors.Is(cause, storage.ErrRangeOutsideObject):
+		return nil, nil, cause
+	}
+	// Corrupt: the window is not in the pack, or archive.Open rejects
+	// the bytes it holds.
+	var a *archive.Archive
+	if cause == nil {
+		a, cause = archive.Open(blob)
+	}
+	if cause != nil {
+		return issue(IssueCorruptBlob, cause.Error()), func() (string, error) { return r.repairCorrupt(e) }, nil
+	}
+	good := r.entryFor(a, e)
+	if good == e {
+		return nil, nil, nil
+	}
+	detail := fmt.Sprintf("manifest says %d records / %d bytes, blob holds %d / %d",
+		e.Records, e.Bytes, a.RecordCount(), a.Size())
+	return issue(IssueCountMismatch, detail),
+		func() (string, error) { return "manifest entry recomputed from blob", r.adopt(good) }, nil
 }
 
-// fsckEntry checks one manifest entry against its blob; nil means the
-// entry is healthy.
-func (r *Repo) fsckEntry(e RunInfo, repair bool) (*FsckIssue, error) {
-	obj, err := r.store.Get(e.Object)
-	if errors.Is(err, storage.ErrNotFound) {
-		issue := &FsckIssue{Kind: IssueMissingBlob, RunID: e.RunID, Object: e.Object,
-			Detail: "manifest references a blob that does not exist"}
-		if repair {
-			if err := r.dropEntry(e.RunID); err != nil {
-				return nil, err
-			}
-			issue.Action = "dropped phantom manifest entry"
-		}
-		return issue, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	blob := obj.Data
-	if e.packed() {
-		end := e.Offset + e.Length
-		if e.Offset < 0 || end > int64(len(obj.Data)) {
-			issue := &FsckIssue{Kind: IssueCorruptBlob, RunID: e.RunID, Object: e.Object,
-				Detail: fmt.Sprintf("entry window [%d,%d) outside pack (%d bytes)",
-					e.Offset, end, len(obj.Data))}
-			if repair {
-				action, err := r.repairCorrupt(e, nil)
-				if err != nil {
-					return nil, err
-				}
-				issue.Action = action
-			}
-			return issue, nil
-		}
-		blob = obj.Data[e.Offset:end]
-	}
-
-	a, openErr := archive.Open(blob)
-	if openErr != nil {
-		issue := &FsckIssue{Kind: IssueCorruptBlob, RunID: e.RunID, Object: e.Object,
-			Detail: openErr.Error()}
-		if repair {
-			action, err := r.repairCorrupt(e, blob)
-			if err != nil {
-				return nil, err
-			}
-			issue.Action = action
-		}
-		return issue, nil
-	}
-
-	if good := r.entryFor(a, e); good != e {
-		issue := &FsckIssue{Kind: IssueCountMismatch, RunID: e.RunID, Object: e.Object,
-			Detail: fmt.Sprintf("manifest says %d records / %d bytes, blob holds %d / %d",
-				e.Records, e.Bytes, a.RecordCount(), a.Size())}
-		if repair {
-			if err := r.replaceEntry(good); err != nil {
-				return nil, err
-			}
-			issue.Action = "manifest entry recomputed from blob"
-		}
-		return issue, nil
-	}
-	return nil, nil
-}
-
-// fsckUnreferenced classifies one runs/ object no manifest entry
-// claims; indexed reports whether a run ID exists anywhere in the
-// merged index.
-func (r *Repo) fsckUnreferenced(name string, indexed func(string) bool, repair bool) (*FsckIssue, error) {
-	if strings.HasPrefix(name, PackPrefix) {
-		issue := &FsckIssue{Kind: IssueOrphanPack, Object: name,
-			Detail: "pack object has no referencing manifest entries"}
-		if repair {
-			if err := r.quarantine(name); err != nil {
-				return nil, err
-			}
-			issue.Action = "quarantined"
-		}
-		return issue, nil
+// fsckUnreferenced classifies one runs/ object no entry of the index ms
+// claims.
+func (r *Repo) fsckUnreferenced(name string, ms []*manifest) (*FsckIssue, fsckFix, error) {
+	quarantine := func(action string) fsckFix {
+		return func() (string, error) { return action, r.quarantine(name) }
 	}
 	id := runIDFromObject(name)
-	if id == "" {
-		issue := &FsckIssue{Kind: IssueForeignObject, Object: name,
-			Detail: "object under runs/ is not a run blob"}
-		if repair {
-			if err := r.quarantine(name); err != nil {
-				return nil, err
-			}
-			issue.Action = "quarantined"
-		}
-		return issue, nil
+	switch {
+	case strings.HasPrefix(name, PackPrefix):
+		return &FsckIssue{Kind: IssueOrphanPack, Object: name,
+			Detail: "pack object has no referencing manifest entries"}, quarantine("quarantined"), nil
+	case id == "":
+		return &FsckIssue{Kind: IssueForeignObject, Object: name,
+			Detail: "object under runs/ is not a run blob"}, quarantine("quarantined"), nil
 	}
-
 	issue := &FsckIssue{Kind: IssueOrphanBlob, RunID: id, Object: name,
 		Detail: "run blob has no manifest entry"}
-	if !repair {
-		return issue, nil
+	if findRun(ms, id) != nil {
+		// A manifest entry for this run ID exists but points at a
+		// different object (a packed window, or foreign debris); the
+		// indexed entry wins, whatever state the orphan is in.
+		return issue, quarantine("quarantined (run ID already indexed elsewhere)"), nil
 	}
+	return issue, func() (string, error) { return r.adoptOrphan(id) }, nil
+}
 
+// adoptOrphan indexes the unreferenced blob under id's own name:
+// directly when it verifies and agrees about its own identity, through
+// salvage otherwise, and into quarantine when nothing survives.
+func (r *Repo) adoptOrphan(id string) (string, error) {
+	name := runObject(id)
 	obj, err := r.store.Get(name)
 	if errors.Is(err, storage.ErrNotFound) {
-		return nil, nil // raced away; nothing to report
+		return "", nil // raced away; nothing left to repair
 	}
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-
-	// Adopt directly when the blob verifies and agrees about its own
-	// identity; anything else goes through salvage.
 	if a, err := archive.Open(obj.Data); err == nil && a.Meta().RunID == id {
-		if indexed(id) {
-			// A manifest entry for this run ID exists but points at a
-			// different object (a packed window, or foreign debris);
-			// the indexed entry wins.
-			if err := r.quarantine(name); err != nil {
-				return nil, err
-			}
-			issue.Action = "quarantined (run ID already indexed elsewhere)"
-			return issue, nil
-		}
-		if err := r.adopt(r.entryFor(a, RunInfo{RunID: id, Object: name})); err != nil {
-			return nil, err
-		}
-		issue.Action = "re-adopted into manifest"
-		return issue, nil
+		return "re-adopted into manifest", r.adopt(r.entryFor(a, RunInfo{RunID: id}))
 	}
-
-	res, serr := archive.Salvage(obj.Data)
-	if serr != nil || len(res.Records) == 0 {
-		if err := r.quarantine(name); err != nil {
-			return nil, err
-		}
-		issue.Action = "quarantined (nothing salvageable)"
-		return issue, nil
+	_, srep, err := r.rebuildRun(id, nil)
+	if errors.Is(err, errUnsalvageable) {
+		return "quarantined (nothing salvageable)", r.quarantine(name)
 	}
-	meta := res.Meta
-	if meta.RunID != id {
-		meta.RunID = id
-	}
-	rebuilt := archive.Rebuild(meta, res)
-	a, err := archive.Open(rebuilt)
 	if err != nil {
-		return nil, fmt.Errorf("repo: fsck rebuilt blob does not verify: %w", err)
+		return "", err
 	}
-	if _, err := r.store.Put(name, rebuilt); err != nil {
-		return nil, err
-	}
-	if err := r.adopt(r.entryFor(a, RunInfo{RunID: id, Object: name})); err != nil {
-		return nil, err
-	}
-	r.m.salvagedSegs.Add(int64(res.Report.SegmentsKept))
-	issue.Action = fmt.Sprintf("re-adopted after salvage (%d/%d segments)",
-		res.Report.SegmentsKept, res.Report.SegmentsTotal)
-	return issue, nil
+	return fmt.Sprintf("re-adopted after salvage (%d/%d segments)", srep.SegmentsKept, srep.SegmentsTotal), nil
 }
 
 // repairCorrupt rebuilds a referenced-but-corrupt blob from its
@@ -318,52 +246,84 @@ func (r *Repo) fsckUnreferenced(name string, indexed func(string) bool, repair b
 // rebuilt into a private blob and its entry repointed — the shared
 // pack is never quarantined on one member's account, its other
 // windows may be healthy.
-func (r *Repo) repairCorrupt(e RunInfo, blob []byte) (string, error) {
-	res, serr := archive.Salvage(blob)
-	if serr != nil || len(res.Records) == 0 {
-		if e.packed() {
-			if err := r.dropEntry(e.RunID); err != nil {
+func (r *Repo) repairCorrupt(e RunInfo) (string, error) {
+	_, srep, err := r.rebuildRun(e.RunID, &e)
+	if errors.Is(err, errUnsalvageable) {
+		action := "dropped entry (nothing salvageable from pack window)"
+		if !e.packed() {
+			if err := r.quarantine(e.Object); err != nil {
 				return "", err
 			}
-			return "dropped entry (nothing salvageable from pack window)", nil
+			action = "quarantined blob and dropped entry (nothing salvageable)"
 		}
-		if err := r.quarantine(e.Object); err != nil {
-			return "", err
+		return action, r.dropEntry(e.RunID)
+	}
+	if err != nil {
+		return "", err
+	}
+	how := "rebuilt from salvage"
+	if e.packed() {
+		how = "rebuilt out of pack into private blob"
+	}
+	return fmt.Sprintf("%s (%d/%d segments, %d records kept)",
+		how, srep.SegmentsKept, srep.SegmentsTotal, srep.RecordsKept), nil
+}
+
+// errUnsalvageable is rebuildRun's "no intact record in these bytes";
+// each caller has its own policy for it.
+var errUnsalvageable = errors.New("no records recoverable")
+
+// rebuildRun is the one way a damaged run becomes a valid one again:
+// salvage every intact segment of the bytes entry addresses (for an
+// orphan, entry nil, the private blob under runID's own name), re-archive
+// them into a blob that verifies, store it as the run's private blob and
+// index it. A window its object does not wholly contain is clamped to
+// the bytes that exist, and a footer-torn blob takes its lost identity
+// from the manifest entry. The report is nil when the bytes are not an
+// archive at all.
+func (r *Repo) rebuildRun(runID string, entry *RunInfo) (RunInfo, *archive.SalvageReport, error) {
+	src := RunInfo{RunID: runID, Object: runObject(runID)}
+	if entry != nil {
+		src = *entry
+	}
+	blob, err := r.readEntryBytes(src)
+	if errors.Is(err, storage.ErrRangeOutsideObject) {
+		var obj *storage.Object
+		if obj, err = r.store.Get(src.Object); err == nil {
+			blob, _ = window(obj.Data, src.Offset, src.Length)
 		}
-		if err := r.dropEntry(e.RunID); err != nil {
-			return "", err
-		}
-		return "quarantined blob and dropped entry (nothing salvageable)", nil
+	}
+	if err != nil {
+		return RunInfo{}, nil, err
+	}
+	res, err := archive.Salvage(blob)
+	if err != nil {
+		return RunInfo{}, nil, fmt.Errorf("%w: %v", errUnsalvageable, err)
+	}
+	if len(res.Records) == 0 {
+		return RunInfo{}, &res.Report, errUnsalvageable
 	}
 	meta := res.Meta
-	if meta.RunID != e.RunID {
-		// Footer lost: rebuild identity from the manifest entry.
-		meta = archive.Meta{RunID: e.RunID, Workload: e.Workload, Label: e.Label,
-			HostSpec: e.HostSpec, TPUVersion: e.TPUVersion, CreatedSeq: e.CreatedSeq}
+	if meta.RunID != runID {
+		if entry != nil {
+			meta = entry.meta()
+		}
+		meta.RunID = runID
 	}
 	rebuilt := archive.Rebuild(meta, res)
 	a, err := archive.Open(rebuilt)
 	if err != nil {
-		return "", fmt.Errorf("repo: fsck rebuilt blob does not verify: %w", err)
+		return RunInfo{}, &res.Report, fmt.Errorf("repo: rebuilt blob does not verify: %w", err)
 	}
-	target := e.Object
-	if e.packed() {
-		target = runObject(e.RunID)
+	info := r.entryFor(a, RunInfo{RunID: runID})
+	if _, err := r.store.Put(info.Object, rebuilt); err != nil {
+		return RunInfo{}, &res.Report, err
 	}
-	if _, err := r.store.Put(target, rebuilt); err != nil {
-		return "", err
-	}
-	good := r.entryFor(a, RunInfo{RunID: e.RunID, Object: target})
-	if err := r.replaceEntry(good); err != nil {
-		return "", err
+	if err := r.adopt(info); err != nil {
+		return RunInfo{}, &res.Report, err
 	}
 	r.m.salvagedSegs.Add(int64(res.Report.SegmentsKept))
-	if e.packed() {
-		return fmt.Sprintf("rebuilt out of pack into private blob (%d/%d segments, %d records kept)",
-			res.Report.SegmentsKept, res.Report.SegmentsTotal, res.Report.RecordsKept), nil
-	}
-	return fmt.Sprintf("rebuilt from salvage (%d/%d segments, %d records kept)",
-		res.Report.SegmentsKept, res.Report.SegmentsTotal, res.Report.RecordsKept), nil
+	return info, &res.Report, nil
 }
 
 // entryFor computes the correct manifest entry for an opened archive,
@@ -398,21 +358,25 @@ func (r *Repo) entryFor(a *archive.Archive, base RunInfo) RunInfo {
 	return info
 }
 
+// meta is entryFor's inverse for the identity fields: the archive
+// metadata a manifest entry vouches for.
+func (info RunInfo) meta() archive.Meta {
+	return archive.Meta{
+		RunID:      info.RunID,
+		Workload:   info.Workload,
+		Label:      info.Label,
+		Tenant:     info.Tenant,
+		HostSpec:   info.HostSpec,
+		TPUVersion: info.TPUVersion,
+		CreatedSeq: info.CreatedSeq,
+	}
+}
+
 // dropEntry removes runID's manifest entry (no blob side effects).
 func (r *Repo) dropEntry(runID string) error {
 	return r.updateRun(runID, func(m *manifest) error {
 		if i := m.find(runID); i >= 0 {
 			m.Runs = append(m.Runs[:i], m.Runs[i+1:]...)
-		}
-		return nil
-	})
-}
-
-// replaceEntry swaps runID's manifest entry for info.
-func (r *Repo) replaceEntry(info RunInfo) error {
-	return r.updateRun(info.RunID, func(m *manifest) error {
-		if i := m.find(info.RunID); i >= 0 {
-			m.Runs[i] = info
 		}
 		return nil
 	})
@@ -460,10 +424,7 @@ func (r *Repo) quarantine(name string) error {
 	if _, err := r.store.Put(QuarantinePrefix+name, obj.Data); err != nil {
 		return err
 	}
-	if err := r.store.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
-		return err
-	}
-	return nil
+	return r.remove(name)
 }
 
 // Salvage recovers runID's blob in place: every intact segment is
@@ -472,179 +433,41 @@ func (r *Repo) quarantine(name string) error {
 // window is salvaged out of its pack into a private blob. The report
 // itemizes what the underlying archive.Salvage kept and lost.
 func (r *Repo) Salvage(runID string) (RunInfo, *archive.SalvageReport, error) {
-	object := runObject(runID)
 	ss, err := r.resolveShards()
 	if err != nil {
 		return RunInfo{}, nil, err
 	}
-	ms, _, err := r.loadAllShards(ss)
+	si := ss.shardOf(runID)
+	m, _, err := r.loadManifestObject(ss.manifestObject(si))
 	if err != nil {
 		return RunInfo{}, nil, err
 	}
-	entry := findRun(ms, runID)
-
-	var blob []byte
-	if entry != nil && entry.packed() {
-		obj, gerr := r.store.Get(entry.Object)
-		if errors.Is(gerr, storage.ErrNotFound) {
-			return RunInfo{}, nil, fmt.Errorf("%w: %q has no blob to salvage", ErrRunNotFound, runID)
+	var entry *RunInfo
+	if i := m.find(runID); i >= 0 {
+		entry = &m.Runs[i]
+		// Journal the rewrite only for indexed runs: an open save intent on
+		// an *unindexed* object would make a crash-time replay reclaim the
+		// blob — for an orphan that means deleting the only copy — and a
+		// crash mid-adoption leaves a valid orphan fsck re-adopts anyway.
+		// Replay never reclaims anything while the run stays indexed, so
+		// the intent is closed on every return.
+		jname := ss.journalObject(si)
+		seq, err := r.logIntentAt(jname, journalRecord{Op: opSaveBatch,
+			Members: []packMember{{RunID: runID, Object: runObject(runID)}}})
+		if err != nil {
+			return RunInfo{}, nil, err
 		}
-		if gerr != nil {
-			return RunInfo{}, nil, gerr
-		}
-		// Clamp the window so a corrupt offset still yields whatever
-		// bytes exist for the salvager to chew on.
-		off, end := entry.Offset, entry.Offset+entry.Length
-		if off < 0 {
-			off = 0
-		}
-		if end > int64(len(obj.Data)) {
-			end = int64(len(obj.Data))
-		}
-		if off > end {
-			off = end
-		}
-		blob = obj.Data[off:end]
-	} else {
-		obj, gerr := r.store.Get(object)
-		if errors.Is(gerr, storage.ErrNotFound) {
-			return RunInfo{}, nil, fmt.Errorf("%w: %q has no blob to salvage", ErrRunNotFound, runID)
-		}
-		if gerr != nil {
-			return RunInfo{}, nil, gerr
-		}
-		blob = obj.Data
+		defer r.logDoneAt(jname, seq, opSaveBatch)
 	}
-
-	res, err := archive.Salvage(blob)
+	info, srep, err := r.rebuildRun(runID, entry)
+	if errors.Is(err, storage.ErrNotFound) {
+		return RunInfo{}, nil, fmt.Errorf("%w: %q has no blob to salvage", ErrRunNotFound, runID)
+	}
 	if err != nil {
-		return RunInfo{}, nil, fmt.Errorf("repo: salvage %q: %w", runID, err)
+		return RunInfo{}, srep, fmt.Errorf("repo: salvage %q: %w", runID, err)
 	}
-	if len(res.Records) == 0 {
-		return RunInfo{}, &res.Report, fmt.Errorf("repo: salvage %q: no records recoverable", runID)
-	}
-	meta := res.Meta
-	if meta.RunID != runID {
-		if entry != nil {
-			meta = archive.Meta{RunID: runID, Workload: entry.Workload, Label: entry.Label,
-				HostSpec: entry.HostSpec, TPUVersion: entry.TPUVersion, CreatedSeq: entry.CreatedSeq}
-		} else {
-			meta.RunID = runID
-		}
-	}
-	rebuilt := archive.Rebuild(meta, res)
-	a, err := archive.Open(rebuilt)
-	if err != nil {
-		return RunInfo{}, &res.Report, fmt.Errorf("repo: rebuilt blob does not verify: %w", err)
-	}
-	info := r.entryFor(a, RunInfo{RunID: runID, Object: object})
-
-	// Journal the rewrite only for indexed runs: an open save intent on
-	// an *unindexed* object would make a crash-time replay reclaim the
-	// blob — for an orphan that means deleting the only copy. Leaving
-	// the orphan adoption unjournaled is safe: a crash mid-way leaves a
-	// valid orphan blob fsck re-adopts.
-	jname := ss.journalObject(ss.shardOf(runID))
-	var seq uint64
-	journaled := entry != nil
-	if journaled {
-		intent := journalRecord{Op: opSaveBatch, Members: []packMember{{RunID: runID, Object: object}}}
-		if seq, err = r.logIntentAt(jname, intent); err != nil {
-			return RunInfo{}, &res.Report, err
-		}
-	}
-	if _, err := r.store.Put(object, rebuilt); err != nil {
-		return RunInfo{}, &res.Report, err
-	}
-	if err := r.adopt(info); err != nil {
-		return RunInfo{}, &res.Report, err
-	}
-	if journaled {
-		r.logDoneAt(jname, seq, opSaveBatch)
-	}
-	r.m.salvagedSegs.Add(int64(res.Report.SegmentsKept))
 	r.obs.Emit("repo", "salvage",
 		fmt.Sprintf("salvaged run %q: %d/%d segments, %d records",
-			runID, res.Report.SegmentsKept, res.Report.SegmentsTotal, res.Report.RecordsKept))
-	return info, &res.Report, nil
-}
-
-// convertLegacy rewrites a v1 single-manifest store as a sharded one
-// of wantShards shards, in place — the only code that still reads
-// ManifestObject and JournalObject. The caller must be the store's only
-// writer. Write order makes a power cut at any boundary leave either a
-// v1 store (still refused, convertible again) or a complete sharded one:
-//
-//  1. delete the shard documents and journals an interrupted conversion
-//     to another count left (invisible while no layout object exists),
-//  2. write the new shard documents, and the v1 journal's bytes as
-//     shard 0's journal (still invisible) — replay does not care which
-//     journal holds an intent, so the Recover that follows the
-//     conversion reconciles what the v1 writer left open,
-//  3. PutIf the layout object at generation 0 — the commit point,
-//  4. delete the v1 manifest and journal; a cut before this leaves them
-//     as foreign objects for a later fsck -repair to quarantine.
-func (r *Repo) convertLegacy() (shardSet, error) {
-	n := max(r.wantShards, 1)
-	legacy, _, err := r.loadManifestObject(ManifestObject)
-	if err != nil {
-		return shardSet{}, err
-	}
-	maxSeq := legacy.NextSeq - 1
-	for _, e := range legacy.Runs {
-		if e.CreatedSeq > maxSeq {
-			maxSeq = e.CreatedSeq
-		}
-	}
-	target := shardSet{n: n, saved: true}
-	docs := make([]*manifest, n)
-	for i := range docs {
-		docs[i] = &manifest{NextSeq: localSeqAfter(maxSeq, n, i)}
-	}
-	for _, e := range legacy.Runs {
-		i := target.shardOf(e.RunID)
-		docs[i].Runs = append(docs[i].Runs, e)
-	}
-	for _, prefix := range []string{shardManifestPrefix, shardJournalPrefix} {
-		for _, name := range r.store.List(prefix) {
-			if err := r.store.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
-				return shardSet{}, err
-			}
-		}
-	}
-	for i, doc := range docs {
-		data, err := marshalManifest(doc)
-		if err != nil {
-			return shardSet{}, err
-		}
-		if _, err := r.store.Put(target.manifestObject(i), data); err != nil {
-			return shardSet{}, err
-		}
-	}
-	if j, err := r.store.Get(JournalObject); err == nil {
-		if _, err := r.store.Put(target.journalObject(0), j.Data); err != nil {
-			return shardSet{}, err
-		}
-	} else if !errors.Is(err, storage.ErrNotFound) {
-		return shardSet{}, err
-	}
-	lay, err := json.Marshal(repoLayout{Version: 1, Shards: n})
-	if err != nil {
-		return shardSet{}, err
-	}
-	if _, err := r.store.PutIf(LayoutObject, lay, 0); err != nil {
-		return shardSet{}, err
-	}
-	for _, name := range []string{ManifestObject, JournalObject} {
-		if err := r.store.Delete(name); err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return shardSet{}, err
-		}
-	}
-	r.layoutMu.Lock()
-	r.shards = &target
-	r.layoutMu.Unlock()
-	r.noteSeq(maxSeq)
-	r.obs.Emit("repo", "converted",
-		fmt.Sprintf("converted v1 manifest (%d runs) to %d shards", len(legacy.Runs), n))
-	return target, nil
+			runID, srep.SegmentsKept, srep.SegmentsTotal, srep.RecordsKept))
+	return info, srep, nil
 }

@@ -8,8 +8,8 @@
 // and drives each open intent to one of the two legal end states, so
 // the manifests and the blob set always reconverge:
 //
-//   - save intent, run in manifest        → mutation committed; nothing to do
-//   - save intent, run absent             → roll back: reclaim the orphan blob
+//   - save-batch intent, member by member: run in manifest → committed,
+//     nothing to do; run absent → roll back: reclaim the orphan blob
 //   - delete intent, run still in manifest → mutation never took effect; no-op
 //   - delete intent, run absent           → complete: reclaim the leftover
 //     object unless other runs still reference it (a shared pack)
@@ -19,6 +19,9 @@
 //     happened, the member blobs are untouched
 //   - compact intent, pack present+valid   → roll forward: repoint members
 //     still on their old blobs, reclaim superseded blobs
+//
+// An open intent of any other operation stops the replay with an error:
+// a journal this build cannot settle is never truncated.
 //
 // Journal frame layout (little-endian), chosen so a torn tail — the
 // power cut landing mid-append — is detectable and trimmable:
@@ -48,10 +51,6 @@ import (
 	"repro/internal/storage"
 )
 
-// JournalObject is the bucket object that held the intent journal in
-// the v1 single-manifest layout; only the converter (fsck.go) reads it.
-const JournalObject = "runs/.journal"
-
 // journalFrameOverhead is the per-record framing cost: u32 length +
 // u32 crc32c.
 const journalFrameOverhead = 8
@@ -64,10 +63,6 @@ var journalTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal operation and phase names.
 const (
-	// opSave is a single-run save intent. Nothing writes it any more;
-	// Recover still replays the ones that journals from earlier builds
-	// hold.
-	opSave    = "save"
 	opDelete  = "delete"
 	opGC      = "gc"
 	opCompact = "compact"
@@ -237,13 +232,28 @@ type journalState struct {
 	name string
 	recs []journalRecord
 	torn int
-	// done maps intent seqs to their done records WITHIN this journal.
-	// Matching must stay per-journal: every writer logs an intent and
-	// its done to the same journal object, but two replica processes
-	// each start their own journalSeq counter — a seq is only unique
-	// per (process, journal), so a global map could let replica A's
-	// done mask replica B's open intent.
-	done map[uint64]bool
+}
+
+// openIntents returns the intents in one journal's records that no done
+// record closes. Matching must stay per journal: every writer logs an
+// intent and its done to the same journal object, but two replica
+// processes each start their own journalSeq counter — a seq is only
+// unique per (process, journal), so a global match could let replica
+// A's done mask replica B's open intent.
+func openIntents(recs []journalRecord) []journalRecord {
+	done := make(map[uint64]bool)
+	for _, rec := range recs {
+		if rec.Phase == phaseDone {
+			done[rec.Seq] = true
+		}
+	}
+	var open []journalRecord
+	for _, rec := range recs {
+		if rec.Phase == phaseIntent && !done[rec.Seq] {
+			open = append(open, rec)
+		}
+	}
+	return open
 }
 
 // recoverJournals lists the journals Recover may replay. A standalone
@@ -274,6 +284,7 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 	}
 	rep := &RecoveryReport{}
 	var states []journalState
+	maxSeq := uint64(0)
 	for _, name := range r.recoverJournals(ss) {
 		recs, torn, err := readJournalObject(r.store, name)
 		if err != nil {
@@ -282,19 +293,8 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 		states = append(states, journalState{name: name, recs: recs, torn: torn})
 		rep.Records += len(recs)
 		rep.TornBytes += torn
-	}
-
-	maxSeq := uint64(0)
-	for i := range states {
-		st := &states[i]
-		st.done = make(map[uint64]bool)
-		for _, rec := range st.recs {
-			if rec.Seq > maxSeq {
-				maxSeq = rec.Seq
-			}
-			if rec.Phase == phaseDone {
-				st.done[rec.Seq] = true
-			}
+		for _, rec := range recs {
+			maxSeq = max(maxSeq, rec.Seq)
 		}
 	}
 	// Future intents must not collide with replayed seqs.
@@ -309,23 +309,26 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 	// across journals). Compaction intents reconcile after the others:
 	// they re-read the manifests they mutate, so they must see the
 	// final word on every save/delete/gc rollback first.
-	var open, openCompacts []journalRecord
+	var open []journalRecord
 	for _, st := range states {
-		for _, rec := range st.recs {
-			if rec.Phase != phaseIntent || st.done[rec.Seq] {
-				continue
-			}
-			if rec.Op == opCompact {
-				openCompacts = append(openCompacts, rec)
-			} else {
+		for _, rec := range openIntents(st.recs) {
+			switch rec.Op {
+			case opSaveBatch, opDelete, opGC, opCompact:
 				open = append(open, rec)
+			default:
+				return nil, fmt.Errorf("repo: journal %s holds an open %q intent (seq %d), an operation this build cannot replay",
+					st.name, rec.Op, rec.Seq)
 			}
 		}
 	}
-	sort.Slice(open, func(i, j int) bool { return open[i].Seq < open[j].Seq })
-	sort.Slice(openCompacts, func(i, j int) bool { return openCompacts[i].Seq < openCompacts[j].Seq })
-	rep.OpenIntents = len(open) + len(openCompacts)
-	if rep.OpenIntents == 0 && rep.TornBytes == 0 {
+	sort.Slice(open, func(i, j int) bool {
+		if ci, cj := open[i].Op == opCompact, open[j].Op == opCompact; ci != cj {
+			return cj
+		}
+		return open[i].Seq < open[j].Seq
+	})
+	rep.OpenIntents = len(open)
+	if rep.Clean() {
 		return rep, nil
 	}
 
@@ -335,43 +338,16 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 	}
 	// Objects protected from reclamation: everything any manifest
 	// references (a pack stays protected while one member survives).
-	inManifest := make(map[string]bool)
-	for _, info := range mergedRuns(ms) {
-		inManifest[info.Object] = true
-	}
-
-	reclaim := func(object string) error {
-		if object == "" || inManifest[object] {
-			return nil
-		}
-		if !r.store.Exists(object) {
-			return nil
-		}
-		if err := r.store.Delete(object); err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return err
-		}
-		rep.OrphansReclaimed = append(rep.OrphansReclaimed, object)
-		return nil
-	}
+	refs := referencedObjects(ms)
+	reclaim := func(object string) error { return r.reclaim(rep, refs, object) }
 
 	for _, intent := range open {
 		switch intent.Op {
-		case opSave:
-			if findRun(ms, intent.RunID) != nil {
-				// The manifest update landed: the save committed and
-				// only the done record is missing.
-				rep.Completed++
-			} else {
-				// Acceptance never became durable: reclaim the blob.
-				if err := reclaim(intent.Object); err != nil {
-					return nil, err
-				}
-				rep.RolledBack++
-			}
 		case opSaveBatch:
 			// Member-wise replay: each member is an independent save —
-			// committed if its run reached the manifest, otherwise its
-			// blob is reclaimed.
+			// committed if its run reached the manifest (only the done
+			// record is missing), otherwise acceptance never became
+			// durable and its blob is reclaimed.
 			rolled := false
 			for _, mb := range intent.Members {
 				if findRun(ms, mb.RunID) != nil {
@@ -411,20 +387,17 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 				}
 			}
 			// Packed victims recorded their shared object explicitly;
-			// inManifest protects it while any sibling survives.
+			// refs protects it while any sibling survives.
 			for _, object := range intent.Objects {
 				if err := reclaim(object); err != nil {
 					return nil, err
 				}
 			}
 			rep.Completed++
-		}
-		r.logReplay(intent)
-	}
-
-	for _, intent := range openCompacts {
-		if err := r.recoverCompact(ss, intent, rep); err != nil {
-			return nil, err
+		case opCompact:
+			if err := r.recoverCompact(ss, intent, rep); err != nil {
+				return nil, err
+			}
 		}
 		r.logReplay(intent)
 	}
@@ -443,112 +416,77 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// recoverCompact reconciles one open compaction intent. The pack Put
-// is the commit point: a missing pack means nothing durable happened
-// (the member blobs are untouched — pure rollback); a present, valid
-// pack rolls forward — members whose entries still address their old
-// blobs are repointed into the pack, superseded blobs are reclaimed,
-// and a pack no member ended up referencing is dropped.
-func (r *Repo) recoverCompact(ss shardSet, intent journalRecord, rep *RecoveryReport) error {
-	pack := intent.Object
-	obj, err := r.store.Get(pack)
-	if errors.Is(err, storage.ErrNotFound) {
-		rep.RolledBack++
+// reclaim deletes object during replay unless refs — the objects the
+// index addresses — protects it, and records the deletion in rep.
+func (r *Repo) reclaim(rep *RecoveryReport, refs map[string]bool, object string) error {
+	if object == "" || refs[object] || !r.store.Exists(object) {
 		return nil
 	}
+	if err := r.remove(object); err != nil {
+		return err
+	}
+	rep.OrphansReclaimed = append(rep.OrphansReclaimed, object)
+	return nil
+}
+
+// recoverCompact reconciles one open compaction intent. The pack Put
+// is the commit point: a missing pack means nothing durable happened
+// (pure rollback); a present, valid pack rolls forward — members whose
+// entries still address their old blobs are repointed into it and
+// superseded blobs are reclaimed. Put is atomic, so an invalid pack is
+// bit rot, not a torn write: nothing is repointed into it and no member
+// is touched. Either way a pack no entry references is dropped (one
+// that is referenced but invalid is Fsck's to repair).
+func (r *Repo) recoverCompact(ss shardSet, intent journalRecord, rep *RecoveryReport) error {
+	pack := intent.Object
+	valid := true
+	for _, mb := range intent.Members {
+		blob, err := r.readEntryBytes(RunInfo{Object: pack, Offset: mb.Offset, Length: mb.Length})
+		switch {
+		case errors.Is(err, storage.ErrNotFound):
+			rep.RolledBack++
+			return nil
+		case errors.Is(err, storage.ErrRangeOutsideObject):
+			valid = false
+		case err != nil:
+			return err
+		default:
+			if _, aerr := archive.Open(blob); aerr != nil {
+				valid = false
+			}
+		}
+	}
+	if valid {
+		if _, err := r.repointMembers(ss, pack, intent.Members); err != nil {
+			return err
+		}
+	}
+	// Replay is the sole writer, so the index scan alone decides what is
+	// superseded: a member's old blob goes unless some entry (a re-save
+	// of the run lands at the same object name) still addresses it. The
+	// repoint outcome cannot decide — a cut between repoint and delete
+	// leaves a repointed entry whose old blob lingers. Live compaction
+	// (compactGroup) must not use this rule; see there.
+	ms, _, err := r.loadAllShards(ss)
 	if err != nil {
 		return err
 	}
-	valid := true
-	for _, mb := range intent.Members {
-		end := mb.Offset + mb.Length
-		if mb.Offset < 0 || end > int64(len(obj.Data)) {
-			valid = false
-			break
-		}
-		if _, aerr := archive.Open(obj.Data[mb.Offset:end]); aerr != nil {
-			valid = false
-			break
+	refs := referencedObjects(ms)
+	if valid {
+		for _, mb := range intent.Members {
+			if err := r.reclaim(rep, refs, mb.Object); err != nil {
+				return err
+			}
 		}
 	}
-	if !valid {
-		// Put is atomic, so an invalid pack is bit rot rather than a
-		// torn write; nothing can have been repointed into it safely.
-		// Drop it unless some entry references it (then Fsck owns the
-		// repair).
-		referenced, rerr := r.packReferenced(ss, pack)
-		if rerr != nil {
-			return rerr
-		}
-		if !referenced {
-			if derr := r.store.Delete(pack); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-				return derr
-			}
-			rep.OrphansReclaimed = append(rep.OrphansReclaimed, pack)
-		}
+	if err := r.reclaim(rep, refs, pack); err != nil {
+		return err
+	}
+	if valid {
+		rep.Completed++
+	} else {
 		rep.RolledBack++
-		return nil
 	}
-	packUsed := false
-	for _, mb := range intent.Members {
-		si := ss.shardOf(mb.RunID)
-		usesPack := false
-		err := r.updateShardIdx(ss, si, func(m *manifest) error {
-			usesPack = false
-			i := m.find(mb.RunID)
-			if i < 0 {
-				return nil
-			}
-			e := &m.Runs[i]
-			if e.Object == pack {
-				// Already repointed before the crash.
-				usesPack = true
-				return nil
-			}
-			if e.Object != mb.Object || e.packed() || e.Bytes != mb.Length {
-				// The entry moved on (re-saved, repaired); leave it.
-				return nil
-			}
-			e.Object, e.Offset, e.Length = pack, mb.Offset, mb.Length
-			usesPack = true
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if usesPack {
-			packUsed = true
-		}
-		// The member's pre-compaction blob is superseded unless some
-		// entry (a re-save of the same run ID lands at the same object
-		// name) still references it — the scan, not the repoint outcome,
-		// decides: a cut after the repoint but before the delete leaves
-		// an already-repointed entry whose old blob still lingers.
-		referenced := false
-		ms, _, lerr := r.loadAllShards(ss)
-		if lerr != nil {
-			return lerr
-		}
-		for _, e := range mergedRuns(ms) {
-			if e.Object == mb.Object {
-				referenced = true
-				break
-			}
-		}
-		if !referenced && r.store.Exists(mb.Object) {
-			if derr := r.store.Delete(mb.Object); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-				return derr
-			}
-			rep.OrphansReclaimed = append(rep.OrphansReclaimed, mb.Object)
-		}
-	}
-	if !packUsed {
-		if derr := r.store.Delete(pack); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-			return derr
-		}
-		rep.OrphansReclaimed = append(rep.OrphansReclaimed, pack)
-	}
-	rep.Completed++
 	return nil
 }
 
@@ -580,19 +518,8 @@ func (r *Repo) compactJournalObject(name string, threshold int) {
 		return
 	}
 	recs, torn, err := readJournalObject(r.store, name)
-	if err != nil || torn > 0 {
+	if err != nil || torn > 0 || len(openIntents(recs)) > 0 {
 		return
-	}
-	done := make(map[uint64]bool)
-	for _, rec := range recs {
-		if rec.Phase == phaseDone {
-			done[rec.Seq] = true
-		}
-	}
-	for _, rec := range recs {
-		if rec.Phase == phaseIntent && !done[rec.Seq] {
-			return
-		}
 	}
 	// A concurrent mutation may append between the read and this
 	// rewrite; tolerate losing the race by writing only when the

@@ -63,6 +63,12 @@ var (
 	journal0  = oneShard.journalObject(0)
 )
 
+// saveIntent is the intent a save of runID alone journals: a commit
+// round of one.
+func saveIntent(runID string) journalRecord {
+	return journalRecord{Op: opSaveBatch, Members: []packMember{{RunID: runID, Object: runObject(runID)}}}
+}
+
 func newTestBucket(t *testing.T) *storage.Bucket {
 	t.Helper()
 	svc := storage.NewService()
@@ -366,11 +372,11 @@ func TestJournalTornTailTrimmed(t *testing.T) {
 func TestJournalCorruptFrameStopsRead(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
-	seq, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")})
+	seq, err := r.logIntentAt(journal0, saveIntent("run-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.logDoneAt(journal0, seq, opSave)
+	r.logDoneAt(journal0, seq, opSaveBatch)
 	obj, err := bucket.Get(journal0)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +408,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if _, err := r.Save(archiveBlob(t, "run-a", 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "ghost", Object: runObject("ghost")}); err != nil {
+	if _, err := r.logIntentAt(journal0, saveIntent("ghost")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bucket.Put(runObject("ghost"), []byte("orphan")); err != nil {
@@ -430,17 +436,17 @@ func TestRecoverSeqContinuation(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
 	for i := 0; i < 3; i++ {
-		seq, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "x", Object: runObject("x")})
+		seq, err := r.logIntentAt(journal0, saveIntent("x"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.logDoneAt(journal0, seq, opSave)
+		r.logDoneAt(journal0, seq, opSaveBatch)
 	}
 	r2 := New(bucket)
 	if _, err := r2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := r2.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "y", Object: runObject("y")})
+	seq, err := r2.logIntentAt(journal0, saveIntent("y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +489,7 @@ func TestJournalCompaction(t *testing.T) {
 func TestJournalFrameCRC(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := New(bucket)
-	if _, err := r.logIntentAt(journal0, journalRecord{Op: opSave, RunID: "run-a", Object: runObject("run-a")}); err != nil {
+	if _, err := r.logIntentAt(journal0, saveIntent("run-a")); err != nil {
 		t.Fatal(err)
 	}
 	obj, err := bucket.Get(journal0)

@@ -48,6 +48,8 @@ type ResilientClient struct {
 	base  int
 	sent  [][]byte
 	acked int
+	// lastPut names the last Put or PutBatch object retained in sent.
+	lastPut string
 	// resumes counts recoveries, for tests and diagnostics.
 	resumes int
 }
@@ -112,7 +114,9 @@ func (rc *ResilientClient) Append(rec *trace.ProfileRecord) error {
 // is the profiler's local object name and is not persisted (the session
 // orders records by arrival); data is retained for failover resend.
 func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error) {
-	rc.sent = append(rc.sent, frameOne(data))
+	if !rc.retried(name) {
+		rc.sent = append(rc.sent, frameOne(data))
+	}
 	if err := rc.flush(); err != nil {
 		return nil, err
 	}
@@ -131,13 +135,29 @@ func (rc *ResilientClient) PutBatch(name string, framed []byte, count int) (*sto
 	if count >= 0 && len(payloads) != count {
 		return nil, fmt.Errorf("fleet: batch holds %d records, caller claims %d", len(payloads), count)
 	}
-	for _, p := range payloads {
-		rc.sent = append(rc.sent, frameOne(p))
+	if !rc.retried(name) {
+		for _, p := range payloads {
+			rc.sent = append(rc.sent, frameOne(p))
+		}
 	}
 	if err := rc.flush(); err != nil {
 		return nil, err
 	}
 	return &storage.Object{Name: name}, nil
+}
+
+// retried reports whether name is the object the previous Put or
+// PutBatch retained, and notes it otherwise. The profiler retries a
+// failed write under the same name, and such a retry only flushes:
+// retaining its records again would archive them twice, while dropping
+// the first copy on failure would break resume when it was the ack that
+// got lost. An empty name identifies nothing and is never a retry.
+func (rc *ResilientClient) retried(name string) bool {
+	if name != "" && name == rc.lastPut {
+		return true
+	}
+	rc.lastPut = name
+	return false
 }
 
 // AppendBatch streams records, recovering the session if needed.

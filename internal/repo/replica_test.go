@@ -532,15 +532,15 @@ func TestRecoverPerJournalDoneMatching(t *testing.T) {
 	ss := shardSet{n: 2, saved: true}
 
 	// Replica A: a completed save in journal-0 (intent + done, seq 1).
-	seqA, err := ra.logIntentAt(ss.journalObject(0), journalRecord{Op: opSave, RunID: "a-run", Object: runObject("a-run")})
+	seqA, err := ra.logIntentAt(ss.journalObject(0), saveIntent("a-run"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra.logDoneAt(ss.journalObject(0), seqA, opSave)
+	ra.logDoneAt(ss.journalObject(0), seqA, opSaveBatch)
 
 	// Replica B: an OPEN intent in journal-1 with the SAME seq number,
 	// blob written but never indexed — a crash mid-save.
-	seqB, err := rb.logIntentAt(ss.journalObject(1), journalRecord{Op: opSave, RunID: "b-run", Object: runObject("b-run")})
+	seqB, err := rb.logIntentAt(ss.journalObject(1), saveIntent("b-run"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestOpenShardsOwnedScopesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := peer.logIntentAt(ss.journalObject(0), journalRecord{Op: opSave, RunID: "inflight", Object: runObject("inflight")}); err != nil {
+	if _, err := peer.logIntentAt(ss.journalObject(0), saveIntent("inflight")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bucket.Put(runObject("inflight"), []byte("peer bytes")); err != nil {
@@ -632,7 +632,7 @@ func TestOpenShardsOwnedRefusesOtherCount(t *testing.T) {
 	}
 	// A crashed save on shard 9: open intent, blob written, never indexed.
 	j9 := shardSet{n: 12}.journalObject(9)
-	if _, err := r0.logIntentAt(j9, journalRecord{Op: opSave, RunID: "cut", Object: runObject("cut")}); err != nil {
+	if _, err := r0.logIntentAt(j9, saveIntent("cut")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bucket.Put(runObject("cut"), []byte("orphan bytes")); err != nil {

@@ -71,10 +71,10 @@ var (
 	_ Store = (*storage.DirStore)(nil)
 )
 
-// ManifestObject is the bucket object that held the run index in the v1
-// single-manifest layout. Nothing writes it any more; it is named only
-// to detect such a store (resolveShards) and to convert one (fsck.go).
-const ManifestObject = "runs/manifest.json"
+// legacyManifestObject is the object that held the run index in the v1
+// single-manifest layout. Nothing reads or writes it; it is named only
+// so that a store holding one is refused (resolveShards).
+const legacyManifestObject = "runs/manifest.json"
 
 // casRetries bounds a manifest shard's compare-and-swap loop. Every
 // failed CAS proves some other writer committed, so with backoff the
@@ -95,9 +95,9 @@ var (
 	// ErrLegacyLayout refuses a store that holds the v1 single-manifest
 	// index (runs/manifest.json) and no layout object. Every constructor
 	// and every read returns it rather than treat the store as empty;
-	// nothing migrates on open.
-	ErrLegacyLayout = errors.New("repo: v1 single-manifest layout (" + ManifestObject + " without " +
-		LayoutObject + ") is not opened; convert it with `tpupoint runs fsck -repair [-shards N]`")
+	// nothing converts it.
+	ErrLegacyLayout = errors.New("repo: v1 single-manifest layout (" + legacyManifestObject + " without " +
+		LayoutObject + ") is not supported")
 )
 
 // RunInfo is one manifest entry: everything list/show need without
@@ -179,7 +179,7 @@ type Repo struct {
 	m          repoMetrics
 	journalSeq uint64 // atomic; intent/done pairing
 
-	wantShards int        // shard count for a fresh (or converted v1) store; 0 = 1
+	wantShards int        // shard count for a fresh store; 0 = 1
 	layoutMu   sync.Mutex // guards shards
 	shards     *shardSet  // cached layout; nil until resolved
 
@@ -233,9 +233,7 @@ func Open(store Store) (*Repo, *RecoveryReport, error) {
 
 // OpenShards is Open with a shard count for a fresh store (0 = 1); an
 // existing repository keeps its recorded count. A v1 store is refused
-// with ErrLegacyLayout before anything is replayed or written, but the
-// repository is still handed back with that error: the one thing it
-// can do is the conversion into shards shards, Fsck(true).
+// with ErrLegacyLayout before anything is replayed or written.
 func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 	if shards > MaxShards {
 		return nil, nil, fmt.Errorf("repo: %d shards exceeds the %d maximum", shards, MaxShards)
@@ -243,9 +241,6 @@ func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 	r := New(store)
 	r.wantShards = shards
 	rep, err := r.Recover()
-	if errors.Is(err, ErrLegacyLayout) {
-		return r, nil, err
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -515,7 +510,7 @@ func (r *Repo) commitShardSaves(ss shardSet, si int, group []*pendingSave, answe
 	// journal, not by hoping the delete succeeds.
 	settled := true
 	for _, p := range undo {
-		if derr := r.store.Delete(p.info.Object); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
+		if r.remove(p.info.Object) != nil {
 			settled = false
 		}
 	}
@@ -594,31 +589,43 @@ func (r *Repo) Info(runID string) (RunInfo, error) {
 	return m.Runs[i], nil
 }
 
-// readEntryBytes fetches a run's archive bytes, slicing its window out
-// of the shared pack when the entry is packed. Stores exposing
-// storage.RangeReader serve the window directly; others fall back to
-// whole-object Get plus slice.
+// readEntryBytes fetches the archive bytes an entry addresses: its
+// private blob, or its window of the shared pack. Stores exposing
+// storage.RangeReader serve a window directly; others fall back to
+// whole-object Get plus slice. A missing object is storage.ErrNotFound
+// and a window the object does not contain storage.ErrRangeOutsideObject
+// on both arms, so callers can tell a phantom entry from a corrupt one
+// from a failing store.
 func (r *Repo) readEntryBytes(info RunInfo) ([]byte, error) {
-	if !info.packed() {
-		obj, err := r.store.Get(info.Object)
-		if err != nil {
-			return nil, err
-		}
-		return obj.Data, nil
-	}
-	if rr, ok := r.store.(storage.RangeReader); ok {
+	if rr, ok := r.store.(storage.RangeReader); ok && info.packed() {
 		return rr.GetRange(info.Object, info.Offset, info.Length)
 	}
 	obj, err := r.store.Get(info.Object)
 	if err != nil {
 		return nil, err
 	}
-	end := info.Offset + info.Length
-	if info.Offset < 0 || end > int64(len(obj.Data)) {
-		return nil, fmt.Errorf("repo: run %q window [%d,%d) outside pack %s (%d bytes)",
-			info.RunID, info.Offset, end, info.Object, len(obj.Data))
+	if !info.packed() {
+		return obj.Data, nil
 	}
-	return obj.Data[info.Offset:end], nil
+	blob, whole := window(obj.Data, info.Offset, info.Length)
+	if !whole {
+		return nil, fmt.Errorf("%w: %d bytes at %d of %s", storage.ErrRangeOutsideObject, info.Length, info.Offset, info.Object)
+	}
+	return blob, nil
+}
+
+// window returns the bytes of data that [off, off+n) covers, and
+// whether that is the whole window. Nothing is added to off, so a
+// hostile offset or length cannot overflow.
+func window(data []byte, off, n int64) (part []byte, whole bool) {
+	size := int64(len(data))
+	if off < 0 || off > size || n < 0 {
+		return nil, false
+	}
+	if n > size-off {
+		return data[off:], false
+	}
+	return data[off : off+n], true
 }
 
 // Get opens a run's archive.
@@ -648,30 +655,33 @@ func (r *Repo) deleteEntryBlob(ss shardSet, e RunInfo) error {
 		return nil
 	}
 	if e.packed() || strings.HasPrefix(e.Object, PackPrefix) {
-		referenced, err := r.packReferenced(ss, e.Object)
-		if err != nil || referenced {
+		ms, _, err := r.loadAllShards(ss)
+		if err != nil || referencedObjects(ms)[e.Object] {
 			return err
 		}
 	}
-	if derr := r.store.Delete(e.Object); derr != nil && !errors.Is(derr, storage.ErrNotFound) {
-		return derr
-	}
-	return nil
+	return r.remove(e.Object)
 }
 
-// packReferenced reports whether any indexed entry still addresses the
-// pack object.
-func (r *Repo) packReferenced(ss shardSet, pack string) (bool, error) {
-	ms, _, err := r.loadAllShards(ss)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range mergedRuns(ms) {
-		if e.Object == pack {
-			return true, nil
+// referencedObjects is the set of objects the index addresses: every
+// private blob with an entry, and every pack while one member survives.
+// It is the one test of whether an object may be deleted.
+func referencedObjects(ms []*manifest) map[string]bool {
+	refs := make(map[string]bool)
+	for _, m := range ms {
+		for _, e := range m.Runs {
+			refs[e.Object] = true
 		}
 	}
-	return false, nil
+	return refs
+}
+
+// remove deletes object; one already gone is not an error.
+func (r *Repo) remove(object string) error {
+	if err := r.store.Delete(object); err != nil && !errors.Is(err, storage.ErrNotFound) {
+		return err
+	}
+	return nil
 }
 
 // Delete removes a run from its shard's index and deletes its blob

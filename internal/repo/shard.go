@@ -21,7 +21,7 @@
 // The layout object is written with PutIf(gen 0) before the first index
 // mutation, so concurrent creators agree on one shard count. A store
 // holding the v1 single-manifest index (runs/manifest.json, no layout
-// object) is refused with ErrLegacyLayout; fsck.go holds its converter.
+// object) is refused with ErrLegacyLayout; nothing converts one.
 package repo
 
 import (
@@ -123,7 +123,7 @@ func (r *Repo) resolveShards() (shardSet, error) {
 		}
 		ss = shardSet{n: lay.Shards, saved: true}
 	case errors.Is(err, storage.ErrNotFound):
-		if r.store.Exists(ManifestObject) {
+		if r.store.Exists(legacyManifestObject) {
 			// An indexed store without a layout object is a v1
 			// repository: reading it as fresh would hide its runs.
 			return shardSet{}, ErrLegacyLayout
@@ -359,8 +359,8 @@ func (r *Repo) leaseSeqBlock(ss shardSet) error {
 }
 
 // noteSeq records an externally observed sequence number (an adopted
-// orphan, a converted run) so future allocations stay above it; a lease
-// that would re-issue at or below seq is dropped.
+// orphan) so future allocations stay above it; a lease that would
+// re-issue at or below seq is dropped.
 func (r *Repo) noteSeq(seq uint64) {
 	r.seqMu.Lock()
 	if seq > r.lastSeq {

@@ -206,14 +206,14 @@ func TestUpdateContentionBacksOffAndSucceeds(t *testing.T) {
 	}
 }
 
-// seedV1Store hand-builds what an older build left behind, object by
-// object (nothing in the package writes this layout any more):
-// runs/manifest.json indexing n run blobs, and a runs/.journal holding
-// one settled save plus one open save intent whose blob ("ghost") is on
-// disk and unindexed — the v1 writer died mid-save. It returns the
-// indexed entries in listing order.
-func seedV1Store(t *testing.T, store Store, n int) []RunInfo {
+// seedV1Store hand-builds what a v1 build left behind, object by object
+// (nothing in the package writes this layout): runs/manifest.json
+// indexing n run blobs, and a runs/.journal holding one settled save
+// plus one open save intent whose blob ("ghost") is on disk and
+// unindexed — the v1 writer died mid-save.
+func seedV1Store(t *testing.T, store Store, n int) {
 	t.Helper()
+	const v1Journal = "runs/.journal"
 	w := New(store) // only frames journal records; never resolves the layout
 	m := &manifest{NextSeq: uint64(n) + 2}
 	for i := 0; i < n; i++ {
@@ -232,21 +232,20 @@ func seedV1Store(t *testing.T, store Store, n int) []RunInfo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Put(ManifestObject, data); err != nil {
+	if _, err := store.Put(legacyManifestObject, data); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "run-0", Object: runObject("run-0")})
+	seq, err := w.logIntentAt(v1Journal, journalRecord{Op: "save", RunID: "run-0", Object: runObject("run-0")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.logDoneAt(JournalObject, seq, opSave)
-	if _, err := w.logIntentAt(JournalObject, journalRecord{Op: opSave, RunID: "ghost", Object: runObject("ghost")}); err != nil {
+	w.logDoneAt(v1Journal, seq, "save")
+	if _, err := w.logIntentAt(v1Journal, journalRecord{Op: "save", RunID: "ghost", Object: runObject("ghost")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Put(runObject("ghost"), archiveBlob(t, "ghost", uint64(n)+1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	return m.Runs
 }
 
 // storeContents snapshots every object's bytes.
@@ -265,8 +264,8 @@ func storeContents(t *testing.T, store Store) map[string]string {
 
 // TestLegacyLayoutRefused: a v1 store is refused by every constructor
 // and by every operation of the one constructor that cannot fail —
-// never read as an empty repository, never converted on open — and not
-// one byte of it changes.
+// never read as an empty repository, never converted, not by a repair
+// either — and not one byte of it changes.
 func TestLegacyLayoutRefused(t *testing.T) {
 	bucket := newTestBucket(t)
 	seedV1Store(t, bucket, 3)
@@ -287,176 +286,22 @@ func TestLegacyLayoutRefused(t *testing.T) {
 	refused("New + Save", err)
 	_, err = r.Fsck(false)
 	refused("New + Fsck(false)", err)
+	_, err = r.Fsck(true)
+	refused("New + Fsck(true)", err)
+	_, _, err = r.Salvage("run-0")
+	refused("New + Salvage", err)
 	_, _, err = Open(bucket)
 	refused("Open", err)
-	_, _, err = OpenShards(bucket, 4)
-	refused("OpenShards", err)
+	if r4, _, err := OpenShards(bucket, 4); r4 != nil {
+		t.Fatal("OpenShards handed back a repository over a v1 store")
+	} else {
+		refused("OpenShards", err)
+	}
 	_, _, err = OpenShardsOwned(bucket, 4, []int{0, 1, 2, 3})
 	refused("OpenShardsOwned", err)
 
 	if after := storeContents(t, bucket); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused v1 store changed:\n  before %d objects\n  after  %d objects", len(before), len(after))
-	}
-}
-
-// TestMigrationRoundTrip: the fsck -repair converter — Fsck(true) on
-// the repository OpenShards hands back with its refusal — must preserve
-// every run of a populated v1 store, adopt the sharded layout durably,
-// reconcile what the v1 journal left open, and keep allocating
-// sequences above the converted maximum.
-func TestMigrationRoundTrip(t *testing.T) {
-	bucket := newTestBucket(t)
-	before := seedV1Store(t, bucket, 7)
-
-	r, _, err := OpenShards(bucket, 4)
-	if !errors.Is(err, ErrLegacyLayout) || r == nil {
-		t.Fatalf("OpenShards on a v1 store = (%v, %v), want the refused repository and ErrLegacyLayout", r, err)
-	}
-	rep, err := r.Fsck(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("fsck after conversion: %+v", rep.Issues)
-	}
-	if n, _ := r.Shards(); n != 4 {
-		t.Fatalf("Shards() = %d after conversion, want 4", n)
-	}
-	if bucket.Exists(ManifestObject) || bucket.Exists(JournalObject) {
-		t.Fatal("v1 objects survived conversion")
-	}
-	if !bucket.Exists(LayoutObject) {
-		t.Fatal("layout object missing after conversion")
-	}
-	if bucket.Exists(runObject("ghost")) {
-		t.Fatal("the v1 journal's open save intent was not replayed: its orphan blob survived")
-	}
-	after, err := r.List(Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(after, before) {
-		t.Fatalf("conversion changed the index:\n  before %+v\n  after  %+v", before, after)
-	}
-	for _, info := range after {
-		if _, _, err := r.Get(info.RunID); err != nil {
-			t.Fatalf("converted run %q unreadable: %v", info.RunID, err)
-		}
-	}
-	seq, err := r.NextSeq()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxSeq := before[len(before)-1].CreatedSeq; seq <= maxSeq {
-		t.Fatalf("post-conversion NextSeq %d not above converted max %d", seq, maxSeq)
-	}
-
-	// Re-opening without a count keeps the layout.
-	r2, _, err := Open(bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := r2.Shards(); n != 4 {
-		t.Fatalf("re-open lost the layout (Shards() = %d)", n)
-	}
-	// Re-opening with a different count keeps the committed one.
-	r3 := openSharded(t, bucket, 8)
-	if n, _ := r3.Shards(); n != 4 {
-		t.Fatalf("OpenShards(8) on a 4-shard store reported %d shards", n)
-	}
-}
-
-// TestMigrationPowerCut kills the converter at every write boundary and
-// verifies the store reopens either as a v1 store — still refused,
-// untouched where it matters, convertible again — or as a complete
-// sharded repository, never half, with every indexed run intact.
-func TestMigrationPowerCut(t *testing.T) {
-	convert := func(store Store) error {
-		r, _, err := OpenShards(store, 3)
-		if errors.Is(err, ErrLegacyLayout) {
-			_, err = r.Fsck(true)
-		}
-		return err
-	}
-	intact := func(label string, r *Repo) {
-		t.Helper()
-		listed, err := r.List(Filter{})
-		if err != nil {
-			t.Fatalf("%s: list: %v", label, err)
-		}
-		if len(listed) != 5 {
-			t.Fatalf("%s: %d runs survived, want 5", label, len(listed))
-		}
-		for _, info := range listed {
-			if _, _, err := r.Get(info.RunID); err != nil {
-				t.Fatalf("%s: run %q unreadable: %v", label, info.RunID, err)
-			}
-		}
-	}
-
-	// Budget from a dry run of just the conversion.
-	dryBucket := newTestBucket(t)
-	seedV1Store(t, dryBucket, 5)
-	dry := faultnet.NewCrashStore(dryBucket)
-	if err := convert(dry); err != nil {
-		t.Fatal(err)
-	}
-	budget := dry.Writes()
-	if budget < 6 {
-		t.Fatalf("conversion write budget %d suspiciously small", budget)
-	}
-
-	sawV1, sawSharded := false, false
-	for n := 0; n < budget; n++ {
-		label := "cut@" + strconv.Itoa(n)
-		bucket := newTestBucket(t)
-		seedV1Store(t, bucket, 5)
-		cs := faultnet.NewCrashStore(bucket)
-		cs.CrashAfterWrites(n, false)
-		if err := convert(cs); err == nil || !cs.Dead() {
-			t.Fatalf("%s never fired (budget %d): err = %v", label, budget, err)
-		}
-
-		// Power restored.
-		r, _, err := Open(bucket)
-		switch {
-		case errors.Is(err, ErrLegacyLayout):
-			// Not committed: the v1 index is still the truth.
-			sawV1 = true
-			if bucket.Exists(LayoutObject) || !bucket.Exists(ManifestObject) {
-				t.Fatalf("%s: refused as v1, but layout=%v manifest=%v", label,
-					bucket.Exists(LayoutObject), bucket.Exists(ManifestObject))
-			}
-		case err != nil:
-			t.Fatalf("%s: recovery open: %v", label, err)
-		default:
-			// Committed: complete without any repair. What is left of the
-			// v1 objects is debris fsck -repair quarantines.
-			sawSharded = true
-			intact(label, r)
-			if bucket.Exists(runObject("ghost")) {
-				t.Fatalf("%s: the carried v1 journal was not replayed on open", label)
-			}
-		}
-
-		// A second conversion attempt completes either way.
-		if err := convert(bucket); err != nil {
-			t.Fatalf("%s: second conversion: %v", label, err)
-		}
-		r2 := openSharded(t, bucket, 0)
-		if n, _ := r2.Shards(); n != 3 {
-			t.Fatalf("%s: %d shards after the second conversion, want 3", label, n)
-		}
-		intact(label+" (converted again)", r2)
-		if _, err := r2.Fsck(true); err != nil {
-			t.Fatalf("%s: fsck -repair: %v", label, err)
-		}
-		if rep, err := r2.Fsck(false); err != nil || !rep.Clean() {
-			t.Fatalf("%s: fsck after repair: %+v, %v", label, rep, err)
-		}
-	}
-	if !sawV1 || !sawSharded {
-		t.Fatalf("cuts landed on one side of the commit point only (v1 %v, sharded %v)", sawV1, sawSharded)
 	}
 }
 

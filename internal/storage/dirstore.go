@@ -5,9 +5,9 @@
 // ExportDir/ImportDir snapshots are single-writer.
 //
 // Layout keeps raw object bytes at their slash-mapped paths — exactly
-// ExportDir's format, so `tpupoint runs list -dir` and every other
-// ImportDir consumer reads a DirStore tree unchanged. Bookkeeping goes
-// under one hidden subtree:
+// ExportDir's format, so an ImportDir consumer (`tpupoint -analyze`)
+// reads a DirStore tree unchanged. Bookkeeping goes under one hidden
+// subtree:
 //
 //	<root>/<object path>              — raw object bytes
 //	<root>/.dirstore/lock             — cross-process mutex (flock)
@@ -246,7 +246,7 @@ func (d *DirStore) GetRange(name string, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	if !rangeWithin(off, n, st.Size()) {
-		return nil, fmt.Errorf("storage: range [%d,%d) outside %s (%d bytes)", off, off+n, name, st.Size())
+		return nil, fmt.Errorf("%w: %d bytes at %d of %s (%d bytes)", ErrRangeOutsideObject, n, off, name, st.Size())
 	}
 	buf := make([]byte, n)
 	if _, err := f.ReadAt(buf, off); err != nil {

@@ -440,3 +440,39 @@ func TestDirStoreImportDirCompatible(t *testing.T) {
 		t.Fatalf("imported %q", got.Data)
 	}
 }
+
+// TestGetRangeErrorsAreTyped: both ranged stores tell a missing object
+// (ErrNotFound) from a window the object does not contain
+// (ErrRangeOutsideObject), including one whose end overflows int64 — the
+// repository's fsck classifies on exactly that difference.
+func TestGetRangeErrorsAreTyped(t *testing.T) {
+	d, err := OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	b, err := NewService().CreateBucket("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type store interface {
+		RangeReader
+		Put(name string, data []byte) (*Object, error)
+	}
+	for name, s := range map[string]store{"dirstore": d, "bucket": b} {
+		if _, err := s.Put("pack", []byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.GetRange("pack", 4, 6); err != nil || string(got) != "456789" {
+			t.Fatalf("%s: GetRange(4, 6) = %q, %v", name, got, err)
+		}
+		if _, err := s.GetRange("nosuch", 0, 1); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: missing object: err = %v, want ErrNotFound", name, err)
+		}
+		for _, w := range [][2]int64{{4, 7}, {11, 0}, {-1, 2}, {0, -1}, {1<<63 - 6, 10}} {
+			if _, err := s.GetRange("pack", w[0], w[1]); !errors.Is(err, ErrRangeOutsideObject) {
+				t.Fatalf("%s: GetRange(%d, %d) of 10 bytes: err = %v, want ErrRangeOutsideObject", name, w[0], w[1], err)
+			}
+		}
+	}
+}

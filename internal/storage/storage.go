@@ -31,6 +31,11 @@ var ErrBucketExists = errors.New("storage: bucket already exists")
 // got there first (the GCS ifGenerationMatch precondition).
 var ErrGenerationMismatch = errors.New("storage: generation mismatch")
 
+// ErrRangeOutsideObject is returned by GetRange when the requested window
+// does not lie inside the object: the object exists and was read, it is
+// the caller's offset or length that is wrong.
+var ErrRangeOutsideObject = errors.New("storage: range outside object")
+
 // Object is a stored blob plus metadata. Get returns one that owns its
 // Data slice: mutating it never corrupts the stored copy, and later
 // writes never show through it (see TestObjectDataIsDefensiveCopy).
@@ -202,8 +207,8 @@ func (b *Bucket) GetRange(name string, off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, b.name, name)
 	}
 	if !rangeWithin(off, n, int64(len(obj.Data))) {
-		return nil, fmt.Errorf("storage: range [%d,%d) outside %s/%s (%d bytes)",
-			off, off+n, b.name, name, len(obj.Data))
+		return nil, fmt.Errorf("%w: %d bytes at %d of %s/%s (%d bytes)",
+			ErrRangeOutsideObject, n, off, b.name, name, len(obj.Data))
 	}
 	cp := make([]byte, n)
 	copy(cp, obj.Data[off:off+n])

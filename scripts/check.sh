@@ -68,7 +68,7 @@ go test -race -count=2 ./cmd/tpupoint
 echo "== stream smoke"
 ./scripts/stream_smoke.sh
 
-# Sharded-ingest gate: the contention and v1-conversion suites under
+# Sharded-ingest gate: the contention and compaction suites under
 # -race, then a CLI fresh -shards 4 archive plus compaction round trip
 # over a real on-disk repository.
 echo "== ingest smoke"

@@ -11,9 +11,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== determinism + zero-loss + work-conservation under -race"
-go test -race -run \
-    'TestDeterminismAcrossParallelism|TestZeroLossAccounting|TestPropertyLeastLoadedWorkConserving|TestAffinityReducesSetups' \
-    ./internal/cluster
+./scripts/named_tests.sh ./internal/cluster \
+    TestDeterminismAcrossParallelism TestZeroLossAccounting TestPropertyLeastLoadedWorkConserving TestAffinityReducesSetups
 
 workdir="$(mktemp -d /tmp/cluster_smoke.XXXXXX)"
 trap 'rm -rf "$workdir"' EXIT

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Crash-consistency smoke: the durability stack end to end.
 #
-#   1. The power-cut property test under the race detector — the scripted
-#      Save/fleet/Finalize/GC workload killed at every write boundary
-#      (clean and torn), recovered, and fsck'd.
+#   1. The power-cut property tests under the race detector — the
+#      scripted Save/fleet/Finalize/GC workload, and the damage/salvage/
+#      fsck -repair one, each killed at every write boundary (clean and
+#      torn), recovered, and fsck'd.
 #   2. The fleet durable-session tests (resume, eviction, torn-tail trim,
 #      lease-vs-finalize) under the race detector.
 #   3. crashcheck — the in-process wiring smoke that asserts every
@@ -18,11 +19,13 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== power-cut property test (-race)"
-go test -race -count=1 -run 'TestPowerCutAtEveryWriteBoundary' ./internal/repo
+echo "== power-cut property tests (-race)"
+./scripts/named_tests.sh ./internal/repo \
+    TestPowerCutAtEveryWriteBoundary TestPowerCutAtEveryRepairWriteBoundary
 
 echo "== fleet durable-session tests (-race)"
-go test -race -count=1 -run 'TestFleet(Resume|RecoverSessions|FinalizeBeatsLeaseExpiry|DurableAppendFailure)|TestSessionToken' ./internal/repo
+./scripts/named_tests.sh ./internal/repo \
+    TestFleetResume TestFleetRecoverSessions TestFleetFinalizeBeatsLeaseExpiry TestFleetDurableAppendFailure TestSessionToken
 
 echo "== crashcheck (recovery counters)"
 go run ./scripts/crashcheck

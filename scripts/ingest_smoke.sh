@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
-# Sharded-ingest smoke: the contention, v1-conversion and compaction
-# suites under the race detector, then a CLI round trip over a real
-# on-disk repository — archive runs into a fresh four-shard repository
-# (-shards 4), compact the small archives into a pack, and prove every
-# verb still reads the packed, sharded repository. (The CLI cannot
-# create a v1 store, so its conversion is the Go tests' to prove.)
+# Sharded-ingest smoke: the contention and compaction suites under the
+# race detector, then a CLI round trip over a real on-disk repository —
+# archive runs into a fresh four-shard repository (-shards 4), compact
+# the small archives into a pack, and prove every verb still reads the
+# packed, sharded repository.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== sharded contention + v1 conversion + compaction under -race"
-go test -race -run \
-    'TestShardedContentionZeroLoss64|TestMigrationRoundTrip|TestMigrationPowerCut|TestCompactMergesAndPreservesReads|TestDeletePackedRunRefcountsPack' \
-    ./internal/repo
+echo "== sharded contention + compaction under -race"
+./scripts/named_tests.sh ./internal/repo \
+    TestShardedContentionZeroLoss64 TestCompactMergesAndPreservesReads TestDeletePackedRunRefcountsPack
 
 workdir="$(mktemp -d /tmp/ingest_smoke.XXXXXX)"
 trap 'rm -rf "$workdir"' EXIT

@@ -13,9 +13,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== replica placement + failover + lease suites under -race"
-go test -race -run \
-    'TestReplicaEndpointSetFollowsRedirect|TestReplicaKillFailoverExactlyOnce|TestReplicaRecoverSessionsAdoptsOwnedOnly|TestLeaseExpirySweepVsConcurrentResume' \
-    ./internal/repo
+./scripts/named_tests.sh ./internal/repo \
+    TestReplicaEndpointSetFollowsRedirect TestReplicaKillFailoverExactlyOnce TestReplicaRecoverSessionsAdoptsOwnedOnly TestLeaseExpirySweepVsConcurrentResume
 
 workdir="$(mktemp -d /tmp/replicated_smoke.XXXXXX)"
 pids=()

@@ -216,8 +216,7 @@ func (s *Session) StartProfiler(analyzerMode bool) (*profiler.Profiler, error) {
 
 // StartProfilerTo starts the profiler in analyzer mode but persists
 // records into the given store instead of the session bucket — e.g. a
-// profiler.ArchiveSink, or a repo.ResilientClient streaming to a fleet
-// collection server.
+// repo.ResilientClient streaming to a fleet collection server.
 func (s *Session) StartProfilerTo(store profiler.RecordStore) (*profiler.Profiler, error) {
 	p := profiler.New(
 		&profiler.ServiceClient{Service: s.runner.ProfileService()},

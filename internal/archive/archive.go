@@ -262,7 +262,7 @@ func (w *Writer) SetSegmentTarget(n int) error {
 
 // Add appends one record.
 func (w *Writer) Add(rec *trace.ProfileRecord) {
-	w.addBytes(trace.MarshalRecord(rec), rec)
+	w.AddEncoded(trace.MarshalRecord(rec), rec)
 }
 
 // batchEncodeChunk is the fixed AddBatch chunk size. Like every
@@ -302,7 +302,7 @@ func (w *Writer) AddBatch(recs []*trace.ProfileRecord) error {
 	for _, c := range chunks {
 		start := 0
 		for _, end := range c.ends {
-			w.addBytes(c.buf[start:end], recs[i])
+			w.AddEncoded(c.buf[start:end], recs[i])
 			start = end
 			i++
 		}
@@ -310,17 +310,17 @@ func (w *Writer) AddBatch(recs []*trace.ProfileRecord) error {
 	return nil
 }
 
-// AddRaw appends an already wire-encoded record (the form the fleet
-// endpoint receives). The bytes are decoded once to validate them and
-// update the archive's counts; malformed input is rejected rather than
-// poisoning the archive.
-func (w *Writer) AddRaw(b []byte) error {
+// AddRaw appends an already wire-encoded record (the form a session log
+// holds) and returns the record it decodes to. The bytes are decoded once
+// to validate them and update the archive's counts; malformed input is
+// rejected rather than poisoning the archive.
+func (w *Writer) AddRaw(b []byte) (*trace.ProfileRecord, error) {
 	rec, err := trace.UnmarshalRecord(b)
 	if err != nil {
-		return fmt.Errorf("archive: reject record: %w", err)
+		return nil, fmt.Errorf("archive: reject record: %w", err)
 	}
-	w.addBytes(b, rec)
-	return nil
+	w.AddEncoded(b, rec)
+	return rec, nil
 }
 
 // AddRawBatch appends every record in a trace framed stream ((uvarint
@@ -341,12 +341,17 @@ func (w *Writer) AddRawBatch(framed []byte) (int, error) {
 		recs[i] = rec
 	}
 	for i, fr := range frames {
-		w.addBytes(fr, recs[i])
+		w.AddEncoded(fr, recs[i])
 	}
 	return len(frames), nil
 }
 
-func (w *Writer) addBytes(b []byte, rec *trace.ProfileRecord) {
+// AddEncoded appends a record the caller holds in both forms: b, its wire
+// bytes, and rec, the record those bytes decode to — a caller that has
+// already validated b by decoding it pays for no second decode here. b is
+// copied into the archive as is; rec only updates the counts and the time
+// range, so the two must agree.
+func (w *Writer) AddEncoded(b []byte, rec *trace.ProfileRecord) {
 	w.cur = binary.AppendUvarint(w.cur, uint64(len(b)))
 	w.cur = append(w.cur, b...)
 	w.curRecs++

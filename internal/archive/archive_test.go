@@ -156,7 +156,7 @@ func TestAddRawMatchesAdd(t *testing.T) {
 	w2 := NewWriter(testMeta())
 	for _, r := range recs {
 		w1.Add(r)
-		if err := w2.AddRaw(trace.MarshalRecord(r)); err != nil {
+		if _, err := w2.AddRaw(trace.MarshalRecord(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestAddRawMatchesAdd(t *testing.T) {
 
 func TestAddRawRejectsMalformed(t *testing.T) {
 	w := NewWriter(testMeta())
-	if err := w.AddRaw([]byte{0xff, 0xff, 0xff}); err == nil {
+	if _, err := w.AddRaw([]byte{0xff, 0xff, 0xff}); err == nil {
 		t.Fatal("malformed record accepted")
 	}
 	if w.Records() != 0 {
@@ -251,5 +251,33 @@ func TestOpenEmptyArchive(t *testing.T) {
 	recs, err := a.Records()
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("records = %v, %v", recs, err)
+	}
+}
+
+// TestAddEncodedAllocatesNothingPerStep: the writer's hot entry copies
+// the wire bytes it is handed and reads three fields of the record — it
+// must not walk the record's steps, let alone decode them again. A
+// full-size window (hundreds of step fragments) costs the same handful of
+// allocations (buffer growth, amortized) as a one-step one.
+func TestAddEncodedAllocatesNothingPerStep(t *testing.T) {
+	window := func(steps int) (*trace.ProfileRecord, []byte) {
+		var events []trace.Event
+		for s := 0; s < steps; s++ {
+			for i, op := range []string{"InfeedDequeue", "fusion", "Conv2D", "MatMul", "CrossReplicaSum"} {
+				events = append(events, trace.Event{Name: op, Device: trace.Device(i % 2),
+					Start: simclock.Time(10 * (5*s + i)), Dur: 10, Step: int64(s)})
+			}
+		}
+		rec := trace.Reduce(1, 0, events, 0.2, 0.4)
+		return rec, trace.MarshalRecord(rec)
+	}
+	perAdd := func(steps int) float64 {
+		rec, wire := window(steps)
+		w := NewWriter(testMeta())
+		return testing.AllocsPerRun(200, func() { w.AddEncoded(wire, rec) })
+	}
+	small, full := perAdd(1), perAdd(500)
+	if full > small+1 || full > 2 {
+		t.Fatalf("AddEncoded: %.2f allocs for a 500-step window, %.2f for a 1-step one; want O(1)", full, small)
 	}
 }

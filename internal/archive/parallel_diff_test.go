@@ -144,9 +144,9 @@ func TestDecodeMalformedRecordDifferential(t *testing.T) {
 		w.Add(r)
 	}
 	// A field-0 tag is invalid protobuf wire data; UnmarshalRecord must
-	// reject it. addBytes frames it like any record, so the segment CRC
+	// reject it. AddEncoded frames it like any record, so the segment CRC
 	// is consistent and only decode can catch it.
-	w.addBytes([]byte{0x00, 0x01}, &trace.ProfileRecord{})
+	w.AddEncoded([]byte{0x00, 0x01}, &trace.ProfileRecord{})
 	for _, r := range recs[20:] {
 		w.Add(r)
 	}

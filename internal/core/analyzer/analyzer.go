@@ -129,23 +129,29 @@ func (p *Phase) TopOps(dev trace.Device, n int) []trace.OpTotal {
 // meetsThreshold (OLS does), which treats NaN as "not similar". A step
 // with ops compared against an empty step is 0: no shared behaviour.
 func StepSimilarity(a, b *trace.StepStat) float64 {
-	small, large := a.Ops, b.Ops
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	if len(small) == 0 {
-		if len(large) == 0 {
+	x, y := a.Ops, b.Ops
+	small := min(len(x), len(y))
+	if small == 0 {
+		if len(x)+len(y) == 0 {
 			return math.NaN()
 		}
 		return 0
 	}
+	// Both lists are sorted by operator: one pass counts the shared ones.
 	inter := 0
-	for k := range small {
-		if _, ok := large[k]; ok {
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		c := x[i].Key().Compare(y[j].Key())
+		if c == 0 {
 			inter++
 		}
+		if c <= 0 {
+			i++
+		}
+		if c >= 0 {
+			j++
+		}
 	}
-	return float64(inter) / float64(len(small))
+	return float64(inter) / float64(small)
 }
 
 // meetsThreshold is the one place a StepSimilarity value is compared

@@ -34,6 +34,7 @@ package analyzer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core/cluster"
@@ -138,9 +139,10 @@ type StreamPhase struct {
 	// factor against the phase mean.
 	Degraded int64
 
-	// ops aggregates op time while the phase is open; compacted into
-	// Signature and released at close.
-	ops map[trace.OpKey]simclock.Duration
+	// ops aggregates op time while the phase is open (a sorted op list,
+	// merged with each step's); compacted into Signature and released
+	// at close.
+	ops []trace.OpTotal
 	// feat accumulates the per-step feature sum for the k-means label.
 	feat [streamFeatureDims]float64
 }
@@ -252,8 +254,11 @@ type StreamAnalyzer struct {
 	opts     StreamOptions
 	m        streamMetrics
 
-	// pending holds open steps awaiting cross-window fragments.
-	pending map[int64]*trace.StepStat
+	// pending holds open steps awaiting cross-window fragments, in
+	// ascending step order. Fragments arrive nearly in that order, so a
+	// new step is placed by walking back from the tail, and the step to
+	// seal is always the head.
+	pending []*trace.StepStat
 	sealed  int64 // highest sealed step number (-1 until the first)
 	hasSeal bool
 
@@ -277,7 +282,7 @@ func NewStream(workload string, opts StreamOptions) *StreamAnalyzer {
 	s := &StreamAnalyzer{
 		workload: workload,
 		opts:     opts,
-		pending:  make(map[int64]*trace.StepStat, opts.SealWindow+1),
+		pending:  make([]*trace.StepStat, 0, opts.SealWindow+1),
 		m: streamMetrics{
 			records:  opts.Obs.Counter("stream.records"),
 			steps:    opts.Obs.Counter("stream.steps"),
@@ -313,7 +318,7 @@ func (s *StreamAnalyzer) Feed(rec *trace.ProfileRecord) error {
 	// Seal oldest steps beyond the window, smallest step number first,
 	// so OLS sees the step series in order.
 	for len(s.pending) > s.opts.SealWindow {
-		s.sealStep(s.minPending())
+		s.sealStep()
 	}
 	return nil
 }
@@ -339,31 +344,24 @@ func (s *StreamAnalyzer) observeStep(st *trace.StepStat) {
 		s.m.late.Inc()
 		return
 	}
-	if cur, ok := s.pending[st.Step]; ok {
-		cur.Merge(st)
+	i := len(s.pending)
+	for i > 0 && s.pending[i-1].Step > st.Step {
+		i--
+	}
+	if i > 0 && s.pending[i-1].Step == st.Step {
+		s.pending[i-1].Merge(st)
 		return
 	}
-	s.pending[st.Step] = st.Clone()
+	s.pending = slices.Insert(s.pending, i, st.Clone())
 }
 
-// minPending returns the smallest open step number.
-func (s *StreamAnalyzer) minPending() int64 {
-	first := true
-	var min int64
-	for step := range s.pending {
-		if first || step < min {
-			min, first = step, false
-		}
-	}
-	return min
-}
-
-// sealStep closes the window for one step: it can no longer grow, so it
-// enters duty sampling, the OLS boundary chain, the open phase's
-// aggregates, and the k-means model.
-func (s *StreamAnalyzer) sealStep(step int64) {
-	st := s.pending[step]
-	delete(s.pending, step)
+// sealStep closes the window for the lowest open step: it can no longer
+// grow, so it enters duty sampling, the OLS boundary chain, the open
+// phase's aggregates, and the k-means model.
+func (s *StreamAnalyzer) sealStep() {
+	st := s.pending[0]
+	s.pending = slices.Delete(s.pending, 0, 1) // shifts down in place
+	step := st.Step
 	s.sealed, s.hasSeal = step, true
 	s.rep.StepsSeen++
 
@@ -394,7 +392,6 @@ func (s *StreamAnalyzer) openPhase(st *trace.StepStat) {
 		ID:        len(s.closed),
 		FirstStep: st.Step,
 		Cluster:   -1,
-		ops:       make(map[trace.OpKey]simclock.Duration, len(st.Ops)),
 	}
 	s.cur = p
 	s.foldStep(p, st)
@@ -435,9 +432,7 @@ func (s *StreamAnalyzer) foldStep(p *StreamPhase, st *trace.StepStat) {
 	p.Total += span
 	p.IdleFrac += st.IdleFrac * float64(span)
 	p.MXUUtil += st.MXUUtil * float64(span)
-	for k, op := range st.Ops {
-		p.ops[k] += op.Total
-	}
+	p.ops = trace.MergeOps(p.ops, st.Ops)
 	stepFeatures(s.feat[:0], st)
 	for i, v := range s.feat {
 		p.feat[i] += v
@@ -483,7 +478,7 @@ func (s *StreamAnalyzer) Finish() *StreamReport {
 		return &s.rep
 	}
 	for len(s.pending) > 0 {
-		s.sealStep(s.minPending())
+		s.sealStep()
 	}
 	if s.km != nil {
 		s.km.Flush()
@@ -530,7 +525,7 @@ func (s *StreamAnalyzer) StateBytes() int64 {
 		b += stepStatBytes(s.prev)
 	}
 	if s.cur != nil {
-		b += 160 + int64(len(s.cur.ops))*48
+		b += 160 + int64(cap(s.cur.ops))*opEntryBytes
 	}
 	for _, p := range s.closed {
 		b += 160 + int64(len(p.Signature))*40
@@ -541,28 +536,34 @@ func (s *StreamAnalyzer) StateBytes() int64 {
 	return b
 }
 
+// opEntryBytes is the size of one trace.OpTotal list element (a string
+// header, the device byte padded to a word, two 8-byte statistics).
+const opEntryBytes = 40
+
+// stepStatBytes is what a retained step holds: the 64-byte struct and
+// its op list as allocated.
 func stepStatBytes(st *trace.StepStat) int64 {
-	return 64 + int64(len(st.Ops))*48
+	return 64 + int64(cap(st.Ops))*opEntryBytes
 }
 
 // compactSignature reduces a phase's op aggregate to its top
 // SignatureOps operators by time share, descending (ties broken by
 // device then name for determinism).
-func compactSignature(ops map[trace.OpKey]simclock.Duration) []OpShare {
+func compactSignature(ops []trace.OpTotal) []OpShare {
 	if len(ops) == 0 {
 		return nil
 	}
 	var total simclock.Duration
-	for _, d := range ops {
-		total += d
+	for i := range ops {
+		total += ops[i].Total
 	}
 	out := make([]OpShare, 0, len(ops))
-	for k, d := range ops {
+	for i := range ops {
 		share := 0.0
 		if total > 0 {
-			share = float64(d) / float64(total)
+			share = float64(ops[i].Total) / float64(total)
 		}
-		out = append(out, OpShare{Key: k, Share: share})
+		out = append(out, OpShare{Key: ops[i].Key(), Share: share})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Share != out[j].Share {
@@ -588,8 +589,9 @@ func stepFeatures(dst []float64, st *trace.StepStat) []float64 {
 	var host, tpu simclock.Duration
 	var count int64
 	var maxOp simclock.Duration
-	for k, op := range st.Ops {
-		if k.Device == trace.Host {
+	for i := range st.Ops {
+		op := &st.Ops[i]
+		if op.Device == trace.Host {
 			host += op.Total
 		} else {
 			tpu += op.Total

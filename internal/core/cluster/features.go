@@ -88,8 +88,8 @@ func Features(steps []*trace.StepStat, workers int) (*Matrix, []trace.OpKey) {
 		func(ci, lo, hi int) (map[trace.OpKey]float64, error) {
 			part := make(map[trace.OpKey]float64)
 			for _, s := range steps[lo:hi] {
-				for k, st := range s.Ops {
-					part[k] += float64(st.Total)
+				for i := range s.Ops {
+					part[s.Ops[i].Key()] += float64(s.Ops[i].Total)
 				}
 			}
 			return part, nil
@@ -125,13 +125,13 @@ func Features(steps []*trace.StepStat, workers int) (*Matrix, []trace.OpKey) {
 	_ = pool.Run(ctx, len(steps), parChunk, func(ci, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			row := m.Row(i)
-			for k, st := range steps[i].Ops {
-				j, ok := idx[k]
+			for _, op := range steps[i].Ops {
+				j, ok := idx[op.Key()]
 				if !ok {
 					continue
 				}
-				row[2*j] = float64(st.Count)
-				row[2*j+1] = float64(st.Total)
+				row[2*j] = float64(op.Count)
+				row[2*j+1] = float64(op.Total)
 			}
 		}
 		return nil

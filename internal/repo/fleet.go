@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,7 +143,13 @@ type Fleet struct {
 	m    fleetMetrics
 	sm   streamMetrics
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// nextID is epoch<<32 | counter, the epoch drawn at random per Fleet:
+	// append, finalize and abort carry only the session id, so an id a
+	// previous collector process issued must name no session of this one
+	// (it gets "unknown session", which a ResilientClient answers by
+	// resuming with its token) rather than whichever client was handed
+	// the same small number after the restart.
 	nextID   uint64
 	sessions map[uint64]*session
 
@@ -163,7 +170,7 @@ func NewFleet(r *Repo, opts FleetOptions) *Fleet {
 		opts:     opts,
 		m:        newFleetMetrics(opts.Obs),
 		sm:       newStreamMetrics(opts.Obs),
-		nextID:   1,
+		nextID:   uint64(rand.Uint32())<<32 | 1,
 		sessions: make(map[uint64]*session),
 	}
 }
@@ -210,27 +217,24 @@ type session struct {
 
 // queued is one accepted record crossing into the drain goroutine: the
 // validated wire bytes for the archive writer, plus the decoded form
-// the append handler already produced while validating — reused here so
-// the streaming analyzer costs no second decode on the hot path.
+// the append handler already produced while validating — reused by the
+// writer's counts and the streaming analyzer, so the hot path decodes
+// each record exactly once.
 type queued struct {
 	raw []byte
 	rec *trace.ProfileRecord
 }
 
 // drain is the session's single consumer: it owns the writer and the
-// streaming analyzer, so neither needs locking. AddRaw appends the
-// validated wire bytes as-is — no decode/re-encode round trip on the
-// hot path (the one validation decode updates the archive's counts and
-// feeds the stream).
+// streaming analyzer, so neither needs locking. The writer takes the
+// validated wire bytes as they are, and both it and the stream read the
+// record handleAppendBatch decoded from them: one decode per record on
+// the hot path, no re-encode.
 func (s *session) drain(m fleetMetrics) {
 	defer close(s.done)
 	for q := range s.ch {
-		if err := s.w.AddRaw(q.raw); err != nil {
-			// Can't happen: handleAppendBatch validated the bytes. Skip
-			// defensively rather than corrupt the archive.
-			continue
-		}
-		if s.stream != nil && q.rec != nil {
+		s.w.AddEncoded(q.raw, q.rec)
+		if s.stream != nil {
 			// Feed errors only after Finish, which finalize defers
 			// until this goroutine exits.
 			_ = s.stream.Feed(q.rec)

@@ -219,16 +219,16 @@ func (f *Fleet) handleResume(body []byte) ([]byte, error) {
 
 	w := archive.NewWriter(mrec.Meta)
 	stream := f.newSessionStream(mrec.Meta)
-	for _, rec := range recs {
-		if err := w.AddRaw(rec); err != nil {
+	for _, raw := range recs {
+		rec, err := w.AddRaw(raw)
+		if err != nil {
 			return nil, fmt.Errorf("fleet: session %q log replay: %w", req.Token, err)
 		}
 		// Replay rebuilds the analyzer to the exact pre-crash state: the
 		// log holds the accepted order the old drain fed it in, and the
-		// stream is a pure function of that sequence.
-		if dec, derr := trace.UnmarshalRecord(rec); derr == nil {
-			_ = stream.Feed(dec)
-		}
+		// stream is a pure function of that sequence. It reads the record
+		// the writer just decoded; Feed fails only after Finish.
+		_ = stream.Feed(rec)
 	}
 
 	s := &session{

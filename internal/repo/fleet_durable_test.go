@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -608,5 +610,162 @@ func putSessionMeta(t *testing.T, bucket *storage.Bucket, mrec sessionMetaRecord
 	}
 	if _, err := bucket.Put(sessionMetaObject(mrec.Token), payload); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStaleSessionIDAfterCollectorRestart: append, finalize and abort
+// carry only the session id, and a restarted collector hands out ids
+// afresh. Client A's id from the old process must not name the session
+// client B resumed on the new one — A has to be told "unknown session"
+// and resume by token, or its records land in B's run.
+func TestStaleSessionIDAfterCollectorRestart(t *testing.T) {
+	bucket := newBucket(t)
+	_, srv1 := newFleetOverBucket(t, bucket, FleetOptions{})
+	agentA, agentB := &swapCaller{rpc.Pipe(srv1)}, &swapCaller{rpc.Pipe(srv1)}
+	recsA, recsB := sessionRecords(0, 12), sessionRecords(1, 12) // ops "Op0" and "Op1"
+
+	a, err := OpenResilient(agentA, OpenRequest{RunID: "run-a", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenResilient(agentB, OpenRequest{RunID: "run-b", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AppendBatch(recsA[:6]); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendBatch(recsB[:6]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Collector 1 dies; collector 2 starts over the same store. B
+	// reattaches first, so it is the first session the new process issues
+	// an id for — as A was in the old one.
+	agentA.Close()
+	agentB.Close()
+	_, srv2 := newFleetOverBucket(t, bucket, FleetOptions{})
+	agentA.Caller, agentB.Caller = rpc.Pipe(srv2), rpc.Pipe(srv2)
+	b2, accepted, err := ResumeResilient(agentB, b.Token())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accepted != 6 {
+		t.Fatalf("B resumed at %d durable records, want 6", accepted)
+	}
+	// A still holds its handle from collector 1.
+	if err := a.AppendBatch(recsA[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if a.Resumes() != 1 {
+		t.Fatalf("A resumed %d times, want 1: its stale id was not refused", a.Resumes())
+	}
+	if err := b2.AppendBatch(recsB[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b2.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, run := range []struct {
+		id, op string
+		want   int
+	}{{"run-a", "Op0", len(recsA)}, {"run-b", "Op1", len(recsB)}} {
+		_, ar, err := New(bucket).Get(run.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := ar.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(decoded) != run.want {
+			t.Fatalf("%s holds %d records, want %d", run.id, len(decoded), run.want)
+		}
+		for i, rec := range decoded {
+			if rec.Seq != int64(i) {
+				t.Fatalf("%s record %d has seq %d: lost, duplicated or reordered", run.id, i, rec.Seq)
+			}
+			if _, ok := rec.Steps[0].Op(trace.OpKey{Name: run.op, Device: trace.TPU}); !ok {
+				t.Fatalf("%s record %d is another session's (no %s)", run.id, i, run.op)
+			}
+		}
+	}
+}
+
+// TestResumeDecodesEachLoggedRecordOnce: rebuilding a session from its
+// log decodes every record to validate it, and the archive writer's
+// counts and the streaming analyzer read that one decode. Allocation
+// counts repeat exactly, so they can tell: what handleResume allocates
+// beyond archiving and feeding the records must stay under 1.3x what
+// decoding them once allocates (it was about 2x when AddRaw decoded and
+// the replay loop decoded again).
+func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
+	// 100 profile windows of 40 steps x 6 operators.
+	var recs []*trace.ProfileRecord
+	var wire [][]byte
+	var ts simclock.Time
+	for w := 0; w < 100; w++ {
+		var events []trace.Event
+		for s := 0; s < 40; s++ {
+			for i, op := range []string{"InfeedDequeue", "Preprocess", "fusion", "Conv2D", "MatMul", "CrossReplicaSum"} {
+				events = append(events, trace.Event{Name: op, Device: trace.Device(i / 2 % 2), Start: ts, Dur: 10, Step: int64(40*w + s)})
+				ts = ts.Add(10)
+			}
+		}
+		rec := trace.Reduce(int64(w), events[0].Start, events, 0.2, 0.4)
+		recs, wire = append(recs, rec), append(wire, trace.MarshalRecord(rec))
+	}
+
+	bucket := newBucket(t)
+	f, srv := newFleetOverBucket(t, bucket, FleetOptions{})
+	c, err := OpenResilient(rpc.Pipe(srv), OpenRequest{RunID: "replayed", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(recs); off += 10 {
+		if err := c.AppendBatch(recs[off : off+10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := json.Marshal(ResumeRequest{Token: c.Token()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	decodeOnce := testing.AllocsPerRun(5, func() {
+		for _, b := range wire {
+			if _, err := trace.UnmarshalRecord(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	archiveAndFeed := testing.AllocsPerRun(5, func() {
+		w := archive.NewWriter(archive.Meta{RunID: "replayed", Workload: "synthetic"})
+		stream := f.newSessionStream(archive.Meta{RunID: "replayed", Workload: "synthetic"})
+		for i, rec := range recs {
+			w.AddEncoded(wire[i], rec)
+			if err := stream.Feed(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	resume := testing.AllocsPerRun(5, func() {
+		resp, err := f.handleResume(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr ResumeResponse
+		if err := json.Unmarshal(resp, &rr); err != nil || rr.AcceptedRecords != int64(len(recs)) {
+			t.Fatalf("resume: %v, %d records, want %d", err, rr.AcceptedRecords, len(recs))
+		}
+	})
+	t.Logf("resume %.0f, archive+feed %.0f, decode once %.0f allocations", resume, archiveAndFeed, decodeOnce)
+	if decodes := (resume - archiveAndFeed) / decodeOnce; decodes >= 1.3 {
+		t.Fatalf("handleResume allocates %.0f, archiving and feeding the same records %.0f, decoding them once %.0f: "+
+			"that is %.2f decodes per logged record, want 1", resume, archiveAndFeed, decodeOnce, decodes)
 	}
 }

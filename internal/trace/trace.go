@@ -16,7 +16,9 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/simclock"
 )
@@ -70,25 +72,45 @@ type OpKey struct {
 
 func (k OpKey) String() string { return k.Device.String() + ":" + k.Name }
 
-// OpStat is the statistical summary of one operator: how many times it was
-// invoked and the total time it consumed.
-type OpStat struct {
-	Count int64
-	Total simclock.Duration
+// Compare orders operators by device, then name — the order of a step's
+// op list and of the op entries on the wire. It returns -1, 0 or +1.
+func (k OpKey) Compare(o OpKey) int {
+	if k.Device != o.Device {
+		if k.Device < o.Device {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(k.Name, o.Name)
 }
 
-// Add folds another stat into s.
-func (s *OpStat) Add(o OpStat) {
-	s.Count += o.Count
-	s.Total += o.Total
+// OpTotal is the statistical summary of one operator — how many times it
+// was invoked and the total time it consumed: an entry of a step's op
+// list, and a row of a top-op table.
+type OpTotal struct {
+	Name   string
+	Device Device
+	Count  int64
+	Total  simclock.Duration
 }
+
+// Key returns the operator the entry describes.
+func (e OpTotal) Key() OpKey { return OpKey{Name: e.Name, Device: e.Device} }
 
 // StepStat summarizes all activity attributed to one training step.
 type StepStat struct {
 	Step  int64
 	Start simclock.Time
 	End   simclock.Time
-	Ops   map[OpKey]OpStat
+
+	// Ops holds one entry per operator the step ran, in strictly
+	// ascending OpKey order (device, then name); nil when the step ran
+	// none. Read it by ranging, or through Op for one operator; it grows
+	// only through Observe and Merge, which keep the order. Walking
+	// sorted lists is what lets Merge, the analyzer's step similarity and
+	// the wire encoder work without hashing a name, and the sums they
+	// take are integers, so the order never reaches a result.
+	Ops []OpTotal
 
 	// Metadata delivered with each profile response.
 	IdleFrac float64 // fraction of the step the TPU sat idle
@@ -97,16 +119,50 @@ type StepStat struct {
 
 // NewStepStat returns an empty StepStat for the given step number.
 func NewStepStat(step int64) *StepStat {
-	return &StepStat{Step: step, Ops: make(map[OpKey]OpStat)}
+	return &StepStat{Step: step}
+}
+
+// searchOps returns the position of k in ops, or the position it would
+// be inserted at, and whether it is there. (Written out: Reduce calls it
+// once per event, and slices.BinarySearchFunc, comparing through a func
+// value, more than doubles Reduce's time.)
+func searchOps(ops []OpTotal, k OpKey) (int, bool) {
+	lo, hi := 0, len(ops)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ops[mid].Key().Compare(k) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(ops) && ops[lo].Key() == k
+}
+
+// Op returns the step's entry for one operator.
+func (s *StepStat) Op(k OpKey) (OpTotal, bool) {
+	i, ok := searchOps(s.Ops, k)
+	if !ok {
+		return OpTotal{}, false
+	}
+	return s.Ops[i], true
+}
+
+// add folds e into the step's entry for its operator, inserting it in
+// order if the step has none yet.
+func (s *StepStat) add(e OpTotal) {
+	i, ok := searchOps(s.Ops, e.Key())
+	if !ok {
+		s.Ops = slices.Insert(s.Ops, i, e)
+		return
+	}
+	s.Ops[i].Count += e.Count
+	s.Ops[i].Total += e.Total
 }
 
 // Observe folds one event into the step summary.
 func (s *StepStat) Observe(e Event) {
-	k := OpKey{Name: e.Name, Device: e.Device}
-	st := s.Ops[k]
-	st.Count++
-	st.Total += e.Dur
-	s.Ops[k] = st
+	s.add(OpTotal{Name: e.Name, Device: e.Device, Count: 1, Total: e.Dur})
 	if s.Start == 0 && s.End == 0 {
 		s.Start, s.End = e.Start, e.End()
 		return
@@ -126,24 +182,69 @@ func (s *StepStat) Duration() simclock.Duration { return s.End.Sub(s.Start) }
 // Duration when ops overlap across devices).
 func (s *StepStat) TotalOpTime() simclock.Duration {
 	var t simclock.Duration
-	for _, st := range s.Ops {
-		t += st.Total
+	for i := range s.Ops {
+		t += s.Ops[i].Total
 	}
 	return t
 }
 
+// MergeOps folds the sorted op list src into the sorted op list dst and
+// returns the result: counts and totals of operators both hold are
+// summed, operators only src holds are inserted in order. While src adds
+// no operator the sums land in dst's own entries, and if it never does
+// dst is returned as is; from the first operator dst lacks, the rest is
+// merged into a new list. src is only read, and the result never shares
+// memory with it.
+func MergeOps(dst, src []OpTotal) []OpTotal {
+	i, j := 0, 0
+	for ; j < len(src); i++ {
+		c := 1
+		if i < len(dst) {
+			c = dst[i].Key().Compare(src[j].Key())
+		}
+		if c > 0 {
+			break
+		}
+		if c == 0 {
+			dst[i].Count += src[j].Count
+			dst[i].Total += src[j].Total
+			j++
+		}
+	}
+	if j == len(src) {
+		return dst
+	}
+	out := append(make([]OpTotal, 0, len(dst)+len(src)-j), dst[:i]...)
+	for i < len(dst) && j < len(src) {
+		switch c := dst[i].Key().Compare(src[j].Key()); {
+		case c < 0:
+			out = append(out, dst[i])
+			i++
+		case c > 0:
+			out = append(out, src[j])
+			j++
+		default:
+			e := dst[i]
+			e.Count += src[j].Count
+			e.Total += src[j].Total
+			out = append(out, e)
+			i++
+			j++
+		}
+	}
+	return append(append(out, dst[i:]...), src[j:]...)
+}
+
 // Merge folds another summary of the same step into s (steps can straddle
-// profile-window boundaries). Merging a different step number panics: it is
-// always a profiler bug.
+// profile-window boundaries). o is only read, and s never comes to share
+// memory with it: decoded records stay immutable however often their
+// steps are merged into others. Merging a different step number panics:
+// it is always a profiler bug.
 func (s *StepStat) Merge(o *StepStat) {
 	if o.Step != s.Step {
 		panic(fmt.Sprintf("trace: merging step %d into step %d", o.Step, s.Step))
 	}
-	for k, st := range o.Ops {
-		cur := s.Ops[k]
-		cur.Add(st)
-		s.Ops[k] = cur
-	}
+	s.Ops = MergeOps(s.Ops, o.Ops)
 	durS, durO := float64(s.Duration()), float64(o.Duration())
 	if durS+durO > 0 {
 		// Duration-weighted average of the per-window metadata.
@@ -160,13 +261,9 @@ func (s *StepStat) Merge(o *StepStat) {
 
 // Clone returns a deep copy of the step summary.
 func (s *StepStat) Clone() *StepStat {
-	c := &StepStat{Step: s.Step, Start: s.Start, End: s.End,
-		IdleFrac: s.IdleFrac, MXUUtil: s.MXUUtil,
-		Ops: make(map[OpKey]OpStat, len(s.Ops))}
-	for k, v := range s.Ops {
-		c.Ops[k] = v
-	}
-	return c
+	c := *s
+	c.Ops = append([]OpTotal(nil), s.Ops...)
+	return &c
 }
 
 // ProfileRecord is the statistical reduction of one profile window — what
@@ -199,6 +296,7 @@ func Reduce(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuU
 	}
 	deadline := windowStart.Add(MaxProfileWindow)
 	bySteps := make(map[int64]*StepStat)
+	var ss *StepStat
 	for _, e := range events {
 		if rec.NumEvents >= MaxEventsPerProfile {
 			rec.Truncated = true
@@ -209,10 +307,13 @@ func Reduce(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuU
 			break
 		}
 		rec.NumEvents++
-		ss, ok := bySteps[e.Step]
-		if !ok {
-			ss = NewStepStat(e.Step)
-			bySteps[e.Step] = ss
+		// Events of one step come in runs; look the step up only when
+		// the run ends.
+		if ss == nil || ss.Step != e.Step {
+			if ss = bySteps[e.Step]; ss == nil {
+				ss = NewStepStat(e.Step)
+				bySteps[e.Step] = ss
+			}
 		}
 		ss.Observe(e)
 		if e.End() > rec.WindowEnd {
@@ -257,20 +358,15 @@ func AggregateSteps(records []*ProfileRecord) []*StepStat {
 // steps for one device, descending by total duration (ties broken by name
 // for determinism). This drives the paper's Table II.
 func TopOps(steps []*StepStat, dev Device, n int) []OpTotal {
-	agg := make(map[string]OpStat)
+	var all []OpTotal
 	for _, s := range steps {
-		for k, st := range s.Ops {
-			if k.Device != dev {
-				continue
-			}
-			cur := agg[k.Name]
-			cur.Add(st)
-			agg[k.Name] = cur
-		}
+		all = MergeOps(all, s.Ops)
 	}
-	out := make([]OpTotal, 0, len(agg))
-	for name, st := range agg {
-		out = append(out, OpTotal{Name: name, Device: dev, Count: st.Count, Total: st.Total})
+	out := []OpTotal{}
+	for _, e := range all {
+		if e.Device == dev {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total != out[j].Total {
@@ -282,13 +378,4 @@ func TopOps(steps []*StepStat, dev Device, n int) []OpTotal {
 		out = out[:n]
 	}
 	return out
-}
-
-// OpTotal is an operator with its aggregate statistics, as reported in
-// top-op tables.
-type OpTotal struct {
-	Name   string
-	Device Device
-	Count  int64
-	Total  simclock.Duration
 }

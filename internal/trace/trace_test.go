@@ -16,7 +16,7 @@ func TestStepStatObserve(t *testing.T) {
 	s.Observe(ev("MatMul", TPU, 150, 30, 3))
 	s.Observe(ev("Reshape", TPU, 180, 10, 3))
 
-	if st := s.Ops[OpKey{"MatMul", TPU}]; st.Count != 2 || st.Total != 80 {
+	if st, _ := s.Op(OpKey{"MatMul", TPU}); st.Count != 2 || st.Total != 80 {
 		t.Fatalf("MatMul stat = %+v", st)
 	}
 	if s.Start != 100 || s.End != 190 {
@@ -49,10 +49,10 @@ func TestMergeSameStep(t *testing.T) {
 	b.IdleFrac, b.MXUUtil = 0.4, 0.3
 
 	a.Merge(b)
-	if st := a.Ops[OpKey{"x", TPU}]; st.Count != 2 || st.Total != 200 {
+	if st, _ := a.Op(OpKey{"x", TPU}); st.Count != 2 || st.Total != 200 {
 		t.Fatalf("merged x = %+v", st)
 	}
-	if _, ok := a.Ops[OpKey{"y", Host}]; !ok {
+	if _, ok := a.Op(OpKey{"y", Host}); !ok {
 		t.Fatal("merged op y missing")
 	}
 	if a.Start != 0 || a.End != 200 {
@@ -78,8 +78,8 @@ func TestCloneIndependence(t *testing.T) {
 	a.Observe(ev("x", TPU, 0, 10, 1))
 	c := a.Clone()
 	c.Observe(ev("x", TPU, 10, 10, 1))
-	if a.Ops[OpKey{"x", TPU}].Count != 1 {
-		t.Fatal("clone shares op map")
+	if st, _ := a.Op(OpKey{"x", TPU}); st.Count != 1 {
+		t.Fatal("clone shares op list")
 	}
 }
 
@@ -153,7 +153,7 @@ func TestAggregateStepsMergesAcrossRecords(t *testing.T) {
 	if steps[1].Step != 2 {
 		t.Fatalf("middle step = %d", steps[1].Step)
 	}
-	if st := steps[1].Ops[OpKey{"MatMul", TPU}]; st.Count != 2 || st.Total != 100 {
+	if st, _ := steps[1].Op(OpKey{"MatMul", TPU}); st.Count != 2 || st.Total != 100 {
 		t.Fatalf("straddling step stat = %+v", st)
 	}
 }
@@ -162,7 +162,7 @@ func TestAggregateStepsDoesNotMutateRecords(t *testing.T) {
 	r1 := Reduce(0, 0, []Event{ev("x", TPU, 0, 10, 1)}, 0, 0)
 	r2 := Reduce(1, 0, []Event{ev("x", TPU, 10, 10, 1)}, 0, 0)
 	AggregateSteps([]*ProfileRecord{r1, r2})
-	if r1.Steps[0].Ops[OpKey{"x", TPU}].Count != 1 {
+	if st, _ := r1.Steps[0].Op(OpKey{"x", TPU}); st.Count != 1 {
 		t.Fatal("AggregateSteps mutated source record")
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/protowire"
@@ -41,15 +42,13 @@ import (
 // encState is the pooled scratch an encode borrows: one buffer per
 // message-nesting level (record fields go straight to the caller's dst;
 // steps and ops are staged here so their length prefixes can be written
-// first) plus the sorted-key slice the per-step op ordering needs.
-// Pooling it makes MarshalRecordAppend allocation-free at steady state —
-// the profiler's recording loop and the archive writer marshal every
-// record through here, so per-record garbage would be paid once per
+// first). Pooling it makes MarshalRecordAppend allocation-free at steady
+// state — the profiler's recording loop and the archive writer marshal
+// every record through here, so per-record garbage would be paid once per
 // profile window for the lifetime of a run.
 type encState struct {
 	step []byte
 	op   []byte
-	keys []OpKey
 }
 
 var encPool = sync.Pool{New: func() any { return new(encState) }}
@@ -92,47 +91,85 @@ func appendStep(dst []byte, s *StepStat, st *encState) []byte {
 	dst = protowire.AppendUint64(dst, 3, uint64(s.End))
 	dst = protowire.AppendDouble(dst, 4, s.IdleFrac)
 	dst = protowire.AppendDouble(dst, 5, s.MXUUtil)
-	// Deterministic op order on the wire: sort via TopOps-like ordering is
-	// unnecessary; stable key order is enough for reproducible bytes.
-	st.keys = sortedOpKeysInto(st.keys[:0], s.Ops)
-	for _, k := range st.keys {
-		opst := s.Ops[k]
+	// The list's order is the wire's: reproducible bytes need no sort.
+	for i := range s.Ops {
+		e := &s.Ops[i]
 		st.op = st.op[:0]
-		st.op = protowire.AppendString(st.op, 1, k.Name)
-		st.op = protowire.AppendUint64(st.op, 2, uint64(k.Device))
-		st.op = protowire.AppendUint64(st.op, 3, uint64(opst.Count))
-		st.op = protowire.AppendUint64(st.op, 4, uint64(opst.Total))
+		st.op = protowire.AppendString(st.op, 1, e.Name)
+		st.op = protowire.AppendUint64(st.op, 2, uint64(e.Device))
+		st.op = protowire.AppendUint64(st.op, 3, uint64(e.Count))
+		st.op = protowire.AppendUint64(st.op, 4, uint64(e.Total))
 		dst = protowire.AppendBytes(dst, 6, st.op)
 	}
 	return dst
 }
 
-// sortedOpKeysInto fills keys (typically a reused scratch slice) with
-// ops' keys in (device, name) order. Reuse matters: the old
-// one-fresh-slice-per-step form was a measurable share of marshal
-// allocations (see BenchmarkMarshalRecordAppend).
-func sortedOpKeysInto(keys []OpKey, ops map[OpKey]OpStat) []OpKey {
-	for k := range ops {
-		keys = append(keys, k)
+// namePool holds the tables through which decoded op entries share one
+// string per distinct operator name: a run has tens of distinct names and
+// tens of thousands of op entries, so without sharing the names are most
+// of a decode's allocations. A decode borrows a table for its duration —
+// nothing is shared between goroutines — and every record decoded with
+// it afterwards shares its strings.
+var namePool = sync.Pool{New: func() any { return make(map[string]string) }}
+
+// Bounds on a name table, so that records from a hostile encoder cannot
+// grow it: names past either bound are allocated per entry, and a table
+// that filled up is emptied when its decode ends rather than pooled full
+// of names no later record will carry.
+const (
+	maxSharedNames   = 1024
+	maxSharedNameLen = 128
+)
+
+// sharedName returns b as a string, the one every earlier entry of that
+// name got from this table where the bounds allow.
+func sharedName(names map[string]string, b []byte) string {
+	if s, ok := names[string(b)]; ok {
+		return s
 	}
-	// Insertion sort: op maps are small (tens of entries).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && lessOpKey(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+	s := string(b)
+	if len(s) <= maxSharedNameLen && len(names) < maxSharedNames {
+		names[s] = s
 	}
-	return keys
+	return s
 }
 
-func lessOpKey(a, b OpKey) bool {
-	if a.Device != b.Device {
-		return a.Device < b.Device
+// maxPresize caps the capacity a decode reserves on the strength of a
+// count: real windows hold tens of steps and real steps tens of
+// operators, and a hostile message is mostly tags.
+const maxPresize = 4096
+
+// countField returns how many times field occurs at the top level of the
+// message in data (at most maxPresize, and only up to the first malformed
+// tag): the capacity to give a list when its first element is decoded,
+// so that the well-formed case appends without growing.
+func countField(data []byte, field int) int {
+	n := 0
+	d := protowire.NewDecoder(data)
+	for !d.Done() && n < maxPresize {
+		f, ty, err := d.Next()
+		if err != nil || d.Skip(ty) != nil {
+			break
+		}
+		if f == field {
+			n++
+		}
 	}
-	return a.Name < b.Name
+	return n
 }
 
 // UnmarshalRecord decodes a ProfileRecord from protobuf wire format.
 func UnmarshalRecord(data []byte) (*ProfileRecord, error) {
+	names := namePool.Get().(map[string]string)
+	r, err := unmarshalRecord(data, names)
+	if len(names) >= maxSharedNames {
+		clear(names)
+	}
+	namePool.Put(names)
+	return r, err
+}
+
+func unmarshalRecord(data []byte, names map[string]string) (*ProfileRecord, error) {
 	r := &ProfileRecord{}
 	d := protowire.NewDecoder(data)
 	for !d.Done() {
@@ -188,9 +225,12 @@ func UnmarshalRecord(data []byte) (*ProfileRecord, error) {
 			if err != nil {
 				return nil, err
 			}
-			s, err := unmarshalStep(raw)
+			s, err := unmarshalStep(raw, names)
 			if err != nil {
 				return nil, err
+			}
+			if r.Steps == nil {
+				r.Steps = make([]*StepStat, 0, countField(data, 8))
 			}
 			r.Steps = append(r.Steps, s)
 		case 9:
@@ -208,8 +248,9 @@ func UnmarshalRecord(data []byte) (*ProfileRecord, error) {
 	return r, nil
 }
 
-func unmarshalStep(data []byte) (*StepStat, error) {
-	s := NewStepStat(0)
+func unmarshalStep(data []byte, names map[string]string) (*StepStat, error) {
+	s := &StepStat{}
+	inOrder := true
 	d := protowire.NewDecoder(data)
 	for !d.Done() {
 		f, ty, err := d.Next()
@@ -252,66 +293,92 @@ func unmarshalStep(data []byte) (*StepStat, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := unmarshalOpInto(raw, s); err != nil {
+			e, err := unmarshalOp(raw, names)
+			if err != nil {
 				return nil, err
 			}
+			if s.Ops == nil {
+				s.Ops = make([]OpTotal, 0, countField(data, 6))
+			} else if s.Ops[len(s.Ops)-1].Key().Compare(e.Key()) >= 0 {
+				inOrder = false
+			}
+			s.Ops = append(s.Ops, e)
 		default:
 			if err := d.Skip(ty); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if !inOrder {
+		s.Ops = foldOps(s.Ops)
 	}
 	return s, nil
 }
 
-func unmarshalOpInto(data []byte, s *StepStat) error {
-	var k OpKey
-	var st OpStat
+// foldOps turns op entries in any order, operators repeated, into the
+// list form: sorted, each operator's entries summed into one. Our encoder
+// writes a step's entries in list order, one per operator, so this runs
+// only on another encoder's output — which must decode as it did when the
+// entries were folded into a map.
+func foldOps(ops []OpTotal) []OpTotal {
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Key().Compare(ops[j].Key()) < 0 })
+	out := ops[:1]
+	for _, e := range ops[1:] {
+		if last := &out[len(out)-1]; last.Key() == e.Key() {
+			last.Count += e.Count
+			last.Total += e.Total
+		} else {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// unmarshalOp decodes one op entry.
+func unmarshalOp(data []byte, names map[string]string) (OpTotal, error) {
+	var name []byte
+	var e OpTotal
 	d := protowire.NewDecoder(data)
 	for !d.Done() {
 		f, ty, err := d.Next()
 		if err != nil {
-			return err
+			return e, err
 		}
 		switch f {
 		case 1:
-			v, err := d.String()
-			if err != nil {
-				return err
+			if name, err = d.Raw(); err != nil {
+				return e, err
 			}
-			k.Name = v
 		case 2:
 			v, err := d.Uint64()
 			if err != nil {
-				return err
+				return e, err
 			}
 			if v > uint64(TPU) {
-				return fmt.Errorf("trace: bad device %d", v)
+				return e, fmt.Errorf("trace: bad device %d", v)
 			}
-			k.Device = Device(v)
+			e.Device = Device(v)
 		case 3:
 			v, err := d.Uint64()
 			if err != nil {
-				return err
+				return e, err
 			}
-			st.Count = int64(v)
+			e.Count = int64(v)
 		case 4:
 			v, err := d.Uint64()
 			if err != nil {
-				return err
+				return e, err
 			}
-			st.Total = simclock.Duration(v)
+			e.Total = simclock.Duration(v)
 		default:
 			if err := d.Skip(ty); err != nil {
-				return err
+				return e, err
 			}
 		}
 	}
-	if k.Name == "" {
-		return fmt.Errorf("trace: op entry without name")
+	if len(name) == 0 {
+		return e, fmt.Errorf("trace: op entry without name")
 	}
-	cur := s.Ops[k]
-	cur.Add(st)
-	s.Ops[k] = cur
-	return nil
+	e.Name = sharedName(names, name)
+	return e, nil
 }

@@ -9,16 +9,16 @@ import (
 )
 
 // appendTestRecords covers the encoder's shapes: the multi-step sample,
-// a gap marker, an empty record, and a wide op map (many keys per step,
-// exercising the sorted-key scratch).
+// a gap marker, an empty record, and a wide op list (many operators per
+// step, added out of order).
 func appendTestRecords() []*ProfileRecord {
 	wide := NewStepStat(7)
 	wide.Start, wide.End = 10, 20
 	for i := 0; i < 40; i++ {
 		name := "op" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-		wide.Ops[OpKey{Name: name, Device: Device(i % 2)}] = OpStat{
+		wide.add(OpTotal{Name: name, Device: Device(i % 2),
 			Count: int64(i + 1), Total: simclock.Duration(100 * (i + 1)),
-		}
+		})
 	}
 	return []*ProfileRecord{
 		sampleRecord(),
@@ -90,8 +90,7 @@ func TestMarshalRecordAppendZeroAlloc(t *testing.T) {
 
 // BenchmarkMarshalRecordAppend is the pooled counterpart of
 // BenchmarkMarshalRecord: same record, reused buffer. The allocs/op
-// delta between the two is the win the pooled encoder state (including
-// the reused sorted-op-key scratch) exists for.
+// delta between the two is the win the pooled encoder state exists for.
 func BenchmarkMarshalRecordAppend(b *testing.B) {
 	r := sampleRecord()
 	var buf []byte

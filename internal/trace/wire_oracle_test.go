@@ -43,8 +43,8 @@ func naiveMarshalStep(s *StepStat) []byte {
 	dst = protowire.AppendDouble(dst, 4, s.IdleFrac)
 	dst = protowire.AppendDouble(dst, 5, s.MXUUtil)
 	keys := make([]OpKey, 0, len(s.Ops))
-	for k := range s.Ops {
-		keys = append(keys, k)
+	for i := range s.Ops {
+		keys = append(keys, s.Ops[i].Key())
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Device != keys[j].Device {
@@ -53,7 +53,7 @@ func naiveMarshalStep(s *StepStat) []byte {
 		return keys[i].Name < keys[j].Name
 	})
 	for _, k := range keys {
-		st := s.Ops[k]
+		st, _ := s.Op(k)
 		var op []byte
 		op = protowire.AppendString(op, 1, k.Name)
 		op = protowire.AppendUint64(op, 2, uint64(k.Device))

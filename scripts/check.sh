@@ -34,9 +34,12 @@ echo "== go test -race -count=2 ./internal/obs"
 go test -race -count=2 ./internal/obs
 
 # The parallel codec must stay bit-identical to the serial path and the
-# pooled encoders race-clean: run the archive differential tests and the
-# trace wire/pool tests twice under the race detector so chunk-boundary
-# or pool-reuse regressions can't hide behind one lucky schedule.
+# two pooled things in the record codec race-clean — the encoder's
+# scratch buffers and the decoder's shared operator-name table: run the
+# archive differential tests and the trace wire/pool tests twice under
+# the race detector so chunk-boundary or pool-reuse regressions (the
+# second pass decodes with tables the first one filled) can't hide behind
+# one lucky schedule.
 echo "== go test -race -count=2 ./internal/archive ./internal/trace"
 go test -race -count=2 ./internal/archive ./internal/trace
 

@@ -158,9 +158,10 @@ func main() {
 
 	rec := trace.Reduce(0, resp.WindowStart, resp.Events, resp.IdleFrac, resp.MXUUtil)
 	steps2 := rec.Steps
+	windowOps := trace.MergeSteps(steps2)
 	for _, dev := range []trace.Device{trace.TPU, trace.Host} {
 		fmt.Printf("top %s ops in the window:\n", dev)
-		for _, op := range trace.TopOps(steps2, dev, 5) {
+		for _, op := range trace.TopOf(windowOps, dev, 5) {
 			fmt.Printf("  %-32s x%-8d %10.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
 		}
 	}

@@ -166,10 +166,10 @@ const SummaryTopOps = 5
 
 // SummarizeReport compacts an analyzer report into the archivable
 // summary. The conversion is deterministic: phases keep the analyzer's
-// order, ops come from trace.TopOps (duration-descending, name
-// tie-break), and phase idle/MXU are duration-weighted step averages —
-// so re-analyzing the same records always reproduces identical bytes
-// (see TestRoundTripDeterministic).
+// order, ops come from trace.TopOf over the phase's one merged op list
+// (duration-descending, name tie-break), and phase idle/MXU are
+// duration-weighted step averages — so re-analyzing the same records
+// always reproduces identical bytes (see TestRoundTripDeterministic).
 func SummarizeReport(rep *analyzer.Report) *Summary {
 	s := &Summary{
 		Workload:     rep.Workload,
@@ -199,8 +199,9 @@ func SummarizeReport(rep *analyzer.Report) *Summary {
 			ps.IdleFrac /= span
 			ps.MXUUtil /= span
 		}
+		ops := trace.MergeSteps(p.Steps)
 		for _, dev := range []trace.Device{trace.Host, trace.TPU} {
-			for _, op := range p.TopOps(dev, SummaryTopOps) {
+			for _, op := range trace.TopOf(ops, dev, SummaryTopOps) {
 				ps.Ops = append(ps.Ops, OpSummary{
 					Name: op.Name, Device: op.Device,
 					Count: op.Count, Total: op.Total,
@@ -227,7 +228,11 @@ type Writer struct {
 	segTarget int
 	workers   int // AddBatch marshal fan-out; zero (GOMAXPROCS) outside tests
 
-	body     []byte // header + flushed segments
+	// slabs hold the flushed segments (length prefix + payload each), end
+	// to end. A slab is made at its final capacity — 64 KB, doubling to
+	// 1 MB — and never grown: no byte is copied again to make room.
+	slabs    [][]byte
+	flushed  int    // bytes in slabs
 	cur      []byte // unflushed segment payload
 	curRecs  int64
 	segments []segment
@@ -241,10 +246,7 @@ type Writer struct {
 
 // NewWriter starts an archive for the given run metadata.
 func NewWriter(meta Meta) *Writer {
-	w := &Writer{meta: meta, segTarget: DefaultSegmentTarget}
-	w.body = append(w.body, headerMagic...)
-	w.body = append(w.body, Version)
-	return w
+	return &Writer{meta: meta, segTarget: DefaultSegmentTarget}
 }
 
 // SetSegmentTarget overrides the segment cut size. Targets outside
@@ -378,48 +380,36 @@ func (w *Writer) flush() {
 		return
 	}
 	var lenPrefix [4]byte
-	binary.LittleEndian.PutUint32(lenPrefix[:], uint32(len(w.cur)))
-	w.body = append(w.body, lenPrefix[:]...)
+	w.write(binary.LittleEndian.AppendUint32(lenPrefix[:0], uint32(len(w.cur))))
 	w.segments = append(w.segments, segment{
-		offset:  int64(len(w.body)),
+		offset:  int64(headerLen + w.flushed),
 		length:  int64(len(w.cur)),
 		crc:     crc32.Checksum(w.cur, castagnoli),
 		records: w.curRecs,
 	})
-	w.body = append(w.body, w.cur...)
+	w.write(w.cur)
 	w.cur = w.cur[:0]
 	w.curRecs = 0
 }
 
+// write copies b onto the end of the slab chain, opening a new slab
+// whenever the last is full; a segment may straddle slabs.
+func (w *Writer) write(b []byte) {
+	w.flushed += len(b)
+	for len(b) > 0 {
+		last := len(w.slabs) - 1
+		if last < 0 || len(w.slabs[last]) == cap(w.slabs[last]) {
+			w.slabs = append(w.slabs, make([]byte, 0, 2*DefaultSegmentTarget<<min(len(w.slabs), 4)))
+			last++
+		}
+		s := w.slabs[last]
+		n := copy(s[len(s):cap(s)], b)
+		w.slabs[last], b = s[:len(s)+n], b[n:]
+	}
+}
+
 // Records reports how many records have been added so far.
 func (w *Writer) Records() int64 { return w.recordCount }
-
-// DecodeRecords decodes every record added so far, in arrival order,
-// from the writer's own encoded stream. This is the finalize-time
-// analysis path: a long-lived collection session holds only the
-// compact encoded bytes and decodes once at the end, instead of
-// retaining a second, decoded copy of the whole run.
-func (w *Writer) DecodeRecords() ([]*trace.ProfileRecord, error) {
-	out := make([]*trace.ProfileRecord, 0, w.recordCount)
-	pos := headerLen
-	for seg := 0; pos < len(w.body); seg++ {
-		if pos+4 > len(w.body) {
-			return nil, fmt.Errorf("%w: writer segment %d header", ErrMalformed, seg)
-		}
-		n := int(binary.LittleEndian.Uint32(w.body[pos : pos+4]))
-		pos += 4
-		if n > len(w.body)-pos {
-			return nil, fmt.Errorf("%w: writer segment %d bounds", ErrMalformed, seg)
-		}
-		var err error
-		out, err = appendPayloadRecords(out, w.body[pos:pos+n], seg)
-		if err != nil {
-			return nil, err
-		}
-		pos += n
-	}
-	return appendPayloadRecords(out, w.cur, len(w.segments))
-}
 
 // Finalize flushes the last segment, appends the footer embedding sum
 // (which may be nil for a summary-less capture), and returns the
@@ -427,14 +417,14 @@ func (w *Writer) DecodeRecords() ([]*trace.ProfileRecord, error) {
 func (w *Writer) Finalize(sum *Summary) []byte {
 	w.flush()
 	footer := w.encodeFooter(sum)
-	out := w.body
-	out = append(out, footer...)
-	var trailer [trailerLen]byte
-	binary.LittleEndian.PutUint32(trailer[:4], uint32(len(footer)))
-	copy(trailer[4:], trailerMagic)
-	out = append(out, trailer[:]...)
-	w.body = nil
-	return out
+	out := make([]byte, 0, headerLen+w.flushed+len(footer)+trailerLen)
+	out = append(append(out, headerMagic...), Version)
+	for _, s := range w.slabs {
+		out = append(out, s...)
+	}
+	out = binary.LittleEndian.AppendUint32(append(out, footer...), uint32(len(footer)))
+	w.slabs = nil
+	return append(out, trailerMagic...)
 }
 
 func (w *Writer) encodeFooter(sum *Summary) []byte {

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
@@ -220,28 +221,55 @@ func TestAddBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWriterDecodeRecords checks the finalize-time decode of the
-// writer's own stream: every record added (flushed segments and the
-// unflushed tail alike) comes back struct-identical, before Finalize.
-func TestWriterDecodeRecords(t *testing.T) {
-	recs := synthRecords(300)
-	w := NewWriter(testMeta())
-	if err := w.SetSegmentTarget(1024); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		w.Add(r)
-	}
-	got, err := w.DecodeRecords()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mustOpenRecords(rawBlob(t, recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("writer DecodeRecords differs from archive decode")
+// TestSlabWriterMatchesPlainAppend holds the writer's slab chain to the
+// layout written out plainly — one buffer, header, then (u32 length,
+// payload) per segment, grown by append — on a stream long enough that
+// segments straddle every slab size up to the 1 MB the doubling stops at,
+// and at targets that cut a segment per record, mid-slab and never. Open
+// then verifies every segment's CRC at the offset the slab writer
+// indexed it.
+func TestSlabWriterMatchesPlainAppend(t *testing.T) {
+	recs := synthRecords(25_000) // ~2.5 MB of wire bytes
+	for _, target := range []int{1, 1000, DefaultSegmentTarget, maxSegment} {
+		w := NewWriter(testMeta())
+		if err := w.SetSegmentTarget(target); err != nil {
+			t.Fatal(err)
+		}
+		body := append([]byte(headerMagic), Version)
+		var cur []byte
+		cut := func() {
+			body = binary.LittleEndian.AppendUint32(body, uint32(len(cur)))
+			body, cur = append(body, cur...), cur[:0]
+		}
+		for _, r := range recs {
+			w.Add(r)
+			b := trace.MarshalRecord(r)
+			cur = append(binary.AppendUvarint(cur, uint64(len(b))), b...)
+			if len(cur) >= target {
+				cut()
+			}
+		}
+		if len(cur) > 0 {
+			cut()
+		}
+		if target <= DefaultSegmentTarget && (len(w.slabs) < 6 || cap(w.slabs[len(w.slabs)-1]) != 1<<20) {
+			t.Fatalf("target %d: %d slabs, the last of %d bytes; want at least 6, doubling to 1 MB and no further",
+				target, len(w.slabs), cap(w.slabs[len(w.slabs)-1]))
+		}
+		blob := w.Finalize(nil)
+		if len(blob) != cap(blob) {
+			t.Fatalf("target %d: blob of %d bytes in a %d-byte allocation, want exact", target, len(blob), cap(blob))
+		}
+		if !bytes.HasPrefix(blob, body) {
+			t.Fatalf("target %d: slab-built body differs from the plainly appended one", target)
+		}
+		got, err := mustOpenRecords(blob)
+		if err != nil {
+			t.Fatalf("target %d: %v", target, err)
+		}
+		if !reflect.DeepEqual(got, recs) {
+			t.Fatalf("target %d: records decoded from the slab-built archive differ from those added", target)
+		}
 	}
 }
 

@@ -117,11 +117,6 @@ func (p *Phase) StepIDs() []int64 {
 	return ids
 }
 
-// TopOps returns the phase's n most time-consuming operators per device.
-func (p *Phase) TopOps(dev trace.Device, n int) []trace.OpTotal {
-	return trace.TopOps(p.Steps, dev, n)
-}
-
 // StepSimilarity computes Equation 1: the ratio of the intersection of
 // the two steps' event sets to the size of the smaller set. The ratio
 // is undefined when both steps are empty — there is no evidence either

@@ -87,8 +87,9 @@ func (f *Frontend) Analyze(workload string, algo Algorithm, opts Options) (*Repo
 
 	ordered := SortByTotal(r.Phases)
 	r.Longest = ordered[0]
-	r.TopHostOps = r.Longest.TopOps(trace.Host, 5)
-	r.TopTPUOps = r.Longest.TopOps(trace.TPU, 5)
+	longestOps := trace.MergeSteps(r.Longest.Steps)
+	r.TopHostOps = trace.TopOf(longestOps, trace.Host, 5)
+	r.TopTPUOps = trace.TopOf(longestOps, trace.TPU, 5)
 	r.CoverageTop3 = Coverage(r.Phases, 3)
 
 	var weighted float64

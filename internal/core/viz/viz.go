@@ -209,6 +209,7 @@ func WriteCSV(w io.Writer, rep *analyzer.Report) error {
 		if total > 0 {
 			share = float64(p.Total) / float64(total)
 		}
+		ops := trace.MergeSteps(p.Steps)
 		row := []string{
 			fmt.Sprint(p.ID),
 			fmt.Sprint(len(p.Steps)),
@@ -217,8 +218,8 @@ func WriteCSV(w io.Writer, rep *analyzer.Report) error {
 			fmt.Sprintf("%.3f", p.Total.Milliseconds()),
 			fmt.Sprintf("%.4f", share),
 			csvEscape(p.Checkpoint),
-			csvEscape(opList(p.TopOps(trace.TPU, 5))),
-			csvEscape(opList(p.TopOps(trace.Host, 5))),
+			csvEscape(opList(trace.TopOf(ops, trace.TPU, 5))),
+			csvEscape(opList(trace.TopOf(ops, trace.Host, 5))),
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err

@@ -118,6 +118,10 @@ type fleetMetrics struct {
 	bytesIn  *obs.Counter
 	saved    *obs.Counter
 	resumed  *obs.Counter
+	// Finalize by part (analysis, then save), and runs left unsummarized.
+	summarizeUS  *obs.Histogram
+	saveUS       *obs.Histogram
+	unsummarized *obs.Counter
 }
 
 func newFleetMetrics(r *obs.Registry) fleetMetrics {
@@ -132,6 +136,10 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 		bytesIn:  r.Counter("fleet.bytes.in"),
 		saved:    r.Counter("fleet.runs.saved"),
 		resumed:  r.Counter("fleet.sessions.resumed"),
+
+		summarizeUS:  r.Histogram("fleet.finalize.summarize_us"),
+		saveUS:       r.Histogram("fleet.finalize.save_us"),
+		unsummarized: r.Counter("fleet.runs.unsummarized"),
 	}
 }
 
@@ -185,11 +193,12 @@ func (f *Fleet) Register(s *rpc.Server) {
 	s.Register(MethodFleetPing, f.handlePing)
 }
 
-// session is one in-flight collection stream. The session holds no
-// decoded record slice: records live only in the archive writer's
-// segment stream, and finalize decodes them back transiently for the
-// server-side analysis (Writer.DecodeRecords) — a long session's memory
-// is its compacted wire bytes, not N live record structs.
+// session is one in-flight collection stream. It holds a record twice,
+// neither time as a record: its wire bytes in the archive writer's
+// segment stream (617 B per distinct step on the 1000-step resnet
+// recording) and its steps merged into the running aggregate finalize
+// summarizes (one StepStat per distinct step, 1.1 KB on that recording).
+// No decoded record outlives the drain's pass over it.
 type session struct {
 	id    uint64
 	token string // durable identity: names sessions/<token>/{meta,log}
@@ -197,9 +206,11 @@ type session struct {
 	w     *archive.Writer
 
 	// stream is the in-flight analyzer (nil only on a session a test
-	// built by hand). Owned by the drain goroutine until done closes;
-	// finalize takes it after.
+	// built by hand) and steps the exact per-step aggregate of every
+	// record archived. Both are owned by the drain goroutine until done
+	// closes; finalize takes them after.
 	stream *analyzer.StreamAnalyzer
+	steps  trace.StepSeries
 
 	ch   chan queued   // bounded pending-record queue
 	done chan struct{} // drain goroutine exit
@@ -225,25 +236,31 @@ type queued struct {
 	rec *trace.ProfileRecord
 }
 
-// drain is the session's single consumer: it owns the writer and the
-// streaming analyzer, so neither needs locking. The writer takes the
-// validated wire bytes as they are, and both it and the stream read the
-// record handleAppendBatch decoded from them: one decode per record on
-// the hot path, no re-encode.
+// drain is the session's single consumer: it owns the writer, the
+// streaming analyzer and the step aggregate, so none needs locking. The
+// writer takes the validated wire bytes as they are, and all three read
+// the record handleAppendBatch decoded from them: one decode per record
+// in the session's life, no re-encode.
 func (s *session) drain(m fleetMetrics) {
 	defer close(s.done)
 	for q := range s.ch {
 		s.w.AddEncoded(q.raw, q.rec)
-		if s.stream != nil {
-			// Feed errors only after Finish, which finalize defers
-			// until this goroutine exits.
-			_ = s.stream.Feed(q.rec)
-		}
+		s.fold(q.rec)
 		s.mu.Lock()
 		s.archived++
 		s.mu.Unlock()
 		m.recArch.Inc()
 	}
+}
+
+// fold feeds an archived record to the streaming analyzer, which copies
+// what it keeps, and then gives the record's steps to the aggregate: rec
+// is spent. The drain and resume's log replay both come through here.
+func (s *session) fold(rec *trace.ProfileRecord) {
+	if s.stream != nil {
+		_ = s.stream.Feed(rec) // errors only after Finish, which follows the drain's exit
+	}
+	s.steps.Adopt(rec)
 }
 
 func (s *session) touch(now time.Time) {
@@ -506,31 +523,28 @@ func (f *Fleet) handleFinalize(body []byte) ([]byte, error) {
 	}
 	f.sweepExpired()
 	s.closeQueue()
-	<-s.done // drain finished: s.w and s.stream are ours now
+	<-s.done // drain finished: s.w, s.stream and s.steps are ours now
 	f.finishSessionStream(s)
 
+	start := time.Now()
 	var sum *archive.Summary
-	if s.w.Records() > 0 {
-		// The session kept only wire bytes; decode them back just for
-		// the finalize-time analysis. This is the one transient full
-		// materialization in a session's life.
-		recs, derr := s.w.DecodeRecords()
-		if derr == nil && len(recs) > 0 {
-			rep, aerr := analyzer.Analyze(s.meta.Workload, recs, analyzer.OLSAlgo, f.opts.Analyzer)
-			if aerr == nil {
-				sum = archive.SummarizeReport(rep)
-			}
-		}
-		// Gap-only streams (no steps) archive without a summary
-		// rather than failing the whole session.
+	rep, aerr := analyzer.AnalyzeSteps(s.meta.Workload, s.steps.Steps(), analyzer.OLSAlgo, f.opts.Analyzer)
+	if aerr == nil {
+		sum = archive.SummarizeReport(rep)
+	} else { // no steps (empty, or gaps only): archived without a summary, not failed
+		f.m.unsummarized.Inc()
+		f.opts.Obs.Emit("fleet", "run-unsummarized", fmt.Sprintf("run %q: %v", s.meta.RunID, aerr))
 	}
+	f.m.summarizeUS.ObserveSince(start)
 	blob := s.w.Finalize(sum)
+	start = time.Now()
 	var info RunInfo
 	if f.opts.Ingest != nil {
 		info, err = f.opts.Ingest.Save(blob)
 	} else {
 		info, err = f.repo.Save(blob)
 	}
+	f.m.saveUS.ObserveSince(start)
 	if err != nil {
 		return nil, err
 	}

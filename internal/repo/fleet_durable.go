@@ -217,29 +217,25 @@ func (f *Fleet) handleResume(body []byte) ([]byte, error) {
 		}
 	}
 
-	w := archive.NewWriter(mrec.Meta)
-	stream := f.newSessionStream(mrec.Meta)
-	for _, raw := range recs {
-		rec, err := w.AddRaw(raw)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: session %q log replay: %w", req.Token, err)
-		}
-		// Replay rebuilds the analyzer to the exact pre-crash state: the
-		// log holds the accepted order the old drain fed it in, and the
-		// stream is a pure function of that sequence. It reads the record
-		// the writer just decoded; Feed fails only after Finish.
-		_ = stream.Feed(rec)
-	}
-
 	s := &session{
 		token:      req.Token,
 		meta:       mrec.Meta,
-		w:          w,
-		stream:     stream,
+		w:          archive.NewWriter(mrec.Meta),
+		stream:     f.newSessionStream(mrec.Meta),
 		ch:         make(chan queued, f.opts.QueueSize),
 		done:       make(chan struct{}),
 		lastActive: f.opts.Now(),
 		archived:   int64(len(recs)),
+	}
+	for _, raw := range recs {
+		rec, err := s.w.AddRaw(raw)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: session %q log replay: %w", req.Token, err)
+		}
+		// Replay rebuilds the analyzer and the step aggregate to the exact
+		// pre-crash state: the log holds the order the old drain folded,
+		// and both are pure functions of that sequence.
+		s.fold(rec)
 	}
 	if err := f.register(s); err != nil {
 		return nil, err

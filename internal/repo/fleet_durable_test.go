@@ -696,17 +696,9 @@ func TestStaleSessionIDAfterCollectorRestart(t *testing.T) {
 	}
 }
 
-// TestResumeDecodesEachLoggedRecordOnce: rebuilding a session from its
-// log decodes every record to validate it, and the archive writer's
-// counts and the streaming analyzer read that one decode. Allocation
-// counts repeat exactly, so they can tell: what handleResume allocates
-// beyond archiving and feeding the records must stay under 1.3x what
-// decoding them once allocates (it was about 2x when AddRaw decoded and
-// the replay loop decoded again).
-func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
-	// 100 profile windows of 40 steps x 6 operators.
-	var recs []*trace.ProfileRecord
-	var wire [][]byte
+// resumeWindows is the session the decode-count guards stream: 100
+// profile windows of 40 steps x 6 operators, decoded and in wire form.
+func resumeWindows() (recs []*trace.ProfileRecord, wire [][]byte) {
 	var ts simclock.Time
 	for w := 0; w < 100; w++ {
 		var events []trace.Event
@@ -719,7 +711,32 @@ func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
 		rec := trace.Reduce(int64(w), events[0].Start, events, 0.2, 0.4)
 		recs, wire = append(recs, rec), append(wire, trace.MarshalRecord(rec))
 	}
+	return recs, wire
+}
 
+// decodeAll decodes a session's wire records once.
+func decodeAll(t *testing.T, wire [][]byte) []*trace.ProfileRecord {
+	recs := make([]*trace.ProfileRecord, len(wire))
+	for i, b := range wire {
+		var err error
+		if recs[i], err = trace.UnmarshalRecord(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// TestResumeDecodesEachLoggedRecordOnce: rebuilding a session from its
+// log decodes every record to validate it, and the archive writer's
+// counts, the streaming analyzer and the step aggregate read that one
+// decode — the aggregate by taking the decoded steps over, not by copying
+// them. Allocation counts repeat exactly, so they can tell: what
+// handleResume allocates beyond archiving, feeding and adopting the
+// records must stay under 1.3x what decoding them once allocates (it was
+// about 2x when AddRaw decoded and the replay loop decoded again, and is
+// again if the fold clones the steps it is given).
+func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
+	recs, wire := resumeWindows()
 	bucket := newBucket(t)
 	f, srv := newFleetOverBucket(t, bucket, FleetOptions{})
 	c, err := OpenResilient(rpc.Pipe(srv), OpenRequest{RunID: "replayed", Workload: "synthetic"})
@@ -736,24 +753,28 @@ func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	decodeOnce := testing.AllocsPerRun(5, func() {
-		for _, b := range wire {
-			if _, err := trace.UnmarshalRecord(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	archiveAndFeed := testing.AllocsPerRun(5, func() {
+	const runs = 5
+	decodeOnce := testing.AllocsPerRun(runs, func() { decodeAll(t, wire) })
+	// Adopting spends the records: a fresh decode for each measured run
+	// (AllocsPerRun warms up with one more), made outside it.
+	var fresh [][]*trace.ProfileRecord
+	for i := 0; i <= runs; i++ {
+		fresh = append(fresh, decodeAll(t, wire))
+	}
+	archiveFeedAdopt := testing.AllocsPerRun(runs, func() {
 		w := archive.NewWriter(archive.Meta{RunID: "replayed", Workload: "synthetic"})
 		stream := f.newSessionStream(archive.Meta{RunID: "replayed", Workload: "synthetic"})
-		for i, rec := range recs {
+		var steps trace.StepSeries
+		for i, rec := range fresh[0] {
 			w.AddEncoded(wire[i], rec)
 			if err := stream.Feed(rec); err != nil {
 				t.Fatal(err)
 			}
+			steps.Adopt(rec)
 		}
+		fresh = fresh[1:]
 	})
-	resume := testing.AllocsPerRun(5, func() {
+	resume := testing.AllocsPerRun(runs, func() {
 		resp, err := f.handleResume(body)
 		if err != nil {
 			t.Fatal(err)
@@ -763,9 +784,74 @@ func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
 			t.Fatalf("resume: %v, %d records, want %d", err, rr.AcceptedRecords, len(recs))
 		}
 	})
-	t.Logf("resume %.0f, archive+feed %.0f, decode once %.0f allocations", resume, archiveAndFeed, decodeOnce)
-	if decodes := (resume - archiveAndFeed) / decodeOnce; decodes >= 1.3 {
-		t.Fatalf("handleResume allocates %.0f, archiving and feeding the same records %.0f, decoding them once %.0f: "+
-			"that is %.2f decodes per logged record, want 1", resume, archiveAndFeed, decodeOnce, decodes)
+	t.Logf("resume %.0f, archive+feed+adopt %.0f, decode once %.0f allocations", resume, archiveFeedAdopt, decodeOnce)
+	if decodes := (resume - archiveFeedAdopt) / decodeOnce; decodes >= 1.3 {
+		t.Fatalf("handleResume allocates %.0f, archiving, feeding and adopting the same records %.0f, decoding them once %.0f: "+
+			"that is %.2f decodes per logged record, want 1", resume, archiveFeedAdopt, decodeOnce, decodes)
+	}
+}
+
+// TestFinalizeDecodesNothing: finalize summarizes the aggregate the drain
+// kept; it must not go back to the records. What handleFinalize allocates
+// for a 100-window session — the OLS scan, the summary, the archive blob,
+// the save and the retirement — stays under a quarter of what decoding
+// those windows once allocates (at the parent, which decoded them all and
+// cloned every step again, it was 2.0x).
+func TestFinalizeDecodesNothing(t *testing.T) {
+	recs, wire := resumeWindows()
+	f, srv := newFleetOverBucket(t, newBucket(t), FleetOptions{})
+	const runs = 3
+	var bodies [][]byte
+	for i := 0; i <= runs; i++ {
+		c, err := OpenResilient(rpc.Pipe(srv), OpenRequest{RunID: fmt.Sprintf("run-%d", i), Workload: "synthetic"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(sessionRequest{SessionID: c.id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	// Let every drain finish: its work must not be counted as finalize's.
+	f.mu.Lock()
+	sessions := make([]*session, 0, len(f.sessions))
+	for _, s := range f.sessions {
+		sessions = append(sessions, s)
+	}
+	f.mu.Unlock()
+	for _, s := range sessions {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			n := s.archived
+			s.mu.Unlock()
+			if n == int64(len(recs)) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("session %d drained %d of %d records", s.id, n, len(recs))
+			}
+		}
+	}
+
+	decodeOnce := testing.AllocsPerRun(runs, func() { decodeAll(t, wire) })
+	finalize := testing.AllocsPerRun(runs, func() {
+		resp, err := f.handleFinalize(bodies[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info RunInfo
+		if err := json.Unmarshal(resp, &info); err != nil || info.Records != int64(len(recs)) {
+			t.Fatalf("finalize: %v, %d records, want %d", err, info.Records, len(recs))
+		}
+		bodies = bodies[1:]
+	})
+	t.Logf("finalize %.0f, decode once %.0f allocations", finalize, decodeOnce)
+	if finalize >= 0.25*decodeOnce {
+		t.Fatalf("handleFinalize allocates %.0f, decoding its %d windows once %.0f: %.2fx, want under 0.25x",
+			finalize, len(recs), decodeOnce, finalize/decodeOnce)
 	}
 }

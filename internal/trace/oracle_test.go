@@ -425,6 +425,78 @@ func TestOpListMatchesMapOracleOnRandomFragments(t *testing.T) {
 	}
 }
 
+// TestStepSeriesMatchesMapOracle: the running aggregate is the map-by-step
+// aggregation whatever order the fragments come in and however they are
+// cut into records — windows delivered out of order, a step number twice
+// in one record, empty records, every record split in two, one Add per
+// record or AggregateSteps over all — ascending, and equal field for
+// field (the float metadata bit for bit: both merge in arrival order).
+// Add leaves its input as it was and never shares memory with it; Adopt,
+// which may, gives the same aggregate.
+func TestStepSeriesMatchesMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var recs []*trace.ProfileRecord
+		for i, events := range randomWindows(rng, 40, 20+rng.Intn(120), 3+rng.Intn(40)) {
+			rec := trace.Reduce(int64(i), events[0].Start, events, rng.Float64(), rng.Float64())
+			switch rng.Intn(5) {
+			case 0: // an empty record first
+				recs = append(recs, &trace.ProfileRecord{Seq: int64(i), Gap: rng.Intn(2) == 0})
+			case 1: // the record's steps twice over, the repeat reversed
+				for j := len(rec.Steps) - 1; j >= 0; j-- {
+					rec.Steps = append(rec.Steps, rec.Steps[j].Clone())
+				}
+			}
+			recs = append(recs, rec)
+		}
+		oracle := fromRecords(recs)
+		want := mapAggregate(oracle)
+
+		check := func(where string, got []*trace.StepStat) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d %s: %d steps, oracle %d", seed, where, len(got), len(want))
+			}
+			for i := range got {
+				if i > 0 && got[i-1].Step >= got[i].Step {
+					t.Fatalf("seed %d %s: step %d before step %d", seed, where, got[i-1].Step, got[i].Step)
+				}
+				sameStep(t, where, got[i], want[i])
+			}
+		}
+		check("AggregateSteps", trace.AggregateSteps(recs))
+
+		var one, halves, adopted trace.StepSeries
+		for _, r := range recs {
+			one.Add(r)
+			cut := rng.Intn(len(r.Steps) + 1)
+			halves.Add(&trace.ProfileRecord{Steps: r.Steps[:cut]})
+			halves.Add(&trace.ProfileRecord{Steps: r.Steps[cut:]})
+			d, err := trace.UnmarshalRecord(trace.MarshalRecord(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			adopted.Adopt(d)
+		}
+		check("one Add per record", one.Steps())
+		check("every record split in two", halves.Steps())
+		check("Adopt of decoded copies", adopted.Steps())
+
+		// Add only read its input, and writing the input now reaches
+		// nothing the series holds.
+		for i, r := range recs {
+			for j, s := range r.Steps {
+				sameStep(t, "Add's argument", s, oracle[i][j])
+				s.Start, s.End, s.IdleFrac, s.MXUUtil = -1, -1, -1, -1
+				for k := range s.Ops {
+					s.Ops[k] = trace.OpTotal{Name: "scribbled", Count: -1, Total: -1}
+				}
+			}
+		}
+		check("one Add per record, after its input was written", one.Steps())
+	}
+}
+
 // TestOpListInvariantAfterEveryMutation walks one random stream a single
 // operation at a time — every Observe, Merge, Clone and decode — checking
 // the list against the oracle after each, and that Merge and Clone leave
@@ -591,18 +663,40 @@ func TestOpListAllocationBounds(t *testing.T) {
 
 // BenchmarkAggregateSteps is stage 1 of every analyzer method on a
 // 1000-step recording: clone each step's first fragment, merge the rest.
+// in-order is the recording as the profiler cut it (a window's fragments
+// land on the newest few steps); late-100 re-cuts the same fragments so
+// that every step's second fragment arrives 100 steps behind the newest,
+// the walk back from the tail at its longest on a live stream.
 func BenchmarkAggregateSteps(b *testing.B) {
 	recs := recording(b, "resnet-imagenet", tpupoint.V2, 1000)
-	frags := 0
-	for _, r := range recs {
-		frags += len(r.Steps)
+	var late []*trace.ProfileRecord
+	steps := trace.AggregateSteps(recs)
+	for lo := 0; lo < len(steps)+100; lo += 40 {
+		rec := &trace.ProfileRecord{}
+		for _, i := range []int{lo - 100, lo} { // the stragglers, then the window's own
+			for j := max(i, 0); j < min(i+40, len(steps)); j++ {
+				rec.Steps = append(rec.Steps, steps[j])
+			}
+		}
+		late = append(late, rec)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var steps []*trace.StepStat
-	for i := 0; i < b.N; i++ {
-		steps = trace.AggregateSteps(recs)
+	for _, c := range []struct {
+		name string
+		recs []*trace.ProfileRecord
+	}{{"in-order", recs}, {"late-100", late}} {
+		b.Run(c.name, func(b *testing.B) {
+			frags := 0
+			for _, r := range c.recs {
+				frags += len(r.Steps)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps []*trace.StepStat
+			for i := 0; i < b.N; i++ {
+				steps = trace.AggregateSteps(c.recs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frags), "ns/fragment")
+			b.ReportMetric(float64(len(steps)), "steps")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frags), "ns/fragment")
-	b.ReportMetric(float64(len(steps)), "steps")
 }

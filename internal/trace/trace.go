@@ -331,39 +331,82 @@ func Reduce(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuU
 	return rec
 }
 
-// AggregateSteps merges the per-window step summaries of many records into
-// one per-step series ordered by step number. This is stage 1 of every
-// analyzer algorithm ("extract the records from all statistical profiles
-// and aggregate records together using the TPU step numbers").
-func AggregateSteps(records []*ProfileRecord) []*StepStat {
-	byStep := make(map[int64]*StepStat)
-	for _, r := range records {
-		for _, s := range r.Steps {
-			if cur, ok := byStep[s.Step]; ok {
-				cur.Merge(s)
-			} else {
-				byStep[s.Step] = s.Clone()
-			}
-		}
-	}
-	out := make([]*StepStat, 0, len(byStep))
-	for _, s := range byStep {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-	return out
+// StepSeries is the exact per-step aggregate of the records given to it
+// so far: one StepStat per distinct step number, every fragment of the
+// step merged in the order it arrived. This is stage 1 of every analyzer
+// algorithm ("extract the records from all statistical profiles and
+// aggregate records together using the TPU step numbers"), kept running
+// so a consumer that sees records one at a time never needs them again.
+// The zero value is an empty series. Not safe for concurrent use.
+type StepSeries struct {
+	// steps is ascending by step number. Fragments arrive nearly in that
+	// order, so a fragment is placed by walking back from the tail.
+	steps []*StepStat
 }
 
-// TopOps returns the n most time-consuming operators across the given
-// steps for one device, descending by total duration (ties broken by name
-// for determinism). This drives the paper's Table II.
-func TopOps(steps []*StepStat, dev Device, n int) []OpTotal {
+// Add merges a record's step fragments into the series. The record is
+// only read and the series never comes to share memory with it.
+func (ss *StepSeries) Add(rec *ProfileRecord) {
+	for _, s := range rec.Steps {
+		ss.fold(s, false)
+	}
+}
+
+// Adopt is Add for a record the caller gives up: the first fragment seen
+// of a step becomes the series' own instead of a copy, so the record must
+// not be read or written afterwards.
+func (ss *StepSeries) Adopt(rec *ProfileRecord) {
+	for _, s := range rec.Steps {
+		ss.fold(s, true)
+	}
+}
+
+func (ss *StepSeries) fold(s *StepStat, owned bool) {
+	i := len(ss.steps)
+	for i > 0 && ss.steps[i-1].Step > s.Step {
+		i--
+	}
+	if i > 0 && ss.steps[i-1].Step == s.Step {
+		ss.steps[i-1].Merge(s)
+		return
+	}
+	if !owned {
+		s = s.Clone()
+	}
+	ss.steps = slices.Insert(ss.steps, i, s)
+}
+
+// Steps returns the aggregate, ascending by step number. The slice and
+// the steps are the series' own: they change with the next Add.
+func (ss *StepSeries) Steps() []*StepStat { return ss.steps }
+
+// AggregateSteps merges the per-window step summaries of many records into
+// one per-step series ordered by step number: a StepSeries given all the
+// records at once. The records are only read.
+func AggregateSteps(records []*ProfileRecord) []*StepStat {
+	var ss StepSeries
+	for _, r := range records {
+		ss.Add(r)
+	}
+	return ss.steps
+}
+
+// MergeSteps returns the operator totals of the steps summed into one
+// sorted op list — the table TopOf cuts each device's rows from.
+func MergeSteps(steps []*StepStat) []OpTotal {
 	var all []OpTotal
 	for _, s := range steps {
 		all = MergeOps(all, s.Ops)
 	}
+	return all
+}
+
+// TopOf returns the n most time-consuming operators of one device in ops,
+// descending by total duration (ties broken by name for determinism); all
+// of them when n <= 0. ops is only read.
+func TopOf(ops []OpTotal, dev Device, n int) []OpTotal {
 	out := []OpTotal{}
-	for _, e := range all {
+	for _, e := range ops {
 		if e.Device == dev {
 			out = append(out, e)
 		}
@@ -378,4 +421,11 @@ func TopOps(steps []*StepStat, dev Device, n int) []OpTotal {
 		out = out[:n]
 	}
 	return out
+}
+
+// TopOps returns the n most time-consuming operators across the given
+// steps for one device. This drives the paper's Table II; a caller that
+// wants both devices' tables merges once and calls TopOf twice.
+func TopOps(steps []*StepStat, dev Device, n int) []OpTotal {
+	return TopOf(MergeSteps(steps), dev, n)
 }

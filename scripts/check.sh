@@ -43,6 +43,13 @@ go test -race -count=2 ./internal/obs
 echo "== go test -race -count=2 ./internal/archive ./internal/trace"
 go test -race -count=2 ./internal/archive ./internal/trace
 
+# A fleet session keeps two structures only its drain goroutine may touch
+# until finalize takes them — the streaming analyzer and the running step
+# aggregate — and a resume must rebuild both from the log: run the
+# finalize and resume tests twice under the race detector.
+echo "== go test -race -count=2 ./internal/repo -run 'Finalize|Resume'"
+go test -race -count=2 ./internal/repo -run 'Finalize|Resume'
+
 # Profile-repository round trip through the real CLI: archive two runs,
 # list/show them, and cross-run diff them.
 echo "== archive + diff smoke"

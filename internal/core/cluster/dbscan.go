@@ -48,7 +48,7 @@ func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBS
 	if minPts < 1 {
 		return nil, fmt.Errorf("cluster: minPts must be >= 1, got %d", minPts)
 	}
-	eps, neighbors, err := epsNeighbors(m, eps, budget, workers)
+	eps, neighbors, err := epsNeighbors(m, eps, budget, workers, slotChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +59,10 @@ func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBS
 // when eps <= 0, bins the points into the grid index and materializes
 // every point's ε-neighbor list (ascending), charging the lists against
 // budget as they appear. min-samples only decides which of these lists
-// make a core point, so a sweep over min-samples builds them once.
-func epsNeighbors(m *Matrix, eps float64, budget int64, workers int) (float64, [][]int32, error) {
+// make a core point, so a sweep over min-samples builds them once. chunk is
+// the row-chunk size of its two fan-outs, which only write per-row slots:
+// no output depends on it, and callers pass slotChunk.
+func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (float64, [][]int32, error) {
 	n := m.Rows
 	if n == 0 {
 		return 0, nil, fmt.Errorf("cluster: empty matrix")
@@ -71,7 +73,7 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers int) (float64, [
 	}
 	pool := parallel.New(workers)
 	if eps <= 0 {
-		eps = autoEps(m, pool)
+		eps = autoEps(m, pool, chunk)
 	}
 
 	grid := newGridIndex(m, eps)
@@ -84,7 +86,7 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers int) (float64, [
 	}
 	var entries atomic.Int64
 	neighbors := make([][]int32, n)
-	err := pool.Run(context.Background(), n, parChunk, func(ci, lo, hi int) error {
+	err := pool.Run(context.Background(), n, chunk, func(ci, lo, hi int) error {
 		var local int64
 		for i := lo; i < hi; i++ {
 			neighbors[i] = grid.neighbors(i, nil)
@@ -171,7 +173,7 @@ const autoEpsMaxSample = 2048
 // genuinely unusual steps as noise. The per-row scans fan out across the
 // pool; results are written to disjoint slots, so the choice is
 // deterministic for every worker count.
-func autoEps(m *Matrix, pool *parallel.Pool) float64 {
+func autoEps(m *Matrix, pool *parallel.Pool, chunk int) float64 {
 	n := m.Rows
 	if n < 2 {
 		return 1
@@ -184,17 +186,17 @@ func autoEps(m *Matrix, pool *parallel.Pool) float64 {
 	}
 	const kth = 4
 	kdist := make([]float64, count)
-	_ = pool.Run(context.Background(), count, parChunk, func(ci, lo, hi int) error {
+	_ = pool.Run(context.Background(), count, chunk, func(ci, lo, hi int) error {
+		toAll := make([]float64, n)
 		for s := lo; s < hi; s++ {
 			i := s * stride
-			ri := m.Row(i)
+			sqDists(m.Row(i), m, 0, n, toAll)
 			// Running top-4 smallest squared distances (ascending).
 			best := [kth]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
-			for j := 0; j < n; j++ {
+			for j, d := range toAll {
 				if i == j {
 					continue
 				}
-				d := sqDist(ri, m.Row(j))
 				if d >= best[kth-1] {
 					continue
 				}
@@ -238,7 +240,7 @@ func DBSCANSweep(m *Matrix, maxPts, step int, budget int64, workers int) ([]*DBS
 	if step < 1 {
 		return nil, fmt.Errorf("cluster: sweep step must be >= 1, got %d", step)
 	}
-	eps, neighbors, err := epsNeighbors(m, 0, budget, workers)
+	eps, neighbors, err := epsNeighbors(m, 0, budget, workers, slotChunk)
 	if err != nil {
 		return nil, err
 	}

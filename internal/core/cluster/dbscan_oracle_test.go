@@ -24,7 +24,7 @@ func dbscanBrute(m *Matrix, minPts int, eps float64) (*DBSCANResult, error) {
 		return nil, fmt.Errorf("cluster: empty matrix")
 	}
 	if eps <= 0 {
-		eps = autoEps(m, parallel.New(1))
+		eps = autoEps(m, parallel.New(1), slotChunk)
 	}
 	eps2 := eps * eps
 

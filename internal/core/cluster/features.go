@@ -11,10 +11,14 @@
 // Each algorithm has one entry point — Features, Standardize, PCA, KMeans,
 // KMeansSweep, DBSCAN, DBSCANSweep — and each takes workers, the bound on
 // the pool its hot loops fan out over: workers <= 0 means GOMAXPROCS, 1
-// runs everything inline on the caller's goroutine. Chunk boundaries are
-// fixed by the input size and reductions merge in chunk order, so every
-// output is bit-identical for every value of workers — see
-// internal/parallel.
+// runs everything inline on the caller's goroutine. Every output is
+// bit-identical for every value of workers (see internal/parallel): a
+// fan-out that reduces cuts its rows into parChunk (covChunk for the
+// covariance) and merges the per-chunk partials in chunk order, so the
+// chunk size is the reduction grouping and part of the contract; a fan-out
+// that only fills per-row slots may use any fixed size and the heavy ones
+// use slotChunk. A sweep is the parallel level above its members:
+// KMeansSweep hands the pool one task per k and each member runs inline.
 package cluster
 
 import (
@@ -37,12 +41,21 @@ var ErrMemoryBudget = errors.New("cluster: memory budget exceeded")
 // most 100 distinct operations for frequency vector representation."
 const MaxFeatureOps = 100
 
-// Fixed fan-out chunk sizes. These are part of the determinism contract:
-// chunk boundaries — and therefore reduction grouping — depend only on
-// the input size, never on the worker count or the machine.
+// Fixed fan-out chunk sizes. parChunk and covChunk are part of the
+// determinism contract: their fan-outs merge per-chunk partials, so the
+// chunk boundaries are the floating-point reduction grouping and may
+// depend only on the input size. slotChunk is not: a fan-out that only
+// writes disjoint per-row slots gives the same bits at any chunk size, so
+// it takes a small one that spreads a 300-step run over the pool.
 const (
-	// parChunk is the row-chunk size for per-row fan-outs.
+	// parChunk is the row-chunk size of the fan-outs that reduce (k-means
+	// assignment/update partials, feature totals), of k-means++ seeding
+	// beside them, and of the feature row fill, which is too light per
+	// row to gain from a smaller one (measured slower at 32).
 	parChunk = 512
+	// slotChunk is the row-chunk size of the heavy slot-filling fan-outs:
+	// the PCA projection and DBSCAN's 4-NN distances and ε-neighbor lists.
+	slotChunk = 32
 	// covChunk is the row-chunk size for covariance accumulation, kept
 	// larger because each chunk owns a d×d partial matrix.
 	covChunk = 4096
@@ -202,6 +215,45 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// sqDists sets out[i-lo] to the squared distance of x to row i of m, for
+// every i in [lo, hi). Four rows advance in lockstep, one accumulator each
+// adding its terms in ascending column order — the matVec argument: every
+// out is the float64 sqDist returns, but the four add chains are
+// independent and overlap in the pipeline instead of serializing on one.
+// A two-wide and a one-wide step finish a range that is no multiple of
+// four.
+func sqDists(x []float64, m *Matrix, lo, hi int, out []float64) {
+	d := len(x)
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0, r1 := m.Data[i*d:][:d], m.Data[(i+1)*d:][:d]
+		r2, r3 := m.Data[(i+2)*d:][:d], m.Data[(i+3)*d:][:d]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			d0, d1, d2, d3 := r0[j]-xj, r1[j]-xj, r2[j]-xj, r3[j]-xj
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		out[i-lo], out[i-lo+1], out[i-lo+2], out[i-lo+3] = s0, s1, s2, s3
+	}
+	if i+2 <= hi {
+		r0, r1 := m.Data[i*d:][:d], m.Data[(i+1)*d:][:d]
+		var s0, s1 float64
+		for j, xj := range x {
+			d0, d1 := r0[j]-xj, r1[j]-xj
+			s0 += d0 * d0
+			s1 += d1 * d1
+		}
+		out[i-lo], out[i-lo+1] = s0, s1
+		i += 2
+	}
+	if i < hi {
+		out[i-lo] = sqDist(m.Row(i), x)
+	}
 }
 
 // SqDist is the squared Euclidean distance between two equal-length

@@ -23,6 +23,12 @@ type KMeansResult struct {
 // The assignment and update steps fan out over fixed-size row chunks;
 // per-chunk partial sums are merged in chunk order.
 func KMeans(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansResult, error) {
+	return kmeans(m, k, seed, budget, parallel.New(workers))
+}
+
+// kmeans is KMeans on the caller's pool, so a sweep can run its members
+// inline.
+func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*KMeansResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: k must be >= 1, got %d", k)
 	}
@@ -40,7 +46,6 @@ func KMeans(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansRe
 	if err := validateBudget(need, budget, "k-means"); err != nil {
 		return nil, err
 	}
-	pool := parallel.New(workers)
 	ctx := context.Background()
 
 	rng := prng.New(seed)
@@ -76,14 +81,10 @@ func KMeans(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansRe
 				pc[i] = 0
 			}
 			changed := false
+			dist := make([]float64, k) // nearest's scratch
 			for i := lo; i < hi; i++ {
 				row := m.Row(i)
-				best, bestD := 0, sqDist(row, cur.Row(0))
-				for c := 1; c < k; c++ {
-					if d := sqDist(row, cur.Row(c)); d < bestD {
-						best, bestD = c, d
-					}
-				}
+				best, bestD := nearest(row, cur, dist)
 				if assign[i] != best {
 					assign[i] = best
 					changed = true
@@ -147,6 +148,21 @@ func KMeans(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansRe
 	}, nil
 }
 
+// nearest returns the centroid closest to row and the squared distance to
+// it, using dist (one slot per centroid) as scratch. It is the scan that
+// starts at centroid 0 and moves only to a strictly smaller sqDist, so
+// ties resolve to the lowest index.
+func nearest(row []float64, centroids *Matrix, dist []float64) (int, float64) {
+	sqDists(row, centroids, 0, centroids.Rows, dist)
+	best := 0
+	for c, d := range dist {
+		if d < dist[best] {
+			best = c
+		}
+	}
+	return best, dist[best]
+}
+
 // seedPlusPlus picks k initial centroids with the k-means++ strategy.
 // The distance-to-nearest-centroid table is maintained incrementally
 // (each new centroid only lowers it), turning the legacy O(n·k²) scan
@@ -156,14 +172,15 @@ func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matr
 	centroids := NewMatrix(k, m.Cols)
 	copy(centroids.Row(0), m.Row(rng.Intn(m.Rows)))
 	d2 := make([]float64, m.Rows)
+	toNewest := make([]float64, m.Rows)
 	ctx := context.Background()
 	for c := 1; c < k; c++ {
 		newest := centroids.Row(c - 1)
 		first := c == 1
 		_ = pool.Run(ctx, m.Rows, parChunk, func(ci, lo, hi int) error {
+			sqDists(newest, m, lo, hi, toNewest[lo:hi])
 			for i := lo; i < hi; i++ {
-				d := sqDist(m.Row(i), newest)
-				if first || d < d2[i] {
+				if d := toNewest[i]; first || d < d2[i] {
 					d2[i] = d
 				}
 			}
@@ -197,17 +214,31 @@ func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matr
 // The elbow method's SSD series (the paper's Figure 4) is r.SSD per
 // member and the BIC series is BIC(m, r); the clustering at the chosen k
 // is the member itself.
+//
+// The sweep is the parallel level: the pool takes one task per k and each
+// member runs its row fan-outs inline, so a 300-step run (one row chunk)
+// still fills the pool. Run k costs in proportion to k, so tasks go out
+// largest k first; that longest-first order leaves the workers about one
+// small run apart at the end, which keeps a many-chunk sweep no slower
+// than fanning each member out over its rows. budget is checked per
+// member, as for a direct run: concurrent members share m and add only
+// their own centroids and partials. The error is the lowest failing k's.
 func KMeansSweep(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]*KMeansResult, error) {
 	if kMax < 1 {
 		return nil, fmt.Errorf("cluster: sweep kMax must be >= 1, got %d", kMax)
 	}
-	out := make([]*KMeansResult, 0, kMax)
-	for k := 1; k <= kMax; k++ {
-		r, err := KMeans(m, k, seed+uint64(k), budget, workers)
+	out := make([]*KMeansResult, kMax)
+	errs := make([]error, kMax)
+	inline := parallel.New(1)
+	_ = parallel.New(workers).Run(context.Background(), kMax, 1, func(ci, _, _ int) error {
+		k := kMax - ci
+		out[k-1], errs[k-1] = kmeans(m, k, seed+uint64(k), budget, inline)
+		return nil
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
 	}
 	return out, nil
 }

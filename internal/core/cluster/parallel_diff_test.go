@@ -241,31 +241,38 @@ func TestFeaturesParallelismInvariant(t *testing.T) {
 	}
 }
 
+// sweepRows are the row counts the sweep tests run at: below one
+// slotChunk, a single parChunk (the paper's 300-step scale, where only the
+// sweep-level fan-out can use the pool), and two and four parChunks.
+var sweepRows = []int{1, 7, 300, 600, 2000}
+
 // TestSweepsParallelismInvariant covers the composed analyzer paths:
 // every member of a sweep is identical at every worker count.
 func TestSweepsParallelismInvariant(t *testing.T) {
-	m := gaussMatrix(600, 8, 77)
-	Standardize(m, 0)
-	var refK []*KMeansResult
-	var refD []*DBSCANResult
-	for _, w := range workerGrid() {
-		ks, err := KMeansSweep(m, 8, 1, 0, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := DBSCANSweep(m, 80, 25, 0, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refK == nil {
-			refK, refD = ks, ds
-			continue
-		}
-		if !reflect.DeepEqual(ks, refK) {
-			t.Fatalf("workers=%d: k-means sweep differs from serial", w)
-		}
-		if !reflect.DeepEqual(ds, refD) {
-			t.Fatalf("workers=%d: DBSCAN sweep differs from serial", w)
+	for _, rows := range sweepRows {
+		m := gaussMatrix(rows, 8, 77)
+		Standardize(m, 0)
+		var refK []*KMeansResult
+		var refD []*DBSCANResult
+		for _, w := range append(workerGrid(), 8) {
+			ks, err := KMeansSweep(m, 8, 1, 0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := DBSCANSweep(m, 80, 25, 0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refK == nil {
+				refK, refD = ks, ds
+				continue
+			}
+			if !reflect.DeepEqual(ks, refK) {
+				t.Fatalf("rows=%d workers=%d: k-means sweep differs from serial", rows, w)
+			}
+			if !reflect.DeepEqual(ds, refD) {
+				t.Fatalf("rows=%d workers=%d: DBSCAN sweep differs from serial", rows, w)
+			}
 		}
 	}
 }
@@ -275,76 +282,121 @@ func TestSweepsParallelismInvariant(t *testing.T) {
 // KMeansSweep is KMeans at seed+k, and every member of DBSCANSweep is
 // DBSCAN at that min-samples with eps chosen automatically.
 func TestSweepMembersEqualDirectRuns(t *testing.T) {
-	m := gaussMatrix(600, 8, 78)
-	Standardize(m, 0)
+	for _, rows := range sweepRows {
+		m := gaussMatrix(rows, 8, 78)
+		Standardize(m, 0)
+		for _, w := range []int{1, 4} {
+			sweepMembersEqualDirectRuns(t, m, w)
+		}
+	}
+}
+
+func sweepMembersEqualDirectRuns(t *testing.T, m *Matrix, w int) {
 	const seed = 9
-	for _, w := range []int{1, 4} {
-		ks, err := KMeansSweep(m, 8, seed, 0, w)
+	at := fmt.Sprintf("rows=%d workers=%d", m.Rows, w)
+	ks, err := KMeansSweep(m, 8, seed, 0, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ks) != 8 {
+		t.Fatalf("%s: k-means sweep has %d members, want 8", at, len(ks))
+	}
+	for i, got := range ks {
+		k := i + 1
+		want, err := KMeans(m, k, seed+uint64(k), 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ks) != 8 {
-			t.Fatalf("workers=%d: k-means sweep has %d members, want 8", w, len(ks))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: sweep member k=%d differs from the direct run", at, k)
 		}
-		for i, got := range ks {
-			k := i + 1
-			want, err := KMeans(m, k, seed+uint64(k), 0, w)
+	}
+	ds, err := DBSCANSweep(m, 80, 25, 0, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != 4 {
+		t.Fatalf("%s: DBSCAN sweep has %d members, want 4", at, len(ds))
+	}
+	for i, got := range ds {
+		// Direct runs with eps chosen automatically and with the
+		// sweep's eps handed in: the shared neighbor pass must not
+		// show in any member.
+		for _, eps := range []float64{0, ds[0].Eps} {
+			want, err := DBSCAN(m, 5+25*i, eps, 0, w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d: sweep member k=%d differs from the direct run", w, k)
+				t.Fatalf("%s: sweep member minPts=%d differs from the direct run at eps=%g", at, want.MinPts, eps)
 			}
 		}
-		ds, err := DBSCANSweep(m, 80, 25, 0, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ds) != 4 {
-			t.Fatalf("workers=%d: DBSCAN sweep has %d members, want 4", w, len(ds))
-		}
-		for i, got := range ds {
-			// Direct runs with eps chosen automatically and with the
-			// sweep's eps handed in: the shared neighbor pass must not
-			// show in any member.
-			for _, eps := range []float64{0, ds[0].Eps} {
-				want, err := DBSCAN(m, 5+25*i, eps, 0, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d: sweep member minPts=%d differs from the direct run at eps=%g", w, want.MinPts, eps)
-				}
-			}
-		}
+	}
 
-		// The sweep charges the neighbor lists against the budget once,
-		// like one direct run: the tightest budget a direct run passes is
-		// passed by the sweep with the same members, and four bytes less
-		// fails both with ErrMemoryBudget.
-		_, neighbors, err := epsNeighbors(m, 0, 0, w)
+	// The sweep charges the neighbor lists against the budget once,
+	// like one direct run: the tightest budget a direct run passes is
+	// passed by the sweep with the same members, and four bytes less
+	// fails both with ErrMemoryBudget.
+	_, neighbors, err := epsNeighbors(m, 0, 0, w, slotChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := tightBudget(neighbors)
+	if _, err := DBSCAN(m, 5, 0, tight, w); err != nil {
+		t.Fatalf("%s: direct run at its exact budget: %v", at, err)
+	}
+	budgeted, err := DBSCANSweep(m, 80, 25, tight, w)
+	if err != nil {
+		t.Fatalf("%s: sweep at the budget one direct run passes: %v", at, err)
+	}
+	if !reflect.DeepEqual(budgeted, ds) {
+		t.Fatalf("%s: budgeted sweep differs from the unbudgeted one", at)
+	}
+	if _, err := DBSCAN(m, 5, 0, tight-4, w); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("%s: direct run under budget: err = %v", at, err)
+	}
+	if _, err := DBSCANSweep(m, 80, 25, tight-4, w); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("%s: sweep under budget: err = %v", at, err)
+	}
+}
+
+// tightBudget is the smallest budget a DBSCAN with these neighbor lists
+// passes: the per-point base cost plus four bytes a list entry.
+func tightBudget(neighbors [][]int32) int64 {
+	tight := int64(len(neighbors)) * dbscanBaseBytes
+	for _, nb := range neighbors {
+		tight += 4 * int64(len(nb))
+	}
+	return tight
+}
+
+// TestAutoEpsAndNeighborsChunkInvariant: DBSCAN's two fan-outs only fill
+// per-row slots, so their chunk size is free — eps and every neighbor list
+// are the same at one row a task, at slotChunk and at parChunk, below and
+// above autoEps's sampling cap, and the budget verdict does not depend on
+// which task's addition crosses the limit.
+func TestAutoEpsAndNeighborsChunkInvariant(t *testing.T) {
+	for _, rows := range []int{1, 7, 300, 2000, autoEpsMaxSample + 500} {
+		m := gaussMatrix(rows, 8, uint64(rows)+5)
+		Standardize(m, 0)
+		refEps, refN, err := epsNeighbors(m, 0, 0, 1, parChunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tight := int64(m.Rows) * dbscanBaseBytes
-		for _, nb := range neighbors {
-			tight += 4 * int64(len(nb))
-		}
-		if _, err := DBSCAN(m, 5, 0, tight, w); err != nil {
-			t.Fatalf("workers=%d: direct run at its exact budget: %v", w, err)
-		}
-		budgeted, err := DBSCANSweep(m, 80, 25, tight, w)
-		if err != nil {
-			t.Fatalf("workers=%d: sweep at the budget one direct run passes: %v", w, err)
-		}
-		if !reflect.DeepEqual(budgeted, ds) {
-			t.Fatalf("workers=%d: budgeted sweep differs from the unbudgeted one", w)
-		}
-		if _, err := DBSCAN(m, 5, 0, tight-4, w); !errors.Is(err, ErrMemoryBudget) {
-			t.Fatalf("workers=%d: direct run under budget: err = %v", w, err)
-		}
-		if _, err := DBSCANSweep(m, 80, 25, tight-4, w); !errors.Is(err, ErrMemoryBudget) {
-			t.Fatalf("workers=%d: sweep under budget: err = %v", w, err)
+		tight := tightBudget(refN)
+		for _, chunk := range []int{1, slotChunk, parChunk} {
+			for _, w := range workerGrid() {
+				eps, neighbors, err := epsNeighbors(m, 0, tight, w, chunk)
+				if err != nil {
+					t.Fatalf("rows=%d chunk=%d workers=%d at the exact budget: %v", rows, chunk, w, err)
+				}
+				if eps != refEps || !reflect.DeepEqual(neighbors, refN) {
+					t.Fatalf("rows=%d chunk=%d workers=%d: eps %v (want %v) or the neighbor lists differ", rows, chunk, w, eps, refEps)
+				}
+				if _, _, err := epsNeighbors(m, 0, tight-4, w, chunk); !errors.Is(err, ErrMemoryBudget) {
+					t.Fatalf("rows=%d chunk=%d workers=%d four bytes under: err = %v", rows, chunk, w, err)
+				}
+			}
 		}
 	}
 }

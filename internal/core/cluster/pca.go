@@ -64,7 +64,7 @@ func PCA(m *Matrix, k, workers int) *Matrix {
 		}
 	}
 	out := NewMatrix(m.Rows, len(components))
-	_ = pool.Run(context.Background(), m.Rows, parChunk, func(ci, lo, hi int) error {
+	_ = pool.Run(context.Background(), m.Rows, slotChunk, func(ci, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			row := m.Row(i)
 			for c, comp := range components {

@@ -17,8 +17,10 @@
 package estimator
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -154,6 +156,10 @@ func compileLikeMaster(g *graph.Graph) (*xla.Program, error) {
 	return xla.Compile(folded)
 }
 
+// stepEvents bounds the device events of one step of p: one per
+// instruction, the infeed pair and the outfeed (tpu.Device.RunStep).
+func stepEvents(p *xla.Program) int { return len(p.Instructions) + 3 }
+
 // trainSteps returns the effective train-step count.
 func (r *Runner) trainSteps() int {
 	if r.opts.Steps > 0 {
@@ -189,6 +195,18 @@ func (r *Runner) Run() error {
 			return fmt.Errorf("estimator: restore checkpoint %q not found", r.opts.RestoreFrom)
 		}
 	}
+	// Both event streams are sized once for the whole schedule: grown by
+	// append they are reallocated, copied and rescanned by the collector
+	// a few dozen times a run.
+	evalSteps := 0
+	if !r.opts.DisableEval {
+		evalSteps = r.W.EvalSteps // the final block
+		if r.W.EvalEvery > 0 {
+			evalSteps += (steps - 1) / r.W.EvalEvery * r.W.EvalSteps
+		}
+	}
+	r.dev.ReserveEvents(1 + steps*stepEvents(r.trainProg) + evalSteps*stepEvents(r.evalProg))
+	r.hst.ReserveSteps(steps, r.W.NoiseP)
 	initEnd := r.hst.EmitInit(0, r.trainProg.WeightBytes)
 	r.dev.InjectEvent("StartProgram", initEnd, 2000, -1)
 	r.now = initEnd.Add(2000)
@@ -433,7 +451,7 @@ func (r *Runner) mergedEvents() []trace.Event {
 		m := make([]trace.Event, 0, total)
 		m = append(m, de...)
 		m = append(m, he...)
-		sort.SliceStable(m, func(i, j int) bool { return m[i].Start < m[j].Start })
+		slices.SortStableFunc(m, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 		r.merged = m
 		r.mergedUpTo = total
 	}

@@ -318,3 +318,27 @@ func TestFastForwardValidation(t *testing.T) {
 		t.Fatal("missing restore checkpoint accepted")
 	}
 }
+
+// TestRunSizesEventStreamsOnce: Run reserves both event streams from the
+// schedule it is about to execute, so neither is reallocated while it
+// emits — the backing array a stream has at its first train step is the
+// one it ends with, mid-run eval blocks, summaries and checkpoints
+// included. (The device figure is a bound; the host one is the expected
+// count plus slack, checked here on every Table I workload.)
+func TestRunSizesEventStreamsOnce(t *testing.T) {
+	for _, name := range workloads.Names() {
+		var dev0, host0 *trace.Event
+		r := quickRun(t, name, Options{Steps: 300, OnTrainStep: func(r *Runner, step int64, st tpu.StepTiming) {
+			if dev0 == nil {
+				dev0, host0 = &r.dev.Events()[0], &r.hst.Events()[0]
+			}
+		}})
+		de, he := r.dev.Events(), r.hst.Events()
+		if &de[0] != dev0 {
+			t.Errorf("%s: device stream reallocated on its way to %d events", name, len(de))
+		}
+		if &he[0] != host0 {
+			t.Errorf("%s: host stream reallocated on its way to %d events", name, len(he))
+		}
+	}
+}

@@ -19,6 +19,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/prng"
 	"repro/internal/simclock"
@@ -342,6 +343,16 @@ func (h *Host) jitterDur(us float64) simclock.Duration {
 // instrumentation ops that belong to the session rather than the pipeline).
 func (h *Host) Emit(name string, at simclock.Time, dur simclock.Duration, step int64) {
 	h.emit(name, at, dur, step)
+}
+
+// ReserveSteps makes room for the events of n more training steps: the
+// seven pipeline ops of ProduceBatch, one more for instrumentation and
+// loop-boundary ops, and the optional ops StepNoise adds at probability
+// noiseP each. It is a size hint: a run that emits more grows the stream
+// as append does.
+func (h *Host) ReserveSteps(n int, noiseP float64) {
+	perStep := 8 + float64(len(optionalOps))*noiseP
+	h.events = slices.Grow(h.events, int(float64(n)*perStep)+64)
 }
 
 func (h *Host) emit(name string, at simclock.Time, dur simclock.Duration, step int64) {

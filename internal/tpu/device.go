@@ -3,6 +3,7 @@ package tpu
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/prng"
 	"repro/internal/simclock"
@@ -157,6 +158,11 @@ func (d *Device) InjectEvent(name string, at simclock.Time, dur simclock.Duratio
 		d.freeAt = end
 	}
 }
+
+// ReserveEvents makes room for n more events, so that a run of known
+// length does not regrow (and the collector rescan) the stream as it emits.
+// It is a size hint: emitting more than n grows the stream as append does.
+func (d *Device) ReserveEvents(n int) { d.events = slices.Grow(d.events, n) }
 
 func (d *Device) emit(name string, at simclock.Time, dur simclock.Duration, step int64) {
 	d.events = append(d.events, trace.Event{

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench check metrics-smoke archive-smoke crash-smoke stream-smoke ingest-smoke cluster-smoke replicated-smoke
+.PHONY: build test race vet fmt bench check metrics-smoke archive-smoke crash-smoke stream-smoke ingest-smoke replicated-smoke
 
 build:
 	$(GO) build ./...
@@ -52,12 +52,6 @@ stream-smoke:
 # a CLI fresh -shards 4 archive and compaction round trip.
 ingest-smoke:
 	./scripts/ingest_smoke.sh
-
-# Multi-tenant cluster smoke: scheduler-determinism contract under
-# -race, then a CLI fleet round trip — seeded rush run, per-tenant
-# listing, cross-tenant diff, and bit-identical replay.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
 
 # Replicated-collection smoke: replica failover suites under -race,
 # then two real collector replicas over one shared store — 64 agents,

@@ -22,13 +22,6 @@
 //
 //	tpupoint -collect-serve :8471 -archive ./runs -max-sessions 16
 //	tpupoint -workload bert-squad -collect 127.0.0.1:8471 -run-id vm0
-//
-// Multi-tenant cluster simulation (deterministic shared-clock fleet):
-//
-//	tpupoint cluster -presets
-//	tpupoint cluster -preset rush -policy all -seed 42
-//	tpupoint -archive ./runs cluster -preset smoke -policy workload-affinity
-//	tpupoint -archive ./runs runs list -tenant vision
 package main
 
 import (
@@ -108,13 +101,6 @@ func main() {
 
 	if args := flag.Args(); len(args) > 0 && args[0] == "watch" {
 		if err := watchCmd(args[1:], *archiveDir); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if args := flag.Args(); len(args) > 0 && args[0] == "cluster" {
-		if err := clusterCmd(args[1:], *archiveDir, *shards, reg); err != nil {
 			fatal(err)
 		}
 		return
@@ -264,14 +250,7 @@ func main() {
 	fmt.Printf("idle:        %.1f%%   mxu util: %.1f%%\n", 100*s.IdleFraction(), 100*s.MXUUtilization())
 	fmt.Printf("phases:      %d (%s); top-3 cover %.1f%%\n", len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3)
 	fmt.Printf("longest:     %d steps, checkpoint %q\n", len(rep.Longest.Steps), rep.Longest.Checkpoint)
-	fmt.Println("top TPU ops of the longest phase:")
-	for _, op := range rep.TopTPUOps {
-		fmt.Printf("  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
-	}
-	fmt.Println("top host ops of the longest phase:")
-	for _, op := range rep.TopHostOps {
-		fmt.Printf("  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
-	}
+	printTopOps(rep)
 	if line := reg.Snapshot().SummaryLine(); line != "" {
 		fmt.Printf("run summary: %s\n", line)
 	}
@@ -320,7 +299,7 @@ func main() {
 		fmt.Printf("artifacts:   %s (open in chrome://tracing), %s\n", tracePath, csvPath)
 	}
 	if *export != "" {
-		n, err := s.Bucket().ExportDir(*export, "profiles/")
+		n, err := exportProfiles(s.Bucket(), *export)
 		if err != nil {
 			fatal(err)
 		}
@@ -328,25 +307,45 @@ func main() {
 	}
 }
 
+// exportProfiles copies the session bucket's profiles/ objects into a
+// directory store at dir, the input of -analyze.
+func exportProfiles(b *storage.Bucket, dir string) (int, error) {
+	store, err := storage.OpenDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	defer store.Close()
+	names := b.List("profiles/")
+	for _, name := range names {
+		obj, err := b.Get(name)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := store.Put(name, obj.Data); err != nil {
+			return 0, err
+		}
+	}
+	return len(names), nil
+}
+
 // analyzeDir runs TPUPoint-Analyzer over profile records exported to a
-// directory (see the session bucket's ExportDir) — post-execution analysis
-// without rerunning the workload.
+// directory (see exportProfiles) — post-execution analysis without
+// rerunning the workload. A missing directory is an error, not created.
 func analyzeDir(dir, algo string, parallelism int) error {
-	svc := storage.NewService()
-	bucket, err := svc.CreateBucket("offline")
+	if _, err := os.Stat(dir); err != nil {
+		return err
+	}
+	store, err := storage.OpenDir(dir)
 	if err != nil {
 		return err
 	}
-	n, err := bucket.ImportDir(dir)
+	defer store.Close()
+	records, err := profiler.LoadRecords(store, "")
 	if err != nil {
 		return err
 	}
-	if n == 0 {
+	if len(records) == 0 {
 		return fmt.Errorf("no profile records under %s", dir)
-	}
-	records, err := profiler.LoadRecords(bucket, "")
-	if err != nil {
-		return err
 	}
 	rep, err := analyzer.Analyze(dir, records, analyzer.Algorithm(algo),
 		analyzer.Options{Parallelism: parallelism})
@@ -356,6 +355,12 @@ func analyzeDir(dir, algo string, parallelism int) error {
 	fmt.Printf("offline analysis of %d records (%d steps) from %s\n", len(records), rep.Steps, dir)
 	fmt.Printf("phases: %d (%s); top-3 cover %.1f%%; idle %.1f%%, mxu %.1f%%\n",
 		len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3, 100*rep.IdleFrac, 100*rep.MXUUtil)
+	printTopOps(rep)
+	return nil
+}
+
+// printTopOps lists the longest phase's top TPU and host operators.
+func printTopOps(rep *analyzer.Report) {
 	fmt.Println("top TPU ops of the longest phase:")
 	for _, op := range rep.TopTPUOps {
 		fmt.Printf("  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
@@ -364,7 +369,6 @@ func analyzeDir(dir, algo string, parallelism int) error {
 	for _, op := range rep.TopHostOps {
 		fmt.Printf("  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
 	}
-	return nil
 }
 
 // serveProfile trains the workload and keeps its profile service reachable

@@ -1,0 +1,125 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	tpupoint "repro"
+	"repro/internal/core/analyzer"
+	"repro/internal/storage"
+)
+
+// profiledAfterTraining trains a workload, then drains its profile into
+// the session bucket in full-size windows — the recording bench/ makes,
+// and a pure function of the seed.
+func profiledAfterTraining(t *testing.T, workload string, steps int) (*tpupoint.Session, []*tpupoint.ProfileRecord) {
+	t.Helper()
+	s, err := tpupoint.NewSession(workload, tpupoint.Options{Steps: steps, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Train(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.StartProfiler(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := p.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, recs
+}
+
+// TestExportThenAnalyzeMatchesInProcess: `-export DIR` then `-analyze
+// DIR` prints the phases and top operators the in-process analysis of
+// the same records found, the export holds the profiles and nothing
+// else of the bucket, and `-analyze` of a missing directory fails
+// without creating it.
+func TestExportThenAnalyzeMatchesInProcess(t *testing.T) {
+	s, recs := profiledAfterTraining(t, "dcgan-mnist", 60)
+	rep, err := s.Analyze(recs, tpupoint.OLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Bucket().Put("ckpt/model.ckpt-0", []byte("weights")); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "export")
+	n, err := exportProfiles(s.Bucket(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(s.Bucket().List("profiles/")); n != want || n == 0 {
+		t.Fatalf("exported %d objects, the bucket holds %d profiles", n, want)
+	}
+	store, err := storage.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range store.List("") {
+		if !strings.HasPrefix(name, "profiles/") {
+			t.Fatalf("export wrote %s, outside profiles/", name)
+		}
+	}
+	store.Close()
+
+	out := captureStdout(t, func() error { return analyzeDir(dir, string(tpupoint.OLS), 0) })
+	phases := fmt.Sprintf("phases: %d (%s); top-3 cover %.1f%%", len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3)
+	if !strings.Contains(out, phases) {
+		t.Fatalf("-analyze printed\n%s\nwant the in-process %q", out, phases)
+	}
+	ops := captureStdout(t, func() error { printTopOps(rep); return nil })
+	if len(rep.TopTPUOps) == 0 || !strings.Contains(out, ops) {
+		t.Fatalf("-analyze printed\n%s\nwant the in-process top operators\n%s", out, ops)
+	}
+
+	missing := filepath.Join(t.TempDir(), "missing")
+	if err := analyzeDir(missing, string(tpupoint.OLS), 0); err == nil {
+		t.Fatal("-analyze of a missing directory succeeded")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("-analyze created the missing directory (stat: %v)", err)
+	}
+}
+
+// TestWatchPrintsLateFragments: in a recording profiled in full-size
+// windows a step's host and TPU fragments can lie further apart than
+// the default seal window, and the stream drops the later one; watch's
+// summary says how many it dropped.
+func TestWatchPrintsLateFragments(t *testing.T) {
+	s, recs := profiledAfterTraining(t, "resnet-imagenet", 300)
+	st := analyzer.NewStream("count", analyzer.StreamOptions{})
+	if err := st.FeedBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	late := st.Finish().LateSteps
+	if late == 0 {
+		t.Fatal("test setup: the recording has no fragment later than the seal window")
+	}
+	rep, err := s.Analyze(recs, tpupoint.OLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	r, _, done, err := openRepoDir(dir, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.ArchiveRun(r, "full", "", recs, rep)
+	done()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	out := captureStdout(t, func() error { return watchCmd([]string{"-quiet", "full"}, dir) })
+	if want := fmt.Sprintf("%d late step fragments dropped", late); !strings.Contains(out, want) {
+		t.Fatalf("watch printed\n%s\nwant %q", out, want)
+	}
+}

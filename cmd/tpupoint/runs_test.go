@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -23,6 +25,32 @@ import (
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		var buf bytes.Buffer
+		io.Copy(&buf, r) //nolint:errcheck // test capture
+		done <- buf.String()
+	}()
+	ferr := fn()
+	w.Close()
+	os.Stdout = old
+	out := <-done
+	if ferr != nil {
+		t.Fatalf("command failed: %v\noutput:\n%s", ferr, out)
+	}
+	return out
+}
 
 func testRecord(i int) *trace.ProfileRecord {
 	ts := simclock.Time(i * 1000)
@@ -345,12 +373,11 @@ func TestExportedDirectoryStillWorks(t *testing.T) {
 	}
 }
 
-// TestRunsFsckRepairConvertsV1: a directory holding the v1
-// single-manifest layout (hand-built: no build writes it) is refused by
-// every verb, reading or mutating — `runs fsck -repair`, once its
-// converter, included — and not a byte of it changes. (The name dates
-// from the converter; the refusal half is what is left of the test.)
-func TestRunsFsckRepairConvertsV1(t *testing.T) {
+// TestRunsRefuseV1Layout: a directory holding the v1 single-manifest
+// layout (hand-built: no build writes it) is refused by every verb,
+// reading or mutating — `runs fsck -repair`, once its converter,
+// included — and not a byte of it changes.
+func TestRunsRefuseV1Layout(t *testing.T) {
 	bucket, err := storage.NewService().CreateBucket("scratch")
 	if err != nil {
 		t.Fatal(err)

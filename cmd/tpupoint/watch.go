@@ -89,9 +89,6 @@ func watchPrinter(quiet bool) func(analyzer.StreamEvent) {
 			p := ev.Phase
 			fmt.Printf("phase %d closed  steps %d-%d (%d sampled, %.1fms", p.ID, p.FirstStep, p.LastStep,
 				p.Steps, p.Total.Milliseconds())
-			if p.Cluster >= 0 {
-				fmt.Printf(", cluster %d", p.Cluster)
-			}
 			if p.Degraded > 0 {
 				fmt.Printf(", %d degraded steps", p.Degraded)
 			}
@@ -171,7 +168,7 @@ func printStreamSummary(rep *analyzer.StreamReport) {
 	for _, p := range rep.Phases {
 		degraded += p.Degraded
 	}
-	fmt.Printf("watch summary: %d phases, %d/%d steps sampled (duty 1/%d), %d records (%d gaps), %.2fs, idle %.1f%%, mxu %.1f%%, %d degraded steps\n",
+	fmt.Printf("watch summary: %d phases, %d/%d steps sampled (duty 1/%d), %d records (%d gaps), %.2fs, idle %.1f%%, mxu %.1f%%, %d degraded steps, %d late step fragments dropped\n",
 		len(rep.Phases), rep.Steps, rep.StepsSeen, rep.DutyCycle, rep.Records, rep.Gaps,
-		rep.TotalTime.Seconds(), 100*rep.IdleFrac, 100*rep.MXUUtil, degraded)
+		rep.TotalTime.Seconds(), 100*rep.IdleFrac, 100*rep.MXUUtil, degraded, rep.LateSteps)
 }

@@ -11,17 +11,15 @@
 //     boundaries emit PhaseOpen/PhaseClose events the moment they are
 //     known, each close carrying the phase's op-mix time-share
 //     signature;
-//   - incremental mini-batch k-means (cluster.StreamKMeans) refining a
-//     recurring-phase label per closed phase as data arrives;
 //   - a profile duty-cycle knob: analyze only 1/N of the steps and
 //     still report the whole run's phase structure (SeqPoint's
-//     representative-sampling payoff — the fidelity benchmark scores
-//     the sampled report against the batch analyzer).
+//     representative-sampling payoff — TestStreamDutyCycleSubsetOfFull
+//     bounds the sampled report against the full stream).
 //
-// Memory contract: resident state is O(seal window + k-means state +
-// closed-phase summaries). No record and no per-step statistic is
-// retained past its seal + similarity comparison; a closed phase keeps
-// only its capped signature. See DESIGN.md ("Streaming analyzer
+// Memory contract: resident state is O(seal window + closed-phase
+// summaries). No record and no per-step statistic is retained past its
+// seal + similarity comparison; a closed phase keeps only its capped
+// signature. See DESIGN.md ("Streaming analyzer
 // contract") and StateBytes.
 //
 // Determinism contract: the final StreamReport is a pure function of
@@ -33,11 +31,9 @@ package analyzer
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
-	"repro/internal/core/cluster"
 	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -48,9 +44,6 @@ const (
 	// DefaultSealWindow is how many steps stay open awaiting
 	// cross-window fragments before the oldest is sealed and analyzed.
 	DefaultSealWindow = 8
-	// DefaultStreamK is the streaming k-means centroid count: the
-	// recurring-phase vocabulary size.
-	DefaultStreamK = 4
 	// DefaultDegradeFactor flags a sealed step whose span exceeds this
 	// multiple of its phase's mean step span.
 	DefaultDegradeFactor = 2.0
@@ -59,9 +52,6 @@ const (
 	// degradeMinSteps is how many steps a phase needs before its mean
 	// span is trusted for degradation detection.
 	degradeMinSteps = 8
-	// streamFeatureDims is the fixed per-step feature dimensionality
-	// the streaming k-means clusters (see stepFeatures).
-	streamFeatureDims = 8
 )
 
 // StreamEventKind labels a streaming analysis event.
@@ -131,10 +121,6 @@ type StreamPhase struct {
 	// operators by share, descending), filled at close.
 	Signature []OpShare
 
-	// Cluster is the streaming k-means label refined as data arrives
-	// (-1 before the model has seen enough points to seed).
-	Cluster int
-
 	// Degraded counts sealed steps that exceeded the degradation
 	// factor against the phase mean.
 	Degraded int64
@@ -143,8 +129,6 @@ type StreamPhase struct {
 	// merged with each step's); compacted into Signature and released
 	// at close.
 	ops []trace.OpTotal
-	// feat accumulates the per-step feature sum for the k-means label.
-	feat [streamFeatureDims]float64
 }
 
 // TimeShare returns the phase's share of total across phases.
@@ -167,14 +151,6 @@ type StreamOptions struct {
 	// (default DefaultSealWindow). Steps arriving after their number
 	// was sealed are dropped and counted in the report's LateSteps.
 	SealWindow int
-	// K is the streaming k-means centroid count (default
-	// DefaultStreamK). Negative disables the clustering refinement.
-	K int
-	// Batch is the k-means mini-batch size (default
-	// cluster.DefaultStreamBatch).
-	Batch int
-	// Seed feeds the k-means seeding PRNG.
-	Seed uint64
 	// DegradeFactor flags steps slower than this multiple of the phase
 	// mean (default DefaultDegradeFactor; negative disables).
 	DegradeFactor float64
@@ -194,9 +170,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	}
 	if o.SealWindow <= 0 {
 		o.SealWindow = DefaultSealWindow
-	}
-	if o.K == 0 {
-		o.K = DefaultStreamK
 	}
 	if o.DegradeFactor == 0 {
 		o.DegradeFactor = DefaultDegradeFactor
@@ -220,13 +193,10 @@ type StreamReport struct {
 	TotalTime simclock.Duration // summed sampled-step spans
 	IdleFrac  float64           // span-weighted over sampled steps
 	MXUUtil   float64
-
-	// K is the streaming k-means centroid count (0 when disabled).
-	K int
 }
 
 // Boundaries returns the first step of every phase after the first —
-// the phase-boundary set the fidelity benchmark scores.
+// the phase-boundary set compared against batch OLS.
 func (r *StreamReport) Boundaries() []int64 {
 	if len(r.Phases) <= 1 {
 		return nil
@@ -269,9 +239,6 @@ type StreamAnalyzer struct {
 	cur    *StreamPhase
 	closed []*StreamPhase
 
-	km   *cluster.StreamKMeans
-	feat [streamFeatureDims]float64 // scratch
-
 	rep      StreamReport
 	finished bool
 }
@@ -279,7 +246,7 @@ type StreamAnalyzer struct {
 // NewStream builds a streaming analyzer for one run.
 func NewStream(workload string, opts StreamOptions) *StreamAnalyzer {
 	opts = opts.withDefaults()
-	s := &StreamAnalyzer{
+	return &StreamAnalyzer{
 		workload: workload,
 		opts:     opts,
 		pending:  make([]*trace.StepStat, 0, opts.SealWindow+1),
@@ -291,10 +258,6 @@ func NewStream(workload string, opts StreamOptions) *StreamAnalyzer {
 			late:     opts.Obs.Counter("stream.steps.late"),
 		},
 	}
-	if opts.K > 0 {
-		s.km = cluster.NewStreamKMeans(opts.K, streamFeatureDims, opts.Batch, opts.Seed)
-	}
-	return s
 }
 
 // Feed folds one record into the analysis. Gap records advance the
@@ -356,8 +319,8 @@ func (s *StreamAnalyzer) observeStep(st *trace.StepStat) {
 }
 
 // sealStep closes the window for the lowest open step: it can no longer
-// grow, so it enters duty sampling, the OLS boundary chain, the open
-// phase's aggregates, and the k-means model.
+// grow, so it enters duty sampling, the OLS boundary chain and the open
+// phase's aggregates.
 func (s *StreamAnalyzer) sealStep() {
 	st := s.pending[0]
 	s.pending = slices.Delete(s.pending, 0, 1) // shifts down in place
@@ -380,10 +343,6 @@ func (s *StreamAnalyzer) sealStep() {
 		s.openPhase(st)
 	}
 	s.prev = st
-
-	if s.km != nil {
-		s.km.Observe(stepFeatures(s.feat[:0], st))
-	}
 }
 
 // openPhase starts a new phase at st and emits PhaseOpen.
@@ -391,7 +350,6 @@ func (s *StreamAnalyzer) openPhase(st *trace.StepStat) {
 	p := &StreamPhase{
 		ID:        len(s.closed),
 		FirstStep: st.Step,
-		Cluster:   -1,
 	}
 	s.cur = p
 	s.foldStep(p, st)
@@ -433,10 +391,6 @@ func (s *StreamAnalyzer) foldStep(p *StreamPhase, st *trace.StepStat) {
 	p.IdleFrac += st.IdleFrac * float64(span)
 	p.MXUUtil += st.MXUUtil * float64(span)
 	p.ops = trace.MergeOps(p.ops, st.Ops)
-	stepFeatures(s.feat[:0], st)
-	for i, v := range s.feat {
-		p.feat[i] += v
-	}
 
 	s.rep.TotalTime += span
 	s.rep.IdleFrac += st.IdleFrac * float64(span)
@@ -444,10 +398,10 @@ func (s *StreamAnalyzer) foldStep(p *StreamPhase, st *trace.StepStat) {
 }
 
 // closePhase finalizes the open phase — normalizes the weighted
-// metadata, compacts the op aggregate into the capped signature,
-// assigns the k-means label — and emits PhaseClose. boundaryStep is the
-// first step of the successor (the boundary that closed it); the final
-// Finish-time close passes the phase's own last step.
+// metadata, compacts the op aggregate into the capped signature — and
+// emits PhaseClose. boundaryStep is the first step of the successor (the
+// boundary that closed it); the final Finish-time close passes the
+// phase's own last step.
 func (s *StreamAnalyzer) closePhase(boundaryStep int64) {
 	p := s.cur
 	s.cur = nil
@@ -460,13 +414,6 @@ func (s *StreamAnalyzer) closePhase(boundaryStep int64) {
 	}
 	p.Signature = compactSignature(p.ops)
 	p.ops = nil // released: the capped signature is all that survives
-	if s.km != nil && p.Steps > 0 {
-		mean := make([]float64, streamFeatureDims)
-		for i := range mean {
-			mean[i] = p.feat[i] / float64(p.Steps)
-		}
-		p.Cluster = s.km.Assign(mean)
-	}
 	s.closed = append(s.closed, p)
 	s.emit(StreamEvent{Kind: PhaseClose, Phase: p, Step: boundaryStep})
 }
@@ -480,9 +427,6 @@ func (s *StreamAnalyzer) Finish() *StreamReport {
 	for len(s.pending) > 0 {
 		s.sealStep()
 	}
-	if s.km != nil {
-		s.km.Flush()
-	}
 	if s.cur != nil {
 		s.closePhase(s.cur.LastStep)
 	}
@@ -492,9 +436,6 @@ func (s *StreamAnalyzer) Finish() *StreamReport {
 	s.rep.Workload = s.workload
 	s.rep.DutyCycle = s.opts.DutyCycle
 	s.rep.Phases = s.closed
-	if s.km != nil {
-		s.rep.K = s.km.K()
-	}
 	if s.rep.TotalTime > 0 {
 		s.rep.IdleFrac /= float64(s.rep.TotalTime)
 		s.rep.MXUUtil /= float64(s.rep.TotalTime)
@@ -512,10 +453,10 @@ func (s *StreamAnalyzer) emit(ev StreamEvent) {
 }
 
 // StateBytes estimates the analyzer's resident memory: the seal window,
-// the one retained comparison step, the open phase's op aggregate, the
-// k-means model, and the closed-phase signatures. Everything except the
-// closed-phase list is bounded independent of run length, and each
-// closed phase costs O(SignatureOps).
+// the one retained comparison step, the open phase's op aggregate, and
+// the closed-phase signatures. Everything except the closed-phase list
+// is bounded independent of run length, and each closed phase costs
+// O(SignatureOps).
 func (s *StreamAnalyzer) StateBytes() int64 {
 	var b int64 = 256
 	for _, st := range s.pending {
@@ -529,9 +470,6 @@ func (s *StreamAnalyzer) StateBytes() int64 {
 	}
 	for _, p := range s.closed {
 		b += 160 + int64(len(p.Signature))*40
-	}
-	if s.km != nil {
-		b += s.km.StateBytes()
 	}
 	return b
 }
@@ -578,51 +516,4 @@ func compactSignature(ops []trace.OpTotal) []OpShare {
 		out = out[:SignatureOps]
 	}
 	return out
-}
-
-// stepFeatures renders one sealed step as the fixed-dimension vector
-// the streaming k-means clusters: span and device-time magnitudes (log
-// compressed so the model tolerates the microsecond..minute range),
-// op-mix shape, and the window metadata. A pure function of the step,
-// so the feature stream — and the model — is chunk-invariant.
-func stepFeatures(dst []float64, st *trace.StepStat) []float64 {
-	var host, tpu simclock.Duration
-	var count int64
-	var maxOp simclock.Duration
-	for i := range st.Ops {
-		op := &st.Ops[i]
-		if op.Device == trace.Host {
-			host += op.Total
-		} else {
-			tpu += op.Total
-		}
-		count += op.Count
-		if op.Total > maxOp {
-			maxOp = op.Total
-		}
-	}
-	totalOp := host + tpu
-	maxShare := 0.0
-	if totalOp > 0 {
-		maxShare = float64(maxOp) / float64(totalOp)
-	}
-	return append(dst,
-		logScale(float64(st.End.Sub(st.Start))),
-		logScale(float64(host)),
-		logScale(float64(tpu)),
-		logScale(float64(count)),
-		float64(len(st.Ops)),
-		st.IdleFrac,
-		st.MXUUtil,
-		maxShare,
-	)
-}
-
-// logScale is ln(1+x) clamped at zero — time-like magnitudes compressed
-// so no single huge step dominates every distance.
-func logScale(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Log1p(x)
 }

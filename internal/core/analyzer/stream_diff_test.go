@@ -29,7 +29,6 @@ func runChunked(t *testing.T, recs []*trace.ProfileRecord, chunk, duty int) (*St
 	var events []streamEventLog
 	s := NewStream("diff", StreamOptions{
 		DutyCycle: duty,
-		Seed:      42,
 		OnEvent: func(ev StreamEvent) {
 			events = append(events, streamEventLog{ev.Kind, ev.Phase.ID, ev.Step})
 		},

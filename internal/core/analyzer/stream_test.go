@@ -222,8 +222,8 @@ func TestStreamDegradationEvent(t *testing.T) {
 
 func TestStreamBoundedState(t *testing.T) {
 	// Same phase count (8 regimes) at 10x the run length: resident
-	// state must stay flat — O(seal window + k-means + closed phases),
-	// never O(records).
+	// state must stay flat — O(seal window + closed phases), never
+	// O(records).
 	state := func(n int) int64 {
 		s := NewStream("test", StreamOptions{})
 		if err := s.FeedBatch(regimeRecords(n, n/8, 10, nil)); err != nil {
@@ -235,32 +235,6 @@ func TestStreamBoundedState(t *testing.T) {
 	small, large := state(400), state(4000)
 	if large > 2*small {
 		t.Fatalf("state grew %d -> %d bytes over a 10x longer run; want bounded", small, large)
-	}
-}
-
-func TestStreamClusterLabels(t *testing.T) {
-	// 4 regimes repeating twice = 8 phases; with enough sampled steps
-	// the mini-batch model seeds and labels every closed phase.
-	recs := regimeRecords(320, 40, 10, nil)
-	s := NewStream("test", StreamOptions{Seed: 7})
-	if err := s.FeedBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	rep := s.Finish()
-	if len(rep.Phases) != 8 {
-		t.Fatalf("phases = %d, want 8", len(rep.Phases))
-	}
-	if rep.K != DefaultStreamK {
-		t.Fatalf("report K = %d, want %d", rep.K, DefaultStreamK)
-	}
-	labeled := 0
-	for _, p := range rep.Phases {
-		if p.Cluster >= 0 {
-			labeled++
-		}
-	}
-	if labeled < len(rep.Phases)/2 {
-		t.Fatalf("only %d/%d phases labeled", labeled, len(rep.Phases))
 	}
 }
 

@@ -59,7 +59,7 @@ func mapWindowSeals(recs []*trace.ProfileRecord, window int) (sealed []int64, fr
 func sealOrder(t *testing.T, recs []*trace.ProfileRecord, window int) (*StreamReport, []int64) {
 	t.Helper()
 	var opened []int64
-	s := NewStream("window", StreamOptions{SealWindow: window, Threshold: 2, K: -1,
+	s := NewStream("window", StreamOptions{SealWindow: window, Threshold: 2,
 		OnEvent: func(ev StreamEvent) {
 			if ev.Kind == PhaseOpen {
 				opened = append(opened, ev.Step)
@@ -131,7 +131,7 @@ func TestStreamWindowMatchesMapWindow(t *testing.T) {
 func TestStreamWindowOrderInvisibleWithinWindow(t *testing.T) {
 	base := regimeRecords(200, 25, 10, nil)
 	feed := func(recs []*trace.ProfileRecord) *StreamReport {
-		s := NewStream("window", StreamOptions{SealWindow: 1000, Seed: 42})
+		s := NewStream("window", StreamOptions{SealWindow: 1000})
 		if err := s.FeedBatch(recs); err != nil {
 			t.Fatal(err)
 		}

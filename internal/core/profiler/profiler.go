@@ -570,8 +570,13 @@ func (p *Profiler) Records() []*trace.ProfileRecord {
 // LoadRecords reads persisted records back from storage, ordered by
 // sequence number — the input to offline TPUPoint-Analyzer runs. Both
 // persisted forms decode: record-* objects hold one wire record,
-// batch-* objects hold a framed stream (see Options.BatchRecords).
-func LoadRecords(b *storage.Bucket, prefix string) ([]*trace.ProfileRecord, error) {
+// batch-* objects hold a framed stream (see Options.BatchRecords). b is
+// any store that lists and reads objects: a bucket, or the directory
+// store `tpupoint -export` writes.
+func LoadRecords(b interface {
+	List(prefix string) []string
+	Get(name string) (*storage.Object, error)
+}, prefix string) ([]*trace.ProfileRecord, error) {
 	if prefix == "" {
 		prefix = "profiles/"
 	}

@@ -66,9 +66,9 @@ type Spec struct {
 // into divide-by-zero infinities that propagate into every stage time.
 var ErrBadSpec = errors.New("host: invalid host spec")
 
-// Validate rejects hardware specs with non-positive core counts or
+// validate rejects hardware specs with non-positive core counts or
 // bandwidths, and negative fixed overheads.
-func (s Spec) Validate() error {
+func (s Spec) validate() error {
 	if s.Cores < 1 {
 		return fmt.Errorf("%w: Cores = %d, must be >= 1", ErrBadSpec, s.Cores)
 	}
@@ -254,7 +254,7 @@ type Host struct {
 // New builds a host with the given configuration. Spec and Params are
 // validated.
 func New(spec Spec, params Params, input InputSpec, seed uint64) (*Host, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	if err := params.Validate(); err != nil {

@@ -35,15 +35,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.spec.Validate()
+			err := tc.spec.validate()
 			if tc.wantErr {
 				if !errors.Is(err, ErrBadSpec) {
-					t.Fatalf("Validate() = %v, want ErrBadSpec", err)
+					t.Fatalf("validate() = %v, want ErrBadSpec", err)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("Validate() unexpected error: %v", err)
+				t.Fatalf("validate() unexpected error: %v", err)
 			}
 		})
 	}

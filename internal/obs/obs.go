@@ -96,9 +96,9 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-// Observe records one duration in microseconds. Negative observations
+// observe records one duration in microseconds. Negative observations
 // clamp to zero.
-func (h *Histogram) Observe(us int64) {
+func (h *Histogram) observe(us int64) {
 	if h == nil {
 		return
 	}
@@ -120,7 +120,7 @@ func (h *Histogram) Observe(us int64) {
 
 // ObserveSince records the wall time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Microseconds())
+	h.observe(time.Since(start).Microseconds())
 }
 
 // Count returns the number of observations (0 for nil histograms).

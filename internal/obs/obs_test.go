@@ -24,7 +24,7 @@ func TestInstrumentsConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
-				r.Histogram("h").Observe(int64(i % 3000))
+				r.Histogram("h").observe(int64(i % 3000))
 				if i%100 == 0 {
 					r.Emit("test", "tick", fmt.Sprintf("g%d i%d", g, i))
 				}
@@ -58,11 +58,11 @@ func TestInstrumentsConcurrent(t *testing.T) {
 
 func TestHistogramBucketing(t *testing.T) {
 	var h Histogram
-	h.Observe(-5)         // clamps to 0 -> le 10
-	h.Observe(10)         // boundary is inclusive -> le 10
-	h.Observe(11)         // -> le 25
-	h.Observe(99_999_99)  // -> le 10_000_000
-	h.Observe(99_999_999) // past the last bound -> overflow
+	h.observe(-5)         // clamps to 0 -> le 10
+	h.observe(10)         // boundary is inclusive -> le 10
+	h.observe(11)         // -> le 25
+	h.observe(99_999_99)  // -> le 10_000_000
+	h.observe(99_999_999) // past the last bound -> overflow
 	s := h.snapshot()
 	if s.Count != 5 {
 		t.Fatalf("count = %d", s.Count)
@@ -96,10 +96,10 @@ func TestHistogramQuantile(t *testing.T) {
 	// 98 fast observations and two slow ones: p50 stays in the fast
 	// bucket, p99+ reaches the slow one.
 	for i := 0; i < 98; i++ {
-		h.Observe(40) // -> le 50 bucket
+		h.observe(40) // -> le 50 bucket
 	}
-	h.Observe(9_000) // -> le 10_000 bucket
-	h.Observe(9_000)
+	h.observe(9_000) // -> le 10_000 bucket
+	h.observe(9_000)
 	if got := h.Quantile(0.5); got != 50 {
 		t.Fatalf("p50 = %d, want 50", got)
 	}
@@ -119,7 +119,7 @@ func TestHistogramQuantile(t *testing.T) {
 
 	// Overflow-bucket hits report the observed max, not a fake bound.
 	var o Histogram
-	o.Observe(99_999_999)
+	o.observe(99_999_999)
 	if got := o.Quantile(0.99); got != 99_999_999 {
 		t.Fatalf("overflow quantile = %d, want observed max", got)
 	}
@@ -139,7 +139,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 		r.Gauge("depth").Set(42)
 		for i := 0; i < 20; i++ {
-			r.Histogram("lat").Observe(int64(i * 100))
+			r.Histogram("lat").observe(int64(i * 100))
 			r.Emit("scope", "ev", fmt.Sprint(i))
 		}
 		return r
@@ -151,7 +151,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			r.Counter(name).Add(int64(len(name)))
 		}
 		for i := 0; i < 20; i++ {
-			r.Histogram("lat").Observe(int64(i * 100))
+			r.Histogram("lat").observe(int64(i * 100))
 			r.Emit("scope", "ev", fmt.Sprint(i))
 		}
 		r.Gauge("depth").Set(42)
@@ -208,7 +208,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Counter("c").Add(5)
 	r.Gauge("g").Set(1)
 	r.Gauge("g").Add(1)
-	r.Histogram("h").Observe(100)
+	r.Histogram("h").observe(100)
 	r.Histogram("h").ObserveSince(time.Now())
 	r.Emit("s", "n", "d")
 	r.SetClock(time.Now)

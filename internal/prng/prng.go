@@ -22,17 +22,6 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Fork derives an independent child generator from s, keyed by id.
-// Children with distinct ids produce uncorrelated streams, which lets a
-// component hand stable sub-seeds to its own sub-components.
-func (s *Source) Fork(id uint64) *Source {
-	// Mix the id through one SplitMix64 round so Fork(0), Fork(1), ...
-	// land far apart in the sequence space.
-	z := s.Uint64() + id*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	return &Source{state: z}
-}
-
 // Uint64 returns the next value in the stream.
 func (s *Source) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15

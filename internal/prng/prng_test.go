@@ -28,32 +28,6 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	c0 := parent.Fork(0)
-	parent2 := New(7)
-	c1 := parent2.Fork(1)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c0.Uint64() == c1.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("forked streams overlap too much: %d collisions", same)
-	}
-}
-
-func TestForkDeterminism(t *testing.T) {
-	a := New(9).Fork(3)
-	b := New(9).Fork(3)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Fork is not deterministic")
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(5)
 	for i := 0; i < 10000; i++ {

@@ -4,7 +4,7 @@
 // run is in flight* — not at finalize, which may be hours away for a
 // long training job. The analyzer's bounded-memory contract keeps this
 // affordable at MaxSessions concurrency: a session's analysis state is
-// O(seal window + k), regardless of how many records it has streamed.
+// O(seal window + closed phases), not O(records streamed).
 //
 // Determinism note: the drain goroutine is the session's single
 // consumer, so the stream sees records in exactly the accepted order —

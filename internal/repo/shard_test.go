@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/faultnet"
+	"repro/internal/prng"
 	"repro/internal/rpc"
 	"repro/internal/storage"
 )
@@ -135,7 +136,7 @@ func TestCasBackoffDeterministicSchedule(t *testing.T) {
 	// Deterministic: a second repository seeded identically replays the
 	// same schedule.
 	r2 := New(newTestBucket(t))
-	r2.rng = r.rng.Fork(1) // different stream must differ somewhere
+	r2.rng = prng.New(nextRepoSeed()) // different stream must differ somewhere
 	var slept2 []time.Duration
 	r2.sleep = func(d time.Duration) { slept2 = append(slept2, d) }
 	for attempt := 1; attempt <= 12; attempt++ {

@@ -20,25 +20,25 @@ type Resource struct {
 	acquires uint64
 }
 
-// ErrBadCapacity rejects non-positive resource capacities. A zero-capacity
+// errBadCapacity rejects non-positive resource capacities. A zero-capacity
 // resource used to be silently promoted to capacity 1, which turned spec
 // bugs (an unset thread count, a negative override) into quietly wrong
 // simulations; now the construction fails loudly instead.
-var ErrBadCapacity = errors.New("simclock: resource capacity must be positive")
+var errBadCapacity = errors.New("simclock: resource capacity must be positive")
 
-// NewResource creates a resource with the given parallel capacity.
-// Capacity below 1 is rejected with ErrBadCapacity.
-func NewResource(name string, capacity int) (*Resource, error) {
+// newResource creates a resource with the given parallel capacity.
+// Capacity below 1 is rejected with errBadCapacity.
+func newResource(name string, capacity int) (*Resource, error) {
 	if capacity < 1 {
-		return nil, fmt.Errorf("%w: %q has capacity %d", ErrBadCapacity, name, capacity)
+		return nil, fmt.Errorf("%w: %q has capacity %d", errBadCapacity, name, capacity)
 	}
 	return &Resource{name: name, freeAt: make([]Time, capacity)}, nil
 }
 
-// MustResource is NewResource for capacities known valid at the call site
+// MustResource is newResource for capacities known valid at the call site
 // (literals, pre-validated parameters); it panics on a bad capacity.
 func MustResource(name string, capacity int) *Resource {
-	r, err := NewResource(name, capacity)
+	r, err := newResource(name, capacity)
 	if err != nil {
 		panic(err)
 	}

@@ -79,10 +79,10 @@ func TestNewResourceCapacity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewResource(tc.name, tc.capacity)
+			r, err := newResource(tc.name, tc.capacity)
 			if tc.wantErr {
-				if !errors.Is(err, ErrBadCapacity) {
-					t.Fatalf("NewResource(%d) err = %v, want ErrBadCapacity", tc.capacity, err)
+				if !errors.Is(err, errBadCapacity) {
+					t.Fatalf("newResource(%d) err = %v, want errBadCapacity", tc.capacity, err)
 				}
 				if r != nil {
 					t.Fatal("rejected resource should be nil")
@@ -90,7 +90,7 @@ func TestNewResourceCapacity(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("NewResource(%d) unexpected error: %v", tc.capacity, err)
+				t.Fatalf("newResource(%d) unexpected error: %v", tc.capacity, err)
 			}
 			if r.Capacity() != tc.capacity {
 				t.Fatalf("capacity = %d, want %d", r.Capacity(), tc.capacity)

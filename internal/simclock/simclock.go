@@ -1,17 +1,13 @@
-// Package simclock implements the discrete-event simulation kernel that the
-// TPU and host models are built on.
+// Package simclock is the simulated time the TPU and host models are
+// built on: one virtual clock measured in microseconds, and Resource,
+// the serially-shared facility whose next-free times advance it.
 //
-// Everything in the simulated system shares one virtual clock measured in
-// microseconds. Components schedule events; the kernel pops them in time
-// order and advances the clock. Because simulated time is decoupled from
-// wall-clock time, a multi-hour TPU training job replays in milliseconds,
-// and runs are deterministic for a fixed seed.
+// Because simulated time is decoupled from wall-clock time, a
+// multi-hour TPU training job replays in milliseconds, and runs are
+// deterministic for a fixed seed.
 package simclock
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in simulated time, in microseconds since simulation start.
 type Time int64
@@ -53,130 +49,4 @@ func (d Duration) String() string {
 // rounding to the nearest microsecond.
 func DurationFromSeconds(s float64) Duration {
 	return Duration(s*float64(Second) + 0.5)
-}
-
-// Event is a scheduled callback. Fn runs when the clock reaches At.
-type Event struct {
-	At Time
-	Fn func()
-
-	seq   uint64 // tie-break so same-time events fire in schedule order
-	index int    // heap bookkeeping; -1 once popped or cancelled
-}
-
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-// Sim is a single-threaded discrete-event simulator.
-// It is not safe for concurrent use; the simulated world is cooperative.
-type Sim struct {
-	now    Time
-	queue  eventHeap
-	nextSq uint64
-	steps  uint64
-}
-
-// New returns an empty simulator with the clock at 0.
-func New() *Sim {
-	return &Sim{}
-}
-
-// Now returns the current simulated time.
-func (s *Sim) Now() Time { return s.now }
-
-// Pending returns the number of scheduled, unfired events.
-func (s *Sim) Pending() int { return len(s.queue) }
-
-// EventsRun returns how many events have fired so far.
-func (s *Sim) EventsRun() uint64 { return s.steps }
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a model bug, and silently clamping would hide it.
-func (s *Sim) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("simclock: scheduling at %d before now %d", t, s.now))
-	}
-	e := &Event{At: t, Fn: fn, seq: s.nextSq}
-	s.nextSq++
-	heap.Push(&s.queue, e)
-	return e
-}
-
-// After schedules fn to run d from now. Negative d panics via At.
-func (s *Sim) After(d Duration, fn func()) *Event {
-	return s.At(s.now.Add(d), fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
-		return
-	}
-	heap.Remove(&s.queue, e.index)
-	e.index = -2
-}
-
-// Step fires the earliest pending event, advancing the clock to its time.
-// It reports whether an event was run.
-func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	e := heap.Pop(&s.queue).(*Event)
-	s.now = e.At
-	s.steps++
-	e.Fn()
-	return true
-}
-
-// Run fires events until the queue drains.
-func (s *Sim) Run() {
-	for s.Step() {
-	}
-}
-
-// RunUntil fires events with At <= deadline, leaving later events queued.
-// The clock finishes at min(deadline, last event time) — it does not jump
-// past the deadline if nothing is scheduled there.
-func (s *Sim) RunUntil(deadline Time) {
-	for len(s.queue) > 0 && s.queue[0].At <= deadline {
-		s.Step()
-	}
-	if s.now < deadline && len(s.queue) > 0 {
-		// Clock rests at the deadline so callers can schedule relative
-		// to it; remaining events are still in the future.
-		s.now = deadline
-	} else if s.now < deadline && len(s.queue) == 0 {
-		s.now = deadline
-	}
 }

@@ -1,13 +1,12 @@
 // DirStore: a file-backed store so MULTIPLE collector processes can
 // share one repository — the substrate the replicated-collection smoke
 // test (and any real multi-process deployment without an object store)
-// runs on. The in-memory Bucket cannot cross a process boundary;
-// ExportDir/ImportDir snapshots are single-writer.
+// runs on. The in-memory Bucket cannot cross a process boundary.
 //
-// Layout keeps raw object bytes at their slash-mapped paths — exactly
-// ExportDir's format, so an ImportDir consumer (`tpupoint -analyze`)
-// reads a DirStore tree unchanged. Bookkeeping goes under one hidden
-// subtree:
+// Layout keeps raw object bytes at their slash-mapped paths, so a tree
+// of plain files (a copy, an rsync) opens as a store unchanged; it is
+// also what `tpupoint -export` writes and `-analyze` reads.
+// Bookkeeping goes under one hidden subtree:
 //
 //	<root>/<object path>              — raw object bytes
 //	<root>/.dirstore/lock             — cross-process mutex (flock)
@@ -121,7 +120,7 @@ func (d *DirStore) unlock() {
 }
 
 // readGen returns the object's generation: the sidecar if present, 1
-// for a data file without one (an adopted ExportDir/rsync'd tree), 0
+// for a data file without one (an adopted copied/rsync'd tree), 0
 // for no object at all.
 func (d *DirStore) readGen(name string) int64 {
 	b, err := os.ReadFile(d.genPath(name))

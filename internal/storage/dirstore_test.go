@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -372,7 +373,7 @@ func TestDirStoreSecondHandleSeesState(t *testing.T) {
 }
 
 // TestDirStoreAdoptsExportedTree: raw files dropped into the directory
-// (an ExportDir snapshot, an rsync) are objects at generation 1.
+// (a copied tree, an rsync) are objects at generation 1.
 func TestDirStoreAdoptsExportedTree(t *testing.T) {
 	root := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(root, "runs"), 0o755); err != nil {
@@ -411,9 +412,9 @@ func TestDirStoreRejectsEscapingNames(t *testing.T) {
 	}
 }
 
-// TestDirStoreImportDirCompatible: the on-disk layout doubles as an
-// ImportDir tree — raw bytes at object paths — so offline tooling
-// (`runs list -dir`, fsck) reads a live DirStore directory directly.
+// TestDirStoreImportDirCompatible: the on-disk layout is raw bytes at
+// object paths, so the plain files of a store — copied without its
+// .dirstore bookkeeping — open as the same objects.
 func TestDirStoreImportDirCompatible(t *testing.T) {
 	root := t.TempDir()
 	d, err := OpenDir(root)
@@ -425,19 +426,44 @@ func TestDirStoreImportDirCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := NewService().CreateBucket("import")
+	raw := t.TempDir()
+	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case e.Name() == dirStoreMeta:
+			return filepath.SkipDir
+		case e.IsDir():
+			return nil
+		}
+		rel, _ := filepath.Rel(root, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(raw, rel)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ImportDir(root); err != nil {
+	c, err := OpenDir(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Get("runs/r1")
+	defer c.Close()
+	if got := c.List(""); len(got) != 1 || got[0] != "runs/r1" {
+		t.Fatalf("raw tree lists %v, want [runs/r1]", got)
+	}
+	got, err := c.Get("runs/r1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Data) != "payload" {
-		t.Fatalf("imported %q", got.Data)
+		t.Fatalf("raw tree read %q", got.Data)
 	}
 }
 

@@ -13,8 +13,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -274,52 +272,6 @@ func (b *Bucket) TotalBytes() int64 {
 		total += int64(len(obj.Data))
 	}
 	return total
-}
-
-// ExportDir writes every object with the given prefix into dir, one file
-// per object with '/' mapped to the OS separator. It lets users keep
-// profile records and checkpoints beyond the in-memory bucket's lifetime.
-func (b *Bucket) ExportDir(dir, prefix string) (int, error) {
-	names := b.List(prefix)
-	for _, name := range names {
-		obj, err := b.Get(name)
-		if err != nil {
-			return 0, err
-		}
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return 0, err
-		}
-		if err := os.WriteFile(path, obj.Data, 0o644); err != nil {
-			return 0, err
-		}
-	}
-	return len(names), nil
-}
-
-// ImportDir loads every regular file under dir into the bucket, using the
-// slash-mapped relative path as the object name. The inverse of ExportDir.
-func (b *Bucket) ImportDir(dir string) (int, error) {
-	count := 0
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if _, err := b.Put(filepath.ToSlash(rel), data); err != nil {
-			return err
-		}
-		count++
-		return nil
-	})
-	return count, err
 }
 
 // Append appends data to an existing object, creating it if absent. This is

@@ -246,43 +246,6 @@ func TestPropertyPutGetIdentity(t *testing.T) {
 	}
 }
 
-func TestExportImportDir(t *testing.T) {
-	svc := NewService()
-	b, _ := svc.CreateBucket("b")
-	b.Put("profiles/record-000000", []byte("rec0"))
-	b.Put("profiles/record-000001", []byte("rec1"))
-	b.Put("ckpt/model.ckpt-99", []byte("weights"))
-
-	dir := t.TempDir()
-	n, err := b.ExportDir(dir, "profiles/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("exported %d objects, want 2", n)
-	}
-
-	b2, _ := svc.CreateBucket("b2")
-	m, err := b2.ImportDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 2 {
-		t.Fatalf("imported %d objects, want 2", m)
-	}
-	obj, err := b2.Get("profiles/record-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(obj.Data) != "rec1" {
-		t.Fatalf("round-tripped data = %q", obj.Data)
-	}
-	// Checkpoint was outside the prefix and must not appear.
-	if b2.Exists("ckpt/model.ckpt-99") {
-		t.Fatal("export leaked objects outside the prefix")
-	}
-}
-
 // Regression: Objects returned by Put/Append used to alias the stored
 // slice, so a caller scribbling on a returned buffer silently corrupted
 // the bucket. Writes now return metadata only — there is nothing to

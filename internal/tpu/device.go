@@ -69,9 +69,9 @@ func (d *Device) LoadProgram(p *xla.Program) error {
 // Program returns the currently loaded program.
 func (d *Device) Program() *xla.Program { return d.program }
 
-// InstructionTime returns the roofline duration of one instruction on this
+// instructionTime returns the roofline duration of one instruction on this
 // chip: max(compute, memory) plus issue overhead, before jitter.
-func (d *Device) InstructionTime(inst *xla.Instruction) simclock.Duration {
+func (d *Device) instructionTime(inst *xla.Instruction) simclock.Duration {
 	compute := float64(inst.FLOPs) / d.Spec.flopsPerMicro()
 	mem := float64(inst.Bytes) / d.Spec.hbmBytesPerMicro()
 	dur := compute
@@ -128,7 +128,7 @@ func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, erro
 
 	var mxuBusy simclock.Duration
 	for _, inst := range d.program.Instructions {
-		dur := d.jitter(d.InstructionTime(inst))
+		dur := d.jitter(d.instructionTime(inst))
 		d.emit(inst.Op, t, dur, step)
 		mxuBusy += d.mxuOccupancy(inst)
 		t = t.Add(dur)
@@ -191,7 +191,7 @@ func (d *Device) StepBusyTime() simclock.Duration {
 		total += simclock.Duration(float64(d.program.InfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
 	}
 	for _, inst := range d.program.Instructions {
-		total += d.InstructionTime(inst)
+		total += d.instructionTime(inst)
 	}
 	if d.program.OutfeedBytes > 0 {
 		total += simclock.Duration(float64(d.program.OutfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead

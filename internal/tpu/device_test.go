@@ -143,8 +143,8 @@ func TestInstructionTimeRoofline(t *testing.T) {
 	d := newTestDevice(t, V2)
 	computeBound := &xla.Instruction{FLOPs: 10_000_000_000, Bytes: 1, MXU: true}
 	memBound := &xla.Instruction{FLOPs: 1, Bytes: 1 << 30, MXU: false}
-	ct := d.InstructionTime(computeBound)
-	mt := d.InstructionTime(memBound)
+	ct := d.instructionTime(computeBound)
+	mt := d.instructionTime(memBound)
 	// 10 GFLOP at 45*0.42 TFLOPS ≈ 529µs; 1 GiB at 700 GB/s ≈ 1534µs.
 	if ct < 400 || ct > 650 {
 		t.Fatalf("compute-bound time = %v", ct)

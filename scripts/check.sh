@@ -61,10 +61,10 @@ echo "== archive + diff smoke"
 echo "== crash smoke"
 ./scripts/crash_smoke.sh
 
-# The streaming analyzer's chunk/duty determinism contract, the
-# mini-batch k-means and the shared analyzer front-end's once-only
-# feature/PCA build must hold under the race detector; run the packages
-# twice so a scheduling-dependent divergence can't hide.
+# The streaming analyzer's chunk/duty determinism contract and the
+# shared analyzer front-end's once-only feature/PCA build must hold
+# under the race detector; run the packages twice so a
+# scheduling-dependent divergence can't hide.
 echo "== go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster"
 go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 
@@ -83,13 +83,6 @@ echo "== stream smoke"
 # over a real on-disk repository.
 echo "== ingest smoke"
 ./scripts/ingest_smoke.sh
-
-# Cluster-scheduler gate: the determinism/zero-loss/work-conservation
-# tests under -race, then a CLI fleet round trip with a per-tenant
-# listing, cross-tenant diff, and a bit-identical replay of the
-# archived fleet.
-echo "== cluster smoke"
-./scripts/cluster_smoke.sh
 
 # Replicated-collection gate: the replica placement/failover/lease
 # suites under -race, then two real collector replica processes over

@@ -11,6 +11,7 @@ import (
 	tpupoint "repro"
 	"repro/internal/core/analyzer"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // profiledAfterTraining trains a workload, then drains its profile into
@@ -89,37 +90,46 @@ func TestExportThenAnalyzeMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestWatchPrintsLateFragments: in a recording profiled in full-size
-// windows a step's host and TPU fragments can lie further apart than
-// the default seal window, and the stream drops the later one; watch's
-// summary says how many it dropped.
-func TestWatchPrintsLateFragments(t *testing.T) {
-	s, recs := profiledAfterTraining(t, "resnet-imagenet", 300)
-	st := analyzer.NewStream("count", analyzer.StreamOptions{})
-	if err := st.FeedBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	late := st.Finish().LateSteps
-	if late == 0 {
-		t.Fatal("test setup: the recording has no fragment later than the seal window")
-	}
-	rep, err := s.Analyze(recs, tpupoint.OLS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	r, _, done, err := openRepoDir(dir, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.ArchiveRun(r, "full", "", recs, rep)
-	done()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestWatchFullSizeWindowsMatchBatchOLS: in a recording profiled in
+// full-size windows a step's host and TPU fragments can lie hundreds of
+// steps apart, and the stream still seals each step whole — every
+// record carries the service's OpenStep — so watch, at its default
+// options, prints batch OLS's phases: the same boundaries, step counts
+// and phase times.
+func TestWatchFullSizeWindowsMatchBatchOLS(t *testing.T) {
+	for _, workload := range []string{"dcgan-mnist", "bert-mrpc", "resnet-imagenet"} {
+		t.Run(workload, func(t *testing.T) {
+			s, recs := profiledAfterTraining(t, workload, 300)
+			var want []string
+			for i, p := range analyzer.OLS(trace.AggregateSteps(recs), analyzer.DefaultThreshold) {
+				want = append(want, fmt.Sprintf("phase %d closed  steps %d-%d (%d sampled, %.1fms",
+					i, p.Steps[0].Step, p.Steps[len(p.Steps)-1].Step, len(p.Steps), p.Total.Milliseconds()))
+			}
+			rep, err := s.Analyze(recs, tpupoint.OLS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			r, _, done, err := openRepoDir(dir, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.ArchiveRun(r, "full", "", recs, rep)
+			done()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	out := captureStdout(t, func() error { return watchCmd([]string{"-quiet", "full"}, dir) })
-	if want := fmt.Sprintf("%d late step fragments dropped", late); !strings.Contains(out, want) {
-		t.Fatalf("watch printed\n%s\nwant %q", out, want)
+			out := captureStdout(t, func() error { return watchCmd([]string{"-quiet", "full"}, dir) })
+			var got []string
+			for _, line := range strings.Split(out, "\n") {
+				if strings.Contains(line, " closed ") {
+					got = append(got, line[:strings.Index(line, "ms")+2])
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("watch printed\n%s\nwant batch OLS's phases\n%s", out, strings.Join(want, "\n"))
+			}
+		})
 	}
 }

@@ -168,7 +168,7 @@ func printStreamSummary(rep *analyzer.StreamReport) {
 	for _, p := range rep.Phases {
 		degraded += p.Degraded
 	}
-	fmt.Printf("watch summary: %d phases, %d/%d steps sampled (duty 1/%d), %d records (%d gaps), %.2fs, idle %.1f%%, mxu %.1f%%, %d degraded steps, %d late step fragments dropped\n",
+	fmt.Printf("watch summary: %d phases, %d/%d steps sampled (duty 1/%d), %d records (%d gaps), %.2fs, idle %.1f%%, mxu %.1f%%, %d degraded steps\n",
 		len(rep.Phases), rep.Steps, rep.StepsSeen, rep.DutyCycle, rep.Records, rep.Gaps,
-		rep.TotalTime.Seconds(), 100*rep.IdleFrac, 100*rep.MXUUtil, degraded, rep.LateSteps)
+		rep.TotalTime.Seconds(), 100*rep.IdleFrac, 100*rep.MXUUtil, degraded)
 }

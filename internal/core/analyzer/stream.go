@@ -3,9 +3,13 @@
 // from a live profiler session, a fleet session log, or archive.Iter —
 // and maintains phase structure as the run unfolds:
 //
-//   - streaming step aggregation: per-window step fragments merge in a
-//     bounded seal window (steps straddle profile-window boundaries,
-//     exactly the case trace.AggregateSteps handles post hoc);
+//   - streaming step aggregation: per-window step fragments merge until
+//     the records' watermark seals the step (steps straddle
+//     profile-window boundaries, exactly the case trace.AggregateSteps
+//     handles post hoc). Each record carries the profile service's
+//     OpenStep — no later record holds a fragment of a step below it —
+//     so a step seals once the highest OpenStep fed passes it, with
+//     every fragment merged: the sealed series is AggregateSteps' series;
 //   - the paper's online OLS linear scan promoted to first class:
 //     sealed steps feed the Equation-1 similarity chain and phase
 //     boundaries emit PhaseOpen/PhaseClose events the moment they are
@@ -16,11 +20,14 @@
 //     representative-sampling payoff — TestStreamDutyCycleSubsetOfFull
 //     bounds the sampled report against the full stream).
 //
-// Memory contract: resident state is O(seal window + closed-phase
-// summaries). No record and no per-step statistic is retained past its
-// seal + similarity comparison; a closed phase keeps only its capped
-// signature. See DESIGN.md ("Streaming analyzer
-// contract") and StateBytes.
+// Memory contract: resident state is O(steps at or above the watermark +
+// closed-phase summaries). The open steps are those a later record may
+// still add to: about one training loop's worth on a live profile, one
+// window's worth on a recording profiled after training, and — for
+// records that carry no OpenStep — the whole run until Finish. No record
+// and no per-step statistic is retained past its seal + similarity
+// comparison; a closed phase keeps only its capped signature. See
+// DESIGN.md ("Streaming analyzer contract") and StateBytes.
 //
 // Determinism contract: the final StreamReport is a pure function of
 // the record sequence and StreamOptions. Feeding the same records in
@@ -31,6 +38,7 @@ package analyzer
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -41,9 +49,6 @@ import (
 
 // Streaming defaults.
 const (
-	// DefaultSealWindow is how many steps stay open awaiting
-	// cross-window fragments before the oldest is sealed and analyzed.
-	DefaultSealWindow = 8
 	// DefaultDegradeFactor flags a sealed step whose span exceeds this
 	// multiple of its phase's mean step span.
 	DefaultDegradeFactor = 2.0
@@ -147,9 +152,8 @@ type StreamOptions struct {
 	// analyzes every step). The report then estimates time shares from
 	// the sampled steps alone.
 	DutyCycle int
-	// SealWindow is how many steps stay open for cross-window merging
-	// (default DefaultSealWindow). Steps arriving after their number
-	// was sealed are dropped and counted in the report's LateSteps.
+	// SealWindow is ignored: steps seal at the records' OpenStep. It
+	// goes when its last setter does (ROADMAP item 2 (a)).
 	SealWindow int
 	// DegradeFactor flags steps slower than this multiple of the phase
 	// mean (default DefaultDegradeFactor; negative disables).
@@ -168,9 +172,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	if o.DutyCycle <= 1 {
 		o.DutyCycle = 1
 	}
-	if o.SealWindow <= 0 {
-		o.SealWindow = DefaultSealWindow
-	}
 	if o.DegradeFactor == 0 {
 		o.DegradeFactor = DefaultDegradeFactor
 	}
@@ -186,7 +187,6 @@ type StreamReport struct {
 	Gaps      int64 // gap records skipped
 	StepsSeen int64 // distinct steps observed before duty sampling
 	Steps     int64 // sampled steps analyzed
-	LateSteps int64 // step fragments dropped for arriving after seal
 
 	Phases []*StreamPhase
 
@@ -214,7 +214,6 @@ type streamMetrics struct {
 	steps    *obs.Counter
 	phases   *obs.Counter
 	degraded *obs.Counter
-	late     *obs.Counter
 }
 
 // StreamAnalyzer is the incremental analyzer. Not safe for concurrent
@@ -226,11 +225,12 @@ type StreamAnalyzer struct {
 
 	// pending holds open steps awaiting cross-window fragments, in
 	// ascending step order. Fragments arrive nearly in that order, so a
-	// new step is placed by walking back from the tail, and the step to
-	// seal is always the head.
+	// new step is placed by walking back from the tail, and the steps to
+	// seal are always a prefix.
 	pending []*trace.StepStat
-	sealed  int64 // highest sealed step number (-1 until the first)
-	hasSeal bool
+	// open is the highest positive OpenStep fed (MinInt64 before one):
+	// every step below it is sealed, or never had a fragment.
+	open int64
 
 	// prev is the last sampled sealed step — the OLS comparison
 	// anchor. Exactly one full StepStat is retained at any time.
@@ -249,25 +249,34 @@ func NewStream(workload string, opts StreamOptions) *StreamAnalyzer {
 	return &StreamAnalyzer{
 		workload: workload,
 		opts:     opts,
-		pending:  make([]*trace.StepStat, 0, opts.SealWindow+1),
+		open:     math.MinInt64,
 		m: streamMetrics{
 			records:  opts.Obs.Counter("stream.records"),
 			steps:    opts.Obs.Counter("stream.steps"),
 			phases:   opts.Obs.Counter("stream.phases"),
 			degraded: opts.Obs.Counter("stream.degraded"),
-			late:     opts.Obs.Counter("stream.steps.late"),
 		},
 	}
 }
 
-// Feed folds one record into the analysis. Gap records advance the
-// record count only. Feeding after Finish is an error.
+// Feed folds one record into the analysis and seals every step below
+// the highest OpenStep fed. Gap records advance the record count only.
+// A record holding a fragment of a step an earlier record's OpenStep
+// sealed breaks the record contract: Feed returns an error naming the
+// step and leaves the analysis as it was. Feeding after Finish is an
+// error.
 func (s *StreamAnalyzer) Feed(rec *trace.ProfileRecord) error {
 	if s.finished {
 		return fmt.Errorf("analyzer: stream already finished")
 	}
 	if rec == nil {
 		return fmt.Errorf("analyzer: nil record")
+	}
+	for _, st := range rec.Steps {
+		if st.Step < s.open {
+			return fmt.Errorf("analyzer: record %d holds a fragment of step %d, which an earlier record's OpenStep %d sealed",
+				rec.Seq, st.Step, s.open)
+		}
 	}
 	s.rep.Records++
 	s.m.records.Inc()
@@ -278,11 +287,18 @@ func (s *StreamAnalyzer) Feed(rec *trace.ProfileRecord) error {
 	for _, st := range rec.Steps {
 		s.observeStep(st)
 	}
-	// Seal oldest steps beyond the window, smallest step number first,
-	// so OLS sees the step series in order.
-	for len(s.pending) > s.opts.SealWindow {
-		s.sealStep()
+	// Only a positive OpenStep says anything (trace.ProfileRecord).
+	if rec.OpenStep > 0 && rec.OpenStep > s.open {
+		s.open = rec.OpenStep
 	}
+	// Seal smallest step number first, so OLS sees the step series in
+	// order.
+	n := 0
+	for n < len(s.pending) && s.pending[n].Step < s.open {
+		s.sealStep(s.pending[n])
+		n++
+	}
+	s.pending = slices.Delete(s.pending, 0, n)
 	return nil
 }
 
@@ -298,15 +314,8 @@ func (s *StreamAnalyzer) FeedBatch(recs []*trace.ProfileRecord) error {
 	return nil
 }
 
-// observeStep merges one per-window step fragment into the open window.
+// observeStep merges one per-window step fragment into the open steps.
 func (s *StreamAnalyzer) observeStep(st *trace.StepStat) {
-	if s.hasSeal && st.Step <= s.sealed {
-		// The step was already sealed and analyzed; merging now would
-		// rewrite history. Count it instead of retaining it.
-		s.rep.LateSteps++
-		s.m.late.Inc()
-		return
-	}
 	i := len(s.pending)
 	for i > 0 && s.pending[i-1].Step > st.Step {
 		i--
@@ -318,14 +327,11 @@ func (s *StreamAnalyzer) observeStep(st *trace.StepStat) {
 	s.pending = slices.Insert(s.pending, i, st.Clone())
 }
 
-// sealStep closes the window for the lowest open step: it can no longer
-// grow, so it enters duty sampling, the OLS boundary chain and the open
-// phase's aggregates.
-func (s *StreamAnalyzer) sealStep() {
-	st := s.pending[0]
-	s.pending = slices.Delete(s.pending, 0, 1) // shifts down in place
+// sealStep analyzes the lowest open step, which can no longer grow: it
+// enters duty sampling, the OLS boundary chain and the open phase's
+// aggregates. The caller removes it from pending.
+func (s *StreamAnalyzer) sealStep(st *trace.StepStat) {
 	step := st.Step
-	s.sealed, s.hasSeal = step, true
 	s.rep.StepsSeen++
 
 	if s.opts.DutyCycle > 1 && step%int64(s.opts.DutyCycle) != 0 {
@@ -424,9 +430,10 @@ func (s *StreamAnalyzer) Finish() *StreamReport {
 	if s.finished {
 		return &s.rep
 	}
-	for len(s.pending) > 0 {
-		s.sealStep()
+	for _, st := range s.pending {
+		s.sealStep(st)
 	}
+	s.pending = nil
 	if s.cur != nil {
 		s.closePhase(s.cur.LastStep)
 	}
@@ -452,11 +459,11 @@ func (s *StreamAnalyzer) emit(ev StreamEvent) {
 	}
 }
 
-// StateBytes estimates the analyzer's resident memory: the seal window,
+// StateBytes estimates the analyzer's resident memory: the open steps,
 // the one retained comparison step, the open phase's op aggregate, and
-// the closed-phase signatures. Everything except the closed-phase list
-// is bounded independent of run length, and each closed phase costs
-// O(SignatureOps).
+// the closed-phase signatures. Given records that carry OpenStep,
+// everything except the closed-phase list is bounded independent of run
+// length, and each closed phase costs O(SignatureOps).
 func (s *StreamAnalyzer) StateBytes() int64 {
 	var b int64 = 256
 	for _, st := range s.pending {

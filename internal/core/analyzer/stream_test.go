@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/simclock"
@@ -19,9 +20,10 @@ var streamRegimes = [][]string{
 
 // regimeRecords generates 2 records per step (each holding half the
 // step's events) so every step straddles a record boundary and
-// exercises the cross-window merge path. opDur is the per-event
-// duration; stepDur overrides it for the listed steps (degradation
-// tests).
+// exercises the cross-window merge path. Each record's OpenStep is the
+// profile service's: the step itself after its first half, the next
+// step after its second. opDur is the per-event duration; stepDur
+// overrides it for the listed steps (degradation tests).
 func regimeRecords(n, regimeLen int, opDur simclock.Duration, slow map[int64]simclock.Duration) []*trace.ProfileRecord {
 	recs := make([]*trace.ProfileRecord, 0, 2*n)
 	var seq int64
@@ -44,8 +46,10 @@ func regimeRecords(n, regimeLen int, opDur simclock.Duration, slow map[int64]sim
 			ts = ts.Add(dur)
 		}
 		recs = append(recs, trace.Reduce(seq, first[0].Start, first, 0.1, 0.5))
+		recs[len(recs)-1].OpenStep = step
 		seq++
 		recs = append(recs, trace.Reduce(seq, second[0].Start, second, 0.1, 0.5))
+		recs[len(recs)-1].OpenStep = step + 1
 		seq++
 	}
 	return recs
@@ -158,26 +162,27 @@ func TestStreamDutyCycle(t *testing.T) {
 	}
 }
 
-func TestStreamLateStepsDropped(t *testing.T) {
+// TestStreamFragmentBelowWatermarkIsAnError: once a record's OpenStep
+// has sealed a step, a fragment of it breaks the record contract. Feed
+// names the step, and the analysis is as if the record never came.
+func TestStreamFragmentBelowWatermarkIsAnError(t *testing.T) {
 	recs := regimeRecords(20, 20, 10, nil)
-	s := NewStream("test", StreamOptions{SealWindow: 4})
+	s := NewStream("test", StreamOptions{})
 	if err := s.FeedBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	// Steps beyond the seal window are closed by now; re-sending an
-	// early step must be counted as late, not merged.
 	late := trace.Reduce(999, 0, []trace.Event{
 		{Name: "straggler", Device: trace.Host, Start: 0, Dur: 5, Step: 1},
+		{Name: "fusion", Device: trace.TPU, Start: 5, Dur: 5, Step: 25},
 	}, 0, 0)
-	if err := s.Feed(late); err != nil {
-		t.Fatal(err)
+	err := s.Feed(late)
+	if err == nil || !strings.Contains(err.Error(), "step 1,") {
+		t.Fatalf("Feed of a fragment of sealed step 1 returned %v, want an error naming the step", err)
 	}
 	rep := s.Finish()
-	if rep.LateSteps != 1 {
-		t.Fatalf("LateSteps = %d, want 1", rep.LateSteps)
-	}
-	if rep.StepsSeen != 20 {
-		t.Fatalf("StepsSeen = %d, want 20 (late fragment not recounted)", rep.StepsSeen)
+	if rep.StepsSeen != 20 || rep.Records != int64(len(recs)) {
+		t.Fatalf("StepsSeen = %d, Records = %d; want 20 and %d, the refused record unseen",
+			rep.StepsSeen, rep.Records, len(recs))
 	}
 }
 

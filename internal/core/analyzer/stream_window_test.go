@@ -1,12 +1,17 @@
 package analyzer
 
-// The seal window is an ordered slice: a new step is placed by walking
-// back from the tail, the step to seal is the head. It used to be a Go
-// map scanned for its minimum on every seal; that form is the oracle
-// here, for fragment orders the collectors do not normally produce —
-// descending, shuffled, duplicated, later than their step's seal.
+// The open steps are an ordered slice: a new step is placed by walking
+// back from the tail, the steps to seal are a prefix. The rule for what
+// seals is the records' watermark alone: a step seals once the highest
+// positive OpenStep fed exceeds it, and a record holding a fragment of a
+// step below that watermark is refused whole. The oracle here replays
+// that rule over a Go map, for fragment orders and watermarks the
+// profiler does not produce — descending, shuffled, duplicated, a step's
+// fragments again far behind, watermarks absent, exact or lagging.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,124 +19,155 @@ import (
 	"repro/internal/trace"
 )
 
-// mapWindowSeals replays recs through the window as a map: the order in
-// which steps seal (Finish's drain included), how many fragments merged
-// into each, and how many arrived late.
-func mapWindowSeals(recs []*trace.ProfileRecord, window int) (sealed []int64, frags []int, late int64) {
+// openStepSeals replays recs through the OpenStep rule on a map: the
+// order in which steps seal (Finish's drain included), how many
+// fragments merged into each, and which records are refused.
+func openStepSeals(recs []*trace.ProfileRecord) (sealed []int64, frags []int, refused []int) {
 	pending := map[int64]int{}
-	var last int64
-	hasSeal := false
-	sealMin := func() {
-		first := true
-		var min int64
-		for step := range pending {
-			if first || step < min {
-				min, first = step, false
+	open := int64(math.MinInt64)
+	sealBelow := func(limit int64) {
+		for {
+			first := true
+			var low int64
+			for step := range pending {
+				if first || step < low {
+					low, first = step, false
+				}
+			}
+			if first || low >= limit {
+				return
+			}
+			sealed, frags = append(sealed, low), append(frags, pending[low])
+			delete(pending, low)
+		}
+	}
+records:
+	for i, r := range recs {
+		for _, st := range r.Steps {
+			if st.Step < open {
+				refused = append(refused, i)
+				continue records
 			}
 		}
-		sealed, frags = append(sealed, min), append(frags, pending[min])
-		delete(pending, min)
-		last, hasSeal = min, true
-	}
-	for _, r := range recs {
 		for _, st := range r.Steps {
-			if hasSeal && st.Step <= last {
-				late++
-				continue
-			}
 			pending[st.Step]++
 		}
-		for len(pending) > window {
-			sealMin()
+		if r.OpenStep > 0 && r.OpenStep > open {
+			open = r.OpenStep
 		}
+		sealBelow(open)
 	}
-	for len(pending) > 0 {
-		sealMin()
-	}
-	return sealed, frags, late
+	sealBelow(math.MaxInt64)
+	return sealed, frags, refused
 }
 
-// sealOrder feeds recs with a threshold no similarity meets, so every
-// sealed step opens its own phase: the PhaseOpen sequence is the seal
-// order, and each one-step phase's op counts say how many fragments the
-// step had merged by then (regimeRecords gives every fragment's every op
-// a count of one).
-func sealOrder(t *testing.T, recs []*trace.ProfileRecord, window int) (*StreamReport, []int64) {
+// sealOrder feeds recs one at a time with a threshold no similarity
+// meets, so every sealed step opens its own phase: the PhaseOpen
+// sequence is the seal order, and each one-step phase's op counts say how
+// many fragments the step had merged by then (regimeRecords gives every
+// fragment's every op a count of one). It returns the indices of the
+// records Feed refused.
+func sealOrder(t *testing.T, recs []*trace.ProfileRecord) (*StreamReport, []int64, []int) {
 	t.Helper()
 	var opened []int64
-	s := NewStream("window", StreamOptions{SealWindow: window, Threshold: 2,
+	var refused []int
+	s := NewStream("window", StreamOptions{Threshold: 2,
 		OnEvent: func(ev StreamEvent) {
 			if ev.Kind == PhaseOpen {
 				opened = append(opened, ev.Step)
 			}
 		}})
-	if err := s.FeedBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	return s.Finish(), opened
-}
-
-func TestStreamWindowMatchesMapWindow(t *testing.T) {
-	base := regimeRecords(120, 15, 10, nil) // two records per step
-	reversed := make([]*trace.ProfileRecord, len(base))
-	for i, r := range base {
-		reversed[len(base)-1-i] = r
-	}
-	shuffled := append([]*trace.ProfileRecord(nil), base...)
-	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	var doubled []*trace.ProfileRecord
-	for _, r := range base {
-		doubled = append(doubled, r, r)
-	}
-	// Every step's fragments again, 20 steps after the step — later than
-	// a window of 4 or 16 keeps it open, sooner than a window of 64 seals
-	// it.
-	var echoed []*trace.ProfileRecord
-	for i, r := range base {
-		echoed = append(echoed, r)
-		if i >= 40 {
-			echoed = append(echoed, base[i-40])
+	for i, r := range recs {
+		if err := s.Feed(r); err != nil {
+			refused = append(refused, i)
 		}
 	}
+	return s.Finish(), opened, refused
+}
 
-	for name, recs := range map[string][]*trace.ProfileRecord{
-		"ascending": base, "descending": reversed, "shuffled": shuffled, "duplicated": doubled, "echoed": echoed,
-	} {
-		for _, window := range []int{1, 4, 16, 64, 1000} {
-			wantSealed, wantFrags, wantLate := mapWindowSeals(recs, window)
-			rep, opened := sealOrder(t, recs, window)
-			if !reflect.DeepEqual(opened, wantSealed) {
-				t.Fatalf("%s, window %d: steps sealed in order %v, map window %v", name, window, opened, wantSealed)
+// withOpenStep returns copies of recs whose OpenStep is f of the
+// original.
+func withOpenStep(recs []*trace.ProfileRecord, f func(open int64) int64) []*trace.ProfileRecord {
+	out := make([]*trace.ProfileRecord, len(recs))
+	for i, r := range recs {
+		c := *r
+		c.OpenStep = f(r.OpenStep)
+		out[i] = &c
+	}
+	return out
+}
+
+func TestStreamSealsMatchOpenStepOracle(t *testing.T) {
+	watermarks := map[string]func(int64) int64{
+		"exact":     func(open int64) int64 { return open },
+		"absent":    func(int64) int64 { return 0 },
+		"lagging16": func(open int64) int64 { return max(open-16, 0) },
+		"lagging64": func(open int64) int64 { return max(open-64, 0) },
+	}
+	for wname, wm := range watermarks {
+		base := withOpenStep(regimeRecords(120, 15, 10, nil), wm) // two records per step
+		reversed := make([]*trace.ProfileRecord, len(base))
+		for i, r := range base {
+			reversed[len(base)-1-i] = r
+		}
+		shuffled := append([]*trace.ProfileRecord(nil), base...)
+		rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var doubled []*trace.ProfileRecord
+		for _, r := range base {
+			doubled = append(doubled, r, r)
+		}
+		// Every step's fragments again, 20 steps after the step — behind
+		// an exact or 16-step-lagging watermark, ahead of a 64-step one.
+		var echoed []*trace.ProfileRecord
+		for i, r := range base {
+			echoed = append(echoed, r)
+			if i >= 40 {
+				echoed = append(echoed, base[i-40])
 			}
-			if rep.LateSteps != wantLate || rep.StepsSeen != int64(len(wantSealed)) {
-				t.Fatalf("%s, window %d: LateSteps=%d StepsSeen=%d, map window %d and %d",
-					name, window, rep.LateSteps, rep.StepsSeen, wantLate, len(wantSealed))
+		}
+
+		for name, recs := range map[string][]*trace.ProfileRecord{
+			"ascending": base, "descending": reversed, "shuffled": shuffled, "duplicated": doubled, "echoed": echoed,
+		} {
+			where := fmt.Sprintf("%s, watermark %s", name, wname)
+			wantSealed, wantFrags, wantRefused := openStepSeals(recs)
+			rep, opened, refused := sealOrder(t, recs)
+			if !reflect.DeepEqual(opened, wantSealed) {
+				t.Fatalf("%s: steps sealed in order %v, oracle %v", where, opened, wantSealed)
+			}
+			if !reflect.DeepEqual(refused, wantRefused) {
+				t.Fatalf("%s: Feed refused records %v, oracle %v", where, refused, wantRefused)
+			}
+			if rep.StepsSeen != int64(len(wantSealed)) || rep.Records != int64(len(recs)-len(wantRefused)) {
+				t.Fatalf("%s: StepsSeen=%d Records=%d, oracle %d and %d",
+					where, rep.StepsSeen, rep.Records, len(wantSealed), len(recs)-len(wantRefused))
 			}
 			for i, p := range rep.Phases {
 				// A fragment holds one or two of its step's three ops,
 				// each once; the phase's signature is over their merge.
 				if p.FirstStep != wantSealed[i] || p.LastStep != wantSealed[i] || p.Steps != 1 {
-					t.Fatalf("%s, window %d: phase %d spans [%d,%d] over %d steps, want step %d alone",
-						name, window, i, p.FirstStep, p.LastStep, p.Steps, wantSealed[i])
+					t.Fatalf("%s: phase %d spans [%d,%d] over %d steps, want step %d alone",
+						where, i, p.FirstStep, p.LastStep, p.Steps, wantSealed[i])
 				}
 				if wantFrags[i] >= 2 && len(p.Signature) != 3 {
-					t.Fatalf("%s, window %d: step %d sealed with %d fragments but %d of its 3 ops",
-						name, window, wantSealed[i], wantFrags[i], len(p.Signature))
+					t.Fatalf("%s: step %d sealed with %d fragments but %d of its 3 ops",
+						where, wantSealed[i], wantFrags[i], len(p.Signature))
 				}
 			}
 		}
 	}
 }
 
-// TestStreamWindowOrderInvisibleWithinWindow: while nothing seals, the
-// order fragments arrive in cannot be told from the report — the ordered
-// window sorts what the batch aggregation sorts. Descending and shuffled
-// feeds of a run that fits the window give the report of the ascending
-// feed, bit for bit, and that report's boundaries are batch OLS's.
+// TestStreamWindowOrderInvisibleWithinWindow: while nothing seals —
+// records without OpenStep — the order fragments arrive in cannot be
+// told from the report: the ordered open steps sort what the batch
+// aggregation sorts. Descending and shuffled feeds give the report of
+// the ascending feed, bit for bit, and that report's boundaries are
+// batch OLS's.
 func TestStreamWindowOrderInvisibleWithinWindow(t *testing.T) {
-	base := regimeRecords(200, 25, 10, nil)
+	base := withOpenStep(regimeRecords(200, 25, 10, nil), func(int64) int64 { return 0 })
 	feed := func(recs []*trace.ProfileRecord) *StreamReport {
-		s := NewStream("window", StreamOptions{SealWindow: 1000})
+		s := NewStream("window", StreamOptions{})
 		if err := s.FeedBatch(recs); err != nil {
 			t.Fatal(err)
 		}

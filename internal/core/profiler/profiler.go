@@ -297,6 +297,7 @@ func (p *Profiler) profileLoop() {
 			p.m.windowsFetched.Inc()
 			rec := trace.Reduce(seq, resp.WindowStart, resp.Events, resp.IdleFrac, resp.MXUUtil)
 			rec.Truncated = rec.Truncated || resp.Truncated
+			rec.OpenStep = resp.OpenStep
 			seq++
 			p.deliver(rec)
 			if bp := p.opts.BreakpointStep; bp > 0 {

@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -85,14 +86,17 @@ type Runner struct {
 
 	consumedAt  []simclock.Time // per train-batch consumption time
 	now         simclock.Time
+	loopStart   simclock.Time     // when the open loop's outfeed dequeue posted
+	openStep    int64             // lowest step an event not emitted yet can carry
 	nonTrain    simclock.Duration // time in init/eval/checkpoint/summary phases
 	done        bool
 	ran         bool
 	checkpoints []Checkpoint
 	totalSteps  int64
 
-	merged     []trace.Event // sort-merged cache, built lazily
-	mergedUpTo int           // host+dev event counts at merge time
+	merged     []trace.Event   // sort-merged cache, built lazily
+	mergedUpTo int             // host+dev event counts at merge time
+	lastStart  []simclock.Time // lastStart[s+1]: the latest Start of step s in merged
 }
 
 // New prepares a runner. The workload's graphs are compiled here, so a
@@ -142,6 +146,7 @@ func New(w *workloads.Workload, opts Options) (*Runner, error) {
 		hst:       hst,
 		trainProg: trainProg,
 		evalProg:  evalProg,
+		openStep:  -1, // the init ops
 	}, nil
 }
 
@@ -213,8 +218,7 @@ func (r *Runner) Run() error {
 	r.nonTrain += simclock.Duration(r.now) // init phase spans [0, now)
 	r.mu.Unlock()
 
-	var loopGate simclock.Time  // batches wait for loop-boundary syncs
-	var loopStart simclock.Time // when the current loop's dequeue posted
+	var loopGate simclock.Time // batches wait for loop-boundary syncs
 	globalStep := r.opts.StartStep
 	trainDone := 0
 	sinceEval := 0
@@ -251,10 +255,10 @@ func (r *Runner) Run() error {
 		// profiled OutfeedDequeueTuple spans most of the loop — which is
 		// why it tops host profiles.
 		if trainDone%r.W.IterationsPerLoop == 0 || trainDone == steps {
-			deqEnd := r.hst.DequeueOutfeed(globalStep-1, loopStart, st.End, r.trainProg.OutfeedBytes)
+			deqEnd := r.hst.DequeueOutfeed(globalStep-1, r.loopStart, st.End, r.trainProg.OutfeedBytes)
 			r.hst.StepBookkeeping(globalStep-1, deqEnd)
 			loopGate = deqEnd.Add(200)
-			loopStart = loopGate
+			r.loopStart = loopGate
 			r.advance(loopGate)
 		}
 		// --- summaries and checkpoints ----------------------------------
@@ -280,6 +284,9 @@ func (r *Runner) Run() error {
 			r.advance(end)
 			r.nonTrain += r.now.Sub(before)
 		}
+		// The shutdown op, and a hook's pipeline stall, belong to the
+		// step just run.
+		r.openStep = globalStep - 1
 		hook := r.opts.OnTrainStep
 		r.mu.Unlock()
 
@@ -310,6 +317,7 @@ func (r *Runner) Run() error {
 	end := r.hst.EmitShutdown(globalStep-1, r.now)
 	r.advance(end)
 	r.done = true
+	r.openStep = math.MaxInt64
 	r.mu.Unlock()
 	return nil
 }
@@ -331,6 +339,7 @@ func (r *Runner) runEvalBlock(globalStep *int64) error {
 		*globalStep++
 		r.advance(st.End)
 	}
+	r.openStep = *globalStep - 1
 	r.nonTrain += r.now.Sub(before)
 	return r.dev.LoadProgram(r.trainProg)
 }
@@ -383,6 +392,24 @@ func (r *Runner) Now() simclock.Time {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.now
+}
+
+// watermark returns the earliest Start an event the run has not emitted
+// yet can have, so the events before it are final. Between the run's
+// locked sections every future event starts at or after one of: the
+// progress clock (summaries, checkpoints, shutdown), the open loop's start
+// (its outfeed dequeue; the next batch's pipeline, gated no earlier), the
+// device's free time (the next step, which the progress clock may have
+// passed) and the host's own frontier (instrumentation, pipeline stalls).
+// Once the run is done nothing more is emitted and it is the end of the
+// run.
+func (r *Runner) watermark() simclock.Time {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.done {
+		return r.now
+	}
+	return min(r.now, r.loopStart, r.dev.FreeAt(), r.hst.Frontier())
 }
 
 // TotalTime returns the simulated wall time of the completed run.
@@ -441,11 +468,16 @@ func (r *Runner) StepTimings() []tpu.StepTiming {
 // WeightBytes returns the train program's parameter footprint.
 func (r *Runner) WeightBytes() int64 { return r.trainProg.WeightBytes }
 
-// ensureMerged rebuilds the merged event cache if new events arrived.
-// Callers must hold at least the read lock; the cache swap upgrades.
+// mergedEvents returns the merged event cache, rebuilt first if new
+// events arrived. It takes the write lock itself.
 func (r *Runner) mergedEvents() []trace.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.mergeLocked()
+}
+
+// mergeLocked is mergedEvents for a caller holding the write lock.
+func (r *Runner) mergeLocked() []trace.Event {
 	de, he := r.dev.Events(), r.hst.Events()
 	if total := len(de) + len(he); total != r.mergedUpTo {
 		m := make([]trace.Event, 0, total)
@@ -454,6 +486,13 @@ func (r *Runner) mergedEvents() []trace.Event {
 		slices.SortStableFunc(m, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 		r.merged = m
 		r.mergedUpTo = total
+		r.lastStart = r.lastStart[:0]
+		for _, e := range m { // in Start order: the last write per step is its latest
+			for int(e.Step+1) >= len(r.lastStart) {
+				r.lastStart = append(r.lastStart, 0)
+			}
+			r.lastStart[e.Step+1] = e.Start
+		}
 	}
 	return r.merged
 }
@@ -473,6 +512,20 @@ func (r *Runner) EventsInWindow(from, to simclock.Time) []trace.Event {
 	return out
 }
 
+// OpenStep implements tpu.EventSource: the lowest step of an emitted event
+// starting at or after t, or of an event the run has yet to emit.
+func (r *Runner) OpenStep(t simclock.Time) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mergeLocked()
+	for i, last := range r.lastStart {
+		if last >= t {
+			return min(r.openStep, int64(i)-1)
+		}
+	}
+	return r.openStep
+}
+
 // WindowMetrics implements tpu.EventSource, delegating to the device.
 func (r *Runner) WindowMetrics(from, to simclock.Time) (float64, float64) {
 	r.mu.RLock()
@@ -482,9 +535,7 @@ func (r *Runner) WindowMetrics(from, to simclock.Time) (float64, float64) {
 
 // ProfileService returns a profile service bound to this run.
 func (r *Runner) ProfileService() *tpu.ProfileService {
-	return tpu.NewProfileService(r, r.dev.Spec,
-		func() simclock.Time { return r.Now() },
-		func() bool { return r.Done() })
+	return tpu.NewProfileService(r, r.dev.Spec, r.watermark, r.Done)
 }
 
 var _ tpu.EventSource = (*Runner)(nil)

@@ -539,6 +539,14 @@ func (h *Host) EmitShutdown(step int64, at simclock.Time) simclock.Time {
 	return at.Add(d)
 }
 
+// Frontier returns the earliest Start of an op the host can emit at a
+// time of its own choosing: Instrument starts at the decode pool's next
+// free time and StallPipeline at the newest batch's ready time. Every
+// other op starts at or after a time its caller passes.
+func (h *Host) Frontier() simclock.Time {
+	return min(h.decoders.NextFree(0), h.nextReady)
+}
+
 // Events returns the host event stream. Callers must not mutate.
 func (h *Host) Events() []trace.Event { return h.events }
 

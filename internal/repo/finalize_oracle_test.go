@@ -5,11 +5,10 @@ package repo_test
 // map keyed by step number, run OLS, summarize. It now summarizes the
 // aggregate its drain kept as the records arrived. The old path is kept
 // here, written the way it was, as the oracle: whatever a session held —
-// full-size windows whose late fragments the stream analyzer drops, a
-// collector restart half-way, gaps, nothing but gaps, a fragment far
-// behind the newest step — the archive the collector stores must be the
-// oracle's, byte for byte. (An external test package, so it can reach
-// the simulator, which imports this one.)
+// full-size windows, a collector restart half-way, gaps, nothing but
+// gaps, a fragment far behind the newest step — the archive the collector
+// stores must be the oracle's, byte for byte. (An external test package,
+// so it can reach the simulator, which imports this one.)
 
 import (
 	"bytes"
@@ -117,17 +116,6 @@ func TestFinalizeMatchesDecodeAggregateOracle(t *testing.T) {
 	if n := len(trace.AggregateSteps(full)); n < 1000 {
 		t.Fatalf("recording holds %d steps, want at least 1000", n)
 	}
-	// The case the stream's phases could not answer: at the default seal
-	// window the in-flight analyzer drops late fragments of this
-	// recording, so only an exact aggregate reproduces the summary.
-	stream := analyzer.NewStream("resnet-imagenet", analyzer.StreamOptions{})
-	if err := stream.FeedBatch(full); err != nil {
-		t.Fatal(err)
-	}
-	if late := stream.Finish().LateSteps; late == 0 {
-		t.Fatal("the stream analyzer dropped no late fragment of the full-size-window recording")
-	}
-
 	gap := func(seq int64, at simclock.Time) *trace.ProfileRecord {
 		return &trace.ProfileRecord{Seq: seq, Gap: true, WindowStart: at, WindowEnd: at.Add(1000)}
 	}

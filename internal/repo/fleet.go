@@ -209,8 +209,9 @@ type session struct {
 	// built by hand) and steps the exact per-step aggregate of every
 	// record archived. Both are owned by the drain goroutine until done
 	// closes; finalize takes them after.
-	stream *analyzer.StreamAnalyzer
-	steps  trace.StepSeries
+	stream    *analyzer.StreamAnalyzer
+	streamErr error // the first record stream refused, reported at finalize
+	steps     trace.StepSeries
 
 	ch   chan queued   // bounded pending-record queue
 	done chan struct{} // drain goroutine exit
@@ -258,7 +259,11 @@ func (s *session) drain(m fleetMetrics) {
 // is spent. The drain and resume's log replay both come through here.
 func (s *session) fold(rec *trace.ProfileRecord) {
 	if s.stream != nil {
-		_ = s.stream.Feed(rec) // errors only after Finish, which follows the drain's exit
+		// A refused record broke the OpenStep contract; the analyzer is
+		// left as it was and the aggregate below takes the record anyway.
+		if err := s.stream.Feed(rec); err != nil && s.streamErr == nil {
+			s.streamErr = err
+		}
 	}
 	s.steps.Adopt(rec)
 }

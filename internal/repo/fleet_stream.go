@@ -4,7 +4,8 @@
 // run is in flight* — not at finalize, which may be hours away for a
 // long training job. The analyzer's bounded-memory contract keeps this
 // affordable at MaxSessions concurrency: a session's analysis state is
-// O(seal window + closed phases), not O(records streamed).
+// O(steps at or above the records' OpenStep watermark + closed phases),
+// not O(records streamed).
 //
 // Determinism note: the drain goroutine is the session's single
 // consumer, so the stream sees records in exactly the accepted order —
@@ -75,6 +76,9 @@ func (f *Fleet) newSessionStream(meta archive.Meta) *analyzer.StreamAnalyzer {
 func (f *Fleet) finishSessionStream(s *session) {
 	if s.stream == nil {
 		return
+	}
+	if s.streamErr != nil {
+		f.opts.Obs.Emit("stream", "rejected", fmt.Sprintf("run %q: %v", s.meta.RunID, s.streamErr))
 	}
 	rep := s.stream.Finish()
 	f.opts.Obs.Emit("stream", "summary",

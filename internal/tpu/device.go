@@ -246,17 +246,6 @@ func (d *Device) WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float6
 	return float64(idle) / float64(span), float64(mxu) / float64(span)
 }
 
-// EventsInWindow returns events with Start in [from, to).
-func (d *Device) EventsInWindow(from, to simclock.Time) []trace.Event {
-	var out []trace.Event
-	for _, e := range d.events {
-		if e.Start >= from && e.Start < to {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Reset clears all execution state but keeps the loaded program.
 func (d *Device) Reset() {
 	d.freeAt = 0

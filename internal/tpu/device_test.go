@@ -175,26 +175,6 @@ func TestWindowMetrics(t *testing.T) {
 	}
 }
 
-func TestEventsInWindow(t *testing.T) {
-	d := newTestDevice(t, V2)
-	st, _ := d.RunStep(0, 0)
-	d.RunStep(1, st.End)
-	mid := st.End
-	first := d.EventsInWindow(0, mid)
-	second := d.EventsInWindow(mid, d.FreeAt()+1)
-	if len(first) == 0 || len(second) == 0 {
-		t.Fatal("window split lost events")
-	}
-	if len(first)+len(second) != len(d.Events()) {
-		t.Fatalf("window partition %d+%d != %d", len(first), len(second), len(d.Events()))
-	}
-	for _, e := range first {
-		if e.Start >= mid {
-			t.Fatal("event past window end")
-		}
-	}
-}
-
 func TestInjectEvent(t *testing.T) {
 	d := newTestDevice(t, V2)
 	d.InjectEvent("RestoreV2", 0, 5000, -1)

@@ -1,6 +1,7 @@
 package tpu
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/protowire"
@@ -24,6 +25,11 @@ type ProfileResponse struct {
 	MXUUtil     float64
 	EndOfStream bool // training finished and all events delivered
 	Truncated   bool // window clipped at the event or duration limit
+
+	// OpenStep is the source's OpenStep at WindowEnd: no later response
+	// holds an event of a step below it. Only a positive value says
+	// anything; an empty window carries zero.
+	OpenStep int64
 }
 
 // StatusResponse describes the device for status queries.
@@ -35,12 +41,18 @@ type StatusResponse struct {
 }
 
 // EventSource is what the profile service profiles: a window-addressable
-// event stream with per-window device metadata. *Device implements it for
-// TPU-only profiles; the estimator's machine implements it with host and
-// TPU events merged, which is what real profile responses contain.
+// event stream with per-window device metadata. The estimator's Runner
+// implements it with host and TPU events merged, which is what real
+// profile responses contain.
 type EventSource interface {
+	// EventsInWindow returns the events with Start in [from, to), in
+	// Start order.
 	EventsInWindow(from, to simclock.Time) []trace.Event
 	WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float64)
+	// OpenStep returns the lowest step that can still gain an event
+	// with Start >= t: one already emitted at or after t, or one not
+	// emitted yet. It is math.MaxInt64 when no step can.
+	OpenStep(t simclock.Time) int64
 }
 
 // ProfileService exposes an EventSource over the rpc package, mimicking
@@ -48,23 +60,27 @@ type EventSource interface {
 // Each Profile call returns the next window of the event stream (at most
 // trace.MaxProfileWindow of simulated time or trace.MaxEventsPerProfile
 // events), with the device's idle/MXU metadata for that window.
+//
+// Windows tile the stream exactly: a window ends no later than the
+// source's watermark, the earliest Start an event not emitted yet can
+// have, so every event falls in exactly one window however the calls
+// interleave with training.
 type ProfileService struct {
 	mu     sync.Mutex
 	src    EventSource
 	spec   ChipSpec
 	cursor simclock.Time
 
-	// nowFn reports how far simulated execution has progressed; the
-	// service never returns a window beyond it. doneFn reports whether
-	// the training run has finished.
-	nowFn  func() simclock.Time
-	doneFn func() bool
+	// watermarkFn reports the source's watermark; doneFn whether the
+	// source will emit nothing more.
+	watermarkFn func() simclock.Time
+	doneFn      func() bool
 }
 
-// NewProfileService wraps src. nowFn and doneFn connect the service to the
-// training loop's progress; spec answers status queries.
-func NewProfileService(src EventSource, spec ChipSpec, nowFn func() simclock.Time, doneFn func() bool) *ProfileService {
-	return &ProfileService{src: src, spec: spec, nowFn: nowFn, doneFn: doneFn}
+// NewProfileService wraps src. watermarkFn and doneFn connect the service
+// to the training loop's progress; spec answers status queries.
+func NewProfileService(src EventSource, spec ChipSpec, watermarkFn func() simclock.Time, doneFn func() bool) *ProfileService {
+	return &ProfileService{src: src, spec: spec, watermarkFn: watermarkFn, doneFn: doneFn}
 }
 
 // Register installs the service's methods on an RPC server.
@@ -79,14 +95,17 @@ func (s *ProfileService) NextWindow() ProfileResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	now := s.nowFn()
+	// done before the watermark: a source that finishes between the two
+	// reads must not end the stream at a watermark older than its last
+	// events.
 	done := s.doneFn()
+	wm := s.watermarkFn()
 	from := s.cursor
 	to := from.Add(trace.MaxProfileWindow)
 	truncated := false
-	if to > now {
-		to = now
-	} else if to < now {
+	if to > wm {
+		to = wm
+	} else if to < wm {
 		truncated = true // more activity exists past the window limit
 	}
 
@@ -99,10 +118,17 @@ func (s *ProfileService) NextWindow() ProfileResponse {
 	}
 
 	events := s.src.EventsInWindow(from, to)
-	if len(events) > trace.MaxEventsPerProfile {
-		// Clip the window at the limit-th event; the rest ship next time.
-		events = events[:trace.MaxEventsPerProfile]
-		to = events[len(events)-1].Start + 1
+	if limit := trace.MaxEventsPerProfile; len(events) > limit {
+		// Clip before the run of equal Starts the limit falls in, so the
+		// run ships whole next time — or, when that run opens the window,
+		// after it.
+		at := events[limit].Start
+		n := sort.Search(len(events), func(i int) bool { return events[i].Start >= at })
+		if n == 0 {
+			n = sort.Search(len(events), func(i int) bool { return events[i].Start > at })
+		}
+		events = events[:n]
+		to = events[n-1].Start + 1
 		truncated = true
 	}
 	idle, mxu := s.src.WindowMetrics(from, to)
@@ -111,7 +137,8 @@ func (s *ProfileService) NextWindow() ProfileResponse {
 	resp.IdleFrac = idle
 	resp.MXUUtil = mxu
 	resp.Truncated = truncated
-	resp.EndOfStream = done && to >= now
+	resp.OpenStep = s.src.OpenStep(to)
+	resp.EndOfStream = done && to >= wm
 	s.cursor = to
 	return resp
 }
@@ -140,6 +167,7 @@ func (s *ProfileService) handleStatus(body []byte) ([]byte, error) {
 //	  double mxu_util     = 5;
 //	  bool   end_of_stream= 6;
 //	  bool   truncated    = 7;
+//	  sint64 open_step    = 8;
 //	}
 
 func marshalProfileResponse(r *ProfileResponse) []byte {
@@ -151,6 +179,9 @@ func marshalProfileResponse(r *ProfileResponse) []byte {
 	e.Double(5, r.MXUUtil)
 	e.Bool(6, r.EndOfStream)
 	e.Bool(7, r.Truncated)
+	if r.OpenStep != 0 {
+		e.Int64(8, r.OpenStep)
+	}
 	return e.Bytes()
 }
 
@@ -211,6 +242,12 @@ func UnmarshalProfileResponse(data []byte) (*ProfileResponse, error) {
 				return nil, err
 			}
 			r.Truncated = v
+		case 8:
+			v, err := d.Int64()
+			if err != nil {
+				return nil, err
+			}
+			r.OpenStep = v
 		default:
 			if err := d.Skip(ty); err != nil {
 				return nil, err

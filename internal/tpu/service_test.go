@@ -1,12 +1,49 @@
 package tpu
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rpc"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
+
+// sliceSource is a finished event stream: everything is emitted, so a
+// step is open past t only while one of its events starts at or after t.
+type sliceSource struct {
+	events []trace.Event // in Start order
+	dev    *Device       // window metadata; nil reports zeros
+}
+
+// deviceSource serves the events d has recorded.
+func deviceSource(d *Device) *sliceSource {
+	return &sliceSource{events: d.Events(), dev: d}
+}
+
+func (s *sliceSource) search(t simclock.Time) int {
+	return sort.Search(len(s.events), func(i int) bool { return s.events[i].Start >= t })
+}
+
+func (s *sliceSource) EventsInWindow(from, to simclock.Time) []trace.Event {
+	return s.events[s.search(from):s.search(to)]
+}
+
+func (s *sliceSource) WindowMetrics(from, to simclock.Time) (float64, float64) {
+	if s.dev == nil {
+		return 0, 0
+	}
+	return s.dev.WindowMetrics(from, to)
+}
+
+func (s *sliceSource) OpenStep(t simclock.Time) int64 {
+	open := int64(math.MaxInt64)
+	for _, e := range s.events[s.search(t):] {
+		open = min(open, e.Step)
+	}
+	return open
+}
 
 func serviceFixture(t *testing.T, steps int) (*Device, *ProfileService) {
 	t.Helper()
@@ -19,25 +56,104 @@ func serviceFixture(t *testing.T, steps int) (*Device, *ProfileService) {
 		}
 		at = st.End.Add(1000)
 	}
-	done := true
-	svc := NewProfileService(d, d.Spec,
+	svc := NewProfileService(deviceSource(d), d.Spec,
 		func() simclock.Time { return d.FreeAt() },
-		func() bool { return done })
+		func() bool { return true })
 	return d, svc
+}
+
+// drain polls svc to the end of the stream and returns its responses.
+func drain(t *testing.T, svc *ProfileService) []ProfileResponse {
+	t.Helper()
+	var out []ProfileResponse
+	for i := 0; i < 1000; i++ {
+		resp := svc.NextWindow()
+		out = append(out, resp)
+		if resp.EndOfStream {
+			return out
+		}
+	}
+	t.Fatal("no end of stream after 1000 windows")
+	return nil
 }
 
 func TestNextWindowDeliversAllEvents(t *testing.T) {
 	d, svc := serviceFixture(t, 30)
 	var got int
-	for i := 0; i < 1000; i++ {
-		resp := svc.NextWindow()
+	for _, resp := range drain(t, svc) {
 		got += len(resp.Events)
-		if resp.EndOfStream {
-			break
-		}
 	}
 	if got != len(d.Events()) {
 		t.Fatalf("delivered %d of %d events", got, len(d.Events()))
+	}
+}
+
+// TestNextWindowOpenStepIsAWatermark: no window holds an event of a
+// step below the OpenStep an earlier window reported, and the last
+// non-empty window says every step is complete.
+func TestNextWindowOpenStepIsAWatermark(t *testing.T) {
+	d := newTestDevice(t, V2)
+	at := simclock.Time(0)
+	for i := 0; i < 30; i++ {
+		st, err := d.RunStep(int64(i), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = st.End.Add(trace.MaxProfileWindow / 8) // several windows
+	}
+	svc := NewProfileService(deviceSource(d), d.Spec,
+		func() simclock.Time { return d.FreeAt() },
+		func() bool { return true })
+	open, last := int64(math.MinInt64), int64(0) // a non-positive OpenStep says nothing
+	windows := 0
+	for _, resp := range drain(t, svc) {
+		if len(resp.Events) == 0 {
+			continue
+		}
+		windows++
+		for _, e := range resp.Events {
+			if e.Step < open {
+				t.Fatalf("window [%d, %d) holds step %d, below the OpenStep %d an earlier window reported",
+					resp.WindowStart, resp.WindowEnd, e.Step, open)
+			}
+		}
+		if resp.OpenStep > 0 {
+			open = max(open, resp.OpenStep)
+		}
+		last = resp.OpenStep
+	}
+	if windows < 3 {
+		t.Fatalf("%d non-empty windows; the fixture should span several", windows)
+	}
+	if last != math.MaxInt64 {
+		t.Fatalf("last window's OpenStep = %d, want MaxInt64", last)
+	}
+}
+
+// TestNextWindowClipKeepsEqualStarts: when the event limit falls inside
+// a run of equal Starts, the window ends before the run and the next one
+// ships it whole — no event is skipped or shipped twice.
+func TestNextWindowClipKeepsEqualStarts(t *testing.T) {
+	limit := trace.MaxEventsPerProfile
+	events := make([]trace.Event, limit+2)
+	for i := range events {
+		// The events at limit-1, limit and limit+1 share a Start.
+		events[i] = trace.Event{Name: "op", Device: trace.TPU, Start: simclock.Time(min(i, limit-1)), Dur: 1}
+	}
+	src := &sliceSource{events: events}
+	end := events[len(events)-1].Start + 1
+	svc := NewProfileService(src, ChipSpec{},
+		func() simclock.Time { return end },
+		func() bool { return true })
+	var got int
+	for _, resp := range drain(t, svc) {
+		if len(resp.Events) > limit {
+			t.Fatalf("window of %d events, limit %d", len(resp.Events), limit)
+		}
+		got += len(resp.Events)
+	}
+	if got != len(events) {
+		t.Fatalf("delivered %d of %d events", got, len(events))
 	}
 }
 
@@ -46,7 +162,7 @@ func TestNextWindowRespectsDurationLimit(t *testing.T) {
 	// Two steps separated by more than the max window.
 	st, _ := d.RunStep(0, 0)
 	d.RunStep(1, st.End.Add(2*trace.MaxProfileWindow))
-	svc := NewProfileService(d, d.Spec,
+	svc := NewProfileService(deviceSource(d), d.Spec,
 		func() simclock.Time { return d.FreeAt() },
 		func() bool { return true })
 
@@ -64,7 +180,7 @@ func TestNextWindowRespectsDurationLimit(t *testing.T) {
 
 func TestNextWindowEmptyBeforeActivity(t *testing.T) {
 	d := newTestDevice(t, V2)
-	svc := NewProfileService(d, d.Spec,
+	svc := NewProfileService(deviceSource(d), d.Spec,
 		func() simclock.Time { return 0 },
 		func() bool { return false })
 	resp := svc.NextWindow()
@@ -145,6 +261,7 @@ func TestProfileResponseRoundTrip(t *testing.T) {
 		MXUUtil:     0.22,
 		EndOfStream: true,
 		Truncated:   true,
+		OpenStep:    3,
 	}
 	got, err := UnmarshalProfileResponse(marshalProfileResponse(resp))
 	if err != nil {
@@ -154,7 +271,7 @@ func TestProfileResponseRoundTrip(t *testing.T) {
 		t.Fatalf("events: %+v", got.Events)
 	}
 	if got.WindowEnd != 200 || got.IdleFrac != 0.39 || got.MXUUtil != 0.22 ||
-		!got.EndOfStream || !got.Truncated {
+		!got.EndOfStream || !got.Truncated || got.OpenStep != 3 {
 		t.Fatalf("fields: %+v", got)
 	}
 }

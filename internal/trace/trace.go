@@ -277,6 +277,12 @@ type ProfileRecord struct {
 	Gap         bool  // window lost to a fault; no events, a hole in the stream
 	Steps       []*StepStat
 
+	// OpenStep is the profile service's watermark for the window: no
+	// later record holds a fragment of a step below it. Only a positive
+	// value says anything; zero is what a gap, and a record written
+	// before the field existed, carry.
+	OpenStep int64
+
 	// Window-level metadata from the device.
 	IdleFrac float64
 	MXUUtil  float64

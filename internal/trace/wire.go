@@ -21,6 +21,7 @@ import (
 //	  double mxu_util     = 7;
 //	  repeated StepStat steps = 8;
 //	  bool   gap          = 9;
+//	  sint64 open_step    = 10;
 //	}
 //
 //	message StepStat {
@@ -80,6 +81,9 @@ func MarshalRecordAppend(dst []byte, r *ProfileRecord) []byte {
 	// Encoded only when set so pre-gap record bytes are unchanged.
 	if r.Gap {
 		dst = protowire.AppendBool(dst, 9, true)
+	}
+	if r.OpenStep != 0 {
+		dst = protowire.AppendInt64(dst, 10, r.OpenStep)
 	}
 	encPool.Put(st)
 	return dst
@@ -239,6 +243,12 @@ func unmarshalRecord(data []byte, names map[string]string) (*ProfileRecord, erro
 				return nil, err
 			}
 			r.Gap = v
+		case 10:
+			v, err := d.Int64()
+			if err != nil {
+				return nil, err
+			}
+			r.OpenStep = v
 		default:
 			if err := d.Skip(ty); err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ func appendTestRecords() []*ProfileRecord {
 		sampleRecord(),
 		{Seq: 9, Gap: true},
 		{},
-		{Seq: 3, WindowStart: 5, WindowEnd: 25, Steps: []*StepStat{wide}},
+		{Seq: 3, WindowStart: 5, WindowEnd: 25, Steps: []*StepStat{wide}, OpenStep: math.MaxInt64},
 	}
 }
 

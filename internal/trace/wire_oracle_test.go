@@ -32,6 +32,9 @@ func naiveMarshalRecord(r *ProfileRecord) []byte {
 	if r.Gap {
 		dst = protowire.AppendBool(dst, 9, true)
 	}
+	if r.OpenStep != 0 {
+		dst = protowire.AppendInt64(dst, 10, r.OpenStep)
+	}
 	return dst
 }
 

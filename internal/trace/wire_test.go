@@ -23,12 +23,13 @@ func sampleRecord() *ProfileRecord {
 
 func TestWireRoundTrip(t *testing.T) {
 	r := sampleRecord()
+	r.OpenStep = 2
 	data := MarshalRecord(r)
 	got, err := UnmarshalRecord(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != r.Seq || got.NumEvents != r.NumEvents || got.Truncated != r.Truncated {
+	if got.Seq != r.Seq || got.NumEvents != r.NumEvents || got.Truncated != r.Truncated || got.OpenStep != r.OpenStep {
 		t.Fatalf("header mismatch: %+v vs %+v", got, r)
 	}
 	if got.WindowStart != r.WindowStart || got.WindowEnd != r.WindowEnd {

@@ -33,6 +33,13 @@ go test -race ./...
 echo "== go test -race -count=2 ./internal/obs"
 go test -race -count=2 ./internal/obs
 
+# The live profiler polls while training runs, so its windows depend on
+# the schedule; the watermark must make every schedule ship every event
+# exactly once. Repeat the concurrent-profiling test under the race
+# detector, where schedules vary most.
+echo "== go test -race -count=200 -run 'TestProfilerWhileTrainingRuns\$' ./internal/core/profiler"
+go test -race -count=200 -run 'TestProfilerWhileTrainingRuns$' ./internal/core/profiler
+
 # The parallel codec must stay bit-identical to the serial path and the
 # two pooled things in the record codec race-clean — the encoder's
 # scratch buffers and the decoder's shared operator-name table: run the

@@ -1,7 +1,9 @@
 // Package cluster implements the clustering machinery behind
 // TPUPoint-Analyzer: step feature-vector construction, PCA dimensionality
-// reduction, k-means with the elbow method, and DBSCAN with a
-// minimum-samples sweep — the SimPoint-style toolkit of Section IV.
+// reduction (an orthogonal projection onto the covariance's leading
+// eigenvectors, from a direct symmetric eigensolver), k-means with the
+// elbow method, and DBSCAN with a minimum-samples sweep — the
+// SimPoint-style toolkit of Section IV.
 //
 // All algorithms operate on a dense feature matrix whose rows are training
 // steps and whose columns are per-operator statistics (invocation count
@@ -19,6 +21,8 @@
 // that only fills per-row slots may use any fixed size and the heavy ones
 // use slotChunk. A sweep is the parallel level above its members:
 // KMeansSweep hands the pool one task per k and each member runs inline.
+// PCA's eigendecomposition of the d×d covariance (d ≤ 2·MaxFeatureOps)
+// is serial and so the same at any worker count.
 package cluster
 
 import (

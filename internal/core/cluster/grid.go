@@ -3,7 +3,8 @@ package cluster
 import "slices"
 
 // maxGridDims caps how many leading coordinates the spatial index bins.
-// After PCA the leading columns carry the most variance, so binning on
+// PCA orders its components by descending eigenvalue, so after PCA the
+// leading columns carry the most variance by construction and binning on
 // them prunes the bulk of the candidate pairs; the remaining dimensions
 // are handled by the exact distance check on each candidate.
 const maxGridDims = 3

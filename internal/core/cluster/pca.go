@@ -3,82 +3,59 @@ package cluster
 import (
 	"context"
 	"math"
+	"sort"
 
 	"repro/internal/parallel"
-	"repro/internal/prng"
 )
 
-// PCA projects the (already standardized) matrix onto its top-k principal
-// components using power iteration with deflation — the dimensional
-// reduction step the paper applies before k-means.
+// PCA projects the (already standardized) matrix onto its principal
+// components — the dimensional reduction step the paper applies before
+// k-means. The components are the eigenvectors of the covariance matrix,
+// computed directly by eigSym, in descending eigenvalue order: at most k
+// of them, and only those whose eigenvalue exceeds d·ε·λ_max (the
+// covariance's numerical rank), so the output can have fewer than k
+// columns. The components are orthonormal, so the projection is a true
+// one: its sum of squares never exceeds the input's, and equals it when
+// every nonzero eigenvalue is kept.
 //
 // If k >= m.Cols the input is returned unchanged (projection would be a
 // rotation with no reduction, and the clustering metrics are rotation-
-// invariant anyway). The covariance accumulation and the final projection
-// fan out over fixed-size row chunks; covariance partials merge in chunk
-// order.
+// invariant anyway). The covariance accumulation fans out over fixed-size
+// row chunks whose partials merge in chunk order, the eigensolver runs
+// serially on the d×d covariance, and the projection fills disjoint rows.
 func PCA(m *Matrix, k, workers int) *Matrix {
 	if m.Rows == 0 || k >= m.Cols || k <= 0 {
 		return m
 	}
 	pool := parallel.New(workers)
-	cov := covariance(m, pool)
 	d := m.Cols
-	components := make([][]float64, 0, k)
-	rng := prng.New(0x9ca)
-
-	work := make([]float64, d)
-	for c := 0; c < k; c++ {
-		// Power iteration for the dominant eigenvector of the (deflated)
-		// covariance.
-		v := make([]float64, d)
-		for i := range v {
-			v[i] = rng.Float64() - 0.5
-		}
-		normalize(v)
-		var lambda float64
-		for iter := 0; iter < 100; iter++ {
-			matVec(cov, v, work)
-			l := norm(work)
-			if l == 0 {
-				break
-			}
-			for i := range v {
-				v[i] = work[i] / l
-			}
-			if math.Abs(l-lambda) < 1e-9*math.Max(1, l) {
-				lambda = l
-				break
-			}
-			lambda = l
-		}
-		if lambda == 0 {
-			break
-		}
-		components = append(components, append([]float64(nil), v...))
-		// Deflate: cov -= λ v vᵀ.
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				cov[i*d+j] -= lambda * v[i] * v[j]
-			}
-		}
+	vals, vecs := eigSym(covariance(m, pool), d)
+	rank := 0
+	for rank < k && vals[rank] > float64(d)*epsilon*vals[0] {
+		rank++
 	}
-	out := NewMatrix(m.Rows, len(components))
+	components := vecs[:rank*d]
+	out := NewMatrix(m.Rows, rank)
 	_ = pool.Run(context.Background(), m.Rows, slotChunk, func(ci, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			row := m.Row(i)
-			for c, comp := range components {
+			dst := out.Row(i)
+			for c := range dst {
+				comp := components[c*d:][:d]
 				var dot float64
-				for j := range row {
-					dot += row[j] * comp[j]
+				for j, x := range row {
+					dot += x * comp[j]
 				}
-				out.Set(i, c, dot)
+				dst[c] = dot
 			}
 		}
 		return nil
 	})
 	return out
 }
+
+// epsilon is the float64 machine epsilon, 2⁻⁵².
+const epsilon = 0x1p-52
 
 // covariance returns the d×d covariance matrix (rows assumed centered —
 // Standardize guarantees it). Row chunks accumulate into per-chunk
@@ -91,12 +68,14 @@ func covariance(m *Matrix, pool *parallel.Pool) []float64 {
 			part := make([]float64, d*d)
 			for r := lo; r < hi; r++ {
 				row := m.Row(r)
-				for i := 0; i < d; i++ {
-					if row[i] == 0 {
+				for i, x := range row {
+					if x == 0 {
 						continue
 					}
-					for j := i; j < d; j++ {
-						part[i*d+j] += row[i] * row[j]
+					// Row i of the upper triangle, from the diagonal.
+					dst := part[i*d+i : (i+1)*d]
+					for j, y := range row[i:] {
+						dst[j] += x * y
 					}
 				}
 			}
@@ -108,7 +87,7 @@ func covariance(m *Matrix, pool *parallel.Pool) []float64 {
 			cov[i] += part[i]
 		}
 	}
-	scale := 1 / float64(maxInt(1, m.Rows-1))
+	scale := 1 / float64(max(1, m.Rows-1))
 	for i := 0; i < d; i++ {
 		for j := i; j < d; j++ {
 			cov[i*d+j] *= scale
@@ -118,62 +97,228 @@ func covariance(m *Matrix, pool *parallel.Pool) []float64 {
 	return cov
 }
 
-// matVec computes out = a·x for the row-major d×d matrix a. Four output
-// rows advance in lockstep, one accumulator each: every accumulator still
-// adds its row's products in ascending j, so each out[i] is the same
-// float64 the one-row-at-a-time loop produces, but the four add chains
-// are independent and overlap in the pipeline instead of serializing on
-// one. Power iteration spends nearly all of PCA here.
-func matVec(a []float64, x, out []float64) {
-	d := len(x)
-	i := 0
-	for ; i+4 <= d; i += 4 {
-		// Re-slicing to d = len(x) lets the compiler drop the four bounds
-		// checks from the inner loop.
-		r0 := a[i*d:][:d]
-		r1 := a[(i+1)*d:][:d]
-		r2 := a[(i+2)*d:][:d]
-		r3 := a[(i+3)*d:][:d]
-		var s0, s1, s2, s3 float64
-		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
+// eigSym returns the eigenvalues of the symmetric row-major n×n matrix a
+// in descending order (ties keep the solver's order) and the matching
+// unit eigenvectors as the rows of vecs, each signed so that its
+// largest-magnitude entry (the lowest-indexed one on a tie) is positive.
+// It overwrites a.
+//
+// The solver is EISPACK's tred2 (Householder reduction to tridiagonal
+// form) followed by tql2 (implicit-shift QL), in the formulation of the
+// JAMA library. Both work in place on z = Vᵀ instead of the eigenvector
+// matrix V: a is symmetric, so it already is z at the start, and every
+// V[r][c] of the original reads z[c*n+r]. That turns the column walks of
+// both phases into row walks and leaves eigenvector j in row j of z.
+func eigSym(a []float64, n int) (vals, vecs []float64) {
+	d := make([]float64, n) // diagonal, then eigenvalues
+	e := make([]float64, n) // subdiagonal
+	tred2(a, d, e, n)
+	tql2(a, d, e, n)
+
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return d[order[i]] > d[order[j]] })
+	vals = make([]float64, n)
+	vecs = make([]float64, n*n)
+	for i, src := range order {
+		vals[i] = d[src]
+		v := vecs[i*n:][:n]
+		copy(v, a[src*n:][:n])
+		big := 0
+		for j := range v {
+			if math.Abs(v[j]) > math.Abs(v[big]) {
+				big = j
+			}
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < d; i++ {
-		var s float64
-		row := a[i*d : (i+1)*d]
-		for j, xj := range x {
-			s += row[j] * xj
+		if v[big] < 0 {
+			for j := range v {
+				v[j] = -v[j]
+			}
 		}
-		out[i] = s
 	}
+	return vals, vecs
 }
 
-func norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
+// tred2 reduces the symmetric matrix held in z to tridiagonal form by
+// Householder similarity transformations, accumulating them in z: on
+// return d is the diagonal, e[1:] the subdiagonal and z holds Vᵀ, the
+// transposed orthogonal transformation (see eigSym).
+func tred2(z, d, e []float64, n int) {
+	for j := 0; j < n; j++ {
+		d[j] = z[j*n+n-1]
 	}
-	return math.Sqrt(s)
+	for i := n - 1; i > 0; i-- {
+		// Scale to avoid under/overflow.
+		var scale, h float64
+		for k := 0; k < i; k++ {
+			scale += math.Abs(d[k])
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = z[j*n+i-1]
+				z[j*n+i] = 0
+				z[i*n+j] = 0
+			}
+			d[i] = h
+			continue
+		}
+		// Generate the Householder vector.
+		for k := 0; k < i; k++ {
+			d[k] /= scale
+			h += d[k] * d[k]
+		}
+		f := d[i-1]
+		g := math.Sqrt(h)
+		if f > 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		d[i-1] = f - g
+		for j := 0; j < i; j++ {
+			e[j] = 0
+		}
+		// Apply the similarity transformation to the remaining columns.
+		for j := 0; j < i; j++ {
+			f = d[j]
+			zj := z[j*n:][:i]
+			z[i*n+j] = f
+			g = e[j] + zj[j]*f
+			for k := j + 1; k < i; k++ {
+				g += zj[k] * d[k]
+				e[k] += zj[k] * f
+			}
+			e[j] = g
+		}
+		f = 0
+		for j := 0; j < i; j++ {
+			e[j] /= h
+			f += e[j] * d[j]
+		}
+		hh := f / (h + h)
+		for j := 0; j < i; j++ {
+			e[j] -= hh * d[j]
+		}
+		for j := 0; j < i; j++ {
+			f = d[j]
+			g = e[j]
+			zj := z[j*n:][:i]
+			for k := j; k < i; k++ {
+				zj[k] -= f*e[k] + g*d[k]
+			}
+			d[j] = z[j*n+i-1]
+			z[j*n+i] = 0
+		}
+		d[i] = h
+	}
+
+	// Accumulate the transformations.
+	for i := 0; i < n-1; i++ {
+		z[i*n+n-1] = z[i*n+i]
+		z[i*n+i] = 1
+		h := d[i+1]
+		next := z[(i+1)*n:][:i+1]
+		if h != 0 {
+			for k := range next {
+				d[k] = next[k] / h
+			}
+			for j := 0; j <= i; j++ {
+				zj := z[j*n:][:i+1]
+				var g float64
+				for k, x := range next {
+					g += x * zj[k]
+				}
+				for k := range zj {
+					zj[k] -= g * d[k]
+				}
+			}
+		}
+		for k := range next {
+			next[k] = 0
+		}
+	}
+	for j := 0; j < n; j++ {
+		d[j] = z[j*n+n-1]
+		z[j*n+n-1] = 0
+	}
+	z[n*n-1] = 1
+	e[0] = 0
 }
 
-func normalize(v []float64) {
-	n := norm(v)
-	if n == 0 {
-		return
+// tql2 finds the eigenvalues and eigenvectors of the symmetric
+// tridiagonal matrix (d, e) by the QL method with implicit shifts,
+// applying each rotation to the rows of z: on return d holds the
+// eigenvalues (unordered) and row j of z the eigenvector of d[j].
+func tql2(z, d, e []float64, n int) {
+	for i := 1; i < n; i++ {
+		e[i-1] = e[i]
 	}
-	for i := range v {
-		v[i] /= n
-	}
-}
+	e[n-1] = 0
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	var f, tst1 float64
+	for l := 0; l < n; l++ {
+		// Find a small subdiagonal element. e[n-1] is zero, so the scan
+		// stops at n-1 at the latest (also when a NaN defeats the test).
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n-1 && math.Abs(e[m]) > epsilon*tst1 {
+			m++
+		}
+		// If m == l, d[l] is already an eigenvalue; otherwise iterate.
+		for m > l {
+			// Compute the implicit shift.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
+			}
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1 := d[l+1]
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+
+			// Implicit QL transformation.
+			p = d[m]
+			c, c2, c3 := 1.0, 1.0, 1.0
+			el1 := e[l+1]
+			var s, s2 float64
+			for i := m - 1; i >= l; i-- {
+				c3 = c2
+				c2 = c
+				s2 = s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+
+				// Accumulate the rotation into rows i and i+1.
+				zi, zi1 := z[i*n:][:n], z[(i+1)*n:][:n]
+				for k, x := range zi {
+					y := zi1[k]
+					zi1[k] = s*x + c*y
+					zi[k] = c*x - s*y
+				}
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+			if !(math.Abs(e[l]) > epsilon*tst1) {
+				break
+			}
+		}
+		d[l] += f
+		e[l] = 0
 	}
-	return b
 }

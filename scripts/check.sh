@@ -75,6 +75,12 @@ echo "== crash smoke"
 echo "== go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster"
 go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 
+# The phase-study example (k-means vs DBSCAN vs OLS on BERT's four
+# datasets) must run and print a phase row for each of the three
+# algorithms.
+echo "== phasestudy example"
+out="$(go run ./examples/phasestudy)" && for algo in kmeans dbscan ols; do grep -Eq "^[^ ]+ +$algo +[0-9]+ " <<<"$out" || { echo "$out"; echo "phasestudy printed no $algo row"; exit 1; }; done
+
 # The CLI runs on a live DirStore: its tests take the store's flock
 # from several handles and a collector goroutine over real files, so
 # run them twice under the race detector as well.

@@ -160,16 +160,13 @@ type Summary struct {
 	Phases       []PhaseSummary
 }
 
-// SummaryTopOps is how many operators per device a phase summary keeps —
-// the paper's Table II depth.
-const SummaryTopOps = 5
-
 // SummarizeReport compacts an analyzer report into the archivable
-// summary. The conversion is deterministic: phases keep the analyzer's
-// order, ops come from trace.TopOf over the phase's one merged op list
-// (duration-descending, name tie-break), and phase idle/MXU are
-// duration-weighted step averages — so re-analyzing the same records
-// always reproduces identical bytes (see TestRoundTripDeterministic).
+// summary, each phase through Phase.Summarize. The conversion is
+// deterministic: phases keep the analyzer's order, ops come from
+// trace.TopOf over the phase's one merged op list (duration-descending,
+// name tie-break), and phase idle/MXU are duration-weighted step
+// averages — so re-analyzing the same records always reproduces
+// identical bytes (see TestRoundTripDeterministic).
 func SummarizeReport(rep *analyzer.Report) *Summary {
 	s := &Summary{
 		Workload:     rep.Workload,
@@ -181,36 +178,46 @@ func SummarizeReport(rep *analyzer.Report) *Summary {
 		TotalTime:    rep.TotalTime,
 	}
 	for _, p := range rep.Phases {
-		ps := PhaseSummary{
-			ID:    p.ID,
-			Steps: int64(len(p.Steps)),
-			Start: p.Start,
-			End:   p.End,
-			Total: p.Total,
-		}
-		var span float64
-		for _, st := range p.Steps {
-			d := float64(st.End.Sub(st.Start))
-			span += d
-			ps.IdleFrac += st.IdleFrac * d
-			ps.MXUUtil += st.MXUUtil * d
-		}
-		if span > 0 {
-			ps.IdleFrac /= span
-			ps.MXUUtil /= span
-		}
-		ops := trace.MergeSteps(p.Steps)
-		for _, dev := range []trace.Device{trace.Host, trace.TPU} {
-			for _, op := range trace.TopOf(ops, dev, SummaryTopOps) {
-				ps.Ops = append(ps.Ops, OpSummary{
-					Name: op.Name, Device: op.Device,
-					Count: op.Count, Total: op.Total,
-				})
-			}
-		}
-		s.Phases = append(s.Phases, ps)
+		s.Phases = append(s.Phases, phaseSummary(p.Summarize()))
 	}
 	return s
+}
+
+// SummarizeStream is the OLS summary of a finished stream's closed
+// phases. At duty 1 its bytes are SummarizeReport's of batch OLS over the
+// same records: the same steps fold in the same order, and span sums are
+// integers, exact in a float64 below 2^53.
+func SummarizeStream(rep *analyzer.StreamReport) *Summary {
+	s := &Summary{
+		Workload:     rep.Workload,
+		Algorithm:    string(analyzer.OLSAlgo),
+		Steps:        rep.Steps,
+		IdleFrac:     rep.IdleFrac,
+		MXUUtil:      rep.MXUUtil,
+		CoverageTop3: rep.Coverage(3),
+		TotalTime:    rep.End.Sub(rep.Start),
+	}
+	for _, p := range rep.Phases {
+		s.Phases = append(s.Phases, phaseSummary(p))
+	}
+	return s
+}
+
+// phaseSummary is the archived form of one closed phase.
+func phaseSummary(p *analyzer.StreamPhase) PhaseSummary {
+	ps := PhaseSummary{
+		ID:       p.ID,
+		Steps:    p.Steps,
+		Start:    p.Start,
+		End:      p.End,
+		Total:    p.Total,
+		IdleFrac: p.IdleFrac,
+		MXUUtil:  p.MXUUtil,
+	}
+	for _, op := range p.TopOps {
+		ps.Ops = append(ps.Ops, OpSummary{Name: op.Name, Device: op.Device, Count: op.Count, Total: op.Total})
+	}
+	return ps
 }
 
 // segment is one indexed run of records inside the archive body.

@@ -44,6 +44,9 @@ const (
 // 3 phases covering ≥95% of execution for most workloads.
 const DefaultThreshold = 0.70
 
+// topOpsPerDevice is a top-op table's depth per device (Table II's).
+const topOpsPerDevice = 5
+
 // The paper's sweeps: k-means over k = 1..15, DBSCAN over min-samples
 // 5..180 in steps of 25.
 const (
@@ -121,7 +124,7 @@ func (p *Phase) StepIDs() []int64 {
 // the two steps' event sets to the size of the smaller set. The ratio
 // is undefined when both steps are empty — there is no evidence either
 // way — so that case returns NaN; callers must compare through
-// meetsThreshold (OLS does), which treats NaN as "not similar". A step
+// meetsThreshold (olsChain does), which treats NaN as "not similar". A step
 // with ops compared against an empty step is 0: no shared behaviour.
 func StepSimilarity(a, b *trace.StepStat) float64 {
 	x, y := a.Ops, b.Ops
@@ -162,33 +165,38 @@ func meetsThreshold(sim, threshold float64) bool {
 	return sim >= threshold
 }
 
+// olsChain is the OLS boundary chain: the one "same phase or new phase"
+// rule, shared by batch OLS and the StreamAnalyzer. It takes the
+// threshold verbatim (Figure 6 sweeps 0); "0 means the default" lives in
+// the option layers.
+type olsChain struct {
+	threshold float64
+	prev      *trace.StepStat // the comparison anchor: the last step given
+}
+
+// opens reports whether st starts a phase (it is the first step, or not
+// similar enough to the previous one) and makes st the next anchor.
+func (c *olsChain) opens(st *trace.StepStat) bool {
+	open := c.prev == nil || !meetsThreshold(StepSimilarity(c.prev, st), c.threshold)
+	c.prev = st
+	return open
+}
+
 // OLS runs the online linear scan: walk the steps in order and merge each
 // step into the current phase when its similarity to the previous step
 // meets the threshold, otherwise start a new phase. Undefined
 // similarities (both steps empty) and NaN thresholds never merge — see
 // meetsThreshold.
 func OLS(steps []*trace.StepStat, threshold float64) []*Phase {
-	if len(steps) == 0 {
-		return nil
-	}
+	chain := olsChain{threshold: threshold}
 	var phases []*Phase
-	cur := newPhase(0, steps[0])
-	for i := 1; i < len(steps); i++ {
-		if meetsThreshold(StepSimilarity(steps[i-1], steps[i]), threshold) {
-			cur.addStep(steps[i])
-			continue
+	for _, st := range steps {
+		if chain.opens(st) {
+			phases = append(phases, &Phase{ID: len(phases)})
 		}
-		phases = append(phases, cur)
-		cur = newPhase(len(phases), steps[i])
+		phases[len(phases)-1].addStep(st)
 	}
-	phases = append(phases, cur)
 	return phases
-}
-
-func newPhase(id int, s *trace.StepStat) *Phase {
-	p := &Phase{ID: id}
-	p.addStep(s)
-	return p
 }
 
 func (p *Phase) addStep(s *trace.StepStat) {
@@ -200,6 +208,19 @@ func (p *Phase) addStep(s *trace.StepStat) {
 	}
 	p.Total += s.End.Sub(s.Start)
 	p.Steps = append(p.Steps, s)
+}
+
+// Summarize folds the phase's member steps, in order, into the aggregate
+// the StreamAnalyzer keeps for a phase and closes it: the one form the
+// archive summarizes batch and streamed phases through.
+func (p *Phase) Summarize() *StreamPhase {
+	sp := &StreamPhase{ID: p.ID}
+	for _, st := range p.Steps {
+		sp.fold(st)
+		sp.ops = trace.MergeOps(sp.ops, st.Ops)
+	}
+	sp.close()
+	return sp
 }
 
 // Frontend is the analyzer's view of one record set: the aggregated

@@ -88,31 +88,16 @@ func (f *Frontend) Analyze(workload string, algo Algorithm, opts Options) (*Repo
 	ordered := SortByTotal(r.Phases)
 	r.Longest = ordered[0]
 	longestOps := trace.MergeSteps(r.Longest.Steps)
-	r.TopHostOps = trace.TopOf(longestOps, trace.Host, 5)
-	r.TopTPUOps = trace.TopOf(longestOps, trace.TPU, 5)
+	r.TopHostOps = trace.TopOf(longestOps, trace.Host, topOpsPerDevice)
+	r.TopTPUOps = trace.TopOf(longestOps, trace.TPU, topOpsPerDevice)
 	r.CoverageTop3 = Coverage(r.Phases, 3)
 
-	var weighted float64
-	var span simclock.Duration
-	var first, last simclock.Time
-	for i, s := range steps {
-		d := s.End.Sub(s.Start)
-		span += d
-		weighted += float64(d)
-		r.IdleFrac += s.IdleFrac * float64(d)
-		r.MXUUtil += s.MXUUtil * float64(d)
-		if i == 0 || s.Start < first {
-			first = s.Start
-		}
-		if s.End > last {
-			last = s.End
-		}
+	var run StreamPhase // the whole run: span-weighted idle/MXU and the wall extent
+	for _, st := range steps {
+		run.fold(st)
 	}
-	if weighted > 0 {
-		r.IdleFrac /= weighted
-		r.MXUUtil /= weighted
-	}
-	r.TotalTime = last.Sub(first)
+	run.close()
+	r.IdleFrac, r.MXUUtil, r.TotalTime = run.IdleFrac, run.MXUUtil, run.End.Sub(run.Start)
 	return r, nil
 }
 

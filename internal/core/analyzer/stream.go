@@ -11,23 +11,24 @@
 //     so a step seals once the highest OpenStep fed passes it, with
 //     every fragment merged: the sealed series is AggregateSteps' series;
 //   - the paper's online OLS linear scan promoted to first class:
-//     sealed steps feed the Equation-1 similarity chain and phase
+//     sealed steps feed batch OLS's boundary chain (olsChain) and phase
 //     boundaries emit PhaseOpen/PhaseClose events the moment they are
-//     known, each close carrying the phase's op-mix time-share
-//     signature;
-//   - a profile duty-cycle knob: analyze only 1/N of the steps and
-//     still report the whole run's phase structure (SeqPoint's
+//     known, each close carrying the phase's aggregate (at full rate,
+//     batch OLS's phase summarized; the collector archives these);
+//   - a profile duty-cycle knob for `watch -duty` (the collector
+//     analyzes every step): analyze only 1/N of the steps and still
+//     report the whole run's phase structure (SeqPoint's
 //     representative-sampling payoff — TestStreamDutyCycleSubsetOfFull
 //     bounds the sampled report against the full stream).
 //
 // Memory contract: resident state is O(steps at or above the watermark +
-// closed-phase summaries). The open steps are those a later record may
-// still add to: about one training loop's worth on a live profile, one
-// window's worth on a recording profiled after training, and — for
-// records that carry no OpenStep — the whole run until Finish. No record
-// and no per-step statistic is retained past its seal + similarity
-// comparison; a closed phase keeps only its capped signature. See
-// DESIGN.md ("Streaming analyzer contract") and StateBytes.
+// closed phases). The open steps are those a later record may still add
+// to: about one training loop's worth on a live profile, one window's
+// worth on a recording profiled after training, and — for records that
+// carry no OpenStep — the whole run until Finish. No record and no
+// per-step statistic is retained past its seal + similarity comparison;
+// a closed phase keeps only its capped signature and its top-op table.
+// See DESIGN.md ("Streaming analyzer contract") and StateBytes.
 //
 // Determinism contract: the final StreamReport is a pure function of
 // the record sequence and StreamOptions. Feeding the same records in
@@ -125,15 +126,48 @@ type StreamPhase struct {
 	// Signature is the op-mix time-share signature (top SignatureOps
 	// operators by share, descending), filled at close.
 	Signature []OpShare
+	// TopOps is the phase's top-op table (trace.TopOf per device, host
+	// then TPU, 5 each: Table II's depth), filled at close.
+	TopOps []trace.OpTotal
 
 	// Degraded counts sealed steps that exceeded the degradation
 	// factor against the phase mean.
 	Degraded int64
 
 	// ops aggregates op time while the phase is open (a sorted op list,
-	// merged with each step's); compacted into Signature and released
-	// at close.
+	// merged with each step's); compacted into Signature and TopOps and
+	// released at close.
 	ops []trace.OpTotal
+}
+
+// fold accumulates one step's span, extent and span-weighted metadata
+// (not its operators: a run's totals are a phase without them).
+func (p *StreamPhase) fold(st *trace.StepStat) {
+	span := st.End.Sub(st.Start)
+	if p.Steps == 0 {
+		p.FirstStep, p.Start = st.Step, st.Start
+	}
+	p.Start = min(p.Start, st.Start)
+	p.End = max(p.End, st.End)
+	p.LastStep = st.Step
+	p.Steps++
+	p.Total += span
+	p.IdleFrac += st.IdleFrac * float64(span)
+	p.MXUUtil += st.MXUUtil * float64(span)
+}
+
+// close normalizes the span-weighted metadata and compacts the op
+// aggregate into the signature and the top-op table, releasing it.
+func (p *StreamPhase) close() {
+	if p.Total > 0 {
+		p.IdleFrac /= float64(p.Total)
+		p.MXUUtil /= float64(p.Total)
+	}
+	p.Signature = compactSignature(p.ops)
+	for _, dev := range []trace.Device{trace.Host, trace.TPU} {
+		p.TopOps = append(p.TopOps, trace.TopOf(p.ops, dev, topOpsPerDevice)...)
+	}
+	p.ops = nil // released: the capped signature and table are all that survive
 }
 
 // TimeShare returns the phase's share of total across phases.
@@ -193,6 +227,20 @@ type StreamReport struct {
 	TotalTime simclock.Duration // summed sampled-step spans
 	IdleFrac  float64           // span-weighted over sampled steps
 	MXUUtil   float64
+
+	// Start and End are the sampled steps' wall extent: End.Sub(Start)
+	// is the run's wall time, not TotalTime (a sum of spans).
+	Start simclock.Time
+	End   simclock.Time
+}
+
+// Coverage is the package's Coverage over the closed phases' totals.
+func (r *StreamReport) Coverage(n int) float64 {
+	phases := make([]*Phase, len(r.Phases))
+	for i, p := range r.Phases {
+		phases[i] = &Phase{ID: p.ID, Total: p.Total}
+	}
+	return Coverage(phases, n)
 }
 
 // Boundaries returns the first step of every phase after the first —
@@ -232,12 +280,13 @@ type StreamAnalyzer struct {
 	// every step below it is sealed, or never had a fragment.
 	open int64
 
-	// prev is the last sampled sealed step — the OLS comparison
-	// anchor. Exactly one full StepStat is retained at any time.
-	prev *trace.StepStat
+	// chain holds the last sampled sealed step as its comparison anchor:
+	// exactly one full StepStat is retained past its seal.
+	chain olsChain
 
 	cur    *StreamPhase
 	closed []*StreamPhase
+	run    StreamPhase // every sampled step, folded without its operators
 
 	rep      StreamReport
 	finished bool
@@ -250,6 +299,7 @@ func NewStream(workload string, opts StreamOptions) *StreamAnalyzer {
 		workload: workload,
 		opts:     opts,
 		open:     math.MinInt64,
+		chain:    olsChain{threshold: opts.Threshold},
 		m: streamMetrics{
 			records:  opts.Obs.Counter("stream.records"),
 			steps:    opts.Obs.Counter("stream.steps"),
@@ -340,23 +390,17 @@ func (s *StreamAnalyzer) sealStep(st *trace.StepStat) {
 	s.rep.Steps++
 	s.m.steps.Inc()
 
-	if s.cur == nil {
-		s.openPhase(st)
-	} else if meetsThreshold(StepSimilarity(s.prev, st), s.opts.Threshold) {
-		s.extendPhase(st)
-	} else {
+	if s.chain.opens(st) {
 		s.closePhase(st.Step)
 		s.openPhase(st)
+	} else {
+		s.extendPhase(st)
 	}
-	s.prev = st
 }
 
 // openPhase starts a new phase at st and emits PhaseOpen.
 func (s *StreamAnalyzer) openPhase(st *trace.StepStat) {
-	p := &StreamPhase{
-		ID:        len(s.closed),
-		FirstStep: st.Step,
-	}
+	p := &StreamPhase{ID: len(s.closed)}
 	s.cur = p
 	s.foldStep(p, st)
 	s.m.phases.Inc()
@@ -382,44 +426,24 @@ func (s *StreamAnalyzer) extendPhase(st *trace.StepStat) {
 	s.foldStep(p, st)
 }
 
-// foldStep accumulates one sampled step into a phase summary.
+// foldStep accumulates one sampled step into a phase and the run.
 func (s *StreamAnalyzer) foldStep(p *StreamPhase, st *trace.StepStat) {
-	span := st.End.Sub(st.Start)
-	if p.Steps == 0 || st.Start < p.Start {
-		p.Start = st.Start
-	}
-	if st.End > p.End {
-		p.End = st.End
-	}
-	p.LastStep = st.Step
-	p.Steps++
-	p.Total += span
-	p.IdleFrac += st.IdleFrac * float64(span)
-	p.MXUUtil += st.MXUUtil * float64(span)
+	p.fold(st)
 	p.ops = trace.MergeOps(p.ops, st.Ops)
-
-	s.rep.TotalTime += span
-	s.rep.IdleFrac += st.IdleFrac * float64(span)
-	s.rep.MXUUtil += st.MXUUtil * float64(span)
+	s.run.fold(st)
 }
 
-// closePhase finalizes the open phase — normalizes the weighted
-// metadata, compacts the op aggregate into the capped signature — and
-// emits PhaseClose. boundaryStep is the first step of the successor (the
-// boundary that closed it); the final Finish-time close passes the
-// phase's own last step.
+// closePhase finalizes the open phase (if any) and emits PhaseClose.
+// boundaryStep is the first step of the successor (the boundary that
+// closed it); the final Finish-time close passes the phase's own last
+// step.
 func (s *StreamAnalyzer) closePhase(boundaryStep int64) {
 	p := s.cur
 	s.cur = nil
 	if p == nil {
 		return
 	}
-	if p.Total > 0 {
-		p.IdleFrac /= float64(p.Total)
-		p.MXUUtil /= float64(p.Total)
-	}
-	p.Signature = compactSignature(p.ops)
-	p.ops = nil // released: the capped signature is all that survives
+	p.close()
 	s.closed = append(s.closed, p)
 	s.emit(StreamEvent{Kind: PhaseClose, Phase: p, Step: boundaryStep})
 }
@@ -438,20 +462,16 @@ func (s *StreamAnalyzer) Finish() *StreamReport {
 		s.closePhase(s.cur.LastStep)
 	}
 	s.finished = true
-	s.prev = nil
+	s.chain.prev = nil
 
 	s.rep.Workload = s.workload
 	s.rep.DutyCycle = s.opts.DutyCycle
 	s.rep.Phases = s.closed
-	if s.rep.TotalTime > 0 {
-		s.rep.IdleFrac /= float64(s.rep.TotalTime)
-		s.rep.MXUUtil /= float64(s.rep.TotalTime)
-	}
+	s.run.close()
+	s.rep.TotalTime, s.rep.IdleFrac, s.rep.MXUUtil = s.run.Total, s.run.IdleFrac, s.run.MXUUtil
+	s.rep.Start, s.rep.End = s.run.Start, s.run.End
 	return &s.rep
 }
-
-// Phases returns the phases closed so far (excluding the open one).
-func (s *StreamAnalyzer) Phases() []*StreamPhase { return s.closed }
 
 func (s *StreamAnalyzer) emit(ev StreamEvent) {
 	if s.opts.OnEvent != nil {
@@ -461,22 +481,22 @@ func (s *StreamAnalyzer) emit(ev StreamEvent) {
 
 // StateBytes estimates the analyzer's resident memory: the open steps,
 // the one retained comparison step, the open phase's op aggregate, and
-// the closed-phase signatures. Given records that carry OpenStep,
-// everything except the closed-phase list is bounded independent of run
-// length, and each closed phase costs O(SignatureOps).
+// the closed phases' signatures and top-op tables. Given records that
+// carry OpenStep, everything except the closed-phase list is bounded
+// independent of run length, and a closed phase's is O(SignatureOps).
 func (s *StreamAnalyzer) StateBytes() int64 {
 	var b int64 = 256
 	for _, st := range s.pending {
 		b += stepStatBytes(st)
 	}
-	if s.prev != nil {
-		b += stepStatBytes(s.prev)
+	if s.chain.prev != nil {
+		b += stepStatBytes(s.chain.prev)
 	}
 	if s.cur != nil {
 		b += 160 + int64(cap(s.cur.ops))*opEntryBytes
 	}
 	for _, p := range s.closed {
-		b += 160 + int64(len(p.Signature))*40
+		b += 160 + int64(len(p.Signature))*40 + int64(len(p.TopOps))*opEntryBytes
 	}
 	return b
 }

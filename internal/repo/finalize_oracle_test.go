@@ -3,18 +3,20 @@ package repo_test
 // The collector used to build a run's summary from the archive writer's
 // bytes at finalize: decode every record back, aggregate the steps in a
 // map keyed by step number, run OLS, summarize. It now summarizes the
-// aggregate its drain kept as the records arrived. The old path is kept
-// here, written the way it was, as the oracle: whatever a session held —
-// full-size windows, a collector restart half-way, gaps, nothing but
-// gaps, a fragment far behind the newest step — the archive the collector
-// stores must be the oracle's, byte for byte. (An external test package,
-// so it can reach the simulator, which imports this one.)
+// phases the session's streaming analyzer closed as the records arrived.
+// The old path is kept here, written the way it was, as the oracle:
+// whatever a session held — full-size windows, a collector restart
+// half-way, gaps, nothing but gaps, a fragment far behind the newest
+// step, windows profiled live while training runs — the archive the
+// collector stores must be the oracle's, byte for byte. (An external
+// test package, so it can reach the simulator, which imports this one.)
 
 import (
 	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,6 +229,149 @@ func TestFinalizeMatchesDecodeAggregateOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// storedArchive opens the archive a finalize reported.
+func storedArchive(t *testing.T, bucket repo.Store, info repo.RunInfo) ([]byte, *archive.Archive) {
+	t.Helper()
+	obj, err := bucket.Get(info.Object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := archive.Open(obj.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj.Data, ar
+}
+
+// TestFinalizeSummaryOfLiveProfiledSessions: a session profiled while
+// training runs ships records whose OpenStep seals steps mid-run, so the
+// collector's stream closes phases long before finalize. Its archive
+// must still be the oracle's over the records it was sent, byte for
+// byte, on each Table I workload and both generations.
+func TestFinalizeSummaryOfLiveProfiledSessions(t *testing.T) {
+	for _, workload := range []string{"dcgan-mnist", "bert-mrpc", "resnet-imagenet"} {
+		for _, v := range []tpupoint.Version{tpupoint.V2, tpupoint.V3} {
+			t.Run(fmt.Sprintf("%s-%s", workload, v), func(t *testing.T) {
+				svc := storage.NewService()
+				bucket, err := svc.CreateBucket("live")
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := obs.NewRegistry(0)
+				cl, err := repo.OpenResilient(collectorOver(t, bucket, reg), repo.OpenRequest{RunID: "run", Workload: workload})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := tpupoint.NewSession(workload, tpupoint.Options{Version: v, Steps: 1000, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := s.StartProfilerTo(cl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Train(); err != nil {
+					t.Fatal(err)
+				}
+				recs, err := p.Stop()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wire [][]byte
+				sealing := false
+				for _, r := range recs {
+					wire = append(wire, trace.MarshalRecord(r))
+					sealing = sealing || r.OpenStep > 0
+				}
+				if !sealing {
+					t.Fatal("no record carries an OpenStep: nothing seals before finalize")
+				}
+				// Once the drain has fed every record, the stream has sealed
+				// steps below the highest OpenStep: analysis happened mid-run.
+				for archived := reg.Counter("fleet.records.archived"); archived.Value() < int64(len(recs)); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				sealed := reg.Counter("stream.steps").Value()
+				if sealed == 0 {
+					t.Fatal("the stream sealed no step before finalize")
+				}
+				info, err := cl.Finalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, ar := storedArchive(t, bucket, info)
+				if ar.Summary() == nil {
+					t.Fatal("archive has no summary")
+				}
+				t.Logf("%d records, %d of %d steps sealed before finalize, %d phases",
+					len(recs), sealed, ar.Summary().Steps, len(ar.Summary().Phases))
+				if !bytes.Equal(blob, oracleArchive(t, ar.Meta(), wire)) {
+					t.Fatal("the collector's archive differs from decode -> aggregate by map -> analyze -> summarize over the same records")
+				}
+			})
+		}
+	}
+}
+
+// TestFinalizeRefusedRecordLeavesRunUnsummarized: a record holding a
+// fragment of a step an earlier record's OpenStep sealed breaks the
+// record contract, and the stream refuses it. Its phases then no longer
+// cover every archived record, so the run is archived whole and without
+// a summary, with one run-unsummarized event naming the step.
+func TestFinalizeRefusedRecordLeavesRunUnsummarized(t *testing.T) {
+	window := func(seq int64, first, last, open int64) *trace.ProfileRecord {
+		var events []trace.Event
+		for step := first; step <= last; step++ {
+			at := simclock.Time(1000 * (step + 1))
+			events = append(events, trace.Event{Name: "fusion", Device: trace.TPU, Start: at, Dur: 700, Step: step})
+		}
+		rec := trace.Reduce(seq, events[0].Start, events, 0.1, 0.5)
+		rec.OpenStep = open
+		return rec
+	}
+	recs := []*trace.ProfileRecord{
+		window(0, 0, 4, 5),
+		window(1, 2, 2, 5), // step 2 was sealed by the first record's OpenStep
+		window(2, 5, 9, 10),
+	}
+	svc := storage.NewService()
+	bucket, err := svc.CreateBucket("refused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry(0)
+	cl, err := repo.OpenResilient(collectorOver(t, bucket, reg), repo.OpenRequest{RunID: "run", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ar := storedArchive(t, bucket, info)
+	if info.Records != int64(len(recs)) || ar.RecordCount() != int64(len(recs)) {
+		t.Fatalf("archived %d records (index says %d), want all %d", ar.RecordCount(), info.Records, len(recs))
+	}
+	if ar.Summary() != nil {
+		t.Fatal("a run with a refused record was summarized")
+	}
+	var details []string
+	for _, ev := range reg.Events() {
+		if ev.Scope == "fleet" && ev.Name == "run-unsummarized" {
+			details = append(details, ev.Detail)
+		}
+	}
+	if n := reg.Counter("fleet.runs.unsummarized").Value(); n != 1 || len(details) != 1 {
+		t.Fatalf("counter %d, %d run-unsummarized events, want 1 of each", n, len(details))
+	}
+	if !strings.Contains(details[0], "step 2,") {
+		t.Fatalf("run-unsummarized detail %q does not name step 2", details[0])
 	}
 }
 

@@ -58,14 +58,10 @@ type FleetOptions struct {
 	// Lease expires sessions with no activity (crashed profilers must
 	// not pin session slots forever).
 	Lease time.Duration
-	// Analyzer configures the server-side OLS analysis each session's
-	// records get at finalize.
+	// Analyzer's Threshold is the OLS threshold each session's stream
+	// analyzes at (0 = analyzer.DefaultThreshold; see fleet_stream.go).
+	// Nothing else in it is read.
 	Analyzer analyzer.Options
-	// Stream configures the per-session streaming analyzer that emits
-	// phase/degradation events while a run is in flight (see
-	// fleet_stream.go). Its DutyCycle is the collector-side sampling
-	// knob.
-	Stream analyzer.StreamOptions
 	// CompactEvery triggers a background repository compaction pass
 	// after every N successful finalizes (0 = never). Passes run off
 	// the finalize path — an ack never waits on compaction — and
@@ -193,25 +189,22 @@ func (f *Fleet) Register(s *rpc.Server) {
 	s.Register(MethodFleetPing, f.handlePing)
 }
 
-// session is one in-flight collection stream. It holds a record twice,
-// neither time as a record: its wire bytes in the archive writer's
-// segment stream (617 B per distinct step on the 1000-step resnet
-// recording) and its steps merged into the running aggregate finalize
-// summarizes (one StepStat per distinct step, 1.1 KB on that recording).
-// No decoded record outlives the drain's pass over it.
+// session is one in-flight collection stream. It holds a record once,
+// as its wire bytes in the archive writer's segment stream (617 B per
+// distinct step on the 1000-step resnet recording). Its analysis is the
+// streaming analyzer's: the steps at or above the records' watermark and
+// one aggregate per phase, from which finalize builds the summary. No
+// decoded record outlives the drain's pass over it.
 type session struct {
 	id    uint64
 	token string // durable identity: names sessions/<token>/{meta,log}
 	meta  archive.Meta
 	w     *archive.Writer
 
-	// stream is the in-flight analyzer (nil only on a session a test
-	// built by hand) and steps the exact per-step aggregate of every
-	// record archived. Both are owned by the drain goroutine until done
-	// closes; finalize takes them after.
+	// stream is the in-flight analyzer, owned by the drain goroutine
+	// until done closes; finalize takes it after.
 	stream    *analyzer.StreamAnalyzer
-	streamErr error // the first record stream refused, reported at finalize
-	steps     trace.StepSeries
+	streamErr error // the first record stream refused: the run is archived unsummarized
 
 	ch   chan queued   // bounded pending-record queue
 	done chan struct{} // drain goroutine exit
@@ -237,11 +230,11 @@ type queued struct {
 	rec *trace.ProfileRecord
 }
 
-// drain is the session's single consumer: it owns the writer, the
-// streaming analyzer and the step aggregate, so none needs locking. The
-// writer takes the validated wire bytes as they are, and all three read
-// the record handleAppendBatch decoded from them: one decode per record
-// in the session's life, no re-encode.
+// drain is the session's single consumer: it owns the writer and the
+// streaming analyzer, so neither needs locking. The writer takes the
+// validated wire bytes as they are, and both read the record
+// handleAppendBatch decoded from them: one decode per record in the
+// session's life, no re-encode.
 func (s *session) drain(m fleetMetrics) {
 	defer close(s.done)
 	for q := range s.ch {
@@ -255,17 +248,13 @@ func (s *session) drain(m fleetMetrics) {
 }
 
 // fold feeds an archived record to the streaming analyzer, which copies
-// what it keeps, and then gives the record's steps to the aggregate: rec
-// is spent. The drain and resume's log replay both come through here.
+// what it keeps. The drain and resume's log replay both come through
+// here. A refused record broke the OpenStep contract: the analyzer is
+// left as it was, so its phases no longer cover every archived record.
 func (s *session) fold(rec *trace.ProfileRecord) {
-	if s.stream != nil {
-		// A refused record broke the OpenStep contract; the analyzer is
-		// left as it was and the aggregate below takes the record anyway.
-		if err := s.stream.Feed(rec); err != nil && s.streamErr == nil {
-			s.streamErr = err
-		}
+	if err := s.stream.Feed(rec); err != nil && s.streamErr == nil {
+		s.streamErr = err
 	}
-	s.steps.Adopt(rec)
 }
 
 func (s *session) touch(now time.Time) {
@@ -528,18 +517,10 @@ func (f *Fleet) handleFinalize(body []byte) ([]byte, error) {
 	}
 	f.sweepExpired()
 	s.closeQueue()
-	<-s.done // drain finished: s.w, s.stream and s.steps are ours now
-	f.finishSessionStream(s)
+	<-s.done // drain finished: s.w and s.stream are ours now
 
 	start := time.Now()
-	var sum *archive.Summary
-	rep, aerr := analyzer.AnalyzeSteps(s.meta.Workload, s.steps.Steps(), analyzer.OLSAlgo, f.opts.Analyzer)
-	if aerr == nil {
-		sum = archive.SummarizeReport(rep)
-	} else { // no steps (empty, or gaps only): archived without a summary, not failed
-		f.m.unsummarized.Inc()
-		f.opts.Obs.Emit("fleet", "run-unsummarized", fmt.Sprintf("run %q: %v", s.meta.RunID, aerr))
-	}
+	sum := f.summarizeSession(s)
 	f.m.summarizeUS.ObserveSince(start)
 	blob := s.w.Finalize(sum)
 	start = time.Now()

@@ -81,7 +81,7 @@ func TestFleetAppendBatchPartialAcceptance(t *testing.T) {
 	}
 	meta := archive.Meta{RunID: "partial", Workload: "synthetic", CreatedSeq: seq}
 	s := &session{
-		id: 77, meta: meta, w: archive.NewWriter(meta),
+		id: 77, meta: meta, w: archive.NewWriter(meta), stream: f.newSessionStream(meta),
 		ch: make(chan queued, f.opts.QueueSize), done: make(chan struct{}),
 		lastActive: f.opts.Now(),
 	}

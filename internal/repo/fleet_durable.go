@@ -232,9 +232,9 @@ func (f *Fleet) handleResume(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: session %q log replay: %w", req.Token, err)
 		}
-		// Replay rebuilds the analyzer and the step aggregate to the exact
-		// pre-crash state: the log holds the order the old drain folded,
-		// and both are pure functions of that sequence.
+		// Replay rebuilds the analyzer to the exact pre-crash state: the
+		// log holds the order the old drain folded, and the analysis is a
+		// pure function of that sequence.
 		s.fold(rec)
 	}
 	if err := f.register(s); err != nil {

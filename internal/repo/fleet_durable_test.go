@@ -728,13 +728,11 @@ func decodeAll(t *testing.T, wire [][]byte) []*trace.ProfileRecord {
 
 // TestResumeDecodesEachLoggedRecordOnce: rebuilding a session from its
 // log decodes every record to validate it, and the archive writer's
-// counts, the streaming analyzer and the step aggregate read that one
-// decode — the aggregate by taking the decoded steps over, not by copying
-// them. Allocation counts repeat exactly, so they can tell: what
-// handleResume allocates beyond archiving, feeding and adopting the
-// records must stay under 1.3x what decoding them once allocates (it was
-// about 2x when AddRaw decoded and the replay loop decoded again, and is
-// again if the fold clones the steps it is given).
+// counts and the streaming analyzer read that one decode. Allocation
+// counts repeat exactly, so they can tell: what handleResume allocates
+// beyond archiving the records and feeding them to a stream must stay
+// under 1.3x what decoding them once allocates (it was about 2x when
+// AddRaw decoded and the replay loop decoded again).
 func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
 	recs, wire := resumeWindows()
 	bucket := newBucket(t)
@@ -755,24 +753,16 @@ func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
 
 	const runs = 5
 	decodeOnce := testing.AllocsPerRun(runs, func() { decodeAll(t, wire) })
-	// Adopting spends the records: a fresh decode for each measured run
-	// (AllocsPerRun warms up with one more), made outside it.
-	var fresh [][]*trace.ProfileRecord
-	for i := 0; i <= runs; i++ {
-		fresh = append(fresh, decodeAll(t, wire))
-	}
-	archiveFeedAdopt := testing.AllocsPerRun(runs, func() {
+	decoded := decodeAll(t, wire)
+	archiveFeed := testing.AllocsPerRun(runs, func() {
 		w := archive.NewWriter(archive.Meta{RunID: "replayed", Workload: "synthetic"})
 		stream := f.newSessionStream(archive.Meta{RunID: "replayed", Workload: "synthetic"})
-		var steps trace.StepSeries
-		for i, rec := range fresh[0] {
+		for i, rec := range decoded {
 			w.AddEncoded(wire[i], rec)
 			if err := stream.Feed(rec); err != nil {
 				t.Fatal(err)
 			}
-			steps.Adopt(rec)
 		}
-		fresh = fresh[1:]
 	})
 	resume := testing.AllocsPerRun(runs, func() {
 		resp, err := f.handleResume(body)
@@ -784,10 +774,10 @@ func TestResumeDecodesEachLoggedRecordOnce(t *testing.T) {
 			t.Fatalf("resume: %v, %d records, want %d", err, rr.AcceptedRecords, len(recs))
 		}
 	})
-	t.Logf("resume %.0f, archive+feed+adopt %.0f, decode once %.0f allocations", resume, archiveFeedAdopt, decodeOnce)
-	if decodes := (resume - archiveFeedAdopt) / decodeOnce; decodes >= 1.3 {
-		t.Fatalf("handleResume allocates %.0f, archiving, feeding and adopting the same records %.0f, decoding them once %.0f: "+
-			"that is %.2f decodes per logged record, want 1", resume, archiveFeedAdopt, decodeOnce, decodes)
+	t.Logf("resume %.0f, archive+feed %.0f, decode once %.0f allocations", resume, archiveFeed, decodeOnce)
+	if decodes := (resume - archiveFeed) / decodeOnce; decodes >= 1.3 {
+		t.Fatalf("handleResume allocates %.0f, archiving and feeding the same records %.0f, decoding them once %.0f: "+
+			"that is %.2f decodes per logged record, want 1", resume, archiveFeed, decodeOnce, decodes)
 	}
 }
 

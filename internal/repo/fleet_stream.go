@@ -2,7 +2,8 @@
 // session owns a StreamAnalyzer fed by its drain goroutine, so phase
 // boundaries and degradation alerts surface on internal/obs *while the
 // run is in flight* — not at finalize, which may be hours away for a
-// long training job. The analyzer's bounded-memory contract keeps this
+// long training job — and finalize archives the same closed phases as
+// the run's summary. The analyzer's bounded-memory contract keeps this
 // affordable at MaxSessions concurrency: a session's analysis state is
 // O(steps at or above the records' OpenStep watermark + closed phases),
 // not O(records streamed).
@@ -14,6 +15,7 @@
 package repo
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/archive"
@@ -36,54 +38,55 @@ func newStreamMetrics(r *obs.Registry) streamMetrics {
 	}
 }
 
-// newSessionStream builds the per-session streaming analyzer. Events
-// fan out to obs under the "stream.phase" scope (open/close) and
-// "stream.step" (degraded), each tagged with the session's run ID, then
-// to any caller-provided OnEvent.
+// newSessionStream builds the per-session streaming analyzer at the
+// collector's OLS threshold and full rate. Events fan out to obs under
+// the "stream.phase" scope (open/close) and "stream.step" (degraded),
+// each tagged with the session's run ID.
 func (f *Fleet) newSessionStream(meta archive.Meta) *analyzer.StreamAnalyzer {
-	opts := f.opts.Stream
-	if opts.Obs == nil {
-		opts.Obs = f.opts.Obs
-	}
-	userEvent := opts.OnEvent
 	runID := meta.RunID
-	opts.OnEvent = func(ev analyzer.StreamEvent) {
-		switch ev.Kind {
-		case analyzer.PhaseOpen:
-			f.sm.opened.Inc()
-			f.opts.Obs.Emit("stream.phase", "open",
-				fmt.Sprintf("run %q: phase %d opened at step %d", runID, ev.Phase.ID, ev.Step))
-		case analyzer.PhaseClose:
-			f.sm.closed.Inc()
-			f.opts.Obs.Emit("stream.phase", "close",
-				fmt.Sprintf("run %q: phase %d closed (steps %d-%d, %d sampled, total %d)",
-					runID, ev.Phase.ID, ev.Phase.FirstStep, ev.Phase.LastStep, ev.Phase.Steps, ev.Phase.Total))
-		case analyzer.StepDegraded:
-			f.sm.degraded.Inc()
-			f.opts.Obs.Emit("stream.step", "degraded",
-				fmt.Sprintf("run %q: step %d exceeded phase-mean span in phase %d", runID, ev.Step, ev.Phase.ID))
-		}
-		if userEvent != nil {
-			userEvent(ev)
-		}
-	}
-	return analyzer.NewStream(meta.Workload, opts)
+	return analyzer.NewStream(meta.Workload, analyzer.StreamOptions{
+		Threshold: f.opts.Analyzer.Threshold,
+		Obs:       f.opts.Obs,
+		OnEvent: func(ev analyzer.StreamEvent) {
+			switch ev.Kind {
+			case analyzer.PhaseOpen:
+				f.sm.opened.Inc()
+				f.opts.Obs.Emit("stream.phase", "open",
+					fmt.Sprintf("run %q: phase %d opened at step %d", runID, ev.Phase.ID, ev.Step))
+			case analyzer.PhaseClose:
+				f.sm.closed.Inc()
+				f.opts.Obs.Emit("stream.phase", "close",
+					fmt.Sprintf("run %q: phase %d closed (steps %d-%d, %d sampled, total %d)",
+						runID, ev.Phase.ID, ev.Phase.FirstStep, ev.Phase.LastStep, ev.Phase.Steps, ev.Phase.Total))
+			case analyzer.StepDegraded:
+				f.sm.degraded.Inc()
+				f.opts.Obs.Emit("stream.step", "degraded",
+					fmt.Sprintf("run %q: step %d exceeded phase-mean span in phase %d", runID, ev.Step, ev.Phase.ID))
+			}
+		},
+	})
 }
 
-// finishSessionStream closes a session's analyzer (if any) and emits
-// its summary. Called by finalize after the drain goroutine exits, so
-// the analyzer is quiescent.
-func (f *Fleet) finishSessionStream(s *session) {
-	if s.stream == nil {
-		return
-	}
-	if s.streamErr != nil {
-		f.opts.Obs.Emit("stream", "rejected", fmt.Sprintf("run %q: %v", s.meta.RunID, s.streamErr))
-	}
+// summarizeSession closes a session's analyzer (quiescent: the drain has
+// exited) and returns the archive summary of its closed phases. A run
+// whose stream refused a record, or with no step (empty, or gaps only),
+// is archived unsummarized, not failed: one run-unsummarized event says
+// why.
+func (f *Fleet) summarizeSession(s *session) *archive.Summary {
 	rep := s.stream.Finish()
 	f.opts.Obs.Emit("stream", "summary",
-		fmt.Sprintf("run %q: %d phases over %d sampled steps (%d seen, duty 1/%d, %d degraded steps)",
-			s.meta.RunID, len(rep.Phases), rep.Steps, rep.StepsSeen, rep.DutyCycle, streamDegradedTotal(rep)))
+		fmt.Sprintf("run %q: %d phases over %d steps (%d degraded steps)",
+			s.meta.RunID, len(rep.Phases), rep.Steps, streamDegradedTotal(rep)))
+	why := s.streamErr
+	if why == nil && rep.Steps == 0 {
+		why = errors.New("no steps to analyze")
+	}
+	if why != nil {
+		f.m.unsummarized.Inc()
+		f.opts.Obs.Emit("fleet", "run-unsummarized", fmt.Sprintf("run %q: %v", s.meta.RunID, why))
+		return nil
+	}
+	return archive.SummarizeStream(rep)
 }
 
 func streamDegradedTotal(rep *analyzer.StreamReport) int64 {

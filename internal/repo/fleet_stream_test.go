@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core/analyzer"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/simclock"
@@ -105,34 +104,5 @@ func TestFleetStreamEvents(t *testing.T) {
 	}
 	if summaries != sessions {
 		t.Fatalf("stream summary events = %d, want %d", summaries, sessions)
-	}
-}
-
-// TestFleetStreamDutyCycle: the collector-side sampling knob must thread
-// through to the per-session analyzers.
-func TestFleetStreamDutyCycle(t *testing.T) {
-	reg := obs.NewRegistry(128)
-	f, srv, _ := newFleetUnderTest(t, FleetOptions{
-		Obs:    reg,
-		Stream: analyzer.StreamOptions{DutyCycle: 10},
-	})
-	c := rpc.Pipe(srv)
-	defer c.Close()
-	fc, err := OpenResilient(c, OpenRequest{RunID: "duty", Workload: "synthetic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.AppendBatch(phasedSessionRecords(0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	// Sampling 1/10 of a clean two-regime run still finds both phases.
-	if got := f.sm.closed.Value(); got != 2 {
-		t.Fatalf("phases closed = %d, want 2 at duty 1/10", got)
-	}
-	if got := reg.Counter("stream.steps").Value(); got != 10 {
-		t.Fatalf("sampled steps = %d, want 10 of 100 at duty 1/10", got)
 	}
 }

@@ -174,6 +174,7 @@ func TestFleetQueueCapEnforced(t *testing.T) {
 		id:         42,
 		meta:       archive.Meta{RunID: "congested"},
 		w:          archive.NewWriter(archive.Meta{RunID: "congested"}),
+		stream:     f.newSessionStream(archive.Meta{RunID: "congested"}),
 		ch:         make(chan queued, f.opts.QueueSize),
 		done:       make(chan struct{}),
 		lastActive: f.opts.Now(),

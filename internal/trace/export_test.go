@@ -23,3 +23,11 @@ func CheckOps(tb testing.TB, where string, s *StepStat) {
 // RaceEnabled lets the external tests skip exact allocation counts under
 // the race detector, as this package's own do.
 const RaceEnabled = raceEnabled
+
+// StepSeries is AggregateSteps fed one record, or half a record, at a
+// time, for the external oracle tests.
+type StepSeries struct{ steps []*StepStat }
+
+func (ss *StepSeries) Add(rec *ProfileRecord) { ss.steps = addSteps(ss.steps, rec) }
+
+func (ss *StepSeries) Steps() []*StepStat { return ss.steps }

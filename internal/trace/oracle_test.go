@@ -433,8 +433,7 @@ func TestOpListMatchesMapOracleOnRandomFragments(t *testing.T) {
 // in one record, empty records, every record split in two, one Add per
 // record or AggregateSteps over all — ascending, and equal field for
 // field (the float metadata bit for bit: both merge in arrival order).
-// Add leaves its input as it was and never shares memory with it; Adopt,
-// which may, gives the same aggregate.
+// Add leaves its input as it was and never shares memory with it.
 func TestStepSeriesMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -468,21 +467,15 @@ func TestStepSeriesMatchesMapOracle(t *testing.T) {
 		}
 		check("AggregateSteps", trace.AggregateSteps(recs))
 
-		var one, halves, adopted trace.StepSeries
+		var one, halves trace.StepSeries
 		for _, r := range recs {
 			one.Add(r)
 			cut := rng.Intn(len(r.Steps) + 1)
 			halves.Add(&trace.ProfileRecord{Steps: r.Steps[:cut]})
 			halves.Add(&trace.ProfileRecord{Steps: r.Steps[cut:]})
-			d, err := trace.UnmarshalRecord(trace.MarshalRecord(r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			adopted.Adopt(d)
 		}
 		check("one Add per record", one.Steps())
 		check("every record split in two", halves.Steps())
-		check("Adopt of decoded copies", adopted.Steps())
 
 		// Add only read its input, and writing the input now reaches
 		// nothing the series holds.

@@ -337,64 +337,37 @@ func Reduce(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuU
 	return rec
 }
 
-// StepSeries is the exact per-step aggregate of the records given to it
-// so far: one StepStat per distinct step number, every fragment of the
-// step merged in the order it arrived. This is stage 1 of every analyzer
-// algorithm ("extract the records from all statistical profiles and
-// aggregate records together using the TPU step numbers"), kept running
-// so a consumer that sees records one at a time never needs them again.
-// The zero value is an empty series. Not safe for concurrent use.
-type StepSeries struct {
-	// steps is ascending by step number. Fragments arrive nearly in that
-	// order, so a fragment is placed by walking back from the tail.
-	steps []*StepStat
-}
-
-// Add merges a record's step fragments into the series. The record is
-// only read and the series never comes to share memory with it.
-func (ss *StepSeries) Add(rec *ProfileRecord) {
-	for _, s := range rec.Steps {
-		ss.fold(s, false)
-	}
-}
-
-// Adopt is Add for a record the caller gives up: the first fragment seen
-// of a step becomes the series' own instead of a copy, so the record must
-// not be read or written afterwards.
-func (ss *StepSeries) Adopt(rec *ProfileRecord) {
-	for _, s := range rec.Steps {
-		ss.fold(s, true)
-	}
-}
-
-func (ss *StepSeries) fold(s *StepStat, owned bool) {
-	i := len(ss.steps)
-	for i > 0 && ss.steps[i-1].Step > s.Step {
-		i--
-	}
-	if i > 0 && ss.steps[i-1].Step == s.Step {
-		ss.steps[i-1].Merge(s)
-		return
-	}
-	if !owned {
-		s = s.Clone()
-	}
-	ss.steps = slices.Insert(ss.steps, i, s)
-}
-
-// Steps returns the aggregate, ascending by step number. The slice and
-// the steps are the series' own: they change with the next Add.
-func (ss *StepSeries) Steps() []*StepStat { return ss.steps }
-
 // AggregateSteps merges the per-window step summaries of many records into
-// one per-step series ordered by step number: a StepSeries given all the
-// records at once. The records are only read.
+// one per-step series ordered by step number: one StepStat per distinct
+// step number, every fragment of the step merged in the order it arrived.
+// This is stage 1 of every analyzer algorithm ("extract the records from
+// all statistical profiles and aggregate records together using the TPU
+// step numbers"). The records are only read, and the series never comes
+// to share memory with them.
 func AggregateSteps(records []*ProfileRecord) []*StepStat {
-	var ss StepSeries
+	var steps []*StepStat
 	for _, r := range records {
-		ss.Add(r)
+		steps = addSteps(steps, r)
 	}
-	return ss.steps
+	return steps
+}
+
+// addSteps merges a record's step fragments into steps, which is
+// ascending by step number. Fragments arrive nearly in that order, so a
+// fragment is placed by walking back from the tail.
+func addSteps(steps []*StepStat, rec *ProfileRecord) []*StepStat {
+	for _, s := range rec.Steps {
+		i := len(steps)
+		for i > 0 && steps[i-1].Step > s.Step {
+			i--
+		}
+		if i > 0 && steps[i-1].Step == s.Step {
+			steps[i-1].Merge(s)
+			continue
+		}
+		steps = slices.Insert(steps, i, s.Clone())
+	}
+	return steps
 }
 
 // MergeSteps returns the operator totals of the steps summed into one

@@ -186,11 +186,12 @@ func autoEps(m *Matrix, pool *parallel.Pool, chunk int) float64 {
 	}
 	const kth = 4
 	kdist := make([]float64, count)
+	all := ascending(n)
 	_ = pool.Run(context.Background(), count, chunk, func(ci, lo, hi int) error {
 		toAll := make([]float64, n)
 		for s := lo; s < hi; s++ {
 			i := s * stride
-			sqDists(m.Row(i), m, 0, n, toAll)
+			sqDists(m.Row(i), m, all, toAll)
 			// Running top-4 smallest squared distances (ascending).
 			best := [kth]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
 			for j, d := range toAll {

@@ -23,6 +23,13 @@
 // KMeansSweep hands the pool one task per k and each member runs inline.
 // PCA's eigendecomposition of the d×d covariance (d ≤ 2·MaxFeatureOps)
 // is serial and so the same at any worker count.
+//
+// KMeans returns Lloyd's result bit for bit while its assignment step
+// computes only the distances Elkan's triangle-inequality bounds cannot
+// rule out: widened bounds and a pruning margin make every skipped
+// distance strictly larger than the kept one, so no tie is skipped (its
+// doc has the argument). At the 200-pass cap the returned centroids are
+// one update past the returned assignment, as they always were.
 package cluster
 
 import (
@@ -31,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -221,19 +229,20 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// sqDists sets out[i-lo] to the squared distance of x to row i of m, for
-// every i in [lo, hi). Four rows advance in lockstep, one accumulator each
-// adding its terms in ascending column order — the matVec argument: every
-// out is the float64 sqDist returns, but the four add chains are
-// independent and overlap in the pipeline instead of serializing on one.
-// A two-wide and a one-wide step finish a range that is no multiple of
-// four.
-func sqDists(x []float64, m *Matrix, lo, hi int, out []float64) {
+// sqDists sets out[i] to the squared distance of x to row rows[i] of m,
+// for every i in range rows. Four rows advance in lockstep, one
+// accumulator each adding its terms in ascending column order — the
+// matVec argument: every out is the float64 sqDist returns, but the four
+// add chains are independent and overlap in the pipeline instead of
+// serializing on one. A two-wide and a one-wide step finish a list that is
+// no multiple of four. A caller that wants a contiguous range passes a
+// slice of ascending(n).
+func sqDists(x []float64, m *Matrix, rows []int, out []float64) {
 	d := len(x)
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		r0, r1 := m.Data[i*d:][:d], m.Data[(i+1)*d:][:d]
-		r2, r3 := m.Data[(i+2)*d:][:d], m.Data[(i+3)*d:][:d]
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		r0, r1 := m.Data[rows[i]*d:][:d], m.Data[rows[i+1]*d:][:d]
+		r2, r3 := m.Data[rows[i+2]*d:][:d], m.Data[rows[i+3]*d:][:d]
 		var s0, s1, s2, s3 float64
 		for j, xj := range x {
 			d0, d1, d2, d3 := r0[j]-xj, r1[j]-xj, r2[j]-xj, r3[j]-xj
@@ -242,22 +251,45 @@ func sqDists(x []float64, m *Matrix, lo, hi int, out []float64) {
 			s2 += d2 * d2
 			s3 += d3 * d3
 		}
-		out[i-lo], out[i-lo+1], out[i-lo+2], out[i-lo+3] = s0, s1, s2, s3
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
 	}
-	if i+2 <= hi {
-		r0, r1 := m.Data[i*d:][:d], m.Data[(i+1)*d:][:d]
+	if i+2 <= len(rows) {
+		r0, r1 := m.Data[rows[i]*d:][:d], m.Data[rows[i+1]*d:][:d]
 		var s0, s1 float64
 		for j, xj := range x {
 			d0, d1 := r0[j]-xj, r1[j]-xj
 			s0 += d0 * d0
 			s1 += d1 * d1
 		}
-		out[i-lo], out[i-lo+1] = s0, s1
+		out[i], out[i+1] = s0, s1
 		i += 2
 	}
-	if i < hi {
-		out[i-lo] = sqDist(m.Row(i), x)
+	if i < len(rows) {
+		out[i] = sqDist(m.Row(rows[i]), x)
 	}
+}
+
+// ascendingRows holds 0, 1, 2, ...: the one index list every contiguous
+// sqDists caller slices. It only grows, by publishing a longer copy, and
+// no published slice is written again, so readers share it freely.
+var ascendingRows atomic.Pointer[[]int]
+
+// ascending returns the row indices 0..n-1.
+func ascending(n int) []int {
+	p := ascendingRows.Load()
+	if p != nil && len(*p) >= n {
+		return (*p)[:n]
+	}
+	size := 1024
+	if p != nil {
+		size = 2 * len(*p)
+	}
+	grown := make([]int, max(n, size))
+	for i := range grown {
+		grown[i] = i
+	}
+	ascendingRows.Store(&grown)
+	return grown[:n]
 }
 
 // SqDist is the squared Euclidean distance between two equal-length

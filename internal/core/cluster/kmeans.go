@@ -3,6 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/prng"
@@ -22,9 +25,55 @@ type KMeansResult struct {
 // reproducible. budget bounds the working memory (0 disables the check).
 // The assignment and update steps fan out over fixed-size row chunks;
 // per-chunk partial sums are merged in chunk order.
+//
+// The assignment step skips the distances Elkan's triangle-inequality
+// bounds (Elkan, ICML 2003) prove cannot win, and returns Lloyd's
+// clustering bit for bit. Each row keeps an upper bound on its distance to
+// its centroid and a lower bound on its distance to every centroid; an
+// update moves them by each centroid's drift. A centroid is skipped only
+// when its lower bound, or half its distance to the row's centroid,
+// exceeds the upper bound by pruneMargin and pruneFloor. Every bound is
+// widened after each sqrt, add and subtract, so a skipped centroid's
+// computed squared distance is strictly larger than the assigned one's and
+// a tie is never skipped. The row's centroid and every centroid no bound
+// excludes are scanned in ascending index order by lowest, nearest's rule,
+// so ties still go to the lowest index. A row whose bounds are not finite,
+// and every row while a centroid holds a non-finite coordinate, takes
+// nearest over all k, so NaN resolves exactly as it always has. A chunk
+// recomputes the partial sums of only the clusters whose membership in it
+// changed: the same members in the same order give the same sum. SSD is
+// summed in row order once, after the loop, against the centroids of the
+// last assignment pass.
+//
+// The loop stops after an assignment pass that moves no row, or after 200
+// passes. At that cap the returned Centroids are one update past the
+// returned Assignment and SSD, as Lloyd's loop has always reported them.
 func KMeans(m *Matrix, k int, seed uint64, budget int64, workers int) (*KMeansResult, error) {
 	return kmeans(m, k, seed, budget, parallel.New(workers))
 }
+
+// Bound arithmetic. The bounds are Euclidean distances, not squared ones.
+const (
+	// boundSlack is the relative widening after each sqrt, add and
+	// subtract on a bound. A seeded bound is the sqrt of a computed
+	// sqDist, whose relative rounding grows by about 2^-53 a column, so
+	// the widening adds 2^-52 per column to it.
+	boundSlack = 1e-12
+	// A centroid is skipped only when its bound exceeds the upper bound u
+	// times 1+pruneMargin, plus pruneFloor. The margin outweighs sqDist's
+	// relative rounding at any width that fits in memory, and the floor
+	// its absolute rounding near subnormals, so the skipped centroid's
+	// computed squared distance is strictly the larger.
+	pruneMargin = 1e-9
+	pruneFloor  = 1e-150
+	// boundCap caps every bound. A row whose upper bound is above it, or
+	// NaN, takes the full scan: past it the squares could overflow.
+	boundCap = 1e150
+)
+
+// distEvals counts the row-to-centroid distances k-means' assignment
+// passes compute; BenchmarkKMeansSweep reports it against Lloyd's.
+var distEvals atomic.Int64
 
 // kmeans is KMeans on the caller's pool, so a sweep can run its members
 // inline.
@@ -38,11 +87,13 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 	if k > m.Rows {
 		k = m.Rows
 	}
-	nc := parallel.NumChunks(m.Rows, parChunk)
-	// Input + centroids + assignment + per-row distances + per-chunk
-	// update partials.
-	need := m.Bytes() + int64(k*m.Cols)*8 + int64(m.Rows)*16 +
-		int64(nc)*int64(k)*(int64(m.Cols)*8+8)
+	n, d := m.Rows, m.Cols
+	nc := parallel.NumChunks(n, parChunk)
+	// Input + centroids + assignment and upper bound per row + lower
+	// bounds per row and centroid + half-distances between centroids +
+	// per-chunk update partials.
+	need := m.Bytes() + int64(k*d)*8 + int64(n)*16 + int64(n)*int64(k)*8 +
+		int64(k*k)*8 + int64(nc)*int64(k)*(int64(d)*8+8)
 	if err := validateBudget(need, budget, "k-means"); err != nil {
 		return nil, err
 	}
@@ -50,80 +101,93 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 
 	rng := prng.New(seed)
 	centroids := seedPlusPlus(m, k, rng, pool)
-	assign := make([]int, m.Rows)
-	d2 := make([]float64, m.Rows)
+	spare := NewMatrix(k, d)
+	assign := make([]int, n)
 	sizes := make([]int, k)
-
-	// Per-chunk partials for the update step. Chunk boundaries depend
-	// only on the row count, so merging them front to back gives the
-	// same floating-point grouping regardless of the worker count.
-	partSums := make([][]float64, nc)
-	partCounts := make([][]int, nc)
-	for ci := range partSums {
-		partSums[ci] = make([]float64, k*m.Cols)
-		partCounts[ci] = make([]int, k)
+	slack := boundSlack + float64(d)*0x1p-52
+	b := &bounds{
+		k: k, up: 1 + slack, down: 1 - slack,
+		upper: make([]float64, n), lower: make([]float64, n*k),
+		half: make([]float64, k*k), drift: make([]float64, k),
 	}
-	chunkChanged := make([]bool, nc)
+	// Chunk boundaries depend only on the row count, so merging the
+	// partials front to back gives the same floating-point grouping
+	// regardless of the worker count.
+	chunks := make([]chunkState, nc)
+	for ci := range chunks {
+		chunks[ci] = chunkState{
+			sums: make([]float64, k*d), counts: make([]int, k),
+			dirty: make([]bool, k), cand: make([]int, k), dist: make([]float64, k),
+		}
+		for c := range chunks[ci].dirty {
+			chunks[ci].dirty[c] = true
+		}
+	}
 
-	var ssd float64
+	var last *Matrix // the centroids of the last assignment pass
 	iterations := 0
 	for iter := 0; iter < 200; iter++ {
 		iterations = iter + 1
-		// Assignment step (fused with partial-sum accumulation).
 		cur := centroids
-		_ = pool.Run(ctx, m.Rows, parChunk, func(ci, lo, hi int) error {
-			ps := partSums[ci]
-			pc := partCounts[ci]
-			for i := range ps {
-				ps[i] = 0
-			}
-			for i := range pc {
-				pc[i] = 0
-			}
-			changed := false
-			dist := make([]float64, k) // nearest's scratch
+		// The first pass seeds every row's bounds; a centroid with a
+		// non-finite coordinate voids them all.
+		full := iter == 0 || !allFinite(cur.Data)
+		_ = pool.Run(ctx, n, parChunk, func(ci, lo, hi int) error {
+			cs := &chunks[ci]
+			cs.changed = false
+			evals := 0
 			for i := lo; i < hi; i++ {
 				row := m.Row(i)
-				best, bestD := nearest(row, cur, dist)
-				if assign[i] != best {
-					assign[i] = best
-					changed = true
+				a := assign[i]
+				best := a
+				cand, ok := cs.cand, false
+				if !full {
+					cand, ok = b.candidates(i, a, cs.cand)
 				}
-				d2[i] = bestD
-				pc[best]++
-				crow := ps[best*m.Cols : (best+1)*m.Cols]
-				for j := range crow {
-					crow[j] += row[j]
+				switch {
+				case !ok:
+					best, _ = nearest(row, cur, cs.dist)
+					b.set(i, ascending(k), cs.dist, best)
+					evals += k
+				case len(cand) > 1:
+					dist := cs.dist[:len(cand)]
+					sqDists(row, cur, cand, dist)
+					j := lowest(dist)
+					best = cand[j]
+					b.set(i, cand, dist, j)
+					evals += len(cand)
+				}
+				if best != a {
+					assign[i] = best
+					cs.dirty[a], cs.dirty[best] = true, true
+					cs.changed = true
 				}
 			}
-			chunkChanged[ci] = changed
+			cs.refreshPartials(m, assign, lo, hi)
+			distEvals.Add(int64(evals))
 			return nil
 		})
-		// Reductions in fixed order: row order for the SSD, chunk order
-		// for the centroid sums.
-		ssd = 0
-		for _, d := range d2 {
-			ssd += d
-		}
+		last = cur
 		changed := false
-		for _, ch := range chunkChanged {
-			changed = changed || ch
+		for ci := range chunks {
+			changed = changed || chunks[ci].changed
 		}
 		if !changed && iter > 0 {
 			break
 		}
-		// Update step: merge partials, then divide.
-		next := NewMatrix(k, m.Cols)
+		// Update step: merge partials, then divide, into the buffer of
+		// the centroids before cur.
+		next := spare
+		clear(next.Data)
 		for i := range sizes {
 			sizes[i] = 0
 		}
-		for ci := 0; ci < nc; ci++ {
-			pc := partCounts[ci]
-			ps := partSums[ci]
+		for ci := range chunks {
+			cs := &chunks[ci]
 			for c := 0; c < k; c++ {
-				sizes[c] += pc[c]
+				sizes[c] += cs.counts[c]
 				crow := next.Row(c)
-				prow := ps[c*m.Cols : (c+1)*m.Cols]
+				prow := cs.sums[c*d : (c+1)*d]
 				for j := range crow {
 					crow[j] += prow[j]
 				}
@@ -132,7 +196,7 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 		for c := 0; c < k; c++ {
 			if sizes[c] == 0 {
 				// Re-seed an empty cluster at a random point.
-				copy(next.Row(c), m.Row(rng.Intn(m.Rows)))
+				copy(next.Row(c), m.Row(rng.Intn(n)))
 				continue
 			}
 			crow := next.Row(c)
@@ -140,7 +204,12 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 				crow[j] /= float64(sizes[c])
 			}
 		}
-		centroids = next
+		b.moved(cur, next)
+		centroids, spare = next, cur
+	}
+	var ssd float64
+	for i, c := range assign {
+		ssd += sqDist(m.Row(i), last.Row(c))
 	}
 	return &KMeansResult{
 		K: k, Assignment: assign, Centroids: centroids,
@@ -148,19 +217,135 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 	}, nil
 }
 
+// bounds is one k-means run's triangle-inequality state. Every value is
+// widened toward safety: upper and drift up, lower and half down.
+type bounds struct {
+	k        int
+	up, down float64   // 1 ± the widening
+	upper    []float64 // per row: at least its distance to its centroid
+	lower    []float64 // per row, k each: at most its distance to each centroid
+	half     []float64 // k×k: at most half the distance between two centroids
+	drift    []float64 // per centroid: at least how far the last update moved it
+}
+
+// candidates moves row i's bounds by the last update's drift and returns,
+// in cand's storage and ascending, its centroid a and every centroid no
+// bound excludes. It returns false, leaving the bounds to a reseed, when
+// the upper bound is not finite or exceeds boundCap.
+func (b *bounds) candidates(i, a int, cand []int) ([]int, bool) {
+	u := (b.upper[i] + b.drift[a]) * b.up
+	if !(u <= boundCap) {
+		return cand, false
+	}
+	b.upper[i] = u
+	reach := u*(1+pruneMargin) + pruneFloor
+	lower := b.lower[i*b.k:][:b.k]
+	half := b.half[a*b.k:][:b.k]
+	cand = cand[:0]
+	for c, l := range lower {
+		l = (l - b.drift[c]) * b.down
+		lower[c] = l
+		// A NaN bound fails the comparison and keeps its centroid.
+		if c == a || !(reach < max(l, half[c])) {
+			cand = append(cand, c)
+		}
+	}
+	return cand, true
+}
+
+// set resets row i's upper bound, and its lower bounds to the centroids
+// cand, from the squared distances dist it just computed to them, of which
+// dist[j] is the smallest and to its centroid.
+func (b *bounds) set(i int, cand []int, dist []float64, j int) {
+	b.upper[i] = math.Sqrt(dist[j]) * b.up
+	lower := b.lower[i*b.k:][:b.k]
+	for jj, c := range cand {
+		lower[c] = min(math.Sqrt(dist[jj])*b.down, boundCap)
+	}
+}
+
+// moved records an update from cur to next: each centroid's drift, and
+// half the distance between every pair of next's centroids.
+func (b *bounds) moved(cur, next *Matrix) {
+	for c := range b.drift {
+		b.drift[c] = math.Sqrt(sqDist(cur.Row(c), next.Row(c))) * b.up
+	}
+	all := ascending(b.k)
+	for a := 0; a < b.k; a++ {
+		half := b.half[a*b.k:][:b.k]
+		sqDists(next.Row(a), next, all, half)
+		for c, s := range half {
+			half[c] = min(math.Sqrt(s)*0.5*b.down, boundCap)
+		}
+	}
+}
+
+// chunkState is one row chunk's update partials and assignment scratch.
+type chunkState struct {
+	sums    []float64 // k×d: per cluster, the sum of its rows in the chunk, in row order
+	counts  []int     // per cluster, its rows in the chunk
+	dirty   []bool    // clusters whose membership in the chunk changed
+	changed bool      // the last pass moved a row of the chunk
+	cand    []int     // candidate centroids of one row
+	dist    []float64 // squared distances of one row
+}
+
+// refreshPartials recomputes the partial sum and count of every dirty
+// cluster from the chunk's rows [lo, hi), in row order, and clears dirty.
+func (cs *chunkState) refreshPartials(m *Matrix, assign []int, lo, hi int) {
+	if !slices.Contains(cs.dirty, true) {
+		return
+	}
+	d := m.Cols
+	for c, dirty := range cs.dirty {
+		if dirty {
+			clear(cs.sums[c*d : (c+1)*d])
+			cs.counts[c] = 0
+		}
+	}
+	for i := lo; i < hi; i++ {
+		c := assign[i]
+		if !cs.dirty[c] {
+			continue
+		}
+		cs.counts[c]++
+		crow := cs.sums[c*d : (c+1)*d]
+		for j, v := range m.Row(i) {
+			crow[j] += v
+		}
+	}
+	clear(cs.dirty)
+}
+
+// allFinite reports whether no value is NaN or ±Inf.
+func allFinite(xs []float64) bool {
+	for _, x := range xs {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // nearest returns the centroid closest to row and the squared distance to
-// it, using dist (one slot per centroid) as scratch. It is the scan that
-// starts at centroid 0 and moves only to a strictly smaller sqDist, so
-// ties resolve to the lowest index.
+// it, using dist (one slot per centroid) as scratch.
 func nearest(row []float64, centroids *Matrix, dist []float64) (int, float64) {
-	sqDists(row, centroids, 0, centroids.Rows, dist)
+	sqDists(row, centroids, ascending(centroids.Rows), dist)
+	best := lowest(dist)
+	return best, dist[best]
+}
+
+// lowest returns the index of the smallest of dist by the scan that starts
+// at 0 and moves only to a strictly smaller value, so ties resolve to the
+// lowest index and a NaN at 0 is never left.
+func lowest(dist []float64) int {
 	best := 0
 	for c, d := range dist {
 		if d < dist[best] {
 			best = c
 		}
 	}
-	return best, dist[best]
+	return best
 }
 
 // seedPlusPlus picks k initial centroids with the k-means++ strategy.
@@ -173,12 +358,13 @@ func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matr
 	copy(centroids.Row(0), m.Row(rng.Intn(m.Rows)))
 	d2 := make([]float64, m.Rows)
 	toNewest := make([]float64, m.Rows)
+	rows := ascending(m.Rows)
 	ctx := context.Background()
 	for c := 1; c < k; c++ {
 		newest := centroids.Row(c - 1)
 		first := c == 1
 		_ = pool.Run(ctx, m.Rows, parChunk, func(ci, lo, hi int) error {
-			sqDists(newest, m, lo, hi, toNewest[lo:hi])
+			sqDists(newest, m, rows[lo:hi], toNewest[lo:hi])
 			for i := lo; i < hi; i++ {
 				if d := toNewest[i]; first || d < d2[i] {
 					d2[i] = d

@@ -100,12 +100,12 @@ func randomSPD(n int, seed uint64) []float64 {
 }
 
 // realStepMatrix is the standardized feature matrix of a 300-step
-// bert-mrpc TPUv2 recording (estimator seed 1), reduced the way
-// TestPhaseDigestsPinned builds its steps: 116 columns, numerical rank 78.
-func realStepMatrix(t testing.TB) *Matrix {
+// recording (estimator seed 1), reduced the way TestPhaseDigestsPinned
+// builds its steps. bert-mrpc on TPUv2 has 116 columns, numerical rank 78.
+func realStepMatrix(t testing.TB, workload string, v tpu.Version) *Matrix {
 	t.Helper()
-	r, err := estimator.New(workloads.MustGet("bert-mrpc"),
-		estimator.Options{Version: tpu.V2, Steps: 300, Seed: 1})
+	r, err := estimator.New(workloads.MustGet(workload),
+		estimator.Options{Version: v, Steps: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestEigSymMatchesJacobiOnRandomSPD(t *testing.T) {
 }
 
 func TestEigSymMatchesJacobiOnRealSteps(t *testing.T) {
-	m := realStepMatrix(t)
+	m := realStepMatrix(t, "bert-mrpc", tpu.V2)
 	checkEigSym(t, covariance(m, parallel.New(1)), m.Cols)
 }
 
@@ -232,7 +232,7 @@ func TestEigSymMatchesJacobiOnRealSteps(t *testing.T) {
 // components that were not orthonormal, summing to 49 778 against an
 // input of 34 916); on random data it never exceeds the input at any k.
 func TestPCAIsAProjection(t *testing.T) {
-	m := realStepMatrix(t)
+	m := realStepMatrix(t, "bert-mrpc", tpu.V2)
 	if out := PCA(m, MaxFeatureOps, 0); m.Cols != 116 || out.Cols != 78 {
 		t.Fatalf("real steps: %d columns → %d components, want 116 → 78", m.Cols, out.Cols)
 	}

@@ -77,13 +77,16 @@ go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 
 # The phase-study example (k-means vs DBSCAN vs OLS on BERT's four
 # datasets) must run and print a phase row for each of the three
-# algorithms. The fleet-compare example (two runs profiled live into a
-# collector, finalized, and their archived summaries diffed) must run,
-# archive both runs and print at least one diff-table row. Each
-# assignment stands alone, not before `&&`: under `set -e` a failure
-# inside an `&&` list does not stop the script.
-echo "== phasestudy and fleetcompare examples"
+# algorithms. The quickstart example (README's Figure 2 walk-through)
+# must run and print its OLS phase line and at least one TPU top-op row.
+# The fleet-compare example (two runs profiled live into a collector,
+# finalized, and their archived summaries diffed) must run, archive both
+# runs and print at least one diff-table row. Each assignment stands
+# alone, not before `&&`: under `set -e` a failure inside an `&&` list
+# does not stop the script.
+echo "== phasestudy, quickstart and fleetcompare examples"
 out="$(go run ./examples/phasestudy)"; for algo in kmeans dbscan ols; do grep -Eq "^[^ ]+ +$algo +[0-9]+ " <<<"$out" || { echo "$out"; echo "phasestudy printed no $algo row"; exit 1; }; done
+out="$(go run ./examples/quickstart)" || exit; for want in '^OLS at the default 70% threshold found ' '^ +\[tpu\] '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "quickstart printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/fleetcompare)"; for want in '^archived dcgan-v2:' '^archived dcgan-v3:' ' 2 runs saved$' '^#[0-9]+ +#[0-9]+ '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "fleetcompare printed no line matching '$want'"; exit 1; }; done
 
 # The CLI runs on a live DirStore: its tests take the store's flock

@@ -2,6 +2,7 @@ package protowire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,51 @@ func TestVarintOverflow(t *testing.T) {
 	}
 }
 
+// TestConsumeVarintMatchesUvarint holds ConsumeVarint to encoding/binary's
+// Uvarint: every length from 1 to 10 bytes at both ends of its range,
+// overflow at the tenth byte, and truncation at every cut.
+func TestConsumeVarintMatchesUvarint(t *testing.T) {
+	for length := 1; length <= maxVarintLen; length++ {
+		lo, hi := uint64(0), uint64(math.MaxUint64)
+		if length > 1 {
+			lo = 1 << (7 * (length - 1))
+		}
+		if length < maxVarintLen {
+			hi = 1<<(7*length) - 1
+		}
+		for _, v := range []uint64{lo, lo + 1, hi - 1, hi} {
+			b := AppendVarint(nil, v)
+			if len(b) != length {
+				t.Fatalf("%d encodes in %d bytes, want %d", v, len(b), length)
+			}
+			got, n := ConsumeVarint(append(b, 0xff, 0x01)) // what follows is not read
+			want, wn := binary.Uvarint(b)
+			if got != v || n != length || want != v || wn != length {
+				t.Fatalf("%x: ConsumeVarint = %d, %d; Uvarint = %d, %d; want %d, %d", b, got, n, want, wn, v, length)
+			}
+			for cut := 0; cut < length; cut++ {
+				if _, n := ConsumeVarint(b[:cut]); n != errCodeTruncated || ParseError(n) != ErrTruncated {
+					t.Fatalf("%x cut to %d bytes: n = %d, want truncated", b, cut, n)
+				}
+				if _, wn := binary.Uvarint(b[:cut]); wn != 0 {
+					t.Fatalf("%x cut to %d bytes: Uvarint n = %d, want 0", b, cut, wn)
+				}
+			}
+		}
+	}
+	// Nine continuation bytes, then a tenth that sets more than the 64th
+	// bit — a final byte, or one more continuation byte.
+	for last := 2; last <= 0xff; last++ {
+		b := append(bytes.Repeat([]byte{0xff}, maxVarintLen-1), byte(last), 0x00)
+		if _, n := ConsumeVarint(b); n != errCodeOverflow || ParseError(n) != ErrOverflow {
+			t.Fatalf("tenth byte %#x: n = %d, want overflow", last, n)
+		}
+		if _, wn := binary.Uvarint(b); wn >= 0 {
+			t.Fatalf("tenth byte %#x: Uvarint n = %d, want overflow", last, wn)
+		}
+	}
+}
+
 func TestTruncatedDouble(t *testing.T) {
 	d := NewDecoder([]byte{1, 2, 3})
 	if _, err := d.Double(); err != ErrTruncated {
@@ -190,7 +236,7 @@ func TestEncoderReset(t *testing.T) {
 
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, -1, 1, -2, 2, math.MaxInt64, math.MinInt64} {
-		if got := unzigzag(zigzag(v)); got != v {
+		if got := DecodeZigZag(zigzag(v)); got != v {
 			t.Errorf("zigzag round trip %d -> %d", v, got)
 		}
 	}

@@ -31,3 +31,12 @@ type StepSeries struct{ steps []*StepStat }
 func (ss *StepSeries) Add(rec *ProfileRecord) { ss.steps = addSteps(ss.steps, rec) }
 
 func (ss *StepSeries) Steps() []*StepStat { return ss.steps }
+
+// CheckDecodeMatchesOracle holds UnmarshalRecord to the decoder it
+// replaced; ManyNamesRecord and SampleRecord are this package's fixtures.
+// For the external oracle tests and benchmark.
+var (
+	CheckDecodeMatchesOracle = checkDecodeMatchesOracle
+	ManyNamesRecord          = manyNamesRecord
+	SampleRecord             = sampleRecord
+)

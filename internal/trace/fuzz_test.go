@@ -17,10 +17,15 @@ func FuzzUnmarshalRecord(f *testing.F) {
 		{Name: "Send", Device: Host, Start: 15, Dur: 1, Step: 1},
 	}, 0.4, 0.2)
 	f.Add(MarshalRecord(r))
-	// Fields under the wrong wire type: the walk that counts a step's op
-	// entries to size its list parses this differently from the decode.
+	// Fields under the wrong wire type: the walk that counts a record's
+	// entries to size its slabs parses this differently from the decode,
+	// which reads a field by its number (field 1 as a varint, field 4 as 8
+	// bytes) whatever type its tag claims.
 	f.Add([]byte("X0X00\x9a\x99\x99\x99\x99\x99\xd900\x9a\x99\x99\x99\x99\x99\xc90B6\b0\x100B\x100000000000000000\xc90000000008080 00000000900000000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The decoder accepts exactly what the one it replaced accepted,
+		// and returns the same record.
+		checkDecodeMatchesOracle(t, "decode", data)
 		rec, err := UnmarshalRecord(data)
 		if err != nil {
 			return

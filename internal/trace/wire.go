@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -108,13 +109,24 @@ func appendStep(dst []byte, s *StepStat, st *encState) []byte {
 	return dst
 }
 
-// namePool holds the tables through which decoded op entries share one
-// string per distinct operator name: a run has tens of distinct names and
-// tens of thousands of op entries, so without sharing the names are most
-// of a decode's allocations. A decode borrows a table for its duration —
-// nothing is shared between goroutines — and every record decoded with
-// it afterwards shares its strings.
-var namePool = sync.Pool{New: func() any { return make(map[string]string) }}
+// decState is what a decode borrows from decPool: the table through
+// which decoded op entries share one string per distinct operator name,
+// and a cache in front of it. A run has tens of distinct names and tens
+// of thousands of op entries, so without sharing the names would be most
+// of a decode's allocations, and the cache answers most entries without
+// hashing the name. A decode has the state to itself — nothing is shared
+// between goroutines — and every record decoded with it afterwards
+// shares its strings.
+type decState struct {
+	names map[string]string
+	// recent holds strings names handed out, two to a set, the one used
+	// last first; a name is looked for only in the set nameSet gives it.
+	recent [nameSets][2]string
+}
+
+func newDecState() *decState { return &decState{names: make(map[string]string)} }
+
+var decPool = sync.Pool{New: func() any { return newDecState() }}
 
 // Bounds on a name table, so that records from a hostile encoder cannot
 // grow it: names past either bound are allocated per entry, and a table
@@ -125,16 +137,43 @@ const (
 	maxSharedNameLen = 128
 )
 
-// sharedName returns b as a string, the one every earlier entry of that
-// name got from this table where the bounds allow.
-func sharedName(names map[string]string, b []byte) string {
-	if s, ok := names[string(b)]; ok {
-		return s
+// The name cache holds 256 strings in 128 sets of two. On the 68
+// distinct names of the Table I recordings that answers 98% of entries;
+// one string to a slot, 256 slots, answered 84%, two names used in turn
+// evicting each other wherever they shared a slot.
+const (
+	nameSetBits = 7
+	nameSets    = 1 << nameSetBits
+)
+
+// nameSet picks a non-empty name's cache set from its length and its
+// first, middle and last bytes — numbered variants such as "fusion.3" and
+// "fusion.4" differ only at the end.
+func nameSet(b []byte) uint32 {
+	h := uint32(len(b)) | uint32(b[0])<<8 | uint32(b[len(b)/2])<<16 | uint32(b[len(b)-1])<<24
+	return h * 0x9e3779b1 >> (32 - nameSetBits)
+}
+
+// name returns the non-empty name b as a string: the one every earlier
+// entry of that name got from this table, where the bounds allow.
+func (st *decState) name(b []byte) string {
+	set := &st.recent[nameSet(b)]
+	if set[0] == string(b) {
+		return set[0]
 	}
-	s := string(b)
-	if len(s) <= maxSharedNameLen && len(names) < maxSharedNames {
-		names[s] = s
+	if set[1] == string(b) {
+		set[0], set[1] = set[1], set[0]
+		return set[0]
 	}
+	s, ok := st.names[string(b)]
+	if !ok {
+		s = string(b)
+		if len(s) > maxSharedNameLen || len(st.names) >= maxSharedNames {
+			return s
+		}
+		st.names[s] = s
+	}
+	set[0], set[1] = s, set[0]
 	return s
 }
 
@@ -143,186 +182,274 @@ func sharedName(names map[string]string, b []byte) string {
 // operators, and a hostile message is mostly tags.
 const maxPresize = 4096
 
-// countField returns how many times field occurs at the top level of the
-// message in data (at most maxPresize, and only up to the first malformed
-// tag): the capacity to give a list when its first element is decoded,
-// so that the well-formed case appends without growing.
-func countField(data []byte, field int) int {
-	n := 0
-	d := protowire.NewDecoder(data)
-	for !d.Done() && n < maxPresize {
-		f, ty, err := d.Next()
-		if err != nil || d.Skip(ty) != nil {
-			break
-		}
-		if f == field {
-			n++
-		}
-	}
-	return n
-}
-
 // UnmarshalRecord decodes a ProfileRecord from protobuf wire format.
+//
+// A field is read by its number, whatever wire type its tag claims (a
+// tag's type only decides how an unknown field is skipped). A tag with
+// field number 0 or wire type 3 to 7, a device above TPU and an op entry
+// without a name are malformed. A step's op entries may come in any
+// order, operators repeated: they fold into the sorted list, summed.
+// Steps and Ops are nil, never empty.
+//
+// The record's steps live in one []StepStat and all their op entries in
+// one []OpTotal, both allocated for this record. Each step's Ops is a
+// sub-slice whose capacity is its length, so growing it (Observe, Merge,
+// MergeOps) copies it out rather than writing into a neighbour's entries.
+// A step kept beyond the record keeps the whole record's slabs alive:
+// clone it (StepStat.Clone) to keep it alone.
 func UnmarshalRecord(data []byte) (*ProfileRecord, error) {
-	names := namePool.Get().(map[string]string)
-	r, err := unmarshalRecord(data, names)
-	if len(names) >= maxSharedNames {
-		clear(names)
+	st := decPool.Get().(*decState)
+	r, err := unmarshalRecord(data, st)
+	if len(st.names) >= maxSharedNames {
+		clear(st.names)
+		st.recent = [nameSets][2]string{}
 	}
-	namePool.Put(names)
+	decPool.Put(st)
 	return r, err
 }
 
-func unmarshalRecord(data []byte, names map[string]string) (*ProfileRecord, error) {
-	r := &ProfileRecord{}
-	d := protowire.NewDecoder(data)
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			r.Seq = int64(v)
-		case 2:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			r.WindowStart = simclock.Time(v)
-		case 3:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			r.WindowEnd = simclock.Time(v)
-		case 4:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			r.NumEvents = int64(v)
-		case 5:
-			v, err := d.Bool()
-			if err != nil {
-				return nil, err
-			}
-			r.Truncated = v
-		case 6:
-			v, err := d.Double()
-			if err != nil {
-				return nil, err
-			}
-			r.IdleFrac = v
-		case 7:
-			v, err := d.Double()
-			if err != nil {
-				return nil, err
-			}
-			r.MXUUtil = v
-		case 8:
-			raw, err := d.Raw()
-			if err != nil {
-				return nil, err
-			}
-			s, err := unmarshalStep(raw, names)
-			if err != nil {
-				return nil, err
-			}
-			if r.Steps == nil {
-				r.Steps = make([]*StepStat, 0, countField(data, 8))
-			}
-			r.Steps = append(r.Steps, s)
-		case 9:
-			v, err := d.Bool()
-			if err != nil {
-				return nil, err
-			}
-			r.Gap = v
-		case 10:
-			v, err := d.Int64()
-			if err != nil {
-				return nil, err
-			}
-			r.OpenStep = v
-		default:
-			if err := d.Skip(ty); err != nil {
-				return nil, err
-			}
+// slabs is one record's decode target: every step and every op entry it
+// holds, in wire order.
+type slabs struct {
+	st    *decState
+	steps []StepStat
+	ops   []OpTotal
+}
+
+func unmarshalRecord(data []byte, st *decState) (*ProfileRecord, error) {
+	d := slabs{st: st}
+	if steps, ops := countEntries(data); steps > 0 {
+		d.steps = make([]StepStat, 0, steps)
+		if ops > 0 {
+			d.ops = make([]OpTotal, 0, ops)
 		}
 	}
+	r := &ProfileRecord{}
+	for b := data; len(b) > 0; {
+		f, t, n := protowire.ConsumeTag(b)
+		if n < 0 {
+			return nil, protowire.ParseError(n)
+		}
+		b = b[n:]
+		var v uint64
+		switch f {
+		case 1:
+			v, n = protowire.ConsumeVarint(b)
+			r.Seq = int64(v)
+		case 2:
+			v, n = protowire.ConsumeVarint(b)
+			r.WindowStart = simclock.Time(v)
+		case 3:
+			v, n = protowire.ConsumeVarint(b)
+			r.WindowEnd = simclock.Time(v)
+		case 4:
+			v, n = protowire.ConsumeVarint(b)
+			r.NumEvents = int64(v)
+		case 5:
+			v, n = protowire.ConsumeVarint(b)
+			r.Truncated = v != 0
+		case 6:
+			v, n = protowire.ConsumeFixed64(b)
+			r.IdleFrac = math.Float64frombits(v)
+		case 7:
+			v, n = protowire.ConsumeFixed64(b)
+			r.MXUUtil = math.Float64frombits(v)
+		case 8:
+			var step []byte
+			if step, n = protowire.ConsumeBytes(b); n >= 0 {
+				if err := d.step(step); err != nil {
+					return nil, err
+				}
+			}
+		case 9:
+			v, n = protowire.ConsumeVarint(b)
+			r.Gap = v != 0
+		case 10:
+			v, n = protowire.ConsumeVarint(b)
+			r.OpenStep = protowire.DecodeZigZag(v)
+		default:
+			n = protowire.ConsumeFieldValue(t, b)
+		}
+		if n < 0 {
+			return nil, protowire.ParseError(n)
+		}
+		b = b[n:]
+	}
+	r.Steps = d.finish()
 	return r, nil
 }
 
-func unmarshalStep(data []byte, names map[string]string) (*StepStat, error) {
-	s := &StepStat{}
-	inOrder := true
-	d := protowire.NewDecoder(data)
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
+// countEntries counts a record's steps and their op entries: the
+// capacities of the two slabs. It skips by tag and length only and stops
+// at the first tag or length it cannot parse, so on input the decode
+// rejects, or reads differently (a field under another wire type than
+// its number's), the counts are only a hint, and a decode that finds
+// more entries grows its slabs. The steps, and each step's entries, are
+// counted up to maxPresize.
+func countEntries(data []byte) (steps, ops int) {
+	for len(data) > 0 && steps < maxPresize {
+		f, t, n := protowire.ConsumeTag(data)
+		if n < 0 {
+			break
 		}
+		data = data[n:]
+		if f == 8 && t == protowire.Bytes {
+			var step []byte
+			if step, n = protowire.ConsumeBytes(data); n >= 0 {
+				steps++
+				ops += countOps(step)
+			}
+		} else {
+			n = protowire.ConsumeFieldValue(t, data)
+		}
+		if n < 0 {
+			break
+		}
+		data = data[n:]
+	}
+	return steps, ops
+}
+
+// countOps is countEntries one level down: a step's op entries.
+func countOps(step []byte) int {
+	k := 0
+	for len(step) > 0 && k < maxPresize {
+		f, t, n := protowire.ConsumeTag(step)
+		if n < 0 {
+			break
+		}
+		step = step[n:]
+		if n = protowire.ConsumeFieldValue(t, step); n < 0 {
+			break
+		}
+		step = step[n:]
+		if f == 6 {
+			k++
+		}
+	}
+	return k
+}
+
+// step decodes one step onto the end of the slabs.
+func (d *slabs) step(b []byte) error {
+	d.steps = append(d.steps, StepStat{})
+	s := &d.steps[len(d.steps)-1]
+	lo := len(d.ops)
+	inOrder := true
+	for len(b) > 0 {
+		f, t, n := protowire.ConsumeTag(b)
+		if n < 0 {
+			return protowire.ParseError(n)
+		}
+		b = b[n:]
+		var v uint64
 		switch f {
 		case 1:
-			v, err := d.Int64()
-			if err != nil {
-				return nil, err
-			}
-			s.Step = v
+			v, n = protowire.ConsumeVarint(b)
+			s.Step = protowire.DecodeZigZag(v)
 		case 2:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
+			v, n = protowire.ConsumeVarint(b)
 			s.Start = simclock.Time(v)
 		case 3:
-			v, err := d.Uint64()
-			if err != nil {
-				return nil, err
-			}
+			v, n = protowire.ConsumeVarint(b)
 			s.End = simclock.Time(v)
 		case 4:
-			v, err := d.Double()
-			if err != nil {
-				return nil, err
-			}
-			s.IdleFrac = v
+			v, n = protowire.ConsumeFixed64(b)
+			s.IdleFrac = math.Float64frombits(v)
 		case 5:
-			v, err := d.Double()
-			if err != nil {
-				return nil, err
-			}
-			s.MXUUtil = v
+			v, n = protowire.ConsumeFixed64(b)
+			s.MXUUtil = math.Float64frombits(v)
 		case 6:
-			raw, err := d.Raw()
-			if err != nil {
-				return nil, err
+			var op []byte
+			if op, n = protowire.ConsumeBytes(b); n >= 0 {
+				if err := d.op(op); err != nil {
+					return err
+				}
+				if k := len(d.ops); k-lo > 1 && d.ops[k-2].Key().Compare(d.ops[k-1].Key()) >= 0 {
+					inOrder = false
+				}
 			}
-			e, err := unmarshalOp(raw, names)
-			if err != nil {
-				return nil, err
-			}
-			if s.Ops == nil {
-				s.Ops = make([]OpTotal, 0, countField(data, 6))
-			} else if s.Ops[len(s.Ops)-1].Key().Compare(e.Key()) >= 0 {
-				inOrder = false
-			}
-			s.Ops = append(s.Ops, e)
 		default:
-			if err := d.Skip(ty); err != nil {
-				return nil, err
-			}
+			n = protowire.ConsumeFieldValue(t, b)
+		}
+		if n < 0 {
+			return protowire.ParseError(n)
+		}
+		b = b[n:]
+	}
+	if len(d.ops) > lo {
+		// The step's entries end the op slab, so a fold stays inside
+		// them; finish re-slices every step from the final slab.
+		s.Ops = d.ops[lo:]
+		if !inOrder {
+			s.Ops = foldOps(s.Ops)
+			d.ops = d.ops[:lo+len(s.Ops)]
 		}
 	}
-	if !inOrder {
-		s.Ops = foldOps(s.Ops)
+	return nil
+}
+
+// op decodes one op entry onto the end of the op slab.
+func (d *slabs) op(b []byte) error {
+	var name []byte
+	var e OpTotal
+	for len(b) > 0 {
+		f, t, n := protowire.ConsumeTag(b)
+		if n < 0 {
+			return protowire.ParseError(n)
+		}
+		b = b[n:]
+		var v uint64
+		switch f {
+		case 1:
+			name, n = protowire.ConsumeBytes(b)
+		case 2:
+			v, n = protowire.ConsumeVarint(b)
+			if n >= 0 && v > uint64(TPU) {
+				return fmt.Errorf("trace: bad device %d", v)
+			}
+			e.Device = Device(v)
+		case 3:
+			v, n = protowire.ConsumeVarint(b)
+			e.Count = int64(v)
+		case 4:
+			v, n = protowire.ConsumeVarint(b)
+			e.Total = simclock.Duration(v)
+		default:
+			n = protowire.ConsumeFieldValue(t, b)
+		}
+		if n < 0 {
+			return protowire.ParseError(n)
+		}
+		b = b[n:]
 	}
-	return s, nil
+	if len(name) == 0 {
+		return fmt.Errorf("trace: op entry without name")
+	}
+	e.Name = d.st.name(name)
+	d.ops = append(d.ops, e)
+	return nil
+}
+
+// finish points each step's Ops into the final op slab — a slab that
+// grew past its count left the earlier steps' lists in an older array —
+// capped at its own entries, and returns the steps' pointers, or nil for
+// a record without steps.
+func (d *slabs) finish() []*StepStat {
+	if len(d.steps) == 0 {
+		return nil
+	}
+	out := make([]*StepStat, len(d.steps))
+	lo := 0
+	for i := range d.steps {
+		s := &d.steps[i]
+		if hi := lo + len(s.Ops); hi > lo {
+			s.Ops = d.ops[lo:hi:hi]
+			lo = hi
+		}
+		out[i] = s
+	}
+	return out
 }
 
 // foldOps turns op entries in any order, operators repeated, into the
@@ -342,53 +469,4 @@ func foldOps(ops []OpTotal) []OpTotal {
 		}
 	}
 	return out
-}
-
-// unmarshalOp decodes one op entry.
-func unmarshalOp(data []byte, names map[string]string) (OpTotal, error) {
-	var name []byte
-	var e OpTotal
-	d := protowire.NewDecoder(data)
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return e, err
-		}
-		switch f {
-		case 1:
-			if name, err = d.Raw(); err != nil {
-				return e, err
-			}
-		case 2:
-			v, err := d.Uint64()
-			if err != nil {
-				return e, err
-			}
-			if v > uint64(TPU) {
-				return e, fmt.Errorf("trace: bad device %d", v)
-			}
-			e.Device = Device(v)
-		case 3:
-			v, err := d.Uint64()
-			if err != nil {
-				return e, err
-			}
-			e.Count = int64(v)
-		case 4:
-			v, err := d.Uint64()
-			if err != nil {
-				return e, err
-			}
-			e.Total = simclock.Duration(v)
-		default:
-			if err := d.Skip(ty); err != nil {
-				return e, err
-			}
-		}
-	}
-	if len(name) == 0 {
-		return e, fmt.Errorf("trace: op entry without name")
-	}
-	e.Name = sharedName(names, name)
-	return e, nil
 }

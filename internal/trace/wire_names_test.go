@@ -32,11 +32,12 @@ func TestNameTableBounded(t *testing.T) {
 	rec := manyNamesRecord(100_000)
 	wire := MarshalRecord(rec)
 
-	names := make(map[string]string)
-	got, err := unmarshalRecord(wire, names)
+	st := newDecState()
+	got, err := unmarshalRecord(wire, st)
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := st.names
 	CheckOps(t, "manyNamesRecord", rec.Steps[0])
 	if !reflect.DeepEqual(got, rec) {
 		t.Fatal("record with 100 000 distinct names did not round-trip")
@@ -55,15 +56,15 @@ func TestNameTableBounded(t *testing.T) {
 	if _, err := UnmarshalRecord(wire); err != nil {
 		t.Fatal(err)
 	}
-	var pooled []map[string]string
+	var pooled []*decState
 	for i := 0; i < 64; i++ {
-		pooled = append(pooled, namePool.Get().(map[string]string))
+		pooled = append(pooled, decPool.Get().(*decState))
 	}
-	for _, names := range pooled {
-		if len(names) >= maxSharedNames {
+	for _, st := range pooled {
+		if names := st.names; len(names) >= maxSharedNames {
 			t.Fatalf("a pooled name table holds %d names after a hostile decode, cap %d", len(names), maxSharedNames)
 		}
-		namePool.Put(names)
+		decPool.Put(st)
 	}
 }
 
@@ -71,12 +72,12 @@ func TestNameTableBounded(t *testing.T) {
 // operator carries the same string, across steps and across records.
 func TestNameTableSharesNames(t *testing.T) {
 	wire := MarshalRecord(sampleRecord())
-	names := make(map[string]string)
-	a, err := unmarshalRecord(wire, names)
+	st := newDecState()
+	a, err := unmarshalRecord(wire, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := unmarshalRecord(wire, names)
+	b, err := unmarshalRecord(wire, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,13 +149,3 @@ func BenchmarkMarshalRecord(b *testing.B) {
 		MarshalRecord(r)
 	}
 }
-
-func BenchmarkUnmarshalRecord(b *testing.B) {
-	data := MarshalRecord(sampleRecord())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalRecord(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

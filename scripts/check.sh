@@ -42,11 +42,12 @@ go test -race -count=200 -run 'TestProfilerWhileTrainingRuns$' ./internal/core/p
 
 # The parallel codec must stay bit-identical to the serial path and the
 # two pooled things in the record codec race-clean — the encoder's
-# scratch buffers and the decoder's shared operator-name table: run the
-# archive differential tests and the trace wire/pool tests twice under
-# the race detector so chunk-boundary or pool-reuse regressions (the
-# second pass decodes with tables the first one filled) can't hide behind
-# one lucky schedule.
+# scratch buffers and the decoder's state (the operator-name table and
+# the name cache in front of it, which every record a decode borrows it
+# for shares strings from): run the archive differential tests and the
+# trace wire/pool tests twice under the race detector so chunk-boundary
+# or pool-reuse regressions (the second pass decodes with state the first
+# one filled) can't hide behind one lucky schedule.
 echo "== go test -race -count=2 ./internal/archive ./internal/trace"
 go test -race -count=2 ./internal/archive ./internal/trace
 
@@ -81,13 +82,16 @@ go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 # must run and print its OLS phase line and at least one TPU top-op row.
 # The fleet-compare example (two runs profiled live into a collector,
 # finalized, and their archived summaries diffed) must run, archive both
-# runs and print at least one diff-table row. Each assignment stands
-# alone, not before `&&`: under `set -e` a failure inside an `&&` list
-# does not stop the script.
-echo "== phasestudy, quickstart and fleetcompare examples"
+# runs and print at least one diff-table row. The remote-profiler example
+# (a profiler attached over TCP to a training run's profile service) must
+# exit 0 and print how many records it profiled and how many phases they
+# hold. Each assignment stands alone, not before `&&`: under `set -e` a
+# failure inside an `&&` list does not stop the script.
+echo "== phasestudy, quickstart, fleetcompare and remoteprofiler examples"
 out="$(go run ./examples/phasestudy)"; for algo in kmeans dbscan ols; do grep -Eq "^[^ ]+ +$algo +[0-9]+ " <<<"$out" || { echo "$out"; echo "phasestudy printed no $algo row"; exit 1; }; done
 out="$(go run ./examples/quickstart)" || exit; for want in '^OLS at the default 70% threshold found ' '^ +\[tpu\] '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "quickstart printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/fleetcompare)"; for want in '^archived dcgan-v2:' '^archived dcgan-v3:' ' 2 runs saved$' '^#[0-9]+ +#[0-9]+ '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "fleetcompare printed no line matching '$want'"; exit 1; }; done
+out="$(go run ./examples/remoteprofiler)" || exit; for want in '^profiled [0-9]+ records' '^phases: [0-9]+'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "remoteprofiler printed no line matching '$want'"; exit 1; }; done
 
 # The CLI runs on a live DirStore: its tests take the store's flock
 # from several handles and a collector goroutine over real files, so

@@ -94,9 +94,16 @@ type Runner struct {
 	checkpoints []Checkpoint
 	totalSteps  int64
 
-	merged     []trace.Event   // sort-merged cache, built lazily
-	mergedUpTo int             // host+dev event counts at merge time
-	lastStart  []simclock.Time // lastStart[s+1]: the latest Start of step s in merged
+	// The event source reads the two streams in place. The device
+	// stream is in Start order (tpu.Device); hostByStart is the host
+	// stream in Start order, equal Starts oldest first. syncLocked brings
+	// it and lastStart up to date from the events emitted since.
+	hostByStart []trace.Event
+	mergeBuf    []trace.Event   // the suffix of hostByStart a new host tail merges into
+	devSeen     int             // device events counted in lastStart
+	lastStart   []simclock.Time // lastStart[s+1]: the latest Start of step s
+	openCur     int             // OpenStep's cursor: lastStart[i] < openCurT for every i < openCur
+	openCurT    simclock.Time
 }
 
 // New prepares a runner. The workload's graphs are compiled here, so a
@@ -212,8 +219,14 @@ func (r *Runner) Run() error {
 	}
 	r.dev.ReserveEvents(1 + steps*stepEvents(r.trainProg) + evalSteps*stepEvents(r.evalProg))
 	r.hst.ReserveSteps(steps, r.W.NoiseP)
+	// So is the event source's host copy, so that a profile window
+	// allocates only for the events it returns.
+	r.hostByStart = make([]trace.Event, 0, cap(r.hst.Events()))
 	initEnd := r.hst.EmitInit(0, r.trainProg.WeightBytes)
-	r.dev.InjectEvent("StartProgram", initEnd, 2000, -1)
+	if err := r.dev.InjectEvent("StartProgram", initEnd, 2000, -1); err != nil {
+		r.mu.Unlock()
+		return err
+	}
 	r.now = initEnd.Add(2000)
 	r.nonTrain += simclock.Duration(r.now) // init phase spans [0, now)
 	r.mu.Unlock()
@@ -468,60 +481,122 @@ func (r *Runner) StepTimings() []tpu.StepTiming {
 // WeightBytes returns the train program's parameter footprint.
 func (r *Runner) WeightBytes() int64 { return r.trainProg.WeightBytes }
 
-// mergedEvents returns the merged event cache, rebuilt first if new
-// events arrived. It takes the write lock itself.
-func (r *Runner) mergedEvents() []trace.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mergeLocked()
+// syncLocked brings the event source up to date with the events emitted
+// since its last call: the new host events are sorted on their own,
+// stably, then merged into the suffix of hostByStart they overlap, and
+// every new event raises its step's latest Start. The caller holds the
+// write lock.
+func (r *Runner) syncLocked() {
+	de := r.dev.Events()
+	for _, e := range de[r.devSeen:] {
+		r.noteStart(e)
+	}
+	r.devSeen = len(de)
+
+	he := r.hst.Events()
+	old := len(r.hostByStart)
+	if len(he) == old {
+		return
+	}
+	r.hostByStart = append(r.hostByStart, he[old:]...)
+	tail := r.hostByStart[old:]
+	for _, e := range tail {
+		r.noteStart(e)
+	}
+	slices.SortStableFunc(tail, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+	k := sort.Search(old, func(i int) bool { return r.hostByStart[i].Start > tail[0].Start })
+	if k < old {
+		r.mergeBuf = append(r.mergeBuf[:0], r.hostByStart[k:old]...)
+		mergeByStart(r.hostByStart[k:], r.mergeBuf, tail)
+	}
 }
 
-// mergeLocked is mergedEvents for a caller holding the write lock.
-func (r *Runner) mergeLocked() []trace.Event {
-	de, he := r.dev.Events(), r.hst.Events()
-	if total := len(de) + len(he); total != r.mergedUpTo {
-		m := make([]trace.Event, 0, total)
-		m = append(m, de...)
-		m = append(m, he...)
-		slices.SortStableFunc(m, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
-		r.merged = m
-		r.mergedUpTo = total
-		r.lastStart = r.lastStart[:0]
-		for _, e := range m { // in Start order: the last write per step is its latest
-			for int(e.Step+1) >= len(r.lastStart) {
-				r.lastStart = append(r.lastStart, 0)
-			}
-			r.lastStart[e.Step+1] = e.Start
+// noteStart raises e's step's latest Start to e.Start.
+func (r *Runner) noteStart(e trace.Event) {
+	i := int(e.Step + 1)
+	for i >= len(r.lastStart) {
+		r.lastStart = append(r.lastStart, 0)
+	}
+	r.lastStart[i] = max(r.lastStart[i], e.Start)
+}
+
+// mergeByStart fills dst with the first len(dst) events of the merge of
+// a and b, each in Start order, taking a's event first on equal Starts.
+// b may be the tail of dst, as long as a does not overlap dst.
+func mergeByStart(dst, a, b []trace.Event) {
+	i, j := 0, 0
+	for w := range dst {
+		if j == len(b) || (i < len(a) && a[i].Start <= b[j].Start) {
+			dst[w] = a[i]
+			i++
+		} else {
+			dst[w] = b[j]
+			j++
 		}
 	}
-	return r.merged
 }
 
-// Events returns the merged host+device event stream, time-ordered.
-func (r *Runner) Events() []trace.Event {
-	return r.mergedEvents()
+// byStartWindow returns the events of s, which is in Start order, with
+// Start in [from, to).
+func byStartWindow(s []trace.Event, from, to simclock.Time) []trace.Event {
+	lo := sort.Search(len(s), func(i int) bool { return s[i].Start >= from })
+	s = s[lo:]
+	return s[:sort.Search(len(s), func(i int) bool { return s[i].Start >= to })]
 }
 
-// EventsInWindow implements tpu.EventSource over the merged stream.
+// Events returns the run's host and device events in Start order, device
+// first on equal Starts: the stream the profile service tiles. It is
+// built on each call.
+func (r *Runner) Events() []trace.Event { return r.FirstEvents(math.MaxInt) }
+
+// FirstEvents returns the first n events of Events (all of them when the
+// run has fewer), building no more than that.
+func (r *Runner) FirstEvents(n int) []trace.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.syncLocked()
+	de := r.dev.Events()
+	out := make([]trace.Event, min(n, len(de)+len(r.hostByStart)))
+	mergeByStart(out, de, r.hostByStart)
+	return out
+}
+
+// EventsInWindow implements tpu.EventSource: the window's slice of the
+// device stream merged with the window's slice of hostByStart.
 func (r *Runner) EventsInWindow(from, to simclock.Time) []trace.Event {
-	m := r.mergedEvents()
-	lo := sort.Search(len(m), func(i int) bool { return m[i].Start >= from })
-	hi := sort.Search(len(m), func(i int) bool { return m[i].Start >= to })
-	out := make([]trace.Event, hi-lo)
-	copy(out, m[lo:hi])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.syncLocked()
+	de := byStartWindow(r.dev.Events(), from, to)
+	he := byStartWindow(r.hostByStart, from, to)
+	out := make([]trace.Event, len(de)+len(he))
+	mergeByStart(out, de, he)
 	return out
 }
 
 // OpenStep implements tpu.EventSource: the lowest step of an emitted event
-// starting at or after t, or of an event the run has yet to emit.
+// starting at or after t, or of an event the run has yet to emit. Only
+// steps below openStep can lower the answer, and they gain no more
+// events, so a step the cursor has passed stays passed: over the profile
+// service's non-decreasing t the cursor costs amortized constant time,
+// and a smaller t rescans from the first step.
 func (r *Runner) OpenStep(t simclock.Time) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.mergeLocked()
-	for i, last := range r.lastStart {
-		if last >= t {
-			return min(r.openStep, int64(i)-1)
-		}
+	r.syncLocked()
+	if t < r.openCurT {
+		r.openCur = 0
+	}
+	r.openCurT = t
+	limit := len(r.lastStart)
+	if r.openStep < int64(limit)-1 {
+		limit = int(r.openStep + 1)
+	}
+	for r.openCur < limit && r.lastStart[r.openCur] < t {
+		r.openCur++
+	}
+	if r.openCur < limit {
+		return int64(r.openCur) - 1
 	}
 	return r.openStep
 }

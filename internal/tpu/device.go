@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/prng"
 	"repro/internal/simclock"
@@ -26,6 +27,12 @@ type StepTiming struct {
 }
 
 // Device executes compiled programs and records the event stream.
+//
+// The event stream is in Start order, and so are the step timings (in
+// Start and in End). RunStep starts a step no earlier than the device's
+// free time, which is at or after the end of every event emitted so far,
+// and InjectEvent refuses an event that starts before the last one. So a
+// reader may binary-search either slice by time without sorting it.
 type Device struct {
 	Spec ChipSpec
 
@@ -151,12 +158,18 @@ func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, erro
 }
 
 // InjectEvent lets the runtime attribute an auxiliary device event (e.g. a
-// compilation or checkpoint-restore op) to the stream.
-func (d *Device) InjectEvent(name string, at simclock.Time, dur simclock.Duration, step int64) {
+// compilation or checkpoint-restore op) to the stream. It refuses an
+// event that starts before the last one emitted, which would break the
+// stream's Start order.
+func (d *Device) InjectEvent(name string, at simclock.Time, dur simclock.Duration, step int64) error {
+	if n := len(d.events); n > 0 && at < d.events[n-1].Start {
+		return fmt.Errorf("tpu: event %q at %d starts before the last event, at %d", name, at, d.events[n-1].Start)
+	}
 	d.emit(name, at, dur, step)
 	if end := at.Add(dur); end > d.freeAt {
 		d.freeAt = end
 	}
+	return nil
 }
 
 // ReserveEvents makes room for n more events, so that a run of known
@@ -228,13 +241,16 @@ func (d *Device) MXUUtilization() float64 {
 
 // WindowMetrics computes idle fraction and MXU utilization for the steps
 // overlapping the window [from, to) — the metadata attached to a profile
-// response covering that window.
+// response covering that window. The timings are in Start and End order,
+// so the overlapping steps are the run from the first one that ends after
+// from to the last one that starts before to.
 func (d *Device) WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float64) {
 	var idle, mxu simclock.Duration
 	var span simclock.Duration
-	for _, st := range d.timings {
-		if st.End <= from || st.Start >= to {
-			continue
+	first := sort.Search(len(d.timings), func(i int) bool { return d.timings[i].End > from })
+	for _, st := range d.timings[first:] {
+		if st.Start >= to {
+			break
 		}
 		idle += st.Idle
 		mxu += st.MXUBusy

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/prng"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/xla"
@@ -177,12 +178,95 @@ func TestWindowMetrics(t *testing.T) {
 
 func TestInjectEvent(t *testing.T) {
 	d := newTestDevice(t, V2)
-	d.InjectEvent("RestoreV2", 0, 5000, -1)
+	if err := d.InjectEvent("RestoreV2", 0, 5000, -1); err != nil {
+		t.Fatal(err)
+	}
 	if d.FreeAt() != 5000 {
 		t.Fatalf("FreeAt after inject = %d", d.FreeAt())
 	}
 	if len(d.Events()) != 1 || d.Events()[0].Name != "RestoreV2" {
 		t.Fatal("injected event missing")
+	}
+}
+
+// TestInjectEventRefusesOutOfOrder: an injected event may start with the
+// last one but not before it, so the stream stays in Start order.
+func TestInjectEventRefusesOutOfOrder(t *testing.T) {
+	d := newTestDevice(t, V2)
+	if _, err := d.RunStep(0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	last := d.Events()[len(d.Events())-1]
+	n, free := len(d.Events()), d.FreeAt()
+	if err := d.InjectEvent("RestoreV2", last.Start-1, 10, -1); err == nil {
+		t.Fatal("an event before the last Start was accepted")
+	}
+	if len(d.Events()) != n || d.FreeAt() != free {
+		t.Fatal("a refused event changed the device")
+	}
+	if err := d.InjectEvent("RestoreV2", last.Start, 10, -1); err != nil {
+		t.Fatalf("an event at the last Start was refused: %v", err)
+	}
+}
+
+// scanWindowMetrics is WindowMetrics as a scan over every step: the
+// oracle for the binary search.
+func scanWindowMetrics(d *Device, from, to simclock.Time) (float64, float64) {
+	var idle, mxu, span simclock.Duration
+	for _, st := range d.Timings() {
+		if st.End <= from || st.Start >= to {
+			continue
+		}
+		idle += st.Idle
+		mxu += st.MXUBusy
+		span += st.End.Sub(st.Start) + st.Idle
+	}
+	if span <= 0 {
+		return 0, 0
+	}
+	return float64(idle) / float64(span), float64(mxu) / float64(span)
+}
+
+// TestWindowMetricsMatchesScan checks the binary-searched WindowMetrics
+// bit for bit against the scan, on windows with edges at, just inside and
+// just outside step boundaries, and on a stream whose steps are in Start
+// order however the batches arrive.
+func TestWindowMetricsMatchesScan(t *testing.T) {
+	d := newTestDevice(t, V2)
+	rng := prng.New(7)
+	if err := d.InjectEvent("StartProgram", 0, 2000, -1); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 200; i++ {
+		ready := d.FreeAt().Add(simclock.Duration(rng.Intn(20)) * 1000)
+		if i%3 == 0 {
+			ready = 0 // batch already waiting
+		}
+		if _, err := d.RunStep(i, ready); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evs := d.Events()
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Start < evs[i-1].Start {
+			t.Fatalf("event %d starts at %d, before event %d at %d", i, evs[i].Start, i-1, evs[i-1].Start)
+		}
+	}
+	var edges []simclock.Time
+	for _, st := range d.Timings() {
+		edges = append(edges, st.Start-1, st.Start, st.Start+1, st.End-1, st.End, st.End+1)
+	}
+	edges = append(edges, 0, d.FreeAt()+1000)
+	for k := 0; k < 5000; k++ {
+		from, to := edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
+		if from > to {
+			from, to = to, from
+		}
+		gi, gm := d.WindowMetrics(from, to)
+		wi, wm := scanWindowMetrics(d, from, to)
+		if gi != wi || gm != wm {
+			t.Fatalf("window [%d, %d): metrics (%v, %v), the scan says (%v, %v)", from, to, gi, gm, wi, wm)
+		}
 	}
 }
 

@@ -85,13 +85,18 @@ go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 # runs and print at least one diff-table row. The remote-profiler example
 # (a profiler attached over TCP to a training run's profile service) must
 # exit 0 and print how many records it profiled and how many phases they
-# hold. Each assignment stands alone, not before `&&`: under `set -e` a
-# failure inside an `&&` list does not stop the script.
-echo "== phasestudy, quickstart, fleetcompare and remoteprofiler examples"
+# hold. The autotune example (TPUPoint-Optimizer tuning a naive QANet
+# pipeline) must exit 0, print its speedup line and keep at least one
+# parameter move. The dataset-shift example must exit 0 and print the
+# ResNet-on-CIFAR-10 row. Each assignment stands alone, not before `&&`:
+# under `set -e` a failure inside an `&&` list does not stop the script.
+echo "== phasestudy, quickstart, fleetcompare, remoteprofiler, autotune and datasetshift examples"
 out="$(go run ./examples/phasestudy)"; for algo in kmeans dbscan ols; do grep -Eq "^[^ ]+ +$algo +[0-9]+ " <<<"$out" || { echo "$out"; echo "phasestudy printed no $algo row"; exit 1; }; done
 out="$(go run ./examples/quickstart)" || exit; for want in '^OLS at the default 70% threshold found ' '^ +\[tpu\] '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "quickstart printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/fleetcompare)"; for want in '^archived dcgan-v2:' '^archived dcgan-v3:' ' 2 runs saved$' '^#[0-9]+ +#[0-9]+ '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "fleetcompare printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/remoteprofiler)" || exit; for want in '^profiled [0-9]+ records' '^phases: [0-9]+'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "remoteprofiler printed no line matching '$want'"; exit 1; }; done
+out="$(go run ./examples/autotune)" || exit; for want in '^speedup: +[0-9.]+x' '^ +[A-Za-z]+ +[0-9]+ -> +[0-9]+ .* kept$'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "autotune printed no line matching '$want'"; exit 1; }; done
+out="$(go run ./examples/datasetshift)" || exit; for want in '^ +cifar10 +[0-9.]+% +[0-9.]+% '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "datasetshift printed no line matching '$want'"; exit 1; }; done
 
 # The CLI runs on a live DirStore: its tests take the store's flock
 # from several handles and a collector goroutine over real files, so

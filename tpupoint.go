@@ -285,10 +285,13 @@ func (s *Session) LoadRecords() ([]*ProfileRecord, error) {
 	return profiler.LoadRecords(s.bucket, "profiles/")
 }
 
+// traceOps is how many of the run's events WriteTrace draws.
+const traceOps = 5000
+
 // WriteTrace emits the chrome://tracing visualization of a report plus
 // the records it came from (the paper's Figure 3 artifact).
 func (s *Session) WriteTrace(w io.Writer, rep *Report, records []*ProfileRecord) error {
-	return viz.WriteChromeTrace(w, rep.Phases, records, s.runner.Events(), 5000)
+	return viz.WriteChromeTrace(w, rep.Phases, records, s.runner.FirstEvents(traceOps), traceOps)
 }
 
 // WriteCSV emits the CSV phase summary of a report.

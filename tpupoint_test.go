@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core/analyzer"
+	"repro/internal/core/viz"
 )
 
 func TestWorkloadsList(t *testing.T) {
@@ -94,6 +95,43 @@ func TestSessionFigure2Flow(t *testing.T) {
 	}
 	if !strings.Contains(csv.String(), "phase,steps") {
 		t.Fatal("csv missing header")
+	}
+}
+
+// TestWriteTraceDrawsFirstEvents: WriteTrace builds only the events it
+// draws, and writes the bytes it wrote from the whole run's events, on the
+// three workloads the paper pipeline renders.
+func TestWriteTraceDrawsFirstEvents(t *testing.T) {
+	for _, name := range []string{"bert-mrpc", "resnet-imagenet", "dcgan-mnist"} {
+		s, err := NewSession(name, Options{Steps: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Train(); err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.StartProfiler(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := p.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Analyze(records, OLS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := s.WriteTrace(&got, rep, records); err != nil {
+			t.Fatal(err)
+		}
+		if err := viz.WriteChromeTrace(&want, rep.Phases, records, s.runner.Events(), traceOps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: the trace drawn from the first %d events differs from the one drawn from the whole run", name, traceOps)
+		}
 	}
 }
 

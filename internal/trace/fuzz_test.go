@@ -22,6 +22,10 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	// which reads a field by its number (field 1 as a varint, field 4 as 8
 	// bytes) whatever type its tag claims.
 	f.Add([]byte("X0X00\x9a\x99\x99\x99\x99\x99\xd900\x9a\x99\x99\x99\x99\x99\xc90B6\b0\x100B\x100000000000000000\xc90000000008080 00000000900000000"))
+	// The op entries at each edge of the decoder's fast path.
+	for _, r := range fastPathRecords() {
+		f.Add(r.wire)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoder accepts exactly what the one it replaced accepted,
 		// and returns the same record.

@@ -711,17 +711,31 @@ func TestOpListAllocationBounds(t *testing.T) {
 
 // BenchmarkUnmarshalRecord decodes one six-event record (six-event), and
 // every record of the six Table I recordings at 1000 steps (table-i), the
-// latter reported per step fragment, per op entry and per record.
+// latter reported per step fragment, per op entry and per record. The
+// foreign-layout arm decodes the same records with each op entry's four
+// fields in reverse order, which the decoder's fast path declines; its
+// set-up checks they decode to the same records.
 func BenchmarkUnmarshalRecord(b *testing.B) {
-	var wire [][]byte
+	var wire, foreign [][]byte
 	frags, entries := 0, 0
 	for _, rc := range tableI {
 		for _, r := range recording(b, rc.workload, rc.version, 1000) {
-			wire = append(wire, trace.MarshalRecord(r))
+			data := trace.MarshalRecord(r)
+			wire = append(wire, data)
+			foreign = append(foreign, reverseOpFields(b, data))
 			frags += len(r.Steps)
 			for _, s := range r.Steps {
 				entries += len(s.Ops)
 			}
+		}
+	}
+	for i := range foreign {
+		got, err := trace.UnmarshalRecord(foreign[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bytes.Equal(foreign[i], wire[i]) || !bytes.Equal(trace.MarshalRecord(got), wire[i]) {
+			b.Fatalf("record %d: the foreign layout is the same bytes, or decodes to another record", i)
 		}
 	}
 	b.Run("six-event", func(b *testing.B) {
@@ -733,25 +747,80 @@ func BenchmarkUnmarshalRecord(b *testing.B) {
 			}
 		}
 	})
-	b.Run("table-i", func(b *testing.B) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, data := range wire {
-				if _, err := trace.UnmarshalRecord(data); err != nil {
-					b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		wire [][]byte
+	}{{"table-i", wire}, {"foreign-layout", foreign}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, data := range arm.wire {
+					if _, err := trace.UnmarshalRecord(data); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-		b.StopTimer()
-		runtime.ReadMemStats(&after)
-		ns, n := float64(b.Elapsed().Nanoseconds()), float64(b.N)
-		b.ReportMetric(ns/(n*float64(frags)), "ns/fragment")
-		b.ReportMetric(ns/(n*float64(entries)), "ns/entry")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/(n*float64(len(wire))), "allocs/record")
-		b.ReportMetric(float64(len(wire)), "records")
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			ns, n := float64(b.Elapsed().Nanoseconds()), float64(b.N)
+			b.ReportMetric(ns/(n*float64(frags)), "ns/fragment")
+			b.ReportMetric(ns/(n*float64(entries)), "ns/entry")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/(n*float64(len(arm.wire))), "allocs/record")
+			b.ReportMetric(float64(len(arm.wire)), "records")
+		})
+	}
+}
+
+// reverseOpFields re-encodes a record as another encoder might: each op
+// entry's fields in reverse order, every other byte as it was.
+func reverseOpFields(tb testing.TB, record []byte) []byte {
+	return mapFields(tb, record, 8, func(step []byte) []byte {
+		return mapFields(tb, step, 6, func(op []byte) []byte {
+			var fields [][]byte
+			for b := op; len(b) > 0; {
+				n := fieldLen(tb, b)
+				fields, b = append(fields, b[:n]), b[n:]
+			}
+			var out []byte
+			for i := len(fields) - 1; i >= 0; i-- {
+				out = append(out, fields[i]...)
+			}
+			return out
+		})
 	})
+}
+
+// mapFields copies the message msg, passing the payload of each
+// length-delimited field number field through fn.
+func mapFields(tb testing.TB, msg []byte, field int, fn func([]byte) []byte) []byte {
+	var out []byte
+	for b := msg; len(b) > 0; {
+		n := fieldLen(tb, b)
+		if f, t, k := protowire.ConsumeTag(b); f == field && t == protowire.Bytes {
+			payload, _ := protowire.ConsumeBytes(b[k:n])
+			out = protowire.AppendBytes(out, f, fn(payload))
+		} else {
+			out = append(out, b[:n]...)
+		}
+		b = b[n:]
+	}
+	return out
+}
+
+// fieldLen is the length of the well-formed field, tag and payload, that
+// starts b.
+func fieldLen(tb testing.TB, b []byte) int {
+	_, t, n := protowire.ConsumeTag(b)
+	m := -1
+	if n > 0 {
+		m = protowire.ConsumeFieldValue(t, b[n:])
+	}
+	if m < 0 {
+		tb.Fatalf("malformed field at % x", b[:min(len(b), 16)])
+	}
+	return n + m
 }
 
 // BenchmarkAggregateSteps is stage 1 of every analyzer method on a

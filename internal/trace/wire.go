@@ -310,10 +310,21 @@ func countEntries(data []byte) (steps, ops int) {
 	return steps, ops
 }
 
-// countOps is countEntries one level down: a step's op entries.
+// countOps is countEntries one level down: a step's op entries. An entry
+// with a one-byte tag and length — every entry appendStep writes — is
+// skipped by its length without parsing either.
 func countOps(step []byte) int {
 	k := 0
 	for len(step) > 0 && k < maxPresize {
+		if len(step) > 1 && step[0] == opTag && step[1] < 0x80 {
+			n := 2 + int(step[1])
+			if n > len(step) {
+				break
+			}
+			step = step[n:]
+			k++
+			continue
+		}
 		f, t, n := protowire.ConsumeTag(step)
 		if n < 0 {
 			break
@@ -335,8 +346,17 @@ func (d *slabs) step(b []byte) error {
 	d.steps = append(d.steps, StepStat{})
 	s := &d.steps[len(d.steps)-1]
 	lo := len(d.ops)
-	inOrder := true
 	for len(b) > 0 {
+		if len(b) > 1 && b[0] == opTag && b[1] < 0x80 && int(b[1]) <= len(b)-2 {
+			// An op entry with a one-byte tag and length: every entry
+			// appendStep writes.
+			n := 2 + int(b[1])
+			if err := d.entry(b[2:n]); err != nil {
+				return err
+			}
+			b = b[n:]
+			continue
+		}
 		f, t, n := protowire.ConsumeTag(b)
 		if n < 0 {
 			return protowire.ParseError(n)
@@ -362,11 +382,8 @@ func (d *slabs) step(b []byte) error {
 		case 6:
 			var op []byte
 			if op, n = protowire.ConsumeBytes(b); n >= 0 {
-				if err := d.op(op); err != nil {
+				if err := d.entry(op); err != nil {
 					return err
-				}
-				if k := len(d.ops); k-lo > 1 && d.ops[k-2].Key().Compare(d.ops[k-1].Key()) >= 0 {
-					inOrder = false
 				}
 			}
 		default:
@@ -381,12 +398,67 @@ func (d *slabs) step(b []byte) error {
 		// The step's entries end the op slab, so a fold stays inside
 		// them; finish re-slices every step from the final slab.
 		s.Ops = d.ops[lo:]
-		if !inOrder {
+		if !inOrder(s.Ops) {
 			s.Ops = foldOps(s.Ops)
 			d.ops = d.ops[:lo+len(s.Ops)]
 		}
 	}
 	return nil
+}
+
+// entry decodes one op entry onto the end of the op slab: on the fast
+// path if it takes the entry, field by field if not.
+func (d *slabs) entry(b []byte) error {
+	if d.fastOp(b) {
+		return nil
+	}
+	return d.op(b)
+}
+
+// The one-byte tags of appendStep's op entries: the entry itself (field 6
+// of a step, length-delimited) and its four fields in the order written.
+const (
+	opTag     = 6<<3 | byte(protowire.Bytes)
+	nameTag   = 1<<3 | byte(protowire.Bytes)
+	deviceTag = 2<<3 | byte(protowire.Varint)
+	countTag  = 3<<3 | byte(protowire.Varint)
+	totalTag  = 4<<3 | byte(protowire.Varint)
+)
+
+// fastOp decodes b onto the end of the op slab if it is an op entry in
+// exactly the layout appendStep writes, and reports whether it did: a
+// name of 1 to 127 bytes, a one-byte device of Host or TPU, a count and a
+// total, each once, in that order, under one-byte tags, and nothing
+// after. Anything else it declines, leaving the slab as it was, to op,
+// which stays the one definition of what an entry means: an entry fastOp
+// takes is one op would decode to the same value.
+func (d *slabs) fastOp(b []byte) bool {
+	if len(b) < 2 || b[0] != nameTag || b[1] == 0 || b[1] >= 0x80 {
+		return false
+	}
+	i := 2 + int(b[1]) // the device's tag
+	if len(b) < i+4 || b[i] != deviceTag || b[i+1] > byte(TPU) || b[i+2] != countTag {
+		return false
+	}
+	count, n := protowire.ConsumeVarint(b[i+3:])
+	if n < 0 {
+		return false
+	}
+	j := i + 3 + n // the total's tag
+	if j >= len(b) || b[j] != totalTag {
+		return false
+	}
+	total, n := protowire.ConsumeVarint(b[j+1:])
+	if n < 0 || j+1+n != len(b) {
+		return false
+	}
+	d.ops = append(d.ops, OpTotal{
+		Name:   d.st.name(b[2:i]),
+		Device: Device(b[i+1]),
+		Count:  int64(count),
+		Total:  simclock.Duration(total),
+	})
+	return true
 }
 
 // op decodes one op entry onto the end of the op slab.
@@ -450,6 +522,17 @@ func (d *slabs) finish() []*StepStat {
 		out[i] = s
 	}
 	return out
+}
+
+// inOrder reports whether ops is in list order: strictly ascending, so
+// one entry per operator.
+func inOrder(ops []OpTotal) bool {
+	for i := 1; i < len(ops); i++ {
+		if ops[i-1].Key().Compare(ops[i].Key()) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // foldOps turns op entries in any order, operators repeated, into the

@@ -9,12 +9,15 @@
 // collectors on the same directory. Nothing is imported, held in
 // memory, or synced back.
 //
-// Verbs that mutate (runs gc, delete, compact, salvage, fsck -repair;
-// archiving a run; cluster) replay the intent journals when they open
-// the repository. A full replay rolls back ANY open intent, including
-// the in-flight save of a live collector, so stop the collectors
-// before running one. Verbs that only read (runs list, show, diff,
-// fsck; watch) never replay and never write, and are safe at any time.
+// Verbs that mutate the index (runs gc, delete, compact; archiving a
+// run) sweep the repository when they open it: every object no
+// manifest references is reclaimed. The sweep also reclaims the blob a
+// live collector has written but not yet committed, so stop the
+// collectors before running one. The repair verbs (runs salvage,
+// fsck -repair) open without the sweep, because they re-adopt a
+// well-formed orphan rather than reclaim it. Verbs that only read
+// (runs list, show, diff, fsck; watch) never sweep and never write,
+// and are safe at any time.
 package main
 
 import (
@@ -39,22 +42,23 @@ import (
 // openRepoDir opens the profile repository in dir and returns it with
 // the store under it and a func releasing the store.
 //
-// replay is true for a verb that mutates: the directory is created if
-// missing, every intent journal is replayed (so what a crashed process
-// left behind is completed or rolled back before the verb runs), and
-// shards sizes a fresh repository (an existing one keeps its count).
+// sweep is true for a verb that mutates the index: the directory is
+// created if missing, every object no manifest references is reclaimed
+// (so what a crashed process left half done is settled before the verb
+// runs), and shards sizes a fresh repository (an existing one keeps
+// its count).
 //
-// replay is false for a verb that only reads: nothing under dir is
-// created or altered. The journals are left alone because an open
-// intent may belong to a live collector's in-flight save, and a
-// directory that does not exist (a mistyped path) reads as an empty
-// repository instead of being created.
+// sweep is false for a verb that only reads or repairs: opening
+// creates or alters nothing under dir. An unreferenced blob may be a
+// live collector's in-flight save, or the orphan a repair is about to
+// re-adopt, and a directory that does not exist (a mistyped path)
+// reads as an empty repository instead of being created.
 //
 // A directory written by earlier builds' export route (raw files, no
 // generation sidecars) opens unchanged: DirStore adopts such objects at
 // generation 1.
-func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, func(), error) {
-	if !replay {
+func openRepoDir(dir string, shards int, sweep bool) (*repo.Repo, repo.Store, func(), error) {
+	if !sweep {
 		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 			bucket, err := storage.NewService().CreateBucket("empty")
 			if err != nil {
@@ -68,7 +72,7 @@ func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, f
 		return nil, nil, nil, fmt.Errorf("opening repository %s: %w", dir, err)
 	}
 	done := func() { store.Close() }
-	if !replay {
+	if !sweep {
 		return repo.New(store), store, done, nil
 	}
 	r, rec, err := repo.OpenShards(store, shards)
@@ -82,8 +86,7 @@ func openRepoDir(dir string, shards int, replay bool) (*repo.Repo, repo.Store, f
 
 func printRecovery(rec *repo.RecoveryReport) {
 	if rec != nil && !rec.Clean() {
-		fmt.Printf("recovery: replayed %d interrupted mutations (%d completed, %d rolled back, %d orphans reclaimed)\n",
-			rec.OpenIntents, rec.Completed, rec.RolledBack, len(rec.OrphansReclaimed))
+		fmt.Printf("recovery: reclaimed %d unreferenced objects\n", len(rec.Reclaimed))
 	}
 }
 
@@ -108,12 +111,12 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 			}
 		}
 	}
-	mutates := repair
+	sweep := false
 	switch verb {
-	case "gc", "delete", "compact", "salvage":
-		mutates = true
+	case "gc", "delete", "compact":
+		sweep = true
 	}
-	r, _, done, err := openRepoDir(dir, shards, mutates)
+	r, _, done, err := openRepoDir(dir, shards, sweep)
 	if err != nil {
 		return err
 	}
@@ -313,12 +316,12 @@ type collectConfig struct {
 // acknowledged, so there is nothing to flush at shutdown and a kill -9
 // loses nothing that was acked. Interrupted sessions stay parked in the
 // directory and clients reattach with fleet.Resume after a restart.
-// Saves flow through a group-commit Ingestor that amortizes
-// journal+manifest writes across concurrent finalizes.
+// Saves flow through a group-commit Ingestor that amortizes manifest
+// writes across concurrent finalizes.
 //
 // A standalone collector (-replicas 1) is a replica set of one that
-// owns every shard: it opens the repository the same way, replaying the
-// journals of the shards it owns, and only has no peers to probe.
+// owns every shard: it opens the repository the same way, sweeping the
+// shards it owns, and only has no peers to probe.
 func collectServe(cfg collectConfig) error {
 	if cfg.Dir == "" {
 		return errors.New("-collect-serve needs -archive <dir> for the repository")
@@ -413,8 +416,8 @@ func collectServe(cfg collectConfig) error {
 	if n := fleet.ActiveSessions(); n > 0 {
 		fmt.Printf("%d sessions still open; their accepted records are parked durably (clients resume by token)\n", n)
 	}
-	// Let an in-flight background compaction finish its intent rather
-	// than leave it for the next open to replay.
+	// Let an in-flight background compaction finish rather than leave
+	// its pack or old blobs for the next open to reclaim.
 	fleet.WaitBackground()
 	return nil
 }

@@ -223,11 +223,36 @@ func TestRunsFsckRepairQuarantinesOnDisk(t *testing.T) {
 	}
 }
 
+// TestRunsFsckRepairReadoptsHandPlacedArchive: a well-formed archive
+// copied by hand to runs/<id>/archive is re-adopted and listed by
+// `runs fsck -repair`, as README promises. The repair verb opens without
+// Open's sweep, which would reclaim the unindexed blob first.
+func TestRunsFsckRepairReadoptsHandPlacedArchive(t *testing.T) {
+	dir, _ := writeRepoWithRun(t, "run-a")
+	if err := os.MkdirAll(filepath.Dir(blobPath(dir, "run-b")), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blobPath(dir, "run-b"), testBlob(t, "run-b", 7), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error { return runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 0) })
+	if !strings.Contains(out, "re-adopted") {
+		t.Fatalf("fsck -repair did not re-adopt the hand-placed archive:\n%s", out)
+	}
+	out = captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 0) })
+	if !strings.Contains(out, "run-b") {
+		t.Fatalf("re-adopted run not listed:\n%s", out)
+	}
+	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
+		t.Fatalf("fsck after re-adoption: %v", err)
+	}
+}
+
 // TestReadOnlyVerbsNeverWrite: list/show/diff/fsck/watch create no
 // directory for a mistyped path and leave every repository byte alone —
-// in particular an open save intent and its orphan blob, which may
-// belong to a live collector's in-flight save. The first mutating verb
-// replays the journal and reclaims the orphan.
+// in particular an unindexed blob, which may belong to a live
+// collector's in-flight save. The first index-mutating verb sweeps the
+// repository and reclaims the orphan.
 func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 	typo := filepath.Join(t.TempDir(), "typo")
 	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, typo, 0, false, 0) })
@@ -262,14 +287,13 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 		}
 	}
 
-	// A save that lost power after its intent and blob, before its
-	// manifest CAS.
+	// A save that lost power after its blob, before its manifest CAS.
 	crash := faultnet.NewCrashStore(store)
 	doomed, _, err := repo.Open(crash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crash.CrashAfterWrites(2, false)
+	crash.CrashAfterWrites(1, false)
 	if _, err := doomed.Save(testBlob(t, "cut", 9)); !errors.Is(err, faultnet.ErrPowerLost) {
 		t.Fatalf("cut save: %v, want ErrPowerLost", err)
 	}
@@ -295,14 +319,14 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 	}
 
 	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 0) })
-	if !strings.Contains(out, "recovery: replayed 1 interrupted mutations (0 completed, 1 rolled back, 1 orphans reclaimed)") {
+	if !strings.Contains(out, "recovery: reclaimed 1 unreferenced objects") {
 		t.Fatalf("runs gc printed no recovery line:\n%s", out)
 	}
 	if _, err := os.Stat(blobPath(dir, "cut")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("orphan blob survived the replay (stat: %v)", err)
+		t.Fatalf("orphan blob survived the sweep (stat: %v)", err)
 	}
 	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
-		t.Fatalf("fsck after replay: %v", err)
+		t.Fatalf("fsck after the sweep: %v", err)
 	}
 }
 
@@ -450,28 +474,39 @@ func TestCollectServeRefusesOtherShardCount(t *testing.T) {
 	}
 }
 
-// gateStore calls onAppend before every Append: a test parks a writer
-// at a chosen journal write.
+// gateStore calls park around a save's two writes: before the blob Put
+// (after = false) and after the manifest CAS (after = true). A test
+// parks a writer at a chosen point.
 type gateStore struct {
 	repo.Store
-	onAppend func(name string)
+	park func(after bool)
 }
 
-func (g *gateStore) Append(name string, data []byte) (*storage.Object, error) {
-	g.onAppend(name)
-	return g.Store.Append(name, data)
+func (g *gateStore) Put(name string, data []byte) (*storage.Object, error) {
+	g.park(false)
+	return g.Store.Put(name, data)
+}
+
+func (g *gateStore) PutIf(name string, data []byte, gen int64) (*storage.Object, error) {
+	obj, err := g.Store.PutIf(name, data, gen)
+	g.park(true)
+	return obj, err
 }
 
 // TestRunsGCBesideLiveWriter: `runs gc` works on the live directory
 // under the store's lock, so a writer on a second handle keeps what it
 // saved — the old import/mutate/re-export route wiped whatever landed
 // between its import and its sync. The writer is parked at the two
-// journal writes of a save where a full replay is harmless (before its
-// intent; after its manifest CAS, before its done record); between
-// them the collectors must be stopped, as the package comment says.
+// points of a save where a full sweep is harmless (before its blob Put;
+// after its manifest CAS); between them the collectors must be
+// stopped, as the package comment says.
 func TestRunsGCBesideLiveWriter(t *testing.T) {
-	for _, parkAt := range []int{1, 2} {
-		t.Run(fmt.Sprintf("parked-at-journal-write-%d", parkAt), func(t *testing.T) {
+	for _, parkAfterCAS := range []bool{false, true} {
+		name := "parked-before-the-blob-put"
+		if parkAfterCAS {
+			name = "parked-after-the-manifest-cas"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			saveRuns(t, dir, "old-1", "old-2")
 
@@ -481,9 +516,8 @@ func TestRunsGCBesideLiveWriter(t *testing.T) {
 			}
 			defer store.Close()
 			parked, release := make(chan struct{}), make(chan struct{})
-			appends := 0
-			writer := repo.New(&gateStore{Store: store, onAppend: func(string) {
-				if appends++; appends == parkAt {
+			writer := repo.New(&gateStore{Store: store, park: func(after bool) {
+				if after == parkAfterCAS {
 					close(parked)
 					<-release
 				}
@@ -502,10 +536,10 @@ func TestRunsGCBesideLiveWriter(t *testing.T) {
 			}
 
 			// gc ranked what was indexed when it ran: with the save parked
-			// before its intent that is the two old runs (nothing to
-			// drop), with it parked after its CAS the oldest of three.
+			// before its blob that is the two old runs (nothing to drop),
+			// with it parked after its CAS the oldest of three.
 			wantRuns := []string{"old-1", "old-2", "live"}
-			if parkAt == 2 {
+			if parkAfterCAS {
 				wantRuns = []string{"old-2", "live"}
 				if !strings.Contains(out, "removed old-1") {
 					t.Fatalf("gc did not drop the oldest run:\n%s", out)

@@ -10,8 +10,8 @@
 // With -follow the session log is re-read every -interval until it
 // stops growing for -idle, so a live collection can be watched from a
 // second terminal while the collector appends to the same directory.
-// watch only reads: it never replays a journal or writes to the
-// repository, so it is safe beside live collectors.
+// watch only reads: it never sweeps or writes to the repository, so it
+// is safe beside live collectors.
 package main
 
 import (

@@ -11,7 +11,7 @@
 // and Delete are atomic (the cut drops them wholesale), while Append is
 // the one tearable operation — in torn mode the cut lands mid-append
 // and a prefix of the data reaches the store, which is precisely the
-// debris the repository's CRC-framed journals must detect and trim.
+// debris the repository's CRC-framed session logs must detect and trim.
 package faultnet
 
 import (

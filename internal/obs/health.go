@@ -5,7 +5,7 @@
 // subsystems report in by name (repository opened, sessions recovered,
 // listener bound), and the process is ready only when no reporting
 // component is failing — an orchestrator keeps traffic away from a
-// collector that is still replaying its journal or lost its store.
+// collector that is still sweeping its repository or lost its store.
 //
 // Like the rest of the package, everything is nil-safe: a nil *Health
 // swallows updates and reports ready, so serving paths never branch on

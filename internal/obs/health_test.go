@@ -11,7 +11,7 @@ func TestHealthReadinessLifecycle(t *testing.T) {
 	if !h.Ready() {
 		t.Fatal("empty health tracker must be ready")
 	}
-	h.SetFailing("repository", "journal replay in progress")
+	h.SetFailing("repository", "sweep in progress")
 	if h.Ready() {
 		t.Fatal("failing component ignored")
 	}

@@ -9,18 +9,23 @@
 // decodes bit-identically to its original blob.
 //
 // Compaction runs under the same crash-consistency contract as every
-// other mutation: a journaled opCompact intent carrying the full
-// member layout lands first, the pack Put is the commit point, and
-// Recover rolls an interrupted compaction forward (pack durable) or
-// back (pack missing) — see recoverCompact in journal.go. Entries are
-// only repointed while they still address the exact pre-compaction
-// blob, so a member re-saved or repaired mid-compaction is left alone.
+// other mutation: the pack lands before the manifest CASes that
+// repoint members into it, and the superseded blobs are deleted after.
+// A crash before a repoint leaves an unreferenced pack, after one an
+// unreferenced old blob; the next Open of the pack's owner shard
+// reclaims either (Recover). A pack's name carries that owner shard,
+// and a replica packs only runs on shards it owns, so no replica's
+// sweep can reclaim a pack a live peer has not repointed yet. Entries
+// are only repointed while they still address the exact
+// pre-compaction blob, so a member re-saved or repaired mid-compaction
+// is left alone.
 package repo
 
 import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/archive"
@@ -60,8 +65,10 @@ type CompactReport struct {
 // Compact merges small unpacked archives into per-workload pack
 // objects. Safe to run concurrently with ingest: members that change
 // under the pass (re-saved, deleted, GC'd) are skipped at repoint
-// time, and a pack nobody ended up referencing is deleted. Returns
-// what it packed; an empty report means nothing qualified.
+// time, and a pack nobody ended up referencing is deleted. A
+// replica's repository (OpenShardsOwned) packs only runs on its owned
+// shards, so it writes no peer's manifest. Returns what it packed; an
+// empty report means nothing qualified.
 func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 	r.compactMu.Lock()
 	defer r.compactMu.Unlock()
@@ -75,7 +82,7 @@ func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 	}
 	groups := make(map[string][]RunInfo)
 	for _, e := range mergedRuns(ms) {
-		if e.packed() || strings.HasPrefix(e.Object, PackPrefix) {
+		if e.packed() || strings.HasPrefix(e.Object, PackPrefix) || !r.ownsShard(ss.shardOf(e.RunID)) {
 			continue
 		}
 		if opts.Workload != "" && e.Workload != opts.Workload {
@@ -107,17 +114,21 @@ func (r *Repo) Compact(opts CompactOptions) (*CompactReport, error) {
 			return rep, err
 		}
 	}
-	if len(rep.Packs) > 0 {
-		r.compactJournalIfSettled(journalCompactThreshold)
-	}
 	return rep, nil
 }
 
-// compactGroup packs one workload's candidate runs. Write order:
-// journaled intent (with the full member layout) → pack Put (the
-// commit point) → per-shard entry repoints → old blob deletes → done
-// record. A crash at any boundary leaves an open intent that
-// recoverCompact drives to a consistent end state.
+// packMember is one run's slot in a pack: where its bytes lived before
+// the pack and where they land inside it.
+type packMember struct {
+	RunID          string
+	Object         string // pre-compaction blob
+	Offset, Length int64
+}
+
+// compactGroup packs one workload's candidate runs. Write order: pack
+// Put → per-shard entry repoints (each CAS commits its members) → old
+// blob deletes. A crash at any boundary leaves only unreferenced
+// objects behind, which the owner shard's next Open reclaims.
 func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, rep *CompactReport) error {
 	var members []packMember
 	var blob []byte
@@ -140,26 +151,20 @@ func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, rep *
 	if len(members) < compactMinRuns {
 		return nil
 	}
-	pack := packObjectName(workload, members)
-	jname := ss.journalObject(ss.shardOf(pack))
-	seq, err := r.logIntentAt(jname, journalRecord{
-		Op: opCompact, Object: pack, Members: members,
-	})
-	if err != nil {
-		return err
-	}
+	owner := ss.shardOf(members[0].RunID)
+	pack := packObjectName(owner, workload, members)
 	if _, err := r.store.Put(pack, blob); err != nil {
-		return err // intent open; Recover rolls back (pack absent)
+		return err
 	}
 	inPack, err := r.repointMembers(ss, pack, members)
 	if err != nil {
-		return err // intent open; Recover reconciles
+		return err
 	}
 	// Delete exactly the blobs this pass superseded, and the pack itself
 	// when every member changed under us. This is deliberately not the
-	// index scan replay uses (recoverCompact): beside live ingest, a
-	// concurrent re-save's blob is unreferenced until its manifest CAS
-	// lands, so "unreferenced" does not yet mean "ours to delete".
+	// index scan Recover uses: beside live ingest, a concurrent
+	// re-save's blob is unreferenced until its manifest CAS lands, so
+	// "unreferenced" does not yet mean "ours to delete".
 	var packed []string
 	for i, mb := range members {
 		if !inPack[i] {
@@ -167,21 +172,16 @@ func (r *Repo) compactGroup(ss shardSet, workload string, group []RunInfo, rep *
 		}
 		packed = append(packed, mb.RunID)
 		if err := r.remove(mb.Object); err != nil {
-			return err // intent open; Recover reclaims the rest
+			return err
 		}
 	}
 	if len(packed) == 0 {
-		if err := r.remove(pack); err != nil {
-			return err
-		}
-		r.logDoneAt(jname, seq, opCompact)
-		return nil
+		return r.remove(pack)
 	}
-	r.logDoneAt(jname, seq, opCompact)
 	r.m.compactPacks.Inc()
 	r.m.compactRuns.Add(int64(len(packed)))
 	r.m.compactBytes.Add(int64(len(blob)))
-	r.shardCounter(ss.shardOf(pack), "compactions").Inc()
+	r.shardCounter(owner, "compactions").Inc()
 	r.obs.Emit("repo", "compacted",
 		fmt.Sprintf("packed %d %q runs into %s (%d bytes)", len(packed), workload, pack, len(blob)))
 	rep.Packs = append(rep.Packs, PackInfo{
@@ -233,18 +233,29 @@ func (r *Repo) repointMembers(ss shardSet, pack string, members []packMember) ([
 	return inPack, nil
 }
 
-// packObjectName derives a deterministic pack name from the workload
-// and the member set — no wall clock, no sequence burn, and distinct
-// member sets never collide in practice (FNV-1a over the ordered run
-// IDs). Re-running a crashed pass regenerates the same name, which is
-// harmless: the Put overwrites the identical bytes.
-func packObjectName(workload string, members []packMember) string {
+// packObjectName derives a deterministic pack name from its owner
+// shard, the workload and the member set — no wall clock, no sequence
+// burn, and distinct member sets never collide in practice (FNV-1a over
+// the ordered run IDs). Re-running a crashed pass regenerates the same
+// name, which is harmless: the Put overwrites the identical bytes.
+func packObjectName(owner int, workload string, members []packMember) string {
 	h := fnv.New64a()
 	for _, mb := range members {
 		h.Write([]byte(mb.RunID))
 		h.Write([]byte{0})
 	}
-	return fmt.Sprintf("%s%s-%016x", PackPrefix, sanitizeForObject(workload), h.Sum64())
+	return fmt.Sprintf("%s%d/%s-%016x", PackPrefix, owner, sanitizeForObject(workload), h.Sum64())
+}
+
+// packShard returns the owner shard a pack's name carries. A pack named
+// by an older build (runs/.pack/<workload>-<hash>) carries none.
+func packShard(name string) (int, bool) {
+	dir, _, ok := strings.Cut(strings.TrimPrefix(name, PackPrefix), "/")
+	if !ok {
+		return 0, false
+	}
+	i, err := strconv.Atoi(dir)
+	return i, err == nil
 }
 
 // sanitizeForObject maps a workload name onto the object-name-safe

@@ -98,8 +98,8 @@ func runContentionSuiteOver(t *testing.T, bucket Store, agents int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rrep.OpenIntents != 0 {
-		t.Fatalf("%d intents left open after all saves acked", rrep.OpenIntents)
+	if !rrep.Clean() {
+		t.Fatalf("objects left to reclaim after all saves acked: %v", rrep.Reclaimed)
 	}
 	frep, err := r2.Fsck(false)
 	if err != nil {
@@ -119,20 +119,21 @@ func TestShardedContentionZeroLoss256(t *testing.T) {
 	runContentionSuite(t, 256)
 }
 
-// TestFlakyJournalDoesNotLoseAcks: transient Append failures on the
-// journal surface as save errors (no ack), and every save that DID ack
-// is durable — the flaky store can deny service but never corrupt.
+// TestFlakyJournalDoesNotLoseAcks: transient failures of the Puts,
+// PutIfs and Deletes a save makes surface as save errors (no ack), and
+// every save that DID ack is durable — the flaky store can deny service
+// but never corrupt.
 func TestFlakyJournalDoesNotLoseAcks(t *testing.T) {
 	bucket := newTestBucket(t)
-	flaky := &hookStore{Store: bucket}
 	n := 0
-	flaky.appendErr = func(name string) error {
+	everyFifth := func(string) error {
 		n++
 		if n%5 == 0 {
 			return faultnet.ErrTransientStorage
 		}
 		return nil
 	}
+	flaky := &hookStore{Store: bucket, putErr: everyFifth, putIfErr: everyFifth, deleteErr: everyFifth}
 	r, _, err := OpenShards(flaky, 4)
 	if err != nil {
 		t.Fatal(err)

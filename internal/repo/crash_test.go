@@ -22,8 +22,8 @@ import (
 //      the resumed session),
 //   2. no phantom state (every manifest entry opens; acked deletes and
 //      GCs stay deleted),
-//   3. fsck is clean immediately after journal recovery, with no
-//      repairs needed.
+//   3. fsck is clean immediately after recovery (Open's sweep), with
+//      no repairs needed.
 
 // Script step indices — the ack ledger records which steps completed.
 const (
@@ -75,7 +75,7 @@ func fleetRecords() []*trace.ProfileRecord { return sessionRecords(9, recsRunF) 
 // (or completion), calling the fleet handlers directly so every store
 // write happens on this goroutine — the cut schedule is deterministic.
 // The cut schedule covers the layout object's creation; shards > 1
-// adds scatter over per-shard manifests and journals.
+// adds scatter over per-shard manifests.
 func runCrashScript(t *testing.T, store Store, shards int) *crashAcks {
 	t.Helper()
 	acks := &crashAcks{failedStep: -1}
@@ -153,8 +153,8 @@ func runCrashScript(t *testing.T, store Store, shards int) *crashAcks {
 	}
 
 	// Pack the three direct-save runs; cuts inside this step land at
-	// every compaction write boundary (intent, pack put, repoints, old
-	// blob deletes, done record).
+	// every compaction write boundary (pack put, repoints, old blob
+	// deletes).
 	if _, err := r.Compact(CompactOptions{Workload: "base"}); err != nil {
 		return fail(stepCompact)
 	}
@@ -184,7 +184,7 @@ func closeAllSessions(f *Fleet) {
 	}
 }
 
-// verifyRecovered is the post-restart half: journal replay, session
+// verifyRecovered is the post-restart half: Open's sweep, session
 // recovery, fsck, and the durability invariants.
 func verifyRecovered(t *testing.T, store Store, acks *crashAcks, label string) {
 	t.Helper()
@@ -201,8 +201,8 @@ func verifyRecovered(t *testing.T, store Store, acks *crashAcks, label string) {
 		t.Fatalf("%s: recover sessions: %v", label, err)
 	}
 
-	// Invariant 3: clean fsck right after recovery — the journal replay
-	// alone reconverges the manifest and blob set.
+	// Invariant 3: clean fsck right after recovery — the sweep alone
+	// reconverges the manifest and blob set.
 	rep, err := r2.Fsck(false)
 	if err != nil {
 		t.Fatalf("%s: fsck: %v", label, err)
@@ -360,8 +360,7 @@ func resumeSessionAndFinish(t *testing.T, f2 *Fleet, r2 *Repo, acks *crashAcks, 
 // in both atomic-drop and torn-append flavors, and verify recovery.
 // The whole schedule runs twice: once against the 1-shard repository a
 // store opened without a count becomes, and once against a 3-shard one
-// (whose runs, journals and pack intents spread over several index
-// objects), and each of those over both stores — on the DirStore a torn
+// (whose runs and pack repoints spread over several index objects), and each of those over both stores — on the DirStore a torn
 // Append is a real short tail on a real file.
 func TestPowerCutAtEveryWriteBoundary(t *testing.T) {
 	for _, mode := range []struct {
@@ -404,5 +403,26 @@ func TestPowerCutAtEveryWriteBoundary(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestCrashScriptWritesNoJournal: the manifest CAS is the only commit
+// point, so the power-cut script's dry run — every mutation class, at
+// one and at three shards — leaves no object under the journal prefix
+// older builds wrote, on either store. Nothing deletes one but the
+// sweep at Open, which runs before the script's first write.
+func TestCrashScriptWritesNoJournal(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		for _, st := range testStores {
+			t.Run(st.name+"/shards="+strconv.Itoa(shards), func(t *testing.T) {
+				store := st.open(t)
+				if acks := runCrashScript(t, faultnet.NewCrashStore(store), shards); acks.failedStep != -1 {
+					t.Fatalf("dry run failed at step %d", acks.failedStep)
+				}
+				if names := store.List(legacyJournalPrefix); len(names) != 0 {
+					t.Fatalf("the script wrote journals: %v", names)
+				}
+			})
+		}
 	}
 }

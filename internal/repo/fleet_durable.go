@@ -10,14 +10,14 @@
 // Durable layout, next to the run data the sessions become:
 //
 //	sessions/<token>/meta  JSON {token, archive.Meta}
-//	sessions/<token>/log   CRC frames (journal framing); each frame's
-//	                       payload is a uvarint-framed record stream
+//	sessions/<token>/log   CRC frames; each frame's payload is a
+//	                       uvarint-framed record stream
 //
-// The log reuses the intent journal's frame format, so a torn tail —
-// the power cut landing inside the final append — is detected and
-// trimmed on resume exactly as the journal trims its own tail. Records
-// inside an intact frame were acked; records in a torn frame were not,
-// so trimming them never loses an acknowledged record.
+// A frame is u32 payloadLen | u32 crc32c(payload) | payload
+// (little-endian), so a torn tail — the power cut landing inside the
+// final append — is detected and trimmed on resume. Records inside an
+// intact frame were acked; records in a torn frame were not, so
+// trimming them never loses an acknowledged record.
 //
 // Lifecycle: Open writes meta (and implicitly an empty log), every
 // accepted append lands one log frame, Finalize and Abort retire both
@@ -30,12 +30,15 @@ package repo
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strings"
 
 	"repro/internal/archive"
 	"repro/internal/rpc"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -47,6 +50,54 @@ const MethodFleetResume = "fleet.Resume"
 // holds at most one append batch, which the rpc layer already caps well
 // below this; anything larger is corruption.
 const maxSessionLogFrame = 64 << 20
+
+// frameOverhead is the per-frame cost: u32 length + u32 crc32c.
+const frameOverhead = 8
+
+var frameTable = crc32.MakeTable(crc32.Castagnoli)
+
+// appendFrame CRC-frames payload and appends it to object. The append
+// is a session log's durability point: a frame either lands whole or
+// its torn prefix is detected and trimmed by readFrames.
+func appendFrame(store Store, object string, payload []byte) error {
+	frame := make([]byte, frameOverhead+len(payload))
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, frameTable))
+	copy(frame[frameOverhead:], payload)
+	_, err := store.Append(object, frame)
+	return err
+}
+
+// readFrames decodes a CRC-framed object leniently: it stops at the
+// first torn or checksum-failing frame and reports both the intact
+// prefix length and how many tail bytes it discarded. A missing object
+// is an empty history. maxPayload bounds a single frame (anything
+// larger is corruption, not data).
+func readFrames(store Store, object string, maxPayload int) (frames [][]byte, intact, torn int, err error) {
+	obj, err := store.Get(object)
+	if errors.Is(err, storage.ErrNotFound) {
+		return nil, 0, 0, nil
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	data := obj.Data
+	pos := 0
+	for pos+frameOverhead <= len(data) {
+		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
+		want := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
+		if n > maxPayload || pos+frameOverhead+n > len(data) {
+			break
+		}
+		payload := data[pos+frameOverhead : pos+frameOverhead+n]
+		if crc32.Checksum(payload, frameTable) != want {
+			break
+		}
+		frames = append(frames, payload)
+		pos += frameOverhead + n
+	}
+	return frames, pos, len(data) - pos, nil
+}
 
 // sessionMetaObject and sessionLogObject name a session's durable
 // state. The token doubles as the directory name.
@@ -155,7 +206,7 @@ func readSessionLog(store Store, token string) (recs [][]byte, intact int, torn 
 			return recs, pos, torn, nil
 		}
 		recs = append(recs, split...)
-		pos += journalFrameOverhead + len(payload)
+		pos += frameOverhead + len(payload)
 	}
 	return recs, intact, torn, nil
 }

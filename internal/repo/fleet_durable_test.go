@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -252,7 +253,7 @@ func TestResumeResilientAcrossCollectorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstFrame := journalFrameOverhead + int(binary.LittleEndian.Uint32(whole.Data[:4]))
+	firstFrame := frameOverhead + int(binary.LittleEndian.Uint32(whole.Data[:4]))
 	if _, err := bucket.Put(logObj, whole.Data[:firstFrame]); err != nil {
 		t.Fatal(err)
 	}
@@ -850,4 +851,59 @@ func finalizeAllocs(t *testing.T, windows int) float64 {
 		}
 		bodies = bodies[1:]
 	})
+}
+
+// TestSessionLogCorruptFrameStopsRead: a CRC-failing frame truncates the
+// readable history at that point instead of erroring out.
+func TestSessionLogCorruptFrameStopsRead(t *testing.T) {
+	bucket := newTestBucket(t)
+	log := sessionLogObject("corrupt")
+	for _, payload := range []string{"first", "second"} {
+		if err := appendFrame(bucket, log, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obj, err := bucket.Get(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a payload byte in the second frame.
+	firstLen := frameOverhead + len("first")
+	corrupted := append([]byte(nil), obj.Data...)
+	corrupted[firstLen+frameOverhead] ^= 0xff
+	if _, err := bucket.Put(log, corrupted); err != nil {
+		t.Fatal(err)
+	}
+	frames, intact, torn, err := readFrames(bucket, log, maxSessionLogFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 1 || string(frames[0]) != "first" {
+		t.Fatalf("frames = %q, want just the intact first frame", frames)
+	}
+	if intact != firstLen || torn != len(corrupted)-firstLen {
+		t.Fatalf("intact, torn = %d, %d; want %d, %d", intact, torn, firstLen, len(corrupted)-firstLen)
+	}
+}
+
+// TestSessionLogFrameCRC: a stored frame's header carries its payload's
+// length and a CRC-32C over exactly that payload.
+func TestSessionLogFrameCRC(t *testing.T) {
+	bucket := newTestBucket(t)
+	log := sessionLogObject("crc")
+	if err := appendFrame(bucket, log, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := bucket.Get(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(binary.LittleEndian.Uint32(obj.Data[:4]))
+	want := binary.LittleEndian.Uint32(obj.Data[4:8])
+	if n != len("payload") || len(obj.Data) != frameOverhead+n {
+		t.Fatalf("frame of %d bytes declares a %d-byte payload", len(obj.Data), n)
+	}
+	if crc32.Checksum(obj.Data[frameOverhead:], frameTable) != want {
+		t.Fatal("stored frame CRC does not cover the payload")
+	}
 }

@@ -1,13 +1,18 @@
-// Repository fsck: cross-checks the manifests against the stored blobs
-// and (optionally) repairs what it finds. Fsck is the offline
-// complement to the intent journal — the journal makes crashes of
-// *this* code reconverge, fsck catches everything else: bit rot,
-// truncated uploads, hand-edited repositories, debris from older
-// versions. Repairs are designed to converge without their own
-// journal entries: every repair either completes or leaves a state a
-// re-run classifies again (a half-moved quarantine copy is re-detected
-// as an orphan; a rebuilt blob whose manifest update was lost shows up
-// as a count mismatch).
+// Recovery and repository fsck: the two passes that walk runs/ against
+// the manifests, with two policies on purpose.
+//
+// Recover, which Open runs, makes crashes of *this* code reconverge:
+// the manifest CAS is the only commit point, so an object no manifest
+// references on a shard this handle owns is an unacknowledged write or
+// the leftover of a committed un-reference, and Recover reclaims it.
+//
+// Fsck catches everything else — bit rot, truncated uploads,
+// hand-edited repositories, debris from older versions — and with
+// repair re-adopts what it can, because an operator asked to recover
+// data. Repairs converge without bookkeeping of their own: every repair
+// either completes or leaves a state a re-run classifies again (a
+// half-moved quarantine copy is re-detected as an orphan; a rebuilt
+// blob whose manifest update was lost shows up as a count mismatch).
 //
 // Sharded repositories are checked over the merged view: entries come
 // from every shard, repairs route to the shard owning the run, and
@@ -23,6 +28,8 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/archive"
@@ -34,6 +41,108 @@ import (
 // objects are never read back by the repository; they exist so repair
 // is not destruction.
 const QuarantinePrefix = "quarantine/"
+
+// legacyJournalPrefix names the per-shard intent journals older builds
+// wrote (runs/.journal-<i>). Nothing writes one now: Fsck treats it as
+// bookkeeping and its shard owner's Recover deletes it, since every
+// state an open intent could describe is one the sweep settles.
+const legacyJournalPrefix = "runs/.journal-"
+
+// isRepoInternalObject reports whether name is repository bookkeeping
+// rather than run data — the manifests, the layout object and legacy
+// journals live under the runs/ prefix but index it. Pack objects are
+// data, not bookkeeping: Fsck verifies them through the entries that
+// reference them.
+func isRepoInternalObject(name string) bool {
+	return name == LayoutObject || isShardManifestObject(name) || strings.HasPrefix(name, legacyJournalPrefix)
+}
+
+// runIDFromObject inverts runObject: runs/<id>/archive → <id>, "" for
+// anything else.
+func runIDFromObject(name string) string {
+	if !strings.HasPrefix(name, "runs/") || !strings.HasSuffix(name, "/archive") {
+		return ""
+	}
+	id := strings.TrimSuffix(strings.TrimPrefix(name, "runs/"), "/archive")
+	if id == "" || strings.Contains(id, "/") {
+		return ""
+	}
+	return id
+}
+
+// RecoveryReport is what one Recover sweep reclaimed.
+type RecoveryReport struct {
+	// Reclaimed lists the deleted objects: run blobs and packs no
+	// manifest references, and older builds' intent journals.
+	Reclaimed []string
+}
+
+// Clean reports whether the sweep found nothing to reclaim.
+func (rr *RecoveryReport) Clean() bool { return len(rr.Reclaimed) == 0 }
+
+// Recover reclaims every object on this handle's shards that no
+// manifest references. Objects are written before the manifest CAS
+// that references them, and only a shard's owner writes its objects,
+// so such an object is an unacknowledged write or the leftover of a
+// committed delete, GC or compaction: reclaiming it is the one end
+// state that needs no record of what was in flight. Open runs it
+// before the repository serves mutations; it is idempotent.
+func (r *Repo) Recover() (*RecoveryReport, error) {
+	ss, err := r.resolveShards()
+	if err != nil {
+		return nil, err
+	}
+	// List before loading the manifests: an object committed between
+	// the two reads then counts as referenced.
+	names := r.store.List("runs/")
+	ms, _, err := r.loadAllShards(ss)
+	if err != nil {
+		return nil, err
+	}
+	refs := referencedObjects(ms)
+	rep := &RecoveryReport{}
+	for _, name := range names {
+		if refs[name] || !r.sweepable(ss, name) {
+			continue
+		}
+		if err := r.remove(name); err != nil {
+			return nil, err
+		}
+		rep.Reclaimed = append(rep.Reclaimed, name)
+	}
+	r.m.reclaimed.Add(int64(len(rep.Reclaimed)))
+	if !rep.Clean() {
+		r.obs.Emit("repo", "recover", fmt.Sprintf("reclaimed %d unreferenced objects", len(rep.Reclaimed)))
+	}
+	return rep, nil
+}
+
+// sweepable reports whether Recover may reclaim name once no manifest
+// references it: a run blob, a pack or a legacy journal of a shard this
+// handle owns. A pack named by an older build carries no shard, so only
+// a standalone handle (the sole writer) reclaims one; in a replica it
+// is left to Fsck. Manifests, the layout and foreign objects are never
+// swept.
+func (r *Repo) sweepable(ss shardSet, name string) bool {
+	switch {
+	case strings.HasPrefix(name, legacyJournalPrefix):
+		i, err := strconv.Atoi(strings.TrimPrefix(name, legacyJournalPrefix))
+		return err == nil && r.ownsShard(i)
+	case strings.HasPrefix(name, PackPrefix):
+		if i, ok := packShard(name); ok {
+			return r.ownsShard(i)
+		}
+		return r.owned == nil
+	}
+	id := runIDFromObject(name)
+	return id != "" && r.ownsShard(ss.shardOf(id))
+}
+
+// ownsShard reports whether this handle is shard i's writer: every
+// shard for a standalone repository, the owned ones for a replica's.
+func (r *Repo) ownsShard(i int) bool {
+	return r.owned == nil || slices.Contains(r.owned, i)
+}
 
 // Fsck issue kinds.
 const (
@@ -88,8 +197,9 @@ func (fr *FsckReport) Clean() bool { return len(fr.Issues) == 0 }
 // repair=false it only reports; with repair=true it additionally drops
 // phantom entries, rebuilds corrupt blobs from their salvageable
 // segments, repairs stale counts, re-adopts orphaned archives, and
-// quarantines what it cannot save. Run Recover (or construct via Open)
-// first so journal debris is not misreported as corruption.
+// quarantines what it cannot save. Unlike Open's sweep, repair
+// re-adopts a well-formed orphan blob, so a crashed writer's debris
+// found here comes back as a run.
 func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 	ss, err := r.resolveShards()
 	if err != nil {
@@ -437,27 +547,13 @@ func (r *Repo) Salvage(runID string) (RunInfo, *archive.SalvageReport, error) {
 	if err != nil {
 		return RunInfo{}, nil, err
 	}
-	si := ss.shardOf(runID)
-	m, _, err := r.loadManifestObject(ss.manifestObject(si))
+	m, _, err := r.loadManifestObject(ss.manifestObject(ss.shardOf(runID)))
 	if err != nil {
 		return RunInfo{}, nil, err
 	}
 	var entry *RunInfo
 	if i := m.find(runID); i >= 0 {
 		entry = &m.Runs[i]
-		// Journal the rewrite only for indexed runs: an open save intent on
-		// an *unindexed* object would make a crash-time replay reclaim the
-		// blob — for an orphan that means deleting the only copy — and a
-		// crash mid-adoption leaves a valid orphan fsck re-adopts anyway.
-		// Replay never reclaims anything while the run stays indexed, so
-		// the intent is closed on every return.
-		jname := ss.journalObject(si)
-		seq, err := r.logIntentAt(jname, journalRecord{Op: opSaveBatch,
-			Members: []packMember{{RunID: runID, Object: runObject(runID)}}})
-		if err != nil {
-			return RunInfo{}, nil, err
-		}
-		defer r.logDoneAt(jname, seq, opSaveBatch)
 	}
 	info, srep, err := r.rebuildRun(runID, entry)
 	if errors.Is(err, storage.ErrNotFound) {

@@ -186,8 +186,8 @@ func TestFsckCountMismatchRepaired(t *testing.T) {
 func TestFsckOrphanReadopted(t *testing.T) {
 	r, bucket := seedRepo(t, 1)
 	// A valid archive blob present under runs/ but absent from the
-	// manifest — exactly what a crash between blob Put and manifest
-	// update leaves if the journal is lost too.
+	// manifest — what a crash between blob Put and manifest update
+	// leaves, found by a repair before any Open swept it.
 	if _, err := bucket.Put(runObject("run-x"), archiveBlob(t, "run-x", 9, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -288,19 +288,9 @@ func TestRepoSalvageIndexedRun(t *testing.T) {
 	if got.Records != a.RecordCount() || got.Records != info.Records {
 		t.Fatalf("counts diverge: %+v vs archive %d", got, a.RecordCount())
 	}
-	// The repository is fsck-clean and journal-clean afterwards.
+	// The repository is fsck-clean and has nothing to reclaim afterwards.
 	if rep, err := r.Fsck(false); err != nil || !rep.Clean() {
 		t.Fatalf("fsck after salvage = %+v, err=%v", rep, err)
-	}
-	// The rewrite was journaled in the one intent format still written.
-	recs, _, err := readJournalObject(bucket, journal0)
-	if err != nil || len(recs) != 4 {
-		t.Fatalf("journal = %d records (%v), want the save's and the salvage's intent+done", len(recs), err)
-	}
-	for _, rec := range recs {
-		if rec.Op != opSaveBatch {
-			t.Fatalf("journal holds a %q record; only %q is written", rec.Op, opSaveBatch)
-		}
 	}
 	if _, rrep, err := Open(bucket); err != nil || !rrep.Clean() {
 		t.Fatalf("recovery after salvage = %+v, err=%v", rrep, err)

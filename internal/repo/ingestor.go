@@ -2,10 +2,10 @@
 // replicated collector.
 //
 // The repository has one save protocol, Repo.commitSaves: per shard it
-// touches, a round of k saves costs ONE journal intent and ONE manifest
-// CAS. Repo.Save is a round of one on the caller's goroutine, so k
-// concurrent finalizes pay k journal-intent/manifest-update pairs and
-// at 1000+ agents those index round-trips dominate. An Ingestor is the
+// touches, a round of k saves costs k blob Puts and ONE manifest CAS,
+// the round's commit point. Repo.Save is a round of one on the
+// caller's goroutine, so k concurrent finalizes pay k manifest updates
+// and at 1000+ agents those index round-trips dominate. An Ingestor is the
 // queue in front of the same protocol: it funnels a replica's saves
 // through one apply goroutine that drains its queue in rounds, so k
 // saves cost O(shards touched) index round-trips instead of O(k).

@@ -3,9 +3,11 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 )
@@ -79,13 +81,19 @@ func TestIngestorConcurrentSavesAllLand(t *testing.T) {
 }
 
 // TestIngestorGroupCommitAmortizesIndexWrites proves the batching
-// contract on the one journal format: a full round of
-// DefaultIngestBatch saves on one shard, driven directly (white box),
-// produces ONE save-batch intent and lands together; a plain Save
-// journals the same intent with one member.
+// contract: a full round of DefaultIngestBatch saves on one shard,
+// driven directly (white box), lands with ONE manifest CAS; a plain
+// Save is a round of one and costs one more.
 func TestIngestorGroupCommitAmortizesIndexWrites(t *testing.T) {
 	bucket := newBucket(t)
-	r, _, err := OpenShards(bucket, 1)
+	cas := 0
+	counting := &hookStore{Store: bucket, putIfErr: func(name string) error {
+		if name == manifest0 {
+			cas++
+		}
+		return nil
+	}}
+	r, _, err := OpenShards(counting, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +122,9 @@ func TestIngestorGroupCommitAmortizesIndexWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The whole round cost one batch intent (plus its done record), the
-	// lone save another.
-	ss, err := r.resolveShards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, torn, err := readJournalObject(bucket, ss.journalObject(0))
-	if err != nil || torn != 0 {
-		t.Fatalf("journal read: %v (torn %d)", err, torn)
-	}
-	var members []int
-	for _, rec := range recs {
-		if rec.Phase == phaseIntent {
-			if rec.Op != opSaveBatch {
-				t.Fatalf("journaled op %q, want %q", rec.Op, opSaveBatch)
-			}
-			members = append(members, len(rec.Members))
-		}
-	}
-	if len(members) != 2 || members[0] != k || members[1] != 1 {
-		t.Fatalf("journal holds intents with %v members, want [%d 1]", members, k)
+	// The whole round cost one manifest CAS, the lone save another.
+	if cas != 2 {
+		t.Fatalf("%d manifest CASes for a round of %d and one save, want 2", cas, k)
 	}
 
 	runs, err := r.List(Filter{})
@@ -147,43 +137,38 @@ func TestIngestorGroupCommitAmortizesIndexWrites(t *testing.T) {
 }
 
 // TestIngestorBatchIntentRecovery crashes a round between the blob
-// writes and the manifest CAS: the open save-batch intent must replay
-// member-wise — committed members untouched, orphaned blobs reclaimed.
+// writes and the manifest CAS: committed runs stay untouched, and the
+// round's orphaned blobs are reclaimed by the next Open.
 func TestIngestorBatchIntentRecovery(t *testing.T) {
 	bucket := newBucket(t)
 	r, _, err := OpenShards(bucket, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A committed run (normal save) shares the batch with a victim.
 	if _, err := r.Save(archiveBlob(t, "committed", 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 
-	ss, _ := r.resolveShards()
-	if _, err := r.logIntentAt(ss.journalObject(0), journalRecord{
-		Op: opSaveBatch,
-		Members: []packMember{
-			{RunID: "committed", Object: runObject("committed")},
-			{RunID: "torn-away", Object: runObject("torn-away")},
-		},
-	}); err != nil {
-		t.Fatal(err)
+	// The crash lands after the round's two blob writes, on its CAS.
+	cs := faultnet.NewCrashStore(bucket)
+	cs.CrashAfterWrites(2, false)
+	var errs []error
+	New(cs).commitSaves([][]byte{
+		archiveBlob(t, "torn-a", 2, 0), archiveBlob(t, "torn-b", 3, 0),
+	}, nil, func(_ int, _ RunInfo, err error) { errs = append(errs, err) })
+	if len(errs) != 2 || !errors.Is(errs[0], faultnet.ErrPowerLost) || !errors.Is(errs[1], faultnet.ErrPowerLost) {
+		t.Fatalf("round answered %v, want power lost twice", errs)
 	}
-	// The crash landed after this member's blob write, before the CAS.
-	if _, err := bucket.Put(runObject("torn-away"), []byte("never indexed")); err != nil {
-		t.Fatal(err)
+	if !bucket.Exists(runObject("torn-a")) || !bucket.Exists(runObject("torn-b")) {
+		t.Fatal("test setup: the round's blobs did not land before the cut")
 	}
 
 	r2, rep, err := Open(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RolledBack != 1 {
-		t.Fatalf("recovery rolled back %d intents, want 1", rep.RolledBack)
-	}
-	if bucket.Exists(runObject("torn-away")) {
-		t.Fatal("orphaned batch member's blob survived recovery")
+	if want := []string{runObject("torn-a"), runObject("torn-b")}; !reflect.DeepEqual(rep.Reclaimed, want) {
+		t.Fatalf("Reclaimed = %v, want %v", rep.Reclaimed, want)
 	}
 	if _, _, err := r2.Get("committed"); err != nil {
 		t.Fatalf("committed batch member damaged by recovery: %v", err)

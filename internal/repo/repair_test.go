@@ -223,85 +223,6 @@ func TestPackWindowOutsideObject(t *testing.T) {
 	}
 }
 
-// TestRecoverCompactIgnoresPackWithBadWindow: an open compaction intent
-// whose member layout does not fit the pack is an invalid pack — rolled
-// back and dropped, nothing repointed into it.
-func TestRecoverCompactIgnoresPackWithBadWindow(t *testing.T) {
-	for _, st := range windowStores {
-		for _, bad := range []struct {
-			name        string
-			off, length int64
-		}{
-			{"overflow", math.MaxInt64 - 5, 10},
-			{"past-end", 0, 1 << 20},
-		} {
-			t.Run(st.name+"/"+bad.name, func(t *testing.T) {
-				store := st.open(t)
-				r := openSharded(t, store, 2)
-				ids := saveN(t, r, "dcgan", 2)
-				pack := PackPrefix + "dcgan-0123456789abcdef"
-				first, err := r.readEntryBytes(mustInfo(t, r, ids[0]))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := store.Put(pack, first); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.logIntentAt(journal0, journalRecord{Op: opCompact, Object: pack, Members: []packMember{
-					{RunID: ids[0], Object: runObject(ids[0]), Offset: 0, Length: int64(len(first))},
-					{RunID: ids[1], Object: runObject(ids[1]), Offset: bad.off, Length: bad.length},
-				}}); err != nil {
-					t.Fatal(err)
-				}
-				r2, rep, err := Open(store)
-				if err != nil {
-					t.Fatalf("Open: %v", err)
-				}
-				if rep.RolledBack != 1 || store.Exists(pack) {
-					t.Fatalf("recovery = %+v, pack exists = %v; want the invalid pack rolled back and dropped",
-						rep, store.Exists(pack))
-				}
-				for _, id := range ids {
-					if info, _, err := r2.Get(id); err != nil || info.packed() {
-						t.Fatalf("member %s after rollback: %+v, %v", id, info, err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestRecoverRejectsUnknownOp: an open intent of an operation this build
-// does not replay stops recovery with an error that names it, and the
-// journal keeps it. (It used to be counted as replayed and truncated
-// away with the rest.) Once something closes it, it is history like any
-// other.
-func TestRecoverRejectsUnknownOp(t *testing.T) {
-	bucket := newTestBucket(t)
-	r := New(bucket)
-	if _, err := r.Save(archiveBlob(t, "run-a", 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := r.logIntentAt(journal0, journalRecord{Op: "save", RunID: "ghost", Object: runObject("ghost")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := bucket.Get(journal0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(bucket); err == nil || !strings.Contains(err.Error(), `"save"`) {
-		t.Fatalf("Open over an open %q intent: err = %v, want an error naming the operation", "save", err)
-	}
-	if after, err := bucket.Get(journal0); err != nil || string(after.Data) != string(before.Data) {
-		t.Fatalf("refused recovery rewrote the journal (%v)", err)
-	}
-	r.logDoneAt(journal0, seq, "save")
-	if _, rep, err := Open(bucket); err != nil || rep.OpenIntents != 0 {
-		t.Fatalf("Open once the intent is closed: %+v, %v", rep, err)
-	}
-}
-
 // readCountingStore counts what a pass reads: bytes per object, through
 // Get and GetRange alike, and Gets per object.
 type readCountingStore struct {
@@ -325,10 +246,10 @@ func (c *readCountingStore) GetRange(name string, off, n int64) ([]byte, error) 
 	return data, err
 }
 
-// TestRepairPassesReadEachThingOnce bounds the reads of the two passes
-// that used to re-read per pack member: a check-only fsck fetched the
-// whole pack once per member, and compaction replay reloaded every
-// shard manifest once per member.
+// TestRepairPassesReadEachThingOnce bounds the reads of the passes that
+// walk a packed repository: a check-only fsck once fetched the whole
+// pack once per member, and the sweep must not scale with members at
+// all.
 func TestRepairPassesReadEachThingOnce(t *testing.T) {
 	const members, shards = 16, 4
 	bucket := newTestBucket(t)
@@ -351,36 +272,38 @@ func TestRepairPassesReadEachThingOnce(t *testing.T) {
 		t.Fatalf("Fsck(false) read %d bytes of a %d-byte pack: more than twice over", got, pack.Bytes)
 	}
 
-	// The pass above, cut after its last repoint: the intent is open and
-	// every member already addresses the pack.
-	layout := make([]packMember, len(ids))
-	for i, id := range ids {
-		e := mustInfo(t, r, id)
-		layout[i] = packMember{RunID: id, Object: runObject(id), Offset: e.Offset, Length: e.Length}
-	}
-	ss := shardSet{n: shards}
-	if _, err := r.logIntentAt(ss.journalObject(0), journalRecord{Op: opCompact, Object: pack.Object, Members: layout}); err != nil {
-		t.Fatal(err)
+	// The pass above, cut after its last repoint: every member addresses
+	// the pack and the old blobs are still there. The sweep that
+	// reclaims them reads each manifest once and no archive bytes.
+	for _, id := range ids {
+		if _, err := bucket.Put(runObject(id), []byte("superseded blob")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cs = counting()
-	if _, rep, err := Open(cs); err != nil || rep.Completed != 1 {
-		t.Fatalf("recovery = %+v, %v; want the compaction completed", rep, err)
+	if _, rep, err := Open(cs); err != nil || len(rep.Reclaimed) != members {
+		t.Fatalf("recovery = %+v, %v; want the %d superseded blobs reclaimed", rep, err, members)
 	}
-	for i := 0; i < shards; i++ {
-		if got := cs.gets[ss.manifestObject(i)]; got > 3 {
-			t.Fatalf("replaying one compaction read shard %d's manifest %d times (want <= 3: replay's load, one repoint CAS, one reclaim scan)", i, got)
+	for name, got := range cs.gets {
+		if isShardManifestObject(name) && got > 1 {
+			t.Fatalf("the sweep read %s %d times, want once", name, got)
+		}
+	}
+	for name, got := range cs.bytes {
+		if !isRepoInternalObject(name) && got > 0 {
+			t.Fatalf("the sweep read %d bytes of %s, want none", got, name)
 		}
 	}
 	if rep, err := r.Fsck(false); err != nil || !rep.Clean() {
-		t.Fatalf("fsck after replay: %+v, %v", rep, err)
+		t.Fatalf("fsck after the sweep: %+v, %v", rep, err)
 	}
 }
 
 // The repair power-cut property test, sibling of
 // TestPowerCutAtEveryWriteBoundary: the script damages runs and repairs
 // them through all three entry points of rebuildRun — private and packed
-// — and is killed at every write boundary. After power returns, journal
-// recovery plus one fsck -repair must leave a clean repository in which
+// — and is killed at every write boundary. After power returns, Open's
+// sweep plus one fsck -repair must leave a clean repository in which
 // every run that was readable when the power went is still readable,
 // with the records it had.
 

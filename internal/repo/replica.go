@@ -4,10 +4,12 @@
 // Placement is deterministic and derived from the layout the PR 8
 // sharding already fixed: a run ID hashes to a manifest shard
 // (shardIndex), and shard s belongs to replica s mod N. Because every
-// run's sessions, journal intents, and manifest entry all live on its
-// shard, a replica that owns a disjoint shard subset is the *sole
-// writer* of those manifests — no cross-replica CAS contention, and
-// the group-commit ingest lane (ingestor.go) can batch entries safely.
+// run's sessions, blob, and manifest entry all live on its shard (and
+// a pack on the owner shard its name carries), a replica that owns a
+// disjoint shard subset is the *sole writer* of those objects — no
+// cross-replica CAS contention, the group-commit ingest lane
+// (ingestor.go) can batch entries safely, and its Open may reclaim
+// whatever on its shards no manifest references.
 //
 // A client may open a session against any replica; a replica that does
 // not own the run answers with a typed rpc.RedirectError carrying the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -508,64 +509,9 @@ func TestLeaseExpirySweepVsConcurrentResume(t *testing.T) {
 	}
 }
 
-// TestRecoverPerJournalDoneMatching is the cross-replica seq-collision
-// regression: two replica processes each start their own journal seq
-// counter, so (seq) alone is ambiguous across journals. Replica A's
-// CLOSED intent seq 1 in journal-0 must not mask replica B's OPEN
-// intent seq 1 in journal-1.
-func TestRecoverPerJournalDoneMatching(t *testing.T) {
-	bucket := newBucket(t)
-	r0, _, err := OpenShards(bucket, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One real save makes the 2-shard layout durable (a fresh store
-	// defers the layout object to the first mutation).
-	if _, err := r0.Save(archiveBlob(t, "seed", 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two independent processes over the shared store, each with a
-	// fresh seq counter.
-	ra := New(bucket)
-	rb := New(bucket)
-	ss := shardSet{n: 2, saved: true}
-
-	// Replica A: a completed save in journal-0 (intent + done, seq 1).
-	seqA, err := ra.logIntentAt(ss.journalObject(0), saveIntent("a-run"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra.logDoneAt(ss.journalObject(0), seqA, opSaveBatch)
-
-	// Replica B: an OPEN intent in journal-1 with the SAME seq number,
-	// blob written but never indexed — a crash mid-save.
-	seqB, err := rb.logIntentAt(ss.journalObject(1), saveIntent("b-run"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqA != seqB {
-		t.Fatalf("test premise broken: seqs %d vs %d should collide", seqA, seqB)
-	}
-	if _, err := bucket.Put(runObject("b-run"), []byte("orphan bytes")); err != nil {
-		t.Fatal(err)
-	}
-
-	_, rep, err := Open(bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RolledBack != 1 {
-		t.Fatalf("rolled back %d intents, want 1 (B's open save)", rep.RolledBack)
-	}
-	if bucket.Exists(runObject("b-run")) {
-		t.Fatal("orphan blob survived: A's done record masked B's open intent")
-	}
-}
-
 // TestOpenShardsOwnedScopesRecovery proves a starting replica cannot
-// roll back a live peer's in-flight save: it replays only its owned
-// shards' journals.
+// reclaim a live peer's in-flight save: it sweeps only its owned
+// shards.
 func TestOpenShardsOwnedScopesRecovery(t *testing.T) {
 	bucket := newBucket(t)
 	r0, _, err := OpenShards(bucket, 2)
@@ -575,52 +521,40 @@ func TestOpenShardsOwnedScopesRecovery(t *testing.T) {
 	if _, err := r0.Save(archiveBlob(t, "seed", 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	ss := shardSet{n: 2, saved: true}
 
-	// A "live peer" (replica 0) holds an open intent in journal-0 with
-	// its blob already written — mid-save, not crashed. The peer opened
-	// scoped to its shard like any replica, which seeds its seq counter
-	// above journal-0's history.
-	peer, _, err := OpenShardsOwned(bucket, 2, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := peer.logIntentAt(ss.journalObject(0), saveIntent("inflight")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bucket.Put(runObject("inflight"), []byte("peer bytes")); err != nil {
+	// A "live peer" (replica 0) has its blob written but not yet
+	// indexed — mid-save, not crashed.
+	inflight := runOwnedBy(t, "inflight", 2, &ReplicaConfig{ID: 0, Replicas: 2})
+	if _, err := bucket.Put(runObject(inflight), []byte("peer bytes")); err != nil {
 		t.Fatal(err)
 	}
 
-	// Replica 1 starts up owning only shard 1: the peer's intent must
+	// Replica 1 starts up owning only shard 1: the peer's blob must
 	// survive untouched.
 	_, rep, err := OpenShardsOwned(bucket, 2, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OpenIntents != 0 || rep.RolledBack != 0 {
-		t.Fatalf("scoped recovery touched the peer's journal: %+v", rep)
-	}
-	if !bucket.Exists(runObject("inflight")) {
-		t.Fatal("scoped recovery reclaimed a live peer's in-flight blob")
+	if !rep.Clean() || !bucket.Exists(runObject(inflight)) {
+		t.Fatalf("scoped recovery reclaimed %v, a live peer's in-flight blob among them", rep.Reclaimed)
 	}
 
-	// A FULL open (sole writer, e.g. offline fsck) still reconciles it.
+	// A FULL open (sole writer, e.g. offline fsck) still reclaims it.
 	_, rep, err = Open(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RolledBack != 1 {
-		t.Fatalf("full recovery rolled back %d, want 1", rep.RolledBack)
+	if !reflect.DeepEqual(rep.Reclaimed, []string{runObject(inflight)}) {
+		t.Fatalf("full recovery reclaimed %v, want the orphan", rep.Reclaimed)
 	}
 }
 
 // TestOpenShardsOwnedRefusesOtherCount: a replica's owned set is
 // computed from the count it asked for, while placement follows the
 // count the store records. Reopening a 12-shard store as replica 1 of 2
-// with the default 4x2 = 8 used to succeed and leave the journals of
-// shards 9 and 11 — which placement says this replica owns — unreplayed.
-// A different count is an error; the stored count replays them.
+// with the default 4x2 = 8 used to succeed and leave shards 9 and 11 —
+// which placement says this replica owns — unswept. A different count
+// is an error; the stored count sweeps them.
 func TestOpenShardsOwnedRefusesOtherCount(t *testing.T) {
 	bucket := newBucket(t)
 	r0, _, err := OpenShards(bucket, 12)
@@ -630,27 +564,138 @@ func TestOpenShardsOwnedRefusesOtherCount(t *testing.T) {
 	if _, err := r0.Save(archiveBlob(t, "seed", 1, 0)); err != nil { // makes the layout durable
 		t.Fatal(err)
 	}
-	// A crashed save on shard 9: open intent, blob written, never indexed.
-	j9 := shardSet{n: 12}.journalObject(9)
-	if _, err := r0.logIntentAt(j9, saveIntent("cut")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bucket.Put(runObject("cut"), []byte("orphan bytes")); err != nil {
+	// A crashed save on a shard replica 1 owns: blob written, never indexed.
+	rc := &ReplicaConfig{ID: 1, Replicas: 2}
+	cut := runOwnedBy(t, "cut", 12, rc)
+	if _, err := bucket.Put(runObject(cut), []byte("orphan bytes")); err != nil {
 		t.Fatal(err)
 	}
 
-	rc := &ReplicaConfig{ID: 1, Replicas: 2}
 	if _, _, err := OpenShardsOwned(bucket, 8, rc.OwnedShards(8)); err == nil {
-		t.Fatal("a 12-shard store opened as 8 shards: shard 9's journal would never be replayed")
+		t.Fatal("a 12-shard store opened as 8 shards: some owned shards would never be swept")
 	}
-	if !bucket.Exists(runObject("cut")) {
+	if !bucket.Exists(runObject(cut)) {
 		t.Fatal("the refused open wrote to the store")
 	}
 	_, rep, err := OpenShardsOwned(bucket, 12, rc.OwnedShards(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RolledBack != 1 || bucket.Exists(runObject("cut")) {
-		t.Fatalf("shard 9's open intent not replayed by its owner: %+v", rep)
+	if !reflect.DeepEqual(rep.Reclaimed, []string{runObject(cut)}) || bucket.Exists(runObject(cut)) {
+		t.Fatalf("the orphan on an owned shard not reclaimed by its owner: %v", rep.Reclaimed)
+	}
+}
+
+// TestReplicaCompactWritesOnlyOwnedShards: a replica's Compact packs
+// only runs on the shards it owns, so it never swaps a peer's manifest
+// — the single-writer rule ReplicaConfig documents.
+func TestReplicaCompactWritesOnlyOwnedShards(t *testing.T) {
+	const shards = 4
+	bucket := newBucket(t)
+	seed, _, err := OpenShards(bucket, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := saveN(t, seed, "dcgan", 16)
+	ss := shardSet{n: shards}
+	_, before, err := seed.loadAllShards(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rc := &ReplicaConfig{ID: 1, Replicas: 2}
+	r1, _, err := OpenShardsOwned(bucket, shards, rc.OwnedShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r1.Compact(CompactOptions{})
+	if err != nil || len(rep.Packs) != 1 {
+		t.Fatalf("compact = %+v, %v; want one pack", rep, err)
+	}
+	for _, id := range rep.Packs[0].Runs {
+		if owner := rc.OwnerOfRun(id, shards); owner != rc.ID {
+			t.Fatalf("replica 1 packed %s, a run of replica %d", id, owner)
+		}
+	}
+	_, after, err := seed.loadAllShards(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range after {
+		if rc.Owner(i) != rc.ID && after[i] != before[i] {
+			t.Fatalf("replica 1's Compact wrote replica 0's shard %d (generation %d -> %d)", i, before[i], after[i])
+		}
+	}
+	for _, id := range ids {
+		if _, _, err := seed.Get(id); err != nil {
+			t.Fatalf("%s after compaction: %v", id, err)
+		}
+	}
+}
+
+// TestReplicaReopenSparesPeerPack: replica 1's Compact is parked after
+// its pack Put and before its repoint, so the pack is on the store and
+// no manifest references it. Replica 0 restarts meanwhile and sweeps;
+// the pack's name carries a shard replica 0 does not own, so it stays,
+// and the compaction completes on release.
+func TestReplicaReopenSparesPeerPack(t *testing.T) {
+	const shards = 4
+	bucket := newBucket(t)
+	seed, _, err := OpenShards(bucket, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := saveN(t, seed, "dcgan", 16)
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gate := &hookStore{Store: bucket, putIfErr: func(name string) error {
+		if isShardManifestObject(name) {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		return nil
+	}}
+	rc1 := &ReplicaConfig{ID: 1, Replicas: 2}
+	r1, _, err := OpenShardsOwned(gate, shards, rc1.OwnedShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted := make(chan error, 1)
+	go func() {
+		rep, err := r1.Compact(CompactOptions{})
+		if err == nil && len(rep.Packs) != 1 {
+			err = fmt.Errorf("compact = %+v, want one pack", rep)
+		}
+		compacted <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-compacted:
+		t.Fatalf("compaction ended before its first repoint: %v", err)
+	}
+
+	rc0 := &ReplicaConfig{ID: 0, Replicas: 2}
+	_, rep, err := OpenShardsOwned(bucket, shards, rc0.OwnedShards(shards))
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("replica 0's sweep reclaimed %v beside replica 1's compaction", rep.Reclaimed)
+	}
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	r := New(bucket)
+	for _, id := range ids {
+		if _, _, err := r.Get(id); err != nil {
+			t.Fatalf("%s after the peer's sweep: %v", id, err)
+		}
+	}
+	if frep, err := r.Fsck(false); err != nil || !frep.Clean() {
+		t.Fatalf("fsck = %+v, %v", frep, err)
 	}
 }

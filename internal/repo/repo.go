@@ -9,14 +9,12 @@
 //
 //	runs/.layout           — the shard count M (1 unless asked otherwise)
 //	runs/manifest-<i>.json — shard i's JSON index + seq allocator
-//	runs/.journal-<i>      — shard i's intent journal
 //	runs/<run-id>/archive  — the archive blob
 //
 // The index is split across M manifest shards hashed by run ID (see
-// shard.go), each with its own CAS loop and intent journal. Small
-// archives may be consolidated into pack objects under runs/.pack/
-// (see compact.go); a manifest entry then addresses a byte window of
-// the shared pack.
+// shard.go), each with its own CAS loop. Small archives may be
+// consolidated into pack objects under runs/.pack/ (see compact.go); a
+// manifest entry then addresses a byte window of the shared pack.
 //
 // Manifests are updated with a compare-and-swap loop over
 // storage.Bucket.PutIf, so concurrent writers (the fleet endpoint
@@ -24,12 +22,13 @@
 // re-reads the latest manifest at its generation, backs off with
 // deterministic jitter, and re-applies its mutation.
 //
-// Mutations are crash-consistent: each one is bracketed by a
-// write-ahead intent record in the owning shard's journal object
-// (journal.go), and Open replays every journal so a process death at
-// any write boundary leaves a repository that reconverges on recovery
-// — see the recovery invariants in DESIGN.md and the power-cut
-// property suite in crash_test.go.
+// The manifest CAS is the only commit point. Every mutation writes its
+// objects before the CAS that references them and deletes what it
+// un-references after, so a process death at any write boundary leaves
+// at worst objects no manifest references; Open reclaims those on the
+// shards the handle owns (Recover in fsck.go) — see the recovery
+// invariants in DESIGN.md and the power-cut property suite in
+// crash_test.go.
 package repo
 
 import (
@@ -144,49 +143,48 @@ func (m *manifest) find(runID string) int {
 
 // repoMetrics are the repository's recovery/durability instruments.
 type repoMetrics struct {
-	journalReplays *obs.Counter
-	fsckIssues     *obs.Counter
-	fsckRepairs    *obs.Counter
-	salvagedSegs   *obs.Counter
-	casRetries     *obs.Counter
-	casExhausted   *obs.Counter
-	compactPacks   *obs.Counter
-	compactRuns    *obs.Counter
-	compactBytes   *obs.Counter
+	reclaimed    *obs.Counter
+	fsckIssues   *obs.Counter
+	fsckRepairs  *obs.Counter
+	salvagedSegs *obs.Counter
+	casRetries   *obs.Counter
+	casExhausted *obs.Counter
+	compactPacks *obs.Counter
+	compactRuns  *obs.Counter
+	compactBytes *obs.Counter
 }
 
 func newRepoMetrics(r *obs.Registry) repoMetrics {
 	return repoMetrics{
-		journalReplays: r.Counter("repo.journal.replays"),
-		fsckIssues:     r.Counter("repo.fsck.issues"),
-		fsckRepairs:    r.Counter("repo.fsck.repairs"),
-		salvagedSegs:   r.Counter("repo.salvage.segments.recovered"),
-		casRetries:     r.Counter("repo.manifest.cas.retries"),
-		casExhausted:   r.Counter("repo.manifest.cas.exhausted"),
-		compactPacks:   r.Counter("repo.compact.packs"),
-		compactRuns:    r.Counter("repo.compact.runs"),
-		compactBytes:   r.Counter("repo.compact.bytes"),
+		reclaimed:    r.Counter("repo.recover.reclaimed"),
+		fsckIssues:   r.Counter("repo.fsck.issues"),
+		fsckRepairs:  r.Counter("repo.fsck.repairs"),
+		salvagedSegs: r.Counter("repo.salvage.segments.recovered"),
+		casRetries:   r.Counter("repo.manifest.cas.retries"),
+		casExhausted: r.Counter("repo.manifest.cas.exhausted"),
+		compactPacks: r.Counter("repo.compact.packs"),
+		compactRuns:  r.Counter("repo.compact.runs"),
+		compactBytes: r.Counter("repo.compact.bytes"),
 	}
 }
 
 // Repo is a run repository over one store. Safe for concurrent use:
 // all index mutations go through per-shard manifest CAS loops, and
-// every mutation is journaled (journal.go) so a crash at any write
-// boundary is recoverable.
+// every object is written before the CAS that references it, so a
+// crash at any write boundary is recoverable.
 type Repo struct {
-	store      Store
-	obs        *obs.Registry
-	m          repoMetrics
-	journalSeq uint64 // atomic; intent/done pairing
+	store Store
+	obs   *obs.Registry
+	m     repoMetrics
 
 	wantShards int        // shard count for a fresh store; 0 = 1
 	layoutMu   sync.Mutex // guards shards
 	shards     *shardSet  // cached layout; nil until resolved
 
-	// recoverOwned scopes journal replay and truncation to these shard
-	// indices (OpenShardsOwned). Nil means all journals — the
-	// standalone, sole-writer default.
-	recoverOwned []int
+	// owned scopes Recover's sweep and Compact to these shard indices
+	// (OpenShardsOwned). Nil means every shard — the standalone,
+	// sole-writer default.
+	owned []int
 
 	seqMu      sync.Mutex // guards the seq lease state below
 	lease      seqLease
@@ -205,12 +203,13 @@ type Repo struct {
 
 // New returns a repository over store. An empty store is an empty
 // 1-shard repository; no initialization is needed (the layout object
-// lands with the first mutation). New does NOT replay the intent
-// journal, so it is the constructor for a reader that shares the store
-// with live writers (the CLI's read-only verbs): reads never write. A
-// writer uses Open, which first reconciles the debris of a crashed
-// predecessor. New cannot fail, so a v1 store is refused by the first
-// operation instead (ErrLegacyLayout).
+// lands with the first mutation). New does NOT sweep, so it is the
+// constructor for a reader that shares the store with live writers
+// (the CLI's read-only verbs: reads never write) and for a repair that
+// re-adopts orphans (Fsck(true), Salvage). A writer uses Open, which
+// first reclaims the debris of a crashed predecessor. New cannot fail,
+// so a v1 store is refused by the first operation instead
+// (ErrLegacyLayout).
 func New(store Store) *Repo {
 	return &Repo{
 		store:    store,
@@ -221,11 +220,11 @@ func New(store Store) *Repo {
 	}
 }
 
-// Open returns a repository over store after replaying its intent
-// journals, so interrupted mutations from a previous process are
-// completed or rolled back before any new ones start. A full replay
-// rolls back every open intent, including one a live writer on the same
-// store has in flight, so the caller must be the store's only writer (a
+// Open returns a repository over store after Recover has reclaimed
+// every object no manifest references, so what a previous process left
+// half done is settled before any new mutation starts. The sweep also
+// reclaims the object a live writer on the same store has Put but not
+// yet committed, so the caller must be the store's only writer (a
 // replica of several uses OpenShardsOwned).
 func Open(store Store) (*Repo, *RecoveryReport, error) {
 	return OpenShards(store, 0)
@@ -233,7 +232,7 @@ func Open(store Store) (*Repo, *RecoveryReport, error) {
 
 // OpenShards is Open with a shard count for a fresh store (0 = 1); an
 // existing repository keeps its recorded count. A v1 store is refused
-// with ErrLegacyLayout before anything is replayed or written.
+// with ErrLegacyLayout before anything is swept or written.
 func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 	if shards > MaxShards {
 		return nil, nil, fmt.Errorf("repo: %d shards exceeds the %d maximum", shards, MaxShards)
@@ -248,21 +247,20 @@ func OpenShards(store Store, shards int) (*Repo, *RecoveryReport, error) {
 }
 
 // OpenShardsOwned is OpenShards for one replica of a collector fleet
-// sharing the store: journal replay (and later opportunistic journal
-// truncation) touches ONLY the owned shards' journals, because peer
-// replicas may be alive with open intents in theirs — a full replay
-// would roll back their in-flight saves. A fresh store initializes the
-// layout via the usual PutIf(gen 0) race, which concurrent replicas
-// lose gracefully.
+// sharing the store: the sweep (and later Compact) touches ONLY objects
+// of the owned shards, because peer replicas may be alive with writes
+// in flight on theirs — a full sweep would reclaim their uncommitted
+// blobs and packs. A fresh store initializes the layout via the usual
+// PutIf(gen 0) race, which concurrent replicas lose gracefully.
 //
 // owned was computed from shards, and placement uses the stored count,
 // so an existing repository whose count differs from a non-zero shards
-// is an error: replaying by the wrong count would leave some owned
-// journals unreplayed.
+// is an error: sweeping by the wrong count would skip some owned
+// objects and touch some of a peer's.
 //
 // Ownership changes are the caller's contract: a replica must be
 // opened with exactly the shards its current ReplicaConfig assigns
-// (OwnedShards), so an adopted shard's journal is recovered by its new
+// (OwnedShards), so an adopted shard's debris is reclaimed by its new
 // owner before that owner writes to it.
 func OpenShardsOwned(store Store, shards int, owned []int) (*Repo, *RecoveryReport, error) {
 	if shards > MaxShards {
@@ -270,7 +268,7 @@ func OpenShardsOwned(store Store, shards int, owned []int) (*Repo, *RecoveryRepo
 	}
 	r := New(store)
 	r.wantShards = shards
-	r.recoverOwned = append([]int{}, owned...)
+	r.owned = append([]int{}, owned...)
 	if ss, err := r.resolveShards(); err != nil {
 		return nil, nil, err
 	} else if shards != 0 && ss.n != shards {
@@ -283,7 +281,7 @@ func OpenShardsOwned(store Store, shards int, owned []int) (*Repo, *RecoveryRepo
 	return r, rep, nil
 }
 
-// SetObs points the repository's durability metrics (journal replays,
+// SetObs points the repository's durability metrics (objects reclaimed,
 // fsck repairs, salvage counts, CAS contention, compaction volume) and
 // recovery events at reg.
 func (r *Repo) SetObs(reg *obs.Registry) {
@@ -388,8 +386,8 @@ func (r *Repo) commitSaves(blobs [][]byte, rc *ReplicaConfig, answer func(i int,
 			continue
 		}
 		// Two saves of one run ID in this process share the blob object
-		// name; the first claim wins, so the loser never journals an
-		// intent against bytes the winner owns.
+		// name; the first claim wins, so the loser never writes or
+		// deletes bytes the winner owns.
 		if !r.beginInflight(info.RunID) {
 			answer(i, RunInfo{}, fmt.Errorf("%w: %q (save in flight)", ErrRunExists, info.RunID))
 			continue
@@ -402,16 +400,13 @@ func (r *Repo) commitSaves(blobs [][]byte, rc *ReplicaConfig, answer func(i int,
 			r.commitShardSaves(ss, si, group, answer)
 		}
 	}
-	r.compactJournalIfSettled(journalCompactThreshold)
 }
 
 // commitShardSaves lands one shard's share of a round: duplicate
-// pre-check, ONE journal intent naming every member, the blob Puts,
-// ONE manifest CAS appending every entry, then the done record. The
-// intent lands before any blob and the blobs before the index, so a
-// crash at any boundary leaves an open intent that Recover replays
-// member-wise: indexed members are kept, the rest have their blobs
-// reclaimed instead of stranding bytes GC can never see.
+// pre-check, the blob Puts, then ONE manifest CAS appending every
+// entry — the commit point. The blobs land before the index, so a
+// crash at any boundary leaves at worst blobs no entry references,
+// which the shard owner's next Open reclaims (Recover).
 func (r *Repo) commitShardSaves(ss shardSet, si int, group []*pendingSave, answer func(i int, info RunInfo, err error)) {
 	fail := func(group []*pendingSave, err error) {
 		for _, p := range group {
@@ -421,11 +416,11 @@ func (r *Repo) commitShardSaves(ss shardSet, si int, group []*pendingSave, answe
 	exists := func(p *pendingSave) {
 		answer(p.i, RunInfo{}, fmt.Errorf("%w: %q", ErrRunExists, p.info.RunID))
 	}
-	jname, mname := ss.journalObject(si), ss.manifestObject(si)
+	mname := ss.manifestObject(si)
 
-	// Duplicates drop out BEFORE the intent is journaled: replaying an
-	// intent against a blob object some committed run owns would
-	// reclaim the original's bytes.
+	// Duplicates drop out BEFORE any blob is written: the blob object
+	// name is the run's, so a duplicate's Put would overwrite the
+	// committed run's bytes.
 	m, _, err := r.loadManifestObject(mname)
 	if err != nil {
 		fail(group, err)
@@ -440,16 +435,6 @@ func (r *Repo) commitShardSaves(ss shardSet, si int, group []*pendingSave, answe
 		live = append(live, p)
 	}
 	if len(live) == 0 {
-		return
-	}
-
-	members := make([]packMember, len(live))
-	for i, p := range live {
-		members[i] = packMember{RunID: p.info.RunID, Object: p.info.Object}
-	}
-	seq, err := r.logIntentAt(jname, journalRecord{Op: opSaveBatch, Members: members})
-	if err != nil {
-		fail(live, err)
 		return
 	}
 
@@ -503,19 +488,10 @@ func (r *Repo) commitShardSaves(ss shardSet, si int, group []*pendingSave, answe
 		}
 	}
 
-	// Close the intent only once every member is accounted for: indexed,
-	// left to the writer that won its run ID, or deleted. A delete that
-	// fails (flaky or dead storage) leaves the intent open, so the next
-	// Recover reclaims the blob — the orphan leak is closed by the
-	// journal, not by hoping the delete succeeds.
-	settled := true
+	// A delete that fails (flaky or dead storage) leaves an unreferenced
+	// blob, which the next Open reclaims.
 	for _, p := range undo {
-		if r.remove(p.info.Object) != nil {
-			settled = false
-		}
-	}
-	if settled {
-		r.logDoneAt(jname, seq, opSaveBatch)
+		_ = r.remove(p.info.Object)
 	}
 	for _, p := range lost {
 		exists(p)
@@ -686,33 +662,15 @@ func (r *Repo) remove(object string) error {
 
 // Delete removes a run from its shard's index and deletes its blob
 // (or, for a packed run, drops the pack once no sibling references
-// it). The intent record lands before the manifest update, so a crash
-// between un-indexing the run and deleting its blob leaves a leftover
-// the next Recover reclaims.
+// it). The manifest CAS commits the delete; a crash before the blob
+// delete leaves a leftover the next Open reclaims.
 func (r *Repo) Delete(runID string) error {
 	ss, err := r.ensureShards()
 	if err != nil {
 		return err
 	}
-	si := ss.shardOf(runID)
-	jname := ss.journalObject(si)
-	// Resolve the entry first so the intent records the object the run
-	// actually lives in — a packed run's object is the shared pack,
-	// which recovery must only reclaim when no sibling references it.
-	obj := runObject(runID)
-	if m, _, err := r.loadManifestObject(ss.manifestObject(si)); err != nil {
-		return err
-	} else if i := m.find(runID); i >= 0 {
-		obj = m.Runs[i].Object
-	}
-	seq, err := r.logIntentAt(jname, journalRecord{
-		Op: opDelete, RunID: runID, Object: obj,
-	})
-	if err != nil {
-		return err
-	}
 	var removed RunInfo
-	err = r.updateShardIdx(ss, si, func(m *manifest) error {
+	err = r.updateShardIdx(ss, ss.shardOf(runID), func(m *manifest) error {
 		i := m.find(runID)
 		if i < 0 {
 			return fmt.Errorf("%w: %q", ErrRunNotFound, runID)
@@ -722,19 +680,9 @@ func (r *Repo) Delete(runID string) error {
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, ErrRunNotFound) {
-			// Nothing to undo; the intent is settled.
-			r.logDoneAt(jname, seq, opDelete)
-		}
 		return err
 	}
-	if derr := r.deleteEntryBlob(ss, removed); derr != nil {
-		// Manifest entry is gone but the blob lingers; leave the
-		// intent open so Recover finishes the job.
-		return derr
-	}
-	r.logDoneAt(jname, seq, opDelete)
-	return nil
+	return r.deleteEntryBlob(ss, removed)
 }
 
 // gcDropSet returns the run IDs GC would drop from the merged view:
@@ -766,10 +714,8 @@ func gcDropSet(entries []RunInfo, keep int) map[string]bool {
 // GC keeps the newest keep runs per workload (by creation sequence,
 // decided over the merged cross-shard view) and deletes the rest,
 // returning the deleted run IDs in deletion order. Each shard commits
-// its removals under its own CAS with its own intent record — the
-// intent must carry the victim set computed against the exact manifest
-// generation being swapped, so a crash after the swap but before the
-// blob deletes lets Recover reclaim precisely those victims.
+// its removals under its own CAS, then deletes the victims' blobs; a
+// crash in between leaves leftovers the next Open reclaims.
 func (r *Repo) GC(keep int) ([]string, error) {
 	if keep < 0 {
 		keep = 0
@@ -786,78 +732,56 @@ func (r *Repo) GC(keep int) ([]string, error) {
 			return all, err
 		}
 	}
-	if len(all) > 0 {
-		r.compactJournalIfSettled(journalCompactThreshold)
-	}
 	return all, nil
 }
 
-// gcShard runs one shard's GC round: recompute the global drop set,
-// journal this shard's victims, CAS the shard manifest, then delete
-// the victim blobs.
+// errNoVictims stops gcShard's CAS loop when the shard has nothing to
+// drop, so an unchanged manifest is not rewritten.
+var errNoVictims = errors.New("repo: no gc victims")
+
+// gcShard runs one shard's GC round: recompute the global drop set
+// against the shard's manifest as each CAS attempt reads it, swap the
+// survivors in, then delete the victim blobs.
 func (r *Repo) gcShard(ss shardSet, si, keep int) ([]string, error) {
-	jname := ss.journalObject(si)
-	for attempt := 0; attempt < casRetries; attempt++ {
-		if attempt > 0 {
-			r.casBackoff(attempt)
-		}
-		ms, gens, err := r.loadAllShards(ss)
+	var victims []RunInfo
+	err := r.updateShardIdx(ss, si, func(m *manifest) error {
+		ms, _, err := r.loadAllShards(ss)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		ms[si] = m
 		drop := gcDropSet(mergedRuns(ms), keep)
-		m, gen := ms[si], gens[si]
-		var victims []string
-		var victimObjs []string
-		var victimEntries []RunInfo
+		victims = victims[:0]
 		kept := m.Runs[:0]
 		for _, info := range m.Runs {
 			if drop[info.RunID] {
-				victims = append(victims, info.RunID)
-				victimObjs = append(victimObjs, info.Object)
-				victimEntries = append(victimEntries, info)
+				victims = append(victims, info)
 			} else {
 				kept = append(kept, info)
 			}
 		}
 		if len(victims) == 0 {
-			return nil, nil
+			return errNoVictims
 		}
 		m.Runs = kept
-		data, err := marshalManifest(m)
-		if err != nil {
-			return nil, err
-		}
-		seq, err := r.logIntentAt(jname, journalRecord{
-			Op: opGC, Victims: sortedUnique(victims), Objects: sortedUnique(victimObjs),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := r.store.PutIf(ss.manifestObject(si), data, gen); err == nil {
-			for _, e := range victimEntries {
-				if derr := r.deleteEntryBlob(ss, e); derr != nil {
-					// Leave the intent open: Recover deletes the
-					// remaining victim blobs.
-					return victims, derr
-				}
-			}
-			r.logDoneAt(jname, seq, opGC)
-			return victims, nil
-		} else if errors.Is(err, storage.ErrGenerationMismatch) {
-			// Lost the race; the recorded victims are still in the
-			// manifest, so this intent is harmless — close it and
-			// recompute against the new generation.
-			r.logDoneAt(jname, seq, opGC)
-			r.m.casRetries.Inc()
-			r.shardCounter(si, "cas_retries").Inc()
-		} else {
-			r.logDoneAt(jname, seq, opGC)
-			return nil, err
+		return nil
+	})
+	if errors.Is(err, errNoVictims) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(victims))
+	for i, e := range victims {
+		ids[i] = e.RunID
+	}
+	for _, e := range victims {
+		if err := r.deleteEntryBlob(ss, e); err != nil {
+			return ids, err
 		}
 	}
-	r.m.casExhausted.Inc()
-	return nil, fmt.Errorf("%w: gc on shard %d", ErrManifestContention, si)
+	return ids, nil
 }
 
 // Compare diffs two stored runs by ID. See DiffArchives for the

@@ -4,11 +4,10 @@
 // NextSeq contends on one CAS object — at fleet scale the writers
 // livelock on the index. The repository therefore hashes run IDs
 // (FNV-1a) across M manifest shards (M = 1 unless asked otherwise),
-// each with its own CAS loop and its own intent journal:
+// each with its own CAS loop:
 //
 //	runs/.layout           — {"version":1,"shards":M}
 //	runs/manifest-<i>.json — shard i's index + local seq allocator
-//	runs/.journal-<i>      — shard i's intent journal
 //
 // Reads (List, Fsck, GC victim ranking) scatter-gather the merged view;
 // writes route to the one shard that owns the run ID, so unrelated runs
@@ -56,10 +55,7 @@ const MaxShards = 64
 // matters.
 const seqBlockSize = 64
 
-const (
-	shardManifestPrefix = "runs/manifest-"
-	shardJournalPrefix  = "runs/.journal-"
-)
+const shardManifestPrefix = "runs/manifest-"
 
 // repoLayout is the stored LayoutObject document.
 type repoLayout struct {
@@ -77,10 +73,6 @@ type shardSet struct {
 
 func (ss shardSet) manifestObject(i int) string {
 	return fmt.Sprintf("%s%d.json", shardManifestPrefix, i)
-}
-
-func (ss shardSet) journalObject(i int) string {
-	return fmt.Sprintf("%s%d", shardJournalPrefix, i)
 }
 
 // shardOf routes a run ID to its owning shard: FNV-1a over the ID,
@@ -393,9 +385,4 @@ func nextRepoSeed() uint64 {
 // document (runs/manifest-<i>.json).
 func isShardManifestObject(name string) bool {
 	return strings.HasPrefix(name, shardManifestPrefix) && strings.HasSuffix(name, ".json")
-}
-
-// isShardJournalObject reports whether name is a shard journal.
-func isShardJournalObject(name string) bool {
-	return strings.HasPrefix(name, shardJournalPrefix)
 }

@@ -214,8 +214,7 @@ func TestUpdateContentionBacksOffAndSucceeds(t *testing.T) {
 // unindexed — the v1 writer died mid-save.
 func seedV1Store(t *testing.T, store Store, n int) {
 	t.Helper()
-	const v1Journal = "runs/.journal"
-	w := New(store) // only frames journal records; never resolves the layout
+	w := New(store) // only computes entries; never resolves the layout
 	m := &manifest{NextSeq: uint64(n) + 2}
 	for i := 0; i < n; i++ {
 		blob := archiveBlob(t, "run-"+strconv.Itoa(i), uint64(i)+1, 0)
@@ -236,13 +235,14 @@ func seedV1Store(t *testing.T, store Store, n int) {
 	if _, err := store.Put(legacyManifestObject, data); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := w.logIntentAt(v1Journal, journalRecord{Op: "save", RunID: "run-0", Object: runObject("run-0")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.logDoneAt(v1Journal, seq, "save")
-	if _, err := w.logIntentAt(v1Journal, journalRecord{Op: "save", RunID: "ghost", Object: runObject("ghost")}); err != nil {
-		t.Fatal(err)
+	for _, rec := range []string{
+		`{"seq":1,"op":"save","phase":"intent","run_id":"run-0","object":"runs/run-0/archive"}`,
+		`{"seq":1,"op":"save","phase":"done"}`,
+		`{"seq":2,"op":"save","phase":"intent","run_id":"ghost","object":"runs/ghost/archive"}`,
+	} {
+		if err := appendFrame(store, "runs/.journal", []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := store.Put(runObject("ghost"), archiveBlob(t, "ghost", uint64(n)+1, 0)); err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestLayoutCreationRace(t *testing.T) {
 // inside its retried mutation, or fails hard. Either way the loser
 // must answer ErrRunExists (never success: it did not index the run),
 // must NOT delete the blob — it now belongs to the winner's manifest
-// entry — and must close its intent.
+// entry — and must leave nothing for the next Open to reclaim.
 func TestSaveRollbackSparesWinnerBlob(t *testing.T) {
 	for _, hardFail := range []bool{false, true} {
 		for _, entry := range saveEntries {
@@ -407,7 +407,7 @@ func TestSaveRollbackSparesWinnerBlob(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !rec.Clean() {
-					t.Fatalf("loser left an open intent: %+v", rec)
+					t.Fatalf("loser left debris for the sweep: %+v", rec)
 				}
 				if runs, err := r3.List(Filter{}); err != nil || len(runs) != 1 {
 					t.Fatalf("listed %d runs (%v), want the winner's one", len(runs), err)

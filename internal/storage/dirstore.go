@@ -27,13 +27,13 @@
 // it is never torn. Append is in place: one O_APPEND write of exactly
 // the caller's bytes, so its cost does not depend on the object's size.
 // A write that fails is truncated back off; only a crash mid-write can
-// leave a torn tail, which is the debris the CRC-framed readers above
-// the store (journal replay, session-log resume) detect and trim.
-// Readers in other processes never see a half-written tail, because
-// every operation, reads included, holds the flock. No fsync: the
-// repository's intent journal, not the store, owns power-cut durability
-// (a SIGKILL'd process loses nothing that reached the page cache, which
-// is the failure the fleet smoke injects).
+// leave a torn tail, which is the debris the CRC-framed reader above
+// the store (session-log resume) detects and trims. Readers in other
+// processes never see a half-written tail, because every operation,
+// reads included, holds the flock. No fsync: the repository's write
+// order (objects before the manifest CAS), not the store, owns
+// power-cut durability (a SIGKILL'd process loses nothing that reached
+// the page cache, which is the failure the fleet smoke injects).
 package storage
 
 import (

@@ -185,9 +185,8 @@ func TestDirStoreAppendIsInPlace(t *testing.T) {
 }
 
 // TestDirStoreAppendInterleavesWithCAS: two handles (two processes)
-// mixing Append with Get + PutIf(gen) on one object — the journal's
-// append-vs-compaction race. A CAS loses to a foreign append, and the
-// bytes land in call order.
+// mixing Append with Get + PutIf(gen) on one object. A CAS loses to a
+// foreign append, and the bytes land in call order.
 func TestDirStoreAppendInterleavesWithCAS(t *testing.T) {
 	root := t.TempDir()
 	a, err := OpenDir(root)

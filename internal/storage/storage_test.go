@@ -337,7 +337,7 @@ func TestAppendInputIsDefensiveCopy(t *testing.T) {
 		t.Fatalf("Append aliased its input: got %q", got.Data)
 	}
 
-	// Put's input too, for the same reason (journal compaction rewrites).
+	// Put's input too, for the same reason.
 	pbuf := []byte("stored")
 	if _, err := b.Put("obj", pbuf); err != nil {
 		t.Fatal(err)
@@ -352,8 +352,8 @@ func TestAppendInputIsDefensiveCopy(t *testing.T) {
 
 // Append participates in the bucket's single generation sequence: every
 // append invalidates outstanding PutIf generations, and the generation
-// an Append returns is swappable — the property the journal's
-// generation-checked compaction (append-vs-truncate race) relies on.
+// an Append returns is swappable, so a Get → PutIf(gen) swap loses to
+// any append that lands in between.
 func TestAppendParticipatesInGenerations(t *testing.T) {
 	s := NewService()
 	b, _ := s.CreateBucket("b")

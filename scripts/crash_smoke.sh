@@ -9,7 +9,7 @@
 #      lease-vs-finalize) under the race detector.
 #   3. crashcheck — the in-process wiring smoke that asserts every
 #      recovery path moves its observability counter
-#      (repo.journal.replays, repo.salvage.segments.recovered,
+#      (repo.recover.reclaimed, repo.salvage.segments.recovered,
 #      repo.fsck.issues/repairs, fleet.sessions.resumed) and that
 #      records.in == records.archived across a collector restart.
 #   4. A CLI round trip: archive a real run, corrupt the blob's tail,

@@ -1,7 +1,7 @@
 // crashcheck is the durability-counter smoke: it drives the crash
-// recovery machinery end to end in-process — an interrupted save
-// replayed from the journal, a corrupted blob salvaged, a missing blob
-// fsck-repaired, and a fleet session resumed across a collector
+// recovery machinery end to end in-process — an interrupted save's
+// orphan blob reclaimed by the sweep, a corrupted blob salvaged, a
+// missing blob fsck-repaired, and a fleet session resumed across a collector
 // restart — and asserts that each path moved its observability
 // counter. Unit tests prove the mechanisms; this proves the wiring
 // (a nil registry handed to any layer would pass every unit test and
@@ -73,18 +73,18 @@ func run() error {
 	}
 
 	// 1. Interrupt a save mid-mutation: the power cut lands on the
-	// manifest swap, stranding a journaled intent and an orphan blob.
+	// manifest swap, stranding an orphan blob.
 	cs := faultnet.NewCrashStore(bucket)
 	crashed, _, err := repo.Open(cs)
 	if err != nil {
 		return err
 	}
-	cs.CrashAfterWrites(2, false) // intent append, blob put, then darkness
+	cs.CrashAfterWrites(1, false) // blob put, then darkness
 	if _, err := crashed.Save(blob("run-c", 9, 30)); !errors.Is(err, faultnet.ErrPowerLost) {
 		return fmt.Errorf("scripted crash save: err = %v, want power lost", err)
 	}
 
-	// Power restored: replay the journal with the registry attached.
+	// Power restored: sweep with the registry attached.
 	reg := obs.NewRegistry(128)
 	r := repo.New(bucket)
 	r.SetObs(reg)
@@ -95,10 +95,10 @@ func run() error {
 	if rec.Clean() {
 		return errors.New("recovery found nothing: the scripted crash left no debris")
 	}
-	if got := reg.Snapshot().C("repo.journal.replays"); got < 1 {
-		return fmt.Errorf("repo.journal.replays = %d after a replayed intent", got)
+	if got := reg.Snapshot().C("repo.recover.reclaimed"); got < 1 {
+		return fmt.Errorf("repo.recover.reclaimed = %d after reclaiming %v", got, rec.Reclaimed)
 	}
-	fmt.Printf("journal: replayed %d open intents (%d rolled back)\n", rec.OpenIntents, rec.RolledBack)
+	fmt.Printf("recover: reclaimed %v\n", rec.Reclaimed)
 
 	// 2. Corrupt a blob's tail and salvage it.
 	obj, err := bucket.Get("runs/run-b/archive")

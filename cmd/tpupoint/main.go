@@ -340,7 +340,7 @@ func analyzeDir(dir, algo string, parallelism int) error {
 		return err
 	}
 	defer store.Close()
-	records, err := profiler.LoadRecords(store, "")
+	records, err := profiler.LoadRecords(store)
 	if err != nil {
 		return err
 	}

@@ -27,12 +27,11 @@
 // (ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum, ErrMalformed) —
 // never a panic, however corrupt the input (see FuzzOpen).
 //
-// The codec's fan-outs (AddBatch marshalling, Open's segment
-// verification, Records' segment decode) run on a pool sized from
-// GOMAXPROCS; nothing sets the size. The unexported forms open, records
-// and Writer.workers take it (<= 0 = GOMAXPROCS, 1 = inline) so the
-// differential tests can prove what callers rely on: chunk boundaries
-// depend only on the input, so archive bytes, decoded records and the
+// The codec's fan-outs (Open's segment verification, Records' segment
+// decode) run on a pool sized from GOMAXPROCS; nothing sets the size.
+// The unexported forms open and records take it (<= 0 = GOMAXPROCS,
+// 1 = inline) so the differential tests can prove what callers rely on:
+// chunk boundaries depend only on the input, so decoded records and the
 // reported (lowest-index) error are identical for every pool size.
 //
 // Footer message schema (protobuf field numbers):
@@ -233,7 +232,6 @@ type segment struct {
 type Writer struct {
 	meta      Meta
 	segTarget int
-	workers   int // AddBatch marshal fan-out; zero (GOMAXPROCS) outside tests
 
 	// slabs hold the flushed segments (length prefix + payload each), end
 	// to end. A slab is made at its final capacity — 64 KB, doubling to
@@ -272,51 +270,6 @@ func (w *Writer) SetSegmentTarget(n int) error {
 // Add appends one record.
 func (w *Writer) Add(rec *trace.ProfileRecord) {
 	w.AddEncoded(trace.MarshalRecord(rec), rec)
-}
-
-// batchEncodeChunk is the fixed AddBatch chunk size. Like every
-// internal/parallel fan-out, the boundaries depend only on the input
-// length — never on the worker count — so the archive bytes are
-// bit-identical however many workers marshal.
-const batchEncodeChunk = 256
-
-// AddBatch appends a batch of records, marshalling them in parallel.
-// The encoded chunks are merged into the segment stream in input order,
-// so the resulting archive is byte-identical to calling Add in a loop
-// (see TestAddBatchBitIdentical); only the wall-clock cost of the
-// marshal fan-out changes.
-func (w *Writer) AddBatch(recs []*trace.ProfileRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	type chunk struct {
-		buf  []byte
-		ends []int // cumulative record end offsets within buf
-	}
-	pool := parallel.New(w.workers)
-	chunks, err := parallel.Map(pool, context.Background(), len(recs), batchEncodeChunk,
-		func(ci, lo, hi int) (chunk, error) {
-			var c chunk
-			c.ends = make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				c.buf = trace.MarshalRecordAppend(c.buf, recs[i])
-				c.ends = append(c.ends, len(c.buf))
-			}
-			return c, nil
-		})
-	if err != nil {
-		return err
-	}
-	i := 0
-	for _, c := range chunks {
-		start := 0
-		for _, end := range c.ends {
-			w.AddEncoded(c.buf[start:end], recs[i])
-			start = end
-			i++
-		}
-	}
-	return nil
 }
 
 // AddRaw appends an already wire-encoded record (the form a session log

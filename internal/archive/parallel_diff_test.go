@@ -178,49 +178,6 @@ func TestDecodeMalformedRecordDifferential(t *testing.T) {
 	}
 }
 
-// TestAddBatchBitIdentical proves batch (parallel) encode produces the
-// exact bytes of the serial Add loop, for every worker count and for
-// batches mixed with single Adds.
-func TestAddBatchBitIdentical(t *testing.T) {
-	for _, n := range []int{1, 1_000, 10_000} {
-		recs := synthRecords(n)
-		want := rawBlob(t, recs)
-
-		for _, workers := range diffWorkers() {
-			w := NewWriter(testMeta())
-			if err := w.SetSegmentTarget(2048); err != nil {
-				t.Fatal(err)
-			}
-			w.workers = workers
-			if err := w.AddBatch(recs); err != nil {
-				t.Fatalf("n=%d workers=%d: AddBatch: %v", n, workers, err)
-			}
-			if got := w.Finalize(nil); !bytes.Equal(got, want) {
-				t.Fatalf("n=%d workers=%d: AddBatch blob differs from serial Add", n, workers)
-			}
-		}
-
-		// Interleaved single Adds and split batches must land on the
-		// same byte stream too.
-		w := NewWriter(testMeta())
-		if err := w.SetSegmentTarget(2048); err != nil {
-			t.Fatal(err)
-		}
-		w.workers = 4
-		split := n / 3
-		w.Add(recs[0])
-		if err := w.AddBatch(recs[1 : 1+split]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AddBatch(recs[1+split:]); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.Finalize(nil); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: mixed Add/AddBatch blob differs from serial Add", n)
-		}
-	}
-}
-
 // TestSlabWriterMatchesPlainAppend holds the writer's slab chain to the
 // layout written out plainly — one buffer, header, then (u32 length,
 // payload) per segment, grown by append — on a stream long enough that

@@ -48,11 +48,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Streaming defaults.
+// Streaming analysis constants.
 const (
-	// DefaultDegradeFactor flags a sealed step whose span exceeds this
-	// multiple of its phase's mean step span.
-	DefaultDegradeFactor = 2.0
+	// DegradeFactor flags a sealed step whose span exceeds this multiple
+	// of its phase's mean step span.
+	DegradeFactor = 2.0
 	// SignatureOps caps a closed phase's op-mix signature.
 	SignatureOps = 12
 	// degradeMinSteps is how many steps a phase needs before its mean
@@ -189,9 +189,6 @@ type StreamOptions struct {
 	// SealWindow is ignored: steps seal at the records' OpenStep. It
 	// goes when its last setter does (ROADMAP item 2 (a)).
 	SealWindow int
-	// DegradeFactor flags steps slower than this multiple of the phase
-	// mean (default DefaultDegradeFactor; negative disables).
-	DegradeFactor float64
 	// OnEvent, when set, receives PhaseOpen/PhaseClose/StepDegraded
 	// synchronously from Feed/Finish.
 	OnEvent func(StreamEvent)
@@ -205,9 +202,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	}
 	if o.DutyCycle <= 1 {
 		o.DutyCycle = 1
-	}
-	if o.DegradeFactor == 0 {
-		o.DegradeFactor = DefaultDegradeFactor
 	}
 	return o
 }
@@ -272,9 +266,8 @@ type StreamAnalyzer struct {
 	m        streamMetrics
 
 	// pending holds open steps awaiting cross-window fragments, in
-	// ascending step order. Fragments arrive nearly in that order, so a
-	// new step is placed by walking back from the tail, and the steps to
-	// seal are always a prefix.
+	// ascending step order: trace.AddSteps merges each record in, and
+	// the steps to seal are always a prefix.
 	pending []*trace.StepStat
 	// open is the highest positive OpenStep fed (MinInt64 before one):
 	// every step below it is sealed, or never had a fragment.
@@ -334,9 +327,7 @@ func (s *StreamAnalyzer) Feed(rec *trace.ProfileRecord) error {
 		s.rep.Gaps++
 		return nil
 	}
-	for _, st := range rec.Steps {
-		s.observeStep(st)
-	}
+	s.pending = trace.AddSteps(s.pending, rec)
 	// Only a positive OpenStep says anything (trace.ProfileRecord).
 	if rec.OpenStep > 0 && rec.OpenStep > s.open {
 		s.open = rec.OpenStep
@@ -362,19 +353,6 @@ func (s *StreamAnalyzer) FeedBatch(recs []*trace.ProfileRecord) error {
 		}
 	}
 	return nil
-}
-
-// observeStep merges one per-window step fragment into the open steps.
-func (s *StreamAnalyzer) observeStep(st *trace.StepStat) {
-	i := len(s.pending)
-	for i > 0 && s.pending[i-1].Step > st.Step {
-		i--
-	}
-	if i > 0 && s.pending[i-1].Step == st.Step {
-		s.pending[i-1].Merge(st)
-		return
-	}
-	s.pending = slices.Insert(s.pending, i, st.Clone())
 }
 
 // sealStep analyzes the lowest open step, which can no longer grow: it
@@ -413,9 +391,9 @@ func (s *StreamAnalyzer) openPhase(st *trace.StepStat) {
 func (s *StreamAnalyzer) extendPhase(st *trace.StepStat) {
 	p := s.cur
 	span := st.End.Sub(st.Start)
-	if s.opts.DegradeFactor > 0 && p.Steps >= degradeMinSteps {
+	if p.Steps >= degradeMinSteps {
 		mean := float64(p.Total) / float64(p.Steps)
-		if float64(span) > s.opts.DegradeFactor*mean {
+		if float64(span) > DegradeFactor*mean {
 			p.Degraded++
 			s.m.degraded.Inc()
 			if p.Degraded == 1 {

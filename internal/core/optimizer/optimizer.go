@@ -14,7 +14,7 @@
 //     more than half of aggregated execution time (the paper's second
 //     trigger; the first — seeing the infeed/fusion/reshape/outfeed
 //     pattern — always coincides with it on these workloads).
-//   - Each candidate value is probed for ProbeSteps steps; an accepted
+//   - Each candidate value is probed for probeSteps steps; an accepted
 //     move keeps pushing the same direction, a rejected one restores the
 //     checkpointed value and charges a restore stall.
 //   - While tuning, every step pays an instrumentation overhead (the
@@ -49,40 +49,38 @@ type Options struct {
 	// (critical-phase detection needs history). Default 30.
 	WarmupSteps int
 
-	// ProbeSteps is how long each candidate parameter value is measured.
-	// Default 14.
-	ProbeSteps int
-
-	// SettleSteps are excluded from the head of each probe window so the
-	// pipeline-restart transient after a parameter rewrite does not bias
-	// the measurement. Default 4; negative requests zero settle steps
-	// (consistent with profiler.Options: zero means default, negative
-	// disables).
-	SettleSteps int
-
-	// ImproveEps is the minimum relative step-period improvement that
-	// accepts a move. Default 0.02; negative accepts any strict
-	// improvement (eps 0).
-	ImproveEps float64
-
-	// InstrumentationUs is the per-step host overhead while the
-	// optimizer is instrumenting and tuning. Default 250µs; negative
-	// models free instrumentation (0µs).
-	InstrumentationUs float64
-
-	// RestoreUs is the checkpoint-restore stall charged when a move is
-	// rolled back. Default 300000µs (0.3s).
-	RestoreUs float64
-
-	// PostProcessUs is TPUPoint's fixed post-run processing time, added
-	// to the paper-scale projection. Default 90e6µs (90s).
-	PostProcessUs float64
-
 	// Obs, when set, receives the optimizer's metrics (probes started /
 	// accepted / rolled back, restore stalls) and the per-axis move
 	// history as structured events.
 	Obs *obs.Registry
 }
+
+// The tuning policy and its cost model.
+const (
+	// probeSteps is how long each candidate parameter value is measured.
+	probeSteps = 14
+
+	// settleSteps are excluded from the head of each probe window so the
+	// pipeline-restart transient after a parameter rewrite does not bias
+	// the measurement.
+	settleSteps = 4
+
+	// improveEps is the minimum relative step-period improvement that
+	// accepts a move.
+	improveEps = 0.02
+
+	// instrumentationUs is the per-step host overhead while the
+	// optimizer is instrumenting and tuning.
+	instrumentationUs = 250
+
+	// restoreUs is the checkpoint-restore stall charged when a move is
+	// rolled back (0.3s).
+	restoreUs = 300_000
+
+	// postProcessUs is TPUPoint's fixed post-run processing time, added
+	// to the paper-scale projection (90s).
+	postProcessUs = 90e6
+)
 
 func (o Options) withDefaults() Options {
 	if o.Version == 0 {
@@ -90,30 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WarmupSteps == 0 {
 		o.WarmupSteps = 30
-	}
-	if o.ProbeSteps == 0 {
-		o.ProbeSteps = 14
-	}
-	if o.SettleSteps == 0 {
-		o.SettleSteps = 4
-	} else if o.SettleSteps < 0 {
-		o.SettleSteps = 0
-	}
-	if o.ImproveEps == 0 {
-		o.ImproveEps = 0.02
-	} else if o.ImproveEps < 0 {
-		o.ImproveEps = 0
-	}
-	if o.InstrumentationUs == 0 {
-		o.InstrumentationUs = 250
-	} else if o.InstrumentationUs < 0 {
-		o.InstrumentationUs = 0
-	}
-	if o.RestoreUs == 0 {
-		o.RestoreUs = 300_000
-	}
-	if o.PostProcessUs == 0 {
-		o.PostProcessUs = 90e6
 	}
 	return o
 }
@@ -310,7 +284,7 @@ func (t *tuner) onStep(r *estimator.Runner, step int64, st tpu.StepTiming) {
 		t.startProbe(r, step)
 	case stTuning:
 		t.probeLeft--
-		if t.probeLeft < t.opts.ProbeSteps-t.opts.SettleSteps {
+		if t.probeLeft < probeSteps-settleSteps {
 			// Past the settle window: this step counts.
 			t.window = append(t.window, period)
 		}
@@ -342,7 +316,7 @@ func (t *tuner) startProbe(r *estimator.Runner, step int64) {
 			continue
 		}
 		t.window = t.window[:0]
-		t.probeLeft = t.opts.ProbeSteps
+		t.probeLeft = probeSteps
 		t.probing = true
 		t.m.probesStarted.Inc()
 		return
@@ -362,7 +336,7 @@ func (t *tuner) finishProbe(r *estimator.Runner, step int64, mean float64) {
 		PeriodBefore: t.bestMean,
 		PeriodAfter:  mean,
 	}
-	if mean < t.bestMean*(1-t.opts.ImproveEps) {
+	if mean < t.bestMean*(1-improveEps) {
 		// Improved: keep it and push the same direction.
 		mv.Accepted = true
 		t.bestMean = mean
@@ -373,7 +347,7 @@ func (t *tuner) finishProbe(r *estimator.Runner, step int64, mean float64) {
 		if err := r.SetHostParams(t.saved); err == nil {
 			t.cur = t.saved
 		}
-		r.Stall(simclock.Duration(t.opts.RestoreUs), step)
+		r.Stall(simclock.Duration(restoreUs), step)
 		t.axisIdx++
 		t.m.rolledBack.Inc()
 		t.m.restoreStalls.Inc()
@@ -404,7 +378,7 @@ func Optimize(w *workloads.Workload, opts Options) (*Result, error) {
 
 	tn := &tuner{opts: opts, axes: adjustableAxes(), cur: w.HostParams,
 		spec: w.Spec(), m: newOTMetrics(opts.Obs)}
-	opt, err := runOnce(w, opts, tn.onStep, opts.InstrumentationUs)
+	opt, err := runOnce(w, opts, tn.onStep, instrumentationUs)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: tuned run: %w", err)
 	}
@@ -436,7 +410,7 @@ func Optimize(w *workloads.Workload, opts Options) (*Result, error) {
 		tuningCost = 0
 	}
 	baseFull := basePeriod * full
-	optFull := optPeriod*full + tuningCost + opts.PostProcessUs
+	optFull := optPeriod*full + tuningCost + postProcessUs
 	if optFull > 0 {
 		res.ProjectedSpeedup = baseFull / optFull
 	}

@@ -106,26 +106,6 @@ func TestOptimizerHonorsWorkloadHostSpec(t *testing.T) {
 	}
 }
 
-func TestOptionsNegativeDisables(t *testing.T) {
-	// Zero keeps the documented defaults...
-	d := Options{}.withDefaults()
-	if d.SettleSteps != 4 || d.ImproveEps != 0.02 || d.InstrumentationUs != 250 {
-		t.Fatalf("defaults = %+v", d)
-	}
-	// ...and negative values request zero explicitly (profiler.Options
-	// semantics), which a zero-means-default sentinel made unreachable.
-	o := Options{SettleSteps: -1, ImproveEps: -1, InstrumentationUs: -1}.withDefaults()
-	if o.SettleSteps != 0 {
-		t.Fatalf("SettleSteps = %d, want 0", o.SettleSteps)
-	}
-	if o.ImproveEps != 0 {
-		t.Fatalf("ImproveEps = %g, want 0", o.ImproveEps)
-	}
-	if o.InstrumentationUs != 0 {
-		t.Fatalf("InstrumentationUs = %g, want 0", o.InstrumentationUs)
-	}
-}
-
 func TestOptimizerMoveMetrics(t *testing.T) {
 	// End-to-end through Optimize: the obs registry must agree with the
 	// returned move history.

@@ -69,16 +69,9 @@ type RecordStore interface {
 	Put(name string, data []byte) (*storage.Object, error)
 }
 
-// BatchStore is the optional fast path a RecordStore can offer for
-// batched persistence: framed is a trace framed stream (uvarint length,
-// record bytes)* holding count records. Stores that understand the
-// framed form natively — the fleet client — accept a whole batch in
-// one call; plain buckets get the framed blob through
-// Put instead and LoadRecords decodes it back.
-type BatchStore interface {
-	RecordStore
-	PutBatch(name string, framed []byte, count int) (*storage.Object, error)
-}
+// recordPrefix is where the recording thread names its objects: one
+// record-%06d object per record, numbered in persist order.
+const recordPrefix = "profiles/"
 
 // ErrPutTimeout marks a storage write abandoned after Options.PutTimeout.
 var ErrPutTimeout = errors.New("profiler: storage put timed out")
@@ -92,9 +85,6 @@ type Options struct {
 
 	// Bucket receives serialized records when the analyzer flag is set.
 	Bucket RecordStore
-
-	// ObjectPrefix prefixes record object names (default "profiles/").
-	ObjectPrefix string
 
 	// BreakpointStep, when positive, ends profiling once a record covers
 	// this training step — the paper's "user-specified breakpoint": the
@@ -137,14 +127,6 @@ type Options struct {
 	// 64). When the queue is full the record is kept in memory only and
 	// OnDegraded fires — the profiling thread never blocks on storage.
 	QueueSize int
-
-	// BatchRecords caps how many records the recording thread coalesces
-	// into one storage put. Values <= 1 keep the historical
-	// one-object-per-record behavior. Batching is opportunistic: only
-	// records already waiting in the queue are coalesced, so an idle
-	// stream still flushes every record immediately — batching adds
-	// throughput under load, never latency.
-	BatchRecords int
 
 	// Obs, when set, receives the profiler's metrics and degradation
 	// events (see the README's metric catalogue). Nil disables
@@ -211,9 +193,6 @@ func New(client Client, opts Options) *Profiler {
 	if opts.Interval <= 0 {
 		opts.Interval = 200 * time.Microsecond
 	}
-	if opts.ObjectPrefix == "" {
-		opts.ObjectPrefix = "profiles/"
-	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = opts.Interval
 	}
@@ -271,6 +250,10 @@ func (p *Profiler) profileLoop() {
 	seq := int64(0)
 	gaps := 0
 	for {
+		// Read before the request: only a window requested after Stop
+		// began sees all the activity training produced, so only an empty
+		// one of those may end the loop.
+		final := p.isStopping()
 		resp, err := p.nextProfile()
 		if err != nil {
 			if isFatal(err) || gaps >= p.opts.MaxGaps {
@@ -312,7 +295,7 @@ func (p *Profiler) profileLoop() {
 		if resp.EndOfStream || breakpointHit {
 			break
 		}
-		if p.isStopping() && len(resp.Events) == 0 {
+		if final && len(resp.Events) == 0 {
 			// Final request made and nothing new arrived: done.
 			break
 		}
@@ -403,56 +386,15 @@ func (p *Profiler) recordLoop(ch <-chan *trace.ProfileRecord) {
 	defer p.recWG.Done()
 	i := 0
 	dead := false
-	batchMax := p.opts.BatchRecords
-	if batchMax < 1 {
-		batchMax = 1
-	}
 	var buf []byte // reused marshal buffer: one allocation for the run, not one per record
-	batch := make([]*trace.ProfileRecord, 0, batchMax)
 	for rec := range ch {
 		p.m.queueDepth.Set(int64(len(ch)))
 		if dead {
 			continue // drain without persisting
 		}
-		batch = append(batch[:0], rec)
-	coalesce:
-		for len(batch) < batchMax {
-			select {
-			case more, ok := <-ch:
-				if !ok {
-					break coalesce
-				}
-				batch = append(batch, more)
-			default:
-				break coalesce // queue empty: flush now, don't wait
-			}
-		}
-		name, err := func() (string, error) {
-			if batchMax <= 1 {
-				name := fmt.Sprintf("%srecord-%06d", p.opts.ObjectPrefix, i)
-				buf = trace.MarshalRecordAppend(buf[:0], batch[0])
-				return name, p.putWithRetry(func(data []byte) error {
-					_, err := p.opts.Bucket.Put(name, data)
-					return err
-				}, name, buf)
-			}
-			name := fmt.Sprintf("%sbatch-%06d", p.opts.ObjectPrefix, i)
-			buf = buf[:0]
-			for _, r := range batch {
-				buf = trace.AppendFramedRecord(buf, r)
-			}
-			count := len(batch)
-			if bs, ok := p.opts.Bucket.(BatchStore); ok {
-				return name, p.putWithRetry(func(data []byte) error {
-					_, err := bs.PutBatch(name, data, count)
-					return err
-				}, name, buf)
-			}
-			return name, p.putWithRetry(func(data []byte) error {
-				_, err := p.opts.Bucket.Put(name, data)
-				return err
-			}, name, buf)
-		}()
+		name := fmt.Sprintf("%srecord-%06d", recordPrefix, i)
+		buf = trace.MarshalRecordAppend(buf[:0], rec)
+		err := p.putWithRetry(name, buf)
 		i++
 		if err != nil {
 			p.m.memoryOnly.Inc()
@@ -462,15 +404,15 @@ func (p *Profiler) recordLoop(ch <-chan *trace.ProfileRecord) {
 			dead = true
 			continue
 		}
-		p.m.recsPersisted.Add(int64(len(batch)))
+		p.m.recsPersisted.Inc()
 	}
 }
 
-// putWithRetry drives one logical write (put is Put or PutBatch bound to
-// its target) through the retry/backoff/timeout policy. data may be the
-// loop's reused marshal buffer; when a timeout could leave an abandoned
-// writer still reading it, timedPut copies first.
-func (p *Profiler) putWithRetry(put func(data []byte) error, name string, data []byte) error {
+// putWithRetry drives one record's Put through the retry/backoff/timeout
+// policy, every attempt under the same name. data may be the loop's
+// reused marshal buffer; when a timeout could leave an abandoned writer
+// still reading it, timedPut copies first.
+func (p *Profiler) putWithRetry(name string, data []byte) error {
 	var lastErr error
 	for attempt := 0; attempt <= p.opts.PutRetries; attempt++ {
 		if attempt > 0 {
@@ -478,7 +420,7 @@ func (p *Profiler) putWithRetry(put func(data []byte) error, name string, data [
 			time.Sleep(p.opts.Backoff << (attempt - 1))
 		}
 		start := time.Now()
-		err := p.timedPut(put, name, data)
+		err := p.timedPut(name, data)
 		p.m.putLatency.ObserveSince(start)
 		if err != nil {
 			lastErr = err
@@ -495,14 +437,16 @@ func (p *Profiler) putWithRetry(put func(data []byte) error, name string, data [
 // bounded by the retry budget) and reported as ErrPutTimeout. The
 // abandoned goroutine gets a private copy of data so the recording loop
 // can keep reusing its marshal buffer.
-func (p *Profiler) timedPut(put func(data []byte) error, name string, data []byte) error {
+func (p *Profiler) timedPut(name string, data []byte) error {
 	if p.opts.PutTimeout <= 0 {
-		return put(data)
+		_, err := p.opts.Bucket.Put(name, data)
+		return err
 	}
 	owned := append([]byte(nil), data...)
 	done := make(chan error, 1)
 	go func() {
-		done <- put(owned)
+		_, err := p.opts.Bucket.Put(name, owned)
+		done <- err
 	}()
 	timer := time.NewTimer(p.opts.PutTimeout)
 	defer timer.Stop()
@@ -569,32 +513,25 @@ func (p *Profiler) Records() []*trace.ProfileRecord {
 }
 
 // LoadRecords reads persisted records back from storage, ordered by
-// sequence number — the input to offline TPUPoint-Analyzer runs. Both
-// persisted forms decode: record-* objects hold one wire record,
-// batch-* objects hold a framed stream (see Options.BatchRecords). b is
-// any store that lists and reads objects: a bucket, or the directory
-// store `tpupoint -export` writes.
+// sequence number — the input to offline TPUPoint-Analyzer runs. Every
+// object under profiles/ must be a record-* object holding one wire
+// record; any other name there (an older build's framed batch-* object,
+// say) is an error naming it, never decoded as a record. b is any store
+// that lists and reads objects: a bucket, or the directory store
+// `tpupoint -export` writes.
 func LoadRecords(b interface {
 	List(prefix string) []string
 	Get(name string) (*storage.Object, error)
-}, prefix string) ([]*trace.ProfileRecord, error) {
-	if prefix == "" {
-		prefix = "profiles/"
-	}
-	names := b.List(prefix)
+}) ([]*trace.ProfileRecord, error) {
+	names := b.List(recordPrefix)
 	out := make([]*trace.ProfileRecord, 0, len(names))
 	for _, name := range names {
+		if !strings.HasPrefix(name, recordPrefix+"record-") {
+			return nil, fmt.Errorf("profiler: %s is not a record object", name)
+		}
 		obj, err := b.Get(name)
 		if err != nil {
 			return nil, err
-		}
-		if strings.HasPrefix(strings.TrimPrefix(name, prefix), "batch-") {
-			recs, err := trace.UnmarshalFramed(obj.Data)
-			if err != nil {
-				return nil, fmt.Errorf("profiler: decoding %s: %w", name, err)
-			}
-			out = append(out, recs...)
-			continue
 		}
 		rec, err := trace.UnmarshalRecord(obj.Data)
 		if err != nil {

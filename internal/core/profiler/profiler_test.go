@@ -3,10 +3,12 @@ package profiler
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/estimator"
 	"repro/internal/rpc"
 	"repro/internal/storage"
+	"repro/internal/tpu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -70,7 +72,7 @@ func TestProfilerAnalyzerModePersistsRecords(t *testing.T) {
 	if len(names) != len(records) {
 		t.Fatalf("bucket has %d objects, profiler returned %d records", len(names), len(records))
 	}
-	loaded, err := LoadRecords(bucket, "profiles/")
+	loaded, err := LoadRecords(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +193,107 @@ func TestProfilerWhileTrainingRuns(t *testing.T) {
 	}
 }
 
+// stopRaceClient closes asked on its first request and answers it only
+// once Stop has begun, with an empty window: the request went out before
+// training produced anything. Every later request finds the finished
+// run's one event.
+type stopRaceClient struct {
+	p     *Profiler
+	asked chan struct{}
+	calls int // NextProfile runs on the profiling goroutine alone
+}
+
+func (c *stopRaceClient) NextProfile() (*tpu.ProfileResponse, error) {
+	c.calls++
+	if c.calls == 1 {
+		close(c.asked)
+		for !c.p.isStopping() {
+			time.Sleep(10 * time.Microsecond)
+		}
+		return &tpu.ProfileResponse{}, nil
+	}
+	return &tpu.ProfileResponse{
+		Events:      []trace.Event{{Name: "fusion", Device: trace.TPU, Start: 0, Dur: 10, Step: 0}},
+		WindowEnd:   10,
+		EndOfStream: true,
+	}, nil
+}
+
+// TestStopWaitsForAPostStopRequest: an empty window requested before
+// Stop but answered after it says nothing about what training produced
+// in between, so the profiler must ask again rather than end with the
+// run's events unfetched.
+func TestStopWaitsForAPostStopRequest(t *testing.T) {
+	c := &stopRaceClient{asked: make(chan struct{})}
+	p := New(c, Options{})
+	c.p = p
+	if err := p.Start(false); err != nil {
+		t.Fatal(err)
+	}
+	<-c.asked
+	records, err := p.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || records[0].NumEvents != 1 {
+		t.Fatalf("got %d records after %d requests, want the one event the run produced", len(records), c.calls)
+	}
+}
+
 func TestLoadRecordsBadData(t *testing.T) {
 	svc := storage.NewService()
 	b, _ := svc.CreateBucket("x")
 	b.Put("profiles/record-000000", []byte{0x00, 0x01})
-	if _, err := LoadRecords(b, ""); err == nil {
+	if _, err := LoadRecords(b); err == nil {
 		t.Fatal("corrupt record accepted")
+	}
+}
+
+// TestLoadRecordsRefusesNonRecordObject: an object under profiles/ that
+// is not a record-* object — here a framed batch an older build wrote,
+// whose bytes would otherwise be read as one record — fails the load,
+// and the error names the object.
+func TestLoadRecordsRefusesNonRecordObject(t *testing.T) {
+	svc := storage.NewService()
+	b, _ := svc.CreateBucket("x")
+	rec := &trace.ProfileRecord{Seq: 0, WindowStart: 0, WindowEnd: 10}
+	b.Put("profiles/record-000000", trace.MarshalRecord(rec))
+	framed := trace.AppendFramedRecord(trace.AppendFramedRecord(nil, rec), rec)
+	b.Put("profiles/batch-000000", framed)
+	recs, err := LoadRecords(b)
+	if err == nil {
+		t.Fatalf("framed batch object loaded as %d records", len(recs))
+	}
+	// Refused by name, not by failing to decode as one record.
+	if !strings.Contains(err.Error(), "profiles/batch-000000 is not a record object") {
+		t.Fatalf("error %q does not refuse the object by name", err)
+	}
+}
+
+// TestRecordingWritesOneObjectPerRecord pins the persisted layout: the
+// recording thread writes each record as its own profiles/record-*
+// object, which is the only form LoadRecords reads.
+func TestRecordingWritesOneObjectPerRecord(t *testing.T) {
+	r := fixture(t, 800)
+	svc := storage.NewService()
+	bucket, _ := svc.CreateBucket("b")
+	p := New(&ServiceClient{Service: r.ProfileService()}, Options{Bucket: bucket})
+	if err := p.Start(true); err != nil {
+		t.Fatal(err)
+	}
+	records, err := p.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := bucket.List("profiles/")
+	if len(names) != len(records) {
+		t.Fatalf("%d objects for %d records; want one per record",
+			len(names), len(records))
+	}
+	for _, name := range names {
+		if !strings.HasPrefix(name, "profiles/record-") {
+			t.Fatalf("object %q is not a record object", name)
+		}
 	}
 }
 

@@ -220,7 +220,7 @@ func TestGapRecordsPersistAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadRecords(bucket, "")
+	loaded, err := LoadRecords(bucket)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestFleetAppendBatchPartialAcceptance(t *testing.T) {
 	// Start the drain and let the client-side loop push the tail through.
 	go s.drain(f.m)
 	fc := &ResilientClient{c: rpc.Pipe(srv), id: s.id}
-	if _, err := fc.PutBatch("", tail, len(recs)-resp.Accepted); err != nil {
+	if err := fc.AppendBatch(recs[resp.Accepted:]); err != nil {
 		t.Fatalf("tail resend: %v", err)
 	}
 	info, err := fc.Finalize()
@@ -261,69 +261,60 @@ func (c *failFirstAppend) Call(method string, body []byte) ([]byte, error) {
 }
 
 // TestResilientPutRetryRetainsOnce: the profiler retries a failed write
-// by calling Put (or PutBatch) again under the same object name. The
-// client retained the records on the first call, so the retry must only
-// flush them — it used to retain them a second time, and the run was
-// archived with those records twice.
+// by calling Put again under the same object name. The client retained
+// the record on the first call, so the retry must only flush it — it
+// used to retain it a second time, and the run was archived with that
+// record twice.
 func TestResilientPutRetryRetainsOnce(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			_, srv, r := newFleetUnderTest(t, FleetOptions{})
-			c := &failFirstAppend{Caller: rpc.Pipe(srv)}
-			defer c.Close()
-			rc, err := OpenResilient(c, OpenRequest{RunID: "retried", Workload: "synthetic"})
+	// Each record goes through Put on its own: no batching.
+	t.Run("batched=false", func(t *testing.T) {
+		_, srv, r := newFleetUnderTest(t, FleetOptions{})
+		c := &failFirstAppend{Caller: rpc.Pipe(srv)}
+		defer c.Close()
+		rc, err := OpenResilient(c, OpenRequest{RunID: "retried", Workload: "synthetic"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The profiler's write loop: one named object per record, each
+		// retried under its name until the store takes it.
+		recs := sessionRecords(0, 3)
+		retries := 0
+		for i, rec := range recs {
+			name := fmt.Sprintf("profiles/record-%06d", i)
+			put := func() error {
+				_, err := rc.Put(name, trace.MarshalRecord(rec))
+				return err
+			}
+			for err = put(); err != nil && retries < 3; err = put() {
+				retries++
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The profiler's write loop: one named object per write, each
-			// retried under its name until the store takes it.
-			recs := sessionRecords(0, 6)
-			retries := 0
-			for i := 0; i < len(recs); i += 2 {
-				name := fmt.Sprintf("profiles/batch-%06d", i)
-				put := func() error {
-					if !batched {
-						_, err := rc.Put(name, trace.MarshalRecord(recs[i]))
-						return err
-					}
-					framed := trace.AppendFramedRecord(trace.AppendFramedRecord(nil, recs[i]), recs[i+1])
-					_, err := rc.PutBatch(name, framed, 2)
-					return err
-				}
-				for err = put(); err != nil && retries < 3; err = put() {
-					retries++
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		}
+		if retries != 1 {
+			t.Fatalf("%d retries, want the one the lost append forces", retries)
+		}
+		info, err := rc.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, a, err := r.Get("retried")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(recs)
+		if info.Records != int64(want) || len(got) != want {
+			t.Fatalf("archive holds %d records (entry says %d), want each of the %d written once", len(got), info.Records, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].Seq <= got[i-1].Seq {
+				t.Fatalf("record %d has seq %d after %d: a record archived twice", i, got[i].Seq, got[i-1].Seq)
 			}
-			if retries != 1 {
-				t.Fatalf("%d retries, want the one the lost append forces", retries)
-			}
-			info, err := rc.Finalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, a, err := r.Get("retried")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := a.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := len(recs)
-			if !batched {
-				want /= 2
-			}
-			if info.Records != int64(want) || len(got) != want {
-				t.Fatalf("archive holds %d records (entry says %d), want each of the %d written once", len(got), info.Records, want)
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i].Seq <= got[i-1].Seq {
-					t.Fatalf("record %d has seq %d after %d: a record archived twice", i, got[i].Seq, got[i-1].Seq)
-				}
-			}
-		})
-	}
+		}
+	})
 }

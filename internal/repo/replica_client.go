@@ -27,14 +27,13 @@ import (
 
 // ResilientClient is the profiler-side handle on one collection
 // session, with send-buffer retention and automatic
-// resume-on-unknown-session. It implements profiler.RecordStore and
-// profiler.BatchStore, so a profiler streams into the fleet endpoint by
-// setting it as its Bucket. Use one per run, from one goroutine. The
-// rpc.Caller should be an endpoint-set ReconnectClient so transport
-// failures and placement redirects are already absorbed below this
-// layer (a single endpoint is the degenerate set); this layer handles
-// the one failure class that survives reconnection — the server
-// forgetting the in-memory session.
+// resume-on-unknown-session. It implements profiler.RecordStore, so a
+// profiler streams into the fleet endpoint by setting it as its Bucket.
+// Use one per run, from one goroutine. The rpc.Caller should be an
+// endpoint-set ReconnectClient so transport failures and placement
+// redirects are already absorbed below this layer (a single endpoint is
+// the degenerate set); this layer handles the one failure class that
+// survives reconnection — the server forgetting the in-memory session.
 type ResilientClient struct {
 	c     rpc.Caller
 	id    uint64 // the server's in-memory handle; replaced by every resume
@@ -48,7 +47,7 @@ type ResilientClient struct {
 	base  int
 	sent  [][]byte
 	acked int
-	// lastPut names the last Put or PutBatch object retained in sent.
+	// lastPut names the last Put object retained in sent.
 	lastPut string
 	// resumes counts recoveries, for tests and diagnostics.
 	resumes int
@@ -123,35 +122,12 @@ func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error
 	return &storage.Object{Name: name}, nil
 }
 
-// PutBatch accepts a framed record stream — profiler.BatchStore. The
-// stream is split back into per-record frames because the resend
-// watermark counts records, not batches: a failover mid-batch resends
-// exactly the unacknowledged tail.
-func (rc *ResilientClient) PutBatch(name string, framed []byte, count int) (*storage.Object, error) {
-	payloads, err := trace.SplitFramed(framed)
-	if err != nil {
-		return nil, err
-	}
-	if count >= 0 && len(payloads) != count {
-		return nil, fmt.Errorf("fleet: batch holds %d records, caller claims %d", len(payloads), count)
-	}
-	if !rc.retried(name) {
-		for _, p := range payloads {
-			rc.sent = append(rc.sent, frameOne(p))
-		}
-	}
-	if err := rc.flush(); err != nil {
-		return nil, err
-	}
-	return &storage.Object{Name: name}, nil
-}
-
-// retried reports whether name is the object the previous Put or
-// PutBatch retained, and notes it otherwise. The profiler retries a
-// failed write under the same name, and such a retry only flushes:
-// retaining its records again would archive them twice, while dropping
-// the first copy on failure would break resume when it was the ack that
-// got lost. An empty name identifies nothing and is never a retry.
+// retried reports whether name is the object the previous Put retained,
+// and notes it otherwise. The profiler retries a failed write under the
+// same name, and such a retry only flushes: retaining its record again
+// would archive it twice, while dropping the first copy on failure would
+// break resume when it was the ack that got lost. An empty name
+// identifies nothing and is never a retry.
 func (rc *ResilientClient) retried(name string) bool {
 	if name != "" && name == rc.lastPut {
 		return true

@@ -70,12 +70,11 @@ type ReconnectOptions struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 
-	// JitterFrac spreads each backoff uniformly over ±frac of its value
-	// (default 0.2) using a PRNG keyed by Seed, so two clients with the
-	// same script sleep the same sequence — reproducible tests, and no
-	// synchronized thundering herds in production.
-	JitterFrac float64
-	Seed       uint64
+	// Seed keys the PRNG that spreads each backoff uniformly over
+	// ±jitterFrac of its value, so two clients with the same script sleep
+	// the same sequence — reproducible tests, and no synchronized
+	// thundering herds in production.
+	Seed uint64
 
 	// BreakerThreshold trips an endpoint's circuit breaker after this
 	// many consecutive transport failures against it (across calls);
@@ -129,7 +128,7 @@ const (
 	defaultMaxRetries       = 3
 	defaultBaseBackoff      = 10 * time.Millisecond
 	defaultMaxBackoff       = time.Second
-	defaultJitterFrac       = 0.2
+	jitterFrac              = 0.2
 	defaultBreakerThreshold = 8
 )
 
@@ -185,9 +184,6 @@ func NewReconnectClient(opts ReconnectOptions) (*ReconnectClient, error) {
 	}
 	if opts.MaxBackoff <= 0 {
 		opts.MaxBackoff = defaultMaxBackoff
-	}
-	if opts.JitterFrac <= 0 {
-		opts.JitterFrac = defaultJitterFrac
 	}
 	if opts.BreakerThreshold == 0 {
 		opts.BreakerThreshold = defaultBreakerThreshold
@@ -437,7 +433,7 @@ func (r *ReconnectClient) backoff(attempt int) time.Duration {
 		d = r.opts.MaxBackoff
 	}
 	r.mu.Lock()
-	j := r.rng.Jitter(float64(d), r.opts.JitterFrac)
+	j := r.rng.Jitter(float64(d), jitterFrac)
 	r.mu.Unlock()
 	return time.Duration(j)
 }

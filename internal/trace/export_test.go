@@ -28,7 +28,7 @@ const RaceEnabled = raceEnabled
 // time, for the external oracle tests.
 type StepSeries struct{ steps []*StepStat }
 
-func (ss *StepSeries) Add(rec *ProfileRecord) { ss.steps = addSteps(ss.steps, rec) }
+func (ss *StepSeries) Add(rec *ProfileRecord) { ss.steps = AddSteps(ss.steps, rec) }
 
 func (ss *StepSeries) Steps() []*StepStat { return ss.steps }
 

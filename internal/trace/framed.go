@@ -9,9 +9,8 @@ import (
 // Framed record streams are the batch wire form shared across the
 // toolchain: a concatenation of (uvarint length, record wire bytes)
 // pairs — the same layout archive segments use for their payloads. The
-// profiler's batched puts, the fleet AppendBatch RPC, and batch storage
-// objects all carry this format, so one encoder/decoder pair serves
-// every hop.
+// fleet AppendBatch RPC and the collector's session log both carry this
+// format, so one encoder/decoder pair serves every hop.
 
 // frameScratch stages one record's encoding so its length prefix can be
 // written first; pooled so steady-state framing allocates nothing.

@@ -362,8 +362,8 @@ func TestOpListMatchesMapOracleOnTableIRecordings(t *testing.T) {
 
 			w := archive.NewWriter(archive.Meta{RunID: rc.workload + "-" + rc.version.String(),
 				Workload: rc.workload, TPUVersion: rc.version.String(), CreatedSeq: 1})
-			if err := w.AddBatch(recs); err != nil {
-				t.Fatal(err)
+			for _, r := range recs {
+				w.Add(r)
 			}
 			rep, err := analyzer.Analyze(rc.workload, recs, analyzer.OLSAlgo, analyzer.Options{})
 			if err != nil {

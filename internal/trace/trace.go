@@ -347,15 +347,17 @@ func Reduce(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuU
 func AggregateSteps(records []*ProfileRecord) []*StepStat {
 	var steps []*StepStat
 	for _, r := range records {
-		steps = addSteps(steps, r)
+		steps = AddSteps(steps, r)
 	}
 	return steps
 }
 
-// addSteps merges a record's step fragments into steps, which is
-// ascending by step number. Fragments arrive nearly in that order, so a
-// fragment is placed by walking back from the tail.
-func addSteps(steps []*StepStat, rec *ProfileRecord) []*StepStat {
+// AddSteps merges a record's step fragments into steps, which is
+// ascending by step number, and returns the extended series. Fragments
+// arrive nearly in that order, so a fragment is placed by walking back
+// from the tail. A fragment of a new step enters as a clone, so the
+// series never shares memory with rec.
+func AddSteps(steps []*StepStat, rec *ProfileRecord) []*StepStat {
 	for _, s := range rec.Steps {
 		i := len(steps)
 		for i > 0 && steps[i-1].Step > s.Step {

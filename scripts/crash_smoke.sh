@@ -6,7 +6,8 @@
 #      fsck -repair one, each killed at every write boundary (clean and
 #      torn), recovered, and fsck'd.
 #   2. The fleet durable-session tests (resume, eviction, torn-tail trim,
-#      lease-vs-finalize) under the race detector.
+#      lease-vs-finalize, a retried profiler Put retained once) under the
+#      race detector.
 #   3. crashcheck — the in-process wiring smoke that asserts every
 #      recovery path moves its observability counter
 #      (repo.recover.reclaimed, repo.salvage.segments.recovered,
@@ -25,7 +26,8 @@ echo "== power-cut property tests (-race)"
 
 echo "== fleet durable-session tests (-race)"
 ./scripts/named_tests.sh ./internal/repo \
-    TestFleetResume TestFleetRecoverSessions TestFleetFinalizeBeatsLeaseExpiry TestFleetDurableAppendFailure TestSessionToken
+    TestFleetResume TestFleetRecoverSessions TestFleetFinalizeBeatsLeaseExpiry TestFleetDurableAppendFailure TestSessionToken \
+    TestResilientPutRetryRetainsOnce
 
 echo "== crashcheck (recovery counters)"
 go run ./scripts/crashcheck

@@ -282,7 +282,7 @@ func (s *Session) frontend(records []*ProfileRecord) *analyzer.Frontend {
 // LoadRecords reads the profile records the profiler persisted to the
 // session bucket — the offline-analysis entry point.
 func (s *Session) LoadRecords() ([]*ProfileRecord, error) {
-	return profiler.LoadRecords(s.bucket, "profiles/")
+	return profiler.LoadRecords(s.bucket)
 }
 
 // traceOps is how many of the run's events WriteTrace draws.
@@ -376,7 +376,8 @@ func (s *Session) Resume(checkpoint string, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{workload: s.workload, runner: runner, bucket: s.bucket, parallelism: opts.Parallelism}, nil
+	return &Session{workload: s.workload, runner: runner, bucket: s.bucket,
+		parallelism: opts.Parallelism, obs: opts.Obs}, nil
 }
 
 // OptimizeOptions configure Optimize.

@@ -359,12 +359,24 @@ func TestSessionResumeAtPhaseCheckpoint(t *testing.T) {
 	if ckpt == "" {
 		t.Fatal("no phase checkpoint to resume from")
 	}
-	resumed, err := s.Resume(ckpt, Options{Steps: 60})
+	// The resumed session reports into the registry its Options name.
+	reg := NewMetrics(0)
+	resumed, err := s.Resume(ckpt, Options{Steps: 60, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := resumed.StartProfiler(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := resumed.Train(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := rp.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("profiler.windows.fetched").Value(); got <= 0 {
+		t.Fatalf("resumed session's profiler fetched %d windows into Options.Obs, want > 0", got)
 	}
 	if resumed.TotalSeconds() >= s.TotalSeconds() {
 		t.Fatalf("resumed run (%.1fs) not shorter than original (%.1fs)",

@@ -445,8 +445,11 @@ func (f *Fleet) handleAppendBatch(body []byte) ([]byte, error) {
 	}
 	// One copy for the whole batch: the rpc layer reuses its read buffer
 	// per connection, and the frame subslices below alias this copy as
-	// they cross into the drain goroutine.
-	framed := make([]byte, len(body)-8)
+	// they cross into the drain goroutine. The copy starts frameOverhead
+	// bytes in, so the session log's frame header is written in front of
+	// it and the accepted records are logged without a second copy.
+	buf := make([]byte, frameOverhead+len(body)-8)
+	framed := buf[frameOverhead:]
 	copy(framed, body[8:])
 	frames, err := trace.SplitFramed(framed)
 	if err != nil {
@@ -481,7 +484,7 @@ func (f *Fleet) handleAppendBatch(body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := f.logAccepted(s, prefix); err != nil {
+		if err := f.logAccepted(s, buf[:frameOverhead+len(prefix)]); err != nil {
 			return nil, err
 		}
 	}

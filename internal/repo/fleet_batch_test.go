@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -317,4 +319,58 @@ func TestResilientPutRetryRetainsOnce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// frameCapture is a Store that remembers every frame handed to Append.
+type frameCapture struct {
+	Store
+	frames [][]byte
+}
+
+func (c *frameCapture) Append(name string, data []byte) (*storage.Object, error) {
+	c.frames = append(c.frames, data)
+	return c.Store.Append(name, data)
+}
+
+// TestLogAcceptedFramesTheDrainsBytesInPlace: a batch is copied once.
+// The session log frame's payload is the very memory the drain receives
+// its records in — the frame header is written in front of the batch
+// copy — so a second payload-sized copy on the ack path fails here.
+func TestLogAcceptedFramesTheDrainsBytesInPlace(t *testing.T) {
+	capture := &frameCapture{Store: newTestBucket(t)}
+	f := NewFleet(New(capture), FleetOptions{})
+	meta := archive.Meta{RunID: "inplace", Workload: "synthetic"}
+	s := &session{
+		id: 9, token: "inplace.0", meta: meta, w: archive.NewWriter(meta), stream: f.newSessionStream(meta),
+		ch: make(chan queued, f.opts.QueueSize), done: make(chan struct{}),
+		lastActive: f.opts.Now(),
+	}
+	f.mu.Lock()
+	f.sessions[s.id] = s
+	f.mu.Unlock()
+
+	recs := sessionRecords(2, 3)
+	body := binary.LittleEndian.AppendUint64(nil, s.id)
+	for _, rec := range recs {
+		body = trace.AppendFramedRecord(body, rec)
+	}
+	if _, err := f.handleAppendBatch(body); err != nil {
+		t.Fatal(err)
+	}
+	if len(capture.frames) != 1 {
+		t.Fatalf("%d appends for one batch, want 1", len(capture.frames))
+	}
+	logged, err := trace.SplitFramed(capture.frames[0][frameOverhead:])
+	if err != nil || len(logged) != len(recs) {
+		t.Fatalf("logged frame holds %d records (%v), want %d", len(logged), err, len(recs))
+	}
+	for i := range recs {
+		q := <-s.ch // the drain is not running: the test takes its place
+		if !bytes.Equal(q.raw, logged[i]) {
+			t.Fatalf("record %d: the drain and the log received different bytes", i)
+		}
+		if &q.raw[0] != &logged[i][0] {
+			t.Fatalf("record %d: the logged frame holds a second copy of the bytes the drain received", i)
+		}
+	}
 }

@@ -56,16 +56,25 @@ const frameOverhead = 8
 
 var frameTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame CRC-frames payload and appends it to object. The append
-// is a session log's durability point: a frame either lands whole or
-// its torn prefix is detected and trimmed by readFrames.
-func appendFrame(store Store, object string, payload []byte) error {
-	frame := make([]byte, frameOverhead+len(payload))
+// appendFramed CRC-frames a payload in place and appends the frame to
+// object: frame is frameOverhead bytes of room for the header, then the
+// payload. The append is a session log's durability point: a frame
+// either lands whole or its torn prefix is detected and trimmed by
+// readFrames.
+func appendFramed(store Store, object string, frame []byte) error {
+	payload := frame[frameOverhead:]
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, frameTable))
-	copy(frame[frameOverhead:], payload)
 	_, err := store.Append(object, frame)
 	return err
+}
+
+// appendFrame is appendFramed for a payload without header room: it
+// copies payload into a new frame.
+func appendFrame(store Store, object string, payload []byte) error {
+	frame := make([]byte, frameOverhead+len(payload))
+	copy(frame[frameOverhead:], payload)
+	return appendFramed(store, object, frame)
 }
 
 // readFrames decodes a CRC-framed object leniently: it stops at the
@@ -148,9 +157,11 @@ func (f *Fleet) writeSessionMeta(s *session) error {
 }
 
 // logAccepted durably appends the uvarint-framed stream of records the
-// server just accepted, as one CRC frame. This happens after the
-// records entered the in-memory queue but before the client's ack: an
-// append the client saw succeed is always on disk.
+// server just accepted, as one CRC frame: frame is that stream behind
+// frameOverhead bytes of header room, which appendFramed fills in
+// place. This happens after the records entered the in-memory queue but
+// before the client's ack: an append the client saw succeed is always
+// in the session log.
 //
 // A failed durable append poisons the live session — it is removed from
 // the table and its queue closed, so the client's next call fails and
@@ -158,8 +169,8 @@ func (f *Fleet) writeSessionMeta(s *session) error {
 // records dies with the session; the rebuilt one won't have them, the
 // client was never acked, and it resends them. That asymmetry (drop
 // memory, trust the log) is what keeps the no-duplicates invariant.
-func (f *Fleet) logAccepted(s *session, framed []byte) error {
-	if err := appendFrame(f.repo.store, sessionLogObject(s.token), framed); err != nil {
+func (f *Fleet) logAccepted(s *session, frame []byte) error {
+	if err := appendFramed(f.repo.store, sessionLogObject(s.token), frame); err != nil {
 		f.poison(s)
 		return fmt.Errorf("fleet: session %d durable log: %w", s.id, err)
 	}

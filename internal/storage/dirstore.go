@@ -10,35 +10,62 @@
 //
 //	<root>/<object path>              — raw object bytes
 //	<root>/.dirstore/lock             — cross-process mutex (flock)
-//	<root>/.dirstore/gen/<object>     — decimal generation counter
+//	<root>/.dirstore/gen/<object>     — generation sidecar (below)
+//
+// A sidecar has one of two forms. Put and PutIf write the compact one,
+// a decimal generation ("7"). Append writes the tallied one: a decimal
+// base, a newline, then one tally byte ('\n') per Append since the last
+// Put or PutIf, so the generation is base + tally count ("7\n\n\n" is
+// 9). An Append bumps a tallied sidecar by appending one byte to it,
+// reading only its size and its first bytes; a compact or missing
+// sidecar is rewritten in the tallied form once, by temp file + rename.
+// Compatibility: a missing sidecar reads as generation 1 if the data
+// file exists (an adopted tree); earlier builds write only the compact
+// form, which every build reads; and an earlier build reading a tallied
+// sidecar sees its base (the tally bytes are whitespace to its
+// TrimSpace + ParseInt), a stale generation for an appended object.
+// Nothing compares one: the repository only CASes manifests, which are
+// never appended to.
 //
 // Every operation holds the coarse store-wide flock: correctness over
 // concurrency inside the store, because cross-replica parallelism in
 // this system comes from sharding ABOVE the store (each replica owns
 // disjoint manifest shards), not from intra-store lock splitting.
 //
-// Crash consistency: every write bumps the generation sidecar (temp
-// file + rename) BEFORE it touches the data file. A crash between the
-// two leaves a bumped generation over old bytes — observationally "the
-// write never happened, the generation burned", which CAS writers
-// already handle — never new bytes readable under an old generation
-// (that would let a competing PutIf silently overwrite a committed
-// write). Put and PutIf replace the data file by temp file + rename, so
-// it is never torn. Append is in place: one O_APPEND write of exactly
-// the caller's bytes, so its cost does not depend on the object's size.
-// A write that fails is truncated back off; only a crash mid-write can
-// leave a torn tail, which is the debris the CRC-framed reader above
-// the store (session-log resume) detects and trims. Readers in other
-// processes never see a half-written tail, because every operation,
-// reads included, holds the flock. No fsync: the repository's write
-// order (objects before the manifest CAS), not the store, owns
-// power-cut durability (a SIGKILL'd process loses nothing that reached
-// the page cache, which is the failure the fleet smoke injects).
+// Crash consistency: every write bumps the generation sidecar BEFORE
+// it touches the data file — Put and PutIf by temp file + rename,
+// Append by its one tally byte (or its one conversion rename). A crash
+// between the two leaves a bumped generation over old bytes —
+// observationally "the write never happened, the generation burned",
+// which CAS writers already handle — never new bytes readable under an
+// old generation (that would let a competing PutIf silently overwrite
+// a committed write). Put and PutIf replace the data file by temp file
+// + rename, so it is never torn. Append is in place: one O_APPEND write
+// of exactly the caller's bytes, so its cost depends neither on the
+// object's size nor on how many appends came before. A write that
+// fails is truncated back off (or the file removed, if this call
+// created it); only a crash mid-write can leave a torn tail, which is
+// the debris the CRC-framed reader above the store (session-log
+// resume) detects and trims. Readers in other processes never see a
+// half-written tail, because every operation, reads included, holds
+// the flock.
+//
+// Failure model: there is no fsync. "Acked ⇒ durable" holds against
+// process death (a SIGKILL'd process loses nothing that reached the
+// page cache, which is the failure the fleet smoke injects) and
+// against an ordered power cut that stops every later write
+// (faultnet.CrashStore, which the power-cut suites drive at every
+// write boundary). It is NOT proven against a real power loss, where
+// the kernel may persist the data before the sidecar, or neither. The
+// repository's write order (objects before the manifest CAS), not the
+// store, is what those suites check.
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -119,13 +146,14 @@ func (d *DirStore) unlock() {
 	d.mu.Unlock()
 }
 
-// readGen returns the object's generation: the sidecar if present, 1
-// for a data file without one (an adopted copied/rsync'd tree), 0
-// for no object at all.
+// readGen returns the object's generation: the sidecar's if it holds
+// one, 1 for a data file without one (an adopted copied/rsync'd tree),
+// 0 for no object at all. It reads only the sidecar's header.
 func (d *DirStore) readGen(name string) int64 {
-	b, err := os.ReadFile(d.genPath(name))
-	if err == nil {
-		if g, perr := strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64); perr == nil && g > 0 {
+	if f, err := os.Open(d.genPath(name)); err == nil {
+		g, _, ok := sidecarGen(f)
+		f.Close()
+		if ok {
 			return g
 		}
 	}
@@ -133,6 +161,43 @@ func (d *DirStore) readGen(name string) int64 {
 		return 1
 	}
 	return 0
+}
+
+// sidecarHeader bounds the bytes a sidecar's generation is parsed
+// from: an int64 in decimal and its newline fit.
+const sidecarHeader = 32
+
+// tally is the byte an Append adds to a tallied sidecar.
+var tally = []byte{'\n'}
+
+// sidecarGen reads the generation an open sidecar holds from its size
+// and its first sidecarHeader bytes: base + tally count in the tallied
+// form, the number itself in the compact form. ok is false for a
+// sidecar that holds no positive generation, which reads as missing.
+func sidecarGen(f *os.File) (gen int64, tallied, ok bool) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, false
+	}
+	var buf [sidecarHeader]byte
+	n, err := f.ReadAt(buf[:min(st.Size(), sidecarHeader)], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return 0, false, false
+	}
+	head, base := buf[:n], buf[:n]
+	if i := bytes.IndexByte(head, '\n'); i >= 0 {
+		base, tallied = head[:i], true
+	} else if st.Size() > sidecarHeader {
+		return 0, false, false
+	}
+	g, err := strconv.ParseInt(string(bytes.TrimSpace(base)), 10, 64)
+	if err != nil || g <= 0 {
+		return 0, false, false
+	}
+	if tallied {
+		g += st.Size() - int64(len(base)) - 1
+	}
+	return g, tallied, true
 }
 
 func writeFileAtomic(path string, data []byte) error {
@@ -156,8 +221,8 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// writeGen installs the object's generation sidecar — the first step
-// of every write. Caller holds the lock.
+// writeGen installs the object's compact generation sidecar — the first
+// step of every Put and PutIf. Caller holds the lock.
 func (d *DirStore) writeGen(name string, gen int64) error {
 	return writeFileAtomic(d.genPath(name), []byte(strconv.FormatInt(gen, 10)))
 }
@@ -255,7 +320,8 @@ func (d *DirStore) GetRange(name string, off, n int64) ([]byte, error) {
 }
 
 // Append appends data to name in place, creating it if absent: the
-// bytes of the existing object are neither read nor rewritten.
+// bytes of the existing object are neither read nor rewritten, and the
+// generation is bumped by one tally byte on its sidecar.
 func (d *DirStore) Append(name string, data []byte) (*Object, error) {
 	if err := dirStoreValidName(name); err != nil {
 		return nil, err
@@ -264,25 +330,49 @@ func (d *DirStore) Append(name string, data []byte) (*Object, error) {
 		return nil, err
 	}
 	defer d.unlock()
-	cur := d.readGen(name)
-	if err := d.writeGen(name, cur+1); err != nil {
+	gen, err := d.bumpGen(name)
+	if err != nil {
 		return nil, err
 	}
-	if err := d.appendData(d.dataPath(name), data, cur == 0); err != nil {
+	if err := d.appendData(d.dataPath(name), data); err != nil {
 		return nil, err
 	}
-	return &Object{Name: name, Generation: cur + 1}, nil
+	return &Object{Name: name, Generation: gen}, nil
+}
+
+// bumpGen is Append's generation half, run before its data half: one
+// tally byte on a tallied sidecar, or, for a compact or missing one, a
+// rewrite in the tallied form one generation up. Caller holds the lock.
+func (d *DirStore) bumpGen(name string) (int64, error) {
+	path := d.genPath(name)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	if err == nil {
+		gen, tallied, _ := sidecarGen(f)
+		if tallied {
+			_, err := f.Write(tally)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return gen + 1, err
+		}
+		f.Close()
+	}
+	gen := d.readGen(name) + 1
+	return gen, writeFileAtomic(path, append(strconv.AppendInt(nil, gen, 10), '\n'))
 }
 
 // appendData is Append's data half. A write that fails is undone — the
 // file is cut back to its old length, or removed if this call created
-// it (fresh) — so only a crash leaves a torn tail.
-func (d *DirStore) appendData(path string, data []byte, fresh bool) error {
-	const flags = os.O_WRONLY | os.O_APPEND | os.O_CREATE
-	f, err := os.OpenFile(path, flags, 0o600)
-	if errors.Is(err, fs.ErrNotExist) {
+// it — so only a crash leaves a torn tail.
+func (d *DirStore) appendData(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	created := errors.Is(err, fs.ErrNotExist)
+	if created {
 		if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-			f, err = os.OpenFile(path, flags, 0o600)
+			f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o600)
 		}
 	}
 	if err != nil {
@@ -294,7 +384,7 @@ func (d *DirStore) appendData(path string, data []byte, fresh bool) error {
 		return err
 	}
 	if _, err := d.write(f, data); err != nil {
-		if fresh {
+		if created {
 			_ = os.Remove(path) // best effort, as the truncate below
 		} else {
 			_ = f.Truncate(st.Size())

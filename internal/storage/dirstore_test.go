@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -279,6 +281,215 @@ func TestDirStoreFailedAppendRollsBack(t *testing.T) {
 	}
 	if got, _ := d.Get("log"); string(got.Data) != "intact+more" {
 		t.Fatalf("append after rollback: %q", got.Data)
+	}
+}
+
+// TestDirStoreRepeatedFailedCreateLeavesNothing: a creating append
+// that fails removes the file it created, however many generations
+// earlier failed attempts burned — freshness is whether the data file
+// existed, not the generation.
+func TestDirStoreRepeatedFailedCreateLeavesNothing(t *testing.T) {
+	d, err := OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	diskFull := errors.New("disk full (injected)")
+	realWrite := d.write
+	d.write = func(f *os.File, p []byte) (int, error) {
+		n, _ := realWrite(f, p[:len(p)/2])
+		return n, diskFull
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.Append("new/log", []byte("never existed")); !errors.Is(err, diskFull) {
+			t.Fatalf("failing creating append %d: %v", i, err)
+		}
+		if d.Exists("new/log") || len(d.List("")) != 0 {
+			t.Fatalf("after %d failed creating appends: exists=%v, list=%v", i+1, d.Exists("new/log"), d.List(""))
+		}
+	}
+	d.write = realWrite
+	obj, err := d.Append("new/log", []byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.Get("new/log"); string(got.Data) != "first" || got.Generation != obj.Generation || obj.Generation != 4 {
+		t.Fatalf("append after failures: %q gen %d (append said %d), want first gen 4", got.Data, got.Generation, obj.Generation)
+	}
+}
+
+// sidecar returns the raw bytes of name's generation sidecar.
+func sidecar(t *testing.T, root, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(root, dirStoreMeta, "gen", filepath.FromSlash(name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDirStoreAppendConvertsCompactSidecar: a sidecar in the compact
+// form every earlier build writes is read as its number, and the first
+// append converts it to the tallied form one generation up.
+func TestDirStoreAppendConvertsCompactSidecar(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, dirStoreMeta, "gen"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "log"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, dirStoreMeta, "gen", "log"), []byte("7"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	obj, err := d.Append("log", []byte("+new"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Generation != 8 {
+		t.Fatalf("append over compact sidecar 7 returned generation %d, want 8", obj.Generation)
+	}
+	got, err := d.Get("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Data) != "old+new" || got.Generation != 8 {
+		t.Fatalf("after append: %q gen %d, want old+new gen 8", got.Data, got.Generation)
+	}
+	if got := sidecar(t, root, "log"); got != "8\n" {
+		t.Fatalf("converted sidecar = %q, want %q", got, "8\n")
+	}
+}
+
+// TestDirStoreAppendAdoptsFileWithoutSidecar: an adopted data file is
+// at generation 1, so appending to it makes 2.
+func TestDirStoreAppendAdoptsFileWithoutSidecar(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "sessions", "tok"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "sessions", "tok", "log"), []byte("copied"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	obj, err := d.Append("sessions/tok/log", []byte("+1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Generation != 2 {
+		t.Fatalf("append to an adopted file returned generation %d, want 2", obj.Generation)
+	}
+	if got, _ := d.Get("sessions/tok/log"); string(got.Data) != "copied+1" || got.Generation != 2 {
+		t.Fatalf("after append: %q gen %d, want copied+1 gen 2", got.Data, got.Generation)
+	}
+}
+
+// TestDirStorePutAfterTallyWritesCompactForm: appends tally, a Put
+// folds the tally into the compact form, and the count goes on by one
+// per write. An earlier build reading a tallied sidecar (TrimSpace +
+// ParseInt) sees its base.
+func TestDirStorePutAfterTallyWritesCompactForm(t *testing.T) {
+	root := t.TempDir()
+	d, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var gen int64
+	for i := 1; i <= 3; i++ {
+		obj, err := d.Append("j", []byte{'a'})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen = obj.Generation; gen != int64(i) {
+			t.Fatalf("append %d returned generation %d", i, gen)
+		}
+	}
+	raw := sidecar(t, root, "j")
+	if raw != "1\n\n\n" {
+		t.Fatalf("tallied sidecar after 3 appends = %q, want %q", raw, "1\n\n\n")
+	}
+	if old, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64); err != nil || old != 1 {
+		t.Fatalf("an earlier build reads the tallied sidecar as %d, %v; want its base 1", old, err)
+	}
+	obj, err := d.Put("j", []byte("swapped"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Generation != 4 {
+		t.Fatalf("put after 3 appends returned generation %d, want 4", obj.Generation)
+	}
+	if raw := sidecar(t, root, "j"); raw != "4" {
+		t.Fatalf("sidecar after put = %q, want the compact %q", raw, "4")
+	}
+	if obj, err = d.Append("j", []byte("+")); err != nil || obj.Generation != 5 {
+		t.Fatalf("append after put: generation %v, %v; want 5", obj, err)
+	}
+	if _, err := d.PutIf("j", nil, 4); !errors.Is(err, ErrGenerationMismatch) {
+		t.Fatalf("CAS at the pre-append generation: %v", err)
+	}
+	if obj, err = d.PutIf("j", []byte("cas"), 5); err != nil || obj.Generation != 6 {
+		t.Fatalf("CAS at the tallied generation: %v, %v; want generation 6", obj, err)
+	}
+	if got, _ := d.Get("j"); string(got.Data) != "cas" || got.Generation != 6 {
+		t.Fatalf("after CAS: %q gen %d, want cas gen 6", got.Data, got.Generation)
+	}
+}
+
+// TestDirStoreAppendCostIndependentOfTally: an append after 10 000
+// appends allocates no more than one after a single append, so it
+// reads the sidecar's header, not its tally.
+func TestDirStoreAppendCostIndependentOfTally(t *testing.T) {
+	root := t.TempDir()
+	d, err := OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	chunk := []byte("rec")
+	cost := func(name string) (allocs, bytes uint64) {
+		const rounds = 64
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < rounds; i++ {
+			if _, err := d.Append(name, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.Mallocs - m0.Mallocs) / rounds, (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	}
+	const long = 10000
+	for i := 0; i < long; i++ {
+		if _, err := d.Append("long", chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Append("short", chunk); err != nil {
+		t.Fatal(err)
+	}
+	if got := sidecar(t, root, "long"); len(got) != len("1\n")+long-1 {
+		t.Fatalf("sidecar after %d appends is %d bytes, want the tallied %d", long, len(got), len("1\n")+long-1)
+	}
+	shortAllocs, shortBytes := cost("short")
+	longAllocs, longBytes := cost("long")
+	// The slack absorbs a stray runtime allocation; reading the tally
+	// would cost its 10 000 bytes on every append.
+	if longAllocs > shortAllocs || longBytes > shortBytes+512 {
+		t.Fatalf("an append after %d appends costs %d allocs / %d B, after one %d allocs / %d B",
+			long, longAllocs, longBytes, shortAllocs, shortBytes)
+	}
+	if got, _ := d.Get("long"); got.Generation != long+64 {
+		t.Fatalf("generation after %d appends = %d", long+64, got.Generation)
 	}
 }
 

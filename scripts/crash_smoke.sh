@@ -5,15 +5,19 @@
 #      scripted Save/fleet/Finalize/GC workload, and the damage/salvage/
 #      fsck -repair one, each killed at every write boundary (clean and
 #      torn), recovered, and fsck'd.
-#   2. The fleet durable-session tests (resume, eviction, torn-tail trim,
+#   2. The DirStore contract tests the session log stands on: appends
+#      in place, generations interleaving with CAS, rollback of a failed
+#      append, and the tallied generation sidecar — under the race
+#      detector, each by name.
+#   3. The fleet durable-session tests (resume, eviction, torn-tail trim,
 #      lease-vs-finalize, a retried profiler Put retained once) under the
 #      race detector.
-#   3. crashcheck — the in-process wiring smoke that asserts every
+#   4. crashcheck — the in-process wiring smoke that asserts every
 #      recovery path moves its observability counter
 #      (repo.recover.reclaimed, repo.salvage.segments.recovered,
 #      repo.fsck.issues/repairs, fleet.sessions.resumed) and that
 #      records.in == records.archived across a collector restart.
-#   4. A CLI round trip: archive a real run, corrupt the blob's tail,
+#   5. A CLI round trip: archive a real run, corrupt the blob's tail,
 #      prove `runs fsck` flags it, `runs salvage` recovers it, and the
 #      repaired run still opens.
 set -euo pipefail
@@ -23,6 +27,13 @@ cd "$(dirname "$0")/.."
 echo "== power-cut property tests (-race)"
 ./scripts/named_tests.sh ./internal/repo \
     TestPowerCutAtEveryWriteBoundary TestPowerCutAtEveryRepairWriteBoundary
+
+echo "== DirStore append and generation contract tests (-race)"
+./scripts/named_tests.sh ./internal/storage \
+    TestDirStoreAppend TestDirStoreAppendInterleavesWithCAS TestDirStoreFailedAppendRollsBack \
+    TestDirStoreRepeatedFailedCreateLeavesNothing TestDirStoreAppendConvertsCompactSidecar \
+    TestDirStoreAppendAdoptsFileWithoutSidecar TestDirStorePutAfterTallyWritesCompactForm \
+    TestDirStoreAppendCostIndependentOfTally
 
 echo "== fleet durable-session tests (-race)"
 ./scripts/named_tests.sh ./internal/repo \

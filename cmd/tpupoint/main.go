@@ -25,8 +25,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -45,71 +47,89 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag set has printed the error and the usage
+	default:
+		fmt.Fprintln(os.Stderr, "tpupoint:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage marks a command line the flag set refused; main exits 2 on
+// it, as flag.ExitOnError does.
+var errUsage = errors.New("bad command line")
+
+// run is the tpupoint command: it parses args, prints its report to
+// stdout and the flag set's complaints and usage to stderr, and
+// returns what failed (flag.ErrHelp for -h). A -metrics file is written
+// on the way out, failed runs included.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tpupoint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list available workloads and exit")
-		workload = flag.String("workload", "", "workload name (see -list)")
-		version  = flag.Int("version", 2, "TPU generation: 2 or 3")
-		steps    = flag.Int("steps", 0, "override the workload's train-step count")
-		algo     = flag.String("algo", "ols", "phase algorithm: ols, kmeans, dbscan")
-		outDir   = flag.String("out", "", "directory for trace.json and report.csv (omit to skip)")
-		naive    = flag.Bool("naive", false, "use the untuned (naive) input pipeline")
-		small    = flag.Bool("small", false, "use the reduced-dataset variant")
-		optimize = flag.Bool("optimize", false, "run TPUPoint-Optimizer instead of profiling")
-		serve    = flag.String("serve", "", "run the workload and serve its TPU profile service at this TCP address (for tpuprof -addr)")
-		analyze  = flag.String("analyze", "", "offline mode: analyze profile records previously exported to this directory")
-		export   = flag.String("export", "", "after profiling, export the recorded profiles to this directory (input for -analyze)")
-		par      = flag.Int("parallelism", 0, "analyzer worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
-		metrics  = flag.String("metrics", "", "observability sink: a host:port serves live JSON snapshots over HTTP, anything else is a file the final snapshot is written to")
+		list     = fs.Bool("list", false, "list available workloads and exit")
+		workload = fs.String("workload", "", "workload name (see -list)")
+		version  = fs.Int("version", 2, "TPU generation: 2 or 3")
+		steps    = fs.Int("steps", 0, "override the workload's train-step count")
+		algo     = fs.String("algo", "ols", "phase algorithm: ols, kmeans, dbscan")
+		outDir   = fs.String("out", "", "directory for trace.json and report.csv (omit to skip)")
+		naive    = fs.Bool("naive", false, "use the untuned (naive) input pipeline")
+		small    = fs.Bool("small", false, "use the reduced-dataset variant")
+		optimize = fs.Bool("optimize", false, "run TPUPoint-Optimizer instead of profiling")
+		serve    = fs.String("serve", "", "run the workload and serve its TPU profile service at this TCP address (for tpuprof -addr)")
+		analyze  = fs.String("analyze", "", "offline mode: analyze profile records previously exported to this directory")
+		export   = fs.String("export", "", "after profiling, export the recorded profiles to this directory (input for -analyze)")
+		par      = fs.Int("parallelism", 0, "analyzer worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
+		metrics  = fs.String("metrics", "", "observability sink: a host:port serves live JSON snapshots over HTTP, anything else is a file the final snapshot is written to")
 
-		archiveDir  = flag.String("archive", "", "profile repository directory: archive the run there, or operate on it with the `runs` verbs")
-		runID       = flag.String("run-id", "", "run identifier in the repository (default: <workload>-<nanos>)")
-		label       = flag.String("label", "", "free-form run label recorded in the archive (e.g. an experiment tag)")
-		csvOut      = flag.Bool("csv", false, "runs diff: emit machine-readable CSV instead of the table")
-		keep        = flag.Int("keep", 3, "runs gc: newest runs to keep per workload")
-		collect     = flag.String("collect", "", "stream profile records to the fleet collection server(s) at this comma-separated address list instead of the local bucket (multiple addresses = a replica set; the client follows redirects and fails over)")
-		collectSrv  = flag.String("collect-serve", "", "run a fleet collection server at this TCP address writing into -archive")
-		maxSessions = flag.Int("max-sessions", 0, "collection server: concurrent session cap (0 = default)")
-		maxConns    = flag.Int("max-conns", 0, "served RPC endpoints: connection cap; excess connections get a transient busy error (0 = unlimited)")
-		shards      = flag.Int("shards", 0, "manifest shard count for the profile repository: sizes a fresh repository; an existing repository keeps its recorded count; 0 = 1 shard when fresh (4 per replica with -replicas > 1, where a count other than the recorded one is refused)")
-		compactEach = flag.Int("compact-every", 0, "collection server: run a background compaction pass every N finalized sessions (0 = never; on demand via `runs compact`)")
+		archiveDir  = fs.String("archive", "", "profile repository directory: archive the run there, or operate on it with the `runs` verbs")
+		runID       = fs.String("run-id", "", "run identifier in the repository (default: <workload>-<nanos>)")
+		label       = fs.String("label", "", "free-form run label recorded in the archive (e.g. an experiment tag)")
+		csvOut      = fs.Bool("csv", false, "runs diff: emit machine-readable CSV instead of the table")
+		keep        = fs.Int("keep", 3, "runs gc: newest runs to keep per workload")
+		collect     = fs.String("collect", "", "stream profile records to the fleet collection server(s) at this comma-separated address list instead of the local bucket (multiple addresses = a replica set; the client follows redirects and fails over)")
+		collectSrv  = fs.String("collect-serve", "", "run a fleet collection server at this TCP address writing into -archive")
+		maxSessions = fs.Int("max-sessions", 0, "collection server: concurrent session cap (0 = default)")
+		maxConns    = fs.Int("max-conns", 0, "served RPC endpoints: connection cap; excess connections get a transient busy error (0 = unlimited)")
+		shards      = fs.Int("shards", 0, "manifest shard count for the profile repository: sizes a fresh repository; an existing repository keeps its recorded count; 0 = 1 shard when fresh (4 per replica with -replicas > 1, where a count other than the recorded one is refused)")
+		compactEach = fs.Int("compact-every", 0, "collection server: run a background compaction pass every N finalized sessions (0 = never; on demand via `runs compact`)")
 
-		replicaID = flag.Int("replica-id", 0, "collection server: this replica's index in the replica set (with -replicas > 1)")
-		replicas  = flag.Int("replicas", 1, "collection server: replica-set size (1 = standalone, the same server as the sole writer of every shard); each replica owns the manifest shards s with s %% replicas == replica-id and redirects misplaced sessions to their owner")
-		peersF    = flag.String("peers", "", "collection server: comma-separated replica endpoints in replica-id order (entry i is replica i's address), used to redirect misplaced sessions and to probe fleet readiness")
+		replicaID = fs.Int("replica-id", 0, "collection server: this replica's index in the replica set (with -replicas > 1)")
+		replicas  = fs.Int("replicas", 1, "collection server: replica-set size (1 = standalone, the same server as the sole writer of every shard); each replica owns the manifest shards s with s %% replicas == replica-id and redirects misplaced sessions to their owner")
+		peersF    = fs.String("peers", "", "collection server: comma-separated replica endpoints in replica-id order (entry i is replica i's address), used to redirect misplaced sessions and to probe fleet readiness")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return err
+	} else if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 
 	var reg *obs.Registry
 	health := obs.NewHealth()
 	fleetView := obs.NewFleetView()
-	flush := func() {}
 	if *metrics != "" {
 		reg = obs.NewRegistry(0)
-		var err error
-		if flush, err = cliflag.MetricsSink("tpupoint", *metrics, reg, health, fleetView); err != nil {
-			fatal(err)
+		flush, err := cliflag.MetricsSink("tpupoint", *metrics, stdout, reg, health, fleetView)
+		if err != nil {
+			return err
 		}
 		defer flush()
 	}
 
-	if args := flag.Args(); len(args) > 0 && args[0] == "runs" {
-		if err := runsCmd(args[1:], *archiveDir, *keep, *csvOut, *shards); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if args := flag.Args(); len(args) > 0 && args[0] == "watch" {
-		if err := watchCmd(args[1:], *archiveDir); err != nil {
-			fatal(err)
-		}
-		return
+	switch fs.Arg(0) {
+	case "runs":
+		return runsCmd(stdout, stderr, fs.Args()[1:], *archiveDir, *keep, *csvOut, *shards)
+	case "watch":
+		return watchCmd(stdout, stderr, fs.Args()[1:], *archiveDir)
 	}
 
 	if *collectSrv != "" {
 		peers, err := cliflag.Endpoints(*peersF)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg := collectConfig{
 			Addr: *collectSrv, Dir: *archiveDir,
@@ -118,31 +138,25 @@ func main() {
 			ReplicaID: *replicaID, Replicas: *replicas, Peers: peers,
 			Reg: reg, Health: health, Fleet: fleetView,
 		}
-		if err := collectServe(cfg); err != nil {
-			fatal(err)
-		}
-		return
+		return collectServe(stdout, cfg)
 	}
 
 	if *analyze != "" {
-		if err := analyzeDir(*analyze, *algo, *par); err != nil {
-			fatal(err)
-		}
-		return
+		return analyzeDir(stdout, *analyze, *algo, *par)
 	}
 
 	if *list {
 		for _, name := range tpupoint.Workloads() {
 			w, err := tpupoint.GetWorkload(name)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Println(tpupoint.Describe(w))
+			fmt.Fprintln(stdout, tpupoint.Describe(w))
 		}
-		return
+		return nil
 	}
 	if *workload == "" {
-		fatal(fmt.Errorf("missing -workload (try -list)"))
+		return errors.New("missing -workload (try -list)")
 	}
 	ver := tpupoint.V2
 	if *version == 3 {
@@ -150,10 +164,7 @@ func main() {
 	}
 
 	if *serve != "" {
-		if err := serveProfile(*workload, ver, *steps, *serve, *maxConns); err != nil {
-			fatal(err)
-		}
-		return
+		return serveProfile(stdout, *workload, ver, *steps, *serve, *maxConns)
 	}
 
 	if *optimize {
@@ -161,25 +172,25 @@ func main() {
 			Version: ver, Steps: *steps, Naive: *naive, Obs: reg,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("workload:  %s on %s\n", res.Workload, res.Version)
-		fmt.Printf("speedup:   measured %.3fx, projected %.3fx\n", res.MeasuredSpeedup, res.ProjectedSpeedup)
-		fmt.Printf("idle:      %.1f%% -> %.1f%%\n", 100*res.BaselineIdle, 100*res.OptimizedIdle)
-		fmt.Printf("mxu util:  %.1f%% -> %.1f%%\n", 100*res.BaselineMXU, 100*res.OptimizedMXU)
-		fmt.Printf("pipeline:  %v -> %v\n", res.InitialParams, res.FinalParams)
+		fmt.Fprintf(stdout, "workload:  %s on %s\n", res.Workload, res.Version)
+		fmt.Fprintf(stdout, "speedup:   measured %.3fx, projected %.3fx\n", res.MeasuredSpeedup, res.ProjectedSpeedup)
+		fmt.Fprintf(stdout, "idle:      %.1f%% -> %.1f%%\n", 100*res.BaselineIdle, 100*res.OptimizedIdle)
+		fmt.Fprintf(stdout, "mxu util:  %.1f%% -> %.1f%%\n", 100*res.BaselineMXU, 100*res.OptimizedMXU)
+		fmt.Fprintf(stdout, "pipeline:  %v -> %v\n", res.InitialParams, res.FinalParams)
 		for _, m := range res.Moves {
 			verdict := "rejected"
 			if m.Accepted {
 				verdict = "accepted"
 			}
-			fmt.Printf("  move %-14s %6d -> %-6d %s (%.0fus -> %.0fus)\n",
+			fmt.Fprintf(stdout, "  move %-14s %6d -> %-6d %s (%.0fus -> %.0fus)\n",
 				m.Param, m.From, m.To, verdict, m.PeriodBefore, m.PeriodAfter)
 		}
 		if line := reg.Snapshot().SummaryLine(); line != "" {
-			fmt.Printf("run summary: %s speedup=%.3fx\n", line, res.MeasuredSpeedup)
+			fmt.Fprintf(stdout, "run summary: %s speedup=%.3fx\n", line, res.MeasuredSpeedup)
 		}
-		return
+		return nil
 	}
 
 	s, err := tpupoint.NewSession(*workload, tpupoint.Options{
@@ -188,7 +199,7 @@ func main() {
 		Parallelism: *par, Obs: reg,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rid := *runID
 	if rid == "" {
@@ -207,14 +218,14 @@ func main() {
 		// a replica crash costs a reconnect, never a record.
 		endpoints, err := cliflag.Endpoints(*collect)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		client, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
 			Endpoints: endpoints,
 			Obs:       reg,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer client.Close()
 		spec := s.Workload().Spec()
@@ -224,87 +235,91 @@ func main() {
 			TPUVersion: ver.String(),
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if p, err = s.StartProfilerTo(fc); err != nil {
-			fatal(err)
+			return err
 		}
 	} else if p, err = s.StartProfiler(true); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := s.Train(); err != nil {
-		fatal(err)
+		return err
 	}
 	records, err := p.Stop()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep, err := s.Analyze(records, tpupoint.Algorithm(*algo))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("workload:    %s (%s, %s)\n", s.Workload().Name, s.Workload().Model, ver)
-	fmt.Printf("sim time:    %.2fs over %d profiled steps (%d records)\n",
+	fmt.Fprintf(stdout, "workload:    %s (%s, %s)\n", s.Workload().Name, s.Workload().Model, ver)
+	fmt.Fprintf(stdout, "sim time:    %.2fs over %d profiled steps (%d records)\n",
 		s.TotalSeconds(), rep.Steps, len(records))
-	fmt.Printf("idle:        %.1f%%   mxu util: %.1f%%\n", 100*s.IdleFraction(), 100*s.MXUUtilization())
-	fmt.Printf("phases:      %d (%s); top-3 cover %.1f%%\n", len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3)
-	fmt.Printf("longest:     %d steps, checkpoint %q\n", len(rep.Longest.Steps), rep.Longest.Checkpoint)
-	printTopOps(rep)
+	fmt.Fprintf(stdout, "idle:        %.1f%%   mxu util: %.1f%%\n", 100*s.IdleFraction(), 100*s.MXUUtilization())
+	fmt.Fprintf(stdout, "phases:      %d (%s); top-3 cover %.1f%%\n", len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3)
+	fmt.Fprintf(stdout, "longest:     %d steps, checkpoint %q\n", len(rep.Longest.Steps), rep.Longest.Checkpoint)
+	printTopOps(stdout, rep)
 	if line := reg.Snapshot().SummaryLine(); line != "" {
-		fmt.Printf("run summary: %s\n", line)
+		fmt.Fprintf(stdout, "run summary: %s\n", line)
 	}
 
 	if fc != nil {
 		info, err := fc.Finalize()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printRunInfo(os.Stdout, info, "")
+		printRunInfo(stdout, info, "")
 	} else if *archiveDir != "" {
-		r, _, done, err := openRepoDir(*archiveDir, *shards, true)
+		r, _, done, err := openRepoDir(stdout, *archiveDir, *shards, true)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		info, err := s.ArchiveRun(r, rid, *label, records, rep)
 		done()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printRunInfo(os.Stdout, info, *archiveDir)
+		printRunInfo(stdout, info, *archiveDir)
 	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		tracePath := filepath.Join(*outDir, "trace.json")
-		tf, err := os.Create(tracePath)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(tracePath, func(w io.Writer) error { return s.WriteTrace(w, rep, records) }); err != nil {
+			return err
 		}
-		if err := s.WriteTrace(tf, rep, records); err != nil {
-			fatal(err)
-		}
-		tf.Close()
 		csvPath := filepath.Join(*outDir, "report.csv")
-		cf, err := os.Create(csvPath)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(csvPath, func(w io.Writer) error { return s.WriteCSV(w, rep) }); err != nil {
+			return err
 		}
-		if err := s.WriteCSV(cf, rep); err != nil {
-			fatal(err)
-		}
-		cf.Close()
-		fmt.Printf("artifacts:   %s (open in chrome://tracing), %s\n", tracePath, csvPath)
+		fmt.Fprintf(stdout, "artifacts:   %s (open in chrome://tracing), %s\n", tracePath, csvPath)
 	}
 	if *export != "" {
 		n, err := exportProfiles(s.Bucket(), *export)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("exported:    %d profile records to %s (re-analyze with -analyze)\n", n, *export)
+		fmt.Fprintf(stdout, "exported:    %d profile records to %s (re-analyze with -analyze)\n", n, *export)
 	}
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // exportProfiles copies the session bucket's profiles/ objects into a
@@ -331,7 +346,7 @@ func exportProfiles(b *storage.Bucket, dir string) (int, error) {
 // analyzeDir runs TPUPoint-Analyzer over profile records exported to a
 // directory (see exportProfiles) — post-execution analysis without
 // rerunning the workload. A missing directory is an error, not created.
-func analyzeDir(dir, algo string, parallelism int) error {
+func analyzeDir(stdout io.Writer, dir, algo string, parallelism int) error {
 	if _, err := os.Stat(dir); err != nil {
 		return err
 	}
@@ -352,29 +367,29 @@ func analyzeDir(dir, algo string, parallelism int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("offline analysis of %d records (%d steps) from %s\n", len(records), rep.Steps, dir)
-	fmt.Printf("phases: %d (%s); top-3 cover %.1f%%; idle %.1f%%, mxu %.1f%%\n",
+	fmt.Fprintf(stdout, "offline analysis of %d records (%d steps) from %s\n", len(records), rep.Steps, dir)
+	fmt.Fprintf(stdout, "phases: %d (%s); top-3 cover %.1f%%; idle %.1f%%, mxu %.1f%%\n",
 		len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3, 100*rep.IdleFrac, 100*rep.MXUUtil)
-	printTopOps(rep)
+	printTopOps(stdout, rep)
 	return nil
 }
 
 // printTopOps lists the longest phase's top TPU and host operators.
-func printTopOps(rep *analyzer.Report) {
-	fmt.Println("top TPU ops of the longest phase:")
+func printTopOps(stdout io.Writer, rep *analyzer.Report) {
+	fmt.Fprintln(stdout, "top TPU ops of the longest phase:")
 	for _, op := range rep.TopTPUOps {
-		fmt.Printf("  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
+		fmt.Fprintf(stdout, "  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
 	}
-	fmt.Println("top host ops of the longest phase:")
+	fmt.Fprintln(stdout, "top host ops of the longest phase:")
 	for _, op := range rep.TopHostOps {
-		fmt.Printf("  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
+		fmt.Fprintf(stdout, "  %-32s x%-8d %8.1fms\n", op.Name, op.Count, op.Total.Milliseconds())
 	}
 }
 
 // serveProfile trains the workload and keeps its profile service reachable
 // over TCP, so external tools (tpuprof, a remote TPUPoint-Profiler) can
 // request profile windows — the Cloud TPU deployment shape.
-func serveProfile(workload string, ver tpupoint.Version, steps int, addr string, maxConns int) error {
+func serveProfile(stdout io.Writer, workload string, ver tpupoint.Version, steps int, addr string, maxConns int) error {
 	w, err := workloads.Get(workload)
 	if err != nil {
 		return err
@@ -393,19 +408,14 @@ func serveProfile(workload string, ver tpupoint.Version, steps int, addr string,
 		return err
 	}
 	defer l.Close()
-	fmt.Printf("serving %s profile service on %s (methods: tpu.Profile, tpu.Status)\n",
+	fmt.Fprintf(stdout, "serving %s profile service on %s (methods: tpu.Profile, tpu.Status)\n",
 		w.Name, l.Addr())
 	go srv.Serve(l)
 	if err := runner.Run(); err != nil {
 		return err
 	}
-	fmt.Printf("training finished: %.2fs simulated, idle %.1f%%, mxu %.1f%%\n",
+	fmt.Fprintf(stdout, "training finished: %.2fs simulated, idle %.1f%%, mxu %.1f%%\n",
 		runner.TotalTime().Seconds(), 100*runner.IdleFraction(), 100*runner.MXUUtilization())
-	fmt.Println("profile windows remain available; ctrl-c to stop")
+	fmt.Fprintln(stdout, "profile windows remain available; ctrl-c to stop")
 	select {} // serve until interrupted
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tpupoint:", err)
-	os.Exit(1)
 }

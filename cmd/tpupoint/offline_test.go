@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,18 +72,19 @@ func TestExportThenAnalyzeMatchesInProcess(t *testing.T) {
 	}
 	store.Close()
 
-	out := captureStdout(t, func() error { return analyzeDir(dir, string(tpupoint.OLS), 0) })
+	out := mustCLI(t, "-analyze", dir)
 	phases := fmt.Sprintf("phases: %d (%s); top-3 cover %.1f%%", len(rep.Phases), rep.Algorithm, 100*rep.CoverageTop3)
 	if !strings.Contains(out, phases) {
 		t.Fatalf("-analyze printed\n%s\nwant the in-process %q", out, phases)
 	}
-	ops := captureStdout(t, func() error { printTopOps(rep); return nil })
-	if len(rep.TopTPUOps) == 0 || !strings.Contains(out, ops) {
-		t.Fatalf("-analyze printed\n%s\nwant the in-process top operators\n%s", out, ops)
+	var ops strings.Builder
+	printTopOps(&ops, rep)
+	if len(rep.TopTPUOps) == 0 || !strings.Contains(out, ops.String()) {
+		t.Fatalf("-analyze printed\n%s\nwant the in-process top operators\n%s", out, ops.String())
 	}
 
 	missing := filepath.Join(t.TempDir(), "missing")
-	if err := analyzeDir(missing, string(tpupoint.OLS), 0); err == nil {
+	if _, err := cli("-analyze", missing); err == nil {
 		t.Fatal("-analyze of a missing directory succeeded")
 	}
 	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
@@ -110,7 +112,7 @@ func TestWatchFullSizeWindowsMatchBatchOLS(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			r, _, done, err := openRepoDir(dir, 0, true)
+			r, _, done, err := openRepoDir(io.Discard, dir, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +122,7 @@ func TestWatchFullSizeWindowsMatchBatchOLS(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			out := captureStdout(t, func() error { return watchCmd([]string{"-quiet", "full"}, dir) })
+			out := mustCLI(t, "-archive", dir, "watch", "-quiet", "full")
 			var got []string
 			for _, line := range strings.Split(out, "\n") {
 				if strings.Contains(line, " closed ") {

@@ -57,7 +57,7 @@ import (
 // A directory written by earlier builds' export route (raw files, no
 // generation sidecars) opens unchanged: DirStore adopts such objects at
 // generation 1.
-func openRepoDir(dir string, shards int, sweep bool) (*repo.Repo, repo.Store, func(), error) {
+func openRepoDir(stdout io.Writer, dir string, shards int, sweep bool) (*repo.Repo, repo.Store, func(), error) {
 	if !sweep {
 		if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
 			bucket, err := storage.NewService().CreateBucket("empty")
@@ -80,18 +80,18 @@ func openRepoDir(dir string, shards int, sweep bool) (*repo.Repo, repo.Store, fu
 		store.Close()
 		return nil, nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
 	}
-	printRecovery(rec)
+	printRecovery(stdout, rec)
 	return r, store, done, nil
 }
 
-func printRecovery(rec *repo.RecoveryReport) {
+func printRecovery(stdout io.Writer, rec *repo.RecoveryReport) {
 	if rec != nil && !rec.Clean() {
-		fmt.Printf("recovery: reclaimed %d unreferenced objects\n", len(rec.Reclaimed))
+		fmt.Fprintf(stdout, "recovery: reclaimed %d unreferenced objects\n", len(rec.Reclaimed))
 	}
 }
 
 // runsCmd dispatches the `runs list|show|diff|gc|...` verbs.
-func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
+func runsCmd(stdout, stderr io.Writer, args []string, dir string, keep int, csv bool, shards int) error {
 	if dir == "" {
 		return errors.New("runs: -archive <dir> is required")
 	}
@@ -116,7 +116,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 	case "gc", "delete", "compact":
 		sweep = true
 	}
-	r, _, done, err := openRepoDir(dir, shards, sweep)
+	r, _, done, err := openRepoDir(stdout, dir, shards, sweep)
 	if err != nil {
 		return err
 	}
@@ -124,6 +124,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 	switch verb {
 	case "list":
 		fs := flag.NewFlagSet("runs list", flag.ContinueOnError)
+		fs.SetOutput(stderr)
 		tenant := fs.String("tenant", "", "only runs archived under this tenant")
 		workload := fs.String("workload", "", "only runs of this workload")
 		labelF := fs.String("label", "", "only runs with this label")
@@ -136,16 +137,16 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 		}
 		if len(runs) == 0 {
 			if *tenant != "" || *workload != "" || *labelF != "" {
-				fmt.Println("no runs match the filter")
+				fmt.Fprintln(stdout, "no runs match the filter")
 			} else {
-				fmt.Println("repository is empty")
+				fmt.Fprintln(stdout, "repository is empty")
 			}
 			return nil
 		}
-		fmt.Printf("%-24s %-20s %-12s %-12s %-6s %8s %8s %10s\n",
+		fmt.Fprintf(stdout, "%-24s %-20s %-12s %-12s %-6s %8s %8s %10s\n",
 			"RUN", "WORKLOAD", "LABEL", "TENANT", "TPU", "RECORDS", "WINDOWS", "BYTES")
 		for _, info := range runs {
-			fmt.Printf("%-24s %-20s %-12s %-12s %-6s %8d %8d %10d\n",
+			fmt.Fprintf(stdout, "%-24s %-20s %-12s %-12s %-6s %8d %8d %10d\n",
 				info.RunID, info.Workload, info.Label, info.Tenant, info.TPUVersion,
 				info.Records, info.Windows, info.Bytes)
 		}
@@ -160,25 +161,25 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 			return err
 		}
 		first, last := a.TimeRange()
-		fmt.Printf("run:       %s (seq %d)\n", info.RunID, info.CreatedSeq)
-		fmt.Printf("workload:  %s  label=%q  host=%q  tpu=%s\n",
+		fmt.Fprintf(stdout, "run:       %s (seq %d)\n", info.RunID, info.CreatedSeq)
+		fmt.Fprintf(stdout, "workload:  %s  label=%q  host=%q  tpu=%s\n",
 			info.Workload, info.Label, info.HostSpec, info.TPUVersion)
-		fmt.Printf("records:   %d (%d windows), %d bytes, sim time [%.1fms, %.1fms]\n",
+		fmt.Fprintf(stdout, "records:   %d (%d windows), %d bytes, sim time [%.1fms, %.1fms]\n",
 			a.RecordCount(), a.WindowCount(), a.Size(),
 			float64(first)/1000, float64(last)/1000)
 		sum := a.Summary()
 		if sum == nil {
-			fmt.Println("summary:   (none embedded)")
+			fmt.Fprintln(stdout, "summary:   (none embedded)")
 			return nil
 		}
-		fmt.Printf("summary:   %s phases=%d steps=%d idle=%.1f%% mxu=%.1f%% top-3 cover %.1f%%\n",
+		fmt.Fprintf(stdout, "summary:   %s phases=%d steps=%d idle=%.1f%% mxu=%.1f%% top-3 cover %.1f%%\n",
 			sum.Algorithm, len(sum.Phases), sum.Steps,
 			100*sum.IdleFrac, 100*sum.MXUUtil, 100*sum.CoverageTop3)
 		for _, p := range sum.Phases {
-			fmt.Printf("  phase #%d: %d steps, %s, idle=%.1f%% mxu=%.1f%%\n",
+			fmt.Fprintf(stdout, "  phase #%d: %d steps, %s, idle=%.1f%% mxu=%.1f%%\n",
 				p.ID, p.Steps, p.Total, 100*p.IdleFrac, 100*p.MXUUtil)
 			for _, op := range p.Ops {
-				fmt.Printf("    %-6s %-32s x%-6d %10.1fms\n",
+				fmt.Fprintf(stdout, "    %-6s %-32s x%-6d %10.1fms\n",
 					op.Device, op.Name, op.Count, op.Total.Milliseconds())
 			}
 		}
@@ -193,9 +194,9 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 			return err
 		}
 		if csv {
-			return viz.WriteDiffCSV(os.Stdout, d)
+			return viz.WriteDiffCSV(stdout, d)
 		}
-		return viz.WriteDiffTable(os.Stdout, d)
+		return viz.WriteDiffTable(stdout, d)
 
 	case "gc":
 		victims, err := r.GC(keep)
@@ -203,9 +204,9 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 			return err
 		}
 		for _, id := range victims {
-			fmt.Printf("removed %s\n", id)
+			fmt.Fprintf(stdout, "removed %s\n", id)
 		}
-		fmt.Printf("gc: removed %d runs (keeping %d newest per workload)\n", len(victims), keep)
+		fmt.Fprintf(stdout, "gc: removed %d runs (keeping %d newest per workload)\n", len(victims), keep)
 		return nil
 
 	case "delete":
@@ -215,7 +216,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 		if err := r.Delete(args[0]); err != nil {
 			return err
 		}
-		fmt.Printf("removed %s\n", args[0])
+		fmt.Fprintf(stdout, "removed %s\n", args[0])
 		return nil
 
 	case "fsck":
@@ -228,12 +229,12 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 			if issue.Action != "" {
 				line += " -> " + issue.Action
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 		if rep.Clean() {
-			fmt.Printf("fsck: %d runs checked, no issues\n", rep.RunsChecked)
+			fmt.Fprintf(stdout, "fsck: %d runs checked, no issues\n", rep.RunsChecked)
 		} else {
-			fmt.Printf("fsck: %d runs checked, %d issues, %d repaired\n",
+			fmt.Fprintf(stdout, "fsck: %d runs checked, %d issues, %d repaired\n",
 				rep.RunsChecked, len(rep.Issues), rep.Repaired)
 		}
 		if !rep.Clean() && rep.Repaired < len(rep.Issues) {
@@ -256,12 +257,12 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 		}
 		runsPacked, bytesPacked := 0, int64(0)
 		for _, p := range rep.Packs {
-			fmt.Printf("packed %-20s %d runs, %d bytes -> %s\n",
+			fmt.Fprintf(stdout, "packed %-20s %d runs, %d bytes -> %s\n",
 				p.Workload, len(p.Runs), p.Bytes, p.Object)
 			runsPacked += len(p.Runs)
 			bytesPacked += p.Bytes
 		}
-		fmt.Printf("compact: %d packs from %d runs (%d bytes)\n",
+		fmt.Fprintf(stdout, "compact: %d packs from %d runs (%d bytes)\n",
 			len(rep.Packs), runsPacked, bytesPacked)
 		return nil
 
@@ -277,10 +278,10 @@ func runsCmd(args []string, dir string, keep int, csv bool, shards int) error {
 		if !srep.FooterIntact {
 			mode = "sequential scan (footer lost)"
 		}
-		fmt.Printf("salvage %s: %d/%d segments via %s, %d records, %d bytes dropped\n",
+		fmt.Fprintf(stdout, "salvage %s: %d/%d segments via %s, %d records, %d bytes dropped\n",
 			args[0], srep.SegmentsKept, srep.SegmentsTotal, mode,
 			srep.RecordsKept, srep.BytesDropped)
-		printRunInfo(os.Stdout, info, dir)
+		printRunInfo(stdout, info, dir)
 		return nil
 
 	default:
@@ -322,7 +323,7 @@ type collectConfig struct {
 // A standalone collector (-replicas 1) is a replica set of one that
 // owns every shard: it opens the repository the same way, sweeping the
 // shards it owns, and only has no peers to probe.
-func collectServe(cfg collectConfig) error {
+func collectServe(stdout io.Writer, cfg collectConfig) error {
 	if cfg.Dir == "" {
 		return errors.New("-collect-serve needs -archive <dir> for the repository")
 	}
@@ -363,7 +364,7 @@ func collectServe(cfg collectConfig) error {
 		}
 		return fmt.Errorf("recovering repository %s: %w", cfg.Dir, err)
 	}
-	printRecovery(rec)
+	printRecovery(stdout, rec)
 	r.SetObs(reg)
 	ingest := repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
 	defer ingest.Close()
@@ -379,7 +380,7 @@ func collectServe(cfg collectConfig) error {
 		return err
 	}
 	for _, token := range parked {
-		fmt.Printf("parked session %s awaits fleet.Resume\n", token)
+		fmt.Fprintf(stdout, "parked session %s awaits fleet.Resume\n", token)
 	}
 	health.SetReady("repository")
 	srv := rpc.NewServer()
@@ -397,7 +398,7 @@ func collectServe(cfg collectConfig) error {
 		return err
 	}
 	defer l.Close()
-	fmt.Printf("fleet collection server on %s (replica %d of %d, shards %v), repository %s\n",
+	fmt.Fprintf(stdout, "fleet collection server on %s (replica %d of %d, shards %v), repository %s\n",
 		l.Addr(), rc.ID, rc.Replicas, rc.OwnedShards(shards), cfg.Dir)
 	go srv.Serve(l)
 	health.SetReady("collector")
@@ -414,7 +415,7 @@ func collectServe(cfg collectConfig) error {
 	cfg.Fleet.Set(fleetID, obs.ReplicaDown)
 	srv.Close()
 	if n := fleet.ActiveSessions(); n > 0 {
-		fmt.Printf("%d sessions still open; their accepted records are parked durably (clients resume by token)\n", n)
+		fmt.Fprintf(stdout, "%d sessions still open; their accepted records are parked durably (clients resume by token)\n", n)
 	}
 	// Let an in-flight background compaction finish rather than leave
 	// its pack or old blobs for the next open to reclaim.

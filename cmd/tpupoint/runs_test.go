@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,39 +17,12 @@ import (
 	"repro/internal/archive"
 	"repro/internal/core/analyzer"
 	"repro/internal/faultnet"
-	"repro/internal/obs"
 	"repro/internal/repo"
 	"repro/internal/rpc"
 	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
-
-// captureStdout runs fn with os.Stdout redirected and returns what it
-// printed.
-func captureStdout(t *testing.T, fn func() error) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		var buf bytes.Buffer
-		io.Copy(&buf, r) //nolint:errcheck // test capture
-		done <- buf.String()
-	}()
-	ferr := fn()
-	w.Close()
-	os.Stdout = old
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("command failed: %v\noutput:\n%s", ferr, out)
-	}
-	return out
-}
 
 func testRecord(i int) *trace.ProfileRecord {
 	ts := simclock.Time(i * 1000)
@@ -83,7 +55,7 @@ func testBlob(t *testing.T, runID string, seq uint64) []byte {
 // way `tpupoint -archive dir` does after training.
 func saveRuns(t *testing.T, dir string, runIDs ...string) {
 	t.Helper()
-	r, _, done, err := openRepoDir(dir, 0, true)
+	r, _, done, err := openRepoDir(io.Discard, dir, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +83,7 @@ func blobPath(dir, runID string) string {
 // viewRepo opens dir the way a read-only verb does.
 func viewRepo(t *testing.T, dir string) *repo.Repo {
 	t.Helper()
-	r, _, done, err := openRepoDir(dir, 0, false)
+	r, _, done, err := openRepoDir(io.Discard, dir, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,34 +121,46 @@ func repoTree(t *testing.T, dir string) map[string]string {
 }
 
 // TestRunsSalvageRoundTrip drives the CLI path end to end: damage the
-// on-disk blob, `runs salvage` it, and prove the repaired repository
-// reads back cleanly.
+// on-disk blob, see `runs fsck` flag it, `runs salvage` it, and prove
+// the repaired repository reads back cleanly. One blob is synthetic and
+// loses its last third (footer and final segment); the other is a real
+// archived run that loses its last 16 bytes.
 func TestRunsSalvageRoundTrip(t *testing.T) {
-	dir, blob := writeRepoWithRun(t, "run-a")
-	// Tear the tail off the stored blob: footer and final segment gone.
-	if err := os.WriteFile(blobPath(dir, "run-a"), blob[:len(blob)*2/3], 0o644); err != nil {
+	synthetic, blob := writeRepoWithRun(t, "run-a")
+	if err := os.WriteFile(blobPath(synthetic, "run-a"), blob[:len(blob)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := runsCmd([]string{"salvage", "run-a"}, dir, 0, false, 0); err != nil {
-		t.Fatalf("runs salvage: %v", err)
-	}
-
-	// Reopen from disk: the run must verify and carry records.
-	r := viewRepo(t, dir)
-	info, a, err := r.Get("run-a")
-	if err != nil {
-		t.Fatalf("salvaged run unreadable from disk: %v", err)
-	}
-	if info.Records == 0 || info.Records != a.RecordCount() {
-		t.Fatalf("info = %+v, archive records = %d", info, a.RecordCount())
-	}
-	rep, err := r.Fsck(false)
+	profiled := t.TempDir()
+	mustCLI(t, "-workload", "dcgan-mnist", "-steps", "60", "-archive", profiled, "-run-id", "crash-v2", "-label", "crash")
+	st, err := os.Stat(blobPath(profiled, "crash-v2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
-		t.Fatalf("post-salvage fsck: %+v", rep)
+	if err := os.Truncate(blobPath(profiled, "crash-v2"), st.Size()-16); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct{ dir, id string }{{synthetic, "run-a"}, {profiled, "crash-v2"}} {
+		t.Run(c.id, func(t *testing.T) {
+			out, err := cli("-archive", c.dir, "runs", "fsck")
+			if err == nil || !strings.Contains(out, c.id) {
+				t.Fatalf("fsck of the torn blob: err = %v, output:\n%s\nwant a failure naming %s", err, out, c.id)
+			}
+			mustMatch(t, "runs salvage", mustCLI(t, "-archive", c.dir, "runs", "salvage", c.id), `segments`)
+			mustMatch(t, "post-salvage fsck", mustCLI(t, "-archive", c.dir, "runs", "fsck"), `no issues`)
+			// The salvaged archive keeps its records but may lose the
+			// embedded summary with the footer: show prints the record line.
+			mustMatch(t, "runs show", mustCLI(t, "-archive", c.dir, "runs", "show", c.id), `records:`)
+
+			// Reopen from disk: the run must verify and carry records.
+			info, a, err := viewRepo(t, c.dir).Get(c.id)
+			if err != nil {
+				t.Fatalf("salvaged run unreadable from disk: %v", err)
+			}
+			if info.Records == 0 || info.Records != a.RecordCount() {
+				t.Fatalf("info = %+v, archive records = %d", info, a.RecordCount())
+			}
+		})
 	}
 }
 
@@ -189,13 +173,13 @@ func TestRunsFsckRepair(t *testing.T) {
 	}
 
 	// Check-only finds the issue and exits non-zero.
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err == nil {
+	if _, err := cli("-archive", dir, "runs", "fsck"); err == nil {
 		t.Fatal("fsck should report unrepaired issues")
 	}
-	if err := runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 0); err != nil {
+	if _, err := cli("-archive", dir, "runs", "fsck", "-repair"); err != nil {
 		t.Fatalf("fsck -repair: %v", err)
 	}
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
+	if _, err := cli("-archive", dir, "runs", "fsck"); err != nil {
 		t.Fatalf("repository not clean after repair: %v", err)
 	}
 	if _, err := viewRepo(t, dir).Info("run-a"); err == nil {
@@ -211,7 +195,7 @@ func TestRunsFsckRepairQuarantinesOnDisk(t *testing.T) {
 	if err := os.WriteFile(blobPath(dir, "run-a"), []byte("XXXXnothing"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 0); err != nil {
+	if _, err := cli("-archive", dir, "runs", "fsck", "-repair"); err != nil {
 		t.Fatalf("fsck -repair: %v", err)
 	}
 	q := filepath.Join(dir, "quarantine", "runs", "run-a", "archive")
@@ -235,15 +219,15 @@ func TestRunsFsckRepairReadoptsHandPlacedArchive(t *testing.T) {
 	if err := os.WriteFile(blobPath(dir, "run-b"), testBlob(t, "run-b", 7), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := captureStdout(t, func() error { return runsCmd([]string{"fsck", "-repair"}, dir, 0, false, 0) })
+	out := mustCLI(t, "-archive", dir, "runs", "fsck", "-repair")
 	if !strings.Contains(out, "re-adopted") {
 		t.Fatalf("fsck -repair did not re-adopt the hand-placed archive:\n%s", out)
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 0) })
+	out = mustCLI(t, "-archive", dir, "runs", "list")
 	if !strings.Contains(out, "run-b") {
 		t.Fatalf("re-adopted run not listed:\n%s", out)
 	}
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
+	if _, err := cli("-archive", dir, "runs", "fsck"); err != nil {
 		t.Fatalf("fsck after re-adoption: %v", err)
 	}
 }
@@ -255,7 +239,7 @@ func TestRunsFsckRepairReadoptsHandPlacedArchive(t *testing.T) {
 // repository and reclaims the orphan.
 func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 	typo := filepath.Join(t.TempDir(), "typo")
-	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, typo, 0, false, 0) })
+	out := mustCLI(t, "-archive", typo, "runs", "list")
 	if !strings.Contains(out, "repository is empty") {
 		t.Fatalf("runs list on a missing directory printed:\n%s", out)
 	}
@@ -303,14 +287,14 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 
 	before := repoTree(t, dir)
 	for _, verb := range [][]string{{"list"}, {"show", "run-a"}, {"diff", "run-a", "run-b"}} {
-		captureStdout(t, func() error { return runsCmd(verb, dir, 0, false, 0) })
+		mustCLI(t, append([]string{"-archive", dir, "runs"}, verb...)...)
 	}
 	// The orphan is debris fsck reports; check-only must not touch it.
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err == nil {
+	if _, err := cli("-archive", dir, "runs", "fsck"); err == nil {
 		t.Fatal("plain fsck passed over an orphan blob")
 	}
-	captureStdout(t, func() error { return watchCmd([]string{"-quiet", "run-a"}, dir) })
-	out = captureStdout(t, func() error { return watchCmd([]string{"-quiet", "-session", fc.Token()}, dir) })
+	mustCLI(t, "-archive", dir, "watch", "-quiet", "run-a")
+	out = mustCLI(t, "-archive", dir, "watch", "-quiet", "-session", fc.Token())
 	if !strings.Contains(out, "8 records") {
 		t.Fatalf("watch -session did not replay the 8 accepted records:\n%s", out)
 	}
@@ -318,14 +302,14 @@ func TestReadOnlyVerbsNeverWrite(t *testing.T) {
 		t.Fatalf("read-only verbs changed the directory:\nbefore %v\nafter  %v", keys(before), keys(after))
 	}
 
-	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 0) })
+	out = mustCLI(t, "-archive", dir, "runs", "gc")
 	if !strings.Contains(out, "recovery: reclaimed 1 unreferenced objects") {
 		t.Fatalf("runs gc printed no recovery line:\n%s", out)
 	}
 	if _, err := os.Stat(blobPath(dir, "cut")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphan blob survived the sweep (stat: %v)", err)
 	}
-	if err := runsCmd([]string{"fsck"}, dir, 0, false, 0); err != nil {
+	if _, err := cli("-archive", dir, "runs", "fsck"); err != nil {
 		t.Fatalf("fsck after the sweep: %v", err)
 	}
 }
@@ -367,24 +351,24 @@ func TestExportedDirectoryStillWorks(t *testing.T) {
 		}
 	}
 
-	out := captureStdout(t, func() error { return runsCmd([]string{"list"}, dir, 0, false, 0) })
+	out := mustCLI(t, "-archive", dir, "runs", "list")
 	for _, id := range []string{"run-1", "run-2", "run-3", "run-4"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("runs list lost %s:\n%s", id, out)
 		}
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"show", "run-2"}, dir, 0, false, 0) })
+	out = mustCLI(t, "-archive", dir, "runs", "show", "run-2")
 	if !strings.Contains(out, "records:   24") {
 		t.Fatalf("runs show run-2:\n%s", out)
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 3, false, 0) })
+	out = mustCLI(t, "-archive", dir, "runs", "gc")
 	if !strings.Contains(out, "removed run-1") || !strings.Contains(out, "gc: removed 1 runs") {
 		t.Fatalf("runs gc -keep 3:\n%s", out)
 	}
 	if _, err := os.Stat(blobPath(dir, "run-1")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("gc left its victim's blob on disk (stat: %v)", err)
 	}
-	out = captureStdout(t, func() error { return runsCmd([]string{"compact"}, dir, 0, false, 0) })
+	out = mustCLI(t, "-archive", dir, "runs", "compact")
 	if !strings.Contains(out, "compact: 1 packs from 3 runs") {
 		t.Fatalf("runs compact:\n%s", out)
 	}
@@ -442,7 +426,7 @@ func TestRunsRefuseV1Layout(t *testing.T) {
 
 	for _, verb := range [][]string{{"list"}, {"show", "run-1"}, {"fsck"}, {"fsck", "-repair"}, {"gc"}, {"compact"},
 		{"delete", "run-1"}, {"salvage", "run-1"}} {
-		if err := runsCmd(verb, dir, 0, false, 4); !errors.Is(err, repo.ErrLegacyLayout) {
+		if _, err := cli(append([]string{"-archive", dir, "-shards", "4", "runs"}, verb...)...); !errors.Is(err, repo.ErrLegacyLayout) {
 			t.Fatalf("runs %v on a v1 directory: err = %v, want ErrLegacyLayout", verb, err)
 		}
 	}
@@ -457,7 +441,7 @@ func TestRunsRefuseV1Layout(t *testing.T) {
 // does not start, and says which count to pass.
 func TestCollectServeRefusesOtherShardCount(t *testing.T) {
 	dir := t.TempDir()
-	r, _, done, err := openRepoDir(dir, 12, true)
+	r, _, done, err := openRepoDir(io.Discard, dir, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,10 +449,7 @@ func TestCollectServeRefusesOtherShardCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	done()
-	err = collectServe(collectConfig{
-		Addr: "127.0.0.1:0", Dir: dir, Replicas: 2, ReplicaID: 1,
-		Health: obs.NewHealth(), Fleet: obs.NewFleetView(),
-	})
+	_, err = cli("-collect-serve", "127.0.0.1:0", "-archive", dir, "-replicas", "2", "-replica-id", "1")
 	if err == nil || !strings.Contains(err.Error(), "pass -shards 12") {
 		t.Fatalf("collectServe with 8 shards over a 12-shard repository: err = %v, want \"pass -shards 12\"", err)
 	}
@@ -529,7 +510,7 @@ func TestRunsGCBesideLiveWriter(t *testing.T) {
 			}()
 			<-parked
 
-			out := captureStdout(t, func() error { return runsCmd([]string{"gc"}, dir, 2, false, 0) })
+			out := mustCLI(t, "-archive", dir, "-keep", "2", "runs", "gc")
 			close(release)
 			if err := <-saved; err != nil {
 				t.Fatalf("in-flight save: %v", err)
@@ -580,10 +561,7 @@ func TestStandaloneCollectorAcksAreOnDisk(t *testing.T) {
 	serve := func() <-chan error {
 		errc := make(chan error, 1)
 		go func() {
-			errc <- collectServe(collectConfig{
-				Addr: addr, Dir: dir, Replicas: 1,
-				Health: obs.NewHealth(), Fleet: obs.NewFleetView(),
-			})
+			errc <- run([]string{"-collect-serve", addr, "-archive", dir}, io.Discard, io.Discard)
 		}()
 		return errc
 	}
@@ -593,7 +571,7 @@ func TestStandaloneCollectorAcksAreOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := <-errc; err != nil {
-			t.Fatalf("collectServe: %v", err)
+			t.Fatalf("-collect-serve: %v", err)
 		}
 	}
 

@@ -17,7 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/core/analyzer"
@@ -25,8 +25,9 @@ import (
 	"repro/internal/trace"
 )
 
-func watchCmd(args []string, archiveDir string) error {
+func watchCmd(stdout, stderr io.Writer, args []string, archiveDir string) error {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		duty      = fs.Int("duty", 1, "profile duty cycle: analyze only steps ≡ 0 mod N (1 = every step)")
 		threshold = fs.Float64("threshold", analyzer.DefaultThreshold, "OLS step-similarity threshold")
@@ -37,7 +38,7 @@ func watchCmd(args []string, archiveDir string) error {
 		quiet     = fs.Bool("quiet", false, "print only phase closes and the summary")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: tpupoint -archive <dir> watch [flags] <run-id>")
+		fmt.Fprintln(fs.Output(), "usage: tpupoint -archive <dir> watch [flags] <run-id>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -52,7 +53,7 @@ func watchCmd(args []string, archiveDir string) error {
 		return fmt.Errorf("watch needs a run ID or -session <token>")
 	}
 
-	r, store, done, err := openRepoDir(archiveDir, 0, false)
+	r, store, done, err := openRepoDir(stdout, archiveDir, 0, false)
 	if err != nil {
 		return err
 	}
@@ -61,11 +62,14 @@ func watchCmd(args []string, archiveDir string) error {
 	s := analyzer.NewStream("watch", analyzer.StreamOptions{
 		Threshold: *threshold,
 		DutyCycle: *duty,
-		OnEvent:   watchPrinter(*quiet),
+		OnEvent:   watchPrinter(stdout, *quiet),
 	})
 
 	if *sessionTk != "" {
 		err = watchSession(s, store, *sessionTk, *follow, *interval, *idle)
+		if err == nil && *follow {
+			fmt.Fprintf(stdout, "log quiet for %s; closing\n", *idle)
+		}
 	} else {
 		err = watchArchive(s, r, fs.Arg(0))
 	}
@@ -73,36 +77,36 @@ func watchCmd(args []string, archiveDir string) error {
 		return err
 	}
 
-	printStreamSummary(s.Finish())
+	printStreamSummary(stdout, s.Finish())
 	return nil
 }
 
 // watchPrinter renders stream events as they fire.
-func watchPrinter(quiet bool) func(analyzer.StreamEvent) {
+func watchPrinter(stdout io.Writer, quiet bool) func(analyzer.StreamEvent) {
 	return func(ev analyzer.StreamEvent) {
 		switch ev.Kind {
 		case analyzer.PhaseOpen:
 			if !quiet {
-				fmt.Printf("phase %d open    at step %d\n", ev.Phase.ID, ev.Step)
+				fmt.Fprintf(stdout, "phase %d open    at step %d\n", ev.Phase.ID, ev.Step)
 			}
 		case analyzer.PhaseClose:
 			p := ev.Phase
-			fmt.Printf("phase %d closed  steps %d-%d (%d sampled, %.1fms", p.ID, p.FirstStep, p.LastStep,
+			fmt.Fprintf(stdout, "phase %d closed  steps %d-%d (%d sampled, %.1fms", p.ID, p.FirstStep, p.LastStep,
 				p.Steps, p.Total.Milliseconds())
 			if p.Degraded > 0 {
-				fmt.Printf(", %d degraded steps", p.Degraded)
+				fmt.Fprintf(stdout, ", %d degraded steps", p.Degraded)
 			}
-			fmt.Print(")")
+			fmt.Fprint(stdout, ")")
 			for i, op := range p.Signature {
 				if i == 3 {
 					break
 				}
-				fmt.Printf("  %s %.0f%%", op.Key.Name, 100*op.Share)
+				fmt.Fprintf(stdout, "  %s %.0f%%", op.Key.Name, 100*op.Share)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		case analyzer.StepDegraded:
 			if !quiet {
-				fmt.Printf("degraded        step %d in phase %d exceeds the phase-mean span\n",
+				fmt.Fprintf(stdout, "degraded        step %d in phase %d exceeds the phase-mean span\n",
 					ev.Step, ev.Phase.ID)
 			}
 		}
@@ -156,19 +160,18 @@ func watchSession(s *analyzer.StreamAnalyzer, store repo.Store, token string, fo
 			quietSince = time.Now()
 		}
 		if time.Since(quietSince) > idle {
-			fmt.Printf("log quiet for %s; closing\n", idle)
 			return nil
 		}
 		time.Sleep(interval)
 	}
 }
 
-func printStreamSummary(rep *analyzer.StreamReport) {
+func printStreamSummary(stdout io.Writer, rep *analyzer.StreamReport) {
 	var degraded int64
 	for _, p := range rep.Phases {
 		degraded += p.Degraded
 	}
-	fmt.Printf("watch summary: %d phases, %d/%d steps sampled (duty 1/%d), %d records (%d gaps), %.2fs, idle %.1f%%, mxu %.1f%%, %d degraded steps\n",
+	fmt.Fprintf(stdout, "watch summary: %d phases, %d/%d steps sampled (duty 1/%d), %d records (%d gaps), %.2fs, idle %.1f%%, mxu %.1f%%, %d degraded steps\n",
 		len(rep.Phases), rep.Steps, rep.StepsSeen, rep.DutyCycle, rep.Records, rep.Gaps,
 		rep.TotalTime.Seconds(), 100*rep.IdleFrac, 100*rep.MXUUtil, degraded)
 }

@@ -50,7 +50,7 @@ func main() {
 	var reg *obs.Registry
 	if *metrics != "" {
 		reg = obs.NewRegistry(0)
-		flush, err := cliflag.MetricsSink("tpuprof", *metrics, reg, nil, nil)
+		flush, err := cliflag.MetricsSink("tpuprof", *metrics, os.Stdout, reg, nil, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -7,6 +7,7 @@ package cliflag
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -43,11 +44,12 @@ func Endpoints(list string) ([]string, error) {
 // parseable host:port serves live JSON snapshots over HTTP (metrics at
 // /, liveness at /healthz, readiness at /readyz, fleet-wide collector
 // readiness at /fleetz); anything else is a file path the returned
-// flush writes the final snapshot to. tool prefixes error messages;
-// health may be nil when the tool has no readiness states (an
-// always-ready Health is served), and fleet may be nil when the tool
-// is not a collector replica (/fleetz reports an empty fleet).
-func MetricsSink(tool, dest string, reg *obs.Registry, health *obs.Health, fleet *obs.FleetView) (flush func(), err error) {
+// flush writes the final snapshot to. out gets the line naming the
+// served address; tool prefixes error messages; health may be nil when
+// the tool has no readiness states (an always-ready Health is served),
+// and fleet may be nil when the tool is not a collector replica
+// (/fleetz reports an empty fleet).
+func MetricsSink(tool, dest string, out io.Writer, reg *obs.Registry, health *obs.Health, fleet *obs.FleetView) (flush func(), err error) {
 	if health == nil {
 		health = obs.NewHealth()
 	}
@@ -56,7 +58,7 @@ func MetricsSink(tool, dest string, reg *obs.Registry, health *obs.Health, fleet
 		if err != nil {
 			return nil, fmt.Errorf("metrics listener: %w", err)
 		}
-		fmt.Printf("metrics:     serving JSON snapshots at http://%s/ (health at /healthz, /readyz; fleet at /fleetz)\n", l.Addr())
+		fmt.Fprintf(out, "metrics:     serving JSON snapshots at http://%s/ (health at /healthz, /readyz; fleet at /fleetz)\n", l.Addr())
 		go http.Serve(l, obs.FleetMux(reg, health, fleet)) //nolint:errcheck // serves until process exit
 		return func() {}, nil
 	}

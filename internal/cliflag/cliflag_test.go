@@ -1,6 +1,8 @@
 package cliflag
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -46,7 +48,7 @@ func TestMetricsSinkFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	reg := obs.NewRegistry(8)
 	reg.Counter("x").Inc()
-	flush, err := MetricsSink("testtool", path, reg, nil, nil)
+	flush, err := MetricsSink("testtool", path, io.Discard, reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,5 +59,18 @@ func TestMetricsSinkFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "\"x\"") {
 		t.Fatalf("snapshot missing counter: %s", data)
+	}
+}
+
+// TestMetricsSinkServesOnGivenWriter: an address destination announces
+// where it serves on the writer the tool passes, not on the process's
+// stdout.
+func TestMetricsSinkServesOnGivenWriter(t *testing.T) {
+	var out bytes.Buffer
+	if _, err := MetricsSink("testtool", "127.0.0.1:0", &out, obs.NewRegistry(8), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "metrics:     serving JSON snapshots at http://127.0.0.1:") {
+		t.Fatalf("MetricsSink wrote %q", out.String())
 	}
 }

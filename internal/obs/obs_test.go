@@ -126,8 +126,8 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 // Two registries fed the same data must export byte-identical snapshots,
-// and re-marshaling one registry must be stable: dashboards and the
-// metrics-smoke gate diff these bytes.
+// and re-marshaling one registry must be stable: dashboards diff these
+// bytes, and cmd/tpupoint's TestRunMetricsSnapshot decodes them.
 func TestSnapshotDeterministic(t *testing.T) {
 	fixed := time.Unix(1700000000, 0).UTC()
 	build := func() *Registry {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full verification gate: build, vet, the race-enabled test suite, the
-# -count=2 repeats and the shell smokes. This is the one list of them:
-# `make check` is `make build fmt` (the gofmt gate) followed by this
-# script, and CI runs `make check`.
+# -count=N repeats, the by-name test lists, the examples and the crash
+# and replicated smokes. This is the one list of them: `make check` is
+# `make build fmt` (the gofmt gate) followed by this script, and CI runs
+# `make check`. The tpupoint CLI's contract is Go tests in
+# cmd/tpupoint, which the race suite below runs.
 #
 # The vet step filters go vet's "# package" progress headers out of the
 # output. Under `set -o pipefail` the naive `go vet | grep -v '^#'`
@@ -58,14 +60,9 @@ go test -race -count=2 ./internal/archive ./internal/trace
 echo "== go test -race -count=2 ./internal/repo -run 'Finalize|Resume'"
 go test -race -count=2 ./internal/repo -run 'Finalize|Resume'
 
-# Profile-repository round trip through the real CLI: archive two runs,
-# list/show them, and cross-run diff them.
-echo "== archive + diff smoke"
-./scripts/archive_smoke.sh
-
-# Crash-consistency gate: the power-cut property test and fleet resume
-# tests under -race, the recovery-counter wiring smoke, and a CLI
-# corrupt/fsck/salvage round trip.
+# Crash-consistency gate: the power-cut property tests, the DirStore
+# append contract and fleet resume tests under -race, by name, and the
+# recovery-counter wiring smoke.
 echo "== crash smoke"
 ./scripts/crash_smoke.sh
 
@@ -99,20 +96,18 @@ out="$(go run ./examples/autotune)" || exit; for want in '^speedup: +[0-9.]+x' '
 out="$(go run ./examples/datasetshift)" || exit; for want in '^ +cifar10 +[0-9.]+% +[0-9.]+% '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "datasetshift printed no line matching '$want'"; exit 1; }; done
 
 # The CLI runs on a live DirStore: its tests take the store's flock
-# from several handles and a collector goroutine over real files, so
-# run them twice under the race detector as well.
+# from several handles and a collector goroutine over real files, and
+# drive real workloads through archive, diff, watch, sharded ingest,
+# compaction, salvage and -metrics, so run them twice under the race
+# detector as well.
 echo "== go test -race -count=2 ./cmd/tpupoint"
 go test -race -count=2 ./cmd/tpupoint
 
-# Streaming watch-verb round trip over a real archived run.
-echo "== stream smoke"
-./scripts/stream_smoke.sh
-
 # Sharded-ingest gate: the contention and compaction suites under
-# -race, then a CLI fresh -shards 4 archive plus compaction round trip
-# over a real on-disk repository.
-echo "== ingest smoke"
-./scripts/ingest_smoke.sh
+# -race, by name, so a renamed test fails the gate instead of silently
+# running nothing.
+echo "== sharded contention + compaction under -race"
+./scripts/named_tests.sh ./internal/repo TestShardedContentionZeroLoss64 TestCompactMergesAndPreservesReads TestDeletePackedRunRefcountsPack
 
 # Replicated-collection gate: the replica placement/failover/lease
 # suites under -race, then two real collector replica processes over

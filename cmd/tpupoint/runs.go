@@ -156,18 +156,16 @@ func runsCmd(stdout, stderr io.Writer, args []string, dir string, keep int, csv 
 		if len(args) != 1 {
 			return errors.New("usage: runs show <run-id>")
 		}
-		info, a, err := r.Get(args[0])
+		info, sum, err := r.Summary(args[0])
 		if err != nil {
 			return err
 		}
-		first, last := a.TimeRange()
 		fmt.Fprintf(stdout, "run:       %s (seq %d)\n", info.RunID, info.CreatedSeq)
 		fmt.Fprintf(stdout, "workload:  %s  label=%q  host=%q  tpu=%s\n",
 			info.Workload, info.Label, info.HostSpec, info.TPUVersion)
 		fmt.Fprintf(stdout, "records:   %d (%d windows), %d bytes, sim time [%.1fms, %.1fms]\n",
-			a.RecordCount(), a.WindowCount(), a.Size(),
-			float64(first)/1000, float64(last)/1000)
-		sum := a.Summary()
+			info.Records, info.Windows, info.Bytes,
+			float64(info.TimeFirst)/1000, float64(info.TimeLast)/1000)
 		if sum == nil {
 			fmt.Fprintln(stdout, "summary:   (none embedded)")
 			return nil

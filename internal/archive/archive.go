@@ -27,6 +27,12 @@
 // (ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum, ErrMalformed) —
 // never a panic, however corrupt the input (see FuzzOpen).
 //
+// The footer carries no checksum of its own. A reader that wants only
+// the summary reads the blob's tail (footer + trailer) and checks it
+// with ReadSummary against the CRC32C that Footer reported when the
+// whole blob was verified; the repository records it in each run's
+// manifest entry.
+//
 // The codec's fan-outs (Open's segment verification, Records' segment
 // decode) run on a pool sized from GOMAXPROCS; nothing sets the size.
 // The unexported forms open and records take it (<= 0 = GOMAXPROCS,
@@ -85,7 +91,11 @@ const (
 	headerMagic  = "TPAR"
 	trailerMagic = "TPAF"
 	headerLen    = 5 // magic + version byte
-	trailerLen   = 8 // u32 footerLen + magic
+
+	// TrailerLen is the size of the trailer after the footer: u32
+	// footerLen + magic. A blob's tail — what ReadSummary takes — is its
+	// last footerLen+TrailerLen bytes.
+	TrailerLen = 8
 
 	// DefaultSegmentTarget is the payload size at which the writer cuts
 	// a new segment. Small enough that one flipped bit invalidates one
@@ -105,7 +115,7 @@ var (
 	ErrBadMagic  = errors.New("archive: bad magic")
 	ErrVersion   = errors.New("archive: unsupported version")
 	ErrTruncated = errors.New("archive: truncated")
-	ErrChecksum  = errors.New("archive: segment checksum mismatch")
+	ErrChecksum  = errors.New("archive: checksum mismatch")
 	ErrMalformed = errors.New("archive: malformed")
 )
 
@@ -377,7 +387,7 @@ func (w *Writer) Records() int64 { return w.recordCount }
 func (w *Writer) Finalize(sum *Summary) []byte {
 	w.flush()
 	footer := w.encodeFooter(sum)
-	out := make([]byte, 0, headerLen+w.flushed+len(footer)+trailerLen)
+	out := make([]byte, 0, headerLen+w.flushed+len(footer)+TrailerLen)
 	out = append(append(out, headerMagic...), Version)
 	for _, s := range w.slabs {
 		out = append(out, s...)
@@ -466,6 +476,9 @@ type Archive struct {
 	windowCount int64
 	tsFirst     simclock.Time
 	tsLast      simclock.Time
+
+	footerLen int64
+	footerCRC uint32
 }
 
 // Open parses and fully verifies an archive blob: magic, version,
@@ -479,7 +492,7 @@ func Open(data []byte) (*Archive, error) { return open(data, 0) }
 // one does; per-segment failures land in indexed slots and the
 // lowest-indexed one is reported.
 func open(data []byte, workers int) (*Archive, error) {
-	if len(data) < headerLen+trailerLen {
+	if len(data) < headerLen+TrailerLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
 	}
 	if string(data[:4]) != headerMagic {
@@ -488,17 +501,18 @@ func open(data []byte, workers int) (*Archive, error) {
 	if v := data[4]; v != Version {
 		return nil, fmt.Errorf("%w: %d (reader supports %d)", ErrVersion, v, Version)
 	}
-	trailer := data[len(data)-trailerLen:]
+	trailer := data[len(data)-TrailerLen:]
 	if string(trailer[4:]) != trailerMagic {
 		return nil, fmt.Errorf("%w: trailer %q", ErrBadMagic, trailer[4:])
 	}
 	footerLen := int64(binary.LittleEndian.Uint32(trailer[:4]))
-	footerEnd := int64(len(data) - trailerLen)
+	footerEnd := int64(len(data) - TrailerLen)
 	if footerLen > footerEnd-headerLen {
 		return nil, fmt.Errorf("%w: footer length %d exceeds archive", ErrTruncated, footerLen)
 	}
-	a := &Archive{data: data}
-	if err := a.decodeFooter(data[footerEnd-footerLen : footerEnd]); err != nil {
+	footer := data[footerEnd-footerLen : footerEnd]
+	a := &Archive{data: data, footerLen: footerLen, footerCRC: crc32.Checksum(footer, castagnoli)}
+	if err := a.decodeFooter(footer); err != nil {
 		return nil, err
 	}
 	errs := make([]error, len(a.segments))
@@ -525,6 +539,33 @@ func open(data []byte, workers int) (*Archive, error) {
 		}
 	}
 	return a, nil
+}
+
+// ReadSummary decodes the analyzer summary (nil if none) from an
+// archive's tail: its footer and trailer, nothing before them. Nothing in
+// the tail vouches for the footer, so the caller supplies the CRC32C that
+// Footer reported when the whole blob was verified. It checks the
+// trailer magic, that the trailer's footer length is len(tail)-TrailerLen,
+// and the CRC, then decodes through the decoder Open uses.
+func ReadSummary(tail []byte, crc uint32) (*Summary, error) {
+	if len(tail) < TrailerLen {
+		return nil, fmt.Errorf("%w: tail of %d bytes", ErrTruncated, len(tail))
+	}
+	footerEnd := len(tail) - TrailerLen
+	if string(tail[footerEnd+4:]) != trailerMagic {
+		return nil, fmt.Errorf("%w: trailer %q", ErrBadMagic, tail[footerEnd+4:])
+	}
+	if n := binary.LittleEndian.Uint32(tail[footerEnd:]); int64(n) != int64(footerEnd) {
+		return nil, fmt.Errorf("%w: trailer says a %d-byte footer, tail holds %d", ErrMalformed, n, footerEnd)
+	}
+	if got := crc32.Checksum(tail[:footerEnd], castagnoli); got != crc {
+		return nil, fmt.Errorf("%w: footer crc %08x != %08x", ErrChecksum, got, crc)
+	}
+	var a Archive
+	if err := a.decodeFooter(tail[:footerEnd]); err != nil {
+		return nil, err
+	}
+	return a.summary, nil
 }
 
 func (a *Archive) decodeFooter(b []byte) error {
@@ -875,6 +916,10 @@ func (a *Archive) TimeRange() (first, last simclock.Time) {
 
 // Size is the blob's byte size.
 func (a *Archive) Size() int64 { return int64(len(a.data)) }
+
+// Footer returns the footer's byte length and CRC32C: what a reader
+// holding only the blob's tail needs to check it (ReadSummary).
+func (a *Archive) Footer() (n int64, crc uint32) { return a.footerLen, a.footerCRC }
 
 // Records decodes every archived record, in archive order.
 func (a *Archive) Records() ([]*trace.ProfileRecord, error) {

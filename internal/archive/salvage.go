@@ -101,15 +101,15 @@ func Salvage(data []byte) (*SalvageResult, error) {
 // back to the sequential scan. bodyEnd is where segment payloads stop
 // (the footer's first byte).
 func salvageFooter(data []byte) (a *Archive, bodyEnd int64) {
-	if len(data) < headerLen+trailerLen {
+	if len(data) < headerLen+TrailerLen {
 		return nil, 0
 	}
-	trailer := data[len(data)-trailerLen:]
+	trailer := data[len(data)-TrailerLen:]
 	if string(trailer[4:]) != trailerMagic {
 		return nil, 0
 	}
 	footerLen := int64(binary.LittleEndian.Uint32(trailer[:4]))
-	footerEnd := int64(len(data) - trailerLen)
+	footerEnd := int64(len(data) - TrailerLen)
 	if footerLen > footerEnd-headerLen {
 		return nil, 0
 	}

@@ -211,7 +211,7 @@ func TestSalvageCorruptionTable(t *testing.T) {
 			nil, len(total), false},
 		{"truncated footer", mutate(func(b []byte) []byte {
 			cut := len(b) / 2
-			return append(b[:cut], b[len(b)-trailerLen:]...)
+			return append(b[:cut], b[len(b)-TrailerLen:]...)
 		}), nil, 0, false},
 		{"segment bit flip", mutate(func(b []byte) []byte {
 			b[headerLen+10] ^= 0x40
@@ -220,7 +220,7 @@ func TestSalvageCorruptionTable(t *testing.T) {
 		{"footer garbage", mutate(func(b []byte) []byte {
 			footerLen := int(uint32(b[len(b)-8]) | uint32(b[len(b)-7])<<8 |
 				uint32(b[len(b)-6])<<16 | uint32(b[len(b)-5])<<24)
-			b[len(b)-trailerLen-footerLen] ^= 0xff
+			b[len(b)-TrailerLen-footerLen] ^= 0xff
 			return b
 		}), nil, len(total), false},
 	}

@@ -47,7 +47,7 @@ func TestCompactMergesAndPreservesReads(t *testing.T) {
 
 	before := map[string][]byte{}
 	for _, id := range append(append([]string{}, ids...), otherIDs...) {
-		blob, err := r.readEntryBytes(mustInfo(t, r, id))
+		blob, err := r.readEntryBytes(mustInfo(t, r, id), 0, wholeEntry)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestCompactMergesAndPreservesReads(t *testing.T) {
 		if !info.packed() {
 			t.Fatalf("run %q not repointed into a pack", id)
 		}
-		got, err := r.readEntryBytes(info)
+		got, err := r.readEntryBytes(info, 0, wholeEntry)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestCompactMergesAndPreservesReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, want := range before {
-		got, err := r2.readEntryBytes(mustInfo(t, r2, id))
+		got, err := r2.readEntryBytes(mustInfo(t, r2, id), 0, wholeEntry)
 		if err != nil || string(got) != string(want) {
 			t.Fatalf("fresh handle: run %q mismatch (%v)", id, err)
 		}

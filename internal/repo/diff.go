@@ -52,7 +52,7 @@ type PhaseMatch struct {
 
 // Diff is the full cross-run comparison.
 type Diff struct {
-	A, B RunInfo // filled by Repo.Compare; zero for raw archive diffs
+	A, B RunInfo // filled by Repo.Compare; zero for raw summary diffs
 
 	WorkloadA, WorkloadB string
 	TotalA, TotalB       simclock.Duration
@@ -64,16 +64,11 @@ type Diff struct {
 	OnlyB   []archive.PhaseSummary
 }
 
-// DiffArchives aligns the phase summaries of two archives. Matching is
-// greedy on global minimum signature distance: of all remaining
+// DiffSummaries aligns the phases of two archives' summaries. Matching
+// is greedy on global minimum signature distance: of all remaining
 // (A-phase, B-phase) pairs, pair the closest, repeat. Phases left over
 // when one side runs out are reported as OnlyA/OnlyB — a phase that
 // exists in one configuration but not the other is itself a finding.
-func DiffArchives(a, b *archive.Archive) (*Diff, error) {
-	return DiffSummaries(a.Summary(), b.Summary())
-}
-
-// DiffSummaries is DiffArchives on bare summaries.
 func DiffSummaries(sa, sb *archive.Summary) (*Diff, error) {
 	if sa == nil || sb == nil {
 		return nil, ErrNoSummary

@@ -28,6 +28,7 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -155,8 +156,8 @@ const (
 	// blob; the shared pack is left for its siblings), or quarantines
 	// it (and drops the entry) when nothing survives.
 	IssueCorruptBlob = "corrupt-blob"
-	// IssueCountMismatch: blob opens cleanly but its counts disagree
-	// with the manifest entry. Repair trusts the blob.
+	// IssueCountMismatch: blob opens cleanly but some entry fields
+	// disagree with it; the detail names each. Repair trusts the blob.
 	IssueCountMismatch = "count-mismatch"
 	// IssueOrphanBlob: a well-formed runs/<id>/archive object no
 	// manifest entry references. Repair re-adopts it (directly, or via
@@ -272,7 +273,7 @@ func (r *Repo) fsckEntry(e RunInfo) (*FsckIssue, fsckFix, error) {
 	issue := func(kind, detail string) *FsckIssue {
 		return &FsckIssue{Kind: kind, RunID: e.RunID, Object: e.Object, Detail: detail}
 	}
-	blob, cause := r.readEntryBytes(e)
+	blob, cause := r.readEntryBytes(e, 0, wholeEntry)
 	switch {
 	case errors.Is(cause, storage.ErrNotFound):
 		return issue(IssueMissingBlob, "manifest references a blob that does not exist"),
@@ -293,10 +294,22 @@ func (r *Repo) fsckEntry(e RunInfo) (*FsckIssue, fsckFix, error) {
 	if good == e {
 		return nil, nil, nil
 	}
-	detail := fmt.Sprintf("manifest says %d records / %d bytes, blob holds %d / %d",
-		e.Records, e.Bytes, a.RecordCount(), a.Size())
-	return issue(IssueCountMismatch, detail),
+	return issue(IssueCountMismatch, entryDiff(e, good)),
 		func() (string, error) { return "manifest entry recomputed from blob", r.adopt(good) }, nil
+}
+
+// entryDiff names each field, by its manifest JSON name, in which the
+// entry e differs from good, the entry its blob implies, with both values.
+func entryDiff(e, good RunInfo) string {
+	ve, vg := reflect.ValueOf(e), reflect.ValueOf(good)
+	var parts []string
+	for i := 0; i < ve.NumField(); i++ {
+		if was, is := ve.Field(i).Interface(), vg.Field(i).Interface(); was != is {
+			name, _, _ := strings.Cut(ve.Type().Field(i).Tag.Get("json"), ",")
+			parts = append(parts, fmt.Sprintf("%s: manifest says %v, blob holds %v", name, was, is))
+		}
+	}
+	return strings.Join(parts, "; ")
 }
 
 // fsckUnreferenced classifies one runs/ object no entry of the index ms
@@ -396,7 +409,7 @@ func (r *Repo) rebuildRun(runID string, entry *RunInfo) (RunInfo, *archive.Salva
 	if entry != nil {
 		src = *entry
 	}
-	blob, err := r.readEntryBytes(src)
+	blob, err := r.readEntryBytes(src, 0, wholeEntry)
 	if errors.Is(err, storage.ErrRangeOutsideObject) {
 		var obj *storage.Object
 		if obj, err = r.store.Get(src.Object); err == nil {
@@ -442,6 +455,7 @@ func (r *Repo) rebuildRun(runID string, entry *RunInfo) (RunInfo, *archive.Salva
 func (r *Repo) entryFor(a *archive.Archive, base RunInfo) RunInfo {
 	meta := a.Meta()
 	first, last := a.TimeRange()
+	footerLen, footerCRC := a.Footer()
 	info := RunInfo{
 		RunID:      base.RunID,
 		Workload:   meta.Workload,
@@ -458,6 +472,8 @@ func (r *Repo) entryFor(a *archive.Archive, base RunInfo) RunInfo {
 		Object:     base.Object,
 		Offset:     base.Offset,
 		Length:     base.Length,
+		FooterLen:  footerLen,
+		FooterCRC:  footerCRC,
 	}
 	if info.RunID == "" {
 		info.RunID = meta.RunID

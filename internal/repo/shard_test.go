@@ -523,11 +523,11 @@ func TestRangeReaderServesPackedRuns(t *testing.T) {
 				if !info.packed() {
 					t.Fatalf("run %s was not packed", info.RunID)
 				}
-				ranged, err := r.readEntryBytes(info)
+				ranged, err := r.readEntryBytes(info, 0, wholeEntry)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sliced, err := slow.readEntryBytes(info)
+				sliced, err := slow.readEntryBytes(info, 0, wholeEntry)
 				if err != nil {
 					t.Fatal(err)
 				}

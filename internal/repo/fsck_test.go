@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -180,6 +181,66 @@ func TestFsckCountMismatchRepaired(t *testing.T) {
 	}
 	if info.Records != a.RecordCount() || info.Bytes != a.Size() {
 		t.Fatalf("counts not repaired: %+v", info)
+	}
+}
+
+// TestFsckMismatchNamesFields: a count-mismatch detail names the entry
+// fields that differ from the blob, with both values, and only those.
+func TestFsckMismatchNamesFields(t *testing.T) {
+	r, _ := seedRepo(t, 1)
+	info := mustInfo(t, r, "run-a")
+	if err := r.updateRun("run-a", func(m *manifest) error {
+		m.Runs[0].TimeLast += 5
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Fsck(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueCountMismatch {
+		t.Fatalf("report = %+v", rep)
+	}
+	want := fmt.Sprintf("time_last: manifest says %v, blob holds %v", info.TimeLast+5, info.TimeLast)
+	if d := rep.Issues[0].Detail; d != want {
+		t.Fatalf("detail = %q, want %q", d, want)
+	}
+}
+
+// TestFsckFillsOlderEntryFooterFields: an entry as an older build wrote
+// it, without the footer's length and CRC, is a count-mismatch naming
+// both fields; repair fills them in from the blob and the next check is
+// clean.
+func TestFsckFillsOlderEntryFooterFields(t *testing.T) {
+	r, _ := seedRepo(t, 1)
+	info := mustInfo(t, r, "run-a")
+	if err := r.updateRun("run-a", func(m *manifest) error {
+		m.Runs[0].FooterLen, m.Runs[0].FooterCRC = 0, 0
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Fsck(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueCountMismatch {
+		t.Fatalf("report = %+v", rep)
+	}
+	for _, field := range []string{"footer_len", "footer_crc"} {
+		if d := rep.Issues[0].Detail; !strings.Contains(d, field+": manifest says 0") {
+			t.Fatalf("detail %q does not name %s", d, field)
+		}
+	}
+	if rep, err = r.Fsck(true); err != nil || rep.Repaired != 1 {
+		t.Fatalf("Fsck(true) = %+v, %v", rep, err)
+	}
+	if rep, err = r.Fsck(false); err != nil || !rep.Clean() {
+		t.Fatalf("Fsck(false) after repair = %+v, %v", rep, err)
+	}
+	if got := mustInfo(t, r, "run-a"); got != info {
+		t.Fatalf("repaired entry %+v, want %+v", got, info)
 	}
 }
 

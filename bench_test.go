@@ -1,8 +1,10 @@
 package tpupoint
 
-// One benchmark per table and figure of the paper's evaluation. Each bench
-// regenerates the corresponding artifact end to end (simulated training
-// runs included, served from a shared lab cache within a bench loop).
+// One benchmark per internal/experiments function, that is per table or
+// figure of the paper's evaluation, with figures drawn from the same runs
+// (10 and 11, 12 and 13, 15 and 16) sharing one. Each bench regenerates
+// its artifacts end to end (simulated training runs included, served from
+// a shared lab cache within a bench loop).
 //
 // Run with:
 //
@@ -89,37 +91,19 @@ func BenchmarkFig9KMeansCoverage(b *testing.B) {
 	}
 }
 
-func BenchmarkFig10IdleTime(b *testing.B) {
+func BenchmarkFig10And11Utilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lab := newBenchLab()
-		if _, err := experiments.Fig10(lab); err != nil {
+		if _, err := experiments.Fig10and11(lab); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig11MXUUtil(b *testing.B) {
+func BenchmarkFig12And13SmallDataset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lab := newBenchLab()
-		if _, err := experiments.Fig11(lab); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12SmallDatasetIdle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := newBenchLab()
-		if _, err := experiments.Fig12(lab); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13SmallDatasetMXU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := newBenchLab()
-		if _, err := experiments.Fig13(lab); err != nil {
+		if _, err := experiments.Fig12and13(lab); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,18 +126,7 @@ func BenchmarkFig14OptimizerSpeedup(b *testing.B) {
 	}
 }
 
-func BenchmarkFig15OptimizedIdle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15and16(benchSteps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig16OptimizedMXU(b *testing.B) {
-	// Figures 15 and 16 come from the same optimizer runs; this bench
-	// measures the pair regenerated independently, matching the paper's
-	// two separate artifacts.
+func BenchmarkFig15And16Optimizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig15and16(benchSteps); err != nil {
 			b.Fatal(err)

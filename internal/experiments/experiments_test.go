@@ -151,7 +151,7 @@ func TestFig8And9CoverageDominatedByTop3(t *testing.T) {
 }
 
 func TestFig10And11Observation5(t *testing.T) {
-	rows, err := Fig10(shortLab)
+	rows, err := Fig10and11(shortLab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFig10And11Observation5(t *testing.T) {
 }
 
 func TestFig12And13Observation6(t *testing.T) {
-	smalls, err := Fig12(shortLab)
+	smalls, err := Fig12and13(shortLab)
 	if err != nil {
 		t.Fatal(err)
 	}

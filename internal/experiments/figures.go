@@ -277,24 +277,15 @@ func utilRows(lab *Lab, names []string, variant Variant) ([]UtilRow, error) {
 	return out, nil
 }
 
-// Fig10 regenerates TPU idle time per workload for TPUv2 and TPUv3.
-func Fig10(lab *Lab) ([]UtilRow, error) {
+// Fig10and11 regenerates TPU idle time (Fig 10) and MXU utilization
+// (Fig 11) per workload for TPUv2 and TPUv3: one set of runs, two figures.
+func Fig10and11(lab *Lab) ([]UtilRow, error) {
 	return utilRows(lab, AllWorkloads(), Reference)
 }
 
-// Fig11 regenerates MXU utilization per workload for TPUv2 and TPUv3.
-// (Same runs as Fig10; the split mirrors the paper's two figures.)
-func Fig11(lab *Lab) ([]UtilRow, error) {
-	return utilRows(lab, AllWorkloads(), Reference)
-}
-
-// Fig12 regenerates idle time for the reduced-dataset variants.
-func Fig12(lab *Lab) ([]UtilRow, error) {
-	return utilRows(lab, SmallDatasetWorkloads(), Small)
-}
-
-// Fig13 regenerates MXU utilization for the reduced-dataset variants.
-func Fig13(lab *Lab) ([]UtilRow, error) {
+// Fig12and13 regenerates idle time (Fig 12) and MXU utilization (Fig 13)
+// for the reduced-dataset variants.
+func Fig12and13(lab *Lab) ([]UtilRow, error) {
 	return utilRows(lab, SmallDatasetWorkloads(), Small)
 }
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full verification gate: build, vet, the race-enabled test suite, the
-# -count=N repeats, the by-name test lists, the examples and the crash
-# and replicated smokes. This is the one list of them: `make check` is
-# `make build fmt` (the gofmt gate) followed by this script, and CI runs
-# `make check`. The tpupoint CLI's contract is Go tests in
-# cmd/tpupoint, which the race suite below runs.
+# paper golden, the -count=N repeats, the by-name test lists, the
+# examples and the crash and replicated smokes. This is the one list of
+# them: `make check` is `make build fmt` (the gofmt gate) followed by
+# this script, and CI runs `make check`. The tpupoint CLI's contract is
+# Go tests in cmd/tpupoint, which the race suite below runs.
 #
 # The vet step filters go vet's "# package" progress headers out of the
 # output. Under `set -o pipefail` the naive `go vet | grep -v '^#'`
@@ -28,6 +28,14 @@ echo "== vet filter selftest"
 
 echo "== go test -race ./..."
 go test -race ./...
+
+# The paper reproduction's golden: TestPaperGolden skips under the race
+# detector (one full paperbench run takes about a minute there), so the
+# suite above does not run it. Run it once without -race and fail
+# unless it passed: a skip or a rename fails the gate.
+echo "== paper golden (go test -run '^TestPaperGolden\$' ./cmd/paperbench)"
+out="$(go test -count=1 -run '^TestPaperGolden$' -v ./cmd/paperbench)" || { echo "$out"; exit 1; }
+grep -- '--- PASS: TestPaperGolden' <<<"$out" || { echo "$out"; echo "TestPaperGolden did not pass"; exit 1; }
 
 # The obs instruments are lock-free by design; hammer them a second time
 # under the race detector so a future regression to unsynchronized state
@@ -84,16 +92,14 @@ go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 # exit 0 and print how many records it profiled and how many phases they
 # hold. The autotune example (TPUPoint-Optimizer tuning a naive QANet
 # pipeline) must exit 0, print its speedup line and keep at least one
-# parameter move. The dataset-shift example must exit 0 and print the
-# ResNet-on-CIFAR-10 row. Each assignment stands alone, not before `&&`:
+# parameter move. Each assignment stands alone, not before `&&`:
 # under `set -e` a failure inside an `&&` list does not stop the script.
-echo "== phasestudy, quickstart, fleetcompare, remoteprofiler, autotune and datasetshift examples"
+echo "== phasestudy, quickstart, fleetcompare, remoteprofiler and autotune examples"
 out="$(go run ./examples/phasestudy)"; for algo in kmeans dbscan ols; do grep -Eq "^[^ ]+ +$algo +[0-9]+ " <<<"$out" || { echo "$out"; echo "phasestudy printed no $algo row"; exit 1; }; done
 out="$(go run ./examples/quickstart)" || exit; for want in '^OLS at the default 70% threshold found ' '^ +\[tpu\] '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "quickstart printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/fleetcompare)"; for want in '^archived dcgan-v2:' '^archived dcgan-v3:' ' 2 runs saved$' '^#[0-9]+ +#[0-9]+ '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "fleetcompare printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/remoteprofiler)" || exit; for want in '^profiled [0-9]+ records' '^phases: [0-9]+'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "remoteprofiler printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/autotune)" || exit; for want in '^speedup: +[0-9.]+x' '^ +[A-Za-z]+ +[0-9]+ -> +[0-9]+ .* kept$'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "autotune printed no line matching '$want'"; exit 1; }; done
-out="$(go run ./examples/datasetshift)" || exit; for want in '^ +cifar10 +[0-9.]+% +[0-9.]+% '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "datasetshift printed no line matching '$want'"; exit 1; }; done
 
 # The CLI runs on a live DirStore: its tests take the store's flock
 # from several handles and a collector goroutine over real files, and

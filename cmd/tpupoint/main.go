@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		serve    = fs.String("serve", "", "run the workload and serve its TPU profile service at this TCP address (for tpuprof -addr)")
 		analyze  = fs.String("analyze", "", "offline mode: analyze profile records previously exported to this directory")
 		export   = fs.String("export", "", "after profiling, export the recorded profiles to this directory (input for -analyze)")
-		par      = fs.Int("parallelism", 0, "analyzer worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
 		metrics  = fs.String("metrics", "", "observability sink: a host:port serves live JSON snapshots over HTTP, anything else is a file the final snapshot is written to")
 
 		archiveDir  = fs.String("archive", "", "profile repository directory: archive the run there, or operate on it with the `runs` verbs")
@@ -142,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *analyze != "" {
-		return analyzeDir(stdout, *analyze, *algo, *par)
+		return analyzeDir(stdout, *analyze, *algo)
 	}
 
 	if *list {
@@ -195,8 +194,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	s, err := tpupoint.NewSession(*workload, tpupoint.Options{
 		Version: ver, Steps: *steps,
-		NaivePipeline: *naive, SmallDataset: *small,
-		Parallelism: *par, Obs: reg,
+		NaivePipeline: *naive, SmallDataset: *small, Obs: reg,
 	})
 	if err != nil {
 		return err
@@ -346,7 +344,7 @@ func exportProfiles(b *storage.Bucket, dir string) (int, error) {
 // analyzeDir runs TPUPoint-Analyzer over profile records exported to a
 // directory (see exportProfiles) — post-execution analysis without
 // rerunning the workload. A missing directory is an error, not created.
-func analyzeDir(stdout io.Writer, dir, algo string, parallelism int) error {
+func analyzeDir(stdout io.Writer, dir, algo string) error {
 	if _, err := os.Stat(dir); err != nil {
 		return err
 	}
@@ -362,8 +360,7 @@ func analyzeDir(stdout io.Writer, dir, algo string, parallelism int) error {
 	if len(records) == 0 {
 		return fmt.Errorf("no profile records under %s", dir)
 	}
-	rep, err := analyzer.Analyze(dir, records, analyzer.Algorithm(algo),
-		analyzer.Options{Parallelism: parallelism})
+	rep, err := analyzer.Analyze(dir, records, analyzer.Algorithm(algo), analyzer.Options{})
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@
 //
 //	tpuprof -workload bert-squad          # in-process demo run
 //	tpuprof -addr 127.0.0.1:8470          # profile a served TPU
+//	tpuprof -addr a:8470,b:8470           # fail over across a replica set
 //	tpuprof -addr ... -retries 5 -timeout 10s -backoff 50ms
 //	tpuprof -addr ... -sessions 8         # concurrent fleet-style grabs
 package main
@@ -18,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"sync"
@@ -35,15 +35,14 @@ import (
 
 func main() {
 	var (
-		workload  = flag.String("workload", "bert-squad", "workload for the in-process demo run")
-		addr      = flag.String("addr", "", "profile a remote TPU service at this TCP address instead")
-		steps     = flag.Int("steps", 200, "demo run train steps")
-		retries   = flag.Int("retries", 3, "transport retries per request before giving up")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = wait forever)")
-		backoff   = flag.Duration("backoff", 50*time.Millisecond, "base reconnect backoff (doubles per attempt)")
-		sessions  = flag.Int("sessions", 1, "concurrent profile sessions against -addr, one connection each (exercises the server's -max-conns cap; busy refusals are retried with backoff)")
-		endpoints = flag.String("endpoints", "", "comma-separated replica endpoints to profile against; the client fails over between them and follows redirects (mutually exclusive with -addr)")
-		metrics   = flag.String("metrics", "", "observability sink: a host:port serves live JSON snapshots over HTTP, anything else is a file the final snapshot is written to")
+		workload = flag.String("workload", "bert-squad", "workload for the in-process demo run")
+		addr     = flag.String("addr", "", "profile a remote TPU service at this comma-separated TCP address list instead (multiple addresses = a replica set; the client fails over between them and follows redirects)")
+		steps    = flag.Int("steps", 200, "demo run train steps")
+		retries  = flag.Int("retries", 3, "transport retries per request before giving up")
+		timeout  = flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = wait forever)")
+		backoff  = flag.Duration("backoff", 50*time.Millisecond, "base reconnect backoff (doubles per attempt)")
+		sessions = flag.Int("sessions", 1, "concurrent profile sessions against -addr, one connection each (exercises the server's -max-conns cap; busy refusals are retried with backoff)")
+		metrics  = flag.String("metrics", "", "observability sink: a host:port serves live JSON snapshots over HTTP, anything else is a file the final snapshot is written to")
 	)
 	flag.Parse()
 
@@ -56,37 +55,29 @@ func main() {
 		}
 		defer flush()
 	}
-	if *addr != "" && *endpoints != "" {
-		fatal(fmt.Errorf("-addr and -endpoints are mutually exclusive"))
-	}
-	eps, err := cliflag.Endpoints(*endpoints)
+	eps, err := cliflag.Endpoints(*addr)
 	if err != nil {
 		fatal(err)
 	}
 
 	var resp *tpu.ProfileResponse
-	if *addr != "" || len(eps) > 0 {
+	if len(eps) > 0 {
 		// The resilient path: redial on transport failure with capped
 		// exponential backoff; a circuit breaker turns a dead endpoint
-		// into a prompt error instead of a retry storm. With -endpoints,
-		// the client holds the whole replica set and fails over between
-		// members. With -sessions N, N clients each hold their own
-		// connection, the way a fleet of profiling hosts would; a
-		// conn-capped server answers the excess with a transient busy
-		// refusal they back off and retry.
+		// into a prompt error instead of a retry storm. With several
+		// -addr endpoints, the client holds the whole replica set and
+		// fails over between members. With -sessions N, N clients each
+		// hold their own connection, the way a fleet of profiling hosts
+		// would; a conn-capped server answers the excess with a
+		// transient busy refusal they back off and retry.
 		fetch := func() (*tpu.ProfileResponse, error) {
-			opts := rpc.ReconnectOptions{
+			client, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
+				Endpoints:   eps,
 				CallTimeout: *timeout,
 				MaxRetries:  *retries,
 				BaseBackoff: *backoff,
 				Obs:         reg,
-			}
-			if len(eps) > 0 {
-				opts.Endpoints = eps
-			} else {
-				opts.Dial = func() (net.Conn, error) { return net.Dial("tcp", *addr) }
-			}
-			client, err := rpc.NewReconnectClient(opts)
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -46,9 +46,8 @@ func main() {
 	// A ReconnectClient survives dropped links: on transport failure it
 	// redials (capped exponential backoff, deterministic jitter) and a
 	// circuit breaker converts a dead endpoint into a prompt error.
-	addr := l.Addr().String()
 	conn, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
-		Dial:        func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		Endpoints:   []string{l.Addr().String()},
 		CallTimeout: 10 * time.Second,
 		MaxRetries:  3,
 		BaseBackoff: 25 * time.Millisecond,

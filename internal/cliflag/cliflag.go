@@ -1,8 +1,8 @@
 // Package cliflag holds the flag-handling helpers the command-line
 // tools share. tpupoint and tpuprof grew identical -metrics plumbing
 // and, with replicated collection, both parse endpoint lists
-// (-peers on the server, -endpoints on clients); this package is the
-// single copy.
+// (-peers on the server, -collect and -addr on clients); this package
+// is the single copy.
 package cliflag
 
 import (

@@ -7,7 +7,8 @@
 //     satisfy Equation 1's StepSimilarity above a threshold (default 70%)
 //     merge into one phase;
 //   - k-means over PCA-reduced step feature vectors, k = 1..15 selected by
-//     the elbow method on the sum of squared distances;
+//     the elbow method on the sum of squared distances (the paper's choice
+//     over SimPoint's Bayesian information criterion);
 //   - DBSCAN over the same features, minimum-samples selected by the elbow
 //     method on the noise ratio, with the unlabeled (noise) points kept as
 //     one extra cluster, as the paper does for its coverage numbers.
@@ -55,32 +56,15 @@ const (
 	minPtsStep = 25
 )
 
-// KSelection picks how the k-means cluster count is chosen.
-type KSelection string
-
-// K-selection rules: the paper's elbow heuristic (default) and SimPoint's
-// Bayesian information criterion, provided for comparison.
-const (
-	SelectElbow KSelection = "elbow"
-	SelectBIC   KSelection = "bic"
-)
-
 // Options tune an analysis run.
 type Options struct {
 	// Threshold is the OLS StepSimilarity threshold (default 0.70).
 	Threshold float64
-	// KSelection chooses elbow (paper default) or BIC (SimPoint style).
-	KSelection KSelection
 	// Seed feeds k-means initialization.
 	Seed uint64
 	// MemoryBudget bounds clustering working memory in bytes; exceeded
 	// budgets surface cluster.ErrMemoryBudget (0 = unlimited).
 	MemoryBudget int64
-	// Parallelism bounds the clustering worker pool: 0 uses GOMAXPROCS,
-	// 1 forces the serial path. Results are bit-identical for every
-	// setting — the parallel reductions merge in a fixed chunk order
-	// (see internal/parallel).
-	Parallelism int
 	// Obs, when set, records per-stage wall time (feature extraction,
 	// PCA, the clustering sweeps, OLS) as latency histograms.
 	Obs *obs.Registry
@@ -89,9 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Threshold == 0 {
 		o.Threshold = DefaultThreshold
-	}
-	if o.KSelection == "" {
-		o.KSelection = SelectElbow
 	}
 	return o
 }
@@ -231,6 +212,10 @@ func (p *Phase) Summarize() *StreamPhase {
 // therefore extracts features and runs PCA once; Analyze, AnalyzeSteps
 // and FeatureMatrix are a Frontend used once.
 //
+// The clustering stages fan out over a GOMAXPROCS-sized worker pool;
+// results are bit-identical at every pool size, because the parallel
+// reductions merge in a fixed chunk order (see internal/parallel).
+//
 // The steps must not change once handed over (records are immutable
 // after the profiler or a decoder returns them). A Frontend is safe for
 // concurrent use.
@@ -248,26 +233,31 @@ func NewFrontend(steps []*trace.StepStat) *Frontend {
 }
 
 // Matrix returns the standardized, PCA-reduced step feature matrix. The
-// first call builds it with that call's opts.Parallelism and records the
-// features and PCA stage times in its opts.Obs — once per Frontend; the
-// matrix is bit-identical at every parallelism, so later callers get the
-// same values whatever they pass. Callers must not modify it.
+// first call builds it and records the features and PCA stage times in
+// its opts.Obs — once per Frontend. Callers must not modify it.
 func (f *Frontend) Matrix(opts Options) *cluster.Matrix {
+	return f.buildMatrix(opts, 0)
+}
+
+// buildMatrix is Matrix on a pool of the given size (0 = GOMAXPROCS).
+// The matrix is bit-identical at every size, so later callers get the
+// same values whatever they pass.
+func (f *Frontend) buildMatrix(opts Options, workers int) *cluster.Matrix {
 	f.once.Do(func() {
 		start := time.Now()
-		m, _ := cluster.Features(f.steps, opts.Parallelism)
-		cluster.Standardize(m, opts.Parallelism)
+		m, _ := cluster.Features(f.steps, workers)
+		cluster.Standardize(m, workers)
 		opts.Obs.Histogram("analyzer.stage.features_us").ObserveSince(start)
 		start = time.Now()
-		f.matrix = cluster.PCA(m, cluster.MaxFeatureOps, opts.Parallelism)
+		f.matrix = cluster.PCA(m, cluster.MaxFeatureOps, workers)
 		opts.Obs.Histogram("analyzer.stage.pca_us").ObserveSince(start)
 	})
 	return f.matrix
 }
 
 // FeatureMatrix builds the standardized, PCA-reduced step feature matrix
-// every clustering algorithm consumes, honoring opts.Parallelism and
-// recording the features and PCA stage times in opts.Obs.
+// every clustering algorithm consumes, recording the features and PCA
+// stage times in opts.Obs.
 func FeatureMatrix(steps []*trace.StepStat, opts Options) *cluster.Matrix {
 	return NewFrontend(steps).Matrix(opts)
 }
@@ -295,12 +285,12 @@ func phasesFromLabels(steps []*trace.StepStat, labels []int) []*Phase {
 }
 
 // kmeansPhases clusters the steps with PCA + k-means, choosing k by the
-// elbow method (or BIC) over the paper's k = 1..15 sweep. It returns the
-// phases, the SSD series of the sweep (Figure 4's data), and the chosen k.
-func (f *Frontend) kmeansPhases(opts Options) ([]*Phase, []float64, int, error) {
-	m := f.Matrix(opts)
+// elbow method over the paper's k = 1..15 sweep. It returns the phases,
+// the SSD series of the sweep (Figure 4's data), and the chosen k.
+func (f *Frontend) kmeansPhases(opts Options, workers int) ([]*Phase, []float64, int, error) {
+	m := f.buildMatrix(opts, workers)
 	defer opts.Obs.Histogram("analyzer.stage.kmeans_us").ObserveSince(time.Now())
-	sweep, err := cluster.KMeansSweep(m, kMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
+	sweep, err := cluster.KMeansSweep(m, kMax, opts.Seed, opts.MemoryBudget, workers)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("analyzer: k-means sweep: %w", err)
 	}
@@ -309,13 +299,6 @@ func (f *Frontend) kmeansPhases(opts Options) ([]*Phase, []float64, int, error) 
 		ssd[i] = r.SSD
 	}
 	k := cluster.Elbow(ssd)
-	if opts.KSelection == SelectBIC {
-		bic := make([]float64, len(sweep))
-		for i, r := range sweep {
-			bic[i] = cluster.BIC(m, r)
-		}
-		k = cluster.BestBIC(bic)
-	}
 	return phasesFromLabels(f.steps, sweep[k-1].Assignment), ssd, k, nil
 }
 
@@ -324,10 +307,10 @@ func (f *Frontend) kmeansPhases(opts Options) ([]*Phase, []float64, int, error) 
 // additional phase (the paper counts unlabeled samples as a cluster when
 // measuring coverage). It returns the phases, the sweep's minPts grid and
 // noise ratios (Figure 5's data), and the chosen minPts.
-func (f *Frontend) dbscanPhases(opts Options) ([]*Phase, []int, []float64, int, error) {
-	m := f.Matrix(opts)
+func (f *Frontend) dbscanPhases(opts Options, workers int) ([]*Phase, []int, []float64, int, error) {
+	m := f.buildMatrix(opts, workers)
 	defer opts.Obs.Histogram("analyzer.stage.dbscan_us").ObserveSince(time.Now())
-	sweep, err := cluster.DBSCANSweep(m, minPtsMax, minPtsStep, opts.MemoryBudget, opts.Parallelism)
+	sweep, err := cluster.DBSCANSweep(m, minPtsMax, minPtsStep, opts.MemoryBudget, workers)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("analyzer: dbscan sweep: %w", err)
 	}

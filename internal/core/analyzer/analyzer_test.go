@@ -247,33 +247,28 @@ func TestClusterReportsMatchSweepPickRerun(t *testing.T) {
 	const seed = 1
 	m := FeatureMatrix(steps, Options{})
 
-	var ssd, bic []float64
+	var ssd []float64
 	for k := 1; k <= 15; k++ {
 		r, err := cluster.KMeans(m, k, seed+uint64(k), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ssd = append(ssd, r.SSD)
-		bic = append(bic, cluster.BIC(m, r))
 	}
-	for _, sel := range []struct {
-		rule KSelection
-		k    int
-	}{{SelectElbow, cluster.Elbow(ssd)}, {SelectBIC, cluster.BestBIC(bic)}} {
-		rerun, err := cluster.KMeans(m, sel.k, seed+uint64(sel.k), 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: seed, KSelection: sel.rule})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.ChosenK != sel.k || !reflect.DeepEqual(rep.KMeansSSD, ssd) {
-			t.Fatalf("%s: chose k=%d over SSD %v, oracle k=%d over %v", sel.rule, rep.ChosenK, rep.KMeansSSD, sel.k, ssd)
-		}
-		if !reflect.DeepEqual(rep.Phases, phasesFromLabels(steps, rerun.Assignment)) {
-			t.Fatalf("%s: phases differ from k-means run again at k=%d", sel.rule, sel.k)
-		}
+	k := cluster.Elbow(ssd)
+	kmRerun, err := cluster.KMeans(m, k, seed+uint64(k), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmRep, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kmRep.ChosenK != k || !reflect.DeepEqual(kmRep.KMeansSSD, ssd) {
+		t.Fatalf("elbow: chose k=%d over SSD %v, oracle k=%d over %v", kmRep.ChosenK, kmRep.KMeansSSD, k, ssd)
+	}
+	if !reflect.DeepEqual(kmRep.Phases, phasesFromLabels(steps, kmRerun.Assignment)) {
+		t.Fatalf("elbow: phases differ from k-means run again at k=%d", k)
 	}
 
 	var grid []int
@@ -329,7 +324,7 @@ func TestFrontendBuildsMatrixOnce(t *testing.T) {
 		wg.Add(1)
 		go func(algo Algorithm, workers int) {
 			defer wg.Done()
-			rep, err := f.Analyze("x", algo, Options{Seed: 1, Parallelism: workers, Obs: reg})
+			rep, err := f.analyze("x", algo, Options{Seed: 1, Obs: reg}, workers)
 			if err != nil {
 				t.Errorf("%s: %v", algo, err)
 			} else if !reflect.DeepEqual(rep, want[algo]) {
@@ -502,32 +497,5 @@ func BenchmarkKMeansAnalyze(b *testing.B) {
 		if _, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestKMeansBICSelection(t *testing.T) {
-	_, steps := runWorkload(t, "bert-mrpc", 300)
-	elbowRep, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: 1, KSelection: SelectElbow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bicRep, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: 1, KSelection: SelectBIC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, rep := range map[string]*Report{"elbow": elbowRep, "bic": bicRep} {
-		if rep.ChosenK < 1 || rep.ChosenK > 15 {
-			t.Fatalf("%s chose k=%d", name, rep.ChosenK)
-		}
-	}
-	// The paper chose the elbow method over SimPoint's BIC; on real step
-	// data the spherical-Gaussian BIC overfits the bookkeeping noise and
-	// fragments the training phase, which is exactly the rationale: the
-	// elbow's summarization is at least as condensed.
-	if elbowRep.ChosenK > bicRep.ChosenK {
-		t.Fatalf("elbow k=%d above BIC k=%d", elbowRep.ChosenK, bicRep.ChosenK)
-	}
-	if ce, cb := Coverage(elbowRep.Phases, 3), Coverage(bicRep.Phases, 3); ce < cb {
-		t.Fatalf("elbow coverage %.3f below BIC coverage %.3f", ce, cb)
 	}
 }

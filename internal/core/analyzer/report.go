@@ -57,6 +57,12 @@ func AnalyzeSteps(workload string, steps []*trace.StepStat, algo Algorithm, opts
 // Analyze reduces the Frontend's steps to a phase report with one
 // algorithm; reports of several algorithms share its feature matrix.
 func (f *Frontend) Analyze(workload string, algo Algorithm, opts Options) (*Report, error) {
+	return f.analyze(workload, algo, opts, 0)
+}
+
+// analyze is Analyze with the clustering stages on a pool of the given
+// size (0 = GOMAXPROCS); the report is the same at every size.
+func (f *Frontend) analyze(workload string, algo Algorithm, opts Options, workers int) (*Report, error) {
 	steps := f.steps
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("analyzer: no steps to analyze")
@@ -70,13 +76,13 @@ func (f *Frontend) Analyze(workload string, algo Algorithm, opts Options) (*Repo
 		r.Phases = OLS(steps, opts.Threshold)
 		opts.Obs.Histogram("analyzer.stage.ols_us").ObserveSince(start)
 	case KMeansAlgo:
-		phases, ssd, k, err := f.kmeansPhases(opts)
+		phases, ssd, k, err := f.kmeansPhases(opts, workers)
 		if err != nil {
 			return nil, err
 		}
 		r.Phases, r.KMeansSSD, r.ChosenK = phases, ssd, k
 	case DBSCANAlgo:
-		phases, grid, noise, minPts, err := f.dbscanPhases(opts)
+		phases, grid, noise, minPts, err := f.dbscanPhases(opts, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -398,8 +398,7 @@ func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matr
 // KMeansSweep runs k-means for k = 1..kMax (run k seeded with
 // seed+uint64(k)) and returns every clustering, index k-1 holding run k.
 // The elbow method's SSD series (the paper's Figure 4) is r.SSD per
-// member and the BIC series is BIC(m, r); the clustering at the chosen k
-// is the member itself.
+// member; the clustering at the chosen k is the member itself.
 //
 // The sweep is the parallel level: the pool takes one task per k and each
 // member runs its row fan-outs inline, so a 300-step run (one row chunk)

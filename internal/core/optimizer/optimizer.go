@@ -45,10 +45,6 @@ type Options struct {
 	Steps   int // override the workload's TrainSteps
 	Seed    uint64
 
-	// WarmupSteps is the observation window before tuning starts
-	// (critical-phase detection needs history). Default 30.
-	WarmupSteps int
-
 	// Obs, when set, receives the optimizer's metrics (probes started /
 	// accepted / rolled back, restore stalls) and the per-axis move
 	// history as structured events.
@@ -57,6 +53,10 @@ type Options struct {
 
 // The tuning policy and its cost model.
 const (
+	// warmupSteps is the observation window before tuning starts
+	// (critical-phase detection needs history).
+	warmupSteps = 30
+
 	// probeSteps is how long each candidate parameter value is measured.
 	probeSteps = 14
 
@@ -85,9 +85,6 @@ const (
 func (o Options) withDefaults() Options {
 	if o.Version == 0 {
 		o.Version = tpu.V2
-	}
-	if o.WarmupSteps == 0 {
-		o.WarmupSteps = 30
 	}
 	return o
 }
@@ -214,10 +211,11 @@ func newOTMetrics(r *obs.Registry) otMetrics {
 
 // tuner is the OnTrainStep state machine.
 type tuner struct {
-	opts Options
-	axes []axis
-	spec host.Spec // the workload's host — bounds every candidate value
-	m    otMetrics
+	opts   Options
+	warmup int // steps observed before the critical-phase check
+	axes   []axis
+	spec   host.Spec // the workload's host — bounds every candidate value
+	m      otMetrics
 
 	state        int // 0 warmup, 1 tuning, 2 done
 	lastEnd      simclock.Time
@@ -263,7 +261,7 @@ func (t *tuner) onStep(r *estimator.Runner, step int64, st tpu.StepTiming) {
 	switch t.state {
 	case stWarmup:
 		t.window = append(t.window, period)
-		if len(t.window) < t.opts.WarmupSteps {
+		if len(t.window) < t.warmup {
 			return
 		}
 		// Critical-phase rule: the current phase holds >50% of aggregated
@@ -366,6 +364,11 @@ func (t *tuner) finishProbe(r *estimator.Runner, step int64, mean float64) {
 // Optimize runs the workload twice — baseline and optimizer-instrumented —
 // and reports the comparison.
 func Optimize(w *workloads.Workload, opts Options) (*Result, error) {
+	return optimizeWithWarmup(w, opts, warmupSteps)
+}
+
+// optimizeWithWarmup is Optimize with the given observation window.
+func optimizeWithWarmup(w *workloads.Workload, opts Options, warmup int) (*Result, error) {
 	if w == nil {
 		return nil, errors.New("optimizer: nil workload")
 	}
@@ -376,7 +379,7 @@ func Optimize(w *workloads.Workload, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("optimizer: baseline run: %w", err)
 	}
 
-	tn := &tuner{opts: opts, axes: adjustableAxes(), cur: w.HostParams,
+	tn := &tuner{opts: opts, warmup: warmup, axes: adjustableAxes(), cur: w.HostParams,
 		spec: w.Spec(), m: newOTMetrics(opts.Obs)}
 	opt, err := runOnce(w, opts, tn.onStep, instrumentationUs)
 	if err != nil {

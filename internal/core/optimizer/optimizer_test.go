@@ -76,7 +76,10 @@ func TestOptimizerCriticalPhaseDefersUntilTrainingDominates(t *testing.T) {
 	// ends before training dominates, the >50% gate must keep deferring;
 	// the old bookkeeping fed every train step into both sides of the
 	// comparison, which made the gate pass the moment warmup ended.
-	res := optimize(t, "qanet-squad", false, Options{WarmupSteps: 2})
+	res, err := optimizeWithWarmup(workloads.MustGet("qanet-squad"), Options{Steps: 250}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.CriticalPhaseStep <= 0 {
 		t.Fatal("critical phase never detected")
 	}
@@ -265,7 +268,7 @@ func BenchmarkOptimizeNaiveDCGAN(b *testing.B) {
 func TestOptimizerTooShortToTune(t *testing.T) {
 	// A run shorter than the warmup window: the critical phase is never
 	// confirmed, no tuning happens, and the result is still coherent.
-	res := optimize(t, "dcgan-mnist", false, Options{Steps: 20, WarmupSteps: 50})
+	res := optimize(t, "dcgan-mnist", false, Options{Steps: 20})
 	if len(res.Moves) != 0 {
 		t.Fatalf("moves on a too-short run: %d", len(res.Moves))
 	}

@@ -85,10 +85,10 @@ func TestProfilerSurvivesInjectedDisconnects(t *testing.T) {
 		},
 	}
 	rc, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
-		Dial:        d.Next,
-		BaseBackoff: 100 * time.Microsecond,
-		MaxBackoff:  time.Millisecond,
-		Seed:        1,
+		Endpoints:    []string{"tpu"},
+		DialEndpoint: d.Next,
+		BaseBackoff:  100 * time.Microsecond,
+		Seed:         1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,11 +284,10 @@ func TestProfilerCircuitBreakerIsFatal(t *testing.T) {
 		Partitions: [][2]int{{1, 1 << 20}}, // permanent partition
 	}
 	rc, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
-		Dial:             d.Next,
-		MaxRetries:       16,
-		BreakerThreshold: 4,
-		BaseBackoff:      10 * time.Microsecond,
-		MaxBackoff:       100 * time.Microsecond,
+		Endpoints:    []string{"tpu"},
+		DialEndpoint: d.Next,
+		MaxRetries:   16,
+		BaseBackoff:  10 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -262,8 +262,10 @@ type Dialer struct {
 	attempts int
 }
 
-// Next performs the next scripted dial attempt.
-func (d *Dialer) Next() (net.Conn, error) {
+// Next performs the next scripted dial attempt. It has the shape of an
+// rpc.EndpointDialFunc and ignores the endpoint name, so a redialing
+// client over any endpoint set can take it as its DialEndpoint.
+func (d *Dialer) Next(string) (net.Conn, error) {
 	d.mu.Lock()
 	d.attempts++
 	n := d.attempts

@@ -204,7 +204,7 @@ func TestDialerPartitionWindow(t *testing.T) {
 		Partitions: [][2]int{{2, 3}},
 	}
 	for attempt := 1; attempt <= 4; attempt++ {
-		conn, err := d.Next()
+		conn, err := d.Next("")
 		inWindow := attempt == 2 || attempt == 3
 		if inWindow {
 			if !errors.Is(err, ErrPartition) {
@@ -236,7 +236,7 @@ func TestDialerPerAttemptFaults(t *testing.T) {
 			return Config{}
 		},
 	}
-	c1, err := d.Next()
+	c1, err := d.Next("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDialerPerAttemptFaults(t *testing.T) {
 	if _, err := c1.Write([]byte("b")); !errors.Is(err, ErrInjectedDrop) {
 		t.Fatalf("first conn survived its scripted drop: %v", err)
 	}
-	c2, err := d.Next()
+	c2, err := d.Next("")
 	if err != nil {
 		t.Fatal(err)
 	}

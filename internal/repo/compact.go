@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/archive"
@@ -245,17 +244,6 @@ func packObjectName(owner int, workload string, members []packMember) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%s%d/%s-%016x", PackPrefix, owner, sanitizeForObject(workload), h.Sum64())
-}
-
-// packShard returns the owner shard a pack's name carries. A pack named
-// by an older build (runs/.pack/<workload>-<hash>) carries none.
-func packShard(name string) (int, bool) {
-	dir, _, ok := strings.Cut(strings.TrimPrefix(name, PackPrefix), "/")
-	if !ok {
-		return 0, false
-	}
-	i, err := strconv.Atoi(dir)
-	return i, err == nil
 }
 
 // sanitizeForObject maps a workload name onto the object-name-safe

@@ -49,13 +49,74 @@ const QuarantinePrefix = "quarantine/"
 // state an open intent could describe is one the sweep settles.
 const legacyJournalPrefix = "runs/.journal-"
 
-// isRepoInternalObject reports whether name is repository bookkeeping
-// rather than run data — the manifests, the layout object and legacy
-// journals live under the runs/ prefix but index it. Pack objects are
-// data, not bookkeeping: Fsck verifies them through the entries that
-// reference them.
-func isRepoInternalObject(name string) bool {
-	return name == LayoutObject || isShardManifestObject(name) || strings.HasPrefix(name, legacyJournalPrefix)
+// The kinds of object under runs/.
+const (
+	kindForeign = iota // neither bookkeeping nor run data
+	kindIndex          // a shard manifest or the layout object
+	kindJournal        // an older build's intent journal
+	kindRunBlob        // a run's private blob, runs/<id>/archive
+	kindPack           // a compaction pack
+)
+
+// runsObject is an object under runs/ as classifyObject, the one
+// reading of such a name that Recover and Fsck share, sees it: its
+// kind, the run a blob holds, and the shard a journal's or pack's name
+// carries. A pack named by an older build (runs/.pack/<workload>-<hash>)
+// carries none: -1.
+type runsObject struct {
+	name, runID string
+	kind, shard int
+}
+
+func classifyObject(name string) runsObject {
+	o := runsObject{name: name, shard: -1}
+	switch {
+	case name == LayoutObject || isShardManifestObject(name):
+		o.kind = kindIndex
+	case strings.HasPrefix(name, legacyJournalPrefix):
+		o.kind, o.shard = kindJournal, shardNumber(strings.TrimPrefix(name, legacyJournalPrefix))
+	case strings.HasPrefix(name, PackPrefix):
+		o.kind = kindPack
+		if dir, _, ok := strings.Cut(strings.TrimPrefix(name, PackPrefix), "/"); ok {
+			o.shard = shardNumber(dir)
+		}
+	default:
+		if o.runID = runIDFromObject(name); o.runID != "" {
+			o.kind = kindRunBlob
+		}
+	}
+	return o
+}
+
+// shardNumber parses a shard index out of an object name's part, -1
+// when it is none.
+func shardNumber(s string) int {
+	if i, err := strconv.Atoi(s); err == nil && i >= 0 {
+		return i
+	}
+	return -1
+}
+
+// bookkeeping reports whether the object indexes runs/ rather than
+// holding run data. Packs are data: Fsck verifies them through the
+// entries that reference them.
+func (o runsObject) bookkeeping() bool { return o.kind == kindIndex || o.kind == kindJournal }
+
+// isRepoInternalObject reports whether name is repository bookkeeping.
+func isRepoInternalObject(name string) bool { return classifyObject(name).bookkeeping() }
+
+// walkRuns is the one walk of runs/ that Recover and Fsck share: every
+// object under it, classified, and the manifests. It lists before it
+// loads, so an object committed between the two reads counts as
+// referenced instead of as debris.
+func (r *Repo) walkRuns(ss shardSet) ([]runsObject, []*manifest, error) {
+	names := r.store.List("runs/")
+	ms, _, err := r.loadAllShards(ss)
+	objs := make([]runsObject, len(names))
+	for i, name := range names {
+		objs[i] = classifyObject(name)
+	}
+	return objs, ms, err
 }
 
 // runIDFromObject inverts runObject: runs/<id>/archive → <id>, "" for
@@ -93,23 +154,20 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// List before loading the manifests: an object committed between
-	// the two reads then counts as referenced.
-	names := r.store.List("runs/")
-	ms, _, err := r.loadAllShards(ss)
+	objs, ms, err := r.walkRuns(ss)
 	if err != nil {
 		return nil, err
 	}
 	refs := referencedObjects(ms)
 	rep := &RecoveryReport{}
-	for _, name := range names {
-		if refs[name] || !r.sweepable(ss, name) {
+	for _, o := range objs {
+		if refs[o.name] || !r.sweepable(ss, o) {
 			continue
 		}
-		if err := r.remove(name); err != nil {
+		if err := r.remove(o.name); err != nil {
 			return nil, err
 		}
-		rep.Reclaimed = append(rep.Reclaimed, name)
+		rep.Reclaimed = append(rep.Reclaimed, o.name)
 	}
 	r.m.reclaimed.Add(int64(len(rep.Reclaimed)))
 	if !rep.Clean() {
@@ -118,25 +176,22 @@ func (r *Repo) Recover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// sweepable reports whether Recover may reclaim name once no manifest
+// sweepable reports whether Recover may reclaim o once no manifest
 // references it: a run blob, a pack or a legacy journal of a shard this
-// handle owns. A pack named by an older build carries no shard, so only
-// a standalone handle (the sole writer) reclaims one; in a replica it
-// is left to Fsck. Manifests, the layout and foreign objects are never
-// swept.
-func (r *Repo) sweepable(ss shardSet, name string) bool {
-	switch {
-	case strings.HasPrefix(name, legacyJournalPrefix):
-		i, err := strconv.Atoi(strings.TrimPrefix(name, legacyJournalPrefix))
-		return err == nil && r.ownsShard(i)
-	case strings.HasPrefix(name, PackPrefix):
-		if i, ok := packShard(name); ok {
-			return r.ownsShard(i)
-		}
-		return r.owned == nil
+// handle owns. A pack named by an older build carries no shard; no
+// current writer names a pack that way, so nothing can be in flight on
+// one and every handle, a replica's too, reclaims it. Manifests, the
+// layout and foreign objects are never swept.
+func (r *Repo) sweepable(ss shardSet, o runsObject) bool {
+	switch o.kind {
+	case kindRunBlob:
+		return r.ownsShard(ss.shardOf(o.runID))
+	case kindJournal:
+		return o.shard >= 0 && r.ownsShard(o.shard)
+	case kindPack:
+		return o.shard < 0 || r.ownsShard(o.shard)
 	}
-	id := runIDFromObject(name)
-	return id != "" && r.ownsShard(ss.shardOf(id))
+	return false
 }
 
 // ownsShard reports whether this handle is shard i's writer: every
@@ -206,7 +261,7 @@ func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms, _, err := r.loadAllShards(ss)
+	objs, ms, err := r.walkRuns(ss)
 	if err != nil {
 		return nil, err
 	}
@@ -238,18 +293,19 @@ func (r *Repo) Fsck(repair bool) (*FsckReport, error) {
 
 	if rep.Repaired > 0 {
 		// Repairs rewrote entries and blobs (a packed run rebuilt into a
-		// private blob): classify the objects against the index as it
-		// is now, or the pass would quarantine what it just rebuilt.
-		if ms, _, err = r.loadAllShards(ss); err != nil {
+		// private blob, a corrupt one quarantined): classify the objects
+		// against the store and index as they are now, or the pass would
+		// quarantine what it just rebuilt.
+		if objs, ms, err = r.walkRuns(ss); err != nil {
 			return nil, err
 		}
 	}
 	referenced := referencedObjects(ms)
-	for _, name := range r.store.List("runs/") {
-		if isRepoInternalObject(name) || referenced[name] {
+	for _, o := range objs {
+		if o.bookkeeping() || referenced[o.name] {
 			continue
 		}
-		if err := note(r.fsckUnreferenced(name, ms)); err != nil {
+		if err := note(r.fsckUnreferenced(o, ms)); err != nil {
 			return nil, err
 		}
 	}
@@ -312,18 +368,18 @@ func entryDiff(e, good RunInfo) string {
 	return strings.Join(parts, "; ")
 }
 
-// fsckUnreferenced classifies one runs/ object no entry of the index ms
-// claims.
-func (r *Repo) fsckUnreferenced(name string, ms []*manifest) (*FsckIssue, fsckFix, error) {
+// fsckUnreferenced reports one non-bookkeeping runs/ object no entry of
+// the index ms claims.
+func (r *Repo) fsckUnreferenced(o runsObject, ms []*manifest) (*FsckIssue, fsckFix, error) {
+	name, id := o.name, o.runID
 	quarantine := func(action string) fsckFix {
 		return func() (string, error) { return action, r.quarantine(name) }
 	}
-	id := runIDFromObject(name)
-	switch {
-	case strings.HasPrefix(name, PackPrefix):
+	switch o.kind {
+	case kindPack:
 		return &FsckIssue{Kind: IssueOrphanPack, Object: name,
 			Detail: "pack object has no referencing manifest entries"}, quarantine("quarantined"), nil
-	case id == "":
+	case kindForeign:
 		return &FsckIssue{Kind: IssueForeignObject, Object: name,
 			Detail: "object under runs/ is not a run blob"}, quarantine("quarantined"), nil
 	}

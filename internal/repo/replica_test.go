@@ -699,3 +699,105 @@ func TestReplicaReopenSparesPeerPack(t *testing.T) {
 		t.Fatalf("fsck = %+v, %v", frep, err)
 	}
 }
+
+// TestReplicaLeasesSeqOnlyFromOwnedShards: a replica's NextSeq leases
+// its sequence blocks from the shards it owns, so a handleOpen on one
+// replica never swaps a peer's manifest — the sole-writer rule Recover
+// and the ingest lane rely on. Replica 0 of 2 over 4 shards owns 0 and
+// 2; eight leases write those two manifests four times each and nothing
+// else, while replica 1 leases beside it and every issued sequence
+// number is unique and, per handle, strictly increasing.
+func TestReplicaLeasesSeqOnlyFromOwnedShards(t *testing.T) {
+	const shards, leases = 4, 8
+	bucket := newBucket(t)
+	var mu sync.Mutex
+	writes := make([]map[string]int, 2)
+	handles := make([]*Repo, 2)
+	for id := range handles {
+		writes[id] = make(map[string]int)
+		counting := &hookStore{Store: bucket, putIfErr: func(name string) error {
+			if isShardManifestObject(name) {
+				mu.Lock()
+				writes[id][name]++
+				mu.Unlock()
+			}
+			return nil
+		}}
+		rc := &ReplicaConfig{ID: id, Replicas: 2}
+		r, _, err := OpenShardsOwned(counting, shards, rc.OwnedShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[id] = r
+	}
+
+	seen := make(map[uint64]int)
+	last := make([]uint64, len(handles))
+	for i := 0; i < leases*seqBlockSize; i++ {
+		for id, r := range handles {
+			seq, err := r.NextSeq()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq <= last[id] {
+				t.Fatalf("replica %d issued %d after %d", id, seq, last[id])
+			}
+			if other, dup := seen[seq]; dup {
+				t.Fatalf("seq %d issued by replica %d and replica %d", seq, other, id)
+			}
+			seen[seq], last[id] = id, seq
+		}
+	}
+
+	ss := shardSet{n: shards}
+	want := map[string]int{ss.manifestObject(0): leases / 2, ss.manifestObject(2): leases / 2}
+	if !reflect.DeepEqual(writes[0], want) {
+		t.Fatalf("replica 0's %d leases wrote manifests %v, want only its own: %v", leases, writes[0], want)
+	}
+
+	// A replica that owns no shard has nowhere to lease from: it refuses
+	// instead of writing a peer's manifest.
+	refuse := &hookStore{Store: bucket, putIfErr: func(name string) error {
+		if isShardManifestObject(name) {
+			t.Errorf("a replica owning no shard wrote %s", name)
+		}
+		return nil
+	}}
+	idle, _, err := OpenShardsOwned(refuse, shards, (&ReplicaConfig{ID: 5, Replicas: 6}).OwnedShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := idle.NextSeq(); err == nil {
+		t.Fatalf("a replica owning no shard issued seq %d", seq)
+	}
+}
+
+// TestReplicaOpenReclaimsLegacyPack: an unreferenced pack named the way
+// older builds named them (no owner shard) is reclaimed by a replica's
+// Open as well as a standalone one's. No current writer names a pack
+// that way, so nothing can be in flight on it.
+func TestReplicaOpenReclaimsLegacyPack(t *testing.T) {
+	const shards = 4
+	bucket := newBucket(t)
+	seed, _, err := OpenShards(bucket, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveN(t, seed, "dcgan", 4)
+	legacy := PackPrefix + "dcgan-0123456789abcdef"
+	if _, err := bucket.Put(legacy, []byte("stale pack bytes")); err != nil {
+		t.Fatal(err)
+	}
+
+	rc := &ReplicaConfig{ID: 1, Replicas: 2}
+	_, rep, err := OpenShardsOwned(bucket, shards, rc.OwnedShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Reclaimed, []string{legacy}) || bucket.Exists(legacy) {
+		t.Fatalf("replica open reclaimed %v, want the legacy pack %s", rep.Reclaimed, legacy)
+	}
+	if frep, err := New(bucket).Fsck(false); err != nil || !frep.Clean() {
+		t.Fatalf("fsck = %+v, %v", frep, err)
+	}
+}

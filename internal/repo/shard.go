@@ -320,13 +320,20 @@ func localSeqAfter(seq uint64, n, j int) uint64 {
 }
 
 // leaseSeqBlock leases seqBlockSize local sequence numbers from the
-// next shard in rotation. The lease skips forward past lastSeq, so
-// within one process NextSeq stays strictly increasing even as leases
-// move between shards; across processes blocks are disjoint because
-// each comes from a CAS bump of its shard's stored counter. Caller
-// holds seqMu.
+// next shard in rotation — over the owned shards for a replica's
+// handle, so it never writes a peer's manifest. The lease skips
+// forward past lastSeq, so within one process NextSeq stays strictly
+// increasing even as leases move between shards; across processes
+// blocks are disjoint because each comes from a CAS bump of its
+// shard's stored counter. Caller holds seqMu.
 func (r *Repo) leaseSeqBlock(ss shardSet) error {
 	j := r.leaseShard % ss.n
+	if r.owned != nil {
+		if len(r.owned) == 0 {
+			return errors.New("repo: this replica owns no shard to lease sequence numbers from")
+		}
+		j = r.owned[r.leaseShard%len(r.owned)]
+	}
 	r.leaseShard++
 	n := uint64(ss.n)
 	floor := localSeqAfter(r.lastSeq, ss.n, j)

@@ -102,7 +102,7 @@ func TestConnLimitRefusesBusy(t *testing.T) {
 // count toward the breaker, and records the rpc.call.busy counter.
 func TestReconnectBacksOffOnBusy(t *testing.T) {
 	s := NewServer()
-	remaining := 3 // first 3 calls busy, then succeed
+	remaining := breakerThreshold + 1 // more busy calls than trip the breaker, then succeed
 	s.Register("work", func(body []byte) ([]byte, error) {
 		if remaining > 0 {
 			remaining--
@@ -115,15 +115,15 @@ func TestReconnectBacksOffOnBusy(t *testing.T) {
 	reg := obs.NewRegistry(16)
 	var sleeps int
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial: func() (net.Conn, error) {
+		Endpoints: []string{"srv"},
+		DialEndpoint: func(string) (net.Conn, error) {
 			cc, sc := net.Pipe()
 			go s.ServeConn(sc)
 			return cc, nil
 		},
-		MaxRetries:       5,
-		BreakerThreshold: 2, // below the busy count: busy must not trip it
-		Sleep:            func(time.Duration) { sleeps++ },
-		Obs:              reg,
+		MaxRetries: breakerThreshold + 3,
+		Sleep:      func(time.Duration) { sleeps++ },
+		Obs:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestReconnectBacksOffOnBusy(t *testing.T) {
 	if string(out) != "done" {
 		t.Fatalf("out = %q", out)
 	}
-	if sleeps != 3 {
-		t.Fatalf("sleeps = %d, want 3 (one backoff per busy)", sleeps)
+	if sleeps != breakerThreshold+1 {
+		t.Fatalf("sleeps = %d, want %d (one backoff per busy)", sleeps, breakerThreshold+1)
 	}
 	if rc.Tripped() {
 		t.Fatal("busy responses must not trip the breaker")
@@ -147,8 +147,8 @@ func TestReconnectBacksOffOnBusy(t *testing.T) {
 		t.Fatalf("redials = %d, want 1 (busy keeps the connection)", got)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["rpc.call.busy"] != 3 {
-		t.Fatalf("rpc.call.busy = %d, want 3", snap.Counters["rpc.call.busy"])
+	if snap.Counters["rpc.call.busy"] != breakerThreshold+1 {
+		t.Fatalf("rpc.call.busy = %d, want %d", snap.Counters["rpc.call.busy"], breakerThreshold+1)
 	}
 }
 
@@ -161,7 +161,8 @@ func TestReconnectBusyExhaustsRetries(t *testing.T) {
 	defer s.Close()
 
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial: func() (net.Conn, error) {
+		Endpoints: []string{"srv"},
+		DialEndpoint: func(string) (net.Conn, error) {
 			cc, sc := net.Pipe()
 			go s.ServeConn(sc)
 			return cc, nil

@@ -159,27 +159,6 @@ func TestEndpointSetFollowsRedirect(t *testing.T) {
 	}
 }
 
-func TestSingleDialSurfacesRedirect(t *testing.T) {
-	s := NewServer()
-	s.Register("fleet.open", func(body []byte) ([]byte, error) {
-		return nil, &RedirectError{Endpoint: "elsewhere"}
-	})
-	defer s.Close()
-	d := dialerFor(s, nil)
-	ns := &noSleep{}
-	rc, err := NewReconnectClient(ReconnectOptions{Dial: d.Next, Sleep: ns.sleep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	_, err = rc.Call("fleet.open", nil)
-	var redir *RedirectError
-	if !errors.As(err, &redir) || redir.Endpoint != "elsewhere" {
-		t.Fatalf("err = %v, want the surfaced redirect (single-Dial mode cannot re-aim)", err)
-	}
-}
-
 func TestEndpointSetAllBreakersOpen(t *testing.T) {
 	f := newFabric()
 	f.set("a", nil)
@@ -188,12 +167,11 @@ func TestEndpointSetAllBreakersOpen(t *testing.T) {
 	reg := obs.NewRegistry(16)
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Endpoints:        []string{"a", "b"},
-		DialEndpoint:     f.dial,
-		MaxRetries:       16,
-		BreakerThreshold: 2,
-		Sleep:            ns.sleep,
-		Obs:              reg,
+		Endpoints:    []string{"a", "b"},
+		DialEndpoint: f.dial,
+		MaxRetries:   2 * breakerThreshold,
+		Sleep:        ns.sleep,
+		Obs:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,11 +213,10 @@ func TestEndpointFailoverIsSticky(t *testing.T) {
 
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Endpoints:        []string{"a", "b"},
-		DialEndpoint:     f.dial,
-		MaxRetries:       8,
-		BreakerThreshold: 2,
-		Sleep:            ns.sleep,
+		Endpoints:    []string{"a", "b"},
+		DialEndpoint: f.dial,
+		MaxRetries:   8,
+		Sleep:        ns.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,10 +273,11 @@ func TestDialVsCallFailureClassification(t *testing.T) {
 	reg := obs.NewRegistry(16)
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial:       d.Next,
-		MaxRetries: 6,
-		Sleep:      ns.sleep,
-		Obs:        reg,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: d.Next,
+		MaxRetries:   6,
+		Sleep:        ns.sleep,
+		Obs:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)

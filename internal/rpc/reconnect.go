@@ -30,31 +30,22 @@ var (
 	_ Caller = (*ReconnectClient)(nil)
 )
 
-// DialFunc produces a fresh connection to the profile endpoint. The
-// ReconnectClient owns the returned conn.
-type DialFunc func() (net.Conn, error)
-
 // EndpointDialFunc produces a fresh connection to a named endpoint; the
-// ReconnectClient owns the returned conn. Used when the client is
-// configured with an endpoint set rather than a single Dial.
+// ReconnectClient owns the returned conn.
 type EndpointDialFunc func(endpoint string) (net.Conn, error)
 
 // ReconnectOptions configure a ReconnectClient. The zero value of every
-// field except Dial/Endpoints gets a sensible default.
+// field except Endpoints gets a sensible default.
 type ReconnectOptions struct {
-	// Dial reaches a single unnamed endpoint. Exactly one of Dial or
-	// Endpoints must be set.
-	Dial DialFunc
-
-	// Endpoints is the replica set: the client fails over between these
-	// addresses on transport errors and follows typed redirects to
-	// whichever replica owns a resource. Each endpoint gets its own
-	// circuit breaker; ErrCircuitOpen fires only when every endpoint's
-	// breaker is open.
+	// Endpoints is the replica set (a single endpoint is a set of one):
+	// the client fails over between these addresses on transport errors
+	// and follows typed redirects to whichever replica owns a resource.
+	// Each endpoint gets its own circuit breaker; ErrCircuitOpen fires
+	// only when every endpoint's breaker is open.
 	Endpoints []string
 
 	// DialEndpoint reaches one member of Endpoints (default: TCP dial
-	// of the endpoint string). Ignored in single-Dial mode.
+	// of the endpoint string).
 	DialEndpoint EndpointDialFunc
 
 	// CallTimeout bounds each attempt of each call (0 = no deadline).
@@ -66,21 +57,14 @@ type ReconnectOptions struct {
 	MaxRetries int
 
 	// BaseBackoff is the delay before the first retry; it doubles per
-	// attempt up to MaxBackoff. Defaults 10ms and 1s.
+	// attempt up to maxBackoff. Default 10ms.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 
 	// Seed keys the PRNG that spreads each backoff uniformly over
 	// ±jitterFrac of its value, so two clients with the same script sleep
 	// the same sequence — reproducible tests, and no synchronized
 	// thundering herds in production.
 	Seed uint64
-
-	// BreakerThreshold trips an endpoint's circuit breaker after this
-	// many consecutive transport failures against it (across calls);
-	// once every endpoint is open, calls fail fast with ErrCircuitOpen.
-	// Default 8; negative disables.
-	BreakerThreshold int
 
 	// Sleep is the delay function, injectable so tests can count
 	// backoffs instead of waiting them out. Default time.Sleep.
@@ -125,11 +109,15 @@ func newRCMetrics(r *obs.Registry) rcMetrics {
 }
 
 const (
-	defaultMaxRetries       = 3
-	defaultBaseBackoff      = 10 * time.Millisecond
-	defaultMaxBackoff       = time.Second
-	jitterFrac              = 0.2
-	defaultBreakerThreshold = 8
+	defaultMaxRetries  = 3
+	defaultBaseBackoff = 10 * time.Millisecond
+	maxBackoff         = time.Second
+	jitterFrac         = 0.2
+
+	// breakerThreshold trips an endpoint's circuit breaker after this
+	// many consecutive transport failures against it (across calls);
+	// once every endpoint is open, calls fail fast with ErrCircuitOpen.
+	breakerThreshold = 8
 )
 
 // endpoint is one member of the client's endpoint set: its address, its
@@ -162,16 +150,13 @@ type ReconnectClient struct {
 	closed  bool
 }
 
-// NewReconnectClient builds a client over dial-produced connections. It
-// does not dial eagerly; the first Call does.
+// NewReconnectClient builds a client over an endpoint set. It does not
+// dial eagerly; the first Call does.
 func NewReconnectClient(opts ReconnectOptions) (*ReconnectClient, error) {
-	if opts.Dial == nil && len(opts.Endpoints) == 0 {
-		return nil, errors.New("rpc: ReconnectOptions needs Dial or Endpoints")
+	if len(opts.Endpoints) == 0 {
+		return nil, errors.New("rpc: ReconnectOptions needs Endpoints")
 	}
-	if opts.Dial != nil && len(opts.Endpoints) > 0 {
-		return nil, errors.New("rpc: ReconnectOptions.Dial and Endpoints are mutually exclusive")
-	}
-	if len(opts.Endpoints) > 0 && opts.DialEndpoint == nil {
+	if opts.DialEndpoint == nil {
 		opts.DialEndpoint = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	if opts.MaxRetries == 0 {
@@ -182,14 +167,6 @@ func NewReconnectClient(opts ReconnectOptions) (*ReconnectClient, error) {
 	if opts.BaseBackoff <= 0 {
 		opts.BaseBackoff = defaultBaseBackoff
 	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = defaultMaxBackoff
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = defaultBreakerThreshold
-	} else if opts.BreakerThreshold < 0 {
-		opts.BreakerThreshold = 0
-	}
 	if opts.Sleep == nil {
 		opts.Sleep = time.Sleep
 	}
@@ -199,16 +176,12 @@ func NewReconnectClient(opts ReconnectOptions) (*ReconnectClient, error) {
 		rng:    prng.New(opts.Seed),
 		byAddr: make(map[string]int),
 	}
-	if len(opts.Endpoints) == 0 {
-		r.eps = []*endpoint{{addr: ""}}
-	} else {
-		for _, addr := range opts.Endpoints {
-			if _, dup := r.byAddr[addr]; dup {
-				continue
-			}
-			r.byAddr[addr] = len(r.eps)
-			r.eps = append(r.eps, &endpoint{addr: addr})
+	for _, addr := range opts.Endpoints {
+		if _, dup := r.byAddr[addr]; dup {
+			continue
 		}
+		r.byAddr[addr] = len(r.eps)
+		r.eps = append(r.eps, &endpoint{addr: addr})
 	}
 	return r, nil
 }
@@ -245,7 +218,7 @@ func (r *ReconnectClient) CallTimeout(method string, body []byte, timeout time.D
 			lastErr = err
 			r.m.dialFailures.Inc()
 			if r.recordFailure(ep, nil) {
-				return nil, fmt.Errorf("%w: %d consecutive failures, last: %v", ErrCircuitOpen, r.opts.BreakerThreshold, err)
+				return nil, fmt.Errorf("%w: %d consecutive failures, last: %v", ErrCircuitOpen, breakerThreshold, err)
 			}
 			r.failover(ep)
 			continue
@@ -262,7 +235,7 @@ func (r *ReconnectClient) CallTimeout(method string, body []byte, timeout time.D
 			// against MaxRetries, which bounds redirect loops.
 			r.recordSuccess(ep)
 			if !r.follow(redir.Endpoint) {
-				return nil, err // single-Dial mode cannot re-aim
+				return nil, err // a redirect that names no endpoint
 			}
 			lastErr = err
 			r.m.redirects.Inc()
@@ -285,7 +258,7 @@ func (r *ReconnectClient) CallTimeout(method string, body []byte, timeout time.D
 		lastErr = err
 		r.m.failures.Inc()
 		if r.recordFailure(ep, c) {
-			return nil, fmt.Errorf("%w: %d consecutive failures, last: %v", ErrCircuitOpen, r.opts.BreakerThreshold, err)
+			return nil, fmt.Errorf("%w: %d consecutive failures, last: %v", ErrCircuitOpen, breakerThreshold, err)
 		}
 		r.failover(ep)
 	}
@@ -310,7 +283,7 @@ func (r *ReconnectClient) client() (*endpoint, *Client, error) {
 	if ep.c != nil {
 		return ep, ep.c, nil
 	}
-	conn, err := r.dialLocked(ep)
+	conn, err := r.opts.DialEndpoint(ep.addr)
 	if err != nil {
 		return ep, nil, fmt.Errorf("rpc: redial: %w", err)
 	}
@@ -339,19 +312,12 @@ func (r *ReconnectClient) pickLocked() *endpoint {
 	return nil
 }
 
-func (r *ReconnectClient) dialLocked(ep *endpoint) (net.Conn, error) {
-	if r.opts.Dial != nil {
-		return r.opts.Dial()
-	}
-	return r.opts.DialEndpoint(ep.addr)
-}
-
 // follow re-aims the client at addr after a placement redirect, adding
 // the endpoint to the set if the redirecting replica named one the
-// client was not configured with. Reports false in single-Dial mode,
-// where arbitrary endpoints cannot be reached.
+// client was not configured with. Reports false for a redirect that
+// names no endpoint.
 func (r *ReconnectClient) follow(addr string) bool {
-	if r.opts.DialEndpoint == nil || addr == "" {
+	if addr == "" {
 		return false
 	}
 	r.mu.Lock()
@@ -384,7 +350,7 @@ func (r *ReconnectClient) recordFailure(ep *endpoint, c *Client) (allOpen bool) 
 		ep.c = nil
 	}
 	ep.consec++
-	if th := r.opts.BreakerThreshold; th > 0 && ep.consec >= th && !ep.tripped {
+	if ep.consec >= breakerThreshold && !ep.tripped {
 		ep.tripped = true
 		r.m.breakerOpen.Inc()
 		r.m.breaker.Set(r.openCountLocked())
@@ -426,11 +392,11 @@ func (r *ReconnectClient) openCountLocked() int64 {
 // attempt (1-based) with deterministic jitter.
 func (r *ReconnectClient) backoff(attempt int) time.Duration {
 	d := r.opts.BaseBackoff
-	for i := 1; i < attempt && d < r.opts.MaxBackoff; i++ {
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.opts.MaxBackoff {
-		d = r.opts.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	r.mu.Lock()
 	j := r.rng.Jitter(float64(d), jitterFrac)
@@ -463,8 +429,7 @@ func (r *ReconnectClient) EndpointTripped(addr string) bool {
 	return false
 }
 
-// CurrentEndpoint reports the preferred endpoint address ("" in
-// single-Dial mode).
+// CurrentEndpoint reports the preferred endpoint address.
 func (r *ReconnectClient) CurrentEndpoint() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -58,8 +58,9 @@ func TestReconnectSurvivesRepeatedDisconnects(t *testing.T) {
 	})
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial:  d.Next,
-		Sleep: ns.sleep,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: d.Next,
+		Sleep:        ns.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +99,10 @@ func TestReconnectRidesOutPartitionWindow(t *testing.T) {
 	d.Partitions = [][2]int{{2, 4}}
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial:       d.Next,
-		MaxRetries: 6,
-		Sleep:      ns.sleep,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: d.Next,
+		MaxRetries:   6,
+		Sleep:        ns.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +125,7 @@ func TestReconnectRidesOutPartitionWindow(t *testing.T) {
 	}
 	// Backoff grows (modulo ±20% jitter, doubling always dominates).
 	for i := 1; i < len(ns.slept); i++ {
-		if ns.slept[i] <= ns.slept[i-1] && ns.slept[i-1] < time.Second/2 {
+		if ns.slept[i] <= ns.slept[i-1] && ns.slept[i-1] < maxBackoff/2 {
 			t.Fatalf("backoff not growing: %v", ns.slept)
 		}
 	}
@@ -137,10 +139,11 @@ func TestReconnectBackoffDeterministicBySeed(t *testing.T) {
 		d.Partitions = [][2]int{{1, 3}}
 		ns := &noSleep{}
 		rc, err := NewReconnectClient(ReconnectOptions{
-			Dial:       d.Next,
-			MaxRetries: 4,
-			Seed:       42,
-			Sleep:      ns.sleep,
+			Endpoints:    []string{"srv"},
+			DialEndpoint: d.Next,
+			MaxRetries:   4,
+			Seed:         42,
+			Sleep:        ns.sleep,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -169,13 +172,13 @@ func TestCircuitBreakerTripsAfterKFailures(t *testing.T) {
 	dials := 0
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial: func() (net.Conn, error) {
+		Endpoints: []string{"srv"},
+		DialEndpoint: func(string) (net.Conn, error) {
 			dials++
 			return nil, errors.New("no route to host")
 		},
-		MaxRetries:       10,
-		BreakerThreshold: 5,
-		Sleep:            ns.sleep,
+		MaxRetries: breakerThreshold + 2,
+		Sleep:      ns.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +188,8 @@ func TestCircuitBreakerTripsAfterKFailures(t *testing.T) {
 	if _, err := rc.Call("echo", nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
-	if dials != 5 {
-		t.Fatalf("dials = %d, want exactly the breaker threshold 5", dials)
+	if dials != breakerThreshold {
+		t.Fatalf("dials = %d, want exactly the breaker threshold %d", dials, breakerThreshold)
 	}
 	if !rc.Tripped() {
 		t.Fatal("Tripped() = false after trip")
@@ -196,7 +199,7 @@ func TestCircuitBreakerTripsAfterKFailures(t *testing.T) {
 	if _, err := rc.Call("echo", nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("post-trip err = %v", err)
 	}
-	if dials != 5 || ns.count() != before {
+	if dials != breakerThreshold || ns.count() != before {
 		t.Fatalf("open breaker still dialing/sleeping (dials=%d)", dials)
 	}
 	// The fatal error is classified as such for upper layers.
@@ -221,9 +224,10 @@ func TestReconnectObsMetrics(t *testing.T) {
 	reg := obs.NewRegistry(16)
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial:  d.Next,
-		Sleep: ns.sleep,
-		Obs:   reg,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: d.Next,
+		Sleep:        ns.sleep,
+		Obs:          reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +260,11 @@ func TestReconnectObsMetrics(t *testing.T) {
 	// A dead endpoint trips the breaker: counter, gauge, and event.
 	reg2 := obs.NewRegistry(16)
 	rc2, err := NewReconnectClient(ReconnectOptions{
-		Dial:             func() (net.Conn, error) { return nil, errors.New("no route") },
-		MaxRetries:       10,
-		BreakerThreshold: 3,
-		Sleep:            ns.sleep,
-		Obs:              reg2,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: func(string) (net.Conn, error) { return nil, errors.New("no route") },
+		MaxRetries:   breakerThreshold + 2,
+		Sleep:        ns.sleep,
+		Obs:          reg2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +296,8 @@ func TestRemoteErrorsDoNotTripBreaker(t *testing.T) {
 	defer s.Close()
 	d := dialerFor(s, nil)
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial:             d.Next,
-		BreakerThreshold: 2,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: d.Next,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,10 +331,11 @@ func TestReconnectCallTimeout(t *testing.T) {
 	d := dialerFor(s, nil)
 	ns := &noSleep{}
 	rc, err := NewReconnectClient(ReconnectOptions{
-		Dial:        d.Next,
-		CallTimeout: 10 * time.Millisecond,
-		MaxRetries:  1,
-		Sleep:       ns.sleep,
+		Endpoints:    []string{"srv"},
+		DialEndpoint: d.Next,
+		CallTimeout:  10 * time.Millisecond,
+		MaxRetries:   1,
+		Sleep:        ns.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +353,7 @@ func TestReconnectCallTimeout(t *testing.T) {
 
 func TestNewReconnectClientRequiresDial(t *testing.T) {
 	if _, err := NewReconnectClient(ReconnectOptions{}); err == nil {
-		t.Fatal("nil Dial accepted")
+		t.Fatal("empty endpoint set accepted")
 	}
 }
 

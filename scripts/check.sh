@@ -112,12 +112,14 @@ go test -race -count=2 ./cmd/tpupoint
 # Sharded-ingest gate: the contention and compaction suites under
 # -race, by name, so a renamed test fails the gate instead of silently
 # running nothing. The footer-only diff suites (same diff as the full
-# read, footers only, footer CRC checked, segments not read) and fsck's
-# field-naming detail ride along.
+# read, footers only, footer CRC checked, segments not read), fsck's
+# field-naming detail, a replica's owned-shard sequence leases and its
+# reclaim of a legacy-named pack ride along.
 echo "== sharded contention + compaction + footer diff under -race"
 ./scripts/named_tests.sh ./internal/repo TestShardedContentionZeroLoss64 TestCompactMergesAndPreservesReads TestDeletePackedRunRefcountsPack \
 	TestCompareReadsOnlyFooters TestCompareChecksFooterNotSegments TestCompareOlderEntryReadsWholeArchive \
-	TestSummaryFooterOutsideEntry TestFsckMismatchNamesFields TestFsckFillsOlderEntryFooterFields
+	TestSummaryFooterOutsideEntry TestFsckMismatchNamesFields TestFsckFillsOlderEntryFooterFields \
+	TestReplicaLeasesSeqOnlyFromOwnedShards TestReplicaOpenReclaimsLegacyPack
 
 # Replicated-collection gate: the replica placement/failover/lease
 # suites under -race, then two real collector replica processes over

@@ -113,16 +113,8 @@ type Options struct {
 	// SmallDataset selects the reduced-dataset variant (Figures 12/13).
 	SmallDataset bool
 
-	// HostParams overrides the pipeline parameters outright.
-	HostParams *PipelineParams
-
 	// Seed overrides the workload's deterministic seed.
 	Seed uint64
-
-	// Parallelism bounds the analyzer's clustering worker pool
-	// (0 = GOMAXPROCS, 1 = serial). Phase results are bit-identical for
-	// every setting.
-	Parallelism int
 
 	// Obs, when set, collects metrics and structured events from every
 	// component the session wires together (profiler, analyzer). Nil
@@ -134,12 +126,11 @@ type Options struct {
 // storage bucket for checkpoints and profile records, and the wiring
 // between them.
 type Session struct {
-	workload    *Workload
-	runner      *estimator.Runner
-	bucket      *storage.Bucket
-	trained     bool
-	parallelism int
-	obs         *obs.Registry
+	workload *Workload
+	runner   *estimator.Runner
+	bucket   *storage.Bucket
+	trained  bool
+	obs      *obs.Registry
 
 	// front is the analyzer front-end of the record set Analyze was last
 	// handed and frontOf that set's record pointers: Analyze calls on the
@@ -177,21 +168,16 @@ func NewSession(workloadName string, opts Options) (*Session, error) {
 	if _, err := datasets.Generate(bucket, w.Dataset, 128, w.Seed); err != nil {
 		return nil, err
 	}
-	eopts := estimator.Options{
+	runner, err := estimator.New(w, estimator.Options{
 		Version: opts.Version,
 		Steps:   opts.Steps,
 		Seed:    opts.Seed,
 		Bucket:  bucket,
-	}
-	if opts.HostParams != nil {
-		eopts.HostParams = opts.HostParams
-	}
-	runner, err := estimator.New(w, eopts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{workload: w, runner: runner, bucket: bucket,
-		parallelism: opts.Parallelism, obs: opts.Obs}, nil
+	return &Session{workload: w, runner: runner, bucket: bucket, obs: opts.Obs}, nil
 }
 
 // Workload returns the session's workload spec.
@@ -255,7 +241,7 @@ func (s *Session) TotalSeconds() float64 { return s.runner.TotalTime().Seconds()
 // Records must not be modified after they are first passed in.
 func (s *Session) Analyze(records []*ProfileRecord, algo Algorithm) (*Report, error) {
 	rep, err := s.frontend(records).Analyze(s.workload.Name, algo,
-		analyzer.Options{Seed: s.workload.Seed, Parallelism: s.parallelism, Obs: s.obs})
+		analyzer.Options{Seed: s.workload.Seed, Obs: s.obs})
 	if err != nil {
 		return nil, err
 	}
@@ -361,23 +347,18 @@ func (s *Session) Resume(checkpoint string, opts Options) (*Session, error) {
 	if opts.Version == 0 {
 		opts.Version = s.runner.Spec().Version
 	}
-	eopts := estimator.Options{
+	runner, err := estimator.New(s.workload, estimator.Options{
 		Version:     opts.Version,
 		Steps:       opts.Steps,
 		Seed:        opts.Seed,
 		Bucket:      s.bucket,
 		StartStep:   startStep,
 		RestoreFrom: checkpoint,
-	}
-	if opts.HostParams != nil {
-		eopts.HostParams = opts.HostParams
-	}
-	runner, err := estimator.New(s.workload, eopts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{workload: s.workload, runner: runner, bucket: s.bucket,
-		parallelism: opts.Parallelism, obs: opts.Obs}, nil
+	return &Session{workload: s.workload, runner: runner, bucket: s.bucket, obs: opts.Obs}, nil
 }
 
 // OptimizeOptions configure Optimize.

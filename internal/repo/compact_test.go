@@ -305,7 +305,7 @@ func TestFsckQuarantinesOrphanPack(t *testing.T) {
 func TestFleetAutoCompact(t *testing.T) {
 	bucket := newTestBucket(t)
 	r := openSharded(t, bucket, 4)
-	f := NewFleet(r, FleetOptions{QueueSize: 64, CompactEvery: 4})
+	f := NewFleet(r, FleetOptions{CompactEvery: 4})
 
 	finalizeRun := func(i int) {
 		t.Helper()

@@ -4,12 +4,12 @@
 // collection server per fleet, each training VM's profiler streaming
 // its records in, every finished session becoming an indexed archive.
 //
-// Resource discipline per session: a bounded record queue (appends
-// beyond it get a transient busy error, never unbounded memory), a
-// lease that expires abandoned sessions, and obs counters for every
-// admission decision. The zero-loss invariant the acceptance test
-// checks: fleet.records.in == fleet.records.archived once every
-// session finalizes.
+// Resource discipline per session: a bounded record queue (an append
+// that finds it full waits for the drain, so memory stays bounded and
+// no batch is ever half taken), a lease that expires abandoned
+// sessions, and obs counters for every admission decision. The
+// zero-loss invariant the acceptance test checks: fleet.records.in ==
+// fleet.records.archived once every session finalizes.
 package repo
 
 import (
@@ -38,11 +38,15 @@ const (
 
 // Fleet option defaults.
 const (
-	DefaultMaxSessions    = 32
-	DefaultQueueSize      = 128
-	DefaultEnqueueTimeout = 2 * time.Second
-	DefaultLease          = 30 * time.Second
+	DefaultMaxSessions = 32
+	DefaultLease       = 30 * time.Second
 )
+
+// queueDepth bounds the records a session holds between its append
+// handler and its drain, so a session's memory stays bounded; an append
+// that finds the queue full waits for the drain. 128 lets a handler hand
+// off a batch while the drain is still folding the records before it.
+const queueDepth = 128
 
 // FleetOptions tune the collection endpoint. Zero values take the
 // defaults above.
@@ -50,11 +54,6 @@ type FleetOptions struct {
 	// MaxSessions caps concurrently open sessions; Opens beyond it get
 	// a busy error (rpc.ErrBusy → transient, clients back off).
 	MaxSessions int
-	// QueueSize bounds each session's pending-record queue.
-	QueueSize int
-	// EnqueueTimeout is how long an Append waits for queue space
-	// before returning busy.
-	EnqueueTimeout time.Duration
 	// Lease expires sessions with no activity (crashed profilers must
 	// not pin session slots forever).
 	Lease time.Duration
@@ -88,12 +87,6 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	if o.MaxSessions == 0 {
 		o.MaxSessions = DefaultMaxSessions
 	}
-	if o.QueueSize == 0 {
-		o.QueueSize = DefaultQueueSize
-	}
-	if o.EnqueueTimeout == 0 {
-		o.EnqueueTimeout = DefaultEnqueueTimeout
-	}
 	if o.Lease == 0 {
 		o.Lease = DefaultLease
 	}
@@ -110,7 +103,6 @@ type fleetMetrics struct {
 	rejected *obs.Counter
 	recIn    *obs.Counter
 	recArch  *obs.Counter
-	busy     *obs.Counter
 	bytesIn  *obs.Counter
 	saved    *obs.Counter
 	resumed  *obs.Counter
@@ -128,7 +120,6 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 		rejected: r.Counter("fleet.sessions.rejected"),
 		recIn:    r.Counter("fleet.records.in"),
 		recArch:  r.Counter("fleet.records.archived"),
-		busy:     r.Counter("fleet.appends.busy"),
 		bytesIn:  r.Counter("fleet.bytes.in"),
 		saved:    r.Counter("fleet.runs.saved"),
 		resumed:  r.Counter("fleet.sessions.resumed"),
@@ -206,18 +197,36 @@ type session struct {
 	stream    *analyzer.StreamAnalyzer
 	streamErr error // the first record stream refused: the run is archived unsummarized
 
-	ch   chan queued   // bounded pending-record queue
+	ch   chan queued   // pending-record queue, queueDepth deep
 	done chan struct{} // drain goroutine exit
 
-	// sendMu guards enqueue-vs-close: Append holds it across the
-	// channel send, Finalize/expiry set closed and close(ch) under it,
-	// so a send on a closed channel is impossible.
-	sendMu sync.Mutex
+	// mu orders the session. An append holds it from the index check
+	// through the hand-off to the drain and the log append, and every
+	// close (finalize, abort, lease expiry, poison, resume's eviction)
+	// takes it, so the drain folds records in log order and none of
+	// those interleaves with an append in flight. The drain never takes
+	// mu, so an append waiting on a full queue always gets its turn.
+	mu     sync.Mutex
 	closed bool
+	logged int64 // records in the durable log: the next new record's index
 
-	mu         sync.Mutex
-	lastActive time.Time
-	archived   int64
+	lastActive atomic.Int64 // unix nanoseconds; the sweep reads it without mu
+	archived   atomic.Int64 // records the drain has consumed
+}
+
+// newSession builds a session over meta and its durable token. Its
+// drain is not started.
+func (f *Fleet) newSession(token string, meta archive.Meta) *session {
+	s := &session{
+		token:  token,
+		meta:   meta,
+		w:      archive.NewWriter(meta),
+		stream: f.newSessionStream(meta),
+		ch:     make(chan queued, queueDepth),
+		done:   make(chan struct{}),
+	}
+	s.touch(f.opts.Now())
+	return s
 }
 
 // queued is one accepted record crossing into the drain goroutine: the
@@ -240,9 +249,7 @@ func (s *session) drain(m fleetMetrics) {
 	for q := range s.ch {
 		s.w.AddEncoded(q.raw, q.rec)
 		s.fold(q.rec)
-		s.mu.Lock()
-		s.archived++
-		s.mu.Unlock()
+		s.archived.Add(1)
 		m.recArch.Inc()
 	}
 }
@@ -257,21 +264,24 @@ func (s *session) fold(rec *trace.ProfileRecord) {
 	}
 }
 
-func (s *session) touch(now time.Time) {
+func (s *session) touch(now time.Time) { s.lastActive.Store(now.UnixNano()) }
+
+// close ends the session's appends, after any in flight, and waits for
+// the drain: s.w and s.stream are the caller's once it returns. Safe to
+// call more than once.
+func (s *session) close() {
 	s.mu.Lock()
-	s.lastActive = now
+	s.closeLocked()
 	s.mu.Unlock()
+	<-s.done
 }
 
-// closeQueue marks the session closed and closes its queue exactly
-// once. Safe against concurrent appends.
-func (s *session) closeQueue() {
-	s.sendMu.Lock()
+// closeLocked closes the queue exactly once; s.mu is held.
+func (s *session) closeLocked() {
 	if !s.closed {
 		s.closed = true
 		close(s.ch)
 	}
-	s.sendMu.Unlock()
 }
 
 // Wire messages (JSON for control, binary for the append hot path).
@@ -306,10 +316,7 @@ func (f *Fleet) sweepExpired() {
 	f.mu.Lock()
 	var victims []*session
 	for id, s := range f.sessions {
-		s.mu.Lock()
-		idle := now.Sub(s.lastActive)
-		s.mu.Unlock()
-		if idle > f.opts.Lease {
+		if now.Sub(time.Unix(0, s.lastActive.Load())) > f.opts.Lease {
 			delete(f.sessions, id)
 			victims = append(victims, s)
 		}
@@ -317,8 +324,7 @@ func (f *Fleet) sweepExpired() {
 	f.m.active.Set(int64(len(f.sessions)))
 	f.mu.Unlock()
 	for _, s := range victims {
-		s.closeQueue()
-		<-s.done
+		s.close()
 		f.m.expired.Inc()
 		f.opts.Obs.Emit("fleet", "session-expired",
 			fmt.Sprintf("session %d (run %q) idle past lease", s.id, s.meta.RunID))
@@ -352,15 +358,7 @@ func (f *Fleet) handleOpen(body []byte) ([]byte, error) {
 		TPUVersion: req.TPUVersion,
 		CreatedSeq: seq,
 	}
-	s := &session{
-		token:      f.tokenFor(meta.RunID, meta.CreatedSeq),
-		meta:       meta,
-		w:          archive.NewWriter(meta),
-		stream:     f.newSessionStream(meta),
-		ch:         make(chan queued, f.opts.QueueSize),
-		done:       make(chan struct{}),
-		lastActive: f.opts.Now(),
-	}
+	s := f.newSession(f.tokenFor(meta.RunID, meta.CreatedSeq), meta)
 	if err := f.register(s); err != nil {
 		return nil, err
 	}
@@ -389,56 +387,20 @@ func (f *Fleet) lookup(id uint64) (*session, error) {
 	return s, nil
 }
 
-// enqueue hands one validated record's wire bytes to the session's
-// drain goroutine, waiting up to EnqueueTimeout for queue space before
-// shedding load with a transient busy error.
-func (f *Fleet) enqueue(s *session, q queued) error {
-	s.sendMu.Lock()
-	if s.closed {
-		s.sendMu.Unlock()
-		return fmt.Errorf("fleet: session %d already finalized", s.id)
-	}
-	select {
-	case s.ch <- q:
-		s.sendMu.Unlock()
-	default:
-		// Queue full: wait bounded, then shed load with a transient
-		// busy error instead of growing memory.
-		timer := time.NewTimer(f.opts.EnqueueTimeout)
-		select {
-		case s.ch <- q:
-			timer.Stop()
-			s.sendMu.Unlock()
-		case <-timer.C:
-			s.sendMu.Unlock()
-			f.m.busy.Inc()
-			return fmt.Errorf("%w: session %d queue full (%d pending)",
-				rpc.ErrBusy, s.id, f.opts.QueueSize)
-		}
-	}
-	f.m.recIn.Inc()
-	f.m.bytesIn.Add(int64(len(q.raw)))
-	return nil
-}
-
-// AppendBatchResponse reports how many leading records of a batch the
-// server accepted. A partial count is success, not failure: the client
-// resends only the unaccepted tail, so backpressure never duplicates
-// records.
-type AppendBatchResponse struct {
-	Accepted int `json:"accepted"`
-}
-
-// handleAppendBatch body: u64le session id, then a trace framed stream
-// ((uvarint length, record bytes)*). The whole batch is validated up
-// front; acceptance is then per-record in order. A single record is a
-// batch of one. Zero accepted on a non-empty batch maps to the transient
-// busy error so retry layers back off.
+// handleAppendBatch body: u64le session id, u64le session index of the
+// batch's first record, then a trace framed stream ((uvarint length,
+// record bytes)*). A single record is a batch of one. The whole batch is
+// validated up front and answered whole: records below the session's
+// durable count were logged by an earlier send whose answer was lost, so
+// they are skipped, and the rest are handed to the drain and logged
+// under the session lock, in one order. An index past the durable count
+// would leave a gap and is refused.
 func (f *Fleet) handleAppendBatch(body []byte) ([]byte, error) {
-	if len(body) < 8 {
+	if len(body) < 16 {
 		return nil, fmt.Errorf("fleet: short append frame")
 	}
 	id := binary.LittleEndian.Uint64(body[:8])
+	first := binary.LittleEndian.Uint64(body[8:16])
 	s, err := f.lookup(id)
 	if err != nil {
 		return nil, err
@@ -447,10 +409,11 @@ func (f *Fleet) handleAppendBatch(body []byte) ([]byte, error) {
 	// per connection, and the frame subslices below alias this copy as
 	// they cross into the drain goroutine. The copy starts frameOverhead
 	// bytes in, so the session log's frame header is written in front of
-	// it and the accepted records are logged without a second copy.
-	buf := make([]byte, frameOverhead+len(body)-8)
+	// the first new record and the new records are logged without a
+	// second copy.
+	buf := make([]byte, frameOverhead+len(body)-16)
 	framed := buf[frameOverhead:]
-	copy(framed, body[8:])
+	copy(framed, body[16:])
 	frames, err := trace.SplitFramed(framed)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reject batch: %w", err)
@@ -465,30 +428,38 @@ func (f *Fleet) handleAppendBatch(body []byte) ([]byte, error) {
 	}
 	s.touch(f.opts.Now())
 
-	accepted := 0
-	var enqErr error
-	for i, fr := range frames {
-		if enqErr = f.enqueue(s, queued{raw: fr, rec: decoded[i]}); enqErr != nil {
-			break
-		}
-		accepted++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("fleet: unknown session %d: closed", s.id)
 	}
-	if accepted == 0 && len(frames) > 0 {
-		return nil, enqErr
+	if first > uint64(s.logged) {
+		return nil, fmt.Errorf("fleet: session %d append at record %d, past its %d durable records",
+			s.id, first, s.logged)
 	}
-	// Durability point: the accepted prefix lands as one log frame
-	// before the client learns its count. A partial count is still an
-	// ack for those records.
-	if accepted > 0 {
-		prefix, err := acceptedPrefix(framed, accepted)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.logAccepted(s, buf[:frameOverhead+len(prefix)]); err != nil {
-			return nil, err
-		}
+	skip := int(uint64(s.logged) - first)
+	if skip >= len(frames) {
+		return nil, nil
 	}
-	return json.Marshal(AppendBatchResponse{Accepted: accepted})
+	rest, err := trace.SkipFrames(framed, skip)
+	if err != nil {
+		return nil, err
+	}
+	// Hand off first, then log: the drain folds while the log append
+	// runs. A full queue makes the hand-off wait for the drain.
+	for i := skip; i < len(frames); i++ {
+		s.ch <- queued{raw: frames[i], rec: decoded[i]}
+		f.m.recIn.Inc()
+		f.m.bytesIn.Add(int64(len(frames[i])))
+	}
+	// Durability point: the new records land as one log frame, its
+	// header over the skipped records' bytes, before the client's ack.
+	start := len(framed) - len(rest)
+	if err := f.logAccepted(s, buf[start:]); err != nil {
+		return nil, err
+	}
+	s.logged += int64(len(frames) - skip)
+	return nil, nil
 }
 
 // remove detaches a session from the table.
@@ -519,8 +490,7 @@ func (f *Fleet) handleFinalize(body []byte) ([]byte, error) {
 		return nil, err
 	}
 	f.sweepExpired()
-	s.closeQueue()
-	<-s.done // drain finished: s.w and s.stream are ours now
+	s.close() // drain finished: s.w and s.stream are ours now
 
 	start := time.Now()
 	sum := f.summarizeSession(s)
@@ -582,8 +552,7 @@ func (f *Fleet) handleAbort(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.closeQueue()
-	<-s.done
+	s.close()
 	f.retireSession(s.token)
 	return nil, nil
 }

@@ -3,10 +3,13 @@ package repo
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,82 +68,6 @@ func TestFleetAppendBatch(t *testing.T) {
 	}
 }
 
-// TestFleetAppendBatchPartialAcceptance drives the shed-load protocol
-// deterministically: a hand-built session with its drain goroutine not
-// yet running, so the 4-slot queue genuinely fills. The first batch
-// round must accept exactly the queue's worth, the next round with the
-// queue still full must surface the transient busy error (never a
-// silent zero-accept success), and once the drain starts, resending the
-// tail lands every record exactly once, in order.
-func TestFleetAppendBatchPartialAcceptance(t *testing.T) {
-	f, srv, _ := newFleetUnderTest(t, FleetOptions{
-		QueueSize:      4,
-		EnqueueTimeout: 5 * time.Millisecond,
-	})
-	seq, err := f.repo.NextSeq()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := archive.Meta{RunID: "partial", Workload: "synthetic", CreatedSeq: seq}
-	s := &session{
-		id: 77, meta: meta, w: archive.NewWriter(meta), stream: f.newSessionStream(meta),
-		ch: make(chan queued, f.opts.QueueSize), done: make(chan struct{}),
-		lastActive: f.opts.Now(),
-	}
-	f.mu.Lock()
-	f.sessions[s.id] = s
-	f.mu.Unlock()
-
-	recs := sessionRecords(1, 10)
-	var framed []byte
-	for _, rec := range recs {
-		framed = trace.AppendFramedRecord(framed, rec)
-	}
-	body := make([]byte, 8+len(framed))
-	binary.LittleEndian.PutUint64(body[:8], s.id)
-	copy(body[8:], framed)
-	out, err := f.handleAppendBatch(body)
-	if err != nil {
-		t.Fatalf("first round: %v", err)
-	}
-	var resp AppendBatchResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Accepted != f.opts.QueueSize {
-		t.Fatalf("accepted %d of %d, want exactly the queue's %d",
-			resp.Accepted, len(recs), f.opts.QueueSize)
-	}
-
-	// Queue still full: zero progress must be a busy ERROR, not a
-	// zero-accept success — that is what keeps retry duplicate-free.
-	tail, err := trace.SkipFrames(framed, resp.Accepted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body2 := make([]byte, 8+len(tail))
-	binary.LittleEndian.PutUint64(body2[:8], s.id)
-	copy(body2[8:], tail)
-	if _, err := f.handleAppendBatch(body2); !errors.Is(err, rpc.ErrBusy) {
-		t.Fatalf("stalled-queue round: err = %v, want ErrBusy", err)
-	}
-
-	// Start the drain and let the client-side loop push the tail through.
-	go s.drain(f.m)
-	fc := &ResilientClient{c: rpc.Pipe(srv), id: s.id}
-	if err := fc.AppendBatch(recs[resp.Accepted:]); err != nil {
-		t.Fatalf("tail resend: %v", err)
-	}
-	info, err := fc.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != int64(len(recs)) {
-		t.Fatalf("archived %d records, want %d (duplicates or loss on partial acceptance)",
-			info.Records, len(recs))
-	}
-}
-
 // TestFleetAppendBatchRejectsMalformed checks batch validation is
 // all-or-nothing: one bad frame rejects the whole RPC and nothing lands.
 func TestFleetAppendBatchRejectsMalformed(t *testing.T) {
@@ -174,7 +101,6 @@ func TestFleetAppendBatchConcurrentSessions(t *testing.T) {
 	reg := obs.NewRegistry(64)
 	_, srv, r := newFleetUnderTest(t, FleetOptions{
 		MaxSessions: 4,
-		QueueSize:   8,
 		Obs:         reg,
 	})
 	const sessions = 4
@@ -262,6 +188,29 @@ func (c *failFirstAppend) Call(method string, body []byte) ([]byte, error) {
 	return c.Caller.Call(method, body)
 }
 
+// putEach is the profiler's write loop: one named object per record,
+// each retried under its name until the store takes it. It returns how
+// many retries the records took.
+func putEach(t *testing.T, rc *ResilientClient, recs []*trace.ProfileRecord) int {
+	t.Helper()
+	retries := 0
+	for i, rec := range recs {
+		name := fmt.Sprintf("profiles/record-%06d", i)
+		put := func() error {
+			_, err := rc.Put(name, trace.MarshalRecord(rec))
+			return err
+		}
+		err := put()
+		for ; err != nil && retries < 3; err = put() {
+			retries++
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return retries
+}
+
 // TestResilientPutRetryRetainsOnce: the profiler retries a failed write
 // by calling Put again under the same object name. The client retained
 // the record on the first call, so the retry must only flush it — it
@@ -277,24 +226,8 @@ func TestResilientPutRetryRetainsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The profiler's write loop: one named object per record, each
-		// retried under its name until the store takes it.
 		recs := sessionRecords(0, 3)
-		retries := 0
-		for i, rec := range recs {
-			name := fmt.Sprintf("profiles/record-%06d", i)
-			put := func() error {
-				_, err := rc.Put(name, trace.MarshalRecord(rec))
-				return err
-			}
-			for err = put(); err != nil && retries < 3; err = put() {
-				retries++
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if retries != 1 {
+		if retries := putEach(t, rc, recs); retries != 1 {
 			t.Fatalf("%d retries, want the one the lost append forces", retries)
 		}
 		info, err := rc.Finalize()
@@ -321,6 +254,193 @@ func TestResilientPutRetryRetainsOnce(t *testing.T) {
 	})
 }
 
+// dropFirstAppendReply is a transport that delivers the first
+// fleet.AppendBatch to the collector and loses its answer.
+type dropFirstAppendReply struct {
+	rpc.Caller
+	dropped bool
+}
+
+func (c *dropFirstAppendReply) Call(method string, body []byte) ([]byte, error) {
+	out, err := c.Caller.Call(method, body)
+	if method == MethodFleetAppendBatch && !c.dropped {
+		c.dropped = true
+		return nil, errors.New("connection reset")
+	}
+	return out, err
+}
+
+// finalizeAsLogged reads the session log, finalizes, and checks the
+// archive holds want records, each the one the log holds at the same
+// position: nothing archived twice, and the archive in the order a
+// resumed analyzer would replay.
+func finalizeAsLogged(t *testing.T, r *Repo, rc *ResilientClient, runID string, want int) {
+	t.Helper()
+	logged, err := SessionRecords(r.store, rc.Token())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	_, a, err := r.Get(runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != want || len(logged) != want {
+		t.Fatalf("archive holds %d records and the session log %d, want each of the %d written once",
+			len(got), len(logged), want)
+	}
+	for i, raw := range logged {
+		rec, err := trace.UnmarshalRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec, got[i]) {
+			t.Fatalf("archive record %d (seq %d) is not the session log's (seq %d)", i, got[i].Seq, rec.Seq)
+		}
+	}
+}
+
+// TestAppendBatchLostReplyArchivedOnce: the collector logs a batch and
+// its answer is lost, so the profiler retries the Put and the client
+// resends the batch. The resend names the same first index, the
+// collector skips what it already logged, and the run holds each record
+// once.
+func TestAppendBatchLostReplyArchivedOnce(t *testing.T) {
+	_, srv, r := newFleetUnderTest(t, FleetOptions{})
+	c := &dropFirstAppendReply{Caller: rpc.Pipe(srv)}
+	defer c.Close()
+	rc, err := OpenResilient(c, OpenRequest{RunID: "lost-reply", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retries := putEach(t, rc, sessionRecords(1, 3)); retries != 1 {
+		t.Fatalf("%d retries, want the one the lost answer forces", retries)
+	}
+	finalizeAsLogged(t, r, rc, "lost-reply", 3)
+}
+
+// holdFirstLogAppend is a Store whose first session-log Append waits
+// until release is closed.
+type holdFirstLogAppend struct {
+	Store
+	release chan struct{}
+	held    atomic.Bool
+}
+
+func (h *holdFirstLogAppend) Append(name string, data []byte) (*storage.Object, error) {
+	if strings.HasSuffix(name, "/log") && h.held.CompareAndSwap(false, true) {
+		<-h.release
+	}
+	return h.Store.Append(name, data)
+}
+
+// TestAppendRetryRacingOriginalArchivedOnce: the first append stalls in
+// its session-log write past the transport's deadline, so the
+// ReconnectClient redials and resends the batch while the original is
+// still in flight. The redial releases the stalled write; the resend
+// then waits for the original under the session lock, finds its records
+// logged, and skips them.
+func TestAppendRetryRacingOriginalArchivedOnce(t *testing.T) {
+	store := &holdFirstLogAppend{Store: newTestBucket(t), release: make(chan struct{})}
+	f, srv := newFleetOverBucket(t, store, FleetOptions{})
+	var dials atomic.Int32
+	c, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
+		Endpoints: []string{"collector"},
+		DialEndpoint: func(string) (net.Conn, error) {
+			if dials.Add(1) == 2 {
+				close(store.release) // the retry's redial
+			}
+			cc, sc := net.Pipe()
+			go srv.ServeConn(sc)
+			return cc, nil
+		},
+		CallTimeout: 500 * time.Millisecond,
+		Sleep:       func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rc, err := OpenResilient(c, OpenRequest{RunID: "raced", Workload: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retries := putEach(t, rc, sessionRecords(2, 3)); retries != 0 {
+		t.Fatalf("%d Put retries, want the transport's retry to absorb the timeout", retries)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2: the first append's retry redials once", n)
+	}
+	finalizeAsLogged(t, f.repo, rc, "raced", 3)
+}
+
+// TestFullQueueWaitsForDrain: an append that finds the session's queue
+// full waits for the drain rather than shedding. The session's drain
+// starts only once queueDepth records fill the queue, with the batch's
+// last record still to hand off; the batch is then accepted whole and
+// every record archived once, in order.
+func TestFullQueueWaitsForDrain(t *testing.T) {
+	reg := obs.NewRegistry(16)
+	f, srv, r := newFleetUnderTest(t, FleetOptions{Obs: reg})
+	seq, err := f.repo.NextSeq()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := archive.Meta{RunID: "congested", Workload: "synthetic", CreatedSeq: seq}
+	s := f.newSession(sessionToken(meta.RunID, seq), meta)
+	if err := f.register(s); err != nil {
+		t.Fatal(err)
+	}
+	c := rpc.Pipe(srv)
+	defer c.Close()
+	fc := &ResilientClient{c: c, id: s.id}
+	recs := sessionRecords(3, queueDepth+1)
+	sent := make(chan error, 1)
+	go func() { sent <- fc.AppendBatch(recs) }()
+	for len(s.ch) < queueDepth {
+		select {
+		case err := <-sent:
+			t.Fatalf("append of %d records answered %v before the drain started", len(recs), err)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	go s.drain(f.m)
+	if err := <-sent; err != nil {
+		t.Fatalf("append waiting on a full queue: %v", err)
+	}
+	info, err := fc.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, a, err := r.Get("congested")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Records != int64(len(recs)) || len(got) != len(recs) {
+		t.Fatalf("archive holds %d records (entry says %d), want %d", len(got), info.Records, len(recs))
+	}
+	for i, rec := range got {
+		if rec.Seq != recs[i].Seq {
+			t.Fatalf("record %d has seq %d, want %d", i, rec.Seq, recs[i].Seq)
+		}
+	}
+	snap := reg.Snapshot()
+	if in, arch := snap.Counters["fleet.records.in"], snap.Counters["fleet.records.archived"]; in != int64(len(recs)) || in != arch {
+		t.Fatalf("records in = %d, archived = %d, want %d each", in, arch, len(recs))
+	}
+}
+
 // frameCapture is a Store that remembers every frame handed to Append.
 type frameCapture struct {
 	Store
@@ -334,43 +454,54 @@ func (c *frameCapture) Append(name string, data []byte) (*storage.Object, error)
 
 // TestLogAcceptedFramesTheDrainsBytesInPlace: a batch is copied once.
 // The session log frame's payload is the very memory the drain receives
-// its records in — the frame header is written in front of the batch
-// copy — so a second payload-sized copy on the ack path fails here.
+// its records in — the frame header is written in front of the first
+// new record in the batch copy — so a second payload-sized copy on the
+// ack path fails here. With skip=1 the log already holds the batch's
+// first record (an earlier send whose answer was lost): only the rest
+// is logged and handed to the drain.
 func TestLogAcceptedFramesTheDrainsBytesInPlace(t *testing.T) {
-	capture := &frameCapture{Store: newTestBucket(t)}
-	f := NewFleet(New(capture), FleetOptions{})
-	meta := archive.Meta{RunID: "inplace", Workload: "synthetic"}
-	s := &session{
-		id: 9, token: "inplace.0", meta: meta, w: archive.NewWriter(meta), stream: f.newSessionStream(meta),
-		ch: make(chan queued, f.opts.QueueSize), done: make(chan struct{}),
-		lastActive: f.opts.Now(),
-	}
-	f.mu.Lock()
-	f.sessions[s.id] = s
-	f.mu.Unlock()
+	for _, skip := range []int{0, 1} {
+		t.Run(fmt.Sprintf("skip=%d", skip), func(t *testing.T) {
+			capture := &frameCapture{Store: newTestBucket(t)}
+			f := NewFleet(New(capture), FleetOptions{})
+			s := f.newSession("inplace.0", archive.Meta{RunID: "inplace", Workload: "synthetic"})
+			s.logged = int64(skip)
+			if err := f.register(s); err != nil {
+				t.Fatal(err)
+			}
 
-	recs := sessionRecords(2, 3)
-	body := binary.LittleEndian.AppendUint64(nil, s.id)
-	for _, rec := range recs {
-		body = trace.AppendFramedRecord(body, rec)
-	}
-	if _, err := f.handleAppendBatch(body); err != nil {
-		t.Fatal(err)
-	}
-	if len(capture.frames) != 1 {
-		t.Fatalf("%d appends for one batch, want 1", len(capture.frames))
-	}
-	logged, err := trace.SplitFramed(capture.frames[0][frameOverhead:])
-	if err != nil || len(logged) != len(recs) {
-		t.Fatalf("logged frame holds %d records (%v), want %d", len(logged), err, len(recs))
-	}
-	for i := range recs {
-		q := <-s.ch // the drain is not running: the test takes its place
-		if !bytes.Equal(q.raw, logged[i]) {
-			t.Fatalf("record %d: the drain and the log received different bytes", i)
-		}
-		if &q.raw[0] != &logged[i][0] {
-			t.Fatalf("record %d: the logged frame holds a second copy of the bytes the drain received", i)
-		}
+			var framed []byte
+			for _, rec := range sessionRecords(2, 3) {
+				framed = trace.AppendFramedRecord(framed, rec)
+			}
+			recs, err := trace.SplitFramed(framed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := binary.LittleEndian.AppendUint64(nil, s.id)
+			body = binary.LittleEndian.AppendUint64(body, 0)
+			if _, err := f.handleAppendBatch(append(body, framed...)); err != nil {
+				t.Fatal(err)
+			}
+			if len(capture.frames) != 1 {
+				t.Fatalf("%d appends for one batch, want 1", len(capture.frames))
+			}
+			logged, err := trace.SplitFramed(capture.frames[0][frameOverhead:])
+			if err != nil || len(logged) != len(recs)-skip {
+				t.Fatalf("logged frame holds %d records (%v), want %d", len(logged), err, len(recs)-skip)
+			}
+			for i := range logged {
+				q := <-s.ch // the drain is not running: the test takes its place
+				if !bytes.Equal(q.raw, logged[i]) || !bytes.Equal(q.raw, recs[skip+i]) {
+					t.Fatalf("record %d: the drain and the log received different bytes", skip+i)
+				}
+				if &q.raw[0] != &logged[i][0] {
+					t.Fatalf("record %d: the logged frame holds a second copy of the bytes the drain received", skip+i)
+				}
+			}
+			if n := len(s.ch); n != 0 {
+				t.Fatalf("%d more records handed to the drain than logged", n)
+			}
+		})
 	}
 }

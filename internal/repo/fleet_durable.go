@@ -5,7 +5,10 @@
 // carries an opaque resume token; after the collector restarts it calls
 // fleet.Resume with the token, the server rebuilds the session's
 // archive writer from the log, and the client continues streaming from
-// the durably-accepted record count — no loss, no duplicates.
+// the durably-accepted record count — no loss, no duplicates. Every
+// append names the session index of its first record, so a batch sent
+// twice (its answer lost, or a transport retry racing the original) is
+// logged once.
 //
 // Durable layout, next to the run data the sessions become:
 //
@@ -160,8 +163,8 @@ func (f *Fleet) writeSessionMeta(s *session) error {
 // server just accepted, as one CRC frame: frame is that stream behind
 // frameOverhead bytes of header room, which appendFramed fills in
 // place. This happens after the records entered the in-memory queue but
-// before the client's ack: an append the client saw succeed is always
-// in the session log.
+// before the client's ack, under s.mu: an append the client saw succeed
+// is always in the session log.
 //
 // A failed durable append poisons the live session — it is removed from
 // the table and its queue closed, so the client's next call fails and
@@ -177,15 +180,16 @@ func (f *Fleet) logAccepted(s *session, frame []byte) error {
 	return nil
 }
 
-// poison removes a session whose durable log diverged from memory.
+// poison removes a session whose durable log diverged from memory. The
+// failed append holds s.mu.
 func (f *Fleet) poison(s *session) {
+	s.closeLocked()
 	f.mu.Lock()
 	if f.sessions[s.id] == s {
 		delete(f.sessions, s.id)
 	}
 	f.m.active.Set(int64(len(f.sessions)))
 	f.mu.Unlock()
-	s.closeQueue()
 	<-s.done
 	f.opts.Obs.Emit("fleet", "session-poisoned",
 		fmt.Sprintf("session %d (run %q): durable log append failed; client must resume", s.id, s.meta.RunID))
@@ -261,8 +265,7 @@ func (f *Fleet) handleResume(body []byte) ([]byte, error) {
 	f.m.active.Set(int64(len(f.sessions)))
 	f.mu.Unlock()
 	if stale != nil {
-		stale.closeQueue()
-		<-stale.done
+		stale.close()
 	}
 
 	recs, intactEnd, torn, err := readSessionLog(f.repo.store, req.Token)
@@ -279,16 +282,9 @@ func (f *Fleet) handleResume(body []byte) ([]byte, error) {
 		}
 	}
 
-	s := &session{
-		token:      req.Token,
-		meta:       mrec.Meta,
-		w:          archive.NewWriter(mrec.Meta),
-		stream:     f.newSessionStream(mrec.Meta),
-		ch:         make(chan queued, f.opts.QueueSize),
-		done:       make(chan struct{}),
-		lastActive: f.opts.Now(),
-		archived:   int64(len(recs)),
-	}
+	s := f.newSession(req.Token, mrec.Meta)
+	s.logged = int64(len(recs))
+	s.archived.Store(s.logged)
 	for _, raw := range recs {
 		rec, err := s.w.AddRaw(raw)
 		if err != nil {
@@ -360,16 +356,6 @@ func SessionRecords(store Store, token string) ([][]byte, error) {
 	}
 	recs, _, _, err := readSessionLog(store, token)
 	return recs, err
-}
-
-// acceptedPrefix returns the leading bytes of a uvarint-framed stream
-// covering exactly n records.
-func acceptedPrefix(framed []byte, n int) ([]byte, error) {
-	rest, err := trace.SkipFrames(framed, n)
-	if err != nil {
-		return nil, err
-	}
-	return framed[:len(framed)-len(rest)], nil
 }
 
 // frameOne wraps one record's wire bytes as a single-record

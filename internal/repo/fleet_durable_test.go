@@ -211,11 +211,11 @@ func TestFleetResumeAfterCollectorRestart(t *testing.T) {
 // TestResumeResilientAcrossCollectorRestart: an agent that itself
 // restarted holds nothing but the token it persisted. ResumeResilient
 // reports the server's durable count, the agent restreams from there,
-// and every record is archived exactly once. The client's watermark
-// starts at that count: a collector that comes back holding fewer
-// records than that is an error (the client never held them and cannot
-// resend them), and the refusal leaves the client able to finish once
-// the log is whole again.
+// and every record is archived exactly once. The client keeps only the
+// records not yet acknowledged: a collector that comes back holding
+// fewer records than it acknowledged is an error (the client no longer
+// holds them and cannot resend them), and the refusal leaves the client
+// able to finish once the log is whole again.
 func TestResumeResilientAcrossCollectorRestart(t *testing.T) {
 	bucket := newBucket(t)
 	recs := sessionRecords(6, 20)
@@ -247,7 +247,7 @@ func TestResumeResilientAcrossCollectorRestart(t *testing.T) {
 	}
 
 	// The collector restarts with a log that lost everything after its
-	// first frame: 5 records, below the 11 this client resumed at.
+	// first frame: 5 records, below the 20 it acknowledged.
 	logObj := sessionLogObject(token)
 	whole, err := bucket.Get(logObj)
 	if err != nil {
@@ -258,7 +258,7 @@ func TestResumeResilientAcrossCollectorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent.restart(t, bucket)
-	if _, err := fc2.Finalize(); err == nil || !strings.Contains(err.Error(), "fewer than the 11") {
+	if _, err := fc2.Finalize(); err == nil || !strings.Contains(err.Error(), "fewer than the 20") {
 		t.Fatalf("finalize over a log rewound below the resumed base: err = %v, want the rewind refused", err)
 	}
 
@@ -829,9 +829,7 @@ func finalizeAllocs(t *testing.T, windows int) float64 {
 	f.mu.Unlock()
 	for _, s := range sessions {
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			s.mu.Lock()
-			n := s.archived
-			s.mu.Unlock()
+			n := s.archived.Load()
 			if n == int64(len(recs)) {
 				break
 			}

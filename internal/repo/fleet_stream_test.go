@@ -43,7 +43,6 @@ func TestFleetStreamEvents(t *testing.T) {
 	reg := obs.NewRegistry(512)
 	f, srv, _ := newFleetUnderTest(t, FleetOptions{
 		MaxSessions: 8,
-		QueueSize:   16,
 		Obs:         reg,
 	})
 

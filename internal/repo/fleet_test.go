@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/simclock"
@@ -25,12 +24,14 @@ func newFleetUnderTest(t *testing.T, opts FleetOptions) (*Fleet, *rpc.Server, *R
 	return f, srv, r
 }
 
-// callAppendBatch sends one raw fleet.AppendBatch frame for session id.
-// The client retains whatever it is handed and resends it until the
-// server takes it, so a frame the server must refuse — malformed bytes,
-// one record too many for a stalled queue — goes around the client.
+// callAppendBatch sends one raw fleet.AppendBatch frame for session id,
+// its first record at session index 0. The client retains whatever it
+// is handed and resends it until the server takes it, so a frame the
+// server must refuse — malformed bytes, an expired handle — goes around
+// the client.
 func callAppendBatch(c rpc.Caller, id uint64, framed []byte) error {
-	_, err := c.Call(MethodFleetAppendBatch, append(binary.LittleEndian.AppendUint64(nil, id), framed...))
+	body := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, id), 0)
+	_, err := c.Call(MethodFleetAppendBatch, append(body, framed...))
 	return err
 }
 
@@ -56,7 +57,6 @@ func TestFleetConcurrentSessions(t *testing.T) {
 	reg := obs.NewRegistry(64)
 	_, srv, r := newFleetUnderTest(t, FleetOptions{
 		MaxSessions: 8,
-		QueueSize:   16,
 		Obs:         reg,
 	})
 
@@ -156,62 +156,6 @@ func TestFleetSessionCapBusy(t *testing.T) {
 	}
 	if _, err := OpenResilient(c, OpenRequest{RunID: "after-abort"}); err != nil {
 		t.Fatalf("open after abort: %v", err)
-	}
-}
-
-// TestFleetQueueCapEnforced proves bounded per-session memory: with
-// the consumer stalled, exactly QueueSize appends are accepted and the
-// next one gets a transient busy error. White-box: the session is
-// planted without its drain goroutine so the stall is deterministic.
-func TestFleetQueueCapEnforced(t *testing.T) {
-	reg := obs.NewRegistry(16)
-	f, srv, _ := newFleetUnderTest(t, FleetOptions{
-		QueueSize:      4,
-		EnqueueTimeout: 10 * time.Millisecond,
-		Obs:            reg,
-	})
-	s := &session{
-		id:         42,
-		meta:       archive.Meta{RunID: "congested"},
-		w:          archive.NewWriter(archive.Meta{RunID: "congested"}),
-		stream:     f.newSessionStream(archive.Meta{RunID: "congested"}),
-		ch:         make(chan queued, f.opts.QueueSize),
-		done:       make(chan struct{}),
-		lastActive: f.opts.Now(),
-	}
-	f.mu.Lock()
-	f.sessions[s.id] = s
-	f.mu.Unlock()
-
-	c := rpc.Pipe(srv)
-	defer c.Close()
-	fc := &ResilientClient{c: c, id: s.id}
-	rec := sessionRecords(0, 1)[0]
-	for i := 0; i < 4; i++ {
-		if err := fc.Append(rec); err != nil {
-			t.Fatalf("append %d within cap: %v", i, err)
-		}
-	}
-	if err := callAppendBatch(c, s.id, trace.AppendFramedRecord(nil, rec)); !errors.Is(err, rpc.ErrBusy) {
-		t.Fatalf("over-cap append err = %v, want ErrBusy", err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["fleet.appends.busy"] != 1 {
-		t.Fatalf("busy appends = %d", snap.Counters["fleet.appends.busy"])
-	}
-	if snap.Counters["fleet.records.in"] != 4 {
-		t.Fatalf("records in = %d, want 4", snap.Counters["fleet.records.in"])
-	}
-
-	// Start the consumer: the queue drains and the session finalizes
-	// with exactly the admitted records.
-	go s.drain(f.m)
-	info, err := fc.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != 4 {
-		t.Fatalf("archived %d records, want 4", info.Records)
 	}
 }
 

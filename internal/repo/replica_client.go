@@ -2,17 +2,19 @@
 // exactly-once ingest across replica failover.
 //
 // The server half already exists: every accepted record is durable in
-// the session log BEFORE the ack (logAccepted), AppendBatch acks a
-// durable prefix count, and fleet.Resume replays the log and answers
-// with exactly how many records are durable. What the agent must add
-// is memory: it retains every record it has sent, and when a call
-// lands on a replica that does not know the session — because the
-// owner crashed and restarted, or failover re-aimed the endpoint-set
-// client at a survivor that redirects Resume to the restarted owner —
-// it resumes with the durable token, reads the server's accepted count
-// k, and resends records[k:]. Records [0,k) are never resent (no
-// duplicates); records [k,n) are all resent (no loss): exactly once,
-// with the server's durable count as the single source of truth.
+// the session log BEFORE the ack (logAccepted), and fleet.Resume replays
+// the log and answers with exactly how many records are durable. Client
+// and server share one number, a record's session index: every
+// AppendBatch names the index of its first record and the server skips
+// the records it already holds. What the agent must add is memory: it
+// retains every record not yet acknowledged, and resends them — after a
+// lost answer to the same session, or, when a call lands on a replica
+// that does not know the session (the owner crashed and restarted, or
+// failover re-aimed the endpoint-set client at a survivor that
+// redirects Resume to the restarted owner), after resuming with the
+// durable token. Records the server holds are never logged twice (no
+// duplicates); the rest are all resent (no loss): exactly once, with
+// the server's durable count as the single source of truth.
 package repo
 
 import (
@@ -39,15 +41,12 @@ type ResilientClient struct {
 	id    uint64 // the server's in-memory handle; replaced by every resume
 	token string // the durable identity resume presents
 
-	// base is how many records the server already held when this client
-	// attached by token (ResumeResilient; 0 after OpenResilient). sent is
-	// every record framed since, in accepted order — sent[i] is the
-	// session's record base+i — and acked counts how many of them the
-	// server has durably acknowledged.
-	base  int
-	sent  [][]byte
-	acked int
-	// lastPut names the last Put object retained in sent.
+	// next is the session index of pending[0]: every record below it
+	// is durable on the server. pending holds the framed records not yet
+	// acknowledged, in session order.
+	next    int
+	pending [][]byte
+	// lastPut names the last Put object retained in pending.
 	lastPut string
 	// resumes counts recoveries, for tests and diagnostics.
 	resumes int
@@ -83,7 +82,7 @@ func callJSON(c rpc.Caller, method string, req, resp any) error {
 // ResumeResilient reattaches an agent that itself restarted, with
 // nothing but the token it persisted: it returns the client and how
 // many records the server holds durably. The caller restreams its
-// records from that index; the client's watermark starts there, so a
+// records from that index; the client's next index starts there, so a
 // later resume that finds fewer is an error — the records below it are
 // not retained here to resend.
 func ResumeResilient(c rpc.Caller, token string) (*ResilientClient, int64, error) {
@@ -91,7 +90,7 @@ func ResumeResilient(c rpc.Caller, token string) (*ResilientClient, int64, error
 	if err := callJSON(c, MethodFleetResume, ResumeRequest{Token: token}, &resp); err != nil {
 		return nil, 0, err
 	}
-	rc := &ResilientClient{c: c, id: resp.SessionID, token: token, base: int(resp.AcceptedRecords)}
+	rc := &ResilientClient{c: c, id: resp.SessionID, token: token, next: int(resp.AcceptedRecords)}
 	return rc, resp.AcceptedRecords, nil
 }
 
@@ -105,16 +104,16 @@ func (rc *ResilientClient) Resumes() int { return rc.resumes }
 // Append streams one record, recovering the session if the collector
 // lost it.
 func (rc *ResilientClient) Append(rec *trace.ProfileRecord) error {
-	rc.sent = append(rc.sent, trace.AppendFramedRecord(nil, rec))
+	rc.pending = append(rc.pending, trace.AppendFramedRecord(nil, rec))
 	return rc.flush()
 }
 
 // Put accepts one record's wire bytes — profiler.RecordStore. The name
 // is the profiler's local object name and is not persisted (the session
-// orders records by arrival); data is retained for failover resend.
+// orders records by arrival); data is retained until acknowledged.
 func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error) {
 	if !rc.retried(name) {
-		rc.sent = append(rc.sent, frameOne(data))
+		rc.pending = append(rc.pending, frameOne(data))
 	}
 	if err := rc.flush(); err != nil {
 		return nil, err
@@ -126,7 +125,7 @@ func (rc *ResilientClient) Put(name string, data []byte) (*storage.Object, error
 // and notes it otherwise. The profiler retries a failed write under the
 // same name, and such a retry only flushes: retaining its record again
 // would archive it twice, while dropping the first copy on failure would
-// break resume when it was the ack that got lost. An empty name
+// lose it when the batch never reached the server. An empty name
 // identifies nothing and is never a retry.
 func (rc *ResilientClient) retried(name string) bool {
 	if name != "" && name == rc.lastPut {
@@ -139,7 +138,7 @@ func (rc *ResilientClient) retried(name string) bool {
 // AppendBatch streams records, recovering the session if needed.
 func (rc *ResilientClient) AppendBatch(recs []*trace.ProfileRecord) error {
 	for _, r := range recs {
-		rc.sent = append(rc.sent, trace.AppendFramedRecord(nil, r))
+		rc.pending = append(rc.pending, trace.AppendFramedRecord(nil, r))
 	}
 	return rc.flush()
 }
@@ -162,57 +161,51 @@ func (rc *ResilientClient) withSession(call func() error) error {
 // flush pushes the unacked tail, resuming on unknown-session.
 func (rc *ResilientClient) flush() error { return rc.withSession(rc.sendTail) }
 
-// sendTail transmits sent[acked:] in one AppendBatch frame per round
-// trip (u64le session id, then the framed records), advancing acked by
-// the server's durable-prefix acknowledgements: under backpressure the
-// server accepts a prefix and only the rest is resent, so records are
-// never duplicated.
+// sendTail sends every pending record in one AppendBatch frame (u64le
+// session id, u64le session index of the first pending record, then the
+// framed records). The server skips the records it already holds, so a
+// resend after a lost answer logs nothing twice; its answer means every
+// pending record is durable.
 func (rc *ResilientClient) sendTail() error {
-	for rc.acked < len(rc.sent) {
-		size := 8
-		for _, raw := range rc.sent[rc.acked:] {
-			size += len(raw)
-		}
-		body := binary.LittleEndian.AppendUint64(make([]byte, 0, size), rc.id)
-		for _, raw := range rc.sent[rc.acked:] {
-			body = append(body, raw...)
-		}
-		out, err := rc.c.Call(MethodFleetAppendBatch, body)
-		if err != nil {
-			return err
-		}
-		var resp AppendBatchResponse
-		if err := json.Unmarshal(out, &resp); err != nil {
-			return fmt.Errorf("fleet: bad append-batch response: %w", err)
-		}
-		if resp.Accepted <= 0 {
-			return fmt.Errorf("fleet: append-batch accepted 0 of %d records", len(rc.sent)-rc.acked)
-		}
-		rc.acked += resp.Accepted
+	if len(rc.pending) == 0 {
+		return nil
 	}
+	size := 16
+	for _, raw := range rc.pending {
+		size += len(raw)
+	}
+	body := binary.LittleEndian.AppendUint64(make([]byte, 0, size), rc.id)
+	body = binary.LittleEndian.AppendUint64(body, uint64(rc.next))
+	for _, raw := range rc.pending {
+		body = append(body, raw...)
+	}
+	if _, err := rc.c.Call(MethodFleetAppendBatch, body); err != nil {
+		return err
+	}
+	rc.next += len(rc.pending)
+	clear(rc.pending)
+	rc.pending = rc.pending[:0]
 	return nil
 }
 
-// resume reattaches via the durable token. The server's accepted
-// count REWINDS our ack watermark when the crash ate acked-in-memory-
-// only records (it cannot: logAccepted precedes every ack — but the
-// watermark trusts the server regardless, which also makes the client
-// correct against a server that loses its tail to a torn log trim).
+// resume reattaches via the durable token. The server must hold at
+// least the next records this client dropped as acknowledged — acked ⇒
+// durable — and at most those plus the pending ones; the next send
+// names its index, so the server skips what it already holds.
 func (rc *ResilientClient) resume() error {
 	var resp ResumeResponse
 	if err := callJSON(rc.c, MethodFleetResume, ResumeRequest{Token: rc.token}, &resp); err != nil {
 		return err
 	}
-	held := int(resp.AcceptedRecords) - rc.base
-	if held < 0 {
-		return fmt.Errorf("fleet: server has %d records durable, fewer than the %d this client resumed at",
-			resp.AcceptedRecords, rc.base)
+	if resp.AcceptedRecords < int64(rc.next) {
+		return fmt.Errorf("fleet: server has %d records durable, fewer than the %d it acknowledged",
+			resp.AcceptedRecords, rc.next)
 	}
-	if held > len(rc.sent) {
+	if resp.AcceptedRecords > int64(rc.next+len(rc.pending)) {
 		return fmt.Errorf("fleet: server has %d records durable, client only sent %d",
-			resp.AcceptedRecords, rc.base+len(rc.sent))
+			resp.AcceptedRecords, rc.next+len(rc.pending))
 	}
-	rc.id, rc.acked = resp.SessionID, held
+	rc.id = resp.SessionID
 	rc.resumes++
 	return nil
 }
@@ -241,6 +234,6 @@ func (rc *ResilientClient) Abort() error {
 	err := rc.withSession(func() error {
 		return callJSON(rc.c, MethodFleetAbort, sessionRequest{SessionID: rc.id}, nil)
 	})
-	rc.sent, rc.acked = nil, 0
+	rc.pending = nil
 	return err
 }

@@ -39,8 +39,8 @@ var (
 )
 
 // ErrBusy is the admission-control error: the server is at capacity
-// (connection limit reached, a collection session table full, or a
-// bounded queue saturated) and the caller should back off and retry.
+// (connection limit reached, or a collection session table full) and
+// the caller should back off and retry.
 // Handlers return errors wrapping ErrBusy to ship the dedicated busy
 // status; clients see the error as transient (IsTransient), so
 // ReconnectClient retries it with backoff instead of failing the call

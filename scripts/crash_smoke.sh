@@ -10,13 +10,14 @@
 #      append, and the tallied generation sidecar — under the race
 #      detector, each by name.
 #   3. The fleet durable-session tests (resume, eviction, torn-tail trim,
-#      lease-vs-finalize, a retried profiler Put retained once) under the
-#      race detector.
-#   4. crashcheck — the in-process wiring smoke that asserts every
-#      recovery path moves its observability counter
-#      (repo.recover.reclaimed, repo.salvage.segments.recovered,
-#      repo.fsck.issues/repairs, fleet.sessions.resumed) and that
-#      records.in == records.archived across a collector restart.
+#      lease-vs-finalize, a retried profiler Put retained once, a batch
+#      resent after a lost answer or racing its timed-out original
+#      archived once, a full queue waiting for the drain) and the
+#      recovery-counter wiring test (every recovery path moves its
+#      observability counter — repo.recover.reclaimed,
+#      repo.salvage.segments.recovered, repo.fsck.issues/repairs,
+#      fleet.sessions.resumed — and records.in == records.archived
+#      across a collector restart) under the race detector.
 #
 # The CLI's torn-blob round trip (fsck flags it, salvage recovers it,
 # the run still opens) is TestRunsSalvageRoundTrip in cmd/tpupoint.
@@ -38,9 +39,8 @@ echo "== DirStore append and generation contract tests (-race)"
 echo "== fleet durable-session tests (-race)"
 ./scripts/named_tests.sh ./internal/repo \
     TestFleetResume TestFleetRecoverSessions TestFleetFinalizeBeatsLeaseExpiry TestFleetDurableAppendFailure TestSessionToken \
-    TestResilientPutRetryRetainsOnce
-
-echo "== crashcheck (recovery counters)"
-go run ./scripts/crashcheck
+    TestResilientPutRetryRetainsOnce TestAppendBatchLostReplyArchivedOnce \
+    TestAppendRetryRacingOriginalArchivedOnce TestFullQueueWaitsForDrain \
+    TestRecoveryPathsMoveTheirCounters
 
 echo "crash smoke: OK"

@@ -88,8 +88,9 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	neighbors := make([][]int32, n)
 	err := pool.Run(context.Background(), n, chunk, func(ci, lo, hi int) error {
 		var local int64
+		var sc neighborScratch
 		for i := lo; i < hi; i++ {
-			neighbors[i] = grid.neighbors(i, nil)
+			neighbors[i] = grid.neighbors(i, &sc)
 			local += int64(len(neighbors[i]))
 		}
 		if entries.Add(local) > entryLimit {
@@ -173,6 +174,13 @@ const autoEpsMaxSample = 2048
 // genuinely unusual steps as noise. The per-row scans fan out across the
 // pool; results are written to disjoint slots, so the choice is
 // deterministic for every worker count.
+//
+// A row's scan walks every row in blocks of four through sqDistsWithin,
+// bounded by the running 4th-smallest squared distance: a block whose
+// four partial sums have all passed it cannot change the four smallest,
+// and each candidate enters only if strictly below that 4th, so the
+// result is the full scan's bit for bit (autoEpsOracle in
+// dbscan_oracle_test.go). A NaN distance is never a candidate.
 func autoEps(m *Matrix, pool *parallel.Pool, chunk int) float64 {
 	n := m.Rows
 	if n < 2 {
@@ -188,25 +196,27 @@ func autoEps(m *Matrix, pool *parallel.Pool, chunk int) float64 {
 	kdist := make([]float64, count)
 	all := ascending(n)
 	_ = pool.Run(context.Background(), count, chunk, func(ci, lo, hi int) error {
-		toAll := make([]float64, n)
+		var block [4]float64
 		for s := lo; s < hi; s++ {
 			i := s * stride
-			sqDists(m.Row(i), m, all, toAll)
+			row := m.Row(i)
 			// Running top-4 smallest squared distances (ascending).
 			best := [kth]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
-			for j, d := range toAll {
-				if i == j {
-					continue
+			for b := 0; b < n; b += len(block) {
+				rows := all[b:min(b+len(block), n)]
+				dist := block[:len(rows)]
+				sqDistsWithin(row, m, rows, best[kth-1], dist)
+				for o, d := range dist {
+					if b+o == i || !(d < best[kth-1]) {
+						continue
+					}
+					p := kth - 1
+					for p > 0 && best[p-1] > d {
+						best[p] = best[p-1]
+						p--
+					}
+					best[p] = d
 				}
-				if d >= best[kth-1] {
-					continue
-				}
-				p := kth - 1
-				for p > 0 && best[p-1] > d {
-					best[p] = best[p-1]
-					p--
-				}
-				best[p] = d
 			}
 			idx := kth - 1
 			if n-1 < kth {

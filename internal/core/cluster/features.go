@@ -15,11 +15,12 @@
 // the pool its hot loops fan out over: workers <= 0 means GOMAXPROCS, 1
 // runs everything inline on the caller's goroutine. Every output is
 // bit-identical for every value of workers (see internal/parallel): a
-// fan-out that reduces cuts its rows into parChunk (covChunk for the
-// covariance) and merges the per-chunk partials in chunk order, so the
-// chunk size is the reduction grouping and part of the contract; a fan-out
-// that only fills per-row slots may use any fixed size and the heavy ones
-// use slotChunk. A sweep is the parallel level above its members:
+// fan-out that reduces cuts its rows into parChunk and merges the
+// per-chunk partials in chunk order, so the chunk size is the reduction
+// grouping and part of the contract; the covariance sums its rows in
+// covChunk groups merged in chunk order too, but fans out over its output
+// rows; a fan-out that only fills per-row slots may use any fixed size and
+// the heavy ones use slotChunk. A sweep is the parallel level above its members:
 // KMeansSweep hands the pool one task per k and each member runs inline.
 // PCA's eigendecomposition of the d×d covariance (d ≤ 2·MaxFeatureOps)
 // is serial and so the same at any worker count.
@@ -68,8 +69,9 @@ const (
 	// slotChunk is the row-chunk size of the heavy slot-filling fan-outs:
 	// the PCA projection and DBSCAN's 4-NN distances and ε-neighbor lists.
 	slotChunk = 32
-	// covChunk is the row-chunk size for covariance accumulation, kept
-	// larger because each chunk owns a d×d partial matrix.
+	// covChunk is the row-chunk size of the covariance's partial sums,
+	// merged in chunk order. It was sized when each chunk owned a d×d
+	// partial matrix; it stays because it is the reduction grouping.
 	covChunk = 4096
 )
 
@@ -266,6 +268,69 @@ func sqDists(x []float64, m *Matrix, rows []int, out []float64) {
 	}
 	if i < len(rows) {
 		out[i] = sqDist(m.Row(rows[i]), x)
+	}
+}
+
+// sqDistsWithin is sqDists for callers that only ask whether a distance is
+// at most, or below, a threshold no larger than bound: it may give up on a
+// row. Four rows advance in lockstep as in sqDists, and after every strip
+// of eight columns the four are abandoned once all four partial sums are
+// strictly above bound; the rows past the last whole block of four go one
+// at a time, each abandoned alone by the same rule. An abandoned row's out
+// is its partial sum. Terms are non-negative and rounding is monotone, so
+// the full sum is at least that partial: out[i] is the exact sqDist when
+// the row is not abandoned, and above bound — as is the exact distance —
+// when it is. For every t <= bound, out[i] <= t and out[i] < t therefore
+// hold exactly when they hold for the exact distance. A NaN partial sum is
+// never above bound, so its row is summed to the end, out is NaN and both
+// comparisons are false, as they are for the exact distance.
+//
+// The give-up must stay strict: a caller that keeps distances equal to
+// bound (DBSCAN's ε-neighbours, at most ε²) would lose a row whose
+// partial sum already equals bound and whose remaining terms are zero,
+// and ε·ε can round back onto a computed squared distance. autoEps keeps
+// only distances strictly below its bound, so it would be exact under
+// either rule; it shares this one.
+func sqDistsWithin(x []float64, m *Matrix, rows []int, bound float64, out []float64) {
+	const strip = 8
+	d := len(x)
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		r0, r1 := m.Data[rows[i]*d:][:d], m.Data[rows[i+1]*d:][:d]
+		r2, r3 := m.Data[rows[i+2]*d:][:d], m.Data[rows[i+3]*d:][:d]
+		var s0, s1, s2, s3 float64
+		for lo := 0; lo < d; lo += strip {
+			hi := min(lo+strip, d)
+			xs := x[lo:hi]
+			a0, a1, a2, a3 := r0[lo:hi], r1[lo:hi], r2[lo:hi], r3[lo:hi]
+			for j, xj := range xs {
+				d0, d1, d2, d3 := a0[j]-xj, a1[j]-xj, a2[j]-xj, a3[j]-xj
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			if s0 > bound && s1 > bound && s2 > bound && s3 > bound {
+				break
+			}
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(rows); i++ {
+		r := m.Data[rows[i]*d:][:d]
+		var s float64
+		for lo := 0; lo < d; lo += strip {
+			hi := min(lo+strip, d)
+			a := r[lo:hi]
+			for j, xj := range x[lo:hi] {
+				e := a[j] - xj
+				s += e * e
+			}
+			if s > bound {
+				break
+			}
+		}
+		out[i] = s
 	}
 }
 

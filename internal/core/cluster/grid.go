@@ -61,12 +61,25 @@ func (g *gridIndex) cellOf(row []float64) gridKey {
 	return k
 }
 
+// neighborScratch is the candidate and distance buffers of one task's
+// neighbor queries, reused from one query to the next.
+type neighborScratch struct {
+	cand []int
+	dist []float64
+}
+
 // neighbors returns every point within eps of point i (excluding i),
 // sorted ascending — the same list, in the same order, that the brute
-// O(n²) scan produces. buf is an optional reusable backing array.
-func (g *gridIndex) neighbors(i int, buf []int32) []int32 {
-	out := buf[:0]
-	row := g.m.Row(i)
+// O(n²) scan produces. It gathers the members of the 3^gdims adjacent
+// cells into sc's candidate buffer and checks them with sqDistsWithin
+// against eps², keeping a distance at most eps² (so a NaN distance is
+// never a neighbor). sc may be nil, for buffers of the call's own; the
+// returned list is always freshly allocated, exactly its length.
+func (g *gridIndex) neighbors(i int, sc *neighborScratch) []int32 {
+	if sc == nil {
+		sc = new(neighborScratch)
+	}
+	cand := sc.cand[:0]
 	base := g.keys[i]
 
 	// Offset ranges: ±1 on binned coordinates, pinned to 0 beyond gdims.
@@ -82,32 +95,34 @@ func (g *gridIndex) neighbors(i int, buf []int32) []int32 {
 			for o2 := -span[2]; o2 <= span[2]; o2++ {
 				probe[2] = base[2] + o2
 				for _, j := range g.cells[probe] {
-					if j == int32(i) {
-						continue
-					}
-					if sqDistBounded(row, g.m.Row(int(j)), g.eps2) {
-						out = append(out, j)
+					if j != int32(i) {
+						cand = append(cand, int(j))
 					}
 				}
 			}
 		}
 	}
-	slices.Sort(out)
-	return out
-}
-
-// sqDistBounded reports whether the squared distance of a and b is at
-// most bound, bailing out as soon as the partial sum exceeds it. Terms
-// are non-negative, so the verdict matches the full sqDist comparison
-// exactly.
-func sqDistBounded(a, b []float64, bound float64) bool {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-		if s > bound {
-			return false
+	sc.cand = cand
+	if cap(sc.dist) < len(cand) {
+		sc.dist = make([]float64, len(cand), cap(cand))
+	}
+	dist := sc.dist[:len(cand)]
+	sqDistsWithin(g.m.Row(i), g.m, cand, g.eps2, dist)
+	hits := 0
+	for _, d := range dist {
+		if d <= g.eps2 {
+			hits++
 		}
 	}
-	return true
+	if hits == 0 {
+		return nil
+	}
+	out := make([]int32, 0, hits)
+	for c, d := range dist {
+		if d <= g.eps2 {
+			out = append(out, int32(cand[c]))
+		}
+	}
+	slices.Sort(out)
+	return out
 }

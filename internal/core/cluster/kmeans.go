@@ -26,6 +26,10 @@ type KMeansResult struct {
 // The assignment and update steps fan out over fixed-size row chunks;
 // per-chunk partial sums are merged in chunk order.
 //
+// The first assignment pass computes no distance: it reads the ones the
+// k-means++ seeding computed from every row to every centroid, the sums
+// nearest would form.
+//
 // The assignment step skips the distances Elkan's triangle-inequality
 // bounds (Elkan, ICML 2003) prove cannot win, and returns Lloyd's
 // clustering bit for bit. Each row keeps an upper bound on its distance to
@@ -72,7 +76,8 @@ const (
 )
 
 // distEvals counts the row-to-centroid distances k-means' assignment
-// passes compute; BenchmarkKMeansSweep reports it against Lloyd's.
+// passes compute (none in the first pass, which reads the seeding's);
+// BenchmarkKMeansSweep reports it against Lloyd's.
 var distEvals atomic.Int64
 
 // kmeans is KMeans on the caller's pool, so a sweep can run its members
@@ -100,14 +105,18 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 	ctx := context.Background()
 
 	rng := prng.New(seed)
-	centroids := seedPlusPlus(m, k, rng, pool)
+	// The seeding leaves every row's squared distance to every centroid
+	// in the bounds' lower table, which the first pass reads instead of
+	// computing.
+	lower := make([]float64, n*k)
+	centroids := seedCentroids(m, k, rng, pool, lower)
 	spare := NewMatrix(k, d)
 	assign := make([]int, n)
 	sizes := make([]int, k)
 	slack := boundSlack + float64(d)*0x1p-52
 	b := &bounds{
 		k: k, up: 1 + slack, down: 1 - slack,
-		upper: make([]float64, n), lower: make([]float64, n*k),
+		upper: make([]float64, n), lower: lower,
 		half: make([]float64, k*k), drift: make([]float64, k),
 	}
 	// Chunk boundaries depend only on the row count, so merging the
@@ -129,9 +138,11 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 	for iter := 0; iter < 200; iter++ {
 		iterations = iter + 1
 		cur := centroids
-		// The first pass seeds every row's bounds; a centroid with a
-		// non-finite coordinate voids them all.
-		full := iter == 0 || !allFinite(cur.Data)
+		// The first pass seeds every row's bounds from the seeding's
+		// distances; a centroid with a non-finite coordinate voids them
+		// all.
+		first := iter == 0
+		full := first || !allFinite(cur.Data)
 		_ = pool.Run(ctx, n, parChunk, func(ci, lo, hi int) error {
 			cs := &chunks[ci]
 			cs.changed = false
@@ -145,6 +156,12 @@ func kmeans(m *Matrix, k int, seed uint64, budget int64, pool *parallel.Pool) (*
 					cand, ok = b.candidates(i, a, cs.cand)
 				}
 				switch {
+				case first:
+					// The distances nearest would compute: the seeding
+					// summed the same squares in the same column order.
+					copy(cs.dist, b.lower[i*k:][:k])
+					best = lowest(cs.dist)
+					b.set(i, ascending(k), cs.dist, best)
 				case !ok:
 					best, _ = nearest(row, cur, cs.dist)
 					b.set(i, ascending(k), cs.dist, best)
@@ -348,30 +365,40 @@ func lowest(dist []float64) int {
 	return best
 }
 
-// seedPlusPlus picks k initial centroids with the k-means++ strategy.
-// The distance-to-nearest-centroid table is maintained incrementally
-// (each new centroid only lowers it), turning the legacy O(n·k²) scan
-// into O(n·k); the per-row minima are identical, so the seeding — and the
-// PRNG consumption — matches the legacy implementation bit for bit.
-func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matrix {
+// seedCentroids picks k initial centroids with the k-means++ strategy and
+// sets dists[i*k+c] to the squared distance of row i to centroid c, for
+// every row and centroid (dists holds m.Rows·k values). The
+// distance-to-nearest-centroid table is maintained incrementally (each new
+// centroid only lowers it), turning the legacy O(n·k²) scan into O(n·k);
+// the per-row minima are identical, so the seeding — and the PRNG
+// consumption — matches the legacy implementation bit for bit. Each
+// centroid's distances are one sqDists pass over the rows, and the last
+// centroid's pass only fills dists. A distance sums (row−centroid)², which
+// is nearest's (centroid−row)² bit for bit, in the same column order.
+func seedCentroids(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool, dists []float64) *Matrix {
 	centroids := NewMatrix(k, m.Cols)
 	copy(centroids.Row(0), m.Row(rng.Intn(m.Rows)))
 	d2 := make([]float64, m.Rows)
 	toNewest := make([]float64, m.Rows)
 	rows := ascending(m.Rows)
 	ctx := context.Background()
-	for c := 1; c < k; c++ {
+	for c := 1; c <= k; c++ {
 		newest := centroids.Row(c - 1)
-		first := c == 1
+		first, last := c == 1, c == k
 		_ = pool.Run(ctx, m.Rows, parChunk, func(ci, lo, hi int) error {
 			sqDists(newest, m, rows[lo:hi], toNewest[lo:hi])
 			for i := lo; i < hi; i++ {
-				if d := toNewest[i]; first || d < d2[i] {
+				d := toNewest[i]
+				dists[i*k+c-1] = d
+				if !last && (first || d < d2[i]) {
 					d2[i] = d
 				}
 			}
 			return nil
 		})
+		if last {
+			break
+		}
 		var total float64
 		for _, d := range d2 {
 			total += d

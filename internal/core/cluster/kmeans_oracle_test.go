@@ -1,11 +1,13 @@
 package cluster
 
 // The differential oracles for k-means: Lloyd's loop as it ran before the
-// assignment step learned to skip distances (lloydOracle), and the
-// one-centroid-at-a-time nearest-centroid scan it used before the
-// four-wide kernel (nearestOneAtATime). The shipped KMeans must return
-// lloydOracle's result and nearest its index and distance, bit for bit,
-// because k-means++ seeding and the SSD series flip on last-bit changes.
+// assignment step learned to skip distances (lloydOracle), with the
+// k-means++ seeding as it ran before it recorded its distances for the
+// first pass (seedPlusPlus), and the one-centroid-at-a-time
+// nearest-centroid scan it used before the four-wide kernel
+// (nearestOneAtATime). The shipped KMeans must return lloydOracle's result
+// and nearest its index and distance, bit for bit, because k-means++
+// seeding and the SSD series flip on last-bit changes.
 
 import (
 	"context"
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,6 +123,94 @@ func lloydOracle(m *Matrix, k int, seed uint64) *KMeansResult {
 	return &KMeansResult{
 		K: k, Assignment: assign, Centroids: centroids,
 		SSD: ssd, Sizes: sizes, Iterations: iterations,
+	}
+}
+
+// seedPlusPlus is k-means++ seeding without the distance table
+// seedCentroids fills: the same incremental distance-to-nearest-centroid
+// minima, draws and picks, and no pass for the last centroid.
+func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matrix {
+	centroids := NewMatrix(k, m.Cols)
+	copy(centroids.Row(0), m.Row(rng.Intn(m.Rows)))
+	d2 := make([]float64, m.Rows)
+	toNewest := make([]float64, m.Rows)
+	rows := ascending(m.Rows)
+	ctx := context.Background()
+	for c := 1; c < k; c++ {
+		newest := centroids.Row(c - 1)
+		first := c == 1
+		_ = pool.Run(ctx, m.Rows, parChunk, func(ci, lo, hi int) error {
+			sqDists(newest, m, rows[lo:hi], toNewest[lo:hi])
+			for i := lo; i < hi; i++ {
+				if d := toNewest[i]; first || d < d2[i] {
+					d2[i] = d
+				}
+			}
+			return nil
+		})
+		var total float64
+		for _, d := range d2 {
+			total += d
+		}
+		if total == 0 {
+			copy(centroids.Row(c), m.Row(rng.Intn(m.Rows)))
+			continue
+		}
+		target := rng.Float64() * total
+		var acc float64
+		pick := m.Rows - 1
+		for i := 0; i < m.Rows; i++ {
+			acc += d2[i]
+			if acc >= target {
+				pick = i
+				break
+			}
+		}
+		copy(centroids.Row(c), m.Row(pick))
+	}
+	return centroids
+}
+
+// TestSeedDistancesAreNearests: the table seedCentroids leaves for the
+// first assignment pass holds, for every row, the distances nearest
+// computes to the seeded centroids, bit for bit, and the centroids and the
+// draws after them are seedPlusPlus's — on the Table I matrices and every
+// edge matrix, NaN and ±Inf rows included, at k = 1, 2, 5 and 15.
+func TestSeedDistancesAreNearests(t *testing.T) {
+	names, table := tableIMatrices(t)
+	ms := map[string]*Matrix{}
+	for i, m := range table {
+		ms[names[i]] = m
+	}
+	for name, m := range edgeMatrices() {
+		ms[name] = m
+	}
+	pool := parallel.New(1)
+	for name, m := range ms {
+		for _, k := range []int{1, 2, 5, 15} {
+			k = min(k, m.Rows)
+			rng, oracleRNG := prng.New(uint64(k)), prng.New(uint64(k))
+			dists := make([]float64, m.Rows*k)
+			got := seedCentroids(m, k, rng, pool, dists)
+			want := seedPlusPlus(m, k, oracleRNG, pool)
+			for i, x := range got.Data {
+				if !sameFloat(x, want.Data[i]) {
+					t.Fatalf("%s k=%d: centroid value %d is %x, oracle %x", name, k, i, math.Float64bits(x), math.Float64bits(want.Data[i]))
+				}
+			}
+			if a, b := rng.Uint64(), oracleRNG.Uint64(); a != b {
+				t.Fatalf("%s k=%d: the seeding drew differently from the oracle", name, k)
+			}
+			near := make([]float64, k)
+			for i := 0; i < m.Rows; i++ {
+				nearest(m.Row(i), got, near)
+				for c, want := range near {
+					if d := dists[i*k+c]; !sameFloat(d, want) {
+						t.Fatalf("%s k=%d: row %d centroid %d: seeding distance %x, nearest %x", name, k, i, c, math.Float64bits(d), math.Float64bits(want))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -275,16 +366,41 @@ func kmeansDiff(got, want *KMeansResult) string {
 	return ""
 }
 
-// tableIMatrices are the matrices the analyzer clusters for the six
+// tableIRaw holds tableIRawMatrices once built: several tests and
+// benchmarks read them, and simulating six recordings is slow under -race.
+var tableIRaw struct {
+	sync.Mutex
+	names []string
+	ms    []*Matrix
+}
+
+// tableIRawMatrices are the standardized feature matrices of the six
 // Table I recordings (three workloads on TPUv2 and TPUv3, 300 steps,
-// estimator seed 1): standardized features projected by PCA.
+// estimator seed 1): what the analyzer hands PCA. The matrices are shared
+// between callers, which must not write them; the slices are the caller's.
+func tableIRawMatrices(tb testing.TB) (names []string, ms []*Matrix) {
+	tb.Helper()
+	tableIRaw.Lock()
+	defer tableIRaw.Unlock()
+	if tableIRaw.ms == nil {
+		for _, w := range []string{"bert-mrpc", "resnet-imagenet", "dcgan-mnist"} {
+			for _, v := range []tpu.Version{tpu.V2, tpu.V3} {
+				names = append(names, fmt.Sprintf("%s-%s", w, v))
+				ms = append(ms, realStepMatrix(tb, w, v))
+			}
+		}
+		tableIRaw.names, tableIRaw.ms = names, ms
+	}
+	return slices.Clone(tableIRaw.names), slices.Clone(tableIRaw.ms)
+}
+
+// tableIMatrices are the matrices the analyzer clusters for the six
+// Table I recordings: tableIRawMatrices projected by PCA.
 func tableIMatrices(tb testing.TB) (names []string, ms []*Matrix) {
 	tb.Helper()
-	for _, w := range []string{"bert-mrpc", "resnet-imagenet", "dcgan-mnist"} {
-		for _, v := range []tpu.Version{tpu.V2, tpu.V3} {
-			names = append(names, fmt.Sprintf("%s-%s", w, v))
-			ms = append(ms, PCA(realStepMatrix(tb, w, v), MaxFeatureOps, 0))
-		}
+	names, ms = tableIRawMatrices(tb)
+	for i, m := range ms {
+		ms[i] = PCA(m, MaxFeatureOps, 0)
 	}
 	return names, ms
 }
@@ -507,7 +623,8 @@ func TestKMeansSweepReturnsLowestFailingK(t *testing.T) {
 // and "real" is the figure that matters. The default sub-benchmark also
 // reports its time over the one-worker time: it is the guard for "the
 // sweep-level fan-out is no slower on large inputs", which no bench/
-// workload sees.
+// workload sees. The real arm's set-up fails unless every member of its
+// sweeps is lloydOracle's result bit for bit.
 func BenchmarkKMeansSweep(b *testing.B) {
 	type arm struct {
 		name string
@@ -519,7 +636,18 @@ func BenchmarkKMeansSweep(b *testing.B) {
 		Standardize(m, 0)
 		arms = append(arms, arm{fmt.Sprintf("n=%d", n), []*Matrix{m}})
 	}
-	_, table := tableIMatrices(b)
+	names, table := tableIMatrices(b)
+	for i, m := range table {
+		sweep, err := KMeansSweep(m, 15, 1, 0, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range sweep {
+			if diff := kmeansDiff(r, lloydOracle(m, r.K, 1+uint64(r.K))); diff != "" {
+				b.Fatalf("%s k=%d: %s", names[i], r.K, diff)
+			}
+		}
+	}
 	arms = append(arms, arm{"real", table})
 	for _, arm := range arms {
 		var onePerOp time.Duration

@@ -20,9 +20,9 @@ import (
 //
 // If k >= m.Cols the input is returned unchanged (projection would be a
 // rotation with no reduction, and the clustering metrics are rotation-
-// invariant anyway). The covariance accumulation fans out over fixed-size
-// row chunks whose partials merge in chunk order, the eigensolver runs
-// serially on the d×d covariance, and the projection fills disjoint rows.
+// invariant anyway). The covariance fans out over its output rows (see
+// covariance), the eigensolver runs serially on the d×d covariance, and
+// the projection fills disjoint rows, four components per pass over a row.
 func PCA(m *Matrix, k, workers int) *Matrix {
 	if m.Rows == 0 || k >= m.Cols || k <= 0 {
 		return m
@@ -38,16 +38,7 @@ func PCA(m *Matrix, k, workers int) *Matrix {
 	out := NewMatrix(m.Rows, rank)
 	_ = pool.Run(context.Background(), m.Rows, slotChunk, func(ci, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			dst := out.Row(i)
-			for c := range dst {
-				comp := components[c*d:][:d]
-				var dot float64
-				for j, x := range row {
-					dot += x * comp[j]
-				}
-				dst[c] = dot
-			}
+			project(m.Row(i), components, out.Row(i))
 		}
 		return nil
 	})
@@ -57,44 +48,126 @@ func PCA(m *Matrix, k, workers int) *Matrix {
 // epsilon is the float64 machine epsilon, 2⁻⁵².
 const epsilon = 0x1p-52
 
+// project sets dst[c] to the dot product of row with component c (row c
+// of components, len(row) wide). Four components advance in lockstep over
+// one pass of the row, one accumulator each adding its terms in ascending
+// column order, so every dst[c] is the one-component-at-a-time dot product
+// bit for bit; a one-wide step finishes a rank that is no multiple of four.
+func project(row, components, dst []float64) {
+	d := len(row)
+	c := 0
+	for ; c+4 <= len(dst); c += 4 {
+		p0, p1 := components[c*d:][:d], components[(c+1)*d:][:d]
+		p2, p3 := components[(c+2)*d:][:d], components[(c+3)*d:][:d]
+		var s0, s1, s2, s3 float64
+		for j, x := range row {
+			s0 += x * p0[j]
+			s1 += x * p1[j]
+			s2 += x * p2[j]
+			s3 += x * p3[j]
+		}
+		dst[c], dst[c+1], dst[c+2], dst[c+3] = s0, s1, s2, s3
+	}
+	for ; c < len(dst); c++ {
+		p := components[c*d:][:d]
+		var s float64
+		for j, x := range row {
+			s += x * p[j]
+		}
+		dst[c] = s
+	}
+}
+
 // covariance returns the d×d covariance matrix (rows assumed centered —
-// Standardize guarantees it). Row chunks accumulate into per-chunk
-// partial matrices merged in chunk order; covChunk is larger than
-// parChunk so the d² partials stay small relative to the input.
+// Standardize guarantees it). Element (i, j) is the sum over rows of
+// x_ri·x_rj, skipping the rows whose x_ri is 0, in row order within each
+// covChunk of rows; the chunks' partial sums are added to a zero in chunk
+// order, and the total is scaled by 1/(n−1). That grouping is the
+// contract. The work fans out over output rows — the upper triangle's row
+// i, from the diagonal, is one task — so a matrix of one covChunk still
+// spreads over the pool; each task walks the chunks in order and, for
+// every chunk after the first, sums into a scratch row that it then adds
+// to the output row (the first chunk sums into the zeroed output row
+// directly: adding a partial to zero returns it unchanged, since a sum
+// that starts at +0 never reaches −0).
 func covariance(m *Matrix, pool *parallel.Pool) []float64 {
 	d := m.Cols
-	partials, _ := parallel.Map(pool, context.Background(), m.Rows, covChunk,
-		func(ci, lo, hi int) ([]float64, error) {
-			part := make([]float64, d*d)
-			for r := lo; r < hi; r++ {
-				row := m.Row(r)
-				for i, x := range row {
-					if x == 0 {
-						continue
-					}
-					// Row i of the upper triangle, from the diagonal.
-					dst := part[i*d+i : (i+1)*d]
-					for j, y := range row[i:] {
-						dst[j] += x * y
-					}
-				}
-			}
-			return part, nil
-		})
 	cov := make([]float64, d*d)
-	for _, part := range partials {
-		for i := range cov {
-			cov[i] += part[i]
-		}
-	}
+	nc := parallel.NumChunks(m.Rows, covChunk)
 	scale := 1 / float64(max(1, m.Rows-1))
+	_ = pool.Run(context.Background(), d, 1, func(_, i, _ int) error {
+		dst := cov[i*d+i : (i+1)*d]
+		var part []float64
+		for ci := 0; ci < nc; ci++ {
+			lo, hi := ci*covChunk, min((ci+1)*covChunk, m.Rows)
+			if ci == 0 {
+				covRow(m, i, lo, hi, dst)
+				continue
+			}
+			if part == nil {
+				part = make([]float64, len(dst))
+			} else {
+				clear(part)
+			}
+			covRow(m, i, lo, hi, part)
+			for j, p := range part {
+				dst[j] += p
+			}
+		}
+		for j := range dst {
+			dst[j] *= scale
+		}
+		return nil
+	})
 	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			cov[i*d+j] *= scale
+		for j := i + 1; j < d; j++ {
 			cov[j*d+i] = cov[i*d+j]
 		}
 	}
 	return cov
+}
+
+// covRow adds x_ri·x_rj to dst[j−i], for every j >= i and every row r in
+// [lo, hi) whose x_ri is not 0, in row order. Four rows are folded per
+// load and store of dst: each element takes its four terms in row order,
+// so it is the row-at-a-time sum bit for bit. A block of four holding a
+// zero x_ri, and the rows past the last whole block, go one row at a time.
+func covRow(m *Matrix, i, lo, hi int, dst []float64) {
+	d := m.Cols
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		y0, y1 := m.Data[r*d+i:][:len(dst)], m.Data[(r+1)*d+i:][:len(dst)]
+		y2, y3 := m.Data[(r+2)*d+i:][:len(dst)], m.Data[(r+3)*d+i:][:len(dst)]
+		x0, x1, x2, x3 := y0[0], y1[0], y2[0], y3[0]
+		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
+			for q := r; q < r+4; q++ {
+				covAddRow(m.Data[q*d+i:][:len(dst)], dst)
+			}
+			continue
+		}
+		for j := range dst {
+			s := dst[j]
+			s += x0 * y0[j]
+			s += x1 * y1[j]
+			s += x2 * y2[j]
+			s += x3 * y3[j]
+			dst[j] = s
+		}
+	}
+	for ; r < hi; r++ {
+		covAddRow(m.Data[r*d+i:][:len(dst)], dst)
+	}
+}
+
+// covAddRow adds y[0]·y[j] to dst[j] for every j, unless y[0] is 0.
+func covAddRow(y, dst []float64) {
+	x := y[0]
+	if x == 0 {
+		return
+	}
+	for j, v := range y {
+		dst[j] += x * v
+	}
 }
 
 // eigSym returns the eigenvalues of the symmetric row-major n×n matrix a

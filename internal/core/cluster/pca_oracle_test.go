@@ -1,12 +1,15 @@
 package cluster
 
-// The differential oracle for PCA's eigensolver: a cyclic Jacobi
-// eigensolver, slow and simple, against which eigSym's eigenvalues are
-// checked; and the properties that make PCA a projection — orthonormal
-// components, eigenvalues in descending order, the sign rule, and a
-// projected sum of squares that never exceeds the input's.
+// The differential oracles for PCA: a cyclic Jacobi eigensolver, slow and
+// simple, against which eigSym's eigenvalues are checked; the covariance
+// and the projection as they ran before the four-wide kernels
+// (covarianceOracle, pcaOracle), which PCA must reproduce bit for bit; and
+// the properties that make PCA a projection — orthonormal components,
+// eigenvalues in descending order, the sign rule, and a projected sum of
+// squares that never exceeds the input's.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -277,24 +280,186 @@ func TestEigSymBreaksTiesByIndex(t *testing.T) {
 }
 
 // pcaSink keeps the benchmarked PCA result live.
+// covarianceOracle is the covariance one input row at a time: each
+// covChunk of rows sums x_ri·x_rj into a d×d partial of its own (skipping
+// a row whose x_ri is 0), the partials are added to a zero matrix in
+// chunk order, and the upper triangle is scaled and mirrored.
+func covarianceOracle(m *Matrix) []float64 {
+	d := m.Cols
+	partials, _ := parallel.Map(parallel.New(1), context.Background(), m.Rows, covChunk,
+		func(ci, lo, hi int) ([]float64, error) {
+			part := make([]float64, d*d)
+			for r := lo; r < hi; r++ {
+				row := m.Row(r)
+				for i, x := range row {
+					if x == 0 {
+						continue
+					}
+					dst := part[i*d+i : (i+1)*d]
+					for j, y := range row[i:] {
+						dst[j] += x * y
+					}
+				}
+			}
+			return part, nil
+		})
+	cov := make([]float64, d*d)
+	for _, part := range partials {
+		for i := range cov {
+			cov[i] += part[i]
+		}
+	}
+	scale := 1 / float64(max(1, m.Rows-1))
+	for i := 0; i < d; i++ {
+		for j := i; j < d; j++ {
+			cov[i*d+j] *= scale
+			cov[j*d+i] = cov[i*d+j]
+		}
+	}
+	return cov
+}
+
+// pcaOracle is PCA on covarianceOracle, projecting one component at a
+// time.
+func pcaOracle(m *Matrix, k int) *Matrix {
+	if m.Rows == 0 || k >= m.Cols || k <= 0 {
+		return m
+	}
+	d := m.Cols
+	vals, vecs := eigSym(covarianceOracle(m), d)
+	rank := 0
+	for rank < k && vals[rank] > float64(d)*epsilon*vals[0] {
+		rank++
+	}
+	out := NewMatrix(m.Rows, rank)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for c := range out.Row(i) {
+			comp := vecs[c*d:][:d]
+			var dot float64
+			for j, x := range row {
+				dot += x * comp[j]
+			}
+			out.Set(i, c, dot)
+		}
+	}
+	return out
+}
+
+// samePCA reports whether two matrices are equal bit for bit, NaN
+// matching NaN.
+func samePCA(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, x := range a.Data {
+		if !sameFloat(x, b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPCAMatchesOracle holds covariance and PCA to the row-at-a-time
+// oracles bit for bit, at one worker and on the default pool: on the six
+// Table I feature matrices; on standardized Gaussian data at row counts
+// that leave every remainder of the four-row blocks, at ranks that leave
+// every remainder of the four-component passes, with zeros scattered
+// through it (the skipped terms) and with whole zero columns; across
+// three covChunks, where the chunk partials merge; and — covariance only
+// — with NaN and ±Inf entries.
+func TestPCAMatchesOracle(t *testing.T) {
+	names, raw := tableIRawMatrices(t)
+	for i, m := range raw {
+		for _, w := range []int{1, 0} {
+			if got := PCA(m, MaxFeatureOps, w); !samePCA(got, pcaOracle(m, MaxFeatureOps)) {
+				t.Fatalf("%s workers=%d: PCA differs from the oracle", names[i], w)
+			}
+		}
+	}
+	check := func(name string, m *Matrix, ks ...int) {
+		t.Helper()
+		want := covarianceOracle(m)
+		for _, w := range []int{1, 0} {
+			got := covariance(m, parallel.New(w))
+			for i, x := range got {
+				if !sameFloat(x, want[i]) {
+					t.Fatalf("%s workers=%d: covariance value %d is %x, oracle %x", name, w, i, math.Float64bits(x), math.Float64bits(want[i]))
+				}
+			}
+			for _, k := range ks {
+				if !samePCA(PCA(m, k, w), pcaOracle(m, k)) {
+					t.Fatalf("%s workers=%d k=%d: PCA differs from the oracle", name, w, k)
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 41} {
+		m := gaussMatrix(n, 13, uint64(n)+60)
+		Standardize(m, 0)
+		check(fmt.Sprintf("n=%d", n), m, 1, 2, 3, 4, 5, 8, 9, 12)
+	}
+	sparse := gaussMatrix(203, 17, 61)
+	Standardize(sparse, 0)
+	rng := prng.New(62)
+	for i := range sparse.Data {
+		if rng.Intn(3) == 0 {
+			sparse.Data[i] = 0
+		}
+	}
+	for i := 0; i < sparse.Rows; i++ {
+		sparse.Set(i, 4, 0)
+	}
+	check("sparse", sparse, 6, 16)
+	chunks := gaussMatrix(2*covChunk+7, 9, 63)
+	Standardize(chunks, 0)
+	check("three covChunks", chunks, 5)
+	inf, nan := math.Inf(1), math.NaN()
+	bad := gaussMatrix(30, 6, 64)
+	bad.Set(3, 2, nan)
+	bad.Set(11, 0, inf)
+	bad.Set(17, 5, -inf)
+	bad.Set(17, 1, 0)
+	check("non-finite", bad)
+}
+
 var pcaSink *Matrix
 
 // BenchmarkPCA times one PCA to MaxFeatureOps components at the paper's
-// scale (300 steps × 58 operators' count and duration columns) and at the
-// vocabulary cap (10 000 steps × 200 columns), on one worker and on the
-// default pool.
+// scale (300 steps × 58 operators' count and duration columns), at the
+// vocabulary cap (10 000 steps × 200 columns), and as "real" on the six
+// Table I feature matrices paper-pipeline projects (one op projects all
+// six), on one worker and on the default pool. The real arm's set-up fails
+// unless PCA matches pcaOracle there bit for bit.
 func BenchmarkPCA(b *testing.B) {
+	type arm struct {
+		name string
+		ms   []*Matrix
+	}
+	var arms []arm
 	for _, size := range []struct{ n, d int }{{300, 116}, {10_000, 200}} {
 		m := gaussMatrix(size.n, size.d, uint64(size.n))
 		Standardize(m, 0)
+		arms = append(arms, arm{fmt.Sprintf("n=%d/d=%d", size.n, size.d), []*Matrix{m}})
+	}
+	names, raw := tableIRawMatrices(b)
+	for i, m := range raw {
+		if !samePCA(PCA(m, MaxFeatureOps, 0), pcaOracle(m, MaxFeatureOps)) {
+			b.Fatalf("%s: PCA differs from the oracle", names[i])
+		}
+	}
+	arms = append(arms, arm{"real", raw})
+	for _, arm := range arms {
 		for _, w := range []struct {
 			name    string
 			workers int
 		}{{"workers=1", 1}, {"workers=default", 0}} {
-			b.Run(fmt.Sprintf("n=%d/d=%d/%s", size.n, size.d, w.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", arm.name, w.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					pcaSink = PCA(m, MaxFeatureOps, w.workers)
+					for _, m := range arm.ms {
+						pcaSink = PCA(m, MaxFeatureOps, w.workers)
+					}
 				}
 			})
 		}

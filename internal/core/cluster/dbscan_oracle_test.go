@@ -382,9 +382,10 @@ func BenchmarkDBSCANSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		neighbors := bruteNeighbors(m, autoEpsOracle(m))
+		eps := autoEpsOracle(m)
+		neighbors := bruteNeighbors(m, eps)
 		for _, r := range sweep {
-			if want := clusterAt(neighbors, r.MinPts, autoEpsOracle(m)); !reflect.DeepEqual(r, want) {
+			if want := clusterAt(neighbors, r.MinPts, eps); !reflect.DeepEqual(r, want) {
 				b.Fatalf("%s: sweep member minPts=%d differs from the brute oracle", names[i], r.MinPts)
 			}
 		}

@@ -20,8 +20,9 @@
 // grouping and part of the contract; the covariance sums its rows in
 // covChunk groups merged in chunk order too, but fans out over its output
 // rows; a fan-out that only fills per-row slots may use any fixed size and
-// the heavy ones use slotChunk. A sweep is the parallel level above its members:
-// KMeansSweep hands the pool one task per k and each member runs inline.
+// the heavy ones use slotChunk. A sweep is the parallel level above its
+// members: KMeansSweep hands the pool one task per k and each member runs
+// inline.
 // PCA's eigendecomposition of the d×d covariance (d ≤ 2·MaxFeatureOps)
 // is serial and so the same at any worker count.
 //
@@ -70,8 +71,7 @@ const (
 	// the PCA projection and DBSCAN's 4-NN distances and ε-neighbor lists.
 	slotChunk = 32
 	// covChunk is the row-chunk size of the covariance's partial sums,
-	// merged in chunk order. It was sized when each chunk owned a d×d
-	// partial matrix; it stays because it is the reduction grouping.
+	// merged in chunk order: the covariance's reduction grouping.
 	covChunk = 4096
 )
 
@@ -285,12 +285,13 @@ func sqDists(x []float64, m *Matrix, rows []int, out []float64) {
 // never above bound, so its row is summed to the end, out is NaN and both
 // comparisons are false, as they are for the exact distance.
 //
-// The give-up must stay strict: a caller that keeps distances equal to
-// bound (DBSCAN's ε-neighbours, at most ε²) would lose a row whose
-// partial sum already equals bound and whose remaining terms are zero,
-// and ε·ε can round back onto a computed squared distance. autoEps keeps
-// only distances strictly below its bound, so it would be exact under
-// either rule; it shares this one.
+// The give-up must stay strict: under "at least bound" a row abandoned at
+// a partial sum equal to bound, with positive terms still to come, would
+// read bound, and a caller that keeps distances equal to bound (DBSCAN's
+// ε-neighbours, at most ε²) would keep it. Such ties occur: ε is the root
+// of a computed squared distance and ε·ε can round back onto it. autoEps
+// keeps only distances strictly below its bound, so it would be exact
+// under either rule; it shares this one.
 func sqDistsWithin(x []float64, m *Matrix, rows []int, bound float64, out []float64) {
 	const strip = 8
 	d := len(x)

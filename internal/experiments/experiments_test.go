@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/repo"
 	"repro/internal/tpu"
+	"repro/internal/trace"
 )
 
 // shortLab shares one shortened-run lab across the test file: full-length
@@ -50,11 +55,63 @@ func TestLabCachesRuns(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("lab did not cache the run")
 	}
-	if len(r1.Records) == 0 || len(r1.Steps) == 0 {
+	if len(r1.Steps) == 0 {
 		t.Fatal("run has no profile data")
 	}
-	if len(r1.Checkpoints) == 0 {
-		t.Fatal("run has no checkpoints")
+	// The run was archived, and its steps are the archive's.
+	_, ar, err := shortLab.repo.Get("dcgan-mnist-reference-TPUv2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := ar.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(trace.AggregateSteps(records)); n != len(r1.Steps) {
+		t.Fatalf("archive holds %d steps, the run %d", n, len(r1.Steps))
+	}
+}
+
+// TestLabRunsEachKeyOnce: concurrent Runs of one key share one run, which
+// the Lab's repository archives once, and no goroutine of it outlives
+// the Runs.
+func TestLabRunsEachKeyOnce(t *testing.T) {
+	before := runtime.NumGoroutine()
+	lab := NewLab()
+	lab.StepsOverride = 60
+	const callers = 4
+	results := make([]*RunResult, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = lab.Run("dcgan-mnist", Reference, tpu.V3)
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if results[i] != results[0] {
+			t.Fatalf("caller %d got a different run", i)
+		}
+	}
+	runs, err := lab.repo.List(repo.Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || runs[0].RunID != "dcgan-mnist-reference-TPUv3" {
+		t.Fatalf("repository lists %+v, want the one run", runs)
+	}
+	// A closed pipe's receive loop ends just after Close returns.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -8,15 +8,23 @@
 // A Lab caches full profiled training runs keyed by (workload, version,
 // variant) so that the many figures sharing the same runs (4-11 and
 // Table II all consume the base v2/v3 profiles) pay for each run once.
+// Its records take the paper's path: the Profiler streams them to a
+// collector session, the collector archives the run in the Lab's
+// repository, and every figure reads the run back from that archive.
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
+	"repro/internal/archive"
 	"repro/internal/core/analyzer"
 	"repro/internal/core/profiler"
 	"repro/internal/estimator"
+	"repro/internal/repo"
+	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/tpu"
 	"repro/internal/trace"
@@ -39,55 +47,84 @@ const (
 // "k-means and DBSCAN reach memory limitations for larger workloads".
 const AnalyzerBudget = 16 << 20
 
+// collectorAnalyzer is the OLS threshold the Lab's collector summarizes
+// each run at, and the one its offline check re-analyzes at.
+var collectorAnalyzer = analyzer.Options{Threshold: analyzer.DefaultThreshold}
+
 // RunResult is one cached profiled training run.
 type RunResult struct {
 	Workload string
 	Variant  Variant
 	Version  tpu.Version
 
-	Records []*trace.ProfileRecord
-	Steps   []*trace.StepStat
+	// Steps are aggregated from the records the run's archive holds.
+	Steps []*trace.StepStat
 	// Front is the analyzer front-end over Steps: the figures and tables
 	// that cluster this run share its one feature matrix and PCA.
 	Front *analyzer.Frontend
 
-	IdleFrac     float64
-	MXUUtil      float64
-	TotalSeconds float64
-	Checkpoints  []analyzer.Checkpoint
+	IdleFrac float64
+	MXUUtil  float64
 }
 
 // Lab caches runs. Safe for concurrent use.
 type Lab struct {
-	mu   sync.Mutex
-	runs map[string]*RunResult
+	repo  *repo.Repo
+	fleet *repo.Fleet
+
+	mu sync.Mutex
+	// runs holds one entry per run ID, made by the first Run of it: a
+	// concurrent Run of the same key waits for that one.
+	runs map[string]func() (*RunResult, error)
 
 	// StepsOverride shortens every run (used by tests); 0 keeps each
 	// workload's calibrated TrainSteps.
 	StepsOverride int
 }
 
-// NewLab returns an empty lab.
+// NewLab returns an empty lab over an empty in-memory repository.
 func NewLab() *Lab {
-	return &Lab{runs: make(map[string]*RunResult)}
+	bucket, err := storage.NewService().CreateBucket("lab")
+	if err != nil {
+		panic(err) // a new service holds no bucket
+	}
+	r := repo.New(bucket)
+	return &Lab{
+		repo:  r,
+		fleet: repo.NewFleet(r, repo.FleetOptions{Analyzer: collectorAnalyzer}),
+		runs:  make(map[string]func() (*RunResult, error)),
+	}
 }
 
-func key(name string, variant Variant, v tpu.Version) string {
-	return fmt.Sprintf("%s|%s|%s", name, variant, v)
-}
-
-// Run returns the cached profiled run, executing it on first use.
-// The run is profiled the production way: a TPUPoint-Profiler goroutine
-// draining the run's profile service into statistical records.
+// Run returns the cached profiled run, executing it on first use; its
+// result, or its error naming the run, is cached under the run ID
+// <workload>-<variant>-<version>. Concurrent first Runs of one key share
+// one execution.
 func (l *Lab) Run(name string, variant Variant, version tpu.Version) (*RunResult, error) {
-	k := key(name, variant, version)
+	runID := fmt.Sprintf("%s-%s-%s", name, variant, version)
 	l.mu.Lock()
-	if r, ok := l.runs[k]; ok {
-		l.mu.Unlock()
-		return r, nil
+	run, ok := l.runs[runID]
+	if !ok {
+		run = sync.OnceValues(func() (*RunResult, error) {
+			res, err := l.run(runID, name, variant, version)
+			if err != nil {
+				return nil, fmt.Errorf("run %s: %w", runID, err)
+			}
+			return res, nil
+		})
+		l.runs[runID] = run
 	}
 	l.mu.Unlock()
+	return run()
+}
 
+// run trains one workload under a TPUPoint-Profiler whose records stream
+// into a collector session, then builds the run from what the collector
+// archived: the records Repo.Get reads back, not the profiler's copy.
+// It fails unless the archive holds every record the profiler produced
+// and its footer summary is batch OLS's over the same steps: the
+// collector's streaming analysis must equal the offline one.
+func (l *Lab) run(runID, name string, variant Variant, version tpu.Version) (*RunResult, error) {
 	w, err := workloads.Get(name)
 	if err != nil {
 		return nil, err
@@ -100,54 +137,89 @@ func (l *Lab) Run(name string, variant Variant, version tpu.Version) (*RunResult
 			return nil, err
 		}
 	}
-
-	svc := storage.NewService()
-	bucket, err := svc.CreateBucket("lab")
+	runner, err := estimator.New(w, estimator.Options{Version: version, Steps: l.StepsOverride})
 	if err != nil {
 		return nil, err
 	}
-	runner, err := estimator.New(w, estimator.Options{
-		Version: version,
-		Steps:   l.StepsOverride,
-		Bucket:  bucket,
-	})
+	produced, err := l.profile(runID, name, version, runner)
 	if err != nil {
 		return nil, err
 	}
 
-	p := profiler.New(&profiler.ServiceClient{Service: runner.ProfileService()}, profiler.Options{})
-	if err := p.Start(false); err != nil {
-		return nil, err
-	}
-	if err := runner.Run(); err != nil {
-		return nil, err
-	}
-	records, err := p.Stop()
+	_, ar, err := l.repo.Get(runID)
 	if err != nil {
 		return nil, err
 	}
-
-	var cks []analyzer.Checkpoint
-	for _, ck := range runner.Checkpoints() {
-		cks = append(cks, analyzer.Checkpoint{Step: ck.Step, Object: ck.Object})
+	records, err := ar.Records()
+	if err != nil {
+		return nil, err
+	}
+	if len(records) != produced {
+		return nil, fmt.Errorf("the archive holds %d records, the profiler produced %d", len(records), produced)
 	}
 	steps := trace.AggregateSteps(records)
-	res := &RunResult{
-		Workload:     name,
-		Variant:      variant,
-		Version:      version,
-		Records:      records,
-		Steps:        steps,
-		Front:        analyzer.NewFrontend(steps),
-		IdleFrac:     runner.IdleFraction(),
-		MXUUtil:      runner.MXUUtilization(),
-		TotalSeconds: runner.TotalTime().Seconds(),
-		Checkpoints:  cks,
+	front := analyzer.NewFrontend(steps)
+	rep, err := front.Analyze(name, analyzer.OLSAlgo, collectorAnalyzer)
+	if err != nil {
+		return nil, err
 	}
-	l.mu.Lock()
-	l.runs[k] = res
-	l.mu.Unlock()
-	return res, nil
+	if ar.Summary() == nil || !bytes.Equal(archive.MarshalSummary(ar.Summary()), archive.MarshalSummary(archive.SummarizeReport(rep))) {
+		return nil, errors.New("the archived summary is not batch OLS's over the archived steps")
+	}
+	return &RunResult{
+		Workload: name,
+		Variant:  variant,
+		Version:  version,
+		Steps:    steps,
+		Front:    front,
+		IdleFrac: runner.IdleFraction(),
+		MXUUtil:  runner.MXUUtilization(),
+	}, nil
+}
+
+// profile trains runner while a profiler streams its records into a
+// collector session named runID, and finalizes the session. It returns
+// how many records the profiler produced. Any loss the profiler reports
+// fails the run, and the session's goroutines end before it returns.
+func (l *Lab) profile(runID, workload string, version tpu.Version, runner *estimator.Runner) (int, error) {
+	srv := rpc.NewServer()
+	l.fleet.Register(srv)
+	defer srv.Close()
+	c := rpc.Pipe(srv)
+	defer c.Close()
+	session, err := repo.OpenResilient(c, repo.OpenRequest{RunID: runID, Workload: workload, TPUVersion: version.String()})
+	if err != nil {
+		return 0, err
+	}
+
+	degraded := make(chan error, 1)
+	p := profiler.New(&profiler.ServiceClient{Service: runner.ProfileService()}, profiler.Options{
+		Bucket: session,
+		OnDegraded: func(err error) {
+			select {
+			case degraded <- err:
+			default:
+			}
+		},
+	})
+	if err := p.Start(true); err != nil {
+		return 0, errors.Join(err, session.Abort())
+	}
+	err = runner.Run()
+	records, stopErr := p.Stop()
+	err = errors.Join(err, stopErr)
+	select {
+	case d := <-degraded:
+		err = errors.Join(err, d)
+	default:
+	}
+	if err != nil {
+		return 0, errors.Join(err, session.Abort())
+	}
+	if _, err := session.Finalize(); err != nil {
+		return 0, err
+	}
+	return len(records), nil
 }
 
 // AllWorkloads is the paper's workload list in Table I order.

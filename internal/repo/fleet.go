@@ -337,8 +337,8 @@ func (f *Fleet) handleOpen(body []byte) ([]byte, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, fmt.Errorf("fleet: bad open request: %w", err)
 	}
-	if req.RunID == "" {
-		return nil, fmt.Errorf("fleet: open without run_id")
+	if err := checkRunID(req.RunID); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	// Placement before any allocation: a misplaced Open must leave no
 	// trace here — the owner allocates the sequence and the session.

@@ -241,3 +241,61 @@ func TestFleetUnknownSession(t *testing.T) {
 		t.Fatal("finalize of unknown session succeeded")
 	}
 }
+
+// TestRunIDMustBeOneSegment: a run's blob is runs/<id>/archive, so an ID
+// that is not one path segment names some other object — "." lands on a
+// DirStore as runs/archive, which the next Open reclaimed as
+// unreferenced, losing an acked run. Both ways in refuse such an ID
+// before writing anything: fleet.Open leaves no session behind, Save no
+// blob, and the next Open finds nothing to reclaim.
+func TestRunIDMustBeOneSegment(t *testing.T) {
+	bad := []string{"", ".", "..", "a/b", "../x", `a\b`, ".pack", ".layout"}
+	for _, st := range testStores {
+		t.Run(st.name, func(t *testing.T) {
+			store := st.open(t)
+			r := New(store)
+			if _, err := r.Save(archiveBlob(t, "run.a", 1, 0)); err != nil {
+				t.Fatal(err)
+			}
+			srv := rpc.NewServer()
+			NewFleet(r, FleetOptions{}).Register(srv)
+			t.Cleanup(srv.Close)
+			c := rpc.Pipe(srv)
+			defer c.Close()
+			for i, id := range bad {
+				if _, err := OpenResilient(c, OpenRequest{RunID: id, Workload: "synthetic"}); err == nil {
+					t.Errorf("fleet.Open accepted run ID %q", id)
+				}
+				if _, err := r.Save(archiveBlob(t, id, uint64(i+2), 0)); err == nil {
+					t.Errorf("Save accepted run ID %q", id)
+				}
+			}
+			if left := store.List("sessions/"); len(left) != 0 {
+				t.Fatalf("refused Opens left %v", left)
+			}
+			for _, name := range store.List("runs/") {
+				if o := classifyObject(name); o.kind != kindIndex && o.runID != "run.a" {
+					t.Errorf("refused Saves left %s", name)
+				}
+			}
+
+			reopened, rep, err := Open(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("the next Open reclaimed %v", rep.Reclaimed)
+			}
+			runs, err := reopened.List(Filter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != 1 || runs[0].RunID != "run.a" {
+				t.Fatalf("repository lists %+v, want run.a alone", runs)
+			}
+			if _, _, err := reopened.Get("run.a"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -299,6 +299,19 @@ func (r *Repo) SetObs(reg *obs.Registry) {
 
 func runObject(runID string) string { return "runs/" + runID + "/archive" }
 
+// checkRunID refuses a run ID that is not one path segment. A run's blob
+// is runs/<id>/archive, so an empty ID, one holding a separator, "." or
+// ".." names an object outside the run's own directory (or none that
+// classifyObject reads back as the run's), and an ID starting with "."
+// is reserved for the repository's bookkeeping (runs/.layout,
+// runs/.pack/...).
+func checkRunID(id string) error {
+	if id == "" || strings.ContainsAny(id, `/\`) || id[0] == '.' {
+		return fmt.Errorf("repo: run ID %q is not one path segment (non-empty, no / or \\, not starting with .)", id)
+	}
+	return nil
+}
+
 // NextSeq allocates the next logical creation sequence number. Archives
 // carry it as Meta.CreatedSeq so listings sort by creation order
 // without any wall clock (deterministic runs stay deterministic).
@@ -343,9 +356,9 @@ func (r *Repo) endInflight(runID string) {
 }
 
 // Save validates blob as an archive, stores it, and indexes the run on
-// the shard owning its ID. The archive's Meta.RunID must be non-empty
-// and unused. It is a commit round of one (commitSaves), run inline on
-// the caller's goroutine.
+// the shard owning its ID. The archive's Meta.RunID must be one path
+// segment (checkRunID) and unused. It is a commit round of one
+// (commitSaves), run inline on the caller's goroutine.
 func (r *Repo) Save(blob []byte) (info RunInfo, err error) {
 	r.commitSaves([][]byte{blob}, nil, func(_ int, i RunInfo, e error) { info, err = i, e })
 	return info, err
@@ -383,8 +396,8 @@ func (r *Repo) commitSaves(blobs [][]byte, rc *ReplicaConfig, answer func(i int,
 			continue
 		}
 		info := r.entryFor(a, RunInfo{})
-		if info.RunID == "" {
-			answer(i, RunInfo{}, errors.New("repo: archive has no run ID"))
+		if err := checkRunID(info.RunID); err != nil {
+			answer(i, RunInfo{}, err)
 			continue
 		}
 		si := ss.shardOf(info.RunID)

@@ -85,19 +85,15 @@ go test -race -count=2 ./internal/core/analyzer ./internal/core/cluster
 # datasets) must run and print a phase row for each of the three
 # algorithms. The quickstart example (README's Figure 2 walk-through)
 # must run and print its OLS phase line and at least one TPU top-op row.
-# The fleet-compare example (two runs profiled live into a collector,
-# finalized, and their archived summaries diffed) must run, archive both
-# runs and print at least one diff-table row. The remote-profiler example
-# (a profiler attached over TCP to a training run's profile service) must
-# exit 0 and print how many records it profiled and how many phases they
+# The remote-profiler example (a profiler attached over TCP to a training
+# run's profile service) must exit 0 and print how many records it profiled and how many phases they
 # hold. The autotune example (TPUPoint-Optimizer tuning a naive QANet
 # pipeline) must exit 0, print its speedup line and keep at least one
 # parameter move. Each assignment stands alone, not before `&&`:
 # under `set -e` a failure inside an `&&` list does not stop the script.
-echo "== phasestudy, quickstart, fleetcompare, remoteprofiler and autotune examples"
+echo "== phasestudy, quickstart, remoteprofiler and autotune examples"
 out="$(go run ./examples/phasestudy)"; for algo in kmeans dbscan ols; do grep -Eq "^[^ ]+ +$algo +[0-9]+ " <<<"$out" || { echo "$out"; echo "phasestudy printed no $algo row"; exit 1; }; done
 out="$(go run ./examples/quickstart)" || exit; for want in '^OLS at the default 70% threshold found ' '^ +\[tpu\] '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "quickstart printed no line matching '$want'"; exit 1; }; done
-out="$(go run ./examples/fleetcompare)"; for want in '^archived dcgan-v2:' '^archived dcgan-v3:' ' 2 runs saved$' '^#[0-9]+ +#[0-9]+ '; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "fleetcompare printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/remoteprofiler)" || exit; for want in '^profiled [0-9]+ records' '^phases: [0-9]+'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "remoteprofiler printed no line matching '$want'"; exit 1; }; done
 out="$(go run ./examples/autotune)" || exit; for want in '^speedup: +[0-9.]+x' '^ +[A-Za-z]+ +[0-9]+ -> +[0-9]+ .* kept$'; do grep -Eq "$want" <<<"$out" || { echo "$out"; echo "autotune printed no line matching '$want'"; exit 1; }; done
 

@@ -348,13 +348,6 @@ func TestPCAReducesAndPreservesStructure(t *testing.T) {
 	}
 }
 
-func TestPCANoOpWhenKLarge(t *testing.T) {
-	m, _ := blobs(10, 1)
-	if out := PCA(m, 5, 0); out != m {
-		t.Fatal("PCA should return input when k >= cols")
-	}
-}
-
 // Property: k-means SSD with k=n is ~0 (every point its own centroid).
 func TestPropertyKMeansPerfectFit(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -84,14 +84,16 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	if budget > 0 {
 		entryLimit = (budget - need) / 4
 	}
+	// Each pair found is charged twice, once for each of the two full
+	// lists it ends up in.
 	var entries atomic.Int64
-	neighbors := make([][]int32, n)
+	upper := make([][]int32, n)
 	err := pool.Run(context.Background(), n, chunk, func(ci, lo, hi int) error {
 		var local int64
 		var sc neighborScratch
 		for i := lo; i < hi; i++ {
-			neighbors[i] = grid.neighbors(i, &sc)
-			local += int64(len(neighbors[i]))
+			upper[i] = grid.neighbors(i, &sc)
+			local += 2 * int64(len(upper[i]))
 		}
 		if entries.Add(local) > entryLimit {
 			return fmt.Errorf("%w: dbscan neighbor lists exceed %d bytes", ErrMemoryBudget, budget)
@@ -101,7 +103,41 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	if err != nil {
 		return 0, nil, err
 	}
-	return eps, neighbors, nil
+	return eps, mirror(upper), nil
+}
+
+// mirror turns the lists of neighbors above each row (upper, each
+// ascending) into full ascending neighbor lists: row j's list is every
+// h < j whose upper list holds j, in ascending h, then upper[j]. Rows
+// are walked in ascending h, so by the time row h appends its own upper
+// list every lower entry of h is in place. The lists share one backing
+// array; a row without neighbors keeps a nil list.
+func mirror(upper [][]int32) [][]int32 {
+	size := make([]int, len(upper))
+	total := 0
+	for h, u := range upper {
+		size[h] += len(u)
+		for _, j := range u {
+			size[j]++
+		}
+		total += 2 * len(u)
+	}
+	slab := make([]int32, total)
+	full := make([][]int32, len(upper))
+	off := 0
+	for j, c := range size {
+		if c > 0 {
+			full[j] = slab[off : off : off+c]
+			off += c
+		}
+	}
+	for h, u := range upper {
+		for _, j := range u {
+			full[j] = append(full[j], int32(h))
+		}
+		full[h] = append(full[h], u...)
+	}
+	return full
 }
 
 // clusterAt grows the clusters of one min-samples value over the shared
@@ -180,7 +216,12 @@ const autoEpsMaxSample = 2048
 // four partial sums have all passed it cannot change the four smallest,
 // and each candidate enters only if strictly below that 4th, so the
 // result is the full scan's bit for bit (autoEpsOracle in
-// dbscan_oracle_test.go). A NaN distance is never a candidate.
+// dbscan_oracle_test.go). A NaN distance is never a candidate. The scan
+// starts at the row's own block and wraps around: neighbouring steps sit
+// close in feature space, so the bound tightens within the first blocks.
+// The four smallest distances are one multiset whatever the order, and an
+// abandoned row is strictly above the final 4th, so the order changes no
+// bit.
 func autoEps(m *Matrix, pool *parallel.Pool, chunk int) float64 {
 	n := m.Rows
 	if n < 2 {
@@ -192,18 +233,20 @@ func autoEps(m *Matrix, pool *parallel.Pool, chunk int) float64 {
 		stride = (n + autoEpsMaxSample - 1) / autoEpsMaxSample
 		count = (n + stride - 1) / stride
 	}
-	const kth = 4
+	const kth, width = 4, 4
 	kdist := make([]float64, count)
 	all := ascending(n)
+	blocks := (n + width - 1) / width
 	_ = pool.Run(context.Background(), count, chunk, func(ci, lo, hi int) error {
-		var block [4]float64
+		var block [width]float64
 		for s := lo; s < hi; s++ {
 			i := s * stride
 			row := m.Row(i)
 			// Running top-4 smallest squared distances (ascending).
 			best := [kth]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
-			for b := 0; b < n; b += len(block) {
-				rows := all[b:min(b+len(block), n)]
+			for t := 0; t < blocks; t++ {
+				b := (i/width + t) % blocks * width
+				rows := all[b:min(b+width, n)]
 				dist := block[:len(rows)]
 				sqDistsWithin(row, m, rows, best[kth-1], dist)
 				for o, d := range dist {

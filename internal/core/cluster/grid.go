@@ -68,13 +68,14 @@ type neighborScratch struct {
 	dist []float64
 }
 
-// neighbors returns every point within eps of point i (excluding i),
-// sorted ascending — the same list, in the same order, that the brute
-// O(n²) scan produces. It gathers the members of the 3^gdims adjacent
-// cells into sc's candidate buffer and checks them with sqDistsWithin
-// against eps², keeping a distance at most eps² (so a NaN distance is
-// never a neighbor). sc may be nil, for buffers of the call's own; the
-// returned list is always freshly allocated, exactly its length.
+// neighbors returns every point above i (index j > i) within eps of point
+// i, sorted ascending: row i's share of the pairs, each pair checked from
+// its lower end only (epsNeighbors mirrors the lists into full ones). It
+// gathers the members above i of the 3^gdims adjacent cells into sc's
+// candidate buffer and checks them with sqDistsWithin against eps²,
+// keeping a distance at most eps² (so a NaN distance is never a
+// neighbor). sc may be nil, for buffers of the call's own; the returned
+// list is always freshly allocated, exactly its length.
 func (g *gridIndex) neighbors(i int, sc *neighborScratch) []int32 {
 	if sc == nil {
 		sc = new(neighborScratch)
@@ -95,7 +96,7 @@ func (g *gridIndex) neighbors(i int, sc *neighborScratch) []int32 {
 			for o2 := -span[2]; o2 <= span[2]; o2++ {
 				probe[2] = base[2] + o2
 				for _, j := range g.cells[probe] {
-					if j != int32(i) {
+					if j > int32(i) {
 						cand = append(cand, int(j))
 					}
 				}

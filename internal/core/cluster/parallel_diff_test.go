@@ -157,14 +157,18 @@ func TestDBSCANGridMatchesBrute(t *testing.T) {
 }
 
 // TestGridNeighborsMatchBrute checks the index at the neighbor-list level,
-// including tie distances exactly at eps.
+// including tie distances exactly at eps: every full list epsNeighbors
+// builds from the grid's upper lists is the brute scan's.
 func TestGridNeighborsMatchBrute(t *testing.T) {
 	m := gaussMatrix(400, 2, 9)
 	eps := 1.5
-	g := newGridIndex(m, eps)
+	_, neighbors, err := epsNeighbors(m, eps, 0, 0, slotChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eps2 := eps * eps
 	for i := 0; i < m.Rows; i++ {
-		got := g.neighbors(i, nil)
+		got := neighbors[i]
 		var want []int32
 		for j := 0; j < m.Rows; j++ {
 			if i != j && sqDist(m.Row(i), m.Row(j)) <= eps2 {

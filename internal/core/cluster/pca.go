@@ -11,31 +11,30 @@ import (
 // PCA projects the (already standardized) matrix onto its principal
 // components — the dimensional reduction step the paper applies before
 // k-means. The components are the eigenvectors of the covariance matrix,
-// computed directly by eigSym, in descending eigenvalue order: at most k
-// of them, and only those whose eigenvalue exceeds d·ε·λ_max (the
-// covariance's numerical rank), so the output can have fewer than k
-// columns. The components are orthonormal, so the projection is a true
-// one: its sum of squares never exceeds the input's, and equals it when
-// every nonzero eigenvalue is kept.
+// computed directly by eigSym, in descending eigenvalue order. PCA keeps
+// the fewest leading components that carry keptVariance (99%) of the
+// variance, and at most k of them (see keptComponents), so the output
+// usually has far fewer columns than the input: 32–34 on the paper's
+// feature matrices, whose covariance has rank 77–88. The components are
+// orthonormal, so the projection is a true one: its sum of squares never
+// exceeds the input's and, unless k cuts the components short, is at
+// least keptVariance of it. A non-finite covariance keeps no component.
 //
-// If k >= m.Cols the input is returned unchanged (projection would be a
-// rotation with no reduction, and the clustering metrics are rotation-
-// invariant anyway). The covariance fans out over its output rows (see
-// covariance), the eigensolver runs serially on the d×d covariance, and
-// the projection fills disjoint rows, four components per pass over a row.
+// Every matrix goes through the same rule, one of at most k columns too;
+// only an empty matrix or k <= 0 returns the input unchanged. The
+// covariance fans out over its output rows (see covariance), the
+// eigensolver runs serially on the d×d covariance, and the projection
+// fills disjoint rows, four components per pass over a row.
 func PCA(m *Matrix, k, workers int) *Matrix {
-	if m.Rows == 0 || k >= m.Cols || k <= 0 {
+	if m.Rows == 0 || k <= 0 {
 		return m
 	}
 	pool := parallel.New(workers)
 	d := m.Cols
 	vals, vecs := eigSym(covariance(m, pool), d)
-	rank := 0
-	for rank < k && vals[rank] > float64(d)*epsilon*vals[0] {
-		rank++
-	}
-	components := vecs[:rank*d]
-	out := NewMatrix(m.Rows, rank)
+	r := keptComponents(vals, k)
+	components := vecs[:r*d]
+	out := NewMatrix(m.Rows, r)
 	_ = pool.Run(context.Background(), m.Rows, slotChunk, func(ci, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			project(m.Row(i), components, out.Row(i))
@@ -43,6 +42,34 @@ func PCA(m *Matrix, k, workers int) *Matrix {
 		return nil
 	})
 	return out
+}
+
+// keptVariance is the share of the total variance that PCA's kept
+// components carry at least. At 0.99 the last percent, spread over some
+// fifty components of the paper's feature matrices, is dropped.
+const keptVariance = 0.99
+
+// keptComponents returns how many leading components PCA keeps, given the
+// covariance's eigenvalues in descending order: the smallest r whose
+// eigenvalues, summed in that order, reach keptVariance of the total, and
+// no more than k. The total is the sum of the eigenvalues above the
+// numerical-rank cutoff d·ε·λ_max, so r never passes that rank either; a
+// NaN λ_max makes the rank, and r, 0.
+func keptComponents(vals []float64, k int) int {
+	d := len(vals)
+	rank := 0
+	var total float64
+	for rank < d && vals[rank] > float64(d)*epsilon*vals[0] {
+		total += vals[rank]
+		rank++
+	}
+	r := 0
+	var sum float64
+	for r < min(k, rank) && sum < keptVariance*total {
+		sum += vals[r]
+		r++
+	}
+	return r
 }
 
 // epsilon is the float64 machine epsilon, 2⁻⁵².

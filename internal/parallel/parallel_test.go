@@ -98,20 +98,30 @@ func TestRunPropagatesFirstError(t *testing.T) {
 	}
 }
 
+// TestRunContextCancel: the 10th call cancels the context, and every call
+// after it waits until that cancel has returned, so no worker can run on
+// while the canceller stalls. Each worker then sees the cancellation
+// before its next chunk: at most one call per worker follows the 10th.
 func TestRunContextCancel(t *testing.T) {
+	const workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan struct{})
 	var calls atomic.Int64
-	err := New(4).Run(ctx, 100000, 1, func(ci, lo, hi int) error {
-		if calls.Add(1) == 10 {
+	err := New(workers).Run(ctx, 100000, 1, func(ci, lo, hi int) error {
+		switch c := calls.Add(1); {
+		case c == 10:
 			cancel()
+			close(cancelled)
+		case c > 10:
+			<-cancelled
 		}
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if calls.Load() == 100000 {
-		t.Fatal("cancellation did not stop dispatch")
+	if got := calls.Load(); got > 10+workers {
+		t.Fatalf("cancellation did not stop dispatch: %d calls, want at most %d", got, 10+workers)
 	}
 }
 

@@ -6,7 +6,9 @@
 //   - OLS, the online linear scan: consecutive steps whose operator sets
 //     satisfy Equation 1's StepSimilarity above a threshold (default 70%)
 //     merge into one phase;
-//   - k-means over PCA-reduced step feature vectors, k = 1..15 selected by
+//   - k-means over PCA-reduced step feature vectors (the leading
+//     components that carry 99% of the variance, about a third of the
+//     feature columns on the paper's workloads), k = 1..15 selected by
 //     the elbow method on the sum of squared distances (the paper's choice
 //     over SimPoint's Bayesian information criterion);
 //   - DBSCAN over the same features, minimum-samples selected by the elbow

@@ -1,7 +1,8 @@
 // Package cluster implements the clustering machinery behind
 // TPUPoint-Analyzer: step feature-vector construction, PCA dimensionality
-// reduction (an orthogonal projection onto the covariance's leading
-// eigenvectors, from a direct symmetric eigensolver), k-means with the
+// reduction (an orthogonal projection onto the fewest leading eigenvectors
+// of the covariance that carry 99% of its variance, from a direct
+// symmetric eigensolver), k-means with the
 // elbow method, and DBSCAN with a minimum-samples sweep — the
 // SimPoint-style toolkit of Section IV.
 //

@@ -305,18 +305,15 @@ func TestPCAKeepsNinetyNinePercent(t *testing.T) {
 			t.Fatalf("%s: %d components, above min(k=%d, d=%d, rank=%d)", c.name, r, k, d, rank)
 		}
 		var kept, lessOne float64
-		for c := 0; c < r; c++ {
+		for _, v := range vals[:r] {
 			lessOne = kept
-			kept += vals[c]
+			kept += v
 		}
 		if r < k && kept < keptVariance*total {
 			t.Fatalf("%s: %d components carry %.6f of %.6f, under %g", c.name, r, kept, total, keptVariance)
 		}
 		if r > 0 && lessOne >= keptVariance*total {
 			t.Fatalf("%s: %d components, but the first %d already carry %.6f of %.6f", c.name, r, r-1, lessOne, total)
-		}
-		if rank > 0 && r == 0 {
-			t.Fatalf("%s: no component kept at rank %d", c.name, rank)
 		}
 		if c.reduces && r >= d {
 			t.Fatalf("%s: %d of %d columns kept, want a reduction", c.name, r, d)

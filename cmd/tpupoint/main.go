@@ -43,6 +43,7 @@ import (
 	"repro/internal/repo"
 	"repro/internal/rpc"
 	"repro/internal/storage"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -204,11 +205,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rid = fmt.Sprintf("%s-%d", *workload, time.Now().UnixNano())
 	}
 
-	var p *profiler.Profiler
-	var fc *repo.ResilientClient
-	if *collect != "" {
-		// Stream records to the fleet collection server(s) as they are
-		// produced; the server archives and indexes them at finalize.
+	// A run with a repository streams its records into a collector
+	// session, the one way a run becomes an archive: -collect reaches the
+	// fleet collection server(s) over TCP, -archive an in-process fleet
+	// over the directory. Only the rpc.Caller differs, and where the
+	// archive is said to be: localDir is "" for a collection server.
+	var caller rpc.Caller
+	localDir := ""
+	switch {
+	case *collect != "":
 		// -collect accepts a comma-separated replica set: the endpoint-set
 		// client follows placement redirects to the run's owner and fails
 		// over on transport errors, while the resilient session layer
@@ -226,8 +231,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer client.Close()
+		caller = client
+	case *archiveDir != "":
+		r, _, done, err := openRepoDir(stdout, *archiveDir, *shards, true)
+		if err != nil {
+			return err
+		}
+		defer done()
+		srv := rpc.NewServer()
+		defer srv.Close()
+		repo.NewFleet(r, repo.FleetOptions{Obs: reg}).Register(srv)
+		c := rpc.Pipe(srv)
+		defer c.Close()
+		caller, localDir = c, *archiveDir
+	}
+
+	var p *profiler.Profiler
+	var session *repo.ResilientClient
+	if caller != nil {
 		spec := s.Workload().Spec()
-		fc, err = repo.OpenResilient(client, repo.OpenRequest{
+		session, err = repo.OpenResilient(caller, repo.OpenRequest{
 			RunID: rid, Workload: s.Workload().Name, Label: *label,
 			HostSpec:   fmt.Sprintf("%dc %gMBps", spec.Cores, spec.ReadMBps),
 			TPUVersion: ver.String(),
@@ -235,20 +258,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if p, err = s.StartProfilerTo(fc); err != nil {
-			return err
+		if p, err = s.StartProfilerTo(session); err != nil {
+			return errors.Join(err, session.Abort())
 		}
 	} else if p, err = s.StartProfiler(true); err != nil {
 		return err
 	}
-	if err := s.Train(); err != nil {
-		return err
+	err = s.Train()
+	records, stopErr := p.Stop()
+	err = errors.Join(err, stopErr)
+	var rep *tpupoint.Report
+	if err == nil {
+		rep, err = s.Analyze(records, tpupoint.Algorithm(*algo))
 	}
-	records, err := p.Stop()
-	if err != nil {
-		return err
+	// A failed run leaves no session behind; a finished one is archived
+	// before its report prints.
+	var info repo.RunInfo
+	if session != nil && err != nil {
+		err = errors.Join(err, session.Abort())
+	} else if session != nil {
+		info, err = session.Finalize()
 	}
-	rep, err := s.Analyze(records, tpupoint.Algorithm(*algo))
 	if err != nil {
 		return err
 	}
@@ -263,24 +293,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if line := reg.Snapshot().SummaryLine(); line != "" {
 		fmt.Fprintf(stdout, "run summary: %s\n", line)
 	}
-
-	if fc != nil {
-		info, err := fc.Finalize()
-		if err != nil {
-			return err
-		}
-		printRunInfo(stdout, info, "")
-	} else if *archiveDir != "" {
-		r, _, done, err := openRepoDir(stdout, *archiveDir, *shards, true)
-		if err != nil {
-			return err
-		}
-		info, err := s.ArchiveRun(r, rid, *label, records, rep)
-		done()
-		if err != nil {
-			return err
-		}
-		printRunInfo(stdout, info, *archiveDir)
+	if session != nil {
+		printRunInfo(stdout, info, localDir)
 	}
 
 	if *outDir != "" {
@@ -298,7 +312,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "artifacts:   %s (open in chrome://tracing), %s\n", tracePath, csvPath)
 	}
 	if *export != "" {
-		n, err := exportProfiles(s.Bucket(), *export)
+		n, err := exportProfiles(records, *export)
 		if err != nil {
 			return err
 		}
@@ -320,25 +334,22 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// exportProfiles copies the session bucket's profiles/ objects into a
-// directory store at dir, the input of -analyze.
-func exportProfiles(b *storage.Bucket, dir string) (int, error) {
+// exportProfiles writes a run's records into a directory store at dir,
+// one profiles/record-%06d object each, the names the profiler persists
+// under: the input of -analyze. They come from the profiler, not the
+// session bucket, which a streamed run never writes.
+func exportProfiles(records []*tpupoint.ProfileRecord, dir string) (int, error) {
 	store, err := storage.OpenDir(dir)
 	if err != nil {
 		return 0, err
 	}
 	defer store.Close()
-	names := b.List("profiles/")
-	for _, name := range names {
-		obj, err := b.Get(name)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := store.Put(name, obj.Data); err != nil {
+	for i, rec := range records {
+		if _, err := store.Put(fmt.Sprintf("profiles/record-%06d", i), trace.MarshalRecord(rec)); err != nil {
 			return 0, err
 		}
 	}
-	return len(names), nil
+	return len(records), nil
 }
 
 // analyzeDir runs TPUPoint-Analyzer over profile records exported to a

@@ -54,12 +54,12 @@ func TestExportThenAnalyzeMatchesInProcess(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "export")
-	n, err := exportProfiles(s.Bucket(), dir)
+	n, err := exportProfiles(recs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := len(s.Bucket().List("profiles/")); n != want || n == 0 {
-		t.Fatalf("exported %d objects, the bucket holds %d profiles", n, want)
+		t.Fatalf("exported %d records, the bucket holds %d profiles", n, want)
 	}
 	store, err := storage.OpenDir(dir)
 	if err != nil {

@@ -32,8 +32,14 @@ func testRecord(i int) *trace.ProfileRecord {
 }
 
 // testBlob is a small multi-segment archive of 24 records with its
-// phase summary embedded.
+// OLS phase summary embedded.
 func testBlob(t *testing.T, runID string, seq uint64) []byte {
+	t.Helper()
+	return testBlobOf(t, runID, seq, analyzer.OLSAlgo)
+}
+
+// testBlobOf is testBlob with the summary of the given algorithm.
+func testBlobOf(t *testing.T, runID string, seq uint64, algo analyzer.Algorithm) []byte {
 	t.Helper()
 	w := archive.NewWriter(archive.Meta{RunID: runID, Workload: "synthetic", CreatedSeq: seq})
 	if err := w.SetSegmentTarget(256); err != nil {
@@ -44,7 +50,7 @@ func testBlob(t *testing.T, runID string, seq uint64) []byte {
 		recs[i] = testRecord(i)
 		w.Add(recs[i])
 	}
-	rep, err := analyzer.Analyze("synthetic", recs, analyzer.OLSAlgo, analyzer.Options{})
+	rep, err := analyzer.Analyze("synthetic", recs, algo, analyzer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

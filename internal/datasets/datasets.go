@@ -6,17 +6,10 @@
 // sets read and decode cost), and how large the decoded tensors are (that
 // sets infeed traffic). Each catalog entry reproduces those from the
 // paper's Table I sizes and the public record counts of the real datasets;
-// Generate materializes deterministic pseudo-records into a storage bucket
-// so the pipeline reads real bytes.
+// the host model reads them, and no record bytes are materialized.
 package datasets
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/prng"
-	"repro/internal/storage"
-)
+import "fmt"
 
 // Kind is the record modality, which selects the host pipeline shape.
 type Kind uint8
@@ -154,42 +147,4 @@ func MustGet(name string) Dataset {
 		panic(err)
 	}
 	return d
-}
-
-// Generate materializes up to maxRecords deterministic records of the
-// dataset into bucket under "<name>/records/NNNNNN". It returns the number
-// of records written. Record payloads are pseudo-random bytes of the
-// dataset's average record size, so pipeline reads exercise real storage
-// traffic at the right per-record scale.
-func Generate(b *storage.Bucket, d Dataset, maxRecords int, seed uint64) (int, error) {
-	if b == nil {
-		return 0, errors.New("datasets: nil bucket")
-	}
-	if maxRecords <= 0 {
-		return 0, errors.New("datasets: maxRecords must be positive")
-	}
-	n := int64(maxRecords)
-	if n > d.Records {
-		n = d.Records
-	}
-	rng := prng.New(seed)
-	recBytes := d.RecordBytes()
-	// Cap generated record payloads: huge image records would make the
-	// in-memory store balloon without changing anything observable.
-	const maxPayload = 64 << 10
-	payload := recBytes
-	if payload > maxPayload {
-		payload = maxPayload
-	}
-	buf := make([]byte, payload)
-	for i := int64(0); i < n; i++ {
-		for j := range buf {
-			buf[j] = byte(rng.Uint64())
-		}
-		name := fmt.Sprintf("%s/records/%06d", d.Name, i)
-		if _, err := b.Put(name, buf); err != nil {
-			return int(i), err
-		}
-	}
-	return int(n), nil
 }

@@ -1,10 +1,6 @@
 package datasets
 
-import (
-	"testing"
-
-	"repro/internal/storage"
-)
+import "testing"
 
 func TestCatalogComplete(t *testing.T) {
 	for _, name := range Names() {
@@ -89,78 +85,5 @@ func TestHalved(t *testing.T) {
 	tiny := Dataset{Name: "t", Records: 1, SizeBytes: 10, DecodedBytes: 1}
 	if tiny.Halved().Records != 1 {
 		t.Fatal("halved records hit zero")
-	}
-}
-
-func TestGenerate(t *testing.T) {
-	svc := storage.NewService()
-	b, _ := svc.CreateBucket("data")
-	n, err := Generate(b, MustGet("mrpc"), 100, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Fatalf("generated %d records", n)
-	}
-	objs := b.List("mrpc/records/")
-	if len(objs) != 100 {
-		t.Fatalf("bucket holds %d objects", len(objs))
-	}
-	sz, err := b.Size(objs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MustGet("mrpc").RecordBytes(); sz != want {
-		t.Fatalf("record size = %d, want %d", sz, want)
-	}
-}
-
-func TestGenerateCapsAtDatasetSize(t *testing.T) {
-	svc := storage.NewService()
-	b, _ := svc.CreateBucket("data")
-	tiny := Dataset{Name: "t", Kind: Text, SizeBytes: 1000, Records: 7, DecodedBytes: 10}
-	n, err := Generate(b, tiny, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("generated %d, want 7", n)
-	}
-}
-
-func TestGenerateDeterministic(t *testing.T) {
-	svc := storage.NewService()
-	b1, _ := svc.CreateBucket("d1")
-	b2, _ := svc.CreateBucket("d2")
-	Generate(b1, MustGet("cola"), 10, 7)
-	Generate(b2, MustGet("cola"), 10, 7)
-	o1, _ := b1.Get("cola/records/000003")
-	o2, _ := b2.Get("cola/records/000003")
-	if string(o1.Data) != string(o2.Data) {
-		t.Fatal("generation not deterministic")
-	}
-}
-
-func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(nil, MustGet("cola"), 10, 1); err == nil {
-		t.Fatal("nil bucket accepted")
-	}
-	svc := storage.NewService()
-	b, _ := svc.CreateBucket("d")
-	if _, err := Generate(b, MustGet("cola"), 0, 1); err == nil {
-		t.Fatal("zero maxRecords accepted")
-	}
-}
-
-func TestGenerateCapsHugePayloads(t *testing.T) {
-	svc := storage.NewService()
-	b, _ := svc.CreateBucket("d")
-	// COCO records average ~430KB; payloads must be capped at 64KiB.
-	if _, err := Generate(b, MustGet("coco"), 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	sz, _ := b.Size("coco/records/000000")
-	if sz > 64<<10 {
-		t.Fatalf("payload %d exceeds cap", sz)
 	}
 }

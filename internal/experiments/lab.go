@@ -10,7 +10,8 @@
 // Table II all consume the base v2/v3 profiles) pay for each run once.
 // Its records take the paper's path: the Profiler streams them to a
 // collector session, the collector archives the run in the Lab's
-// repository, and every figure reads the run back from that archive.
+// repository, and every figure reads the run back from that archive,
+// idle and MXU utilization from its footer.
 package experiments
 
 import (
@@ -69,6 +70,8 @@ type RunResult struct {
 	// that cluster this run share its one feature matrix and PCA.
 	Front *analyzer.Frontend
 
+	// IdleFrac and MXUUtil are the archived footer's: span-weighted over
+	// the profiled steps, as the Profiler recorded them.
 	IdleFrac float64
 	MXUUtil  float64
 }
@@ -124,7 +127,7 @@ func (l *Lab) Run(name string, variant Variant, version tpu.Version) (*RunResult
 	return run()
 }
 
-// run trains one workload under a TPUPoint-Profiler whose records stream
+// run trains one workload, has a TPUPoint-Profiler stream its records
 // into a collector session, then builds the run from what the collector
 // archived: the records Repo.Get reads back, not the profiler's copy.
 // It fails unless the archive holds every record the profiler produced
@@ -145,6 +148,14 @@ func (l *Lab) run(runID, name string, variant Variant, version tpu.Version) (*Ru
 	}
 	runner, err := estimator.New(w, estimator.Options{Version: version, Steps: l.StepsOverride})
 	if err != nil {
+		return nil, err
+	}
+	// The run is profiled once it has finished, in full-size windows cut
+	// where its events put them. A record's idle and MXU are its window's,
+	// stamped on every step in it, so the footer the figures read moved
+	// with live window cuts: dcgan-mnist's v2 idle read 55.7% or 56.2%
+	// from one run to the next.
+	if err := runner.Run(); err != nil {
 		return nil, err
 	}
 	produced, err := l.profile(runID, name, version, runner)
@@ -178,12 +189,12 @@ func (l *Lab) run(runID, name string, variant Variant, version tpu.Version) (*Ru
 		Version:  version,
 		Steps:    steps,
 		Front:    front,
-		IdleFrac: runner.IdleFraction(),
-		MXUUtil:  runner.MXUUtilization(),
+		IdleFrac: ar.Summary().IdleFrac,
+		MXUUtil:  ar.Summary().MXUUtil,
 	}, nil
 }
 
-// profile trains runner while a profiler streams its records into a
+// profile has a profiler stream a trained runner's records into a
 // collector session named runID, and finalizes the session. It returns
 // how many records the profiler produced. Any loss the profiler reports
 // fails the run, and the session's goroutines end before it returns.
@@ -211,9 +222,7 @@ func (l *Lab) profile(runID, workload string, version tpu.Version, runner *estim
 	if err := p.Start(true); err != nil {
 		return 0, errors.Join(err, session.Abort())
 	}
-	err = runner.Run()
-	records, stopErr := p.Stop()
-	err = errors.Join(err, stopErr)
+	records, err := p.Stop()
 	select {
 	case d := <-degraded:
 		err = errors.Join(err, d)

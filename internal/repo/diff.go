@@ -7,6 +7,7 @@ package repo
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -22,6 +23,11 @@ const MaxOpMixDeltas = 8
 // ErrNoSummary is returned when an archive carries no analyzer summary
 // to diff.
 var ErrNoSummary = errors.New("repo: archive has no summary to diff")
+
+// ErrAlgorithmMismatch is returned when two summaries come from
+// different phase algorithms: an OLS phase and a k-means cluster are not
+// the same kind of thing, so their phases do not pair.
+var ErrAlgorithmMismatch = errors.New("repo: summaries of different phase algorithms")
 
 // OpMixDelta is one operator's time-share change between two matched
 // phases. Shares are fractions of the phase's total op time.
@@ -69,9 +75,13 @@ type Diff struct {
 // (A-phase, B-phase) pairs, pair the closest, repeat. Phases left over
 // when one side runs out are reported as OnlyA/OnlyB — a phase that
 // exists in one configuration but not the other is itself a finding.
+// Both summaries must come from one algorithm (ErrAlgorithmMismatch).
 func DiffSummaries(sa, sb *archive.Summary) (*Diff, error) {
 	if sa == nil || sb == nil {
 		return nil, ErrNoSummary
+	}
+	if sa.Algorithm != sb.Algorithm {
+		return nil, fmt.Errorf("%w: %q against %q", ErrAlgorithmMismatch, sa.Algorithm, sb.Algorithm)
 	}
 	d := &Diff{
 		WorkloadA: sa.Workload, WorkloadB: sb.Workload,

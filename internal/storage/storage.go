@@ -7,7 +7,7 @@
 // recording thread streams out. This package provides bucket/object
 // semantics over an in-memory store with optional generation tracking, and
 // is safe for concurrent use — the recording goroutine writes while the
-// training loop reads datasets.
+// training loop saves checkpoints.
 package storage
 
 import (

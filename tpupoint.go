@@ -32,16 +32,15 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/archive"
 	"repro/internal/core/analyzer"
 	"repro/internal/core/optimizer"
 	"repro/internal/core/profiler"
 	"repro/internal/core/viz"
-	"repro/internal/datasets"
 	"repro/internal/estimator"
 	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/repo"
+	"repro/internal/rpc"
 	"repro/internal/storage"
 	"repro/internal/tpu"
 	"repro/internal/trace"
@@ -162,12 +161,6 @@ func NewSession(workloadName string, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Stage a sample of the training data in the bucket, the way a Cloud
-	// TPU job stages records for its input pipeline (capped: only record
-	// sizes matter to anything observable).
-	if _, err := datasets.Generate(bucket, w.Dataset, 128, w.Seed); err != nil {
-		return nil, err
-	}
 	runner, err := estimator.New(w, estimator.Options{
 		Version: opts.Version,
 		Steps:   opts.Steps,
@@ -285,40 +278,43 @@ func (s *Session) WriteCSV(w io.Writer, rep *Report) error {
 	return viz.WriteCSV(w, rep)
 }
 
-// ArchiveRun packs a completed run — its profile records plus the
-// analyzer report (which may be nil) — into a profile archive and
-// indexes it in the repository under runID. The archive embeds the
-// workload name, host spec, TPU generation, and an optional free-form
-// label so later `runs list`/`runs diff` invocations can locate and
-// compare it.
+// ArchiveRun archives a completed run's profile records in r under
+// runID, the way every run becomes an archive: through a collector
+// session. An in-process repo.Fleet over r, reached over rpc.Pipe, takes
+// the records and finalizes them into an indexed archive, the code a
+// streamed run's collector runs. The archive embeds the workload name,
+// host spec, TPU generation, and an optional free-form label so later
+// `runs list`/`runs diff` invocations can locate and compare it. Its
+// summary is the collector's, OLS at the default threshold over the
+// records, so rep must be nil or an OLS report: any other algorithm is
+// refused. The server and the pipe are closed before it returns.
 func (s *Session) ArchiveRun(r *repo.Repo, runID, label string, records []*ProfileRecord, rep *Report) (repo.RunInfo, error) {
 	if r == nil {
 		return repo.RunInfo{}, errors.New("tpupoint: nil repository")
 	}
-	if runID == "" {
-		return repo.RunInfo{}, errors.New("tpupoint: empty run ID")
+	if rep != nil && rep.Algorithm != OLS {
+		return repo.RunInfo{}, fmt.Errorf("tpupoint: an archive's summary is the collector's OLS, not %s", rep.Algorithm)
 	}
-	seq, err := r.NextSeq()
-	if err != nil {
-		return repo.RunInfo{}, err
-	}
+	srv := rpc.NewServer()
+	defer srv.Close()
+	repo.NewFleet(r, repo.FleetOptions{}).Register(srv)
+	c := rpc.Pipe(srv)
+	defer c.Close()
 	spec := s.workload.Spec()
-	w := archive.NewWriter(archive.Meta{
+	session, err := repo.OpenResilient(c, repo.OpenRequest{
 		RunID:      runID,
 		Workload:   s.workload.Name,
 		Label:      label,
 		HostSpec:   fmt.Sprintf("%dc %gMBps", spec.Cores, spec.ReadMBps),
 		TPUVersion: s.runner.Spec().Version.String(),
-		CreatedSeq: seq,
 	})
-	for _, rec := range records {
-		w.Add(rec)
+	if err != nil {
+		return repo.RunInfo{}, err
 	}
-	var sum *archive.Summary
-	if rep != nil {
-		sum = archive.SummarizeReport(rep)
+	if err := session.AppendBatch(records); err != nil {
+		return repo.RunInfo{}, errors.Join(err, session.Abort())
 	}
-	return r.Save(w.Finalize(sum))
+	return session.Finalize()
 }
 
 // Resume builds a new session that fast-forwards this session's workload

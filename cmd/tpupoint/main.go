@@ -248,6 +248,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var p *profiler.Profiler
 	var session *repo.ResilientClient
+	// A profiler that could not stream a record into the session leaves
+	// the archive short of it: the run fails, as a Lab run does.
+	degraded := make(chan error, 1)
 	if caller != nil {
 		spec := s.Workload().Spec()
 		session, err = repo.OpenResilient(caller, repo.OpenRequest{
@@ -258,7 +261,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if p, err = s.StartProfilerTo(session); err != nil {
+		onDegraded := func(err error) {
+			select {
+			case degraded <- err:
+			default:
+			}
+		}
+		if p, err = s.StartProfilerTo(session, onDegraded); err != nil {
 			return errors.Join(err, session.Abort())
 		}
 	} else if p, err = s.StartProfiler(true); err != nil {
@@ -267,6 +276,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	err = s.Train()
 	records, stopErr := p.Stop()
 	err = errors.Join(err, stopErr)
+	select {
+	case d := <-degraded:
+		err = errors.Join(err, d)
+	default:
+	}
 	var rep *tpupoint.Report
 	if err == nil {
 		rep, err = s.Analyze(records, tpupoint.Algorithm(*algo))

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/archive"
@@ -186,4 +187,62 @@ func TestRunsDiffRefusesMixedAlgorithms(t *testing.T) {
 		t.Fatalf("runs diff: %v does not name both algorithms (%s)", err, want)
 	}
 	mustCLI(t, "-archive", dir, "runs", "diff", "ols", "ols")
+}
+
+// TestDegradedRunIsNotArchived: a run whose records the collector
+// refuses — the session client, the profiler's RecordStore, fails its
+// first Put and both retries, so recording falls back to memory only —
+// exits non-zero, prints no "archived:" line and leaves no run and no
+// sessions/ object, though the collector accepts every later append
+// (finalizing would archive the first record of many).
+func TestDegradedRunIsNotArchived(t *testing.T) {
+	dir := t.TempDir()
+	out, err := cli("-workload", "dcgan-mnist", "-steps", "60", "-collect", refusingCollector(t, dir, 3), "-run-id", "x")
+	if err == nil {
+		t.Fatalf("a run whose records were refused succeeded:\n%s", out)
+	}
+	if strings.Contains(out, "archived:") {
+		t.Fatalf("the degraded run printed an archived line:\n%s", out)
+	}
+	if left := sessionObjects(t, dir); len(left) != 0 {
+		t.Fatalf("the degraded run left %v", left)
+	}
+	mustMatch(t, "runs list", mustCLI(t, "-archive", dir, "runs", "list"), `repository is empty`)
+}
+
+// refusingCollector is collector with its first n AppendBatch calls
+// answered with an error: it serves the fleet's verbs by forwarding
+// them to a fleet over dir through an in-process pipe.
+func refusingCollector(t *testing.T, dir string, n int32) string {
+	t.Helper()
+	r, _, done, err := openRepoDir(io.Discard, dir, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := rpc.NewServer()
+	repo.NewFleet(r, repo.FleetOptions{}).Register(inner)
+	pipe := rpc.Pipe(inner)
+	srv := rpc.NewServer()
+	var appends atomic.Int32
+	for _, method := range []string{repo.MethodFleetOpen, repo.MethodFleetAppendBatch, repo.MethodFleetFinalize, repo.MethodFleetAbort, repo.MethodFleetResume} {
+		srv.Register(method, func(body []byte) ([]byte, error) {
+			if method == repo.MethodFleetAppendBatch && appends.Add(1) <= n {
+				return nil, errors.New("append refused")
+			}
+			return pipe.Call(method, body)
+		})
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() {
+		l.Close()
+		srv.Close()
+		pipe.Close()
+		inner.Close()
+		done()
+	})
+	return l.Addr().String()
 }

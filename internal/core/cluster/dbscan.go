@@ -89,10 +89,11 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	var entries atomic.Int64
 	upper := make([][]int32, n)
 	err := pool.Run(context.Background(), n, chunk, func(ci, lo, hi int) error {
+		// The chunk's lists share its scratch's slabs.
 		var local int64
 		var sc neighborScratch
 		for i := lo; i < hi; i++ {
-			upper[i] = grid.neighbors(i, &sc)
+			upper[i] = grid.neighbors(i, &sc, hi-i)
 			local += 2 * int64(len(upper[i]))
 		}
 		if entries.Add(local) > entryLimit {

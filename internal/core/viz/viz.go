@@ -9,11 +9,13 @@
 package viz
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core/analyzer"
 	"repro/internal/simclock"
@@ -31,35 +33,28 @@ const (
 	tidTPUOps   = 4
 )
 
-// traceEvent is one chrome://tracing event (the "X" complete-event form,
-// or "M" metadata).
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`            // µs
-	Dur  int64          `json:"dur,omitempty"` // µs
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
 // WriteChromeTrace emits the visualization JSON. Records and phases feed
 // the two breakdown tracks; events (optional, may be truncated by maxOps)
 // feed the op tracks.
+//
+// The file is what encoding/json writes for it — the fields of each
+// event in a fixed order, dur omitted when zero, args keys sorted — but
+// appended into one buffer and written with one Write. A NaN or
+// infinite idle/MXU value fails the call before anything is written, as
+// json.Encoder does.
 func WriteChromeTrace(w io.Writer, phases []*analyzer.Phase, records []*trace.ProfileRecord, events []trace.Event, maxOps int) error {
-	var out traceFile
-	out.DisplayTimeUnit = "ms"
+	ops := len(events)
+	if maxOps > 0 && ops > maxOps {
+		ops = maxOps
+	}
+	t := chromeTrace{b: make([]byte, 0, 256+320*len(records)+160*len(phases)+112*ops)}
+	t.b = append(t.b, `{"traceEvents":[`...)
 
 	meta := func(tid int, name string) {
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: pidTPUPoint, Tid: tid,
-			Args: map[string]any{"name": name},
-		})
+		t.event("thread_name", "M", 0, 0, tid)
+		t.b = append(t.b, `,"args":{"name":`...)
+		t.b = appendString(t.b, name)
+		t.b = append(t.b, "}}"...)
 	}
 	meta(tidProfiles, "Profile Breakdown")
 	meta(tidPhases, "Phase Breakdown")
@@ -74,84 +69,185 @@ func WriteChromeTrace(w io.Writer, phases []*analyzer.Phase, records []*trace.Pr
 			// sliver at t=0. Synthesize the hole's span from the
 			// neighboring records instead.
 			start, end := gapSpan(records, i)
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: fmt.Sprintf("gap %d", rec.Seq),
-				Ph:   "X",
-				Ts:   int64(start),
-				Dur:  int64(end.Sub(start)),
-				Pid:  pidTPUPoint,
-				Tid:  tidProfiles,
-				Args: map[string]any{"gap": true},
-			})
+			t.numbered("gap ", rec.Seq, "X", int64(start), int64(end.Sub(start)), tidProfiles)
+			t.b = append(t.b, `,"args":{"gap":true}}`...)
 			// No counter events: a lost window has no idle/MXU samples.
 			continue
 		}
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: fmt.Sprintf("profile %d", rec.Seq),
-			Ph:   "X",
-			Ts:   int64(rec.WindowStart),
-			Dur:  int64(rec.WindowEnd.Sub(rec.WindowStart)),
-			Pid:  pidTPUPoint,
-			Tid:  tidProfiles,
-			Args: map[string]any{
-				"events":    rec.NumEvents,
-				"truncated": rec.Truncated,
-				"idle":      rec.IdleFrac,
-				"mxu":       rec.MXUUtil,
-			},
-		})
+		t.numbered("profile ", rec.Seq, "X", int64(rec.WindowStart), int64(rec.WindowEnd.Sub(rec.WindowStart)), tidProfiles)
+		t.b = append(t.b, `,"args":{"events":`...)
+		t.b = strconv.AppendInt(t.b, rec.NumEvents, 10)
+		t.b = append(t.b, `,"idle":`...)
+		t.float(rec.IdleFrac)
+		t.b = append(t.b, `,"mxu":`...)
+		t.float(rec.MXUUtil)
+		t.b = append(t.b, `,"truncated":`...)
+		t.b = strconv.AppendBool(t.b, rec.Truncated)
+		t.b = append(t.b, "}}"...)
 		// Counter tracks: chrome://tracing renders "C" events as stacked
 		// area charts, giving the idle/MXU time series alongside the ops.
-		out.TraceEvents = append(out.TraceEvents,
-			traceEvent{
-				Name: "TPU idle %", Ph: "C", Ts: int64(rec.WindowStart),
-				Pid: pidTPUPoint, Tid: 0,
-				Args: map[string]any{"idle": 100 * rec.IdleFrac},
-			},
-			traceEvent{
-				Name: "MXU utilization %", Ph: "C", Ts: int64(rec.WindowStart),
-				Pid: pidTPUPoint, Tid: 0,
-				Args: map[string]any{"mxu": 100 * rec.MXUUtil},
-			})
+		t.event("TPU idle %", "C", int64(rec.WindowStart), 0, 0)
+		t.b = append(t.b, `,"args":{"idle":`...)
+		t.float(100 * rec.IdleFrac)
+		t.b = append(t.b, "}}"...)
+		t.event("MXU utilization %", "C", int64(rec.WindowStart), 0, 0)
+		t.b = append(t.b, `,"args":{"mxu":`...)
+		t.float(100 * rec.MXUUtil)
+		t.b = append(t.b, "}}"...)
 	}
 
 	for _, p := range sortByStart(phases) {
-		args := map[string]any{
-			"steps":      len(p.Steps),
-			"total_ms":   p.Total.Milliseconds(),
-			"checkpoint": p.Checkpoint,
-		}
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: fmt.Sprintf("phase %d", p.ID),
-			Ph:   "X",
-			Ts:   int64(p.Start),
-			Dur:  int64(p.End.Sub(p.Start)),
-			Pid:  pidTPUPoint,
-			Tid:  tidPhases,
-			Args: args,
-		})
+		t.numbered("phase ", int64(p.ID), "X", int64(p.Start), int64(p.End.Sub(p.Start)), tidPhases)
+		t.b = append(t.b, `,"args":{"checkpoint":`...)
+		t.b = appendString(t.b, p.Checkpoint)
+		t.b = append(t.b, `,"steps":`...)
+		t.b = strconv.AppendInt(t.b, int64(len(p.Steps)), 10)
+		t.b = append(t.b, `,"total_ms":`...)
+		t.float(p.Total.Milliseconds())
+		t.b = append(t.b, "}}"...)
 	}
 
-	n := 0
-	for _, e := range events {
-		if maxOps > 0 && n >= maxOps {
-			break
-		}
+	for _, e := range events[:ops] {
 		tid := tidHostOps
 		if e.Device == trace.TPU {
 			tid = tidTPUOps
 		}
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: e.Name, Ph: "X",
-			Ts: int64(e.Start), Dur: int64(e.Dur),
-			Pid: pidTPUPoint, Tid: tid,
-			Args: map[string]any{"step": e.Step},
-		})
-		n++
+		t.event(e.Name, "X", int64(e.Start), int64(e.Dur), tid)
+		t.b = append(t.b, `,"args":{"step":`...)
+		t.b = strconv.AppendInt(t.b, e.Step, 10)
+		t.b = append(t.b, "}}"...)
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
+	if t.err != nil {
+		return t.err
+	}
+	t.b = append(t.b, `],"displayTimeUnit":"ms"}`+"\n"...)
+	_, err := w.Write(t.b)
+	return err
+}
+
+// chromeTrace is the buffer WriteChromeTrace appends the file into.
+type chromeTrace struct {
+	b      []byte
+	events int
+	err    error // the first value JSON cannot carry
+}
+
+// event appends one event's fields up to its args: name, ph, ts, dur
+// (omitted when zero), pid and tid, preceded by a comma unless it is
+// the first.
+func (t *chromeTrace) event(name, ph string, ts, dur int64, tid int) {
+	t.open()
+	t.b = appendString(t.b, name)
+	t.fields(ph, ts, dur, tid)
+}
+
+// numbered is event for the name prefix followed by n in decimal.
+func (t *chromeTrace) numbered(prefix string, n int64, ph string, ts, dur int64, tid int) {
+	t.open()
+	t.b = appendString(t.b, prefix)
+	t.b = strconv.AppendInt(t.b[:len(t.b)-1], n, 10) // inside the closing quote
+	t.b = append(t.b, '"')
+	t.fields(ph, ts, dur, tid)
+}
+
+func (t *chromeTrace) open() {
+	if t.events > 0 {
+		t.b = append(t.b, ',')
+	}
+	t.events++
+	t.b = append(t.b, `{"name":`...)
+}
+
+func (t *chromeTrace) fields(ph string, ts, dur int64, tid int) {
+	t.b = append(t.b, `,"ph":`...)
+	t.b = appendString(t.b, ph)
+	t.b = append(t.b, `,"ts":`...)
+	t.b = strconv.AppendInt(t.b, ts, 10)
+	if dur != 0 {
+		t.b = append(t.b, `,"dur":`...)
+		t.b = strconv.AppendInt(t.b, dur, 10)
+	}
+	t.b = append(t.b, `,"pid":`...)
+	t.b = strconv.AppendInt(t.b, pidTPUPoint, 10)
+	t.b = append(t.b, `,"tid":`...)
+	t.b = strconv.AppendInt(t.b, int64(tid), 10)
+}
+
+// float appends f as encoding/json does: the shortest 'f' form, or 'e'
+// with the exponent's leading zero trimmed outside [1e-6, 1e21). NaN and
+// ±Inf have no JSON form; the first is kept as the trace's error.
+func (t *chromeTrace) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if t.err == nil {
+			t.err = fmt.Errorf("viz: chrome trace: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		t.b = append(t.b, '0')
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	t.b = strconv.AppendFloat(t.b, f, format, -1, 64)
+	if n := len(t.b); format == 'e' && n >= 4 && t.b[n-4] == 'e' && t.b[n-3] == '-' && t.b[n-2] == '0' {
+		t.b[n-2] = t.b[n-1]
+		t.b = t.b[:n-1]
+	}
+}
+
+// appendString appends s as a JSON string the way encoding/json's
+// Encoder does (HTML escaping on): quotes, backslash and control bytes
+// escaped, <, > and & as \u003c, \u003e, \u0026, U+2028 and U+2029 as
+// \u2028 and \u2029, and each byte of invalid UTF-8 as \ufffd.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // gapSpan synthesizes a window for the gap record at index i: a run of

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/host"
 	"repro/internal/simclock"
 	"repro/internal/storage"
@@ -106,8 +105,8 @@ type Runner struct {
 	openCurT    simclock.Time
 }
 
-// New prepares a runner. The workload's graphs are compiled here, so a
-// model that does not fit the chip's HBM fails fast.
+// New prepares a runner. It loads the workload's compiled train program,
+// so a model that does not fit the chip's HBM fails fast.
 func New(w *workloads.Workload, opts Options) (*Runner, error) {
 	if w == nil {
 		return nil, errors.New("estimator: nil workload")
@@ -124,15 +123,11 @@ func New(w *workloads.Workload, opts Options) (*Runner, error) {
 		params = *opts.HostParams
 	}
 
-	// The TensorFlow master's optimization pipeline runs before the
-	// worker sees the graph: constant folding, then XLA lowering.
-	trainProg, err := compileLikeMaster(w.TrainGraph)
+	// The workload holds its graphs compiled as the TensorFlow master
+	// does before the worker sees them: constant folding, then XLA.
+	trainProg, evalProg, err := w.Programs()
 	if err != nil {
-		return nil, fmt.Errorf("estimator: compiling train graph: %w", err)
-	}
-	evalProg, err := compileLikeMaster(w.EvalGraph)
-	if err != nil {
-		return nil, fmt.Errorf("estimator: compiling eval graph: %w", err)
+		return nil, fmt.Errorf("estimator: compiling %w", err)
 	}
 	cspec := tpu.NewChipSpec(opts.Version)
 	if err := cspec.Validate(); err != nil {
@@ -155,17 +150,6 @@ func New(w *workloads.Workload, opts Options) (*Runner, error) {
 		evalProg:  evalProg,
 		openStep:  -1, // the init ops
 	}, nil
-}
-
-// compileLikeMaster applies the master's graph optimizations (constant
-// folding; partitioning is a no-op for these single-device step graphs)
-// and lowers the result through XLA.
-func compileLikeMaster(g *graph.Graph) (*xla.Program, error) {
-	folded, _, err := graph.FoldConstants(g)
-	if err != nil {
-		return nil, err
-	}
-	return xla.Compile(folded)
 }
 
 // stepEvents bounds the device events of one step of p: one per

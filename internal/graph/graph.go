@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -211,64 +210,165 @@ func (g *Graph) MustAdd(name, op string, dev trace.Device, out tensor.Spec, inpu
 // Toposort returns the nodes in a topological order. Because Add only
 // accepts inputs already present, insertion order is already topological;
 // this re-derives it independently (Kahn's algorithm) so Validate can
-// detect corruption introduced by direct node mutation.
+// detect corruption introduced by direct node mutation. Of the nodes
+// ready at each step it takes the one with the lowest ID, so the order
+// is a function of the graph alone.
 func (g *Graph) Toposort() ([]*Node, error) {
-	indeg := make(map[*Node]int, len(g.nodes))
-	out := make(map[*Node][]*Node, len(g.nodes))
-	for _, n := range g.nodes {
-		for _, in := range n.Inputs {
-			indeg[n]++
-			out[in] = append(out[in], n)
-		}
-	}
-	// Seed queue with zero-indegree nodes in ID order for determinism.
-	var queue []*Node
-	for _, n := range g.nodes {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
-		}
-	}
-	var order []*Node
-	for len(queue) > 0 {
-		sort.Slice(queue, func(i, j int) bool { return queue[i].ID < queue[j].ID })
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, succ := range out[n] {
-			indeg[succ]--
-			if indeg[succ] == 0 {
-				queue = append(queue, succ)
+	n := len(g.nodes)
+	at := g.positions()
+	// The edges as a CSR adjacency over positions in g.nodes: succ holds
+	// every consumer of position p in succ[start[p]:start[p+1]]. An
+	// input outside g.nodes has position -1: its consumer never becomes
+	// ready, as with an edge from a node that never sorts.
+	indeg := make([]int32, n)
+	start := make([]int32, n+1)
+	for i, x := range g.nodes {
+		for _, in := range x.Inputs {
+			indeg[i]++
+			if p := at(in); p >= 0 {
+				start[p+1]++
 			}
 		}
 	}
-	if len(order) != len(g.nodes) {
+	for p := 0; p < n; p++ {
+		start[p+1] += start[p]
+	}
+	succ := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for i, x := range g.nodes {
+		for _, in := range x.Inputs {
+			if p := at(in); p >= 0 {
+				succ[fill[p]] = int32(i)
+				fill[p]++
+			}
+		}
+	}
+	ready := readyHeap{nodes: g.nodes}
+	for i := range g.nodes {
+		if indeg[i] == 0 {
+			ready.push(int32(i))
+		}
+	}
+	order := make([]*Node, 0, n)
+	for len(ready.q) > 0 {
+		p := ready.pop()
+		order = append(order, g.nodes[p])
+		for _, s := range succ[start[p]:start[p+1]] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				ready.push(s)
+			}
+		}
+	}
+	if len(order) != n {
 		return nil, errors.New("graph: cycle detected")
 	}
 	return order, nil
 }
 
+// positions returns the function mapping a node to its index in
+// g.nodes, or -1 for a node not in the graph. A node's ID is its index
+// unless the node was mutated; only then does it build a map.
+func (g *Graph) positions() func(*Node) int {
+	n := len(g.nodes)
+	for i, x := range g.nodes {
+		if x.ID != i {
+			byPtr := make(map[*Node]int, n)
+			for i, x := range g.nodes {
+				byPtr[x] = i
+			}
+			return func(x *Node) int {
+				if i, ok := byPtr[x]; ok {
+					return i
+				}
+				return -1
+			}
+		}
+	}
+	return func(x *Node) int {
+		if x.ID >= 0 && x.ID < n && g.nodes[x.ID] == x {
+			return x.ID
+		}
+		return -1
+	}
+}
+
+// readyHeap is Toposort's ready queue: a binary min-heap of positions
+// in nodes, ordered by node ID, then position.
+type readyHeap struct {
+	nodes []*Node
+	q     []int32
+}
+
+func (h *readyHeap) less(a, b int32) bool {
+	ia, ib := h.nodes[a].ID, h.nodes[b].ID
+	return ia < ib || ia == ib && a < b
+}
+
+func (h *readyHeap) push(p int32) {
+	h.q = append(h.q, p)
+	for c := len(h.q) - 1; c > 0; {
+		parent := (c - 1) / 2
+		if !h.less(h.q[c], h.q[parent]) {
+			break
+		}
+		h.q[c], h.q[parent] = h.q[parent], h.q[c]
+		c = parent
+	}
+}
+
+func (h *readyHeap) pop() int32 {
+	top := h.q[0]
+	last := len(h.q) - 1
+	h.q[0] = h.q[last]
+	h.q = h.q[:last]
+	for c := 0; ; {
+		min, l, r := c, 2*c+1, 2*c+2
+		if l < last && h.less(h.q[l], h.q[min]) {
+			min = l
+		}
+		if r < last && h.less(h.q[r], h.q[min]) {
+			min = r
+		}
+		if min == c {
+			break
+		}
+		h.q[c], h.q[min] = h.q[min], h.q[c]
+		c = min
+	}
+	return top
+}
+
 // Validate checks structural invariants: acyclicity, unique names, and
 // that transfer ops sit on the device boundary they belong to.
 func (g *Graph) Validate() error {
-	if _, err := g.Toposort(); err != nil {
-		return err
+	_, err := g.ValidOrder()
+	return err
+}
+
+// ValidOrder validates g as Validate does and returns its topological
+// order (Toposort's), sorting the graph once for both.
+func (g *Graph) ValidOrder() ([]*Node, error) {
+	order, err := g.Toposort()
+	if err != nil {
+		return nil, err
 	}
 	for _, n := range g.nodes {
 		switch n.Op {
 		case OpInfeed:
 			if n.Device != trace.TPU {
-				return fmt.Errorf("graph: %s must run on TPU", n.Name)
+				return nil, fmt.Errorf("graph: %s must run on TPU", n.Name)
 			}
 		case OpOutfeed:
 			if n.Device != trace.TPU {
-				return fmt.Errorf("graph: %s must run on TPU", n.Name)
+				return nil, fmt.Errorf("graph: %s must run on TPU", n.Name)
 			}
 		}
 		if !n.Out.Shape.Valid() {
-			return fmt.Errorf("graph: %s has invalid output shape %v", n.Name, n.Out.Shape)
+			return nil, fmt.Errorf("graph: %s has invalid output shape %v", n.Name, n.Out.Shape)
 		}
 	}
-	return nil
+	return order, nil
 }
 
 // Consumers returns, for each node, its consumer list. The map is rebuilt

@@ -269,7 +269,7 @@ func TestFinalizeSummaryOfLiveProfiledSessions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := s.StartProfilerTo(cl)
+				p, err := s.StartProfilerTo(cl, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -57,12 +57,24 @@ type Workload struct {
 	// ParamsDesc reproduces Table I's "Default Training Parameters".
 	ParamsDesc []string
 
+	// TrainGraph and EvalGraph are the step graphs. Get and Small
+	// compile them where they set them (Programs); a graph must not be
+	// modified in place afterwards.
 	TrainGraph *graph.Graph
 	EvalGraph  *graph.Graph
 	Input      host.InputSpec
 	HostParams host.Params
 	HostSpec   host.Spec // host VM driving the run (DefaultSpec unless overridden)
 	Seed       uint64
+
+	progs *programs // the compiled step graphs; copies share them
+}
+
+// programs are a workload's step graphs as the device runs them, with
+// the graphs they were compiled from.
+type programs struct {
+	trainGraph, evalGraph *graph.Graph
+	train, eval           *xla.Program
 }
 
 // Spec returns the workload's host spec, falling back to the default when
@@ -220,6 +232,9 @@ func Get(name string) (*Workload, error) {
 		Records:       effectiveRecords(ds.Records, s.paperSteps, s.trainSteps, s.batch),
 		ImagePipeline: ds.Kind == datasets.Image,
 	}
+	if err := w.compile(); err != nil {
+		return nil, fmt.Errorf("workloads: compiling %s: %w", name, err)
+	}
 	if err := w.calibrate(); err != nil {
 		return nil, fmt.Errorf("workloads: calibrating %s: %w", name, err)
 	}
@@ -251,12 +266,57 @@ func effectiveRecords(records, paperSteps int64, trainSteps, batch int) int64 {
 	return eff
 }
 
+// compile lowers the step graphs and holds the programs. Get and Small
+// call it wherever they set the graphs.
+func (w *Workload) compile() error {
+	train, eval, err := compileGraphs(w.TrainGraph, w.EvalGraph)
+	if err != nil {
+		return err
+	}
+	w.progs = &programs{trainGraph: w.TrainGraph, evalGraph: w.EvalGraph, train: train, eval: eval}
+	return nil
+}
+
+// Programs returns the compiled train and eval step programs. A program
+// depends on its graph alone, not on the TPU generation or the host, so
+// Get and Small compile each graph once and calibration and every
+// estimator run share the result; it is read-only (see xla.Program). A
+// Workload built without Get, or whose graph was replaced, has its
+// graphs compiled anew on every call.
+func (w *Workload) Programs() (train, eval *xla.Program, err error) {
+	if p := w.progs; p != nil && p.trainGraph == w.TrainGraph && p.evalGraph == w.EvalGraph {
+		return p.train, p.eval, nil
+	}
+	return compileGraphs(w.TrainGraph, w.EvalGraph)
+}
+
+// compileGraphs applies the TensorFlow master's graph optimizations to
+// both step graphs (constant folding; partitioning is a no-op for these
+// single-device graphs) and lowers the results through XLA.
+func compileGraphs(trainGraph, evalGraph *graph.Graph) (train, eval *xla.Program, err error) {
+	if train, err = compileFolded(trainGraph); err != nil {
+		return nil, nil, fmt.Errorf("train graph: %w", err)
+	}
+	if eval, err = compileFolded(evalGraph); err != nil {
+		return nil, nil, fmt.Errorf("eval graph: %w", err)
+	}
+	return train, eval, nil
+}
+
+func compileFolded(g *graph.Graph) (*xla.Program, error) {
+	folded, _, err := graph.FoldConstants(g)
+	if err != nil {
+		return nil, err
+	}
+	return xla.Compile(folded)
+}
+
 // calibrate solves the host preprocessing costs from the TPUv2 idle target.
 // Serial work takes ~87% of the target batch latency (the Amdahl serial
 // fraction that bounds auto-tuning gains at ~15%); the remainder is
 // parallelizable decode work sized for the default thread count.
 func (w *Workload) calibrate() error {
-	prog, err := xla.Compile(w.TrainGraph)
+	prog, _, err := w.Programs()
 	if err != nil {
 		return err
 	}
@@ -340,6 +400,9 @@ func (w *Workload) Small() (*Workload, error) {
 		c.Dataset = ds
 		c.TrainGraph = buildResNet(true, 32, w.BatchSize)
 		c.EvalGraph = buildResNet(false, 32, w.BatchSize)
+		if err := c.compile(); err != nil {
+			return nil, fmt.Errorf("workloads: compiling %s: %w", c.Name, err)
+		}
 		c.Input.Name = ds.Name
 		c.Input.RecordBytes = ds.RecordBytes()
 		c.Input.DecodedBytes = ds.DecodedBytes

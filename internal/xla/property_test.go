@@ -2,6 +2,7 @@ package xla
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,28 @@ func TestPropertyNoWorkLost(t *testing.T) {
 		return fusedSum == workNodes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: on random graphs, with fusion on and off, the compile gives
+// the programs of compileOracle, the compile it replaced.
+func TestPropertyCompileMatchesOracle(t *testing.T) {
+	f := func(seed uint64, sizeRaw uint8) bool {
+		g := randomGraph(seed, 1+int(sizeRaw%120))
+		for _, opts := range []Options{{}, {DisableFusion: true}} {
+			got, err := CompileWithOptions(g, opts)
+			if err != nil {
+				return false
+			}
+			want, err := compileOracle(g, opts)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -37,6 +37,10 @@ type Instruction struct {
 }
 
 // Program is the compiled form of one training step's TPU partition.
+// It is a function of its graph alone and read-only once compiled: a
+// workload compiles each step graph once, and every device that loads
+// it (tpu.Device.LoadProgram keeps the pointer) shares it, also across
+// goroutines, so nothing may modify a Program or its Instructions.
 type Program struct {
 	Name         string
 	Instructions []*Instruction
@@ -96,20 +100,22 @@ func Compile(g *graph.Graph) (*Program, error) {
 
 // CompileWithOptions is Compile with explicit compilation options.
 func CompileWithOptions(g *graph.Graph, opts Options) (*Program, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("xla: %w", err)
-	}
-	order, err := g.Toposort()
+	order, err := g.ValidOrder()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xla: %w", err)
 	}
 	consumers := g.Consumers()
 
 	// --- Fusion clustering ---------------------------------------------
-	// cluster[i] is the root node of the cluster node i belongs to.
+	// cluster[i] is the root node of the cluster node i belongs to;
+	// contraction[r] says whether the cluster rooted at r holds one.
 	cluster := make(map[*graph.Node]*graph.Node, len(order))
+	contraction := make(map[*graph.Node]bool)
 	for _, n := range order {
 		cluster[n] = n
+		if n.Kind() == graph.KindContraction {
+			contraction[n] = true
+		}
 	}
 	find := func(n *graph.Node) *graph.Node {
 		for cluster[n] != n {
@@ -141,10 +147,12 @@ func CompileWithOptions(g *graph.Graph, opts Options) (*Program, error) {
 			root := find(in)
 			// A cluster may hold at most one contraction: two matmuls
 			// in one fusion would serialize on the same MXU pass.
-			if n.Kind() == graph.KindContraction && clusterHasContraction(root, cluster, order) {
+			if n.Kind() == graph.KindContraction && contraction[root] {
 				continue
 			}
-			cluster[find(n)] = root
+			r := find(n)
+			cluster[r] = root
+			contraction[root] = contraction[root] || contraction[r]
 			break
 		}
 	}
@@ -215,22 +223,6 @@ func fusibleProducer(n *graph.Node) bool {
 	default:
 		return false
 	}
-}
-
-func clusterHasContraction(root *graph.Node, cluster map[*graph.Node]*graph.Node, order []*graph.Node) bool {
-	for _, n := range order {
-		if n.Kind() != graph.KindContraction {
-			continue
-		}
-		r := n
-		for cluster[r] != r {
-			r = cluster[r]
-		}
-		if r == root {
-			return true
-		}
-	}
-	return false
 }
 
 // emit lowers one cluster to an instruction, or nil for structural-only

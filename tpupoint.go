@@ -196,10 +196,17 @@ func (s *Session) StartProfiler(analyzerMode bool) (*profiler.Profiler, error) {
 // StartProfilerTo starts the profiler in analyzer mode but persists
 // records into the given store instead of the session bucket — e.g. a
 // repo.ResilientClient streaming to a fleet collection server.
-func (s *Session) StartProfilerTo(store profiler.RecordStore) (*profiler.Profiler, error) {
+// onDegraded, when set, is the profiler's OnDegraded: it is called,
+// from a profiler goroutine and without blocking, each time the store
+// is left short of a record (a write that failed its retries, after
+// which recording falls back to memory only, or one the persist queue
+// dropped). Stop still returns every record, so a caller that archives
+// the store must check it: a collector session it fired for holds
+// fewer records than the run and should be aborted, not finalized.
+func (s *Session) StartProfilerTo(store profiler.RecordStore, onDegraded func(error)) (*profiler.Profiler, error) {
 	p := profiler.New(
 		&profiler.ServiceClient{Service: s.runner.ProfileService()},
-		profiler.Options{Bucket: store, Obs: s.obs},
+		profiler.Options{Bucket: store, Obs: s.obs, OnDegraded: onDegraded},
 	)
 	if err := p.Start(true); err != nil {
 		return nil, err

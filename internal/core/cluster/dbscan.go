@@ -55,14 +55,30 @@ func DBSCAN(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DBS
 	return clusterAt(neighbors, minPts, eps), nil
 }
 
+// neighborLists holds every point's ε-neighbors as two ascending lists,
+// those below the point and those above it; read in that order they are
+// its full ascending neighbor list. Each pair is stored once in each
+// direction and nowhere else.
+type neighborLists struct {
+	lower, upper [][]int32
+}
+
+// degree is the number of ε-neighbors of point i.
+func (nl *neighborLists) degree(i int) int { return len(nl.lower[i]) + len(nl.upper[i]) }
+
+// appendTo appends point i's full ascending neighbor list to dst.
+func (nl *neighborLists) appendTo(dst []int32, i int) []int32 {
+	return append(append(dst, nl.lower[i]...), nl.upper[i]...)
+}
+
 // epsNeighbors is the part of DBSCAN that depends only on ε: it picks ε
 // when eps <= 0, bins the points into the grid index and materializes
-// every point's ε-neighbor list (ascending), charging the lists against
-// budget as they appear. min-samples only decides which of these lists
-// make a core point, so a sweep over min-samples builds them once. chunk is
-// the row-chunk size of its two fan-outs, which only write per-row slots:
+// every point's ε-neighbor lists, charging them against budget as they
+// appear. min-samples only decides which of these lists make a core
+// point, so a sweep over min-samples builds them once. chunk is the
+// row-chunk size of its two fan-outs, which only write per-row slots:
 // no output depends on it, and callers pass slotChunk.
-func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (float64, [][]int32, error) {
+func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (float64, *neighborLists, error) {
 	n := m.Rows
 	if n == 0 {
 		return 0, nil, fmt.Errorf("cluster: empty matrix")
@@ -84,16 +100,15 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	if budget > 0 {
 		entryLimit = (budget - need) / 4
 	}
-	// Each pair found is charged twice, once for each of the two full
-	// lists it ends up in.
+	// Each pair found is charged twice, once for each of the two points
+	// it is a neighbor of.
 	var entries atomic.Int64
 	upper := make([][]int32, n)
 	err := pool.Run(context.Background(), n, chunk, func(ci, lo, hi int) error {
-		// The chunk's lists share its scratch's slabs.
 		var local int64
 		var sc neighborScratch
 		for i := lo; i < hi; i++ {
-			upper[i] = grid.neighbors(i, &sc, hi-i)
+			upper[i] = grid.neighbors(i, &sc)
 			local += 2 * int64(len(upper[i]))
 		}
 		if entries.Add(local) > entryLimit {
@@ -104,46 +119,43 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	if err != nil {
 		return 0, nil, err
 	}
-	return eps, mirror(upper), nil
+	return eps, &neighborLists{lower: mirror(upper), upper: upper}, nil
 }
 
 // mirror turns the lists of neighbors above each row (upper, each
-// ascending) into full ascending neighbor lists: row j's list is every
-// h < j whose upper list holds j, in ascending h, then upper[j]. Rows
-// are walked in ascending h, so by the time row h appends its own upper
-// list every lower entry of h is in place. The lists share one backing
-// array; a row without neighbors keeps a nil list.
+// ascending) into the lists below it: row j's is every h < j whose upper
+// list holds j, in ascending h, as rows are walked in ascending h. The
+// lists share one backing array of one entry a pair; a row without
+// neighbors below it keeps a nil list.
 func mirror(upper [][]int32) [][]int32 {
 	size := make([]int, len(upper))
 	total := 0
-	for h, u := range upper {
-		size[h] += len(u)
+	for _, u := range upper {
 		for _, j := range u {
 			size[j]++
 		}
-		total += 2 * len(u)
+		total += len(u)
 	}
 	slab := make([]int32, total)
-	full := make([][]int32, len(upper))
+	lower := make([][]int32, len(upper))
 	off := 0
 	for j, c := range size {
 		if c > 0 {
-			full[j] = slab[off : off : off+c]
+			lower[j] = slab[off : off : off+c]
 			off += c
 		}
 	}
 	for h, u := range upper {
 		for _, j := range u {
-			full[j] = append(full[j], int32(h))
+			lower[j] = append(lower[j], int32(h))
 		}
-		full[h] = append(full[h], u...)
 	}
-	return full
+	return lower
 }
 
 // clusterAt grows the clusters of one min-samples value over the shared
 // neighbor lists and counts clusters and noise.
-func clusterAt(neighbors [][]int32, minPts int, eps float64) *DBSCANResult {
+func clusterAt(neighbors *neighborLists, minPts int, eps float64) *DBSCANResult {
 	labels := expand(neighbors, minPts)
 	noise, clusters := 0, 0
 	for _, l := range labels {
@@ -163,8 +175,8 @@ func clusterAt(neighbors [][]int32, minPts int, eps float64) *DBSCANResult {
 // expand runs the sequential cluster-growing pass over precomputed
 // neighbor lists. With each list ascending, the visit order — and thus
 // the labeling — is identical to the classic textbook algorithm.
-func expand(neighbors [][]int32, minPts int) []int {
-	n := len(neighbors)
+func expand(neighbors *neighborLists, minPts int) []int {
+	n := len(neighbors.upper)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Noise
@@ -176,12 +188,12 @@ func expand(neighbors [][]int32, minPts int) []int {
 			continue
 		}
 		visited[i] = true
-		if len(neighbors[i])+1 < minPts {
+		if neighbors.degree(i)+1 < minPts {
 			continue // not a core point (may later be claimed as border)
 		}
 		// Expand a new cluster from this core point.
 		labels[i] = cluster
-		queue := append([]int32(nil), neighbors[i]...)
+		queue := neighbors.appendTo(nil, i)
 		for qi := 0; qi < len(queue); qi++ {
 			p := int(queue[qi])
 			if labels[p] == Noise {
@@ -191,8 +203,8 @@ func expand(neighbors [][]int32, minPts int) []int {
 				continue
 			}
 			visited[p] = true
-			if len(neighbors[p])+1 >= minPts {
-				queue = append(queue, neighbors[p]...)
+			if neighbors.degree(p)+1 >= minPts {
+				queue = neighbors.appendTo(queue, p)
 			}
 		}
 		cluster++

@@ -34,21 +34,21 @@ func dbscanBrute(m *Matrix, minPts int, eps float64) (*DBSCANResult, error) {
 	return clusterAt(bruteNeighbors(m, eps), minPts, eps), nil
 }
 
-// bruteNeighbors returns every point's ε-neighbour list by testing every
+// bruteNeighbors returns every point's ε-neighbour lists by testing every
 // pair: a squared distance at most ε² (never a NaN one) is a neighbour.
-func bruteNeighbors(m *Matrix, eps float64) [][]int32 {
+func bruteNeighbors(m *Matrix, eps float64) *neighborLists {
 	eps2 := eps * eps
-	neighbors := make([][]int32, m.Rows)
+	nl := &neighborLists{lower: make([][]int32, m.Rows), upper: make([][]int32, m.Rows)}
 	for i := 0; i < m.Rows; i++ {
 		ri := m.Row(i)
 		for j := i + 1; j < m.Rows; j++ {
 			if sqDist(ri, m.Row(j)) <= eps2 {
-				neighbors[i] = append(neighbors[i], int32(j))
-				neighbors[j] = append(neighbors[j], int32(i))
+				nl.upper[i] = append(nl.upper[i], int32(j))
+				nl.lower[j] = append(nl.lower[j], int32(i))
 			}
 		}
 	}
-	return neighbors
+	return nl
 }
 
 // autoEpsOracle is autoEps as a full scan: every sampled row's squared

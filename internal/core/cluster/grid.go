@@ -62,30 +62,21 @@ func (g *gridIndex) cellOf(row []float64) gridKey {
 }
 
 // neighborScratch is the candidate and distance buffers of one task's
-// neighbor queries, reused from one query to the next, and the slab the
-// task's neighbor lists are appended to.
+// neighbor queries, reused from one query to the next.
 type neighborScratch struct {
 	cand []int
 	dist []float64
-
-	slab       []int32 // a full slab is left to the lists in it
-	rows, kept int     // rows queried so far and the entries they kept
 }
 
 // neighbors returns every point above i (index j > i) within eps of point
 // i, sorted ascending: row i's share of the pairs, each pair checked from
-// its lower end only (epsNeighbors mirrors the lists into full ones). It
-// gathers the members above i of the 3^gdims adjacent cells into sc's
-// candidate buffer and checks them with sqDistsWithin against eps²,
-// keeping a distance at most eps² (so a NaN distance is never a
-// neighbor). sc may be nil, for buffers of the call's own.
-//
-// The list is appended to sc's slab, so the rows of one task share a few
-// allocations: a list that does not fit starts a new slab, sized for the
-// rowsLeft rows still to come (this one included) at the task's mean
-// list length so far. A full slab is not copied, so every list returned
-// stays valid; it is capped at its own length.
-func (g *gridIndex) neighbors(i int, sc *neighborScratch, rowsLeft int) []int32 {
+// its lower end only (epsNeighbors mirrors them into the lists below each
+// point). It gathers the members above i of the 3^gdims adjacent cells
+// into sc's candidate buffer and checks them with sqDistsWithin against
+// eps², keeping a distance at most eps² (so a NaN distance is never a
+// neighbor). sc may be nil, for buffers of the call's own; the returned
+// list is always freshly allocated, exactly its length.
+func (g *gridIndex) neighbors(i int, sc *neighborScratch) []int32 {
 	if sc == nil {
 		sc = new(neighborScratch)
 	}
@@ -124,21 +115,15 @@ func (g *gridIndex) neighbors(i int, sc *neighborScratch, rowsLeft int) []int32 
 			hits++
 		}
 	}
-	sc.rows++
 	if hits == 0 {
 		return nil
 	}
-	sc.kept += hits
-	if cap(sc.slab)-len(sc.slab) < hits {
-		sc.slab = make([]int32, 0, max(hits, sc.kept*rowsLeft/sc.rows))
-	}
-	start := len(sc.slab)
+	out := make([]int32, 0, hits)
 	for c, d := range dist {
 		if d <= g.eps2 {
-			sc.slab = append(sc.slab, int32(cand[c]))
+			out = append(out, int32(cand[c]))
 		}
 	}
-	out := sc.slab[start:len(sc.slab):len(sc.slab)]
 	slices.Sort(out)
 	return out
 }

@@ -158,7 +158,8 @@ func TestDBSCANGridMatchesBrute(t *testing.T) {
 
 // TestGridNeighborsMatchBrute checks the index at the neighbor-list level,
 // including tie distances exactly at eps: every full list epsNeighbors
-// builds from the grid's upper lists is the brute scan's.
+// gives (the grid's upper list after its mirrored lower one) is the
+// brute scan's.
 func TestGridNeighborsMatchBrute(t *testing.T) {
 	m := gaussMatrix(400, 2, 9)
 	eps := 1.5
@@ -168,7 +169,7 @@ func TestGridNeighborsMatchBrute(t *testing.T) {
 	}
 	eps2 := eps * eps
 	for i := 0; i < m.Rows; i++ {
-		got := neighbors[i]
+		got := neighbors.appendTo(nil, i)
 		var want []int32
 		for j := 0; j < m.Rows; j++ {
 			if i != j && sqDist(m.Row(i), m.Row(j)) <= eps2 {
@@ -366,10 +367,10 @@ func sweepMembersEqualDirectRuns(t *testing.T, m *Matrix, w int) {
 
 // tightBudget is the smallest budget a DBSCAN with these neighbor lists
 // passes: the per-point base cost plus four bytes a list entry.
-func tightBudget(neighbors [][]int32) int64 {
-	tight := int64(len(neighbors)) * dbscanBaseBytes
-	for _, nb := range neighbors {
-		tight += 4 * int64(len(nb))
+func tightBudget(neighbors *neighborLists) int64 {
+	tight := int64(len(neighbors.upper)) * dbscanBaseBytes
+	for i := range neighbors.upper {
+		tight += 4 * int64(neighbors.degree(i))
 	}
 	return tight
 }

@@ -170,45 +170,84 @@ func checkTraceMatchesOracle(t *testing.T, phases []*analyzer.Phase, records []*
 	}
 }
 
-// TestChromeTraceMatchesOracleOnPaperRuns: the six runs the benchmark's
-// paper pipeline renders (three workloads on TPUv2 and TPUv3, 300 steps,
-// trained then profiled, OLS phases with their checkpoints, the first
-// 5 000 events) give the oracle's bytes.
-func TestChromeTraceMatchesOracleOnPaperRuns(t *testing.T) {
+// paperRun is one trace's inputs as the benchmark's paper pipeline
+// renders them.
+type paperRun struct {
+	name    string
+	phases  []*analyzer.Phase
+	records []*trace.ProfileRecord
+	events  []trace.Event
+}
+
+// paperRuns builds the six runs the benchmark's paper pipeline renders:
+// three workloads on TPUv2 and TPUv3, 300 steps, trained then profiled,
+// OLS phases with their checkpoints, the first 5 000 events.
+func paperRuns(tb testing.TB) []paperRun {
+	tb.Helper()
+	var out []paperRun
 	for _, name := range []string{"bert-mrpc", "resnet-imagenet", "dcgan-mnist"} {
 		for _, v := range []tpu.Version{tpu.V2, tpu.V3} {
 			r, err := estimator.New(workloads.MustGet(name), estimator.Options{Version: v, Steps: 300})
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			if err := r.Run(); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			bucket, err := storage.NewService().CreateBucket("viz")
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			p := profiler.New(&profiler.ServiceClient{Service: r.ProfileService()}, profiler.Options{Bucket: bucket})
 			if err := p.Start(true); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			records, err := p.Stop()
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			rep, err := analyzer.Analyze(name, records, analyzer.OLSAlgo, analyzer.Options{})
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			var cks []analyzer.Checkpoint
 			for _, ck := range r.Checkpoints() {
 				cks = append(cks, analyzer.Checkpoint{Step: ck.Step, Object: ck.Object})
 			}
 			analyzer.AssociateCheckpoints(rep.Phases, cks)
-			t.Run(fmt.Sprintf("%s-%v", name, v), func(t *testing.T) {
-				checkTraceMatchesOracle(t, rep.Phases, records, r.FirstEvents(5000), 5000)
-			})
+			out = append(out, paperRun{fmt.Sprintf("%s-%v", name, v), rep.Phases, records, r.FirstEvents(5000)})
 		}
+	}
+	return out
+}
+
+// TestChromeTraceMatchesOracleOnPaperRuns: the six runs the benchmark's
+// paper pipeline renders give the oracle's bytes.
+func TestChromeTraceMatchesOracleOnPaperRuns(t *testing.T) {
+	for _, run := range paperRuns(t) {
+		t.Run(run.name, func(t *testing.T) {
+			checkTraceMatchesOracle(t, run.phases, run.records, run.events, 5000)
+		})
+	}
+}
+
+// BenchmarkChromeTrace times one trace of the six paper runs in turn,
+// written by the appending writer and by the encoding/json oracle.
+func BenchmarkChromeTrace(b *testing.B) {
+	runs := paperRuns(b)
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, []*analyzer.Phase, []*trace.ProfileRecord, []trace.Event, int) error
+	}{{"append", WriteChromeTrace}, {"oracle", writeChromeTraceOracle}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run := runs[i%len(runs)]
+				if err := c.write(io.Discard, run.phases, run.records, run.events, 5000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -127,7 +127,7 @@ func New(w *workloads.Workload, opts Options) (*Runner, error) {
 	// does before the worker sees them: constant folding, then XLA.
 	trainProg, evalProg, err := w.Programs()
 	if err != nil {
-		return nil, fmt.Errorf("estimator: compiling %w", err)
+		return nil, fmt.Errorf("estimator: %w", err)
 	}
 	cspec := tpu.NewChipSpec(opts.Version)
 	if err := cspec.Validate(); err != nil {

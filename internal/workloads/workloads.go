@@ -67,14 +67,9 @@ type Workload struct {
 	HostSpec   host.Spec // host VM driving the run (DefaultSpec unless overridden)
 	Seed       uint64
 
-	progs *programs // the compiled step graphs; copies share them
-}
-
-// programs are a workload's step graphs as the device runs them, with
-// the graphs they were compiled from.
-type programs struct {
-	trainGraph, evalGraph *graph.Graph
-	train, eval           *xla.Program
+	// trainProg and evalProg are the step graphs as the device runs
+	// them, compiled where the graphs are set; copies share them.
+	trainProg, evalProg *xla.Program
 }
 
 // Spec returns the workload's host spec, falling back to the default when
@@ -266,14 +261,20 @@ func effectiveRecords(records, paperSteps int64, trainSteps, batch int) int64 {
 	return eff
 }
 
-// compile lowers the step graphs and holds the programs. Get and Small
-// call it wherever they set the graphs.
+// compile applies the TensorFlow master's graph optimizations to both
+// step graphs (constant folding; partitioning is a no-op for these
+// single-device graphs), lowers the results through XLA and holds the
+// programs. Get and Small call it wherever they set the graphs.
 func (w *Workload) compile() error {
-	train, eval, err := compileGraphs(w.TrainGraph, w.EvalGraph)
+	train, err := compileFolded(w.TrainGraph)
 	if err != nil {
-		return err
+		return fmt.Errorf("train graph: %w", err)
 	}
-	w.progs = &programs{trainGraph: w.TrainGraph, evalGraph: w.EvalGraph, train: train, eval: eval}
+	eval, err := compileFolded(w.EvalGraph)
+	if err != nil {
+		return fmt.Errorf("eval graph: %w", err)
+	}
+	w.trainProg, w.evalProg = train, eval
 	return nil
 }
 
@@ -281,26 +282,12 @@ func (w *Workload) compile() error {
 // depends on its graph alone, not on the TPU generation or the host, so
 // Get and Small compile each graph once and calibration and every
 // estimator run share the result; it is read-only (see xla.Program). A
-// Workload built without Get, or whose graph was replaced, has its
-// graphs compiled anew on every call.
+// Workload not built by Get has none, and Programs fails.
 func (w *Workload) Programs() (train, eval *xla.Program, err error) {
-	if p := w.progs; p != nil && p.trainGraph == w.TrainGraph && p.evalGraph == w.EvalGraph {
-		return p.train, p.eval, nil
+	if w.trainProg == nil || w.evalProg == nil {
+		return nil, nil, fmt.Errorf("workloads: %s has no compiled programs (build it with Get)", w.Name)
 	}
-	return compileGraphs(w.TrainGraph, w.EvalGraph)
-}
-
-// compileGraphs applies the TensorFlow master's graph optimizations to
-// both step graphs (constant folding; partitioning is a no-op for these
-// single-device graphs) and lowers the results through XLA.
-func compileGraphs(trainGraph, evalGraph *graph.Graph) (train, eval *xla.Program, err error) {
-	if train, err = compileFolded(trainGraph); err != nil {
-		return nil, nil, fmt.Errorf("train graph: %w", err)
-	}
-	if eval, err = compileFolded(evalGraph); err != nil {
-		return nil, nil, fmt.Errorf("eval graph: %w", err)
-	}
-	return train, eval, nil
+	return w.trainProg, w.evalProg, nil
 }
 
 func compileFolded(g *graph.Graph) (*xla.Program, error) {

@@ -91,26 +91,3 @@ func TestWorkloadProgramsAreFreshCompiles(t *testing.T) {
 		}
 	}
 }
-
-// TestProgramsFollowAReplacedGraph: a Workload whose graph was replaced
-// after Get gets the replacement's program, not the one Get compiled.
-func TestProgramsFollowAReplacedGraph(t *testing.T) {
-	w := workloads.MustGet("dcgan-mnist")
-	held, _, err := w.Programs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := *w
-	c.TrainGraph = workloads.MustGet("bert-mrpc").TrainGraph
-	got, _, err := c.Programs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := xla.Compile(c.TrainGraph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == held || !reflect.DeepEqual(got, want) {
-		t.Fatal("the replaced train graph was not compiled")
-	}
-}

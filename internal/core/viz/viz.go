@@ -9,6 +9,7 @@
 package viz
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -196,57 +197,20 @@ func (t *chromeTrace) float(f float64) {
 	}
 }
 
-// appendString appends s as a JSON string the way encoding/json's
-// Encoder does (HTML escaping on): quotes, backslash and control bytes
-// escaped, <, > and & as \u003c, \u003e, \u0026, U+2028 and U+2029 as
-// \u2028 and \u2029, and each byte of invalid UTF-8 as \ufffd.
+// appendString appends s as a JSON string the way encoding/json writes
+// it. Printable ASCII other than quote, backslash and the HTML
+// characters <, > and & (every op name and checkpoint path the
+// simulator makes) is copied as it is; a string with anything else is
+// escaped by json.Marshal itself.
 func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
 	}
-	b = append(b, s[start:]...)
+	b = append(b, '"')
+	b = append(b, s...)
 	return append(b, '"')
 }
 

@@ -273,7 +273,7 @@ func TestChromeTraceMatchesOracleOnEdges(t *testing.T) {
 		recs := []*trace.ProfileRecord{{Seq: 9, WindowStart: 5, WindowEnd: 7, IdleFrac: f, MXUUtil: f / 3}}
 		checkTraceMatchesOracle(t, nil, recs, nil, 0)
 	}
-	for _, s := range []string{"", "plain", "<a&b>", "quote\" back\\slash", "\x00\x01\b\f\n\r\t\x1f\x7f", "\u2028\u2029", "bad \xff\xfe utf8 \xe2\x82", "é世界🙂"} {
+	for _, s := range []string{"", "plain", "<a&b>", "R&D", "a>b", "quote\" back\\slash", "\x00\x01\b\f\n\r\t\x1f\x7f", "\u2028\u2029", "bad \xff\xfe utf8 \xe2\x82", "é世界🙂"} {
 		phases := []*analyzer.Phase{{ID: 3, Start: 10, End: 10, Total: 7, Checkpoint: s}}
 		ops := []trace.Event{{Name: s, Device: trace.TPU, Start: 1, Dur: 0, Step: -1}, {Name: s, Device: trace.Host, Start: 2, Dur: 3, Step: 7}}
 		checkTraceMatchesOracle(t, phases, nil, ops, 0)

@@ -451,8 +451,8 @@ func TestAnalyzeFromRecords(t *testing.T) {
 	// Split events into multiple profile windows like the profiler does.
 	events := r.Events()
 	mid := events[len(events)/2].Start
-	rec1 := trace.Reduce(0, 0, r.EventsInWindow(0, mid), 0.4, 0.2)
-	rec2 := trace.Reduce(1, mid, r.EventsInWindow(mid, r.Now()+1), 0.4, 0.2)
+	rec1 := trace.Reduce(0, 0, r.EventsInWindow(nil, 0, mid), 0.4, 0.2)
+	rec2 := trace.Reduce(1, mid, r.EventsInWindow(nil, mid, r.Now()+1), 0.4, 0.2)
 	rep, err := Analyze("dcgan-mnist", []*trace.ProfileRecord{rec1, rec2}, OLSAlgo, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -66,11 +66,6 @@ type neighborLists struct {
 // degree is the number of ε-neighbors of point i.
 func (nl *neighborLists) degree(i int) int { return len(nl.lower[i]) + len(nl.upper[i]) }
 
-// appendTo appends point i's full ascending neighbor list to dst.
-func (nl *neighborLists) appendTo(dst []int32, i int) []int32 {
-	return append(append(dst, nl.lower[i]...), nl.upper[i]...)
-}
-
 // epsNeighbors is the part of DBSCAN that depends only on ε: it picks ε
 // when eps <= 0, bins the points into the grid index and materializes
 // every point's ε-neighbor lists, charging them against budget as they
@@ -156,7 +151,11 @@ func mirror(upper [][]int32) [][]int32 {
 // clusterAt grows the clusters of one min-samples value over the shared
 // neighbor lists and counts clusters and noise.
 func clusterAt(neighbors *neighborLists, minPts int, eps float64) *DBSCANResult {
-	labels := expand(neighbors, minPts)
+	return newDBSCANResult(expand(neighbors, minPts), minPts, eps)
+}
+
+// newDBSCANResult counts the clusters and the noise of labels.
+func newDBSCANResult(labels []int, minPts int, eps float64) *DBSCANResult {
 	noise, clusters := 0, 0
 	for _, l := range labels {
 		if l == Noise {
@@ -174,7 +173,13 @@ func clusterAt(neighbors *neighborLists, minPts int, eps float64) *DBSCANResult 
 
 // expand runs the sequential cluster-growing pass over precomputed
 // neighbor lists. With each list ascending, the visit order — and thus
-// the labeling — is identical to the classic textbook algorithm.
+// the labeling — is identical to the classic textbook algorithm, whose
+// queue takes every neighbor list of every core point it reaches (the
+// oracle expandTextbook). This queue holds each point at most once: a
+// point is labeled as it is queued, so a labeled point is skipped — its
+// textbook entry would be a visited point, or a repeat of one queued
+// earlier, both no-ops when popped — and a visited noise point is claimed
+// as a border point without being queued, as its textbook pop would.
 func expand(neighbors *neighborLists, minPts int) []int {
 	n := len(neighbors.upper)
 	labels := make([]int, n)
@@ -182,7 +187,21 @@ func expand(neighbors *neighborLists, minPts int) []int {
 		labels[i] = Noise
 	}
 	visited := make([]bool, n)
+	var queue []int32 // the points queued for the cluster being grown
 	cluster := 0
+	reach := func(p int) {
+		for _, list := range [2][]int32{neighbors.lower[p], neighbors.upper[p]} {
+			for _, q := range list {
+				if labels[q] != Noise {
+					continue
+				}
+				labels[q] = cluster
+				if !visited[q] {
+					queue = append(queue, q)
+				}
+			}
+		}
+	}
 	for i := 0; i < n; i++ {
 		if visited[i] {
 			continue
@@ -193,18 +212,13 @@ func expand(neighbors *neighborLists, minPts int) []int {
 		}
 		// Expand a new cluster from this core point.
 		labels[i] = cluster
-		queue := neighbors.appendTo(nil, i)
+		queue = queue[:0]
+		reach(i)
 		for qi := 0; qi < len(queue); qi++ {
 			p := int(queue[qi])
-			if labels[p] == Noise {
-				labels[p] = cluster // border or core point joins
-			}
-			if visited[p] {
-				continue
-			}
 			visited[p] = true
 			if neighbors.degree(p)+1 >= minPts {
-				queue = neighbors.appendTo(queue, p)
+				reach(p)
 			}
 		}
 		cluster++

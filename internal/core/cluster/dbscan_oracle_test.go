@@ -31,7 +31,52 @@ func dbscanBrute(m *Matrix, minPts int, eps float64) (*DBSCANResult, error) {
 	if eps <= 0 {
 		eps = autoEpsOracle(m)
 	}
-	return clusterAt(bruteNeighbors(m, eps), minPts, eps), nil
+	return newDBSCANResult(expandTextbook(bruteNeighbors(m, eps), minPts), minPts, eps), nil
+}
+
+// appendTo appends point i's full ascending neighbor list to dst.
+func (nl *neighborLists) appendTo(dst []int32, i int) []int32 {
+	return append(append(dst, nl.lower[i]...), nl.upper[i]...)
+}
+
+// expandTextbook is the classic cluster-growing pass: a cluster's queue
+// starts as its core point's full neighbor list and takes the full list
+// of every core point popped from it, repeats and visited points
+// included, and a popped noise point joins the cluster.
+func expandTextbook(neighbors *neighborLists, minPts int) []int {
+	n := len(neighbors.upper)
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = Noise
+	}
+	visited := make([]bool, n)
+	cluster := 0
+	for i := 0; i < n; i++ {
+		if visited[i] {
+			continue
+		}
+		visited[i] = true
+		if neighbors.degree(i)+1 < minPts {
+			continue
+		}
+		labels[i] = cluster
+		queue := neighbors.appendTo(nil, i)
+		for qi := 0; qi < len(queue); qi++ {
+			p := int(queue[qi])
+			if labels[p] == Noise {
+				labels[p] = cluster
+			}
+			if visited[p] {
+				continue
+			}
+			visited[p] = true
+			if neighbors.degree(p)+1 >= minPts {
+				queue = neighbors.appendTo(queue, p)
+			}
+		}
+		cluster++
+	}
+	return labels
 }
 
 // bruteNeighbors returns every point's ε-neighbour lists by testing every

@@ -99,7 +99,7 @@ type Runner struct {
 	// it and lastStart up to date from the events emitted since.
 	hostByStart []trace.Event
 	mergeBuf    []trace.Event   // the suffix of hostByStart a new host tail merges into
-	devSeen     int             // device events counted in lastStart
+	devRuns     int             // device runs counted in lastStart
 	lastStart   []simclock.Time // lastStart[s+1]: the latest Start of step s
 	openCur     int             // OpenStep's cursor: lastStart[i] < openCurT for every i < openCur
 	openCurT    simclock.Time
@@ -152,10 +152,6 @@ func New(w *workloads.Workload, opts Options) (*Runner, error) {
 	}, nil
 }
 
-// stepEvents bounds the device events of one step of p: one per
-// instruction, the infeed pair and the outfeed (tpu.Device.RunStep).
-func stepEvents(p *xla.Program) int { return len(p.Instructions) + 3 }
-
 // trainSteps returns the effective train-step count.
 func (r *Runner) trainSteps() int {
 	if r.opts.Steps > 0 {
@@ -192,8 +188,8 @@ func (r *Runner) Run() error {
 		}
 	}
 	// Both event streams are sized once for the whole schedule: grown by
-	// append they are reallocated, copied and rescanned by the collector
-	// a few dozen times a run.
+	// append they are reallocated and copied a few dozen times a run. The
+	// device holds one run per step and one for the init op.
 	evalSteps := 0
 	if !r.opts.DisableEval {
 		evalSteps = r.W.EvalSteps // the final block
@@ -201,7 +197,7 @@ func (r *Runner) Run() error {
 			evalSteps += (steps - 1) / r.W.EvalEvery * r.W.EvalSteps
 		}
 	}
-	r.dev.ReserveEvents(1 + steps*stepEvents(r.trainProg) + evalSteps*stepEvents(r.evalProg))
+	r.dev.Reserve(1+steps+evalSteps, 1+steps*tpu.StepEvents(r.trainProg)+evalSteps*tpu.StepEvents(r.evalProg))
 	r.hst.ReserveSteps(steps, r.W.NoiseP)
 	// So is the event source's host copy, so that a profile window
 	// allocates only for the events it returns.
@@ -466,16 +462,12 @@ func (r *Runner) StepTimings() []tpu.StepTiming {
 func (r *Runner) WeightBytes() int64 { return r.trainProg.WeightBytes }
 
 // syncLocked brings the event source up to date with the events emitted
-// since its last call: the new host events are sorted on their own,
-// stably, then merged into the suffix of hostByStart they overlap, and
-// every new event raises its step's latest Start. The caller holds the
-// write lock.
+// since its last call: each new device run raises its step's latest Start
+// to its last event's, and the new host events are sorted on their own,
+// stably, then merged into the suffix of hostByStart they overlap, each
+// raising its step's latest Start. The caller holds the write lock.
 func (r *Runner) syncLocked() {
-	de := r.dev.Events()
-	for _, e := range de[r.devSeen:] {
-		r.noteStart(e)
-	}
-	r.devSeen = len(de)
+	r.devRuns = r.dev.LatestStarts(r.devRuns, r.noteStart)
 
 	he := r.hst.Events()
 	old := len(r.hostByStart)
@@ -485,7 +477,7 @@ func (r *Runner) syncLocked() {
 	r.hostByStart = append(r.hostByStart, he[old:]...)
 	tail := r.hostByStart[old:]
 	for _, e := range tail {
-		r.noteStart(e)
+		r.noteStart(e.Step, e.Start)
 	}
 	slices.SortStableFunc(tail, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 	k := sort.Search(old, func(i int) bool { return r.hostByStart[i].Start > tail[0].Start })
@@ -495,13 +487,13 @@ func (r *Runner) syncLocked() {
 	}
 }
 
-// noteStart raises e's step's latest Start to e.Start.
-func (r *Runner) noteStart(e trace.Event) {
-	i := int(e.Step + 1)
+// noteStart raises step's latest Start to start.
+func (r *Runner) noteStart(step int64, start simclock.Time) {
+	i := int(step + 1)
 	for i >= len(r.lastStart) {
 		r.lastStart = append(r.lastStart, 0)
 	}
-	r.lastStart[i] = max(r.lastStart[i], e.Start)
+	r.lastStart[i] = max(r.lastStart[i], start)
 }
 
 // mergeByStart fills dst with the first len(dst) events of the merge of
@@ -539,22 +531,46 @@ func (r *Runner) FirstEvents(n int) []trace.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syncLocked()
-	de := r.dev.Events()
-	out := make([]trace.Event, min(n, len(de)+len(r.hostByStart)))
-	mergeByStart(out, de, r.hostByStart)
+	he := r.hostByStart
+	dev := r.dev.Seek(0)
+	nd := r.dev.EventCount()
+	out := make([]trace.Event, min(n, nd+len(he)))
+	j := 0
+	for w := range out {
+		if j == len(he) || (dev.Index() < nd && dev.Start() <= he[j].Start) {
+			out[w] = dev.Next()
+		} else {
+			out[w] = he[j]
+			j++
+		}
+	}
 	return out
 }
 
-// EventsInWindow implements tpu.EventSource: the window's slice of the
-// device stream merged with the window's slice of hostByStart.
-func (r *Runner) EventsInWindow(from, to simclock.Time) []trace.Event {
+// EventsInWindow implements tpu.EventSource: the window's device events
+// merged with the window's slice of hostByStart. It counts both first and
+// fills buf (grown when it is too small) in place: the device events at
+// the front, then a merge from the back that puts each host event after
+// the device events that start with it and before those that start later.
+func (r *Runner) EventsInWindow(buf []trace.Event, from, to simclock.Time) []trace.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syncLocked()
-	de := byStartWindow(r.dev.Events(), from, to)
+	dev, end := r.dev.Seek(from), r.dev.Seek(to)
+	nd := max(0, end.Index()-dev.Index())
 	he := byStartWindow(r.hostByStart, from, to)
-	out := make([]trace.Event, len(de)+len(he))
-	mergeByStart(out, de, he)
+	out := slices.Grow(buf[:0], nd+len(he))[:nd+len(he)]
+	dev.Read(out[:nd])
+	i, w := nd-1, len(out)-1
+	for j := len(he) - 1; j >= 0; w-- {
+		if i >= 0 && out[i].Start > he[j].Start {
+			out[w] = out[i]
+			i--
+		} else {
+			out[w] = he[j]
+			j--
+		}
+	}
 	return out
 }
 

@@ -79,8 +79,8 @@ func TestEventsInWindowPartition(t *testing.T) {
 	r := quickRun(t, "dcgan-cifar10", Options{Steps: 60})
 	all := r.Events()
 	mid := all[len(all)/2].Start
-	a := r.EventsInWindow(0, mid)
-	b := r.EventsInWindow(mid, r.Now()+1)
+	a := r.EventsInWindow(nil, 0, mid)
+	b := r.EventsInWindow(nil, mid, r.Now()+1)
 	if len(a)+len(b) != len(all) {
 		t.Fatalf("window partition %d+%d != %d", len(a), len(b), len(all))
 	}
@@ -321,23 +321,24 @@ func TestFastForwardValidation(t *testing.T) {
 
 // TestRunSizesEventStreamsOnce: Run reserves both event streams from the
 // schedule it is about to execute, so neither is reallocated while it
-// emits — the backing array a stream has at its first train step is the
-// one it ends with, mid-run eval blocks, summaries and checkpoints
-// included. (The device figure is a bound; the host one is the expected
-// count plus slack, checked here on every Table I workload.)
+// emits — the device's run records and duration slab take the room they
+// have at the first train step to the end, and the host stream's backing
+// array is the one it ends with, mid-run eval blocks, summaries and
+// checkpoints included. (The device figures are exact; the host one is
+// the expected count plus slack, checked here on every Table I workload.)
 func TestRunSizesEventStreamsOnce(t *testing.T) {
 	for _, name := range workloads.Names() {
-		var dev0, host0 *trace.Event
+		var devBytes int64
+		var host0 *trace.Event
 		r := quickRun(t, name, Options{Steps: 300, OnTrainStep: func(r *Runner, step int64, st tpu.StepTiming) {
-			if dev0 == nil {
-				dev0, host0 = &r.dev.Events()[0], &r.hst.Events()[0]
+			if host0 == nil {
+				devBytes, host0 = r.dev.StreamBytes(), &r.hst.Events()[0]
 			}
 		}})
-		de, he := r.dev.Events(), r.hst.Events()
-		if &de[0] != dev0 {
-			t.Errorf("%s: device stream reallocated on its way to %d events", name, len(de))
+		if got := r.dev.StreamBytes(); got != devBytes {
+			t.Errorf("%s: device stream grew from %d to %d bytes on its way to %d events", name, devBytes, got, r.dev.EventCount())
 		}
-		if &he[0] != host0 {
+		if he := r.hst.Events(); &he[0] != host0 {
 			t.Errorf("%s: host stream reallocated on its way to %d events", name, len(he))
 		}
 	}

@@ -2,10 +2,12 @@ package estimator
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -16,6 +18,14 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
+
+// deviceEvents builds d's whole event stream by reading it from the start.
+func deviceEvents(d *tpu.Device) []trace.Event {
+	out := make([]trace.Event, d.EventCount())
+	rd := d.Seek(0)
+	rd.Read(out)
+	return out
+}
 
 // sortOracle is the event source as the Runner built it before it read
 // the two streams in place: the whole run copied, stable-sorted by Start
@@ -30,7 +40,7 @@ type sortOracle struct {
 func newSortOracle(r *Runner) *sortOracle {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	de, he := r.dev.Events(), r.hst.Events()
+	de, he := deviceEvents(r.dev), r.hst.Events()
 	m := make([]trace.Event, 0, len(de)+len(he))
 	m = append(m, de...)
 	m = append(m, he...)
@@ -64,13 +74,16 @@ func (o *sortOracle) openStepAt(t simclock.Time) int64 {
 // checkSourceMatchesOracle compares the Runner's event source with the
 // oracle: the windows from *cursor to the watermark (advancing *cursor),
 // windows and OpenStep times drawn at random over the run so far, and
-// Events.
+// Events. Each window is built in the storage of the one before, which
+// still holds that window's events.
 func checkSourceMatchesOracle(t *testing.T, r *Runner, rng *prng.Source, cursor *simclock.Time) {
 	t.Helper()
 	o := newSortOracle(r)
+	var buf []trace.Event
 	check := func(from, to simclock.Time) {
 		t.Helper()
-		if got, want := r.EventsInWindow(from, to), o.window(from, to); !slices.Equal(got, want) {
+		buf = r.EventsInWindow(buf, from, to)
+		if got, want := buf, o.window(from, to); !slices.Equal(got, want) {
 			t.Fatalf("window [%d, %d): %d events, the oracle has %d (or not the same ones)", from, to, len(got), len(want))
 		}
 		if got, want := r.OpenStep(to), o.openStepAt(to); got != want {
@@ -273,6 +286,102 @@ func BenchmarkProfileDrain(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
+	}
+}
+
+// copyOracle is the event source as the Runner built it while the device
+// kept every event whole: the device's events held as one slice beside
+// the host stream sorted by Start, and each window or prefix a fresh
+// slice merged from the two, device first on equal Starts.
+type copyOracle struct {
+	dev, host []trace.Event
+}
+
+func newCopyOracle(r *Runner) *copyOracle {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	he := slices.Clone(r.hst.Events())
+	slices.SortStableFunc(he, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+	return &copyOracle{dev: deviceEvents(r.dev), host: he}
+}
+
+func (o *copyOracle) window(from, to simclock.Time) []trace.Event {
+	de := byStartWindow(o.dev, from, to)
+	he := byStartWindow(o.host, from, to)
+	out := make([]trace.Event, len(de)+len(he))
+	mergeByStart(out, de, he)
+	return out
+}
+
+func (o *copyOracle) firstEvents(n int) []trace.Event {
+	out := make([]trace.Event, min(n, len(o.dev)+len(o.host)))
+	mergeByStart(out, o.dev, o.host)
+	return out
+}
+
+// TestWindowsMatchCopyOracle polls every Table I workload's profile
+// service after every train step and then drains it, on both generations
+// with eval blocks on and off, and compares every window byte for byte
+// with the copy oracle's window over the finished run (a window is cut
+// below the watermark, so its events are final when it is cut), and
+// FirstEvents for n of 0, 1, 5000 and all. Three more runs add the
+// optimizer's hooks (a pipeline stall and an instrumentation cost changed
+// mid-run) and a run fast-forwarded from a checkpoint.
+func TestWindowsMatchCopyOracle(t *testing.T) {
+	bucket, err := storage.NewService().CreateBucket("ckpts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bucket.Put("ckpt/model.ckpt-99", []byte("checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	type variant struct {
+		name string
+		opts Options
+		hook func(r *Runner, step int64)
+	}
+	var variants []variant
+	for _, name := range workloads.Names() {
+		for _, v := range []tpu.Version{tpu.V2, tpu.V3} {
+			for _, noEval := range []bool{false, true} {
+				variants = append(variants, variant{
+					name: fmt.Sprintf("%s/%s/eval=%v", name, v, !noEval),
+					opts: Options{Version: v, Steps: 60, DisableEval: noEval},
+				})
+			}
+		}
+	}
+	variants = append(variants,
+		variant{name: "bert-mrpc/hooks", opts: Options{Steps: 120, StepOverheadUs: 40},
+			hook: func(r *Runner, step int64) {
+				if step%25 == 24 {
+					r.Stall(3*simclock.Millisecond, step)
+				}
+				if step == 70 {
+					r.SetStepOverheadUs(0)
+				}
+			}},
+		variant{name: "dcgan-mnist/restored", opts: Options{Steps: 60, StartStep: 100,
+			Bucket: bucket, RestoreFrom: "ckpt/model.ckpt-99"}},
+	)
+	for _, vt := range variants {
+		t.Run(vt.name, func(t *testing.T) {
+			workload, _, _ := strings.Cut(vt.name, "/")
+			r, resps := pollEveryStep(t, workload, vt.opts, vt.hook)
+			o := newCopyOracle(r)
+			for i, resp := range resps {
+				if want := o.window(resp.WindowStart, resp.WindowEnd); !slices.Equal(resp.Events, want) {
+					t.Fatalf("window %d [%d, %d): %d events, the oracle's %d (or not the same ones)",
+						i, resp.WindowStart, resp.WindowEnd, len(resp.Events), len(want))
+				}
+			}
+			all := len(o.dev) + len(o.host)
+			for _, n := range []int{0, 1, 5000, all} {
+				if got, want := r.FirstEvents(n), o.firstEvents(n); !slices.Equal(got, want) {
+					t.Fatalf("FirstEvents(%d): %d events, the oracle's %d (or not the same ones)", n, len(got), len(want))
+				}
+			}
 		})
 	}
 }

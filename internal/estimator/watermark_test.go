@@ -15,7 +15,8 @@ import (
 // pollEveryStep runs opts on workload with the profile service polled
 // after every train step — optionally after the hook's own work — then
 // drained to the end of the stream. It returns the runner and every
-// response in order.
+// response in order, each with its own copy of its events (the service
+// reuses a response's for the next).
 func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Runner, step int64)) (*Runner, []tpu.ProfileResponse) {
 	t.Helper()
 	var svc *tpu.ProfileService
@@ -24,7 +25,7 @@ func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Run
 		if hook != nil {
 			hook(r, step)
 		}
-		resps = append(resps, svc.NextWindow())
+		resps = append(resps, cloneResponse(svc.NextWindow()))
 	}
 	r, err := New(workloads.MustGet(workload), opts)
 	if err != nil {
@@ -38,12 +39,18 @@ func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Run
 		if i == 10000 {
 			t.Fatal("no end of stream after 10000 windows")
 		}
-		resp := svc.NextWindow()
+		resp := cloneResponse(svc.NextWindow())
 		resps = append(resps, resp)
 		if resp.EndOfStream {
 			return r, resps
 		}
 	}
+}
+
+// cloneResponse gives resp its own copy of its events.
+func cloneResponse(resp tpu.ProfileResponse) tpu.ProfileResponse {
+	resp.Events = slices.Clone(resp.Events)
+	return resp
 }
 
 // checkExactlyOnce fails unless the responses' events, concatenated, are

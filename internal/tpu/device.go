@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/prng"
 	"repro/internal/simclock"
@@ -28,11 +29,21 @@ type StepTiming struct {
 
 // Device executes compiled programs and records the event stream.
 //
+// The stream is stored as runs, not events: one run record per RunStep or
+// InjectEvent, and one duration per emitted event. A run's events are
+// its program's (or the one injected event), so their names are the
+// program's, and each starts where the clock of the run stands: a step's
+// InfeedDequeueTuple and Infeed both at the step's start, every later
+// event at the end of the one before (Infeed, the queue-side half of the
+// infeed transfer, excepted). An EventReader replays that clock to build
+// the events a reader asks for.
+//
 // The event stream is in Start order, and so are the step timings (in
 // Start and in End). RunStep starts a step no earlier than the device's
 // free time, which is at or after the end of every event emitted so far,
 // and InjectEvent refuses an event that starts before the last one. So a
-// reader may binary-search either slice by time without sorting it.
+// reader may binary-search the runs or the timings by time without
+// sorting them.
 type Device struct {
 	Spec ChipSpec
 
@@ -42,7 +53,8 @@ type Device struct {
 	program *xla.Program
 
 	freeAt  simclock.Time
-	events  []trace.Event
+	runs    []run
+	durs    []simclock.Duration // durs[i]: the duration of event i
 	timings []StepTiming
 
 	totalIdle simclock.Duration
@@ -119,25 +131,26 @@ func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, erro
 		idle = 0 // before the first step the device was off, not idle
 	}
 
-	t := start
+	t, last := start, start
+	first := len(d.durs)
 
 	// On-device infeed dequeue: pull the batch out of the infeed queue
 	// into HBM at memory bandwidth.
 	if d.program.InfeedBytes > 0 {
 		dur := simclock.Duration(float64(d.program.InfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
 		dur = d.jitter(dur)
-		d.emit("InfeedDequeueTuple", t, dur, step)
-		// The queue-side half of the transfer shows up as the "Infeed"
-		// op in TPU profiles.
-		d.emit("Infeed", t, dur/2, step)
+		// InfeedDequeueTuple, then the queue-side half of the transfer,
+		// which shows up as the "Infeed" op in TPU profiles.
+		d.durs = append(d.durs, dur, dur/2)
 		t = t.Add(dur)
 	}
 
 	var mxuBusy simclock.Duration
 	for _, inst := range d.program.Instructions {
 		dur := d.jitter(d.instructionTime(inst))
-		d.emit(inst.Op, t, dur, step)
+		d.durs = append(d.durs, dur)
 		mxuBusy += d.mxuOccupancy(inst)
+		last = t
 		t = t.Add(dur)
 	}
 
@@ -145,10 +158,14 @@ func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, erro
 	if d.program.OutfeedBytes > 0 {
 		dur := simclock.Duration(float64(d.program.OutfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
 		dur = d.jitter(dur)
-		d.emit("Outfeed", t, dur, step)
+		d.durs = append(d.durs, dur)
+		last = t
 		t = t.Add(dur)
 	}
 
+	if len(d.durs) > first {
+		d.runs = append(d.runs, run{start: start, last: last, step: step, prog: d.program, first: first})
+	}
 	d.freeAt = t
 	st := StepTiming{Step: step, Start: start, End: t, Idle: idle, MXUBusy: mxuBusy}
 	d.timings = append(d.timings, st)
@@ -162,25 +179,43 @@ func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, erro
 // event that starts before the last one emitted, which would break the
 // stream's Start order.
 func (d *Device) InjectEvent(name string, at simclock.Time, dur simclock.Duration, step int64) error {
-	if n := len(d.events); n > 0 && at < d.events[n-1].Start {
-		return fmt.Errorf("tpu: event %q at %d starts before the last event, at %d", name, at, d.events[n-1].Start)
+	if n := len(d.runs); n > 0 && at < d.runs[n-1].last {
+		return fmt.Errorf("tpu: event %q at %d starts before the last event, at %d", name, at, d.runs[n-1].last)
 	}
-	d.emit(name, at, dur, step)
+	d.runs = append(d.runs, run{start: at, last: at, step: step, name: name, first: len(d.durs)})
+	d.durs = append(d.durs, dur)
 	if end := at.Add(dur); end > d.freeAt {
 		d.freeAt = end
 	}
 	return nil
 }
 
-// ReserveEvents makes room for n more events, so that a run of known
-// length does not regrow (and the collector rescan) the stream as it emits.
-// It is a size hint: emitting more than n grows the stream as append does.
-func (d *Device) ReserveEvents(n int) { d.events = slices.Grow(d.events, n) }
+// StepEvents returns how many events one RunStep of p emits: one per
+// instruction, two for the infeed and one for the outfeed.
+func StepEvents(p *xla.Program) int {
+	n := len(p.Instructions)
+	if p.InfeedBytes > 0 {
+		n += 2
+	}
+	if p.OutfeedBytes > 0 {
+		n++
+	}
+	return n
+}
 
-func (d *Device) emit(name string, at simclock.Time, dur simclock.Duration, step int64) {
-	d.events = append(d.events, trace.Event{
-		Name: name, Device: trace.TPU, Start: at, Dur: dur, Step: step,
-	})
+// Reserve makes room for runs more RunStep or InjectEvent calls emitting
+// events more events in all, so that a run of known length does not
+// regrow the stream as it emits. It is a size hint: emitting more grows
+// the stream as append does.
+func (d *Device) Reserve(runs, events int) {
+	d.runs = slices.Grow(d.runs, runs)
+	d.durs = slices.Grow(d.durs, events)
+}
+
+// StreamBytes returns the bytes the event stream holds: its run records
+// and durations, counted at their capacity.
+func (d *Device) StreamBytes() int64 {
+	return int64(cap(d.runs))*int64(unsafe.Sizeof(run{})) + int64(cap(d.durs))*int64(unsafe.Sizeof(simclock.Duration(0)))
 }
 
 func (d *Device) jitter(dur simclock.Duration) simclock.Duration {
@@ -215,8 +250,8 @@ func (d *Device) StepBusyTime() simclock.Duration {
 // FreeAt returns when the device finishes its current work.
 func (d *Device) FreeAt() simclock.Time { return d.freeAt }
 
-// Events returns the full recorded event stream. Callers must not mutate.
-func (d *Device) Events() []trace.Event { return d.events }
+// EventCount returns how many events the device has emitted.
+func (d *Device) EventCount() int { return len(d.durs) }
 
 // Timings returns per-step timing summaries. Callers must not mutate.
 func (d *Device) Timings() []StepTiming { return d.timings }
@@ -265,10 +300,171 @@ func (d *Device) WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float6
 // Reset clears all execution state but keeps the loaded program.
 func (d *Device) Reset() {
 	d.freeAt = 0
-	d.events = nil
+	d.runs = nil
+	d.durs = nil
 	d.timings = nil
 	d.totalIdle = 0
 	d.totalMXU = 0
 	d.firstBusy = 0
 	d.started = false
+}
+
+// run is one RunStep or InjectEvent: the events of one execution of prog
+// (or the one injected event, named name), which are events first,
+// first+1, ... of the stream. A run holds at least one event.
+type run struct {
+	start simclock.Time // Start of its first event
+	last  simclock.Time // Start of its last event
+	step  int64
+	prog  *xla.Program // nil for an injected event
+	name  string       // the injected event's name
+	first int          // index of its first event in the stream
+}
+
+// eventName returns the name of the run's k-th event.
+func (r *run) eventName(k int) string {
+	p := r.prog
+	if p == nil {
+		return r.name
+	}
+	if p.InfeedBytes > 0 {
+		switch k {
+		case 0:
+			return "InfeedDequeueTuple"
+		case 1:
+			return "Infeed"
+		}
+		k -= 2
+	}
+	if k < len(p.Instructions) {
+		return p.Instructions[k].Op
+	}
+	return "Outfeed"
+}
+
+// advance returns how far the run's clock moves from its k-th event's
+// Start to the next one's: by the event's duration, except that Infeed
+// starts with InfeedDequeueTuple and the event after Infeed starts where
+// InfeedDequeueTuple ends.
+func (r *run) advance(durs []simclock.Duration, k int) simclock.Duration {
+	if r.prog != nil && r.prog.InfeedBytes > 0 {
+		switch k {
+		case 0:
+			return 0
+		case 1:
+			return durs[r.first]
+		}
+	}
+	return durs[r.first+k]
+}
+
+// LatestStarts calls fn with the step and the latest event Start of each
+// run from the i-th on, in order, and returns the number of runs: a
+// caller that passes it back next time sees each run once. A run is one
+// RunStep or InjectEvent call that emitted events.
+func (d *Device) LatestStarts(i int, fn func(step int64, last simclock.Time)) int {
+	for k := range d.runs[i:] {
+		r := &d.runs[i+k]
+		fn(r.step, r.last)
+	}
+	return len(d.runs)
+}
+
+// An EventReader reads the device's event stream in order, from one event
+// on, building each event as it goes. It reads the stream as it stood when
+// Seek made it: it must not be used once the device has emitted more.
+type EventReader struct {
+	d   *Device
+	run int           // the run of the next event
+	k   int           // the next event's index within its run
+	at  simclock.Time // the next event's Start
+}
+
+// Seek returns a reader at the first event with Start >= t, or at the end
+// of the stream when there is none.
+func (d *Device) Seek(t simclock.Time) EventReader {
+	// A run whose last event starts before t holds no event at or after
+	// t; the first other run holds the first such event.
+	i := sort.Search(len(d.runs), func(i int) bool { return d.runs[i].last >= t })
+	rd := EventReader{d: d, run: i}
+	if i == len(d.runs) {
+		return rd
+	}
+	rd.at = d.runs[i].start
+	for rd.at < t {
+		rd.skip()
+	}
+	return rd
+}
+
+// Index returns the position of the next event in the stream: the number
+// of events before it. At the end of the stream it is EventCount.
+func (rd *EventReader) Index() int {
+	if rd.run == len(rd.d.runs) {
+		return len(rd.d.durs)
+	}
+	return rd.d.runs[rd.run].first + rd.k
+}
+
+// Start returns the next event's Start. It is meaningless at the end of
+// the stream.
+func (rd *EventReader) Start() simclock.Time { return rd.at }
+
+// Next returns the next event and moves past it. It must not be called at
+// the end of the stream.
+func (rd *EventReader) Next() trace.Event {
+	var e [1]trace.Event
+	rd.Read(e[:])
+	return e[0]
+}
+
+// Read fills dst with the next len(dst) events and moves past them. The
+// stream must hold that many.
+func (rd *EventReader) Read(dst []trace.Event) {
+	for len(dst) > 0 {
+		r := &rd.d.runs[rd.run]
+		durs := rd.d.durs[r.first:rd.d.runEnd(rd.run)]
+		k, t := rd.k, rd.at
+		n := min(len(dst), len(durs)-k)
+		for i := range dst[:n] {
+			dst[i] = trace.Event{Name: r.eventName(k), Device: trace.TPU, Start: t, Dur: durs[k], Step: r.step}
+			t = t.Add(r.advance(rd.d.durs, k))
+			k++
+		}
+		dst = dst[n:]
+		if k < len(durs) {
+			rd.k, rd.at = k, t
+		} else {
+			rd.nextRun()
+		}
+	}
+}
+
+// skip moves past the next event without building it.
+func (rd *EventReader) skip() {
+	d := rd.d
+	r := &d.runs[rd.run]
+	if r.first+rd.k+1 < d.runEnd(rd.run) {
+		rd.at = rd.at.Add(r.advance(d.durs, rd.k))
+		rd.k++
+		return
+	}
+	rd.nextRun()
+}
+
+// nextRun moves to the first event of the next run.
+func (rd *EventReader) nextRun() {
+	rd.run++
+	rd.k = 0
+	if rd.run < len(rd.d.runs) {
+		rd.at = rd.d.runs[rd.run].start
+	}
+}
+
+// runEnd returns the index one past the last event of run i.
+func (d *Device) runEnd(i int) int {
+	if i+1 < len(d.runs) {
+		return d.runs[i+1].first
+	}
+	return len(d.durs)
 }

@@ -61,7 +61,7 @@ func TestRunStepProducesEvents(t *testing.T) {
 		t.Fatal("step has no duration")
 	}
 	names := map[string]bool{}
-	for _, e := range d.Events() {
+	for _, e := range deviceEvents(d) {
 		names[e.Name] = true
 		if e.Step != 1 {
 			t.Fatalf("event %q on step %d", e.Name, e.Step)
@@ -184,7 +184,7 @@ func TestInjectEvent(t *testing.T) {
 	if d.FreeAt() != 5000 {
 		t.Fatalf("FreeAt after inject = %d", d.FreeAt())
 	}
-	if len(d.Events()) != 1 || d.Events()[0].Name != "RestoreV2" {
+	if evs := deviceEvents(d); len(evs) != 1 || evs[0].Name != "RestoreV2" {
 		t.Fatal("injected event missing")
 	}
 }
@@ -196,12 +196,13 @@ func TestInjectEventRefusesOutOfOrder(t *testing.T) {
 	if _, err := d.RunStep(0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	last := d.Events()[len(d.Events())-1]
-	n, free := len(d.Events()), d.FreeAt()
+	evs := deviceEvents(d)
+	last := evs[len(evs)-1]
+	n, free := len(evs), d.FreeAt()
 	if err := d.InjectEvent("RestoreV2", last.Start-1, 10, -1); err == nil {
 		t.Fatal("an event before the last Start was accepted")
 	}
-	if len(d.Events()) != n || d.FreeAt() != free {
+	if d.EventCount() != n || d.FreeAt() != free {
 		t.Fatal("a refused event changed the device")
 	}
 	if err := d.InjectEvent("RestoreV2", last.Start, 10, -1); err != nil {
@@ -246,7 +247,7 @@ func TestWindowMetricsMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evs := d.Events()
+	evs := deviceEvents(d)
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Start < evs[i-1].Start {
 			t.Fatalf("event %d starts at %d, before event %d at %d", i, evs[i].Start, i-1, evs[i-1].Start)
@@ -274,7 +275,7 @@ func TestReset(t *testing.T) {
 	d := newTestDevice(t, V2)
 	d.RunStep(0, 0)
 	d.Reset()
-	if len(d.Events()) != 0 || len(d.Timings()) != 0 || d.FreeAt() != 0 {
+	if d.EventCount() != 0 || d.StreamBytes() != 0 || len(d.Timings()) != 0 || d.FreeAt() != 0 {
 		t.Fatal("Reset left state")
 	}
 	if d.Program() == nil {
@@ -293,7 +294,7 @@ func TestDeterministicReplay(t *testing.T) {
 			st, _ := d.RunStep(i, at)
 			at = st.End
 		}
-		return d.Events()
+		return deviceEvents(d)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -46,8 +46,10 @@ type StatusResponse struct {
 // profile responses contain.
 type EventSource interface {
 	// EventsInWindow returns the events with Start in [from, to), in
-	// Start order.
-	EventsInWindow(from, to simclock.Time) []trace.Event
+	// Start order, in buf's storage when it has room for them. The
+	// caller owns the result and reuses it as the next call's buf, so
+	// the source must not keep it, and must not return memory it keeps.
+	EventsInWindow(buf []trace.Event, from, to simclock.Time) []trace.Event
 	WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float64)
 	// OpenStep returns the lowest step that can still gain an event
 	// with Start >= t: one already emitted at or after t, or one not
@@ -65,11 +67,17 @@ type EventSource interface {
 // source's watermark, the earliest Start an event not emitted yet can
 // have, so every event falls in exactly one window however the calls
 // interleave with training.
+//
+// A response's events are a buffer the service owns and reuses: they are
+// valid until the next NextWindow call. The profiler reduces each window
+// before it asks for the next, and the rpc handler marshals it before it
+// returns.
 type ProfileService struct {
 	mu     sync.Mutex
 	src    EventSource
 	spec   ChipSpec
 	cursor simclock.Time
+	buf    []trace.Event // the last window's events, reused by the next
 
 	// watermarkFn reports the source's watermark; doneFn whether the
 	// source will emit nothing more.
@@ -90,11 +98,15 @@ func (s *ProfileService) Register(srv *rpc.Server) {
 }
 
 // NextWindow computes one profile window directly (used in-process by
-// tests and by the in-memory fast path).
+// tests and by the in-memory fast path). The response's Events are valid
+// until the next NextWindow call.
 func (s *ProfileService) NextWindow() ProfileResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.nextWindowLocked()
+}
 
+func (s *ProfileService) nextWindowLocked() ProfileResponse {
 	// done before the watermark: a source that finishes between the two
 	// reads must not end the stream at a watermark older than its last
 	// events.
@@ -117,7 +129,8 @@ func (s *ProfileService) NextWindow() ProfileResponse {
 		return resp
 	}
 
-	events := s.src.EventsInWindow(from, to)
+	s.buf = s.src.EventsInWindow(s.buf, from, to)
+	events := s.buf
 	if limit := trace.MaxEventsPerProfile; len(events) > limit {
 		// Clip before the run of equal Starts the limit falls in, so the
 		// run ships whole next time — or, when that run opens the window,
@@ -143,8 +156,12 @@ func (s *ProfileService) NextWindow() ProfileResponse {
 	return resp
 }
 
+// handleProfile marshals the window while it holds the lock, before
+// another call can reuse the window's events.
 func (s *ProfileService) handleProfile(body []byte) ([]byte, error) {
-	resp := s.NextWindow()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	resp := s.nextWindowLocked()
 	return marshalProfileResponse(&resp), nil
 }
 

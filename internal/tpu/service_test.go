@@ -2,6 +2,7 @@ package tpu
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,15 +20,15 @@ type sliceSource struct {
 
 // deviceSource serves the events d has recorded.
 func deviceSource(d *Device) *sliceSource {
-	return &sliceSource{events: d.Events(), dev: d}
+	return &sliceSource{events: deviceEvents(d), dev: d}
 }
 
 func (s *sliceSource) search(t simclock.Time) int {
 	return sort.Search(len(s.events), func(i int) bool { return s.events[i].Start >= t })
 }
 
-func (s *sliceSource) EventsInWindow(from, to simclock.Time) []trace.Event {
-	return s.events[s.search(from):s.search(to)]
+func (s *sliceSource) EventsInWindow(buf []trace.Event, from, to simclock.Time) []trace.Event {
+	return append(buf[:0], s.events[s.search(from):s.search(to)]...)
 }
 
 func (s *sliceSource) WindowMetrics(from, to simclock.Time) (float64, float64) {
@@ -62,12 +63,14 @@ func serviceFixture(t *testing.T, steps int) (*Device, *ProfileService) {
 	return d, svc
 }
 
-// drain polls svc to the end of the stream and returns its responses.
+// drain polls svc to the end of the stream and returns its responses,
+// each with its own copy of its events.
 func drain(t *testing.T, svc *ProfileService) []ProfileResponse {
 	t.Helper()
 	var out []ProfileResponse
 	for i := 0; i < 1000; i++ {
 		resp := svc.NextWindow()
+		resp.Events = slices.Clone(resp.Events)
 		out = append(out, resp)
 		if resp.EndOfStream {
 			return out
@@ -83,8 +86,8 @@ func TestNextWindowDeliversAllEvents(t *testing.T) {
 	for _, resp := range drain(t, svc) {
 		got += len(resp.Events)
 	}
-	if got != len(d.Events()) {
-		t.Fatalf("delivered %d of %d events", got, len(d.Events()))
+	if got != d.EventCount() {
+		t.Fatalf("delivered %d of %d events", got, d.EventCount())
 	}
 }
 
@@ -223,8 +226,8 @@ func TestProfileOverRPC(t *testing.T) {
 			break
 		}
 	}
-	if got != len(d.Events()) {
-		t.Fatalf("RPC delivered %d of %d events", got, len(d.Events()))
+	if got != d.EventCount() {
+		t.Fatalf("RPC delivered %d of %d events", got, d.EventCount())
 	}
 }
 

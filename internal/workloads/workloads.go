@@ -21,6 +21,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/datasets"
 	"repro/internal/graph"
@@ -186,12 +187,33 @@ func Names() []string {
 	}
 }
 
-// Get builds a fresh Workload instance.
+// built builds each registry entry once per process, on its first Get.
+var built = func() map[string]func() (*Workload, error) {
+	m := make(map[string]func() (*Workload, error), len(registry))
+	for name, s := range registry {
+		m[name] = sync.OnceValues(func() (*Workload, error) { return build(name, s) })
+	}
+	return m
+}()
+
+// Get returns a fresh copy of the named Workload. The entry is built and
+// compiled once per process, and every copy shares its graphs, programs
+// and ParamsDesc (as Naive's copies do): they must not be modified.
 func Get(name string) (*Workload, error) {
-	s, ok := registry[name]
+	b, ok := built[name]
 	if !ok {
 		return nil, fmt.Errorf("workloads: unknown workload %q", name)
 	}
+	w, err := b()
+	if err != nil {
+		return nil, err
+	}
+	c := *w
+	return &c, nil
+}
+
+// build instantiates, compiles and calibrates a registry entry.
+func build(name string, s spec) (*Workload, error) {
 	ds := datasets.MustGet(s.dataset)
 	w := &Workload{
 		Name:              name,

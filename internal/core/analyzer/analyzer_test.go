@@ -451,8 +451,14 @@ func TestAnalyzeFromRecords(t *testing.T) {
 	// Split events into multiple profile windows like the profiler does.
 	events := r.Events()
 	mid := events[len(events)/2].Start
-	rec1 := trace.Reduce(0, 0, r.EventsInWindow(nil, 0, mid), 0.4, 0.2)
-	rec2 := trace.Reduce(1, mid, r.EventsInWindow(nil, mid, r.Now()+1), 0.4, 0.2)
+	// Each window reduced as the service reads it, a chunk at a time.
+	reduce := func(seq int64, from, to simclock.Time) *trace.ProfileRecord {
+		red := trace.NewReducer(seq, from)
+		r.EventsInWindow(make([]trace.Event, 64), from, to, red.Add)
+		return red.Record(0.4, 0.2)
+	}
+	rec1 := reduce(0, 0, mid)
+	rec2 := reduce(1, mid, r.Now()+1)
 	rep, err := Analyze("dcgan-mnist", []*trace.ProfileRecord{rec1, rec2}, OLSAlgo, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -99,11 +99,20 @@ func epsNeighbors(m *Matrix, eps float64, budget int64, workers, chunk int) (flo
 	// it is a neighbor of.
 	var entries atomic.Int64
 	upper := make([][]int32, n)
+	// One neighborScratch per worker, not per chunk: at most Workers()
+	// chunks run at once, so a chunk always finds one free, grown by the
+	// chunks before it.
+	scratch := make([]neighborScratch, pool.Workers())
+	free := make(chan *neighborScratch, len(scratch))
+	for i := range scratch {
+		free <- &scratch[i]
+	}
 	err := pool.Run(context.Background(), n, chunk, func(ci, lo, hi int) error {
 		var local int64
-		var sc neighborScratch
+		sc := <-free
+		defer func() { free <- sc }()
 		for i := lo; i < hi; i++ {
-			upper[i] = grid.neighbors(i, &sc)
+			upper[i] = grid.neighbors(i, sc)
 			local += 2 * int64(len(upper[i]))
 		}
 		if entries.Add(local) > entryLimit {

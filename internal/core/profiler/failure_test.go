@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/rpc"
-	"repro/internal/tpu"
 )
 
 // failingClient returns a few windows and then a permanent error —
@@ -17,14 +16,14 @@ type failingClient struct {
 	inner Client
 }
 
-func (c *failingClient) NextProfile() (*tpu.ProfileResponse, error) {
+func (c *failingClient) NextProfile(seq int64) (Window, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.left <= 0 {
-		return nil, errors.New("connection reset by peer")
+		return Window{}, errors.New("connection reset by peer")
 	}
 	c.left--
-	return c.inner.NextProfile()
+	return c.inner.NextProfile(seq)
 }
 
 func TestProfilerSurfacesClientFailure(t *testing.T) {

@@ -4,9 +4,10 @@
 // On Start, the profiler launches a dedicated profiling goroutine that
 // periodically requests profiles from the TPU's profile service,
 // independent of the training loop — training continues uninterrupted
-// while profiling takes place. Each response (raw events plus idle/MXU
-// metadata) is immediately reduced to a statistical ProfileRecord, which
-// keeps memory bounded: the profiler never retains raw events.
+// while profiling takes place. Each window (raw events plus idle/MXU
+// metadata) is reduced to a statistical ProfileRecord while it is read, a
+// chunk at a time, which keeps memory bounded: the profiler never holds a
+// window's raw events.
 //
 // If the analyzer flag is set on Start (the paper's Figure 2 API), a
 // second recording goroutine streams each record to Cloud Storage while
@@ -29,21 +30,52 @@ import (
 	"repro/internal/trace"
 )
 
-// Client fetches the next profile window. Implementations exist for the
-// in-process service and the RPC transport.
+// Client fetches the next profile window reduced to a record.
+// Implementations exist for the in-process service and the RPC transport;
+// both fold the window's events into a trace.Reducer, so the profiler
+// never holds a window's raw events.
 type Client interface {
-	NextProfile() (*tpu.ProfileResponse, error)
+	// NextProfile returns the next window, its record numbered seq.
+	NextProfile(seq int64) (Window, error)
 }
 
-// ServiceClient profiles an in-process tpu.ProfileService.
+// Window is one profile window as a Client returns it.
+type Window struct {
+	// Record is the window's record: nil when the window held no events.
+	Record      *trace.ProfileRecord
+	EndOfStream bool // training finished and all events delivered
+}
+
+// window finishes the record red has reduced from the window resp
+// describes, with the service's truncation and watermark; a nil red
+// reduced nothing.
+func window(red *trace.Reducer, resp *tpu.ProfileResponse) Window {
+	w := Window{EndOfStream: resp.EndOfStream}
+	if red != nil {
+		rec := red.Record(resp.IdleFrac, resp.MXUUtil)
+		rec.Truncated = rec.Truncated || resp.Truncated
+		rec.OpenStep = resp.OpenStep
+		w.Record = rec
+	}
+	return w
+}
+
+// ServiceClient profiles an in-process tpu.ProfileService, reducing each
+// window a chunk at a time as the service reads it.
 type ServiceClient struct {
 	Service *tpu.ProfileService
 }
 
 // NextProfile implements Client.
-func (c *ServiceClient) NextProfile() (*tpu.ProfileResponse, error) {
-	resp := c.Service.NextWindow()
-	return &resp, nil
+func (c *ServiceClient) NextProfile(seq int64) (Window, error) {
+	var red *trace.Reducer
+	resp := c.Service.ReadWindow(func(resp *tpu.ProfileResponse, chunk []trace.Event) {
+		if red == nil {
+			red = trace.NewReducer(seq, resp.WindowStart)
+		}
+		red.Add(chunk)
+	})
+	return window(red, &resp), nil
 }
 
 // RPCClient profiles a remote service over the rpc transport — the
@@ -53,13 +85,23 @@ type RPCClient struct {
 	Conn rpc.Caller
 }
 
-// NextProfile implements Client.
-func (c *RPCClient) NextProfile() (*tpu.ProfileResponse, error) {
+// NextProfile implements Client: it decodes the response and reduces its
+// events.
+func (c *RPCClient) NextProfile(seq int64) (Window, error) {
 	raw, err := c.Conn.Call(tpu.MethodProfile, nil)
 	if err != nil {
-		return nil, err
+		return Window{}, err
 	}
-	return tpu.UnmarshalProfileResponse(raw)
+	resp, err := tpu.UnmarshalProfileResponse(raw)
+	if err != nil {
+		return Window{}, err
+	}
+	var red *trace.Reducer
+	if len(resp.Events) > 0 {
+		red = trace.NewReducer(seq, resp.WindowStart)
+		red.Add(resp.Events)
+	}
+	return window(red, resp), nil
 }
 
 // RecordStore is where the recording thread persists records. It is the
@@ -241,7 +283,8 @@ func (p *Profiler) Start(analyzer bool) error {
 	return nil
 }
 
-// profileLoop is the profiling thread: request, reduce, hand off, repeat.
+// profileLoop is the profiling thread: request a reduced window, hand
+// its record off, repeat.
 // A request that keeps failing after retries costs one window — a Gap
 // record marks the hole and the loop presses on — until the error is
 // fatal or MaxGaps consecutive windows are lost.
@@ -254,7 +297,7 @@ func (p *Profiler) profileLoop() {
 		// began sees all the activity training produced, so only an empty
 		// one of those may end the loop.
 		final := p.isStopping()
-		resp, err := p.nextProfile()
+		w, err := p.nextProfile(seq)
 		if err != nil {
 			if isFatal(err) || gaps >= p.opts.MaxGaps {
 				p.opts.Obs.Emit("profiler", "fatal", err.Error())
@@ -274,13 +317,11 @@ func (p *Profiler) profileLoop() {
 		}
 		gaps = 0
 		breakpointHit := false
-		if len(resp.Events) == 0 {
+		rec := w.Record
+		if rec == nil {
 			p.m.windowsEmpty.Inc()
 		} else {
 			p.m.windowsFetched.Inc()
-			rec := trace.Reduce(seq, resp.WindowStart, resp.Events, resp.IdleFrac, resp.MXUUtil)
-			rec.Truncated = rec.Truncated || resp.Truncated
-			rec.OpenStep = resp.OpenStep
 			seq++
 			p.deliver(rec)
 			if bp := p.opts.BreakpointStep; bp > 0 {
@@ -292,14 +333,14 @@ func (p *Profiler) profileLoop() {
 				}
 			}
 		}
-		if resp.EndOfStream || breakpointHit {
+		if w.EndOfStream || breakpointHit {
 			break
 		}
-		if final && len(resp.Events) == 0 {
-			// Final request made and nothing new arrived: done.
-			break
-		}
-		if len(resp.Events) == 0 {
+		if rec == nil {
+			if final {
+				// Final request made and nothing new arrived: done.
+				break
+			}
 			time.Sleep(p.opts.Interval)
 		}
 	}
@@ -312,10 +353,10 @@ func (p *Profiler) profileLoop() {
 	}
 }
 
-// nextProfile requests the next window, retrying transient failures up to
-// MaxRetries with doubling backoff. Fatal errors and Stop cut retries
-// short.
-func (p *Profiler) nextProfile() (*tpu.ProfileResponse, error) {
+// nextProfile requests the next window, its record numbered seq,
+// retrying transient failures up to MaxRetries with doubling backoff.
+// Fatal errors and Stop cut retries short.
+func (p *Profiler) nextProfile(seq int64) (Window, error) {
 	var lastErr error
 	for attempt := 0; attempt <= p.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -323,17 +364,17 @@ func (p *Profiler) nextProfile() (*tpu.ProfileResponse, error) {
 			time.Sleep(p.opts.Backoff << (attempt - 1))
 		}
 		start := time.Now()
-		resp, err := p.client.NextProfile()
+		w, err := p.client.NextProfile(seq)
 		p.m.reqLatency.ObserveSince(start)
 		if err == nil {
-			return resp, nil
+			return w, nil
 		}
 		lastErr = err
 		if isFatal(err) {
 			break
 		}
 	}
-	return nil, lastErr
+	return Window{}, lastErr
 }
 
 // isFatal separates errors no retry can cure (an open circuit breaker,

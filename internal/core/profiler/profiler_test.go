@@ -8,7 +8,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/rpc"
 	"repro/internal/storage"
-	"repro/internal/tpu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -203,20 +202,17 @@ type stopRaceClient struct {
 	calls int // NextProfile runs on the profiling goroutine alone
 }
 
-func (c *stopRaceClient) NextProfile() (*tpu.ProfileResponse, error) {
+func (c *stopRaceClient) NextProfile(seq int64) (Window, error) {
 	c.calls++
 	if c.calls == 1 {
 		close(c.asked)
 		for !c.p.isStopping() {
 			time.Sleep(10 * time.Microsecond)
 		}
-		return &tpu.ProfileResponse{}, nil
+		return Window{}, nil
 	}
-	return &tpu.ProfileResponse{
-		Events:      []trace.Event{{Name: "fusion", Device: trace.TPU, Start: 0, Dur: 10, Step: 0}},
-		WindowEnd:   10,
-		EndOfStream: true,
-	}, nil
+	events := []trace.Event{{Name: "fusion", Device: trace.TPU, Start: 0, Dur: 10, Step: 0}}
+	return Window{Record: trace.Reduce(seq, 0, events, 0, 0), EndOfStream: true}, nil
 }
 
 // TestStopWaitsForAPostStopRequest: an empty window requested before

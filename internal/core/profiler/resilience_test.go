@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/storage"
-	"repro/internal/tpu"
 )
 
 // degradedLog records OnDegraded callbacks thread-safely.
@@ -128,15 +127,15 @@ type flakyWindowClient struct {
 	calls int
 }
 
-func (c *flakyWindowClient) NextProfile() (*tpu.ProfileResponse, error) {
+func (c *flakyWindowClient) NextProfile(seq int64) (Window, error) {
 	c.mu.Lock()
 	c.calls++
 	n := c.calls
 	c.mu.Unlock()
 	if c.fail[n] {
-		return nil, fmt.Errorf("injected transient fault on call %d", n)
+		return Window{}, fmt.Errorf("injected transient fault on call %d", n)
 	}
-	return c.inner.NextProfile()
+	return c.inner.NextProfile(seq)
 }
 
 // Acceptance (a), gap half: windows lost after exhausted retries become

@@ -547,31 +547,56 @@ func (r *Runner) FirstEvents(n int) []trace.Event {
 	return out
 }
 
-// EventsInWindow implements tpu.EventSource: the window's device events
-// merged with the window's slice of hostByStart. It counts both first and
-// fills buf (grown when it is too small) in place: the device events at
-// the front, then a merge from the back that puts each host event after
-// the device events that start with it and before those that start later.
-func (r *Runner) EventsInWindow(buf []trace.Event, from, to simclock.Time) []trace.Event {
+// CountEvents implements tpu.EventSource: the window's device events and
+// its slice of hostByStart, counted without building an event.
+func (r *Runner) CountEvents(from, to simclock.Time) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syncLocked()
 	dev, end := r.dev.Seek(from), r.dev.Seek(to)
+	return max(0, end.Index()-dev.Index()) + len(byStartWindow(r.hostByStart, from, to))
+}
+
+// EventsInWindow implements tpu.EventSource: the window's device events
+// merged with its slice of hostByStart, each host event after the device
+// events that start with it and before those that start later. It finds
+// the window under the write lock and fills each chunk under the read
+// lock, not holding either while fn runs, so training is held up only
+// while a chunk is filled. Between chunks the run may emit more: the
+// device's events go after every one it holds, and new host events start
+// at or after the watermark, past the window, so neither moves the
+// window's events in the streams.
+func (r *Runner) EventsInWindow(buf []trace.Event, from, to simclock.Time, fn func(chunk []trace.Event)) {
+	r.mu.Lock()
+	r.syncLocked()
+	dev, end := r.dev.Seek(from), r.dev.Seek(to)
 	nd := max(0, end.Index()-dev.Index())
-	he := byStartWindow(r.hostByStart, from, to)
-	out := slices.Grow(buf[:0], nd+len(he))[:nd+len(he)]
-	dev.Read(out[:nd])
-	i, w := nd-1, len(out)-1
-	for j := len(he) - 1; j >= 0; w-- {
-		if i >= 0 && out[i].Start > he[j].Start {
-			out[w] = out[i]
-			i--
-		} else {
-			out[w] = he[j]
-			j--
+	lo := sort.Search(len(r.hostByStart), func(i int) bool { return r.hostByStart[i].Start >= from })
+	hi := lo + len(byStartWindow(r.hostByStart[lo:], from, to))
+	r.mu.Unlock()
+	for nd > 0 || lo < hi {
+		r.mu.RLock()
+		he := r.hostByStart[lo:hi]
+		w := 0
+		for w < len(buf) && (nd > 0 || len(he) > 0) {
+			if len(he) == 0 || (nd > 0 && dev.Start() <= he[0].Start) {
+				through := simclock.Time(math.MaxInt64)
+				if len(he) > 0 {
+					through = he[0].Start
+				}
+				n := dev.ReadThrough(buf[w:min(len(buf), w+nd)], through)
+				w += n
+				nd -= n
+			} else {
+				buf[w] = he[0]
+				he = he[1:]
+				w++
+			}
 		}
+		lo = hi - len(he)
+		r.mu.RUnlock()
+		fn(buf[:w])
 	}
-	return out
 }
 
 // OpenStep implements tpu.EventSource: the lowest step of an emitted event

@@ -79,10 +79,12 @@ func TestEventsInWindowPartition(t *testing.T) {
 	r := quickRun(t, "dcgan-cifar10", Options{Steps: 60})
 	all := r.Events()
 	mid := all[len(all)/2].Start
-	a := r.EventsInWindow(nil, 0, mid)
-	b := r.EventsInWindow(nil, mid, r.Now()+1)
-	if len(a)+len(b) != len(all) {
-		t.Fatalf("window partition %d+%d != %d", len(a), len(b), len(all))
+	for _, size := range append(chunkSizes, 4096) {
+		a := readWindow(t, r, size, 0, mid)
+		b := readWindow(t, r, size, mid, r.Now()+1)
+		if len(a)+len(b) != len(all) {
+			t.Fatalf("window partition %d+%d != %d", len(a), len(b), len(all))
+		}
 	}
 }
 

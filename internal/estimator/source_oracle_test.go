@@ -71,20 +71,47 @@ func (o *sortOracle) openStepAt(t simclock.Time) int64 {
 	return o.openStep
 }
 
+// chunkSizes are the buffer lengths the tests read a window through
+// besides the profile service's own: one event, two, and an odd size, so
+// the merge of the two streams restarts at every kind of seam. 4096, the
+// service's length, is added where no service cuts the windows.
+var chunkSizes = []int{1, 2, 7}
+
+// readWindow reads the window [from, to) of r's event source through a
+// buffer of size events and returns the chunks concatenated. It fails t
+// unless each chunk is the buffer's storage, none is empty and only the
+// last is short.
+func readWindow(t testing.TB, r *Runner, size int, from, to simclock.Time) []trace.Event {
+	t.Helper()
+	buf := make([]trace.Event, size)
+	var out []trace.Event
+	short := false
+	r.EventsInWindow(buf, from, to, func(chunk []trace.Event) {
+		if short || len(chunk) == 0 || len(chunk) > size || &chunk[0] != &buf[0] {
+			t.Fatalf("window [%d, %d) through %d events: a chunk of %d events after %d (short before: %v), or not in the buffer",
+				from, to, size, len(chunk), len(out), short)
+		}
+		short = len(chunk) < size
+		out = append(out, chunk...)
+	})
+	return out
+}
+
 // checkSourceMatchesOracle compares the Runner's event source with the
 // oracle: the windows from *cursor to the watermark (advancing *cursor),
 // windows and OpenStep times drawn at random over the run so far, and
-// Events. Each window is built in the storage of the one before, which
-// still holds that window's events.
+// Events. Each window is read through buffers of every chunk size.
 func checkSourceMatchesOracle(t *testing.T, r *Runner, rng *prng.Source, cursor *simclock.Time) {
 	t.Helper()
 	o := newSortOracle(r)
-	var buf []trace.Event
 	check := func(from, to simclock.Time) {
 		t.Helper()
-		buf = r.EventsInWindow(buf, from, to)
-		if got, want := buf, o.window(from, to); !slices.Equal(got, want) {
-			t.Fatalf("window [%d, %d): %d events, the oracle has %d (or not the same ones)", from, to, len(got), len(want))
+		want := o.window(from, to)
+		for _, size := range append(chunkSizes, 4096) {
+			if got := readWindow(t, r, size, from, to); !slices.Equal(got, want) {
+				t.Fatalf("window [%d, %d) through %d events: %d events, the oracle has %d (or not the same ones)",
+					from, to, size, len(got), len(want))
+			}
 		}
 		if got, want := r.OpenStep(to), o.openStepAt(to); got != want {
 			t.Fatalf("OpenStep(%d) = %d, the oracle says %d", to, got, want)
@@ -192,13 +219,15 @@ func TestOpenStepStopsAtOpenStep(t *testing.T) {
 	ask(math.MaxInt64, 90, 3)
 }
 
-// TestLiveWindowAllocatesForItsEventsOnly polls the profile service after
-// every step of a long run and bounds the bytes each window allocates by
-// the events it returns, so no copy of the whole run creeps back into the
-// window path: one at step 1000 of this run would be about 8 MB. What
-// the source keeps may grow as append grows it (the host stream can
-// outrun the size Run reserved), and a window that grows it may allocate
-// it anew.
+// TestLiveWindowAllocatesForItsEventsOnly reads a window of the profile
+// service after every step of a long run, through ReadWindow as the
+// profiler does, and bounds the bytes each window allocates by a
+// constant: no copy of the window, let alone of the whole run, creeps
+// back into the window path (one of the whole run at step 1000 would be
+// about 8 MB). The first window with events also allocates the service's
+// chunk buffer. What the source keeps may grow as append grows it (the
+// host stream can outrun the size Run reserved), and a window that grows
+// it may allocate it anew.
 func TestLiveWindowAllocatesForItsEventsOnly(t *testing.T) {
 	const eventSize = uint64(unsafe.Sizeof(trace.Event{}))
 	var r *Runner
@@ -210,21 +239,27 @@ func TestLiveWindowAllocatesForItsEventsOnly(t *testing.T) {
 	}
 	var ms runtime.MemStats
 	windows, events := 0, 0
+	bufferMade := false
 	check := func() bool {
 		runtime.ReadMemStats(&ms)
 		before, keptBefore := ms.TotalAlloc, kept()
-		resp := svc.NextWindow()
+		n := 0
+		resp := svc.ReadWindow(func(_ *tpu.ProfileResponse, chunk []trace.Event) { n += len(chunk) })
 		runtime.ReadMemStats(&ms)
-		limit := 64<<10 + 2*eventSize*uint64(len(resp.Events))
+		limit := uint64(4 << 10)
 		if k := kept(); k > keptBefore {
 			limit += k // a grown buffer is allocated whole
 		}
+		if n > 0 && !bufferMade {
+			limit += 4096 * eventSize
+			bufferMade = true
+		}
 		if bytes := ms.TotalAlloc - before; bytes > limit {
 			t.Fatalf("window %d [%d, %d) allocated %d bytes for %d events (limit %d)",
-				windows, resp.WindowStart, resp.WindowEnd, bytes, len(resp.Events), limit)
+				windows, resp.WindowStart, resp.WindowEnd, bytes, n, limit)
 		}
 		windows++
-		events += len(resp.Events)
+		events += n
 		return resp.EndOfStream
 	}
 	var err error
@@ -244,10 +279,11 @@ func TestLiveWindowAllocatesForItsEventsOnly(t *testing.T) {
 	}
 }
 
-// BenchmarkProfileDrain drains a 4000-step resnet run's profile service:
-// "after" once training has finished (the drain alone is timed), "live"
-// after every training step and to the end of the stream (the run and
-// the drain are timed together).
+// BenchmarkProfileDrain reads a 4000-step resnet run's profile service to
+// the end through ReadWindow, counting the events: "after" once training
+// has finished (the drain alone is timed), "live" after every training
+// step and to the end of the stream (the run and the drain are timed
+// together).
 func BenchmarkProfileDrain(b *testing.B) {
 	for _, live := range []bool{false, true} {
 		name := "after"
@@ -257,12 +293,13 @@ func BenchmarkProfileDrain(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			events := 0
+			count := func(_ *tpu.ProfileResponse, chunk []trace.Event) { events += len(chunk) }
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				var svc *tpu.ProfileService
 				opts := Options{Steps: 4000}
 				if live {
-					opts.OnTrainStep = func(*Runner, int64, tpu.StepTiming) { events += len(svc.NextWindow().Events) }
+					opts.OnTrainStep = func(*Runner, int64, tpu.StepTiming) { svc.ReadWindow(count) }
 				}
 				r, err := New(workloads.MustGet("resnet-imagenet"), opts)
 				if err != nil {
@@ -276,12 +313,7 @@ func BenchmarkProfileDrain(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				for {
-					resp := svc.NextWindow()
-					events += len(resp.Events)
-					if resp.EndOfStream {
-						break
-					}
+				for !svc.ReadWindow(count).EndOfStream {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
@@ -322,12 +354,14 @@ func (o *copyOracle) firstEvents(n int) []trace.Event {
 
 // TestWindowsMatchCopyOracle polls every Table I workload's profile
 // service after every train step and then drains it, on both generations
-// with eval blocks on and off, and compares every window byte for byte
-// with the copy oracle's window over the finished run (a window is cut
-// below the watermark, so its events are final when it is cut), and
-// FirstEvents for n of 0, 1, 5000 and all. Three more runs add the
-// optimizer's hooks (a pipeline stall and an instrumentation cost changed
-// mid-run) and a run fast-forwarded from a checkpoint.
+// with eval blocks on and off, and compares every window, read through the
+// service's chunk buffer, byte for byte with the copy oracle's window over
+// the finished run (a window is cut below the watermark, so its events
+// are final when it is cut); pollEveryStep has read each window through
+// buffers of 1, 2 and 7 events as well. FirstEvents is checked for n of
+// 0, 1, 5000 and all. Three more runs add the optimizer's hooks (a
+// pipeline stall and an instrumentation cost changed mid-run) and a run
+// fast-forwarded from a checkpoint.
 func TestWindowsMatchCopyOracle(t *testing.T) {
 	bucket, err := storage.NewService().CreateBucket("ckpts")
 	if err != nil {

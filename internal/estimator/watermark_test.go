@@ -15,17 +15,28 @@ import (
 // pollEveryStep runs opts on workload with the profile service polled
 // after every train step — optionally after the hook's own work — then
 // drained to the end of the stream. It returns the runner and every
-// response in order, each with its own copy of its events (the service
-// reuses a response's for the next).
+// response in order. Each window is also read again, as it is cut,
+// through buffers of every chunk size, and must come out the same.
 func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Runner, step int64)) (*Runner, []tpu.ProfileResponse) {
 	t.Helper()
 	var svc *tpu.ProfileService
 	var resps []tpu.ProfileResponse
+	poll := func(r *Runner) tpu.ProfileResponse {
+		resp := svc.NextWindow()
+		for _, size := range chunkSizes {
+			if got := readWindow(t, r, size, resp.WindowStart, resp.WindowEnd); !slices.Equal(got, resp.Events) {
+				t.Fatalf("window [%d, %d) through %d events: %d events, the service's %d (or not the same ones)",
+					resp.WindowStart, resp.WindowEnd, size, len(got), len(resp.Events))
+			}
+		}
+		resps = append(resps, resp)
+		return resp
+	}
 	opts.OnTrainStep = func(r *Runner, step int64, _ tpu.StepTiming) {
 		if hook != nil {
 			hook(r, step)
 		}
-		resps = append(resps, cloneResponse(svc.NextWindow()))
+		poll(r)
 	}
 	r, err := New(workloads.MustGet(workload), opts)
 	if err != nil {
@@ -39,18 +50,10 @@ func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Run
 		if i == 10000 {
 			t.Fatal("no end of stream after 10000 windows")
 		}
-		resp := cloneResponse(svc.NextWindow())
-		resps = append(resps, resp)
-		if resp.EndOfStream {
+		if poll(r).EndOfStream {
 			return r, resps
 		}
 	}
-}
-
-// cloneResponse gives resp its own copy of its events.
-func cloneResponse(resp tpu.ProfileResponse) tpu.ProfileResponse {
-	resp.Events = slices.Clone(resp.Events)
-	return resp
 }
 
 // checkExactlyOnce fails unless the responses' events, concatenated, are

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // Type is a protobuf wire type.
@@ -145,6 +146,38 @@ func AppendBytes(dst []byte, field int, b []byte) []byte {
 	dst = AppendVarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
+
+// AppendMessageTag appends the tag and length prefix of a length-delimited
+// field of n bytes, for a caller that writes the n bytes itself.
+func AppendMessageTag(dst []byte, field, n int) []byte {
+	dst = AppendTag(dst, field, Bytes)
+	return AppendVarint(dst, uint64(n))
+}
+
+// --- sizes ----------------------------------------------------------------
+//
+// The Size* functions return how many bytes the matching Append* function
+// writes, so an encoder can size a buffer, or a length prefix, before it
+// writes the bytes it prefixes.
+
+// SizeVarint returns the length of v's varint encoding.
+func SizeVarint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// SizeTag returns the length of a field tag.
+func SizeTag(field int) int { return SizeVarint(uint64(field) << 3) }
+
+// SizeUint64 returns the length AppendUint64 writes.
+func SizeUint64(field int, v uint64) int { return SizeTag(field) + SizeVarint(v) }
+
+// SizeInt64 returns the length AppendInt64 writes.
+func SizeInt64(field int, v int64) int { return SizeTag(field) + SizeVarint(zigzag(v)) }
+
+// SizeDouble returns the length AppendDouble writes.
+func SizeDouble(field int) int { return SizeTag(field) + 8 }
+
+// SizeBytes returns the length AppendBytes or AppendString writes for a
+// value of n bytes.
+func SizeBytes(field, n int) int { return SizeTag(field) + SizeVarint(uint64(n)) + n }
 
 func zigzag(v int64) uint64 {
 	return uint64(v<<1) ^ uint64(v>>63)

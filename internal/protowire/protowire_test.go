@@ -346,3 +346,43 @@ func BenchmarkDecodeRecord(b *testing.B) {
 		}
 	}
 }
+
+// TestSizesMatchAppends: each Size* function is the length its Append*
+// function writes, at every varint length and at the signed extremes.
+func TestSizesMatchAppends(t *testing.T) {
+	for _, field := range []int{1, 15, 16, 2047, 2048, 1 << 28} {
+		if got, want := SizeDouble(field), len(AppendDouble(nil, field, 1.5)); got != want {
+			t.Fatalf("SizeDouble(%d) = %d, AppendDouble writes %d", field, got, want)
+		}
+		for shift := 0; shift < 64; shift++ {
+			u := uint64(1) << shift
+			for _, v := range []uint64{u - 1, u, u | u>>1} {
+				if got, want := SizeVarint(v), len(AppendVarint(nil, v)); got != want {
+					t.Fatalf("SizeVarint(%d) = %d, AppendVarint writes %d", v, got, want)
+				}
+				if got, want := SizeUint64(field, v), len(AppendUint64(nil, field, v)); got != want {
+					t.Fatalf("SizeUint64(%d, %d) = %d, AppendUint64 writes %d", field, v, got, want)
+				}
+				for _, s := range []int64{int64(v), -int64(v)} {
+					if got, want := SizeInt64(field, s), len(AppendInt64(nil, field, s)); got != want {
+						t.Fatalf("SizeInt64(%d, %d) = %d, AppendInt64 writes %d", field, s, got, want)
+					}
+				}
+			}
+		}
+		for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+			b := make([]byte, n)
+			if got, want := SizeBytes(field, n), len(AppendBytes(nil, field, b)); got != want {
+				t.Fatalf("SizeBytes(%d, %d) = %d, AppendBytes writes %d", field, n, got, want)
+			}
+			if got, want := len(AppendMessageTag(nil, field, n))+n, len(AppendBytes(nil, field, b)); got != want {
+				t.Fatalf("AppendMessageTag(%d, %d) plus the value is %d bytes, AppendBytes writes %d", field, n, got, want)
+			}
+		}
+	}
+	for _, v := range []int64{math.MinInt64, math.MaxInt64} {
+		if got, want := SizeInt64(1, v), len(AppendInt64(nil, 1, v)); got != want {
+			t.Fatalf("SizeInt64(1, %d) = %d, AppendInt64 writes %d", v, got, want)
+		}
+	}
+}

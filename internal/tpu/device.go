@@ -3,6 +3,7 @@ package tpu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"unsafe"
@@ -371,8 +372,9 @@ func (d *Device) LatestStarts(i int, fn func(step int64, last simclock.Time)) in
 }
 
 // An EventReader reads the device's event stream in order, from one event
-// on, building each event as it goes. It reads the stream as it stood when
-// Seek made it: it must not be used once the device has emitted more.
+// on, building each event as it goes. Events the device emits later go
+// after every event it holds, so a reader stays valid while it does; Reset
+// invalidates it.
 type EventReader struct {
 	d   *Device
 	run int           // the run of the next event
@@ -421,23 +423,31 @@ func (rd *EventReader) Next() trace.Event {
 // Read fills dst with the next len(dst) events and moves past them. The
 // stream must hold that many.
 func (rd *EventReader) Read(dst []trace.Event) {
-	for len(dst) > 0 {
-		r := &rd.d.runs[rd.run]
-		durs := rd.d.durs[r.first:rd.d.runEnd(rd.run)]
-		k, t := rd.k, rd.at
-		n := min(len(dst), len(durs)-k)
-		for i := range dst[:n] {
-			dst[i] = trace.Event{Name: r.eventName(k), Device: trace.TPU, Start: t, Dur: durs[k], Step: r.step}
-			t = t.Add(r.advance(rd.d.durs, k))
+	rd.ReadThrough(dst, math.MaxInt64)
+}
+
+// ReadThrough fills dst with the next events that start no later than t,
+// stopping early at one that starts later or at the end of the stream,
+// moves past them and returns how many it read.
+func (rd *EventReader) ReadThrough(dst []trace.Event, t simclock.Time) int {
+	d := rd.d
+	n := 0
+	for n < len(dst) && rd.run < len(d.runs) && rd.at <= t {
+		r := &d.runs[rd.run]
+		end := d.runEnd(rd.run) - r.first
+		k, at := rd.k, rd.at
+		for ; n < len(dst) && k < end && at <= t; n++ {
+			dst[n] = trace.Event{Name: r.eventName(k), Device: trace.TPU, Start: at, Dur: d.durs[r.first+k], Step: r.step}
+			at = at.Add(r.advance(d.durs, k))
 			k++
 		}
-		dst = dst[n:]
-		if k < len(durs) {
-			rd.k, rd.at = k, t
+		if k < end {
+			rd.k, rd.at = k, at
 		} else {
 			rd.nextRun()
 		}
 	}
+	return n
 }
 
 // skip moves past the next event without building it.

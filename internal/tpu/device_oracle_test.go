@@ -111,6 +111,23 @@ func checkStreamMatchesOracle(t testing.TB, d *Device, o *oracleDevice) {
 		if !slices.Equal(buf[:n], want[i:i+n]) {
 			t.Fatalf("the %d events read from Seek(%d) are not the oracle's", n, at)
 		}
+		// ReadThrough from the same place stops at a Start, at the end
+		// of buf or at the end of the stream, whichever comes first.
+		if i+n < len(want) {
+			through := want[i+n/2].Start
+			rd = d.Seek(at)
+			k := rd.ReadThrough(buf, through)
+			w := i
+			for w < len(want) && w-i < len(buf) && want[w].Start <= through {
+				w++
+			}
+			if k != w-i || !slices.Equal(buf[:k], want[i:w]) {
+				t.Fatalf("ReadThrough(%d) from Seek(%d) read %d events, the oracle's %d (or not the same ones)", through, at, k, w-i)
+			}
+			if rd.Index() != w || (w < len(want) && rd.Start() != want[w].Start) {
+				t.Fatalf("after ReadThrough(%d) from Seek(%d) the reader is at event %d, want %d", through, at, rd.Index(), w)
+			}
+		}
 	}
 	// Every event of a short stream; of a long one, a stride of them and
 	// those within three events of a change of step.

@@ -45,17 +45,27 @@ type StatusResponse struct {
 // implements it with host and TPU events merged, which is what real
 // profile responses contain.
 type EventSource interface {
-	// EventsInWindow returns the events with Start in [from, to), in
-	// Start order, in buf's storage when it has room for them. The
-	// caller owns the result and reuses it as the next call's buf, so
-	// the source must not keep it, and must not return memory it keeps.
-	EventsInWindow(buf []trace.Event, from, to simclock.Time) []trace.Event
+	// CountEvents returns how many events start in [from, to).
+	CountEvents(from, to simclock.Time) int
+	// EventsInWindow reads the events with Start in [from, to), in Start
+	// order, device first on equal Starts, into buf a chunk at a time, and
+	// hands each chunk to fn: len(buf) events, the last chunk fewer, none
+	// empty. A chunk is only valid during its call, and buf is the
+	// caller's again when EventsInWindow returns. The source may emit
+	// while the call runs, so the window must be final: to is no later
+	// than the source's watermark, as every window the service cuts is.
+	EventsInWindow(buf []trace.Event, from, to simclock.Time, fn func(chunk []trace.Event))
 	WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float64)
 	// OpenStep returns the lowest step that can still gain an event
 	// with Start >= t: one already emitted at or after t, or one not
 	// emitted yet. It is math.MaxInt64 when no step can.
 	OpenStep(t simclock.Time) int64
 }
+
+// chunkEvents is the length of the buffer a window's events are read
+// through: 4096 events of 48 bytes, 192 KiB, so a chunk is still in cache
+// when its consumer reads it.
+const chunkEvents = 4096
 
 // ProfileService exposes an EventSource over the rpc package, mimicking
 // the gRPC profile endpoint that CLOUD-TPU-PROFILER and TPUPoint both hit.
@@ -68,16 +78,19 @@ type EventSource interface {
 // have, so every event falls in exactly one window however the calls
 // interleave with training.
 //
-// A response's events are a buffer the service owns and reuses: they are
-// valid until the next NextWindow call. The profiler reduces each window
-// before it asks for the next, and the rpc handler marshals it before it
-// returns.
+// A window is cut before any of its events is read — its end, event
+// limit included, is found from counts — and its events then pass
+// through one fixed buffer the service owns, a chunk at a time, to the
+// window's consumer: the in-process profiler reduces them (ReadWindow),
+// the rpc handler encodes them. The service never holds a window whole;
+// NextWindow collects one for tests and one-shot tools.
 type ProfileService struct {
 	mu     sync.Mutex
 	src    EventSource
 	spec   ChipSpec
 	cursor simclock.Time
-	buf    []trace.Event // the last window's events, reused by the next
+	buf    []trace.Event // the chunk buffer, chunkEvents long once a window has used it
+	batch  []byte        // the rpc handler's encoded events, reused
 
 	// watermarkFn reports the source's watermark; doneFn whether the
 	// source will emit nothing more.
@@ -97,16 +110,31 @@ func (s *ProfileService) Register(srv *rpc.Server) {
 	srv.Register(MethodStatus, s.handleStatus)
 }
 
-// NextWindow computes one profile window directly (used in-process by
-// tests and by the in-memory fast path). The response's Events are valid
-// until the next NextWindow call.
-func (s *ProfileService) NextWindow() ProfileResponse {
+// ReadWindow cuts the next profile window and hands its events to fn in
+// order, a chunk at a time, each with the window's response; it returns
+// that response. The response's Events are nil: a chunk is the service's
+// buffer, valid only during the call. fn is not called for an empty
+// window, and must not call the service.
+func (s *ProfileService) ReadWindow(fn func(resp *ProfileResponse, chunk []trace.Event)) ProfileResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nextWindowLocked()
+	return s.readWindowLocked(fn)
 }
 
-func (s *ProfileService) nextWindowLocked() ProfileResponse {
+// NextWindow cuts the next profile window and returns it with its events
+// collected into a slice of their own: the whole window at once, for tests
+// and one-shot tools. The profiler reads windows through ReadWindow.
+func (s *ProfileService) NextWindow() ProfileResponse {
+	var events []trace.Event
+	resp := s.ReadWindow(func(_ *ProfileResponse, chunk []trace.Event) {
+		events = append(events, chunk...)
+	})
+	resp.Events = events
+	return resp
+}
+
+// readWindowLocked is the service's one window-cutting path.
+func (s *ProfileService) readWindowLocked(fn func(resp *ProfileResponse, chunk []trace.Event)) ProfileResponse {
 	// done before the watermark: a source that finishes between the two
 	// reads must not end the stream at a watermark older than its last
 	// events.
@@ -128,24 +156,11 @@ func (s *ProfileService) nextWindowLocked() ProfileResponse {
 		resp.EndOfStream = done
 		return resp
 	}
-
-	s.buf = s.src.EventsInWindow(s.buf, from, to)
-	events := s.buf
-	if limit := trace.MaxEventsPerProfile; len(events) > limit {
-		// Clip before the run of equal Starts the limit falls in, so the
-		// run ships whole next time — or, when that run opens the window,
-		// after it.
-		at := events[limit].Start
-		n := sort.Search(len(events), func(i int) bool { return events[i].Start >= at })
-		if n == 0 {
-			n = sort.Search(len(events), func(i int) bool { return events[i].Start > at })
-		}
-		events = events[:n]
-		to = events[n-1].Start + 1
+	if s.src.CountEvents(from, to) > trace.MaxEventsPerProfile {
+		to = s.clip(from, to)
 		truncated = true
 	}
 	idle, mxu := s.src.WindowMetrics(from, to)
-	resp.Events = events
 	resp.WindowEnd = to
 	resp.IdleFrac = idle
 	resp.MXUUtil = mxu
@@ -153,16 +168,42 @@ func (s *ProfileService) nextWindowLocked() ProfileResponse {
 	resp.OpenStep = s.src.OpenStep(to)
 	resp.EndOfStream = done && to >= wm
 	s.cursor = to
+	if s.buf == nil {
+		s.buf = make([]trace.Event, chunkEvents)
+	}
+	s.src.EventsInWindow(s.buf, from, to, func(chunk []trace.Event) { fn(&resp, chunk) })
 	return resp
 }
 
-// handleProfile marshals the window while it holds the lock, before
-// another call can reuse the window's events.
+// clip returns where a window from `from` ends when [from, to) holds more
+// than MaxEventsPerProfile events: before the run of equal Starts the
+// limit falls in, so the run ships whole next time — or, when that run
+// opens the window, after it. It reads counts only, so the cut is made
+// before any event is handed out.
+func (s *ProfileService) clip(from, to simclock.Time) simclock.Time {
+	// startOf returns the Start of the window's k-th event, from 0.
+	startOf := func(k int) simclock.Time {
+		return from + simclock.Time(sort.Search(int(to-from), func(i int) bool {
+			return s.src.CountEvents(from, from+simclock.Time(i)+1) > k
+		}))
+	}
+	at := startOf(trace.MaxEventsPerProfile)
+	if n := s.src.CountEvents(from, at); n > 0 {
+		return startOf(n-1) + 1
+	}
+	return at + 1
+}
+
+// handleProfile encodes the window's events a chunk at a time, under the
+// service's lock, into a buffer it reuses, and the response around them.
 func (s *ProfileService) handleProfile(body []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := s.nextWindowLocked()
-	return marshalProfileResponse(&resp), nil
+	s.batch = s.batch[:0]
+	resp := s.readWindowLocked(func(_ *ProfileResponse, chunk []trace.Event) {
+		s.batch = trace.AppendEvents(s.batch, chunk)
+	})
+	return encodeProfileResponse(&resp, s.batch), nil
 }
 
 func (s *ProfileService) handleStatus(body []byte) ([]byte, error) {
@@ -187,19 +228,26 @@ func (s *ProfileService) handleStatus(body []byte) ([]byte, error) {
 //	  sint64 open_step    = 8;
 //	}
 
+// marshalProfileResponse encodes a whole response.
 func marshalProfileResponse(r *ProfileResponse) []byte {
-	e := protowire.NewEncoder(nil)
-	e.Raw(1, trace.MarshalEvents(r.Events))
-	e.Uint64(2, uint64(r.WindowStart))
-	e.Uint64(3, uint64(r.WindowEnd))
-	e.Double(4, r.IdleFrac)
-	e.Double(5, r.MXUUtil)
-	e.Bool(6, r.EndOfStream)
-	e.Bool(7, r.Truncated)
+	return encodeProfileResponse(r, trace.MarshalEvents(r.Events))
+}
+
+// encodeProfileResponse encodes r with events, r's events encoded, as its
+// events field, into one allocation.
+func encodeProfileResponse(r *ProfileResponse, events []byte) []byte {
+	dst := make([]byte, 0, protowire.SizeBytes(1, len(events))+64)
+	dst = protowire.AppendBytes(dst, 1, events)
+	dst = protowire.AppendUint64(dst, 2, uint64(r.WindowStart))
+	dst = protowire.AppendUint64(dst, 3, uint64(r.WindowEnd))
+	dst = protowire.AppendDouble(dst, 4, r.IdleFrac)
+	dst = protowire.AppendDouble(dst, 5, r.MXUUtil)
+	dst = protowire.AppendBool(dst, 6, r.EndOfStream)
+	dst = protowire.AppendBool(dst, 7, r.Truncated)
 	if r.OpenStep != 0 {
-		e.Int64(8, r.OpenStep)
+		dst = protowire.AppendInt64(dst, 8, r.OpenStep)
 	}
-	return e.Bytes()
+	return dst
 }
 
 // UnmarshalProfileResponse decodes a profile reply; the profiler's client

@@ -1,8 +1,8 @@
 package tpu
 
 import (
+	"bytes"
 	"math"
-	"slices"
 	"sort"
 	"testing"
 
@@ -27,8 +27,16 @@ func (s *sliceSource) search(t simclock.Time) int {
 	return sort.Search(len(s.events), func(i int) bool { return s.events[i].Start >= t })
 }
 
-func (s *sliceSource) EventsInWindow(buf []trace.Event, from, to simclock.Time) []trace.Event {
-	return append(buf[:0], s.events[s.search(from):s.search(to)]...)
+func (s *sliceSource) CountEvents(from, to simclock.Time) int {
+	return max(0, s.search(to)-s.search(from))
+}
+
+func (s *sliceSource) EventsInWindow(buf []trace.Event, from, to simclock.Time, fn func([]trace.Event)) {
+	for events := s.events[s.search(from):s.search(to)]; len(events) > 0; {
+		n := copy(buf, events)
+		fn(buf[:n])
+		events = events[n:]
+	}
 }
 
 func (s *sliceSource) WindowMetrics(from, to simclock.Time) (float64, float64) {
@@ -63,14 +71,12 @@ func serviceFixture(t *testing.T, steps int) (*Device, *ProfileService) {
 	return d, svc
 }
 
-// drain polls svc to the end of the stream and returns its responses,
-// each with its own copy of its events.
+// drain polls svc to the end of the stream and returns its responses.
 func drain(t *testing.T, svc *ProfileService) []ProfileResponse {
 	t.Helper()
 	var out []ProfileResponse
 	for i := 0; i < 1000; i++ {
 		resp := svc.NextWindow()
-		resp.Events = slices.Clone(resp.Events)
 		out = append(out, resp)
 		if resp.EndOfStream {
 			return out
@@ -228,6 +234,49 @@ func TestProfileOverRPC(t *testing.T) {
 	}
 	if got != d.EventCount() {
 		t.Fatalf("RPC delivered %d of %d events", got, d.EventCount())
+	}
+}
+
+// TestRPCHandlerBytesMatchWholeWindow: the rpc handler, which encodes a
+// window a chunk at a time, answers with the bytes of the whole window's
+// response, window after window, on a stream whose windows span several
+// chunks and hit the 60 s limit.
+func TestRPCHandlerBytesMatchWholeWindow(t *testing.T) {
+	d := newTestDevice(t, V2)
+	at := simclock.Time(0)
+	for i := 0; i < 3000; i++ {
+		st, err := d.RunStep(int64(i), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = st.End.Add(trace.MaxProfileWindow / 1000)
+	}
+	service := func() *ProfileService {
+		return NewProfileService(deviceSource(d), d.Spec,
+			func() simclock.Time { return d.FreeAt() },
+			func() bool { return true })
+	}
+	handler, whole := service(), service()
+	chunked := 0
+	for i := 0; ; i++ {
+		got, err := handler.handleProfile(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := whole.NextWindow()
+		if want := marshalProfileResponse(&resp); !bytes.Equal(got, want) {
+			t.Fatalf("window %d [%d, %d) of %d events: the handler's %d bytes differ from the whole window's %d",
+				i, resp.WindowStart, resp.WindowEnd, len(resp.Events), len(got), len(want))
+		}
+		if len(resp.Events) > chunkEvents {
+			chunked++
+		}
+		if resp.EndOfStream {
+			break
+		}
+	}
+	if chunked < 2 {
+		t.Fatalf("%d windows span more than one chunk; the fixture should have several", chunked)
 	}
 }
 

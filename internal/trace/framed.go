@@ -3,7 +3,9 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
+	"slices"
+
+	"repro/internal/protowire"
 )
 
 // Framed record streams are the batch wire form shared across the
@@ -12,20 +14,16 @@ import (
 // fleet AppendBatch RPC and the collector's session log both carry this
 // format, so one encoder/decoder pair serves every hop.
 
-// frameScratch stages one record's encoding so its length prefix can be
-// written first; pooled so steady-state framing allocates nothing.
-type frameScratch struct{ buf []byte }
-
-var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
-
 // AppendFramedRecord appends r as one length-prefixed frame to dst and
-// returns the extended slice. Safe for concurrent use.
+// returns the extended slice, growing dst at most once. Safe for
+// concurrent use.
 func AppendFramedRecord(dst []byte, r *ProfileRecord) []byte {
-	st := framePool.Get().(*frameScratch)
-	st.buf = MarshalRecordAppend(st.buf[:0], r)
-	dst = binary.AppendUvarint(dst, uint64(len(st.buf)))
-	dst = append(dst, st.buf...)
-	framePool.Put(st)
+	st := encPool.Get().(*encState)
+	n := st.size(r)
+	dst = slices.Grow(dst, protowire.SizeVarint(uint64(n))+n)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = st.appendRecord(dst, r, n)
+	encPool.Put(st)
 	return dst
 }
 

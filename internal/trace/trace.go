@@ -123,9 +123,9 @@ func NewStepStat(step int64) *StepStat {
 }
 
 // searchOps returns the position of k in ops, or the position it would
-// be inserted at, and whether it is there. (Written out: Reduce calls it
+// be inserted at, and whether it is there. (Written out: Observe calls it
 // once per event, and slices.BinarySearchFunc, comparing through a func
-// value, more than doubles Reduce's time.)
+// value, more than doubles its time.)
 func searchOps(ops []OpTotal, k OpKey) (int, bool) {
 	lo, hi := 0, len(ops)
 	for lo < hi {
@@ -286,55 +286,6 @@ type ProfileRecord struct {
 	// Window-level metadata from the device.
 	IdleFrac float64
 	MXUUtil  float64
-}
-
-// Reduce summarizes a batch of events into a ProfileRecord. Events beyond
-// MaxEventsPerProfile, or starting after MaxProfileWindow past windowStart,
-// are dropped and the record is marked Truncated — matching the hard limits
-// of real Cloud TPU profile responses.
-func Reduce(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuUtil float64) *ProfileRecord {
-	rec := &ProfileRecord{
-		Seq:         seq,
-		WindowStart: windowStart,
-		WindowEnd:   windowStart,
-		IdleFrac:    idleFrac,
-		MXUUtil:     mxuUtil,
-	}
-	deadline := windowStart.Add(MaxProfileWindow)
-	bySteps := make(map[int64]*StepStat)
-	var ss *StepStat
-	for _, e := range events {
-		if rec.NumEvents >= MaxEventsPerProfile {
-			rec.Truncated = true
-			break
-		}
-		if e.Start > deadline {
-			rec.Truncated = true
-			break
-		}
-		rec.NumEvents++
-		// Events of one step come in runs; look the step up only when
-		// the run ends.
-		if ss == nil || ss.Step != e.Step {
-			if ss = bySteps[e.Step]; ss == nil {
-				ss = NewStepStat(e.Step)
-				bySteps[e.Step] = ss
-			}
-		}
-		ss.Observe(e)
-		if e.End() > rec.WindowEnd {
-			rec.WindowEnd = e.End()
-		}
-	}
-	steps := make([]*StepStat, 0, len(bySteps))
-	for _, ss := range bySteps {
-		ss.IdleFrac = idleFrac
-		ss.MXUUtil = mxuUtil
-		steps = append(steps, ss)
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i].Step < steps[j].Step })
-	rec.Steps = steps
-	return rec
 }
 
 // AggregateSteps merges the per-window step summaries of many records into

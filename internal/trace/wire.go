@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -41,16 +42,16 @@ import (
 //	  uint64 total  = 4;
 //	}
 
-// encState is the pooled scratch an encode borrows: one buffer per
-// message-nesting level (record fields go straight to the caller's dst;
-// steps and ops are staged here so their length prefixes can be written
-// first). Pooling it makes MarshalRecordAppend allocation-free at steady
-// state — the profiler's recording loop and the archive writer marshal
-// every record through here, so per-record garbage would be paid once per
-// profile window for the lifetime of a run.
+// encState is the pooled scratch an encode borrows: the encoded length of
+// each of the record's steps. An encode sizes the record first, grows the
+// destination once to hold it, and then writes every message in place, its
+// length prefix known before its bytes. Pooling the lengths makes
+// MarshalRecordAppend allocation-free at steady state — the profiler's
+// recording loop and the archive writer marshal every record through
+// here, so per-record garbage would be paid once per profile window for
+// the lifetime of a run.
 type encState struct {
-	step []byte
-	op   []byte
+	steps []int
 }
 
 var encPool = sync.Pool{New: func() any { return new(encState) }}
@@ -63,11 +64,44 @@ func MarshalRecord(r *ProfileRecord) []byte {
 }
 
 // MarshalRecordAppend appends r's wire encoding to dst and returns the
-// extended slice. Scratch state is pooled, so a caller that reuses dst
-// (dst[:0]) encodes with zero steady-state allocations. Safe for
-// concurrent use.
+// extended slice, growing dst at most once. Scratch state is pooled, so a
+// caller that reuses dst (dst[:0]) encodes with zero steady-state
+// allocations. Safe for concurrent use.
 func MarshalRecordAppend(dst []byte, r *ProfileRecord) []byte {
 	st := encPool.Get().(*encState)
+	dst = st.appendRecord(dst, r, st.size(r))
+	encPool.Put(st)
+	return dst
+}
+
+// size returns r's encoded length and leaves its steps' lengths in
+// st.steps.
+func (st *encState) size(r *ProfileRecord) int {
+	n := protowire.SizeUint64(1, uint64(r.Seq)) +
+		protowire.SizeUint64(2, uint64(r.WindowStart)) +
+		protowire.SizeUint64(3, uint64(r.WindowEnd)) +
+		protowire.SizeUint64(4, uint64(r.NumEvents)) +
+		protowire.SizeUint64(5, 0) +
+		protowire.SizeDouble(6) + protowire.SizeDouble(7)
+	st.steps = st.steps[:0]
+	for _, s := range r.Steps {
+		sn := stepSize(s)
+		st.steps = append(st.steps, sn)
+		n += protowire.SizeBytes(8, sn)
+	}
+	if r.Gap {
+		n += protowire.SizeUint64(9, 1)
+	}
+	if r.OpenStep != 0 {
+		n += protowire.SizeInt64(10, r.OpenStep)
+	}
+	return n
+}
+
+// appendRecord appends r, whose encoded length is n and whose steps'
+// lengths size left in st.steps, to dst.
+func (st *encState) appendRecord(dst []byte, r *ProfileRecord, n int) []byte {
+	dst = slices.Grow(dst, n)
 	dst = protowire.AppendUint64(dst, 1, uint64(r.Seq))
 	dst = protowire.AppendUint64(dst, 2, uint64(r.WindowStart))
 	dst = protowire.AppendUint64(dst, 3, uint64(r.WindowEnd))
@@ -75,9 +109,9 @@ func MarshalRecordAppend(dst []byte, r *ProfileRecord) []byte {
 	dst = protowire.AppendBool(dst, 5, r.Truncated)
 	dst = protowire.AppendDouble(dst, 6, r.IdleFrac)
 	dst = protowire.AppendDouble(dst, 7, r.MXUUtil)
-	for _, s := range r.Steps {
-		st.step = appendStep(st.step[:0], s, st)
-		dst = protowire.AppendBytes(dst, 8, st.step)
+	for i, s := range r.Steps {
+		dst = protowire.AppendMessageTag(dst, 8, st.steps[i])
+		dst = appendStep(dst, s)
 	}
 	// Encoded only when set so pre-gap record bytes are unchanged.
 	if r.Gap {
@@ -86,11 +120,30 @@ func MarshalRecordAppend(dst []byte, r *ProfileRecord) []byte {
 	if r.OpenStep != 0 {
 		dst = protowire.AppendInt64(dst, 10, r.OpenStep)
 	}
-	encPool.Put(st)
 	return dst
 }
 
-func appendStep(dst []byte, s *StepStat, st *encState) []byte {
+// stepSize returns the encoded length of s.
+func stepSize(s *StepStat) int {
+	n := protowire.SizeInt64(1, s.Step) +
+		protowire.SizeUint64(2, uint64(s.Start)) +
+		protowire.SizeUint64(3, uint64(s.End)) +
+		protowire.SizeDouble(4) + protowire.SizeDouble(5)
+	for i := range s.Ops {
+		n += protowire.SizeBytes(6, opSize(&s.Ops[i]))
+	}
+	return n
+}
+
+// opSize returns the encoded length of an op entry.
+func opSize(e *OpTotal) int {
+	return protowire.SizeBytes(1, len(e.Name)) +
+		protowire.SizeUint64(2, uint64(e.Device)) +
+		protowire.SizeUint64(3, uint64(e.Count)) +
+		protowire.SizeUint64(4, uint64(e.Total))
+}
+
+func appendStep(dst []byte, s *StepStat) []byte {
 	dst = protowire.AppendInt64(dst, 1, s.Step)
 	dst = protowire.AppendUint64(dst, 2, uint64(s.Start))
 	dst = protowire.AppendUint64(dst, 3, uint64(s.End))
@@ -99,12 +152,11 @@ func appendStep(dst []byte, s *StepStat, st *encState) []byte {
 	// The list's order is the wire's: reproducible bytes need no sort.
 	for i := range s.Ops {
 		e := &s.Ops[i]
-		st.op = st.op[:0]
-		st.op = protowire.AppendString(st.op, 1, e.Name)
-		st.op = protowire.AppendUint64(st.op, 2, uint64(e.Device))
-		st.op = protowire.AppendUint64(st.op, 3, uint64(e.Count))
-		st.op = protowire.AppendUint64(st.op, 4, uint64(e.Total))
-		dst = protowire.AppendBytes(dst, 6, st.op)
+		dst = protowire.AppendMessageTag(dst, 6, opSize(e))
+		dst = protowire.AppendString(dst, 1, e.Name)
+		dst = protowire.AppendUint64(dst, 2, uint64(e.Device))
+		dst = protowire.AppendUint64(dst, 3, uint64(e.Count))
+		dst = protowire.AppendUint64(dst, 4, uint64(e.Total))
 	}
 	return dst
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,5 +100,54 @@ func BenchmarkMarshalRecordAppend(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = MarshalRecordAppend(buf[:0], r)
+	}
+}
+
+// extremeRecords holds values at every varint length edge: seq, times and
+// counts at 0, 127, 128 and the top of their range, negative steps and
+// watermarks, names of 0, 127, 128 and 20 000 bytes, and a gap marker.
+func extremeRecords() []*ProfileRecord {
+	var recs []*ProfileRecord
+	names := []string{"", strings.Repeat("n", 127), strings.Repeat("n", 128), strings.Repeat("x", 20000)}
+	vals := []int64{0, 127, 128, 1 << 35, math.MaxInt64}
+	for i, v := range vals {
+		s := &StepStat{Step: -v, Start: simclock.Time(v), End: simclock.Time(v), IdleFrac: math.Inf(-1), MXUUtil: math.NaN()}
+		for j, name := range names {
+			s.Ops = append(s.Ops, OpTotal{Name: name, Device: Device(j / 2), Count: v, Total: simclock.Duration(v)})
+		}
+		recs = append(recs, &ProfileRecord{Seq: v, WindowStart: simclock.Time(v), WindowEnd: simclock.Time(v),
+			NumEvents: v, Truncated: i%2 == 0, Gap: i%2 == 1, Steps: []*StepStat{s, {Step: v}}, OpenStep: -v - 1})
+	}
+	return recs
+}
+
+// TestMarshalRecordGrowsOnce: the encoder sizes the record before it
+// writes it, so encoding into nil, or framing onto nil, allocates the
+// result once, and the bytes are the staged encoder's (naiveMarshalRecord)
+// at every length edge.
+func TestMarshalRecordGrowsOnce(t *testing.T) {
+	recs := append(appendTestRecords(), extremeRecords()...)
+	for i, r := range recs {
+		want := naiveMarshalRecord(r)
+		if got := MarshalRecord(r); !bytes.Equal(got, want) {
+			t.Fatalf("record %d: %d bytes, the staged encoder's %d (or not the same ones)", i, len(got), len(want))
+		}
+		framed := AppendFramedRecord([]byte("prefix"), r)
+		want = binary.AppendUvarint([]byte("prefix"), uint64(len(want)))
+		if want = append(want, naiveMarshalRecord(r)...); !bytes.Equal(framed, want) {
+			t.Fatalf("record %d: the frame differs from the staged encoding's", i)
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are inflated under -race
+	}
+	for i, r := range recs {
+		MarshalRecord(r) // warm the pool
+		if n := testing.AllocsPerRun(20, func() { MarshalRecordAppend(nil, r) }); n != 1 {
+			t.Fatalf("record %d: MarshalRecordAppend onto nil allocates %v times, want 1", i, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { AppendFramedRecord(nil, r) }); n != 1 {
+			t.Fatalf("record %d: AppendFramedRecord onto nil allocates %v times, want 1", i, n)
+		}
 	}
 }

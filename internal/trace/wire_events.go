@@ -22,18 +22,29 @@ import (
 
 // MarshalEvents encodes an event batch.
 func MarshalEvents(events []Event) []byte {
-	e := protowire.NewEncoder(nil)
-	inner := protowire.NewEncoder(nil)
-	for _, ev := range events {
-		inner.Reset()
-		inner.String(1, ev.Name)
-		inner.Uint64(2, uint64(ev.Device))
-		inner.Uint64(3, uint64(ev.Start))
-		inner.Uint64(4, uint64(ev.Dur))
-		inner.Int64(5, ev.Step)
-		e.Raw(1, inner.Bytes())
+	return AppendEvents(nil, events)
+}
+
+// AppendEvents appends the batch's encoding of events to dst and returns
+// the extended slice. A batch is one repeated field, so batches encoded
+// one after another are the encoding of their events concatenated: a
+// window can be encoded a chunk at a time.
+func AppendEvents(dst []byte, events []Event) []byte {
+	for i := range events {
+		ev := &events[i]
+		n := protowire.SizeBytes(1, len(ev.Name)) +
+			protowire.SizeUint64(2, uint64(ev.Device)) +
+			protowire.SizeUint64(3, uint64(ev.Start)) +
+			protowire.SizeUint64(4, uint64(ev.Dur)) +
+			protowire.SizeInt64(5, ev.Step)
+		dst = protowire.AppendMessageTag(dst, 1, n)
+		dst = protowire.AppendString(dst, 1, ev.Name)
+		dst = protowire.AppendUint64(dst, 2, uint64(ev.Device))
+		dst = protowire.AppendUint64(dst, 3, uint64(ev.Start))
+		dst = protowire.AppendUint64(dst, 4, uint64(ev.Dur))
+		dst = protowire.AppendInt64(dst, 5, ev.Step)
 	}
-	return e.Bytes()
+	return dst
 }
 
 // UnmarshalEvents decodes an event batch.

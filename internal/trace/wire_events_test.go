@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +97,57 @@ func TestPropertyEventsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// marshalEventsOracle is MarshalEvents as it was before AppendEvents:
+// each event staged in an encoder of its own, then copied in as field 1.
+func marshalEventsOracle(events []Event) []byte {
+	e := protowire.NewEncoder(nil)
+	inner := protowire.NewEncoder(nil)
+	for _, ev := range events {
+		inner.Reset()
+		inner.String(1, ev.Name)
+		inner.Uint64(2, uint64(ev.Device))
+		inner.Uint64(3, uint64(ev.Start))
+		inner.Uint64(4, uint64(ev.Dur))
+		inner.Int64(5, ev.Step)
+		e.Raw(1, inner.Bytes())
+	}
+	return e.Bytes()
+}
+
+// TestAppendEventsMatchesOracle: AppendEvents writes the bytes the staged
+// encoder wrote — names of every length class (a 128-byte one takes a
+// two-byte length), extreme values, negative steps — and a batch appended
+// a chunk at a time is the batch of the whole.
+func TestAppendEventsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"", "fusion", strings.Repeat("n", 127), strings.Repeat("n", 128), strings.Repeat("x", 20000)}
+	events := []Event{
+		{Name: "max", Device: TPU, Start: math.MaxInt64, Dur: math.MaxInt64, Step: math.MaxInt64},
+		{Name: "min", Device: Device(255), Start: math.MinInt64, Dur: -1, Step: math.MinInt64},
+	}
+	for i := 0; i < 500; i++ {
+		events = append(events, Event{Name: names[rng.Intn(len(names))], Device: Device(rng.Intn(2)),
+			Start: simclock.Time(rng.Int63() >> rng.Intn(63)), Dur: simclock.Duration(rng.Int63() >> rng.Intn(63)),
+			Step: rng.Int63()>>rng.Intn(63) - rng.Int63()>>rng.Intn(63)})
+	}
+	want := marshalEventsOracle(events)
+	if got := MarshalEvents(events); !bytes.Equal(got, want) {
+		t.Fatal("MarshalEvents differs from the staged encoder")
+	}
+	if MarshalEvents(nil) != nil {
+		t.Fatal("an empty batch is not nil")
+	}
+	for _, chunk := range []int{1, 2, 7, 64} {
+		got := []byte("prefix")
+		for rest := events; len(rest) > 0; rest = rest[min(chunk, len(rest)):] {
+			got = AppendEvents(got, rest[:min(chunk, len(rest))])
+		}
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("chunks of %d: the appended batch differs from the whole one", chunk)
+		}
 	}
 }
 

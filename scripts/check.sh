@@ -52,7 +52,7 @@ go test -race -count=200 -run 'TestProfilerWhileTrainingRuns$' ./internal/core/p
 
 # The parallel codec must stay bit-identical to the serial path and the
 # two pooled things in the record codec race-clean — the encoder's
-# scratch buffers and the decoder's state (the operator-name table and
+# step lengths and the decoder's state (the operator-name table and
 # the name cache in front of it, which every record a decode borrows it
 # for shares strings from): run the archive differential tests and the
 # trace wire/pool tests twice under the race detector so chunk-boundary

@@ -451,10 +451,10 @@ func TestAnalyzeFromRecords(t *testing.T) {
 	// Split events into multiple profile windows like the profiler does.
 	events := r.Events()
 	mid := events[len(events)/2].Start
-	// Each window reduced as the service reads it, a chunk at a time.
+	// Each window reduced as the service reads it, a segment at a time.
 	reduce := func(seq int64, from, to simclock.Time) *trace.ProfileRecord {
 		red := trace.NewReducer(seq, from)
-		r.EventsInWindow(make([]trace.Event, 64), from, to, red.Add)
+		r.Segments(from, to, red.AddSegment)
 		return red.Record(0.4, 0.2)
 	}
 	rec1 := reduce(0, 0, mid)

@@ -374,18 +374,33 @@ func optimizeWithWarmup(w *workloads.Workload, opts Options, warmup int) (*Resul
 	}
 	opts = opts.withDefaults()
 
-	base, err := runOnce(w, opts, nil, 0)
-	if err != nil {
-		return nil, fmt.Errorf("optimizer: baseline run: %w", err)
-	}
-
+	// The two runs share only what neither writes: the workload, its
+	// compiled programs (each run's device prices them on its own) and
+	// the starting parameters, which each run copies. So they run side by
+	// side.
+	var base *estimator.Runner
+	var baseErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		base, baseErr = runOnce(w, opts, nil, 0)
+	}()
 	tn := &tuner{opts: opts, warmup: warmup, axes: adjustableAxes(), cur: w.HostParams,
 		spec: w.Spec(), m: newOTMetrics(opts.Obs)}
 	opt, err := runOnce(w, opts, tn.onStep, instrumentationUs)
+	<-done
+	if baseErr != nil {
+		return nil, fmt.Errorf("optimizer: baseline run: %w", baseErr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: tuned run: %w", err)
 	}
+	return compare(w, opts, base, opt, tn), nil
+}
 
+// compare reports the tuned run opt, tuned by tn, against the baseline
+// run base.
+func compare(w *workloads.Workload, opts Options, base, opt *estimator.Runner, tn *tuner) *Result {
 	res := &Result{
 		Workload:          w.Name,
 		Version:           opts.Version,
@@ -417,7 +432,7 @@ func optimizeWithWarmup(w *workloads.Workload, opts Options, warmup int) (*Resul
 	if optFull > 0 {
 		res.ProjectedSpeedup = baseFull / optFull
 	}
-	return res, nil
+	return res
 }
 
 // median returns the middle value of xs (mean of the middle pair for even

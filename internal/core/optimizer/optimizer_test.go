@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,6 +26,54 @@ func optimize(t testing.TB, name string, naive bool, opts Options) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// optimizeSequentially is Optimize with the baseline run finished before
+// the tuned run starts, as it ran before the two ran side by side.
+func optimizeSequentially(t testing.TB, w *workloads.Workload, opts Options) *Result {
+	t.Helper()
+	opts = opts.withDefaults()
+	base, err := runOnce(w, opts, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := &tuner{opts: opts, warmup: warmupSteps, axes: adjustableAxes(), cur: w.HostParams,
+		spec: w.Spec(), m: newOTMetrics(opts.Obs)}
+	opt, err := runOnce(w, opts, tn.onStep, instrumentationUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compare(w, opts, base, opt, tn)
+}
+
+// TestSideBySideRunsMatchSequential: every field of Optimize's result,
+// its two runs side by side, equals the result of the runs one after the
+// other, on naive and reference pipelines and both generations. Under
+// -race it also shows the runs share nothing they write.
+func TestSideBySideRunsMatchSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		naive bool
+		opts  Options
+	}{
+		{"qanet-squad", true, Options{Steps: 250}},
+		{"bert-mrpc", false, Options{Steps: 150, Version: tpu.V3}},
+		{"dcgan-mnist", true, Options{Steps: 120, Seed: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := workloads.MustGet(tc.name)
+			if tc.naive {
+				w = w.Naive()
+			}
+			got, err := Optimize(w, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := optimizeSequentially(t, w, tc.opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("side by side:\n%+v\none after the other:\n%+v", got, want)
+			}
+		})
+	}
 }
 
 func TestOptimizerImprovesNaiveWorkload(t *testing.T) {

@@ -6,8 +6,8 @@
 // independent of the training loop — training continues uninterrupted
 // while profiling takes place. Each window (raw events plus idle/MXU
 // metadata) is reduced to a statistical ProfileRecord while it is read, a
-// chunk at a time, which keeps memory bounded: the profiler never holds a
-// window's raw events.
+// segment or chunk at a time, which keeps memory bounded: the profiler
+// never holds a window's raw events.
 //
 // If the analyzer flag is set on Start (the paper's Figure 2 API), a
 // second recording goroutine streams each record to Cloud Storage while
@@ -61,7 +61,8 @@ func window(red *trace.Reducer, resp *tpu.ProfileResponse) Window {
 }
 
 // ServiceClient profiles an in-process tpu.ProfileService, reducing each
-// window a chunk at a time as the service reads it.
+// window a segment at a time as the service reads it: a device run is
+// summed from its durations, and no device event is built.
 type ServiceClient struct {
 	Service *tpu.ProfileService
 }
@@ -69,37 +70,72 @@ type ServiceClient struct {
 // NextProfile implements Client.
 func (c *ServiceClient) NextProfile(seq int64) (Window, error) {
 	var red *trace.Reducer
-	resp := c.Service.ReadWindow(func(resp *tpu.ProfileResponse, chunk []trace.Event) {
+	resp := c.Service.ReadSegments(func(resp *tpu.ProfileResponse, seg trace.Segment) {
 		if red == nil {
 			red = trace.NewReducer(seq, resp.WindowStart)
 		}
-		red.Add(chunk)
+		red.AddSegment(seg)
 	})
 	return window(red, &resp), nil
 }
 
 // RPCClient profiles a remote service over the rpc transport — the
 // client-to-master gRPC call path of the real tool. Conn may be a plain
-// *rpc.Client or a *rpc.ReconnectClient for the resilient path.
+// *rpc.Client or a *rpc.ReconnectClient for the resilient path. A client
+// serves one profiler: NextProfile must not be called concurrently.
 type RPCClient struct {
 	Conn rpc.Caller
+
+	buf   []trace.Event     // the decode chunk, rpcChunkEvents long once used
+	names map[string]string // the names decoded so far, interned
 }
 
-// NextProfile implements Client: it decodes the response and reduces its
-// events.
+// rpcChunkEvents is the length of the chunk RPCClient decodes a window's
+// events into, 48 KiB; rpcNames bounds the names it interns, so a server
+// sending ever new names cannot grow the table without limit.
+const (
+	rpcChunkEvents = 1024
+	rpcNames       = 4096
+)
+
+// NextProfile implements Client: it decodes the response's fields, then
+// its events a chunk at a time into the window's Reducer, so a window of
+// any length costs the client one chunk and its distinct names.
 func (c *RPCClient) NextProfile(seq int64) (Window, error) {
 	raw, err := c.Conn.Call(tpu.MethodProfile, nil)
 	if err != nil {
 		return Window{}, err
 	}
-	resp, err := tpu.UnmarshalProfileResponse(raw)
+	if c.buf == nil || len(c.names) > rpcNames {
+		c.buf = make([]trace.Event, rpcChunkEvents)
+		c.names = make(map[string]string)
+	}
+	// The window's start follows its events on the wire, so the batch is
+	// reduced once the whole response is read. A response with more than
+	// one events field is decoded as its last, and each earlier one must
+	// decode too.
+	var events []byte
+	resp, err := tpu.ReadProfileResponse(raw, func(_ *tpu.ProfileResponse, batch []byte) error {
+		if events != nil {
+			if err := trace.DecodeEvents(events, c.buf, c.names, func([]trace.Event) {}); err != nil {
+				return err
+			}
+		}
+		events = batch
+		return nil
+	})
 	if err != nil {
 		return Window{}, err
 	}
 	var red *trace.Reducer
-	if len(resp.Events) > 0 {
-		red = trace.NewReducer(seq, resp.WindowStart)
-		red.Add(resp.Events)
+	err = trace.DecodeEvents(events, c.buf, c.names, func(chunk []trace.Event) {
+		if red == nil {
+			red = trace.NewReducer(seq, resp.WindowStart)
+		}
+		red.Add(chunk)
+	})
+	if err != nil {
+		return Window{}, err
 	}
 	return window(red, resp), nil
 }

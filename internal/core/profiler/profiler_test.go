@@ -1,13 +1,18 @@
 package profiler
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/estimator"
+	"repro/internal/protowire"
 	"repro/internal/rpc"
+	"repro/internal/simclock"
 	"repro/internal/storage"
+	"repro/internal/tpu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -341,5 +346,72 @@ func TestProfilerBreakpoint(t *testing.T) {
 	}
 	if !covered {
 		t.Fatal("profiling stopped before reaching the breakpoint")
+	}
+}
+
+// cannedCaller answers every call with the same response.
+type cannedCaller struct{ resp []byte }
+
+func (c cannedCaller) Call(string, []byte) ([]byte, error) { return c.resp, nil }
+func (c cannedCaller) CallTimeout(m string, b []byte, _ time.Duration) ([]byte, error) {
+	return c.Call(m, b)
+}
+func (c cannedCaller) Close() error { return nil }
+
+// profileResponse encodes a profile reply of n events from windowStart:
+// a few names on both devices, 64 events a microsecond, a new step every
+// 100 000 events.
+func profileResponse(n int, windowStart simclock.Time) []byte {
+	names := []string{"fusion", "Infeed", "OutfeedDequeueTuple"}
+	var batch []byte
+	ev := make([]trace.Event, 1)
+	for i := 0; i < n; i++ {
+		ev[0] = trace.Event{Name: names[i%3], Device: trace.Device(i % 2), Start: windowStart + simclock.Time(i/64),
+			Dur: simclock.Duration(1 + i%5), Step: int64(i / 100_000)}
+		batch = trace.AppendEvents(batch, ev)
+	}
+	resp := protowire.AppendBytes(nil, 1, batch)
+	resp = protowire.AppendUint64(resp, 2, uint64(windowStart))
+	resp = protowire.AppendUint64(resp, 3, uint64(windowStart)+uint64(n))
+	resp = protowire.AppendDouble(resp, 4, 0.25)
+	return protowire.AppendInt64(resp, 8, 3)
+}
+
+// TestRPCClientDecodesInChunks: the RPC client's record of a window is the
+// one reducing the whole decoded window makes, and a window at
+// MaxEventsPerProfile costs the client its decode chunk and the record,
+// not the window's events: decoded whole they would take 48 MB.
+func TestRPCClientDecodesInChunks(t *testing.T) {
+	small := profileResponse(5000, 1000)
+	got, err := (&RPCClient{Conn: cannedCaller{small}}).NextProfile(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tpu.UnmarshalProfileResponse(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.Reduce(4, resp.WindowStart, resp.Events, resp.IdleFrac, resp.MXUUtil)
+	want.OpenStep = resp.OpenStep
+	if !reflect.DeepEqual(got.Record, want) {
+		t.Fatalf("the client's record is not the whole window's:\n got %+v\nwant %+v", got.Record, want)
+	}
+
+	c := &RPCClient{Conn: cannedCaller{profileResponse(trace.MaxEventsPerProfile, 0)}}
+	if _, err := c.NextProfile(0); err != nil { // the client's chunk and names
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := c.NextProfile(1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Record.NumEvents != trace.MaxEventsPerProfile || len(w.Record.Steps) != 10 {
+		t.Fatalf("%d events in %d steps, want %d in 10", w.Record.NumEvents, len(w.Record.Steps), trace.MaxEventsPerProfile)
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 256<<10 {
+		t.Fatalf("a window of %d events allocated %d bytes on the client", trace.MaxEventsPerProfile, bytes)
 	}
 }

@@ -99,6 +99,8 @@ type Runner struct {
 	// it and lastStart up to date from the events emitted since.
 	hostByStart []trace.Event
 	mergeBuf    []trace.Event   // the suffix of hostByStart a new host tail merges into
+	sortKeys    []hostKey       // a new host tail's sort keys
+	sortTmp     []hostKey       // and the buffer they are sorted through
 	devRuns     int             // device runs counted in lastStart
 	lastStart   []simclock.Time // lastStart[s+1]: the latest Start of step s
 	openCur     int             // OpenStep's cursor: lastStart[i] < openCurT for every i < openCur
@@ -463,9 +465,10 @@ func (r *Runner) WeightBytes() int64 { return r.trainProg.WeightBytes }
 
 // syncLocked brings the event source up to date with the events emitted
 // since its last call: each new device run raises its step's latest Start
-// to its last event's, and the new host events are sorted on their own,
-// stably, then merged into the suffix of hostByStart they overlap, each
-// raising its step's latest Start. The caller holds the write lock.
+// to its last event's, and the new host events, each raising its step's
+// latest Start, are put in Start order on their own, equal Starts in
+// arrival order, then merged into the suffix of hostByStart they overlap.
+// The caller holds the write lock.
 func (r *Runner) syncLocked() {
 	r.devRuns = r.dev.LatestStarts(r.devRuns, r.noteStart)
 
@@ -479,11 +482,84 @@ func (r *Runner) syncLocked() {
 	for _, e := range tail {
 		r.noteStart(e.Step, e.Start)
 	}
-	slices.SortStableFunc(tail, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+	r.sortByStart(tail)
 	k := sort.Search(old, func(i int) bool { return r.hostByStart[i].Start > tail[0].Start })
 	if k < old {
 		r.mergeBuf = append(r.mergeBuf[:0], r.hostByStart[k:old]...)
 		mergeByStart(r.hostByStart[k:], r.mergeBuf, tail)
+	}
+}
+
+// hostKey is a host event's sort key: its Start, as an offset from the
+// earliest Start of the events sorted, and where it arrived among them.
+type hostKey struct {
+	at uint64
+	i  int32
+}
+
+// sortByStart sorts events by Start, equal Starts in the order they came
+// in: the order a stable sort gives, which its keys fix. It sorts the
+// keys, on two buffers the Runner keeps, by insertion when they are few
+// and otherwise least significant byte first, each pass stable; then it
+// moves each event once, cycle by cycle, rather than swapping 48-byte
+// events as a merge sort does. Events already in order are left as they
+// are.
+func (r *Runner) sortByStart(events []trace.Event) {
+	if slices.IsSortedFunc(events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) }) {
+		return
+	}
+	lo, hi := events[0].Start, events[0].Start
+	for i := range events {
+		lo, hi = min(lo, events[i].Start), max(hi, events[i].Start)
+	}
+	keys := slices.Grow(r.sortKeys[:0], len(events))[:len(events)]
+	for i := range events {
+		keys[i] = hostKey{at: uint64(events[i].Start - lo), i: int32(i)}
+	}
+	if len(keys) <= 32 {
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j-1].at > keys[j].at; j-- {
+				keys[j-1], keys[j] = keys[j], keys[j-1]
+			}
+		}
+	} else {
+		tmp := slices.Grow(r.sortTmp[:0], len(keys))[:len(keys)]
+		for shift := 0; uint64(hi-lo)>>shift > 0; shift += 8 {
+			var count [257]int
+			for _, k := range keys {
+				count[(k.at>>shift)&0xff+1]++
+			}
+			for d := 1; d < len(count); d++ {
+				count[d] += count[d-1]
+			}
+			for _, k := range keys {
+				d := (k.at >> shift) & 0xff
+				tmp[count[d]] = k
+				count[d]++
+			}
+			keys, tmp = tmp, keys
+		}
+		r.sortTmp = tmp
+	}
+	r.sortKeys = keys
+	// keys[p].i is the event that goes to p. Follow each cycle of that
+	// permutation from its lowest position, marking each key done.
+	for p := range keys {
+		if keys[p].i < 0 || int(keys[p].i) == p {
+			continue
+		}
+		tmp := events[p]
+		q := p
+		for {
+			src := int(keys[q].i)
+			keys[q].i = -1
+			if src == p {
+				events[q] = tmp
+				break
+			}
+			events[q] = events[src]
+			q = src
+		}
 	}
 }
 
@@ -536,12 +612,17 @@ func (r *Runner) FirstEvents(n int) []trace.Event {
 	nd := r.dev.EventCount()
 	out := make([]trace.Event, min(n, nd+len(he)))
 	j := 0
-	for w := range out {
+	for w := 0; w < len(out); {
 		if j == len(he) || (dev.Index() < nd && dev.Start() <= he[j].Start) {
-			out[w] = dev.Next()
+			through := simclock.Time(math.MaxInt64)
+			if j < len(he) {
+				through = he[j].Start
+			}
+			w += dev.ReadThrough(out[w:], through)
 		} else {
 			out[w] = he[j]
 			j++
+			w++
 		}
 	}
 	return out
@@ -557,45 +638,43 @@ func (r *Runner) CountEvents(from, to simclock.Time) int {
 	return max(0, end.Index()-dev.Index()) + len(byStartWindow(r.hostByStart, from, to))
 }
 
-// EventsInWindow implements tpu.EventSource: the window's device events
-// merged with its slice of hostByStart, each host event after the device
-// events that start with it and before those that start later. It finds
-// the window under the write lock and fills each chunk under the read
-// lock, not holding either while fn runs, so training is held up only
-// while a chunk is filled. Between chunks the run may emit more: the
-// device's events go after every one it holds, and new host events start
-// at or after the watermark, past the window, so neither moves the
-// window's events in the streams.
-func (r *Runner) EventsInWindow(buf []trace.Event, from, to simclock.Time, fn func(chunk []trace.Event)) {
+// Segments implements tpu.EventSource: the window's device events merged
+// with its slice of hostByStart, each host event after the device events
+// that start with it and before those that start later. A device segment
+// is a stretch of one run, cut where a host event starts inside it; a
+// host segment is a view of hostByStart between two device events. It
+// finds the window under the write lock and hands out the segments
+// holding no lock: the device reader reads the stream as it stood then,
+// and the run may emit more meanwhile, but new host events start at or
+// after the watermark, past the window, so neither moves the window's
+// events in the streams.
+func (r *Runner) Segments(from, to simclock.Time, fn func(trace.Segment)) {
 	r.mu.Lock()
 	r.syncLocked()
 	dev, end := r.dev.Seek(from), r.dev.Seek(to)
 	nd := max(0, end.Index()-dev.Index())
-	lo := sort.Search(len(r.hostByStart), func(i int) bool { return r.hostByStart[i].Start >= from })
-	hi := lo + len(byStartWindow(r.hostByStart[lo:], from, to))
+	he := byStartWindow(r.hostByStart, from, to)
 	r.mu.Unlock()
-	for nd > 0 || lo < hi {
-		r.mu.RLock()
-		he := r.hostByStart[lo:hi]
-		w := 0
-		for w < len(buf) && (nd > 0 || len(he) > 0) {
-			if len(he) == 0 || (nd > 0 && dev.Start() <= he[0].Start) {
-				through := simclock.Time(math.MaxInt64)
-				if len(he) > 0 {
-					through = he[0].Start
-				}
-				n := dev.ReadThrough(buf[w:min(len(buf), w+nd)], through)
-				w += n
-				nd -= n
-			} else {
-				buf[w] = he[0]
-				he = he[1:]
-				w++
+	for nd > 0 || len(he) > 0 {
+		if len(he) == 0 || (nd > 0 && dev.Start() <= he[0].Start) {
+			through := simclock.Time(math.MaxInt64)
+			if len(he) > 0 {
+				through = he[0].Start
+			}
+			seg := dev.ReadSegment(through, nd)
+			nd -= seg.Len()
+			fn(seg)
+			continue
+		}
+		n := len(he)
+		if nd > 0 {
+			n = 1
+			for n < len(he) && he[n].Start < dev.Start() {
+				n++
 			}
 		}
-		lo = hi - len(he)
-		r.mu.RUnlock()
-		fn(buf[:w])
+		fn(trace.Segment{Events: he[:n:n]})
+		he = he[n:]
 	}
 }
 

@@ -77,22 +77,28 @@ func (o *sortOracle) openStepAt(t simclock.Time) int64 {
 // service's length, is added where no service cuts the windows.
 var chunkSizes = []int{1, 2, 7}
 
-// readWindow reads the window [from, to) of r's event source through a
-// buffer of size events and returns the chunks concatenated. It fails t
-// unless each chunk is the buffer's storage, none is empty and only the
-// last is short.
+// readWindow reads the window [from, to) of r's event source, each
+// segment cut into pieces of at most size events and built piece by piece
+// into a buffer of that size, and returns the events concatenated. It
+// fails t if a segment is empty or a piece is built short of its length,
+// so the merge of the two streams restarts at every kind of seam, and a
+// device run is cut at every kind of point.
 func readWindow(t testing.TB, r *Runner, size int, from, to simclock.Time) []trace.Event {
 	t.Helper()
 	buf := make([]trace.Event, size)
 	var out []trace.Event
-	short := false
-	r.EventsInWindow(buf, from, to, func(chunk []trace.Event) {
-		if short || len(chunk) == 0 || len(chunk) > size || &chunk[0] != &buf[0] {
-			t.Fatalf("window [%d, %d) through %d events: a chunk of %d events after %d (short before: %v), or not in the buffer",
-				from, to, size, len(chunk), len(out), short)
+	r.Segments(from, to, func(seg trace.Segment) {
+		if seg.Len() == 0 {
+			t.Fatalf("window [%d, %d): an empty segment after %d events", from, to, len(out))
 		}
-		short = len(chunk) < size
-		out = append(out, chunk...)
+		for seg.Len() > 0 {
+			var head trace.Segment
+			head, seg = seg.Cut(min(size, seg.Len()))
+			if n := len(head.AppendEvents(buf[:0])); n != head.Len() {
+				t.Fatalf("window [%d, %d): a piece of %d events built %d", from, to, head.Len(), n)
+			}
+			out = append(out, buf[:head.Len()]...)
+		}
 	})
 	return out
 }
@@ -414,6 +420,58 @@ func TestWindowsMatchCopyOracle(t *testing.T) {
 			for _, n := range []int{0, 1, 5000, all} {
 				if got, want := r.FirstEvents(n), o.firstEvents(n); !slices.Equal(got, want) {
 					t.Fatalf("FirstEvents(%d): %d events, the oracle's %d (or not the same ones)", n, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestSortByStartIsStable: the Runner's host-tail sort puts events in the
+// order a stable sort by Start gives, on tails short enough to sort by
+// insertion and long enough to sort by bytes, with many equal Starts,
+// Starts spread over a few microseconds or over 2^40, tails already in
+// order, and the same Runner's buffers reused from tail to tail.
+func TestSortByStartIsStable(t *testing.T) {
+	r := &Runner{}
+	rng := prng.New(5)
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 500, 5000} {
+		for _, spread := range []int{1, 7, 1 << 20, 1 << 40} {
+			for _, sorted := range []bool{false, true} {
+				events := make([]trace.Event, n)
+				base := simclock.Time(rng.Intn(1 << 30))
+				for i := range events {
+					events[i] = trace.Event{Name: fmt.Sprint(i), Start: base + simclock.Time(rng.Intn(spread))}
+				}
+				if sorted {
+					slices.SortStableFunc(events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+				}
+				want := slices.Clone(events)
+				slices.SortStableFunc(want, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+				r.sortByStart(events)
+				if !slices.Equal(events, want) {
+					t.Fatalf("%d events spread over %d (sorted: %v): not the stable sort's order", n, spread, sorted)
+				}
+			}
+		}
+	}
+}
+
+// TestFinishedRunMatchesSortOracle: a run whose event source is first
+// read once training has finished takes its whole host stream as one
+// tail, which sorts by bytes, not by insertion; its events and windows
+// are the sort oracle's.
+func TestFinishedRunMatchesSortOracle(t *testing.T) {
+	for _, name := range []string{"bert-mrpc", "resnet-imagenet", "dcgan-mnist"} {
+		t.Run(name, func(t *testing.T) {
+			r := quickRun(t, name, Options{Steps: 150})
+			o := newSortOracle(r)
+			if got := r.Events(); !slices.Equal(got, o.merged) {
+				t.Fatalf("Events: %d events, the oracle has %d (or not the same ones)", len(got), len(o.merged))
+			}
+			mid := o.merged[len(o.merged)/2].Start
+			for _, w := range [][2]simclock.Time{{0, mid}, {mid, r.Now() + 1}} {
+				if got := readWindow(t, r, 7, w[0], w[1]); !slices.Equal(got, o.window(w[0], w[1])) {
+					t.Fatalf("window [%d, %d): not the oracle's events", w[0], w[1])
 				}
 			}
 		})

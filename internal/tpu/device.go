@@ -30,6 +30,13 @@ type StepTiming struct {
 
 // Device executes compiled programs and records the event stream.
 //
+// A program is priced once, when the device first loads it: the
+// jitter-free duration of each event it times (the infeed transfer, each
+// instruction, the outfeed), its MXU occupancy per execution and the
+// layout of the events a run of it emits. RunStep then only jitters the
+// table's entries, and reloading a program (the eval blocks' switch and
+// back) looks its table up. A program must not change once loaded.
+//
 // The stream is stored as runs, not events: one run record per RunStep or
 // InjectEvent, and one duration per emitted event. A run's events are
 // its program's (or the one injected event), so their names are the
@@ -51,7 +58,9 @@ type Device struct {
 	rng     *prng.Source
 	jitterF float64
 
-	program *xla.Program
+	priced   *pricedProgram   // the loaded program's
+	programs []*pricedProgram // every program loaded, priced once each
+	injected map[string]*trace.RunLayout
 
 	freeAt  simclock.Time
 	runs    []run
@@ -82,12 +91,62 @@ func (d *Device) LoadProgram(p *xla.Program) error {
 	if need > d.Spec.HBMBytes {
 		return fmt.Errorf("%w: need %d bytes, have %d", ErrOutOfMemory, need, d.Spec.HBMBytes)
 	}
-	d.program = p
+	d.priced = d.price(p)
 	return nil
 }
 
+// pricedProgram is a program as one device runs it, priced once.
+type pricedProgram struct {
+	prog *xla.Program
+	// base holds the jitter-free duration of each event RunStep times, in
+	// order: the infeed transfer when the program has an infeed, each
+	// instruction, and the outfeed when it has one. The infeed's pair of
+	// events shares one entry.
+	base   []simclock.Duration
+	mxu    simclock.Duration // MXU occupancy of one execution
+	layout trace.RunLayout
+}
+
+// price returns p's table, computing it the first time p is loaded.
+func (d *Device) price(p *xla.Program) *pricedProgram {
+	for _, pp := range d.programs {
+		if pp.prog == p {
+			return pp
+		}
+	}
+	pp := &pricedProgram{prog: p, layout: trace.RunLayout{Device: trace.TPU, Paired: p.InfeedBytes > 0}}
+	names := make([]string, 0, StepEvents(p))
+	if p.InfeedBytes > 0 {
+		pp.base = append(pp.base, d.feedTime(p.InfeedBytes))
+		names = append(names, "InfeedDequeueTuple", "Infeed")
+	}
+	for _, inst := range p.Instructions {
+		pp.base = append(pp.base, d.instructionTime(inst))
+		pp.mxu += d.mxuOccupancy(inst)
+		names = append(names, inst.Op)
+	}
+	if p.OutfeedBytes > 0 {
+		pp.base = append(pp.base, d.feedTime(p.OutfeedBytes))
+		names = append(names, "Outfeed")
+	}
+	pp.layout.Names = names
+	d.programs = append(d.programs, pp)
+	return pp
+}
+
+// feedTime returns the jitter-free duration of moving a feed of the given
+// size through HBM.
+func (d *Device) feedTime(bytes int64) simclock.Duration {
+	return simclock.Duration(float64(bytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
+}
+
 // Program returns the currently loaded program.
-func (d *Device) Program() *xla.Program { return d.program }
+func (d *Device) Program() *xla.Program {
+	if d.priced == nil {
+		return nil
+	}
+	return d.priced.prog
+}
 
 // instructionTime returns the roofline duration of one instruction on this
 // chip: max(compute, memory) plus issue overhead, before jitter.
@@ -116,7 +175,7 @@ func (d *Device) mxuOccupancy(inst *xla.Instruction) simclock.Duration {
 // the device idles from its previous completion until then. It returns the
 // step's timing summary.
 func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, error) {
-	if d.program == nil {
+	if d.priced == nil {
 		return StepTiming{}, errors.New("tpu: no program loaded")
 	}
 	start := d.freeAt
@@ -132,46 +191,37 @@ func (d *Device) RunStep(step int64, batchReady simclock.Time) (StepTiming, erro
 		idle = 0 // before the first step the device was off, not idle
 	}
 
+	// Each timed event is its table entry jittered; the infeed's pair
+	// (InfeedDequeueTuple, then the queue-side half of the transfer, the
+	// "Infeed" op of TPU profiles) shares one draw, and the run's clock
+	// moves as its layout says.
+	pp := d.priced
 	t, last := start, start
 	first := len(d.durs)
-
-	// On-device infeed dequeue: pull the batch out of the infeed queue
-	// into HBM at memory bandwidth.
-	if d.program.InfeedBytes > 0 {
-		dur := simclock.Duration(float64(d.program.InfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
-		dur = d.jitter(dur)
-		// InfeedDequeueTuple, then the queue-side half of the transfer,
-		// which shows up as the "Infeed" op in TPU profiles.
+	base := pp.base
+	if pp.layout.Paired {
+		dur := d.jitter(base[0])
 		d.durs = append(d.durs, dur, dur/2)
 		t = t.Add(dur)
+		base = base[1:]
 	}
-
-	var mxuBusy simclock.Duration
-	for _, inst := range d.program.Instructions {
-		dur := d.jitter(d.instructionTime(inst))
-		d.durs = append(d.durs, dur)
-		mxuBusy += d.mxuOccupancy(inst)
-		last = t
-		t = t.Add(dur)
-	}
-
-	// Outfeed: results leave for the host-side dequeue.
-	if d.program.OutfeedBytes > 0 {
-		dur := simclock.Duration(float64(d.program.OutfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
-		dur = d.jitter(dur)
-		d.durs = append(d.durs, dur)
+	n := len(d.durs)
+	d.durs = append(d.durs, make([]simclock.Duration, len(base))...)
+	for i, b := range base {
+		dur := d.jitter(b)
+		d.durs[n+i] = dur
 		last = t
 		t = t.Add(dur)
 	}
 
 	if len(d.durs) > first {
-		d.runs = append(d.runs, run{start: start, last: last, step: step, prog: d.program, first: first})
+		d.runs = append(d.runs, run{start: start, last: last, step: step, layout: &pp.layout, first: first})
 	}
 	d.freeAt = t
-	st := StepTiming{Step: step, Start: start, End: t, Idle: idle, MXUBusy: mxuBusy}
+	st := StepTiming{Step: step, Start: start, End: t, Idle: idle, MXUBusy: pp.mxu}
 	d.timings = append(d.timings, st)
 	d.totalIdle += idle
-	d.totalMXU += mxuBusy
+	d.totalMXU += pp.mxu
 	return st, nil
 }
 
@@ -183,7 +233,15 @@ func (d *Device) InjectEvent(name string, at simclock.Time, dur simclock.Duratio
 	if n := len(d.runs); n > 0 && at < d.runs[n-1].last {
 		return fmt.Errorf("tpu: event %q at %d starts before the last event, at %d", name, at, d.runs[n-1].last)
 	}
-	d.runs = append(d.runs, run{start: at, last: at, step: step, name: name, first: len(d.durs)})
+	layout := d.injected[name]
+	if layout == nil {
+		layout = &trace.RunLayout{Names: []string{name}, Device: trace.TPU}
+		if d.injected == nil {
+			d.injected = make(map[string]*trace.RunLayout)
+		}
+		d.injected[name] = layout
+	}
+	d.runs = append(d.runs, run{start: at, last: at, step: step, layout: layout, first: len(d.durs)})
 	d.durs = append(d.durs, dur)
 	if end := at.Add(dur); end > d.freeAt {
 		d.freeAt = end
@@ -232,18 +290,12 @@ func (d *Device) jitter(dur simclock.Duration) simclock.Duration {
 // outfeed. Workload calibration uses it to size host pipelines relative to
 // device compute.
 func (d *Device) StepBusyTime() simclock.Duration {
-	if d.program == nil {
+	if d.priced == nil {
 		return 0
 	}
 	var total simclock.Duration
-	if d.program.InfeedBytes > 0 {
-		total += simclock.Duration(float64(d.program.InfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
-	}
-	for _, inst := range d.program.Instructions {
-		total += d.instructionTime(inst)
-	}
-	if d.program.OutfeedBytes > 0 {
-		total += simclock.Duration(float64(d.program.OutfeedBytes)/d.Spec.hbmBytesPerMicro()+0.5) + d.Spec.IssueOverhead
+	for _, b := range d.priced.base {
+		total += b
 	}
 	return total
 }
@@ -310,53 +362,16 @@ func (d *Device) Reset() {
 	d.started = false
 }
 
-// run is one RunStep or InjectEvent: the events of one execution of prog
-// (or the one injected event, named name), which are events first,
-// first+1, ... of the stream. A run holds at least one event.
+// run is one RunStep or InjectEvent: the events of one execution of a
+// program (or the one injected event), which are events first, first+1,
+// ... of the stream, named and clocked by layout. A run holds at least one
+// event.
 type run struct {
-	start simclock.Time // Start of its first event
-	last  simclock.Time // Start of its last event
-	step  int64
-	prog  *xla.Program // nil for an injected event
-	name  string       // the injected event's name
-	first int          // index of its first event in the stream
-}
-
-// eventName returns the name of the run's k-th event.
-func (r *run) eventName(k int) string {
-	p := r.prog
-	if p == nil {
-		return r.name
-	}
-	if p.InfeedBytes > 0 {
-		switch k {
-		case 0:
-			return "InfeedDequeueTuple"
-		case 1:
-			return "Infeed"
-		}
-		k -= 2
-	}
-	if k < len(p.Instructions) {
-		return p.Instructions[k].Op
-	}
-	return "Outfeed"
-}
-
-// advance returns how far the run's clock moves from its k-th event's
-// Start to the next one's: by the event's duration, except that Infeed
-// starts with InfeedDequeueTuple and the event after Infeed starts where
-// InfeedDequeueTuple ends.
-func (r *run) advance(durs []simclock.Duration, k int) simclock.Duration {
-	if r.prog != nil && r.prog.InfeedBytes > 0 {
-		switch k {
-		case 0:
-			return 0
-		case 1:
-			return durs[r.first]
-		}
-	}
-	return durs[r.first+k]
+	start  simclock.Time // Start of its first event
+	last   simclock.Time // Start of its last event
+	step   int64
+	layout *trace.RunLayout
+	first  int // index of its first event in the stream
 }
 
 // LatestStarts calls fn with the step and the latest event Start of each
@@ -372,14 +387,16 @@ func (d *Device) LatestStarts(i int, fn func(step int64, last simclock.Time)) in
 }
 
 // An EventReader reads the device's event stream in order, from one event
-// on, building each event as it goes. Events the device emits later go
-// after every event it holds, so a reader stays valid while it does; Reset
-// invalidates it.
+// on, as events or as segments of runs. It reads the stream as it stood
+// when Seek made it: it never sees an event emitted later, and never
+// touches what the device writes after, so it may be read without the
+// lock that orders the device's writes. Reset invalidates it.
 type EventReader struct {
-	d   *Device
-	run int           // the run of the next event
-	k   int           // the next event's index within its run
-	at  simclock.Time // the next event's Start
+	runs []run
+	durs []simclock.Duration
+	run  int           // the run of the next event
+	k    int           // the next event's index within its run
+	at   simclock.Time // the next event's Start
 }
 
 // Seek returns a reader at the first event with Start >= t, or at the end
@@ -388,7 +405,7 @@ func (d *Device) Seek(t simclock.Time) EventReader {
 	// A run whose last event starts before t holds no event at or after
 	// t; the first other run holds the first such event.
 	i := sort.Search(len(d.runs), func(i int) bool { return d.runs[i].last >= t })
-	rd := EventReader{d: d, run: i}
+	rd := EventReader{runs: d.runs, durs: d.durs, run: i}
 	if i == len(d.runs) {
 		return rd
 	}
@@ -400,12 +417,13 @@ func (d *Device) Seek(t simclock.Time) EventReader {
 }
 
 // Index returns the position of the next event in the stream: the number
-// of events before it. At the end of the stream it is EventCount.
+// of events before it. At the end of the stream it is the EventCount the
+// reader was made at.
 func (rd *EventReader) Index() int {
-	if rd.run == len(rd.d.runs) {
-		return len(rd.d.durs)
+	if rd.run == len(rd.runs) {
+		return len(rd.durs)
 	}
-	return rd.d.runs[rd.run].first + rd.k
+	return rd.runs[rd.run].first + rd.k
 }
 
 // Start returns the next event's Start. It is meaningless at the end of
@@ -430,32 +448,53 @@ func (rd *EventReader) Read(dst []trace.Event) {
 // stopping early at one that starts later or at the end of the stream,
 // moves past them and returns how many it read.
 func (rd *EventReader) ReadThrough(dst []trace.Event, t simclock.Time) int {
-	d := rd.d
 	n := 0
-	for n < len(dst) && rd.run < len(d.runs) && rd.at <= t {
-		r := &d.runs[rd.run]
-		end := d.runEnd(rd.run) - r.first
-		k, at := rd.k, rd.at
-		for ; n < len(dst) && k < end && at <= t; n++ {
-			dst[n] = trace.Event{Name: r.eventName(k), Device: trace.TPU, Start: at, Dur: d.durs[r.first+k], Step: r.step}
-			at = at.Add(r.advance(d.durs, k))
-			k++
+	for n < len(dst) {
+		seg := rd.ReadSegment(t, len(dst)-n)
+		if seg.Len() == 0 {
+			break
 		}
-		if k < end {
-			rd.k, rd.at = k, at
-		} else {
-			rd.nextRun()
-		}
+		n = len(seg.AppendEvents(dst[:n]))
 	}
 	return n
 }
 
+// ReadSegment returns the next events that start no later than t, at most
+// max of them and all of one run, as a segment, and moves past them. The
+// segment is empty at the end of the stream, when the next event starts
+// after t, or when max is not positive. It builds no event: a segment that
+// takes the rest of its run is found from the run's last Start alone.
+func (rd *EventReader) ReadSegment(t simclock.Time, max int) trace.Segment {
+	if rd.run == len(rd.runs) || rd.at > t || max <= 0 {
+		return trace.Segment{}
+	}
+	r := &rd.runs[rd.run]
+	end := rd.runEnd(rd.run) - r.first
+	seg := trace.Segment{Run: r.layout, Step: r.step, Durs: rd.durs[r.first : r.first+end], Lo: rd.k, Start: rd.at}
+	if r.last <= t && end-rd.k <= max {
+		seg.Hi = end
+		rd.nextRun()
+		return seg
+	}
+	k, at := rd.k, rd.at
+	for k < end && k-seg.Lo < max && at <= t {
+		at = at.Add(r.layout.Advance(seg.Durs, k))
+		k++
+	}
+	seg.Hi = k
+	if k < end {
+		rd.k, rd.at = k, at
+	} else {
+		rd.nextRun()
+	}
+	return seg
+}
+
 // skip moves past the next event without building it.
 func (rd *EventReader) skip() {
-	d := rd.d
-	r := &d.runs[rd.run]
-	if r.first+rd.k+1 < d.runEnd(rd.run) {
-		rd.at = rd.at.Add(r.advance(d.durs, rd.k))
+	r := &rd.runs[rd.run]
+	if r.first+rd.k+1 < rd.runEnd(rd.run) {
+		rd.at = rd.at.Add(r.layout.Advance(rd.durs[r.first:], rd.k))
 		rd.k++
 		return
 	}
@@ -466,15 +505,15 @@ func (rd *EventReader) skip() {
 func (rd *EventReader) nextRun() {
 	rd.run++
 	rd.k = 0
-	if rd.run < len(rd.d.runs) {
-		rd.at = rd.d.runs[rd.run].start
+	if rd.run < len(rd.runs) {
+		rd.at = rd.runs[rd.run].start
 	}
 }
 
 // runEnd returns the index one past the last event of run i.
-func (d *Device) runEnd(i int) int {
-	if i+1 < len(d.runs) {
-		return d.runs[i+1].first
+func (rd *EventReader) runEnd(i int) int {
+	if i+1 < len(rd.runs) {
+		return rd.runs[i+1].first
 	}
-	return len(d.durs)
+	return len(rd.durs)
 }

@@ -241,3 +241,35 @@ func TestRunStepOfNoEventsAddsNoRun(t *testing.T) {
 		t.Fatalf("an empty step left %d events in %d runs (had %d in 1)", d.EventCount(), runs, n)
 	}
 }
+
+// checkTrainMatchesOracle runs a training schedule on a Device and on the
+// oracle, whose every duration is its instruction's instructionTime (or
+// its feed's) jittered as it is emitted: blocks of steps of progs[0]
+// with a block of progs[1] after every blockSteps, the switch and back
+// an eval block makes. It fails tb unless every step's events, durations
+// included, are the oracle's.
+func checkTrainMatchesOracle(tb testing.TB, spec ChipSpec, seed uint64, progs [2]*xla.Program, steps, blockSteps int) {
+	tb.Helper()
+	d, o := NewDevice(spec, seed), newOracleDevice(spec, seed)
+	step := int64(0)
+	run := func(p *xla.Program, n int) {
+		if err := d.LoadProgram(p); err != nil {
+			tb.Fatal(err)
+		}
+		o.program = p
+		for i := 0; i < n; i++ {
+			if _, err := d.RunStep(step, 0); err != nil {
+				tb.Fatal(err)
+			}
+			o.RunStep(step, 0)
+			step++
+		}
+	}
+	for done := 0; done < steps; done += blockSteps {
+		run(progs[0], min(blockSteps, steps-done))
+		run(progs[1], 3)
+	}
+	if got := deviceEvents(d); !slices.Equal(got, o.events) {
+		tb.Fatalf("the device's %d events are not the per-instruction oracle's %d", len(got), len(o.events))
+	}
+}

@@ -47,14 +47,13 @@ type StatusResponse struct {
 type EventSource interface {
 	// CountEvents returns how many events start in [from, to).
 	CountEvents(from, to simclock.Time) int
-	// EventsInWindow reads the events with Start in [from, to), in Start
-	// order, device first on equal Starts, into buf a chunk at a time, and
-	// hands each chunk to fn: len(buf) events, the last chunk fewer, none
-	// empty. A chunk is only valid during its call, and buf is the
-	// caller's again when EventsInWindow returns. The source may emit
-	// while the call runs, so the window must be final: to is no later
-	// than the source's watermark, as every window the service cuts is.
-	EventsInWindow(buf []trace.Event, from, to simclock.Time, fn func(chunk []trace.Event))
+	// Segments hands fn the events with Start in [from, to), in Start
+	// order, device first on equal Starts, as segments: views of events
+	// held whole, or stretches of device runs, none empty. A segment is
+	// only valid during its call. The source may emit while the call
+	// runs, so the window must be final: to is no later than the source's
+	// watermark, as every window the service cuts is.
+	Segments(from, to simclock.Time, fn func(trace.Segment))
 	WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float64)
 	// OpenStep returns the lowest step that can still gain an event
 	// with Start >= t: one already emitted at or after t, or one not
@@ -62,9 +61,9 @@ type EventSource interface {
 	OpenStep(t simclock.Time) int64
 }
 
-// chunkEvents is the length of the buffer a window's events are read
-// through: 4096 events of 48 bytes, 192 KiB, so a chunk is still in cache
-// when its consumer reads it.
+// chunkEvents is the length of the buffer ReadWindow builds a window's
+// events in: 4096 events of 48 bytes, 192 KiB, so a chunk is still in
+// cache when its consumer reads it.
 const chunkEvents = 4096
 
 // ProfileService exposes an EventSource over the rpc package, mimicking
@@ -79,17 +78,19 @@ const chunkEvents = 4096
 // interleave with training.
 //
 // A window is cut before any of its events is read — its end, event
-// limit included, is found from counts — and its events then pass
-// through one fixed buffer the service owns, a chunk at a time, to the
-// window's consumer: the in-process profiler reduces them (ReadWindow),
-// the rpc handler encodes them. The service never holds a window whole;
-// NextWindow collects one for tests and one-shot tools.
+// limit included, is found from counts — and the source then hands its
+// events to the window's consumer as segments: the in-process profiler
+// reduces them (ReadSegments), the rpc handler encodes them, and neither
+// builds a device event. ReadWindow builds the events a chunk at a time
+// in one buffer the service owns, and NextWindow collects a window whole,
+// for tests and one-shot tools.
 type ProfileService struct {
 	mu     sync.Mutex
 	src    EventSource
 	spec   ChipSpec
 	cursor simclock.Time
-	buf    []trace.Event // the chunk buffer, chunkEvents long once a window has used it
+	buf    []trace.Event // ReadWindow's chunk buffer, chunkEvents long once a window has used it
+	filled int           // the events in buf not yet handed on
 	batch  []byte        // the rpc handler's encoded events, reused
 
 	// watermarkFn reports the source's watermark; doneFn whether the
@@ -110,31 +111,42 @@ func (s *ProfileService) Register(srv *rpc.Server) {
 	srv.Register(MethodStatus, s.handleStatus)
 }
 
-// ReadWindow cuts the next profile window and hands its events to fn in
-// order, a chunk at a time, each with the window's response; it returns
-// that response. The response's Events are nil: a chunk is the service's
-// buffer, valid only during the call. fn is not called for an empty
-// window, and must not call the service.
+// ReadSegments cuts the next profile window and hands its events to fn
+// as the source's segments, each with the window's response; it returns
+// that response. The response's Events are nil, and a segment is valid
+// only during its call. fn is not called for an empty window, and must
+// not call the service.
+func (s *ProfileService) ReadSegments(fn func(resp *ProfileResponse, seg trace.Segment)) ProfileResponse {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.readWindowLocked(fn, nil)
+}
+
+// ReadWindow is ReadSegments with the window's events built a chunk at a
+// time in the service's buffer: every chunk full but the last, none
+// empty, each valid only during its call.
 func (s *ProfileService) ReadWindow(fn func(resp *ProfileResponse, chunk []trace.Event)) ProfileResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.readWindowLocked(fn)
+	return s.readWindowLocked(nil, fn)
 }
 
 // NextWindow cuts the next profile window and returns it with its events
 // collected into a slice of their own: the whole window at once, for tests
-// and one-shot tools. The profiler reads windows through ReadWindow.
+// and one-shot tools. The profiler reads windows through ReadSegments.
 func (s *ProfileService) NextWindow() ProfileResponse {
 	var events []trace.Event
-	resp := s.ReadWindow(func(_ *ProfileResponse, chunk []trace.Event) {
-		events = append(events, chunk...)
+	resp := s.ReadSegments(func(_ *ProfileResponse, seg trace.Segment) {
+		events = seg.AppendEvents(events)
 	})
 	resp.Events = events
 	return resp
 }
 
-// readWindowLocked is the service's one window-cutting path.
-func (s *ProfileService) readWindowLocked(fn func(resp *ProfileResponse, chunk []trace.Event)) ProfileResponse {
+// readWindowLocked is the service's one window-cutting path. It hands the
+// window's segments to segFn, or, when segFn is nil, their events built
+// in the chunk buffer to chunkFn.
+func (s *ProfileService) readWindowLocked(segFn func(*ProfileResponse, trace.Segment), chunkFn func(*ProfileResponse, []trace.Event)) ProfileResponse {
 	// done before the watermark: a source that finishes between the two
 	// reads must not end the stream at a watermark older than its last
 	// events.
@@ -168,11 +180,33 @@ func (s *ProfileService) readWindowLocked(fn func(resp *ProfileResponse, chunk [
 	resp.OpenStep = s.src.OpenStep(to)
 	resp.EndOfStream = done && to >= wm
 	s.cursor = to
+	if segFn != nil {
+		s.src.Segments(from, to, func(seg trace.Segment) { segFn(&resp, seg) })
+		return resp
+	}
 	if s.buf == nil {
 		s.buf = make([]trace.Event, chunkEvents)
 	}
-	s.src.EventsInWindow(s.buf, from, to, func(chunk []trace.Event) { fn(&resp, chunk) })
+	s.src.Segments(from, to, func(seg trace.Segment) { s.fill(seg, &resp, chunkFn) })
+	if s.filled > 0 {
+		chunkFn(&resp, s.buf[:s.filled])
+		s.filled = 0
+	}
 	return resp
+}
+
+// fill builds seg's events in the chunk buffer, after those already
+// there, handing fn the buffer each time it fills.
+func (s *ProfileService) fill(seg trace.Segment, resp *ProfileResponse, fn func(*ProfileResponse, []trace.Event)) {
+	for seg.Len() > 0 {
+		var head trace.Segment
+		head, seg = seg.Cut(min(seg.Len(), len(s.buf)-s.filled))
+		s.filled = len(head.AppendEvents(s.buf[:s.filled]))
+		if s.filled == len(s.buf) {
+			fn(resp, s.buf)
+			s.filled = 0
+		}
+	}
 }
 
 // clip returns where a window from `from` ends when [from, to) holds more
@@ -194,15 +228,16 @@ func (s *ProfileService) clip(from, to simclock.Time) simclock.Time {
 	return at + 1
 }
 
-// handleProfile encodes the window's events a chunk at a time, under the
-// service's lock, into a buffer it reuses, and the response around them.
+// handleProfile encodes the window's events a segment at a time, under
+// the service's lock, into a buffer it reuses, and the response around
+// them.
 func (s *ProfileService) handleProfile(body []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.batch = s.batch[:0]
-	resp := s.readWindowLocked(func(_ *ProfileResponse, chunk []trace.Event) {
-		s.batch = trace.AppendEvents(s.batch, chunk)
-	})
+	resp := s.readWindowLocked(func(_ *ProfileResponse, seg trace.Segment) {
+		s.batch = trace.AppendSegment(s.batch, &seg)
+	}, nil)
 	return encodeProfileResponse(&resp, s.batch), nil
 }
 
@@ -250,9 +285,20 @@ func encodeProfileResponse(r *ProfileResponse, events []byte) []byte {
 	return dst
 }
 
-// UnmarshalProfileResponse decodes a profile reply; the profiler's client
-// stub uses it.
+// UnmarshalProfileResponse decodes a profile reply, its events whole.
 func UnmarshalProfileResponse(data []byte) (*ProfileResponse, error) {
+	return ReadProfileResponse(data, func(r *ProfileResponse, batch []byte) (err error) {
+		r.Events, err = trace.UnmarshalEvents(batch)
+		return err
+	})
+}
+
+// ReadProfileResponse decodes a profile reply but for its events, whose
+// encoded batch it hands to events instead, as it comes to it: the
+// profiler's client stub decodes the batch a chunk at a time once it has
+// the window's start. events sees every events field the reply holds, in
+// order (a decoder keeps the last), with the response as decoded so far.
+func ReadProfileResponse(data []byte, events func(r *ProfileResponse, batch []byte) error) (*ProfileResponse, error) {
 	r := &ProfileResponse{}
 	d := protowire.NewDecoder(data)
 	for !d.Done() {
@@ -266,11 +312,9 @@ func UnmarshalProfileResponse(data []byte) (*ProfileResponse, error) {
 			if err != nil {
 				return nil, err
 			}
-			events, err := trace.UnmarshalEvents(raw)
-			if err != nil {
+			if err := events(r, raw); err != nil {
 				return nil, err
 			}
-			r.Events = events
 		case 2:
 			v, err := d.Uint64()
 			if err != nil {

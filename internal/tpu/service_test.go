@@ -15,10 +15,11 @@ import (
 // step is open past t only while one of its events starts at or after t.
 type sliceSource struct {
 	events []trace.Event // in Start order
-	dev    *Device       // window metadata; nil reports zeros
+	dev    *Device       // window metadata and segments; nil reports zeros and serves events
 }
 
-// deviceSource serves the events d has recorded.
+// deviceSource serves the events d has recorded, as d's reader hands them
+// out: a segment per run, or per stretch of one.
 func deviceSource(d *Device) *sliceSource {
 	return &sliceSource{events: deviceEvents(d), dev: d}
 }
@@ -31,11 +32,18 @@ func (s *sliceSource) CountEvents(from, to simclock.Time) int {
 	return max(0, s.search(to)-s.search(from))
 }
 
-func (s *sliceSource) EventsInWindow(buf []trace.Event, from, to simclock.Time, fn func([]trace.Event)) {
-	for events := s.events[s.search(from):s.search(to)]; len(events) > 0; {
-		n := copy(buf, events)
-		fn(buf[:n])
-		events = events[n:]
+func (s *sliceSource) Segments(from, to simclock.Time, fn func(trace.Segment)) {
+	if s.dev == nil {
+		if events := s.events[s.search(from):s.search(to)]; len(events) > 0 {
+			fn(trace.Segment{Events: events})
+		}
+		return
+	}
+	rd := s.dev.Seek(from)
+	for n := s.CountEvents(from, to); n > 0; {
+		seg := rd.ReadSegment(math.MaxInt64, n)
+		n -= seg.Len()
+		fn(seg)
 	}
 }
 

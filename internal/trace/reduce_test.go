@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/simclock"
@@ -212,5 +213,168 @@ func FuzzReducer(f *testing.F) {
 			}
 		}
 		checkReducerMatchesOracle(t, 0, events, cuts)
+	})
+}
+
+// segmentLayouts are the device runs FuzzReducerSegments draws from: a
+// program with the infeed pair, one without, an injected event, and a
+// host-side layout whose names the TPU ones share, so an operator is
+// interned by name and device.
+var segmentLayouts = []*RunLayout{
+	{Names: []string{"InfeedDequeueTuple", "Infeed", "fusion", "fusion.1", "fusion", "Outfeed"}, Device: TPU, Paired: true},
+	{Names: []string{"fusion", "Conv2D", "fusion.1", "fusion"}, Device: TPU},
+	{Names: []string{"StartProgram"}, Device: TPU},
+	{Names: []string{"Infeed", "fusion"}, Device: Host},
+}
+
+// runStarts returns the Start of each event of a run of layout that
+// starts at start, by the rule RunLayout documents, worked out here on
+// its own: each event where the one before ends, but a paired run's
+// second event with its first, and its third where its first ends.
+func runStarts(layout *RunLayout, durs []simclock.Duration, start simclock.Time) []simclock.Time {
+	starts := make([]simclock.Time, len(durs))
+	at := start
+	for k := range durs {
+		switch {
+		case layout.Paired && k == 1:
+			at = starts[0]
+		case layout.Paired && k == 2:
+			at = starts[0].Add(durs[0])
+		}
+		starts[k] = at
+		at = at.Add(durs[k])
+	}
+	return starts
+}
+
+// nearLimit is a run of MaxEventsPerProfile-2 events, built once: a
+// window FuzzReducerSegments opens with it is clipped at the event limit
+// within its next few events.
+var nearLimit struct {
+	sync.Once
+	layout *RunLayout
+	durs   []simclock.Duration
+}
+
+// FuzzReducerSegments holds the Reducer, handed a window as segments, to
+// reduceOracle over the window's events, by value and by wire bytes, and
+// AppendSegment to AppendEvents over them. Each 4-byte group adds host
+// events or a device run. Its first byte picks the kind (the top bit: a
+// run, else host events), the layout or host name, the step (-1 to 6)
+// and how the clock moves first (not at all, a little, to the 60 s
+// deadline exactly, or a third of the window, so later events pass it);
+// the second seeds the durations (zero among them); the third is the
+// distance moved; the fourth's bits cut a run into segments after those
+// events, and host events come 1 to 4 in one segment. A first byte of
+// 0xff opens the window with a run of MaxEventsPerProfile-2 events, so
+// the event limit falls in the events after it. The expected events are
+// built by runStarts, not by the code under test, and each segment is
+// also cut in two, whose halves must build its events.
+func FuzzReducerSegments(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x03, 0x05, 0x04, 0x08, 0x07, 0x10, 0x02})
+	f.Add([]byte{0x81, 0x00, 0x00, 0xff, 0x92, 0x05, 0x00, 0x00, 0x23, 0x11, 0x40, 0x03})
+	f.Add([]byte{0x60, 0x05, 0x01, 0x00, 0xa0, 0x09, 0x20, 0x05, 0xe1, 0x02, 0x00, 0x01, 0xc3, 0x07, 0x00, 0x0a})
+	f.Add([]byte{0xff, 0x80, 0x04, 0x00, 0x01, 0x80, 0x00, 0xff, 0x02, 0x01, 0x81, 0x00, 0x00, 0x00})
+	hostNames := []string{"Send", "fusion", "Infeed", ""}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var segs []Segment
+		var events []Event
+		var at simclock.Time
+		if len(data) > 0 && data[0] == 0xff {
+			nearLimit.Do(func() {
+				n := MaxEventsPerProfile - 2
+				nearLimit.layout = &RunLayout{Names: make([]string, n), Device: TPU}
+				nearLimit.durs = make([]simclock.Duration, n)
+				for i := range nearLimit.durs {
+					nearLimit.layout.Names[i] = "fusion"
+					nearLimit.durs[i] = 1
+				}
+			})
+			l, durs := nearLimit.layout, nearLimit.durs
+			segs = append(segs, Segment{Run: l, Step: 0, Durs: durs, Lo: 0, Hi: len(durs)})
+			for k, s := range runStarts(l, durs, 0) {
+				events = append(events, Event{Name: l.Names[k], Device: l.Device, Start: s, Dur: durs[k]})
+			}
+			at = events[len(events)-1].End()
+			data = data[1:]
+		}
+		for ; len(data) >= 4; data = data[4:] {
+			b0, seed, move, cuts := data[0], data[1], data[2], data[3]
+			switch b0 >> 4 & 3 {
+			case 1:
+				at = at.Add(simclock.Duration(move))
+			case 2:
+				if deadline := simclock.Time(0).Add(MaxProfileWindow); at < deadline {
+					at = deadline
+				}
+			case 3:
+				at = at.Add(MaxProfileWindow / 3)
+			}
+			step := int64(b0>>1&7) - 1
+			dur := func(k int) simclock.Duration { return simclock.Duration((int(seed) * (k + 3)) % 37) }
+			if b0&0x80 == 0 {
+				n := 1 + int(cuts&3)
+				host := make([]Event, n)
+				for k := range host {
+					host[k] = Event{Name: hostNames[(int(b0)+k)&3], Device: Host, Start: at, Dur: dur(k), Step: step}
+					at = at.Add(simclock.Duration(k))
+				}
+				segs = append(segs, Segment{Events: host})
+				events = append(events, host...)
+				continue
+			}
+			l := segmentLayouts[int(b0)%len(segmentLayouts)]
+			durs := make([]simclock.Duration, len(l.Names))
+			for k := range durs {
+				durs[k] = dur(k)
+			}
+			starts := runStarts(l, durs, at)
+			lo := 0
+			for k := range durs {
+				if k == len(durs)-1 || cuts>>k&1 != 0 {
+					segs = append(segs, Segment{Run: l, Step: step, Durs: durs, Lo: lo, Hi: k + 1, Start: starts[lo]})
+					lo = k + 1
+				}
+				events = append(events, Event{Name: l.Names[k], Device: l.Device, Start: starts[k], Dur: durs[k], Step: step})
+			}
+			for k := range durs {
+				at = max(at, starts[k].Add(durs[k]))
+			}
+		}
+		want := reduceOracle(7, 0, events, 0.25, 0.5)
+		red := NewReducer(7, 0)
+		var built []Event
+		var wire []byte
+		for _, s := range segs {
+			red.AddSegment(s)
+			head, tail := s.Cut(s.Len() / 2)
+			from := len(built)
+			built = tail.AppendEvents(head.AppendEvents(built))
+			if whole := s.AppendEvents(nil); !reflect.DeepEqual(built[from:], whole) {
+				t.Fatalf("segment of %d events cut after %d: the halves build other events", s.Len(), head.Len())
+			}
+			wire = AppendSegment(wire, &s)
+		}
+		got := red.Record(0.25, 0.5)
+		if !reflect.DeepEqual(got, want) {
+			for i := 0; i < min(len(got.Steps), len(want.Steps)); i++ {
+				if !reflect.DeepEqual(got.Steps[i], want.Steps[i]) {
+					t.Fatalf("%d events in %d segments: step %d\n got %+v\nwant %+v", len(events), len(segs), i, got.Steps[i], want.Steps[i])
+				}
+			}
+			g, w := *got, *want
+			g.Steps, w.Steps = nil, nil
+			t.Fatalf("%d events in %d segments: %d steps, the oracle %d\n got %+v\nwant %+v", len(events), len(segs), len(got.Steps), len(want.Steps), g, w)
+		}
+		if !bytes.Equal(MarshalRecord(got), MarshalRecord(want)) {
+			t.Fatalf("%d events in %d segments: the records' wire bytes differ", len(events), len(segs))
+		}
+		if !reflect.DeepEqual(built, events) {
+			t.Fatalf("%d events in %d segments: AppendEvents builds other events", len(events), len(segs))
+		}
+		if !bytes.Equal(wire, AppendEvents(nil, events)) {
+			t.Fatalf("%d events in %d segments: AppendSegment writes other bytes than AppendEvents", len(events), len(segs))
+		}
 	})
 }

@@ -32,19 +32,24 @@ func MarshalEvents(events []Event) []byte {
 func AppendEvents(dst []byte, events []Event) []byte {
 	for i := range events {
 		ev := &events[i]
-		n := protowire.SizeBytes(1, len(ev.Name)) +
-			protowire.SizeUint64(2, uint64(ev.Device)) +
-			protowire.SizeUint64(3, uint64(ev.Start)) +
-			protowire.SizeUint64(4, uint64(ev.Dur)) +
-			protowire.SizeInt64(5, ev.Step)
-		dst = protowire.AppendMessageTag(dst, 1, n)
-		dst = protowire.AppendString(dst, 1, ev.Name)
-		dst = protowire.AppendUint64(dst, 2, uint64(ev.Device))
-		dst = protowire.AppendUint64(dst, 3, uint64(ev.Start))
-		dst = protowire.AppendUint64(dst, 4, uint64(ev.Dur))
-		dst = protowire.AppendInt64(dst, 5, ev.Step)
+		dst = appendEvent(dst, ev.Name, ev.Device, ev.Start, ev.Dur, ev.Step)
 	}
 	return dst
+}
+
+// appendEvent appends one event's entry of the batch to dst.
+func appendEvent(dst []byte, name string, dev Device, start simclock.Time, dur simclock.Duration, step int64) []byte {
+	n := protowire.SizeBytes(1, len(name)) +
+		protowire.SizeUint64(2, uint64(dev)) +
+		protowire.SizeUint64(3, uint64(start)) +
+		protowire.SizeUint64(4, uint64(dur)) +
+		protowire.SizeInt64(5, step)
+	dst = protowire.AppendMessageTag(dst, 1, n)
+	dst = protowire.AppendString(dst, 1, name)
+	dst = protowire.AppendUint64(dst, 2, uint64(dev))
+	dst = protowire.AppendUint64(dst, 3, uint64(start))
+	dst = protowire.AppendUint64(dst, 4, uint64(dur))
+	return protowire.AppendInt64(dst, 5, step)
 }
 
 // UnmarshalEvents decodes an event batch.
@@ -66,7 +71,7 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev, err := unmarshalEvent(raw)
+		ev, err := decodeEvent(raw, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +80,10 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 	return out, nil
 }
 
-func unmarshalEvent(data []byte) (Event, error) {
+// decodeEvent decodes one event. With names it takes each name from
+// names, adding it the first time, so equal names share one string;
+// without, each name is a copy of its own.
+func decodeEvent(data []byte, names map[string]string) (Event, error) {
 	var ev Event
 	d := protowire.NewDecoder(data)
 	for !d.Done() {
@@ -85,11 +93,18 @@ func unmarshalEvent(data []byte) (Event, error) {
 		}
 		switch f {
 		case 1:
-			v, err := d.String()
+			b, err := d.Raw()
 			if err != nil {
 				return ev, err
 			}
-			ev.Name = v
+			if names == nil {
+				ev.Name = string(b)
+			} else if v, ok := names[string(b)]; ok {
+				ev.Name = v
+			} else {
+				ev.Name = string(b)
+				names[ev.Name] = ev.Name
+			}
 		case 2:
 			v, err := d.Uint64()
 			if err != nil {

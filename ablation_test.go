@@ -6,6 +6,7 @@ package tpupoint
 // must hold) and a benchmark (the cost of the ablated configuration).
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core/cluster"
@@ -96,7 +97,7 @@ func stepFeatures(t testing.TB) *cluster.Matrix {
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.Reduce(0, 0, r.Events(), r.IdleFraction(), r.MXUUtilization())
+	rec := trace.Reduce(0, 0, runEvents(r), r.IdleFraction(), r.MXUUtilization())
 	steps := trace.AggregateSteps([]*trace.ProfileRecord{rec})
 	m, _ := cluster.Features(steps, 0)
 	cluster.Standardize(m, 0)
@@ -200,4 +201,15 @@ func BenchmarkAblationIterPerLoop100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idleAtLoopIters(b, 100)
 	}
+}
+
+// runEvents builds a finished run's events, host and device merged as the
+// profile service tiles them, from a walk of the run's segments.
+func runEvents(r *estimator.Runner) []trace.Event {
+	var events []trace.Event
+	r.Segments(0, math.MaxInt64, func(seg trace.Segment) bool {
+		events = seg.AppendEvents(events)
+		return true
+	})
+	return events
 }

@@ -7,6 +7,11 @@
 // (at most 60,000 ms / 1,000,000 events), and only offers post-hoc
 // insight into that window.
 //
+// It reads its one window through the profiler's own clients — in
+// process, or over the rpc transport with -addr — so the window is
+// reduced to a profile record as it is read and never held whole, and
+// prints from that record.
+//
 // Usage:
 //
 //	tpuprof -workload bert-squad          # in-process demo run
@@ -25,10 +30,10 @@ import (
 	"time"
 
 	"repro/internal/cliflag"
+	"repro/internal/core/profiler"
 	"repro/internal/estimator"
 	"repro/internal/obs"
 	"repro/internal/rpc"
-	"repro/internal/tpu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -60,7 +65,7 @@ func main() {
 		fatal(err)
 	}
 
-	var resp *tpu.ProfileResponse
+	var rec *trace.ProfileRecord
 	if len(eps) > 0 {
 		// The resilient path: redial on transport failure with capped
 		// exponential backoff; a circuit breaker turns a dead endpoint
@@ -70,7 +75,7 @@ func main() {
 		// hold their own connection, the way a fleet of profiling hosts
 		// would; a conn-capped server answers the excess with a
 		// transient busy refusal they back off and retry.
-		fetch := func() (*tpu.ProfileResponse, error) {
+		fetch := func() (*trace.ProfileRecord, error) {
 			client, err := rpc.NewReconnectClient(rpc.ReconnectOptions{
 				Endpoints:   eps,
 				CallTimeout: *timeout,
@@ -82,18 +87,14 @@ func main() {
 				return nil, err
 			}
 			defer client.Close()
-			raw, err := client.Call(tpu.MethodProfile, nil)
-			if err != nil {
-				return nil, err
-			}
-			return tpu.UnmarshalProfileResponse(raw)
+			return profileWindow(&profiler.RPCClient{Conn: client})
 		}
 		if *sessions <= 1 {
-			if resp, err = fetch(); err != nil {
+			if rec, err = fetch(); err != nil {
 				fatal(err)
 			}
 		} else {
-			responses := make([]*tpu.ProfileResponse, *sessions)
+			responses := make([]*trace.ProfileRecord, *sessions)
 			errs := make([]error, *sessions)
 			var wg sync.WaitGroup
 			for i := 0; i < *sessions; i++ {
@@ -111,12 +112,12 @@ func main() {
 					continue
 				}
 				ok++
-				if resp == nil {
-					resp = responses[i]
+				if rec == nil {
+					rec = responses[i]
 				}
 			}
 			fmt.Printf("sessions: %d/%d fetched a profile window\n", ok, *sessions)
-			if resp == nil {
+			if rec == nil {
 				fatal(fmt.Errorf("all %d sessions failed", *sessions))
 			}
 		}
@@ -133,21 +134,20 @@ func main() {
 			fatal(err)
 		}
 		// One request, like the real tool: whatever fits the window.
-		svc := runner.ProfileService()
-		r := svc.NextWindow()
-		resp = &r
+		if rec, err = profileWindow(&profiler.ServiceClient{Service: runner.ProfileService()}); err != nil {
+			fatal(err)
+		}
 	}
 
 	fmt.Printf("profile window: [%.1fms, %.1fms) — %d events, truncated=%v\n",
-		float64(resp.WindowStart)/1000, float64(resp.WindowEnd)/1000,
-		len(resp.Events), resp.Truncated)
+		float64(rec.WindowStart)/1000, float64(rec.WindowEnd)/1000,
+		rec.NumEvents, rec.Truncated)
 	fmt.Printf("tpu idle: %.1f%%   mxu utilization: %.1f%%\n",
-		100*resp.IdleFrac, 100*resp.MXUUtil)
-	if resp.Truncated {
+		100*rec.IdleFrac, 100*rec.MXUUtil)
+	if rec.Truncated {
 		fmt.Println("note: execution continued past the window; this tool cannot see it (use TPUPoint)")
 	}
 
-	rec := trace.Reduce(0, resp.WindowStart, resp.Events, resp.IdleFrac, resp.MXUUtil)
 	steps2 := rec.Steps
 	windowOps := trace.MergeSteps(steps2)
 	for _, dev := range []trace.Device{trace.TPU, trace.Host} {
@@ -168,6 +168,19 @@ func main() {
 	if line := reg.Snapshot().SummaryLine(); line != "" {
 		fmt.Printf("run summary: %s\n", line)
 	}
+}
+
+// profileWindow fetches one window through c, reduced to its record; an
+// empty window is an empty record.
+func profileWindow(c profiler.Client) (*trace.ProfileRecord, error) {
+	w, err := c.NextProfile(0)
+	if err != nil {
+		return nil, err
+	}
+	if w.Record == nil {
+		return &trace.ProfileRecord{}, nil
+	}
+	return w.Record, nil
 }
 
 func fatal(err error) {

@@ -222,8 +222,19 @@ func runWorkloadWith(t testing.TB, name string, opts estimator.Options) (*estima
 		t.Fatal(err)
 	}
 	// Reduce the whole event stream the way the profiler would.
-	rec := trace.Reduce(0, 0, r.Events(), r.IdleFraction(), r.MXUUtilization())
+	rec := trace.Reduce(0, 0, runEvents(r), r.IdleFraction(), r.MXUUtilization())
 	return r, trace.AggregateSteps([]*trace.ProfileRecord{rec})
+}
+
+// runEvents builds a finished run's events, host and device merged as the
+// profile service tiles them, from a walk of the run's segments.
+func runEvents(r *estimator.Runner) []trace.Event {
+	var events []trace.Event
+	r.Segments(0, math.MaxInt64, func(seg trace.Segment) bool {
+		events = seg.AppendEvents(events)
+		return true
+	})
+	return events
 }
 
 func TestOLSOnRealRunFindsThreePhases(t *testing.T) {
@@ -449,12 +460,15 @@ func TestAnalyzeErrors(t *testing.T) {
 func TestAnalyzeFromRecords(t *testing.T) {
 	r, _ := runWorkload(t, "dcgan-mnist", 150)
 	// Split events into multiple profile windows like the profiler does.
-	events := r.Events()
+	events := runEvents(r)
 	mid := events[len(events)/2].Start
 	// Each window reduced as the service reads it, a segment at a time.
 	reduce := func(seq int64, from, to simclock.Time) *trace.ProfileRecord {
 		red := trace.NewReducer(seq, from)
-		r.Segments(from, to, red.AddSegment)
+		r.Segments(from, to, func(seg trace.Segment) bool {
+			red.AddSegment(seg)
+			return true
+		})
 		return red.Record(0.4, 0.2)
 	}
 	rec1 := reduce(0, 0, mid)

@@ -115,9 +115,20 @@ func realStepMatrix(t testing.TB, workload string, v tpu.Version) *Matrix {
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.Reduce(0, 0, r.Events(), r.IdleFraction(), r.MXUUtilization())
+	rec := trace.Reduce(0, 0, runEvents(r), r.IdleFraction(), r.MXUUtilization())
 	m, _ := Features(trace.AggregateSteps([]*trace.ProfileRecord{rec}), 0)
 	return Standardize(m, 0)
+}
+
+// runEvents builds a finished run's events, host and device merged as the
+// profile service tiles them, from a walk of the run's segments.
+func runEvents(r *estimator.Runner) []trace.Event {
+	var events []trace.Event
+	r.Segments(0, math.MaxInt64, func(seg trace.Segment) bool {
+		events = seg.AppendEvents(events)
+		return true
+	})
+	return events
 }
 
 // checkEigSym runs eigSym on the symmetric n×n matrix a and checks it

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -51,8 +52,8 @@ func TestProfilerCollectsWholeRun(t *testing.T) {
 			t.Fatalf("record %d has seq %d", i, rec.Seq)
 		}
 	}
-	if events != int64(len(r.Events())) {
-		t.Fatalf("records summarize %d events, run produced %d", events, len(r.Events()))
+	if events != int64(runEventCount(r)) {
+		t.Fatalf("records summarize %d events, run produced %d", events, runEventCount(r))
 	}
 	// Records carry device metadata.
 	if records[len(records)-1].IdleFrac <= 0 {
@@ -139,8 +140,8 @@ func TestProfilerOverRPC(t *testing.T) {
 	for _, rec := range records {
 		events += rec.NumEvents
 	}
-	if events != int64(len(r.Events())) {
-		t.Fatalf("RPC profiler got %d of %d events", events, len(r.Events()))
+	if events != int64(runEventCount(r)) {
+		t.Fatalf("RPC profiler got %d of %d events", events, runEventCount(r))
 	}
 }
 
@@ -192,8 +193,8 @@ func TestProfilerWhileTrainingRuns(t *testing.T) {
 	for _, rec := range records {
 		events += rec.NumEvents
 	}
-	if events != int64(len(r.Events())) {
-		t.Fatalf("live profiling got %d of %d events", events, len(r.Events()))
+	if events != int64(runEventCount(r)) {
+		t.Fatalf("live profiling got %d of %d events", events, runEventCount(r))
 	}
 }
 
@@ -332,7 +333,7 @@ func TestProfilerBreakpoint(t *testing.T) {
 	for _, rec := range records {
 		events += rec.NumEvents
 	}
-	if events >= int64(len(r.Events())) {
+	if events >= int64(runEventCount(r)) {
 		t.Fatal("breakpoint did not stop profiling early")
 	}
 	// The breakpoint step itself was covered.
@@ -347,6 +348,23 @@ func TestProfilerBreakpoint(t *testing.T) {
 	if !covered {
 		t.Fatal("profiling stopped before reaching the breakpoint")
 	}
+}
+
+// runEventCount returns how many events a finished run emitted, host and
+// device.
+func runEventCount(r *estimator.Runner) int { return r.CountEvents(0, math.MaxInt64) }
+
+// unmarshalProfileResponse decodes a profile reply with its events whole:
+// the last events field's, as a decoder keeps the last.
+func unmarshalProfileResponse(data []byte) (*tpu.ProfileResponse, []trace.Event, error) {
+	var events []trace.Event
+	resp, err := tpu.ReadProfileResponse(data, func(_ *tpu.ProfileResponse, batch []byte) error {
+		events = nil
+		return trace.DecodeEvents(batch, make([]trace.Event, 1024), make(map[string]string), func(chunk []trace.Event) {
+			events = append(events, chunk...)
+		})
+	})
+	return resp, events, err
 }
 
 // cannedCaller answers every call with the same response.
@@ -387,11 +405,11 @@ func TestRPCClientDecodesInChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tpu.UnmarshalProfileResponse(small)
+	resp, events, err := unmarshalProfileResponse(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := trace.Reduce(4, resp.WindowStart, resp.Events, resp.IdleFrac, resp.MXUUtil)
+	want := trace.Reduce(4, resp.WindowStart, events, resp.IdleFrac, resp.MXUUtil)
 	want.OpenStep = resp.OpenStep
 	if !reflect.DeepEqual(got.Record, want) {
 		t.Fatalf("the client's record is not the whole window's:\n got %+v\nwant %+v", got.Record, want)

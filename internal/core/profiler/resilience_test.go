@@ -113,8 +113,8 @@ func TestProfilerSurvivesInjectedDisconnects(t *testing.T) {
 		}
 		events += rec.NumEvents
 	}
-	if events != int64(len(r.Events())) {
-		t.Fatalf("collected %d of %d events across disconnects", events, len(r.Events()))
+	if events != int64(runEventCount(r)) {
+		t.Fatalf("collected %d of %d events across disconnects", events, runEventCount(r))
 	}
 }
 
@@ -175,8 +175,8 @@ func TestProfilerEmitsGapMarkersAndRecovers(t *testing.T) {
 	if gaps != 2 {
 		t.Fatalf("gap records = %d, want 2", gaps)
 	}
-	if events != int64(len(r.Events())) {
-		t.Fatalf("non-gap records hold %d of %d events", events, len(r.Events()))
+	if events != int64(runEventCount(r)) {
+		t.Fatalf("non-gap records hold %d of %d events", events, runEventCount(r))
 	}
 	if deg.count() != 2 {
 		t.Fatalf("OnDegraded fired %d times, want 2", deg.count())
@@ -371,7 +371,7 @@ func TestProfilerStorageStallDoesNotBlockProfiling(t *testing.T) {
 	// While storage is fully stalled, profiling must still drain every
 	// window into memory. This deadline fails loudly if the profiling
 	// goroutine ever blocks on the recording path.
-	want := int64(len(r.Events()))
+	want := int64(runEventCount(r))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var events int64

@@ -5,7 +5,8 @@
 // The trace shows two summary tracks, as in the paper's Figure 3 — a
 // "Profile Breakdown" row with one slice per profile record and a "Phase
 // Breakdown" row with one slice per detected phase — plus per-device op
-// tracks for zooming into individual operations.
+// tracks for zooming into individual operations, drawn from the event
+// source's segments as they are walked.
 package viz
 
 import (
@@ -35,20 +36,19 @@ const (
 )
 
 // WriteChromeTrace emits the visualization JSON. Records and phases feed
-// the two breakdown tracks; events (optional, may be truncated by maxOps)
-// feed the op tracks.
+// the two breakdown tracks; the events ops walks (optional, may be
+// truncated by maxOps) feed the op tracks. ops hands its yield the events
+// in order as segments, as an event source's Segments does, until yield
+// returns false; it is stopped once maxOps events are drawn, the last
+// segment cut, so no later event is read.
 //
 // The file is what encoding/json writes for it — the fields of each
 // event in a fixed order, dur omitted when zero, args keys sorted — but
 // appended into one buffer and written with one Write. A NaN or
 // infinite idle/MXU value fails the call before anything is written, as
 // json.Encoder does.
-func WriteChromeTrace(w io.Writer, phases []*analyzer.Phase, records []*trace.ProfileRecord, events []trace.Event, maxOps int) error {
-	ops := len(events)
-	if maxOps > 0 && ops > maxOps {
-		ops = maxOps
-	}
-	t := chromeTrace{b: make([]byte, 0, 256+320*len(records)+160*len(phases)+112*ops)}
+func WriteChromeTrace(w io.Writer, phases []*analyzer.Phase, records []*trace.ProfileRecord, ops func(yield func(trace.Segment) bool), maxOps int) error {
+	t := chromeTrace{b: make([]byte, 0, 256+320*len(records)+160*len(phases)+112*max(maxOps, 0))}
 	t.b = append(t.b, `{"traceEvents":[`...)
 
 	meta := func(tid int, name string) {
@@ -108,15 +108,16 @@ func WriteChromeTrace(w io.Writer, phases []*analyzer.Phase, records []*trace.Pr
 		t.b = append(t.b, "}}"...)
 	}
 
-	for _, e := range events[:ops] {
-		tid := tidHostOps
-		if e.Device == trace.TPU {
-			tid = tidTPUOps
-		}
-		t.event(e.Name, "X", int64(e.Start), int64(e.Dur), tid)
-		t.b = append(t.b, `,"args":{"step":`...)
-		t.b = strconv.AppendInt(t.b, e.Step, 10)
-		t.b = append(t.b, "}}"...)
+	if ops != nil {
+		drawn := 0
+		ops(func(seg trace.Segment) bool {
+			if maxOps > 0 && seg.Len() > maxOps-drawn {
+				seg, _ = seg.Cut(maxOps - drawn)
+			}
+			t.segment(&seg)
+			drawn += seg.Len()
+			return maxOps <= 0 || drawn < maxOps
+		})
 	}
 
 	if t.err != nil {
@@ -132,6 +133,34 @@ type chromeTrace struct {
 	b      []byte
 	events int
 	err    error // the first value JSON cannot carry
+}
+
+// segment appends an op-track event for each of seg's events.
+func (t *chromeTrace) segment(seg *trace.Segment) {
+	if seg.Run == nil {
+		for i := range seg.Events {
+			e := &seg.Events[i]
+			t.op(e.Name, e.Device, e.Start, e.Dur, e.Step)
+		}
+		return
+	}
+	at := seg.Start
+	for k := seg.Lo; k < seg.Hi; k++ {
+		t.op(seg.Run.Names[k], seg.Run.Device, at, seg.Durs[k], seg.Step)
+		at = at.Add(seg.Run.Advance(seg.Durs, k))
+	}
+}
+
+// op appends one op-track event, on the host or the TPU track.
+func (t *chromeTrace) op(name string, dev trace.Device, start simclock.Time, dur simclock.Duration, step int64) {
+	tid := tidHostOps
+	if dev == trace.TPU {
+		tid = tidTPUOps
+	}
+	t.event(name, "X", int64(start), int64(dur), tid)
+	t.b = append(t.b, `,"args":{"step":`...)
+	t.b = strconv.AppendInt(t.b, step, 10)
+	t.b = append(t.b, "}}"...)
 }
 
 // event appends one event's fields up to its args: name, ph, ts, dur

@@ -142,13 +142,40 @@ func writeChromeTraceOracle(w io.Writer, phases []*analyzer.Phase, records []*tr
 	return enc.Encode(&out)
 }
 
-// checkTraceMatchesOracle writes one trace both ways and fails unless
-// the bytes are equal, or both writers fail.
-func checkTraceMatchesOracle(t *testing.T, phases []*analyzer.Phase, records []*trace.ProfileRecord, events []trace.Event, maxOps int) {
+// eventOps walks events as segments of seven events, the last shorter, so
+// that an op cap falls inside a segment as often as not.
+func eventOps(events []trace.Event) func(yield func(trace.Segment) bool) {
+	return func(yield func(trace.Segment) bool) {
+		for rest := events; len(rest) > 0; {
+			n := min(7, len(rest))
+			if !yield(trace.Segment{Events: rest[:n:n]}) {
+				return
+			}
+			rest = rest[n:]
+		}
+	}
+}
+
+// walkEvents builds the events ops walks.
+func walkEvents(ops func(yield func(trace.Segment) bool)) []trace.Event {
+	var events []trace.Event
+	if ops != nil {
+		ops(func(seg trace.Segment) bool {
+			events = seg.AppendEvents(events)
+			return true
+		})
+	}
+	return events
+}
+
+// checkTraceMatchesOracle writes one trace both ways, the op tracks from
+// ops and from the events it walks, and fails unless the bytes are equal,
+// or both writers fail.
+func checkTraceMatchesOracle(t *testing.T, phases []*analyzer.Phase, records []*trace.ProfileRecord, ops func(yield func(trace.Segment) bool), maxOps int) {
 	t.Helper()
 	var got, want bytes.Buffer
-	gotErr := WriteChromeTrace(&got, phases, records, events, maxOps)
-	wantErr := writeChromeTraceOracle(&want, phases, records, events, maxOps)
+	gotErr := WriteChromeTrace(&got, phases, records, ops, maxOps)
+	wantErr := writeChromeTraceOracle(&want, phases, records, walkEvents(ops), maxOps)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("err = %v, the oracle's %v", gotErr, wantErr)
 	}
@@ -171,17 +198,19 @@ func checkTraceMatchesOracle(t *testing.T, phases []*analyzer.Phase, records []*
 }
 
 // paperRun is one trace's inputs as the benchmark's paper pipeline
-// renders them.
+// renders them: the run's segments, and its first 5 000 events built
+// from them.
 type paperRun struct {
 	name    string
 	phases  []*analyzer.Phase
 	records []*trace.ProfileRecord
+	ops     func(yield func(trace.Segment) bool)
 	events  []trace.Event
 }
 
 // paperRuns builds the six runs the benchmark's paper pipeline renders:
 // three workloads on TPUv2 and TPUv3, 300 steps, trained then profiled,
-// OLS phases with their checkpoints, the first 5 000 events.
+// OLS phases with their checkpoints, the run's events.
 func paperRuns(tb testing.TB) []paperRun {
 	tb.Helper()
 	var out []paperRun
@@ -215,7 +244,9 @@ func paperRuns(tb testing.TB) []paperRun {
 				cks = append(cks, analyzer.Checkpoint{Step: ck.Step, Object: ck.Object})
 			}
 			analyzer.AssociateCheckpoints(rep.Phases, cks)
-			out = append(out, paperRun{fmt.Sprintf("%s-%v", name, v), rep.Phases, records, r.FirstEvents(5000)})
+			ops := func(yield func(trace.Segment) bool) { r.Segments(0, math.MaxInt64, yield) }
+			events := walkEvents(ops)
+			out = append(out, paperRun{fmt.Sprintf("%s-%v", name, v), rep.Phases, records, ops, events[:min(5000, len(events))]})
 		}
 	}
 	return out
@@ -226,24 +257,31 @@ func paperRuns(tb testing.TB) []paperRun {
 func TestChromeTraceMatchesOracleOnPaperRuns(t *testing.T) {
 	for _, run := range paperRuns(t) {
 		t.Run(run.name, func(t *testing.T) {
-			checkTraceMatchesOracle(t, run.phases, run.records, run.events, 5000)
+			checkTraceMatchesOracle(t, run.phases, run.records, run.ops, 5000)
 		})
 	}
 }
 
 // BenchmarkChromeTrace times one trace of the six paper runs in turn,
-// written by the appending writer and by the encoding/json oracle.
+// written by the appending writer from the run's segments and by the
+// encoding/json oracle from its first 5 000 events.
 func BenchmarkChromeTrace(b *testing.B) {
 	runs := paperRuns(b)
 	for _, c := range []struct {
 		name  string
-		write func(io.Writer, []*analyzer.Phase, []*trace.ProfileRecord, []trace.Event, int) error
-	}{{"append", WriteChromeTrace}, {"oracle", writeChromeTraceOracle}} {
+		write func(io.Writer, *paperRun) error
+	}{
+		{"append", func(w io.Writer, run *paperRun) error {
+			return WriteChromeTrace(w, run.phases, run.records, run.ops, 5000)
+		}},
+		{"oracle", func(w io.Writer, run *paperRun) error {
+			return writeChromeTraceOracle(w, run.phases, run.records, run.events, 5000)
+		}},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run := runs[i%len(runs)]
-				if err := c.write(io.Discard, run.phases, run.records, run.events, 5000); err != nil {
+				if err := c.write(io.Discard, &runs[i%len(runs)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -259,7 +297,7 @@ func TestChromeTraceMatchesOracleOnEdges(t *testing.T) {
 	checkTraceMatchesOracle(t, nil, nil, nil, 0)
 	rep, records, events := fixture(t)
 	for _, maxOps := range []int{0, 1, 10, len(events) + 1} {
-		checkTraceMatchesOracle(t, rep.Phases, records, events, maxOps)
+		checkTraceMatchesOracle(t, rep.Phases, records, eventOps(events), maxOps)
 	}
 	gaps := []*trace.ProfileRecord{
 		{Seq: 0, WindowStart: 0, WindowEnd: 100, IdleFrac: 0.25, MXUUtil: 1e-7},
@@ -276,7 +314,7 @@ func TestChromeTraceMatchesOracleOnEdges(t *testing.T) {
 	for _, s := range []string{"", "plain", "<a&b>", "R&D", "a>b", "quote\" back\\slash", "\x00\x01\b\f\n\r\t\x1f\x7f", "\u2028\u2029", "bad \xff\xfe utf8 \xe2\x82", "é世界🙂"} {
 		phases := []*analyzer.Phase{{ID: 3, Start: 10, End: 10, Total: 7, Checkpoint: s}}
 		ops := []trace.Event{{Name: s, Device: trace.TPU, Start: 1, Dur: 0, Step: -1}, {Name: s, Device: trace.Host, Start: 2, Dur: 3, Step: 7}}
-		checkTraceMatchesOracle(t, phases, nil, ops, 0)
+		checkTraceMatchesOracle(t, phases, nil, eventOps(ops), 0)
 	}
 }
 
@@ -296,6 +334,6 @@ func FuzzChromeTrace(f *testing.F) {
 			{Name: op, Device: trace.TPU, Start: 10, Dur: 5, Step: 0},
 			{Name: checkpoint, Device: trace.Host, Start: 15, Step: -1},
 		}
-		checkTraceMatchesOracle(t, phases, records, events, 0)
+		checkTraceMatchesOracle(t, phases, records, eventOps(events), 0)
 	})
 }

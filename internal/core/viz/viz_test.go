@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func fixture(t *testing.T) (*analyzer.Report, []*trace.ProfileRecord, []trace.Ev
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	events := r.Events()
+	events := walkEvents(func(yield func(trace.Segment) bool) { r.Segments(0, math.MaxInt64, yield) })
 	rec := trace.Reduce(0, 0, events, r.IdleFraction(), r.MXUUtilization())
 	records := []*trace.ProfileRecord{rec}
 	rep, err := analyzer.Analyze(w.Name, records, analyzer.OLSAlgo, analyzer.Options{})
@@ -37,7 +38,7 @@ func fixture(t *testing.T) (*analyzer.Report, []*trace.ProfileRecord, []trace.Ev
 func TestChromeTraceIsValidJSON(t *testing.T) {
 	rep, records, events := fixture(t)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, rep.Phases, records, events, 500); err != nil {
+	if err := WriteChromeTrace(&buf, rep.Phases, records, eventOps(events), 500); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any
@@ -53,7 +54,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 func TestChromeTraceTracks(t *testing.T) {
 	rep, records, events := fixture(t)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, rep.Phases, records, events, 100); err != nil {
+	if err := WriteChromeTrace(&buf, rep.Phases, records, eventOps(events), 100); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
@@ -67,7 +68,7 @@ func TestChromeTraceTracks(t *testing.T) {
 func TestChromeTraceOpCap(t *testing.T) {
 	rep, records, events := fixture(t)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, rep.Phases, records, events, 10); err != nil {
+	if err := WriteChromeTrace(&buf, rep.Phases, records, eventOps(events), 10); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {

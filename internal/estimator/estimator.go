@@ -596,38 +596,6 @@ func byStartWindow(s []trace.Event, from, to simclock.Time) []trace.Event {
 	return s[:sort.Search(len(s), func(i int) bool { return s[i].Start >= to })]
 }
 
-// Events returns the run's host and device events in Start order, device
-// first on equal Starts: the stream the profile service tiles. It is
-// built on each call.
-func (r *Runner) Events() []trace.Event { return r.FirstEvents(math.MaxInt) }
-
-// FirstEvents returns the first n events of Events (all of them when the
-// run has fewer), building no more than that.
-func (r *Runner) FirstEvents(n int) []trace.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.syncLocked()
-	he := r.hostByStart
-	dev := r.dev.Seek(0)
-	nd := r.dev.EventCount()
-	out := make([]trace.Event, min(n, nd+len(he)))
-	j := 0
-	for w := 0; w < len(out); {
-		if j == len(he) || (dev.Index() < nd && dev.Start() <= he[j].Start) {
-			through := simclock.Time(math.MaxInt64)
-			if j < len(he) {
-				through = he[j].Start
-			}
-			w += dev.ReadThrough(out[w:], through)
-		} else {
-			out[w] = he[j]
-			j++
-			w++
-		}
-	}
-	return out
-}
-
 // CountEvents implements tpu.EventSource: the window's device events and
 // its slice of hostByStart, counted without building an event.
 func (r *Runner) CountEvents(from, to simclock.Time) int {
@@ -647,8 +615,8 @@ func (r *Runner) CountEvents(from, to simclock.Time) int {
 // holding no lock: the device reader reads the stream as it stood then,
 // and the run may emit more meanwhile, but new host events start at or
 // after the watermark, past the window, so neither moves the window's
-// events in the streams.
-func (r *Runner) Segments(from, to simclock.Time, fn func(trace.Segment)) {
+// events in the streams. It stops when fn returns false.
+func (r *Runner) Segments(from, to simclock.Time, fn func(trace.Segment) bool) {
 	r.mu.Lock()
 	r.syncLocked()
 	dev, end := r.dev.Seek(from), r.dev.Seek(to)
@@ -663,7 +631,9 @@ func (r *Runner) Segments(from, to simclock.Time, fn func(trace.Segment)) {
 			}
 			seg := dev.ReadSegment(through, nd)
 			nd -= seg.Len()
-			fn(seg)
+			if !fn(seg) {
+				return
+			}
 			continue
 		}
 		n := len(he)
@@ -673,7 +643,9 @@ func (r *Runner) Segments(from, to simclock.Time, fn func(trace.Segment)) {
 				n++
 			}
 		}
-		fn(trace.Segment{Events: he[:n:n]})
+		if !fn(trace.Segment{Events: he[:n:n]}) {
+			return
+		}
 		he = he[n:]
 	}
 }

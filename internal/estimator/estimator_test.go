@@ -54,7 +54,7 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestEventsMergedAndOrdered(t *testing.T) {
 	r := quickRun(t, "qanet-squad", Options{Steps: 100})
-	events := r.Events()
+	events := runEvents(r)
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -77,7 +77,7 @@ func TestEventsMergedAndOrdered(t *testing.T) {
 
 func TestEventsInWindowPartition(t *testing.T) {
 	r := quickRun(t, "dcgan-cifar10", Options{Steps: 60})
-	all := r.Events()
+	all := runEvents(r)
 	mid := all[len(all)/2].Start
 	for _, size := range append(chunkSizes, 4096) {
 		a := readWindow(t, r, size, 0, mid)
@@ -110,7 +110,7 @@ func TestEvalBlocksRun(t *testing.T) {
 	r := quickRun(t, "bert-squad", Options{Steps: 200})
 	// Steps 0..149 train, then a 25-step eval block appears.
 	names := map[string]bool{}
-	for _, e := range r.Events() {
+	for _, e := range runEvents(r) {
 		names[e.Name] = true
 	}
 	if !names["ArgMax"] {
@@ -118,7 +118,7 @@ func TestEvalBlocksRun(t *testing.T) {
 	}
 	// Eval disabled removes them.
 	r2 := quickRun(t, "bert-squad", Options{Steps: 200, DisableEval: true})
-	for _, e := range r2.Events() {
+	for _, e := range runEvents(r2) {
 		if e.Name == "ArgMax" {
 			t.Fatal("eval events with DisableEval")
 		}
@@ -128,7 +128,7 @@ func TestEvalBlocksRun(t *testing.T) {
 func TestSessionLifecycleOps(t *testing.T) {
 	r := quickRun(t, "dcgan-mnist", Options{Steps: 120})
 	names := map[string]bool{}
-	for _, e := range r.Events() {
+	for _, e := range runEvents(r) {
 		names[e.Name] = true
 	}
 	for _, want := range []string{
@@ -217,14 +217,14 @@ func TestProfileServiceIntegration(t *testing.T) {
 	svc := r.ProfileService()
 	var events int
 	for i := 0; i < 10000; i++ {
-		resp := svc.NextWindow()
+		resp := nextWindow(svc)
 		events += len(resp.Events)
 		if resp.EndOfStream {
 			break
 		}
 	}
-	if events != len(r.Events()) {
-		t.Fatalf("profile service delivered %d of %d events", events, len(r.Events()))
+	if events != len(runEvents(r)) {
+		t.Fatalf("profile service delivered %d of %d events", events, len(runEvents(r)))
 	}
 }
 
@@ -234,7 +234,7 @@ func TestDeterministicRuns(t *testing.T) {
 	if a.TotalTime() != b.TotalTime() {
 		t.Fatalf("total time differs: %v vs %v", a.TotalTime(), b.TotalTime())
 	}
-	if len(a.Events()) != len(b.Events()) {
+	if len(runEvents(a)) != len(runEvents(b)) {
 		t.Fatal("event counts differ")
 	}
 }

@@ -52,7 +52,7 @@ func TestInvariantIdentityMetricsAgree(t *testing.T) {
 func TestInvariantEventsWithinRun(t *testing.T) {
 	r := quickRun(t, "dcgan-mnist", Options{Steps: 100})
 	end := r.Now()
-	for _, e := range r.Events() {
+	for _, e := range runEvents(r) {
 		if e.Start < 0 || e.Dur < 0 {
 			t.Fatalf("event %q has negative time", e.Name)
 		}

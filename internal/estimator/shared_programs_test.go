@@ -44,7 +44,7 @@ func TestRunnersShareWorkloadPrograms(t *testing.T) {
 			t.Fatalf("%v: %v", v, errs[i])
 		}
 		alone := quickRun(t, "dcgan-mnist", Options{Version: v, Steps: 80})
-		if !reflect.DeepEqual(runners[i].Events(), alone.Events()) {
+		if !reflect.DeepEqual(runEvents(runners[i]), runEvents(alone)) {
 			t.Fatalf("%v: the concurrent run's events differ from a run alone", v)
 		}
 	}

@@ -13,30 +13,31 @@ import (
 )
 
 // TestWindowBufferIsReused: after a finished run's first window, which
-// makes the profile service's chunk buffer, every window passes through
-// that buffer, so reading one through ReadWindow allocates the same
-// couple of small objects (the response its consumer is handed, and the
-// closure handing it) however many chunks it fills: here 60 s windows of
-// more than one chunk each.
+// sorts the host stream into the source's buffers, every window is read
+// through those buffers, so reading one through ReadSegments allocates the
+// same couple of small objects (the response its consumer is handed, and
+// the closure handing it) however many segments it holds: here 60 s
+// windows of more than 4096 events each.
 func TestWindowBufferIsReused(t *testing.T) {
 	r := quickRun(t, "resnet-imagenet", Options{Steps: 2000})
 	svc := r.ProfileService()
-	chunks, short := 0, 0
-	count := func(_ *tpu.ProfileResponse, chunk []trace.Event) {
-		chunks++
-		if len(chunk) < 4096 {
-			short++
-		}
-	}
-	svc.ReadWindow(count)
-	if chunks == 0 {
+	events := 0
+	count := func(_ *tpu.ProfileResponse, seg trace.Segment) { events += seg.Len() }
+	svc.ReadSegments(count)
+	if events == 0 {
 		t.Fatal("the first window is empty")
 	}
 	const windows = 30
-	chunks, short = 0, 0
-	allocs := testing.AllocsPerRun(windows, func() { svc.ReadWindow(count) })
-	if full := chunks - short; short != windows+1 || full < windows+1 {
-		t.Fatalf("%d full and %d short chunks in %d windows: the run is too short to measure", full, short, windows+1)
+	long := 0
+	allocs := testing.AllocsPerRun(windows, func() {
+		events = 0
+		svc.ReadSegments(count)
+		if events > 4096 {
+			long++
+		}
+	})
+	if long < windows+1 {
+		t.Fatalf("%d of %d windows hold more than 4096 events: the run is too short to measure", long, windows+1)
 	}
 	if allocs > 2 {
 		t.Fatalf("a window allocates %v times on average, want at most 2", allocs)

@@ -17,12 +17,12 @@ import (
 // drained to the end of the stream. It returns the runner and every
 // response in order. Each window is also read again, as it is cut,
 // through buffers of every chunk size, and must come out the same.
-func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Runner, step int64)) (*Runner, []tpu.ProfileResponse) {
+func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Runner, step int64)) (*Runner, []testWindow) {
 	t.Helper()
 	var svc *tpu.ProfileService
-	var resps []tpu.ProfileResponse
-	poll := func(r *Runner) tpu.ProfileResponse {
-		resp := svc.NextWindow()
+	var resps []testWindow
+	poll := func(r *Runner) testWindow {
+		resp := nextWindow(svc)
 		for _, size := range chunkSizes {
 			if got := readWindow(t, r, size, resp.WindowStart, resp.WindowEnd); !slices.Equal(got, resp.Events) {
 				t.Fatalf("window [%d, %d) through %d events: %d events, the service's %d (or not the same ones)",
@@ -59,7 +59,7 @@ func pollEveryStep(t *testing.T, workload string, opts Options, hook func(r *Run
 // checkExactlyOnce fails unless the responses' events, concatenated, are
 // the run's event stream — every event once, in order — and no response
 // holds an event of a step below the OpenStep an earlier one reported.
-func checkExactlyOnce(t *testing.T, r *Runner, resps []tpu.ProfileResponse) {
+func checkExactlyOnce(t *testing.T, r *Runner, resps []testWindow) {
 	t.Helper()
 	var got []trace.Event
 	open := int64(math.MinInt64) // a non-positive OpenStep says nothing
@@ -75,7 +75,7 @@ func checkExactlyOnce(t *testing.T, r *Runner, resps []tpu.ProfileResponse) {
 			open = max(open, resp.OpenStep)
 		}
 	}
-	if want := r.Events(); !slices.Equal(got, want) {
+	if want := runEvents(r); !slices.Equal(got, want) {
 		t.Fatalf("the windows delivered %d events, the run emitted %d (or not the same ones)", len(got), len(want))
 	}
 }

@@ -3,7 +3,6 @@ package tpu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"unsafe"
@@ -43,8 +42,9 @@ type StepTiming struct {
 // program's, and each starts where the clock of the run stands: a step's
 // InfeedDequeueTuple and Infeed both at the step's start, every later
 // event at the end of the one before (Infeed, the queue-side half of the
-// infeed transfer, excepted). An EventReader replays that clock to build
-// the events a reader asks for.
+// infeed transfer, excepted). An EventReader hands out stretches of runs
+// as trace.Segments, which replay that clock for a consumer that needs
+// the events.
 //
 // The event stream is in Start order, and so are the step timings (in
 // Start and in End). RunStep starts a step no earlier than the device's
@@ -387,10 +387,10 @@ func (d *Device) LatestStarts(i int, fn func(step int64, last simclock.Time)) in
 }
 
 // An EventReader reads the device's event stream in order, from one event
-// on, as events or as segments of runs. It reads the stream as it stood
-// when Seek made it: it never sees an event emitted later, and never
-// touches what the device writes after, so it may be read without the
-// lock that orders the device's writes. Reset invalidates it.
+// on, as segments of runs. It reads the stream as it stood when Seek made
+// it: it never sees an event emitted later, and never touches what the
+// device writes after, so it may be read without the lock that orders the
+// device's writes. Reset invalidates it.
 type EventReader struct {
 	runs []run
 	durs []simclock.Duration
@@ -429,35 +429,6 @@ func (rd *EventReader) Index() int {
 // Start returns the next event's Start. It is meaningless at the end of
 // the stream.
 func (rd *EventReader) Start() simclock.Time { return rd.at }
-
-// Next returns the next event and moves past it. It must not be called at
-// the end of the stream.
-func (rd *EventReader) Next() trace.Event {
-	var e [1]trace.Event
-	rd.Read(e[:])
-	return e[0]
-}
-
-// Read fills dst with the next len(dst) events and moves past them. The
-// stream must hold that many.
-func (rd *EventReader) Read(dst []trace.Event) {
-	rd.ReadThrough(dst, math.MaxInt64)
-}
-
-// ReadThrough fills dst with the next events that start no later than t,
-// stopping early at one that starts later or at the end of the stream,
-// moves past them and returns how many it read.
-func (rd *EventReader) ReadThrough(dst []trace.Event, t simclock.Time) int {
-	n := 0
-	for n < len(dst) {
-		seg := rd.ReadSegment(t, len(dst)-n)
-		if seg.Len() == 0 {
-			break
-		}
-		n = len(seg.AppendEvents(dst[:n]))
-	}
-	return n
-}
 
 // ReadSegment returns the next events that start no later than t, at most
 // max of them and all of one run, as a segment, and moves past them. The

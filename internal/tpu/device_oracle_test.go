@@ -2,6 +2,7 @@ package tpu
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -83,8 +84,24 @@ func (d *oracleDevice) jitter(dur simclock.Duration) simclock.Duration {
 func deviceEvents(d *Device) []trace.Event {
 	out := make([]trace.Event, d.EventCount())
 	rd := d.Seek(0)
-	rd.Read(out)
+	readThrough(&rd, out, math.MaxInt64)
 	return out
+}
+
+// readThrough fills dst with rd's next events that start no later than
+// t, stopping early at one that starts later or at the end of the stream,
+// moves past them and returns how many it read: the events of rd's
+// segments, built into dst.
+func readThrough(rd *EventReader, dst []trace.Event, t simclock.Time) int {
+	n := 0
+	for n < len(dst) {
+		seg := rd.ReadSegment(t, len(dst)-n)
+		if seg.Len() == 0 {
+			break
+		}
+		n = len(seg.AppendEvents(dst[:n]))
+	}
+	return n
 }
 
 // checkStreamMatchesOracle compares d's stream with o's: the whole stream,
@@ -107,25 +124,25 @@ func checkStreamMatchesOracle(t testing.TB, d *Device, o *oracleDevice) {
 			t.Fatalf("Seek(%d) is at event %d, the oracle's first event at or after it is %d", at, rd.Index(), i)
 		}
 		n := min(len(buf), len(want)-i)
-		rd.Read(buf[:n])
+		readThrough(&rd, buf[:n], math.MaxInt64)
 		if !slices.Equal(buf[:n], want[i:i+n]) {
 			t.Fatalf("the %d events read from Seek(%d) are not the oracle's", n, at)
 		}
-		// ReadThrough from the same place stops at a Start, at the end
+		// readThrough from the same place stops at a Start, at the end
 		// of buf or at the end of the stream, whichever comes first.
 		if i+n < len(want) {
 			through := want[i+n/2].Start
 			rd = d.Seek(at)
-			k := rd.ReadThrough(buf, through)
+			k := readThrough(&rd, buf, through)
 			w := i
 			for w < len(want) && w-i < len(buf) && want[w].Start <= through {
 				w++
 			}
 			if k != w-i || !slices.Equal(buf[:k], want[i:w]) {
-				t.Fatalf("ReadThrough(%d) from Seek(%d) read %d events, the oracle's %d (or not the same ones)", through, at, k, w-i)
+				t.Fatalf("readThrough(%d) from Seek(%d) read %d events, the oracle's %d (or not the same ones)", through, at, k, w-i)
 			}
 			if rd.Index() != w || (w < len(want) && rd.Start() != want[w].Start) {
-				t.Fatalf("after ReadThrough(%d) from Seek(%d) the reader is at event %d, want %d", through, at, rd.Index(), w)
+				t.Fatalf("after readThrough(%d) from Seek(%d) the reader is at event %d, want %d", through, at, rd.Index(), w)
 			}
 		}
 	}

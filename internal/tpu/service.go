@@ -16,9 +16,10 @@ const (
 	MethodStatus  = "tpu.Status"
 )
 
-// ProfileResponse is the decoded form of one profile service reply.
+// ProfileResponse is one profile service reply but for its events, which
+// the service hands to a window's consumer as segments and the wire
+// carries as an encoded batch.
 type ProfileResponse struct {
-	Events      []trace.Event
 	WindowStart simclock.Time
 	WindowEnd   simclock.Time
 	IdleFrac    float64
@@ -49,22 +50,18 @@ type EventSource interface {
 	CountEvents(from, to simclock.Time) int
 	// Segments hands fn the events with Start in [from, to), in Start
 	// order, device first on equal Starts, as segments: views of events
-	// held whole, or stretches of device runs, none empty. A segment is
-	// only valid during its call. The source may emit while the call
-	// runs, so the window must be final: to is no later than the source's
-	// watermark, as every window the service cuts is.
-	Segments(from, to simclock.Time, fn func(trace.Segment))
+	// held whole, or stretches of device runs, none empty, until fn
+	// returns false. A segment is only valid during its call. The source
+	// may emit while the call runs, so the window must be final: to is no
+	// later than the source's watermark, as every window the service cuts
+	// is.
+	Segments(from, to simclock.Time, fn func(trace.Segment) bool)
 	WindowMetrics(from, to simclock.Time) (idleFrac, mxuUtil float64)
 	// OpenStep returns the lowest step that can still gain an event
 	// with Start >= t: one already emitted at or after t, or one not
 	// emitted yet. It is math.MaxInt64 when no step can.
 	OpenStep(t simclock.Time) int64
 }
-
-// chunkEvents is the length of the buffer ReadWindow builds a window's
-// events in: 4096 events of 48 bytes, 192 KiB, so a chunk is still in
-// cache when its consumer reads it.
-const chunkEvents = 4096
 
 // ProfileService exposes an EventSource over the rpc package, mimicking
 // the gRPC profile endpoint that CLOUD-TPU-PROFILER and TPUPoint both hit.
@@ -81,17 +78,14 @@ const chunkEvents = 4096
 // limit included, is found from counts — and the source then hands its
 // events to the window's consumer as segments: the in-process profiler
 // reduces them (ReadSegments), the rpc handler encodes them, and neither
-// builds a device event. ReadWindow builds the events a chunk at a time
-// in one buffer the service owns, and NextWindow collects a window whole,
-// for tests and one-shot tools.
+// builds a device event. No path builds a window's events whole: a
+// window can hold up to MaxEventsPerProfile of them.
 type ProfileService struct {
 	mu     sync.Mutex
 	src    EventSource
 	spec   ChipSpec
 	cursor simclock.Time
-	buf    []trace.Event // ReadWindow's chunk buffer, chunkEvents long once a window has used it
-	filled int           // the events in buf not yet handed on
-	batch  []byte        // the rpc handler's encoded events, reused
+	batch  []byte // the rpc handler's encoded events, reused
 
 	// watermarkFn reports the source's watermark; doneFn whether the
 	// source will emit nothing more.
@@ -113,40 +107,17 @@ func (s *ProfileService) Register(srv *rpc.Server) {
 
 // ReadSegments cuts the next profile window and hands its events to fn
 // as the source's segments, each with the window's response; it returns
-// that response. The response's Events are nil, and a segment is valid
-// only during its call. fn is not called for an empty window, and must
-// not call the service.
+// that response. A segment is valid only during its call. fn is not
+// called for an empty window, and must not call the service.
 func (s *ProfileService) ReadSegments(fn func(resp *ProfileResponse, seg trace.Segment)) ProfileResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.readWindowLocked(fn, nil)
+	return s.readWindowLocked(fn)
 }
 
-// ReadWindow is ReadSegments with the window's events built a chunk at a
-// time in the service's buffer: every chunk full but the last, none
-// empty, each valid only during its call.
-func (s *ProfileService) ReadWindow(fn func(resp *ProfileResponse, chunk []trace.Event)) ProfileResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readWindowLocked(nil, fn)
-}
-
-// NextWindow cuts the next profile window and returns it with its events
-// collected into a slice of their own: the whole window at once, for tests
-// and one-shot tools. The profiler reads windows through ReadSegments.
-func (s *ProfileService) NextWindow() ProfileResponse {
-	var events []trace.Event
-	resp := s.ReadSegments(func(_ *ProfileResponse, seg trace.Segment) {
-		events = seg.AppendEvents(events)
-	})
-	resp.Events = events
-	return resp
-}
-
-// readWindowLocked is the service's one window-cutting path. It hands the
-// window's segments to segFn, or, when segFn is nil, their events built
-// in the chunk buffer to chunkFn.
-func (s *ProfileService) readWindowLocked(segFn func(*ProfileResponse, trace.Segment), chunkFn func(*ProfileResponse, []trace.Event)) ProfileResponse {
+// readWindowLocked is the service's one window-cutting path: it hands
+// the window's segments to fn.
+func (s *ProfileService) readWindowLocked(fn func(*ProfileResponse, trace.Segment)) ProfileResponse {
 	// done before the watermark: a source that finishes between the two
 	// reads must not end the stream at a watermark older than its last
 	// events.
@@ -180,33 +151,11 @@ func (s *ProfileService) readWindowLocked(segFn func(*ProfileResponse, trace.Seg
 	resp.OpenStep = s.src.OpenStep(to)
 	resp.EndOfStream = done && to >= wm
 	s.cursor = to
-	if segFn != nil {
-		s.src.Segments(from, to, func(seg trace.Segment) { segFn(&resp, seg) })
-		return resp
-	}
-	if s.buf == nil {
-		s.buf = make([]trace.Event, chunkEvents)
-	}
-	s.src.Segments(from, to, func(seg trace.Segment) { s.fill(seg, &resp, chunkFn) })
-	if s.filled > 0 {
-		chunkFn(&resp, s.buf[:s.filled])
-		s.filled = 0
-	}
+	s.src.Segments(from, to, func(seg trace.Segment) bool {
+		fn(&resp, seg)
+		return true
+	})
 	return resp
-}
-
-// fill builds seg's events in the chunk buffer, after those already
-// there, handing fn the buffer each time it fills.
-func (s *ProfileService) fill(seg trace.Segment, resp *ProfileResponse, fn func(*ProfileResponse, []trace.Event)) {
-	for seg.Len() > 0 {
-		var head trace.Segment
-		head, seg = seg.Cut(min(seg.Len(), len(s.buf)-s.filled))
-		s.filled = len(head.AppendEvents(s.buf[:s.filled]))
-		if s.filled == len(s.buf) {
-			fn(resp, s.buf)
-			s.filled = 0
-		}
-	}
 }
 
 // clip returns where a window from `from` ends when [from, to) holds more
@@ -237,7 +186,7 @@ func (s *ProfileService) handleProfile(body []byte) ([]byte, error) {
 	s.batch = s.batch[:0]
 	resp := s.readWindowLocked(func(_ *ProfileResponse, seg trace.Segment) {
 		s.batch = trace.AppendSegment(s.batch, &seg)
-	}, nil)
+	})
 	return encodeProfileResponse(&resp, s.batch), nil
 }
 
@@ -263,13 +212,8 @@ func (s *ProfileService) handleStatus(body []byte) ([]byte, error) {
 //	  sint64 open_step    = 8;
 //	}
 
-// marshalProfileResponse encodes a whole response.
-func marshalProfileResponse(r *ProfileResponse) []byte {
-	return encodeProfileResponse(r, trace.MarshalEvents(r.Events))
-}
-
-// encodeProfileResponse encodes r with events, r's events encoded, as its
-// events field, into one allocation.
+// encodeProfileResponse encodes r with events, the window's events
+// encoded, as its events field, into one allocation.
 func encodeProfileResponse(r *ProfileResponse, events []byte) []byte {
 	dst := make([]byte, 0, protowire.SizeBytes(1, len(events))+64)
 	dst = protowire.AppendBytes(dst, 1, events)
@@ -283,14 +227,6 @@ func encodeProfileResponse(r *ProfileResponse, events []byte) []byte {
 		dst = protowire.AppendInt64(dst, 8, r.OpenStep)
 	}
 	return dst
-}
-
-// UnmarshalProfileResponse decodes a profile reply, its events whole.
-func UnmarshalProfileResponse(data []byte) (*ProfileResponse, error) {
-	return ReadProfileResponse(data, func(r *ProfileResponse, batch []byte) (err error) {
-		r.Events, err = trace.UnmarshalEvents(batch)
-		return err
-	})
 }
 
 // ReadProfileResponse decodes a profile reply but for its events, whose

@@ -32,7 +32,7 @@ func (s *sliceSource) CountEvents(from, to simclock.Time) int {
 	return max(0, s.search(to)-s.search(from))
 }
 
-func (s *sliceSource) Segments(from, to simclock.Time, fn func(trace.Segment)) {
+func (s *sliceSource) Segments(from, to simclock.Time, fn func(trace.Segment) bool) {
 	if s.dev == nil {
 		if events := s.events[s.search(from):s.search(to)]; len(events) > 0 {
 			fn(trace.Segment{Events: events})
@@ -43,7 +43,9 @@ func (s *sliceSource) Segments(from, to simclock.Time, fn func(trace.Segment)) {
 	for n := s.CountEvents(from, to); n > 0; {
 		seg := rd.ReadSegment(math.MaxInt64, n)
 		n -= seg.Len()
-		fn(seg)
+		if !fn(seg) {
+			return
+		}
 	}
 }
 
@@ -79,12 +81,57 @@ func serviceFixture(t *testing.T, steps int) (*Device, *ProfileService) {
 	return d, svc
 }
 
-// drain polls svc to the end of the stream and returns its responses.
-func drain(t *testing.T, svc *ProfileService) []ProfileResponse {
+// testWindow is a profile window with its events built whole, as the
+// tests read one.
+type testWindow struct {
+	ProfileResponse
+	Events []trace.Event
+}
+
+// nextWindow reads svc's next window through ReadSegments, building its
+// events.
+func nextWindow(svc *ProfileService) testWindow {
+	var w testWindow
+	w.ProfileResponse = svc.ReadSegments(func(_ *ProfileResponse, seg trace.Segment) {
+		w.Events = seg.AppendEvents(w.Events)
+	})
+	return w
+}
+
+// decodeEvents decodes an event batch whole through trace.DecodeEvents.
+func decodeEvents(batch []byte) ([]trace.Event, error) {
+	var events []trace.Event
+	err := trace.DecodeEvents(batch, make([]trace.Event, 1024), make(map[string]string), func(chunk []trace.Event) {
+		events = append(events, chunk...)
+	})
+	return events, err
+}
+
+// unmarshalProfileResponse decodes a profile reply, its events whole: the
+// last events field's, as a decoder keeps the last.
+func unmarshalProfileResponse(data []byte) (*testWindow, error) {
+	var events []trace.Event
+	resp, err := ReadProfileResponse(data, func(_ *ProfileResponse, batch []byte) (err error) {
+		events, err = decodeEvents(batch)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &testWindow{ProfileResponse: *resp, Events: events}, nil
+}
+
+// marshalProfileResponse encodes a whole window's response.
+func marshalProfileResponse(w *testWindow) []byte {
+	return encodeProfileResponse(&w.ProfileResponse, trace.AppendEvents(nil, w.Events))
+}
+
+// drain polls svc to the end of the stream and returns its windows.
+func drain(t *testing.T, svc *ProfileService) []testWindow {
 	t.Helper()
-	var out []ProfileResponse
+	var out []testWindow
 	for i := 0; i < 1000; i++ {
-		resp := svc.NextWindow()
+		resp := nextWindow(svc)
 		out = append(out, resp)
 		if resp.EndOfStream {
 			return out
@@ -183,7 +230,7 @@ func TestNextWindowRespectsDurationLimit(t *testing.T) {
 		func() simclock.Time { return d.FreeAt() },
 		func() bool { return true })
 
-	first := svc.NextWindow()
+	first := nextWindow(svc)
 	if first.WindowEnd.Sub(first.WindowStart) > trace.MaxProfileWindow {
 		t.Fatalf("window span %v exceeds limit", first.WindowEnd.Sub(first.WindowStart))
 	}
@@ -200,7 +247,7 @@ func TestNextWindowEmptyBeforeActivity(t *testing.T) {
 	svc := NewProfileService(deviceSource(d), d.Spec,
 		func() simclock.Time { return 0 },
 		func() bool { return false })
-	resp := svc.NextWindow()
+	resp := nextWindow(svc)
 	if len(resp.Events) != 0 || resp.EndOfStream {
 		t.Fatalf("idle service returned %d events, eos=%v", len(resp.Events), resp.EndOfStream)
 	}
@@ -208,7 +255,7 @@ func TestNextWindowEmptyBeforeActivity(t *testing.T) {
 
 func TestWindowMetadataPlausible(t *testing.T) {
 	_, svc := serviceFixture(t, 30)
-	resp := svc.NextWindow()
+	resp := nextWindow(svc)
 	if resp.IdleFrac < 0 || resp.IdleFrac > 1 {
 		t.Fatalf("idle = %g", resp.IdleFrac)
 	}
@@ -231,7 +278,7 @@ func TestProfileOverRPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := UnmarshalProfileResponse(raw)
+		resp, err := unmarshalProfileResponse(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,10 +293,11 @@ func TestProfileOverRPC(t *testing.T) {
 }
 
 // TestRPCHandlerBytesMatchWholeWindow: the rpc handler, which encodes a
-// window a chunk at a time, answers with the bytes of the whole window's
-// response, window after window, on a stream whose windows span several
-// chunks and hit the 60 s limit.
+// window a segment at a time, answers with the bytes of the whole window's
+// response, window after window, on a stream whose windows span many
+// device runs (more than chunkEvents events) and hit the 60 s limit.
 func TestRPCHandlerBytesMatchWholeWindow(t *testing.T) {
+	const chunkEvents = 4096
 	d := newTestDevice(t, V2)
 	at := simclock.Time(0)
 	for i := 0; i < 3000; i++ {
@@ -271,7 +319,7 @@ func TestRPCHandlerBytesMatchWholeWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := whole.NextWindow()
+		resp := nextWindow(whole)
 		if want := marshalProfileResponse(&resp); !bytes.Equal(got, want) {
 			t.Fatalf("window %d [%d, %d) of %d events: the handler's %d bytes differ from the whole window's %d",
 				i, resp.WindowStart, resp.WindowEnd, len(resp.Events), len(got), len(want))
@@ -310,20 +358,22 @@ func TestStatusOverRPC(t *testing.T) {
 }
 
 func TestProfileResponseRoundTrip(t *testing.T) {
-	resp := &ProfileResponse{
+	resp := &testWindow{
 		Events: []trace.Event{
 			{Name: "fusion", Device: trace.TPU, Start: 10, Dur: 100, Step: 3},
 			{Name: "OutfeedDequeueTuple", Device: trace.Host, Start: 110, Dur: 20, Step: 3},
 		},
-		WindowStart: 0,
-		WindowEnd:   200,
-		IdleFrac:    0.39,
-		MXUUtil:     0.22,
-		EndOfStream: true,
-		Truncated:   true,
-		OpenStep:    3,
+		ProfileResponse: ProfileResponse{
+			WindowStart: 0,
+			WindowEnd:   200,
+			IdleFrac:    0.39,
+			MXUUtil:     0.22,
+			EndOfStream: true,
+			Truncated:   true,
+			OpenStep:    3,
+		},
 	}
-	got, err := UnmarshalProfileResponse(marshalProfileResponse(resp))
+	got, err := unmarshalProfileResponse(marshalProfileResponse(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,14 +391,14 @@ func TestEventBatchRoundTrip(t *testing.T) {
 		{Name: "a", Device: trace.Host, Start: 1, Dur: 2, Step: -1},
 		{Name: "b", Device: trace.TPU, Start: 3, Dur: 4, Step: 7},
 	}
-	got, err := trace.UnmarshalEvents(trace.MarshalEvents(events))
+	got, err := decodeEvents(trace.AppendEvents(nil, events))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != events[0] || got[1] != events[1] {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if empty, err := trace.UnmarshalEvents(trace.MarshalEvents(nil)); err != nil || len(empty) != 0 {
+	if empty, err := decodeEvents(trace.AppendEvents(nil, nil)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty batch: %v %v", empty, err)
 	}
 }

@@ -40,3 +40,11 @@ var (
 	ManyNamesRecord          = manyNamesRecord
 	SampleRecord             = sampleRecord
 )
+
+// UnmarshalEventsOracle and ReduceOracle are the whole-batch event decoder
+// and the per-event reduction the shipped code replaced, for the external
+// fuzz target of the profiler's rpc client.
+var (
+	UnmarshalEventsOracle = unmarshalEventsOracle
+	ReduceOracle          = reduceOracle
+)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -63,17 +64,39 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalEvents drives DecodeEvents through chunks of 1, 7 and
+// 1024 events: it accepts what unmarshalEventsOracle accepts, hands on
+// every chunk full but the last and none empty, and decodes the oracle's
+// events.
 func FuzzUnmarshalEvents(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(MarshalEvents([]Event{{Name: "x", Device: Host, Start: 1, Dur: 2, Step: 3}}))
+	f.Add(AppendEvents(nil, []Event{{Name: "x", Device: Host, Start: 1, Dur: 2, Step: 3}}))
+	f.Add(AppendEvents(nil, []Event{{Name: "a", Device: TPU, Step: -1}, {Name: "b"}, {Name: "a", Device: TPU, Start: 9}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := UnmarshalEvents(data)
-		if err != nil {
-			return
-		}
-		for _, e := range events {
-			if e.Device != Host && e.Device != TPU {
-				t.Fatalf("decoded invalid device %d", e.Device)
+		want, wantErr := unmarshalEventsOracle(data)
+		for _, size := range []int{1, 7, 1024} {
+			var got []Event
+			short := false
+			err := DecodeEvents(data, make([]Event, size), make(map[string]string), func(chunk []Event) {
+				if len(chunk) == 0 || short {
+					t.Fatalf("chunks of %d: a chunk of %d events after a short one, or an empty one", size, len(chunk))
+				}
+				short = len(chunk) < size
+				got = append(got, chunk...)
+			})
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("chunks of %d: error %v, the oracle's %v", size, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("chunks of %d: %d events, the oracle's %d (or not the same ones)", size, len(got), len(want))
+			}
+			for _, e := range got {
+				if e.Device != Host && e.Device != TPU {
+					t.Fatalf("decoded invalid device %d", e.Device)
+				}
 			}
 		}
 	})

@@ -16,46 +16,79 @@ import (
 // into its step through StepStat.Observe, which finds the operator in the
 // step's sorted list by binary search, and the steps sorted at the end.
 func reduceOracle(seq int64, windowStart simclock.Time, events []Event, idleFrac, mxuUtil float64) *ProfileRecord {
-	rec := &ProfileRecord{
-		Seq:         seq,
-		WindowStart: windowStart,
-		WindowEnd:   windowStart,
-		IdleFrac:    idleFrac,
-		MXUUtil:     mxuUtil,
+	o := newOracleReduction(seq, windowStart)
+	o.add(events)
+	return o.record(idleFrac, mxuUtil)
+}
+
+// oracleReduction is reduceOracle between events: a window reduced so
+// far, which a copy can go on reducing.
+type oracleReduction struct {
+	rec      ProfileRecord
+	deadline simclock.Time
+	stopped  bool // an event past a limit came: the rest are dropped
+	bySteps  map[int64]*StepStat
+	ss       *StepStat // the last event's step
+}
+
+func newOracleReduction(seq int64, windowStart simclock.Time) *oracleReduction {
+	return &oracleReduction{
+		rec:      ProfileRecord{Seq: seq, WindowStart: windowStart, WindowEnd: windowStart},
+		deadline: windowStart.Add(MaxProfileWindow),
+		bySteps:  make(map[int64]*StepStat),
 	}
-	deadline := windowStart.Add(MaxProfileWindow)
-	bySteps := make(map[int64]*StepStat)
-	var ss *StepStat
+}
+
+func (o *oracleReduction) add(events []Event) {
+	rec := &o.rec
 	for _, e := range events {
-		if rec.NumEvents >= MaxEventsPerProfile {
-			rec.Truncated = true
-			break
+		if o.stopped {
+			return
 		}
-		if e.Start > deadline {
+		if rec.NumEvents >= MaxEventsPerProfile || e.Start > o.deadline {
 			rec.Truncated = true
-			break
+			o.stopped = true
+			return
 		}
 		rec.NumEvents++
-		if ss == nil || ss.Step != e.Step {
-			if ss = bySteps[e.Step]; ss == nil {
-				ss = NewStepStat(e.Step)
-				bySteps[e.Step] = ss
+		if o.ss == nil || o.ss.Step != e.Step {
+			if o.ss = o.bySteps[e.Step]; o.ss == nil {
+				o.ss = NewStepStat(e.Step)
+				o.bySteps[e.Step] = o.ss
 			}
 		}
-		ss.Observe(e)
+		o.ss.Observe(e)
 		if e.End() > rec.WindowEnd {
 			rec.WindowEnd = e.End()
 		}
 	}
-	steps := make([]*StepStat, 0, len(bySteps))
-	for _, ss := range bySteps {
+}
+
+// clone returns a copy of o that reduces on without touching o.
+func (o *oracleReduction) clone() *oracleReduction {
+	c := *o
+	c.bySteps = make(map[int64]*StepStat, len(o.bySteps))
+	for step, ss := range o.bySteps {
+		c.bySteps[step] = ss.Clone()
+	}
+	if o.ss != nil {
+		c.ss = c.bySteps[o.ss.Step]
+	}
+	return &c
+}
+
+func (o *oracleReduction) record(idleFrac, mxuUtil float64) *ProfileRecord {
+	rec := o.rec
+	rec.IdleFrac, rec.MXUUtil = idleFrac, mxuUtil
+	steps := make([]*StepStat, 0, len(o.bySteps))
+	for _, ss := range o.bySteps {
 		ss.IdleFrac = idleFrac
 		ss.MXUUtil = mxuUtil
 		steps = append(steps, ss)
 	}
 	sort.Slice(steps, func(i, j int) bool { return steps[i].Step < steps[j].Step })
 	rec.Steps = steps
-	return rec
+	return &rec
 }
 
 // reduceChunks reduces events handed to a Reducer cut at the given
@@ -247,13 +280,53 @@ func runStarts(layout *RunLayout, durs []simclock.Duration, start simclock.Time)
 	return starts
 }
 
-// nearLimit is a run of MaxEventsPerProfile-2 events, built once: a
-// window FuzzReducerSegments opens with it is clipped at the event limit
-// within its next few events.
+// nearLimit is MaxEventsPerProfile-2 events of step 0, one after the
+// other, as runs of a 1000-event layout, and what FuzzReducerSegments
+// needs of them, built once: a window it opens with them is clipped at the
+// event limit within its next few events. The runs are held to their
+// events, built by runStarts, once, where the target holds every other
+// segment to its events per input: its halves build them, and
+// AppendSegment writes their bytes. reduced is reduceOracle's state after
+// them, which an input copies and goes on reducing, so that one input
+// costs the Reducer's pass over the runs and not a million events built,
+// reduced by the oracle and encoded twice. (One run of them all would
+// cost the Reducer a million names to intern per input.)
 var nearLimit struct {
 	sync.Once
-	layout *RunLayout
-	durs   []simclock.Duration
+	segs    []Segment
+	end     simclock.Time // where the last event ends
+	reduced *oracleReduction
+	fault   string // what the one check found wrong
+}
+
+func buildNearLimit() {
+	const runEvents = 1000
+	l := &RunLayout{Names: make([]string, runEvents), Device: TPU}
+	durs := make([]simclock.Duration, runEvents)
+	for i := range durs {
+		l.Names[i] = "fusion"
+		durs[i] = 1
+	}
+	nearLimit.reduced = newOracleReduction(7, 0)
+	var at simclock.Time
+	for left := MaxEventsPerProfile - 2; left > 0; left -= runEvents {
+		seg := Segment{Run: l, Step: 0, Durs: durs, Lo: 0, Hi: min(runEvents, left), Start: at}
+		var events []Event
+		for k, s := range runStarts(l, durs[:seg.Hi], at) {
+			events = append(events, Event{Name: l.Names[k], Device: l.Device, Start: s, Dur: durs[k]})
+		}
+		head, tail := seg.Cut(seg.Hi / 2)
+		switch {
+		case !reflect.DeepEqual(tail.AppendEvents(head.AppendEvents(nil)), events):
+			nearLimit.fault = "a near-limit run's halves build other events"
+		case !bytes.Equal(AppendSegment(nil, &seg), AppendEvents(nil, events)):
+			nearLimit.fault = "AppendSegment writes other bytes than AppendEvents for a near-limit run"
+		}
+		nearLimit.segs = append(nearLimit.segs, seg)
+		nearLimit.reduced.add(events)
+		at = events[len(events)-1].End()
+	}
+	nearLimit.end = at
 }
 
 // FuzzReducerSegments holds the Reducer, handed a window as segments, to
@@ -266,10 +339,14 @@ var nearLimit struct {
 // the second seeds the durations (zero among them); the third is the
 // distance moved; the fourth's bits cut a run into segments after those
 // events, and host events come 1 to 4 in one segment. A first byte of
-// 0xff opens the window with a run of MaxEventsPerProfile-2 events, so
-// the event limit falls in the events after it. The expected events are
-// built by runStarts, not by the code under test, and each segment is
-// also cut in two, whose halves must build its events.
+// 0xff opens the window with MaxEventsPerProfile-2 events (nearLimit), so
+// the event limit falls in the events after them. The expected
+// events are built by runStarts, not by the code under test, and each
+// segment is also cut in two, whose halves must build its events.
+// Groups past the 32nd are ignored: an input costs at most that many, and
+// the fuzzer's minimizer, which tries removing every stretch of an
+// interesting input's bytes, cuts the ignored tail off first instead of
+// spending the smoke's seconds on a long input.
 func FuzzReducerSegments(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x03, 0x05, 0x04, 0x08, 0x07, 0x10, 0x02})
@@ -279,27 +356,22 @@ func FuzzReducerSegments(f *testing.F) {
 	hostNames := []string{"Send", "fusion", "Infeed", ""}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var segs []Segment
-		var events []Event
+		var events []Event // the events of the segments after a near-limit run
 		var at simclock.Time
+		oracle := newOracleReduction(7, 0)
+		checked := 0 // segments checked already
 		if len(data) > 0 && data[0] == 0xff {
-			nearLimit.Do(func() {
-				n := MaxEventsPerProfile - 2
-				nearLimit.layout = &RunLayout{Names: make([]string, n), Device: TPU}
-				nearLimit.durs = make([]simclock.Duration, n)
-				for i := range nearLimit.durs {
-					nearLimit.layout.Names[i] = "fusion"
-					nearLimit.durs[i] = 1
-				}
-			})
-			l, durs := nearLimit.layout, nearLimit.durs
-			segs = append(segs, Segment{Run: l, Step: 0, Durs: durs, Lo: 0, Hi: len(durs)})
-			for k, s := range runStarts(l, durs, 0) {
-				events = append(events, Event{Name: l.Names[k], Device: l.Device, Start: s, Dur: durs[k]})
+			nearLimit.Do(buildNearLimit)
+			if nearLimit.fault != "" {
+				t.Fatal(nearLimit.fault)
 			}
-			at = events[len(events)-1].End()
+			segs = append(segs, nearLimit.segs...)
+			at = nearLimit.end
+			oracle = nearLimit.reduced.clone()
+			checked = len(segs)
 			data = data[1:]
 		}
-		for ; len(data) >= 4; data = data[4:] {
+		for g := 0; g < 32 && len(data) >= 4; g, data = g+1, data[4:] {
 			b0, seed, move, cuts := data[0], data[1], data[2], data[3]
 			switch b0 >> 4 & 3 {
 			case 1:
@@ -342,12 +414,16 @@ func FuzzReducerSegments(f *testing.F) {
 				at = max(at, starts[k].Add(durs[k]))
 			}
 		}
-		want := reduceOracle(7, 0, events, 0.25, 0.5)
+		oracle.add(events)
+		want := oracle.record(0.25, 0.5)
 		red := NewReducer(7, 0)
 		var built []Event
 		var wire []byte
-		for _, s := range segs {
+		for i, s := range segs {
 			red.AddSegment(s)
+			if i < checked {
+				continue
+			}
 			head, tail := s.Cut(s.Len() / 2)
 			from := len(built)
 			built = tail.AppendEvents(head.AppendEvents(built))

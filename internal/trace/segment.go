@@ -101,10 +101,10 @@ func AppendSegment(dst []byte, s *Segment) []byte {
 	return dst
 }
 
-// DecodeEvents decodes an event batch (MarshalEvents' encoding) into buf
+// DecodeEvents decodes an event batch (AppendEvents' encoding) into buf
 // a chunk at a time and hands each chunk to fn, every chunk full but the
-// last and none empty: the events UnmarshalEvents returns, without ever
-// holding them all. Names are interned in names, so the events of one
+// last and none empty, without ever holding the batch's events all at
+// once. Names are interned in names, so the events of one
 // operator share one string, which the Reducer finds without hashing, and
 // a batch of any length allocates only for its distinct names. A chunk is
 // valid only during the call. It returns the first decoding error, after

@@ -20,11 +20,6 @@ import (
 //
 //	message EventBatch { repeated Event events = 1; }
 
-// MarshalEvents encodes an event batch.
-func MarshalEvents(events []Event) []byte {
-	return AppendEvents(nil, events)
-}
-
 // AppendEvents appends the batch's encoding of events to dst and returns
 // the extended slice. A batch is one repeated field, so batches encoded
 // one after another are the encoding of their events concatenated: a
@@ -52,37 +47,8 @@ func appendEvent(dst []byte, name string, dev Device, start simclock.Time, dur s
 	return protowire.AppendInt64(dst, 5, step)
 }
 
-// UnmarshalEvents decodes an event batch.
-func UnmarshalEvents(data []byte) ([]Event, error) {
-	d := protowire.NewDecoder(data)
-	var out []Event
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		if f != 1 {
-			if err := d.Skip(ty); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		raw, err := d.Raw()
-		if err != nil {
-			return nil, err
-		}
-		ev, err := decodeEvent(raw, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
-// decodeEvent decodes one event. With names it takes each name from
-// names, adding it the first time, so equal names share one string;
-// without, each name is a copy of its own.
+// decodeEvent decodes one event. It takes each name from names, adding
+// it the first time, so equal names share one string.
 func decodeEvent(data []byte, names map[string]string) (Event, error) {
 	var ev Event
 	d := protowire.NewDecoder(data)
@@ -97,9 +63,7 @@ func decodeEvent(data []byte, names map[string]string) (Event, error) {
 			if err != nil {
 				return ev, err
 			}
-			if names == nil {
-				ev.Name = string(b)
-			} else if v, ok := names[string(b)]; ok {
+			if v, ok := names[string(b)]; ok {
 				ev.Name = v
 			} else {
 				ev.Name = string(b)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -12,13 +13,106 @@ import (
 	"repro/internal/simclock"
 )
 
+// decodeAll decodes an event batch through DecodeEvents, 1024 events at a
+// time as the profiler's rpc client does, and returns its events.
+func decodeAll(data []byte) ([]Event, error) {
+	var out []Event
+	err := DecodeEvents(data, make([]Event, 1024), make(map[string]string), func(chunk []Event) {
+		out = append(out, chunk...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// unmarshalEventsOracle is the whole-batch decoder DecodeEvents replaced:
+// every event appended to one slice, each name a copy of its own.
+func unmarshalEventsOracle(data []byte) ([]Event, error) {
+	d := protowire.NewDecoder(data)
+	var out []Event
+	for !d.Done() {
+		f, ty, err := d.Next()
+		if err != nil {
+			return nil, err
+		}
+		if f != 1 {
+			if err := d.Skip(ty); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		raw, err := d.Raw()
+		if err != nil {
+			return nil, err
+		}
+		ev, err := decodeEventOracle(raw)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
+	}
+	return out, nil
+}
+
+func decodeEventOracle(data []byte) (Event, error) {
+	var ev Event
+	d := protowire.NewDecoder(data)
+	for !d.Done() {
+		f, ty, err := d.Next()
+		if err != nil {
+			return ev, err
+		}
+		switch f {
+		case 1:
+			b, err := d.Raw()
+			if err != nil {
+				return ev, err
+			}
+			ev.Name = string(b)
+		case 2:
+			v, err := d.Uint64()
+			if err != nil {
+				return ev, err
+			}
+			if v > uint64(TPU) {
+				return ev, fmt.Errorf("trace: bad device %d", v)
+			}
+			ev.Device = Device(v)
+		case 3:
+			v, err := d.Uint64()
+			if err != nil {
+				return ev, err
+			}
+			ev.Start = simclock.Time(v)
+		case 4:
+			v, err := d.Uint64()
+			if err != nil {
+				return ev, err
+			}
+			ev.Dur = simclock.Duration(v)
+		case 5:
+			v, err := d.Int64()
+			if err != nil {
+				return ev, err
+			}
+			ev.Step = v
+		default:
+			if err := d.Skip(ty); err != nil {
+				return ev, err
+			}
+		}
+	}
+	return ev, nil
+}
+
 func TestEventsRoundTrip(t *testing.T) {
 	events := []Event{
 		{Name: "fusion", Device: TPU, Start: 100, Dur: 50, Step: 7},
 		{Name: "OutfeedDequeueTuple", Device: Host, Start: 150, Dur: 2000, Step: 7},
 		{Name: "init", Device: Host, Start: 0, Dur: 1, Step: -1},
 	}
-	got, err := UnmarshalEvents(MarshalEvents(events))
+	got, err := decodeAll(AppendEvents(nil, events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,19 +127,19 @@ func TestEventsRoundTrip(t *testing.T) {
 }
 
 func TestEventsEmptyBatch(t *testing.T) {
-	got, err := UnmarshalEvents(MarshalEvents(nil))
+	got, err := decodeAll(AppendEvents(nil, nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v %v", got, err)
 	}
 }
 
 func TestEventsRejectGarbage(t *testing.T) {
-	if _, err := UnmarshalEvents([]byte{0x00}); err == nil {
+	if _, err := decodeAll([]byte{0x00}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	// Truncate a valid batch mid-payload.
-	data := MarshalEvents([]Event{{Name: "abcdefgh", Device: TPU, Start: 1, Dur: 2, Step: 3}})
-	if _, err := UnmarshalEvents(data[:len(data)-2]); err == nil {
+	data := AppendEvents(nil, []Event{{Name: "abcdefgh", Device: TPU, Start: 1, Dur: 2, Step: 3}})
+	if _, err := decodeAll(data[:len(data)-2]); err == nil {
 		t.Fatal("truncated batch accepted")
 	}
 }
@@ -57,7 +151,7 @@ func TestEventsRejectBadDevice(t *testing.T) {
 	inner.Uint64(2, 9)
 	outer := protowire.NewEncoder(nil)
 	outer.Raw(1, inner.Bytes())
-	if _, err := UnmarshalEvents(outer.Bytes()); err == nil {
+	if _, err := decodeAll(outer.Bytes()); err == nil {
 		t.Fatal("device 9 accepted")
 	}
 }
@@ -72,7 +166,7 @@ func TestEventsSkipUnknownFields(t *testing.T) {
 	outer := protowire.NewEncoder(nil)
 	outer.Raw(1, inner.Bytes())
 	outer.Uint64(5, 7) // unknown
-	got, err := UnmarshalEvents(outer.Bytes())
+	got, err := decodeAll(outer.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +186,7 @@ func TestPropertyEventsRoundTrip(t *testing.T) {
 		if dev {
 			ev.Device = TPU
 		}
-		got, err := UnmarshalEvents(MarshalEvents([]Event{ev}))
+		got, err := decodeAll(AppendEvents(nil, []Event{ev}))
 		return err == nil && len(got) == 1 && got[0] == ev
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -100,7 +194,7 @@ func TestPropertyEventsRoundTrip(t *testing.T) {
 	}
 }
 
-// marshalEventsOracle is MarshalEvents as it was before AppendEvents:
+// marshalEventsOracle is the batch encoder as it was before AppendEvents:
 // each event staged in an encoder of its own, then copied in as field 1.
 func marshalEventsOracle(events []Event) []byte {
 	e := protowire.NewEncoder(nil)
@@ -134,10 +228,10 @@ func TestAppendEventsMatchesOracle(t *testing.T) {
 			Step: rng.Int63()>>rng.Intn(63) - rng.Int63()>>rng.Intn(63)})
 	}
 	want := marshalEventsOracle(events)
-	if got := MarshalEvents(events); !bytes.Equal(got, want) {
-		t.Fatal("MarshalEvents differs from the staged encoder")
+	if got := AppendEvents(nil, events); !bytes.Equal(got, want) {
+		t.Fatal("AppendEvents differs from the staged encoder")
 	}
-	if MarshalEvents(nil) != nil {
+	if AppendEvents(nil, nil) != nil {
 		t.Fatal("an empty batch is not nil")
 	}
 	for _, chunk := range []int{1, 2, 7, 64} {
@@ -166,20 +260,25 @@ func BenchmarkMarshalEvents(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MarshalEvents(events)
+		AppendEvents(nil, events)
 	}
 }
 
+// BenchmarkUnmarshalEvents decodes a 200-event batch as the profiler's rpc
+// client does: a chunk buffer and interned names kept from batch to batch.
 func BenchmarkUnmarshalEvents(b *testing.B) {
 	events := make([]Event, 200)
 	for i := range events {
 		events[i] = Event{Name: "fusion", Device: TPU,
 			Start: simclock.Time(i * 100), Dur: 90, Step: int64(i / 10)}
 	}
-	data := MarshalEvents(events)
+	data := AppendEvents(nil, events)
+	buf := make([]Event, 1024)
+	names := make(map[string]string)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalEvents(data); err != nil {
+		if err := DecodeEvents(data, buf, names, func([]Event) {}); err != nil {
 			b.Fatal(err)
 		}
 	}

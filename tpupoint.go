@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 
@@ -275,9 +276,19 @@ func (s *Session) LoadRecords() ([]*ProfileRecord, error) {
 const traceOps = 5000
 
 // WriteTrace emits the chrome://tracing visualization of a report plus
-// the records it came from (the paper's Figure 3 artifact).
+// the records it came from (the paper's Figure 3 artifact). Its op tracks
+// are the trained run's first traceOps events, read from the run's
+// segments; a run still training draws none.
 func (s *Session) WriteTrace(w io.Writer, rep *Report, records []*ProfileRecord) error {
-	return viz.WriteChromeTrace(w, rep.Phases, records, s.runner.FirstEvents(traceOps), traceOps)
+	return viz.WriteChromeTrace(w, rep.Phases, records, s.runOps, traceOps)
+}
+
+// runOps walks the trained run's events as segments, the whole run as one
+// window, which is final only once the run is done.
+func (s *Session) runOps(yield func(trace.Segment) bool) {
+	if s.runner.Done() {
+		s.runner.Segments(0, math.MaxInt64, yield)
+	}
 }
 
 // WriteCSV emits the CSV phase summary of a report.

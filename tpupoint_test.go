@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core/analyzer"
 	"repro/internal/core/viz"
+	"repro/internal/trace"
 )
 
 func TestWorkloadsList(t *testing.T) {
@@ -98,9 +99,10 @@ func TestSessionFigure2Flow(t *testing.T) {
 	}
 }
 
-// TestWriteTraceDrawsFirstEvents: WriteTrace builds only the events it
-// draws, and writes the bytes it wrote from the whole run's events, on the
-// three workloads the paper pipeline renders.
+// TestWriteTraceDrawsFirstEvents: WriteTrace, which reads the run's
+// segments only as far as the events it draws, writes the bytes it writes
+// from the whole run's events, on the three workloads the paper pipeline
+// renders.
 func TestWriteTraceDrawsFirstEvents(t *testing.T) {
 	for _, name := range []string{"bert-mrpc", "resnet-imagenet", "dcgan-mnist"} {
 		s, err := NewSession(name, Options{Steps: 300})
@@ -126,7 +128,9 @@ func TestWriteTraceDrawsFirstEvents(t *testing.T) {
 		if err := s.WriteTrace(&got, rep, records); err != nil {
 			t.Fatal(err)
 		}
-		if err := viz.WriteChromeTrace(&want, rep.Phases, records, s.runner.Events(), traceOps); err != nil {
+		events := runEvents(s.runner)
+		whole := func(yield func(trace.Segment) bool) { yield(trace.Segment{Events: events}) }
+		if err := viz.WriteChromeTrace(&want, rep.Phases, records, whole, traceOps); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
